@@ -412,6 +412,35 @@ func BenchmarkExtensionTopK(b *testing.B) {
 	}
 }
 
+// The served top-k shape: the frozen arena over bench/'s own dataset
+// (EEGN(1, 200 000), L = 100, NormGlobal, insertion-built) — the
+// in-process counterpart of BENCHMARK.json's topk_p50_ms on `point`,
+// allocations included.
+func BenchmarkFrozenTopK(b *testing.B) {
+	data := datasets.EEGN(1, 200000)
+	ext := series.NewExtractor(data, series.NormGlobal)
+	ix, err := core.Build(ext, core.Config{L: harness.DefaultL})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fz := ix.Freeze()
+	raw := datasets.Queries(data, 7, 64, harness.DefaultL)
+	qs := make([][]float64, len(raw))
+	for i, q := range raw {
+		qs[i] = ext.TransformQuery(q)
+	}
+	for _, k := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := fz.SearchTopK(qs[i%len(qs)], k); len(got) != k {
+					b.Fatalf("got %d results", len(got))
+				}
+			}
+		})
+	}
+}
+
 // Adaptive (ADS+-style) vs full iSAX build: construction cost and the
 // convergence of query latency as refinement proceeds.
 func BenchmarkAblationAdaptiveISAX(b *testing.B) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sync/atomic"
 
 	"twinsearch/internal/series"
@@ -87,9 +86,11 @@ func (ix *Index) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 
 	ver := series.NewVerifier(ix.ext, q, eps)
 	var out []series.Match
-	pq := &nodeQueue{{n: ix.root, lb: ix.root.bounds.DistSequence(q)}}
-	for pq.Len() > 0 && !budget.Exhausted() {
-		item := heap.Pop(pq).(nodeItem)
+	pq := make([]nodeItem, 0, frozenStackCap)
+	pq = append(pq, nodeItem{n: ix.root, lb: ix.root.bounds.DistSequence(q)})
+	for len(pq) > 0 && !budget.Exhausted() {
+		var item nodeItem
+		pq, item = heapPop(pq)
 		st.NodesVisited++
 		if item.lb > eps {
 			// Everything remaining is farther than ε; Lemma 1 says no
@@ -99,7 +100,7 @@ func (ix *Index) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 		}
 		if !item.n.leaf {
 			for _, c := range item.n.children {
-				heap.Push(pq, nodeItem{n: c, lb: c.bounds.DistSequence(q)})
+				pq = heapPush(pq, nodeItem{n: c, lb: c.bounds.DistSequence(q)})
 			}
 			continue
 		}

@@ -20,9 +20,7 @@ package core
 // (work), not the answer, depends on visit order.
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 
 	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
@@ -168,16 +166,15 @@ func (f *Frozen) SearchTopKBatchFrom(sub FrozenSubtree, qs [][]float64, k int, s
 	if k <= 0 || !sub.ok || nq == 0 {
 		return out
 	}
-	sharedAt := func(qi int32) *SharedBound {
-		if shared == nil {
-			return nil
+	// One accumulator per query: the same scoring and admission step
+	// as the single-query units (topk.go).
+	tk := make([]topK, nq)
+	for i := range tk {
+		var sb *SharedBound
+		if shared != nil {
+			sb = shared[i]
 		}
-		return shared[qi]
-	}
-
-	best := make([]*resultHeap, nq)
-	for i := range best {
-		best[i] = &resultHeap{}
+		tk[i] = newTopK(k, sb)
 	}
 	buf := make([]float64, f.cfg.L)
 
@@ -197,16 +194,11 @@ func (f *Frozen) SearchTopKBatchFrom(sub FrozenSubtree, qs [][]float64, k int, s
 		stack = stack[:len(stack)-1]
 		act := active[fr.lo:fr.hi]
 
-		// boundLB for the batch: abandoning against a query's current
-		// threshold when it has one, a full Eq. 2 pass otherwise (a +Inf
-		// limit never abandons, so one batch call serves both cases).
+		// Each query's Eq. 2 pass abandons against its own current
+		// limit (+Inf, which never abandons, while it has none).
 		for i, qi := range act {
 			sq[i] = qs[qi]
-			if t := kthThreshold(best[qi], k, sharedAt(qi)); t >= 0 {
-				limits[i] = t
-			} else {
-				limits[i] = math.Inf(1)
-			}
+			limits[i] = tk[qi].limit()
 		}
 		b := len(act)
 		kernel.DistAbandonFlatBatch(f.boundsUpper(fr.node), f.boundsLower(fr.node),
@@ -233,29 +225,13 @@ func (f *Frozen) SearchTopKBatchFrom(sub FrozenSubtree, qs [][]float64, k int, s
 		for _, p := range f.positions[first : first+c] {
 			w := f.ext.Extract(int(p), f.cfg.L, buf)
 			for _, qi := range active[lo:hi] {
-				d := series.Chebyshev(qs[qi], w)
-				m := series.Match{Start: int(p), Dist: d}
-				h := best[qi]
-				if h.Len() >= k {
-					if !matchLess(m, (*h)[0]) {
-						continue
-					}
-					heap.Pop(h)
-				}
-				heap.Push(h, m)
-				if sb := sharedAt(qi); sb != nil && h.Len() >= k {
-					sb.Tighten((*h)[0].Dist)
-				}
+				tk[qi].offer(int(p), w, qs[qi])
 			}
 		}
 	}
 
-	for qi, h := range best {
-		ms := make([]series.Match, h.Len())
-		for i := len(ms) - 1; i >= 0; i-- {
-			ms[i] = heap.Pop(h).(series.Match)
-		}
-		out[qi] = ms
+	for qi := range tk {
+		out[qi] = tk[qi].sorted()
 	}
 	return out
 }

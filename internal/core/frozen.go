@@ -21,12 +21,14 @@ package core
 // i's ended — which Freeze exploits and CheckInvariants enforces.
 //
 // Every search path of the pointer index has a frozen counterpart that
-// replicates its traversal step for step (same child order, same heap
-// disciplines), so results are byte-identical — the parity tests in
-// frozen_test.go and the shard layer's merges rely on that.
+// visits children in the same order, so results are byte-identical —
+// the parity tests in frozen_test.go and the shard layer's merges rely
+// on that. The range paths replicate the pointer loops step for step;
+// the best-first paths (top-k, approx) share one typed heap and top-k
+// shares one candidate-scoring accumulator with the pointer form
+// (topk.go), so there the two cannot drift.
 
 import (
-	"container/heap"
 	"fmt"
 
 	"twinsearch/internal/arena"
@@ -339,78 +341,66 @@ func (f *Frozen) SearchStatsFrom(sub FrozenSubtree, q []float64, eps float64) ([
 // SearchTopK returns the k subsequences nearest to q under Chebyshev
 // distance — the frozen counterpart of Index.SearchTopK.
 func (f *Frozen) SearchTopK(q []float64, k int) []series.Match {
-	return f.SearchTopKSharedFrom(f.Root(), q, k, nil)
-}
-
-// SearchTopKShared is SearchTopK with an optional cross-traversal
-// pruning bound (see SharedBound).
-func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) []series.Match {
-	return f.SearchTopKSharedFrom(f.Root(), q, k, shared)
+	ms, _ := f.SearchTopKSharedFrom(f.Root(), q, k, nil)
+	return ms
 }
 
 // SearchTopKSharedFrom is the top-k work unit over the arena: the
-// best-first traversal restricted to one subtree, mirroring
-// Index.SearchTopKSharedFrom (pruning on strict inequality only, so
-// merged results are deterministic however the tree is split or which
-// form runs it).
-func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, shared *SharedBound) []series.Match {
+// best-first traversal restricted to one subtree, with the contract of
+// Index.SearchTopKSharedFrom. Both walk children in the same order
+// through the same typed heap and score candidates through the same
+// topK accumulator, so merged results are byte-identical however the
+// tree is split or which form runs it.
+func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, shared *SharedBound) ([]series.Match, Stats) {
 	if len(q) != f.cfg.L {
 		panic("core: query length mismatch")
 	}
 	if k <= 0 || !sub.ok {
-		return nil
+		return nil, Stats{}
 	}
 
-	best := &resultHeap{}
-	kth := func() float64 { return kthThreshold(best, k, shared) }
+	t := newTopK(k, shared)
 	buf := make([]float64, f.cfg.L)
 
-	rootLB, ok := boundLB(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, kth())
+	t.st.NodesVisited++
+	rootLB, ok := mbts.DistAbandonFlat(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, t.limit())
 	if !ok {
-		return nil // a shared bound has already excluded this subtree
+		t.st.NodesPruned++
+		return nil, t.st // a shared bound has already excluded this subtree
 	}
-	pq := &frozenQueue{{id: sub.id, lb: rootLB}}
+	// Constant capacity: the queue stays on the goroutine stack until
+	// it outgrows frozenStackCap pending nodes.
+	pq := make([]frozenItem, 0, frozenStackCap)
+	pq = append(pq, frozenItem{id: sub.id, lb: rootLB})
 
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(frozenItem)
-		if t := kth(); t >= 0 && item.lb > t {
-			break // every remaining node is at least this far
+	for len(pq) > 0 {
+		var item frozenItem
+		pq, item = heapPop(pq)
+		if item.lb > t.limit() {
+			// Every remaining node is at least this far.
+			t.st.NodesPruned += len(pq) + 1
+			break
 		}
 		first, c := f.first[item.id], f.count[item.id]
 		if !f.isLeaf(item.id) {
 			for j := int32(0); j < c; j++ {
 				child := first + j
-				// Same early-abandoned child bound as the pointer form.
-				lb, ok := boundLB(f.boundsUpper(child), f.boundsLower(child), q, kth())
+				t.st.NodesVisited++
+				lb, ok := mbts.DistAbandonFlat(f.boundsUpper(child), f.boundsLower(child), q, t.limit())
 				if !ok {
+					t.st.NodesPruned++
 					continue
 				}
-				heap.Push(pq, frozenItem{id: child, lb: lb})
+				pq = heapPush(pq, frozenItem{id: child, lb: lb})
 			}
 			continue
 		}
+		t.st.LeavesReached++
 		for _, p := range f.positions[first : first+c] {
-			w := f.ext.Extract(int(p), f.cfg.L, buf)
-			d := series.Chebyshev(q, w)
-			m := series.Match{Start: int(p), Dist: d}
-			if best.Len() >= k {
-				if !matchLess(m, (*best)[0]) {
-					continue
-				}
-				heap.Pop(best)
-			}
-			heap.Push(best, m)
-			if shared != nil && best.Len() >= k {
-				shared.Tighten((*best)[0].Dist)
-			}
+			t.offer(int(p), f.ext.Extract(int(p), f.cfg.L, buf), q)
 		}
 	}
-
-	out := make([]series.Match, best.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(best).(series.Match)
-	}
-	return out
+	return t.sorted(), t.st
 }
 
 // SearchPrefix answers twin queries shorter than the indexed length —
@@ -511,9 +501,11 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 
 	ver := series.NewVerifier(f.ext, q, eps)
 	var out []series.Match
-	pq := &frozenQueue{{id: 0, lb: mbts.DistFlat(f.boundsUpper(0), f.boundsLower(0), q)}}
-	for pq.Len() > 0 && !budget.Exhausted() {
-		item := heap.Pop(pq).(frozenItem)
+	pq := make([]frozenItem, 0, frozenStackCap)
+	pq = append(pq, frozenItem{id: 0, lb: mbts.DistFlat(f.boundsUpper(0), f.boundsLower(0), q)})
+	for len(pq) > 0 && !budget.Exhausted() {
+		var item frozenItem
+		pq, item = heapPop(pq)
 		st.NodesVisited++
 		if item.lb > eps {
 			st.NodesPruned++
@@ -523,7 +515,7 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 		if !f.isLeaf(item.id) {
 			for j := int32(0); j < c; j++ {
 				child := first + j
-				heap.Push(pq, frozenItem{id: child,
+				pq = heapPush(pq, frozenItem{id: child,
 					lb: mbts.DistFlat(f.boundsUpper(child), f.boundsLower(child), q)})
 			}
 			continue
@@ -546,27 +538,15 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 	return out, st
 }
 
-// frozenItem pairs an arena node id with its Eq. 2 lower bound.
+// frozenItem pairs an arena node id with its Eq. 2 lower bound; nearest
+// first, the same order as nodeItem so both forms break lower-bound
+// ties identically.
 type frozenItem struct {
 	id int32
 	lb float64
 }
 
-// frozenQueue is a min-heap on lower bound, mirroring nodeQueue so both
-// forms break lower-bound ties identically.
-type frozenQueue []frozenItem
-
-func (q frozenQueue) Len() int            { return len(q) }
-func (q frozenQueue) Less(i, j int) bool  { return q[i].lb < q[j].lb }
-func (q frozenQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *frozenQueue) Push(x interface{}) { *q = append(*q, x.(frozenItem)) }
-func (q *frozenQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
-}
+func (a frozenItem) before(b frozenItem) bool { return a.lb < b.lb }
 
 // CheckInvariants validates the arena against the series and the
 // structural invariants Freeze guarantees. LoadFrozen runs it so a

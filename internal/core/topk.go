@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"math"
 	"sync/atomic"
 
@@ -59,160 +58,215 @@ func (b *SharedBound) Tighten(d float64) {
 // node is farther than the current k-th best — the classic optimal
 // incremental NN strategy transplanted onto MBTS.
 func (ix *Index) SearchTopK(q []float64, k int) []series.Match {
-	return ix.SearchTopKShared(q, k, nil)
-}
-
-// SearchTopKShared is SearchTopK with an optional cross-traversal
-// pruning bound (see SharedBound); internal/shard passes one bound to
-// every work unit of a fanned-out query so each traversal benefits from
-// the candidates the others have already admitted. A nil bound reduces
-// to the plain single-index traversal. When shared pruning fires, the
-// local result may omit matches that cannot survive the global k-way
-// merge; the merged top-k is unaffected.
-func (ix *Index) SearchTopKShared(q []float64, k int, shared *SharedBound) []series.Match {
-	return ix.SearchTopKSharedFrom(ix.Root(), q, k, shared)
+	ms, _ := ix.SearchTopKSharedFrom(ix.Root(), q, k, nil)
+	return ms
 }
 
 // SearchTopKSharedFrom is the top-k work unit: the best-first traversal
 // restricted to one subtree. Disjoint subtrees sharing one bound admit
-// exactly the candidates whole-shard traversals would (pruning is on
-// strict inequality only), so the k-way merge of per-unit lists is
-// byte-identical however the tree is split.
-func (ix *Index) SearchTopKSharedFrom(sub Subtree, q []float64, k int, shared *SharedBound) []series.Match {
+// exactly the candidates whole-shard traversals would (pruning and
+// abandoning are on strict inequality only), so the k-way merge of
+// per-unit lists is byte-identical however the tree is split.
+//
+// shared is an optional cross-traversal bound (see SharedBound):
+// internal/shard passes one to every work unit of a fanned-out query so
+// each traversal rejects against the candidates the others have already
+// admitted. When it fires, the local result may omit matches that
+// cannot survive the global k-way merge; the merged top-k is
+// unaffected. A nil bound is the plain single-index traversal.
+//
+// The returned Stats count this unit's work (see topK); Results stays
+// zero — the caller holding the final list sets it.
+func (ix *Index) SearchTopKSharedFrom(sub Subtree, q []float64, k int, shared *SharedBound) ([]series.Match, Stats) {
 	if len(q) != ix.cfg.L {
 		panic("core: query length mismatch")
 	}
 	if k <= 0 || sub.n == nil {
-		return nil
+		return nil, Stats{}
 	}
 
-	best := &resultHeap{}
-	kth := func() float64 { return kthThreshold(best, k, shared) }
+	t := newTopK(k, shared)
 	buf := make([]float64, ix.cfg.L)
 
-	rootLB, ok := boundLB(sub.n.bounds.Upper, sub.n.bounds.Lower, q, kth())
+	t.st.NodesVisited++
+	rootLB, ok := mbts.DistAbandonFlat(sub.n.bounds.Upper, sub.n.bounds.Lower, q, t.limit())
 	if !ok {
-		return nil // a shared bound has already excluded this subtree
+		t.st.NodesPruned++
+		return nil, t.st // a shared bound has already excluded this subtree
 	}
-	pq := &nodeQueue{{n: sub.n, lb: rootLB}}
+	pq := make([]nodeItem, 0, frozenStackCap)
+	pq = append(pq, nodeItem{n: sub.n, lb: rootLB})
 
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nodeItem)
-		if t := kth(); t >= 0 && item.lb > t {
-			break // every remaining node is at least this far
+	for len(pq) > 0 {
+		var item nodeItem
+		pq, item = heapPop(pq)
+		if item.lb > t.limit() {
+			// Every remaining node is at least this far.
+			t.st.NodesPruned += len(pq) + 1
+			break
 		}
 		if !item.n.leaf {
 			for _, c := range item.n.children {
-				// Early-abandon the Eq. 2 scan against the current k-th
-				// threshold: a prunable child is discarded partway through
+				// Early-abandon the Eq. 2 scan against the current
+				// limit: a prunable child is discarded partway through
 				// its bounds instead of after a full-length pass.
-				lb, ok := boundLB(c.bounds.Upper, c.bounds.Lower, q, kth())
+				t.st.NodesVisited++
+				lb, ok := mbts.DistAbandonFlat(c.bounds.Upper, c.bounds.Lower, q, t.limit())
 				if !ok {
+					t.st.NodesPruned++
 					continue
 				}
-				heap.Push(pq, nodeItem{n: c, lb: lb})
+				pq = heapPush(pq, nodeItem{n: c, lb: lb})
 			}
 			continue
 		}
+		t.st.LeavesReached++
 		for _, p := range item.n.positions {
-			w := ix.ext.Extract(int(p), ix.cfg.L, buf)
-			d := series.Chebyshev(q, w)
-			m := series.Match{Start: int(p), Dist: d}
-			if best.Len() >= k {
-				// Full: admit only if strictly better than the current
-				// worst under the (dist, start) total order.
-				if !matchLess(m, (*best)[0]) {
-					continue
-				}
-				heap.Pop(best)
-			}
-			heap.Push(best, m)
-			if shared != nil && best.Len() >= k {
-				shared.Tighten((*best)[0].Dist)
-			}
+			t.offer(int(p), ix.ext.Extract(int(p), ix.cfg.L, buf), q)
 		}
 	}
+	return t.sorted(), t.st
+}
 
-	out := make([]series.Match, best.Len())
+// topKPrealloc caps the result heap's up-front capacity: k comes off
+// the wire unbounded, and every work unit of every query allocates one.
+const topKPrealloc = 1024
+
+// topK is one query's running answer inside one top-k work unit — the
+// single leaf-scoring and admission step shared by the pointer, frozen
+// and batch traversals, so all three admit byte-identical sets.
+//
+// best holds the k nearest candidates so far as a max-heap under the
+// (dist, start) total order, worst on top. st counts the unit's work:
+// NodesVisited is every node whose Eq. 2 bound was evaluated,
+// NodesPruned those never expanded (abandoned at evaluation, or still
+// queued when the traversal stopped), Abandons the candidates the
+// kernel rejected against the limit.
+type topK struct {
+	k      int
+	best   []worstFirst
+	shared *SharedBound
+	st     Stats
+}
+
+func newTopK(k int, shared *SharedBound) topK {
+	return topK{k: k, best: make([]worstFirst, 0, min(k, topKPrealloc)+1), shared: shared}
+}
+
+// limit returns the current rejection threshold — the smaller of the
+// shared bound and the local k-th best distance; +Inf while nothing can
+// be discarded yet (a +Inf limit never prunes and never abandons).
+// Anything strictly farther cannot reach the merged top-k: k real
+// candidates at or below the limit already exist.
+func (t *topK) limit() float64 {
+	l := math.Inf(1)
+	if t.shared != nil {
+		l = t.shared.Load()
+	}
+	if len(t.best) >= t.k && t.best[0].Dist < l {
+		l = t.best[0].Dist
+	}
+	return l
+}
+
+// offer verifies candidate window w (starting at p) against q the way
+// threshold search verifies: the dispatched Eq. 2 kernel with both
+// bounds set to the window computes max|q−w| — exactly
+// series.Chebyshev(q, w), bit for bit (FuzzCandidateDist) — and
+// abandons after at most one 64-lane block once the running maximum
+// strictly exceeds the limit. A surviving candidate is admitted iff it
+// beats the current worst under (dist, start).
+func (t *topK) offer(p int, w, q []float64) {
+	t.st.Candidates++
+	d, ok := mbts.DistAbandonFlat(w, w, q, t.limit())
+	if !ok {
+		t.st.Abandons++
+		return
+	}
+	m := worstFirst{Start: p, Dist: d}
+	if len(t.best) >= t.k {
+		if !t.best[0].before(m) {
+			return // not strictly better than the current worst
+		}
+		t.best, _ = heapPop(t.best)
+	}
+	t.best = heapPush(t.best, m)
+	if t.shared != nil && len(t.best) >= t.k {
+		t.shared.Tighten(t.best[0].Dist)
+	}
+}
+
+// sorted drains the heap into ascending (dist, start) order.
+func (t *topK) sorted() []series.Match {
+	out := make([]series.Match, len(t.best))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(best).(series.Match)
+		var m worstFirst
+		t.best, m = heapPop(t.best)
+		out[i] = series.Match(m)
 	}
 	return out
 }
 
-// kthThreshold returns the current pruning threshold of a top-k
-// traversal — the smaller of the shared bound and the local k-th best —
-// or -1 while nothing can be discarded yet. Shared by the pointer and
-// frozen traversals so both prune identically.
-func kthThreshold(best *resultHeap, k int, shared *SharedBound) float64 {
-	t := math.Inf(1)
-	if shared != nil {
-		t = shared.Load()
-	}
-	if best.Len() >= k && (*best)[0].Dist < t {
-		t = (*best)[0].Dist
-	}
-	if math.IsInf(t, 1) {
-		return -1 // nothing can be discarded yet
-	}
-	return t
-}
+// worstFirst is a result-heap element: a match ordered so the worst
+// under the strict (distance, then start) total order leaves the heap
+// first.
+type worstFirst series.Match
 
-// boundLB computes a node's Eq. 2 lower bound for the query, abandoning
-// against threshold t (t < 0 means no threshold): (lb, true) when the
-// node survives, (0, false) when it prunes. Abandoning fires exactly
-// when the full distance would exceed t (the running maximum only
-// grows), so pruning decisions are identical to a full computation —
-// only cheaper.
-func boundLB(upper, lower, q []float64, t float64) (float64, bool) {
-	if t >= 0 {
-		return mbts.DistAbandonFlat(upper, lower, q, t)
-	}
-	return mbts.DistFlat(upper, lower, q), true
-}
-
-// matchLess is the strict total order on results: by distance, then by
-// start position.
-func matchLess(a, b series.Match) bool {
+func (a worstFirst) before(b worstFirst) bool {
 	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
+		return a.Dist > b.Dist
 	}
-	return a.Start < b.Start
+	return a.Start > b.Start
 }
 
-// nodeItem pairs a node with its Eq. 2 lower bound for the query.
+// nodeItem pairs a node with its Eq. 2 lower bound for the query;
+// nearest first.
 type nodeItem struct {
 	n  *node
 	lb float64
 }
 
-// nodeQueue is a min-heap on lower bound.
-type nodeQueue []nodeItem
+func (a nodeItem) before(b nodeItem) bool { return a.lb < b.lb }
 
-func (q nodeQueue) Len() int            { return len(q) }
-func (q nodeQueue) Less(i, j int) bool  { return q[i].lb < q[j].lb }
-func (q nodeQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x interface{}) { *q = append(*q, x.(nodeItem)) }
-func (q *nodeQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+// heapItem orders the elements of the typed binary heaps: a.before(b)
+// reports that a must leave the heap ahead of b.
+type heapItem[T any] interface{ before(T) bool }
+
+// heapPush and heapPop are container/heap's sift-up and sift-down over
+// a plain slice — the same comparisons in the same order, so ties
+// resolve exactly as they did under heap.Interface — without boxing
+// every element into an interface value.
+func heapPush[T heapItem[T]](h []T, x T) []T {
+	h = append(h, x)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
 }
 
-// resultHeap is a max-heap under the (dist, start) total order, holding
-// the best k matches with the worst on top.
-type resultHeap []series.Match
-
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return matchLess(h[j], h[i]) }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(series.Match)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+// heapPop removes and returns the first element in before-order. h must
+// be non-empty.
+func heapPop[T heapItem[T]](h []T) ([]T, T) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].before(h[j]) {
+			j = r
+		}
+		if !h[j].before(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[:n], h[n]
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -115,5 +116,67 @@ func TestTopKConsistentWithThresholdSearch(t *testing.T) {
 	ms := ix.Search(q, eps)
 	if len(ms) < 10 {
 		t.Fatalf("threshold search at k-th distance returned %d < 10", len(ms))
+	}
+}
+
+// TestFrozenTopKAllocs pins the top-k allocation budget on the serving
+// shape (bench/'s generator, L, norm and k; a quarter of its length so
+// the race leg stays quick): the result heap, the per-subsequence
+// scratch window and the returned slice, plus the doublings of the node
+// queue once it outgrows its stack-resident capacity. Queue growth is
+// logarithmic in the tree, so the ceiling holds at 200 000 points too
+// (BenchmarkFrozenTopK reports 6). Boxing every heap element through
+// container/heap cost ≈1900 allocations per query.
+func TestFrozenTopKAllocs(t *testing.T) {
+	data := datasets.EEGN(1, 50000)
+	ix, ext := buildOver(t, data, series.NormGlobal, Config{L: 100})
+	f := ix.Freeze()
+	for _, raw := range datasets.Queries(data, 7, 8, 100) {
+		q := ext.TransformQuery(raw)
+		if avg := testing.AllocsPerRun(10, func() { f.SearchTopK(q, 10) }); avg > 8 {
+			t.Fatalf("Frozen.SearchTopK(k=10): %.0f allocs/query, budget 8", avg)
+		}
+	}
+}
+
+// TestTopKUnitStats checks the counters the top-k work unit reports:
+// they balance (every evaluated node is expanded, pruned, or a scored
+// leaf; every candidate is abandoned or survives to a full distance),
+// agree between the pointer and frozen forms, and show the limit doing
+// its job — most candidates of a small-k query are abandoned.
+func TestTopKUnitStats(t *testing.T) {
+	data := datasets.EEGN(9, 6000)
+	ix, ext := buildOver(t, data, series.NormGlobal, Config{L: 60})
+	f := ix.Freeze()
+	q := ext.ExtractCopy(1234, 60)
+	ms, st := f.SearchTopKSharedFrom(f.Root(), q, 5, nil)
+	pms, pst := ix.SearchTopKSharedFrom(ix.Root(), q, 5, nil)
+	if !slices.Equal(ms, pms) || st != pst {
+		t.Fatalf("frozen and pointer units disagree: %+v vs %+v", st, pst)
+	}
+	if st.Results != 0 {
+		t.Fatalf("unit set Results = %d; the caller owns it", st.Results)
+	}
+	if st.NodesVisited <= st.NodesPruned || st.LeavesReached == 0 || st.LeavesReached > st.NodesVisited-st.NodesPruned {
+		t.Fatalf("node counters do not balance: %+v", st)
+	}
+	if st.Candidates < len(ms) || st.Abandons > st.Candidates-len(ms) {
+		t.Fatalf("candidate counters do not balance: %+v for %d results", st, len(ms))
+	}
+	if st.Abandons*2 < st.Candidates {
+		t.Fatalf("limit abandoned only %d of %d candidates", st.Abandons, st.Candidates)
+	}
+
+	// A shared bound below the subtree's nearest window excludes it at
+	// the root: one node evaluated, one pruned, nothing scored.
+	sb := NewSharedBound()
+	sb.Tighten(0)
+	far := make([]float64, 60)
+	for i := range far {
+		far[i] = q[i] + 100
+	}
+	ms, st = f.SearchTopKSharedFrom(f.Root(), far, 5, sb)
+	if ms != nil || st != (Stats{NodesVisited: 1, NodesPruned: 1}) {
+		t.Fatalf("root-excluded unit: %v, %+v", ms, st)
 	}
 }

@@ -1,6 +1,10 @@
 package series
 
-import "sort"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Verifier performs the verification step of the filter-verification
 // framework (paper §3.2): it checks candidate windows against a fixed
@@ -43,21 +47,18 @@ func MakeVerifier(ext *Extractor, q []float64, eps float64) Verifier {
 
 // DescendingMagnitudeOrder returns the positions of q sorted by
 // decreasing absolute value, the visit order used by reordering early
-// abandoning.
+// abandoning. Equal magnitudes keep index order, so the visit order is
+// a function of q alone.
 func DescendingMagnitudeOrder(q []float64) []int {
 	order := make([]int, len(q))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := q[order[a]], q[order[b]]
-		if va < 0 {
-			va = -va
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(math.Abs(q[b]), math.Abs(q[a])); c != 0 {
+			return c
 		}
-		if vb < 0 {
-			vb = -vb
-		}
-		return va > vb
+		return cmp.Compare(a, b)
 	})
 	return order
 }

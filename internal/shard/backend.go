@@ -157,22 +157,7 @@ func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fro
 	tsp := sp.StartChild("traverse")
 	p := queueSearchUnits(g, ctx, frozen, fr(), byMean, q, eps)
 	g.Wait()
-	if tsp != nil {
-		// Per-shard counter subtrees are assembled after the barrier
-		// from the already-collected unit stats, so the hot work-unit
-		// closures stay untouched by tracing. Unit timings interleave
-		// across workers; the shard spans carry counters, not durations.
-		tsp.Set("steals", int(g.Steals()))
-		for i := range p.st {
-			var st core.Stats
-			for _, u := range p.st[i] {
-				st = addStats(st, u)
-			}
-			ssp := tsp.StartChild(fmt.Sprintf("shard[%d]", i))
-			setShardAttrs(ssp, st, len(p.st[i]))
-			ssp.End()
-		}
-	}
+	setUnitSpans(tsp, g, p.st)
 	tsp.End()
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
@@ -181,6 +166,27 @@ func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fro
 	ms, st := p.Resolve()
 	msp.End()
 	return ms, st, nil
+}
+
+// setUnitSpans hangs one counter child per shard under a fanned-out
+// traverse span, summed from that shard's unit stats. It runs after the
+// barrier from already-collected stats, so the hot work-unit closures
+// stay untouched by tracing. Unit timings interleave across workers;
+// the shard spans carry counters, not durations. Nil-safe.
+func setUnitSpans(tsp *obs.Span, g *exec.Group, perShard [][]core.Stats) {
+	if tsp == nil {
+		return
+	}
+	tsp.Set("steals", int(g.Steals()))
+	for i, units := range perShard {
+		var st core.Stats
+		for _, u := range units {
+			st = addStats(st, u)
+		}
+		ssp := tsp.StartChild(fmt.Sprintf("shard[%d]", i))
+		setShardAttrs(ssp, st, len(units))
+		ssp.End()
+	}
 }
 
 // setShardAttrs annotates one shard's traversal span with its summed
@@ -217,8 +223,16 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 	if !math.IsInf(bound, 1) {
 		shared.Tighten(bound)
 	}
+	// Traced queries get the same traverse/shard[i]/merge tree threshold
+	// search records, filled from the units' own counters; untraced
+	// ones (sp == nil) drop the counters and allocate nothing for them.
+	sp := obs.SpanFrom(ctx)
 	if len(frozen) == 1 {
-		return frozen[0].SearchTopKShared(q, k, shared), nil
+		tsp := sp.StartChild("traverse")
+		ms, st := frozen[0].SearchTopKSharedFrom(frozen[0].Root(), q, k, shared)
+		setShardAttrs(tsp, st, 0)
+		tsp.End()
+		return ms, nil
 	}
 	units := fr()
 	n := 0
@@ -226,26 +240,43 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 		n += len(u)
 	}
 	lists := make([][]series.Match, n)
+	var sts [][]core.Stats // [shard][unit]; traced queries only
+	if sp != nil {
+		sts = make([][]core.Stats, len(units))
+		for i, us := range units {
+			sts[i] = make([]core.Stats, len(us))
+		}
+	}
 	g := ex.NewGroup()
+	tsp := sp.StartChild("traverse")
 	at := 0
 	for i, us := range units {
 		f := frozen[i]
-		for _, u := range us {
+		for j, u := range us {
 			slot := at
 			at++
 			g.Go(func(*exec.Ctx) {
 				if canceled(ctx) {
 					return
 				}
-				lists[slot] = f.SearchTopKSharedFrom(u, q, k, shared)
+				ms, st := f.SearchTopKSharedFrom(u, q, k, shared)
+				lists[slot] = ms
+				if sts != nil {
+					sts[i][j] = st
+				}
 			})
 		}
 	}
 	g.Wait()
+	setUnitSpans(tsp, g, sts)
+	tsp.End()
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
-	return mergeTopK(lists, k), nil
+	msp := sp.StartChild("merge")
+	ms := mergeTopK(lists, k)
+	msp.End()
+	return ms, nil
 }
 
 // searchPrefixUnits runs the tree half of one prefix search over

@@ -12,8 +12,8 @@
 // pointer form is dropped. All queries traverse the arenas; Insert
 // thaws the owning shard back to pointer form and the next search
 // re-freezes it. Freezing changes only the memory layout, never the
-// answer set: every frozen traversal replicates its pointer
-// counterpart step for step.
+// answer set: every frozen traversal visits what its pointer
+// counterpart visits, in the same order.
 //
 // Two partitioning schemes are supported. The default splits positions
 // into contiguous ranges, whose per-shard results concatenate in shard

@@ -1,0 +1,98 @@
+package twinsearch
+
+// Engine-level guarantees of the top-k path: its allocation budget
+// with tracing and caches off, and the traversal counters a forced
+// trace attaches on every local backing.
+
+import (
+	"context"
+	"testing"
+
+	"twinsearch/internal/datasets"
+	"twinsearch/internal/obs"
+)
+
+// TestSearchTopKCtxAllocs pins the uncached, untraced top-k budget on
+// the serving shape (see core's TestFrozenTopKAllocs, which this adds
+// the query transform to): 5–6 measured, 10 allowed. The same call
+// cost 540–940 allocations while the traversal boxed its heap elements.
+func TestSearchTopKCtxAllocs(t *testing.T) {
+	data := datasets.EEGN(1, 50000)
+	eng, err := Open(data, Options{L: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	for _, q := range datasets.Queries(data, 7, 8, 100) {
+		avg := testing.AllocsPerRun(10, func() {
+			if ms, err := eng.SearchTopKCtx(ctx, q, 10); err != nil || len(ms) != 10 {
+				t.Fatalf("top-k: %d matches, err %v", len(ms), err)
+			}
+		})
+		if avg > 10 {
+			t.Fatalf("SearchTopKCtx(k=10) uncached, untraced: %.0f allocs/query, budget 10", avg)
+		}
+	}
+}
+
+// TestForcedTraceTopK asserts a traced top-k is no longer blind below
+// the engine: the traverse span carries the work unit's counters on a
+// single index, and per-shard counter children plus a merge span on a
+// sharded one.
+func TestForcedTraceTopK(t *testing.T) {
+	ts := datasets.RandomWalk(9, 4000)
+	q := append([]float64(nil), ts[500:600]...)
+	for _, shards := range []int{0, 3} {
+		eng, err := Open(ts, Options{L: 100, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace("q")
+		ms, err := eng.SearchTopKCtx(obs.WithSpan(context.Background(), tr.Root), q, 5)
+		if err != nil || len(ms) != 5 {
+			t.Fatalf("shards=%d: %d matches, err %v", shards, len(ms), err)
+		}
+		tr.Finish()
+		eng.Close()
+
+		spans := map[string]*obs.Span{}
+		var walk func(s *obs.Span)
+		walk = func(s *obs.Span) {
+			spans[s.Name] = s
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(tr.Root)
+		trav := spans["traverse"]
+		if trav == nil {
+			t.Fatalf("shards=%d: traced top-k has no traverse span", shards)
+		}
+		// Which shard does the scoring depends on how fast the shared
+		// bound tightens, so the sharded counters are checked in sum.
+		counted := []*obs.Span{trav}
+		if shards > 0 {
+			if spans["merge"] == nil || len(trav.Children) != shards {
+				t.Fatalf("shards=%d: traced top-k has merge=%v and %d shard spans", shards, spans["merge"], len(trav.Children))
+			}
+			counted = trav.Children
+		}
+		var visited, cand, abandons int
+		for _, sp := range counted {
+			v, _ := sp.Attrs["nodes_visited"].(int)
+			c, _ := sp.Attrs["candidates"].(int)
+			a, ok := sp.Attrs["abandons"].(int)
+			if v == 0 || !ok {
+				t.Fatalf("shards=%d: %s span counters %v", shards, sp.Name, sp.Attrs)
+			}
+			visited, cand, abandons = visited+v, cand+c, abandons+a
+		}
+		if cand < 5 || abandons > cand-5 {
+			t.Fatalf("shards=%d: %d candidates, %d abandons for 5 results", shards, cand, abandons)
+		}
+		if shards == 0 && trav.Attrs["results"] != 5 {
+			t.Fatalf("traverse span results = %v, want 5", trav.Attrs["results"])
+		}
+	}
+}

@@ -856,7 +856,13 @@ func (e *Engine) searchTopKPreparedCtx(ctx context.Context, tq []float64, k int)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.tsFrozen().SearchTopK(tq, k), nil
+	_, tsp := obs.StartSpan(ctx, "traverse")
+	fz := e.tsFrozen()
+	ms, st := fz.SearchTopKSharedFrom(fz.Root(), tq, k, nil)
+	st.Results = len(ms)
+	setStatsAttrs(tsp, st)
+	tsp.End()
+	return ms, nil
 }
 
 // Subsequence returns a copy of the indexed (normalized) window at
