@@ -412,23 +412,34 @@ func BenchmarkExtensionTopK(b *testing.B) {
 	}
 }
 
-// The served top-k shape: the frozen arena over bench/'s own dataset
-// (EEGN(1, 200 000), L = 100, NormGlobal, insertion-built) — the
-// in-process counterpart of BENCHMARK.json's topk_p50_ms on `point`,
+// benchServed builds bench/'s own dataset — EEGN(1, 200 000), L = 100,
+// NormGlobal, insertion-built, frozen — and 64 transformed queries:
+// the in-process counterpart of BENCHMARK.json's `point` workload.
+func benchServed(b *testing.B) (*core.Frozen, [][]float64) {
+	if servedFrozen == nil {
+		data := datasets.EEGN(1, 200000)
+		ext := series.NewExtractor(data, series.NormGlobal)
+		ix, err := core.Build(ext, core.Config{L: harness.DefaultL})
+		if err != nil {
+			b.Fatal(err)
+		}
+		servedFrozen = ix.Freeze()
+		for _, q := range datasets.Queries(data, 7, 64, harness.DefaultL) {
+			servedQueries = append(servedQueries, ext.TransformQuery(q))
+		}
+	}
+	return servedFrozen, servedQueries
+}
+
+var (
+	servedFrozen  *core.Frozen
+	servedQueries [][]float64
+)
+
+// The served top-k shape: the counterpart of topk_p50_ms on `point`,
 // allocations included.
 func BenchmarkFrozenTopK(b *testing.B) {
-	data := datasets.EEGN(1, 200000)
-	ext := series.NewExtractor(data, series.NormGlobal)
-	ix, err := core.Build(ext, core.Config{L: harness.DefaultL})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fz := ix.Freeze()
-	raw := datasets.Queries(data, 7, 64, harness.DefaultL)
-	qs := make([][]float64, len(raw))
-	for i, q := range raw {
-		qs[i] = ext.TransformQuery(q)
-	}
+	fz, qs := benchServed(b)
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
@@ -437,6 +448,26 @@ func BenchmarkFrozenTopK(b *testing.B) {
 					b.Fatalf("got %d results", len(got))
 				}
 			}
+		})
+	}
+}
+
+// The served range-search shape: the counterpart of search_p50_ms on
+// `point` (ε = 0.2, a handful of twins, traversal-bound) and on
+// `wide-sharded` (ε = 1.0, thousands of matches, verification-bound).
+func BenchmarkFrozenSearch(b *testing.B) {
+	fz, qs := benchServed(b)
+	for _, eps := range []float64{0.2, 1.0} {
+		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
+			b.ReportAllocs()
+			var nodes, results int
+			for i := 0; i < b.N; i++ {
+				ms, st := fz.SearchStats(qs[i%len(qs)], eps)
+				nodes += st.NodesVisited
+				results += len(ms)
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(results)/float64(b.N), "results/op")
 		})
 	}
 }

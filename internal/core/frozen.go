@@ -13,6 +13,12 @@ package core
 // scattered heap objects, and persistence becomes a handful of
 // sequential array reads (the stepping stone to mmap-resident nodes).
 //
+// The traversals use the layout that way: a node's children are one
+// contiguous run of bound rows, so every search path scores them at
+// expansion in a single forward kernel pass (sweepChildren →
+// kernel.SweepAbandonFlat), each row abandoned as soon as its first
+// lanes rule it out, and queues only the survivors.
+//
 // Layout: nodes are numbered in BFS order, node 0 the root. The tree is
 // height-balanced with all leaves on the last level (§5.2), so in BFS
 // order every internal node precedes every leaf: nodes [0, leafStart)
@@ -23,16 +29,19 @@ package core
 // Every search path of the pointer index has a frozen counterpart that
 // visits children in the same order, so results are byte-identical —
 // the parity tests in frozen_test.go and the shard layer's merges rely
-// on that. The range paths replicate the pointer loops step for step;
-// the best-first paths (top-k, approx) share one typed heap and top-k
-// shares one candidate-scoring accumulator with the pointer form
-// (topk.go), so there the two cannot drift.
+// on that. The range paths make the pointer loops' Lemma 1 tests one
+// expansion earlier and keep their LIFO visit order; the best-first
+// paths (top-k, approx) share one typed heap and top-k shares one
+// candidate-scoring accumulator with the pointer form (topk.go), so
+// there the two cannot drift.
 
 import (
 	"fmt"
+	"math"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/mbts"
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
 )
 
@@ -294,38 +303,89 @@ func (f *Frozen) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 // pending nodes); deeper trees spill to the heap transparently.
 const frozenStackCap = 256
 
+// sweepScratchCap sizes the per-traversal child-distance scratch the
+// same way: it covers the default MaxCap twice over, and a wider node
+// spills to the heap once.
+const sweepScratchCap = 64
+
+// sweepChildren scores internal node n's children against q (a prefix
+// query scores the first len(q) lanes of each row) in one forward pass
+// over their contiguous bound rows: in the result, entry j is child
+// f.first[n]+j's Eq. 2 distance, or negative when it exceeds limit.
+// Like append, it reuses dists when its capacity allows and returns a
+// wider slice otherwise — pass the result back in at the next node.
+func (f *Frozen) sweepChildren(n int32, q []float64, limit float64, dists []float64) []float64 {
+	first, c := int(f.first[n]), int(f.count[n])
+	if c > cap(dists) {
+		dists = make([]float64, c)
+	}
+	dists = dists[:c]
+	l := f.cfg.L
+	kernel.SweepAbandonFlat(f.upper[first*l:], f.lower[first*l:], l, q, limit, dists)
+	return dists
+}
+
 // SearchStatsFrom is the range-search work unit over the arena — the
 // frozen counterpart of Index.SearchStatsFrom, with the same contract:
 // matches in traversal order, Stats.Results left zero.
 func (f *Frozen) SearchStatsFrom(sub FrozenSubtree, q []float64, eps float64) ([]series.Match, Stats) {
+	if len(q) != f.cfg.L {
+		panic(fmt.Sprintf("core: query length %d, index built for %d", len(q), f.cfg.L))
+	}
+	return f.rangeFrom(sub, q, eps)
+}
+
+// rangeFrom is the range traversal behind SearchStatsFrom and
+// SearchPrefixTreeFrom (len(q) ≤ L). The sub-root is tested once; from
+// then on the stack holds only nodes that passed Lemma 1, each child
+// tested when its parent is expanded and survivors pushed in child
+// order — the pointer loop pushes every child and tests at pop, so the
+// LIFO visit order, the match order and every counter are the same.
+//
+// The unit allocates nothing until it reaches a leaf: the stack and the
+// sweep scratch have constant capacity and stay on the goroutine stack
+// (spilling to the heap only past it), and the verifier — whose
+// magnitude order is an allocation and a sort under normalisation — is
+// built at the first leaf, which most work units never reach.
+func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]series.Match, Stats) {
 	var st Stats
 	if !sub.ok {
 		return nil, st
 	}
-	// A by-value verifier and a constant-capacity stack keep this unit
-	// allocation-free until the first match (both stay on the caller's
-	// stack; the traversal stack only spills to the heap past
-	// frozenStackCap pending nodes).
-	ver := series.MakeVerifier(f.ext, q, eps)
-	var out []series.Match
+	st.NodesVisited++
+	if _, ok := mbts.DistAbandonFlat(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, eps); !ok {
+		st.NodesPruned++
+		return nil, st
+	}
+	var (
+		out     []series.Match
+		ver     series.Verifier
+		haveVer bool
+	)
+	dists := make([]float64, 0, sweepScratchCap)
 	stack := make([]int32, 0, frozenStackCap)
 	stack = append(stack, sub.id)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		st.NodesVisited++
-		if _, ok := mbts.DistAbandonFlat(f.boundsUpper(n), f.boundsLower(n), q, eps); !ok {
-			st.NodesPruned++
-			continue
-		}
-		lo, c := f.first[n], f.count[n]
 		if !f.isLeaf(n) {
-			for j := int32(0); j < c; j++ {
-				stack = append(stack, lo+j)
+			dists = f.sweepChildren(n, q, eps, dists)
+			st.NodesVisited += len(dists)
+			first := f.first[n]
+			for j, d := range dists {
+				if d < 0 {
+					st.NodesPruned++
+					continue
+				}
+				stack = append(stack, first+int32(j))
 			}
 			continue
 		}
+		if !haveVer {
+			ver, haveVer = series.MakeVerifier(f.ext, q, eps), true
+		}
 		st.LeavesReached++
+		lo, c := f.first[n], f.count[n]
 		for _, p := range f.positions[lo : lo+c] {
 			st.Candidates++
 			if ver.Verify(int(p)) {
@@ -368,10 +428,11 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 		t.st.NodesPruned++
 		return nil, t.st // a shared bound has already excluded this subtree
 	}
-	// Constant capacity: the queue stays on the goroutine stack until
-	// it outgrows frozenStackCap pending nodes.
+	// Constant capacity: the queue and the sweep scratch stay on the
+	// goroutine stack until a traversal outgrows them.
 	pq := make([]frozenItem, 0, frozenStackCap)
 	pq = append(pq, frozenItem{id: sub.id, lb: rootLB})
+	dists := make([]float64, 0, sweepScratchCap)
 
 	for len(pq) > 0 {
 		var item frozenItem
@@ -381,21 +442,25 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 			t.st.NodesPruned += len(pq) + 1
 			break
 		}
-		first, c := f.first[item.id], f.count[item.id]
 		if !f.isLeaf(item.id) {
-			for j := int32(0); j < c; j++ {
-				child := first + j
-				t.st.NodesVisited++
-				lb, ok := mbts.DistAbandonFlat(f.boundsUpper(child), f.boundsLower(child), q, t.limit())
-				if !ok {
+			// The limit is read once per expansion: only another work
+			// unit tightening the shared bound can move it meanwhile,
+			// and a child that slips past the stale value is caught by
+			// the pop-time test above.
+			dists = f.sweepChildren(item.id, q, t.limit(), dists)
+			t.st.NodesVisited += len(dists)
+			first := f.first[item.id]
+			for j, lb := range dists {
+				if lb < 0 {
 					t.st.NodesPruned++
 					continue
 				}
-				pq = heapPush(pq, frozenItem{id: child, lb: lb})
+				pq = heapPush(pq, frozenItem{id: first + int32(j), lb: lb})
 			}
 			continue
 		}
 		t.st.LeavesReached++
+		first, c := f.first[item.id], f.count[item.id]
 		for _, p := range f.positions[first : first+c] {
 			t.offer(int(p), f.ext.Extract(int(p), f.cfg.L, buf), q)
 		}
@@ -441,39 +506,12 @@ func (f *Frozen) SearchPrefixTree(q []float64, eps float64) ([]series.Match, err
 }
 
 // SearchPrefixTreeFrom is the prefix-search work unit over the arena —
-// the frozen counterpart of Index.SearchPrefixTreeFrom. The truncated
-// Lemma 1 check reads only the first len(q) entries of each node's
-// bound rows, which the flat layout serves from the same two backing
-// arrays.
+// the frozen counterpart of Index.SearchPrefixTreeFrom: the range
+// traversal with the truncated Lemma 1 check, which reads only the
+// first len(q) entries of each node's bound rows (the sweep's stride
+// stays L), served from the same two backing arrays.
 func (f *Frozen) SearchPrefixTreeFrom(sub FrozenSubtree, q []float64, eps float64) []series.Match {
-	if !sub.ok {
-		return nil
-	}
-	var out []series.Match
-	ver := series.MakeVerifier(f.ext, q, eps)
-	l := len(q)
-	stack := make([]int32, 0, frozenStackCap)
-	stack = append(stack, sub.id)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		up, lo := f.boundsUpper(n)[:l], f.boundsLower(n)[:l]
-		if _, ok := mbts.DistAbandonFlat(up, lo, q, eps); !ok {
-			continue
-		}
-		first, c := f.first[n], f.count[n]
-		if !f.isLeaf(n) {
-			for j := int32(0); j < c; j++ {
-				stack = append(stack, first+j)
-			}
-			continue
-		}
-		for _, p := range f.positions[first : first+c] {
-			if ver.Verify(int(p)) {
-				out = append(out, series.Match{Start: int(p), Dist: -1})
-			}
-		}
-	}
+	out, _ := f.rangeFrom(sub, q, eps)
 	return out
 }
 
@@ -503,6 +541,8 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 	var out []series.Match
 	pq := make([]frozenItem, 0, frozenStackCap)
 	pq = append(pq, frozenItem{id: 0, lb: mbts.DistFlat(f.boundsUpper(0), f.boundsLower(0), q)})
+	dists := make([]float64, 0, sweepScratchCap)
+	inf := math.Inf(1) // never abandons: every child gets its exact distance
 	for len(pq) > 0 && !budget.Exhausted() {
 		var item frozenItem
 		pq, item = heapPop(pq)
@@ -511,12 +551,11 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 			st.NodesPruned++
 			break
 		}
-		first, c := f.first[item.id], f.count[item.id]
 		if !f.isLeaf(item.id) {
-			for j := int32(0); j < c; j++ {
-				child := first + j
-				pq = heapPush(pq, frozenItem{id: child,
-					lb: mbts.DistFlat(f.boundsUpper(child), f.boundsLower(child), q)})
+			dists = f.sweepChildren(item.id, q, inf, dists)
+			first := f.first[item.id]
+			for j, lb := range dists {
+				pq = heapPush(pq, frozenItem{id: first + int32(j), lb: lb})
 			}
 			continue
 		}
@@ -524,6 +563,7 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 			break // another traversal spent the last probe
 		}
 		st.LeavesReached++
+		first, c := f.first[item.id], f.count[item.id]
 		for _, p := range f.positions[first : first+c] {
 			st.Candidates++
 			if ver.Verify(int(p)) {

@@ -1,0 +1,165 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"testing"
+
+	"twinsearch/internal/datasets"
+	"twinsearch/internal/series"
+	"twinsearch/internal/sweepline"
+)
+
+// TestSweepTraversalParity runs the four frozen traversals off the
+// shapes every other parity test uses: L = 101 leaves one tail lane
+// after the kernel's 4-lane steps, and MaxCap = 80 makes nodes wider
+// than sweepScratchCap, so the child-distance scratch spills. Frozen
+// must equal pointer in results and Stats, and both the brute-force
+// answer (sweepline scan, bruteTopK).
+func TestSweepTraversalParity(t *testing.T) {
+	data := datasets.EEGN(5, 12000)
+	for _, cfg := range []Config{
+		{L: 101},
+		{L: 100, MaxCap: 80, MinCap: 30},
+	} {
+		for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal} {
+			t.Run(fmt.Sprintf("L=%d/MaxCap=%d/mode=%d", cfg.L, cfg.MaxCap, mode), func(t *testing.T) {
+				ix, ext := buildOver(t, data, mode, cfg)
+				f := ix.Freeze()
+				if err := f.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if widest := int(slices.Max(f.count[:f.leafStart])); cfg.MaxCap > sweepScratchCap && widest <= sweepScratchCap {
+					t.Fatalf("widest internal node has %d children; the scratch spill (> %d) never runs", widest, sweepScratchCap)
+				}
+				sw := sweepline.New(ext)
+				l := cfg.L
+				for _, start := range []int{17, 4000, ix.Len() - 1} {
+					q := ext.ExtractCopy(start, l)
+					for _, eps := range []float64{0, 0.2, 1.0} {
+						wantM, wantS := ix.SearchStats(q, eps)
+						gotM, gotS := f.SearchStats(q, eps)
+						if !slices.Equal(gotM, wantM) || gotS != wantS {
+							t.Fatalf("q@%d eps=%g: frozen range (%d matches, %+v) != pointer (%d matches, %+v)",
+								start, eps, len(gotM), gotS, len(wantM), wantS)
+						}
+						if brute := sw.Search(q, eps); !slices.Equal(gotM, brute) {
+							t.Fatalf("q@%d eps=%g: %d matches, brute force %d", start, eps, len(gotM), len(brute))
+						}
+
+						wantA, wantAS := ix.SearchApprox(q, eps, 4)
+						gotA, gotAS := f.SearchApprox(q, eps, 4)
+						if !slices.Equal(gotA, wantA) || gotAS != wantAS {
+							t.Fatalf("q@%d eps=%g: frozen approx (%d, %+v) != pointer (%d, %+v)",
+								start, eps, len(gotA), gotAS, len(wantA), wantAS)
+						}
+						for _, m := range gotA {
+							if _, ok := slices.BinarySearchFunc(gotM, m, func(a, b series.Match) int { return a.Start - b.Start }); !ok {
+								t.Fatalf("q@%d eps=%g: approx match %d is not a twin", start, eps, m.Start)
+							}
+						}
+
+						short := q[:l-37]
+						wantP, err := ix.SearchPrefix(short, eps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotP, err := f.SearchPrefix(short, eps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(gotP, wantP) {
+							t.Fatalf("q@%d eps=%g: frozen prefix %d matches, pointer %d", start, eps, len(gotP), len(wantP))
+						}
+						if brute := sw.Search(short, eps); !slices.Equal(gotP, brute) {
+							t.Fatalf("q@%d eps=%g: prefix %d matches, brute force %d", start, eps, len(gotP), len(brute))
+						}
+					}
+					for _, k := range []int{1, 10, 90} {
+						wantM, wantS := ix.SearchTopKSharedFrom(ix.Root(), q, k, nil)
+						gotM, gotS := f.SearchTopKSharedFrom(f.Root(), q, k, nil)
+						if !slices.Equal(gotM, wantM) || gotS != wantS {
+							t.Fatalf("q@%d k=%d: frozen top-k %+v != pointer %+v", start, k, gotS, wantS)
+						}
+						if brute := bruteTopK(ext, q, k); !slices.Equal(gotM, brute) {
+							t.Fatalf("q@%d k=%d: top-k %v, brute force %v", start, k, gotM, brute)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFrozenUnitQueryLength: the work-unit entry points reject a
+// wrong-length query themselves — with children scored as rows, a
+// short query would otherwise match on a prefix of every row.
+func TestFrozenUnitQueryLength(t *testing.T) {
+	ix, _ := buildOver(t, datasets.RandomWalk(1, 500), series.NormGlobal, Config{L: 50})
+	f := ix.Freeze()
+	for _, n := range []int{49, 51} {
+		q := make([]float64, n)
+		for name, search := range map[string]func(){
+			"SearchStatsFrom":      func() { f.SearchStatsFrom(f.Root(), q, 1) },
+			"SearchTopKSharedFrom": func() { f.SearchTopKSharedFrom(f.Root(), q, 3, nil) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s accepted a %d-lane query on an L=50 index", name, n)
+					}
+				}()
+				search()
+			}()
+		}
+	}
+}
+
+// TestFrozenSearchAllocs pins the range work unit's allocation budget
+// on a bench-shaped index (EEG, L = 100, global normalisation). A unit
+// that reaches no leaf allocates nothing — the stack and the sweep
+// scratch stay on the goroutine stack and the verifier is not built. A
+// paper-default ε = 0.2 query pays for the verifier's magnitude order
+// (one allocation) and the doublings of its match slice, nothing else:
+// 2 allocations for the typical single-twin query, which is what
+// BenchmarkFrozenSearch reports at 200 000 points.
+func TestFrozenSearchAllocs(t *testing.T) {
+	data := datasets.EEGN(1, 50000)
+	ix, ext := buildOver(t, data, series.NormGlobal, Config{L: 100})
+	f := ix.Freeze()
+	qs := datasets.Queries(data, 7, 8, 100)
+	units := map[string]func(q []float64) []series.Match{
+		"SearchStatsFrom": func(q []float64) []series.Match {
+			ms, _ := f.SearchStatsFrom(f.Root(), q, 0.2)
+			return ms
+		},
+		"SearchPrefixTreeFrom": func(q []float64) []series.Match {
+			return f.SearchPrefixTreeFrom(f.Root(), q[:60], 0.2)
+		},
+	}
+
+	far := ext.TransformQuery(qs[0])
+	for i := range far {
+		far[i] += 100
+	}
+	if _, st := f.SearchStatsFrom(f.Root(), far, 0.2); st.LeavesReached != 0 {
+		t.Fatalf("the far query reached %d leaves", st.LeavesReached)
+	}
+	for name, unit := range units {
+		if avg := testing.AllocsPerRun(10, func() { unit(far) }); avg != 0 {
+			t.Fatalf("%s reaching no leaf: %.0f allocs, want 0", name, avg)
+		}
+		for _, raw := range qs {
+			q := ext.TransformQuery(raw)
+			n := len(unit(q))
+			if n == 0 {
+				t.Fatalf("%s: a query cut from the series did not find itself", name)
+			}
+			budget := 1 + 1 + bits.Len(uint(n-1)) // order + append growth 1, 2, 4, ... to hold n
+			if avg := testing.AllocsPerRun(10, func() { unit(q) }); int(avg) > budget {
+				t.Fatalf("%s(eps=0.2), %d matches: %.0f allocs/query, budget %d", name, n, avg, budget)
+			}
+		}
+	}
+}

@@ -173,8 +173,8 @@ func (t *topK) limit() float64 {
 // threshold search verifies: the dispatched Eq. 2 kernel with both
 // bounds set to the window computes max|q−w| — exactly
 // series.Chebyshev(q, w), bit for bit (FuzzCandidateDist) — and
-// abandons after at most one 64-lane block once the running maximum
-// strictly exceeds the limit. A surviving candidate is admitted iff it
+// abandons at its next check point once the running maximum strictly
+// exceeds the limit. A surviving candidate is admitted iff it
 // beats the current worst under (dist, start).
 func (t *topK) offer(p int, w, q []float64) {
 	t.st.Candidates++

@@ -33,15 +33,16 @@ func detectAVX2() bool {
 	return b7&avx2 != 0
 }
 
-// avx2Impl vectorizes the query-time hot pair (DistFlat,
-// DistAbandonFlat) — every descent, Lemma 1 test, and top-k bound
-// funnels through them — and shares the portable forms for the
-// build-time split heuristics, which are bit-identical by construction.
+// avx2Impl vectorizes the query-time hot path — every descent, Lemma 1
+// test, and top-k bound funnels through the Eq. 2 sweep — and shares
+// the portable forms for the build-time split heuristics, which are
+// bit-identical by construction.
 func avx2Impl() Impl {
 	return Impl{
 		Name:                  "avx2",
 		DistFlat:              distFlatAVX2,
 		DistAbandonFlat:       distAbandonFlatAVX2,
+		SweepAbandonFlat:      sweepAbandonFlatAVX2,
 		DistMBTS:              distMBTSPortable,
 		Width:                 widthPortable,
 		WidthIncreaseSequence: widthIncreaseSequencePortable,
@@ -49,17 +50,19 @@ func avx2Impl() Impl {
 	}
 }
 
-// distKernelAVX2 is the one assembly kernel: the Eq. 2 running maximum
-// over n lanes (n a positive multiple of 4), 4 lanes per instruction,
-// with the accumulated maxima checked against limit every 64 lanes.
-// It returns abandoned=true as soon as a block check fires (m is then
-// meaningless); otherwise m is the exact maximum over the n lanes —
-// bit-identical to the portable form because no lane value is ever NaN
-// or −0, making VMAXPD's asymmetries unobservable. A +Inf limit turns
-// the block checks off, which is how distFlatAVX2 reuses the kernel.
+// sweepKernelAVX2 is the one assembly kernel: for each of rows
+// consecutive bound rows (row j at upper+j*stride, lower+j*stride) it
+// takes the Eq. 2 running maximum over n lanes against s, 4 lanes per
+// instruction (the n mod 4 tail through a masked load), checking the
+// accumulated maxima against limit on the graduated schedule, and
+// writes dists[j]: the exact maximum — bit-identical to the portable
+// form because no lane value is ever NaN or −0, making VMAXPD's
+// asymmetries unobservable — or Abandoned as soon as a check fires. A
+// +Inf or NaN limit turns the checks off. rows must be positive and
+// limit non-negative or NaN.
 //
 //go:noescape
-func distKernelAVX2(upper, lower, s *float64, n int, limit float64) (m float64, abandoned bool)
+func sweepKernelAVX2(upper, lower *float64, stride int, s *float64, n int, limit float64, dists *float64, rows int)
 
 // cpuidAsm executes CPUID with EAX=op, ECX=sub.
 func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -67,43 +70,44 @@ func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads XCR0, the OS-enabled extended-state mask.
 func xgetbv0() (eax, edx uint32)
 
+func sweepAbandonFlatAVX2(upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
+	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
+	if len(dists) == 0 {
+		return
+	}
+	if len(s) == 0 {
+		clear(dists) // no lanes: every row is at distance 0
+		return
+	}
+	if limit < 0 {
+		limit = 0 // see distAbandonFlatPortable: negative limits act as zero
+	}
+	sweepKernelAVX2(&upper[0], &lower[0], stride, &s[0], len(s), limit, &dists[0], len(dists))
+}
+
+// The single-row entry points are the sweep kernel with one row, called
+// directly: they run once per candidate and per build-time descent step,
+// where the sweep wrapper's shape check and slice-backed result would
+// be a measurable share of a 100-lane call.
+
 func distFlatAVX2(upper, lower, s []float64) float64 {
-	n := len(s)
-	upper, lower = upper[:n], lower[:n]
-	n4 := n &^ 3
-	var m float64
-	if n4 > 0 {
-		m, _ = distKernelAVX2(&upper[0], &lower[0], &s[0], n4, math.Inf(1))
-	}
-	for i := n4; i < n; i++ { // tail lanes, branch-free scalar
-		m = maxSelect(m, excursion(upper[i], lower[i], s[i]))
-	}
-	return m
+	d, _ := distAbandonFlatAVX2(upper, lower, s, math.Inf(1))
+	return d
 }
 
 func distAbandonFlatAVX2(upper, lower, s []float64, limit float64) (float64, bool) {
 	n := len(s)
+	if n == 0 {
+		return 0, true
+	}
 	upper, lower = upper[:n], lower[:n]
 	if limit < 0 {
-		limit = 0 // see distAbandonFlatPortable: negative limits act as zero
+		limit = 0
 	}
-	n4 := n &^ 3
-	var m float64
-	if n4 > 0 {
-		var abandoned bool
-		m, abandoned = distKernelAVX2(&upper[0], &lower[0], &s[0], n4, limit)
-		if abandoned {
-			return 0, false
-		}
-	}
-	for i := n4; i < n; i++ {
-		m = maxSelect(m, excursion(upper[i], lower[i], s[i]))
-	}
-	// The final check decides abandonment for maxima reached between
-	// block boundaries and in the tail; monotonicity makes the late
-	// check equivalent to the scalar form's per-lane one.
-	if m > limit {
+	var d float64
+	sweepKernelAVX2(&upper[0], &lower[0], n, &s[0], n, limit, &d, 1)
+	if d < 0 {
 		return 0, false
 	}
-	return m, true
+	return d, true
 }

@@ -8,3 +8,7 @@ package kernel
 var hasAVX2 = false
 
 func avx2Impl() Impl { return portableImpl }
+
+func sweepAbandonFlatAVX2(upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
+	sweepAbandonFlatPortable(upper, lower, stride, s, limit, dists)
+}

@@ -1,4 +1,4 @@
-// AVX2 Eq. 2 kernel and the CPUID/XGETBV feature probes.
+// AVX2 Eq. 2 sibling-sweep kernel and the CPUID/XGETBV feature probes.
 //
 // Lane recipe (4 float64 per step), mirroring portable.go's excursion:
 //
@@ -10,76 +10,128 @@
 // The masked d lanes are never NaN and never -0 (see the package NaN
 // contract), so VMAXPD's NaN/zero asymmetries are unobservable and the
 // accumulated maxima equal the sequential scalar maximum bit-for-bit.
-// Every 16 steps (64 lanes) the accumulator is compared against the
-// broadcast limit; any lane above it abandons the scan.
+// The accumulator is compared against the broadcast limit on the
+// package's graduated schedule (after 8, 16, 32 lanes, then every 64);
+// any slot above it abandons the row.
 
 #include "textflag.h"
 
-// func distKernelAVX2(upper, lower, s *float64, n int, limit float64) (m float64, abandoned bool)
-TEXT ·distKernelAVX2(SB), NOSPLIT, $0-49
-	MOVQ upper+0(FP), SI
+// tailmask holds four all-ones qwords then four zero qwords: the 32
+// bytes at offset (4-r)*8 select the first r lanes of a step.
+DATA tailmask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+24(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+DATA tailmask<>+56(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// LANES folds the 4 lanes v=Y1, u=Y2, l=Y3 into the running maxima Y0
+// by the recipe above (Y6 = above, Y8 = below &^ above, Y4 = d).
+#define LANES \
+	VSUBPD  Y2, Y1, Y4; \
+	VSUBPD  Y1, Y3, Y5; \
+	VCMPPD  $0x1E, Y2, Y1, Y6; \
+	VCMPPD  $0x11, Y3, Y1, Y8; \
+	VANDPD  Y6, Y4, Y4; \
+	VANDNPD Y8, Y6, Y8; \
+	VANDPD  Y8, Y5, Y5; \
+	VORPD   Y5, Y4, Y4; \
+	VMAXPD  Y4, Y0, Y0
+
+// func sweepKernelAVX2(upper, lower *float64, stride int, s *float64, n int, limit float64, dists *float64, rows int)
+TEXT ·sweepKernelAVX2(SB), NOSPLIT, $0-64
+	MOVQ upper+0(FP), SI         // SI, DI = current row of each bound array
 	MOVQ lower+8(FP), DI
-	MOVQ s+16(FP), DX
-	MOVQ n+24(FP), CX
-	SHRQ $2, CX                  // CX = 4-lane steps (n is a multiple of 4)
+	MOVQ stride+16(FP), R8
+	SHLQ $3, R8                  // R8 = row stride in bytes
+	MOVQ s+24(FP), DX
+	MOVQ n+32(FP), CX
+	VBROADCASTSD limit+40(FP), Y7
+	MOVQ dists+48(FP), R11
+	MOVQ rows+56(FP), R12
+
+	MOVQ CX, R13
+	ANDQ $3, R13                 // R13 = tail lanes (n mod 4)
+	SUBQ R13, CX
+	SHLQ $3, CX                  // CX = bytes covered by whole 4-lane steps
+	LEAQ tailmask<>(SB), AX
+	MOVQ $4, BX
+	SUBQ R13, BX
+	VMOVDQU (AX)(BX*8), Y10      // Y10 = first-R13-lanes mask (unused when R13 = 0)
+
+row:
 	VXORPD Y0, Y0, Y0            // Y0 = running maxima, +0 seeded
-	VBROADCASTSD limit+32(FP), Y7
+	XORQ   BX, BX                // BX = byte offset into the row and into s
+	MOVQ   $64, R9               // R9 = next check point: 8 lanes
 
-blockstart:
-	TESTQ CX, CX
-	JZ    done
-	MOVQ  CX, R9                 // R9 = steps this block = min(CX, 16)
-	CMPQ  R9, $16
-	JBE   consume
-	MOVQ  $16, R9
-
-consume:
-	SUBQ R9, CX
+block:
+	CMPQ BX, CX
+	JAE  tail
+	MOVQ R9, R10                 // R10 = end of this block = min(R9, CX)
+	CMPQ R10, CX
+	CMOVQHI CX, R10
 
 step:
-	VMOVUPD (DX), Y1             // v
-	VMOVUPD (SI), Y2             // u
-	VMOVUPD (DI), Y3             // l
-	VSUBPD  Y2, Y1, Y4           // Y4 = v - u
-	VSUBPD  Y1, Y3, Y5           // Y5 = l - v
-	VCMPPD  $0x1E, Y2, Y1, Y6    // Y6 = v GT_OQ u
-	VCMPPD  $0x11, Y3, Y1, Y8    // Y8 = v LT_OQ l
-	VANDPD  Y6, Y4, Y4           // keep v-u on "above" lanes
-	VANDNPD Y8, Y6, Y8           // Y8 = below &^ above
-	VANDPD  Y8, Y5, Y5           // keep l-v on "below only" lanes
-	VORPD   Y5, Y4, Y4           // Y4 = d
-	VMAXPD  Y4, Y0, Y0
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	ADDQ    $32, DX
-	DECQ    R9
-	JNZ     step
+	VMOVUPD (DX)(BX*1), Y1       // v
+	VMOVUPD (SI)(BX*1), Y2       // u
+	VMOVUPD (DI)(BX*1), Y3       // l
+	LANES
+	ADDQ $32, BX
+	CMPQ BX, R10
+	JB   step
 
-	// Block boundary: abandon when any accumulated maximum exceeds the
+	// Check point: abandon when any accumulated maximum exceeds the
 	// limit. GT_OQ is false on NaN and against +Inf, so those limits
 	// never abandon — the contract's degenerate cases.
 	VCMPPD    $0x1E, Y7, Y0, Y9
 	VMOVMSKPD Y9, AX
-	TESTQ     AX, AX
+	TESTL     AX, AX
 	JNZ       abandon
-	JMP       blockstart
+	MOVQ R9, AX                  // next check point: double up to 64
+	CMPQ AX, $512                // lanes (512 bytes), then every 64
+	JBE  advance
+	MOVQ $512, AX
 
-done:
-	// Horizontal max of the 4 accumulator slots.
+advance:
+	ADDQ AX, R9
+	JMP  block
+
+tail:
+	TESTQ R13, R13
+	JZ    reduce
+	// Masked-out lanes load +0 into v, u and l, which selects d = +0.
+	VMASKMOVPD (DX)(BX*1), Y10, Y1
+	VMASKMOVPD (SI)(BX*1), Y10, Y2
+	VMASKMOVPD (DI)(BX*1), Y10, Y3
+	LANES
+
+reduce:
+	// Horizontal max of the 4 accumulator slots, then the final check
+	// for maxima reached since the last check point.
 	VEXTRACTF128 $1, Y0, X1
 	VMAXPD       X1, X0, X0
 	VSHUFPD      $1, X0, X0, X1
 	VMAXSD       X1, X0, X0
+	VUCOMISD     X7, X0          // unordered (NaN limit) clears "above"
+	JA           abandon
+	VMOVSD       X0, (R11)
+
+next:
+	ADDQ $8, R11
+	ADDQ R8, SI
+	ADDQ R8, DI
+	DECQ R12
+	JNZ  row
 	VZEROUPPER
-	MOVSD X0, m+40(FP)
-	MOVB  $0, abandoned+48(FP)
 	RET
 
 abandon:
-	VZEROUPPER
-	MOVQ $0, m+40(FP)
-	MOVB $1, abandoned+48(FP)
-	RET
+	MOVQ $0xBFF0000000000000, AX // -1: the abandoned-row marker
+	MOVQ AX, (R11)
+	JMP  next
 
 // func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24

@@ -11,9 +11,11 @@ import (
 // FuzzDistKernels feeds raw bytes as (upper, lower, s, limit) lanes —
 // any bit pattern, including NaN payloads, ±Inf, subnormals, and −0 —
 // and requires every registered implementation to agree bit-for-bit
-// with the scalar oracle on all four flat entry points. This is the
-// executable form of the package NaN contract: no input, however
-// degenerate, may make the dispatchable forms diverge.
+// with the scalar oracle on all four flat entry points, and their
+// sweeps to agree row by row with the scalar single-row form when the
+// same lanes are cut into 1, 2 and 3 rows (whole rows and prefixes).
+// This is the executable form of the package NaN contract: no input,
+// however degenerate, may make the dispatchable forms diverge.
 func FuzzDistKernels(f *testing.F) {
 	mk := func(vals ...float64) []byte {
 		b := make([]byte, 8*len(vals))
@@ -25,8 +27,9 @@ func FuzzDistKernels(f *testing.F) {
 	nan := math.NaN()
 	inf := math.Inf(1)
 	// Seeds: plain lanes, NaN in each operand, ±Inf bounds, inverted
-	// bounds, −0 crossings, degenerate limits, and a >64-lane input so
-	// the blocked abandoning path runs more than one block.
+	// bounds, −0 crossings, degenerate limits, a >64-lane input so the
+	// abandoning path runs past its graduated checks, and one wide
+	// enough that a third of it still does.
 	f.Add(mk(1, -1, 0, 0.5), 1)
 	f.Add(mk(1, 2, -1, 0, 5, -5, 0.25), 2)
 	f.Add(mk(nan, -1, 5, 0.1), 1)
@@ -42,6 +45,12 @@ func FuzzDistKernels(f *testing.F) {
 		long[i] = float64(i%7) - 3
 	}
 	f.Add(mk(long...), 70)
+	wide := make([]float64, 3*201+1)
+	for i := range wide {
+		wide[i] = float64(i%13)/4 - 1.5
+	}
+	wide[3*201] = 1.25
+	f.Add(mk(wide...), 201)
 
 	f.Fuzz(func(t *testing.T, raw []byte, n int) {
 		if n < 0 || n > 256 {
@@ -82,6 +91,27 @@ func FuzzDistKernels(f *testing.F) {
 			if got := im.WidthIncreaseSequence(u, l, s); math.Float64bits(got) != math.Float64bits(wantWIS) {
 				t.Fatalf("%s WidthIncreaseSequence = %x, scalar %x",
 					im.Name, math.Float64bits(got), math.Float64bits(wantWIS))
+			}
+		}
+
+		for rows := 1; rows <= 3; rows++ {
+			stride := n / rows
+			for _, lanes := range []int{stride, stride - stride/3} {
+				q := s[:lanes]
+				for _, im := range Impls() {
+					dists := make([]float64, rows)
+					im.SweepAbandonFlat(u, l, stride, q, limit, dists)
+					for j, got := range dists {
+						want, ok := distAbandonFlatScalar(u[j*stride:j*stride+lanes], l[j*stride:j*stride+lanes], q, limit)
+						if !ok {
+							want = Abandoned
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s sweep row %d of %d (stride %d, %d lanes) = %x, scalar row form %x limit=%v (u=%v l=%v s=%v)",
+								im.Name, j, rows, stride, lanes, math.Float64bits(got), math.Float64bits(want), limit, u, l, s)
+						}
+					}
+				}
 			}
 		}
 	})

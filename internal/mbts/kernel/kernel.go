@@ -1,10 +1,12 @@
 // Package kernel holds the distance kernels every pruning decision in
 // the TS-Index funnels through — the Eq. 2 sequence-to-MBTS distance
-// (DistFlat), its early-abandoning form (DistAbandonFlat), the Eq. 3
-// MBTS-to-MBTS distance (DistMBTS), the split-heuristic width measures
-// (Width, WidthIncrease*), and batch forms that push B queries through
-// one node's bounds in a single pass (DistFlatBatch,
-// DistAbandonFlatBatch).
+// (DistFlat), its early-abandoning form (DistAbandonFlat), the sibling
+// sweep that scores a run of consecutive bound rows against one query
+// in a single forward pass (SweepAbandonFlat — how the frozen arena
+// tests all of a node's children at once), the Eq. 3 MBTS-to-MBTS
+// distance (DistMBTS), the split-heuristic width measures (Width,
+// WidthIncrease*), and batch forms that push B queries through one
+// node's bounds in a single pass (DistFlatBatch, DistAbandonFlatBatch).
 //
 // Three implementations exist, all bit-for-bit identical on every
 // input:
@@ -13,10 +15,23 @@
 //     oracle (the semantic reference the repo has shipped since PR 1).
 //   - portable: branch-free forms — the per-lane excursion is selected
 //     with bool→bit-mask arithmetic instead of branches, and early
-//     abandoning is checked once per 64-lane block instead of per lane
-//     — the only semantic *definition*; the assembly must match it.
+//     abandoning is checked on a schedule instead of per lane — the
+//     only semantic *definition*; the assembly must match it.
 //   - avx2: hand-written AVX2 assembly (amd64 only), 4 lanes per
-//     instruction, selected at init when the CPU supports it.
+//     instruction, one routine for the sweep and (with one row) the
+//     single-row entry points, selected at init when the CPU supports
+//     it.
+//
+// # The abandon schedule
+//
+// The abandoning forms compare the running maximum against the limit
+// after 8, 16 and 32 lanes, then every 64 (nextCheck). A failing
+// Lemma 1 test is nearly always decided in its first cache line, so
+// the early checks stop a pruned row before it pulls in the rest of
+// its bounds; a surviving row pays three extra compares. The schedule
+// is unobservable: the running maximum only grows, so "some prefix
+// exceeded the limit" and "the final maximum exceeds the limit" are
+// the same event, whenever it is tested.
 //
 // Dispatch happens once, at package init: the fastest implementation
 // the CPU supports becomes Active. The TWINSEARCH_KERNEL environment
@@ -49,7 +64,10 @@
 // max.
 package kernel
 
-import "os"
+import (
+	"fmt"
+	"os"
+)
 
 // Impl is one complete kernel implementation. All implementations
 // agree bit-for-bit on every entry point for every input (enforced by
@@ -59,9 +77,10 @@ type Impl struct {
 	// Name identifies the implementation: "scalar", "portable", "avx2".
 	Name string
 
-	DistFlat        func(upper, lower, s []float64) float64
-	DistAbandonFlat func(upper, lower, s []float64, limit float64) (float64, bool)
-	DistMBTS        func(bUpper, bLower, oUpper, oLower []float64) float64
+	DistFlat         func(upper, lower, s []float64) float64
+	DistAbandonFlat  func(upper, lower, s []float64, limit float64) (float64, bool)
+	SweepAbandonFlat func(upper, lower []float64, stride int, s []float64, limit float64, dists []float64)
+	DistMBTS         func(bUpper, bLower, oUpper, oLower []float64) float64
 
 	Width                 func(upper, lower []float64) float64
 	WidthIncreaseSequence func(upper, lower, s []float64) float64
@@ -73,6 +92,7 @@ var scalarImpl = Impl{
 	Name:                  "scalar",
 	DistFlat:              distFlatScalar,
 	DistAbandonFlat:       distAbandonFlatScalar,
+	SweepAbandonFlat:      sweepAbandonFlatScalar,
 	DistMBTS:              distMBTSScalar,
 	Width:                 widthScalar,
 	WidthIncreaseSequence: widthIncreaseSequenceScalar,
@@ -85,6 +105,7 @@ var portableImpl = Impl{
 	Name:                  "portable",
 	DistFlat:              distFlatPortable,
 	DistAbandonFlat:       distAbandonFlatPortable,
+	SweepAbandonFlat:      sweepAbandonFlatPortable,
 	DistMBTS:              distMBTSPortable,
 	Width:                 widthPortable,
 	WidthIncreaseSequence: widthIncreaseSequencePortable,
@@ -143,6 +164,64 @@ func DistFlat(upper, lower, s []float64) float64 {
 // otherwise. A NaN or +Inf limit never abandons.
 func DistAbandonFlat(upper, lower, s []float64, limit float64) (float64, bool) {
 	return active.DistAbandonFlat(upper, lower, s, limit)
+}
+
+// Abandoned is what SweepAbandonFlat writes for a row whose distance
+// exceeds the limit. Real distances are never negative (nor −0), so
+// callers test d < 0.
+const Abandoned = -1.0
+
+// SweepAbandonFlat scores len(dists) consecutive bound rows against s
+// in one forward pass: row j is [j*stride, j*stride+len(s)) of upper
+// and of lower — how the frozen arena stores a node's children — and
+// dists[j] receives what DistAbandonFlat would return for it, the
+// exact distance or Abandoned when it exceeds limit. stride > len(s)
+// scores a prefix of each row. It panics, before reading any lane, when
+// len(s) > stride or either array is shorter than the last row's end.
+//
+// The dispatch is a direct call per implementation, not a call through
+// active, so a caller's stack-allocated dists does not escape.
+func SweepAbandonFlat(upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
+	switch active.Name {
+	case "avx2":
+		sweepAbandonFlatAVX2(upper, lower, stride, s, limit, dists)
+	case "portable":
+		sweepAbandonFlatPortable(upper, lower, stride, s, limit, dists)
+	default:
+		sweepAbandonFlatScalar(upper, lower, stride, s, limit, dists)
+	}
+}
+
+// checkSweepShape rejects a sweep whose rows would not all lie inside
+// both arrays — with a row API a wrong-length query would otherwise be
+// a silently wrong answer (a short s reads a prefix of each row) or,
+// in the assembly, an out-of-bounds read.
+func checkSweepShape(nUpper, nLower, stride, n, rows int) {
+	if n > stride {
+		panic(fmt.Sprintf("kernel: sweep of %d lanes over rows of stride %d", n, stride))
+	}
+	if rows == 0 {
+		return
+	}
+	if need := (rows-1)*stride + n; nUpper < need || nLower < need {
+		panic(fmt.Sprintf("kernel: sweep of %d rows (stride %d, %d lanes) needs %d bounds, have %d upper and %d lower",
+			rows, stride, n, need, nUpper, nLower))
+	}
+}
+
+// sweepRows is the sweep as a loop over a single-row form — the whole
+// definition for the scalar and portable implementations.
+func sweepRows(row func(upper, lower, s []float64, limit float64) (float64, bool),
+	upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
+	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
+	for j := range dists {
+		lo, hi := j*stride, j*stride+len(s)
+		d, ok := row(upper[lo:hi], lower[lo:hi], s, limit)
+		if !ok {
+			d = Abandoned
+		}
+		dists[j] = d
+	}
 }
 
 // DistMBTS is the paper's Eq. 3 over raw bound slices: the largest

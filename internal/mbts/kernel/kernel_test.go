@@ -100,6 +100,137 @@ func TestKernelDifferential(t *testing.T) {
 			}
 		}
 	}
+	sweepDifferential(t, rng)
+}
+
+// hostileLanes overwrites a few lanes of each array with the values the
+// NaN contract singles out: NaN, ±Inf, −0 and subnormals.
+func hostileLanes(rng *rand.Rand, arrays ...[]float64) {
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for _, a := range arrays {
+		for k := 0; k <= len(a)/16; k++ { // arrays are never empty here
+			a[rng.Intn(len(a))] = vals[rng.Intn(len(vals))]
+		}
+	}
+}
+
+// checkSweep bit-compares every implementation's sweep, row by row,
+// against the scalar single-row oracle on the same rows.
+func checkSweep(t *testing.T, upper, lower []float64, stride int, s []float64, limit float64, rows int) {
+	t.Helper()
+	n := len(s)
+	for _, im := range Impls() {
+		dists := make([]float64, rows)
+		for j := range dists {
+			dists[j] = 12345 // a row the sweep skips must not pass for a result
+		}
+		im.SweepAbandonFlat(upper, lower, stride, s, limit, dists)
+		for j, got := range dists {
+			want, ok := distAbandonFlatScalar(upper[j*stride:j*stride+n], lower[j*stride:j*stride+n], s, limit)
+			if !ok {
+				want = Abandoned
+			}
+			if !bitsEq(got, want) {
+				t.Fatalf("%s sweep row %d/%d (n=%d stride=%d limit=%v) = %v (%x), scalar row form %v (%x)",
+					im.Name, j, rows, n, stride, limit, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// sweepDifferential is TestKernelDifferential's grid for the sibling
+// sweep: row counts either side of core's scratch capacity, lane counts
+// on both sides of every schedule boundary and of the 4-lane step,
+// strides wider than the query (the prefix case), and every degenerate
+// lane and limit of the NaN contract.
+func sweepDifferential(t *testing.T, rng *rand.Rand) {
+	limits := []float64{0.2, 1, 0, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, rows := range []int{1, 2, 30, 65} {
+		for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 101, 127, 128, 129, 130, 193} {
+			for _, pad := range []int{0, 1, 29} {
+				stride := n + pad
+				for trial := 0; trial < 4; trial++ {
+					u, l, _ := trialData(rng, rows*stride)
+					_, _, s := trialData(rng, n)
+					if trial%2 == 1 {
+						hostileLanes(rng, u, l, s)
+					}
+					// The last row may stop at its n-th lane.
+					u, l = u[:(rows-1)*stride+n], l[:(rows-1)*stride+n]
+					limit := limits[rng.Intn(len(limits))]
+					if trial == 0 {
+						limit = trialLimit(rng)
+					}
+					checkSweep(t, u, l, stride, s, limit, rows)
+				}
+			}
+		}
+	}
+	// No rows, and rows of no lanes.
+	for _, im := range Impls() {
+		im.SweepAbandonFlat(nil, nil, 7, []float64{1, 2}, 1, nil)
+		dists := []float64{5, 5, 5}
+		im.SweepAbandonFlat(nil, nil, 0, nil, -1, dists)
+		for j, d := range dists {
+			if !bitsEq(d, 0) {
+				t.Fatalf("%s: empty row %d scored %v, want +0", im.Name, j, d)
+			}
+		}
+	}
+}
+
+// TestSweepSchedule moves the lane at which a row first exceeds the
+// limit across every check point of the graduated schedule, in a
+// middle row, and requires its neighbours to be scored regardless.
+func TestSweepSchedule(t *testing.T) {
+	const rows, n = 3, 2*laneBlock + 7
+	for cross := 0; cross < n; cross++ {
+		u, l := make([]float64, rows*n), make([]float64, rows*n)
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 0.5
+		}
+		u[n+cross], l[n+cross] = -10, -10 // row 1 crosses limit=1 at lane `cross`
+		checkSweep(t, u, l, n, s, 1, rows)
+	}
+}
+
+// TestSweepShapeGuard requires a mis-shaped sweep to panic before any
+// lane is read, on every implementation and on the dispatched entry
+// point — a silent prefix match or an out-of-bounds read otherwise.
+func TestSweepShapeGuard(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	b := make([]float64, 100)
+	sweeps := map[string]func(upper, lower []float64, stride int, s []float64, limit float64, dists []float64){
+		"dispatched": SweepAbandonFlat,
+	}
+	for _, im := range Impls() {
+		sweeps[im.Name] = im.SweepAbandonFlat
+	}
+	for name, sweep := range sweeps {
+		mustPanic(name+": query longer than stride", func() {
+			sweep(b, b, 10, make([]float64, 11), 1, make([]float64, 2))
+		})
+		mustPanic(name+": short upper", func() {
+			sweep(b[:94], b, 10, make([]float64, 5), 1, make([]float64, 10))
+		})
+		mustPanic(name+": short lower", func() {
+			sweep(b, b[:94], 10, make([]float64, 5), 1, make([]float64, 10))
+		})
+		mustPanic(name+": too many rows", func() {
+			sweep(b, b, 10, make([]float64, 10), 1, make([]float64, 11))
+		})
+		sweep(b, b[:95], 10, make([]float64, 5), 1, make([]float64, 10)) // exactly enough
+	}
 }
 
 // TestKernelNaNContract pins the documented degenerate-lane semantics

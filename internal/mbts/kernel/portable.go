@@ -18,14 +18,22 @@ import "math"
 // uint64 — so the maximum accumulates in the integer domain with a
 // compare+CMOV, keeping the loop-carried dependency to one integer
 // move instead of a float→mask→float round trip per lane. Early
-// abandoning is hoisted out of the lane loop entirely and checked once
-// per 64-lane block — sound because the running maximum only grows, so
-// "some prefix exceeded the limit" and "the final maximum exceeds the
-// limit" are the same event.
+// abandoning is hoisted out of the lane loop entirely and checked on
+// the package's graduated schedule (nextCheck).
 
-// laneBlock is how many lanes the abandoning kernels process between
-// limit checks.
+// laneBlock is the steady-state distance between limit checks.
 const laneBlock = 64
+
+// nextCheck returns the lane count at which the abandoning kernels
+// next compare the running maximum against the limit, given the check
+// point just passed (0 at the start): 8, 16, 32, 64, then every
+// laneBlock lanes.
+func nextCheck(done int) int {
+	if done == 0 {
+		return 8
+	}
+	return done + min(done, laneBlock)
+}
 
 // boolMask converts a comparison result to an all-ones (true) or
 // all-zeros (false) 64-bit mask without a branch: the bool is a 0/1
@@ -101,11 +109,8 @@ func distAbandonFlatPortable(upper, lower, s []float64, limit float64) (float64,
 		limit = 0
 	}
 	var m uint64
-	for lo := 0; lo < n; lo += laneBlock {
-		hi := lo + laneBlock
-		if hi > n {
-			hi = n
-		}
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		hi = min(nextCheck(lo), n)
 		for i := lo; i < hi; i++ {
 			if d := excursionBits(upper[i], lower[i], s[i]); d > m {
 				m = d
@@ -119,6 +124,10 @@ func distAbandonFlatPortable(upper, lower, s []float64, limit float64) (float64,
 		}
 	}
 	return math.Float64frombits(m), true
+}
+
+func sweepAbandonFlatPortable(upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
+	sweepRows(distAbandonFlatPortable, upper, lower, stride, s, limit, dists)
 }
 
 func distMBTSPortable(bUpper, bLower, oUpper, oLower []float64) float64 {

@@ -41,6 +41,10 @@ func distAbandonFlatScalar(upper, lower, s []float64, limit float64) (float64, b
 	return max, true
 }
 
+func sweepAbandonFlatScalar(upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
+	sweepRows(distAbandonFlatScalar, upper, lower, stride, s, limit, dists)
+}
+
 func distMBTSScalar(bUpper, bLower, oUpper, oLower []float64) float64 {
 	var max float64
 	for i := range bUpper {
