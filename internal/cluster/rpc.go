@@ -21,7 +21,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -31,6 +30,7 @@ import (
 	"twinsearch/internal/core"
 	"twinsearch/internal/obs"
 	"twinsearch/internal/series"
+	"twinsearch/internal/wire"
 )
 
 // NodeRPC serves one cluster node's shard RPC. It implements
@@ -60,7 +60,7 @@ func (h *NodeRPC) BeginDrain() { h.drain.Store(true) }
 // ServeHTTP implements http.Handler.
 func (h *NodeRPC) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if h.drain.Load() && r.URL.Path != "/healthz" {
-		rpcError(w, http.StatusServiceUnavailable, errDraining)
+		wire.WriteError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	h.mux.ServeHTTP(w, r)
@@ -68,40 +68,19 @@ func (h *NodeRPC) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 var errDraining = errors.New("server is draining for shutdown")
 
-// rpcJSON / rpcError mirror internal/server's body shapes — the
-// {"error": ...} form the remote client decodes.
-func rpcJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func rpcError(w http.ResponseWriter, status int, err error) {
-	rpcJSON(w, status, struct {
-		Error string `json:"error"`
-	}{err.Error()})
-}
-
 func (h *NodeRPC) health(w http.ResponseWriter, r *http.Request) {
 	hd := h.n.Health()
 	if h.drain.Load() {
 		hd.Status = "draining"
 	}
-	rpcJSON(w, http.StatusOK, hd)
+	wire.WriteJSON(w, http.StatusOK, hd)
 }
 
-// decodeRPC decodes one POSTed request body, enforcing method and
+// decodeRPC reads one POSTed request body into req (f names its
+// fields, see wire.ReadRequest), enforcing method, size and
 // well-formedness uniformly across the shard endpoints.
-func decodeRPC(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if r.Method != http.MethodPost {
-		rpcError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return false
-	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		rpcError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
+func (h *NodeRPC) decodeRPC(w http.ResponseWriter, r *http.Request, req any, f wire.Fields) bool {
+	return wire.ReadRequest(w, r, req, f, h.n.Sub.L())
 }
 
 // writeRPC writes a search result, translating errors: context endings
@@ -115,15 +94,24 @@ func writeRPC(w http.ResponseWriter, ms []series.Match, st *core.Stats, err erro
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusServiceUnavailable
 		}
-		rpcError(w, status, err)
+		wire.WriteError(w, status, err)
 		return
+	}
+	if tr == nil {
+		var stats any // a nil *core.Stats must stay an absent key, not "stats":null
+		if st != nil {
+			stats = st
+		}
+		if wire.WriteShardAnswer(w, ms, stats) {
+			return
+		}
 	}
 	resp := SearchResponse{Matches: toWire(ms), Stats: st}
 	if tr != nil {
 		tr.Finish()
 		resp.Trace = tr.Root
 	}
-	rpcJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // traceCtx starts a node-local trace when the request asked for one
@@ -141,11 +129,11 @@ func (h *NodeRPC) traceCtx(r *http.Request, want bool) (context.Context, *obs.Tr
 
 func (h *NodeRPC) search(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !decodeRPC(w, r, &req) {
+	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, Eps: &req.Eps, Trace: &req.Trace}) {
 		return
 	}
 	if err := validateRPCQuery(req.Query, h.n.Sub.L(), req.Eps); err != nil {
-		rpcError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, tr := h.traceCtx(r, req.Trace)
@@ -155,17 +143,17 @@ func (h *NodeRPC) search(w http.ResponseWriter, r *http.Request) {
 
 func (h *NodeRPC) topk(w http.ResponseWriter, r *http.Request) {
 	var req TopKRequest
-	if !decodeRPC(w, r, &req) {
+	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, K: &req.K, Bound: &req.Bound, Trace: &req.Trace}) {
 		return
 	}
 	if err := validateRPCQuery(req.Query, h.n.Sub.L(), 0); err != nil {
-		rpcError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	bound := math.Inf(1)
 	if req.Bound != nil {
 		if math.IsNaN(*req.Bound) || *req.Bound < 0 {
-			rpcError(w, http.StatusBadRequest, fmt.Errorf("invalid bound %v", *req.Bound))
+			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid bound %v", *req.Bound))
 			return
 		}
 		bound = *req.Bound
@@ -177,13 +165,13 @@ func (h *NodeRPC) topk(w http.ResponseWriter, r *http.Request) {
 
 func (h *NodeRPC) prefix(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if !decodeRPC(w, r, &req) {
+	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, Eps: &req.Eps, Trace: &req.Trace}) {
 		return
 	}
 	// Prefix queries are shorter than L by design; the subset validates
 	// the length itself. Screen the values and threshold only.
 	if err := validateRPCValues(req.Query, req.Eps); err != nil {
-		rpcError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, tr := h.traceCtx(r, req.Trace)
@@ -193,15 +181,15 @@ func (h *NodeRPC) prefix(w http.ResponseWriter, r *http.Request) {
 
 func (h *NodeRPC) approx(w http.ResponseWriter, r *http.Request) {
 	var req ApproxRequest
-	if !decodeRPC(w, r, &req) {
+	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, Eps: &req.Eps, LeafBudget: &req.LeafBudget, Trace: &req.Trace}) {
 		return
 	}
 	if err := validateRPCQuery(req.Query, h.n.Sub.L(), req.Eps); err != nil {
-		rpcError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.LeafBudget <= 0 {
-		rpcError(w, http.StatusBadRequest, fmt.Errorf("leaf budget %d; a positive probe count is required", req.LeafBudget))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("leaf budget %d; a positive probe count is required", req.LeafBudget))
 		return
 	}
 	ctx, tr := h.traceCtx(r, req.Trace)

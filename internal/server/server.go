@@ -18,7 +18,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -31,6 +30,7 @@ import (
 	"twinsearch"
 	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/obs"
+	"twinsearch/internal/wire"
 )
 
 // Handler is an http.Handler serving one engine.
@@ -104,7 +104,7 @@ func drainExempt(path string) bool {
 // capacity, and only the observability endpoints stay open.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if h.drain.Load() && !drainExempt(r.URL.Path) {
-		writeErr(w, http.StatusServiceUnavailable, errDraining)
+		wire.WriteError(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 	h.mux.ServeHTTP(w, r)
@@ -120,30 +120,16 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	case errors.Is(err, errOverloaded):
 		w.Header().Set("Retry-After", strconv.Itoa(int((h.adm.retryAfter+time.Second-1)/time.Second)))
-		writeErr(w, http.StatusTooManyRequests, err)
+		wire.WriteError(w, http.StatusTooManyRequests, err)
 	default:
 		// The client's context ended while queued; it is gone, but
 		// finish the exchange coherently.
-		writeErr(w, http.StatusServiceUnavailable, err)
+		wire.WriteError(w, http.StatusServiceUnavailable, err)
 	}
 	return false
 }
 
 var errDraining = errors.New("server is draining for shutdown")
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
 
 func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	h.mu.RLock()
@@ -199,7 +185,7 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 		body["replicas"] = cl.Replicas()
 	}
 	body["role"] = role
-	writeJSON(w, http.StatusOK, body)
+	wire.WriteJSON(w, http.StatusOK, body)
 }
 
 func partitionName(byMean bool) string {
@@ -217,7 +203,7 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	h.mu.RLock()
 	ss := h.eng.ServingStats()
 	h.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"epoch":        ss.Epoch,
 		"plan_cache":   ss.Plan,
 		"result_cache": ss.Result,
@@ -241,11 +227,14 @@ func (h *Handler) slowlog(w http.ResponseWriter, r *http.Request) {
 	if entries == nil {
 		entries = []obs.SlowEntry{}
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"entries": entries})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"entries": entries})
 }
 
 // traceWanted reports whether the request forces a trace (?trace=1).
 func traceWanted(r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false // the common case: skip building the values map
+	}
 	v := r.URL.Query().Get("trace")
 	return v == "1" || v == "true"
 }
@@ -283,25 +272,37 @@ func toBody(ms []twinsearch.Match) searchResponse {
 }
 
 func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	h.serveQuery(w, r, "http /search", &req, wire.Fields{Query: &req.Query, Eps: &req.Eps},
+		func(ctx context.Context) ([]twinsearch.Match, error) {
+			return h.eng.SearchCtx(ctx, req.Query, req.Eps)
+		})
+}
+
+func (h *Handler) topk(w http.ResponseWriter, r *http.Request) {
+	var req topkRequest
+	h.serveQuery(w, r, "http /topk", &req, wire.Fields{Query: &req.Query, K: &req.K},
+		func(ctx context.Context) ([]twinsearch.Match, error) {
+			return h.eng.SearchTopKCtx(ctx, req.Query, req.K)
+		})
+}
+
+// serveQuery is the one query endpoint: read the body into req (f
+// names its fields, see wire.ReadRequest), pass admission, run the
+// engine call under the read lock, write the answer.
+func (h *Handler) serveQuery(w http.ResponseWriter, r *http.Request, name string, req any, f wire.Fields,
+	run func(context.Context) ([]twinsearch.Match, error)) {
+	if !wire.ReadRequest(w, r, req, f, h.eng.L()) {
 		return
 	}
 	// A forced trace (?trace=1) is created before admission so the time
 	// spent queued shows up as an "admission" span.
 	ctx := r.Context()
 	var tr *obs.Trace
-	if traceWanted(r) {
-		tr = obs.NewTrace("http /search")
-		ctx = obs.WithSpan(ctx, tr.Root)
-	}
 	var asp *obs.Span
-	if tr != nil {
+	if traceWanted(r) {
+		tr = obs.NewTrace(name)
+		ctx = obs.WithSpan(ctx, tr.Root)
 		asp = tr.Root.StartChild("admission")
 	}
 	ok := h.admit(w, r)
@@ -314,10 +315,13 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 	// a proxy that times out) cancels the remaining work units instead
 	// of burning executor time on an unwanted answer.
 	h.mu.RLock()
-	ms, err := h.eng.SearchCtx(ctx, req.Query, req.Eps)
+	ms, err := run(ctx)
 	h.mu.RUnlock()
 	if err != nil {
-		writeErr(w, searchStatus(err), err)
+		wire.WriteError(w, searchStatus(err), err)
+		return
+	}
+	if tr == nil && wire.WriteAnswer(w, ms) {
 		return
 	}
 	body := toBody(ms)
@@ -325,7 +329,7 @@ func (h *Handler) search(w http.ResponseWriter, r *http.Request) {
 		tr.Finish()
 		body.Trace = tr.Root
 	}
-	writeJSON(w, http.StatusOK, body)
+	wire.WriteJSON(w, http.StatusOK, body)
 }
 
 // searchStatus maps engine errors to HTTP: context endings and
@@ -343,59 +347,13 @@ type topkRequest struct {
 	K     int       `json:"k"`
 }
 
-func (h *Handler) topk(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
-	var req topkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	ctx := r.Context()
-	var tr *obs.Trace
-	if traceWanted(r) {
-		tr = obs.NewTrace("http /topk")
-		ctx = obs.WithSpan(ctx, tr.Root)
-	}
-	var asp *obs.Span
-	if tr != nil {
-		asp = tr.Root.StartChild("admission")
-	}
-	ok := h.admit(w, r)
-	asp.End()
-	if !ok {
-		return
-	}
-	defer h.adm.release()
-	h.mu.RLock()
-	ms, err := h.eng.SearchTopKCtx(ctx, req.Query, req.K)
-	h.mu.RUnlock()
-	if err != nil {
-		writeErr(w, searchStatus(err), err)
-		return
-	}
-	body := toBody(ms)
-	if tr != nil {
-		tr.Finish()
-		body.Trace = tr.Root
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
 type appendRequest struct {
 	Values []float64 `json:"values"`
 }
 
 func (h *Handler) append(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
 	var req appendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !wire.ReadRequest(w, r, &req, wire.Fields{Values: &req.Values}, h.eng.L()) {
 		return
 	}
 	// Append bumps the engine's epoch before returning, and the epoch is
@@ -408,24 +366,24 @@ func (h *Handler) append(w http.ResponseWriter, r *http.Request) {
 	epoch := h.eng.Epoch()
 	h.mu.Unlock()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"series_len": n, "epoch": epoch})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"series_len": n, "epoch": epoch})
 }
 
 func (h *Handler) subsequence(w http.ResponseWriter, r *http.Request) {
 	start, err := strconv.Atoi(r.URL.Query().Get("start"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad start: %w", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad start: %w", err))
 		return
 	}
 	h.mu.RLock()
 	sub, err := h.eng.Subsequence(start)
 	h.mu.RUnlock()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"start": start, "values": sub})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"start": start, "values": sub})
 }

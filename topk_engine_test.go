@@ -6,6 +6,7 @@ package twinsearch
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"twinsearch/internal/datasets"
@@ -94,5 +95,53 @@ func TestForcedTraceTopK(t *testing.T) {
 		if shards == 0 && trav.Attrs["results"] != 5 {
 			t.Fatalf("traverse span results = %v, want 5", trav.Attrs["results"])
 		}
+	}
+}
+
+// TestInvalidQueryEveryBacking is the invalid-query table over the two
+// raw-query paths the serving tier exposes, on every TS-Index backing.
+// Top-k used to skip planQuery: a NaN or infinite query was traversed
+// by a local or sharded engine but refused by a cluster node, so the
+// backings disagreed. Now every row fails before any traversal, with
+// the text range search gives it.
+func TestInvalidQueryEveryBacking(t *testing.T) {
+	data := datasets.EEGN(61, 3000)
+	const l = 100
+	with := func(i int, v float64) []float64 {
+		q := append([]float64(nil), data[500:500+l]...)
+		q[i] = v
+		return q
+	}
+	rows := []struct {
+		name string
+		q    []float64
+		want string
+	}{
+		{"short", data[500 : 500+l-1], "twinsearch: query length 99, engine built for L=100"},
+		{"NaN", with(40, math.NaN()), "twinsearch: non-finite query value NaN at position 40"},
+		{"+Inf", with(0, math.Inf(1)), "twinsearch: non-finite query value +Inf at position 0"},
+		{"-Inf", with(l-1, math.Inf(-1)), "twinsearch: non-finite query value -Inf at position 99"},
+	}
+	for name, opt := range map[string]Options{
+		"unsharded": {L: l},
+		"sharded":   {L: l, Shards: 4},
+		"cluster":   {L: l, Topology: writeTopology(t, data, l, 4, 2)},
+		"cached":    {L: l, PlanCache: -1, ResultCacheBytes: -1},
+	} {
+		eng, err := Open(data, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			for pass := 0; pass < 2; pass++ { // the second pass meets whatever the first cached
+				if _, err := eng.Search(row.q, 0.3); err == nil || err.Error() != row.want {
+					t.Errorf("%s: Search(%s) error %v, want %q", name, row.name, err, row.want)
+				}
+				if ms, err := eng.SearchTopK(row.q, 5); err == nil || err.Error() != row.want {
+					t.Errorf("%s: SearchTopK(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.want)
+				}
+			}
+		}
+		eng.Close()
 	}
 }

@@ -831,11 +831,12 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, q []float64, k int) ([]Match
 	if e.opt.Method != MethodTSIndex {
 		return nil, ErrTopKUnsupported
 	}
-	if len(q) != e.opt.L {
-		return nil, fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)
-	}
 	ctx, qo := e.beginQuery(ctx, qpTopK)
-	tq := e.ext.TransformQuery(q)
+	tq, err := e.validateQueryCtx(ctx, q, 0)
+	if err != nil {
+		e.endQuery(qo, err)
+		return nil, err
+	}
 	r, err := e.searchCached(ctx, qcache.PathTopK, q, float64(k), 0, func() (qcache.Result, error) {
 		ms, err := e.searchTopKPreparedCtx(ctx, tq, k)
 		return qcache.Result{Matches: ms}, err
