@@ -417,8 +417,7 @@ func BenchmarkExtensionTopK(b *testing.B) {
 // the in-process counterpart of BENCHMARK.json's `point` workload.
 func benchServed(b *testing.B) (*core.Frozen, [][]float64) {
 	if servedFrozen == nil {
-		data := datasets.EEGN(1, 200000)
-		ext := series.NewExtractor(data, series.NormGlobal)
+		data, ext := servedSeries()
 		ix, err := core.Build(ext, core.Config{L: harness.DefaultL})
 		if err != nil {
 			b.Fatal(err)
@@ -435,6 +434,39 @@ var (
 	servedFrozen  *core.Frozen
 	servedQueries [][]float64
 )
+
+// servedSeries is bench/'s dataset and its extractor.
+func servedSeries() ([]float64, *series.Extractor) {
+	data := datasets.EEGN(1, 200000)
+	return data, series.NewExtractor(data, series.NormGlobal)
+}
+
+// The served build shape: the counterpart of setup_s on `point` (one
+// insertion build) and on `wide-sharded` (four per-shard insertion
+// builds on the executor, each frozen).
+func BenchmarkBuildInsert(b *testing.B) {
+	_, ext := servedSeries()
+	windows := series.NumSubsequences(ext.Len(), harness.DefaultL)
+	run := func(name string, build func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds(), "windows/s")
+		})
+	}
+	run("single", func() error {
+		_, err := core.Build(ext, core.Config{L: harness.DefaultL})
+		return err
+	})
+	run("shards=4", func() error {
+		_, err := shard.Build(ext, shard.Config{Config: core.Config{L: harness.DefaultL}, Shards: 4})
+		return err
+	})
+}
 
 // The served top-k shape: the counterpart of topk_p50_ms on `point`,
 // allocations included.

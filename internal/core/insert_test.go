@@ -1,0 +1,314 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"twinsearch/internal/datasets"
+	"twinsearch/internal/mbts"
+	"twinsearch/internal/series"
+)
+
+var allModes = []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence}
+
+// chooseChildReference is chooseChild as PR 1 wrote it: every child is
+// scored, and every tie — at distance 0 too — goes through the
+// width-increase tie-break.
+func chooseChildReference(n *node, w []float64) *node {
+	var best *node
+	bestDist := math.Inf(1)
+	bestInc := -1.0
+	for _, c := range n.children {
+		d, ok := c.bounds.DistSequenceAbandon(w, bestDist)
+		if !ok {
+			continue
+		}
+		switch {
+		case best == nil || d < bestDist:
+			best, bestDist, bestInc = c, d, -1
+		case d == bestDist:
+			if bestInc < 0 {
+				bestInc = best.bounds.WidthIncreaseSequence(w)
+			}
+			if inc := c.bounds.WidthIncreaseSequence(w); inc < bestInc {
+				best, bestInc = c, inc
+			}
+		}
+	}
+	return best
+}
+
+// gridWindow draws a window on a coarse integer grid, so equal
+// distances and equal width increases are common rather than freak.
+func gridWindow(rng *rand.Rand, l, levels int) []float64 {
+	w := make([]float64, l)
+	for i := range w {
+		w[i] = float64(rng.Intn(levels))
+	}
+	return w
+}
+
+func TestChooseChildMatchesReference(t *testing.T) {
+	ix := &Index{}
+	var zeroTies, positiveTies, tieBreaksWon int
+	check := func(n *node, w []float64) {
+		t.Helper()
+		want := chooseChildReference(n, w)
+		got, dist := ix.chooseChild(n, w)
+		if got != want {
+			t.Fatalf("chooseChild picked a different child than the reference loop")
+		}
+		if d := got.bounds.DistSequence(w); d != dist {
+			t.Fatalf("chooseChild returned distance %v, the child is at %v", dist, d)
+		}
+		// Tally the branches the inputs reach, on the reference's terms.
+		zero, atBest := 0, 0
+		for _, c := range n.children {
+			switch c.bounds.DistSequence(w) {
+			case 0:
+				zero++
+			case dist:
+				atBest++
+			}
+		}
+		if zero > 1 {
+			zeroTies++
+		}
+		if dist > 0 && atBest > 1 {
+			positiveTies++
+			if got != firstAt(n, w, dist) {
+				tieBreaksWon++
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 400; trial++ {
+		l := []int{1, 7, 33, 100}[trial%4]
+		n := &node{}
+		for c := 2 + rng.Intn(8); c > 0; c-- {
+			// Children enclosing 1–4 grid windows each overlap heavily.
+			b := mbts.FromSequence(gridWindow(rng, l, 4))
+			for extra := rng.Intn(4); extra > 0; extra-- {
+				b.ExpandToSequence(gridWindow(rng, l, 4))
+			}
+			n.children = append(n.children, &node{bounds: b})
+		}
+		if trial%3 == 0 {
+			// A duplicated child ties with its original at every distance.
+			dup := n.children[rng.Intn(len(n.children))]
+			n.children = append(n.children, &node{bounds: dup.bounds.Clone()})
+		}
+		for q := 0; q < 20; q++ {
+			check(n, gridWindow(rng, l, 4)) // mostly enclosed somewhere
+			check(n, gridWindow(rng, l, 7)) // mostly outside everything
+		}
+	}
+	if zeroTies == 0 || positiveTies == 0 || tieBreaksWon == 0 {
+		t.Fatalf("inputs missed a branch: %d zero ties, %d positive ties, %d won by a later child",
+			zeroTies, positiveTies, tieBreaksWon)
+	}
+
+	// A constant series: every child encloses every window.
+	flat := &node{}
+	for i := 0; i < 5; i++ {
+		flat.children = append(flat.children, &node{bounds: mbts.FromSequence(make([]float64, 9))})
+	}
+	check(flat, make([]float64, 9))
+
+	// One child, enclosing and not.
+	one := &node{children: []*node{{bounds: mbts.FromSequence([]float64{1, 2, 3})}}}
+	check(one, []float64{1, 2, 3})
+	check(one, []float64{1, 5, 3})
+}
+
+// firstAt is the first child of n at distance dist from w.
+func firstAt(n *node, w []float64, dist float64) *node {
+	for _, c := range n.children {
+		if c.bounds.DistSequence(w) == dist {
+			return c
+		}
+	}
+	return nil
+}
+
+func TestSplitSeedsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	data := gridWindow(rng, 600, 5)
+	var maxTies int
+	for _, mode := range allModes {
+		ext := series.NewExtractor(data, mode)
+		for _, l := range []int{1, 7, 100, 101} {
+			ix, err := NewEmpty(ext, Config{L: l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := series.NumSubsequences(ext.Len(), l)
+			for _, k := range []int{2, 3, DefaultMaxCap + 1} {
+				for trial := 0; trial < 20; trial++ {
+					positions := make([]int32, k)
+					for i := range positions {
+						positions[i] = int32(rng.Intn(count))
+					}
+					// Duplicated windows: every pair they form with a third
+					// window ties, and the first such pair must win.
+					for i := k / 2; i < k && trial%2 == 0; i++ {
+						positions[i] = positions[i-k/2]
+					}
+
+					wantI, wantJ, maxD, ties := 0, 1, -1.0, 0
+					copies := make([][]float64, k)
+					for i, p := range positions {
+						copies[i] = ext.ExtractCopy(int(p), l)
+					}
+					for i := 0; i < k; i++ {
+						for j := i + 1; j < k; j++ {
+							switch d := series.Chebyshev(copies[i], copies[j]); {
+							case d > maxD:
+								maxD, wantI, wantJ, ties = d, i, j, 0
+							case d == maxD:
+								ties++
+							}
+						}
+					}
+					maxTies += ties
+
+					wins := ix.splitWindows(positions)
+					for i, c := range copies {
+						for x, v := range c {
+							if got := wins[i*l+x]; math.Float64bits(got) != math.Float64bits(v) {
+								t.Fatalf("%v L=%d k=%d: scratch row %d lane %d = %v, window has %v", mode, l, k, i, x, got, v)
+							}
+						}
+					}
+					if si, sj := farthestPair(wins, l, ix.splitDists); si != wantI || sj != wantJ {
+						t.Fatalf("%v L=%d k=%d: sweep seeds (%d, %d), pairwise Chebyshev seeds (%d, %d)",
+							mode, l, k, si, sj, wantI, wantJ)
+					}
+				}
+			}
+		}
+	}
+	if maxTies == 0 {
+		t.Fatal("no farthest-pair tie was exercised")
+	}
+}
+
+// frozenBytes is the index's frozen stream.
+func frozenBytes(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.Freeze().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The Engine.Append path inserts into a thawed Index, which starts with
+// no split scratch; the tree it grows must be the one a build from
+// scratch grows.
+func TestAppendAfterThawMatchesRebuild(t *testing.T) {
+	data := datasets.EEGN(3, 3000)
+	cfg := Config{L: 50, MinCap: 3, MaxCap: 7}
+	for _, mode := range allModes {
+		ext := series.NewExtractor(data, mode)
+		count := series.NumSubsequences(ext.Len(), cfg.L)
+		head := count / 2
+
+		whole, err := Build(ext, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := BuildRange(ext, cfg, 0, head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		thawed := part.Freeze().Thaw()
+		for p := head; p < count; p++ {
+			thawed.Insert(p)
+		}
+		if err := thawed.CheckInvariants(); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !bytes.Equal(frozenBytes(t, thawed), frozenBytes(t, whole)) {
+			t.Fatalf("%v: thaw + insert + freeze differs from a build from scratch", mode)
+		}
+	}
+}
+
+func countNodes(n *node) int {
+	total := 1
+	for _, c := range n.children {
+		total += countNodes(c)
+	}
+	return total
+}
+
+// TestInsertAllocs pins the insert path's allocation budget: an insert
+// that splits nothing allocates nothing, and a leaf split allocates its
+// two new leaves — node, MBTS, two bounds and a position slice each —
+// and no copy of any window.
+func TestInsertAllocs(t *testing.T) {
+	const leafSplit = 2 * 5
+	data := datasets.EEGN(2, 4000)
+	count := series.NumSubsequences(len(data), 100)
+	for _, mode := range allModes {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			// measure builds the index once and returns, per insert past
+			// the warm-up, its allocations and how many nodes it added.
+			measure := func() (allocs []float64, added []int) {
+				ix, err := NewEmpty(series.NewExtractor(data, mode), Config{L: 100})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := 0
+				for ; p < 200; p++ { // past the first leaf and the first root
+					ix.Insert(p)
+				}
+				for p+1 < count {
+					// AllocsPerRun(1, f) warms up with one call and measures
+					// the next; before is the node count ahead of that one.
+					var before int
+					allocs = append(allocs, testing.AllocsPerRun(1, func() {
+						before = countNodes(ix.root)
+						ix.Insert(p)
+						p++
+					}))
+					added = append(added, countNodes(ix.root)-before)
+				}
+				return allocs, added
+			}
+			// The build is deterministic, so insert i is the same insert
+			// in every pass; the minimum over three sheds an allocation
+			// the runtime itself (GC, the race detector) slipped in.
+			allocs, added := measure()
+			for pass := 1; pass < 3; pass++ {
+				again, _ := measure()
+				for i, a := range again {
+					allocs[i] = math.Min(allocs[i], a)
+				}
+			}
+			var plain, splits int
+			for i, a := range allocs {
+				switch added[i] {
+				case 0:
+					plain++
+					if a != 0 {
+						t.Fatalf("measured insert %d split nothing and allocated %v times", i, a)
+					}
+				case 1: // one leaf split, absorbed by its parent
+					splits++
+					if a > leafSplit {
+						t.Fatalf("measured insert %d split one leaf and allocated %v times, budget %d", i, a, leafSplit)
+					}
+				}
+			}
+			if plain == 0 || splits == 0 {
+				t.Fatalf("measured %d plain inserts and %d leaf splits", plain, splits)
+			}
+		})
+	}
+}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
+
 	"twinsearch/internal/mbts"
-	"twinsearch/internal/series"
+	"twinsearch/internal/mbts/kernel"
 )
 
 // splitLeaf divides an overflowing leaf into two (§5.2): the two
@@ -11,52 +13,81 @@ import (
 // grows the least (with R-tree-style forced assignment so both sides
 // reach MinCap).
 func (ix *Index) splitLeaf(n *node) (*node, *node) {
-	k := len(n.positions)
-	wins := make([][]float64, k)
-	for i, p := range n.positions {
-		wins[i] = ix.ext.ExtractCopy(int(p), ix.cfg.L)
-	}
+	k, l := len(n.positions), ix.cfg.L
+	wins := ix.splitWindows(n.positions)
+	si, sj := farthestPair(wins, l, ix.splitDists)
 
-	// Farthest pair by Chebyshev distance.
-	si, sj := 0, 1
-	var maxD float64 = -1
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if d := series.Chebyshev(wins[i], wins[j]); d > maxD {
-				maxD, si, sj = d, i, j
-			}
-		}
-	}
-
-	a := &node{bounds: mbts.FromSequence(wins[si]), leaf: true,
+	a := &node{bounds: mbts.FromSequence(wins[si*l : (si+1)*l]), leaf: true,
 		positions: append(make([]int32, 0, k), n.positions[si])}
-	b := &node{bounds: mbts.FromSequence(wins[sj]), leaf: true,
+	b := &node{bounds: mbts.FromSequence(wins[sj*l : (sj+1)*l]), leaf: true,
 		positions: append(make([]int32, 0, k), n.positions[sj])}
 
-	remaining := make([]int, 0, k-2)
-	for i := 0; i < k; i++ {
-		if i != si && i != sj {
-			remaining = append(remaining, i)
+	left := k - 2 // windows still to assign
+	for i, p := range n.positions {
+		if i == si || i == sj {
+			continue
 		}
-	}
-	for idx, i := range remaining {
-		left := len(remaining) - idx
-		w := wins[i]
+		w := wins[i*l : (i+1)*l]
 		switch {
 		case ix.cfg.MinCap-len(a.positions) >= left:
-			assignLeaf(a, w, n.positions[i])
+			assignLeaf(a, w, p)
 		case ix.cfg.MinCap-len(b.positions) >= left:
-			assignLeaf(b, w, n.positions[i])
+			assignLeaf(b, w, p)
 		default:
 			if pickSide(a.bounds.WidthIncreaseSequence(w), b.bounds.WidthIncreaseSequence(w),
 				a.bounds, b.bounds, len(a.positions), len(b.positions)) {
-				assignLeaf(a, w, n.positions[i])
+				assignLeaf(a, w, p)
 			} else {
-				assignLeaf(b, w, n.positions[i])
+				assignLeaf(b, w, p)
+			}
+		}
+		left--
+	}
+	return a, b
+}
+
+// splitWindows extracts the windows at positions into the split
+// scratch, window i at row [i*L, (i+1)*L) — the flat run the seed sweep
+// streams and the assignment loop slices. The scratch grows to the
+// largest leaf seen (MaxCap+1 windows, always) and is then reused.
+func (ix *Index) splitWindows(positions []int32) []float64 {
+	k, l := len(positions), ix.cfg.L
+	if len(ix.splitWins) < k*l {
+		ix.splitWins = make([]float64, k*l)
+		ix.splitDists = make([]float64, k)
+	}
+	wins := ix.splitWins[:k*l]
+	for i, p := range positions {
+		row := wins[i*l : (i+1)*l]
+		// Per-subsequence normalization writes straight into the row;
+		// the other modes return a view of the series to copy in.
+		if w := ix.ext.Extract(int(p), l, row); &w[0] != &row[0] {
+			copy(row, w)
+		}
+	}
+	return wins
+}
+
+// farthestPair returns the first pair (i < j, in (i, j) order) of the
+// L-length rows of wins at the largest Chebyshev distance. Row i is
+// scored against all later rows in one kernel sweep: Eq. 2 with both
+// bounds set to a window is the Chebyshev distance to it, bit for bit
+// (kernel.FuzzCandidateDist), and a +Inf limit never abandons. dists
+// is scratch for one sweep, at least rows−1 long.
+func farthestPair(wins []float64, l int, dists []float64) (si, sj int) {
+	k := len(wins) / l
+	si, sj = 0, 1
+	maxD := -1.0
+	for i := 0; i < k-1; i++ {
+		rest, d := wins[(i+1)*l:], dists[:k-1-i]
+		kernel.SweepAbandonFlat(rest, rest, l, wins[i*l:(i+1)*l], math.Inf(1), d)
+		for j, dj := range d {
+			if dj > maxD {
+				maxD, si, sj = dj, i, i+1+j
 			}
 		}
 	}
-	return a, b
+	return si, sj
 }
 
 func assignLeaf(n *node, w []float64, p int32) {

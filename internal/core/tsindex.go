@@ -8,7 +8,11 @@
 // level into the child whose MBTS is closest under the paper's Eq. 2
 // distance; overflowing nodes split with farthest-pair seeds and
 // minimum-expansion assignment, and splits propagate upward so all
-// leaves stay on one level.
+// leaves stay on one level. The descent stops comparing children at the
+// first one that already encloses the window (distance 0 cannot be
+// beaten and wins every tie) and leaves that child's bounds alone; a
+// leaf split copies its windows once into a flat per-Index scratch and
+// finds the seeds with one kernel sweep per window (split.go).
 //
 // Search (§5.3, Algorithm 1) walks the tree pruning every subtree whose
 // MBTS is farther than ε from the query — sound by Lemma 1: for any
@@ -68,6 +72,12 @@ type Index struct {
 	size   int
 
 	winBuf []float64 // reusable insertion window
+
+	// Leaf-split scratch, allocated by the first split and reused by
+	// every later one: the overflowing leaf's MaxCap+1 windows as
+	// consecutive L-length rows, and one sweep's worth of distances.
+	// Transient of construction — not part of MemoryBytes.
+	splitWins, splitDists []float64
 }
 
 type node struct {
@@ -172,6 +182,7 @@ func (ix *Index) Insert(p int) {
 		ix.size = 1
 		return
 	}
+	ix.root.bounds.ExpandToSequence(w)
 	a, b := ix.insert(ix.root, w, int32(p))
 	ix.size++
 	if a != nil {
@@ -184,10 +195,10 @@ func (ix *Index) Insert(p int) {
 	}
 }
 
-// insert descends into n, expanding bounds on the way, and returns the
-// two replacement nodes when n overflowed and split, or (nil, nil).
+// insert descends into n, whose bounds already enclose w, expanding the
+// chosen child's bounds on the way, and returns the two replacement
+// nodes when n overflowed and split, or (nil, nil).
 func (ix *Index) insert(n *node, w []float64, p int32) (*node, *node) {
-	n.bounds.ExpandToSequence(w)
 	if n.leaf {
 		n.positions = append(n.positions, p)
 		if len(n.positions) > ix.cfg.MaxCap {
@@ -196,7 +207,12 @@ func (ix *Index) insert(n *node, w []float64, p int32) (*node, *node) {
 		return nil, nil
 	}
 
-	best := ix.chooseChild(n, w)
+	best, dist := ix.chooseChild(n, w)
+	if dist > 0 {
+		// At distance 0 no lane of w lies outside best's bounds, which
+		// is exactly when expanding would change nothing.
+		best.bounds.ExpandToSequence(w)
+	}
 	a, b := ix.insert(best, w, p)
 	if a == nil {
 		return nil, nil
@@ -216,8 +232,12 @@ func (ix *Index) insert(n *node, w []float64, p int32) (*node, *node) {
 }
 
 // chooseChild selects the child whose MBTS has the smallest Eq. 2
-// distance from w, breaking ties by least width increase (DESIGN.md §5).
-func (ix *Index) chooseChild(n *node, w []float64) *node {
+// distance from w, breaking ties by least width increase (DESIGN.md §5),
+// and returns it with that distance. The first child at distance 0 is
+// final: a later child is either farther or ties at 0, and a tie at 0
+// compares two width increases that are both exactly 0, which the
+// incumbent wins.
+func (ix *Index) chooseChild(n *node, w []float64) (*node, float64) {
 	var best *node
 	bestDist := math.Inf(1)
 	bestInc := -1.0 // lazily computed on the first tie
@@ -228,6 +248,9 @@ func (ix *Index) chooseChild(n *node, w []float64) *node {
 		}
 		switch {
 		case best == nil || d < bestDist:
+			if d == 0 {
+				return c, 0
+			}
 			best, bestDist, bestInc = c, d, -1
 		case d == bestDist:
 			if bestInc < 0 {
@@ -238,7 +261,7 @@ func (ix *Index) chooseChild(n *node, w []float64) *node {
 			}
 		}
 	}
-	return best
+	return best, bestDist
 }
 
 // Search returns all twin subsequences of q at threshold eps, in start

@@ -3,7 +3,9 @@
 // (DistFlat), its early-abandoning form (DistAbandonFlat), the sibling
 // sweep that scores a run of consecutive bound rows against one query
 // in a single forward pass (SweepAbandonFlat — how the frozen arena
-// tests all of a node's children at once), the Eq. 3 MBTS-to-MBTS
+// tests all of a node's children at once, and how a leaf split scores
+// one window against all the others: with both bounds set to a window,
+// Eq. 2 is the Chebyshev distance to it), the Eq. 3 MBTS-to-MBTS
 // distance (DistMBTS), the split-heuristic width measures (Width,
 // WidthIncrease*), and batch forms that push B queries through one
 // node's bounds in a single pass (DistFlatBatch, DistAbandonFlatBatch).
