@@ -50,7 +50,7 @@ var benchSetups = []benchSetup{
 // repeat across sub-benchmarks. Benchmarks run sequentially.
 var (
 	extCache = map[string]*series.Extractor{}
-	tsCache  = map[string]*core.Index{}
+	tsCache  = map[string]*core.Frozen{}
 	isxCache = map[string]*isax.Index{}
 	kvCache  = map[string]*kvindex.Index{}
 )
@@ -65,17 +65,19 @@ func benchExt(ds benchSetup, mode series.NormMode) *series.Extractor {
 	return e
 }
 
-func benchTS(b *testing.B, ds benchSetup, mode series.NormMode, l int) *core.Index {
+// benchTS is the TS-Index in the form that is searched: built by
+// insertion, frozen.
+func benchTS(b *testing.B, ds benchSetup, mode series.NormMode, l int) *core.Frozen {
 	key := fmt.Sprintf("%s/%d/%d", ds.name, mode, l)
-	if ix, ok := tsCache[key]; ok {
-		return ix
+	if f, ok := tsCache[key]; ok {
+		return f
 	}
 	ix, err := core.Build(benchExt(ds, mode), core.Config{L: l})
 	if err != nil {
 		b.Fatal(err)
 	}
-	tsCache[key] = ix
-	return ix
+	tsCache[key] = ix.Freeze()
+	return tsCache[key]
 }
 
 func benchISAX(b *testing.B, ds benchSetup, mode series.NormMode, l int) *isax.Index {
@@ -253,8 +255,9 @@ func BenchmarkFig8aMemory(b *testing.B) {
 			}
 			b.ReportMetric(float64(kv.MemoryBytes()+kv.AuxiliaryBytes()), "kv-bytes")
 			b.ReportMetric(float64(isx.MemoryBytes()), "isax-bytes")
-			b.ReportMetric(float64(ts.MemoryBytes()), "tsindex-bytes")
-			b.ReportMetric(float64(ts.MemoryBytes())/float64(isx.MemoryBytes()), "ts/isax-ratio")
+			tsBytes := ts.Freeze().MemoryBytes() // the arena is what stays resident
+			b.ReportMetric(float64(tsBytes), "tsindex-bytes")
+			b.ReportMetric(float64(tsBytes)/float64(isx.MemoryBytes()), "ts/isax-ratio")
 		})
 	}
 }
@@ -324,14 +327,15 @@ func BenchmarkAblationBulkVsInsert(b *testing.B) {
 			}
 		}
 	})
-	ins, err := core.Build(ext, core.Config{L: harness.DefaultL})
+	insTree, err := core.Build(ext, core.Config{L: harness.DefaultL})
 	if err != nil {
 		b.Fatal(err)
 	}
-	blk, err := core.BuildBulk(ext, core.Config{L: harness.DefaultL})
+	blkTree, err := core.BuildBulk(ext, core.Config{L: harness.DefaultL})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ins, blk := insTree.Freeze(), blkTree.Freeze()
 	b.Run("query/insert-built", func(b *testing.B) {
 		runQueries(b, func(q []float64, e float64) int { return len(ins.Search(q, e)) }, qs, ds.def)
 	})
@@ -348,10 +352,11 @@ func BenchmarkAblationNodeCapacity(b *testing.B) {
 	qs := benchWorkload(ds, ext, harness.DefaultL)
 	for _, caps := range []struct{ min, max int }{{5, 15}, {10, 30}, {20, 60}, {40, 120}} {
 		caps := caps
-		ix, err := core.Build(ext, core.Config{L: harness.DefaultL, MinCap: caps.min, MaxCap: caps.max})
+		tree, err := core.Build(ext, core.Config{L: harness.DefaultL, MinCap: caps.min, MaxCap: caps.max})
 		if err != nil {
 			b.Fatal(err)
 		}
+		ix := tree.Freeze()
 		b.Run(fmt.Sprintf("caps=%d-%d", caps.min, caps.max), func(b *testing.B) {
 			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, ds.def)
 		})
@@ -692,43 +697,31 @@ func BenchmarkBatchFusion(b *testing.B) {
 	})
 }
 
-// Frozen arena vs pointer tree: the same TS-Index under its two memory
-// layouts. The frozen rows should show lower ns/op (descent streams two
-// flat bound arrays instead of chasing per-node heap objects) and a
-// smaller bytes/node footprint (8 structural bytes per node against the
-// pointer form's struct + MBTS struct + three slice headers).
-func BenchmarkFrozenVsPointer(b *testing.B) {
+// The frozen arena: what compiling the pointer tree costs, what a node
+// weighs (8 structural bytes plus its two bound rows), and search and
+// top-k over it at the paper's datasets.
+func BenchmarkFrozenArena(b *testing.B) {
 	for _, ds := range benchSetups {
 		ext := benchExt(ds, series.NormGlobal)
 		qs := benchWorkload(ds, ext, harness.DefaultL)
-		ix := benchTS(b, ds, series.NormGlobal, harness.DefaultL)
-		fz := ix.Freeze()
-		nodes := float64(ix.NodeCount())
+		fz := benchTS(b, ds, series.NormGlobal, harness.DefaultL)
+		nodes := float64(fz.NodeCount())
 		b.Run(ds.name+"/freeze", func(b *testing.B) {
+			ix := fz.Thaw()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ix.Freeze()
 			}
 		})
 		for _, eps := range []float64{ds.def, ds.eps[len(ds.eps)-1]} {
 			eps := eps
-			b.Run(fmt.Sprintf("%s/pointer/search/eps=%g", ds.name, eps), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/search/eps=%g", ds.name, eps), func(b *testing.B) {
 				// After runQueries: its ResetTimer wipes user metrics.
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-				b.ReportMetric(float64(ix.MemoryBytes())/nodes, "bytes/node")
-			})
-			b.Run(fmt.Sprintf("%s/frozen/search/eps=%g", ds.name, eps), func(b *testing.B) {
 				runQueries(b, func(q []float64, e float64) int { return len(fz.Search(q, e)) }, qs, eps)
 				b.ReportMetric(float64(fz.MemoryBytes())/nodes, "bytes/node")
 			})
 		}
-		b.Run(ds.name+"/pointer/topk", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					ix.SearchTopK(q, 20)
-				}
-			}
-		})
-		b.Run(ds.name+"/frozen/topk", func(b *testing.B) {
+		b.Run(ds.name+"/topk", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, q := range qs {
 					fz.SearchTopK(q, 20)
@@ -823,7 +816,7 @@ func BenchmarkExtensionPersistence(b *testing.B) {
 	})
 	b.Run("load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Load(bytes.NewReader(blob.Bytes()), ext); err != nil {
+			if _, err := core.LoadFrozen(bytes.NewReader(blob.Bytes()), ext); err != nil {
 				b.Fatal(err)
 			}
 		}

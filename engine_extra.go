@@ -16,7 +16,6 @@ import (
 	"twinsearch/internal/core"
 	"twinsearch/internal/exec"
 	"twinsearch/internal/qcache"
-	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 )
 
@@ -26,10 +25,12 @@ var ErrPersistUnsupported = errors.New("twinsearch: index persistence requires M
 
 // SaveIndex serializes a built TS-Index so a later process can reopen it
 // against the same series without paying construction again (see
-// OpenSaved). Only MethodTSIndex engines support it. Both sharded and
-// single-index engines write their frozen arenas — the flat arrays go
-// to disk as-is, so loading is a few sequential reads per shard;
-// OpenSaved also accepts the pointer-tree formats older versions wrote.
+// OpenSaved). Only MethodTSIndex engines support it. The frozen arenas
+// go to disk as they are — the flat arrays, so loading is a few
+// sequential reads per shard: a single index as its one shard's bare
+// TSFZ stream, a partitioned one as the TSSH container around its
+// segments. OpenSaved also accepts the pointer-tree formats older
+// versions wrote.
 func (e *Engine) SaveIndex(w io.Writer) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -40,11 +41,11 @@ func (e *Engine) SaveIndex(w io.Writer) error {
 	if e.cl != nil {
 		return errors.New("twinsearch: a cluster-backed engine serves an already-saved index; save from the process that built it")
 	}
-	if e.sh != nil {
-		_, err := e.sh.WriteTo(w)
+	if e.sh.NumShards() == 1 {
+		_, err := e.sh.Shard(0).WriteTo(w)
 		return err
 	}
-	_, err := e.tsFrozen().WriteTo(w)
+	_, err := e.sh.WriteTo(w)
 	return err
 }
 
@@ -114,29 +115,25 @@ func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("twinsearch: reading saved index: %w", err)
 	}
-	savedL := 0
 	switch string(magic) {
 	case shard.Magic:
-		sh, err := shard.Load(br, e.ext, e.ex)
-		if err != nil {
-			return nil, err
-		}
-		e.sh, savedL = sh, sh.L()
+		e.sh, err = shard.Load(br, e.ext, e.ex)
 	case core.FrozenMagic:
-		fz, err := core.LoadFrozen(br, e.ext)
-		if err != nil {
-			return nil, err
+		var fz *core.Frozen
+		if fz, err = core.LoadFrozen(br, e.ext); err == nil {
+			e.sh, err = shard.Single(fz, e.ex)
 		}
-		e.fz, savedL = fz, fz.L()
 	default:
-		ix, err := core.Load(br, e.ext)
-		if err != nil {
-			return nil, err
+		var ix *core.Index
+		if ix, err = core.Load(br, e.ext); err == nil {
+			e.sh, err = shard.Single(ix.Freeze(), e.ex)
 		}
-		e.fz, savedL = ix.Freeze(), ix.L()
 	}
-	if savedL != opt.L {
-		return nil, fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", savedL, opt.L)
+	if err != nil {
+		return nil, err
+	}
+	if e.sh.L() != opt.L {
+		return nil, fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), opt.L)
 	}
 	return e, nil
 }
@@ -213,27 +210,25 @@ func engineFromArena(data []float64, ar *arena.Arena, opt Options) (*Engine, err
 	}
 	magic, version := string(buf[:4]), binary.LittleEndian.Uint16(buf[4:])
 	e := newEngine(data, opt)
-	savedL := 0
+	var err error
 	switch {
 	case magic == shard.Magic && version == shard.PersistVersion:
-		sh, err := shard.OpenArena(ar, e.ext, e.ex)
-		if err != nil {
-			return nil, err
-		}
-		e.sh, savedL = sh, sh.L()
+		e.sh, err = shard.OpenArena(ar, e.ext, e.ex)
 	case magic == core.FrozenMagic && version == core.FrozenVersion:
-		fz, _, err := core.FrozenFromArena(ar, 0, e.ext)
-		if err != nil {
-			return nil, err
+		var fz *core.Frozen
+		if fz, _, err = core.FrozenFromArena(ar, 0, e.ext); err == nil {
+			e.sh, err = shard.Single(fz, e.ex)
 		}
-		e.fz, savedL = fz, fz.L()
 	case magic == shard.Magic || magic == core.FrozenMagic || magic == core.IndexMagic:
 		return nil, errNotMappable // recognized, but a pre-alignment version
 	default:
 		return nil, fmt.Errorf("twinsearch: saved index has unknown magic %q", buf[:4])
 	}
-	if savedL != opt.L {
-		return nil, fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", savedL, opt.L)
+	if err != nil {
+		return nil, err
+	}
+	if e.sh.L() != opt.L {
+		return nil, fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), opt.L)
 	}
 	e.ar = ar
 	return e, nil
@@ -242,7 +237,7 @@ func engineFromArena(data []float64, ar *arena.Arena, opt Options) (*Engine, err
 // SearchShorter answers a twin query whose length is at most L using
 // the existing TS-Index (no rebuild): node bounds are truncated to the
 // query length — sound by the paper's closure property, see
-// core.SearchPrefix — and the few trailing windows that exist only at
+// core.Frozen.SearchPrefix — and the few trailing windows that exist only at
 // the shorter length are scanned directly. Exact. Requires
 // MethodTSIndex and a normalization other than NormPerSubsequence.
 func (e *Engine) SearchShorter(q []float64, eps float64) ([]Match, error) {
@@ -264,6 +259,14 @@ func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64)
 	if eps < 0 || math.IsNaN(eps) {
 		return nil, fmt.Errorf("twinsearch: invalid threshold %v", eps)
 	}
+	// So would a NaN in the query: it compares false against every
+	// truncated bound and every window, and matches them all.
+	if len(q) == 0 {
+		return nil, errors.New("twinsearch: empty query")
+	}
+	if i := nonFinite(q); i >= 0 {
+		return nil, fmt.Errorf("twinsearch: non-finite query value %v at position %d", q[i], i)
+	}
 	ctx, qo := e.beginQuery(ctx, qpPrefix)
 	r, err := e.searchCached(ctx, qcache.PathPrefix, q, eps, 0, func() (qcache.Result, error) {
 		ms, err := e.searchShorterPreparedCtx(ctx, e.ext.TransformQuery(q), eps)
@@ -279,13 +282,7 @@ func (e *Engine) searchShorterPreparedCtx(ctx context.Context, tq []float64, eps
 	if e.cl != nil {
 		return e.cl.SearchPrefix(ctx, tq, eps)
 	}
-	if e.sh != nil {
-		return e.sh.SearchPrefixCtx(ctx, tq, eps)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.tsFrozen().SearchPrefix(tq, eps)
+	return e.sh.SearchPrefixCtx(ctx, tq, eps)
 }
 
 // SearchApprox probes at most leafBudget nearest leaves and returns a
@@ -338,15 +335,8 @@ func (e *Engine) searchApproxPreparedCtx(ctx context.Context, tq []float64, eps 
 		ms, _, err := e.cl.SearchApprox(ctx, tq, eps, leafBudget)
 		return ms, err
 	}
-	if e.sh != nil {
-		ms, _, err := e.sh.SearchApproxCtx(ctx, tq, eps, leafBudget)
-		return ms, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ms, _ := e.tsFrozen().SearchApprox(tq, eps, leafBudget)
-	return ms, nil
+	ms, _, err := e.sh.SearchApproxCtx(ctx, tq, eps, leafBudget)
+	return ms, err
 }
 
 // Append ingests new trailing values into the engine's series and
@@ -359,12 +349,17 @@ func (e *Engine) searchApproxPreparedCtx(ctx context.Context, tq []float64, eps 
 // to Open (reallocating when its capacity is exhausted); callers must
 // not retain independent views past its original length.
 //
-// Searches run over the frozen arena, so insertion works on the
-// mutable pointer tree (thawed from the arena on the first Append and
-// kept resident — a streaming engine holds both forms). The arena is
-// not recompiled here: Append only marks it stale, and the next search
-// re-freezes once, so appending value by value costs the insertions
-// alone however the appends are batched.
+// Every value must be finite, for Open's reason — a NaN window matches
+// every query — and a call carrying one is refused whole: nothing is
+// appended, indexed or invalidated.
+//
+// Searches run over frozen arenas, so insertion works on the owning
+// shard's mutable pointer tree (shard.Index.Insert thaws it from the
+// arena on the first Append and keeps it resident — a streaming engine
+// holds both forms). The arena is not recompiled here: Append only
+// marks it stale, and the next search re-freezes once, so appending
+// value by value costs the insertions alone however the appends are
+// batched.
 func (e *Engine) Append(values ...float64) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -378,25 +373,14 @@ func (e *Engine) Append(values ...float64) error {
 	if len(values) == 0 {
 		return nil
 	}
+	if i := nonFinite(values); i >= 0 {
+		return fmt.Errorf("twinsearch: non-finite appended value %v at position %d; clean or impute missing samples first", values[i], i)
+	}
 	oldLen := e.ext.Len()
 	e.ext.Append(values...)
 	// Windows [oldLen-L+1, newLen-L] are newly complete.
-	first := oldLen - e.opt.L + 1
-	if first < 0 {
-		first = 0
-	}
-	if e.sh == nil && e.ts == nil {
-		e.ts = e.tsFrozen().Thaw()
-	}
-	for p := first; p+e.opt.L <= e.ext.Len(); p++ {
-		if e.sh != nil {
-			e.sh.Insert(p)
-		} else {
-			e.ts.Insert(p)
-		}
-	}
-	if e.sh == nil {
-		e.fzDirty.Store(true)
+	for p := max(oldLen-e.opt.L+1, 0); p+e.opt.L <= e.ext.Len(); p++ {
+		e.sh.Insert(p)
 	}
 	// The index content changed: bump the epoch before returning so no
 	// consumer that observed the Append can build a result-cache key an
@@ -427,37 +411,14 @@ type BatchResult struct {
 // Options.Workers); a positive value caps the batch to a dedicated
 // pool of exactly that many workers.
 func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if e.closed.Load() {
-		for i := range out {
-			out[i] = BatchResult{Query: i, Err: ErrClosed}
-		}
+	out, valid, tqs := e.validateBatch(queries, eps, nil)
+	if len(valid) == 0 {
 		return out
 	}
 	if e.cl != nil {
-		// Cluster fan-out is network-bound: plain per-query goroutines,
-		// each fanning across the nodes with its own timeouts. (A batch
-		// RPC that ships the whole query set to each node in one round
-		// trip is the noted follow-on.)
-		var wg sync.WaitGroup
-		for i, q := range queries {
-			tq, err := e.validateQuery(q, eps)
-			if err != nil {
-				out[i] = BatchResult{Query: i, Err: err}
-				continue
-			}
-			wg.Add(1)
-			//tsvet:ignore cluster fan-out is network-bound, not executor work
-			go func(i int, tq []float64) {
-				defer wg.Done()
-				ms, err := e.cl.Search(context.Background(), tq, eps)
-				out[i] = BatchResult{Query: i, Matches: ms, Err: err}
-			}(i, tq)
-		}
-		wg.Wait()
+		e.clusterBatch(out, valid, tqs, func(tq []float64) ([]Match, error) {
+			return e.cl.Search(context.Background(), tq, eps)
+		})
 		return out
 	}
 	ex := e.ex
@@ -465,83 +426,72 @@ func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) 
 		// More workers than queries would idle (each query's units can
 		// already spread over the pool); the cap also keeps exec.New's
 		// per-worker state proportional to real work.
-		if parallelism > len(queries) {
-			parallelism = len(queries)
-		}
-		ex = exec.New(parallelism)
+		ex = exec.New(min(parallelism, len(queries)))
 	}
+	g := ex.NewGroup()
+	if e.sh != nil {
+		p := e.sh.QueueSearchBatch(g, tqs, eps)
+		g.Wait()
+		ms, _ := p.Resolve()
+		for bi, i := range valid {
+			out[i].Matches = ms[bi]
+		}
+		return out
+	}
+	// The scan methods have no tree to batch over; per-query tasks.
+	for bi, i := range valid {
+		tq := tqs[bi]
+		g.Go(func(*exec.Ctx) {
+			out[i].Matches, out[i].Err = e.searchPreparedCtx(context.Background(), tq, eps)
+		})
+	}
+	g.Wait()
+	return out
+}
 
-	// Validate up front; the batch traversals see valid queries only.
-	valid := make([]int, 0, len(queries))
-	tqs := make([][]float64, 0, len(queries))
+// validateBatch opens a batch call: out has one entry per query, every
+// query that fails validateQuery's checks (or all of them, when the
+// engine is closed or refuse is non-nil) already carries its error, and
+// valid/tqs list the positions and transformed forms of the rest — the
+// traversals see valid queries only.
+func (e *Engine) validateBatch(queries [][]float64, eps float64, refuse error) (out []BatchResult, valid []int, tqs [][]float64) {
+	out = make([]BatchResult, len(queries))
+	if e.closed.Load() {
+		refuse = ErrClosed
+	}
 	for i, q := range queries {
+		out[i].Query = i
+		if refuse != nil {
+			out[i].Err = refuse
+			continue
+		}
 		tq, err := e.validateQuery(q, eps)
 		if err != nil {
-			out[i] = BatchResult{Query: i, Err: err}
+			out[i].Err = err
 			continue
 		}
 		valid = append(valid, i)
 		tqs = append(tqs, tq)
 	}
-	if len(valid) == 0 {
-		return out
-	}
-
-	g := ex.NewGroup()
-	switch {
-	case e.sh != nil:
-		p := e.sh.QueueSearchBatch(g, tqs, eps)
-		g.Wait()
-		ms, _ := p.Resolve()
-		for bi, i := range valid {
-			out[i] = BatchResult{Query: i, Matches: ms[bi]}
-		}
-	case e.opt.Method == MethodTSIndex:
-		// Unsharded arena: fan the batch over frontier subtrees so the
-		// units spread across the pool like the sharded path's do.
-		fz := e.tsFrozen()
-		res := e.batchUnits(g, ex, fz, tqs, eps)
-		g.Wait()
-		for bi, i := range valid {
-			var n int
-			for _, unit := range res {
-				n += len(unit[bi])
-			}
-			ms := make([]Match, 0, n)
-			for _, unit := range res {
-				ms = append(ms, unit[bi]...)
-			}
-			series.SortMatches(ms)
-			out[i] = BatchResult{Query: i, Matches: ms}
-		}
-	default:
-		// The scan methods have no tree to batch over; per-query tasks.
-		for bi, i := range valid {
-			tq := tqs[bi]
-			g.Go(func(*exec.Ctx) {
-				ms, err := e.searchPreparedCtx(context.Background(), tq, eps)
-				out[i] = BatchResult{Query: i, Matches: ms, Err: err}
-			})
-		}
-		g.Wait()
-	}
-	return out
+	return out, valid, tqs
 }
 
-// batchUnits enqueues one batch range-search task per frontier subtree
-// of fz into g and returns the per-unit result table ([unit][query],
-// batch traversal order). The frontier target mirrors the shard
-// layer's over-provisioning so stealing can even out skewed subtrees.
-func (e *Engine) batchUnits(g *exec.Group, ex *exec.Executor, fz *core.Frozen, tqs [][]float64, eps float64) [][][]series.Match {
-	w := ex.Workers()
-	units := fz.Frontier(4 * w)
-	res := make([][][]series.Match, len(units))
-	for j, u := range units {
-		g.Go(func(*exec.Ctx) {
-			res[j], _ = fz.SearchStatsBatchFrom(u, tqs, eps)
-		})
+// clusterBatch runs one coordinator call per valid query. Cluster
+// fan-out is network-bound: plain per-query goroutines, each fanning
+// across the nodes with its own timeouts. (A batch RPC that ships the
+// whole query set to each node in one round trip is the noted
+// follow-on.)
+func (e *Engine) clusterBatch(out []BatchResult, valid []int, tqs [][]float64, run func(tq []float64) ([]Match, error)) {
+	var wg sync.WaitGroup
+	for bi, i := range valid {
+		wg.Add(1)
+		//tsvet:ignore cluster fan-out is network-bound, not executor work
+		go func(i int, tq []float64) {
+			defer wg.Done()
+			out[i].Matches, out[i].Err = run(tq)
+		}(i, tqs[bi])
 	}
-	return res
+	wg.Wait()
 }
 
 // SearchTopKBatch answers many top-k queries over one engine with a
@@ -549,69 +499,27 @@ func (e *Engine) batchUnits(g *exec.Group, ex *exec.Executor, fz *core.Frozen, t
 // once for the whole batch, every query keeps its own cross-unit
 // pruning bound, and candidate windows are extracted once per leaf for
 // all queries alive there. Results arrive indexed by query position,
-// identical to len(queries) calls to SearchTopK. Requires
-// MethodTSIndex, like SearchTopK.
+// identical to len(queries) calls to SearchTopK — a query SearchTopK
+// would refuse carries the same error. Requires MethodTSIndex, like
+// SearchTopK.
 func (e *Engine) SearchTopKBatch(queries [][]float64, k int) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if e.closed.Load() {
-		for i := range out {
-			out[i] = BatchResult{Query: i, Err: ErrClosed}
-		}
-		return out
-	}
+	var refuse error
 	if e.opt.Method != MethodTSIndex {
-		for i := range out {
-			out[i] = BatchResult{Query: i, Err: ErrTopKUnsupported}
-		}
-		return out
+		refuse = ErrTopKUnsupported
 	}
-	if e.cl != nil {
-		// Network-bound, like SearchBatch's cluster path.
-		var wg sync.WaitGroup
-		for i, q := range queries {
-			if len(q) != e.opt.L {
-				out[i] = BatchResult{Query: i, Err: fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)}
-				continue
-			}
-			wg.Add(1)
-			//tsvet:ignore cluster fan-out is network-bound, not executor work
-			go func(i int, tq []float64) {
-				defer wg.Done()
-				ms, err := e.cl.SearchTopK(context.Background(), tq, k)
-				out[i] = BatchResult{Query: i, Matches: ms, Err: err}
-			}(i, e.ext.TransformQuery(q))
-		}
-		wg.Wait()
-		return out
-	}
-
-	valid := make([]int, 0, len(queries))
-	tqs := make([][]float64, 0, len(queries))
-	for i, q := range queries {
-		if len(q) != e.opt.L {
-			out[i] = BatchResult{Query: i, Err: fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)}
-			continue
-		}
-		valid = append(valid, i)
-		tqs = append(tqs, e.ext.TransformQuery(q))
-	}
+	out, valid, tqs := e.validateBatch(queries, 0, refuse)
 	if len(valid) == 0 {
 		return out
 	}
-
-	var ms [][]Match
-	if e.sh != nil {
-		ms = e.sh.SearchTopKBatch(tqs, k)
-	} else {
-		// Parity target is the unsharded SearchTopK — a single
-		// traversal — so the batch form is one descent from the root.
-		ms = e.tsFrozen().SearchTopKBatch(tqs, k)
+	if e.cl != nil {
+		e.clusterBatch(out, valid, tqs, func(tq []float64) ([]Match, error) {
+			return e.cl.SearchTopK(context.Background(), tq, k)
+		})
+		return out
 	}
+	ms := e.sh.SearchTopKBatch(tqs, k)
 	for bi, i := range valid {
-		out[i] = BatchResult{Query: i, Matches: ms[bi]}
+		out[i].Matches = ms[bi]
 	}
 	return out
 }

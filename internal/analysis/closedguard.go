@@ -11,8 +11,9 @@ import (
 // exported entry point that can reach them must observe the closed flag
 // first and fail with ErrClosed instead of faulting. Mechanically: an
 // exported method on a guarded type whose body touches an index-bearing
-// field (or calls tsFrozen) and whose signature can return an error must
-// check <recv>.closed.Load() before the first such touch. Methods that
+// field (or calls a dispatch helper) and whose signature can return an
+// error must check <recv>.closed.Load() before the first such touch.
+// Methods that
 // cannot return an error (metadata accessors: Shards, MemoryBytes, …)
 // only read slice headers and counters — heap state that survives
 // Close — so they are exempt, as is Close itself.
@@ -25,7 +26,7 @@ var Closedguard = &Analyzer{
 // closedGuardedTypes maps a guarded receiver type to its index-bearing
 // fields: state that Close invalidates (or that leads to such state).
 var closedGuardedTypes = map[string]map[string]bool{
-	"Engine":     {"fz": true, "ts": true, "sh": true, "cl": true, "ar": true},
+	"Engine":     {"sh": true, "cl": true, "ar": true},
 	"Collection": {"engines": true},
 }
 
@@ -35,7 +36,6 @@ var closedGuardedTypes = map[string]map[string]bool{
 // any new exported method routing through them — including via the
 // result cache's run closure — must still check closed first.
 var closedGuardedCalls = map[string]bool{
-	"tsFrozen":                 true,
 	"searchCached":             true,
 	"searchPreparedCtx":        true,
 	"searchStatsPreparedCtx":   true,

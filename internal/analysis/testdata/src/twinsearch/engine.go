@@ -12,7 +12,7 @@ var errClosed = errors.New("closed")
 // Engine mimics the real engine: closed guards the index fields.
 type Engine struct {
 	closed atomic.Bool
-	fz     *int
+	ar     *int
 	sh     *int
 	cl     *int
 }
@@ -22,7 +22,7 @@ func (e *Engine) Search(q []float64) ([]int, error) {
 	if e.closed.Load() {
 		return nil, errClosed
 	}
-	_ = e.fz
+	_ = e.ar
 	return nil, nil
 }
 
@@ -52,16 +52,8 @@ func (e *Engine) Shards() int {
 // Close is the lifecycle method itself: exempt.
 func (e *Engine) Close() error {
 	e.closed.Store(true)
-	_ = e.fz
+	_ = e.ar
 	return nil
-}
-
-// tsFrozen marks delegated index access.
-func (e *Engine) tsFrozen() *int { return e.fz }
-
-// Delegating touches the index only through tsFrozen: still guarded.
-func (e *Engine) Delegating() (int, error) { // want `exported method Delegating touches index state \(tsFrozen\(\)\) without checking e\.closed`
-	return *e.tsFrozen(), nil
 }
 
 // searchCached mimics the serving-tier cache wrapper: index access is

@@ -1,7 +1,7 @@
 package cluster_test
 
 // Top-k conformance against the definition: every backing that answers
-// a top-k query — pointer tree, frozen arena, batch descent, sharded
+// a top-k query — frozen arena, batch descent, sharded
 // fan-out, and the replicated cluster over the wire — must return
 // exactly the first k windows of a brute-force scan sorted by
 // (dist, start), on the inputs where early abandoning and tie handling
@@ -9,36 +9,17 @@ package cluster_test
 // the k-th place, and k at and past the number of windows.
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"testing"
 
 	"twinsearch/internal/cluster"
 	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 )
-
-// bruteTopK is the definition: every window's Chebyshev distance to q,
-// ordered by (dist, start), first k.
-func bruteTopK(ext *series.Extractor, q []float64, k int) []series.Match {
-	n := series.NumSubsequences(ext.Len(), len(q))
-	all := make([]series.Match, n)
-	buf := make([]float64, len(q))
-	for p := range all {
-		all[p] = series.Match{Start: p, Dist: series.Chebyshev(q, ext.Extract(p, len(q), buf))}
-	}
-	slices.SortFunc(all, func(a, b series.Match) int {
-		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Start, b.Start)
-	})
-	return all[:min(k, n)]
-}
 
 // plantedDuplicates copies the window at src over five other places, so
 // a query drawn from src has six exact twins at distance 0 (under every
@@ -85,11 +66,11 @@ func TestTopKConformance(t *testing.T) {
 					qs = append(qs, q)
 				}
 
-				ptr, err := core.Build(ext, core.Config{L: testL})
+				tree, err := core.Build(ext, core.Config{L: testL})
 				if err != nil {
 					t.Fatal(err)
 				}
-				fz := ptr.Freeze()
+				fz := tree.Freeze()
 				byShards := map[int]*shard.Index{}
 				for _, p := range []int{1, 2, 4, 7} {
 					sh, err := shard.Build(ext, shard.Config{Config: core.Config{L: testL}, Shards: p})
@@ -108,7 +89,6 @@ func TestTopKConformance(t *testing.T) {
 					name string
 					run  func(qi, k int) []series.Match
 				}{
-					{"pointer", func(qi, k int) []series.Match { return ptr.SearchTopK(qs[qi], k) }},
 					{"frozen", func(qi, k int) []series.Match { return fz.SearchTopK(qs[qi], k) }},
 					{"batch-B1", func(qi, k int) []series.Match { return fz.SearchTopKBatch(qs[qi:qi+1], k)[0] }},
 					{"batch-B7", func(qi, k int) []series.Match { return fz.SearchTopKBatch(qs, k)[qi] }},
@@ -130,7 +110,7 @@ func TestTopKConformance(t *testing.T) {
 				// (and through the all-tie constant series anywhere).
 				for _, k := range []int{1, 3, 4, 10, windows, windows + 5} {
 					for qi := range qs {
-						want := bruteTopK(ext, qs[qi], k)
+						want := oracle.TopK(ext, qs[qi], k)
 						for _, b := range backings {
 							got := b.run(qi, k)
 							if !sameMatches(want, got) {

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
-	"twinsearch/internal/sweepline"
 )
 
 func TestBulkInvariantsAndEquivalence(t *testing.T) {
@@ -28,15 +29,10 @@ func TestBulkInvariantsAndEquivalence(t *testing.T) {
 			t.Fatalf("%s: invariants: %v", tc.name, err)
 		}
 		q := ext.ExtractCopy(1000, 80)
-		got := ix.Search(q, tc.eps)
-		want := sweepline.New(ext).Search(q, tc.eps)
-		if len(got) != len(want) {
+		got := ix.Freeze().Search(q, tc.eps)
+		want := oracle.Range(ext, q, tc.eps)
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s: %d matches, want %d", tc.name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Start != want[i].Start {
-				t.Fatalf("%s: position mismatch at %d", tc.name, i)
-			}
 		}
 	}
 }

@@ -26,14 +26,11 @@ package core
 // index ranges prefix-contiguous — node i+1's children start where node
 // i's ended — which Freeze exploits and CheckInvariants enforces.
 //
-// Every search path of the pointer index has a frozen counterpart that
-// visits children in the same order, so results are byte-identical —
-// the parity tests in frozen_test.go and the shard layer's merges rely
-// on that. The range paths make the pointer loops' Lemma 1 tests one
-// expansion earlier and keep their LIFO visit order; the best-first
-// paths (top-k, approx) share one typed heap and top-k shares one
-// candidate-scoring accumulator with the pointer form (topk.go), so
-// there the two cannot drift.
+// The arena is the only searchable form: the pointer tree builds and
+// appends, Freeze compiles it, and every query — range (Algorithm 1),
+// top-k, prefix, approximate, and their batch forms (batch.go) — walks
+// the arrays below. What each walk visits, in what order, is pinned by
+// TestTraversalGoldenStats; what it answers, by internal/oracle.
 
 import (
 	"fmt"
@@ -45,10 +42,10 @@ import (
 	"twinsearch/internal/series"
 )
 
-// Frozen is the flat, read-only form of a built TS-Index. Construct
-// with Index.Freeze, LoadFrozen, or FrozenFromArena; mutate by Thaw-ing
-// back to a pointer Index, inserting, and re-freezing (Thaw copies, so
-// mutation never writes through a file mapping).
+// Frozen is the flat, read-only, searchable form of a built TS-Index.
+// Construct with Index.Freeze, LoadFrozen, or FrozenFromArena; mutate
+// by Thaw-ing back to a pointer Index, inserting, and re-freezing (Thaw
+// copies, so mutation never writes through a file mapping).
 type Frozen struct {
 	ext    *series.Extractor
 	cfg    Config
@@ -226,10 +223,19 @@ func (f *Frozen) MappedBytes() int {
 // region rather than heap slices.
 func (f *Frozen) Mapped() bool { return f.backing != nil && f.backing.Mapped() }
 
-// FrozenSubtree is the frozen counterpart of Subtree: an opaque handle
-// to one disjoint piece of the arena, produced by Frontier and consumed
-// by the *From search variants. Frozen arenas are immutable, so handles
-// never go stale.
+// FrozenSubtree is an opaque handle to one disjoint piece of the arena,
+// produced by Frontier and consumed by the *From search variants — the
+// work units the shard layer hands the work-stealing executor
+// (internal/exec), so a hot shard's traversal spreads across idle
+// workers instead of occupying one. Frozen arenas are immutable, so
+// handles never go stale.
+//
+// Soundness is unchanged from whole-tree traversal: a frontier is a set
+// of disjoint subtrees covering every indexed position exactly once,
+// and each *From search applies the same MBTS pruning (Lemma 1) it
+// would have applied on reaching that node top-down. The only pruning
+// lost is an ancestor check that would have discarded several subtrees
+// at once — each subtree re-discovers the rejection at its own root.
 type FrozenSubtree struct {
 	id int32
 	ok bool // distinguishes node 0 from the zero value / empty index
@@ -245,9 +251,9 @@ func (f *Frozen) Root() FrozenSubtree {
 
 // Frontier splits the arena into at least min(target, leaves) disjoint
 // subtrees covering all indexed positions, expanding breadth-first
-// until the target is met — the same expansion rule as Index.Frontier,
-// so the shard layer's work-unit merges behave identically on either
-// form.
+// until the target is met. Node fan-out is bounded by MaxCap, so the
+// result overshoots the target by at most MaxCap−1 units. A target ≤ 1
+// (or a root that is a leaf) yields the root itself.
 func (f *Frozen) Frontier(target int) []FrozenSubtree {
 	if len(f.first) == 0 {
 		return nil
@@ -279,8 +285,11 @@ func (f *Frozen) Frontier(target int) []FrozenSubtree {
 }
 
 // Search returns all twin subsequences of q at threshold eps, in start
-// order (Algorithm 1) — byte-identical to Index.Search on the source
-// tree.
+// order (§5.3, Algorithm 1): the tree is walked from the root and every
+// subtree whose MBTS is farther than ε from the query is pruned — sound
+// by Lemma 1: for any sequence S enclosed by MBTS B, d(Q, B) ≤ d∞(Q, S).
+// q must be in the extractor's value space and len(q) must equal the
+// indexed length.
 func (f *Frozen) Search(q []float64, eps float64) []series.Match {
 	ms, _ := f.SearchStats(q, eps)
 	return ms
@@ -325,9 +334,11 @@ func (f *Frozen) sweepChildren(n int32, q []float64, limit float64, dists []floa
 	return dists
 }
 
-// SearchStatsFrom is the range-search work unit over the arena — the
-// frozen counterpart of Index.SearchStatsFrom, with the same contract:
-// matches in traversal order, Stats.Results left zero.
+// SearchStatsFrom is the range-search work unit: the Algorithm 1
+// traversal restricted to one subtree. Matches are returned in
+// traversal order (unsorted) and Stats.Results is left zero — the
+// caller merging several units sorts once per shard and sets the
+// total. SearchStats is the whole-tree, sorted entry point.
 func (f *Frozen) SearchStatsFrom(sub FrozenSubtree, q []float64, eps float64) ([]series.Match, Stats) {
 	if len(q) != f.cfg.L {
 		panic(fmt.Sprintf("core: query length %d, index built for %d", len(q), f.cfg.L))
@@ -338,9 +349,9 @@ func (f *Frozen) SearchStatsFrom(sub FrozenSubtree, q []float64, eps float64) ([
 // rangeFrom is the range traversal behind SearchStatsFrom and
 // SearchPrefixTreeFrom (len(q) ≤ L). The sub-root is tested once; from
 // then on the stack holds only nodes that passed Lemma 1, each child
-// tested when its parent is expanded and survivors pushed in child
-// order — the pointer loop pushes every child and tests at pop, so the
-// LIFO visit order, the match order and every counter are the same.
+// tested — with early abandoning, as soon as any timestamp pushes its
+// Eq. 2 distance beyond ε — when its parent is expanded, and survivors
+// pushed in child order and visited LIFO.
 //
 // The unit allocates nothing until it reaches a leaf: the stack and the
 // sweep scratch have constant capacity and stay on the goroutine stack
@@ -399,18 +410,36 @@ func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]serie
 }
 
 // SearchTopK returns the k subsequences nearest to q under Chebyshev
-// distance — the frozen counterpart of Index.SearchTopK.
+// distance, sorted by ascending distance with ties broken by start
+// position — a strict total order, so the result set is deterministic
+// even when more than k windows share the k-th distance.
+//
+// This is an extension beyond the paper (which studies threshold
+// queries): a best-first traversal ordered by the Eq. 2 node distance,
+// which lower-bounds the true distance of everything below a node
+// (Lemma 1), so the traversal can stop as soon as the nearest unexplored
+// node is farther than the current k-th best — the classic optimal
+// incremental NN strategy transplanted onto MBTS.
 func (f *Frozen) SearchTopK(q []float64, k int) []series.Match {
 	ms, _ := f.SearchTopKSharedFrom(f.Root(), q, k, nil)
 	return ms
 }
 
-// SearchTopKSharedFrom is the top-k work unit over the arena: the
-// best-first traversal restricted to one subtree, with the contract of
-// Index.SearchTopKSharedFrom. Both walk children in the same order
-// through the same typed heap and score candidates through the same
-// topK accumulator, so merged results are byte-identical however the
-// tree is split or which form runs it.
+// SearchTopKSharedFrom is the top-k work unit: the best-first traversal
+// restricted to one subtree. Disjoint subtrees sharing one bound admit
+// exactly the candidates whole-shard traversals would (pruning and
+// abandoning are on strict inequality only), so the k-way merge of
+// per-unit lists is byte-identical however the tree is split.
+//
+// shared is an optional cross-traversal bound (see SharedBound):
+// internal/shard passes one to every work unit of a fanned-out query so
+// each traversal rejects against the candidates the others have already
+// admitted. When it fires, the local result may omit matches that
+// cannot survive the global k-way merge; the merged top-k is
+// unaffected. A nil bound is the plain single-index traversal.
+//
+// The returned Stats count this unit's work (see topK); Results stays
+// zero — the caller holding the final list sets it.
 func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, shared *SharedBound) ([]series.Match, Stats) {
 	if len(q) != f.cfg.L {
 		panic("core: query length mismatch")
@@ -468,18 +497,35 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 	return t.sorted(), t.st
 }
 
-// SearchPrefix answers twin queries shorter than the indexed length —
-// the frozen counterpart of Index.SearchPrefix (see that method for the
-// truncation argument).
+// SearchPrefix answers twin queries SHORTER than the indexed length —
+// the direction ULISSE takes data-series indexing, derived here from
+// the paper's own closure property (§3.1): time-aligned subsequences of
+// twins are twins. Consequently, for a query of length l ≤ L:
+//
+//   - the first l timestamps of a node's MBTS bound the first l values
+//     of every indexed window beneath it, so the Eq. 2 distance computed
+//     over that prefix still lower-bounds d∞(Q, T[p,l]) for every
+//     indexed start p — Lemma 1 survives truncation;
+//   - indexed starts cover p ∈ [0, n−L]; the remaining starts
+//     p ∈ (n−L, n−l] exist only at the shorter length and are verified
+//     by a bounded tail scan of at most L−l windows.
+//
+// The combination is exact. Per-subsequence normalization is
+// unsupported: z-normalizing T[p,l] is not a prefix of z-normalizing
+// T[p,L], so the stored bounds do not transfer.
 func (f *Frozen) SearchPrefix(q []float64, eps float64) ([]series.Match, error) {
 	out, err := f.SearchPrefixTree(q, eps)
 	if err != nil {
 		return nil, err
 	}
+	// Tail starts are generated ascending and all exceed every indexed
+	// start, so appending them keeps the result sorted.
 	return ScanPrefixTail(f.ext, f.cfg.L, q, eps, out), nil
 }
 
-// ValidatePrefix checks a prefix query against the index parameters.
+// ValidatePrefix checks a prefix query against the index parameters —
+// the validation half of SearchPrefixTree, hoisted out so the sharded
+// fan-out can validate once before enqueueing per-subtree work units.
 func (f *Frozen) ValidatePrefix(q []float64) error {
 	l := len(q)
 	if l > f.cfg.L {
@@ -494,8 +540,11 @@ func (f *Frozen) ValidatePrefix(q []float64) error {
 	return nil
 }
 
-// SearchPrefixTree is the tree-traversal half of SearchPrefix over the
-// arena, reporting prefix twins among the indexed starts only.
+// SearchPrefixTree is the tree-traversal half of SearchPrefix: it
+// reports prefix twins among the INDEXED starts only, leaving the tail
+// starts that exist solely at the shorter length to the caller.
+// internal/shard fans this across subtree work units and runs the tail
+// scan once; most callers want SearchPrefix.
 func (f *Frozen) SearchPrefixTree(q []float64, eps float64) ([]series.Match, error) {
 	if err := f.ValidatePrefix(q); err != nil {
 		return nil, err
@@ -505,19 +554,29 @@ func (f *Frozen) SearchPrefixTree(q []float64, eps float64) ([]series.Match, err
 	return out, nil
 }
 
-// SearchPrefixTreeFrom is the prefix-search work unit over the arena —
-// the frozen counterpart of Index.SearchPrefixTreeFrom: the range
+// SearchPrefixTreeFrom is the prefix-search work unit: the range
 // traversal with the truncated Lemma 1 check, which reads only the
 // first len(q) entries of each node's bound rows (the sweep's stride
-// stays L), served from the same two backing arrays.
+// stays L), served from the same two backing arrays. Validation is
+// hoisted to the caller (see ValidatePrefix); matches come back in
+// traversal order, and the tail windows are scanned once, outside the
+// units (ScanPrefixTail).
 func (f *Frozen) SearchPrefixTreeFrom(sub FrozenSubtree, q []float64, eps float64) []series.Match {
 	out, _ := f.rangeFrom(sub, q, eps)
 	return out
 }
 
-// SearchApprox is the best-first leaf probe over the arena — the frozen
-// counterpart of Index.SearchApprox, with the same (lack of)
-// guarantees.
+// SearchApprox is the iSAX-style approximate query transplanted onto
+// TS-Index: a best-first probe that visits at most leafBudget leaves in
+// order of their Eq. 2 distance to the query and verifies only their
+// candidates. With leafBudget·MaxCap candidates inspected it costs
+// microseconds instead of a full traversal, and returns a subset of the
+// exact result set — possibly missing twins that live in unvisited
+// leaves (there is no guarantee, not even for the query's own source
+// window, though the nearest-leaf ordering makes misses rare for small
+// budgets ≥ 2). Use it for interactive "show me something similar now"
+// flows, with Search as the exact fallback; the returned statistics
+// tell the caller how much was examined. leafBudget ≤ 0 means 1.
 func (f *Frozen) SearchApprox(q []float64, eps float64, leafBudget int) ([]series.Match, Stats) {
 	if leafBudget <= 0 {
 		leafBudget = 1
@@ -526,8 +585,13 @@ func (f *Frozen) SearchApprox(q []float64, eps float64, leafBudget int) ([]serie
 }
 
 // SearchApproxShared is SearchApprox drawing leaves from a budget the
-// caller may share across several traversals (see
-// Index.SearchApproxShared).
+// caller may share across several traversals (the sharded fan-out
+// passes one LeafBudget to every shard). With a private budget it is
+// exactly SearchApprox. Which traversal spends a shared unit depends
+// on scheduling, so the sharded result set may vary between runs —
+// inherent to an approximate, globally budgeted probe — but every
+// returned match is a true twin and total leaves probed stay within
+// the allowance.
 func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget) ([]series.Match, Stats) {
 	if len(q) != f.cfg.L {
 		panic("core: query length mismatch")
@@ -548,6 +612,8 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 		pq, item = heapPop(pq)
 		st.NodesVisited++
 		if item.lb > eps {
+			// Everything remaining is farther than ε; Lemma 1 says no
+			// unvisited leaf can contribute.
 			st.NodesPruned++
 			break
 		}
@@ -578,9 +644,8 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 	return out, st
 }
 
-// frozenItem pairs an arena node id with its Eq. 2 lower bound; nearest
-// first, the same order as nodeItem so both forms break lower-bound
-// ties identically.
+// frozenItem pairs an arena node id with its Eq. 2 lower bound for the
+// query; nearest first.
 type frozenItem struct {
 	id int32
 	lb float64

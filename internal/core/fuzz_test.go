@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
 
@@ -113,9 +115,9 @@ func FuzzLoadFrozen(f *testing.F) {
 }
 
 // FuzzFrozenTraversal derives a series and query parameters from the
-// fuzz input, builds the pointer tree and its frozen compilation, and
-// requires every search path to agree byte for byte — fuzzing the
-// frozen traversal itself rather than the decoder.
+// fuzz input, builds the tree, freezes it, and requires every search
+// path to give the oracle's answer — fuzzing the frozen traversal
+// itself rather than the decoder.
 func FuzzFrozenTraversal(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(0), uint8(40))
 	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1}, uint8(1), uint8(130))
@@ -154,24 +156,28 @@ func FuzzFrozenTraversal(f *testing.F) {
 		}
 		q := ext.ExtractCopy(len(ts)%ix.Len(), l)
 
-		wantM, wantS := ix.SearchStats(q, eps)
-		gotM, gotS := fz.SearchStats(q, eps)
-		if !matchesEqual(wantM, gotM) || wantS != gotS {
-			t.Fatalf("SearchStats diverged: %v/%+v vs %v/%+v", wantM, wantS, gotM, gotS)
+		exact := oracle.Range(ext, q, eps)
+		got, st := fz.SearchStats(q, eps)
+		if !slices.Equal(exact, got) || st.Results != len(got) || st.Abandons != st.Candidates-st.Results {
+			t.Fatalf("SearchStats: %v/%+v, oracle %v", got, st, exact)
 		}
-		if want, got := ix.SearchTopK(q, 3), fz.SearchTopK(q, 3); !matchesEqual(want, got) {
-			t.Fatalf("SearchTopK diverged: %v vs %v", want, got)
+		if want, got := oracle.TopK(ext, q, 3), fz.SearchTopK(q, 3); !slices.Equal(want, got) {
+			t.Fatalf("SearchTopK: %v, oracle %v", got, want)
 		}
-		wantA, wantAS := ix.SearchApprox(q, eps, 2)
-		gotA, gotAS := fz.SearchApprox(q, eps, 2)
-		if !matchesEqual(wantA, gotA) || wantAS != gotAS {
-			t.Fatalf("SearchApprox diverged: %v vs %v", wantA, gotA)
+		approx, ast := fz.SearchApprox(q, eps, 2)
+		for _, m := range approx {
+			if !slices.Contains(exact, m) {
+				t.Fatalf("SearchApprox: %v is not among the twins %v", m, exact)
+			}
+		}
+		if ast.LeavesReached > 2 || ast.Results != len(approx) {
+			t.Fatalf("SearchApprox: stats %+v for %d matches", ast, len(approx))
 		}
 		if mode != series.NormPerSubsequence {
-			want, err1 := ix.SearchPrefix(q[:l/2], eps)
-			got, err2 := fz.SearchPrefix(q[:l/2], eps)
-			if (err1 == nil) != (err2 == nil) || !matchesEqual(want, got) {
-				t.Fatalf("SearchPrefix diverged: %v/%v vs %v/%v", want, err1, got, err2)
+			want := oracle.Range(ext, q[:l/2], eps)
+			got, err := fz.SearchPrefix(q[:l/2], eps)
+			if err != nil || !slices.Equal(want, got) {
+				t.Fatalf("SearchPrefix: %v/%v, oracle %v", got, err, want)
 			}
 		}
 	})

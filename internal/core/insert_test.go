@@ -61,13 +61,13 @@ func TestChooseChildMatchesReference(t *testing.T) {
 		if got != want {
 			t.Fatalf("chooseChild picked a different child than the reference loop")
 		}
-		if d := got.bounds.DistSequence(w); d != dist {
+		if d := distTo(got, w); d != dist {
 			t.Fatalf("chooseChild returned distance %v, the child is at %v", dist, d)
 		}
 		// Tally the branches the inputs reach, on the reference's terms.
 		zero, atBest := 0, 0
 		for _, c := range n.children {
-			switch c.bounds.DistSequence(w) {
+			switch distTo(c, w) {
 			case 0:
 				zero++
 			case dist:
@@ -125,10 +125,15 @@ func TestChooseChildMatchesReference(t *testing.T) {
 	check(one, []float64{1, 5, 3})
 }
 
+// distTo is the Eq. 2 distance from w to n's bounds.
+func distTo(n *node, w []float64) float64 {
+	return mbts.DistFlat(n.bounds.Upper, n.bounds.Lower, w)
+}
+
 // firstAt is the first child of n at distance dist from w.
 func firstAt(n *node, w []float64, dist float64) *node {
 	for _, c := range n.children {
-		if c.bounds.DistSequence(w) == dist {
+		if distTo(c, w) == dist {
 			return c
 		}
 	}

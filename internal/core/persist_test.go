@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
 
@@ -31,15 +33,10 @@ func TestPersistRoundTrip(t *testing.T) {
 		}
 		q := ext.ExtractCopy(777, 80)
 		for _, eps := range []float64{0.1, 0.5, 2} {
-			a := ix.Search(q, eps)
-			b := got.Search(q, eps)
-			if len(a) != len(b) {
+			a := oracle.Range(ext, q, eps)
+			b := got.Freeze().Search(q, eps)
+			if !slices.Equal(a, b) {
 				t.Fatalf("mode=%v eps=%v: %d vs %d results", mode, eps, len(a), len(b))
-			}
-			for i := range a {
-				if a[i].Start != b[i].Start {
-					t.Fatalf("mode=%v: result %d differs", mode, i)
-				}
 			}
 		}
 	}
@@ -59,7 +56,7 @@ func TestPersistEmptyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 0 || got.Search(make([]float64, 20), 1) != nil {
+	if got.Len() != 0 || got.Freeze().Search(make([]float64, 20), 1) != nil {
 		t.Fatal("empty index did not survive round trip")
 	}
 }

@@ -1,41 +1,11 @@
 package core
 
-import (
-	"fmt"
-
-	"twinsearch/internal/series"
-)
-
-// SearchPrefix answers twin queries SHORTER than the indexed length —
-// the direction ULISSE takes data-series indexing, derived here from
-// the paper's own closure property (§3.1): time-aligned subsequences of
-// twins are twins. Consequently, for a query of length l ≤ L:
-//
-//   - the first l timestamps of a node's MBTS bound the first l values
-//     of every indexed window beneath it, so the Eq. 2 distance computed
-//     over that prefix still lower-bounds d∞(Q, T[p,l]) for every
-//     indexed start p — Lemma 1 survives truncation;
-//   - indexed starts cover p ∈ [0, n−L]; the remaining starts
-//     p ∈ (n−L, n−l] exist only at the shorter length and are verified
-//     by a bounded tail scan of at most L−l windows.
-//
-// The combination is exact. Per-subsequence normalization is
-// unsupported: z-normalizing T[p,l] is not a prefix of z-normalizing
-// T[p,L], so the stored bounds do not transfer.
-func (ix *Index) SearchPrefix(q []float64, eps float64) ([]series.Match, error) {
-	out, err := ix.SearchPrefixTree(q, eps)
-	if err != nil {
-		return nil, err
-	}
-	// Tail starts are generated ascending and all exceed every indexed
-	// start, so appending them keeps the result sorted.
-	return ScanPrefixTail(ix.ext, ix.cfg.L, q, eps, out), nil
-}
+import "twinsearch/internal/series"
 
 // ScanPrefixTail verifies the windows that exist only at the shorter
 // query length — starts in (n−L, n−len(q)], empty when len(q) == L —
 // appending matches to out in ascending start order. Shared by
-// Index.SearchPrefix and the sharded fan-out (which must run it once,
+// Frozen.SearchPrefix and the sharded fan-out (which must run it once,
 // not once per shard).
 func ScanPrefixTail(ext *series.Extractor, indexedL int, q []float64, eps float64, out []series.Match) []series.Match {
 	if len(q) >= indexedL {
@@ -52,59 +22,4 @@ func ScanPrefixTail(ext *series.Extractor, indexedL int, q []float64, eps float6
 		}
 	}
 	return out
-}
-
-// ValidatePrefix checks a prefix query against the index parameters —
-// the validation half of SearchPrefixTree, hoisted out so the sharded
-// fan-out can validate once before enqueueing per-subtree work units.
-func (ix *Index) ValidatePrefix(q []float64) error {
-	l := len(q)
-	if l > ix.cfg.L {
-		return fmt.Errorf("core: prefix query length %d exceeds indexed length %d", l, ix.cfg.L)
-	}
-	if l == 0 {
-		return fmt.Errorf("core: empty query")
-	}
-	if ix.ext.Mode() == series.NormPerSubsequence {
-		return fmt.Errorf("core: prefix queries are unsupported under per-subsequence normalization")
-	}
-	return nil
-}
-
-// SearchPrefixTree is the tree-traversal half of SearchPrefix: it
-// reports prefix twins among the INDEXED starts only, leaving the tail
-// starts that exist solely at the shorter length to the caller.
-// internal/shard fans this across subtree work units and runs the tail
-// scan once; most callers want SearchPrefix.
-func (ix *Index) SearchPrefixTree(q []float64, eps float64) ([]series.Match, error) {
-	if err := ix.ValidatePrefix(q); err != nil {
-		return nil, err
-	}
-	out := ix.SearchPrefixTreeFrom(ix.Root(), q, eps)
-	series.SortMatches(out)
-	return out, nil
-}
-
-// prefixBounds adapts a node's MBTS to prefix distance checks.
-type prefixBounds struct {
-	n *node
-	l int
-}
-
-// within reports whether the prefix Eq. 2 distance is ≤ eps, with early
-// abandoning.
-func (pb prefixBounds) within(q []float64, eps float64) bool {
-	up, lo := pb.n.bounds.Upper[:pb.l], pb.n.bounds.Lower[:pb.l]
-	for i, v := range q {
-		if v > up[i] {
-			if v-up[i] > eps {
-				return false
-			}
-		} else if v < lo[i] {
-			if lo[i]-v > eps {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -7,17 +7,17 @@ import (
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
-	"twinsearch/internal/sweepline"
 )
 
-// TestSweepTraversalParity runs the four frozen traversals off the
-// shapes every other parity test uses: L = 101 leaves one tail lane
+// TestSweepTraversalShapes runs the four frozen traversals off the
+// shapes every other answer test uses: L = 101 leaves one tail lane
 // after the kernel's 4-lane steps, and MaxCap = 80 makes nodes wider
-// than sweepScratchCap, so the child-distance scratch spills. Frozen
-// must equal pointer in results and Stats, and both the brute-force
-// answer (sweepline scan, bruteTopK).
-func TestSweepTraversalParity(t *testing.T) {
+// than sweepScratchCap, so the child-distance scratch spills. Every
+// path must give the oracle's answer (TestTraversalGoldenStats pins the
+// counters on the same two shapes).
+func TestSweepTraversalShapes(t *testing.T) {
 	data := datasets.EEGN(5, 12000)
 	for _, cfg := range []Config{
 		{L: 101},
@@ -25,35 +25,23 @@ func TestSweepTraversalParity(t *testing.T) {
 	} {
 		for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal} {
 			t.Run(fmt.Sprintf("L=%d/MaxCap=%d/mode=%d", cfg.L, cfg.MaxCap, mode), func(t *testing.T) {
-				ix, ext := buildOver(t, data, mode, cfg)
-				f := ix.Freeze()
+				f, ext := frozenOver(t, data, mode, cfg)
 				if err := f.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
 				if widest := int(slices.Max(f.count[:f.leafStart])); cfg.MaxCap > sweepScratchCap && widest <= sweepScratchCap {
 					t.Fatalf("widest internal node has %d children; the scratch spill (> %d) never runs", widest, sweepScratchCap)
 				}
-				sw := sweepline.New(ext)
 				l := cfg.L
-				for _, start := range []int{17, 4000, ix.Len() - 1} {
+				for _, start := range []int{17, 4000, f.Len() - 1} {
 					q := ext.ExtractCopy(start, l)
 					for _, eps := range []float64{0, 0.2, 1.0} {
-						wantM, wantS := ix.SearchStats(q, eps)
-						gotM, gotS := f.SearchStats(q, eps)
-						if !slices.Equal(gotM, wantM) || gotS != wantS {
-							t.Fatalf("q@%d eps=%g: frozen range (%d matches, %+v) != pointer (%d matches, %+v)",
-								start, eps, len(gotM), gotS, len(wantM), wantS)
-						}
-						if brute := sw.Search(q, eps); !slices.Equal(gotM, brute) {
-							t.Fatalf("q@%d eps=%g: %d matches, brute force %d", start, eps, len(gotM), len(brute))
+						gotM := f.Search(q, eps)
+						if want := oracle.Range(ext, q, eps); !slices.Equal(gotM, want) {
+							t.Fatalf("q@%d eps=%g: %d matches, oracle %d", start, eps, len(gotM), len(want))
 						}
 
-						wantA, wantAS := ix.SearchApprox(q, eps, 4)
-						gotA, gotAS := f.SearchApprox(q, eps, 4)
-						if !slices.Equal(gotA, wantA) || gotAS != wantAS {
-							t.Fatalf("q@%d eps=%g: frozen approx (%d, %+v) != pointer (%d, %+v)",
-								start, eps, len(gotA), gotAS, len(wantA), wantAS)
-						}
+						gotA, _ := f.SearchApprox(q, eps, 4)
 						for _, m := range gotA {
 							if _, ok := slices.BinarySearchFunc(gotM, m, func(a, b series.Match) int { return a.Start - b.Start }); !ok {
 								t.Fatalf("q@%d eps=%g: approx match %d is not a twin", start, eps, m.Start)
@@ -61,29 +49,18 @@ func TestSweepTraversalParity(t *testing.T) {
 						}
 
 						short := q[:l-37]
-						wantP, err := ix.SearchPrefix(short, eps)
-						if err != nil {
-							t.Fatal(err)
-						}
 						gotP, err := f.SearchPrefix(short, eps)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !slices.Equal(gotP, wantP) {
-							t.Fatalf("q@%d eps=%g: frozen prefix %d matches, pointer %d", start, eps, len(gotP), len(wantP))
-						}
-						if brute := sw.Search(short, eps); !slices.Equal(gotP, brute) {
-							t.Fatalf("q@%d eps=%g: prefix %d matches, brute force %d", start, eps, len(gotP), len(brute))
+						if want := oracle.Range(ext, short, eps); !slices.Equal(gotP, want) {
+							t.Fatalf("q@%d eps=%g: prefix %d matches, oracle %d", start, eps, len(gotP), len(want))
 						}
 					}
 					for _, k := range []int{1, 10, 90} {
-						wantM, wantS := ix.SearchTopKSharedFrom(ix.Root(), q, k, nil)
-						gotM, gotS := f.SearchTopKSharedFrom(f.Root(), q, k, nil)
-						if !slices.Equal(gotM, wantM) || gotS != wantS {
-							t.Fatalf("q@%d k=%d: frozen top-k %+v != pointer %+v", start, k, gotS, wantS)
-						}
-						if brute := bruteTopK(ext, q, k); !slices.Equal(gotM, brute) {
-							t.Fatalf("q@%d k=%d: top-k %v, brute force %v", start, k, gotM, brute)
+						gotM, _ := f.SearchTopKSharedFrom(f.Root(), q, k, nil)
+						if want := oracle.TopK(ext, q, k); !slices.Equal(gotM, want) {
+							t.Fatalf("q@%d k=%d: top-k %v, oracle %v", start, k, gotM, want)
 						}
 					}
 				}
@@ -96,8 +73,7 @@ func TestSweepTraversalParity(t *testing.T) {
 // wrong-length query themselves — with children scored as rows, a
 // short query would otherwise match on a prefix of every row.
 func TestFrozenUnitQueryLength(t *testing.T) {
-	ix, _ := buildOver(t, datasets.RandomWalk(1, 500), series.NormGlobal, Config{L: 50})
-	f := ix.Freeze()
+	f, _ := frozenOver(t, datasets.RandomWalk(1, 500), series.NormGlobal, Config{L: 50})
 	for _, n := range []int{49, 51} {
 		q := make([]float64, n)
 		for name, search := range map[string]func(){
@@ -126,8 +102,7 @@ func TestFrozenUnitQueryLength(t *testing.T) {
 // BenchmarkFrozenSearch reports at 200 000 points.
 func TestFrozenSearchAllocs(t *testing.T) {
 	data := datasets.EEGN(1, 50000)
-	ix, ext := buildOver(t, data, series.NormGlobal, Config{L: 100})
-	f := ix.Freeze()
+	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 100})
 	qs := datasets.Queries(data, 7, 8, 100)
 	units := map[string]func(q []float64) []series.Match{
 		"SearchStatsFrom": func(q []float64) []series.Match {

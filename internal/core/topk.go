@@ -46,95 +46,13 @@ func (b *SharedBound) Tighten(d float64) {
 	}
 }
 
-// SearchTopK returns the k subsequences nearest to q under Chebyshev
-// distance, sorted by ascending distance with ties broken by start
-// position — a strict total order, so the result set is deterministic
-// even when more than k windows share the k-th distance.
-//
-// This is an extension beyond the paper (which studies threshold
-// queries): a best-first traversal ordered by the Eq. 2 node distance,
-// which lower-bounds the true distance of everything below a node
-// (Lemma 1), so the traversal can stop as soon as the nearest unexplored
-// node is farther than the current k-th best — the classic optimal
-// incremental NN strategy transplanted onto MBTS.
-func (ix *Index) SearchTopK(q []float64, k int) []series.Match {
-	ms, _ := ix.SearchTopKSharedFrom(ix.Root(), q, k, nil)
-	return ms
-}
-
-// SearchTopKSharedFrom is the top-k work unit: the best-first traversal
-// restricted to one subtree. Disjoint subtrees sharing one bound admit
-// exactly the candidates whole-shard traversals would (pruning and
-// abandoning are on strict inequality only), so the k-way merge of
-// per-unit lists is byte-identical however the tree is split.
-//
-// shared is an optional cross-traversal bound (see SharedBound):
-// internal/shard passes one to every work unit of a fanned-out query so
-// each traversal rejects against the candidates the others have already
-// admitted. When it fires, the local result may omit matches that
-// cannot survive the global k-way merge; the merged top-k is
-// unaffected. A nil bound is the plain single-index traversal.
-//
-// The returned Stats count this unit's work (see topK); Results stays
-// zero — the caller holding the final list sets it.
-func (ix *Index) SearchTopKSharedFrom(sub Subtree, q []float64, k int, shared *SharedBound) ([]series.Match, Stats) {
-	if len(q) != ix.cfg.L {
-		panic("core: query length mismatch")
-	}
-	if k <= 0 || sub.n == nil {
-		return nil, Stats{}
-	}
-
-	t := newTopK(k, shared)
-	buf := make([]float64, ix.cfg.L)
-
-	t.st.NodesVisited++
-	rootLB, ok := mbts.DistAbandonFlat(sub.n.bounds.Upper, sub.n.bounds.Lower, q, t.limit())
-	if !ok {
-		t.st.NodesPruned++
-		return nil, t.st // a shared bound has already excluded this subtree
-	}
-	pq := make([]nodeItem, 0, frozenStackCap)
-	pq = append(pq, nodeItem{n: sub.n, lb: rootLB})
-
-	for len(pq) > 0 {
-		var item nodeItem
-		pq, item = heapPop(pq)
-		if item.lb > t.limit() {
-			// Every remaining node is at least this far.
-			t.st.NodesPruned += len(pq) + 1
-			break
-		}
-		if !item.n.leaf {
-			for _, c := range item.n.children {
-				// Early-abandon the Eq. 2 scan against the current
-				// limit: a prunable child is discarded partway through
-				// its bounds instead of after a full-length pass.
-				t.st.NodesVisited++
-				lb, ok := mbts.DistAbandonFlat(c.bounds.Upper, c.bounds.Lower, q, t.limit())
-				if !ok {
-					t.st.NodesPruned++
-					continue
-				}
-				pq = heapPush(pq, nodeItem{n: c, lb: lb})
-			}
-			continue
-		}
-		t.st.LeavesReached++
-		for _, p := range item.n.positions {
-			t.offer(int(p), ix.ext.Extract(int(p), ix.cfg.L, buf), q)
-		}
-	}
-	return t.sorted(), t.st
-}
-
 // topKPrealloc caps the result heap's up-front capacity: k comes off
 // the wire unbounded, and every work unit of every query allocates one.
 const topKPrealloc = 1024
 
 // topK is one query's running answer inside one top-k work unit — the
-// single leaf-scoring and admission step shared by the pointer, frozen
-// and batch traversals, so all three admit byte-identical sets.
+// single leaf-scoring and admission step shared by the best-first and
+// batch traversals, so both admit byte-identical sets.
 //
 // best holds the k nearest candidates so far as a max-heap under the
 // (dist, start) total order, worst on top. st counts the unit's work:
@@ -218,15 +136,6 @@ func (a worstFirst) before(b worstFirst) bool {
 	}
 	return a.Start > b.Start
 }
-
-// nodeItem pairs a node with its Eq. 2 lower bound for the query;
-// nearest first.
-type nodeItem struct {
-	n  *node
-	lb float64
-}
-
-func (a nodeItem) before(b nodeItem) bool { return a.lb < b.lb }
 
 // heapItem orders the elements of the typed binary heaps: a.before(b)
 // reports that a must leave the heap ahead of b.

@@ -2,32 +2,12 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
-
-// bruteTopK computes the exact k nearest windows by full scan.
-func bruteTopK(ext *series.Extractor, q []float64, k int) []series.Match {
-	var all []series.Match
-	buf := make([]float64, len(q))
-	for p := 0; p+len(q) <= ext.Len(); p++ {
-		w := ext.Extract(p, len(q), buf)
-		all = append(all, series.Match{Start: p, Dist: series.Chebyshev(q, w)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].Start < all[j].Start
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
 
 func TestTopKMatchesBrute(t *testing.T) {
 	for _, tc := range []struct {
@@ -40,11 +20,11 @@ func TestTopKMatchesBrute(t *testing.T) {
 		{"insect-raw", datasets.InsectN(5, 3000), series.NormNone},
 		{"eeg-persub", datasets.EEGN(6, 3000), series.NormPerSubsequence},
 	} {
-		ix, ext := buildOver(t, tc.ts, tc.mode, Config{L: 60})
+		f, ext := frozenOver(t, tc.ts, tc.mode, Config{L: 60})
 		q := ext.ExtractCopy(800, 60)
 		for _, k := range []int{1, 5, 25} {
-			got := ix.SearchTopK(q, k)
-			want := bruteTopK(ext, q, k)
+			got := f.SearchTopK(q, k)
+			want := oracle.TopK(ext, q, k)
 			if len(got) != len(want) {
 				t.Fatalf("%s k=%d: %d results, want %d", tc.name, k, len(got), len(want))
 			}
@@ -64,9 +44,9 @@ func TestTopKMatchesBrute(t *testing.T) {
 
 func TestTopKSelfNearest(t *testing.T) {
 	ts := datasets.RandomWalk(9, 2000)
-	ix, ext := buildOver(t, ts, series.NormGlobal, Config{L: 80})
+	f, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 80})
 	q := ext.ExtractCopy(555, 80)
-	got := ix.SearchTopK(q, 1)
+	got := f.SearchTopK(q, 1)
 	if len(got) != 1 || got[0].Start != 555 || got[0].Dist != 0 {
 		t.Fatalf("nearest to a window must be itself: %+v", got)
 	}
@@ -74,18 +54,18 @@ func TestTopKSelfNearest(t *testing.T) {
 
 func TestTopKDegenerate(t *testing.T) {
 	ts := datasets.RandomWalk(1, 500)
-	ix, ext := buildOver(t, ts, series.NormGlobal, Config{L: 50})
+	f, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 50})
 	q := ext.ExtractCopy(0, 50)
-	if ms := ix.SearchTopK(q, 0); ms != nil {
+	if ms := f.SearchTopK(q, 0); ms != nil {
 		t.Fatal("k=0 should return nil")
 	}
-	if ms := ix.SearchTopK(q, -3); ms != nil {
+	if ms := f.SearchTopK(q, -3); ms != nil {
 		t.Fatal("k<0 should return nil")
 	}
 	// k larger than the index returns everything, sorted.
-	all := ix.SearchTopK(q, 10_000)
-	if len(all) != ix.Len() {
-		t.Fatalf("k>n should return all %d, got %d", ix.Len(), len(all))
+	all := f.SearchTopK(q, 10_000)
+	if len(all) != f.Len() {
+		t.Fatalf("k>n should return all %d, got %d", f.Len(), len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].Dist < all[i-1].Dist {
@@ -97,7 +77,7 @@ func TestTopKDegenerate(t *testing.T) {
 func TestTopKEmptyIndex(t *testing.T) {
 	ext := series.NewExtractor(datasets.RandomWalk(1, 100), series.NormGlobal)
 	ix, _ := NewEmpty(ext, Config{L: 20})
-	if ms := ix.SearchTopK(make([]float64, 20), 5); ms != nil {
+	if ms := ix.Freeze().SearchTopK(make([]float64, 20), 5); ms != nil {
 		t.Fatal("empty index should return nil")
 	}
 }
@@ -106,14 +86,14 @@ func TestTopKConsistentWithThresholdSearch(t *testing.T) {
 	// The k-th distance defines a threshold; threshold search at that
 	// distance must return at least k results.
 	ts := datasets.EEGN(10, 5000)
-	ix, ext := buildOver(t, ts, series.NormGlobal, Config{L: 100})
+	f, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 100})
 	q := ext.ExtractCopy(2000, 100)
-	top := ix.SearchTopK(q, 10)
+	top := f.SearchTopK(q, 10)
 	if len(top) != 10 {
 		t.Fatalf("got %d", len(top))
 	}
 	eps := top[len(top)-1].Dist
-	ms := ix.Search(q, eps)
+	ms := f.Search(q, eps)
 	if len(ms) < 10 {
 		t.Fatalf("threshold search at k-th distance returned %d < 10", len(ms))
 	}
@@ -129,8 +109,7 @@ func TestTopKConsistentWithThresholdSearch(t *testing.T) {
 // container/heap cost ≈1900 allocations per query.
 func TestFrozenTopKAllocs(t *testing.T) {
 	data := datasets.EEGN(1, 50000)
-	ix, ext := buildOver(t, data, series.NormGlobal, Config{L: 100})
-	f := ix.Freeze()
+	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 100})
 	for _, raw := range datasets.Queries(data, 7, 8, 100) {
 		q := ext.TransformQuery(raw)
 		if avg := testing.AllocsPerRun(10, func() { f.SearchTopK(q, 10) }); avg > 8 {
@@ -142,17 +121,16 @@ func TestFrozenTopKAllocs(t *testing.T) {
 // TestTopKUnitStats checks the counters the top-k work unit reports:
 // they balance (every evaluated node is expanded, pruned, or a scored
 // leaf; every candidate is abandoned or survives to a full distance),
-// agree between the pointer and frozen forms, and show the limit doing
-// its job — most candidates of a small-k query are abandoned.
+// come with the oracle's answer, and show the limit doing its job —
+// most candidates of a small-k query are abandoned. (Their exact values
+// are pinned by TestTraversalGoldenStats.)
 func TestTopKUnitStats(t *testing.T) {
 	data := datasets.EEGN(9, 6000)
-	ix, ext := buildOver(t, data, series.NormGlobal, Config{L: 60})
-	f := ix.Freeze()
+	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 60})
 	q := ext.ExtractCopy(1234, 60)
 	ms, st := f.SearchTopKSharedFrom(f.Root(), q, 5, nil)
-	pms, pst := ix.SearchTopKSharedFrom(ix.Root(), q, 5, nil)
-	if !slices.Equal(ms, pms) || st != pst {
-		t.Fatalf("frozen and pointer units disagree: %+v vs %+v", st, pst)
+	if want := oracle.TopK(ext, q, 5); !slices.Equal(ms, want) {
+		t.Fatalf("unit answered %v, oracle %v", ms, want)
 	}
 	if st.Results != 0 {
 		t.Fatalf("unit set Results = %d; the caller owns it", st.Results)

@@ -14,9 +14,10 @@
 // leaf split copies its windows once into a flat per-Index scratch and
 // finds the seeds with one kernel sweep per window (split.go).
 //
-// Search (§5.3, Algorithm 1) walks the tree pruning every subtree whose
-// MBTS is farther than ε from the query — sound by Lemma 1: for any
-// sequence S enclosed by MBTS B, d(Q, B) ≤ d∞(Q, S).
+// Index, the pointer tree, is the builder: it is constructed, appended
+// to, checked and persisted, and compiled by Freeze into the flat
+// Frozen arena, which is the one form that is searched (§5.3,
+// Algorithm 1 — see Frozen.SearchStats and frozen.go).
 package core
 
 import (
@@ -94,7 +95,7 @@ type node struct {
 // every verified-to-the-end candidate under L∞ is a match, Abandons =
 // Candidates − Results for the range paths. It is tracked explicitly so
 // the trace layer can report kernel-level abandoning per shard, and so
-// the differential suites pin it identical across pointer/frozen/batch/
+// the differential suites pin it identical across single/batch/sharded/
 // cluster forms.
 type Stats struct {
 	NodesVisited  int
@@ -262,25 +263,6 @@ func (ix *Index) chooseChild(n *node, w []float64) (*node, float64) {
 		}
 	}
 	return best, bestDist
-}
-
-// Search returns all twin subsequences of q at threshold eps, in start
-// order (Algorithm 1). q must be in the extractor's value space and
-// len(q) must equal the indexed length.
-func (ix *Index) Search(q []float64, eps float64) []series.Match {
-	ms, _ := ix.SearchStats(q, eps)
-	return ms
-}
-
-// SearchStats is Search with traversal counters.
-func (ix *Index) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
-	if len(q) != ix.cfg.L {
-		panic(fmt.Sprintf("core: query length %d, index built for %d", len(q), ix.cfg.L))
-	}
-	out, st := ix.SearchStatsFrom(ix.Root(), q, eps)
-	series.SortMatches(out)
-	st.Results = len(out)
-	return out, st
 }
 
 // Len returns the number of indexed windows.

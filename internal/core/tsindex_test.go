@@ -1,11 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
-	"twinsearch/internal/sweepline"
 )
 
 func buildOver(t *testing.T, ts []float64, mode series.NormMode, cfg Config) (*Index, *series.Extractor) {
@@ -43,7 +44,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestMatchesSweeplineAllModes(t *testing.T) {
+func TestMatchesOracleAllModes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		ts   []float64
@@ -57,19 +58,13 @@ func TestMatchesSweeplineAllModes(t *testing.T) {
 		{"eeg-persub", datasets.EEGN(6, 6000), series.NormPerSubsequence, []float64{0.3, 0.8}},
 		{"insect-raw", datasets.InsectN(5, 5000), series.NormNone, []float64{1, 3}},
 	} {
-		ix, ext := buildOver(t, tc.ts, tc.mode, Config{L: 80})
-		sw := sweepline.New(ext)
+		f, ext := frozenOver(t, tc.ts, tc.mode, Config{L: 80})
 		q := ext.ExtractCopy(1000, 80)
 		for _, eps := range tc.eps {
-			got := ix.Search(q, eps)
-			want := sw.Search(q, eps)
-			if len(got) != len(want) {
+			got := f.Search(q, eps)
+			want := oracle.Range(ext, q, eps)
+			if !slices.Equal(got, want) {
 				t.Fatalf("%s eps=%v: %d matches, want %d", tc.name, eps, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Start != want[i].Start {
-					t.Fatalf("%s eps=%v: position mismatch at %d", tc.name, eps, i)
-				}
 			}
 		}
 	}
@@ -122,27 +117,27 @@ func TestIncrementalInsertInvariants(t *testing.T) {
 
 func TestTinyCapacitiesDeepTree(t *testing.T) {
 	ts := datasets.Sine(7, 1200, 90, 1.5, 0.2)
-	ix, ext := buildOver(t, ts, series.NormGlobal, Config{L: 30, MinCap: 2, MaxCap: 4})
-	if ix.Height() < 4 {
-		t.Fatalf("tiny caps should give a deep tree, got height %d", ix.Height())
+	f, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 30, MinCap: 2, MaxCap: 4})
+	if f.Height() < 4 {
+		t.Fatalf("tiny caps should give a deep tree, got height %d", f.Height())
 	}
 	q := ext.ExtractCopy(200, 30)
-	got := ix.Search(q, 0.25)
-	want := sweepline.New(ext).Search(q, 0.25)
-	if len(got) != len(want) {
+	got := f.Search(q, 0.25)
+	want := oracle.Range(ext, q, 0.25)
+	if !slices.Equal(got, want) {
 		t.Fatalf("deep tree search: %d vs %d", len(got), len(want))
 	}
 }
 
 func TestSearchStatsFunnel(t *testing.T) {
 	ts := datasets.EEGN(8, 20000)
-	ix, ext := buildOver(t, ts, series.NormGlobal, Config{L: 100})
+	f, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 100})
 	q := ext.ExtractCopy(5000, 100)
-	ms, st := ix.SearchStats(q, 0.2)
+	ms, st := f.SearchStats(q, 0.2)
 	if st.NodesPruned == 0 {
 		t.Fatal("tight threshold should prune")
 	}
-	if st.Candidates >= ix.Len() {
+	if st.Candidates >= f.Len() {
 		t.Fatal("filter admitted everything")
 	}
 	if st.Results != len(ms) {
@@ -159,7 +154,7 @@ func TestEmptyIndexSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms := ix.Search(make([]float64, 20), 1); ms != nil {
+	if ms := ix.Freeze().Search(make([]float64, 20), 1); ms != nil {
 		t.Fatal("empty index must return nil")
 	}
 	if err := ix.CheckInvariants(); err != nil {
@@ -168,23 +163,23 @@ func TestEmptyIndexSearch(t *testing.T) {
 }
 
 func TestQueryLengthPanic(t *testing.T) {
-	ix, _ := buildOver(t, datasets.RandomWalk(1, 500), series.NormGlobal, Config{L: 50})
+	f, _ := frozenOver(t, datasets.RandomWalk(1, 500), series.NormGlobal, Config{L: 50})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
 		}
 	}()
-	ix.Search(make([]float64, 49), 1)
+	f.Search(make([]float64, 49), 1)
 }
 
 func TestSelfQueryAlwaysFound(t *testing.T) {
 	ts := datasets.InsectN(7, 10000)
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
-		ix, ext := buildOver(t, ts, mode, Config{L: 100})
+		f, ext := frozenOver(t, ts, mode, Config{L: 100})
 		for _, p := range []int{0, 1234, 9900} {
 			q := ext.ExtractCopy(p, 100)
 			found := false
-			for _, m := range ix.Search(q, 0) {
+			for _, m := range f.Search(q, 0) {
 				if m.Start == p {
 					found = true
 				}
@@ -198,11 +193,11 @@ func TestSelfQueryAlwaysFound(t *testing.T) {
 
 func TestHugeEpsilonReturnsEverything(t *testing.T) {
 	ts := datasets.RandomWalk(4, 2000)
-	ix, ext := buildOver(t, ts, series.NormGlobal, Config{L: 50})
+	f, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 50})
 	q := ext.ExtractCopy(100, 50)
-	ms, st := ix.SearchStats(q, 1e9)
-	if len(ms) != ix.Len() {
-		t.Fatalf("huge eps must match everything: %d vs %d", len(ms), ix.Len())
+	ms, st := f.SearchStats(q, 1e9)
+	if len(ms) != f.Len() {
+		t.Fatalf("huge eps must match everything: %d vs %d", len(ms), f.Len())
 	}
 	if st.NodesPruned != 0 {
 		t.Fatal("nothing should be pruned at huge eps")

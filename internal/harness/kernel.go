@@ -122,12 +122,12 @@ func (r *Runner) figureKernelBatch() []Row {
 	d := r.Insect()
 	r.logf("Kernel batch experiment: %s", d.Name)
 	ext := r.extractor(d, series.NormGlobal)
-	b, err := buildFrozen(ext, DefaultL)
+	b, err := buildMethod(TSIndex, ext, DefaultL, DefaultM)
 	if err != nil {
 		r.logf("  skipped (%v)", err)
 		return nil
 	}
-	f := b.s.(frozenAdapter).f
+	f := b.s.(tsAdapter).f
 	eps := d.DefaultEpsNorm
 	all := r.workload(d, ext, DefaultL)
 

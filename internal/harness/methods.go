@@ -78,10 +78,11 @@ func (a isaxAdapter) search(q []float64, eps float64) (int, int) {
 	return len(ms), st.Candidates
 }
 
-type tsAdapter struct{ ix *core.Index }
+// tsAdapter drives the frozen arena — the form every engine serves.
+type tsAdapter struct{ f *core.Frozen }
 
 func (a tsAdapter) search(q []float64, eps float64) (int, int) {
-	ms, st := a.ix.SearchStats(q, eps)
+	ms, st := a.f.SearchStats(q, eps)
 	return len(ms), st.Candidates
 }
 
@@ -89,13 +90,6 @@ type shardAdapter struct{ ix *shard.Index }
 
 func (a shardAdapter) search(q []float64, eps float64) (int, int) {
 	ms, st := a.ix.SearchStats(q, eps)
-	return len(ms), st.Candidates
-}
-
-type frozenAdapter struct{ f *core.Frozen }
-
-func (a frozenAdapter) search(q []float64, eps float64) (int, int) {
-	ms, st := a.f.SearchStats(q, eps)
 	return len(ms), st.Candidates
 }
 
@@ -114,19 +108,6 @@ func buildSharded(ext *series.Extractor, l, shards, workers int, boundaries []in
 	}
 	return built{method: TSIndex, s: shardAdapter{ix}, buildTime: time.Since(start),
 		memBytes: ix.MemoryBytes()}, nil
-}
-
-// buildFrozen constructs a single TS-Index and compiles it into the
-// flat arena, timing the whole pipeline; the pointer tree is dropped.
-func buildFrozen(ext *series.Extractor, l int) (built, error) {
-	start := time.Now()
-	ix, err := core.Build(ext, core.Config{L: l})
-	if err != nil {
-		return built{}, err
-	}
-	f := ix.Freeze()
-	return built{method: TSIndex, s: frozenAdapter{f}, buildTime: time.Since(start),
-		memBytes: f.MemoryBytes()}, nil
 }
 
 // SkewedBoundaries builds a deliberately imbalanced partition over
@@ -179,12 +160,16 @@ func buildMethod(m MethodID, ext *series.Extractor, l, segments int) (built, err
 		return built{method: m, s: isaxAdapter{ix}, buildTime: time.Since(start),
 			memBytes: ix.MemoryBytes()}, nil
 	case TSIndex:
+		// Build time and memory are those of what is served: insertion
+		// plus the compile into the arena, and the arena's bytes (the
+		// pointer tree is dropped).
 		ix, err := core.Build(ext, core.Config{L: l})
 		if err != nil {
 			return built{}, err
 		}
-		return built{method: m, s: tsAdapter{ix}, buildTime: time.Since(start),
-			memBytes: ix.MemoryBytes()}, nil
+		f := ix.Freeze()
+		return built{method: m, s: tsAdapter{f}, buildTime: time.Since(start),
+			memBytes: f.MemoryBytes()}, nil
 	default:
 		return built{}, fmt.Errorf("harness: unknown method %v", m)
 	}

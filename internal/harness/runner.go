@@ -351,15 +351,13 @@ func (r *Runner) FigureShard() []Row {
 	return rows
 }
 
-// FigureFrozen — beyond the paper: the same TS-Index under its two
-// memory layouts. "pointer" is the paper-shaped tree of heap-allocated
-// nodes; "frozen" compiles that tree into the flat structure-of-arrays
-// arena (packed bounds, index-range children) every production query
-// path actually runs on; the sharded rows add mean-sorted versus
-// contiguous partitioning on top (tighter per-shard bounds versus a
-// concatenation merge). Results are identical across rows — AvgResults
-// doubles as a parity check; the columns of interest are query time
-// and index bytes.
+// FigureFrozen — beyond the paper: the frozen TS-Index — the paper's
+// tree compiled into the flat structure-of-arrays arena (packed bounds,
+// index-range children) every query path runs on — as one index and
+// sharded, with mean-sorted versus contiguous partitioning (tighter
+// per-shard bounds versus a concatenation merge). Results are identical
+// across rows — AvgResults doubles as a parity check; the columns of
+// interest are query time and index bytes.
 func (r *Runner) FigureFrozen() []Row {
 	var rows []Row
 	for _, d := range r.Datasets() {
@@ -371,8 +369,7 @@ func (r *Runner) FigureFrozen() []Row {
 			build func() (built, error)
 		}
 		variants := []variant{
-			{"layout=pointer", func() (built, error) { return buildMethod(TSIndex, ext, DefaultL, DefaultM) }},
-			{"layout=frozen", func() (built, error) { return buildFrozen(ext, DefaultL) }},
+			{"layout=frozen", func() (built, error) { return buildMethod(TSIndex, ext, DefaultL, DefaultM) }},
 			{"layout=frozen/shards=auto", func() (built, error) {
 				return buildSharded(ext, DefaultL, 0, r.Workers, nil, false)
 			}},

@@ -121,18 +121,12 @@ func (b *MBTS) ContainsMBTS(o *MBTS) bool {
 	return true
 }
 
-// DistSequence is the paper's Eq. 2: the Chebyshev-style distance from a
-// sequence to the MBTS — the largest pointwise excursion of s outside
-// the band, 0 when s is enclosed.
-func (b *MBTS) DistSequence(s []float64) float64 {
-	return DistFlat(b.Upper, b.Lower, s)
-}
-
-// DistSequenceAbandon computes Eq. 2 but abandons and returns
-// (0, false) as soon as the running maximum exceeds limit — the early
-// abandoning used both during query pruning (Lemma 1 check against ε)
-// and during descent (against the best distance so far). When the
-// distance is ≤ limit it returns (dist, true).
+// DistSequenceAbandon is the paper's Eq. 2 with early abandoning: the
+// Chebyshev-style distance from a sequence to the MBTS — the largest
+// pointwise excursion of s outside the band, 0 when s is enclosed — as
+// (dist, true) when it is ≤ limit, and (0, false) as soon as the
+// running maximum exceeds limit. Construction abandons against the best
+// child distance so far (chooseChild).
 func (b *MBTS) DistSequenceAbandon(s []float64, limit float64) (float64, bool) {
 	return DistAbandonFlat(b.Upper, b.Lower, s, limit)
 }

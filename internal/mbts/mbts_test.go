@@ -58,7 +58,7 @@ func TestFromSequenceTight(t *testing.T) {
 	if b.Width() != 0 {
 		t.Fatalf("singleton width = %v", b.Width())
 	}
-	if b.DistSequence(s) != 0 {
+	if DistFlat(b.Upper, b.Lower, s) != 0 {
 		t.Fatal("distance to seed must be 0")
 	}
 }
@@ -70,7 +70,7 @@ func TestContainment(t *testing.T) {
 		if !b.ContainsSequence(s) {
 			t.Fatalf("sequence %d escaped its MBTS", i)
 		}
-		if d := b.DistSequence(s); d != 0 {
+		if d := DistFlat(b.Upper, b.Lower, s); d != 0 {
 			t.Fatalf("enclosed sequence %d at distance %v", i, d)
 		}
 	}
@@ -78,13 +78,13 @@ func TestContainment(t *testing.T) {
 
 func TestDistSequence(t *testing.T) {
 	b, _ := Enclose([]float64{0, 0}, []float64{1, 1})
-	if d := b.DistSequence([]float64{2, 0.5}); d != 1 {
+	if d := DistFlat(b.Upper, b.Lower, []float64{2, 0.5}); d != 1 {
 		t.Fatalf("dist above = %v, want 1", d)
 	}
-	if d := b.DistSequence([]float64{-3, 0.5}); d != 3 {
+	if d := DistFlat(b.Upper, b.Lower, []float64{-3, 0.5}); d != 3 {
 		t.Fatalf("dist below = %v, want 3", d)
 	}
-	if d := b.DistSequence([]float64{2, -4}); d != 4 {
+	if d := DistFlat(b.Upper, b.Lower, []float64{2, -4}); d != 4 {
 		t.Fatalf("max rule = %v, want 4", d)
 	}
 }
@@ -194,7 +194,7 @@ func TestLemma1LowerBound(t *testing.T) {
 		l := len(raw) / 3
 		q, s1, s2 := raw[:l], raw[l:2*l], raw[2*l:3*l]
 		b, _ := Enclose(s1, s2)
-		dq := b.DistSequence(q)
+		dq := DistFlat(b.Upper, b.Lower, q)
 		return dq <= series.Chebyshev(q, s1)+1e-9 && dq <= series.Chebyshev(q, s2)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -232,7 +232,7 @@ func TestAbandonAgreement(t *testing.T) {
 		set := randSeqs(int64(iter)+100, 4, l)
 		b, _ := Enclose(set[:3]...)
 		q := set[3]
-		full := b.DistSequence(q)
+		full := DistFlat(b.Upper, b.Lower, q)
 		limit := rng.Float64() * 10
 		d, ok := b.DistSequenceAbandon(q, limit)
 		if full <= limit {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 )
@@ -34,7 +35,7 @@ func TestTopKEndpointErrors(t *testing.T) {
 }
 
 func TestAppendEndpointErrors(t *testing.T) {
-	srv, _ := newTestServer(t)
+	srv, ts := newTestServer(t)
 	resp, err := http.Get(srv.URL + "/append")
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,24 @@ func TestAppendEndpointErrors(t *testing.T) {
 	mal.Body.Close()
 	if mal.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed /append: status %d", mal.StatusCode)
+	}
+	// A value no float64 holds finitely is refused with the rest of its
+	// call: the next append starts from the original length and epoch.
+	inf, err := http.Post(srv.URL+"/append", "application/json", bytes.NewReader([]byte(`{"values":[0.5,1e999,0.25]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf.Body.Close()
+	if inf.StatusCode != http.StatusBadRequest {
+		t.Fatalf("non-finite /append: status %d", inf.StatusCode)
+	}
+	ok, raw := postJSON(t, srv.URL+"/append", map[string]interface{}{"values": []float64{0.5}})
+	var body map[string]int
+	if err := json.Unmarshal(raw, &body); err != nil || ok.StatusCode != http.StatusOK {
+		t.Fatalf("append after the refusal: status %d, %s (%v)", ok.StatusCode, raw, err)
+	}
+	if body["series_len"] != len(ts)+1 || body["epoch"] != 1 {
+		t.Fatalf("refused append left its mark: %v, want series_len %d, epoch 1", body, len(ts)+1)
 	}
 }
 

@@ -204,7 +204,7 @@ func setShardAttrs(sp *obs.Span, st core.Stats, units int) {
 	sp.Set("candidates", st.Candidates)
 	sp.Set("abandons", st.Abandons)
 	// Results is deliberately omitted: unit stats carry 0 until the
-	// merge resolves the final set; the root span reports it.
+	// merge resolves the final set; the query's root span reports it.
 }
 
 // searchTopKUnits runs one top-k search over frozen/fr with the shared
@@ -219,21 +219,27 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
-	shared := core.NewSharedBound()
-	if !math.IsInf(bound, 1) {
-		shared.Tighten(bound)
-	}
 	// Traced queries get the same traverse/shard[i]/merge tree threshold
 	// search records, filled from the units' own counters; untraced
 	// ones (sp == nil) drop the counters and allocate nothing for them.
 	sp := obs.SpanFrom(ctx)
 	if len(frozen) == 1 {
+		// A lone traversal shares its bound with nobody: unless the
+		// caller seeds one, its own k-th best is the whole limit, and
+		// nil spares the query an allocation.
+		var seed *core.SharedBound
+		if !math.IsInf(bound, 1) {
+			seed = core.NewSharedBound()
+			seed.Tighten(bound)
+		}
 		tsp := sp.StartChild("traverse")
-		ms, st := frozen[0].SearchTopKSharedFrom(frozen[0].Root(), q, k, shared)
+		ms, st := frozen[0].SearchTopKSharedFrom(frozen[0].Root(), q, k, seed)
 		setShardAttrs(tsp, st, 0)
 		tsp.End()
 		return ms, nil
 	}
+	shared := core.NewSharedBound()
+	shared.Tighten(bound)
 	units := fr()
 	n := 0
 	for _, u := range units {

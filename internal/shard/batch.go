@@ -144,12 +144,12 @@ func searchTopKBatchUnits(ctx context.Context, ex *exec.Executor, frozen []*core
 	if k <= 0 || nq == 0 {
 		return out
 	}
+	if len(frozen) == 1 {
+		return frozen[0].SearchTopKBatch(qs, k)
+	}
 	shared := make([]*core.SharedBound, nq)
 	for i := range shared {
 		shared[i] = core.NewSharedBound()
-	}
-	if len(frozen) == 1 {
-		return frozen[0].SearchTopKBatchFrom(frozen[0].Root(), qs, k, shared)
 	}
 	units := fr()
 	n := 0

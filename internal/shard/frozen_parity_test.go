@@ -9,13 +9,14 @@ import (
 
 	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
 
 // TestFrozenShardParityAllPaths is the differential matrix of the
-// frozen refactor: every search path × normalization mode × shard
-// count × partition scheme must return byte-identical results to one
-// unsharded pointer-tree index over the same series.
+// fan-out: every search path × normalization mode × shard count ×
+// partition scheme must return the oracle's answer over the same
+// series.
 func TestFrozenShardParityAllPaths(t *testing.T) {
 	ts := datasets.RandomWalk(21, 2600)
 	const l = 44
@@ -29,10 +30,6 @@ func TestFrozenShardParityAllPaths(t *testing.T) {
 	}
 	for _, m := range modes {
 		ext := series.NewExtractor(ts, m.mode)
-		ref, err := core.Build(ext, core.Config{L: l})
-		if err != nil {
-			t.Fatal(err)
-		}
 		queries := [][]float64{ext.ExtractCopy(10, l), ext.ExtractCopy(1900, l)}
 		for _, p := range []int{1, 2, 4} {
 			for _, byMean := range []bool{false, true} {
@@ -48,7 +45,7 @@ func TestFrozenShardParityAllPaths(t *testing.T) {
 					}
 					for qi, q := range queries {
 						for _, eps := range []float64{0.05, 0.4, 1.5} {
-							want, _ := ref.SearchStats(q, eps)
+							want := oracle.Range(ext, q, eps)
 							got, st := sh.SearchStats(q, eps)
 							if !sameMatches(want, got) {
 								t.Fatalf("q%d eps=%g: Search mismatch (%d vs %d)", qi, eps, len(want), len(got))
@@ -65,21 +62,22 @@ func TestFrozenShardParityAllPaths(t *testing.T) {
 							}
 						}
 						for _, k := range []int{1, 9, 64} {
-							if want, got := ref.SearchTopK(q, k), sh.SearchTopK(q, k); !sameMatches(want, got) {
+							if want, got := oracle.TopK(ext, q, k), sh.SearchTopK(q, k); !sameMatches(want, got) {
 								t.Fatalf("q%d k=%d: SearchTopK mismatch", qi, k)
 							}
 						}
 						if m.mode != series.NormPerSubsequence {
-							want, err := ref.SearchPrefix(q[:l/2], 0.3)
-							if err != nil {
-								t.Fatal(err)
-							}
+							indexed, tail := oracle.Prefix(ext, l, q[:l/2], 0.3)
 							got, err := sh.SearchPrefix(q[:l/2], 0.3)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !sameMatches(want, got) {
+							if !sameMatches(append(indexed, tail...), got) {
 								t.Fatalf("q%d: SearchPrefix mismatch", qi)
+							}
+							tree, err := sh.SearchPrefixTreeCtx(nil, q[:l/2], 0.3)
+							if err != nil || !sameMatches(indexed, tree) {
+								t.Fatalf("q%d: SearchPrefixTree: %d matches (%v), oracle %d", qi, len(tree), err, len(indexed))
 							}
 						}
 					}
@@ -115,13 +113,9 @@ func TestMeanPartitionInsertRouting(t *testing.T) {
 		t.Fatalf("after inserts: %d windows indexed, want %d", sh.Len(), count)
 	}
 	refExt := series.NewExtractor(grown, series.NormNone)
-	ref, err := core.Build(refExt, core.Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := refExt.ExtractCopy(920, l)
 	for _, eps := range []float64{0.1, 0.8} {
-		if want, got := ref.Search(q, eps), sh.Search(q, eps); !sameMatches(want, got) {
+		if want, got := oracle.Range(refExt, q, eps), sh.Search(q, eps); !sameMatches(want, got) {
 			t.Fatalf("eps=%g: post-insert search mismatch (%d vs %d)", eps, len(want), len(got))
 		}
 	}
@@ -208,12 +202,8 @@ func TestShardLoadV1BackCompat(t *testing.T) {
 	if got.NumShards() != 2 || got.PartitionByMean() {
 		t.Fatalf("v1 stream loaded as %d shards, mean=%v", got.NumShards(), got.PartitionByMean())
 	}
-	ref, err := core.Build(ext, core.Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := ext.ExtractCopy(300, l)
-	if want, have := ref.Search(q, 0.5), got.Search(q, 0.5); !sameMatches(want, have) {
+	if want, have := oracle.Range(ext, q, 0.5), got.Search(q, 0.5); !sameMatches(want, have) {
 		t.Fatal("v1-loaded index answers differently")
 	}
 }

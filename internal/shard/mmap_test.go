@@ -12,6 +12,7 @@ import (
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
 
@@ -152,12 +153,8 @@ func TestShardLoadV2BackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v2 stream rejected: %v", err)
 	}
-	ref, err := core.Build(ext, core.Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := ext.ExtractCopy(200, l)
-	if want, have := ref.Search(q, 0.5), got.Search(q, 0.5); !sameMatches(want, have) {
+	if want, have := oracle.Range(ext, q, 0.5), got.Search(q, 0.5); !sameMatches(want, have) {
 		t.Fatal("v2-loaded index answers differently")
 	}
 

@@ -354,6 +354,20 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 	return s, nil
 }
 
+// Single serves one frozen index as a one-shard Index — the form a
+// single-index stream (TSFZ, or a TSIX tree frozen on load) takes once
+// opened. f must cover every window of its series; an arena holding
+// only part of them (one segment lifted out of a sharded container)
+// would answer silently short, so it is refused.
+func Single(f *core.Frozen, ex *exec.Executor) (*Index, error) {
+	count := series.NumSubsequences(f.Extractor().Len(), f.L())
+	s := newLoaded(f.Extractor(), f.L(), []*core.Frozen{f}, shardHeader{starts: []int{0, count}}, ex)
+	if err := s.checkPartitionShape(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // newLoaded assembles a loaded Index from its parts.
 func newLoaded(ext *series.Extractor, l int, frozen []*core.Frozen, h shardHeader, ex *exec.Executor) *Index {
 	if ex == nil {

@@ -11,9 +11,11 @@
 // MBTS bounds, index-range children, one flat positions array) and the
 // pointer form is dropped. All queries traverse the arenas; Insert
 // thaws the owning shard back to pointer form and the next search
-// re-freezes it. Freezing changes only the memory layout, never the
-// answer set: every frozen traversal visits what its pointer
-// counterpart visits, in the same order.
+// re-freezes it — the one place in the repository that handshake
+// lives. An Index of ONE shard is how a single TS-Index is served: its
+// queries skip the executor and run the shard's whole-tree traversal
+// inline, with the answers, counters and saved bytes of a bare
+// core.Frozen.
 //
 // Two partitioning schemes are supported. The default splits positions
 // into contiguous ranges, whose per-shard results concatenate in shard
@@ -106,8 +108,8 @@ type Index struct {
 
 // Build partitions the position space, constructs every shard on the
 // executor, and freezes each shard's tree into its flat arena. With
-// Shards resolving to 1 the result is a single frozen index behind the
-// fan-out API — bit-identical answers either way.
+// Shards resolving to 1 the result is core.Build's tree, frozen, behind
+// the fan-out API — bit-identical answers either way.
 func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 	if cfg.L <= 0 {
 		return nil, fmt.Errorf("shard: invalid subsequence length %d", cfg.L)
@@ -332,7 +334,7 @@ func (s *Index) unitFrontiers() [][]core.FrozenSubtree {
 }
 
 // Search returns all twin subsequences of q at threshold eps, in start
-// order — identical to core.Index.Search over an unsharded index.
+// order — identical to core.Frozen.Search over an unsharded index.
 func (s *Index) Search(q []float64, eps float64) []series.Match {
 	ms, _ := s.SearchStats(q, eps)
 	return ms
@@ -463,7 +465,7 @@ func mergeByStart(per [][]series.Match, total int) []series.Match {
 
 // SearchTopK returns the k nearest subsequences under Chebyshev
 // distance in ascending (distance, start) order — identical to
-// core.Index.SearchTopK. Every unit's traversal shares one pruning
+// core.Frozen.SearchTopK. Every unit's traversal shares one pruning
 // bound (the best k-th distance any unit has admitted so far), and the
 // per-unit lists are combined by a k-way merge.
 func (s *Index) SearchTopK(q []float64, k int) []series.Match {
@@ -538,7 +540,7 @@ func (h *startHeap) Pop() interface{} {
 }
 
 // SearchPrefix answers a query shorter than the indexed length (see
-// core.Index.SearchPrefix): the truncated-bounds traversal fans across
+// core.Frozen.SearchPrefix): the truncated-bounds traversal fans across
 // (shard, subtree) units and the tail windows that exist only at the
 // shorter length are scanned once, here.
 func (s *Index) SearchPrefix(q []float64, eps float64) ([]series.Match, error) {

@@ -9,6 +9,7 @@ import (
 
 	"twinsearch/internal/core"
 	"twinsearch/internal/exec"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
 
@@ -45,18 +46,14 @@ func equalMatches(a, b []series.Match) bool {
 }
 
 // TestParityWithSingleIndex asserts that, for every normalization mode,
-// build style, and shard count, the sharded index answers Search,
-// SearchStats, and SearchTopK identically to one core.Index over the
-// whole series.
+// build style, and shard count — one shard, the single index, included
+// — the sharded index answers Search, SearchStats, and SearchTopK as
+// the oracle does over the whole series.
 func TestParityWithSingleIndex(t *testing.T) {
 	const l = 32
 	data := synthetic(2000, 1)
 	for _, mode := range allModes {
 		ext := series.NewExtractor(data, mode)
-		single, err := core.Build(ext, core.Config{L: l})
-		if err != nil {
-			t.Fatal(err)
-		}
 		queries := [][]float64{
 			ext.ExtractCopy(137, l),
 			ext.ExtractCopy(900, l),
@@ -76,7 +73,7 @@ func TestParityWithSingleIndex(t *testing.T) {
 				}
 				for qi, q := range queries {
 					for _, eps := range []float64{0, 0.05, 0.3, 1.5} {
-						want, _ := single.SearchStats(q, eps)
+						want := oracle.Range(ext, q, eps)
 						got, st := sh.SearchStats(q, eps)
 						if !equalMatches(got, want) {
 							t.Fatalf("mode=%v shards=%d bulk=%v q=%d eps=%g: got %v want %v",
@@ -87,7 +84,7 @@ func TestParityWithSingleIndex(t *testing.T) {
 						}
 					}
 					for _, k := range []int{1, 5, 40} {
-						want := single.SearchTopK(q, k)
+						want := oracle.TopK(ext, q, k)
 						got := sh.SearchTopK(q, k)
 						if !equalMatches(got, want) {
 							t.Fatalf("mode=%v shards=%d bulk=%v q=%d k=%d: topk got %v want %v",
@@ -107,20 +104,13 @@ func TestPrefixParity(t *testing.T) {
 	data := synthetic(1200, 3)
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal} {
 		ext := series.NewExtractor(data, mode)
-		single, err := core.Build(ext, core.Config{L: l})
-		if err != nil {
-			t.Fatal(err)
-		}
 		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pl := range []int{8, 20, l} {
 			q := ext.ExtractCopy(len(data)-pl, pl)
-			want, err := single.SearchPrefix(q, 0.2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracle.Range(ext, q, 0.2)
 			got, err := sh.SearchPrefix(q, 0.2)
 			if err != nil {
 				t.Fatal(err)
@@ -188,12 +178,8 @@ func TestInsertRouting(t *testing.T) {
 	if err := sh.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	single, err := core.Build(ext, core.Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := ext.ExtractCopy(ext.Len()-l, l)
-	want := single.Search(q, 0.25)
+	want := oracle.Range(ext, q, 0.25)
 	got := sh.Search(q, 0.25)
 	if !equalMatches(got, want) {
 		t.Fatalf("after append: got %v want %v", matchStarts(got), matchStarts(want))
@@ -295,10 +281,6 @@ func TestConcurrentBuildAndSearch(t *testing.T) {
 	const l = 32
 	data := synthetic(2500, 19)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	single, err := core.Build(ext, core.Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	type res struct {
 		sh  *Index
@@ -338,7 +320,7 @@ func TestConcurrentBuildAndSearch(t *testing.T) {
 	}
 
 	q := ext.ExtractCopy(1000, l)
-	if !equalMatches(sh.Search(q, 0.3), single.Search(q, 0.3)) {
+	if !equalMatches(sh.Search(q, 0.3), oracle.Range(ext, q, 0.3)) {
 		t.Fatal("concurrently built shard index disagrees with single index")
 	}
 }
@@ -354,10 +336,6 @@ func TestSkewedBoundariesParity(t *testing.T) {
 	data := synthetic(2400, 23)
 	for _, mode := range allModes {
 		ext := series.NewExtractor(data, mode)
-		single, err := core.Build(ext, core.Config{L: l})
-		if err != nil {
-			t.Fatal(err)
-		}
 		count := series.NumSubsequences(len(data), l)
 		head := count / 10
 		bounds := []int{0, head / 3, 2 * head / 3, head, count}
@@ -378,7 +356,7 @@ func TestSkewedBoundariesParity(t *testing.T) {
 			}
 			for qi, q := range queries {
 				for _, eps := range []float64{0.05, 0.4} {
-					want, _ := single.SearchStats(q, eps)
+					want := oracle.Range(ext, q, eps)
 					got, st := sh.SearchStats(q, eps)
 					if !equalMatches(got, want) {
 						t.Fatalf("mode=%v workers=%d q=%d eps=%g: got %v want %v",
@@ -389,17 +367,14 @@ func TestSkewedBoundariesParity(t *testing.T) {
 					}
 				}
 				for _, k := range []int{1, 12, 60} {
-					want := single.SearchTopK(q, k)
+					want := oracle.TopK(ext, q, k)
 					got := sh.SearchTopK(q, k)
 					if !equalMatches(got, want) {
 						t.Fatalf("mode=%v workers=%d q=%d k=%d: topk differs", mode, workers, qi, k)
 					}
 				}
 				if mode != series.NormPerSubsequence {
-					want, err := single.SearchPrefix(q[:l/2], 0.3)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := oracle.Range(ext, q[:l/2], 0.3)
 					got, err := sh.SearchPrefix(q[:l/2], 0.3)
 					if err != nil {
 						t.Fatal(err)
@@ -468,23 +443,19 @@ func TestSkewedConcurrentSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := core.Build(ext, core.Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan error, 12)
 	for g := 0; g < 12; g++ {
 		go func(g int) {
 			q := ext.ExtractCopy((g*251)%(count-1), l)
 			switch g % 3 {
 			case 0:
-				want, _ := single.SearchStats(q, 0.3)
+				want := oracle.Range(ext, q, 0.3)
 				if got := sh.Search(q, 0.3); !equalMatches(got, want) {
 					done <- fmt.Errorf("goroutine %d: search differs", g)
 					return
 				}
 			case 1:
-				if got, want := sh.SearchTopK(q, 8), single.SearchTopK(q, 8); !equalMatches(got, want) {
+				if got, want := sh.SearchTopK(q, 8), oracle.TopK(ext, q, 8); !equalMatches(got, want) {
 					done <- fmt.Errorf("goroutine %d: topk differs", g)
 					return
 				}
@@ -495,7 +466,7 @@ func TestSkewedConcurrentSearch(t *testing.T) {
 					return
 				}
 				exact := map[int]bool{}
-				for _, m := range single.Search(q, 0.3) {
+				for _, m := range oracle.Range(ext, q, 0.3) {
 					exact[m.Start] = true
 				}
 				for _, m := range ms {

@@ -2,41 +2,26 @@ package sweepline
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
 
-// brute is an independent, unoptimized reference (no early abandoning,
-// no reordering) used to validate the sweepline itself.
-func brute(ext *series.Extractor, q []float64, eps float64) []int {
-	var out []int
-	buf := make([]float64, len(q))
-	for p := 0; p+len(q) <= ext.Len(); p++ {
-		w := ext.Extract(p, len(q), buf)
-		if series.Chebyshev(q, w) <= eps {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func TestSearchMatchesBrute(t *testing.T) {
+// TestSearchMatchesOracle validates the sweepline itself against the
+// independent, unoptimized reference (no early abandoning, no
+// reordering).
+func TestSearchMatchesOracle(t *testing.T) {
 	ts := datasets.Sine(3, 3000, 120, 2, 0.15)
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
 		ext := series.NewExtractor(ts, mode)
 		q := ext.TransformQuery(ts[500:580])
 		for _, eps := range []float64{0.05, 0.2, 0.5, 1.0} {
 			got, stats := New(ext).SearchStats(q, eps)
-			want := brute(ext, q, eps)
-			if len(got) != len(want) {
+			if want := oracle.Range(ext, q, eps); !slices.Equal(series.MatchStarts(got), series.MatchStarts(want)) {
 				t.Fatalf("mode=%v eps=%v: %d matches, want %d", mode, eps, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Start != want[i] {
-					t.Fatalf("mode=%v eps=%v: match %d at %d, want %d", mode, eps, i, got[i].Start, want[i])
-				}
 			}
 			if stats.Candidates != series.NumSubsequences(ext.Len(), len(q)) {
 				t.Fatalf("sweepline must verify every window, got %d", stats.Candidates)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"twinsearch/internal/core"
 	"twinsearch/internal/obs"
 )
 
@@ -188,17 +187,4 @@ func (e *Engine) validateQueryCtx(ctx context.Context, q []float64, eps float64)
 		vs.Set("error", err.Error())
 	}
 	return tq, err
-}
-
-// setStatsAttrs copies one traversal's counters onto a span. Nil-safe.
-func setStatsAttrs(sp *obs.Span, st core.Stats) {
-	if sp == nil {
-		return
-	}
-	sp.Set("nodes_visited", st.NodesVisited)
-	sp.Set("nodes_pruned", st.NodesPruned)
-	sp.Set("leaves_reached", st.LeavesReached)
-	sp.Set("candidates", st.Candidates)
-	sp.Set("abandons", st.Abandons)
-	sp.Set("results", st.Results)
 }

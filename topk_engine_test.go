@@ -7,6 +7,7 @@ package twinsearch
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"twinsearch/internal/datasets"
@@ -40,7 +41,7 @@ func TestSearchTopKCtxAllocs(t *testing.T) {
 // TestForcedTraceTopK asserts a traced top-k is no longer blind below
 // the engine: the traverse span carries the work unit's counters on a
 // single index, and per-shard counter children plus a merge span on a
-// sharded one.
+// sharded one; the root span carries the result count on both.
 func TestForcedTraceTopK(t *testing.T) {
 	ts := datasets.RandomWalk(9, 4000)
 	q := append([]float64(nil), ts[500:600]...)
@@ -92,35 +93,49 @@ func TestForcedTraceTopK(t *testing.T) {
 		if cand < 5 || abandons > cand-5 {
 			t.Fatalf("shards=%d: %d candidates, %d abandons for 5 results", shards, cand, abandons)
 		}
-		if shards == 0 && trav.Attrs["results"] != 5 {
-			t.Fatalf("traverse span results = %v, want 5", trav.Attrs["results"])
+		// The answer's size is the query's, not a traversal's: it sits on
+		// the root span whatever the shard count, and the single index
+		// records exactly validate → traverse beneath it.
+		if tr.Root.Attrs["results"] != 5 {
+			t.Fatalf("shards=%d: root span results = %v, want 5", shards, tr.Root.Attrs["results"])
+		}
+		if _, onTraverse := trav.Attrs["results"]; onTraverse {
+			t.Fatalf("shards=%d: traverse span carries results: %v", shards, trav.Attrs)
+		}
+		if shards == 0 && (len(tr.Root.Children) != 2 || tr.Root.Children[0].Name != "validate" || tr.Root.Children[1] != trav || len(trav.Children) != 0) {
+			t.Fatalf("single-index trace is not validate → traverse: %v", spans)
 		}
 	}
 }
 
-// TestInvalidQueryEveryBacking is the invalid-query table over the two
-// raw-query paths the serving tier exposes, on every TS-Index backing.
-// Top-k used to skip planQuery: a NaN or infinite query was traversed
-// by a local or sharded engine but refused by a cluster node, so the
-// backings disagreed. Now every row fails before any traversal, with
-// the text range search gives it.
+// TestInvalidQueryEveryBacking is the invalid-query table over every
+// raw-query path that takes a query of its own, on every TS-Index
+// backing. Top-k used to skip planQuery, the batch top-k checked only
+// the length, and SearchShorter never looked at the values: a NaN or
+// infinite query was traversed (NaN compares false against every limit,
+// so it over-matches) by some paths and backings and refused by others.
+// Now every cell fails before any traversal, with the text range search
+// gives it, and a batch fails per query.
 func TestInvalidQueryEveryBacking(t *testing.T) {
 	data := datasets.EEGN(61, 3000)
 	const l = 100
+	good := data[500 : 500+l]
 	with := func(i int, v float64) []float64 {
-		q := append([]float64(nil), data[500:500+l]...)
+		q := append([]float64(nil), good...)
 		q[i] = v
 		return q
 	}
 	rows := []struct {
-		name string
-		q    []float64
-		want string
+		name    string
+		q       []float64
+		want    string
+		shorter string // SearchShorter's text; "" where the query is a valid prefix
 	}{
-		{"short", data[500 : 500+l-1], "twinsearch: query length 99, engine built for L=100"},
-		{"NaN", with(40, math.NaN()), "twinsearch: non-finite query value NaN at position 40"},
-		{"+Inf", with(0, math.Inf(1)), "twinsearch: non-finite query value +Inf at position 0"},
-		{"-Inf", with(l-1, math.Inf(-1)), "twinsearch: non-finite query value -Inf at position 99"},
+		{"short", data[500 : 500+l-1], "twinsearch: query length 99, engine built for L=100", ""},
+		{"empty", nil, "twinsearch: query length 0, engine built for L=100", "twinsearch: empty query"},
+		{"NaN", with(40, math.NaN()), "twinsearch: non-finite query value NaN at position 40", "twinsearch: non-finite query value NaN at position 40"},
+		{"+Inf", with(0, math.Inf(1)), "twinsearch: non-finite query value +Inf at position 0", "twinsearch: non-finite query value +Inf at position 0"},
+		{"-Inf", with(l-1, math.Inf(-1)), "twinsearch: non-finite query value -Inf at position 99", "twinsearch: non-finite query value -Inf at position 99"},
 	}
 	for name, opt := range map[string]Options{
 		"unsharded": {L: l},
@@ -132,6 +147,14 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantRange, err := eng.Search(good, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTopK, err := eng.SearchTopK(good, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, row := range rows {
 			for pass := 0; pass < 2; pass++ { // the second pass meets whatever the first cached
 				if _, err := eng.Search(row.q, 0.3); err == nil || err.Error() != row.want {
@@ -139,6 +162,28 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 				}
 				if ms, err := eng.SearchTopK(row.q, 5); err == nil || err.Error() != row.want {
 					t.Errorf("%s: SearchTopK(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.want)
+				}
+				// A bad query fails alone: its neighbour in the batch is
+				// answered as if it had been asked by itself.
+				rs := eng.SearchBatch([][]float64{row.q, good}, 0.3, 0)
+				if rs[0].Err == nil || rs[0].Err.Error() != row.want || rs[0].Matches != nil {
+					t.Errorf("%s: SearchBatch(%s) = %d matches, error %v, want %q", name, row.name, len(rs[0].Matches), rs[0].Err, row.want)
+				}
+				if rs[1].Err != nil || !slices.Equal(rs[1].Matches, wantRange) {
+					t.Errorf("%s: SearchBatch beside %s: %d matches, error %v, want %d", name, row.name, len(rs[1].Matches), rs[1].Err, len(wantRange))
+				}
+				rs = eng.SearchTopKBatch([][]float64{good, row.q}, 5)
+				if rs[1].Err == nil || rs[1].Err.Error() != row.want || rs[1].Matches != nil {
+					t.Errorf("%s: SearchTopKBatch(%s) = %d matches, error %v, want %q", name, row.name, len(rs[1].Matches), rs[1].Err, row.want)
+				}
+				if rs[0].Err != nil || !slices.Equal(rs[0].Matches, wantTopK) {
+					t.Errorf("%s: SearchTopKBatch beside %s: %v, error %v, want %v", name, row.name, rs[0].Matches, rs[0].Err, wantTopK)
+				}
+				if row.shorter == "" {
+					continue
+				}
+				if ms, err := eng.SearchShorter(row.q, 0.3); err == nil || err.Error() != row.shorter {
+					t.Errorf("%s: SearchShorter(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.shorter)
 				}
 			}
 		}

@@ -126,9 +126,10 @@ type Options struct {
 	// Shards splits the TS-Index into that many window partitions, built
 	// concurrently and searched by parallel fan-out with a deterministic
 	// merge — answers are identical to the single index; construction
-	// and search scale with cores. 0 (or 1) keeps the unchanged
-	// single-index path; a negative value selects one shard per
-	// available CPU (GOMAXPROCS). MethodTSIndex only.
+	// and search scale with cores. 0 (or 1) is the single index: one
+	// partition holding every window, searched inline without fan-out
+	// and saved as a bare single-index stream. A negative value selects
+	// one shard per available CPU (GOMAXPROCS). MethodTSIndex only.
 	Shards int
 
 	// PartitionByMean makes sharded partitions own mean-sorted runs of
@@ -282,19 +283,12 @@ type Engine struct {
 	sweep *sweepline.Sweepline
 	kv    *kvindex.Index
 	isx   *isax.Index
-	// MethodTSIndex, Options.Shards resolving ≤ 1: fz is the frozen
-	// arena every search traverses; ts is the mutable pointer tree,
-	// resident only while Append needs it (it is dropped after the
-	// initial build and thawed back from fz on the first Append).
-	// Append marks fzDirty instead of re-freezing eagerly — appending
-	// value by value stays cheap — and the next search recompiles the
-	// arena once (fzMu serializes searches racing to do so, mirroring
-	// shard.Index.ensureFrozen).
-	fz      *core.Frozen
-	ts      *core.Index
-	fzDirty atomic.Bool
-	fzMu    sync.Mutex
-	sh      *shard.Index // MethodTSIndex, Options.Shards resolving > 1
+	// sh is the local TS-Index, whatever Options.Shards resolved to: a
+	// single index is a shard.Index of one shard. It owns the frozen
+	// arenas every search traverses and the thaw → insert → re-freeze
+	// handshake behind Append. nil for the other methods and for
+	// cluster engines.
+	sh *shard.Index
 
 	// cl serves queries when the engine was opened with
 	// Options.Topology: a distributed coordinator fanning out to shard
@@ -412,28 +406,13 @@ func (e *Engine) Close() error {
 	return firstErr
 }
 
-// tsFrozen returns the single-index arena, re-freezing it first if
-// Append left it stale. Hot path cost is one atomic load.
-func (e *Engine) tsFrozen() *core.Frozen {
-	if e.fzDirty.Load() {
-		e.fzMu.Lock()
-		if e.fzDirty.Load() {
-			e.fz = e.ts.Freeze()
-			e.fzDirty.Store(false)
-		}
-		e.fzMu.Unlock()
-	}
-	return e.fz
-}
-
 // resolveShards maps the Options.Shards knob to an effective shard
-// count: non-positive-is-auto is resolved here so the engine's routing
-// (ts vs sh) is fixed at Open time.
+// count: negative is one per CPU, 0 is the single index.
 func resolveShards(shards int) int {
 	if shards < 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return shards
+	return max(shards, 1)
 }
 
 // Open builds an engine over data according to opt. The slice is not
@@ -448,10 +427,8 @@ func Open(data []float64, opt Options) (*Engine, error) {
 	if len(data) < opt.L {
 		return nil, fmt.Errorf("twinsearch: series length %d shorter than L=%d", len(data), opt.L)
 	}
-	for i, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("twinsearch: non-finite value %v at position %d; clean or impute missing samples first", v, i)
-		}
+	if i := nonFinite(data); i >= 0 {
+		return nil, fmt.Errorf("twinsearch: non-finite value %v at position %d; clean or impute missing samples first", data[i], i)
 	}
 	if resolveShards(opt.Shards) > 1 && opt.Method != MethodTSIndex {
 		return nil, fmt.Errorf("twinsearch: Options.Shards requires MethodTSIndex, got %v", opt.Method)
@@ -490,25 +467,14 @@ func Open(data []float64, opt Options) (*Engine, error) {
 			L: opt.L, Segments: opt.Segments, LeafCapacity: opt.LeafCapacity,
 		})
 	case MethodTSIndex:
-		cfg := core.Config{L: opt.L, MinCap: opt.MinCap, MaxCap: opt.MaxCap}
-		if shards := resolveShards(opt.Shards); shards > 1 {
-			e.sh, err = shard.Build(e.ext, shard.Config{
-				Config: cfg, Shards: shards, BulkLoad: opt.BulkLoad,
-				PartitionByMean: opt.PartitionByMean, Executor: e.ex,
-			})
-		} else {
-			var ix *core.Index
-			if opt.BulkLoad {
-				ix, err = core.BuildBulk(e.ext, cfg)
-			} else {
-				ix, err = core.Build(e.ext, cfg)
-			}
-			if err == nil {
-				// Freeze the built tree into its flat arena and let the
-				// pointer form go; Append thaws it back on demand.
-				e.fz = ix.Freeze()
-			}
-		}
+		// One shard is built in position order whatever the partition
+		// scheme, so the single index is the same tree either way.
+		shards := resolveShards(opt.Shards)
+		e.sh, err = shard.Build(e.ext, shard.Config{
+			Config: core.Config{L: opt.L, MinCap: opt.MinCap, MaxCap: opt.MaxCap},
+			Shards: shards, BulkLoad: opt.BulkLoad,
+			PartitionByMean: opt.PartitionByMean && shards > 1, Executor: e.ex,
+		})
 	default:
 		err = fmt.Errorf("twinsearch: unknown method %v", opt.Method)
 	}
@@ -516,6 +482,19 @@ func Open(data []float64, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
+}
+
+// nonFinite returns the position of the first NaN or ±Inf in vs, or -1.
+// Every value entering the engine — series, appends, queries — passes
+// it: NaN compares false against every threshold, so a NaN window or
+// query would match everything instead of nothing.
+func nonFinite(vs []float64) int {
+	for i, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // OpenFile builds an engine over a series stored in the flat binary
@@ -600,17 +579,7 @@ func (e *Engine) searchStatsPreparedCtx(ctx context.Context, tq []float64, eps f
 	if e.cl != nil {
 		return e.cl.SearchStats(ctx, tq, eps)
 	}
-	if e.sh != nil {
-		return e.sh.SearchStatsCtx(ctx, tq, eps)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-	_, tsp := obs.StartSpan(ctx, "traverse")
-	ms, st := e.tsFrozen().SearchStats(tq, eps)
-	setStatsAttrs(tsp, st)
-	tsp.End()
-	return ms, st, nil
+	return e.sh.SearchStatsCtx(ctx, tq, eps)
 }
 
 // validateQuery runs the full raw-query validation and returns the
@@ -650,10 +619,8 @@ func (e *Engine) planQuery(q []float64) ([]float64, bool, error) {
 			return tq, true, nil
 		}
 	}
-	for i, v := range q {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, false, fmt.Errorf("twinsearch: non-finite query value %v at position %d", v, i)
-		}
+	if i := nonFinite(q); i >= 0 {
+		return nil, false, fmt.Errorf("twinsearch: non-finite query value %v at position %d", q[i], i)
 	}
 	// With no normalization the transform is the identity, so when no
 	// plan cache will retain tq past this call, serve q itself instead
@@ -679,22 +646,28 @@ func (e *Engine) planQuery(q []float64) ([]float64, bool, error) {
 // (including cancellations) are never cached.
 func (e *Engine) searchCached(ctx context.Context, path qcache.Path, q []float64, a, b float64, run func() (qcache.Result, error)) (qcache.Result, error) {
 	sp := obs.SpanFrom(ctx)
+	var key string
 	if e.res == nil {
 		sp.Set("result_cache", "off")
-		return run()
+	} else {
+		key = qcache.ResultKey(path, e.Epoch(), a, b, q)
+		if r, ok := e.res.Get(key); ok {
+			sp.Set("result_cache", "hit")
+			sp.Set("results", len(r.Matches))
+			return r, nil
+		}
+		sp.Set("result_cache", "miss")
 	}
-	epoch := e.Epoch()
-	key := qcache.ResultKey(path, epoch, a, b, q)
-	if r, ok := e.res.Get(key); ok {
-		sp.Set("result_cache", "hit")
-		return r, nil
-	}
-	sp.Set("result_cache", "miss")
 	r, err := run()
 	if err != nil {
 		return r, err
 	}
-	e.res.Put(key, r)
+	// The answer's size goes on the query's own span: the traversal
+	// spans below it carry work counters, which stay zero on a hit.
+	sp.Set("results", len(r.Matches))
+	if e.res != nil {
+		e.res.Put(key, r)
+	}
 	return r, nil
 }
 
@@ -775,8 +748,8 @@ func (e *Engine) SearchPreparedCtx(ctx context.Context, q []float64, eps float64
 }
 
 // searchPreparedCtx dispatches a validated, transformed query. Only the
-// fanned-out paths (sharded and cluster engines) observe ctx mid-query;
-// the single-structure methods check it once up front.
+// TS-Index backings (local and cluster) observe ctx mid-query; the
+// baseline methods check it once up front.
 func (e *Engine) searchPreparedCtx(ctx context.Context, q []float64, eps float64) ([]Match, error) {
 	if e.cl != nil {
 		return e.cl.Search(ctx, q, eps)
@@ -792,21 +765,8 @@ func (e *Engine) searchPreparedCtx(ctx context.Context, q []float64, eps float64
 		return e.sweep.Search(q, eps), nil
 	case MethodKVIndex:
 		return e.kv.Search(q, eps), nil
-	case MethodISAX:
-		return e.isx.Search(q, eps), nil
 	default:
-		// Traced queries run the counter-reporting traversal so the
-		// span carries the same attrs the stats path records; the match
-		// set is identical either way, and the untraced fast path stays
-		// allocation-free.
-		if obs.SpanFrom(ctx) != nil {
-			_, tsp := obs.StartSpan(ctx, "traverse")
-			ms, st := e.tsFrozen().SearchStats(q, eps)
-			setStatsAttrs(tsp, st)
-			tsp.End()
-			return ms, nil
-		}
-		return e.tsFrozen().Search(q, eps), nil
+		return e.isx.Search(q, eps), nil
 	}
 }
 
@@ -851,19 +811,7 @@ func (e *Engine) searchTopKPreparedCtx(ctx context.Context, tq []float64, k int)
 	if e.cl != nil {
 		return e.cl.SearchTopK(ctx, tq, k)
 	}
-	if e.sh != nil {
-		return e.sh.SearchTopKCtx(ctx, tq, k, math.Inf(1))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	_, tsp := obs.StartSpan(ctx, "traverse")
-	fz := e.tsFrozen()
-	ms, st := fz.SearchTopKSharedFrom(fz.Root(), tq, k, nil)
-	st.Results = len(ms)
-	setStatsAttrs(tsp, st)
-	tsp.End()
-	return ms, nil
+	return e.sh.SearchTopKCtx(ctx, tq, k, math.Inf(1))
 }
 
 // Subsequence returns a copy of the indexed (normalized) window at
@@ -882,9 +830,9 @@ func (e *Engine) Method() Method { return e.opt.Method }
 // Norm returns the engine's normalization mode.
 func (e *Engine) Norm() NormMode { return e.opt.Norm }
 
-// Shards returns the number of index partitions the engine searches in
-// parallel: 1 for every unsharded engine (including non-TS-Index
-// methods), the effective shard count otherwise.
+// Shards returns the number of index partitions the engine searches:
+// the effective shard count of a TS-Index engine (1 for the single
+// index), and 1 for the other methods.
 func (e *Engine) Shards() int {
 	if e.cl != nil {
 		return e.cl.TotalShards()
@@ -936,14 +884,7 @@ func (e *Engine) HeapBytes() int {
 		if e.cl != nil {
 			return e.cl.MemoryBytes() // local topology entries only
 		}
-		if e.sh != nil {
-			return e.sh.MemoryBytes()
-		}
-		total := e.tsFrozen().MemoryBytes()
-		if e.ts != nil {
-			total += e.ts.MemoryBytes() // pointer tree resident for appends
-		}
-		return total
+		return e.sh.MemoryBytes()
 	default:
 		return 0
 	}
@@ -962,14 +903,12 @@ func (e *Engine) MappedBytes() int {
 	if e.cl != nil {
 		return e.cl.MappedBytes() // local topology entries only
 	}
-	if e.sh != nil {
-		return e.sh.MappedBytes()
-	}
-	return e.tsFrozen().MappedBytes()
+	return e.sh.MappedBytes()
 }
 
 // PartitionByMean reports whether the engine's shards own mean-sorted
-// position runs (see Options.PartitionByMean); always false unsharded.
+// position runs (see Options.PartitionByMean); always false for the
+// single index and the other methods.
 func (e *Engine) PartitionByMean() bool {
 	if e.cl != nil {
 		return e.cl.PartitionByMean()
