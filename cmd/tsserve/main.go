@@ -58,7 +58,7 @@ func main() {
 		brkFails    = flag.Int("breaker-fails", 0, "consecutive failures that trip a node's circuit breaker, demoting it in the replica attempt order until a health probe recovers it (0 = 3 default)")
 		healthEvery = flag.Duration("health-interval", 0, "coordinator background health-sweep period feeding /healthz's cached membership view (0 = 2s default, negative = off)")
 		planCache   = flag.Int("plan-cache", -1, "prepared-query plan cache entries: repeated query bytes skip validation and normalization (-1 = default size, 0 = off)")
-		resultCache = flag.Int("result-cache-bytes", -1, "result cache byte budget: whole answers keyed by (query, params, path, epoch), invalidated by Append via the epoch (-1 = default 32MiB, 0 = off)")
+		resultCache = flag.Int("result-cache-bytes", -1, "result cache byte budget: whole answers keyed by (query, params, path); after an Append /search and /topk entries are extended over the windows gained, the rest invalidated via the epoch (-1 = default 32MiB, 0 = off)")
 		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently executing queries; past it requests queue up to -max-queue, then shed with 429 + Retry-After (0 = unlimited)")
 		maxQueue    = flag.Int("max-queue", 64, "admission control: requests allowed to wait for an in-flight slot before shedding (needs -max-inflight)")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint written on shed (429) responses")

@@ -268,7 +268,8 @@ func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64)
 		return nil, fmt.Errorf("twinsearch: non-finite query value %v at position %d", q[i], i)
 	}
 	ctx, qo := e.beginQuery(ctx, qpPrefix)
-	r, err := e.searchCached(ctx, qcache.PathPrefix, q, eps, 0, func() (qcache.Result, error) {
+	key := e.resultKey(qcache.PathPrefix, eps, 0, q)
+	r, err := e.searchCached(ctx, qcache.PathPrefix, key, nil, eps, func() (qcache.Result, error) {
 		ms, err := e.searchShorterPreparedCtx(ctx, e.ext.TransformQuery(q), eps)
 		return qcache.Result{Matches: ms}, err
 	})
@@ -315,12 +316,13 @@ func (e *Engine) SearchApproxCtx(ctx context.Context, q []float64, eps float64, 
 		return nil, fmt.Errorf("twinsearch: leaf budget %d; SearchApprox needs a positive number of leaf probes", leafBudget)
 	}
 	ctx, qo := e.beginQuery(ctx, qpApprox)
-	tq, err := e.validateQueryCtx(ctx, q, eps)
+	key := e.resultKey(qcache.PathApprox, eps, float64(leafBudget), q)
+	tq, err := e.validateQueryCtx(ctx, q, eps, key)
 	if err != nil {
 		e.endQuery(qo, err)
 		return nil, err
 	}
-	r, err := e.searchCached(ctx, qcache.PathApprox, q, eps, float64(leafBudget), func() (qcache.Result, error) {
+	r, err := e.searchCached(ctx, qcache.PathApprox, key, tq, eps, func() (qcache.Result, error) {
 		ms, err := e.searchApproxPreparedCtx(ctx, tq, eps, leafBudget)
 		return qcache.Result{Matches: ms}, err
 	})
@@ -357,9 +359,16 @@ func (e *Engine) searchApproxPreparedCtx(ctx context.Context, tq []float64, eps 
 // shard's mutable pointer tree (shard.Index.Insert thaws it from the
 // arena on the first Append and keeps it resident — a streaming engine
 // holds both forms). The arena is not recompiled here: Append only
-// marks it stale, and the next search re-freezes once, so appending
-// value by value costs the insertions alone however the appends are
-// batched.
+// marks it stale, and the next search that traverses re-freezes once,
+// so appending value by value costs the insertions alone however the
+// appends are batched.
+//
+// Windows already indexed are untouched — the normalization basis is
+// frozen, or per window — which is what lets the result cache keep its
+// Search and SearchTopK entries across an Append and verify only the
+// windows gained (see searchCached); a search served that way does not
+// traverse, so it does not pay the re-freeze either. Everything else
+// cached is invalidated by the epoch bump.
 func (e *Engine) Append(values ...float64) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -383,9 +392,10 @@ func (e *Engine) Append(values ...float64) error {
 		e.sh.Insert(p)
 	}
 	// The index content changed: bump the epoch before returning so no
-	// consumer that observed the Append can build a result-cache key an
-	// older answer satisfies (the server's /append handler relies on the
-	// bump landing before its response is written).
+	// consumer that observed the Append can build an epoch-bearing
+	// result-cache key an older answer satisfies (the server's /append
+	// handler relies on the bump landing before its response is
+	// written). The entries keyed without it see the new window count.
 	e.epoch.Add(1)
 	return nil
 }

@@ -182,3 +182,47 @@ func FuzzFrozenTraversal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzExtendAnswer checks the tail scans as the result cache uses them:
+// the answer over a series' first windows, extended over the windows an
+// append gained, is the oracle's answer over all of them —
+// extend(answer(N0), N0→N1) ≡ answer(N1) — for range and top-k, every
+// normalization, any split, ε down to 0 and k on either side of both
+// window counts.
+func FuzzExtendAnswer(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0), uint8(40), uint8(3), uint8(2))
+	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1, 0, 0, 0, 0, 0, 0}, uint8(1), uint8(0), uint8(1), uint8(0))
+	f.Add(bytes.Repeat([]byte{7, 250}, 40), uint8(2), uint8(90), uint8(60), uint8(33))
+	f.Add(bytes.Repeat([]byte{128}, 30), uint8(1), uint8(0), uint8(200), uint8(11))
+
+	f.Fuzz(func(t *testing.T, raw []byte, modeByte, epsByte, kByte, splitByte uint8) {
+		const l = 6
+		if len(raw) < l+1 {
+			return
+		}
+		// The walk repeats values (a zero step is byte 128 → +0.0078,
+		// so quantise), which is what makes distance ties and ε = 0
+		// matches reachable.
+		ts := make([]float64, len(raw))
+		v := 0.0
+		for i, b := range raw {
+			v += float64(int(b)/16 - 8)
+			ts[i] = v
+		}
+		mode := series.NormMode(modeByte % 3)
+		total := series.NumSubsequences(len(ts), l)
+		n0 := 1 + int(splitByte)%(total-1) // 1 ≤ n0 < total: something cached, something gained
+		ext := series.NewExtractor(slices.Clone(ts[:n0+l-1]), mode)
+		q := ext.ExtractCopy(int(kByte)%n0, l)
+		eps, k := float64(epsByte)/100, int(kByte)
+
+		range0, top0 := oracle.Range(ext, q, eps), oracle.TopK(ext, q, k)
+		ext.Append(ts[n0+l-1:]...)
+		if got, want := ScanTail(ext, q, eps, n0, total, slices.Clone(range0)), oracle.Range(ext, q, eps); !slices.Equal(got, want) {
+			t.Fatalf("ScanTail %d→%d: %v, oracle %v (from %v)", n0, total, got, want, range0)
+		}
+		if got, want := ScanTailTopK(ext, q, k, n0, total, top0), oracle.TopK(ext, q, k); !slices.Equal(got, want) {
+			t.Fatalf("ScanTailTopK k=%d %d→%d: %v, oracle %v (from %v)", k, n0, total, got, want, top0)
+		}
+	})
+}

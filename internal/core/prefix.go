@@ -2,24 +2,63 @@ package core
 
 import "twinsearch/internal/series"
 
+// The tail scans answer a query over a run of consecutive window starts
+// without a tree, by the same verification a traversal's leaves run —
+// the filter–verification split (paper §3.2) makes verification exact
+// on any window set. They take the answer so far and a start range, so
+// any caller holding an answer for [0, from) and windows no tree of its
+// own covers can use them: a prefix query's windows that exist only at
+// the shorter length, and a cached answer a few appends behind the
+// index.
+
+// ScanTail verifies the windows starting in [from, to) against q at
+// eps, appending matches to out in ascending start order — a range
+// answer for [0, from) in, the range answer for [0, to) out.
+func ScanTail(ext *series.Extractor, q []float64, eps float64, from, to int, out []series.Match) []series.Match {
+	if from >= to {
+		return out
+	}
+	ver := series.MakeVerifier(ext, q, eps)
+	for p := from; p < to; p++ {
+		if ver.Verify(p) {
+			out = append(out, series.Match{Start: p, Dist: -1})
+		}
+	}
+	return out
+}
+
+// ScanTailTopK turns best, the top-k answer over the windows starting
+// in [0, from), into the one over [0, to): the list seeds the
+// accumulator every traversal fills and each gained window is offered
+// to it through the dispatched kernel, so distances, the (dist, start)
+// order, ties at the k-th place and a list shorter than k come out as
+// a traversal of all the windows reports them. best is not modified.
+func ScanTailTopK(ext *series.Extractor, q []float64, k, from, to int, best []series.Match) []series.Match {
+	if k <= 0 {
+		return nil
+	}
+	if from >= to {
+		return best
+	}
+	t := newTopK(k, nil)
+	// A (dist, start)-ascending list read backwards is already a heap
+	// with the worst on top: every parent follows its children.
+	for i := len(best) - 1; i >= 0; i-- {
+		t.best = append(t.best, worstFirst(best[i]))
+	}
+	buf := make([]float64, len(q))
+	for p := from; p < to; p++ {
+		t.offer(p, ext.Extract(p, len(q), buf), q)
+	}
+	return t.sorted()
+}
+
 // ScanPrefixTail verifies the windows that exist only at the shorter
 // query length — starts in (n−L, n−len(q)], empty when len(q) == L —
 // appending matches to out in ascending start order. Shared by
 // Frozen.SearchPrefix and the sharded fan-out (which must run it once,
 // not once per shard).
 func ScanPrefixTail(ext *series.Extractor, indexedL int, q []float64, eps float64, out []series.Match) []series.Match {
-	if len(q) >= indexedL {
-		return out
-	}
-	ver := series.NewVerifier(ext, q, eps)
 	n := ext.Len()
-	for p := n - indexedL + 1; p <= n-len(q); p++ {
-		if p < 0 {
-			continue
-		}
-		if ver.Verify(p) {
-			out = append(out, series.Match{Start: p, Dist: -1})
-		}
-	}
-	return out
+	return ScanTail(ext, q, eps, max(n-indexedL+1, 0), n-len(q)+1, out)
 }

@@ -1,10 +1,10 @@
 // Package qcache holds the serving-tier caches: a plan cache of
-// validated, transformed queries and an epoch-keyed result cache of
-// whole answers. Production traffic against a twin-subsequence index
+// validated, transformed queries and a versioned result cache of whole
+// answers. Production traffic against a twin-subsequence index
 // is highly repetitive — the same query bytes, eps, and k arrive over
 // and over — so the engine caches the rewritten form of a query (skip
 // validation + normalization on repeat) and the full result set (skip
-// the traversal entirely) until the index changes.
+// the traversal entirely) for as long as the answer still holds.
 //
 // Both caches are striped LRU maps: a key is routed to one of a fixed
 // number of stripes by an FNV-1a hash, so the hot path takes one
@@ -13,12 +13,22 @@
 // bytes (plus parameters), compared by Go's string equality — a hash
 // collision can cost a miss, never a wrong answer.
 //
-// Invalidation is structural, not scan-based: result keys embed the
-// engine's index epoch, a counter bumped on every mutation. An Append
-// bumps the epoch, every subsequent lookup builds a key no stored
-// entry can match, and the stale entries age out of the LRU under the
-// byte budget. Nothing is ever walked or purged inline on the hot
-// path.
+// Invalidation is structural, not scan-based, and an entry carries its
+// index version in one of two places. The index is append-only: windows
+// already indexed never change, so an answer that is a pure function of
+// (query, parameters, window set) — a local TS-Index engine's range
+// search and top-k — stays true of the windows it covered. Those
+// entries record that window count (Result.Windows; on an append-only
+// index it is the version) and keep one key across appends: a lookup
+// that finds an entry a few windows behind gets it back (GetCovering)
+// and the engine verifies only the windows gained, then Puts the longer
+// answer over the old one. Every other answer — traversal counters,
+// which describe one tree shape; prefix and approximate searches;
+// cluster engines, whose version is a per-node composite — embeds the
+// engine's index epoch in its key, a counter bumped on every mutation:
+// after an Append every lookup builds a key no stored entry can match,
+// and the stale entries age out of the LRU under the byte budget.
+// Either way nothing is ever walked or purged inline on the hot path.
 package qcache
 
 import (
@@ -51,10 +61,13 @@ func stripeOf(key string) int {
 
 // Stats is a point-in-time snapshot of one cache's counters. Hits,
 // misses, and evictions are cumulative since construction; Entries and
-// Bytes are current occupancy.
+// Bytes are current occupancy. Extended counts the hits that returned
+// an entry behind the index (result cache only; see GetCovering) — a
+// share of Hits, not a third outcome.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
+	Extended  uint64
 	Evictions uint64
 	Entries   int
 	Bytes     int
@@ -74,6 +87,15 @@ func QueryKey(q []float64) string {
 	return string(b)
 }
 
+// resultKeyHeader is the length of a ResultKey's fixed part: path tag,
+// epoch, two parameter slots.
+const resultKeyHeader = 1 + 8 + 8 + 8
+
+// QueryKeyOf returns the QueryKey(q) a ResultKey(…, q) ends with — the
+// same bytes, shared, so a request that needs both keys encodes its
+// query once.
+func QueryKeyOf(resultKey string) string { return resultKey[resultKeyHeader:] }
+
 // Path tags the search path a cached result answers — part of the
 // result key, so a range search and a top-k over the same query bytes
 // can never alias.
@@ -90,17 +112,18 @@ const (
 
 // ResultKey builds the result-cache key for one request: path tag,
 // index epoch, two parameter slots (eps / float64(k) / leaf budget;
-// unused slots are 0), then the raw query bytes. The epoch lives in
-// the key so invalidation is a key mismatch — after a mutation no
-// lookup can reach a pre-mutation entry.
+// unused slots are 0), then the raw query bytes. With the epoch in the
+// key invalidation is a key mismatch — after a mutation no lookup can
+// reach a pre-mutation entry. An answer that carries its version in
+// Result.Windows instead is keyed with epoch 0 throughout.
 func ResultKey(path Path, epoch uint64, a, b float64, q []float64) string {
-	buf := make([]byte, 1+8+8+8+8*len(q))
+	buf := make([]byte, resultKeyHeader+8*len(q))
 	buf[0] = byte(path)
 	binary.LittleEndian.PutUint64(buf[1:], epoch)
 	binary.LittleEndian.PutUint64(buf[9:], math.Float64bits(a))
 	binary.LittleEndian.PutUint64(buf[17:], math.Float64bits(b))
 	for i, v := range q {
-		binary.LittleEndian.PutUint64(buf[25+i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(buf[resultKeyHeader+i*8:], math.Float64bits(v))
 	}
 	return string(buf)
 }
@@ -205,10 +228,16 @@ func (c *PlanCache) Stats() Stats {
 // Result is one cached answer: the match set and, for the stats-
 // reporting paths, the traversal counters that came with it (counters
 // are part of the answer, so a cache hit reproduces them exactly).
+//
+// Windows is the version of an answer whose key carries none: the
+// number of windows, from start 0, the index held when the answer was
+// computed — on an append-only index the answer is exact for precisely
+// those. Epoch-keyed answers leave it 0.
 type Result struct {
 	Matches  []series.Match
 	Stats    core.Stats
 	HasStats bool
+	Windows  int
 }
 
 // matchBytes is the accounting cost of one Match (two words) and
@@ -224,13 +253,25 @@ func entryBytes(key string, r Result) int {
 	return len(key) + len(r.Matches)*matchBytes + resultOverhead
 }
 
+// snapshot copies r so neither side of the cache boundary can mutate
+// the other's matches; nil-ness is preserved (an empty answer
+// round-trips as nil, exactly as a fresh traversal reports it).
+func (r Result) snapshot() Result {
+	if r.Matches != nil {
+		ms := make([]series.Match, len(r.Matches))
+		copy(ms, r.Matches)
+		r.Matches = ms
+	}
+	return r
+}
+
 // ResultCache is the striped, byte-bounded LRU of full answers, keyed
 // by ResultKey (path, epoch, params, query bytes).
 type ResultCache struct {
 	perBytes int // byte budget per stripe
 	stripes  [stripeCount]resultStripe
 
-	hits, misses, evictions atomic.Uint64
+	hits, misses, extended, evictions atomic.Uint64
 }
 
 type resultStripe struct {
@@ -259,64 +300,81 @@ func NewResult(maxBytes int) *ResultCache {
 	return c
 }
 
-// Get returns a copy of the cached answer for key, if present. The
-// match slice is copied so no caller can mutate the stored entry;
-// nil-ness is preserved (an empty answer round-trips as nil, exactly
-// as a fresh traversal reports it).
+// Get returns a copy of the cached answer for key, if present — the
+// lookup for epoch-keyed entries, whose key is their whole version.
 func (c *ResultCache) Get(key string) (Result, bool) {
+	return c.GetCovering(key, 0, 0)
+}
+
+// GetCovering is Get for an entry versioned by Result.Windows, looked
+// up by an index that now holds `windows`: a hit when the entry is at
+// most maxBehind windows short, which the caller makes up by scanning
+// the windows gained and Putting the longer answer back (counted in
+// Stats.Extended). An entry further behind is a miss — recomputing is
+// the cheaper way to catch up — and stays until that fresh answer
+// replaces it.
+func (c *ResultCache) GetCovering(key string, windows, maxBehind int) (Result, bool) {
 	s := &c.stripes[stripeOf(key)]
 	s.mu.Lock()
+	var val Result
 	el, ok := s.m[key]
+	if ok {
+		val = el.Value.(*resultEntry).val
+		ok = windows-val.Windows <= maxBehind
+	}
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		return Result{}, false
 	}
 	s.ll.MoveToFront(el)
-	val := el.Value.(*resultEntry).val
 	s.mu.Unlock()
 	c.hits.Add(1)
-	out := Result{Stats: val.Stats, HasStats: val.HasStats}
-	if val.Matches != nil {
-		out.Matches = make([]series.Match, len(val.Matches))
-		copy(out.Matches, val.Matches)
+	if val.Windows < windows {
+		c.extended.Add(1)
 	}
-	return out, true
+	return val.snapshot(), true
 }
 
 // Put stores an answer under key, evicting least recently used entries
 // past the stripe's byte budget. An answer larger than the whole
 // stripe budget is not stored (it would evict everything and then be
 // evicted itself on the next Put).
+//
+// An incumbent under the same key yields only to an answer covering
+// more windows. Racing fills at one version store the same answer, and
+// epoch-keyed answers (Windows 0 on both sides) are racing fills by
+// construction, so the incumbent stays; a longer answer replaces it
+// in place, and one that has outgrown the budget takes the incumbent
+// out with it — left behind, it would be re-extended and dropped again
+// by every later lookup.
 func (c *ResultCache) Put(key string, r Result) {
 	cost := entryBytes(key, r)
-	if cost > c.perBytes {
-		return
-	}
-	// Snapshot the matches: the caller keeps ownership of its slice.
-	stored := Result{Stats: r.Stats, HasStats: r.HasStats}
-	if r.Matches != nil {
-		stored.Matches = make([]series.Match, len(r.Matches))
-		copy(stored.Matches, r.Matches)
+	fits := cost <= c.perBytes
+	if fits {
+		r = r.snapshot() // the caller keeps ownership of its slice
 	}
 	s := &c.stripes[stripeOf(key)]
 	s.mu.Lock()
-	if el, ok := s.m[key]; ok {
-		// Racing fills under one key store answers for the same
-		// (query, params, epoch) — keep the incumbent.
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		return
-	}
-	s.m[key] = s.ll.PushFront(&resultEntry{key: key, val: stored})
-	s.bytes += cost
 	var evicted uint64
+	el, ok := s.m[key]
+	switch {
+	case ok && r.Windows <= el.Value.(*resultEntry).val.Windows:
+		s.ll.MoveToFront(el)
+	case ok && fits:
+		e := el.Value.(*resultEntry)
+		s.bytes += cost - entryBytes(key, e.val)
+		e.val = r
+		s.ll.MoveToFront(el)
+	case ok:
+		s.remove(el)
+		evicted++
+	case fits:
+		s.m[key] = s.ll.PushFront(&resultEntry{key: key, val: r})
+		s.bytes += cost
+	}
 	for s.bytes > c.perBytes {
-		old := s.ll.Back()
-		s.ll.Remove(old)
-		e := old.Value.(*resultEntry)
-		delete(s.m, e.key)
-		s.bytes -= entryBytes(e.key, e.val)
+		s.remove(s.ll.Back())
 		evicted++
 	}
 	s.mu.Unlock()
@@ -325,11 +383,19 @@ func (c *ResultCache) Put(key string, r Result) {
 	}
 }
 
+// remove drops one entry from the stripe and its byte count.
+func (s *resultStripe) remove(el *list.Element) {
+	e := s.ll.Remove(el).(*resultEntry)
+	delete(s.m, e.key)
+	s.bytes -= entryBytes(e.key, e.val)
+}
+
 // Stats snapshots the cache counters and occupancy.
 func (c *ResultCache) Stats() Stats {
 	st := Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
+		Extended:  c.extended.Load(),
 		Evictions: c.evictions.Load(),
 	}
 	for i := range c.stripes {

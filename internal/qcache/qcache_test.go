@@ -43,6 +43,13 @@ func TestResultKeyNamespaces(t *testing.T) {
 	}
 }
 
+func TestQueryKeyOfIsTheResultKeyTail(t *testing.T) {
+	q := []float64{1, math.Copysign(0, -1), 3}
+	if got := QueryKeyOf(ResultKey(PathTopK, 7, 5, 0, q)); got != QueryKey(q) {
+		t.Fatalf("QueryKeyOf(ResultKey(…, q)) = %q, QueryKey(q) = %q", got, QueryKey(q))
+	}
+}
+
 func TestPlanCacheLRU(t *testing.T) {
 	c := NewPlan(stripeCount) // one entry per stripe
 	// Find two keys landing on the same stripe so the second insert
@@ -130,6 +137,131 @@ func TestResultCacheOversizedEntryRejected(t *testing.T) {
 	}
 	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
 		t.Fatalf("rejected entry left residue: %+v", st)
+	}
+}
+
+// liveBytes recomputes what Stats.Bytes claims to be: the sum of
+// entryBytes over the entries the stripes hold.
+func liveBytes(c *ResultCache) (bytes, entries int) {
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		for el := s.ll.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*resultEntry)
+			bytes += entryBytes(e.key, e.val)
+			entries++
+		}
+		if s.ll.Len() != len(s.m) {
+			panic("stripe list and map disagree")
+		}
+	}
+	return bytes, entries
+}
+
+func checkBytes(t *testing.T, c *ResultCache, step string) {
+	t.Helper()
+	st := c.Stats()
+	bytes, entries := liveBytes(c)
+	if st.Bytes != bytes || st.Entries != entries || st.Bytes < 0 {
+		t.Fatalf("%s: Stats says %d bytes in %d entries, the stripes hold %d in %d", step, st.Bytes, st.Entries, bytes, entries)
+	}
+}
+
+// TestResultCacheVersionedEntries walks one key through the life of a
+// version-in-entry answer: found current, found behind and extended,
+// found too far behind, replaced only by an answer covering more
+// windows, and dropped once the extended answer outgrows the budget.
+func TestResultCacheVersionedEntries(t *testing.T) {
+	k := ResultKey(PathSearch, 0, 0.5, 0, []float64{1, 2})
+	matches := func(n int) []series.Match {
+		ms := make([]series.Match, n)
+		for i := range ms {
+			ms[i] = series.Match{Start: i, Dist: -1}
+		}
+		return ms
+	}
+	budget := entryBytes(k, Result{Matches: matches(8)})
+	c := NewResult(budget * stripeCount)
+
+	c.Put(k, Result{Matches: matches(2), Windows: 100})
+	checkBytes(t, c, "first put")
+	if r, ok := c.GetCovering(k, 100, 10); !ok || r.Windows != 100 || len(r.Matches) != 2 {
+		t.Fatalf("current entry: %+v %v", r, ok)
+	}
+	if r, ok := c.GetCovering(k, 110, 10); !ok || r.Windows != 100 {
+		t.Fatalf("entry 10 windows behind with 10 allowed: %+v %v", r, ok)
+	}
+	if _, ok := c.GetCovering(k, 111, 10); ok {
+		t.Fatal("entry 11 windows behind with 10 allowed must miss")
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Extended != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("counters: %+v", st)
+	}
+
+	// A racing fill at the same version, and a late one at an older
+	// version, leave the incumbent alone.
+	c.Put(k, Result{Matches: matches(5), Windows: 100})
+	c.Put(k, Result{Matches: matches(5), Windows: 90})
+	if r, _ := c.Get(k); r.Windows != 100 || len(r.Matches) != 2 {
+		t.Fatalf("incumbent replaced by an answer covering no more: %+v", r)
+	}
+	checkBytes(t, c, "refused puts")
+
+	// More windows replaces in place; shrinking matches (top-k can only
+	// keep its length, but the accounting must not assume growth).
+	c.Put(k, Result{Matches: matches(6), Windows: 120})
+	checkBytes(t, c, "replace, larger")
+	c.Put(k, Result{Matches: matches(1), Windows: 130})
+	checkBytes(t, c, "replace, smaller")
+	if r, _ := c.Get(k); r.Windows != 130 || len(r.Matches) != 1 {
+		t.Fatalf("longer answer did not replace the incumbent: %+v", r)
+	}
+
+	// An extended answer over the stripe budget takes the incumbent
+	// with it instead of leaving it to be re-extended for ever.
+	c.Put(k, Result{Matches: matches(9), Windows: 140})
+	checkBytes(t, c, "drop")
+	if _, ok := c.Get(k); ok {
+		t.Fatal("incumbent survived an extension that no longer fits")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions != 1 {
+		t.Fatalf("after the drop: %+v", st)
+	}
+}
+
+// TestResultCacheReplaceEvictsOthers grows one entry until its stripe
+// is over budget: the least recently used neighbours go, the grown
+// entry stays, and the byte count follows every step.
+func TestResultCacheReplaceEvictsOthers(t *testing.T) {
+	q := []float64{1, 2, 3, 4}
+	key := func(eps float64) string { return ResultKey(PathSearch, 0, eps, 0, q) }
+	one := Result{Matches: make([]series.Match, 1), Windows: 10}
+	per := entryBytes(key(0), one)
+	c := NewResult(per * 3 * stripeCount)
+	var keys []string
+	for eps := 0.0; len(keys) < 3; eps += 0.001 {
+		if stripeOf(key(eps)) == stripeOf(key(0)) {
+			keys = append(keys, key(eps))
+		}
+	}
+	for _, k := range keys {
+		c.Put(k, one)
+	}
+	checkBytes(t, c, "fill")
+	// keys[0] is the LRU entry; grown to two entries' worth it must push
+	// out keys[1], the next oldest, and survive itself.
+	c.Put(keys[0], Result{Matches: make([]series.Match, 1+per/matchBytes), Windows: 11})
+	checkBytes(t, c, "grow")
+	if _, ok := c.Get(keys[0]); !ok {
+		t.Fatal("the replaced entry was evicted by its own growth")
+	}
+	if _, ok := c.Get(keys[1]); ok {
+		t.Fatal("the least recently used neighbour survived")
+	}
+	if _, ok := c.Get(keys[2]); !ok {
+		t.Fatal("the most recently used neighbour was evicted")
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Bytes > per*3 {
+		t.Fatalf("after growth: %+v", st)
 	}
 }
 

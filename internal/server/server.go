@@ -358,8 +358,9 @@ func (h *Handler) append(w http.ResponseWriter, r *http.Request) {
 	}
 	// Append bumps the engine's epoch before returning, and the epoch is
 	// read under the same write lock — by the time any client sees this
-	// response, no pre-append cached result can be served (its key
-	// embeds the old epoch).
+	// response, no pre-append cached result can be served as it stood:
+	// its key embeds the old epoch, or its window count is short of the
+	// series' and the lookup makes up the difference.
 	h.mu.Lock()
 	err := h.eng.Append(req.Values...)
 	n := h.eng.SeriesLen()

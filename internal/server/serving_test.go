@@ -27,9 +27,10 @@ type statsBody struct {
 		Misses  uint64 `json:"misses"`
 	} `json:"plan_cache"`
 	Result struct {
-		Enabled bool   `json:"enabled"`
-		Hits    uint64 `json:"hits"`
-		Misses  uint64 `json:"misses"`
+		Enabled  bool   `json:"enabled"`
+		Hits     uint64 `json:"hits"`
+		Misses   uint64 `json:"misses"`
+		Extended uint64 `json:"extended"`
 	} `json:"result_cache"`
 	Admission admissionStats `json:"admission"`
 	Draining  bool           `json:"draining"`
@@ -67,8 +68,9 @@ func newCachedServer(t *testing.T, cfg Config) (*httptest.Server, []float64) {
 }
 
 // TestServingSmoke is the CI smoke sequence end to end: a repeated
-// query hits the result cache, /stats shows it, and an /append bumps
-// the epoch so the next repeat misses again.
+// query hits the result cache, /stats shows it, and after an /append
+// bumps the epoch the next repeat is still a hit — the cached answer
+// extended over the windows the append gained, never the stale one.
 func TestServingSmoke(t *testing.T) {
 	srv, ts := newCachedServer(t, Config{})
 	req := map[string]interface{}{"query": ts[:100], "eps": 0.5}
@@ -112,17 +114,26 @@ func TestServingSmoke(t *testing.T) {
 		t.Fatalf("post-append search: status %d", resp.StatusCode)
 	}
 	st = getStats(t, srv.URL)
-	if st.Result.Misses != 2 || st.Result.Hits != 1 {
-		t.Fatalf("post-append search served a stale cached result: %+v", st.Result)
+	if st.Result.Misses != 1 || st.Result.Hits != 2 || st.Result.Extended != 1 {
+		t.Fatalf("post-append search was not an extended hit: %+v", st.Result)
 	}
 	if st.Epoch != ares.Epoch {
 		t.Fatalf("/stats epoch %d != append response epoch %d", st.Epoch, ares.Epoch)
 	}
-	// The appended block duplicates the query window, so the fresh
-	// answer must strictly grow — a byte-equal response here would mean
-	// the pre-append answer leaked across the epoch.
-	if bytes.Equal(first, second) {
-		t.Fatal("post-append response identical to pre-append response")
+	// The appended block duplicates the query window, so the answer must
+	// strictly grow — the pre-append count here would mean the cached
+	// answer was served as it stood.
+	before, _ := countOf(first)
+	if after, ok := countOf(second); !ok || after <= before {
+		t.Fatalf("post-append search returned %d matches, pre-append %d: stale cached result", after, before)
+	}
+
+	// Extended once, the entry is current: the next repeat is a plain hit.
+	if resp, third := postJSON(t, srv.URL+"/search", req); resp.StatusCode != http.StatusOK || !bytes.Equal(second, third) {
+		t.Fatalf("repeat after the extension: status %d, body changed: %v", resp.StatusCode, !bytes.Equal(second, third))
+	}
+	if st = getStats(t, srv.URL); st.Result.Hits != 3 || st.Result.Extended != 1 {
+		t.Fatalf("repeat after the extension: %+v", st.Result)
 	}
 }
 

@@ -264,13 +264,14 @@ func newHitHandler(tb testing.TB) (*Handler, []*hitRequest) {
 
 // TestHandlerAllocs pins the handler's allocation budget on the
 // result-cache hit, the request the hot-append workload is made of:
-// 9 (/search) and 10 (/topk) measured, of which 5 are the engine's
-// cache keys and answer copy. Through encoding/json the same requests
-// cost 28 and 37 — 20 the decode's, one per top-k match the *float64
-// of its dist — so either coming back fails here.
+// 7 (/search) and 8 (/topk) measured, of which 3 are the engine's
+// cache key — built once, its tail the plan key; a second encoding of
+// the query bytes costs 2 — and answer copy. Through encoding/json the
+// same requests cost 20 more for the decode and, on /topk, one per
+// match for the *float64 of its dist, so either coming back fails here.
 func TestHandlerAllocs(t *testing.T) {
 	h, reqs := newHitHandler(t)
-	for i, ceiling := range []float64{12, 13} { // /search, /topk
+	for i, ceiling := range []float64{10, 11} { // /search, /topk
 		r := reqs[i]
 		got := testing.AllocsPerRun(200, func() {
 			if code, _ := r.serve(h); code != http.StatusOK {

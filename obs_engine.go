@@ -65,6 +65,7 @@ func (e *Engine) registerEngineGauges() {
 	if e.res != nil {
 		reg.CounterFunc(`twinsearch_cache_hits_total{cache="result"}`, func() float64 { return float64(e.res.Stats().Hits) })
 		reg.CounterFunc(`twinsearch_cache_misses_total{cache="result"}`, func() float64 { return float64(e.res.Stats().Misses) })
+		reg.CounterFunc(`twinsearch_cache_extended_total{cache="result"}`, func() float64 { return float64(e.res.Stats().Extended) })
 		reg.CounterFunc(`twinsearch_cache_evictions_total{cache="result"}`, func() float64 { return float64(e.res.Stats().Evictions) })
 		reg.GaugeFunc(`twinsearch_cache_entries{cache="result"}`, func() float64 { return float64(e.res.Stats().Entries) })
 		reg.GaugeFunc(`twinsearch_cache_bytes{cache="result"}`, func() float64 { return float64(e.res.Stats().Bytes) })
@@ -167,14 +168,15 @@ func (e *Engine) endQuery(qo queryObs, err error) {
 // validateQueryCtx is validateQuery wrapped in a "validate" span when
 // the query is traced, annotated with the plan-cache outcome. The
 // untraced path falls straight through.
-func (e *Engine) validateQueryCtx(ctx context.Context, q []float64, eps float64) ([]float64, error) {
+func (e *Engine) validateQueryCtx(ctx context.Context, q []float64, eps float64, rkey string) ([]float64, error) {
 	sp := obs.SpanFrom(ctx)
 	if sp == nil {
-		return e.validateQuery(q, eps)
+		tq, _, err := e.validateQueryHit(q, eps, rkey)
+		return tq, err
 	}
 	vs := sp.StartChild("validate")
 	defer vs.End()
-	tq, hit, err := e.validateQueryHit(q, eps)
+	tq, hit, err := e.validateQueryHit(q, eps, rkey)
 	switch {
 	case e.plan == nil:
 		vs.Set("plan_cache", "off")

@@ -153,8 +153,9 @@ func TestServingCacheDifferential(t *testing.T) {
 
 // TestServingCacheAppendInvalidation is the /append↔cache regression
 // at the engine layer: a result cached before Append must never be
-// served after it — the epoch in the key changes, so the next call
-// recomputes and matches a fresh engine over the extended series.
+// served after it as it stood — the next call brings it up to date
+// over the windows gained and matches a fresh engine over the
+// extended series. (TestAppendCarriesCache covers the mechanism.)
 func TestServingCacheAppendInvalidation(t *testing.T) {
 	ts := datasets.EEGN(47, 3000)
 	const l = 64

@@ -218,13 +218,15 @@ type Options struct {
 	PlanCache int
 
 	// ResultCacheBytes sizes the result cache: whole answers keyed by
-	// (query bytes, parameters, search path, index epoch), bounded to
-	// this many bytes with LRU eviction. A hit returns the cached
-	// matches — byte-identical to a fresh traversal — without touching
-	// the index. Invalidation is structural: every Append bumps the
-	// engine's epoch (see Epoch), so stale entries become unreachable
-	// by key mismatch and age out under the byte budget; nothing is
-	// scanned. 0 disables (default), negative selects
+	// (query bytes, parameters, search path), bounded to this many
+	// bytes with LRU eviction. A hit returns the cached matches —
+	// byte-identical to a fresh traversal — without touching the
+	// index. Invalidation is structural, never a scan of the cache: a
+	// local TS-Index engine's Search and SearchTopK entries record the
+	// windows they cover, and after an Append a lookup verifies only
+	// the windows gained; every other entry has the engine's epoch
+	// (see Epoch) in its key, so an Append makes it unreachable and it
+	// ages out under the byte budget. 0 disables (default), negative selects
 	// DefaultResultCacheBytes, positive is the byte bound. Only the
 	// raw-query entry points consult it (Search/SearchStats/SearchTopK/
 	// SearchShorter/SearchApprox and their Ctx forms); SearchPrepared
@@ -302,15 +304,17 @@ type Engine struct {
 
 	// Serving-tier caches (nil when disabled): plan holds prepared
 	// queries keyed by raw query bytes, res holds whole answers keyed
-	// by (query, params, path, epoch). See Options.PlanCache /
+	// by (query, params, path) and versioned by the epoch or by their
+	// window count (see searchCached). See Options.PlanCache /
 	// Options.ResultCacheBytes.
 	plan *qcache.PlanCache
 	res  *qcache.ResultCache
 
-	// epoch is the index mutation counter result-cache keys embed:
-	// bumped on every Append (and on Close), never on re-freeze (the
-	// logical content is unchanged). Cluster engines compose their
-	// epoch from per-node values instead — see Epoch.
+	// epoch is the index mutation counter the result-cache keys of the
+	// answers an Append invalidates embed (see resultKey): bumped on
+	// every Append (and on Close), never on re-freeze (the logical
+	// content is unchanged). Cluster engines compose their epoch from
+	// per-node values instead — see Epoch.
 	epoch atomic.Uint64
 
 	// Observability (internal/obs): met is the always-on metric set
@@ -383,9 +387,10 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed.Store(true)
-	// Close is a cache-relevant mutation too: bump the epoch so any
-	// result-cache write racing the close can never be read back (its
-	// key embeds the pre-close epoch).
+	// Close is a cache-relevant mutation too: bump the epoch so an
+	// epoch-keyed result-cache write racing the close can never be read
+	// back (its key embeds the pre-close epoch; every lookup after the
+	// close fails with ErrClosed before it reaches the cache anyway).
 	e.epoch.Add(1)
 	var firstErr error
 	if e.cl != nil {
@@ -523,12 +528,13 @@ func (e *Engine) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Mat
 		return nil, ErrClosed
 	}
 	ctx, qo := e.beginQuery(ctx, qpSearch)
-	tq, err := e.validateQueryCtx(ctx, q, eps)
+	key := e.resultKey(qcache.PathSearch, eps, 0, q)
+	tq, err := e.validateQueryCtx(ctx, q, eps, key)
 	if err != nil {
 		e.endQuery(qo, err)
 		return nil, err
 	}
-	r, err := e.searchCached(ctx, qcache.PathSearch, q, eps, 0, func() (qcache.Result, error) {
+	r, err := e.searchCached(ctx, qcache.PathSearch, key, tq, eps, func() (qcache.Result, error) {
 		ms, err := e.searchPreparedCtx(ctx, tq, eps)
 		return qcache.Result{Matches: ms}, err
 	})
@@ -559,12 +565,13 @@ func (e *Engine) SearchStatsCtx(ctx context.Context, q []float64, eps float64) (
 		return nil, Stats{}, errors.New("twinsearch: SearchStats requires MethodTSIndex")
 	}
 	ctx, qo := e.beginQuery(ctx, qpStats)
-	tq, err := e.validateQueryCtx(ctx, q, eps)
+	key := e.resultKey(qcache.PathStats, eps, 0, q)
+	tq, err := e.validateQueryCtx(ctx, q, eps, key)
 	if err != nil {
 		e.endQuery(qo, err)
 		return nil, Stats{}, err
 	}
-	r, err := e.searchCached(ctx, qcache.PathStats, q, eps, 0, func() (qcache.Result, error) {
+	r, err := e.searchCached(ctx, qcache.PathStats, key, tq, eps, func() (qcache.Result, error) {
 		ms, st, err := e.searchStatsPreparedCtx(ctx, tq, eps)
 		return qcache.Result{Matches: ms, Stats: st, HasStats: true}, err
 	})
@@ -587,17 +594,18 @@ func (e *Engine) searchStatsPreparedCtx(ctx context.Context, tq []float64, eps f
 // per query so the transformed query is shared by every (query, shard)
 // work unit instead of being recomputed inside each worker.
 func (e *Engine) validateQuery(q []float64, eps float64) ([]float64, error) {
-	tq, _, err := e.validateQueryHit(q, eps)
+	tq, _, err := e.validateQueryHit(q, eps, "")
 	return tq, err
 }
 
 // validateQueryHit is validateQuery also reporting whether the plan
-// came from the plan cache — the bit the trace layer annotates.
-func (e *Engine) validateQueryHit(q []float64, eps float64) ([]float64, bool, error) {
+// came from the plan cache — the bit the trace layer annotates — for a
+// request whose result-cache key, if it has one, is rkey.
+func (e *Engine) validateQueryHit(q []float64, eps float64, rkey string) ([]float64, bool, error) {
 	if eps < 0 || math.IsNaN(eps) {
 		return nil, false, fmt.Errorf("twinsearch: invalid threshold %v", eps)
 	}
-	return e.planQuery(q)
+	return e.planQuery(q, rkey)
 }
 
 // planQuery validates a raw query (length, finiteness) and maps it
@@ -607,14 +615,20 @@ func (e *Engine) validateQueryHit(q []float64, eps float64) ([]float64, bool, er
 // pure function of the query bytes — the global normalization
 // parameters are frozen at Open, so a plan never goes stale). The
 // returned slice is shared on a hit and must be treated as read-only;
-// every search path already does.
-func (e *Engine) planQuery(q []float64) ([]float64, bool, error) {
+// every search path already does. The plan key is the query's bytes,
+// which a request with a result-cache key (rkey, from resultKey; "" for
+// none) has already encoded as that key's tail.
+func (e *Engine) planQuery(q []float64, rkey string) ([]float64, bool, error) {
 	if len(q) != e.opt.L {
 		return nil, false, fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)
 	}
 	var key string
 	if e.plan != nil {
-		key = qcache.QueryKey(q)
+		if rkey != "" {
+			key = qcache.QueryKeyOf(rkey)
+		} else {
+			key = qcache.QueryKey(q)
+		}
 		if tq, ok := e.plan.Get(key); ok {
 			return tq, true, nil
 		}
@@ -638,21 +652,81 @@ func (e *Engine) planQuery(q []float64) ([]float64, bool, error) {
 	return tq, false, nil
 }
 
+// maxTailScan bounds the windows one lookup will verify to bring a
+// cached answer up to the index: about 20 µs of verification at the
+// few nanoseconds a rejected window costs, an order of magnitude under
+// a traversal. An entry further behind is recomputed instead.
+const maxTailScan = 4096
+
+// carriesAppends reports whether path's cached answers outlive an
+// Append: the range and top-k answers of a local TS-Index, which are a
+// function of (query, parameter, window set) alone and therefore still
+// exact for the windows they covered (see searchCached). An answer
+// with traversal counters is not — the counters describe one tree
+// shape, and no scan of the gained windows reproduces what a traversal
+// of the re-frozen tree would count; nor are prefix and approximate
+// answers (a tail scan of their own; a budgeted subset), nor a cluster
+// engine's, whose version is the coordinator's per-node composite, not
+// a local window count.
+func (e *Engine) carriesAppends(path qcache.Path) bool {
+	return e.sh != nil && (path == qcache.PathSearch || path == qcache.PathTopK)
+}
+
+// resultKey builds the result-cache key of one request, "" when the
+// result cache is off: path, both parameters, the raw query bytes and
+// — except where carriesAppends puts the version in the entry instead
+// — the index epoch, read *before* the traversal starts, so that an
+// answer computed against one index version can never be served for
+// another.
+func (e *Engine) resultKey(path qcache.Path, a, b float64, q []float64) string {
+	switch {
+	case e.res == nil:
+		return ""
+	case e.carriesAppends(path):
+		return qcache.ResultKey(path, 0, a, b, q)
+	default:
+		return qcache.ResultKey(path, e.Epoch(), a, b, q)
+	}
+}
+
 // searchCached serves one raw-query search from the result cache when
-// enabled: the key embeds the search path, both parameters, the raw
-// query bytes, and the index epoch read *before* the traversal starts,
-// so an answer computed against one index version can never be served
-// for another — invalidation is a key mismatch, never a scan. Errors
+// enabled, under key (from resultKey). Invalidation is never a scan.
+// For most paths it is a key mismatch: the key embeds the epoch. For
+// the paths carriesAppends names the key survives appends and the
+// entry records how many windows its answer covers; the index is
+// append-only, so that answer is still exact for those windows, and a
+// lookup that finds it behind verifies only the windows gained since
+// — tq is the transformed query and a the path's parameter (eps or k)
+// that scan needs — and stores the longer answer over the old one.
+// Both the window count and the epoch are read before any work, so an
+// answer is never tagged with a version newer than it saw. Errors
 // (including cancellations) are never cached.
-func (e *Engine) searchCached(ctx context.Context, path qcache.Path, q []float64, a, b float64, run func() (qcache.Result, error)) (qcache.Result, error) {
+func (e *Engine) searchCached(ctx context.Context, path qcache.Path, key string, tq []float64, a float64, run func() (qcache.Result, error)) (qcache.Result, error) {
 	sp := obs.SpanFrom(ctx)
-	var key string
+	windows := 0 // epoch-keyed answers carry no version of their own
 	if e.res == nil {
 		sp.Set("result_cache", "off")
 	} else {
-		key = qcache.ResultKey(path, e.Epoch(), a, b, q)
-		if r, ok := e.res.Get(key); ok {
-			sp.Set("result_cache", "hit")
+		if e.carriesAppends(path) {
+			windows = e.NumSubsequences()
+		}
+		if r, ok := e.res.GetCovering(key, windows, maxTailScan); ok {
+			if r.Windows == windows {
+				sp.Set("result_cache", "hit")
+			} else {
+				sp.Set("result_cache", "extended")
+				sp.Set("tail_windows", windows-r.Windows)
+				if path == qcache.PathTopK {
+					// k rode in as a float64; past the window count every
+					// k is the same query, and that much converts back.
+					k := int(min(a, float64(windows)))
+					r.Matches = core.ScanTailTopK(e.ext, tq, k, r.Windows, windows, r.Matches)
+				} else {
+					r.Matches = core.ScanTail(e.ext, tq, a, r.Windows, windows, r.Matches)
+				}
+				r.Windows = windows
+				e.res.Put(key, r)
+			}
 			sp.Set("results", len(r.Matches))
 			return r, nil
 		}
@@ -666,6 +740,7 @@ func (e *Engine) searchCached(ctx context.Context, path qcache.Path, q []float64
 	// spans below it carry work counters, which stay zero on a hit.
 	sp.Set("results", len(r.Matches))
 	if e.res != nil {
+		r.Windows = windows
 		e.res.Put(key, r)
 	}
 	return r, nil
@@ -673,10 +748,14 @@ func (e *Engine) searchCached(ctx context.Context, path qcache.Path, q []float64
 
 // Epoch returns the engine's index mutation counter: a monotonically
 // increasing value bumped by every Append (and by Close), stable
-// across searches and re-freezes. Result-cache keys embed it, so any
-// consumer caching answers can use "epoch changed" as the invalidation
-// signal. Cluster engines compose the epoch from the coordinator's
-// per-node view.
+// across searches and re-freezes. Any consumer caching answers can use
+// "epoch changed" as the invalidation signal, and the engine's own
+// result cache does for every answer it cannot bring up to date
+// (SearchStats, SearchShorter, SearchApprox; everything on a cluster
+// engine): their keys embed it. A local TS-Index engine's Search and
+// SearchTopK entries are keyed without it and extended over the
+// windows an Append gained instead — see searchCached. Cluster engines
+// compose the epoch from the coordinator's per-node view.
 func (e *Engine) Epoch() uint64 {
 	if e.cl != nil {
 		return e.cl.Epoch()
@@ -686,9 +765,12 @@ func (e *Engine) Epoch() uint64 {
 
 // CacheCounters is one serving-tier cache's observability snapshot.
 type CacheCounters struct {
-	Enabled   bool   `json:"enabled"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
+	Enabled bool   `json:"enabled"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	// Extended counts the hits served by bringing an entry from before
+	// an Append up to date (result cache only; a share of Hits).
+	Extended  uint64 `json:"extended,omitempty"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
 	Bytes     int    `json:"bytes,omitempty"` // result cache only
@@ -713,7 +795,7 @@ func (e *Engine) ServingStats() ServingStats {
 	}
 	if e.res != nil {
 		s := e.res.Stats()
-		out.Result = CacheCounters{Enabled: true, Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries, Bytes: s.Bytes}
+		out.Result = CacheCounters{Enabled: true, Hits: s.Hits, Misses: s.Misses, Extended: s.Extended, Evictions: s.Evictions, Entries: s.Entries, Bytes: s.Bytes}
 	}
 	return out
 }
@@ -792,12 +874,13 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, q []float64, k int) ([]Match
 		return nil, ErrTopKUnsupported
 	}
 	ctx, qo := e.beginQuery(ctx, qpTopK)
-	tq, err := e.validateQueryCtx(ctx, q, 0)
+	key := e.resultKey(qcache.PathTopK, float64(k), 0, q)
+	tq, err := e.validateQueryCtx(ctx, q, 0, key)
 	if err != nil {
 		e.endQuery(qo, err)
 		return nil, err
 	}
-	r, err := e.searchCached(ctx, qcache.PathTopK, q, float64(k), 0, func() (qcache.Result, error) {
+	r, err := e.searchCached(ctx, qcache.PathTopK, key, tq, float64(k), func() (qcache.Result, error) {
 		ms, err := e.searchTopKPreparedCtx(ctx, tq, k)
 		return qcache.Result{Matches: ms}, err
 	})
