@@ -181,14 +181,6 @@ func TestSearchTopKBatchErrors(t *testing.T) {
 		t.Fatal("empty batch must be empty")
 	}
 
-	sweep, err := Open(ts, Options{L: 50, Method: MethodSweepline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := sweep.SearchTopKBatch([][]float64{good}, 3); out[0].Err == nil {
-		t.Fatal("non-TS-Index engine must report ErrTopKUnsupported")
-	}
-
 	eng.Close()
 	if out := eng.SearchTopKBatch([][]float64{good}, 3); out[0].Err != ErrClosed {
 		t.Fatalf("closed engine returned %v", out[0].Err)

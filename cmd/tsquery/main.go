@@ -1,5 +1,6 @@
-// Command tsquery builds an index over a series file and answers a twin
-// subsequence query against it.
+// Command tsquery builds a TS-Index over a series file (or reopens a
+// saved one) and answers a twin subsequence query against it. The
+// paper's baseline methods are not options here: cmd/tsbench runs them.
 //
 // The query is either a window of the indexed series itself
 // (-qstart, convenient for exploration) or a separate series file
@@ -8,8 +9,14 @@
 // Usage:
 //
 //	tsquery -series eeg.f64 -qstart 5000 -l 100 -eps 0.2
-//	tsquery -series eeg.f64 -qfile query.f64 -eps 0.2 -method isax -norm persub
+//	tsquery -series eeg.f64 -qfile query.f64 -eps 0.2 -norm persub
 //	tsquery -series eeg.f64 -qstart 0 -l 100 -topk 5
+//	tsquery -series eeg.f64 -qstart 0 -l 100 -shards 4 -saveindex eeg.tssh
+//	tsquery -series eeg.f64 -qstart 0 -l 100 -loadindex eeg.tssh -mmap
+//
+// A saved index holds no series and is a pure function of (series,
+// options), so the -saveindex line is also how a file written by an
+// older version is brought forward: rebuild it.
 package main
 
 import (
@@ -35,8 +42,7 @@ func main() {
 		qStart     = flag.Int("qstart", -1, "query = series window starting here")
 		l          = flag.Int("l", 100, "subsequence length (ignored with -qfile)")
 		eps        = flag.Float64("eps", 0.2, "Chebyshev distance threshold")
-		topk       = flag.Int("topk", 0, "if > 0, run a top-k query instead of a threshold query (TS-Index only)")
-		method     = flag.String("method", "tsindex", "search method: tsindex, isax, kvindex, sweepline")
+		topk       = flag.Int("topk", 0, "if > 0, run a top-k query instead of a threshold query")
 		norm       = flag.String("norm", "global", "normalization: raw, global, persub")
 		maxShow    = flag.Int("show", 20, "print at most this many matches")
 		saveIndex  = flag.String("saveindex", "", "after building, persist the TS-Index here")
@@ -44,9 +50,9 @@ func main() {
 		mmapIndex  = flag.Bool("mmap", false, "memory-map the -loadindex file instead of reading it (near-zero open cost; pages fault in as the query touches them)")
 		prefetch   = flag.Bool("prefetch", false, "warm a memory-mapped index at open (madvise + bounded touch) instead of paying page faults during the query")
 		remote     = flag.String("remote", "", "query a running tsserve (standalone or coordinator) at this base URL instead of building anything locally")
-		approx     = flag.Int("approx", 0, "if > 0, run an approximate search probing this many leaves (TS-Index only)")
-		indexLen   = flag.Int("indexlen", 0, "index at this length instead of the query length; shorter queries then use the prefix search (TS-Index only)")
-		shards     = flag.Int("shards", 0, "index partitions built and searched in parallel (0 = one index, -1 = one per CPU; TS-Index only)")
+		approx     = flag.Int("approx", 0, "if > 0, run an approximate search probing this many leaves")
+		indexLen   = flag.Int("indexlen", 0, "index at this length instead of the query length; shorter queries then use the prefix search")
+		shards     = flag.Int("shards", 0, "index partitions built and searched in parallel (0 = one index, -1 = one per CPU)")
 		meanShards = flag.Bool("meanshards", false, "partition shards by window mean instead of contiguous ranges (tighter per-shard bounds; needs -shards above 1)")
 		trace      = flag.Bool("trace", false, "record the query's span trace and pretty-print it after the matches (with -remote, asks the server via ?trace=1)")
 	)
@@ -114,18 +120,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown norm %q", *norm))
 	}
-	switch *method {
-	case "tsindex":
-		opt.Method = twinsearch.MethodTSIndex
-	case "isax":
-		opt.Method = twinsearch.MethodISAX
-	case "kvindex":
-		opt.Method = twinsearch.MethodKVIndex
-	case "sweepline":
-		opt.Method = twinsearch.MethodSweepline
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
-	}
 
 	buildStart := time.Now()
 	var eng *twinsearch.Engine
@@ -138,15 +132,15 @@ func main() {
 		if eng.MappedBytes() > 0 {
 			how = fmt.Sprintf(", %d bytes mmap-resident", eng.MappedBytes())
 		}
-		fmt.Printf("reopened index over %d subsequences (%s, %s%s) in %v\n",
-			eng.NumSubsequences(), eng.Method(), eng.Norm(), how, time.Since(buildStart).Round(time.Millisecond))
+		fmt.Printf("reopened index over %d subsequences (TS-Index, %s%s) in %v\n",
+			eng.NumSubsequences(), eng.Norm(), how, time.Since(buildStart).Round(time.Millisecond))
 	} else {
 		eng, err = twinsearch.Open(data, opt)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("indexed %d subsequences of length %d with %s (%s) in %v\n",
-			eng.NumSubsequences(), eng.L(), eng.Method(), eng.Norm(), time.Since(buildStart).Round(time.Millisecond))
+		fmt.Printf("indexed %d subsequences of length %d with TS-Index (%s) in %v\n",
+			eng.NumSubsequences(), eng.L(), eng.Norm(), time.Since(buildStart).Round(time.Millisecond))
 	}
 	// Release the mapped arena (and any attached store) on every exit
 	// path; fatal exits skip this, which the OS cleans up anyway.

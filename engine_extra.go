@@ -19,24 +19,16 @@ import (
 	"twinsearch/internal/shard"
 )
 
-// ErrPersistUnsupported is returned by SaveIndex for methods other than
-// TS-Index.
-var ErrPersistUnsupported = errors.New("twinsearch: index persistence requires MethodTSIndex")
-
-// SaveIndex serializes a built TS-Index so a later process can reopen it
+// SaveIndex serializes the built index so a later process can reopen it
 // against the same series without paying construction again (see
-// OpenSaved). Only MethodTSIndex engines support it. The frozen arenas
-// go to disk as they are — the flat arrays, so loading is a few
-// sequential reads per shard: a single index as its one shard's bare
-// TSFZ stream, a partitioned one as the TSSH container around its
-// segments. OpenSaved also accepts the pointer-tree formats older
-// versions wrote.
+// OpenSaved). The frozen arenas go to disk as they are — the flat
+// arrays, so loading is a few sequential reads per shard: a single
+// index as its one shard's bare TSFZ v2 stream, a partitioned one as
+// the TSSH v3 container around its segments. These two are the only
+// formats there are: what SaveIndex writes is what OpenSaved reads.
 func (e *Engine) SaveIndex(w io.Writer) error {
 	if e.closed.Load() {
 		return ErrClosed
-	}
-	if e.opt.Method != MethodTSIndex {
-		return ErrPersistUnsupported
 	}
 	if e.cl != nil {
 		return errors.New("twinsearch: a cluster-backed engine serves an already-saved index; save from the process that built it")
@@ -91,49 +83,76 @@ func (e *Engine) SaveIndexFile(path string) error {
 	return nil
 }
 
-// OpenSaved reconstructs a TS-Index engine from a stream produced by
-// SaveIndex. data must be the same series the index was built over, and
-// opt must request MethodTSIndex with the same L and normalization; the
+// OpenSaved reconstructs an engine from a stream produced by SaveIndex.
+// data must be the same series the index was built over — finite, as
+// for Open — and opt must carry the same L and normalization; the
 // stream's recorded parameters are authoritative and validated. The
-// stream format decides whether the engine comes back sharded — a
-// sharded save reopens sharded (with its saved partition) regardless of
-// opt.Shards, and a single-index save reopens unsharded. All four
-// magics are sniffed: the frozen formats load their flat arrays
-// directly; the pointer-tree formats older versions wrote are frozen
-// after loading.
+// stream decides whether the engine comes back sharded: a TSSH save
+// reopens sharded (with its saved partition) regardless of opt.Shards,
+// a TSFZ save reopens as the single index. A file from a stream
+// generation SaveIndex no longer writes is refused at its header (see
+// sniffSaved); a saved index is a pure function of (series, options),
+// so rebuilding it is the migration.
 func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
-	if err := opt.fill(); err != nil {
+	if err := opt.check(data); err != nil {
 		return nil, err
 	}
-	if opt.Method != MethodTSIndex {
-		return nil, ErrPersistUnsupported
-	}
-	e := newEngine(data, opt)
-
 	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(shard.Magic))
-	if err != nil {
+	hdr, err := br.Peek(savedHeaderLen)
+	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, fmt.Errorf("twinsearch: reading saved index: %w", err)
 	}
-	switch string(magic) {
-	case shard.Magic:
+	sharded, err := sniffSaved(hdr)
+	if err != nil {
+		return nil, err
+	}
+	e := newEngine(data, opt)
+	if sharded {
 		e.sh, err = shard.Load(br, e.ext, e.ex)
-	case core.FrozenMagic:
+	} else {
 		var fz *core.Frozen
 		if fz, err = core.LoadFrozen(br, e.ext); err == nil {
 			e.sh, err = shard.Single(fz, e.ex)
 		}
+	}
+	return e.opened(err)
+}
+
+// savedHeaderLen is the prefix every saved index starts with: a 4-byte
+// magic and a little-endian u16 version.
+const savedHeaderLen = 6
+
+// sniffSaved reads the (magic, version) prefix of a saved index for
+// both open paths: the TSSH v3 container (sharded), a bare TSFZ v2
+// stream (the single index), or an error. Anything else under a magic
+// this code base ever wrote — TSIX, TSFZ v1, TSSH v1/v2 — is refused
+// with one text naming the stream and the command that rebuilds it.
+func sniffSaved(hdr []byte) (sharded bool, err error) {
+	if len(hdr) < savedHeaderLen {
+		return false, fmt.Errorf("twinsearch: saved index truncated (%d bytes)", len(hdr))
+	}
+	magic, version := string(hdr[:4]), binary.LittleEndian.Uint16(hdr[4:])
+	switch {
+	case magic == shard.Magic && version == shard.PersistVersion:
+		return true, nil
+	case magic == core.FrozenMagic && version == core.FrozenVersion:
+		return false, nil
+	case magic == shard.Magic || magic == core.FrozenMagic || magic == "TSIX":
+		return false, fmt.Errorf("twinsearch: saved index is a %s v%d stream; this version reads only %s v%d and %s v%d — rebuild it from its series: tsquery -series S -qstart 0 -l L [-shards N] -saveindex F",
+			magic, version, core.FrozenMagic, core.FrozenVersion, shard.Magic, shard.PersistVersion)
 	default:
-		var ix *core.Index
-		if ix, err = core.Load(br, e.ext); err == nil {
-			e.sh, err = shard.Single(ix.Freeze(), e.ex)
-		}
+		return false, fmt.Errorf("twinsearch: saved index has unknown magic %q", hdr[:4])
 	}
-	if err != nil {
-		return nil, err
+}
+
+// opened finishes a saved open: loadErr is the loader's verdict on
+// e.sh, and the index must have been built for the L the options ask.
+func (e *Engine) opened(loadErr error) (*Engine, error) {
+	if loadErr != nil {
+		return nil, loadErr
 	}
-	if e.sh.L() != opt.L {
-		return nil, fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), opt.L)
+	if e.sh.L() != e.opt.L {
+		return nil, fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), e.opt.L)
 	}
 	return e, nil
 }
@@ -142,18 +161,18 @@ func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
 // the zero-copy open: the file is memory-mapped, the header validated,
 // and every arena array pointed directly at the mapping — O(header)
 // allocation however large the index, demand paging instead of an
-// up-front read, and one physical copy shared across processes.
-// Streams that predate the aligned formats (TSIX, TSFZ v1, TSSH v1/v2)
-// and platforms without mmap fall back to the copy loader
-// transparently; answers are byte-identical either way. Call
-// Engine.Close when done — mapped engines hold the region until then.
+// up-front read, and one physical copy shared across processes. Where
+// the file cannot be mapped (no mmap, a big-endian host, a mapping that
+// fails at run time) the copy loader serves it instead; what the file
+// holds is judged the same way on both paths, so a file one refuses the
+// other refuses too. Call Engine.Close when done — mapped engines hold
+// the region until then.
 func OpenSavedFile(data []float64, path string, opt Options) (*Engine, error) {
 	if opt.MMap {
 		eng, err := openSavedMapped(data, path, opt)
 		if err == nil || !errors.Is(err, errNotMappable) {
 			return eng, err
 		}
-		// Legacy stream or platform: the copy path serves it.
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -163,18 +182,14 @@ func OpenSavedFile(data []float64, path string, opt Options) (*Engine, error) {
 	return OpenSaved(data, f, opt)
 }
 
-// errNotMappable marks saved indexes the zero-copy path cannot serve
-// (pre-alignment formats, big-endian hosts, platforms without mmap);
-// OpenSavedFile falls back to the copy loader for them.
+// errNotMappable marks files the zero-copy path cannot map on this host
+// or at this moment; OpenSavedFile reads them with the copy loader.
 var errNotMappable = errors.New("twinsearch: saved index cannot be mapped in place")
 
 // openSavedMapped is the Options.MMap half of OpenSavedFile.
 func openSavedMapped(data []float64, path string, opt Options) (*Engine, error) {
-	if err := opt.fill(); err != nil {
+	if err := opt.check(data); err != nil {
 		return nil, err
-	}
-	if opt.Method != MethodTSIndex {
-		return nil, ErrPersistUnsupported
 	}
 	if !arena.MapSupported() || !arena.LittleEndianHost() {
 		return nil, errNotMappable
@@ -204,42 +219,32 @@ func openSavedMapped(data []float64, path string, opt Options) (*Engine, error) 
 // ar. On success the engine owns ar (released by Engine.Close); on
 // error the caller still owns it.
 func engineFromArena(data []float64, ar *arena.Arena, opt Options) (*Engine, error) {
-	buf := ar.Bytes()
-	if len(buf) < 6 {
-		return nil, fmt.Errorf("twinsearch: saved index truncated (%d bytes)", len(buf))
+	sharded, err := sniffSaved(ar.Bytes())
+	if err != nil {
+		return nil, err
 	}
-	magic, version := string(buf[:4]), binary.LittleEndian.Uint16(buf[4:])
 	e := newEngine(data, opt)
-	var err error
-	switch {
-	case magic == shard.Magic && version == shard.PersistVersion:
+	if sharded {
 		e.sh, err = shard.OpenArena(ar, e.ext, e.ex)
-	case magic == core.FrozenMagic && version == core.FrozenVersion:
+	} else {
 		var fz *core.Frozen
 		if fz, _, err = core.FrozenFromArena(ar, 0, e.ext); err == nil {
 			e.sh, err = shard.Single(fz, e.ex)
 		}
-	case magic == shard.Magic || magic == core.FrozenMagic || magic == core.IndexMagic:
-		return nil, errNotMappable // recognized, but a pre-alignment version
-	default:
-		return nil, fmt.Errorf("twinsearch: saved index has unknown magic %q", buf[:4])
 	}
-	if err != nil {
+	if e, err = e.opened(err); err != nil {
 		return nil, err
-	}
-	if e.sh.L() != opt.L {
-		return nil, fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), opt.L)
 	}
 	e.ar = ar
 	return e, nil
 }
 
 // SearchShorter answers a twin query whose length is at most L using
-// the existing TS-Index (no rebuild): node bounds are truncated to the
+// the existing index (no rebuild): node bounds are truncated to the
 // query length — sound by the paper's closure property, see
 // core.Frozen.SearchPrefix — and the few trailing windows that exist only at
-// the shorter length are scanned directly. Exact. Requires
-// MethodTSIndex and a normalization other than NormPerSubsequence.
+// the shorter length are scanned directly. Exact. Requires a
+// normalization other than NormPerSubsequence.
 func (e *Engine) SearchShorter(q []float64, eps float64) ([]Match, error) {
 	return e.SearchShorterCtx(context.Background(), q, eps)
 }
@@ -251,9 +256,6 @@ func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64)
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if e.opt.Method != MethodTSIndex {
-		return nil, errors.New("twinsearch: SearchShorter requires MethodTSIndex")
-	}
 	// NaN slips past a plain eps < 0 check (NaN < 0 is false) and would
 	// poison the early-abandoning comparisons; validate like Search.
 	if eps < 0 || math.IsNaN(eps) {
@@ -264,8 +266,8 @@ func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64)
 	if len(q) == 0 {
 		return nil, errors.New("twinsearch: empty query")
 	}
-	if i := nonFinite(q); i >= 0 {
-		return nil, fmt.Errorf("twinsearch: non-finite query value %v at position %d", q[i], i)
+	if err := finiteQuery(q); err != nil {
+		return nil, err
 	}
 	ctx, qo := e.beginQuery(ctx, qpPrefix)
 	key := e.resultKey(qcache.PathPrefix, eps, 0, q)
@@ -278,7 +280,7 @@ func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64)
 }
 
 // searchShorterPreparedCtx dispatches a transformed prefix query to the
-// engine's TS-Index backing.
+// engine's backing.
 func (e *Engine) searchShorterPreparedCtx(ctx context.Context, tq []float64, eps float64) ([]Match, error) {
 	if e.cl != nil {
 		return e.cl.SearchPrefix(ctx, tq, eps)
@@ -290,8 +292,8 @@ func (e *Engine) searchShorterPreparedCtx(ctx context.Context, tq []float64, eps
 // (possibly incomplete) subset of the twins, in microseconds. On a
 // sharded engine the budget is one shared atomic allowance drawn by
 // every shard's traversal, so it flows to whichever shards hold the
-// nearest leaves. Requires MethodTSIndex and a positive leafBudget;
-// Search is the exact counterpart.
+// nearest leaves. Requires a positive leafBudget; Search is the exact
+// counterpart.
 func (e *Engine) SearchApprox(q []float64, eps float64, leafBudget int) ([]Match, error) {
 	return e.SearchApproxCtx(context.Background(), q, eps, leafBudget)
 }
@@ -305,9 +307,6 @@ func (e *Engine) SearchApprox(q []float64, eps float64, leafBudget int) ([]Match
 func (e *Engine) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]Match, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
-	}
-	if e.opt.Method != MethodTSIndex {
-		return nil, errors.New("twinsearch: SearchApprox requires MethodTSIndex")
 	}
 	if eps < 0 || math.IsNaN(eps) {
 		return nil, fmt.Errorf("twinsearch: invalid threshold %v", eps)
@@ -331,7 +330,7 @@ func (e *Engine) SearchApproxCtx(ctx context.Context, q []float64, eps float64, 
 }
 
 // searchApproxPreparedCtx dispatches a transformed approximate query to
-// the engine's TS-Index backing.
+// the engine's backing.
 func (e *Engine) searchApproxPreparedCtx(ctx context.Context, tq []float64, eps float64, leafBudget int) ([]Match, error) {
 	if e.cl != nil {
 		ms, _, err := e.cl.SearchApprox(ctx, tq, eps, leafBudget)
@@ -343,8 +342,7 @@ func (e *Engine) searchApproxPreparedCtx(ctx context.Context, tq []float64, eps 
 
 // Append ingests new trailing values into the engine's series and
 // indexes every window the growth completes — streaming support, an
-// extension beyond the paper's static setting. Requires MethodTSIndex
-// (the only index with incremental insertion). Under NormGlobal the
+// extension beyond the paper's static setting. Under NormGlobal the
 // appended values are normalized with the frozen original (mean, σ);
 // see series.Extractor.Append. Do not call concurrently with searches.
 // Under raw/per-subsequence modes the engine extends the slice passed
@@ -372,9 +370,6 @@ func (e *Engine) searchApproxPreparedCtx(ctx context.Context, tq []float64, eps 
 func (e *Engine) Append(values ...float64) error {
 	if e.closed.Load() {
 		return ErrClosed
-	}
-	if e.opt.Method != MethodTSIndex {
-		return errors.New("twinsearch: Append requires MethodTSIndex")
 	}
 	if e.cl != nil {
 		return errors.New("twinsearch: a cluster-backed engine is read-only; append at the process that owns the index")
@@ -408,20 +403,19 @@ type BatchResult struct {
 
 // SearchBatch answers many queries concurrently over one engine —
 // searches are read-only, so they parallelize perfectly (the direction
-// ParIS/MESSI take iSAX, applied here at the workload level). On
-// TS-Index engines the whole batch runs as one executor group of
-// (shard, subtree) work units, and each unit traverses its subtree
-// ONCE for the entire batch: a frame of the descent is (node, active
-// query set), so every node's bounds stream through the distance
-// kernels once per unit instead of once per query (see
-// core.Frozen.SearchStatsBatchFrom). Validation and query
-// transformation happen once per query, up front. Results arrive
+// ParIS/MESSI take iSAX, applied here at the workload level). The
+// whole batch runs as one executor group of (shard, subtree) work
+// units, and each unit traverses its subtree ONCE for the entire batch:
+// a frame of the descent is (node, active query set), so every node's
+// bounds stream through the distance kernels once per unit instead of
+// once per query (see core.Frozen.SearchStatsBatchFrom). Validation and
+// query transformation happen once per query, up front. Results arrive
 // indexed by query position, identical to len(queries) calls to
 // Search. parallelism ≤ 0 uses the engine's executor (see
 // Options.Workers); a positive value caps the batch to a dedicated
 // pool of exactly that many workers.
 func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) []BatchResult {
-	out, valid, tqs := e.validateBatch(queries, eps, nil)
+	out, valid, tqs := e.validateBatch(queries, eps)
 	if len(valid) == 0 {
 		return out
 	}
@@ -439,40 +433,27 @@ func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) 
 		ex = exec.New(min(parallelism, len(queries)))
 	}
 	g := ex.NewGroup()
-	if e.sh != nil {
-		p := e.sh.QueueSearchBatch(g, tqs, eps)
-		g.Wait()
-		ms, _ := p.Resolve()
-		for bi, i := range valid {
-			out[i].Matches = ms[bi]
-		}
-		return out
-	}
-	// The scan methods have no tree to batch over; per-query tasks.
-	for bi, i := range valid {
-		tq := tqs[bi]
-		g.Go(func(*exec.Ctx) {
-			out[i].Matches, out[i].Err = e.searchPreparedCtx(context.Background(), tq, eps)
-		})
-	}
+	p := e.sh.QueueSearchBatch(g, tqs, eps)
 	g.Wait()
+	ms, _ := p.Resolve()
+	for bi, i := range valid {
+		out[i].Matches = ms[bi]
+	}
 	return out
 }
 
 // validateBatch opens a batch call: out has one entry per query, every
 // query that fails validateQuery's checks (or all of them, when the
-// engine is closed or refuse is non-nil) already carries its error, and
-// valid/tqs list the positions and transformed forms of the rest — the
-// traversals see valid queries only.
-func (e *Engine) validateBatch(queries [][]float64, eps float64, refuse error) (out []BatchResult, valid []int, tqs [][]float64) {
+// engine is closed) already carries its error, and valid/tqs list the
+// positions and transformed forms of the rest — the traversals see
+// valid queries only.
+func (e *Engine) validateBatch(queries [][]float64, eps float64) (out []BatchResult, valid []int, tqs [][]float64) {
 	out = make([]BatchResult, len(queries))
-	if e.closed.Load() {
-		refuse = ErrClosed
-	}
+	closed := e.closed.Load()
 	for i, q := range queries {
 		out[i].Query = i
-		if refuse != nil {
-			out[i].Err = refuse
+		if closed {
+			out[i].Err = ErrClosed
 			continue
 		}
 		tq, err := e.validateQuery(q, eps)
@@ -510,14 +491,9 @@ func (e *Engine) clusterBatch(out []BatchResult, valid []int, tqs [][]float64, r
 // pruning bound, and candidate windows are extracted once per leaf for
 // all queries alive there. Results arrive indexed by query position,
 // identical to len(queries) calls to SearchTopK — a query SearchTopK
-// would refuse carries the same error. Requires MethodTSIndex, like
-// SearchTopK.
+// would refuse carries the same error.
 func (e *Engine) SearchTopKBatch(queries [][]float64, k int) []BatchResult {
-	var refuse error
-	if e.opt.Method != MethodTSIndex {
-		refuse = ErrTopKUnsupported
-	}
-	out, valid, tqs := e.validateBatch(queries, 0, refuse)
+	out, valid, tqs := e.validateBatch(queries, 0)
 	if len(valid) == 0 {
 		return out
 	}

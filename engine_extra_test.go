@@ -63,22 +63,18 @@ func TestSaveIndexFileRoundTrip(t *testing.T) {
 
 func TestSaveErrors(t *testing.T) {
 	ts := datasets.RandomWalk(1, 1000)
-	sw, _ := Open(ts, Options{L: 50, Method: MethodSweepline})
-	var buf bytes.Buffer
-	if err := sw.SaveIndex(&buf); err != ErrPersistUnsupported {
-		t.Fatalf("err = %v, want ErrPersistUnsupported", err)
-	}
-	if _, err := OpenSaved(ts, &buf, Options{L: 50, Method: MethodISAX}); err != ErrPersistUnsupported {
-		t.Fatalf("err = %v, want ErrPersistUnsupported", err)
-	}
 	eng, _ := Open(ts, Options{L: 50})
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := eng.SaveIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong L in options.
-	if _, err := OpenSaved(ts, &buf, Options{L: 60}); err == nil {
+	if _, err := OpenSaved(ts, bytes.NewReader(buf.Bytes()), Options{L: 60}); err == nil {
 		t.Fatal("want L mismatch error")
+	}
+	// A series the index cannot have been built over: Open's own check.
+	if _, err := OpenSaved(ts[:40], bytes.NewReader(buf.Bytes()), Options{L: 50}); err == nil || err.Error() != "twinsearch: series length 40 shorter than L=50" {
+		t.Fatalf("short series: error %v", err)
 	}
 	if _, err := OpenSavedFile(ts, filepath.Join(t.TempDir(), "missing"), Options{L: 50}); err == nil {
 		t.Fatal("want error for missing file")
@@ -129,7 +125,7 @@ func TestAppendStreaming(t *testing.T) {
 
 func TestAppendGlobalFrozenBasis(t *testing.T) {
 	// Under NormGlobal the appended region is normalized with the frozen
-	// basis, so results must match a sweepline over the SAME extractor —
+	// basis, so results must match a scan over the SAME extractor —
 	// not necessarily a fresh rebuild (whose basis would shift).
 	full := datasets.RandomWalk(78, 3000)
 	eng, err := Open(append([]float64(nil), full[:2500]...), Options{L: 100})
@@ -147,23 +143,15 @@ func TestAppendGlobalFrozenBasis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, m := range ms {
-		if m.Start == 2700 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("query over appended region must find itself")
+	if want := oracleRange(eng, q, 0.1); !slices.Equal(ms, want) || !slices.Contains(ms, Match{Start: 2700, Dist: -1}) {
+		t.Fatalf("query over the appended region: %v, oracle %v", ms, want)
 	}
 }
 
 func TestAppendErrorsAndNoop(t *testing.T) {
 	ts := datasets.RandomWalk(1, 1000)
-	sw, _ := Open(ts, Options{L: 50, Method: MethodSweepline})
-	if err := sw.Append(1, 2, 3); err == nil {
-		t.Fatal("Append on sweepline must fail")
-	}
+	// (The one engine that refuses Append outright is the read-only
+	// cluster coordinator: TestClusterEngineLocal.)
 	eng, _ := Open(ts, Options{L: 50})
 	if err := eng.Append(); err != nil {
 		t.Fatalf("empty append should be a no-op: %v", err)
@@ -235,10 +223,8 @@ func TestSearchShorterAndApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swp, _ := Open(ts, Options{L: 40, Method: MethodSweepline})
-	want, _ := swp.Search(qShort, 0.3)
-	if len(short) != len(want) {
-		t.Fatalf("SearchShorter: %d vs sweepline %d", len(short), len(want))
+	if want := oracleRange(eng, qShort, 0.3); !slices.Equal(short, want) {
+		t.Fatalf("SearchShorter: %d matches, oracle %d", len(short), len(want))
 	}
 
 	approx, err := eng.SearchApprox(qFull, 0.3, 4)
@@ -256,13 +242,6 @@ func TestSearchShorterAndApprox(t *testing.T) {
 		}
 	}
 
-	// Unsupported combinations.
-	if _, err := swp.SearchShorter(qShort, 0.3); err == nil {
-		t.Fatal("SearchShorter on sweepline must fail")
-	}
-	if _, err := swp.SearchApprox(qShort, 0.3, 2); err == nil {
-		t.Fatal("SearchApprox on sweepline must fail")
-	}
 	if _, err := eng.SearchShorter(qShort, -1); err == nil {
 		t.Fatal("negative eps must fail")
 	}

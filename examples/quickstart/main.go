@@ -24,8 +24,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("indexed %d subsequences of length %d (%s, %s)\n",
-		eng.NumSubsequences(), eng.L(), eng.Method(), eng.Norm())
+	fmt.Printf("indexed %d subsequences of length %d (TS-Index, %s)\n",
+		eng.NumSubsequences(), eng.L(), eng.Norm())
 
 	// Threshold query: all windows within Chebyshev distance 0.2 of the
 	// window starting at 3000. Queries are expressed in raw values; the

@@ -4,67 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
-	"twinsearch/internal/series"
 )
-
-// TestOpenSavedPointerStreamBackCompat feeds OpenSaved the legacy
-// single-index pointer stream (TSIX) that older versions of SaveIndex
-// wrote; it must load (frozen on the way in) and answer exactly like a
-// freshly built engine, and re-saving must emit the current frozen
-// format.
-func TestOpenSavedPointerStreamBackCompat(t *testing.T) {
-	data := datasets.RandomWalk(61, 1300)
-	const l = 42
-	ext := series.NewExtractor(data, series.NormGlobal)
-	ix, err := core.Build(ext, core.Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy bytes.Buffer
-	if _, err := ix.WriteTo(&legacy); err != nil {
-		t.Fatal(err)
-	}
-
-	eng, err := OpenSaved(data, bytes.NewReader(legacy.Bytes()), Options{L: l})
-	if err != nil {
-		t.Fatalf("legacy TSIX stream rejected: %v", err)
-	}
-	fresh, err := Open(data, Options{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := append([]float64(nil), data[200:200+l]...)
-	want, err := fresh.Search(q, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Search(q, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("legacy-loaded engine: %d matches, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("match %d differs: %v vs %v", i, got[i], want[i])
-		}
-	}
-
-	// Re-saving writes the frozen format now.
-	var resaved bytes.Buffer
-	if err := eng.SaveIndex(&resaved); err != nil {
-		t.Fatal(err)
-	}
-	if string(resaved.Bytes()[:4]) != core.FrozenMagic {
-		t.Fatalf("re-save wrote magic %q, want %q", resaved.Bytes()[:4], core.FrozenMagic)
-	}
-	if _, err := OpenSaved(data, bytes.NewReader(resaved.Bytes()), Options{L: l}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestEnginePartitionByMean checks the Options knob end to end:
 // identical answers to an unsharded engine and the scheme surviving a

@@ -1,13 +1,14 @@
 package twinsearch
 
-// Cross-method integration and property tests: every index must return
-// exactly the sweepline's result set on randomized inputs, parameters
-// and normalization modes — the strongest correctness statement the
-// filter-verification framework admits.
+// Integration and property tests: the engine, single or partitioned,
+// must return exactly the brute-force definition's result set on
+// randomized inputs, parameters and normalization modes — the strongest
+// correctness statement the filter-verification framework admits.
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,10 +16,10 @@ import (
 	"twinsearch/internal/datasets"
 )
 
-// TestPropertyAllMethodsEquivalent drives randomized (series, query,
-// eps, mode, L) instances through all four methods and requires
-// identical result sets.
-func TestPropertyAllMethodsEquivalent(t *testing.T) {
+// TestPropertyEngineMatchesOracle drives randomized (series, query,
+// eps, mode, L) instances through the engine on both index shapes and
+// requires the brute-force definition's result set from each.
+func TestPropertyEngineMatchesOracle(t *testing.T) {
 	type instance struct {
 		Seed    int64
 		Kind    uint8
@@ -52,34 +53,16 @@ func TestPropertyAllMethodsEquivalent(t *testing.T) {
 		qp := int(in.QPos) % (n - l)
 		q := append([]float64(nil), ts[qp:qp+l]...)
 
-		var golden []Match
-		for _, m := range allMethods {
-			if m == MethodKVIndex && mode == NormPerSubsequence {
-				continue
-			}
-			eng, err := Open(ts, Options{L: l, Method: m, Norm: mode, NormSet: true})
+		for _, shards := range bothShapes {
+			eng, err := Open(ts, Options{L: l, Shards: shards, Norm: mode, NormSet: true})
 			if err != nil {
-				t.Logf("open %v/%v: %v", m, mode, err)
+				t.Logf("open %d shards/%v: %v", shards, mode, err)
 				return false
 			}
 			ms, err := eng.Search(q, eps)
-			if err != nil {
-				t.Logf("search %v/%v: %v", m, mode, err)
+			if want := oracleRange(eng, q, eps); err != nil || !slices.Equal(ms, want) {
+				t.Logf("%d shards/%v l=%d eps=%v: %d results (%v), oracle %d", shards, mode, l, eps, len(ms), err, len(want))
 				return false
-			}
-			if golden == nil {
-				golden = ms
-				continue
-			}
-			if len(ms) != len(golden) {
-				t.Logf("%v/%v l=%d eps=%v: %d vs %d results", m, mode, l, eps, len(ms), len(golden))
-				return false
-			}
-			for i := range golden {
-				if ms[i].Start != golden[i].Start {
-					t.Logf("%v/%v: rank %d differs", m, mode, i)
-					return false
-				}
 			}
 		}
 		return true
@@ -130,12 +113,9 @@ func TestPropertyEpsilonMonotonicity(t *testing.T) {
 // -race in CI).
 func TestConcurrentSearches(t *testing.T) {
 	ts := datasets.InsectN(3, 20000)
-	for _, method := range allMethods {
+	for _, shards := range bothShapes {
 		for _, norm := range []NormMode{NormGlobal, NormPerSubsequence} {
-			if method == MethodKVIndex && norm == NormPerSubsequence {
-				continue
-			}
-			eng, err := Open(ts, Options{L: 100, Method: method, Norm: norm, NormSet: true})
+			eng, err := Open(ts, Options{L: 100, Shards: shards, Norm: norm, NormSet: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +148,7 @@ func TestConcurrentSearches(t *testing.T) {
 			wg.Wait()
 			close(errs)
 			for err := range errs {
-				t.Fatalf("%v/%v: %v", method, norm, err)
+				t.Fatalf("%d shards/%v: %v", shards, norm, err)
 			}
 		}
 	}

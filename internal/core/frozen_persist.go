@@ -1,15 +1,18 @@
 package core
 
-// Frozen index persistence: the arena serializes as its backing arrays,
-// so saving is a handful of sequential writes and loading is either a
-// sequential read straight into final heap slices (LoadFrozen) or — the
-// point of version 2 — no read at all: the stream's sections are 8-byte
-// aligned and offset-addressed, so FrozenFromArena points the arrays
-// directly at an mmap'd file region and the open costs O(header)
+// Index persistence — an extension beyond the paper, whose indexes live
+// for one experiment: construction is the expensive phase, so a built
+// index is saved and reopened against the same series. The frozen arena
+// serializes as its backing arrays, so saving is a handful of sequential
+// writes and loading is either a sequential read straight into final
+// heap slices (LoadFrozen) or no read at all: the stream's sections are
+// 8-byte aligned and offset-addressed, so FrozenFromArena points the
+// arrays directly at an mmap'd file region and the open costs O(header)
 // allocations however large the index is. This is the stream the
-// sharded TSSH v3 format embeds per shard.
+// sharded TSSH v3 format embeds per shard, and the only version read
+// (twinsearch.OpenSaved names any other in its refusal).
 //
-// Version 2 format (little-endian; all sections 8-byte aligned relative
+// Format (version 2, little-endian; all sections 8-byte aligned relative
 // to the stream start, which mmap's page alignment promotes to absolute
 // alignment):
 //
@@ -31,14 +34,12 @@ package core
 // The section offsets are recorded for self-description but are not
 // trusted: both loaders recompute the canonical layout from the counts
 // and reject any stream whose offsets disagree, so a hostile header
-// cannot alias sections or point them outside the stream. Version 1
-// (unaligned, sections implicit) is still read by LoadFrozen; the
-// writer below emits only v2.
+// cannot alias sections or point them outside the stream.
 //
-// Like the pointer formats, the series itself is not embedded.
-// LoadFrozen validates the full invariants against the supplied
-// extractor before returning; FrozenFromArena validates the structural
-// (memory-safety) half — see Frozen.CheckStructure for the split.
+// The series itself is not embedded. LoadFrozen validates the full
+// invariants against the supplied extractor before returning;
+// FrozenFromArena validates the structural (memory-safety) half — see
+// Frozen.CheckStructure for the split.
 
 import (
 	"bufio"
@@ -57,10 +58,9 @@ import (
 const FrozenMagic = "TSFZ"
 
 const (
-	frozenVersion1 = 1
-	FrozenVersion  = 2
+	FrozenVersion = 2
 
-	// frozenHeaderSize is the fixed v2 header length; the first section
+	// frozenHeaderSize is the fixed header length; the first section
 	// starts here, already 8-byte aligned.
 	frozenHeaderSize = 96
 )
@@ -142,43 +142,16 @@ func (f *Frozen) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// WriteLegacyV1 serializes the frozen index in the version 1 format
-// (unaligned, sections implicit). Current code never writes it; it is
-// retained so the cross-version compatibility tests can produce real v1
-// streams and hold the loaders to them.
-func (f *Frozen) WriteLegacyV1(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countWriter{w: bw}
+// countWriter tracks bytes written for WriteTo's contract.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
 
-	if _, err := cw.Write([]byte(FrozenMagic)); err != nil {
-		return cw.n, err
-	}
-	hdr := []interface{}{
-		uint16(frozenVersion1),
-		uint8(f.ext.Mode()),
-		uint32(f.cfg.L), uint32(f.cfg.MinCap), uint32(f.cfg.MaxCap),
-		uint64(f.size), uint32(f.height), uint64(f.ext.Len()),
-		uint32(len(f.first)), uint32(f.leafStart),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, arr := range [][]int32{f.first, f.count, f.positions} {
-		if err := binary.Write(cw, binary.LittleEndian, arr); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, arr := range [][]float64{f.upper, f.lower} {
-		if err := binary.Write(cw, binary.LittleEndian, arr); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // padTo writes zero bytes until the counting writer reaches off.
@@ -200,7 +173,7 @@ func padTo(cw *countWriter, off int64) error {
 }
 
 // frozenHeader is the decoded, not-yet-validated fixed header shared by
-// both v2 entry points.
+// both entry points.
 type frozenHeader struct {
 	mode                 uint8
 	l, minCap, maxCap    uint32
@@ -231,9 +204,9 @@ func decodeFrozenHeader(hdr []byte) frozenHeader {
 // validateFrozenHeader runs every header-level check shared by the copy
 // and zero-copy loaders: extractor agreement, parameter plausibility
 // (nothing in the header may command a large allocation or an
-// out-of-range index), and — for v2 — that the recorded section offsets
-// are exactly the canonical layout.
-func validateFrozenHeader(h frozenHeader, ext *series.Extractor, checkOffsets bool) (Config, error) {
+// out-of-range index), and that the recorded section offsets are
+// exactly the canonical layout.
+func validateFrozenHeader(h frozenHeader, ext *series.Extractor) (Config, error) {
 	if series.NormMode(h.mode) != ext.Mode() {
 		return Config{}, fmt.Errorf("core: load frozen: index built under %v, extractor is %v", series.NormMode(h.mode), ext.Mode())
 	}
@@ -265,23 +238,20 @@ func validateFrozenHeader(h frozenHeader, ext *series.Extractor, checkOffsets bo
 	if uint64(h.leafStart) > uint64(h.nodeCount) {
 		return Config{}, fmt.Errorf("core: load frozen: leafStart %d exceeds node count %d", h.leafStart, h.nodeCount)
 	}
-	if checkOffsets {
-		lo := layoutFrozen(int64(h.nodeCount), int64(h.size), int64(cfg.L))
-		want := [6]uint64{uint64(lo.firstOff), uint64(lo.countOff), uint64(lo.positionsOff),
-			uint64(lo.upperOff), uint64(lo.lowerOff), uint64(lo.totalLen)}
-		if h.offs != want {
-			return Config{}, fmt.Errorf("core: load frozen: section offsets %v differ from the canonical layout %v", h.offs, want)
-		}
+	lo := layoutFrozen(int64(h.nodeCount), int64(h.size), int64(cfg.L))
+	want := [6]uint64{uint64(lo.firstOff), uint64(lo.countOff), uint64(lo.positionsOff),
+		uint64(lo.upperOff), uint64(lo.lowerOff), uint64(lo.totalLen)}
+	if h.offs != want {
+		return Config{}, fmt.Errorf("core: load frozen: section offsets %v differ from the canonical layout %v", h.offs, want)
 	}
 	return cfg, nil
 }
 
 // LoadFrozen reconstructs a frozen index from r against ext, copying
 // the arrays into fresh heap slices (the byte-order-independent path;
-// FrozenFromArena is the zero-copy one). Version 1 and 2 streams are
-// both accepted. The extractor must present the same series (length)
-// and normalization mode the index was built with; the arena is fully
-// validated before use.
+// FrozenFromArena is the zero-copy one). The extractor must present the
+// same series (length) and normalization mode the index was built with;
+// the arena is fully validated before use.
 func LoadFrozen(r io.Reader, ext *series.Extractor) (*Frozen, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -298,22 +268,18 @@ func LoadFrozen(r io.Reader, ext *series.Extractor) (*Frozen, error) {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, fmt.Errorf("core: load frozen header: %w", err)
 	}
-	switch version {
-	case frozenVersion1:
-		return loadFrozenV1(br, ext)
-	case FrozenVersion:
-	default:
+	if version != FrozenVersion {
 		return nil, fmt.Errorf("core: load frozen: unsupported version %d", version)
 	}
 
-	// v2: the 6 bytes consumed so far are magic+version; read the rest
+	// The 6 bytes consumed so far are magic+version; read the rest
 	// of the fixed header, then the sections in stream order.
 	hdr := make([]byte, frozenHeaderSize)
 	if _, err := io.ReadFull(br, hdr[6:]); err != nil {
 		return nil, fmt.Errorf("core: load frozen header: %w", err)
 	}
 	h := decodeFrozenHeader(hdr)
-	cfg, err := validateFrozenHeader(h, ext, true)
+	cfg, err := validateFrozenHeader(h, ext)
 	if err != nil {
 		return nil, err
 	}
@@ -372,54 +338,6 @@ func LoadFrozen(r io.Reader, ext *series.Extractor) (*Frozen, error) {
 	return f, nil
 }
 
-// loadFrozenV1 reads the remainder of a version 1 stream (magic and
-// version already consumed).
-func loadFrozenV1(br *bufio.Reader, ext *series.Extractor) (*Frozen, error) {
-	var (
-		mode                 uint8
-		l, minCap, maxCap    uint32
-		size                 uint64
-		height               uint32
-		seriesLen            uint64
-		nodeCount, leafStart uint32
-	)
-	for _, v := range []interface{}{&mode, &l, &minCap, &maxCap,
-		&size, &height, &seriesLen, &nodeCount, &leafStart} {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("core: load frozen header: %w", err)
-		}
-	}
-	h := frozenHeader{mode: mode, l: l, minCap: minCap, maxCap: maxCap,
-		height: height, size: size, seriesLen: seriesLen,
-		nodeCount: nodeCount, leafStart: leafStart}
-	cfg, err := validateFrozenHeader(h, ext, false)
-	if err != nil {
-		return nil, err
-	}
-
-	f := &Frozen{ext: ext, cfg: cfg, size: int(size), height: int(height),
-		leafStart: int32(leafStart)}
-	// One backing array per element type; the named slices alias into
-	// it, so each sequential read lands directly in its final home.
-	ints, err := readInt32s(br, int(2*uint64(nodeCount)+size))
-	if err != nil {
-		return nil, fmt.Errorf("core: load frozen structure: %w", err)
-	}
-	f.first = ints[:nodeCount:nodeCount]
-	f.count = ints[nodeCount : 2*nodeCount : 2*nodeCount]
-	f.positions = ints[2*nodeCount:]
-	bounds, err := readFloat64s(br, int(2*uint64(nodeCount)*uint64(cfg.L)))
-	if err != nil {
-		return nil, fmt.Errorf("core: load frozen bounds: %w", err)
-	}
-	f.upper = bounds[: len(bounds)/2 : len(bounds)/2]
-	f.lower = bounds[len(bounds)/2:]
-	if err := f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("core: load frozen: reconstructed index is inconsistent with the supplied series: %w", err)
-	}
-	return f, nil
-}
-
 // FrozenFromArena is the zero-copy open path: it interprets the TSFZ v2
 // stream at byte offset off of ar as a Frozen whose arrays are views
 // directly into the arena — no decoding, no copying, O(header) heap
@@ -428,11 +346,10 @@ func loadFrozenV1(br *bufio.Reader, ext *series.Extractor) (*Frozen, error) {
 // find the next segment).
 //
 // The caller owns ar and must keep it alive (and unclosed) for the
-// Frozen's lifetime. Only v2 streams on little-endian hosts qualify;
-// anything else returns an error and the caller falls back to
-// LoadFrozen. The structural (memory-safety) invariants are validated
-// before the index is returned; the O(size·L) containment validation is
-// skipped — see Frozen.CheckStructure.
+// Frozen's lifetime, and the host must be little-endian (LoadFrozen is
+// the byte-order-independent path). The structural (memory-safety)
+// invariants are validated before the index is returned; the O(size·L)
+// containment validation is skipped — see Frozen.CheckStructure.
 func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen, int64, error) {
 	buf := ar.Bytes()
 	if off < 0 || off > int64(len(buf)) || int64(len(buf))-off < frozenHeaderSize {
@@ -443,10 +360,10 @@ func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen
 		return nil, 0, fmt.Errorf("core: frozen arena: bad magic %q", hdr[:4])
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != FrozenVersion {
-		return nil, 0, fmt.Errorf("core: frozen arena: version %d streams cannot be mapped in place (zero-copy needs the aligned v%d format)", v, FrozenVersion)
+		return nil, 0, fmt.Errorf("core: frozen arena: unsupported version %d", v)
 	}
 	h := decodeFrozenHeader(hdr)
-	cfg, err := validateFrozenHeader(h, ext, true)
+	cfg, err := validateFrozenHeader(h, ext)
 	if err != nil {
 		return nil, 0, err
 	}

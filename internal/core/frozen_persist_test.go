@@ -66,21 +66,6 @@ func TestFrozenV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadFrozenV1BackCompat(t *testing.T) {
-	ts := datasets.RandomWalk(47, 2500)
-	fz, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 50})
-	var legacy bytes.Buffer
-	if _, err := fz.WriteLegacyV1(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFrozen(bytes.NewReader(legacy.Bytes()), ext)
-	if err != nil {
-		t.Fatalf("legacy v1 stream rejected: %v", err)
-	}
-	q := ext.ExtractCopy(100, 50)
-	checkFrozenParity(t, fz, got, q, 0.5)
-}
-
 func TestFrozenFromArenaDifferential(t *testing.T) {
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
 		ts := datasets.InsectN(43, 4000)
@@ -156,6 +141,7 @@ func TestFrozenV2StreamErrors(t *testing.T) {
 		"body truncated":   full[:len(full)-9],
 		"bad magic":        append([]byte("NOPE"), full[4:]...),
 		"bad version":      mutate(4, 0xFF),
+		"retired version":  mutate(4, 1), // TSFZ v1: unaligned, no longer read
 		"bad mode":         mutate(6, 0xEE),
 		"huge node count":  put64(40, 0xFFFFFFFFFFFFFFFF), // nodeCount+leafStart
 		"huge size":        put64(24, 1<<60),

@@ -11,50 +11,13 @@ import (
 	"twinsearch/internal/series"
 )
 
-// FuzzLoad feeds arbitrary byte streams to the index deserializer; it
-// must reject garbage with an error, never panic, and never accept a
-// stream whose tree contradicts the series. Run with `go test -fuzz
-// FuzzLoad ./internal/core` for exploration; the seed corpus (a valid
-// stream plus mutations) runs as part of the normal test suite.
-func FuzzLoad(f *testing.F) {
-	ts := datasets.RandomWalk(91, 600)
-	ext := series.NewExtractor(ts, series.NormGlobal)
-	ix, err := Build(ext, Config{L: 40})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var valid bytes.Buffer
-	if _, err := ix.WriteTo(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:10])
-	f.Add([]byte("TSIX garbage"))
-	f.Add([]byte{})
-	mutated := append([]byte(nil), valid.Bytes()...)
-	if len(mutated) > 100 {
-		mutated[50] ^= 0xFF
-		mutated[99] ^= 0x0F
-	}
-	f.Add(mutated)
-
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		got, err := Load(bytes.NewReader(stream), ext)
-		if err != nil {
-			return // rejected: fine
-		}
-		// Accepted streams must describe a consistent index.
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("Load accepted an inconsistent stream: %v", err)
-		}
-	})
-}
-
-// FuzzLoadFrozen is FuzzLoad for the flat-arena deserializers — the
-// copy loader (LoadFrozen, v1+v2 streams) and the zero-copy one
-// (FrozenFromArena, aligned v2): arbitrary byte streams must be
-// rejected with an error or yield an arena that traverses safely —
-// never a panic or an out-of-range index. The copy loader additionally
+// FuzzLoadFrozen feeds arbitrary byte streams to the two index
+// deserializers — the copy loader (LoadFrozen) and the zero-copy one
+// (FrozenFromArena): they must be rejected with an error or yield an
+// arena that traverses safely — never a panic or an out-of-range
+// index. Run with `go test -fuzz FuzzLoadFrozen ./internal/core` for
+// exploration; the seed corpus (a valid stream plus mutations) runs as
+// part of the normal test suite. The copy loader additionally
 // guarantees full invariants (bound containment included); the
 // zero-copy path guarantees the structural half, so its accepted
 // arenas are checked against CheckStructure and then traversed.
@@ -70,12 +33,10 @@ func FuzzLoadFrozen(f *testing.F) {
 	if _, err := fz.WriteTo(&valid); err != nil {
 		f.Fatal(err)
 	}
-	var validV1 bytes.Buffer
-	if _, err := fz.WriteLegacyV1(&validV1); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(valid.Bytes())
-	f.Add(validV1.Bytes())
+	retired := append([]byte(nil), valid.Bytes()...)
+	retired[4] = 1 // a version 1 header: refused, whatever follows
+	f.Add(retired)
 	f.Add(valid.Bytes()[:20])
 	f.Add(valid.Bytes()[:frozenHeaderSize])
 	f.Add([]byte("TSFZ garbage"))

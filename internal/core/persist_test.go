@@ -5,38 +5,50 @@ import (
 	"slices"
 	"testing"
 
+	"twinsearch/internal/arena"
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
 
+// loaders are the two ways a saved stream comes back: copied to the
+// heap with full validation, or viewed in place.
+var loaders = map[string]func(stream []byte, ext *series.Extractor) (*Frozen, error){
+	"LoadFrozen": func(stream []byte, ext *series.Extractor) (*Frozen, error) {
+		return LoadFrozen(bytes.NewReader(stream), ext)
+	},
+	"FrozenFromArena": func(stream []byte, ext *series.Extractor) (*Frozen, error) {
+		f, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext)
+		return f, err
+	},
+}
+
+// savedOver builds, freezes and saves an index over ts.
+func savedOver(t *testing.T, ts []float64, mode series.NormMode, cfg Config) ([]byte, *series.Extractor) {
+	t.Helper()
+	fz, ext := frozenOver(t, ts, mode, cfg)
+	var buf bytes.Buffer
+	if _, err := fz.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	return buf.Bytes(), ext
+}
+
+// TestPersistRoundTrip holds a reloaded index to the definition, not to
+// the index it was saved from: every normalization, both loaders.
 func TestPersistRoundTrip(t *testing.T) {
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
-		ts := datasets.InsectN(31, 5000)
-		ix, ext := buildOver(t, ts, mode, Config{L: 80})
-
-		var buf bytes.Buffer
-		n, err := ix.WriteTo(&buf)
-		if err != nil {
-			t.Fatalf("WriteTo: %v", err)
-		}
-		if n != int64(buf.Len()) {
-			t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-		}
-
-		got, err := Load(&buf, ext)
-		if err != nil {
-			t.Fatalf("Load: %v", err)
-		}
-		if got.Len() != ix.Len() || got.Height() != ix.Height() || got.L() != ix.L() {
-			t.Fatalf("metadata mismatch after round trip")
-		}
+		stream, ext := savedOver(t, datasets.InsectN(31, 5000), mode, Config{L: 80})
 		q := ext.ExtractCopy(777, 80)
-		for _, eps := range []float64{0.1, 0.5, 2} {
-			a := oracle.Range(ext, q, eps)
-			b := got.Freeze().Search(q, eps)
-			if !slices.Equal(a, b) {
-				t.Fatalf("mode=%v eps=%v: %d vs %d results", mode, eps, len(a), len(b))
+		for name, load := range loaders {
+			got, err := load(stream, ext)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, eps := range []float64{0.1, 0.5, 2} {
+				if a, b := oracle.Range(ext, q, eps), got.Search(q, eps); !slices.Equal(a, b) {
+					t.Fatalf("%s mode=%v eps=%v: oracle %d results, reloaded %d", name, mode, eps, len(a), len(b))
+				}
 			}
 		}
 	}
@@ -49,79 +61,48 @@ func TestPersistEmptyIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := ix.Freeze().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf, ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 || got.Freeze().Search(make([]float64, 20), 1) != nil {
-		t.Fatal("empty index did not survive round trip")
+	for name, load := range loaders {
+		got, err := load(buf.Bytes(), ext)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Len() != 0 || got.Search(make([]float64, 20), 1) != nil {
+			t.Fatalf("%s: empty index did not survive round trip", name)
+		}
 	}
 }
 
 func TestLoadRejectsWrongMode(t *testing.T) {
 	ts := datasets.RandomWalk(2, 1000)
-	ix, _ := buildOver(t, ts, series.NormGlobal, Config{L: 50})
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	stream, _ := savedOver(t, ts, series.NormGlobal, Config{L: 50})
 	wrong := series.NewExtractor(ts, series.NormNone)
-	if _, err := Load(&buf, wrong); err == nil {
-		t.Fatal("want mode-mismatch error")
+	for name, load := range loaders {
+		if _, err := load(stream, wrong); err == nil {
+			t.Fatalf("%s: want mode-mismatch error", name)
+		}
 	}
 }
 
 func TestLoadRejectsWrongSeries(t *testing.T) {
 	ts := datasets.RandomWalk(2, 1000)
-	ix, _ := buildOver(t, ts, series.NormGlobal, Config{L: 50})
+	stream, _ := savedOver(t, ts, series.NormGlobal, Config{L: 50})
 
-	// Different length: rejected by the header check.
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	// Different length: rejected by the header check, on both paths.
 	short := series.NewExtractor(ts[:900], series.NormGlobal)
-	if _, err := Load(&buf, short); err == nil {
-		t.Fatal("want length-mismatch error")
-	}
-
-	// Same length, different values: rejected by the invariant check
-	// (the recorded MBTS no longer enclose the windows).
-	buf.Reset()
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	other := series.NewExtractor(datasets.RandomWalk(99, 1000), series.NormGlobal)
-	if _, err := Load(&buf, other); err == nil {
-		t.Fatal("want invariant error for mismatched data")
-	}
-}
-
-func TestLoadRejectsCorruptStreams(t *testing.T) {
-	ts := datasets.RandomWalk(3, 800)
-	ix, ext := buildOver(t, ts, series.NormGlobal, Config{L: 40})
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": append([]byte("NOPE"), full[4:]...),
-		"truncated": full[:len(full)/2],
-		"bad version": func() []byte {
-			c := append([]byte(nil), full...)
-			c[4] = 0xFF
-			return c
-		}(),
-	}
-	for name, stream := range cases {
-		if _, err := Load(bytes.NewReader(stream), ext); err == nil {
-			t.Fatalf("%s: want error", name)
+	for name, load := range loaders {
+		if _, err := load(stream, short); err == nil {
+			t.Fatalf("%s: want length-mismatch error", name)
 		}
+	}
+
+	// Same length, different values: the recorded MBTS no longer enclose
+	// the windows. Only the copy loader walks the bounds (the mapped open
+	// validates structure alone — see Frozen.CheckStructure).
+	other := series.NewExtractor(datasets.RandomWalk(99, 1000), series.NormGlobal)
+	if _, err := loaders["LoadFrozen"](stream, other); err == nil {
+		t.Fatal("want invariant error for mismatched data")
 	}
 }

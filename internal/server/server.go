@@ -140,7 +140,7 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	role := "standalone"
 	body := map[string]interface{}{
 		"status":     status,
-		"method":     h.eng.Method().String(),
+		"method":     "TS-Index", // the engine's one method; kept for the wire shape
 		"norm":       h.eng.Norm().String(),
 		"l":          h.eng.L(),
 		"series_len": h.eng.SeriesLen(),

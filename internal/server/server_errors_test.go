@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"twinsearch"
+	"twinsearch/internal/datasets"
 )
 
 func TestTopKEndpointErrors(t *testing.T) {
@@ -84,11 +90,33 @@ func TestSubsequenceOutOfRange(t *testing.T) {
 	}
 }
 
-func TestAppendRejectedForNonTSIndex(t *testing.T) {
-	// A sweepline-backed handler: /append must surface the engine error.
-	srv := newMethodServer(t, "sweepline")
-	resp, _ := postJSON(t, srv+"/append", map[string]interface{}{"values": []float64{1}})
+// TestAppendRejectedForReadOnlyEngine: a coordinator serves an index
+// other processes own, so its engine refuses Append; /append must
+// surface that refusal as a 400, not apply or drop it silently.
+func TestAppendRejectedForReadOnlyEngine(t *testing.T) {
+	ts := datasets.RandomWalk(82, 2000)
+	built, err := twinsearch.Open(ts, twinsearch.Options{L: 100, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.SaveIndexFile(filepath.Join(dir, "idx.tssh")); err != nil {
+		t.Fatal(err)
+	}
+	topo := filepath.Join(dir, "topo.json")
+	doc := `{"index": "idx.tssh", "nodes": [{"name": "n0", "addr": "local", "shards": "0-1"}]}`
+	if err := os.WriteFile(topo, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := twinsearch.Open(ts, twinsearch.Options{L: 100, Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv := httptest.NewServer(New(eng))
+	t.Cleanup(srv.Close)
+	resp, _ := postJSON(t, srv.URL+"/append", map[string]interface{}{"values": []float64{1}})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("append on sweepline: status %d", resp.StatusCode)
+		t.Fatalf("append on a coordinator: status %d", resp.StatusCode)
 	}
 }

@@ -24,23 +24,6 @@ func newTestServer(t *testing.T) (*httptest.Server, []float64) {
 	return srv, ts
 }
 
-// newMethodServer starts a server over an engine with the given method.
-func newMethodServer(t *testing.T, method string) string {
-	t.Helper()
-	ts := datasets.RandomWalk(82, 2000)
-	opt := twinsearch.Options{L: 100}
-	if method == "sweepline" {
-		opt.Method = twinsearch.MethodSweepline
-	}
-	eng, err := twinsearch.Open(ts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(eng))
-	t.Cleanup(srv.Close)
-	return srv.URL
-}
-
 func postJSON(t *testing.T, url string, body interface{}) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -161,50 +159,6 @@ func TestShardPersistRoundTripBothPartitions(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestShardLoadV1BackCompat hand-writes the version-1 sharded stream
-// (pointer-tree shard payloads) and checks Load still accepts it,
-// freezing the shards on the way in.
-func TestShardLoadV1BackCompat(t *testing.T) {
-	ts := datasets.RandomWalk(55, 1100)
-	const l = 34
-	ext := series.NewExtractor(ts, series.NormGlobal)
-	count := series.NumSubsequences(len(ts), l)
-	bounds := []int{0, count / 2, count}
-
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	bw.WriteString(Magic)
-	binary.Write(bw, binary.LittleEndian, uint16(1)) // v1: no partition byte
-	binary.Write(bw, binary.LittleEndian, uint32(len(bounds)-1))
-	for _, b := range bounds {
-		binary.Write(bw, binary.LittleEndian, uint64(b))
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i+1 < len(bounds); i++ {
-		ix, err := core.BuildRange(ext, core.Config{L: l}, bounds[i], bounds[i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got, err := Load(bytes.NewReader(buf.Bytes()), ext, nil)
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
-	}
-	if got.NumShards() != 2 || got.PartitionByMean() {
-		t.Fatalf("v1 stream loaded as %d shards, mean=%v", got.NumShards(), got.PartitionByMean())
-	}
-	q := ext.ExtractCopy(300, l)
-	if want, have := oracle.Range(ext, q, 0.5), got.Search(q, 0.5); !sameMatches(want, have) {
-		t.Fatal("v1-loaded index answers differently")
 	}
 }
 

@@ -1,0 +1,66 @@
+package shard
+
+import (
+	"bytes"
+	"testing"
+
+	"twinsearch/internal/arena"
+	"twinsearch/internal/core"
+	"twinsearch/internal/oracle"
+	"twinsearch/internal/series"
+)
+
+// FuzzLoadSharded feeds arbitrary byte streams to the two container
+// loaders (the segment layer has core's FuzzLoadFrozen). Load validates
+// everything, so a stream it accepts is an index: the partition
+// invariants hold and a query gets the oracle's answer, whatever tree
+// shape the bytes describe. OpenArena trusts the writer for the
+// ownership scan and bound containment (see its comment), so a stream
+// it accepts must traverse safely, and must answer like the oracle
+// whenever it also passes the full check. Neither may panic, and the
+// only allocations a header commands are bounded by maxShards.
+func FuzzLoadSharded(f *testing.F) {
+	const l = 16
+	ext := series.NewExtractor(synthetic(400, 21), series.NormGlobal)
+	for _, byMean := range []bool{false, true} {
+		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 3, PartitionByMean: byMean})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var valid bytes.Buffer
+		if _, err := sh.WriteTo(&valid); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid.Bytes())
+		f.Add(valid.Bytes()[:40])
+		for _, off := range []int{4, 6, 8, 12, 36, 60, 200} { // version, partition, count, partition array, table, first segment
+			mutated := append([]byte(nil), valid.Bytes()...)
+			mutated[off] ^= 0xFF
+			f.Add(mutated)
+		}
+	}
+	f.Add([]byte("TSSH garbage"))
+	f.Add([]byte{})
+	q := ext.ExtractCopy(100, l)
+	want := oracle.Range(ext, q, 0.4)
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		if got, err := Load(bytes.NewReader(stream), ext, nil); err == nil {
+			if err := got.checkPartition(); err != nil {
+				t.Fatalf("Load accepted a broken partition: %v", err)
+			}
+			if ms := got.Search(q, 0.4); !sameMatches(ms, want) {
+				t.Fatalf("Load accepted a stream that answers %v, oracle %v", ms, want)
+			}
+		}
+		mapped, err := OpenArena(arena.FromBytes(stream), ext, nil)
+		if err != nil {
+			return // rejected: fine
+		}
+		ms := mapped.Search(q, 0.4)
+		mapped.SearchTopK(q, 5)
+		if mapped.CheckInvariants() == nil && !sameMatches(ms, want) {
+			t.Fatalf("OpenArena accepted a consistent stream that answers %v, oracle %v", ms, want)
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
-	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
 
@@ -117,52 +115,6 @@ func TestOpenArenaDifferential(t *testing.T) {
 	}
 }
 
-// TestShardLoadV2BackCompat hand-writes the version-2 sharded stream
-// (TSFZ v1 shard payloads, no segment table) and checks Load still
-// accepts it while OpenArena refuses it as unmappable.
-func TestShardLoadV2BackCompat(t *testing.T) {
-	ts := datasets.RandomWalk(56, 1200)
-	const l = 30
-	ext := series.NewExtractor(ts, series.NormGlobal)
-	count := series.NumSubsequences(len(ts), l)
-	bounds := []int{0, count / 3, count}
-
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	bw.WriteString(Magic)
-	binary.Write(bw, binary.LittleEndian, uint16(2))
-	bw.WriteByte(0) // partition: contiguous ranges
-	binary.Write(bw, binary.LittleEndian, uint32(len(bounds)-1))
-	for _, b := range bounds {
-		binary.Write(bw, binary.LittleEndian, uint64(b))
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i+1 < len(bounds); i++ {
-		ix, err := core.BuildRange(ext, core.Config{L: l}, bounds[i], bounds[i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ix.Freeze().WriteLegacyV1(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got, err := Load(bytes.NewReader(buf.Bytes()), ext, nil)
-	if err != nil {
-		t.Fatalf("v2 stream rejected: %v", err)
-	}
-	q := ext.ExtractCopy(200, l)
-	if want, have := oracle.Range(ext, q, 0.5), got.Search(q, 0.5); !sameMatches(want, have) {
-		t.Fatal("v2-loaded index answers differently")
-	}
-
-	if _, err := OpenArena(arena.FromBytes(buf.Bytes()), ext, nil); err == nil {
-		t.Fatal("OpenArena accepted a pre-alignment v2 stream")
-	}
-}
-
 // TestOpenArenaRejectsCorruptStreams damages a valid v3 stream in the
 // container layer (the segment layer is fuzzed in core): every case
 // must fail cleanly.
@@ -191,6 +143,9 @@ func TestOpenArenaRejectsCorruptStreams(t *testing.T) {
 		"header truncated": full[:10],
 		"bad magic":        append([]byte("NOPE"), full[4:]...),
 		"bad partition":    mutate(6, 9),
+		"version 1":        mutate(4, 1), // retired containers: refused at
+		"version 2":        mutate(4, 2), // the header by both loaders
+		"version 4":        mutate(4, 4),
 		"zero shards": func() []byte {
 			c := append([]byte(nil), full...)
 			binary.LittleEndian.PutUint32(c[8:], 0)
@@ -217,6 +172,4 @@ func TestOpenArenaRejectsCorruptStreams(t *testing.T) {
 			t.Errorf("Load accepted %s", name)
 		}
 	}
-	// A v1/v2 magic+version is not corruption for Load, only for
-	// OpenArena — covered in TestShardLoadV2BackCompat.
 }

@@ -1,18 +1,16 @@
 package shard
 
 // Sharded index persistence: a small header naming the partition, a
-// segment table, and each shard's frozen stream. Version 3 makes the
-// container mappable: the header records every segment's byte length,
-// segments start 8-byte aligned relative to the file start, and each
-// segment is an aligned TSFZ v2 stream — so OpenArena can point every
-// shard's arrays straight into one mmap'd file region with O(header)
-// allocation, while Load still reads any version by copy. Version 2
-// (TSFZ v1 segments, no table) and version 1 (pointer-tree TSIX
-// segments) are still accepted by Load and frozen on the way in. Like
-// the single-index formats, the series itself is not embedded; both
-// loaders revalidate each shard against the supplied extractor.
+// segment table, and each shard's frozen stream. The container is
+// mappable: the header records every segment's byte length, segments
+// start 8-byte aligned relative to the file start, and each segment is
+// an aligned TSFZ v2 stream — so OpenArena can point every shard's
+// arrays straight into one mmap'd file region with O(header)
+// allocation, while Load reads the same bytes by copy. Like the
+// single-index format, the series itself is not embedded; both loaders
+// revalidate each shard against the supplied extractor.
 //
-// Version 3 format (little-endian):
+// Format (version 3, little-endian):
 //
 //	off 0  magic "TSSH", version u16
 //	off 6  partition u8 (0 = contiguous ranges, 1 = mean-sorted runs),
@@ -42,11 +40,8 @@ import (
 // accept both formats sniff it to dispatch (see twinsearch.OpenSaved).
 const Magic = "TSSH"
 
-const (
-	persistVersion1 = 1
-	persistVersion2 = 2
-	PersistVersion  = 3
-)
+// PersistVersion is the one container version written and read.
+const PersistVersion = 3
 
 const (
 	partitionRange = 0
@@ -58,7 +53,7 @@ const (
 // corrupt or hostile stream, rejected before allocation.
 const maxShards = 1 << 20
 
-// headerLen returns the byte length of the v3 fixed header plus
+// headerLen returns the byte length of the fixed header plus
 // partition array and segment table for count shards — the unpadded
 // offset of the first segment.
 func headerLen(count int, byMean bool) int64 {
@@ -137,12 +132,11 @@ func (s *Index) WriteTo(w io.Writer) (int64, error) {
 
 // shardHeader is the decoded container header shared by both loaders.
 type shardHeader struct {
-	version uint16
 	byMean  bool
 	count   int
 	starts  []int
 	cuts    []float64
-	segLens []int64 // v3 only
+	segLens []int64
 }
 
 // readShardHeader decodes and validates the container header from br,
@@ -156,37 +150,22 @@ func readShardHeader(br *bufio.Reader) (shardHeader, error) {
 	if string(magic) != Magic {
 		return h, fmt.Errorf("shard: load: bad magic %q", magic)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &h.version); err != nil {
+	// version u16, partition u8, reserved u8, shardCount u32
+	var fixed [8]byte
+	if _, err := io.ReadFull(br, fixed[:]); err != nil {
 		return h, fmt.Errorf("shard: load header: %w", err)
 	}
-	switch h.version {
-	case persistVersion1, persistVersion2, PersistVersion:
+	if v := binary.LittleEndian.Uint16(fixed[:]); v != PersistVersion {
+		return h, fmt.Errorf("shard: load: unsupported version %d", v)
+	}
+	switch fixed[2] {
+	case partitionRange:
+	case partitionMean:
+		h.byMean = true
 	default:
-		return h, fmt.Errorf("shard: load: unsupported version %d", h.version)
+		return h, fmt.Errorf("shard: load: unknown partition scheme %d", fixed[2])
 	}
-	if h.version >= persistVersion2 {
-		var part uint8
-		if err := binary.Read(br, binary.LittleEndian, &part); err != nil {
-			return h, fmt.Errorf("shard: load header: %w", err)
-		}
-		switch part {
-		case partitionRange:
-		case partitionMean:
-			h.byMean = true
-		default:
-			return h, fmt.Errorf("shard: load: unknown partition scheme %d", part)
-		}
-		if h.version >= PersistVersion {
-			// v3 has a reserved alignment byte after the partition.
-			if _, err := br.Discard(1); err != nil {
-				return h, fmt.Errorf("shard: load header: %w", err)
-			}
-		}
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return h, fmt.Errorf("shard: load header: %w", err)
-	}
+	count := binary.LittleEndian.Uint32(fixed[4:])
 	if count == 0 || count > maxShards {
 		return h, fmt.Errorf("shard: load: implausible shard count %d", count)
 	}
@@ -211,29 +190,27 @@ func readShardHeader(br *bufio.Reader) (shardHeader, error) {
 			h.starts[i] = int(b)
 		}
 	}
-	if h.version >= PersistVersion {
-		h.segLens = make([]int64, h.count)
-		for i := range h.segLens {
-			var n uint64
-			if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-				return h, fmt.Errorf("shard: load segment table: %w", err)
-			}
-			if n == 0 || n%8 != 0 || n > math.MaxInt64 {
-				return h, fmt.Errorf("shard: load: implausible segment length %d for shard %d", n, i)
-			}
-			h.segLens[i] = int64(n)
+	h.segLens = make([]int64, h.count)
+	for i := range h.segLens {
+		var n uint64
+		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+			return h, fmt.Errorf("shard: load segment table: %w", err)
 		}
-		hl := headerLen(h.count, h.byMean)
-		if _, err := br.Discard(int(arena.Align8(hl) - hl)); err != nil {
-			return h, fmt.Errorf("shard: load header: %w", err)
+		if n == 0 || n%8 != 0 || n > math.MaxInt64 {
+			return h, fmt.Errorf("shard: load: implausible segment length %d for shard %d", n, i)
 		}
+		h.segLens[i] = int64(n)
+	}
+	hl := headerLen(h.count, h.byMean)
+	if _, err := br.Discard(int(arena.Align8(hl) - hl)); err != nil {
+		return h, fmt.Errorf("shard: load header: %w", err)
 	}
 	return h, nil
 }
 
-// Load reconstructs a sharded index from a stream produced by WriteTo
-// (any version), copying every shard into heap arenas, and schedules
-// its queries on ex (nil selects the process-wide default executor).
+// Load reconstructs a sharded index from a stream produced by WriteTo,
+// copying every shard into heap arenas, and schedules its queries on ex
+// (nil selects the process-wide default executor).
 // The extractor must present the same series and normalization the
 // index was built with; every shard stream is validated exactly as its
 // single-index loader validates it. OpenArena is the zero-copy
@@ -254,23 +231,12 @@ func Load(r io.Reader, ext *series.Extractor, ex *exec.Executor) (*Index, error)
 	frozen := make([]*core.Frozen, h.count)
 	l := 0
 	for i := range frozen {
-		var f *core.Frozen
-		var err error
-		if h.version == persistVersion1 {
-			// v1 shards are pointer-tree streams; freeze on load.
-			var ix *core.Index
-			ix, err = core.Load(br, ext)
-			if err == nil {
-				f = ix.Freeze()
-			}
-		} else {
-			f, err = core.LoadFrozen(br, ext)
-		}
+		f, err := core.LoadFrozen(br, ext)
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
 		}
-		if h.segLens != nil && f.StreamLen() != h.segLens[i] {
-			// The v3 table must agree with the streams it frames: a
+		if f.StreamLen() != h.segLens[i] {
+			// The table must agree with the streams it frames: a
 			// mismatch means the container was edited or corrupted, even
 			// if each segment still parses.
 			return nil, fmt.Errorf("shard: shard %d spans %d bytes, table says %d", i, f.StreamLen(), h.segLens[i])
@@ -300,26 +266,15 @@ func Load(r io.Reader, ext *series.Extractor, ex *exec.Executor) (*Index, error)
 // caller owns ar and must keep it alive (and unclosed) for the index's
 // lifetime.
 //
-// Only v3 streams qualify (v1/v2 predate the aligned segment layout);
-// callers fall back to Load for those. Each shard's structural
-// invariants and the partition shape are validated; the O(windows)
-// ownership scan and O(size·L) bound-containment walk are trusted to
-// the writer, exactly as FrozenFromArena documents.
+// Each shard's structural invariants and the partition shape are
+// validated; the O(windows) ownership scan and O(size·L)
+// bound-containment walk are trusted to the writer, exactly as
+// FrozenFromArena documents.
 func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Index, error) {
-	buf := ar.Bytes()
-	if len(buf) < 12 {
-		return nil, fmt.Errorf("shard: arena: %d-byte region too small for a header", len(buf))
-	}
-	if string(buf[:4]) != Magic {
-		return nil, fmt.Errorf("shard: arena: bad magic %q", buf[:4])
-	}
-	if v := binary.LittleEndian.Uint16(buf[4:]); v != PersistVersion {
-		return nil, fmt.Errorf("shard: arena: version %d streams cannot be mapped in place (zero-copy needs the aligned v%d format)", v, PersistVersion)
-	}
 	// The header is small and byte-order sensitive; decode it through
 	// the same reader the copy loader uses rather than aliasing it.
-	br := bufio.NewReader(bytes.NewReader(buf))
-	h, err := readShardHeader(br)
+	buf := ar.Bytes()
+	h, err := readShardHeader(bufio.NewReader(bytes.NewReader(buf)))
 	if err != nil {
 		return nil, err
 	}
@@ -355,10 +310,10 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 }
 
 // Single serves one frozen index as a one-shard Index — the form a
-// single-index stream (TSFZ, or a TSIX tree frozen on load) takes once
-// opened. f must cover every window of its series; an arena holding
-// only part of them (one segment lifted out of a sharded container)
-// would answer silently short, so it is refused.
+// single-index (TSFZ) stream takes once opened. f must cover every
+// window of its series; an arena holding only part of them (one segment
+// lifted out of a sharded container) would answer silently short, so it
+// is refused.
 func Single(f *core.Frozen, ex *exec.Executor) (*Index, error) {
 	count := series.NumSubsequences(f.Extractor().Len(), f.L())
 	s := newLoaded(f.Extractor(), f.L(), []*core.Frozen{f}, shardHeader{starts: []int{0, count}}, ex)

@@ -686,8 +686,8 @@ func (s *Index) MappedBytes() int {
 
 // CheckInvariants validates every shard's structural invariants plus
 // the partition invariants (checkPartition). Load skips the per-arena
-// half — core.LoadFrozen / core.Load validated each shard stream
-// moments earlier — and runs only checkPartition.
+// half — core.LoadFrozen validated each shard stream moments earlier —
+// and runs only checkPartition.
 func (s *Index) CheckInvariants() error {
 	s.ensureFrozen()
 	for i, f := range s.frozen {

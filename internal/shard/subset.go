@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -53,17 +52,7 @@ var _ Backend = (*Subset)(nil)
 // default executor.
 func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assigned []int) (*Subset, error) {
 	buf := ar.Bytes()
-	if len(buf) < 12 {
-		return nil, fmt.Errorf("shard: arena: %d-byte region too small for a header", len(buf))
-	}
-	if string(buf[:4]) != Magic {
-		return nil, fmt.Errorf("shard: arena: bad magic %q", buf[:4])
-	}
-	if v := binary.LittleEndian.Uint16(buf[4:]); v != PersistVersion {
-		return nil, fmt.Errorf("shard: arena: version %d streams cannot be opened selectively (the segment table arrived in v%d)", v, PersistVersion)
-	}
-	br := bufio.NewReader(bytes.NewReader(buf))
-	h, err := readShardHeader(br)
+	h, err := readShardHeader(bufio.NewReader(bytes.NewReader(buf)))
 	if err != nil {
 		return nil, err
 	}

@@ -201,8 +201,8 @@ func TestOpenArenaShardsRejects(t *testing.T) {
 		}
 	}
 
-	// Old container versions have no segment table to skip by; a v2
-	// header must be refused before any segment is interpreted.
+	// Retired container versions have no segment table to skip by; a
+	// v2 header must be refused before any segment is interpreted.
 	v2 := append([]byte(nil), raw...)
 	binary.LittleEndian.PutUint16(v2[4:], 2)
 	if _, err := OpenArenaShards(arena.FromBytes(v2), ext, nil, []int{0}); err == nil {

@@ -1,98 +1,39 @@
 package twinsearch
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"twinsearch/internal/arena"
-	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
-	"twinsearch/internal/series"
 )
 
-// savedStreams produces one saved-index stream per historical format
-// over the same series, oldest first: TSIX (v0 pointer tree), TSFZ v1,
-// TSSH v1 (pointer shards), TSSH v2 (TSFZ v1 shards), and the current
-// TSFZ v2 / TSSH v3 the engine writes today.
+// savedStreams produces one stream per format SaveIndex writes, over
+// the same series: a bare TSFZ v2 stream (the single index) and the
+// TSSH v3 container under both partition schemes.
 func savedStreams(t *testing.T, data []float64, l int) map[string][]byte {
 	t.Helper()
-	ext := series.NewExtractor(data, series.NormGlobal)
-	ix, err := core.Build(ext, core.Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := series.NumSubsequences(len(data), l)
-	bounds := []int{0, count / 2, count}
-	shardTrees := make([]*core.Index, len(bounds)-1)
-	for i := range shardTrees {
-		if shardTrees[i], err = core.BuildRange(ext, core.Config{L: l}, bounds[i], bounds[i+1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	streams := map[string][]byte{}
-	write := func(name string, fn func(w *bytes.Buffer) error) {
+	for name, opt := range map[string]Options{
+		"TSFZ v2":         {L: l},
+		"TSSH v3":         {L: l, Shards: 2},
+		"TSSH v3 by mean": {L: l, Shards: 3, PartitionByMean: true},
+	} {
+		eng, err := Open(data, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		var buf bytes.Buffer
-		if err := fn(&buf); err != nil {
+		if err := eng.SaveIndex(&buf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		streams[name] = buf.Bytes()
 	}
-	write("TSIX", func(w *bytes.Buffer) error { _, err := ix.WriteTo(w); return err })
-	write("TSFZ v1", func(w *bytes.Buffer) error { _, err := ix.Freeze().WriteLegacyV1(w); return err })
-	write("TSSH v1", func(w *bytes.Buffer) error {
-		bw := bufio.NewWriter(w)
-		bw.WriteString("TSSH")
-		binary.Write(bw, binary.LittleEndian, uint16(1))
-		binary.Write(bw, binary.LittleEndian, uint32(len(shardTrees)))
-		for _, b := range bounds {
-			binary.Write(bw, binary.LittleEndian, uint64(b))
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		for _, sx := range shardTrees {
-			if _, err := sx.WriteTo(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	write("TSSH v2", func(w *bytes.Buffer) error {
-		bw := bufio.NewWriter(w)
-		bw.WriteString("TSSH")
-		binary.Write(bw, binary.LittleEndian, uint16(2))
-		bw.WriteByte(0) // contiguous partition
-		binary.Write(bw, binary.LittleEndian, uint32(len(shardTrees)))
-		for _, b := range bounds {
-			binary.Write(bw, binary.LittleEndian, uint64(b))
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		for _, sx := range shardTrees {
-			if _, err := sx.Freeze().WriteLegacyV1(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-
-	single, err := Open(data, Options{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("TSFZ v2", func(w *bytes.Buffer) error { return single.SaveIndex(w) })
-	sharded, err := Open(data, Options{L: l, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("TSSH v3", func(w *bytes.Buffer) error { return sharded.SaveIndex(w) })
 	return streams
 }
 
@@ -132,11 +73,14 @@ func checkEngineParity(t *testing.T, label string, want, got *Engine, q []float6
 	}
 }
 
-// TestSavedFormatMatrix opens every historical stream format through
-// both entry points — OpenSaved (copy) and OpenSavedFile with
-// Options.MMap (zero-copy where the format allows, transparent
-// fallback where it doesn't) — and requires byte-identical answers to
-// a freshly built engine on all five search paths.
+// TestSavedFormatMatrix is the whole persistence contract. Each format
+// SaveIndex writes opens through both entry points — OpenSaved (copy)
+// and OpenSavedFile with Options.MMap (zero-copy) — with byte-identical
+// answers to a freshly built engine on all five search paths. Each
+// stream generation this code base once wrote and no longer reads
+// (TSIX, TSFZ v1, TSSH v1/v2) and anything unknown is refused from its
+// six-byte header alone, with one text on both entry points — the
+// mapped open does not answer a refusal by trying the copy loader.
 func TestSavedFormatMatrix(t *testing.T) {
 	data := datasets.RandomWalk(83, 1700)
 	const l = 44
@@ -146,6 +90,7 @@ func TestSavedFormatMatrix(t *testing.T) {
 	}
 	q := append([]float64(nil), data[500:500+l]...)
 	dir := t.TempDir()
+	canMap := arena.MapSupported() && arena.LittleEndianHost()
 
 	for name, stream := range savedStreams(t, data, l) {
 		t.Run(name, func(t *testing.T) {
@@ -164,20 +109,54 @@ func TestSavedFormatMatrix(t *testing.T) {
 				t.Fatalf("OpenSavedFile(MMap): %v", err)
 			}
 			defer viaMMap.Close()
-			mappable := name == "TSFZ v2" || name == "TSSH v3"
-			if arena.MapSupported() && arena.LittleEndianHost() {
-				if mappable && viaMMap.MappedBytes() == 0 {
-					t.Errorf("%s: MMap open of a mappable format reports no mapped bytes", name)
-				}
-				if !mappable && viaMMap.MappedBytes() != 0 {
-					t.Errorf("%s: MMap open of a legacy format reports %d mapped bytes", name, viaMMap.MappedBytes())
-				}
+			if canMap && viaMMap.MappedBytes() == 0 {
+				t.Errorf("%s: MMap open reports no mapped bytes", name)
 			}
 			if viaMMap.MemoryBytes() != viaMMap.HeapBytes()+viaMMap.MappedBytes() {
 				t.Errorf("%s: MemoryBytes %d != HeapBytes %d + MappedBytes %d",
 					name, viaMMap.MemoryBytes(), viaMMap.HeapBytes(), viaMMap.MappedBytes())
 			}
 			checkEngineParity(t, name+"/mmap", fresh, viaMMap, q, 0.5)
+		})
+	}
+
+	const rebuild = "; this version reads only TSFZ v2 and TSSH v3 — rebuild it from its series: tsquery -series S -qstart 0 -l L [-shards N] -saveindex F"
+	for _, c := range []struct {
+		name    string
+		magic   string
+		version uint16
+		want    string
+	}{
+		{"TSIX", "TSIX", 1, "twinsearch: saved index is a TSIX v1 stream" + rebuild},
+		{"TSFZ v1", "TSFZ", 1, "twinsearch: saved index is a TSFZ v1 stream" + rebuild},
+		{"TSSH v1", "TSSH", 1, "twinsearch: saved index is a TSSH v1 stream" + rebuild},
+		{"TSSH v2", "TSSH", 2, "twinsearch: saved index is a TSSH v2 stream" + rebuild},
+		{"unknown magic", "JUNK", 2, `twinsearch: saved index has unknown magic "JUNK"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// A header and enough zero bytes behind it that only the
+			// header can be what the loaders object to.
+			stream := make([]byte, 4096)
+			copy(stream, c.magic)
+			binary.LittleEndian.PutUint16(stream[4:], c.version)
+			path := filepath.Join(dir, c.name+".tsidx")
+			if err := os.WriteFile(path, stream, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for entry, open := range map[string]func() (*Engine, error){
+				"OpenSaved":          func() (*Engine, error) { return OpenSaved(data, bytes.NewReader(stream), Options{L: l}) },
+				"OpenSavedFile":      func() (*Engine, error) { return OpenSavedFile(data, path, Options{L: l}) },
+				"OpenSavedFile+MMap": func() (*Engine, error) { return OpenSavedFile(data, path, Options{L: l, MMap: true}) },
+			} {
+				if _, err := open(); err == nil || err.Error() != c.want {
+					t.Errorf("%s: error %v, want %q", entry, err, c.want)
+				}
+			}
+			if canMap {
+				if _, err := openSavedMapped(data, path, Options{L: l}); err == nil || errors.Is(err, errNotMappable) || err.Error() != c.want {
+					t.Errorf("mapped open: error %v, want its own refusal %q, not a fallback", err, c.want)
+				}
+			}
 		})
 	}
 }

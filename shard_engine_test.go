@@ -119,13 +119,6 @@ func TestShardedAutoAndValidation(t *testing.T) {
 			t.Fatalf("Shards=%d built %d partitions", s, eng.Shards())
 		}
 	}
-
-	// Sharding is a TS-Index feature; other methods must reject it.
-	for _, m := range []Method{MethodSweepline, MethodKVIndex, MethodISAX} {
-		if _, err := Open(ts, Options{L: 100, Method: m, Shards: 4}); err == nil {
-			t.Fatalf("method %v accepted Options.Shards", m)
-		}
-	}
 }
 
 // TestShardedPersistence round-trips a sharded engine through
@@ -278,20 +271,20 @@ func TestShardedConcurrentUse(t *testing.T) {
 // made every window a "match" via poisoned early-abandoning.
 func TestSearchPreparedRejectsBadEps(t *testing.T) {
 	ts := datasets.RandomWalk(7, 2000)
-	for _, m := range allMethods {
-		eng, err := Open(ts, Options{L: 50, Method: m})
+	for _, shards := range bothShapes {
+		eng, err := Open(ts, Options{L: 50, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		q := eng.PrepareQuery(ts[100:150])
 		if _, err := eng.SearchPrepared(q, math.NaN()); err == nil {
-			t.Fatalf("%v: SearchPrepared accepted NaN threshold", m)
+			t.Fatalf("%d shards: SearchPrepared accepted NaN threshold", shards)
 		}
 		if _, err := eng.SearchPrepared(q, -0.5); err == nil {
-			t.Fatalf("%v: SearchPrepared accepted negative threshold", m)
+			t.Fatalf("%d shards: SearchPrepared accepted negative threshold", shards)
 		}
 		if _, err := eng.SearchPrepared(q, 0.3); err != nil {
-			t.Fatalf("%v: valid threshold rejected: %v", m, err)
+			t.Fatalf("%d shards: valid threshold rejected: %v", shards, err)
 		}
 	}
 }

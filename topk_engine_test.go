@@ -115,7 +115,8 @@ func TestForcedTraceTopK(t *testing.T) {
 // infinite query was traversed (NaN compares false against every limit,
 // so it over-matches) by some paths and backings and refused by others.
 // Now every cell fails before any traversal, with the text range search
-// gives it, and a batch fails per query.
+// gives it, and a batch fails per query. SearchPrepared is one more
+// column: it checked the length and never the values.
 func TestInvalidQueryEveryBacking(t *testing.T) {
 	data := datasets.EEGN(61, 3000)
 	const l = 100
@@ -178,6 +179,12 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 				}
 				if rs[0].Err != nil || !slices.Equal(rs[0].Matches, wantTopK) {
 					t.Errorf("%s: SearchTopKBatch beside %s: %v, error %v, want %v", name, row.name, rs[0].Matches, rs[0].Err, wantTopK)
+				}
+				// The prepared path takes the query as it is, so it is
+				// the values it must look at: a NaN lane compares false
+				// against every bound and over-matches.
+				if ms, err := eng.SearchPrepared(row.q, 0.3); err == nil || err.Error() != row.want {
+					t.Errorf("%s: SearchPrepared(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.want)
 				}
 				if row.shorter == "" {
 					continue

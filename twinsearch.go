@@ -3,18 +3,13 @@
 // Chebyshev (L∞) distance to a query sequence is at most ε — after
 // "Twin Subsequence Search in Time Series" (EDBT 2021).
 //
-// The package exposes four interchangeable search methods behind one
-// Engine type:
-//
-//   - MethodTSIndex (default): the paper's contribution, a
-//     height-balanced tree whose nodes carry Minimum Bounding Time
-//     Series. Fastest under every condition the paper evaluates.
-//   - MethodISAX: the iSAX tree adapted to twin search via per-segment
-//     mean bounds.
-//   - MethodKVIndex: an inverted index over subsequence means
-//     (inapplicable under per-subsequence normalization).
-//   - MethodSweepline: the exact index-free scan, useful as ground
-//     truth and for one-off queries that don't amortize an index build.
+// Engine is the paper's contribution, TS-Index: a height-balanced tree
+// whose nodes carry Minimum Bounding Time Series, the fastest method
+// under every condition the paper evaluates. The methods the paper
+// compares it with — iSAX, KV-Index and the index-free sweepline, each
+// extended to Chebyshev search — are baselines, not engine options: they
+// live in internal/isax, internal/kvindex and internal/sweepline, and
+// cmd/tsbench (Figures 4–8) is the tool that runs them.
 //
 // Basic use:
 //
@@ -42,14 +37,11 @@ import (
 	"twinsearch/internal/cluster"
 	"twinsearch/internal/core"
 	"twinsearch/internal/exec"
-	"twinsearch/internal/isax"
-	"twinsearch/internal/kvindex"
 	"twinsearch/internal/obs"
 	"twinsearch/internal/qcache"
 	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 	"twinsearch/internal/store"
-	"twinsearch/internal/sweepline"
 )
 
 // NormMode selects how values are normalized before indexing and search;
@@ -67,40 +59,9 @@ const (
 )
 
 // Match is a search hit: the 0-based start of the twin subsequence and,
-// when the method computes it (SearchTopK), its Chebyshev distance
+// when the search computes it (SearchTopK), its Chebyshev distance
 // (otherwise -1).
 type Match = series.Match
-
-// Method selects the search implementation.
-type Method int
-
-// Search methods.
-const (
-	MethodTSIndex Method = iota
-	MethodISAX
-	MethodKVIndex
-	MethodSweepline
-)
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodTSIndex:
-		return "TS-Index"
-	case MethodISAX:
-		return "iSAX"
-	case MethodKVIndex:
-		return "KV-Index"
-	case MethodSweepline:
-		return "Sweepline"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
-// ErrTopKUnsupported is returned by SearchTopK for methods other than
-// TS-Index.
-var ErrTopKUnsupported = errors.New("twinsearch: top-k search requires MethodTSIndex")
 
 // Options configures an Engine. The zero value of every field selects a
 // sensible default; only L is mandatory.
@@ -108,8 +69,6 @@ type Options struct {
 	// L is the subsequence length the engine indexes and queries
 	// (paper default 100). Required.
 	L int
-	// Method selects the search implementation (default MethodTSIndex).
-	Method Method
 	// Norm selects the normalization mode (default NormGlobal, the
 	// paper's default setting).
 	Norm NormMode
@@ -119,7 +78,6 @@ type Options struct {
 	// indistinguishable from "use the default".)
 	NormSet bool
 
-	// TS-Index knobs (MethodTSIndex).
 	MinCap, MaxCap int  // node capacities µc, Mc (defaults 10, 30)
 	BulkLoad       bool // bottom-up construction instead of insertion
 
@@ -129,7 +87,7 @@ type Options struct {
 	// and search scale with cores. 0 (or 1) is the single index: one
 	// partition holding every window, searched inline without fan-out
 	// and saved as a bare single-index stream. A negative value selects
-	// one shard per available CPU (GOMAXPROCS). MethodTSIndex only.
+	// one shard per available CPU (GOMAXPROCS).
 	Shards int
 
 	// PartitionByMean makes sharded partitions own mean-sorted runs of
@@ -153,11 +111,10 @@ type Options struct {
 	// reading it: the engine's frozen arenas become views into the
 	// mapped file, so opening a multi-gigabyte index costs O(header)
 	// allocations, pages fault in on demand, and N processes serving
-	// the same index share one physical copy. Requires the current
-	// aligned formats (TSFZ v2 / TSSH v3) and a little-endian host;
-	// anything else silently falls back to the copy loader, which
-	// yields byte-identical answers. Call Engine.Close to release the
-	// mapping. Ignored by every entry point except OpenSavedFile.
+	// the same index share one physical copy. Needs mmap and a
+	// little-endian host; without either the copy loader serves the
+	// file, with byte-identical answers. Call Engine.Close to release
+	// the mapping. Ignored by every entry point except OpenSavedFile.
 	MMap bool
 
 	// Prefetch warms a memory-mapped index right after OpenSavedFile
@@ -176,9 +133,9 @@ type Options struct {
 	// engine still needs the full series (data) for query
 	// normalization, verification-free merging, and the prefix tail
 	// scan. Cluster engines are read-only: Append and SaveIndex return
-	// errors. Requires MethodTSIndex; Shards/BulkLoad are ignored
-	// (the saved index fixed them). MMap/Prefetch/Workers apply to
-	// topology entries served in-process (addr "local").
+	// errors. Shards/BulkLoad are ignored (the saved index fixed them).
+	// MMap/Prefetch/Workers apply to topology entries served in-process
+	// (addr "local").
 	Topology string
 
 	// ClusterTimeout bounds every per-node RPC of a Topology engine; an
@@ -252,44 +209,41 @@ type Options struct {
 	// SlowLogThreshold is the latency at or above which a query enters
 	// the slow-query log. 0 selects 100ms. Ignored without SlowLogSize.
 	SlowLogThreshold time.Duration
-
-	// iSAX knobs (MethodISAX).
-	Segments     int // PAA segments m (default 10)
-	LeafCapacity int // leaf capacity (default 10,000)
-
-	// KV-Index knobs (MethodKVIndex).
-	KeyCount        int  // mean buckets (default 256)
-	ExactMeanFilter bool // O(1) exact-mean prefilter before verification
 }
 
-func (o *Options) fill() error {
+// check fills o's defaults and runs the checks every open path — Open,
+// OpenSaved, OpenSavedFile with and without MMap — applies to its
+// options and series. Every value must be finite: NaN compares false
+// against every threshold, so a NaN window would silently match
+// everything instead of nothing (and a saved index's structural checks,
+// comparisons all, cannot see one either).
+func (o *Options) check(data []float64) error {
 	if o.L <= 0 {
 		return fmt.Errorf("twinsearch: Options.L = %d; a positive subsequence length is required", o.L)
 	}
 	if !o.NormSet && o.Norm == NormNone {
 		o.Norm = NormGlobal
 	}
-	if o.Segments == 0 {
-		o.Segments = 10
+	if len(data) < o.L {
+		return fmt.Errorf("twinsearch: series length %d shorter than L=%d", len(data), o.L)
+	}
+	if i := nonFinite(data); i >= 0 {
+		return fmt.Errorf("twinsearch: non-finite value %v at position %d; clean or impute missing samples first", data[i], i)
 	}
 	return nil
 }
 
-// Engine holds a built index (or scan state) over one time series and
-// answers twin queries against it.
+// Engine holds a built TS-Index over one time series and answers twin
+// queries against it.
 type Engine struct {
 	opt Options
 	ext *series.Extractor
 	ex  *exec.Executor // query executor; sized by Options.Workers
 
-	sweep *sweepline.Sweepline
-	kv    *kvindex.Index
-	isx   *isax.Index
 	// sh is the local TS-Index, whatever Options.Shards resolved to: a
 	// single index is a shard.Index of one shard. It owns the frozen
 	// arenas every search traverses and the thaw → insert → re-freeze
-	// handshake behind Append. nil for the other methods and for
-	// cluster engines.
+	// handshake behind Append. nil for cluster engines.
 	sh *shard.Index
 
 	// cl serves queries when the engine was opened with
@@ -422,27 +376,14 @@ func resolveShards(shards int) int {
 
 // Open builds an engine over data according to opt. The slice is not
 // copied for raw/per-subsequence modes and must not be modified
-// afterwards. Every value must be finite: a NaN would poison the
-// early-abandoning comparisons (NaN > ε is false, so a NaN window would
-// silently match everything), so non-finite input is rejected here.
+// afterwards. Every value must be finite — a NaN window would match
+// every query — so a series holding NaN or ±Inf is refused.
 func Open(data []float64, opt Options) (*Engine, error) {
-	if err := opt.fill(); err != nil {
+	if err := opt.check(data); err != nil {
 		return nil, err
-	}
-	if len(data) < opt.L {
-		return nil, fmt.Errorf("twinsearch: series length %d shorter than L=%d", len(data), opt.L)
-	}
-	if i := nonFinite(data); i >= 0 {
-		return nil, fmt.Errorf("twinsearch: non-finite value %v at position %d; clean or impute missing samples first", data[i], i)
-	}
-	if resolveShards(opt.Shards) > 1 && opt.Method != MethodTSIndex {
-		return nil, fmt.Errorf("twinsearch: Options.Shards requires MethodTSIndex, got %v", opt.Method)
 	}
 	e := newEngine(data, opt)
 	if opt.Topology != "" {
-		if opt.Method != MethodTSIndex {
-			return nil, fmt.Errorf("twinsearch: Options.Topology requires MethodTSIndex, got %v", opt.Method)
-		}
 		topo, err := cluster.LoadTopology(opt.Topology)
 		if err != nil {
 			return nil, err
@@ -459,30 +400,15 @@ func Open(data []float64, opt Options) (*Engine, error) {
 		e.registerClusterGauges()
 		return e, nil
 	}
+	// One shard is built in position order whatever the partition
+	// scheme, so the single index is the same tree either way.
+	shards := resolveShards(opt.Shards)
 	var err error
-	switch opt.Method {
-	case MethodSweepline:
-		e.sweep = sweepline.New(e.ext)
-	case MethodKVIndex:
-		e.kv, err = kvindex.Build(e.ext, kvindex.Config{
-			L: opt.L, KeyCount: opt.KeyCount, ExactMeanFilter: opt.ExactMeanFilter,
-		})
-	case MethodISAX:
-		e.isx, err = isax.Build(e.ext, isax.Config{
-			L: opt.L, Segments: opt.Segments, LeafCapacity: opt.LeafCapacity,
-		})
-	case MethodTSIndex:
-		// One shard is built in position order whatever the partition
-		// scheme, so the single index is the same tree either way.
-		shards := resolveShards(opt.Shards)
-		e.sh, err = shard.Build(e.ext, shard.Config{
-			Config: core.Config{L: opt.L, MinCap: opt.MinCap, MaxCap: opt.MaxCap},
-			Shards: shards, BulkLoad: opt.BulkLoad,
-			PartitionByMean: opt.PartitionByMean && shards > 1, Executor: e.ex,
-		})
-	default:
-		err = fmt.Errorf("twinsearch: unknown method %v", opt.Method)
-	}
+	e.sh, err = shard.Build(e.ext, shard.Config{
+		Config: core.Config{L: opt.L, MinCap: opt.MinCap, MaxCap: opt.MaxCap},
+		Shards: shards, BulkLoad: opt.BulkLoad,
+		PartitionByMean: opt.PartitionByMean && shards > 1, Executor: e.ex,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -500,6 +426,15 @@ func nonFinite(vs []float64) int {
 		}
 	}
 	return -1
+}
+
+// finiteQuery refuses a query holding a NaN or ±Inf, raw or prepared,
+// with the one text every search path gives it.
+func finiteQuery(q []float64) error {
+	if i := nonFinite(q); i >= 0 {
+		return fmt.Errorf("twinsearch: non-finite query value %v at position %d", q[i], i)
+	}
+	return nil
 }
 
 // OpenFile builds an engine over a series stored in the flat binary
@@ -542,7 +477,7 @@ func (e *Engine) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Mat
 	return r.Matches, err
 }
 
-// Stats carries the traversal counters of one TS-Index search: nodes
+// Stats carries the traversal counters of one search: nodes
 // visited and pruned, leaves reached, candidate windows verified, and
 // results found — the observability surface SearchStats reports.
 type Stats = core.Stats
@@ -550,8 +485,7 @@ type Stats = core.Stats
 // SearchStats is Search plus the traversal counters of the answer. On
 // sharded and cluster engines the counters are summed across work
 // units (each partition's tree packs differently, so the values differ
-// from a single index's; the match set does not). Requires
-// MethodTSIndex.
+// from a single index's; the match set does not).
 func (e *Engine) SearchStats(q []float64, eps float64) ([]Match, Stats, error) {
 	return e.SearchStatsCtx(context.Background(), q, eps)
 }
@@ -560,9 +494,6 @@ func (e *Engine) SearchStats(q []float64, eps float64) ([]Match, Stats, error) {
 func (e *Engine) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error) {
 	if e.closed.Load() {
 		return nil, Stats{}, ErrClosed
-	}
-	if e.opt.Method != MethodTSIndex {
-		return nil, Stats{}, errors.New("twinsearch: SearchStats requires MethodTSIndex")
 	}
 	ctx, qo := e.beginQuery(ctx, qpStats)
 	key := e.resultKey(qcache.PathStats, eps, 0, q)
@@ -580,8 +511,7 @@ func (e *Engine) SearchStatsCtx(ctx context.Context, q []float64, eps float64) (
 }
 
 // searchStatsPreparedCtx dispatches a validated, transformed query to
-// the stats-reporting traversal of whichever TS-Index backing the
-// engine has.
+// the stats-reporting traversal of whichever backing the engine has.
 func (e *Engine) searchStatsPreparedCtx(ctx context.Context, tq []float64, eps float64) ([]Match, Stats, error) {
 	if e.cl != nil {
 		return e.cl.SearchStats(ctx, tq, eps)
@@ -633,8 +563,8 @@ func (e *Engine) planQuery(q []float64, rkey string) ([]float64, bool, error) {
 			return tq, true, nil
 		}
 	}
-	if i := nonFinite(q); i >= 0 {
-		return nil, false, fmt.Errorf("twinsearch: non-finite query value %v at position %d", q[i], i)
+	if err := finiteQuery(q); err != nil {
+		return nil, false, err
 	}
 	// With no normalization the transform is the identity, so when no
 	// plan cache will retain tq past this call, serve q itself instead
@@ -820,36 +750,24 @@ func (e *Engine) SearchPreparedCtx(ctx context.Context, q []float64, eps float64
 	if len(q) != e.opt.L {
 		return nil, fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)
 	}
-	// Same threshold validation as Search: a NaN would pass every
-	// eps < 0 guard and silently poison the early-abandoning
+	// Same validation as Search, threshold and values: a NaN would pass
+	// every eps < 0 guard and silently poison the early-abandoning
 	// comparisons (NaN > eps is false, so every window would match).
 	if eps < 0 || math.IsNaN(eps) {
 		return nil, fmt.Errorf("twinsearch: invalid threshold %v", eps)
 	}
+	if err := finiteQuery(q); err != nil {
+		return nil, err
+	}
 	return e.searchPreparedCtx(ctx, q, eps)
 }
 
-// searchPreparedCtx dispatches a validated, transformed query. Only the
-// TS-Index backings (local and cluster) observe ctx mid-query; the
-// baseline methods check it once up front.
+// searchPreparedCtx dispatches a validated, transformed query.
 func (e *Engine) searchPreparedCtx(ctx context.Context, q []float64, eps float64) ([]Match, error) {
 	if e.cl != nil {
 		return e.cl.Search(ctx, q, eps)
 	}
-	if e.sh != nil {
-		return e.sh.SearchCtx(ctx, q, eps)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch e.opt.Method {
-	case MethodSweepline:
-		return e.sweep.Search(q, eps), nil
-	case MethodKVIndex:
-		return e.kv.Search(q, eps), nil
-	default:
-		return e.isx.Search(q, eps), nil
-	}
+	return e.sh.SearchCtx(ctx, q, eps)
 }
 
 // PrepareQuery maps a raw-space query into the engine's normalized value
@@ -859,8 +777,7 @@ func (e *Engine) PrepareQuery(q []float64) []float64 {
 }
 
 // SearchTopK returns the k nearest subsequences to q under Chebyshev
-// distance (ascending), with exact distances filled in. Only TS-Index
-// supports it.
+// distance (ascending), with exact distances filled in.
 func (e *Engine) SearchTopK(q []float64, k int) ([]Match, error) {
 	return e.SearchTopKCtx(context.Background(), q, k)
 }
@@ -869,9 +786,6 @@ func (e *Engine) SearchTopK(q []float64, k int) ([]Match, error) {
 func (e *Engine) SearchTopKCtx(ctx context.Context, q []float64, k int) ([]Match, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
-	}
-	if e.opt.Method != MethodTSIndex {
-		return nil, ErrTopKUnsupported
 	}
 	ctx, qo := e.beginQuery(ctx, qpTopK)
 	key := e.resultKey(qcache.PathTopK, float64(k), 0, q)
@@ -889,7 +803,7 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, q []float64, k int) ([]Match
 }
 
 // searchTopKPreparedCtx dispatches a transformed top-k query to the
-// engine's TS-Index backing.
+// engine's backing.
 func (e *Engine) searchTopKPreparedCtx(ctx context.Context, tq []float64, k int) ([]Match, error) {
 	if e.cl != nil {
 		return e.cl.SearchTopK(ctx, tq, k)
@@ -907,23 +821,16 @@ func (e *Engine) Subsequence(p int) ([]float64, error) {
 	return e.ext.ExtractCopy(p, e.opt.L), nil
 }
 
-// Method returns the engine's search method.
-func (e *Engine) Method() Method { return e.opt.Method }
-
 // Norm returns the engine's normalization mode.
 func (e *Engine) Norm() NormMode { return e.opt.Norm }
 
-// Shards returns the number of index partitions the engine searches:
-// the effective shard count of a TS-Index engine (1 for the single
-// index), and 1 for the other methods.
+// Shards returns the number of index partitions the engine searches
+// (1 for the single index).
 func (e *Engine) Shards() int {
 	if e.cl != nil {
 		return e.cl.TotalShards()
 	}
-	if e.sh != nil {
-		return e.sh.NumShards()
-	}
-	return 1
+	return e.sh.NumShards()
 }
 
 // Cluster exposes the distributed coordinator behind an engine opened
@@ -948,8 +855,8 @@ func (e *Engine) NumSubsequences() int {
 }
 
 // MemoryBytes estimates the total footprint of the index structure —
-// heap-resident plus file-mapped bytes (0 for the sweepline, which has
-// none). HeapBytes and MappedBytes report the two halves separately.
+// heap-resident plus file-mapped bytes. HeapBytes and MappedBytes
+// report the two halves separately.
 func (e *Engine) MemoryBytes() int {
 	return e.HeapBytes() + e.MappedBytes()
 }
@@ -958,19 +865,10 @@ func (e *Engine) MemoryBytes() int {
 // everything this process pays for exclusively. A mapped engine's flat
 // arrays live in the page cache instead and appear under MappedBytes.
 func (e *Engine) HeapBytes() int {
-	switch e.opt.Method {
-	case MethodKVIndex:
-		return e.kv.MemoryBytes() + e.kv.AuxiliaryBytes()
-	case MethodISAX:
-		return e.isx.MemoryBytes()
-	case MethodTSIndex:
-		if e.cl != nil {
-			return e.cl.MemoryBytes() // local topology entries only
-		}
-		return e.sh.MemoryBytes()
-	default:
-		return 0
+	if e.cl != nil {
+		return e.cl.MemoryBytes() // local topology entries only
 	}
+	return e.sh.MemoryBytes()
 }
 
 // MappedBytes reports the file-mapped bytes of the index structure:
@@ -980,9 +878,6 @@ func (e *Engine) HeapBytes() int {
 // separately from HeapBytes. Shards or trees re-frozen after Append
 // migrate to the heap and leave this figure.
 func (e *Engine) MappedBytes() int {
-	if e.opt.Method != MethodTSIndex {
-		return 0
-	}
 	if e.cl != nil {
 		return e.cl.MappedBytes() // local topology entries only
 	}
@@ -991,10 +886,10 @@ func (e *Engine) MappedBytes() int {
 
 // PartitionByMean reports whether the engine's shards own mean-sorted
 // position runs (see Options.PartitionByMean); always false for the
-// single index and the other methods.
+// single index.
 func (e *Engine) PartitionByMean() bool {
 	if e.cl != nil {
 		return e.cl.PartitionByMean()
 	}
-	return e.sh != nil && e.sh.PartitionByMean()
+	return e.sh.PartitionByMean()
 }

@@ -1,15 +1,27 @@
 package twinsearch
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/store"
 )
 
-var allMethods = []Method{MethodTSIndex, MethodISAX, MethodKVIndex, MethodSweepline}
+// bothShapes are the two local index shapes every differential test
+// runs: the single index and a partitioned one.
+var bothShapes = []int{1, 4}
+
+// oracleRange is the brute-force answer to eng.Search(q, eps): the
+// definition of twin search over the engine's own normalized series.
+func oracleRange(eng *Engine, q []float64, eps float64) []Match {
+	return oracle.Range(eng.ext, eng.PrepareQuery(q), eps)
+}
 
 func TestOpenValidation(t *testing.T) {
 	data := datasets.RandomWalk(1, 500)
@@ -19,11 +31,8 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(data[:10], Options{L: 100}); err == nil {
 		t.Fatal("short series must fail")
 	}
-	if _, err := Open(data, Options{L: 100, Method: Method(42)}); err == nil {
-		t.Fatal("unknown method must fail")
-	}
-	if _, err := Open(data, Options{L: 100, Method: MethodKVIndex, Norm: NormPerSubsequence, NormSet: true}); err == nil {
-		t.Fatal("KV-Index under per-subsequence norm must fail")
+	if _, err := Open(data, Options{L: 100, MinCap: 20, MaxCap: 30}); err == nil {
+		t.Fatal("node capacities the tree cannot split must fail")
 	}
 }
 
@@ -44,36 +53,23 @@ func TestDefaultNormalization(t *testing.T) {
 	}
 }
 
-func TestAllMethodsAgree(t *testing.T) {
+// TestEngineMatchesOracle: on every normalization and on both index
+// shapes the engine's answer is the definition's. (The paper's baseline
+// methods are held to the same definition where they live:
+// TestMatchesSweepline* in internal/isax and internal/kvindex,
+// TestFigure4ResultCountsAgreeAcrossMethods in internal/harness.)
+func TestEngineMatchesOracle(t *testing.T) {
 	ts := datasets.EEGN(3, 8000)
 	q := append([]float64(nil), ts[2000:2100]...)
 	for _, norm := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
-		var golden []Match
-		for _, m := range allMethods {
-			if m == MethodKVIndex && norm == NormPerSubsequence {
-				continue
-			}
-			eng, err := Open(ts, Options{L: 100, Method: m, Norm: norm, NormSet: true})
+		for _, shards := range bothShapes {
+			eng, err := Open(ts, Options{L: 100, Shards: shards, Norm: norm, NormSet: true})
 			if err != nil {
-				t.Fatalf("%v/%v: %v", m, norm, err)
+				t.Fatalf("%v/%d shards: %v", norm, shards, err)
 			}
 			ms, err := eng.Search(q, 0.4)
-			if err != nil {
-				t.Fatalf("%v/%v: %v", m, norm, err)
-			}
-			if golden == nil || m == MethodSweepline {
-				if golden == nil {
-					golden = ms
-					continue
-				}
-			}
-			if len(ms) != len(golden) {
-				t.Fatalf("%v/%v: %d matches, golden %d", m, norm, len(ms), len(golden))
-			}
-			for i := range golden {
-				if ms[i].Start != golden[i].Start {
-					t.Fatalf("%v/%v: mismatch at rank %d", m, norm, i)
-				}
+			if want := oracleRange(eng, q, 0.4); err != nil || !slices.Equal(ms, want) {
+				t.Fatalf("%v/%d shards: %d matches (%v), oracle %d", norm, shards, len(ms), err, len(want))
 			}
 		}
 	}
@@ -107,15 +103,42 @@ func TestSearchErrors(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsNonFiniteData: a NaN window matches every query, and a
+// saved index's structural checks (comparisons, all false on NaN)
+// cannot see one — so every open path refuses the series itself, with
+// one text: Open, OpenSaved, and OpenSavedFile with and without MMap,
+// on a single and a partitioned save.
 func TestOpenRejectsNonFiniteData(t *testing.T) {
-	data := datasets.RandomWalk(2, 500)
-	data[123] = math.NaN()
-	if _, err := Open(data, Options{L: 50}); err == nil {
-		t.Fatal("NaN data must fail")
-	}
-	data[123] = math.Inf(-1)
-	if _, err := Open(data, Options{L: 50}); err == nil {
-		t.Fatal("Inf data must fail")
+	data := datasets.RandomWalk(2, 1500)
+	const l, at = 50, 1000
+	for _, shards := range bothShapes {
+		eng, err := Open(data, Options{L: l, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "index.tsidx")
+		if err := eng.SaveIndexFile(path); err != nil {
+			t.Fatal(err)
+		}
+		var saved bytes.Buffer
+		if err := eng.SaveIndex(&saved); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			dirty := slices.Clone(data)
+			dirty[at] = bad
+			want := fmt.Sprintf("twinsearch: non-finite value %v at position %d; clean or impute missing samples first", bad, at)
+			for name, open := range map[string]func() (*Engine, error){
+				"Open":               func() (*Engine, error) { return Open(dirty, Options{L: l, Shards: shards}) },
+				"OpenSaved":          func() (*Engine, error) { return OpenSaved(dirty, bytes.NewReader(saved.Bytes()), Options{L: l}) },
+				"OpenSavedFile":      func() (*Engine, error) { return OpenSavedFile(dirty, path, Options{L: l}) },
+				"OpenSavedFile+MMap": func() (*Engine, error) { return OpenSavedFile(dirty, path, Options{L: l, MMap: true}) },
+			} {
+				if _, err := open(); err == nil || err.Error() != want {
+					t.Errorf("%d shards: %s over a series holding %v: error %v, want %q", shards, name, bad, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -136,9 +159,8 @@ func TestTopK(t *testing.T) {
 	if top[0].Start != 700 || top[0].Dist != 0 {
 		t.Fatalf("nearest must be the source window: %+v", top[0])
 	}
-	swp, _ := Open(ts, Options{L: 100, Method: MethodSweepline})
-	if _, err := swp.SearchTopK(q, 5); err != ErrTopKUnsupported {
-		t.Fatalf("err = %v, want ErrTopKUnsupported", err)
+	if want := oracle.TopK(eng.ext, eng.PrepareQuery(q), 5); !slices.Equal(top, want) {
+		t.Fatalf("top-5 = %v, oracle %v", top, want)
 	}
 	if _, err := eng.SearchTopK(make([]float64, 3), 5); err == nil {
 		t.Fatal("wrong top-k query length must fail")
@@ -165,44 +187,30 @@ func TestBulkLoadOption(t *testing.T) {
 
 func TestAccessorsAndMemory(t *testing.T) {
 	ts := datasets.RandomWalk(9, 2000)
-	for _, m := range allMethods {
-		eng, err := Open(ts, Options{L: 100, Method: m})
+	for _, shards := range bothShapes {
+		eng, err := Open(ts, Options{L: 100, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.Method() != m || eng.L() != 100 || eng.SeriesLen() != 2000 {
-			t.Fatalf("%v: accessor mismatch", m)
+		if eng.Shards() != shards || eng.L() != 100 || eng.SeriesLen() != 2000 {
+			t.Fatalf("%d shards: accessor mismatch", shards)
 		}
 		if eng.NumSubsequences() != 1901 {
-			t.Fatalf("%v: NumSubsequences = %d", m, eng.NumSubsequences())
+			t.Fatalf("%d shards: NumSubsequences = %d", shards, eng.NumSubsequences())
 		}
-		if m == MethodSweepline {
-			if eng.MemoryBytes() != 0 {
-				t.Fatalf("sweepline has no index memory")
-			}
-		} else if eng.MemoryBytes() <= 0 {
-			t.Fatalf("%v: MemoryBytes = %d", m, eng.MemoryBytes())
+		if eng.MemoryBytes() <= 0 || eng.MappedBytes() != 0 {
+			t.Fatalf("%d shards: MemoryBytes = %d, MappedBytes = %d", shards, eng.MemoryBytes(), eng.MappedBytes())
 		}
 		sub, err := eng.Subsequence(5)
 		if err != nil || len(sub) != 100 {
-			t.Fatalf("%v: Subsequence: %v", m, err)
+			t.Fatalf("%d shards: Subsequence: %v", shards, err)
 		}
 		if _, err := eng.Subsequence(-1); err == nil {
-			t.Fatalf("%v: negative position must fail", m)
+			t.Fatalf("%d shards: negative position must fail", shards)
 		}
 		if _, err := eng.Subsequence(1999); err == nil {
-			t.Fatalf("%v: overflowing position must fail", m)
+			t.Fatalf("%d shards: overflowing position must fail", shards)
 		}
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	if MethodTSIndex.String() != "TS-Index" || MethodISAX.String() != "iSAX" ||
-		MethodKVIndex.String() != "KV-Index" || MethodSweepline.String() != "Sweepline" {
-		t.Fatal("method names changed")
-	}
-	if Method(9).String() != "Method(9)" {
-		t.Fatal("fallback name changed")
 	}
 }
 
