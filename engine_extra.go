@@ -23,8 +23,8 @@ import (
 // against the same series without paying construction again (see
 // OpenSaved). The frozen arenas go to disk as they are — the flat
 // arrays, so loading is a few sequential reads per shard: a single
-// index as its one shard's bare TSFZ v2 stream, a partitioned one as
-// the TSSH v3 container around its segments. These two are the only
+// index as its one shard's bare TSFZ v3 stream, a partitioned one as
+// the TSSH v4 container around its segments. These two are the only
 // formats there are: what SaveIndex writes is what OpenSaved reads.
 func (e *Engine) SaveIndex(w io.Writer) error {
 	if e.closed.Load() {
@@ -123,10 +123,11 @@ func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
 const savedHeaderLen = 6
 
 // sniffSaved reads the (magic, version) prefix of a saved index for
-// both open paths: the TSSH v3 container (sharded), a bare TSFZ v2
+// both open paths: the TSSH v4 container (sharded), a bare TSFZ v3
 // stream (the single index), or an error. Anything else under a magic
-// this code base ever wrote — TSIX, TSFZ v1, TSSH v1/v2 — is refused
-// with one text naming the stream and the command that rebuilds it.
+// this code base ever wrote — TSIX, TSFZ v1/v2 (v2 held float64 bounds
+// and no checksums), TSSH v1–v3 — is refused with one text naming the
+// stream and the command that rebuilds it.
 func sniffSaved(hdr []byte) (sharded bool, err error) {
 	if len(hdr) < savedHeaderLen {
 		return false, fmt.Errorf("twinsearch: saved index truncated (%d bytes)", len(hdr))

@@ -1,7 +1,7 @@
 // Package arena owns the byte regions that back frozen index arenas.
 //
 // A frozen TS-Index is a handful of flat arrays ([]int32 structure,
-// []float64 bounds). Before this package those arrays were always
+// []float32 bounds). Before this package those arrays were always
 // heap-allocated Go slices filled by decoding a stream; an Arena
 // decouples the arrays from their storage: it holds one []byte — a heap
 // buffer or an mmap'd file region — and hands out typed slice views
@@ -73,8 +73,8 @@ func (a *Arena) Close() error {
 }
 
 // Align8 rounds n up to the next multiple of 8 — the alignment every
-// stream format's sections keep so float64 views can point straight
-// into a mapped region. The container (TSSH) and segment (TSFZ) layers
+// stream format's sections and segments keep, so any view (none is
+// wider than 8 bytes) can point straight into a mapped region. The container (TSSH) and segment (TSFZ) layers
 // share this one definition; their padding must round identically.
 func Align8(n int64) int64 { return (n + 7) &^ 7 }
 
@@ -126,15 +126,16 @@ func (a *Arena) Int32s(off int64, n int) ([]int32, error) {
 	return unsafe.Slice((*int32)(p), n), nil
 }
 
-// Float64s returns the n little-endian float64 values starting at byte
-// offset off as a view into the region.
-func (a *Arena) Float64s(off int64, n int) ([]float64, error) {
-	p, err := a.view(off, n, 8, "float64")
+// Float32s returns the n little-endian float32 values starting at byte
+// offset off as a view into the region — the width the frozen arena
+// stores its bounds at.
+func (a *Arena) Float32s(off int64, n int) ([]float32, error) {
+	p, err := a.view(off, n, 4, "float32")
 	if err != nil {
 		return nil, err
 	}
 	if p == nil {
 		return nil, nil
 	}
-	return unsafe.Slice((*float64)(p), n), nil
+	return unsafe.Slice((*float32)(p), n), nil
 }

@@ -8,23 +8,23 @@ import (
 	"testing"
 )
 
-// buildRegion lays out 4 int32s at offset 0 and 3 float64s at offset 16
-// (8-byte aligned) in one little-endian buffer.
-func buildRegion(t *testing.T) ([]byte, []int32, []float64) {
+// buildRegion lays out 4 int32s at offset 0 and 3 float32s at offset 16
+// in one little-endian buffer.
+func buildRegion(t *testing.T) ([]byte, []int32, []float32) {
 	t.Helper()
 	ints := []int32{1, -2, 3, math.MaxInt32}
-	floats := []float64{0.5, -1e300, math.Pi}
-	buf := make([]byte, 16+8*len(floats))
+	floats := []float32{0.5, -1e30, math.Pi}
+	buf := make([]byte, 16+4*len(floats))
 	for i, v := range ints {
 		binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
 	}
 	for i, v := range floats {
-		binary.LittleEndian.PutUint64(buf[16+i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint32(buf[16+i*4:], math.Float32bits(v))
 	}
 	return buf, ints, floats
 }
 
-func checkViews(t *testing.T, a *Arena, ints []int32, floats []float64) {
+func checkViews(t *testing.T, a *Arena, ints []int32, floats []float32) {
 	t.Helper()
 	gotI, err := a.Int32s(0, len(ints))
 	if err != nil {
@@ -35,13 +35,13 @@ func checkViews(t *testing.T, a *Arena, ints []int32, floats []float64) {
 			t.Fatalf("int32 %d: got %d, want %d", i, gotI[i], v)
 		}
 	}
-	gotF, err := a.Float64s(16, len(floats))
+	gotF, err := a.Float32s(16, len(floats))
 	if err != nil {
-		t.Fatalf("Float64s: %v", err)
+		t.Fatalf("Float32s: %v", err)
 	}
 	for i, v := range floats {
 		if gotF[i] != v {
-			t.Fatalf("float64 %d: got %g, want %g", i, gotF[i], v)
+			t.Fatalf("float32 %d: got %g, want %g", i, gotF[i], v)
 		}
 	}
 }
@@ -116,10 +116,10 @@ func TestViewErrors(t *testing.T) {
 		{"negative offset", func() error { _, err := a.Int32s(-4, 1); return err }},
 		{"negative count", func() error { _, err := a.Int32s(0, -1); return err }},
 		{"past end", func() error { _, err := a.Int32s(int64(len(buf)), 1); return err }},
-		{"overrun", func() error { _, err := a.Float64s(16, 4); return err }},
-		{"overflow", func() error { _, err := a.Float64s(8, math.MaxInt64/4); return err }},
+		{"overrun", func() error { _, err := a.Float32s(16, 4); return err }},
+		{"overflow", func() error { _, err := a.Float32s(8, math.MaxInt64/2); return err }},
 		{"misaligned int32", func() error { _, err := a.Int32s(2, 1); return err }},
-		{"misaligned float64", func() error { _, err := a.Float64s(4, 1); return err }},
+		{"misaligned float32", func() error { _, err := a.Float32s(18, 1); return err }},
 	}
 	for _, c := range cases {
 		if err := c.call(); err == nil {

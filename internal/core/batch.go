@@ -95,7 +95,7 @@ func (f *Frozen) SearchStatsBatchFrom(sub FrozenSubtree, qs [][]float64, eps flo
 			sq[i] = qs[qi]
 		}
 		b := len(act)
-		kernel.DistAbandonFlatBatch(f.boundsUpper(fr.node), f.boundsLower(fr.node),
+		kernel.DistAbandonFlatBatch32(f.boundsUpper(fr.node), f.boundsLower(fr.node),
 			sq[:b], limits[:b], dists[:b], oks[:b])
 
 		lo := len(active)
@@ -201,7 +201,7 @@ func (f *Frozen) SearchTopKBatchFrom(sub FrozenSubtree, qs [][]float64, k int, s
 			limits[i] = tk[qi].limit()
 		}
 		b := len(act)
-		kernel.DistAbandonFlatBatch(f.boundsUpper(fr.node), f.boundsLower(fr.node),
+		kernel.DistAbandonFlatBatch32(f.boundsUpper(fr.node), f.boundsLower(fr.node),
 			sq[:b], limits[:b], dists[:b], oks[:b])
 
 		lo := len(active)

@@ -5,13 +5,26 @@ package core
 // tree chases a heap allocation per node plus two more for the MBTS
 // bound slices; at query time the per-node cost of that pointer chasing
 // dominates (the actual Eq. 2 arithmetic streams two short arrays). The
-// frozen form packs every node's bounds into two flat []float64 backing
+// frozen form packs every node's bounds into two flat []float32 backing
 // slices, children into (firstChild, count) index ranges, and all leaf
 // positions into one flat []int32 — the database-style flat layout that
 // Relational E-Matching applies to e-graph traversal, applied to MBTS
 // descent. Traversal touches consecutive cache lines instead of
 // scattered heap objects, and persistence becomes a handful of
 // sequential array reads (the stepping stone to mmap-resident nodes).
+//
+// Once the index is columns, a column's width is a storage decision:
+// the bounds are held at half width, each rounded outward as Freeze
+// narrows it (upper toward +Inf, lower toward −Inf). The narrowed box
+// encloses the exact one, so Eq. 2 against it is still a lower bound on
+// the distance to every window beneath the node — Lemma 1 holds as
+// stated and pruning stays sound; leaves verify against the exact
+// float64 series, so answers do not move by a bit. Only the traversal
+// counters can, upward, when the slack admits a node the exact bound
+// would have pruned. The kernels widen each bound in the register it is
+// loaded into and compute in float64 (kernel.DistFlat32 and friends);
+// the pointer tree keeps float64 bounds, which Thaw recomputes from the
+// series rather than reading back.
 //
 // The traversals use the layout that way: a node's children are one
 // contiguous run of bound rows, so every search path scores them at
@@ -35,6 +48,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/mbts"
@@ -45,7 +59,7 @@ import (
 // Frozen is the flat, read-only, searchable form of a built TS-Index.
 // Construct with Index.Freeze, LoadFrozen, or FrozenFromArena; mutate
 // by Thaw-ing back to a pointer Index, inserting, and re-freezing (Thaw
-// copies, so mutation never writes through a file mapping).
+// builds fresh nodes, so mutation never writes through a file mapping).
 type Frozen struct {
 	ext    *series.Extractor
 	cfg    Config
@@ -68,9 +82,9 @@ type Frozen struct {
 	// positions holds every leaf's start positions, leaf runs
 	// back to back.
 	positions []int32
-	// upper and lower pack all MBTS bounds: node i's bounds live at
-	// [i*L, (i+1)*L) of each.
-	upper, lower []float64
+	// upper and lower pack all MBTS bounds, narrowed outward: node i's
+	// bounds live at [i*L, (i+1)*L) of each.
+	upper, lower []float32
 }
 
 // Freeze compiles the pointer tree into its flat arena form. The index
@@ -103,13 +117,12 @@ func (ix *Index) Freeze() *Frozen {
 	f.first = make([]int32, nn)
 	f.count = make([]int32, nn)
 	f.positions = make([]int32, 0, npos)
-	f.upper = make([]float64, nn*l)
-	f.lower = make([]float64, nn*l)
+	f.upper = make([]float32, nn*l)
+	f.lower = make([]float32, nn*l)
 
 	childAt := int32(1) // node 0 is the root; its children start at 1
 	for i, n := range order {
-		copy(f.upper[i*l:(i+1)*l], n.bounds.Upper)
-		copy(f.lower[i*l:(i+1)*l], n.bounds.Lower)
+		kernel.NarrowBounds(f.upper[i*l:(i+1)*l], f.lower[i*l:(i+1)*l], n.bounds.Upper, n.bounds.Lower)
 		if n.leaf {
 			f.first[i] = int32(len(f.positions))
 			f.count[i] = int32(len(n.positions))
@@ -125,6 +138,11 @@ func (ix *Index) Freeze() *Frozen {
 
 // Thaw reconstructs a mutable pointer Index from the arena — the
 // insertion path for frozen or loaded indexes: thaw, Insert, re-Freeze.
+// The arena gives the tree's shape; its narrowed bounds are not read.
+// Every pointer-tree bound is the exact envelope of the windows beneath
+// it, so the bounds are recomputed from the series bottom-up (children
+// follow their parent in BFS order, hence the descending walk) and come
+// out bit for bit as the builder had them: append after thaw ≡ rebuild.
 func (f *Frozen) Thaw() *Index {
 	ix := &Index{ext: f.ext, cfg: f.cfg, size: f.size, height: f.height,
 		winBuf: make([]float64, f.cfg.L)}
@@ -132,34 +150,34 @@ func (f *Frozen) Thaw() *Index {
 		return ix
 	}
 	nodes := make([]*node, len(f.first))
-	for i := range nodes {
-		b := mbts.New(f.cfg.L)
-		copy(b.Upper, f.boundsUpper(int32(i)))
-		copy(b.Lower, f.boundsLower(int32(i)))
-		nodes[i] = &node{bounds: b}
-	}
-	for i, n := range nodes {
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := &node{bounds: mbts.New(f.cfg.L), leaf: f.isLeaf(int32(i))}
+		nodes[i] = n
 		lo, c := f.first[i], f.count[i]
-		if int32(i) >= f.leafStart {
-			n.leaf = true
+		if n.leaf {
 			n.positions = append([]int32(nil), f.positions[lo:lo+c]...)
+			n.bounds.SetTo(f.ext.Extract(int(n.positions[0]), f.cfg.L, ix.winBuf))
+			for _, p := range n.positions[1:] {
+				n.bounds.ExpandToSequence(f.ext.Extract(int(p), f.cfg.L, ix.winBuf))
+			}
 			continue
 		}
-		n.children = make([]*node, c)
-		for j := int32(0); j < c; j++ {
-			n.children[j] = nodes[lo+j]
+		n.children = append([]*node(nil), nodes[lo:lo+c]...)
+		n.bounds.CopyFrom(n.children[0].bounds)
+		for _, ch := range n.children[1:] {
+			n.bounds.ExpandToMBTS(ch.bounds)
 		}
 	}
 	ix.root = nodes[0]
 	return ix
 }
 
-func (f *Frozen) boundsUpper(i int32) []float64 {
+func (f *Frozen) boundsUpper(i int32) []float32 {
 	l := int32(f.cfg.L)
 	return f.upper[i*l : (i+1)*l]
 }
 
-func (f *Frozen) boundsLower(i int32) []float64 {
+func (f *Frozen) boundsLower(i int32) []float32 {
 	l := int32(f.cfg.L)
 	return f.lower[i*l : (i+1)*l]
 }
@@ -187,10 +205,11 @@ func (f *Frozen) NodeCount() int { return len(f.first) }
 func (f *Frozen) Positions() []int32 { return f.positions }
 
 // arrayBytes is the byte footprint of the flat arrays themselves,
-// wherever they live.
+// wherever they live — element widths taken from the field types, so a
+// width change cannot leave the accounting behind.
 func (f *Frozen) arrayBytes() int {
-	return 8*(len(f.upper)+len(f.lower)) + // bounds
-		4*(len(f.first)+len(f.count)+len(f.positions)) // structure
+	return int(unsafe.Sizeof(f.upper[0]))*(len(f.upper)+len(f.lower)) + // bounds
+		int(unsafe.Sizeof(f.first[0]))*(len(f.first)+len(f.count)+len(f.positions)) // structure
 }
 
 // MemoryBytes reports the heap-resident bytes of the arena. For a heap
@@ -200,7 +219,7 @@ func (f *Frozen) arrayBytes() int {
 // page cache, not the heap, and only the struct and slice headers
 // remain (see MappedBytes for the other half).
 func (f *Frozen) MemoryBytes() int {
-	const headers = 96 // struct + slice headers
+	const headers = int(unsafe.Sizeof(Frozen{})) // the struct, slice headers included
 	if f.Mapped() {
 		return headers
 	}
@@ -330,7 +349,7 @@ func (f *Frozen) sweepChildren(n int32, q []float64, limit float64, dists []floa
 	}
 	dists = dists[:c]
 	l := f.cfg.L
-	kernel.SweepAbandonFlat(f.upper[first*l:], f.lower[first*l:], l, q, limit, dists)
+	kernel.SweepAbandonFlat32(f.upper[first*l:], f.lower[first*l:], l, q, limit, dists)
 	return dists
 }
 
@@ -364,7 +383,7 @@ func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]serie
 		return nil, st
 	}
 	st.NodesVisited++
-	if _, ok := mbts.DistAbandonFlat(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, eps); !ok {
+	if _, ok := kernel.DistAbandonFlat32(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, eps); !ok {
 		st.NodesPruned++
 		return nil, st
 	}
@@ -452,7 +471,7 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 	buf := make([]float64, f.cfg.L)
 
 	t.st.NodesVisited++
-	rootLB, ok := mbts.DistAbandonFlat(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, t.limit())
+	rootLB, ok := kernel.DistAbandonFlat32(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, t.limit())
 	if !ok {
 		t.st.NodesPruned++
 		return nil, t.st // a shared bound has already excluded this subtree
@@ -604,7 +623,7 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 	ver := series.NewVerifier(f.ext, q, eps)
 	var out []series.Match
 	pq := make([]frozenItem, 0, frozenStackCap)
-	pq = append(pq, frozenItem{id: 0, lb: mbts.DistFlat(f.boundsUpper(0), f.boundsLower(0), q)})
+	pq = append(pq, frozenItem{id: 0, lb: kernel.DistFlat32(f.boundsUpper(0), f.boundsLower(0), q)})
 	dists := make([]float64, 0, sweepScratchCap)
 	inf := math.Inf(1) // never abandons: every child gets its exact distance
 	for len(pq) > 0 && !budget.Exhausted() {
@@ -801,7 +820,7 @@ func (f *Frozen) CheckContainment() error {
 					return fmt.Errorf("core: frozen: corrupt position %d (max %d)", p, maxPos)
 				}
 				w := f.ext.Extract(int(p), f.cfg.L, buf)
-				if d := mbts.DistFlat(up, lo, w); d > 0 {
+				if d := kernel.DistFlat32(up, lo, w); d > 0 {
 					return fmt.Errorf("core: frozen: leaf %d bounds do not enclose window %d", i, p)
 				}
 			}

@@ -9,32 +9,43 @@ package core
 // 8-byte aligned and offset-addressed, so FrozenFromArena points the
 // arrays directly at an mmap'd file region and the open costs O(header)
 // allocations however large the index is. This is the stream the
-// sharded TSSH v3 format embeds per shard, and the only version read
+// sharded TSSH v4 format embeds per shard, and the only version read
 // (twinsearch.OpenSaved names any other in its refusal).
 //
-// Format (version 2, little-endian; all sections 8-byte aligned relative
+// Format (version 3, little-endian; all sections 8-byte aligned relative
 // to the stream start, which mmap's page alignment promotes to absolute
 // alignment):
 //
 //	off 0   magic "TSFZ"
-//	off 4   version u16 (= 2)
+//	off 4   version u16 (= 3)
 //	off 6   mode u8, reserved u8 (0)
 //	off 8   L u32, MinCap u32, MaxCap u32, height u32
 //	off 24  size u64, seriesLen u64
 //	off 40  nodeCount u32, leafStart u32
 //	off 48  firstOff, countOff, positionsOff, upperOff, lowerOff u64
 //	off 88  totalLen u64
-//	off 96  sections, each at its recorded offset, zero-padded between:
+//	off 96  CRC32C of each section, in section order, 5 × u32
+//	off 116 CRC32C of header bytes [0, 116) u32
+//	off 120 sections, each at its recorded offset, zero-padded to the next:
 //	        first     nodeCount × i32
 //	        count     nodeCount × i32
 //	        positions size × i32
-//	        upper     nodeCount·L × f64
-//	        lower     nodeCount·L × f64
+//	        upper     nodeCount·L × f32, rounded toward +Inf
+//	        lower     nodeCount·L × f32, rounded toward −Inf
 //
 // The section offsets are recorded for self-description but are not
 // trusted: both loaders recompute the canonical layout from the counts
 // and reject any stream whose offsets disagree, so a hostile header
 // cannot alias sections or point them outside the stream.
+//
+// A section's checksum (Castagnoli) covers its bytes through the next
+// section's offset — the zero padding included, so no byte of a stream
+// is unguarded. Both loaders verify the header's; LoadFrozen verifies
+// every section's as it reads and names the one that fails. The
+// zero-copy open does not: hashing the arena would read every page it
+// exists not to touch. It guarantees what it always did — a stream it
+// accepts traverses safely (Frozen.CheckStructure) — and verifying a
+// mapped shard on first touch needs nothing more from the format.
 //
 // The series itself is not embedded. LoadFrozen validates the full
 // invariants against the supplied extractor before returning;
@@ -45,8 +56,9 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"math"
+	"slices"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/series"
@@ -58,12 +70,18 @@ import (
 const FrozenMagic = "TSFZ"
 
 const (
-	FrozenVersion = 2
+	FrozenVersion = 3
 
 	// frozenHeaderSize is the fixed header length; the first section
-	// starts here, already 8-byte aligned.
-	frozenHeaderSize = 96
+	// starts here, already 8-byte aligned. The checksums are its last
+	// 24 bytes: one per section, then the header's own.
+	frozenHeaderSize  = 120
+	frozenSectionCRCs = 96
+	frozenHeaderCRC   = 116
 )
+
+// castagnoli is the CRC32C table every stream checksum uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // maxFrozenHeight bounds the recorded tree height on load; with
 // MaxCap ≥ 3 even a billion-window index stays under 20 levels, so
@@ -71,39 +89,48 @@ const (
 // the node-count plausibility check multiplies by it.
 const maxFrozenHeight = 64
 
-// frozenLayout is the canonical v2 section placement for an arena with
-// nn nodes, np positions, and subsequence length l. Both the writer and
-// the loaders derive it from the counts alone.
-type frozenLayout struct {
-	firstOff, countOff, positionsOff, upperOff, lowerOff, totalLen int64
+// frozenSections names the five sections in stream order.
+var frozenSections = [5]string{"first", "count", "positions", "upper", "lower"}
+
+// sectionCounts is each section's element count, in stream order, for
+// an arena with nn nodes, np positions, and subsequence length l. Every
+// element is 4 bytes wide.
+func sectionCounts(nn, np, l int) [5]int { return [5]int{nn, nn, np, nn * l, nn * l} }
+
+// frozenLayout is the canonical section placement: the five section
+// offsets in stream order, then the stream's total length. Section i
+// (and its padding) spans [lo[i], lo[i+1]). Both the writer and the
+// loaders derive it from the counts alone.
+type frozenLayout [6]int64
+
+func layoutFrozen(nn, np, l int) frozenLayout {
+	lo := frozenLayout{frozenHeaderSize}
+	for i, n := range sectionCounts(nn, np, l) {
+		lo[i+1] = arena.Align8(lo[i] + 4*int64(n))
+	}
+	return lo
 }
 
-func layoutFrozen(nn, np, l int64) frozenLayout {
-	var lo frozenLayout
-	lo.firstOff = frozenHeaderSize
-	lo.countOff = arena.Align8(lo.firstOff + 4*nn)
-	lo.positionsOff = arena.Align8(lo.countOff + 4*nn)
-	lo.upperOff = arena.Align8(lo.positionsOff + 4*np)
-	lo.lowerOff = lo.upperOff + 8*nn*l
-	lo.totalLen = lo.lowerOff + 8*nn*l
-	return lo
+func (lo frozenLayout) totalLen() int64 { return lo[5] }
+
+// sections returns where a loader attaches the arrays, in stream order:
+// the three structure arrays, then the two bound arrays.
+func (f *Frozen) sections() ([3]*[]int32, [2]*[]float32) {
+	return [3]*[]int32{&f.first, &f.count, &f.positions}, [2]*[]float32{&f.upper, &f.lower}
 }
 
 // StreamLen returns the exact byte length WriteTo will produce — the
 // layout is deterministic in the array sizes, so container formats
-// (TSSH v3) can write segment tables ahead of the segments.
+// (TSSH v4) can write segment tables ahead of the segments.
 func (f *Frozen) StreamLen() int64 {
-	return layoutFrozen(int64(len(f.first)), int64(len(f.positions)), int64(f.cfg.L)).totalLen
+	return layoutFrozen(len(f.first), len(f.positions), f.cfg.L).totalLen()
 }
 
-// WriteTo serializes the frozen index in the current (v2, aligned)
-// format. It implements io.WriterTo.
+// WriteTo serializes the frozen index in the current (v3) format. It
+// implements io.WriterTo.
 func (f *Frozen) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countWriter{w: bw}
-
-	nn := int64(len(f.first))
-	lo := layoutFrozen(nn, int64(len(f.positions)), int64(f.cfg.L))
+	nn := len(f.first)
+	lo := layoutFrozen(nn, len(f.positions), f.cfg.L)
 	hdr := make([]byte, frozenHeaderSize)
 	copy(hdr, FrozenMagic)
 	binary.LittleEndian.PutUint16(hdr[4:], FrozenVersion)
@@ -116,229 +143,190 @@ func (f *Frozen) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(f.ext.Len()))
 	binary.LittleEndian.PutUint32(hdr[40:], uint32(nn))
 	binary.LittleEndian.PutUint32(hdr[44:], uint32(f.leafStart))
-	for i, off := range []int64{lo.firstOff, lo.countOff, lo.positionsOff, lo.upperOff, lo.lowerOff, lo.totalLen} {
+	for i, off := range lo {
 		binary.LittleEndian.PutUint64(hdr[48+8*i:], uint64(off))
 	}
-	if _, err := cw.Write(hdr); err != nil {
-		return cw.n, err
-	}
-	for _, sec := range []struct {
-		off int64
-		arr interface{}
-	}{
-		{lo.firstOff, f.first}, {lo.countOff, f.count}, {lo.positionsOff, f.positions},
-		{lo.upperOff, f.upper}, {lo.lowerOff, f.lower},
-	} {
-		if err := padTo(cw, sec.off); err != nil {
-			return cw.n, err
+	// The header carries every section's checksum, so each section is
+	// encoded — padding and all — before the first byte goes out.
+	out := [][]byte{hdr}
+	for i, arr := range []any{f.first, f.count, f.positions, f.upper, f.lower} {
+		span := lo[i+1] - lo[i]
+		sec, err := binary.Append(make([]byte, 0, span), binary.LittleEndian, arr)
+		if err != nil {
+			return 0, fmt.Errorf("core: frozen writer: %s: %w", frozenSections[i], err)
 		}
-		if err := binary.Write(cw, binary.LittleEndian, sec.arr); err != nil {
-			return cw.n, err
-		}
+		sec = sec[:span] // the spare capacity is the zero padding
+		binary.LittleEndian.PutUint32(hdr[frozenSectionCRCs+4*i:], crc32.Checksum(sec, castagnoli))
+		out = append(out, sec)
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// countWriter tracks bytes written for WriteTo's contract.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// padTo writes zero bytes until the counting writer reaches off.
-func padTo(cw *countWriter, off int64) error {
-	if cw.n > off {
-		return fmt.Errorf("core: frozen writer overran section offset %d (at %d)", off, cw.n)
-	}
-	var zeros [8]byte
-	for cw.n < off {
-		n := off - cw.n
-		if n > int64(len(zeros)) {
-			n = int64(len(zeros))
-		}
-		if _, err := cw.Write(zeros[:n]); err != nil {
-			return err
+	binary.LittleEndian.PutUint32(hdr[frozenHeaderCRC:], crc32.Checksum(hdr[:frozenHeaderCRC], castagnoli))
+	var written int64
+	for _, b := range out {
+		n, err := w.Write(b)
+		written += int64(n)
+		if err != nil {
+			return written, err
 		}
 	}
-	return nil
+	return written, nil
 }
 
-// frozenHeader is the decoded, not-yet-validated fixed header shared by
-// both entry points.
+// frozenHeader is the decoded, validated fixed header shared by both
+// entry points.
 type frozenHeader struct {
-	mode                 uint8
-	l, minCap, maxCap    uint32
+	cfg                  Config
 	height               uint32
 	size                 uint64
-	seriesLen            uint64
 	nodeCount, leafStart uint32
-	offs                 [6]uint64 // first, count, positions, upper, lower, totalLen
+	layout               frozenLayout
+	crcs                 [5]uint32 // per section, stream order
 }
 
-func decodeFrozenHeader(hdr []byte) frozenHeader {
+// parseFrozenHeader runs every header-level check shared by the copy
+// and zero-copy loaders on the frozenHeaderSize bytes at the head of a
+// stream: identity, the header's own checksum, extractor agreement,
+// parameter plausibility (nothing in the header may command a large
+// allocation or an out-of-range index), and that the recorded section
+// offsets are exactly the canonical layout.
+func parseFrozenHeader(hdr []byte, ext *series.Extractor) (frozenHeader, error) {
 	var h frozenHeader
-	h.mode = hdr[6]
-	h.l = binary.LittleEndian.Uint32(hdr[8:])
-	h.minCap = binary.LittleEndian.Uint32(hdr[12:])
-	h.maxCap = binary.LittleEndian.Uint32(hdr[16:])
+	if err := frozenIdentity(hdr); err != nil {
+		return h, err
+	}
+	if got, want := crc32.Checksum(hdr[:frozenHeaderCRC], castagnoli), binary.LittleEndian.Uint32(hdr[frozenHeaderCRC:]); got != want {
+		return h, fmt.Errorf("core: load frozen: header checksum %08x, recorded %08x: the file is damaged", got, want)
+	}
+	mode := series.NormMode(hdr[6])
+	h.cfg = Config{L: int(binary.LittleEndian.Uint32(hdr[8:])),
+		MinCap: int(binary.LittleEndian.Uint32(hdr[12:])), MaxCap: int(binary.LittleEndian.Uint32(hdr[16:]))}
 	h.height = binary.LittleEndian.Uint32(hdr[20:])
 	h.size = binary.LittleEndian.Uint64(hdr[24:])
-	h.seriesLen = binary.LittleEndian.Uint64(hdr[32:])
+	seriesLen := binary.LittleEndian.Uint64(hdr[32:])
 	h.nodeCount = binary.LittleEndian.Uint32(hdr[40:])
 	h.leafStart = binary.LittleEndian.Uint32(hdr[44:])
-	for i := range h.offs {
-		h.offs[i] = binary.LittleEndian.Uint64(hdr[48+8*i:])
+	var offs frozenLayout
+	for i := range offs {
+		offs[i] = int64(binary.LittleEndian.Uint64(hdr[48+8*i:]))
 	}
-	return h
-}
+	for i := range h.crcs {
+		h.crcs[i] = binary.LittleEndian.Uint32(hdr[frozenSectionCRCs+4*i:])
+	}
 
-// validateFrozenHeader runs every header-level check shared by the copy
-// and zero-copy loaders: extractor agreement, parameter plausibility
-// (nothing in the header may command a large allocation or an
-// out-of-range index), and that the recorded section offsets are
-// exactly the canonical layout.
-func validateFrozenHeader(h frozenHeader, ext *series.Extractor) (Config, error) {
-	if series.NormMode(h.mode) != ext.Mode() {
-		return Config{}, fmt.Errorf("core: load frozen: index built under %v, extractor is %v", series.NormMode(h.mode), ext.Mode())
+	if mode != ext.Mode() {
+		return h, fmt.Errorf("core: load frozen: index built under %v, extractor is %v", mode, ext.Mode())
 	}
-	if int(h.seriesLen) != ext.Len() {
-		return Config{}, fmt.Errorf("core: load frozen: index built over %d points, series has %d", h.seriesLen, ext.Len())
+	if int(seriesLen) != ext.Len() {
+		return h, fmt.Errorf("core: load frozen: index built over %d points, series has %d", seriesLen, ext.Len())
 	}
-	cfg := Config{L: int(h.l), MinCap: int(h.minCap), MaxCap: int(h.maxCap)}
-	if err := cfg.fill(); err != nil {
-		return Config{}, fmt.Errorf("core: load frozen: %w", err)
+	if err := h.cfg.fill(); err != nil {
+		return h, fmt.Errorf("core: load frozen: %w", err)
 	}
-	if ext.Len() < cfg.L {
-		return Config{}, fmt.Errorf("core: load frozen: series length %d shorter than subsequence length %d", ext.Len(), cfg.L)
+	if ext.Len() < h.cfg.L {
+		return h, fmt.Errorf("core: load frozen: series length %d shorter than subsequence length %d", ext.Len(), h.cfg.L)
 	}
-	maxPos := series.NumSubsequences(ext.Len(), cfg.L)
+	maxPos := series.NumSubsequences(ext.Len(), h.cfg.L)
 	// Plausibility gates before anything allocates or indexes: a hostile
 	// header must not command a multi-gigabyte allocation. A legitimate
 	// tree has at most size leaves and fewer internal nodes per level
 	// than the level below, so (size+1)·(height+1) over-covers every
 	// valid shape.
 	if h.size > uint64(maxPos) {
-		return Config{}, fmt.Errorf("core: load frozen: %d entries for a series with %d windows", h.size, maxPos)
+		return h, fmt.Errorf("core: load frozen: %d entries for a series with %d windows", h.size, maxPos)
 	}
 	if h.height > maxFrozenHeight {
-		return Config{}, fmt.Errorf("core: load frozen: implausible height %d", h.height)
+		return h, fmt.Errorf("core: load frozen: implausible height %d", h.height)
 	}
 	if uint64(h.nodeCount) > (h.size+1)*uint64(h.height+1) {
-		return Config{}, fmt.Errorf("core: load frozen: implausible node count %d for %d entries", h.nodeCount, h.size)
+		return h, fmt.Errorf("core: load frozen: implausible node count %d for %d entries", h.nodeCount, h.size)
 	}
 	if uint64(h.leafStart) > uint64(h.nodeCount) {
-		return Config{}, fmt.Errorf("core: load frozen: leafStart %d exceeds node count %d", h.leafStart, h.nodeCount)
+		return h, fmt.Errorf("core: load frozen: leafStart %d exceeds node count %d", h.leafStart, h.nodeCount)
 	}
-	lo := layoutFrozen(int64(h.nodeCount), int64(h.size), int64(cfg.L))
-	want := [6]uint64{uint64(lo.firstOff), uint64(lo.countOff), uint64(lo.positionsOff),
-		uint64(lo.upperOff), uint64(lo.lowerOff), uint64(lo.totalLen)}
-	if h.offs != want {
-		return Config{}, fmt.Errorf("core: load frozen: section offsets %v differ from the canonical layout %v", h.offs, want)
+	h.layout = layoutFrozen(int(h.nodeCount), int(h.size), h.cfg.L)
+	if offs != h.layout {
+		return h, fmt.Errorf("core: load frozen: section offsets %v differ from the canonical layout %v", offs, h.layout)
 	}
-	return cfg, nil
+	return h, nil
+}
+
+// frozenIdentity checks the magic and version that open a stream.
+func frozenIdentity(hdr []byte) error {
+	if string(hdr[:4]) != FrozenMagic {
+		return fmt.Errorf("core: load frozen: bad magic %q", hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:]); v != FrozenVersion {
+		return fmt.Errorf("core: load frozen: unsupported version %d", v)
+	}
+	return nil
+}
+
+// frozen starts the index the header describes; the loaders attach the
+// arrays.
+func (h frozenHeader) frozen(ext *series.Extractor) *Frozen {
+	return &Frozen{ext: ext, cfg: h.cfg, size: int(h.size), height: int(h.height), leafStart: int32(h.leafStart)}
 }
 
 // LoadFrozen reconstructs a frozen index from r against ext, copying
 // the arrays into fresh heap slices (the byte-order-independent path;
 // FrozenFromArena is the zero-copy one). The extractor must present the
 // same series (length) and normalization mode the index was built with;
-// the arena is fully validated before use.
+// every section is checked against its checksum as it is read and the
+// arena is fully validated before use.
 func LoadFrozen(r io.Reader, ext *series.Extractor) (*Frozen, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	// Magic and version first, so a stream of another kind is refused
+	// by name rather than as a short read.
+	hdr := make([]byte, frozenHeaderSize)
+	if _, err := io.ReadFull(br, hdr[:6]); err != nil {
 		return nil, fmt.Errorf("core: load frozen: %w", err)
 	}
-	if string(magic) != FrozenMagic {
-		return nil, fmt.Errorf("core: load frozen: bad magic %q", magic)
+	if err := frozenIdentity(hdr); err != nil {
+		return nil, err
 	}
-	var version uint16
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("core: load frozen header: %w", err)
-	}
-	if version != FrozenVersion {
-		return nil, fmt.Errorf("core: load frozen: unsupported version %d", version)
-	}
-
-	// The 6 bytes consumed so far are magic+version; read the rest
-	// of the fixed header, then the sections in stream order.
-	hdr := make([]byte, frozenHeaderSize)
 	if _, err := io.ReadFull(br, hdr[6:]); err != nil {
 		return nil, fmt.Errorf("core: load frozen header: %w", err)
 	}
-	h := decodeFrozenHeader(hdr)
-	cfg, err := validateFrozenHeader(h, ext)
+	h, err := parseFrozenHeader(hdr, ext)
 	if err != nil {
 		return nil, err
 	}
-	f := &Frozen{ext: ext, cfg: cfg, size: int(h.size), height: int(h.height),
-		leafStart: int32(h.leafStart)}
-	nn := int(h.nodeCount)
-	lo := layoutFrozen(int64(nn), int64(h.size), int64(cfg.L))
+	f := h.frozen(ext)
 
-	// Walk the sections in stream order, skipping the alignment padding
-	// between them. The chunked readers grow their output as bytes
+	// Walk the sections in stream order, each hashed through the padding
+	// that follows it. The chunked readers grow their output as bytes
 	// actually arrive, so a hostile header claiming a huge arena costs
 	// only what the stream ships.
-	at := int64(frozenHeaderSize)
-	skipTo := func(to int64) error {
-		if _, err := io.CopyN(io.Discard, br, to-at); err != nil {
-			return err
+	sum := crc32.New(castagnoli)
+	tee := io.TeeReader(br, sum)
+	structure, bounds := f.sections()
+	for i, n := range sectionCounts(int(h.nodeCount), f.size, f.cfg.L) {
+		sum.Reset()
+		var err error
+		if i < len(structure) {
+			*structure[i], err = readLE[int32](tee, n)
+		} else {
+			*bounds[i-len(structure)], err = readLE[float32](tee, n)
 		}
-		at = to
-		return nil
-	}
-	intSections := []struct {
-		off  int64
-		n    int
-		dst  *[]int32
-		name string
-	}{
-		{lo.firstOff, nn, &f.first, "first"},
-		{lo.countOff, nn, &f.count, "count"},
-		{lo.positionsOff, int(h.size), &f.positions, "positions"},
-	}
-	for _, sec := range intSections {
-		if err := skipTo(sec.off); err != nil {
-			return nil, fmt.Errorf("core: load frozen %s: %w", sec.name, err)
+		if err == nil {
+			_, err = io.CopyN(io.Discard, tee, h.layout[i+1]-h.layout[i]-4*int64(n))
 		}
-		arr, err := readInt32s(br, sec.n)
 		if err != nil {
-			return nil, fmt.Errorf("core: load frozen %s: %w", sec.name, err)
+			return nil, fmt.Errorf("core: load frozen %s: %w", frozenSections[i], err)
 		}
-		*sec.dst = arr
-		at += int64(sec.n) * 4
+		if got := sum.Sum32(); got != h.crcs[i] {
+			return nil, fmt.Errorf("core: load frozen: section %s checksum %08x, recorded %08x: the file is damaged", frozenSections[i], got, h.crcs[i])
+		}
 	}
-	if err := skipTo(lo.upperOff); err != nil {
-		return nil, fmt.Errorf("core: load frozen bounds: %w", err)
-	}
-	// upper and lower are adjacent (lowerOff = upperOff + 8·nn·L), so one
-	// backing array serves both.
-	bounds, err := readFloat64s(br, 2*nn*cfg.L)
-	if err != nil {
-		return nil, fmt.Errorf("core: load frozen bounds: %w", err)
-	}
-	f.upper = bounds[: len(bounds)/2 : len(bounds)/2]
-	f.lower = bounds[len(bounds)/2:]
 	if err := f.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("core: load frozen: reconstructed index is inconsistent with the supplied series: %w", err)
 	}
 	return f, nil
 }
 
-// FrozenFromArena is the zero-copy open path: it interprets the TSFZ v2
+// FrozenFromArena is the zero-copy open path: it interprets the TSFZ v3
 // stream at byte offset off of ar as a Frozen whose arrays are views
 // directly into the arena — no decoding, no copying, O(header) heap
 // allocation however large the index. It returns the frozen index and
@@ -347,88 +335,56 @@ func LoadFrozen(r io.Reader, ext *series.Extractor) (*Frozen, error) {
 //
 // The caller owns ar and must keep it alive (and unclosed) for the
 // Frozen's lifetime, and the host must be little-endian (LoadFrozen is
-// the byte-order-independent path). The structural (memory-safety)
-// invariants are validated before the index is returned; the O(size·L)
-// containment validation is skipped — see Frozen.CheckStructure.
+// the byte-order-independent path). The header's checksum and the
+// structural (memory-safety) invariants are validated before the index
+// is returned; the section checksums and the O(size·L) containment
+// validation are skipped — see Frozen.CheckStructure.
 func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen, int64, error) {
 	buf := ar.Bytes()
 	if off < 0 || off > int64(len(buf)) || int64(len(buf))-off < frozenHeaderSize {
 		return nil, 0, fmt.Errorf("core: frozen arena: %d-byte region at offset %d too small for a header", len(buf), off)
 	}
-	hdr := buf[off : off+frozenHeaderSize]
-	if string(hdr[:4]) != FrozenMagic {
-		return nil, 0, fmt.Errorf("core: frozen arena: bad magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:]); v != FrozenVersion {
-		return nil, 0, fmt.Errorf("core: frozen arena: unsupported version %d", v)
-	}
-	h := decodeFrozenHeader(hdr)
-	cfg, err := validateFrozenHeader(h, ext)
+	h, err := parseFrozenHeader(buf[off:off+frozenHeaderSize], ext)
 	if err != nil {
 		return nil, 0, err
 	}
-	lo := layoutFrozen(int64(h.nodeCount), int64(h.size), int64(cfg.L))
-	if lo.totalLen > int64(len(buf))-off {
-		return nil, 0, fmt.Errorf("core: frozen arena: stream of %d bytes truncated at %d", lo.totalLen, int64(len(buf))-off)
+	lo := h.layout
+	if lo.totalLen() > int64(len(buf))-off {
+		return nil, 0, fmt.Errorf("core: frozen arena: stream of %d bytes truncated at %d", lo.totalLen(), int64(len(buf))-off)
 	}
-	f := &Frozen{ext: ext, cfg: cfg, size: int(h.size), height: int(h.height),
-		leafStart: int32(h.leafStart), backing: ar}
-	nn := int(h.nodeCount)
-	if f.first, err = ar.Int32s(off+lo.firstOff, nn); err != nil {
-		return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
-	}
-	if f.count, err = ar.Int32s(off+lo.countOff, nn); err != nil {
-		return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
-	}
-	if f.positions, err = ar.Int32s(off+lo.positionsOff, int(h.size)); err != nil {
-		return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
-	}
-	if f.upper, err = ar.Float64s(off+lo.upperOff, nn*cfg.L); err != nil {
-		return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
-	}
-	if f.lower, err = ar.Float64s(off+lo.lowerOff, nn*cfg.L); err != nil {
-		return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
+	f := h.frozen(ext)
+	f.backing = ar
+	structure, bounds := f.sections()
+	for i, n := range sectionCounts(int(h.nodeCount), f.size, f.cfg.L) {
+		if i < len(structure) {
+			*structure[i], err = ar.Int32s(off+lo[i], n)
+		} else {
+			*bounds[i-len(structure)], err = ar.Float32s(off+lo[i], n)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
+		}
 	}
 	if err := f.CheckStructure(); err != nil {
 		return nil, 0, fmt.Errorf("core: frozen arena: stream is inconsistent with the supplied series: %w", err)
 	}
-	return f, lo.totalLen, nil
+	return f, lo.totalLen(), nil
 }
 
-// readChunkBytes is the transfer granularity of the array readers: big
+// readChunkBytes is the transfer granularity of the array reader: big
 // enough to amortize call overhead, small enough that a truncated or
 // hostile stream never commands a large up-front allocation.
 const readChunkBytes = 1 << 16
 
-// readInt32s reads n little-endian int32 values, growing the output as
-// data arrives.
-func readInt32s(r io.Reader, n int) ([]int32, error) {
-	out := make([]int32, 0, min(n, readChunkBytes/4))
-	var buf [readChunkBytes]byte
+// readLE reads n little-endian 4-byte values — the width of every
+// arena array — growing the output as data arrives.
+func readLE[T int32 | float32](r io.Reader, n int) ([]T, error) {
+	out := make([]T, 0, min(n, readChunkBytes/4))
 	for len(out) < n {
-		want := min((n-len(out))*4, len(buf))
-		if _, err := io.ReadFull(r, buf[:want]); err != nil {
+		k := min(n-len(out), readChunkBytes/4)
+		out = slices.Grow(out, k)[:len(out)+k]
+		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
 			return nil, err
-		}
-		for i := 0; i < want; i += 4 {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[i:])))
-		}
-	}
-	return out, nil
-}
-
-// readFloat64s reads n little-endian float64 values, growing the
-// output as data arrives.
-func readFloat64s(r io.Reader, n int) ([]float64, error) {
-	out := make([]float64, 0, min(n, readChunkBytes/8))
-	var buf [readChunkBytes]byte
-	for len(out) < n {
-		want := min((n-len(out))*8, len(buf))
-		if _, err := io.ReadFull(r, buf[:want]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < want; i += 8 {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i:])))
 		}
 	}
 	return out, nil

@@ -3,7 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/datasets"
@@ -41,7 +46,30 @@ func checkFrozenParity(t *testing.T, want, got *Frozen, q []float64, eps float64
 	}
 }
 
-func TestFrozenV2RoundTrip(t *testing.T) {
+// reseal recomputes a (possibly damaged) stream's checksums over what
+// it now holds, the header's own last — what a hostile writer would do,
+// and how a damaged case gets past the checksums to the validation it is
+// aimed at. Sections are resealed only where the header still describes
+// a layout inside the stream.
+func reseal(stream []byte, ext *series.Extractor) []byte {
+	c := append([]byte(nil), stream...)
+	if len(c) < frozenHeaderSize {
+		return c
+	}
+	sealHeader := func() {
+		binary.LittleEndian.PutUint32(c[frozenHeaderCRC:], crc32.Checksum(c[:frozenHeaderCRC], castagnoli))
+	}
+	sealHeader()
+	if h, err := parseFrozenHeader(c[:frozenHeaderSize], ext); err == nil && h.layout.totalLen() <= int64(len(c)) {
+		for i := range h.crcs {
+			binary.LittleEndian.PutUint32(c[frozenSectionCRCs+4*i:], crc32.Checksum(c[h.layout[i]:h.layout[i+1]], castagnoli))
+		}
+		sealHeader()
+	}
+	return c
+}
+
+func TestFrozenStreamRoundTrip(t *testing.T) {
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
 		ts := datasets.InsectN(41, 4000)
 		fz, ext := frozenOver(t, ts, mode, Config{L: 60})
@@ -55,7 +83,7 @@ func TestFrozenV2RoundTrip(t *testing.T) {
 			t.Fatalf("WriteTo reported %d bytes, wrote %d, StreamLen says %d", n, buf.Len(), fz.StreamLen())
 		}
 		if n%8 != 0 {
-			t.Fatalf("v2 stream length %d not 8-byte aligned", n)
+			t.Fatalf("stream length %d not 8-byte aligned", n)
 		}
 		got, err := LoadFrozen(bytes.NewReader(buf.Bytes()), ext)
 		if err != nil {
@@ -94,7 +122,7 @@ func TestFrozenFromArenaDifferential(t *testing.T) {
 }
 
 // TestFrozenFromArenaAtOffset exercises the container-format use: the
-// stream does not start at byte 0 of the region (TSSH v3 places each
+// stream does not start at byte 0 of the region (TSSH v4 places each
 // shard segment at an 8-aligned offset).
 func TestFrozenFromArenaAtOffset(t *testing.T) {
 	ts := datasets.RandomWalk(48, 1500)
@@ -112,10 +140,11 @@ func TestFrozenFromArenaAtOffset(t *testing.T) {
 	checkFrozenParity(t, fz, got, q, 0.5)
 }
 
-// TestFrozenV2StreamErrors feeds systematically damaged v2 streams to
-// both loaders: every case must fail cleanly — an error, no panic, no
-// out-of-bounds read.
-func TestFrozenV2StreamErrors(t *testing.T) {
+// TestFrozenStreamErrors feeds systematically damaged streams to both
+// loaders, as they are (the header checksum refuses them) and resealed
+// (the validation each is aimed at must): every case must fail cleanly
+// — an error, no panic, no out-of-bounds read.
+func TestFrozenStreamErrors(t *testing.T) {
 	ts := datasets.RandomWalk(49, 1200)
 	fz, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 40})
 	var buf bytes.Buffer
@@ -141,22 +170,27 @@ func TestFrozenV2StreamErrors(t *testing.T) {
 		"body truncated":   full[:len(full)-9],
 		"bad magic":        append([]byte("NOPE"), full[4:]...),
 		"bad version":      mutate(4, 0xFF),
-		"retired version":  mutate(4, 1), // TSFZ v1: unaligned, no longer read
+		"retired version":  mutate(4, 2), // TSFZ v2: float64 bounds, no checksums
 		"bad mode":         mutate(6, 0xEE),
 		"huge node count":  put64(40, 0xFFFFFFFFFFFFFFFF), // nodeCount+leafStart
 		"huge size":        put64(24, 1<<60),
 		"huge height":      mutate(20, 0xFF),
-		"misaligned first": put64(48, 97),    // off-by-one section offset
-		"aliased sections": put64(56, 96),    // countOff == firstOff
-		"shifted offsets":  put64(64, 1<<40), // positionsOff far past the stream
+		"misaligned first": put64(48, frozenHeaderSize+1), // off-by-one section offset
+		"aliased sections": put64(56, frozenHeaderSize),   // countOff == firstOff
+		"shifted offsets":  put64(64, 1<<40),              // positionsOff far past the stream
 	}
 	for name, stream := range cases {
-		if _, err := LoadFrozen(bytes.NewReader(stream), ext); err == nil {
-			t.Errorf("LoadFrozen accepted %s", name)
+		for form, stream := range map[string][]byte{"": stream, " (resealed)": reseal(stream, ext)} {
+			if _, err := LoadFrozen(bytes.NewReader(stream), ext); err == nil {
+				t.Errorf("LoadFrozen accepted %s%s", name, form)
+			}
+			if _, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext); err == nil {
+				t.Errorf("FrozenFromArena accepted %s%s", name, form)
+			}
 		}
-		if _, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext); err == nil {
-			t.Errorf("FrozenFromArena accepted %s", name)
-		}
+	}
+	if _, err := LoadFrozen(bytes.NewReader(reseal(full, ext)), ext); err != nil {
+		t.Fatalf("resealing an undamaged stream broke it: %v", err)
 	}
 
 	// Truncation sweep: no prefix of a valid stream may load (the
@@ -168,6 +202,111 @@ func TestFrozenV2StreamErrors(t *testing.T) {
 		}
 		if _, _, err := FrozenFromArena(arena.FromBytes(full[:n:n]), 0, ext); err == nil {
 			t.Fatalf("FrozenFromArena accepted a %d-byte prefix of a %d-byte stream", n, len(full))
+		}
+	}
+}
+
+// TestFrozenStreamEveryByteGuarded flips every byte of a small saved
+// index in turn and requires the copy loader to refuse each one: the
+// header's checksum covers the header, each section's covers the
+// section through its padding, so no byte — not the reserved one, not
+// the zero fill — is unguarded. A flip in a section must be refused by
+// that section's name; the zero-copy open, which skips the section
+// checksums by design, must still refuse every flip in the header.
+func TestFrozenStreamEveryByteGuarded(t *testing.T) {
+	ts := datasets.RandomWalk(73, 261) // 247 windows: the positions section ends off the 8-byte grid
+	fz, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 15, MinCap: 3, MaxCap: 7})
+	var buf bytes.Buffer
+	if _, err := fz.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	lo := layoutFrozen(fz.NodeCount(), fz.Len(), fz.L())
+	padded := false
+	for i, n := range sectionCounts(fz.NodeCount(), fz.Len(), fz.L()) {
+		padded = padded || lo[i+1]-lo[i] > 4*int64(n)
+	}
+	if !padded {
+		t.Fatal("the case has no alignment padding to flip")
+	}
+	for off := range full {
+		for _, mask := range []byte{0x01, 0xFF} {
+			c := append([]byte(nil), full...)
+			c[off] ^= mask
+			_, err := LoadFrozen(bytes.NewReader(c), ext)
+			if err == nil {
+				t.Fatalf("LoadFrozen accepted byte %d of %d flipped by %#02x", off, len(full), mask)
+			}
+			if off < frozenHeaderSize {
+				if _, _, err := FrozenFromArena(arena.FromBytes(c), 0, ext); err == nil {
+					t.Fatalf("FrozenFromArena accepted header byte %d flipped by %#02x", off, mask)
+				}
+				continue
+			}
+			sec := 0
+			for int64(off) >= lo[sec+1] {
+				sec++
+			}
+			if want := "section " + frozenSections[sec] + " checksum"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("byte %d flipped by %#02x: error %q does not name %q", off, mask, err, want)
+			}
+		}
+	}
+}
+
+// TestFrozenMemoryBytes ties the footprint accounting to the stream
+// layout: what an arena holds, on the heap or mapped, is the stream
+// minus its header and alignment padding plus the Frozen struct — so a
+// change of an array's width that reaches one and not the other fails
+// here.
+func TestFrozenMemoryBytes(t *testing.T) {
+	ts := datasets.RandomWalk(74, 900)
+	fz, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 33})
+	path := filepath.Join(t.TempDir(), "frozen.tsfz")
+	var buf bytes.Buffer
+	if _, err := fz.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	nn, l := int64(fz.NodeCount()), int64(fz.L())
+	padding := fz.StreamLen() - frozenHeaderSize - 4*(2*nn+int64(fz.Len())+2*nn*l)
+	if padding < 0 || padding >= 5*8 {
+		t.Fatalf("stream of %d bytes leaves %d for padding", fz.StreamLen(), padding)
+	}
+	const headers = int64(unsafe.Sizeof(Frozen{}))
+	want := fz.StreamLen() - frozenHeaderSize - padding + headers
+
+	opens := map[string]*Frozen{"built": fz}
+	var err error
+	if opens["copied"], err = LoadFrozen(bytes.NewReader(buf.Bytes()), ext); err != nil {
+		t.Fatal(err)
+	}
+	if opens["heap arena"], _, err = FrozenFromArena(arena.FromBytes(buf.Bytes()), 0, ext); err != nil {
+		t.Fatal(err)
+	}
+	if arena.MapSupported() && arena.LittleEndianHost() {
+		ar, err := arena.Map(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ar.Close()
+		if opens["mapped"], _, err = FrozenFromArena(ar, 0, ext); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, f := range opens {
+		if got := int64(f.MemoryBytes() + f.MappedBytes()); got != want {
+			t.Errorf("%s: MemoryBytes %d + MappedBytes %d = %d, the stream accounts for %d",
+				name, f.MemoryBytes(), f.MappedBytes(), got, want)
+		}
+		wantHeap := want
+		if f.Mapped() {
+			wantHeap = headers // the arrays are the page cache's
+		}
+		if int64(f.MemoryBytes()) != wantHeap {
+			t.Errorf("%s (mapped=%v): MemoryBytes %d, want %d", name, f.Mapped(), f.MemoryBytes(), wantHeap)
 		}
 	}
 }

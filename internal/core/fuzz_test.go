@@ -21,6 +21,10 @@ import (
 // guarantees full invariants (bound containment included); the
 // zero-copy path guarantees the structural half, so its accepted
 // arenas are checked against CheckStructure and then traversed.
+//
+// Every input runs twice, as given and with its checksums recomputed
+// (reseal): a guided fuzzer cannot guess a CRC, and the validation
+// behind the checksums is what must hold against a writer who can.
 func FuzzLoadFrozen(f *testing.F) {
 	ts := datasets.RandomWalk(91, 600)
 	ext := series.NewExtractor(ts, series.NormGlobal)
@@ -35,13 +39,13 @@ func FuzzLoadFrozen(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	retired := append([]byte(nil), valid.Bytes()...)
-	retired[4] = 1 // a version 1 header: refused, whatever follows
+	retired[4] = 2 // a version 2 header: refused, whatever follows
 	f.Add(retired)
 	f.Add(valid.Bytes()[:20])
 	f.Add(valid.Bytes()[:frozenHeaderSize])
 	f.Add([]byte("TSFZ garbage"))
 	f.Add([]byte{})
-	for _, off := range []int{6, 24, 48, 90, 99} { // mode, size, offsets, sections
+	for _, off := range []int{6, 24, 48, 90, 99, 117, 130, valid.Len() - 1} { // mode, size, offsets, checksums, sections
 		mutated := append([]byte(nil), valid.Bytes()...)
 		if len(mutated) > off {
 			mutated[off] ^= 0xFF
@@ -49,30 +53,35 @@ func FuzzLoadFrozen(f *testing.F) {
 		f.Add(mutated)
 	}
 
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		got, err := LoadFrozen(bytes.NewReader(stream), ext)
-		if err == nil {
-			if err := got.CheckInvariants(); err != nil {
-				t.Fatalf("LoadFrozen accepted an inconsistent stream: %v", err)
-			}
-			// An accepted arena must also traverse safely end to end.
-			q := ext.ExtractCopy(0, got.L())
-			got.Search(q, 0.5)
-			got.SearchTopK(q, 5)
-		}
-
-		mapped, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext)
-		if err != nil {
-			return // rejected: fine
-		}
-		if err := mapped.CheckStructure(); err != nil {
-			t.Fatalf("FrozenFromArena accepted a structurally invalid stream: %v", err)
-		}
-		q := ext.ExtractCopy(0, mapped.L())
-		mapped.Search(q, 0.5)
-		mapped.SearchTopK(q, 5)
-		mapped.SearchApprox(q, 0.5, 3)
+	f.Fuzz(func(t *testing.T, given []byte) {
+		fuzzLoadFrozen(t, ext, given)
+		fuzzLoadFrozen(t, ext, reseal(given, ext))
 	})
+}
+
+func fuzzLoadFrozen(t *testing.T, ext *series.Extractor, stream []byte) {
+	got, err := LoadFrozen(bytes.NewReader(stream), ext)
+	if err == nil {
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("LoadFrozen accepted an inconsistent stream: %v", err)
+		}
+		// An accepted arena must also traverse safely end to end.
+		q := ext.ExtractCopy(0, got.L())
+		got.Search(q, 0.5)
+		got.SearchTopK(q, 5)
+	}
+
+	mapped, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext)
+	if err != nil {
+		return // rejected: fine
+	}
+	if err := mapped.CheckStructure(); err != nil {
+		t.Fatalf("FrozenFromArena accepted a structurally invalid stream: %v", err)
+	}
+	q := ext.ExtractCopy(0, mapped.L())
+	mapped.Search(q, 0.5)
+	mapped.SearchTopK(q, 5)
+	mapped.SearchApprox(q, 0.5, 3)
 }
 
 // FuzzFrozenTraversal derives a series and query parameters from the

@@ -12,13 +12,16 @@ import (
 	"twinsearch/internal/shard"
 )
 
-// streamSum is the sha-256 of a frozen index's TSFZ stream: node order,
-// child ranges, leaf position runs and every bound, bit for bit.
-func streamSum(t *testing.T, f *core.Frozen) string {
+// streamSum is the sha-256 of a tree's full-width rendering (the TSFZ v2
+// stream the constants below were captured from): node order, child
+// ranges, leaf position runs and every float64 bound, bit for bit. The
+// arena itself holds narrowed bounds, so the tree is hashed in pointer
+// form (core.WriteGoldenTree).
+func streamSum(t *testing.T, ix *core.Index) string {
 	t.Helper()
 	h := sha256.New()
-	if _, err := f.WriteTo(h); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	if err := core.WriteGoldenTree(h, ix); err != nil {
+		t.Fatalf("WriteGoldenTree: %v", err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -56,8 +59,13 @@ func TestBuildGoldenTree(t *testing.T) {
 			if ix.Height() < c.minHeight {
 				t.Fatalf("height %d: the case no longer reaches internal and root splits", ix.Height())
 			}
-			if got := streamSum(t, ix.Freeze()); got != c.want {
+			if got := streamSum(t, ix); got != c.want {
 				t.Errorf("tree changed: stream sha-256 %s, want %s", got, c.want)
+			}
+			// The arena keeps the shape and Thaw recomputes the bounds
+			// from the series: the same tree, to the bit.
+			if got := streamSum(t, ix.Freeze().Thaw()); got != c.want {
+				t.Errorf("thawed tree differs from the built one: stream sha-256 %s, want %s", got, c.want)
 			}
 		})
 	}
@@ -88,7 +96,7 @@ func TestBuildGoldenTree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range c.want {
-				if got := streamSum(t, s.Shard(i)); got != c.want[i] {
+				if got := streamSum(t, s.Shard(i).Thaw()); got != c.want[i] {
 					t.Errorf("shard %d changed: stream sha-256 %s, want %s", i, got, c.want[i])
 				}
 			}

@@ -44,6 +44,9 @@ func avx2Impl() Impl {
 		DistAbandonFlat:       distAbandonFlatAVX2,
 		SweepAbandonFlat:      sweepAbandonFlatAVX2,
 		DistMBTS:              distMBTSPortable,
+		DistFlat32:            distFlat32AVX2,
+		DistAbandonFlat32:     distAbandonFlat32AVX2,
+		SweepAbandonFlat32:    sweepAbandonFlat32AVX2,
 		Width:                 widthPortable,
 		WidthIncreaseSequence: widthIncreaseSequencePortable,
 		WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
@@ -63,6 +66,15 @@ func avx2Impl() Impl {
 //
 //go:noescape
 func sweepKernelAVX2(upper, lower *float64, stride int, s *float64, n int, limit float64, dists *float64, rows int)
+
+// sweepKernel32AVX2 is sweepKernelAVX2 over float32 bound rows: every
+// bound is widened to float64 in the register it is loaded into, and
+// the arithmetic from there on is the float64 routine's, instruction
+// for instruction — so its results are sweepKernelAVX2's on the widened
+// arrays, bit for bit.
+//
+//go:noescape
+func sweepKernel32AVX2(upper, lower *float32, stride int, s *float64, n int, limit float64, dists *float64, rows int)
 
 // cpuidAsm executes CPUID with EAX=op, ECX=sub.
 func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -106,6 +118,45 @@ func distAbandonFlatAVX2(upper, lower, s []float64, limit float64) (float64, boo
 	}
 	var d float64
 	sweepKernelAVX2(&upper[0], &lower[0], n, &s[0], n, limit, &d, 1)
+	if d < 0 {
+		return 0, false
+	}
+	return d, true
+}
+
+// The float32-bound entry points, wrapped exactly as the float64 ones.
+
+func sweepAbandonFlat32AVX2(upper, lower []float32, stride int, s []float64, limit float64, dists []float64) {
+	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
+	if len(dists) == 0 {
+		return
+	}
+	if len(s) == 0 {
+		clear(dists)
+		return
+	}
+	if limit < 0 {
+		limit = 0
+	}
+	sweepKernel32AVX2(&upper[0], &lower[0], stride, &s[0], len(s), limit, &dists[0], len(dists))
+}
+
+func distFlat32AVX2(upper, lower []float32, s []float64) float64 {
+	d, _ := distAbandonFlat32AVX2(upper, lower, s, math.Inf(1))
+	return d
+}
+
+func distAbandonFlat32AVX2(upper, lower []float32, s []float64, limit float64) (float64, bool) {
+	n := len(s)
+	if n == 0 {
+		return 0, true
+	}
+	upper, lower = upper[:n], lower[:n]
+	if limit < 0 {
+		limit = 0
+	}
+	var d float64
+	sweepKernel32AVX2(&upper[0], &lower[0], n, &s[0], n, limit, &d, 1)
 	if d < 0 {
 		return 0, false
 	}

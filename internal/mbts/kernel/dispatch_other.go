@@ -12,3 +12,7 @@ func avx2Impl() Impl { return portableImpl }
 func sweepAbandonFlatAVX2(upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
 	sweepAbandonFlatPortable(upper, lower, stride, s, limit, dists)
 }
+
+func sweepAbandonFlat32AVX2(upper, lower []float32, stride int, s []float64, limit float64, dists []float64) {
+	sweepAbandonFlat32Portable(upper, lower, stride, s, limit, dists)
+}

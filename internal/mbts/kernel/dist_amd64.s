@@ -1,4 +1,5 @@
-// AVX2 Eq. 2 sibling-sweep kernel and the CPUID/XGETBV feature probes.
+// AVX2 Eq. 2 sibling-sweep kernels (float64 and float32 bound rows) and
+// the CPUID/XGETBV feature probes.
 //
 // Lane recipe (4 float64 per step), mirroring portable.go's excursion:
 //
@@ -132,6 +133,101 @@ abandon:
 	MOVQ $0xBFF0000000000000, AX // -1: the abandoned-row marker
 	MOVQ AX, (R11)
 	JMP  next
+
+// func sweepKernel32AVX2(upper, lower *float32, stride int, s *float64, n int, limit float64, dists *float64, rows int)
+//
+// sweepKernelAVX2 over float32 bound rows: each step loads 4 bounds as
+// 128 bits and widens them to 4 float64 (VCVTPS2PD, exact), the n mod 4
+// tail through VMASKMOVPS (masked-out lanes load +0, which widens to
+// +0), and from there the lane recipe, the schedule and the reduction
+// are the float64 routine's. BX counts lanes here, not bytes, because
+// the query and the bounds advance at different widths.
+TEXT ·sweepKernel32AVX2(SB), NOSPLIT, $0-64
+	MOVQ upper+0(FP), SI         // SI, DI = current row of each bound array
+	MOVQ lower+8(FP), DI
+	MOVQ stride+16(FP), R8
+	SHLQ $2, R8                  // R8 = row stride in bytes
+	MOVQ s+24(FP), DX
+	MOVQ n+32(FP), CX
+	VBROADCASTSD limit+40(FP), Y7
+	MOVQ dists+48(FP), R11
+	MOVQ rows+56(FP), R12
+
+	MOVQ CX, R13
+	ANDQ $3, R13                 // R13 = tail lanes (n mod 4)
+	SUBQ R13, CX                 // CX = lanes covered by whole 4-lane steps
+	LEAQ tailmask<>(SB), AX
+	MOVQ $4, BX
+	SUBQ R13, BX
+	VMOVDQU (AX)(BX*8), Y10      // Y10 = first-R13-qwords mask, for s
+	VMOVDQU 16(AX)(BX*4), X11    // X11 = first-R13-dwords mask, for the bounds
+
+row32:
+	VXORPD Y0, Y0, Y0            // Y0 = running maxima, +0 seeded
+	XORQ   BX, BX                // BX = lane index into the row and into s
+	MOVQ   $8, R9                // R9 = next check point: 8 lanes
+
+block32:
+	CMPQ BX, CX
+	JAE  tail32
+	MOVQ R9, R10                 // R10 = end of this block = min(R9, CX)
+	CMPQ R10, CX
+	CMOVQHI CX, R10
+
+step32:
+	VMOVUPD   (DX)(BX*8), Y1     // v
+	VCVTPS2PD (SI)(BX*4), Y2     // u, widened
+	VCVTPS2PD (DI)(BX*4), Y3     // l, widened
+	LANES
+	ADDQ $4, BX
+	CMPQ BX, R10
+	JB   step32
+
+	VCMPPD    $0x1E, Y7, Y0, Y9  // check point, as in sweepKernelAVX2
+	VMOVMSKPD Y9, AX
+	TESTL     AX, AX
+	JNZ       abandon32
+	MOVQ R9, AX                  // next check point: double up to 64
+	CMPQ AX, $64                 // lanes, then every 64
+	JBE  advance32
+	MOVQ $64, AX
+
+advance32:
+	ADDQ AX, R9
+	JMP  block32
+
+tail32:
+	TESTQ R13, R13
+	JZ    reduce32
+	VMASKMOVPD (DX)(BX*8), Y10, Y1
+	VMASKMOVPS (SI)(BX*4), X11, X2
+	VMASKMOVPS (DI)(BX*4), X11, X3
+	VCVTPS2PD  X2, Y2
+	VCVTPS2PD  X3, Y3
+	LANES
+
+reduce32:
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD       X1, X0, X0
+	VSHUFPD      $1, X0, X0, X1
+	VMAXSD       X1, X0, X0
+	VUCOMISD     X7, X0          // unordered (NaN limit) clears "above"
+	JA           abandon32
+	VMOVSD       X0, (R11)
+
+next32:
+	ADDQ $8, R11
+	ADDQ R8, SI
+	ADDQ R8, DI
+	DECQ R12
+	JNZ  row32
+	VZEROUPPER
+	RET
+
+abandon32:
+	MOVQ $0xBFF0000000000000, AX // -1: the abandoned-row marker
+	MOVQ AX, (R11)
+	JMP  next32
 
 // func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24

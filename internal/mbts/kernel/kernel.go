@@ -2,10 +2,11 @@
 // the TS-Index funnels through — the Eq. 2 sequence-to-MBTS distance
 // (DistFlat), its early-abandoning form (DistAbandonFlat), the sibling
 // sweep that scores a run of consecutive bound rows against one query
-// in a single forward pass (SweepAbandonFlat — how the frozen arena
-// tests all of a node's children at once, and how a leaf split scores
+// in a single forward pass (SweepAbandonFlat — how a leaf split scores
 // one window against all the others: with both bounds set to a window,
-// Eq. 2 is the Chebyshev distance to it), the Eq. 3 MBTS-to-MBTS
+// Eq. 2 is the Chebyshev distance to it; its float32-bound twin,
+// SweepAbandonFlat32, is how the frozen arena tests all of a node's
+// children at once — see "Half-width bounds"), the Eq. 3 MBTS-to-MBTS
 // distance (DistMBTS), the split-heuristic width measures (Width,
 // WidthIncrease*), and batch forms that push B queries through one
 // node's bounds in a single pass (DistFlatBatch, DistAbandonFlatBatch).
@@ -20,9 +21,9 @@
 //     abandoning is checked on a schedule instead of per lane — the
 //     only semantic *definition*; the assembly must match it.
 //   - avx2: hand-written AVX2 assembly (amd64 only), 4 lanes per
-//     instruction, one routine for the sweep and (with one row) the
-//     single-row entry points, selected at init when the CPU supports
-//     it.
+//     instruction, one routine per bound width for the sweep and (with
+//     one row) the single-row entry points, selected at init when the
+//     CPU supports it.
 //
 // # The abandon schedule
 //
@@ -64,6 +65,26 @@
 // never −0 — which is what makes the horizontal max in the vector
 // kernels order-independent and bit-identical to the sequential scalar
 // max.
+//
+// # Half-width bounds
+//
+// The frozen arena stores its bounds as float32, rounded outward
+// (NarrowUp, NarrowDown): Eq. 2 against a wider box is still a lower
+// bound on the distance to everything inside it, so Lemma 1 pruning
+// stays sound and only the bytes a traversal streams are halved. The
+// three traversal forms have float32-bound entry points for that arena
+// (DistFlat32, DistAbandonFlat32, SweepAbandonFlat32, and the batch
+// forms over them), defined in one line:
+//
+//	X32(upper, lower, …) ≡ X(widen(upper), widen(lower), …)   bit for bit
+//
+// Each bound is widened to float64 as it is loaded (float32 → float64
+// is exact) and from there the lane recipe, the schedule and the NaN
+// contract above run unchanged, in float64. The query is never
+// narrowed and nothing is subtracted in float32: a difference rounded
+// to 24 bits can come out above the true excursion, and a bound that
+// overshoots prunes a true twin. With exact arithmetic on outward
+// bounds there is no error to analyse.
 package kernel
 
 import (
@@ -84,6 +105,12 @@ type Impl struct {
 	SweepAbandonFlat func(upper, lower []float64, stride int, s []float64, limit float64, dists []float64)
 	DistMBTS         func(bUpper, bLower, oUpper, oLower []float64) float64
 
+	// The float32-bound forms of the first three (see "Half-width
+	// bounds" in the package comment).
+	DistFlat32         func(upper, lower []float32, s []float64) float64
+	DistAbandonFlat32  func(upper, lower []float32, s []float64, limit float64) (float64, bool)
+	SweepAbandonFlat32 func(upper, lower []float32, stride int, s []float64, limit float64, dists []float64)
+
 	Width                 func(upper, lower []float64) float64
 	WidthIncreaseSequence func(upper, lower, s []float64) float64
 	WidthIncreaseMBTS     func(bUpper, bLower, oUpper, oLower []float64) float64
@@ -96,6 +123,9 @@ var scalarImpl = Impl{
 	DistAbandonFlat:       distAbandonFlatScalar,
 	SweepAbandonFlat:      sweepAbandonFlatScalar,
 	DistMBTS:              distMBTSScalar,
+	DistFlat32:            distFlat32Scalar,
+	DistAbandonFlat32:     distAbandonFlat32Scalar,
+	SweepAbandonFlat32:    sweepAbandonFlat32Scalar,
 	Width:                 widthScalar,
 	WidthIncreaseSequence: widthIncreaseSequenceScalar,
 	WidthIncreaseMBTS:     widthIncreaseMBTSScalar,
@@ -109,6 +139,9 @@ var portableImpl = Impl{
 	DistAbandonFlat:       distAbandonFlatPortable,
 	SweepAbandonFlat:      sweepAbandonFlatPortable,
 	DistMBTS:              distMBTSPortable,
+	DistFlat32:            distFlat32Portable,
+	DistAbandonFlat32:     distAbandonFlat32Portable,
+	SweepAbandonFlat32:    sweepAbandonFlat32Portable,
 	Width:                 widthPortable,
 	WidthIncreaseSequence: widthIncreaseSequencePortable,
 	WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
@@ -194,6 +227,31 @@ func SweepAbandonFlat(upper, lower []float64, stride int, s []float64, limit flo
 	}
 }
 
+// DistFlat32 is DistFlat against float32 bounds, each widened as it is
+// loaded: DistFlat32(u, l, s) ≡ DistFlat(widen(u), widen(l), s).
+func DistFlat32(upper, lower []float32, s []float64) float64 {
+	return active.DistFlat32(upper, lower, s)
+}
+
+// DistAbandonFlat32 is DistAbandonFlat against float32 bounds.
+func DistAbandonFlat32(upper, lower []float32, s []float64, limit float64) (float64, bool) {
+	return active.DistAbandonFlat32(upper, lower, s, limit)
+}
+
+// SweepAbandonFlat32 is SweepAbandonFlat against float32 bound rows —
+// the frozen arena's child test. Same shape rules, same direct
+// dispatch.
+func SweepAbandonFlat32(upper, lower []float32, stride int, s []float64, limit float64, dists []float64) {
+	switch active.Name {
+	case "avx2":
+		sweepAbandonFlat32AVX2(upper, lower, stride, s, limit, dists)
+	case "portable":
+		sweepAbandonFlat32Portable(upper, lower, stride, s, limit, dists)
+	default:
+		sweepAbandonFlat32Scalar(upper, lower, stride, s, limit, dists)
+	}
+}
+
 // checkSweepShape rejects a sweep whose rows would not all lie inside
 // both arrays — with a row API a wrong-length query would otherwise be
 // a silently wrong answer (a short s reads a prefix of each row) or,
@@ -212,9 +270,10 @@ func checkSweepShape(nUpper, nLower, stride, n, rows int) {
 }
 
 // sweepRows is the sweep as a loop over a single-row form — the whole
-// definition for the scalar and portable implementations.
-func sweepRows(row func(upper, lower, s []float64, limit float64) (float64, bool),
-	upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
+// definition for the scalar and portable implementations, at either
+// bound width.
+func sweepRows[B float32 | float64](row func(upper, lower []B, s []float64, limit float64) (float64, bool),
+	upper, lower []B, stride int, s []float64, limit float64, dists []float64) {
 	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
 	for j := range dists {
 		lo, hi := j*stride, j*stride+len(s)
@@ -268,5 +327,20 @@ func DistFlatBatch(upper, lower []float64, qs [][]float64, dists []float64) {
 func DistAbandonFlatBatch(upper, lower []float64, qs [][]float64, limits, dists []float64, oks []bool) {
 	for i, q := range qs {
 		dists[i], oks[i] = active.DistAbandonFlat(upper, lower, q, limits[i])
+	}
+}
+
+// DistFlatBatch32 is DistFlatBatch against float32 bounds.
+func DistFlatBatch32(upper, lower []float32, qs [][]float64, dists []float64) {
+	for i, q := range qs {
+		dists[i] = active.DistFlat32(upper, lower, q)
+	}
+}
+
+// DistAbandonFlatBatch32 is DistAbandonFlatBatch against float32 bounds
+// — the batch traversal's node test.
+func DistAbandonFlatBatch32(upper, lower []float32, qs [][]float64, limits, dists []float64, oks []bool) {
+	for i, q := range qs {
+		dists[i], oks[i] = active.DistAbandonFlat32(upper, lower, q, limits[i])
 	}
 }

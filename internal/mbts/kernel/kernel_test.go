@@ -48,6 +48,19 @@ func trialLimit(rng *rand.Rand) float64 {
 	}
 }
 
+// narrowLanes converts bound lanes to float32 the plain way (round to
+// nearest — the kernels take any float32, not only outward-rounded
+// ones) and returns them with their exact float64 widening: the two
+// sides of the contract X32(u, l, …) ≡ X(widen(u), widen(l), …).
+func narrowLanes(a []float64) (narrow []float32, wide []float64) {
+	narrow, wide = make([]float32, len(a)), make([]float64, len(a))
+	for i, v := range a {
+		narrow[i] = float32(v)
+		wide[i] = float64(narrow[i])
+	}
+	return
+}
+
 // bitsEq is bit-pattern equality — stricter than ==, it distinguishes
 // +0 from −0 and treats equal NaN patterns as equal.
 func bitsEq(a, b float64) bool {
@@ -77,7 +90,20 @@ func TestKernelDifferential(t *testing.T) {
 		wantWIS := widthIncreaseSequenceScalar(u, l, s)
 		wantWIM := widthIncreaseMBTSScalar(u, l, ou, ol)
 
+		u32, wu := narrowLanes(u)
+		l32, wl := narrowLanes(l)
+		wantFlat32 := distFlatScalar(wu, wl, s)
+		wantAb32, wantOK32 := distAbandonFlatScalar(wu, wl, s, limit)
+
 		for _, im := range impls {
+			if got := im.DistFlat32(u32, l32, s); !bitsEq(got, wantFlat32) {
+				t.Fatalf("trial %d: %s DistFlat32 = %v (%x), scalar on widened bounds %v (%x)",
+					trial, im.Name, got, math.Float64bits(got), wantFlat32, math.Float64bits(wantFlat32))
+			}
+			if got, ok := im.DistAbandonFlat32(u32, l32, s, limit); !bitsEq(got, wantAb32) || ok != wantOK32 {
+				t.Fatalf("trial %d: %s DistAbandonFlat32 = (%v, %v), scalar on widened bounds (%v, %v), limit %v",
+					trial, im.Name, got, ok, wantAb32, wantOK32, limit)
+			}
 			if got := im.DistFlat(u, l, s); !bitsEq(got, wantFlat) {
 				t.Fatalf("trial %d: %s DistFlat = %v (%x), scalar %v (%x)",
 					trial, im.Name, got, math.Float64bits(got), wantFlat, math.Float64bits(wantFlat))
@@ -107,7 +133,8 @@ func TestKernelDifferential(t *testing.T) {
 // NaN contract singles out: NaN, ±Inf, −0 and subnormals.
 func hostileLanes(rng *rand.Rand, arrays ...[]float64) {
 	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32} // the last two survive narrowing
 	for _, a := range arrays {
 		for k := 0; k <= len(a)/16; k++ { // arrays are never empty here
 			a[rng.Intn(len(a))] = vals[rng.Intn(len(vals))]
@@ -116,26 +143,39 @@ func hostileLanes(rng *rand.Rand, arrays ...[]float64) {
 }
 
 // checkSweep bit-compares every implementation's sweep, row by row,
-// against the scalar single-row oracle on the same rows.
+// against the scalar single-row oracle on the same rows — and its
+// float32-bound sweep over the narrowed rows against the same oracle on
+// their widening.
 func checkSweep(t *testing.T, upper, lower []float64, stride int, s []float64, limit float64, rows int) {
 	t.Helper()
 	n := len(s)
-	for _, im := range Impls() {
+	u32, wu := narrowLanes(upper)
+	l32, wl := narrowLanes(lower)
+	check := func(form string, u, l []float64, sweep func(dists []float64)) {
+		t.Helper()
 		dists := make([]float64, rows)
 		for j := range dists {
 			dists[j] = 12345 // a row the sweep skips must not pass for a result
 		}
-		im.SweepAbandonFlat(upper, lower, stride, s, limit, dists)
+		sweep(dists)
 		for j, got := range dists {
-			want, ok := distAbandonFlatScalar(upper[j*stride:j*stride+n], lower[j*stride:j*stride+n], s, limit)
+			want, ok := distAbandonFlatScalar(u[j*stride:j*stride+n], l[j*stride:j*stride+n], s, limit)
 			if !ok {
 				want = Abandoned
 			}
 			if !bitsEq(got, want) {
-				t.Fatalf("%s sweep row %d/%d (n=%d stride=%d limit=%v) = %v (%x), scalar row form %v (%x)",
-					im.Name, j, rows, n, stride, limit, got, math.Float64bits(got), want, math.Float64bits(want))
+				t.Fatalf("%s row %d/%d (n=%d stride=%d limit=%v) = %v (%x), scalar row form %v (%x)",
+					form, j, rows, n, stride, limit, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
+	}
+	for _, im := range Impls() {
+		check(im.Name+" sweep", upper, lower, func(dists []float64) {
+			im.SweepAbandonFlat(upper, lower, stride, s, limit, dists)
+		})
+		check(im.Name+" sweep32", wu, wl, func(dists []float64) {
+			im.SweepAbandonFlat32(u32, l32, stride, s, limit, dists)
+		})
 	}
 }
 
@@ -170,8 +210,10 @@ func sweepDifferential(t *testing.T, rng *rand.Rand) {
 	// No rows, and rows of no lanes.
 	for _, im := range Impls() {
 		im.SweepAbandonFlat(nil, nil, 7, []float64{1, 2}, 1, nil)
-		dists := []float64{5, 5, 5}
-		im.SweepAbandonFlat(nil, nil, 0, nil, -1, dists)
+		im.SweepAbandonFlat32(nil, nil, 7, []float64{1, 2}, 1, nil)
+		dists := []float64{5, 5, 5, 5, 5, 5}
+		im.SweepAbandonFlat(nil, nil, 0, nil, -1, dists[:3])
+		im.SweepAbandonFlat32(nil, nil, 0, nil, -1, dists[3:])
 		for j, d := range dists {
 			if !bitsEq(d, 0) {
 				t.Fatalf("%s: empty row %d scored %v, want +0", im.Name, j, d)
@@ -209,27 +251,37 @@ func TestSweepShapeGuard(t *testing.T) {
 		}()
 		f()
 	}
-	b := make([]float64, 100)
-	sweeps := map[string]func(upper, lower []float64, stride int, s []float64, limit float64, dists []float64){
-		"dispatched": SweepAbandonFlat,
+	b, b32 := make([]float64, 100), make([]float32, 100)
+	sweeps := map[string]func(hiU, hiL, stride int, s []float64, limit float64, dists []float64){
+		"dispatched": func(hiU, hiL, stride int, s []float64, limit float64, dists []float64) {
+			SweepAbandonFlat(b[:hiU], b[:hiL], stride, s, limit, dists)
+		},
+		"dispatched32": func(hiU, hiL, stride int, s []float64, limit float64, dists []float64) {
+			SweepAbandonFlat32(b32[:hiU], b32[:hiL], stride, s, limit, dists)
+		},
 	}
 	for _, im := range Impls() {
-		sweeps[im.Name] = im.SweepAbandonFlat
+		sweeps[im.Name] = func(hiU, hiL, stride int, s []float64, limit float64, dists []float64) {
+			im.SweepAbandonFlat(b[:hiU], b[:hiL], stride, s, limit, dists)
+		}
+		sweeps[im.Name+"32"] = func(hiU, hiL, stride int, s []float64, limit float64, dists []float64) {
+			im.SweepAbandonFlat32(b32[:hiU], b32[:hiL], stride, s, limit, dists)
+		}
 	}
 	for name, sweep := range sweeps {
 		mustPanic(name+": query longer than stride", func() {
-			sweep(b, b, 10, make([]float64, 11), 1, make([]float64, 2))
+			sweep(100, 100, 10, make([]float64, 11), 1, make([]float64, 2))
 		})
 		mustPanic(name+": short upper", func() {
-			sweep(b[:94], b, 10, make([]float64, 5), 1, make([]float64, 10))
+			sweep(94, 100, 10, make([]float64, 5), 1, make([]float64, 10))
 		})
 		mustPanic(name+": short lower", func() {
-			sweep(b, b[:94], 10, make([]float64, 5), 1, make([]float64, 10))
+			sweep(100, 94, 10, make([]float64, 5), 1, make([]float64, 10))
 		})
 		mustPanic(name+": too many rows", func() {
-			sweep(b, b, 10, make([]float64, 10), 1, make([]float64, 11))
+			sweep(100, 100, 10, make([]float64, 10), 1, make([]float64, 11))
 		})
-		sweep(b, b[:95], 10, make([]float64, 5), 1, make([]float64, 10)) // exactly enough
+		sweep(100, 95, 10, make([]float64, 5), 1, make([]float64, 10)) // exactly enough
 	}
 }
 
@@ -268,6 +320,22 @@ func TestKernelNaNContract(t *testing.T) {
 		// The result is never −0.
 		if d := im.DistFlat([]float64{1}, []float64{-1}, []float64{0}); math.Signbit(d) {
 			t.Fatalf("%s: produced -0", im.Name)
+		}
+		// The float32-bound forms inherit every clause: a NaN bound
+		// lane contributes nothing, "above" wins, NaN limits never
+		// abandon.
+		nan32 := float32(nan)
+		if d := im.DistFlat32([]float32{nan32, 1}, []float32{-1, nan32}, []float64{5, -5}); d != 0 {
+			t.Fatalf("%s: NaN float32 bound lanes contributed %v", im.Name, d)
+		}
+		if d := im.DistFlat32([]float32{-1}, []float32{2}, []float64{0}); d != 1 {
+			t.Fatalf("%s: inverted float32 bounds gave %v, want the above excursion 1", im.Name, d)
+		}
+		if d, ok := im.DistAbandonFlat32([]float32{0}, []float32{0}, s, nan); !ok || d != 100 {
+			t.Fatalf("%s: NaN limit abandoned the float32 form (%v, %v)", im.Name, d, ok)
+		}
+		if d, ok := im.DistAbandonFlat32(nil, nil, nil, 0); !ok || d != 0 {
+			t.Fatalf("%s: empty float32 abandoning input gave (%v, %v)", im.Name, d, ok)
 		}
 		// Empty input.
 		if d := im.DistFlat(nil, nil, nil); d != 0 {
@@ -325,6 +393,23 @@ func TestBatchKernels(t *testing.T) {
 		want, wantOK := DistAbandonFlat(u, l, q, limits[i])
 		if !bitsEq(dists[i], want) || oks[i] != wantOK {
 			t.Fatalf("DistAbandonFlatBatch[%d] = (%v, %v), single call (%v, %v)",
+				i, dists[i], oks[i], want, wantOK)
+		}
+	}
+
+	u32, wu := narrowLanes(u)
+	l32, wl := narrowLanes(l)
+	DistFlatBatch32(u32, l32, qs, dists)
+	for i, q := range qs {
+		if want := DistFlat(wu, wl, q); !bitsEq(dists[i], want) {
+			t.Fatalf("DistFlatBatch32[%d] = %v, single call on widened bounds %v", i, dists[i], want)
+		}
+	}
+	DistAbandonFlatBatch32(u32, l32, qs, limits, dists, oks)
+	for i, q := range qs {
+		want, wantOK := DistAbandonFlat(wu, wl, q, limits[i])
+		if !bitsEq(dists[i], want) || oks[i] != wantOK {
+			t.Fatalf("DistAbandonFlatBatch32[%d] = (%v, %v), single call on widened bounds (%v, %v)",
 				i, dists[i], oks[i], want, wantOK)
 		}
 	}

@@ -130,6 +130,45 @@ func sweepAbandonFlatPortable(upper, lower []float64, stride int, s []float64, l
 	sweepRows(distAbandonFlatPortable, upper, lower, stride, s, limit, dists)
 }
 
+// The float32-bound forms: the same lane (excursionBits on the widened
+// bounds), maximum and schedule as the float64 forms above.
+
+func distFlat32Portable(upper, lower []float32, s []float64) float64 {
+	upper, lower = upper[:len(s)], lower[:len(s)]
+	var m uint64
+	for i, v := range s {
+		if d := excursionBits(float64(upper[i]), float64(lower[i]), v); d > m {
+			m = d
+		}
+	}
+	return math.Float64frombits(m)
+}
+
+func distAbandonFlat32Portable(upper, lower []float32, s []float64, limit float64) (float64, bool) {
+	n := len(s)
+	upper, lower = upper[:n], lower[:n]
+	if limit < 0 {
+		limit = 0 // see distAbandonFlatPortable: negative limits act as zero
+	}
+	var m uint64
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		hi = min(nextCheck(lo), n)
+		for i := lo; i < hi; i++ {
+			if d := excursionBits(float64(upper[i]), float64(lower[i]), s[i]); d > m {
+				m = d
+			}
+		}
+		if math.Float64frombits(m) > limit {
+			return 0, false
+		}
+	}
+	return math.Float64frombits(m), true
+}
+
+func sweepAbandonFlat32Portable(upper, lower []float32, stride int, s []float64, limit float64, dists []float64) {
+	sweepRows(distAbandonFlat32Portable, upper, lower, stride, s, limit, dists)
+}
+
 func distMBTSPortable(bUpper, bLower, oUpper, oLower []float64) float64 {
 	n := len(bUpper)
 	bLower, oUpper, oLower = bLower[:n], oUpper[:n], oLower[:n]

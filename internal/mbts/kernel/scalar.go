@@ -45,6 +45,51 @@ func sweepAbandonFlatScalar(upper, lower []float64, stride int, s []float64, lim
 	sweepRows(distAbandonFlatScalar, upper, lower, stride, s, limit, dists)
 }
 
+// The float32-bound forms are the loops above with each bound widened
+// as it is loaded — float32 → float64 is exact, so they equal the
+// float64 forms on the widened arrays bit for bit.
+
+func distFlat32Scalar(upper, lower []float32, s []float64) float64 {
+	var max float64
+	for i, v := range s {
+		u, l := float64(upper[i]), float64(lower[i])
+		var d float64
+		if v > u {
+			d = v - u
+		} else if v < l {
+			d = l - v
+		}
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+func distAbandonFlat32Scalar(upper, lower []float32, s []float64, limit float64) (float64, bool) {
+	var max float64
+	for i, v := range s {
+		u, l := float64(upper[i]), float64(lower[i])
+		var d float64
+		if v > u {
+			d = v - u
+		} else if v < l {
+			d = l - v
+		}
+		if d > max {
+			if d > limit {
+				return 0, false
+			}
+			max = d
+		}
+	}
+	return max, true
+}
+
+func sweepAbandonFlat32Scalar(upper, lower []float32, stride int, s []float64, limit float64, dists []float64) {
+	sweepRows(distAbandonFlat32Scalar, upper, lower, stride, s, limit, dists)
+}
+
 func distMBTSScalar(bUpper, bLower, oUpper, oLower []float64) float64 {
 	var max float64
 	for i := range bUpper {

@@ -131,10 +131,10 @@ func (b *MBTS) DistSequenceAbandon(s []float64, limit float64) (float64, bool) {
 	return DistAbandonFlat(b.Upper, b.Lower, s, limit)
 }
 
-// DistFlat is Eq. 2 over raw bound slices, without an MBTS wrapper —
-// the kernel the frozen index arena (core.Frozen) streams over its
-// packed Upper/Lower backing arrays. upper and lower must have at least
-// len(s) entries. The computation is dispatched through
+// DistFlat is Eq. 2 over raw float64 bound slices, without an MBTS
+// wrapper — the full-width form (the frozen arena's half-width rows go
+// through kernel.DistFlat32). upper and lower must have at least len(s)
+// entries. The computation is dispatched through
 // internal/mbts/kernel (branch-free portable or AVX2, selected at init;
 // see that package for the exact NaN/result contract — all forms are
 // bit-identical).

@@ -120,7 +120,7 @@ func TestMeanPartitionInsertRouting(t *testing.T) {
 }
 
 // TestShardPersistRoundTripBothPartitions saves and reloads both
-// partition schemes through the frozen v2 stream, including an index
+// partition schemes through the frozen stream, including an index
 // left dirty by Insert (WriteTo must re-freeze first).
 func TestShardPersistRoundTripBothPartitions(t *testing.T) {
 	ts := datasets.RandomWalk(41, 1400)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"twinsearch/internal/series"
 )
 
-// TestOpenArenaDifferential opens a saved v3 stream through a real mmap
+// TestOpenArenaDifferential opens a saved stream through a real mmap
 // and requires every search path to agree with the heap-loaded index
 // byte for byte, for both partition schemes; Insert must copy-on-thaw
 // (the mapped file stays byte-identical) and migrate the touched shard
@@ -115,7 +116,7 @@ func TestOpenArenaDifferential(t *testing.T) {
 	}
 }
 
-// TestOpenArenaRejectsCorruptStreams damages a valid v3 stream in the
+// TestOpenArenaRejectsCorruptStreams damages a valid stream in the
 // container layer (the segment layer is fuzzed in core): every case
 // must fail cleanly.
 func TestOpenArenaRejectsCorruptStreams(t *testing.T) {
@@ -143,9 +144,9 @@ func TestOpenArenaRejectsCorruptStreams(t *testing.T) {
 		"header truncated": full[:10],
 		"bad magic":        append([]byte("NOPE"), full[4:]...),
 		"bad partition":    mutate(6, 9),
-		"version 1":        mutate(4, 1), // retired containers: refused at
-		"version 2":        mutate(4, 2), // the header by both loaders
-		"version 4":        mutate(4, 4),
+		"version 2":        mutate(4, 2), // retired containers: refused at
+		"version 3":        mutate(4, 3), // the header by both loaders
+		"version 5":        mutate(4, 5),
 		"zero shards": func() []byte {
 			c := append([]byte(nil), full...)
 			binary.LittleEndian.PutUint32(c[8:], 0)
@@ -164,12 +165,75 @@ func TestOpenArenaRejectsCorruptStreams(t *testing.T) {
 		}(),
 		"segments truncated": full[:len(full)-16],
 	}
+	// Each case as it is (the header checksum refuses most) and with
+	// the checksum recomputed, so the validation it targets must.
 	for name, stream := range cases {
-		if _, err := OpenArena(arena.FromBytes(stream), ext, nil); err == nil {
-			t.Errorf("OpenArena accepted %s", name)
+		for form, stream := range map[string][]byte{"": stream, " (resealed)": reseal(stream)} {
+			if _, err := OpenArena(arena.FromBytes(stream), ext, nil); err == nil {
+				t.Errorf("OpenArena accepted %s%s", name, form)
+			}
+			if _, err := Load(bytes.NewReader(stream), ext, nil); err == nil {
+				t.Errorf("Load accepted %s%s", name, form)
+			}
 		}
-		if _, err := Load(bytes.NewReader(stream), ext, nil); err == nil {
-			t.Errorf("Load accepted %s", name)
+	}
+	if _, err := Load(bytes.NewReader(reseal(full)), ext, nil); err != nil {
+		t.Fatalf("resealing an undamaged stream broke it: %v", err)
+	}
+}
+
+// reseal recomputes the container header's checksum over whatever the
+// (possibly damaged) header now claims to span — what a hostile writer
+// would do, and how a damaged case gets past the checksum to the
+// validation it is aimed at.
+func reseal(stream []byte) []byte {
+	c := append([]byte(nil), stream...)
+	if len(c) < 12 {
+		return c
+	}
+	count := binary.LittleEndian.Uint32(c[8:])
+	if count == 0 || count > maxShards {
+		return c
+	}
+	hl := headerLen(int(count), c[6] == partitionMean)
+	if hl > int64(len(c)) {
+		return c
+	}
+	binary.LittleEndian.PutUint32(c[hl-4:], crc32.Checksum(c[:hl-4], castagnoli))
+	return c
+}
+
+// TestShardedStreamEveryByteGuarded flips every byte of a small saved
+// container in turn, both partition schemes, and requires the copy
+// loader to refuse each one: the header's checksum covers the header,
+// partition array and segment table, and every segment guards itself
+// (core's TestFrozenStreamEveryByteGuarded) — there is no padding in
+// between. The zero-copy open must refuse every flip in the container
+// header and in the segment headers too.
+func TestShardedStreamEveryByteGuarded(t *testing.T) {
+	ext := series.NewExtractor(datasets.RandomWalk(58, 150), series.NormGlobal)
+	for _, byMean := range []bool{false, true} {
+		sh, err := Build(ext, Config{Config: core.Config{L: 11, MinCap: 3, MaxCap: 7}, Shards: 2, PartitionByMean: byMean})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := sh.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		full := buf.Bytes()
+		hl := headerLen(2, byMean)
+		for off := range full {
+			c := append([]byte(nil), full...)
+			c[off] ^= 0x01
+			if _, err := Load(bytes.NewReader(c), ext, nil); err == nil {
+				t.Fatalf("byMean=%v: Load accepted byte %d of %d flipped", byMean, off, len(full))
+			}
+			if int64(off) < hl {
+				if _, err := OpenArena(arena.FromBytes(c), ext, nil); err == nil {
+					t.Fatalf("byMean=%v: OpenArena accepted container header byte %d flipped", byMean, off)
+				}
+			}
 		}
 	}
 }

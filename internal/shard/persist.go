@@ -4,13 +4,13 @@ package shard
 // segment table, and each shard's frozen stream. The container is
 // mappable: the header records every segment's byte length, segments
 // start 8-byte aligned relative to the file start, and each segment is
-// an aligned TSFZ v2 stream — so OpenArena can point every shard's
+// an aligned TSFZ v3 stream — so OpenArena can point every shard's
 // arrays straight into one mmap'd file region with O(header)
 // allocation, while Load reads the same bytes by copy. Like the
 // single-index format, the series itself is not embedded; both loaders
 // revalidate each shard against the supplied extractor.
 //
-// Format (version 3, little-endian):
+// Format (version 4, little-endian):
 //
 //	off 0  magic "TSSH", version u16
 //	off 6  partition u8 (0 = contiguous ranges, 1 = mean-sorted runs),
@@ -19,14 +19,22 @@ package shard
 //	       contiguous: (shardCount+1) × u64 range boundaries
 //	       mean:       (shardCount−1) × f64 routing cut keys
 //	       shardCount × u64 segment byte lengths
-//	       zero padding to the next multiple of 8
-//	       shardCount × segments (TSFZ v2, each length a multiple of 8)
+//	       CRC32C u32 of every byte above
+//	       shardCount × segments (TSFZ v3, each length a multiple of 8)
+//
+// The header is 16 + 8·k bytes whatever the partition, so the first
+// segment starts aligned with no padding, and with the segments' own
+// checksums (see core's frozen_persist.go) no byte of a file is
+// unguarded: both loaders verify the container header's checksum, Load
+// verifies every segment section's, OpenArena leaves those to a later
+// first touch exactly as core.FrozenFromArena documents.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 
@@ -41,7 +49,10 @@ import (
 const Magic = "TSSH"
 
 // PersistVersion is the one container version written and read.
-const PersistVersion = 3
+const PersistVersion = 4
+
+// castagnoli is the CRC32C table of the container header's checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
 	partitionRange = 0
@@ -53,9 +64,9 @@ const (
 // corrupt or hostile stream, rejected before allocation.
 const maxShards = 1 << 20
 
-// headerLen returns the byte length of the fixed header plus
-// partition array and segment table for count shards — the unpadded
-// offset of the first segment.
+// headerLen returns the byte length of the fixed header, partition
+// array, segment table and checksum for count shards — the offset of
+// the first segment, a multiple of 8.
 func headerLen(count int, byMean bool) int64 {
 	n := int64(8) // magic, version, partition, reserved, shardCount is at 8
 	n += 4        // shardCount
@@ -65,69 +76,53 @@ func headerLen(count int, byMean bool) int64 {
 		n += 8 * int64(count+1)
 	}
 	n += 8 * int64(count) // segment table
-	return n
+	return n + 4          // checksum
 }
 
-// WriteTo serializes the sharded index in the current (v3, mappable)
+// WriteTo serializes the sharded index in the current (v4, mappable)
 // format, re-freezing any shards left stale by Insert first. It
 // implements io.WriterTo.
 func (s *Index) WriteTo(w io.Writer) (int64, error) {
 	s.ensureFrozen()
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	if _, err := bw.Write([]byte(Magic)); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(PersistVersion)); err != nil {
-		return cw.n, err
-	}
 	part := uint8(partitionRange)
 	if s.byMean {
 		part = partitionMean
 	}
-	if _, err := bw.Write([]byte{part, 0}); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(s.frozen))); err != nil {
-		return cw.n, err
-	}
+	le := binary.LittleEndian
+	hdr := append(make([]byte, 0, headerLen(len(s.frozen), s.byMean)), Magic...)
+	hdr = append(le.AppendUint16(hdr, PersistVersion), part, 0)
+	hdr = le.AppendUint32(hdr, uint32(len(s.frozen)))
 	if s.byMean {
-		if err := binary.Write(bw, binary.LittleEndian, s.cuts); err != nil {
-			return cw.n, err
+		for _, c := range s.cuts {
+			hdr = le.AppendUint64(hdr, math.Float64bits(c))
 		}
 	} else {
 		for _, b := range s.starts {
-			if err := binary.Write(bw, binary.LittleEndian, uint64(b)); err != nil {
-				return cw.n, err
-			}
+			hdr = le.AppendUint64(hdr, uint64(b))
 		}
 	}
 	// Segment table: frozen stream lengths are deterministic, so the
 	// table precedes the segments without buffering them.
 	for _, f := range s.frozen {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(f.StreamLen())); err != nil {
-			return cw.n, err
-		}
+		hdr = le.AppendUint64(hdr, uint64(f.StreamLen()))
 	}
-	hl := headerLen(len(s.frozen), s.byMean)
-	for pad := arena.Align8(hl) - hl; pad > 0; pad-- {
-		if err := bw.WriteByte(0); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
+	hdr = le.AppendUint32(hdr, crc32.Checksum(hdr, castagnoli))
+	n, err := w.Write(hdr)
+	written := int64(n)
+	if err != nil {
+		return written, err
 	}
 	for i, f := range s.frozen {
-		n, err := f.WriteTo(cw)
-		if err != nil {
-			return cw.n, fmt.Errorf("shard: writing shard %d: %w", i, err)
+		seg, err := f.WriteTo(w)
+		written += seg
+		if err == nil && seg != f.StreamLen() {
+			err = fmt.Errorf("wrote %d bytes, table says %d", seg, f.StreamLen())
 		}
-		if n != f.StreamLen() {
-			return cw.n, fmt.Errorf("shard: shard %d wrote %d bytes, table says %d", i, n, f.StreamLen())
+		if err != nil {
+			return written, fmt.Errorf("shard: writing shard %d: %w", i, err)
 		}
 	}
-	return cw.n, nil
+	return written, nil
 }
 
 // shardHeader is the decoded container header shared by both loaders.
@@ -139,10 +134,13 @@ type shardHeader struct {
 	segLens []int64
 }
 
-// readShardHeader decodes and validates the container header from br,
-// leaving the reader positioned at the first segment.
-func readShardHeader(br *bufio.Reader) (shardHeader, error) {
+// readShardHeader decodes and validates the container header from r
+// (its checksum last, over every byte the fields came from), leaving
+// the reader positioned at the first segment.
+func readShardHeader(r *bufio.Reader) (shardHeader, error) {
 	var h shardHeader
+	sum := crc32.New(castagnoli)
+	br := io.TeeReader(r, sum)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return h, fmt.Errorf("shard: load: %w", err)
@@ -201,9 +199,12 @@ func readShardHeader(br *bufio.Reader) (shardHeader, error) {
 		}
 		h.segLens[i] = int64(n)
 	}
-	hl := headerLen(h.count, h.byMean)
-	if _, err := br.Discard(int(arena.Align8(hl) - hl)); err != nil {
-		return h, fmt.Errorf("shard: load header: %w", err)
+	var recorded uint32
+	if err := binary.Read(r, binary.LittleEndian, &recorded); err != nil {
+		return h, fmt.Errorf("shard: load header checksum: %w", err)
+	}
+	if got := sum.Sum32(); got != recorded {
+		return h, fmt.Errorf("shard: load: header checksum %08x, recorded %08x: the file is damaged", got, recorded)
 	}
 	return h, nil
 }
@@ -259,7 +260,7 @@ func Load(r io.Reader, ext *series.Extractor, ex *exec.Executor) (*Index, error)
 	return s, nil
 }
 
-// OpenArena is the zero-copy open path: it interprets a TSSH v3 stream
+// OpenArena is the zero-copy open path: it interprets a TSSH v4 stream
 // occupying the whole arena as a sharded index whose per-shard arrays
 // are views directly into the region — opening a multi-gigabyte index
 // costs O(header) allocations and faults pages in on demand. The
@@ -279,7 +280,7 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 		return nil, err
 	}
 
-	off := arena.Align8(headerLen(h.count, h.byMean))
+	off := headerLen(h.count, h.byMean)
 	frozen := make([]*core.Frozen, h.count)
 	l := 0
 	for i := range frozen {
@@ -331,16 +332,4 @@ func newLoaded(ext *series.Extractor, l int, frozen []*core.Frozen, h shardHeade
 	return &Index{ext: ext, l: l, frozen: frozen,
 		pointer: make([]*core.Index, len(frozen)), dirtyShard: make([]bool, len(frozen)),
 		byMean: h.byMean, starts: h.starts, cuts: h.cuts, ex: ex}
-}
-
-// countWriter tracks bytes written for WriteTo's contract.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

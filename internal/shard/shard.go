@@ -88,7 +88,11 @@ type Index struct {
 	// cuts has len(shards)-1 entries under PartitionByMean: shard i+1's
 	// smallest window-mean key. Insert routes new positions by key.
 	cuts []float64
-	ex   *exec.Executor
+	// keyBuf is routeShard's window scratch under per-subsequence
+	// normalization, allocated by the first Insert and kept (Insert is
+	// single-writer).
+	keyBuf []float64
+	ex     *exec.Executor
 
 	// Refreeze bookkeeping: Insert marks shards dirty; the next search
 	// re-freezes them before traversing (ensureFrozen). Insert must not
@@ -599,11 +603,10 @@ func (s *Index) Insert(p int) {
 // routeShard picks the shard that owns (or will own) position p.
 func (s *Index) routeShard(p int) int {
 	if s.byMean {
-		var buf []float64
-		if s.ext.Mode() == series.NormPerSubsequence {
-			buf = make([]float64, s.l)
+		if s.keyBuf == nil && s.ext.Mode() == series.NormPerSubsequence {
+			s.keyBuf = make([]float64, s.l)
 		}
-		k := windowKey(s.ext, p, s.l, buf)
+		k := windowKey(s.ext, p, s.l, s.keyBuf)
 		// Shard i+1 starts at cuts[i]; route to the last shard whose
 		// lower bound is ≤ k.
 		return sort.Search(len(s.cuts), func(j int) bool { return s.cuts[j] > k })

@@ -2,7 +2,7 @@ package shard
 
 // Subset serves an assigned slice of a saved sharded index's shards —
 // the unit a distributed shard node hosts. OpenArenaShards opens only
-// the assigned segments of a TSSH v3 region: the segment table gives
+// the assigned segments of a TSSH v4 region: the segment table gives
 // every segment's byte length, so unassigned segments are skipped by
 // pure offset arithmetic — their bytes are never read, validated, or
 // viewed, and under a file mapping their pages are never faulted in.
@@ -44,7 +44,7 @@ type Subset struct {
 var _ Backend = (*Subset)(nil)
 
 // OpenArenaShards opens the shards listed in assigned (global indices,
-// any order, no duplicates) from a TSSH v3 stream occupying the whole
+// any order, no duplicates) from a TSSH v4 stream occupying the whole
 // arena. Assigned segments become zero-copy views into the region;
 // unassigned segments are skipped via the segment table without
 // touching their bytes. The caller owns ar and must keep it alive (and
@@ -77,7 +77,7 @@ func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, 
 	s := &Subset{ext: ext, byMean: h.byMean, total: h.count, ids: ids,
 		frozen: make([]*core.Frozen, len(ids)), starts: h.starts, ex: ex}
 
-	off := arena.Align8(headerLen(h.count, h.byMean))
+	off := headerLen(h.count, h.byMean)
 	next := 0
 	for i := 0; i < h.count && next < len(ids); i++ {
 		if off > int64(len(buf)) {

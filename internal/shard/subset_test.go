@@ -12,7 +12,7 @@ import (
 	"twinsearch/internal/series"
 )
 
-// saveSharded builds a sharded index and writes its v3 stream to a temp
+// saveSharded builds a sharded index and writes its stream to a temp
 // file, returning the index, the path, and the stream size.
 func saveSharded(t *testing.T, ext *series.Extractor, cfg Config) (*Index, string, int64) {
 	t.Helper()
@@ -35,7 +35,7 @@ func saveSharded(t *testing.T, ext *series.Extractor, cfg Config) (*Index, strin
 }
 
 // TestOpenArenaShardsSelective proves the acceptance criterion: a node
-// opening 2 of 4 shards from a mapped v3 file maps strictly less than
+// opening 2 of 4 shards from a mapped file maps strictly less than
 // the file, serves exactly its shards' windows, and answers every
 // search path identically to a reference index over the same positions.
 func TestOpenArenaShardsSelective(t *testing.T) {
@@ -202,11 +202,11 @@ func TestOpenArenaShardsRejects(t *testing.T) {
 	}
 
 	// Retired container versions have no segment table to skip by; a
-	// v2 header must be refused before any segment is interpreted.
-	v2 := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint16(v2[4:], 2)
-	if _, err := OpenArenaShards(arena.FromBytes(v2), ext, nil, []int{0}); err == nil {
-		t.Error("v2 stream opened selectively")
+	// v3 header must be refused before any segment is interpreted.
+	v3 := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint16(v3[4:], 3)
+	if _, err := OpenArenaShards(arena.FromBytes(v3), ext, nil, []int{0}); err == nil {
+		t.Error("v3 stream opened selectively")
 	}
 }
 

@@ -120,7 +120,7 @@ func TestSavedFormatMatrix(t *testing.T) {
 		})
 	}
 
-	const rebuild = "; this version reads only TSFZ v2 and TSSH v3 — rebuild it from its series: tsquery -series S -qstart 0 -l L [-shards N] -saveindex F"
+	const rebuild = "; this version reads only TSFZ v3 and TSSH v4 — rebuild it from its series: tsquery -series S -qstart 0 -l L [-shards N] -saveindex F"
 	for _, c := range []struct {
 		name    string
 		magic   string
@@ -131,6 +131,9 @@ func TestSavedFormatMatrix(t *testing.T) {
 		{"TSFZ v1", "TSFZ", 1, "twinsearch: saved index is a TSFZ v1 stream" + rebuild},
 		{"TSSH v1", "TSSH", 1, "twinsearch: saved index is a TSSH v1 stream" + rebuild},
 		{"TSSH v2", "TSSH", 2, "twinsearch: saved index is a TSSH v2 stream" + rebuild},
+		// The generation ISSUE 21 retired: float64 bounds, no checksums.
+		{"TSFZ v2", "TSFZ", 2, "twinsearch: saved index is a TSFZ v2 stream" + rebuild},
+		{"TSSH v3", "TSSH", 3, "twinsearch: saved index is a TSSH v3 stream" + rebuild},
 		{"unknown magic", "JUNK", 2, `twinsearch: saved index has unknown magic "JUNK"`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
