@@ -666,9 +666,9 @@ func BenchmarkSkewedShardSearch(b *testing.B) {
 	}
 }
 
-// Fused batch execution: the whole workload as one executor group over
-// (query, shard, subtree) units, versus issuing the queries one by one
-// (each still fanning out internally).
+// A batch against the same queries one by one: SearchBatch and
+// SearchTopKBatch put every query's (shard, subtree) units into one
+// executor group; the sequential side fans each query out on its own.
 func BenchmarkBatchFusion(b *testing.B) {
 	ds := benchSetups[1]
 	raw := datasets.Queries(ds.data, 7, benchQueries, harness.DefaultL)
@@ -677,19 +677,37 @@ func BenchmarkBatchFusion(b *testing.B) {
 		b.Fatal(err)
 	}
 	eps := ds.def
+	const k = 10
+	check := func(b *testing.B, rs []twinsearch.BatchResult) {
+		for _, r := range rs {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, r := range eng.SearchBatch(raw, eps, 0) {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
+			check(b, eng.SearchBatch(raw, eps, 0))
 		}
 	})
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range raw {
 				if _, err := eng.Search(q, eps); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("topk/batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			check(b, eng.SearchTopKBatch(raw, k))
+		}
+	})
+	b.Run("topk/sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, q := range raw {
+				if _, err := eng.SearchTopK(q, k); err != nil {
 					b.Fatal(err)
 				}
 			}

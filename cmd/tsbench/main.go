@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "which experiment: intro, 4, 5, 6, 7, 8, shard, skew, frozen, coldopen, cluster, failover, kernel, serving, obs, all")
+		figure   = flag.String("figure", "all", "which experiment: intro, 4, 5, 6, 7, 8, shard, skew, frozen, coldopen, cluster, failover, serving, obs, all")
 		scale    = flag.Float64("scale", 0.1, "EEG dataset scale (1 = paper's 1,801,999 points)")
 		full     = flag.Bool("full", false, "shorthand for -scale 1 (with -queries 100 this is the paper's exact setup; expect hours: the sweepline pays one random read per window per query)")
 		queries  = flag.Int("queries", 30, "workload size per experiment (paper: 100)")
@@ -70,7 +70,6 @@ func main() {
 	run("coldopen", r.FigureColdOpen)
 	run("cluster", r.FigureCluster)
 	run("failover", r.FigureFailover)
-	run("kernel", r.FigureKernel)
 	run("serving", r.FigureServing)
 	run("obs", r.FigureObs)
 

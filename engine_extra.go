@@ -402,21 +402,22 @@ type BatchResult struct {
 	Err     error
 }
 
-// SearchBatch answers many queries concurrently over one engine —
-// searches are read-only, so they parallelize perfectly (the direction
-// ParIS/MESSI take iSAX, applied here at the workload level). The
-// whole batch runs as one executor group of (shard, subtree) work
-// units, and each unit traverses its subtree ONCE for the entire batch:
-// a frame of the descent is (node, active query set), so every node's
-// bounds stream through the distance kernels once per unit instead of
-// once per query (see core.Frozen.SearchStatsBatchFrom). Validation and
-// query transformation happen once per query, up front. Results arrive
-// indexed by query position, identical to len(queries) calls to
-// Search. parallelism ≤ 0 uses the engine's executor (see
-// Options.Workers); a positive value caps the batch to a dedicated
-// pool of exactly that many workers.
+// SearchBatch answers many queries over one engine as ONE executor
+// group: every valid query enqueues its ordinary (shard, subtree) units
+// — the units Search would run — and the group is waited on once, so
+// the units of all queries are peers in the same work-stealing pool
+// (searches are read-only; this is the workload-level parallelism
+// ParIS/MESSI apply to iSAX). There is no batch traversal: a batch is N
+// queries' units. Validation and query transformation happen once per
+// query, up front. Results arrive indexed by query position, identical
+// to len(queries) calls to Search. parallelism ≤ 0 uses the engine's
+// executor (see Options.Workers); a positive value caps the batch to a
+// dedicated pool of exactly that many workers. /metrics counts the
+// batch's queries and refused entries under path="search"; a group has
+// no per-query latency, so the latency histogram is not fed.
 func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) []BatchResult {
 	out, valid, tqs := e.validateBatch(queries, eps)
+	defer e.countBatch(qpSearch, out)
 	if len(valid) == 0 {
 		return out
 	}
@@ -434,11 +435,13 @@ func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) 
 		ex = exec.New(min(parallelism, len(queries)))
 	}
 	g := ex.NewGroup()
-	p := e.sh.QueueSearchBatch(g, tqs, eps)
+	pending := make([]*shard.PendingSearch, len(tqs))
+	for bi, tq := range tqs {
+		pending[bi] = e.sh.QueueSearch(g, tq, eps)
+	}
 	g.Wait()
-	ms, _ := p.Resolve()
 	for bi, i := range valid {
-		out[i].Matches = ms[bi]
+		out[i].Matches, _ = pending[bi].Resolve()
 	}
 	return out
 }
@@ -486,15 +489,30 @@ func (e *Engine) clusterBatch(out []BatchResult, valid []int, tqs [][]float64, r
 	wg.Wait()
 }
 
-// SearchTopKBatch answers many top-k queries over one engine with a
-// single batched fan-out: each (shard, subtree) work unit descends
-// once for the whole batch, every query keeps its own cross-unit
-// pruning bound, and candidate windows are extracted once per leaf for
-// all queries alive there. Results arrive indexed by query position,
-// identical to len(queries) calls to SearchTopK — a query SearchTopK
-// would refuse carries the same error.
+// countBatch feeds one finished batch call to the per-path counters:
+// every entry is a query, every entry carrying an error a query error.
+func (e *Engine) countBatch(p qpath, out []BatchResult) {
+	errs := 0
+	for i := range out {
+		if out[i].Err != nil {
+			errs++
+		}
+	}
+	e.met.queries[p].Add(uint64(len(out)))
+	e.met.errors[p].Add(uint64(errs))
+}
+
+// SearchTopKBatch answers many top-k queries over one engine as one
+// executor group: every valid query enqueues the (shard, subtree)
+// units SearchTopK would run, under a cross-unit pruning bound of its
+// own, and the group is waited on once. Results arrive indexed by
+// query position, identical to len(queries) calls to SearchTopK — a
+// query SearchTopK would refuse carries the same error. /metrics
+// counts the batch under path="topk" as SearchBatch does under
+// path="search" (counters only).
 func (e *Engine) SearchTopKBatch(queries [][]float64, k int) []BatchResult {
 	out, valid, tqs := e.validateBatch(queries, 0)
+	defer e.countBatch(qpTopK, out)
 	if len(valid) == 0 {
 		return out
 	}
@@ -504,9 +522,14 @@ func (e *Engine) SearchTopKBatch(queries [][]float64, k int) []BatchResult {
 		})
 		return out
 	}
-	ms := e.sh.SearchTopKBatch(tqs, k)
+	g := e.ex.NewGroup()
+	pending := make([]shard.PendingTopK, len(tqs))
+	for bi, tq := range tqs {
+		pending[bi] = e.sh.QueueSearchTopK(g, tq, k)
+	}
+	g.Wait()
 	for bi, i := range valid {
-		out[i].Matches = ms[bi]
+		out[i].Matches = pending[bi].Resolve()
 	}
 	return out
 }

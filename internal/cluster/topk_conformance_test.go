@@ -1,9 +1,9 @@
 package cluster_test
 
 // Top-k conformance against the definition: every backing that answers
-// a top-k query — frozen arena, batch descent, sharded
-// fan-out, and the replicated cluster over the wire — must return
-// exactly the first k windows of a brute-force scan sorted by
+// a top-k query — frozen arena, sharded fan-out, a batch queued into
+// one executor group, and the replicated cluster over the wire — must
+// return exactly the first k windows of a brute-force scan sorted by
 // (dist, start), on the inputs where early abandoning and tie handling
 // are easiest to get wrong: all-tie series, exact duplicates straddling
 // the k-th place, and k at and past the number of windows.
@@ -31,6 +31,23 @@ func plantedDuplicates(src int) []float64 {
 		copy(data[at:at+testL], data[src:src+testL])
 	}
 	return data
+}
+
+// queuedTopK answers qs as one batch: every query's units queued into
+// one executor group, one wait, one merge per query — what
+// Engine.SearchTopKBatch does over its index.
+func queuedTopK(ix *shard.Index, qs [][]float64, k int) [][]series.Match {
+	g := ix.Executor().NewGroup()
+	pending := make([]shard.PendingTopK, len(qs))
+	for i, q := range qs {
+		pending[i] = ix.QueueSearchTopK(g, q, k)
+	}
+	g.Wait()
+	out := make([][]series.Match, len(qs))
+	for i, p := range pending {
+		out[i] = p.Resolve()
+	}
+	return out
 }
 
 func TestTopKConformance(t *testing.T) {
@@ -90,13 +107,13 @@ func TestTopKConformance(t *testing.T) {
 					run  func(qi, k int) []series.Match
 				}{
 					{"frozen", func(qi, k int) []series.Match { return fz.SearchTopK(qs[qi], k) }},
-					{"batch-B1", func(qi, k int) []series.Match { return fz.SearchTopKBatch(qs[qi:qi+1], k)[0] }},
-					{"batch-B7", func(qi, k int) []series.Match { return fz.SearchTopKBatch(qs, k)[qi] }},
+					{"batch-B1", func(qi, k int) []series.Match { return queuedTopK(byShards[1], qs[qi:qi+1], k)[0] }},
+					{"batch-B7", func(qi, k int) []series.Match { return queuedTopK(byShards[1], qs, k)[qi] }},
 					{"shards=1", func(qi, k int) []series.Match { return byShards[1].SearchTopK(qs[qi], k) }},
 					{"shards=2", func(qi, k int) []series.Match { return byShards[2].SearchTopK(qs[qi], k) }},
 					{"shards=4", func(qi, k int) []series.Match { return byShards[4].SearchTopK(qs[qi], k) }},
 					{"shards=7", func(qi, k int) []series.Match { return byShards[7].SearchTopK(qs[qi], k) }},
-					{"shards=4/batch-B7", func(qi, k int) []series.Match { return byShards[4].SearchTopKBatch(qs, k)[qi] }},
+					{"shards=4/batch-B7", func(qi, k int) []series.Match { return queuedTopK(byShards[4], qs, k)[qi] }},
 					{"cluster-r2", func(qi, k int) []series.Match {
 						ms, err := cl.SearchTopK(ctx, qs[qi], k)
 						if err != nil {

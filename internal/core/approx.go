@@ -36,11 +36,3 @@ func (b *LeafBudget) TryAcquire() bool {
 
 // Exhausted reports whether no probes remain.
 func (b *LeafBudget) Exhausted() bool { return b.n.Load() <= 0 }
-
-// Remaining returns the probes left.
-func (b *LeafBudget) Remaining() int {
-	if v := b.n.Load(); v > 0 {
-		return int(v)
-	}
-	return 0
-}

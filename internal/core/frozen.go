@@ -41,8 +41,8 @@ package core
 //
 // The arena is the only searchable form: the pointer tree builds and
 // appends, Freeze compiles it, and every query — range (Algorithm 1),
-// top-k, prefix, approximate, and their batch forms (batch.go) — walks
-// the arrays below. What each walk visits, in what order, is pinned by
+// top-k, prefix, approximate — walks the arrays below, one traversal per
+// path. What each walk visits, in what order, is pinned by
 // TestTraversalGoldenStats; what it answers, by internal/oracle.
 
 import (

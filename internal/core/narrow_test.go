@@ -60,18 +60,10 @@ func checkNarrowedAgainstExact(t *testing.T, ix *Index, f *Frozen, q []float64, 
 			t.Fatalf("prefix eps=%v: %d matches (%v), oracle %d", eps, len(got), err, len(indexed)+len(tail))
 		}
 	}
-	qs := [][]float64{q, ext.ExtractCopy(f.Len()/2, l)}
-	batch, _ := f.SearchStatsBatch(qs, eps)
-	if !matchesEqual(batch[0], want) || !matchesEqual(batch[1], oracle.Range(ext, qs[1], eps)) {
-		t.Fatalf("range batch eps=%v diverges from the oracle", eps)
-	}
 	for _, k := range []int{1, 10, 90} {
 		wantK := oracle.TopK(ext, q, k)
 		if got := f.SearchTopK(q, k); !matchesEqual(got, wantK) {
 			t.Fatalf("top-%d: %v, oracle %v", k, got, wantK)
-		}
-		if got := f.SearchTopKBatch(qs, k); !matchesEqual(got[0], wantK) || !matchesEqual(got[1], oracle.TopK(ext, qs[1], k)) {
-			t.Fatalf("top-%d batch diverges from the oracle", k)
 		}
 	}
 	return st.Candidates, ex.Candidates

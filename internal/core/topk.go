@@ -51,8 +51,9 @@ func (b *SharedBound) Tighten(d float64) {
 const topKPrealloc = 1024
 
 // topK is one query's running answer inside one top-k work unit — the
-// single leaf-scoring and admission step shared by the best-first and
-// batch traversals, so both admit byte-identical sets.
+// single leaf-scoring and admission step shared by the best-first
+// descent and the append tail scan (ScanTailTopK), so both admit
+// byte-identical sets.
 //
 // best holds the k nearest candidates so far as a max-heap under the
 // (dist, start) total order, worst on top. st counts the unit's work:

@@ -95,7 +95,7 @@ type node struct {
 // every verified-to-the-end candidate under L∞ is a match, Abandons =
 // Candidates − Results for the range paths. It is tracked explicitly so
 // the trace layer can report kernel-level abandoning per shard, and so
-// the differential suites pin it identical across single/batch/sharded/
+// the differential suites pin it identical across single/sharded/
 // cluster forms.
 type Stats struct {
 	NodesVisited  int

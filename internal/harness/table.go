@@ -32,10 +32,6 @@ func PrintTable(w io.Writer, rows []Row) {
 			printFig8(w, g)
 			continue
 		}
-		if k.fig == "kernel" {
-			printFigKernel(w, g)
-			continue
-		}
 		if k.fig == "failover" || k.fig == "serving" {
 			printFigFailover(w, g)
 			continue
@@ -53,16 +49,6 @@ func printFig8(w io.Writer, g []Row) {
 	fmt.Fprintf(w, "%-12s %16s %14s\n", "method", "memory", "build time")
 	for _, r := range g {
 		fmt.Fprintf(w, "%-12s %16s %11.0f ms\n", r.Method, humanBytes(r.MemBytes), r.BuildMs)
-	}
-}
-
-// printFigKernel renders the kernel microbenchmark rows at their
-// natural scale (per-call nanoseconds, not workload milliseconds).
-func printFigKernel(w io.Writer, g []Row) {
-	fmt.Fprintf(w, "%-10s %-22s %12s %12s\n", "impl", "op", "ns/call", "Mlanes/s")
-	for _, r := range g {
-		fmt.Fprintf(w, "%-10s %-22s %12.0f %12.0f\n",
-			r.Method, r.Param, r.AvgQueryMs*1e6, r.AvgResults)
 	}
 }
 

@@ -7,9 +7,8 @@
 // Eq. 2 is the Chebyshev distance to it; its float32-bound twin,
 // SweepAbandonFlat32, is how the frozen arena tests all of a node's
 // children at once — see "Half-width bounds"), the Eq. 3 MBTS-to-MBTS
-// distance (DistMBTS), the split-heuristic width measures (Width,
-// WidthIncrease*), and batch forms that push B queries through one
-// node's bounds in a single pass (DistFlatBatch, DistAbandonFlatBatch).
+// distance (DistMBTS), and the split-heuristic width measures (Width,
+// WidthIncrease*).
 //
 // Three implementations exist, all bit-for-bit identical on every
 // input:
@@ -73,8 +72,8 @@
 // bound on the distance to everything inside it, so Lemma 1 pruning
 // stays sound and only the bytes a traversal streams are halved. The
 // three traversal forms have float32-bound entry points for that arena
-// (DistFlat32, DistAbandonFlat32, SweepAbandonFlat32, and the batch
-// forms over them), defined in one line:
+// (DistFlat32, DistAbandonFlat32, SweepAbandonFlat32), defined in one
+// line:
 //
 //	X32(upper, lower, …) ≡ X(widen(upper), widen(lower), …)   bit for bit
 //
@@ -308,39 +307,4 @@ func WidthIncreaseSequence(upper, lower, s []float64) float64 {
 // enclosed.
 func WidthIncreaseMBTS(bUpper, bLower, oUpper, oLower []float64) float64 {
 	return active.WidthIncreaseMBTS(bUpper, bLower, oUpper, oLower)
-}
-
-// DistFlatBatch evaluates Eq. 2 for every query in qs against one
-// node's bounds, writing dists[i] = DistFlat(upper, lower, qs[i]). The
-// bounds are streamed once per batch instead of once per query — they
-// stay cache-resident across the B passes, which is where the batch
-// traversal's win comes from. dists must have len(qs) entries.
-func DistFlatBatch(upper, lower []float64, qs [][]float64, dists []float64) {
-	for i, q := range qs {
-		dists[i] = active.DistFlat(upper, lower, q)
-	}
-}
-
-// DistAbandonFlatBatch is DistFlatBatch with per-query early-abandon
-// limits: dists[i], oks[i] = DistAbandonFlat(upper, lower, qs[i],
-// limits[i]). dists, oks, and limits must have len(qs) entries.
-func DistAbandonFlatBatch(upper, lower []float64, qs [][]float64, limits, dists []float64, oks []bool) {
-	for i, q := range qs {
-		dists[i], oks[i] = active.DistAbandonFlat(upper, lower, q, limits[i])
-	}
-}
-
-// DistFlatBatch32 is DistFlatBatch against float32 bounds.
-func DistFlatBatch32(upper, lower []float32, qs [][]float64, dists []float64) {
-	for i, q := range qs {
-		dists[i] = active.DistFlat32(upper, lower, q)
-	}
-}
-
-// DistAbandonFlatBatch32 is DistAbandonFlatBatch against float32 bounds
-// — the batch traversal's node test.
-func DistAbandonFlatBatch32(upper, lower []float32, qs [][]float64, limits, dists []float64, oks []bool) {
-	for i, q := range qs {
-		dists[i], oks[i] = active.DistAbandonFlat32(upper, lower, q, limits[i])
-	}
 }

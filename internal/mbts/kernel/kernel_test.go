@@ -368,53 +368,6 @@ func TestKernelAbandonSchedule(t *testing.T) {
 	}
 }
 
-// TestBatchKernels checks the batch entry points are exactly B
-// single-query calls against the active implementation.
-func TestBatchKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n, b = 96, 5
-	u, l, _ := trialData(rng, n)
-	qs := make([][]float64, b)
-	limits := make([]float64, b)
-	for i := range qs {
-		_, _, qs[i] = trialData(rng, n)
-		limits[i] = trialLimit(rng)
-	}
-	dists := make([]float64, b)
-	DistFlatBatch(u, l, qs, dists)
-	for i, q := range qs {
-		if want := DistFlat(u, l, q); !bitsEq(dists[i], want) {
-			t.Fatalf("DistFlatBatch[%d] = %v, single call %v", i, dists[i], want)
-		}
-	}
-	oks := make([]bool, b)
-	DistAbandonFlatBatch(u, l, qs, limits, dists, oks)
-	for i, q := range qs {
-		want, wantOK := DistAbandonFlat(u, l, q, limits[i])
-		if !bitsEq(dists[i], want) || oks[i] != wantOK {
-			t.Fatalf("DistAbandonFlatBatch[%d] = (%v, %v), single call (%v, %v)",
-				i, dists[i], oks[i], want, wantOK)
-		}
-	}
-
-	u32, wu := narrowLanes(u)
-	l32, wl := narrowLanes(l)
-	DistFlatBatch32(u32, l32, qs, dists)
-	for i, q := range qs {
-		if want := DistFlat(wu, wl, q); !bitsEq(dists[i], want) {
-			t.Fatalf("DistFlatBatch32[%d] = %v, single call on widened bounds %v", i, dists[i], want)
-		}
-	}
-	DistAbandonFlatBatch32(u32, l32, qs, limits, dists, oks)
-	for i, q := range qs {
-		want, wantOK := DistAbandonFlat(wu, wl, q, limits[i])
-		if !bitsEq(dists[i], want) || oks[i] != wantOK {
-			t.Fatalf("DistAbandonFlatBatch32[%d] = (%v, %v), single call on widened bounds (%v, %v)",
-				i, dists[i], oks[i], want, wantOK)
-		}
-	}
-}
-
 // TestKernelSelection pins the dispatch rules: explicit forcing wins,
 // unknown values fall back to the fastest supported form, and the
 // selected name is always a registered implementation.

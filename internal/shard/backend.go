@@ -2,13 +2,13 @@ package shard
 
 // Backend abstracts "something that can answer the five TS-Index search
 // paths over a set of shards" — the seam the distributed tier
-// (internal/cluster) plugs into. Three implementations exist: the full
-// local Index (via Local), a Subset serving an assigned slice of a
-// saved index's shards, and cluster's HTTP client talking to a remote
-// node that itself wraps a Subset. A coordinator fans one query across
-// several Backends whose shard sets partition the saved index and
-// recombines with the same deterministic merges the local fan-out uses,
-// so the answer never depends on where the shards live.
+// (internal/cluster) plugs into. Two implementations exist: a Subset
+// serving an assigned slice of a saved index's shards, and cluster's
+// HTTP client talking to a remote node that itself wraps a Subset. A
+// coordinator fans one query across several Backends whose shard sets
+// partition the saved index and recombines with the same deterministic
+// merges the local fan-out uses, so the answer never depends on where
+// the shards live.
 //
 // Contracts shared by every implementation:
 //
@@ -207,56 +207,46 @@ func setShardAttrs(sp *obs.Span, st core.Stats, units int) {
 	// merge resolves the final set; the query's root span reports it.
 }
 
-// searchTopKUnits runs one top-k search over frozen/fr with the shared
-// pruning bound seeded to bound (math.Inf(1) = unbounded). Seeding only
-// tightens the initial threshold; pruning stays on strict inequality,
-// so the merged result equals the unseeded traversal's whenever bound
-// is an upper bound on the true k-th distance.
-func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, k int, bound float64) ([]series.Match, error) {
+// PendingTopK holds the per-unit lists of one enqueued top-k search;
+// Resolve merges them after the group completes — the top-k
+// counterpart of PendingSearch. A plain value: the single-query path
+// allocates nothing for it.
+type PendingTopK struct {
+	lists [][]series.Match // [unit], each in (dist, start) order
+	st    [][]core.Stats   // [shard][unit]; traced queries only
+	k     int
+}
+
+// queueTopKUnits enqueues the (shard, subtree) units of one top-k
+// search over frozen/fr into g — the one place top-k units are
+// enqueued, for the single-query, Subset and batch callers alike. The
+// units share one pruning bound seeded to bound (math.Inf(1) =
+// unbounded). Seeding only tightens the initial threshold; pruning
+// stays on strict inequality, so the merged result equals the unseeded
+// traversal's whenever bound is an upper bound on the true k-th
+// distance. traced keeps the units' counters for setUnitSpans; untraced
+// queries drop them and allocate nothing for them. A nil ctx never
+// cancels.
+func queueTopKUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, q []float64, k int, bound float64, traced bool) PendingTopK {
 	if k <= 0 {
-		return nil, nil
-	}
-	if canceled(ctx) {
-		return nil, ctx.Err()
-	}
-	// Traced queries get the same traverse/shard[i]/merge tree threshold
-	// search records, filled from the units' own counters; untraced
-	// ones (sp == nil) drop the counters and allocate nothing for them.
-	sp := obs.SpanFrom(ctx)
-	if len(frozen) == 1 {
-		// A lone traversal shares its bound with nobody: unless the
-		// caller seeds one, its own k-th best is the whole limit, and
-		// nil spares the query an allocation.
-		var seed *core.SharedBound
-		if !math.IsInf(bound, 1) {
-			seed = core.NewSharedBound()
-			seed.Tighten(bound)
-		}
-		tsp := sp.StartChild("traverse")
-		ms, st := frozen[0].SearchTopKSharedFrom(frozen[0].Root(), q, k, seed)
-		setShardAttrs(tsp, st, 0)
-		tsp.End()
-		return ms, nil
+		return PendingTopK{}
 	}
 	shared := core.NewSharedBound()
 	shared.Tighten(bound)
-	units := fr()
 	n := 0
-	for _, u := range units {
-		n += len(u)
+	for _, us := range fr {
+		n += len(us)
 	}
 	lists := make([][]series.Match, n)
-	var sts [][]core.Stats // [shard][unit]; traced queries only
-	if sp != nil {
-		sts = make([][]core.Stats, len(units))
-		for i, us := range units {
+	var sts [][]core.Stats
+	if traced {
+		sts = make([][]core.Stats, len(fr))
+		for i, us := range fr {
 			sts[i] = make([]core.Stats, len(us))
 		}
 	}
-	g := ex.NewGroup()
-	tsp := sp.StartChild("traverse")
 	at := 0
-	for i, us := range units {
+	for i, us := range fr {
 		f := frozen[i]
 		for j, u := range us {
 			slot := at
@@ -273,14 +263,54 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 			})
 		}
 	}
+	return PendingTopK{lists: lists, st: sts, k: k}
+}
+
+// Resolve k-way merges the unit lists into the first k matches under
+// the (dist, start) total order. Call it only after the group's Wait.
+func (p PendingTopK) Resolve() []series.Match {
+	return mergeTopK(p.lists, p.k)
+}
+
+// searchTopKUnits runs one complete top-k search over frozen/fr:
+// enqueue, wait, merge, with the shared pruning bound seeded to bound
+// (see queueTopKUnits).
+func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, k int, bound float64) ([]series.Match, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	if canceled(ctx) {
+		return nil, ctx.Err()
+	}
+	// Traced queries get the same traverse/shard[i]/merge tree threshold
+	// search records, filled from the units' own counters.
+	sp := obs.SpanFrom(ctx)
+	if len(frozen) == 1 {
+		// A lone traversal shares its bound with nobody: unless the
+		// caller seeds one, its own k-th best is the whole limit, and
+		// nil spares the query an allocation.
+		var seed *core.SharedBound
+		if !math.IsInf(bound, 1) {
+			seed = core.NewSharedBound()
+			seed.Tighten(bound)
+		}
+		tsp := sp.StartChild("traverse")
+		ms, st := frozen[0].SearchTopKSharedFrom(frozen[0].Root(), q, k, seed)
+		setShardAttrs(tsp, st, 0)
+		tsp.End()
+		return ms, nil
+	}
+	g := ex.NewGroup()
+	tsp := sp.StartChild("traverse")
+	p := queueTopKUnits(g, ctx, frozen, fr(), q, k, bound, sp != nil)
 	g.Wait()
-	setUnitSpans(tsp, g, sts)
+	setUnitSpans(tsp, g, p.st)
 	tsp.End()
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
 	msp := sp.StartChild("merge")
-	ms := mergeTopK(lists, k)
+	ms := p.Resolve()
 	msp.End()
 	return ms, nil
 }
@@ -401,54 +431,3 @@ func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, l
 	s.ensureFrozen()
 	return searchApproxUnits(ctx, s.ex, s.frozen, s.byMean, q, eps, leafBudget)
 }
-
-// Local adapts the full index to the Backend interface — the form a
-// coordinator process uses to serve every shard itself, and the
-// reference implementation the differential tests compare remote
-// topologies against.
-type Local struct{ Ix *Index }
-
-var _ Backend = Local{}
-
-// Search implements Backend.
-func (l Local) Search(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	return l.Ix.SearchCtx(ctx, q, eps)
-}
-
-// SearchStats implements Backend.
-func (l Local) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	return l.Ix.SearchStatsCtx(ctx, q, eps)
-}
-
-// SearchTopK implements Backend.
-func (l Local) SearchTopK(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
-	return l.Ix.SearchTopKCtx(ctx, q, k, bound)
-}
-
-// SearchPrefixTree implements Backend.
-func (l Local) SearchPrefixTree(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	return l.Ix.SearchPrefixTreeCtx(ctx, q, eps)
-}
-
-// SearchApprox implements Backend.
-func (l Local) SearchApprox(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	return l.Ix.SearchApproxCtx(ctx, q, eps, leafBudget)
-}
-
-// Windows implements Backend.
-func (l Local) Windows() int { return l.Ix.Len() }
-
-// ShardIDs implements Backend.
-func (l Local) ShardIDs() []int {
-	ids := make([]int, l.Ix.NumShards())
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
-// MemoryBytes implements Backend.
-func (l Local) MemoryBytes() int { return l.Ix.MemoryBytes() }
-
-// MappedBytes implements Backend.
-func (l Local) MappedBytes() int { return l.Ix.MappedBytes() }

@@ -17,6 +17,10 @@
 // inline, with the answers, counters and saved bytes of a bare
 // core.Frozen.
 //
+// Every query path has one fan-out. Its units can also be enqueued into
+// a group the caller owns (QueueSearch, QueueSearchTopK): a batch is
+// nothing more than N queries' units in one group, waited on once.
+//
 // Two partitioning schemes are supported. The default splits positions
 // into contiguous ranges, whose per-shard results concatenate in shard
 // order. Config.PartitionByMean instead sorts positions by window mean
@@ -355,7 +359,7 @@ func (s *Index) SearchStats(q []float64, eps float64) ([]series.Match, core.Stat
 
 // PendingSearch holds the per-unit results of one enqueued range
 // search; Resolve assembles them after the group completes. It lets
-// Engine.SearchBatch fuse many queries into one executor group — every
+// Engine.SearchBatch put many queries into one executor group — every
 // (query, shard, subtree) unit is a peer in the same pool — instead of
 // nesting a query pool above a shard pool.
 type PendingSearch struct {
@@ -475,6 +479,15 @@ func mergeByStart(per [][]series.Match, total int) []series.Match {
 func (s *Index) SearchTopK(q []float64, k int) []series.Match {
 	ms, _ := s.SearchTopKCtx(nil, q, k, math.Inf(1))
 	return ms
+}
+
+// QueueSearchTopK enqueues the (shard, subtree) units of one top-k
+// search into g, the units sharing one pruning bound of their own, and
+// returns a handle to merge their lists — the top-k counterpart of
+// QueueSearch. Call Resolve only after g.Wait() returns.
+func (s *Index) QueueSearchTopK(g *exec.Group, q []float64, k int) PendingTopK {
+	s.ensureFrozen()
+	return queueTopKUnits(g, nil, s.frozen, s.unitFrontiers(), q, k, math.Inf(1), false)
 }
 
 // mergeTopK k-way-merges start-disjoint, distance-sorted lists and

@@ -102,8 +102,9 @@ type Options struct {
 	// worker pool that runs every parallel search path: sharded
 	// fan-out (each query becomes fine-grained (shard, subtree) work
 	// units, so one hot shard no longer bounds latency), SearchBatch
-	// workloads (all queries share the one pool instead of nesting a
-	// second one), and approximate probes. 0 selects GOMAXPROCS.
+	// and SearchTopKBatch (a batch is its queries' units in one group
+	// on the one pool, not a second pool nested above it), and
+	// approximate probes. 0 selects GOMAXPROCS.
 	// Answers never depend on the worker count.
 	Workers int
 
