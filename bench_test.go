@@ -22,6 +22,7 @@ import (
 	"twinsearch/internal/harness"
 	"twinsearch/internal/isax"
 	"twinsearch/internal/kvindex"
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 	"twinsearch/internal/sweepline"
@@ -506,6 +507,92 @@ func BenchmarkFrozenSearch(b *testing.B) {
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(results)/float64(b.N), "results/op")
 		})
+	}
+}
+
+// leafCandidates returns, leaf by leaf, the window starts a range
+// traversal at eps verifies for q: a leaf is reached iff its own bounds
+// pass Lemma 1 (its ancestors' enclose them), which the one-leaf work
+// unit reports, and a +Inf threshold makes the same unit hand back the
+// leaf's every position.
+func leafCandidates(fz *core.Frozen, q []float64, eps float64) (leaves [][]int32) {
+	for _, leaf := range fz.Frontier(math.MaxInt) {
+		if _, st := fz.SearchStatsFrom(leaf, q, eps); st.LeavesReached == 0 {
+			continue
+		}
+		all, _ := fz.SearchStatsFrom(leaf, q, math.Inf(1))
+		starts := make([]int32, len(all))
+		for i, m := range all {
+			starts[i] = int32(m.Start)
+		}
+		leaves = append(leaves, starts)
+	}
+	return leaves
+}
+
+// Verification per candidate, on the candidates the served traversals
+// actually verify — the windows of every leaf a ε = 1.0 (`wide-sharded`)
+// and a ε = 0.2 (`point`) traversal of bench/'s index reaches, near
+// misses that survived Lemma 1, not random positions — by the scalar
+// series.Verifier the engine called per window until ISSUE 23 (built
+// once per query here; the engine built one per work unit) and by one
+// kernel.SweepWindows call per leaf, in every kernel implementation.
+func BenchmarkLeafVerify(b *testing.B) {
+	fz, qs := benchServed(b)
+	qs = qs[:16]
+	ext := fz.Extractor()
+	for _, eps := range []float64{1.0, 0.2} {
+		perQuery := make([][][]int32, len(qs))
+		total := 0
+		for i, q := range qs {
+			perQuery[i] = leafCandidates(fz, q, eps)
+			for _, leaf := range perQuery[i] {
+				total += len(leaf)
+			}
+			if _, st := fz.SearchStats(q, eps); i == 0 && st.Candidates != total {
+				b.Fatalf("eps=%g: collected %d candidates, the traversal verifies %d", eps, total, st.Candidates)
+			}
+		}
+		run := func(name string, query func(i int) (twins int)) {
+			b.Run(fmt.Sprintf("eps=%g/%s", eps, name), func(b *testing.B) {
+				twins := 0
+				for i := 0; i < b.N; i++ {
+					for j := range qs {
+						twins += query(j)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(total)), "ns/candidate")
+				b.ReportMetric(float64(twins)/(float64(b.N)*float64(len(qs))), "twins/query")
+			})
+		}
+		vers := make([]*series.Verifier, len(qs))
+		for i, q := range qs {
+			vers[i] = series.NewVerifier(ext, q, eps)
+		}
+		run("verifier", func(i int) (twins int) {
+			for _, leaf := range perQuery[i] {
+				for _, p := range leaf {
+					if vers[i].Verify(int(p)) {
+						twins++
+					}
+				}
+			}
+			return twins
+		})
+		dists := make([]float64, 256)
+		for _, im := range kernel.Impls() {
+			run("sweep-"+im.Name, func(i int) (twins int) {
+				for _, leaf := range perQuery[i] {
+					im.SweepWindows(ext.Data(), leaf, qs[i], eps, dists)
+					for _, d := range dists[:len(leaf)] {
+						if d >= 0 {
+							twins++
+						}
+					}
+				}
+				return twins
+			})
+		}
 	}
 }
 

@@ -29,8 +29,9 @@ package core
 // The traversals use the layout that way: a node's children are one
 // contiguous run of bound rows, so every search path scores them at
 // expansion in a single forward kernel pass (sweepChildren →
-// kernel.SweepAbandonFlat), each row abandoned as soon as its first
-// lanes rule it out, and queues only the survivors.
+// kernel.SweepAbandonFlat32), each row abandoned as soon as its first
+// lanes rule it out, and queues only the survivors; a leaf's windows
+// are verified the same way (candidates → kernel.SweepWindows).
 //
 // Layout: nodes are numbered in BFS order, node 0 the root. The tree is
 // height-balanced with all leaves on the last level (§5.2), so in BFS
@@ -372,11 +373,8 @@ func (f *Frozen) SearchStatsFrom(sub FrozenSubtree, q []float64, eps float64) ([
 // Eq. 2 distance beyond ε — when its parent is expanded, and survivors
 // pushed in child order and visited LIFO.
 //
-// The unit allocates nothing until it reaches a leaf: the stack and the
-// sweep scratch have constant capacity and stay on the goroutine stack
-// (spilling to the heap only past it), and the verifier — whose
-// magnitude order is an allocation and a sort under normalisation — is
-// built at the first leaf, which most work units never reach.
+// The unit allocates nothing but its answer: the stack and both sweep
+// scratches stay on the goroutine stack, spilling only past capacity.
 func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]series.Match, Stats) {
 	var st Stats
 	if !sub.ok {
@@ -387,11 +385,8 @@ func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]serie
 		st.NodesPruned++
 		return nil, st
 	}
-	var (
-		out     []series.Match
-		ver     series.Verifier
-		haveVer bool
-	)
+	var out []series.Match
+	cand := candidates{ext: f.ext, q: q}
 	dists := make([]float64, 0, sweepScratchCap)
 	stack := make([]int32, 0, frozenStackCap)
 	stack = append(stack, sub.id)
@@ -411,19 +406,9 @@ func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]serie
 			}
 			continue
 		}
-		if !haveVer {
-			ver, haveVer = series.MakeVerifier(f.ext, q, eps), true
-		}
 		st.LeavesReached++
 		lo, c := f.first[n], f.count[n]
-		for _, p := range f.positions[lo : lo+c] {
-			st.Candidates++
-			if ver.Verify(int(p)) {
-				out = append(out, series.Match{Start: int(p), Dist: -1})
-			} else {
-				st.Abandons++
-			}
-		}
+		out = cand.within(f.positions[lo:lo+c], eps, out, &st)
 	}
 	return out, st
 }
@@ -468,7 +453,7 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 	}
 
 	t := newTopK(k, shared)
-	buf := make([]float64, f.cfg.L)
+	cand := candidates{ext: f.ext, q: q}
 
 	t.st.NodesVisited++
 	rootLB, ok := kernel.DistAbandonFlat32(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, t.limit())
@@ -509,9 +494,7 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 		}
 		t.st.LeavesReached++
 		first, c := f.first[item.id], f.count[item.id]
-		for _, p := range f.positions[first : first+c] {
-			t.offer(int(p), f.ext.Extract(int(p), f.cfg.L, buf), q)
-		}
+		t.offer(&cand, f.positions[first:first+c])
 	}
 	return t.sorted(), t.st
 }
@@ -620,8 +603,8 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 		return nil, st
 	}
 
-	ver := series.NewVerifier(f.ext, q, eps)
 	var out []series.Match
+	cand := candidates{ext: f.ext, q: q}
 	pq := make([]frozenItem, 0, frozenStackCap)
 	pq = append(pq, frozenItem{id: 0, lb: kernel.DistFlat32(f.boundsUpper(0), f.boundsLower(0), q)})
 	dists := make([]float64, 0, sweepScratchCap)
@@ -649,14 +632,7 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 		}
 		st.LeavesReached++
 		first, c := f.first[item.id], f.count[item.id]
-		for _, p := range f.positions[first : first+c] {
-			st.Candidates++
-			if ver.Verify(int(p)) {
-				out = append(out, series.Match{Start: int(p), Dist: -1})
-			} else {
-				st.Abandons++
-			}
-		}
+		out = cand.within(f.positions[first:first+c], eps, out, &st)
 	}
 	series.SortMatches(out)
 	st.Results = len(out)

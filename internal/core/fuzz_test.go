@@ -196,3 +196,109 @@ func FuzzExtendAnswer(f *testing.F) {
 		}
 	})
 }
+
+// rawStore serves the raw series the way tsbench's disk store does.
+type rawStore []float64
+
+func (r rawStore) ReadAt(dst []float64, p int) error {
+	copy(dst, r[p:p+len(dst)])
+	return nil
+}
+
+// FuzzLeafVerify checks the one verification step every query path
+// shares (candidates) against the three other statements of the same
+// predicate — Extractor.WithinAt, series.Verifier in memory and
+// series.Verifier over a store — on every window of a fuzzed series,
+// for every normalisation and any query length, handed over as one wide
+// leaf and as small ones; the store-backed branch likewise. Top-k
+// through the same sweep must give the oracle's answer, ties at the
+// k-th place included, with the counters a kernel call per candidate —
+// the limit re-read before each — reports.
+func FuzzLeafVerify(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0), uint8(40), uint8(5), uint8(2))
+	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1, 0, 0, 0, 0, 0, 0}, uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{7, 250}, 60), uint8(2), uint8(90), uint8(3), uint8(33))
+	f.Add(bytes.Repeat([]byte{128}, 90), uint8(1), uint8(0), uint8(4), uint8(11))
+	f.Add(bytes.Repeat([]byte{16, 240, 128}, 30), uint8(0), uint8(100), uint8(2), uint8(70))
+
+	f.Fuzz(func(t *testing.T, raw []byte, modeByte, epsByte, lenByte, kByte uint8) {
+		const maxL = 6
+		l := 1 + int(lenByte)%maxL
+		if len(raw) < l+1 || len(raw) > 400 {
+			return
+		}
+		// Quantised steps: repeated values, so ties and ε = 0 matches.
+		ts := make([]float64, len(raw))
+		v := 0.0
+		for i, b := range raw {
+			v += float64(int(b)/16 - 8)
+			ts[i] = v
+		}
+		mode := series.NormMode(modeByte % 3)
+		ext := series.NewExtractor(ts, mode)
+		total := series.NumSubsequences(len(ts), l)
+		q := ext.ExtractCopy(int(kByte)%total, l)
+		q[int(epsByte)%l] += float64(int(lenByte)/maxL%4) / 4 // a near miss as often as a twin
+		eps, k := float64(epsByte)/100, 1+int(kByte)%(total+2)
+
+		starts := make([]int32, total)
+		for p := range starts {
+			starts[p] = int32(p)
+		}
+		leaves := func(visit func(leaf []int32)) { // small leaves, then the rest as one
+			at := 0
+			for ; at < min(total, 20); at += 5 {
+				visit(starts[at:min(at+5, total)])
+			}
+			if at < total {
+				visit(starts[at:])
+			}
+		}
+
+		stored := series.NewExtractor(ts, mode)
+		stored.AttachStore(rawStore(ts))
+		mem, disk := series.NewVerifier(ext, q, eps), series.NewVerifier(stored, q, eps)
+		var want []series.Match
+		for p := 0; p < total; p++ {
+			twin := ext.WithinAt(q, p, eps)
+			if mem.Verify(p) != twin || disk.Verify(p) != twin {
+				t.Fatalf("window %d: WithinAt says %v, a Verifier disagrees", p, twin)
+			}
+			if twin {
+				want = append(want, series.Match{Start: p, Dist: -1})
+			}
+		}
+		if !slices.Equal(want, oracle.Range(ext, q, eps)) {
+			t.Fatalf("WithinAt accepts %v, oracle %v", want, oracle.Range(ext, q, eps))
+		}
+		for name, e := range map[string]*series.Extractor{"memory": ext, "store": stored} {
+			c := candidates{ext: e, q: q}
+			var got []series.Match
+			var st Stats
+			leaves(func(leaf []int32) { got = c.within(leaf, eps, got, &st) })
+			if !slices.Equal(got, want) || st.Candidates != total || st.Abandons != total-len(want) {
+				t.Fatalf("%s: candidates accept %v (%+v), WithinAt %v of %d", name, got, st, want, total)
+			}
+			if onStore := name == "store"; (c.ver != nil) != onStore || onStore && c.ver.DiskReads() != total {
+				t.Fatalf("%s: verified through the wrong branch (store verifier: %v)", name, c.ver != nil)
+			}
+		}
+
+		// Top-k: a sweep per leaf, and a sweep per candidate — the limit
+		// re-read before each kernel call — as the reference.
+		c := candidates{ext: ext, q: q}
+		swept, single := newTopK(k, nil), newTopK(k, nil)
+		leaves(func(leaf []int32) {
+			swept.offer(&c, leaf)
+			for i := range leaf {
+				single.offer(&c, leaf[i:i+1])
+			}
+		})
+		if swept.st != single.st {
+			t.Fatalf("top-%d counters: swept %+v, per candidate %+v", k, swept.st, single.st)
+		}
+		if got, want := swept.sorted(), oracle.TopK(ext, q, k); !slices.Equal(got, want) || !slices.Equal(single.sorted(), want) {
+			t.Fatalf("top-%d: swept %v, oracle %v", k, got, want)
+		}
+	})
+}

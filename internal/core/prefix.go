@@ -15,16 +15,22 @@ import "twinsearch/internal/series"
 // eps, appending matches to out in ascending start order — a range
 // answer for [0, from) in, the range answer for [0, to) out.
 func ScanTail(ext *series.Extractor, q []float64, eps float64, from, to int, out []series.Match) []series.Match {
-	if from >= to {
-		return out
-	}
-	ver := series.MakeVerifier(ext, q, eps)
-	for p := from; p < to; p++ {
-		if ver.Verify(p) {
-			out = append(out, series.Match{Start: p, Dist: -1})
-		}
+	c := candidates{ext: ext, q: q}
+	var st Stats
+	var buf [sweepScratchCap]int32
+	for ; from < to; from += len(buf) {
+		out = c.within(tailStarts(buf[:], from, to), eps, out, &st)
 	}
 	return out
+}
+
+// tailStarts fills buf with the first window starts of [from, to).
+func tailStarts(buf []int32, from, to int) []int32 {
+	buf = buf[:min(to-from, len(buf))]
+	for i := range buf {
+		buf[i] = int32(from + i)
+	}
+	return buf
 }
 
 // ScanTailTopK turns best, the top-k answer over the windows starting
@@ -46,9 +52,10 @@ func ScanTailTopK(ext *series.Extractor, q []float64, k, from, to int, best []se
 	for i := len(best) - 1; i >= 0; i-- {
 		t.best = append(t.best, worstFirst(best[i]))
 	}
-	buf := make([]float64, len(q))
-	for p := from; p < to; p++ {
-		t.offer(p, ext.Extract(p, len(q), buf), q)
+	c := candidates{ext: ext, q: q}
+	var buf [sweepScratchCap]int32
+	for ; from < to; from += len(buf) {
+		t.offer(&c, tailStarts(buf[:], from, to))
 	}
 	return t.sorted()
 }

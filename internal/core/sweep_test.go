@@ -92,14 +92,19 @@ func TestFrozenUnitQueryLength(t *testing.T) {
 	}
 }
 
-// TestFrozenSearchAllocs pins the range work unit's allocation budget
-// on a bench-shaped index (EEG, L = 100, global normalisation). A unit
-// that reaches no leaf allocates nothing — the stack and the sweep
-// scratch stay on the goroutine stack and the verifier is not built. A
-// paper-default ε = 0.2 query pays for the verifier's magnitude order
-// (one allocation) and the doublings of its match slice, nothing else:
-// 2 allocations for the typical single-twin query, which is what
-// BenchmarkFrozenSearch reports at 200 000 points.
+// TestFrozenSearchAllocs pins the allocation budget of every range
+// path that verifies in memory, on a bench-shaped index (EEG, L = 100,
+// global normalisation): the range and prefix work units, the
+// approximate probe and the tail scan. A unit that reaches no leaf
+// allocates nothing, and one that does allocates its answer — the
+// doublings of the match slice — and nothing else: the stack, both
+// sweep scratches and the candidates helper stay on the goroutine
+// stack, and no verifier (whose magnitude order was an allocation and a
+// sort per unit) is built. 1 allocation for the typical single-twin
+// query, which is what BenchmarkFrozenSearch reports at 200 000 points.
+// (The approximate probe queues every child it scores and prunes only
+// when it pops, so its node queue may outgrow the stack-resident
+// capacity: it is allowed the doublings that would hold every node.)
 func TestFrozenSearchAllocs(t *testing.T) {
 	data := datasets.EEGN(1, 50000)
 	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 100})
@@ -112,7 +117,15 @@ func TestFrozenSearchAllocs(t *testing.T) {
 		"SearchPrefixTreeFrom": func(q []float64) []series.Match {
 			return f.SearchPrefixTreeFrom(f.Root(), q[:60], 0.2)
 		},
+		"SearchApprox": func(q []float64) []series.Match {
+			ms, _ := f.SearchApprox(q, 0.2, 4)
+			return ms
+		},
+		"ScanTail": func(q []float64) []series.Match {
+			return ScanTail(ext, q, 0.2, 0, f.Len(), nil)
+		},
 	}
+	queueGrowth := map[string]int{"SearchApprox": bits.Len(uint(f.NodeCount()-1) / frozenStackCap)}
 
 	far := ext.TransformQuery(qs[0])
 	for i := range far {
@@ -123,7 +136,7 @@ func TestFrozenSearchAllocs(t *testing.T) {
 	}
 	for name, unit := range units {
 		if avg := testing.AllocsPerRun(10, func() { unit(far) }); avg != 0 {
-			t.Fatalf("%s reaching no leaf: %.0f allocs, want 0", name, avg)
+			t.Fatalf("%s finding nothing: %.0f allocs, want 0", name, avg)
 		}
 		for _, raw := range qs {
 			q := ext.TransformQuery(raw)
@@ -131,7 +144,7 @@ func TestFrozenSearchAllocs(t *testing.T) {
 			if n == 0 {
 				t.Fatalf("%s: a query cut from the series did not find itself", name)
 			}
-			budget := 1 + 1 + bits.Len(uint(n-1)) // order + append growth 1, 2, 4, ... to hold n
+			budget := queueGrowth[name] + 1 + bits.Len(uint(n-1)) // append growth 1, 2, 4, ... to hold n
 			if avg := testing.AllocsPerRun(10, func() { unit(q) }); int(avg) > budget {
 				t.Fatalf("%s(eps=0.2), %d matches: %.0f allocs/query, budget %d", name, n, avg, budget)
 			}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"twinsearch/internal/mbts"
 	"twinsearch/internal/series"
 )
 
@@ -88,30 +87,31 @@ func (t *topK) limit() float64 {
 	return l
 }
 
-// offer verifies candidate window w (starting at p) against q the way
-// threshold search verifies: the dispatched Eq. 2 kernel with both
-// bounds set to the window computes max|q−w| — exactly
-// series.Chebyshev(q, w), bit for bit (FuzzCandidateDist) — and
-// abandons at its next check point once the running maximum strictly
-// exceeds the limit. A surviving candidate is admitted iff it
-// beats the current worst under (dist, start).
-func (t *topK) offer(p int, w, q []float64) {
-	t.st.Candidates++
-	d, ok := mbts.DistAbandonFlat(w, w, q, t.limit())
-	if !ok {
-		t.st.Abandons++
-		return
-	}
-	m := worstFirst{Start: p, Dist: d}
-	if len(t.best) >= t.k {
-		if !t.best[0].before(m) {
-			return // not strictly better than the current worst
+// offer verifies the windows at starts the way threshold search
+// verifies — one kernel sweep, each window abandoned at its next check
+// point once it strictly exceeds the limit — and admits a survivor iff
+// its exact distance beats the current worst under (dist, start). The
+// limit is read once for the sweep and again per window: a distance it
+// has come to exclude meanwhile counts as the abandon a kernel call
+// made at that moment would have reported.
+func (t *topK) offer(c *candidates, starts []int32) {
+	for j, d := range c.sweep(starts, t.limit()) {
+		t.st.Candidates++
+		if d < 0 || d > t.limit() {
+			t.st.Abandons++
+			continue
 		}
-		t.best, _ = heapPop(t.best)
-	}
-	t.best = heapPush(t.best, m)
-	if t.shared != nil && len(t.best) >= t.k {
-		t.shared.Tighten(t.best[0].Dist)
+		m := worstFirst{Start: int(starts[j]), Dist: d}
+		if len(t.best) >= t.k {
+			if !t.best[0].before(m) {
+				continue // not strictly better than the current worst
+			}
+			t.best, _ = heapPop(t.best)
+		}
+		t.best = heapPush(t.best, m)
+		if t.shared != nil && len(t.best) >= t.k {
+			t.shared.Tighten(t.best[0].Dist)
+		}
 	}
 }
 

@@ -47,6 +47,7 @@ func avx2Impl() Impl {
 		DistFlat32:            distFlat32AVX2,
 		DistAbandonFlat32:     distAbandonFlat32AVX2,
 		SweepAbandonFlat32:    sweepAbandonFlat32AVX2,
+		SweepWindows:          sweepWindowsAVX2,
 		Width:                 widthPortable,
 		WidthIncreaseSequence: widthIncreaseSequencePortable,
 		WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
@@ -76,6 +77,19 @@ func sweepKernelAVX2(upper, lower *float64, stride int, s *float64, n int, limit
 //go:noescape
 func sweepKernel32AVX2(upper, lower *float32, stride int, s *float64, n int, limit float64, dists *float64, rows int)
 
+// sweepWindowsKernelAVX2 is the candidate sweep: row j is the n lanes
+// of data at starts[j], both bounds of Eq. 2 at once, so a lane is
+// |s − w| (see "Candidate windows" in the package comment — the NaN
+// contract is carried by VMAXPD's operand order). Two accumulators take
+// alternate steps, the limit is checked every 8 lanes, and the n mod 4
+// tail goes through a masked load, so nothing past a window's last lane
+// is read. Results as sweepKernelAVX2: the exact maximum or Abandoned.
+// rows must be positive, every start a window inside data, and limit
+// non-negative or NaN.
+//
+//go:noescape
+func sweepWindowsKernelAVX2(data *float64, starts *int32, s *float64, n int, limit float64, dists *float64, rows int)
+
 // cpuidAsm executes CPUID with EAX=op, ECX=sub.
 func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -95,6 +109,21 @@ func sweepAbandonFlatAVX2(upper, lower []float64, stride int, s []float64, limit
 		limit = 0 // see distAbandonFlatPortable: negative limits act as zero
 	}
 	sweepKernelAVX2(&upper[0], &lower[0], stride, &s[0], len(s), limit, &dists[0], len(dists))
+}
+
+func sweepWindowsAVX2(data []float64, starts []int32, s []float64, limit float64, dists []float64) {
+	dists = checkWindows(len(data), starts, len(s), dists)
+	if len(starts) == 0 {
+		return
+	}
+	if len(s) == 0 {
+		clear(dists) // no lanes: every window is at distance 0
+		return
+	}
+	if limit < 0 {
+		limit = 0 // see distAbandonFlatPortable: negative limits act as zero
+	}
+	sweepWindowsKernelAVX2(&data[0], &starts[0], &s[0], len(s), limit, &dists[0], len(starts))
 }
 
 // The single-row entry points are the sweep kernel with one row, called

@@ -16,3 +16,7 @@ func sweepAbandonFlatAVX2(upper, lower []float64, stride int, s []float64, limit
 func sweepAbandonFlat32AVX2(upper, lower []float32, stride int, s []float64, limit float64, dists []float64) {
 	sweepAbandonFlat32Portable(upper, lower, stride, s, limit, dists)
 }
+
+func sweepWindowsAVX2(data []float64, starts []int32, s []float64, limit float64, dists []float64) {
+	sweepWindowsPortable(data, starts, s, limit, dists)
+}

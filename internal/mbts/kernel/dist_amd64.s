@@ -1,5 +1,5 @@
-// AVX2 Eq. 2 sibling-sweep kernels (float64 and float32 bound rows) and
-// the CPUID/XGETBV feature probes.
+// AVX2 Eq. 2 sibling-sweep kernels (float64 and float32 bound rows), the
+// candidate-window sweep, and the CPUID/XGETBV feature probes.
 //
 // Lane recipe (4 float64 per step), mirroring portable.go's excursion:
 //
@@ -228,6 +228,109 @@ abandon32:
 	MOVQ $0xBFF0000000000000, AX // -1: the abandoned-row marker
 	MOVQ AX, (R11)
 	JMP  next32
+
+// func sweepWindowsKernelAVX2(data *float64, starts *int32, s *float64, n int, limit float64, dists *float64, rows int)
+//
+// The candidate sweep: row j is the window data[starts[j]:starts[j]+n],
+// standing for both bounds, so the lane is d = |v - w| (VSUBPD, then the
+// sign bit cleared with Y11). d is NaN exactly where the generic recipe
+// selects +0; VMAXPD returns its second source (Go's first operand)
+// when either is NaN, and the accumulator sits there, so such a lane
+// leaves it untouched. Whole steps alternate between two accumulators,
+// Y0 and Y12, checked together against the limit every 8 lanes.
+TEXT ·sweepWindowsKernelAVX2(SB), NOSPLIT, $0-56
+	MOVQ data+0(FP), SI
+	MOVQ starts+8(FP), R8
+	MOVQ s+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD limit+32(FP), Y7
+	MOVQ dists+40(FP), R11
+	MOVQ rows+48(FP), R12
+
+	MOVQ CX, R13
+	ANDQ $3, R13                 // R13 = tail lanes (n mod 4)
+	SUBQ R13, CX
+	SHLQ $3, CX                  // CX = bytes covered by whole 4-lane steps
+	MOVQ CX, R10
+	ANDQ $-64, R10               // R10 = bytes covered by whole 8-lane pairs
+	LEAQ tailmask<>(SB), AX
+	MOVQ $4, BX
+	SUBQ R13, BX
+	VMOVDQU (AX)(BX*8), Y10      // Y10 = first-R13-lanes mask (unused when R13 = 0)
+	VPCMPEQD Y11, Y11, Y11
+	VPSRLQ   $1, Y11, Y11        // Y11 = every bit but the sign
+
+rowW:
+	MOVLQSX (R8), DI
+	LEAQ    (SI)(DI*8), DI       // DI = this row's window
+	VXORPD  Y0, Y0, Y0           // Y0, Y12 = running maxima, +0 seeded
+	VXORPD  Y12, Y12, Y12
+	XORQ    BX, BX               // BX = byte offset into the window and into s
+	CMPQ    BX, R10
+	JAE     singleW
+
+pairW:
+	VMOVUPD (DX)(BX*1), Y1
+	VMOVUPD 32(DX)(BX*1), Y2
+	VSUBPD  (DI)(BX*1), Y1, Y1
+	VSUBPD  32(DI)(BX*1), Y2, Y2
+	VANDPD  Y11, Y1, Y1
+	VANDPD  Y11, Y2, Y2
+	VMAXPD  Y0, Y1, Y0
+	VMAXPD  Y12, Y2, Y12
+	ADDQ    $64, BX
+	// Check point: abandon when either accumulator has a slot above the
+	// limit. GT_OQ is false on NaN and against +Inf, so those limits
+	// never abandon.
+	VMAXPD    Y12, Y0, Y4
+	VCMPPD    $0x1E, Y7, Y4, Y4
+	VMOVMSKPD Y4, AX
+	TESTL     AX, AX
+	JNZ       abandonW
+	CMPQ BX, R10
+	JB   pairW
+
+singleW:
+	CMPQ BX, CX
+	JAE  tailW
+	VMOVUPD (DX)(BX*1), Y1
+	VSUBPD  (DI)(BX*1), Y1, Y1
+	VANDPD  Y11, Y1, Y1
+	VMAXPD  Y0, Y1, Y0
+	ADDQ    $32, BX
+
+tailW:
+	TESTQ R13, R13
+	JZ    reduceW
+	// Masked-out lanes load +0 into v and w: d = +0.
+	VMASKMOVPD (DX)(BX*1), Y10, Y1
+	VMASKMOVPD (DI)(BX*1), Y10, Y2
+	VSUBPD     Y2, Y1, Y1
+	VANDPD     Y11, Y1, Y1
+	VMAXPD     Y12, Y1, Y12
+
+reduceW:
+	VMAXPD       Y12, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD       X1, X0, X0
+	VSHUFPD      $1, X0, X0, X1
+	VMAXSD       X1, X0, X0
+	VUCOMISD     X7, X0          // unordered (NaN limit) clears "above"
+	JA           abandonW
+	VMOVSD       X0, (R11)
+
+nextW:
+	ADDQ $8, R11
+	ADDQ $4, R8
+	DECQ R12
+	JNZ  rowW
+	VZEROUPPER
+	RET
+
+abandonW:
+	MOVQ $0xBFF0000000000000, AX // -1: the abandoned-row marker
+	MOVQ AX, (R11)
+	JMP  nextW
 
 // func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24

@@ -6,9 +6,11 @@
 // one window against all the others: with both bounds set to a window,
 // Eq. 2 is the Chebyshev distance to it; its float32-bound twin,
 // SweepAbandonFlat32, is how the frozen arena tests all of a node's
-// children at once — see "Half-width bounds"), the Eq. 3 MBTS-to-MBTS
-// distance (DistMBTS), and the split-heuristic width measures (Width,
-// WidthIncrease*).
+// children at once — see "Half-width bounds"), the candidate sweep that
+// scores windows of a flat series by start position (SweepWindows — how
+// a leaf verifies its candidates, see "Candidate windows"), the Eq. 3
+// MBTS-to-MBTS distance (DistMBTS), and the split-heuristic width
+// measures (Width, WidthIncrease*).
 //
 // Three implementations exist, all bit-for-bit identical on every
 // input:
@@ -84,6 +86,33 @@
 // to 24 bits can come out above the true excursion, and a bound that
 // overshoots prunes a true twin. With exact arithmetic on outward
 // bounds there is no error to analyse.
+//
+// # Candidate windows
+//
+// Verification (paper §3.2) asks, for each window w a surviving leaf
+// holds, whether max|s − w| ≤ ε. That is the abandoning form with both
+// bounds set to the window, and SweepWindows is defined as exactly that,
+// one row per start position of a flat series:
+//
+//	dists[j] = DistAbandonFlat(w_j, w_j, s, limit),  w_j = data[starts[j]:starts[j]+len(s)]
+//
+// bit for bit, Abandoned standing for (0, false) — the scalar form is
+// that sentence as a loop. With upper = lower = w the two excursions of
+// Eq. 2 are v − w above and w − v below, the same magnitude (IEEE
+// subtraction is antisymmetric), so a lane is |v − w|: two loads, a
+// subtract and a sign-bit clear, against the generic recipe's three
+// loads, two subtracts, two compares and three mask operations. |v − w|
+// is NaN exactly where the generic lane selects +0 — a NaN operand, or
+// equal infinities: both comparisons false — so the NaN contract is one
+// more select: the portable form sends the one bit pattern above +Inf's
+// to +0, and the assembly takes the maximum with the accumulator as
+// VMAXPD's second source, which the instruction returns whenever either
+// operand is NaN. The assembly alternates two accumulators to halve
+// VMAXPD's dependent chain, and both fast forms check the limit every 8
+// lanes — candidates are near misses, decided early or not at all —
+// where the row forms wait for 8, 16, 32, then 64; both are
+// unobservable, the maximum being order-independent and the schedule
+// monotone as above.
 package kernel
 
 import (
@@ -110,6 +139,9 @@ type Impl struct {
 	DistAbandonFlat32  func(upper, lower []float32, s []float64, limit float64) (float64, bool)
 	SweepAbandonFlat32 func(upper, lower []float32, stride int, s []float64, limit float64, dists []float64)
 
+	// The candidate sweep (see "Candidate windows").
+	SweepWindows func(data []float64, starts []int32, s []float64, limit float64, dists []float64)
+
 	Width                 func(upper, lower []float64) float64
 	WidthIncreaseSequence func(upper, lower, s []float64) float64
 	WidthIncreaseMBTS     func(bUpper, bLower, oUpper, oLower []float64) float64
@@ -125,6 +157,7 @@ var scalarImpl = Impl{
 	DistFlat32:            distFlat32Scalar,
 	DistAbandonFlat32:     distAbandonFlat32Scalar,
 	SweepAbandonFlat32:    sweepAbandonFlat32Scalar,
+	SweepWindows:          sweepWindowsScalar,
 	Width:                 widthScalar,
 	WidthIncreaseSequence: widthIncreaseSequenceScalar,
 	WidthIncreaseMBTS:     widthIncreaseMBTSScalar,
@@ -141,6 +174,7 @@ var portableImpl = Impl{
 	DistFlat32:            distFlat32Portable,
 	DistAbandonFlat32:     distAbandonFlat32Portable,
 	SweepAbandonFlat32:    sweepAbandonFlat32Portable,
+	SweepWindows:          sweepWindowsPortable,
 	Width:                 widthPortable,
 	WidthIncreaseSequence: widthIncreaseSequencePortable,
 	WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
@@ -249,6 +283,36 @@ func SweepAbandonFlat32(upper, lower []float32, stride int, s []float64, limit f
 	default:
 		sweepAbandonFlat32Scalar(upper, lower, stride, s, limit, dists)
 	}
+}
+
+// SweepWindows scores the windows of data starting at starts against s
+// in one call — a leaf's candidates, addressed by position instead of
+// by stride: dists[j] receives DistAbandonFlat(w, w, s, limit) for
+// w = data[starts[j] : starts[j]+len(s)], the exact max|s − w| or
+// Abandoned when it exceeds limit. It panics, before reading any lane,
+// on a start outside [0, len(data)−len(s)] or when dists is shorter
+// than starts. Direct dispatch, as SweepAbandonFlat.
+func SweepWindows(data []float64, starts []int32, s []float64, limit float64, dists []float64) {
+	switch active.Name {
+	case "avx2":
+		sweepWindowsAVX2(data, starts, s, limit, dists)
+	case "portable":
+		sweepWindowsPortable(data, starts, s, limit, dists)
+	default:
+		sweepWindowsScalar(data, starts, s, limit, dists)
+	}
+}
+
+// checkWindows rejects a candidate sweep with a window outside data —
+// in the assembly an out-of-bounds read — and returns dists cut to one
+// entry per start.
+func checkWindows(nData int, starts []int32, n int, dists []float64) []float64 {
+	for _, p := range starts {
+		if p < 0 || int(p) > nData-n {
+			panic(fmt.Sprintf("kernel: window of %d lanes at %d outside a series of %d", n, p, nData))
+		}
+	}
+	return dists[:len(starts)]
 }
 
 // checkSweepShape rejects a sweep whose rows would not all lie inside

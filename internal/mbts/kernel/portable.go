@@ -130,6 +130,44 @@ func sweepAbandonFlatPortable(upper, lower []float64, stride int, s []float64, l
 	sweepRows(distAbandonFlatPortable, upper, lower, stride, s, limit, dists)
 }
 
+// sweepWindowsPortable is the candidate sweep with the lane written for
+// upper = lower = w: the excursion is |v − w| — the subtraction's bit
+// pattern with the sign cleared — and a NaN difference (a NaN operand,
+// or equal infinities: exactly the lanes whose two comparisons are both
+// false) is the only pattern above +Inf's, so one integer compare sends
+// it to +0. Checked every 8 lanes: verification's candidates are near
+// misses, decided early or not at all.
+func sweepWindowsPortable(data []float64, starts []int32, s []float64, limit float64, dists []float64) {
+	dists = checkWindows(len(data), starts, len(s), dists)
+	if limit < 0 {
+		limit = 0 // see distAbandonFlatPortable: negative limits act as zero
+	}
+	const signBit, infBits = 1 << 63, 0x7FF << 52
+	n := len(s)
+row:
+	for j, p := range starts {
+		w := data[p : int(p)+n]
+		var m uint64
+		for lo, hi := 0, 0; lo < n; lo = hi {
+			hi = min(lo+8, n)
+			for i := lo; i < hi; i++ {
+				d := math.Float64bits(s[i]-w[i]) &^ signBit
+				if d > infBits {
+					d = 0
+				}
+				if d > m {
+					m = d
+				}
+			}
+			if math.Float64frombits(m) > limit {
+				dists[j] = Abandoned
+				continue row
+			}
+		}
+		dists[j] = math.Float64frombits(m)
+	}
+}
+
 // The float32-bound forms: the same lane (excursionBits on the widened
 // bounds), maximum and schedule as the float64 forms above.
 

@@ -45,6 +45,20 @@ func sweepAbandonFlatScalar(upper, lower []float64, stride int, s []float64, lim
 	sweepRows(distAbandonFlatScalar, upper, lower, stride, s, limit, dists)
 }
 
+// sweepWindowsScalar is the candidate sweep's definition, as written:
+// the single-row form above with both bounds set to the window.
+func sweepWindowsScalar(data []float64, starts []int32, s []float64, limit float64, dists []float64) {
+	dists = checkWindows(len(data), starts, len(s), dists)
+	for j, p := range starts {
+		w := data[p : int(p)+len(s)]
+		d, ok := distAbandonFlatScalar(w, w, s, limit)
+		if !ok {
+			d = Abandoned
+		}
+		dists[j] = d
+	}
+}
+
 // The float32-bound forms are the loops above with each bound widened
 // as it is loaded — float32 → float64 is exact, so they equal the
 // float64 forms on the widened arrays bit for bit.
