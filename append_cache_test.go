@@ -112,14 +112,12 @@ func TestAppendCarriesCache(t *testing.T) {
 	layouts := []struct {
 		name   string
 		shards int
-		byMean bool
-	}{{"1shard", 1, false}, {"4shards", 4, false}, {"byMean", 4, true}}
+	}{{"1shard", 1}, {"4shards", 4}}
 
 	for _, norm := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
 		for _, lay := range layouts {
 			t.Run(fmt.Sprintf("%v/%s", norm, lay.name), func(t *testing.T) {
-				r := newCarryRig(t, base, Options{L: l, Norm: norm, NormSet: true,
-					Shards: lay.shards, PartitionByMean: lay.byMean})
+				r := newCarryRig(t, base, Options{L: l, Norm: norm, NormSet: true, Shards: lay.shards})
 				// The query is the indexed window at 100: ε = 0 finds it
 				// (and later its appended duplicate), and a moderate ε is
 				// one a few dozen windows meet, whatever the value space.

@@ -3,8 +3,8 @@ package twinsearch
 // Batch/per-query parity: SearchBatch and SearchTopKBatch must be
 // byte-identical (Start and the exact Dist bit pattern, order included)
 // to per-query Search/SearchTopK on every engine search path — the
-// unsharded frozen arena, contiguous and mean-partitioned shards at two
-// shard counts, an mmap-opened saved index, and a local-topology
+// unsharded frozen arena, shards at two shard counts, an mmap-opened
+// saved index, and a local-topology
 // cluster engine — under every normalization mode. Run under -race this
 // also exercises the batch fan-out's concurrent unit writes.
 
@@ -57,7 +57,6 @@ func parityEnginesMod(t *testing.T, ts []float64, l int, norm NormMode, mod func
 		"unsharded": open(Options{L: l, Norm: norm, NormSet: true}),
 		"sharded3":  open(Options{L: l, Norm: norm, NormSet: true, Shards: 3}),
 		"sharded5":  open(Options{L: l, Norm: norm, NormSet: true, Shards: 5}),
-		"byMean3":   open(Options{L: l, Norm: norm, NormSet: true, Shards: 3, PartitionByMean: true}),
 	}
 
 	// mmap-opened saved index (unsharded arena through the byte-backed
@@ -115,16 +114,13 @@ func TestSearchBatchParity(t *testing.T) {
 						}
 						want[i] = ms
 					}
-					for _, par := range []int{0, 2} {
-						got := eng.SearchBatch(queries, eps, par)
-						for i, r := range got {
-							if r.Err != nil || r.Query != i {
-								t.Fatalf("%s eps=%v par=%d query %d: %+v", name, eps, par, i, r)
-							}
-							if !matchListsEq(r.Matches, want[i]) {
-								t.Fatalf("%s eps=%v par=%d query %d: batch %d matches, per-query %d",
-									name, eps, par, i, len(r.Matches), len(want[i]))
-							}
+					for i, r := range eng.SearchBatch(queries, eps) {
+						if r.Err != nil || r.Query != i {
+							t.Fatalf("%s eps=%v query %d: %+v", name, eps, i, r)
+						}
+						if !matchListsEq(r.Matches, want[i]) {
+							t.Fatalf("%s eps=%v query %d: batch %d matches, per-query %d",
+								name, eps, i, len(r.Matches), len(want[i]))
 						}
 					}
 				}

@@ -774,7 +774,7 @@ func BenchmarkBatchFusion(b *testing.B) {
 	}
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			check(b, eng.SearchBatch(raw, eps, 0))
+			check(b, eng.SearchBatch(raw, eps))
 		}
 	})
 	b.Run("sequential", func(b *testing.B) {
@@ -833,43 +833,6 @@ func BenchmarkFrozenArena(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// Mean-sorted vs contiguous shard partitioning: mean-sorted shards pack
-// look-alike windows, so their MBTS are tighter and range searches
-// verify fewer candidates; the cost is a k-way merge (and a sort during
-// build). Result sets are identical.
-func BenchmarkMeanShardPartition(b *testing.B) {
-	ds := benchSetups[1]
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
-	for _, byMean := range []bool{false, true} {
-		name := "range"
-		if byMean {
-			name = "mean"
-		}
-		ix, err := shard.Build(ext, shard.Config{
-			Config: core.Config{L: harness.DefaultL}, Shards: 4, PartitionByMean: byMean,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, eps := range []float64{ds.def, ds.eps[len(ds.eps)-1]} {
-			eps := eps
-			b.Run(fmt.Sprintf("%s/eps=%g", name, eps), func(b *testing.B) {
-				var cands int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, q := range qs {
-						_, st := ix.SearchStats(q, eps)
-						cands += st.Candidates
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(cands)/float64(b.N)/float64(len(qs)), "candidates/query")
-			})
-		}
 	}
 }
 

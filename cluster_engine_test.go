@@ -126,7 +126,7 @@ func TestClusterEngineLocal(t *testing.T) {
 	}
 
 	// Batch rides the same coordinator.
-	batch := eng.SearchBatch([][]float64{q, data[0:100], {1, 2}}, 0.3, 0)
+	batch := eng.SearchBatch([][]float64{q, data[0:100], {1, 2}}, 0.3)
 	if batch[0].Err != nil || len(batch[0].Matches) != len(want) {
 		t.Fatalf("batch[0] = %+v", batch[0])
 	}
@@ -190,7 +190,7 @@ func TestUseAfterClose(t *testing.T) {
 	if err := eng.SaveIndex(nil); err != ErrClosed {
 		t.Fatalf("SaveIndex after Close: %v", err)
 	}
-	for _, r := range eng.SearchBatch([][]float64{q, q}, 0.3, 0) {
+	for _, r := range eng.SearchBatch([][]float64{q, q}, 0.3) {
 		if r.Err != ErrClosed {
 			t.Fatalf("SearchBatch[%d] after Close: %v", r.Query, r.Err)
 		}

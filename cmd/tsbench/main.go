@@ -7,7 +7,6 @@
 //
 //	tsbench                       # every figure at the default scale
 //	tsbench -figure 4             # one figure
-//	tsbench -figure shard         # sharded TS-Index build/query scaling
 //	tsbench -full                 # paper-sized EEG (1.8M points; slow)
 //	tsbench -scale 0.1 -queries 20  # quick look
 //	tsbench -csv results.csv      # also dump machine-readable rows
@@ -27,7 +26,7 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "which experiment: intro, 4, 5, 6, 7, 8, shard, skew, frozen, coldopen, cluster, failover, serving, obs, all")
+		figure   = flag.String("figure", "all", "which experiment: intro, 4, 5, 6, 7, 8, all")
 		scale    = flag.Float64("scale", 0.1, "EEG dataset scale (1 = paper's 1,801,999 points)")
 		full     = flag.Bool("full", false, "shorthand for -scale 1 (with -queries 100 this is the paper's exact setup; expect hours: the sweepline pays one random read per window per query)")
 		queries  = flag.Int("queries", 30, "workload size per experiment (paper: 100)")
@@ -36,7 +35,6 @@ func main() {
 		jsonPath = flag.String("json", "", "also write rows as JSON (with host/dispatch metadata) to this path")
 		quiet    = flag.Bool("quiet", false, "suppress progress logging")
 		mem      = flag.Bool("mem", false, "verify candidates in memory instead of the paper's disk-resident setup")
-		workers  = flag.Int("workers", 0, "query-executor workers for the sharded experiments (0 = one per CPU)")
 	)
 	flag.Parse()
 	if *full {
@@ -47,7 +45,6 @@ func main() {
 	defer r.Close()
 	r.Queries = *queries
 	r.DiskVerify = !*mem
-	r.Workers = *workers
 	if !*quiet {
 		r.Log = os.Stderr
 	}
@@ -64,14 +61,6 @@ func main() {
 	run("6", r.Figure6)
 	run("7", r.Figure7)
 	run("8", r.Figure8)
-	run("shard", r.FigureShard)
-	run("skew", r.FigureSkew)
-	run("frozen", r.FigureFrozen)
-	run("coldopen", r.FigureColdOpen)
-	run("cluster", r.FigureCluster)
-	run("failover", r.FigureFailover)
-	run("serving", r.FigureServing)
-	run("obs", r.FigureObs)
 
 	if len(rows) == 0 {
 		fmt.Fprintf(os.Stderr, "tsbench: unknown figure %q\n", *figure)

@@ -53,7 +53,6 @@ func main() {
 		approx     = flag.Int("approx", 0, "if > 0, run an approximate search probing this many leaves")
 		indexLen   = flag.Int("indexlen", 0, "index at this length instead of the query length; shorter queries then use the prefix search")
 		shards     = flag.Int("shards", 0, "index partitions built and searched in parallel (0 = one index, -1 = one per CPU)")
-		meanShards = flag.Bool("meanshards", false, "partition shards by window mean instead of contiguous ranges (tighter per-shard bounds; needs -shards above 1)")
 		trace      = flag.Bool("trace", false, "record the query's span trace and pretty-print it after the matches (with -remote, asks the server via ?trace=1)")
 	)
 	flag.Parse()
@@ -103,7 +102,7 @@ func main() {
 		fatal(fmt.Errorf("-mmap requires -loadindex (only a saved index can be mapped)"))
 	}
 	opt := twinsearch.Options{L: *l, NormSet: true, Shards: *shards,
-		PartitionByMean: *meanShards, MMap: *mmapIndex, Prefetch: *prefetch}
+		MMap: *mmapIndex, Prefetch: *prefetch}
 	if *indexLen > 0 {
 		if *indexLen < len(q) {
 			fatal(fmt.Errorf("-indexlen %d below query length %d", *indexLen, len(q)))

@@ -48,7 +48,6 @@ func main() {
 		mmapIndex   = flag.Bool("mmap", false, "memory-map the saved index instead of reading it: near-zero open cost, demand paging, one physical copy shared across processes (with -loadindex, or local entries of -topology)")
 		prefetch    = flag.Bool("prefetch", false, "warm a memory-mapped index at open (madvise + bounded touch pass) instead of paying the page-fault tail on the first queries")
 		shards      = flag.Int("shards", 0, "index partitions built and searched in parallel (0 = one index, -1 = one per CPU)")
-		meanShards  = flag.Bool("meanshards", false, "partition shards by window mean instead of contiguous ranges (tighter per-shard bounds; needs -shards above 1)")
 		workers     = flag.Int("workers", 0, "query-executor workers shared by all requests (0 = one per CPU)")
 		role        = flag.String("role", "standalone", "serving role: standalone, node (serve assigned shards of a saved index), coordinator (fan out over a cluster)")
 		topology    = flag.String("topology", "", "cluster topology file (node and coordinator roles)")
@@ -113,7 +112,7 @@ func main() {
 			fatal(fmt.Errorf("-mmap requires -loadindex (only a saved index can be mapped)"))
 		}
 		opt := twinsearch.Options{L: *l, Norm: normMode, NormSet: true, Shards: *shards,
-			PartitionByMean: *meanShards, Workers: *workers, MMap: *mmapIndex, Prefetch: *prefetch,
+			Workers: *workers, MMap: *mmapIndex, Prefetch: *prefetch,
 			PlanCache: *planCache, ResultCacheBytes: *resultCache,
 			TraceSample: *traceSample, SlowLogSize: *slowSize, SlowLogThreshold: *slowThresh}
 		serveEngine(data, opt, *loadIndex, *addr, srvCfg, *pprofOn)

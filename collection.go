@@ -120,18 +120,16 @@ func (c *Collection) SearchTopK(q []float64, k int) ([]CollectionMatch, error) {
 	return all, nil
 }
 
-// SearchBatch fans a query workload across members and queries
-// concurrently (parallelism per Engine.SearchBatch semantics applied at
-// the collection level: one goroutine pool over (member, query) pairs
-// is unnecessary — members are already independent, so batching per
-// member suffices).
-func (c *Collection) SearchBatch(queries [][]float64, eps float64, parallelism int) ([][]CollectionMatch, error) {
+// SearchBatch answers a query workload over every member, one
+// Engine.SearchBatch per member: members are independent, so batching
+// per member suffices and no pool over (member, query) pairs is needed.
+func (c *Collection) SearchBatch(queries [][]float64, eps float64) ([][]CollectionMatch, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
 	out := make([][]CollectionMatch, len(queries))
 	for i, eng := range c.engines {
-		results := eng.SearchBatch(queries, eps, parallelism)
+		results := eng.SearchBatch(queries, eps)
 		for qi, r := range results {
 			if r.Err != nil {
 				return nil, fmt.Errorf("twinsearch: collection member %d query %d: %w", i, qi, r.Err)

@@ -93,7 +93,7 @@ func TestCollectionBatch(t *testing.T) {
 		append([]float64(nil), set[0][100:200]...),
 		append([]float64(nil), set[1][700:800]...),
 	}
-	res, err := c.SearchBatch(queries, 0.3, 2)
+	res, err := c.SearchBatch(queries, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCollectionBatch(t *testing.T) {
 	}
 	// Error propagation: a malformed query surfaces with member and
 	// query context, and no partial result set is returned.
-	out, err := c.SearchBatch([][]float64{queries[0], {1, 2}}, 0.3, 1)
+	out, err := c.SearchBatch([][]float64{queries[0], {1, 2}}, 0.3)
 	if err == nil {
 		t.Fatal("short query must fail")
 	}
@@ -123,7 +123,7 @@ func TestCollectionBatch(t *testing.T) {
 	}
 	// A NaN threshold is rejected per query, not silently matched
 	// against everything (the NaN validation regression).
-	if _, err := c.SearchBatch(queries, math.NaN(), 1); err == nil {
+	if _, err := c.SearchBatch(queries, math.NaN()); err == nil {
 		t.Fatal("NaN threshold must fail")
 	}
 }
@@ -212,7 +212,7 @@ func TestCollectionClosed(t *testing.T) {
 	if _, err := c.SearchTopK(q, 3); !errors.Is(err, ErrClosed) {
 		t.Errorf("SearchTopK after Close: %v, want ErrClosed", err)
 	}
-	if _, err := c.SearchBatch([][]float64{q}, 0.5, 2); !errors.Is(err, ErrClosed) {
+	if _, err := c.SearchBatch([][]float64{q}, 0.5); !errors.Is(err, ErrClosed) {
 		t.Errorf("SearchBatch after Close: %v, want ErrClosed", err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
-	"twinsearch/internal/exec"
 	"twinsearch/internal/qcache"
 	"twinsearch/internal/shard"
 )
@@ -88,7 +87,7 @@ func (e *Engine) SaveIndexFile(path string) error {
 // for Open — and opt must carry the same L and normalization; the
 // stream's recorded parameters are authoritative and validated. The
 // stream decides whether the engine comes back sharded: a TSSH save
-// reopens sharded (with its saved partition) regardless of opt.Shards,
+// reopens sharded (with its saved boundaries) regardless of opt.Shards,
 // a TSFZ save reopens as the single index. A file from a stream
 // generation SaveIndex no longer writes is refused at its header (see
 // sniffSaved); a saved index is a pure function of (series, options),
@@ -410,12 +409,11 @@ type BatchResult struct {
 // ParIS/MESSI apply to iSAX). There is no batch traversal: a batch is N
 // queries' units. Validation and query transformation happen once per
 // query, up front. Results arrive indexed by query position, identical
-// to len(queries) calls to Search. parallelism ≤ 0 uses the engine's
-// executor (see Options.Workers); a positive value caps the batch to a
-// dedicated pool of exactly that many workers. /metrics counts the
-// batch's queries and refused entries under path="search"; a group has
-// no per-query latency, so the latency histogram is not fed.
-func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) []BatchResult {
+// to len(queries) calls to Search, on the engine's executor (see
+// Options.Workers). /metrics counts the batch's queries and refused
+// entries under path="search"; a group has no per-query latency, so the
+// latency histogram is not fed.
+func (e *Engine) SearchBatch(queries [][]float64, eps float64) []BatchResult {
 	out, valid, tqs := e.validateBatch(queries, eps)
 	defer e.countBatch(qpSearch, out)
 	if len(valid) == 0 {
@@ -427,14 +425,7 @@ func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) 
 		})
 		return out
 	}
-	ex := e.ex
-	if parallelism > 0 {
-		// More workers than queries would idle (each query's units can
-		// already spread over the pool); the cap also keeps exec.New's
-		// per-worker state proportional to real work.
-		ex = exec.New(min(parallelism, len(queries)))
-	}
-	g := ex.NewGroup()
+	g := e.ex.NewGroup()
 	pending := make([]*shard.PendingSearch, len(tqs))
 	for bi, tq := range tqs {
 		pending[bi] = e.sh.QueueSearch(g, tq, eps)

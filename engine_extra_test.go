@@ -261,26 +261,24 @@ func TestSearchBatch(t *testing.T) {
 	for i, q := range queries {
 		want[i], _ = eng.Search(q, 0.5)
 	}
-	for _, par := range []int{0, 1, 4, 100} {
-		got := eng.SearchBatch(queries, 0.5, par)
-		if len(got) != len(queries) {
-			t.Fatalf("par=%d: %d results", par, len(got))
+	got := eng.SearchBatch(queries, 0.5)
+	if len(got) != len(queries) {
+		t.Fatalf("%d results", len(got))
+	}
+	for i, r := range got {
+		if r.Err != nil {
+			t.Fatalf("query %d: %v", i, r.Err)
 		}
-		for i, r := range got {
-			if r.Err != nil {
-				t.Fatalf("par=%d query %d: %v", par, i, r.Err)
-			}
-			if r.Query != i || len(r.Matches) != len(want[i]) {
-				t.Fatalf("par=%d query %d: mismatch", par, i)
-			}
+		if r.Query != i || len(r.Matches) != len(want[i]) {
+			t.Fatalf("query %d: mismatch", i)
 		}
 	}
-	if out := eng.SearchBatch(nil, 0.5, 4); len(out) != 0 {
+	if out := eng.SearchBatch(nil, 0.5); len(out) != 0 {
 		t.Fatal("empty batch should return empty results")
 	}
 	// Errors propagate per query.
 	bad := [][]float64{make([]float64, 10)}
-	if out := eng.SearchBatch(bad, 0.5, 2); out[0].Err == nil {
+	if out := eng.SearchBatch(bad, 0.5); out[0].Err == nil {
 		t.Fatal("bad query should carry its error")
 	}
 }

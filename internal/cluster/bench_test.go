@@ -18,7 +18,7 @@ import (
 func BenchmarkClusterSearch(b *testing.B) {
 	data := datasets.EEGN(83, 4000)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	local, path := buildSaved(b, ext, 4, false)
+	local, path := buildSaved(b, ext, 4)
 	q := ext.ExtractCopy(1234, testL)
 
 	b.Run("local", func(b *testing.B) {

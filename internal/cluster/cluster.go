@@ -113,7 +113,6 @@ type group struct {
 type Coordinator struct {
 	ext      *series.Extractor
 	l        int
-	byMean   bool
 	total    int // shard count of the saved index
 	windows  int // windows served across all groups (each counted once)
 	replicas int
@@ -174,7 +173,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 		return fail(err)
 	}
 
-	total, byMean := -1, false
+	total := -1
 	var ex *exec.Executor // shared by every local entry
 	groupOf := map[string]*group{}
 	for _, spec := range topo.Nodes {
@@ -189,10 +188,10 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 			}
 			ow.node, ow.b = n, n.Sub
 			if total == -1 {
-				total, byMean = n.Sub.TotalShards(), n.Sub.PartitionByMean()
-			} else if total != n.Sub.TotalShards() || byMean != n.Sub.PartitionByMean() {
-				return fail(fmt.Errorf("cluster: node %q serves a different index (%d/%v shards vs %d/%v)",
-					spec.Name, n.Sub.TotalShards(), n.Sub.PartitionByMean(), total, byMean))
+				total = n.Sub.TotalShards()
+			} else if total != n.Sub.TotalShards() {
+				return fail(fmt.Errorf("cluster: node %q serves a different index (%d shards vs %d)",
+					spec.Name, n.Sub.TotalShards(), total))
 			}
 			ow.st.setHealth(true, nil)
 		} else {
@@ -210,12 +209,11 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 				if err := checkNodeIdentity(h, spec, ext, l); err != nil {
 					return fail(err)
 				}
-				nodeByMean := h.Partition == "mean"
 				if total == -1 {
-					total, byMean = h.TotalShards, nodeByMean
-				} else if total != h.TotalShards || byMean != nodeByMean {
-					return fail(fmt.Errorf("cluster: node %q serves a different index (%d/%s shards vs %d total)",
-						spec.Name, h.TotalShards, h.Partition, total))
+					total = h.TotalShards
+				} else if total != h.TotalShards {
+					return fail(fmt.Errorf("cluster: node %q serves a different index (%d shards vs %d)",
+						spec.Name, h.TotalShards, total))
 				}
 				rm.windows = h.Windows
 				ow.st.epoch.Store(h.Epoch)
@@ -262,7 +260,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 		}
 		c.windows += g.windows
 	}
-	c.total, c.byMean = total, byMean
+	c.total = total
 
 	if err := topo.checkCoverage(total); err != nil {
 		return fail(err)
@@ -338,9 +336,6 @@ func (c *Coordinator) Close() error {
 
 // TotalShards returns the shard count of the saved index being served.
 func (c *Coordinator) TotalShards() int { return c.total }
-
-// PartitionByMean reports the saved index's partition scheme.
-func (c *Coordinator) PartitionByMean() bool { return c.byMean }
 
 // Windows returns the total indexed windows across all replica groups
 // (each group counted once, however many replicas serve it).
@@ -606,9 +601,9 @@ func (c *Coordinator) verifyRemote(h NodeHealth, ow *owner) error {
 	if err := checkNodeIdentity(h, ow.spec, c.ext, c.l); err != nil {
 		return err
 	}
-	if h.TotalShards != c.total || (h.Partition == "mean") != c.byMean {
-		return fmt.Errorf("cluster: node %q serves a different index (%d/%s shards vs %d total)",
-			ow.spec.Name, h.TotalShards, h.Partition, c.total)
+	if h.TotalShards != c.total {
+		return fmt.Errorf("cluster: node %q serves a different index (%d shards vs %d)",
+			ow.spec.Name, h.TotalShards, c.total)
 	}
 	if ow.g != nil && ow.g.windows > 0 && h.Windows != ow.g.windows {
 		return fmt.Errorf("cluster: node %q serves %d windows, its replica group serves %d",

@@ -4,7 +4,7 @@ package cluster_test
 // over in-process HTTP nodes (real wire format, real handlers, loopback
 // transport) must answer every search path byte-identically to the
 // local sharded engine over the same saved index — across norm modes,
-// node counts, partition schemes, and mixed local/remote topologies —
+// node counts, interleaved shard sets, and mixed local/remote topologies —
 // and a dead or hung node must fail queries cleanly instead of hanging.
 
 import (
@@ -33,9 +33,9 @@ const testL = 32
 
 // buildSaved builds a sharded index over ext and saves it, returning
 // the local reference index and the file path.
-func buildSaved(t testing.TB, ext *series.Extractor, shards int, byMean bool) (*shard.Index, string) {
+func buildSaved(t testing.TB, ext *series.Extractor, shards int) (*shard.Index, string) {
 	t.Helper()
-	ix, err := shard.Build(ext, shard.Config{Config: core.Config{L: testL}, Shards: shards, PartitionByMean: byMean})
+	ix, err := shard.Build(ext, shard.Config{Config: core.Config{L: testL}, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestClusterDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
 		ext := series.NewExtractor(data, mode)
-		local, path := buildSaved(t, ext, 4, false)
+		local, path := buildSaved(t, ext, 4)
 		for _, nodes := range []int{1, 2, 3} {
 			t.Run(fmt.Sprintf("norm=%v/nodes=%d", mode, nodes), func(t *testing.T) {
 				cl, _ := startCluster(t, ext, path, contiguousSplit(4, nodes), cluster.Options{}, nil)
@@ -185,17 +185,14 @@ func TestClusterDifferential(t *testing.T) {
 	}
 }
 
-// TestClusterDifferentialMeanPartition repeats the core paths over a
-// mean-partitioned index, where node result lists interleave in
-// position space and the k-way merge does real work.
-func TestClusterDifferentialMeanPartition(t *testing.T) {
+// TestClusterDifferentialInterleavedShards repeats the core paths over
+// nodes that own interleaved shard sets, where node result lists
+// interleave in position space and the k-way merge does real work.
+func TestClusterDifferentialInterleavedShards(t *testing.T) {
 	data := datasets.RandomWalk(43, 2000)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	local, path := buildSaved(t, ext, 4, true)
-	cl, _ := startCluster(t, ext, path, contiguousSplit(4, 2), cluster.Options{}, nil)
-	if !cl.PartitionByMean() {
-		t.Fatal("coordinator lost the partition scheme")
-	}
+	local, path := buildSaved(t, ext, 4)
+	cl, _ := startCluster(t, ext, path, [][]int{{0, 2}, {1, 3}}, cluster.Options{}, nil)
 	ctx := context.Background()
 	for _, qp := range []int{100, 950, 1900} {
 		q := ext.ExtractCopy(qp, testL)
@@ -230,7 +227,7 @@ func mustTopK(t *testing.T, cl *cluster.Coordinator, ctx context.Context, q []fl
 func TestClusterMixedLocalRemote(t *testing.T) {
 	data := datasets.EEGN(47, 1600)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	local, path := buildSaved(t, ext, 4, false)
+	local, path := buildSaved(t, ext, 4)
 
 	topo := &cluster.Topology{Index: path, Nodes: []cluster.NodeSpec{
 		{Name: "self", Addr: cluster.LocalAddr, Shards: []int{0, 1}},
@@ -283,7 +280,7 @@ func TestClusterMixedLocalRemote(t *testing.T) {
 func TestClusterNodeFailure(t *testing.T) {
 	data := datasets.EEGN(51, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	_, path := buildSaved(t, ext, 4, false)
+	_, path := buildSaved(t, ext, 4)
 	cl, srvs := startCluster(t, ext, path, contiguousSplit(4, 2), cluster.Options{Timeout: 2 * time.Second}, nil)
 
 	ctx := context.Background()
@@ -327,7 +324,7 @@ func TestClusterNodeFailure(t *testing.T) {
 func TestClusterSlowNodeTimeout(t *testing.T) {
 	data := datasets.EEGN(53, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	_, path := buildSaved(t, ext, 4, false)
+	_, path := buildSaved(t, ext, 4)
 
 	var wedged atomic.Bool
 	cl, _ := startCluster(t, ext, path, contiguousSplit(4, 2),
@@ -380,7 +377,7 @@ func TestClusterSlowNodeTimeout(t *testing.T) {
 func TestCoordinatorRejectsBadTopologies(t *testing.T) {
 	data := datasets.EEGN(59, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	_, path := buildSaved(t, ext, 4, false)
+	_, path := buildSaved(t, ext, 4)
 
 	open := func(nodes ...cluster.NodeSpec) error {
 		topo := &cluster.Topology{Index: path, Nodes: nodes}

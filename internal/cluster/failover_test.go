@@ -89,7 +89,7 @@ func TestFailoverDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
 		ext := series.NewExtractor(data, mode)
-		local, path := buildSaved(t, ext, 4, false)
+		local, path := buildSaved(t, ext, 4)
 		cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 2, cluster.Options{
 			Timeout:    10 * time.Second,
 			HedgeDelay: 20 * time.Millisecond,
@@ -170,7 +170,7 @@ func TestFailoverDifferential(t *testing.T) {
 func TestFailoverTimeout(t *testing.T) {
 	data := datasets.EEGN(67, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	local, path := buildSaved(t, ext, 4, false)
+	local, path := buildSaved(t, ext, 4)
 	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 2, cluster.Options{
 		Timeout: 250 * time.Millisecond, // per attempt; failover doubles it at worst
 	})
@@ -198,7 +198,7 @@ func TestFailoverTimeout(t *testing.T) {
 func TestHedgeMasksSlowReplica(t *testing.T) {
 	data := datasets.EEGN(71, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	local, path := buildSaved(t, ext, 4, false)
+	local, path := buildSaved(t, ext, 4)
 	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 2, cluster.Options{
 		Timeout:    10 * time.Second,
 		HedgeDelay: 15 * time.Millisecond,
@@ -228,7 +228,7 @@ func TestHedgeMasksSlowReplica(t *testing.T) {
 func TestTransportRetryAtR1(t *testing.T) {
 	data := datasets.EEGN(73, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	local, path := buildSaved(t, ext, 4, false)
+	local, path := buildSaved(t, ext, 4)
 	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 1, cluster.Options{})
 
 	// Install the blip after open so the open handshake doesn't consume
@@ -261,7 +261,7 @@ func TestTransportRetryAtR1(t *testing.T) {
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	data := datasets.EEGN(79, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	_, path := buildSaved(t, ext, 4, false)
+	_, path := buildSaved(t, ext, 4)
 	// One replica group of two nodes; g0r0 is first in topology order,
 	// so while healthy it absorbs every first attempt.
 	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1, 2, 3}}, 2, cluster.Options{
@@ -335,7 +335,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 func TestDegradedOpen(t *testing.T) {
 	data := datasets.EEGN(83, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	local, path := buildSaved(t, ext, 4, false)
+	local, path := buildSaved(t, ext, 4)
 
 	build := func(r int) (*cluster.Topology, []*httptest.Server) {
 		t.Helper()

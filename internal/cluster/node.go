@@ -95,7 +95,6 @@ func (n *Node) Health() NodeHealth {
 		Windows:     n.Sub.Windows(),
 		Shards:      n.Sub.ShardIDs(),
 		TotalShards: n.Sub.TotalShards(),
-		Partition:   partitionName(n.Sub.PartitionByMean()),
 		HeapBytes:   n.Sub.MemoryBytes(),
 		MappedBytes: n.Sub.MappedBytes(),
 		Epoch:       n.Epoch(),
@@ -108,13 +107,6 @@ func (n *Node) Health() NodeHealth {
 // so coordinators compose cluster epochs through one code path and
 // cache invalidation keeps working the day nodes learn to mutate.
 func (n *Node) Epoch() uint64 { return 0 }
-
-func partitionName(byMean bool) string {
-	if byMean {
-		return "mean"
-	}
-	return "range"
-}
 
 // Close releases the node's arena (unmapping the index region). No
 // search may run on the subset during or after it.

@@ -96,7 +96,7 @@ func TestTopKConformance(t *testing.T) {
 					}
 					byShards[p] = sh
 				}
-				_, path := buildSaved(t, ext, 4, false)
+				_, path := buildSaved(t, ext, 4)
 				cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 2, cluster.Options{})
 				// One replica of the first group refuses connections, so
 				// both phases of the cluster top-k also cross a failover.

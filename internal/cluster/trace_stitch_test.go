@@ -41,7 +41,7 @@ func TestForcedTraceStitched(t *testing.T) {
 	data := datasets.EEGN(71, 1800)
 	ctx := context.Background()
 	ext := series.NewExtractor(data, series.NormGlobal)
-	_, path := buildSaved(t, ext, 4, false)
+	_, path := buildSaved(t, ext, 4)
 	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 2, cluster.Options{
 		Timeout: 10 * time.Second,
 	})

@@ -105,7 +105,6 @@ type NodeHealth struct {
 	Windows     int    `json:"windows"`
 	Shards      []int  `json:"shard_ids"`
 	TotalShards int    `json:"total_shards"`
-	Partition   string `json:"partition"`
 	HeapBytes   int    `json:"heap_bytes"`
 	MappedBytes int    `json:"mapped_bytes"`
 	// Epoch is the node's index mutation counter (see Engine.Epoch);

@@ -29,22 +29,6 @@ func BuildBulk(ext *series.Extractor, cfg Config) (*Index, error) {
 // [lo, hi) — the bulk counterpart of BuildRange, used by internal/shard
 // to build each shard bottom-up.
 func BuildBulkRange(ext *series.Extractor, cfg Config, lo, hi int) (*Index, error) {
-	total := series.NumSubsequences(ext.Len(), cfg.L)
-	if cfg.L > 0 && total > 0 && (lo < 0 || hi > total || lo >= hi) {
-		return nil, fmt.Errorf("core: position range [%d, %d) invalid for %d windows", lo, hi, total)
-	}
-	ps := make([]int32, 0, max(hi-lo, 0))
-	for p := lo; p < hi; p++ {
-		ps = append(ps, int32(p))
-	}
-	return BuildBulkPositions(ext, cfg, ps)
-}
-
-// BuildBulkPositions bulk-loads a TS-Index over exactly the given
-// window start positions — the bulk counterpart of BuildPositions, used
-// by internal/shard when mean-sorted partitioning hands each shard a
-// non-contiguous run of the position space.
-func BuildBulkPositions(ext *series.Extractor, cfg Config, ps []int32) (*Index, error) {
 	ix, err := NewEmpty(ext, cfg)
 	if err != nil {
 		return nil, err
@@ -54,15 +38,10 @@ func BuildBulkPositions(ext *series.Extractor, cfg Config, ps []int32) (*Index, 
 	if total == 0 {
 		return nil, fmt.Errorf("core: series length %d shorter than subsequence length %d", ext.Len(), cfg.L)
 	}
-	count := len(ps)
-	if count == 0 {
-		return nil, fmt.Errorf("core: empty position set")
+	if lo < 0 || hi > total || lo >= hi {
+		return nil, fmt.Errorf("core: position range [%d, %d) invalid for %d windows", lo, hi, total)
 	}
-	for _, p := range ps {
-		if p < 0 || int(p) >= total {
-			return nil, fmt.Errorf("core: position %d invalid for %d windows", p, total)
-		}
-	}
+	count := hi - lo
 
 	// Order windows by mean. Per-subsequence normalization forces every
 	// mean to zero; fall back to ordering by the first normalized value,
@@ -74,20 +53,16 @@ func BuildBulkPositions(ext *series.Extractor, cfg Config, ps []int32) (*Index, 
 	keys := make([]float64, count)
 	if ext.Mode() == series.NormPerSubsequence {
 		buf := make([]float64, cfg.L)
-		for i, p := range ps {
-			keys[i] = ext.Extract(int(p), cfg.L, buf)[0]
+		for i := range keys {
+			keys[i] = ext.Extract(lo+i, cfg.L, buf)[0]
 		}
 	} else {
 		rolling := series.NewRolling(ext.Data())
-		for i, p := range ps {
-			keys[i] = rolling.Mean(int(p), cfg.L)
+		for i := range keys {
+			keys[i] = rolling.Mean(lo+i, cfg.L)
 		}
 	}
 	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	order := make([]int32, count)
-	for i, oi := range idx {
-		order[i] = ps[oi]
-	}
 
 	// Pack leaves.
 	buf := make([]float64, cfg.L)
@@ -96,7 +71,9 @@ func BuildBulkPositions(ext *series.Extractor, cfg Config, ps []int32) (*Index, 
 	at := 0
 	for _, g := range groups {
 		leaf := &node{leaf: true, positions: make([]int32, g)}
-		copy(leaf.positions, order[at:at+g])
+		for j, oi := range idx[at : at+g] {
+			leaf.positions[j] = int32(lo + oi)
+		}
 		leaf.bounds = mbts.FromSequence(ext.Extract(int(leaf.positions[0]), cfg.L, buf))
 		for _, p := range leaf.positions[1:] {
 			leaf.bounds.ExpandToSequence(ext.Extract(int(p), cfg.L, buf))

@@ -70,36 +70,22 @@ func TestBuildGoldenTree(t *testing.T) {
 		})
 	}
 
-	sharded := []struct {
-		name   string
-		byMean bool
-		want   [4]string
-	}{
-		{"contiguous", false, [4]string{
+	t.Run("shards=4/contiguous", func(t *testing.T) {
+		want := [4]string{
 			"8b4a9f5f6f5f7f91b22726f1168351e1dbd793b5f6d02e66993194d62dd7d330",
 			"09b827073792a11b5eebb24b2df746f65aa86df1c38f714cce44ffdd6fb8ae82",
 			"a9b138a19fbe21e24b450496927d2d480c362eeb1605a08b5283124f7466cb06",
 			"7659156fed62aa519c177a1446bd0c9aab960d6e9a1bb672389d8478fdf5463f",
-		}},
-		{"by-mean", true, [4]string{
-			"54c33b71e6c360333f143644d079e7da2019170bb26471ed09fc5798851f6027",
-			"93b2e92ccb256c8eea731b232dcee20960ebf5f0145d18ace4aa89bc3fb0d979",
-			"af46ba59abb0d987e1747003cb91975d662aba1ef7eb469572d67ffff6524756",
-			"9626ffaa3717206732d67b8787efbfc7f548baefd68069e9ea5a75221e2c78a8",
-		}},
-	}
-	for _, c := range sharded {
-		t.Run("shards=4/"+c.name, func(t *testing.T) {
-			ext := series.NewExtractor(data, series.NormGlobal)
-			s, err := shard.Build(ext, shard.Config{Config: core.Config{L: 100}, Shards: 4, PartitionByMean: c.byMean})
-			if err != nil {
-				t.Fatal(err)
+		}
+		ext := series.NewExtractor(data, series.NormGlobal)
+		s, err := shard.Build(ext, shard.Config{Config: core.Config{L: 100}, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got := streamSum(t, s.Shard(i).Thaw()); got != want[i] {
+				t.Errorf("shard %d changed: stream sha-256 %s, want %s", i, got, want[i])
 			}
-			for i := range c.want {
-				if got := streamSum(t, s.Shard(i).Thaw()); got != c.want[i] {
-					t.Errorf("shard %d changed: stream sha-256 %s, want %s", i, got, c.want[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -136,32 +136,6 @@ func BuildRange(ext *series.Extractor, cfg Config, lo, hi int) (*Index, error) {
 	return ix, nil
 }
 
-// BuildPositions constructs a TS-Index over exactly the given window
-// start positions by sequential insertion — the per-shard build
-// primitive for mean-sorted partitioning (shard.Config.PartitionByMean),
-// where a shard owns a run of the mean-ordered position space rather
-// than a contiguous range. Positions are inserted in the order given.
-func BuildPositions(ext *series.Extractor, cfg Config, ps []int32) (*Index, error) {
-	ix, err := NewEmpty(ext, cfg)
-	if err != nil {
-		return nil, err
-	}
-	count := series.NumSubsequences(ext.Len(), ix.cfg.L)
-	if count == 0 {
-		return nil, fmt.Errorf("core: series length %d shorter than subsequence length %d", ext.Len(), ix.cfg.L)
-	}
-	if len(ps) == 0 {
-		return nil, fmt.Errorf("core: empty position set")
-	}
-	for _, p := range ps {
-		if p < 0 || int(p) >= count {
-			return nil, fmt.Errorf("core: position %d invalid for %d windows", p, count)
-		}
-		ix.Insert(int(p))
-	}
-	return ix, nil
-}
-
 // NewEmpty returns an index with no entries; callers insert positions
 // explicitly (used by tests and by incremental ingestion).
 func NewEmpty(ext *series.Extractor, cfg Config) (*Index, error) {

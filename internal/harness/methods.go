@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"twinsearch/internal/core"
-	"twinsearch/internal/exec"
 	"twinsearch/internal/isax"
 	"twinsearch/internal/kvindex"
 	"twinsearch/internal/series"
-	"twinsearch/internal/shard"
 	"twinsearch/internal/sweepline"
 )
 
@@ -86,34 +84,10 @@ func (a tsAdapter) search(q []float64, eps float64) (int, int) {
 	return len(ms), st.Candidates
 }
 
-type shardAdapter struct{ ix *shard.Index }
-
-func (a shardAdapter) search(q []float64, eps float64) (int, int) {
-	ms, st := a.ix.SearchStats(q, eps)
-	return len(ms), st.Candidates
-}
-
-// buildSharded constructs the sharded TS-Index with the given partition
-// count (≤ 0 = one shard per CPU), executor width (≤ 0 = one worker per
-// CPU), and optional explicit boundaries (nil = even split) or
-// mean-sorted partitioning, timing construction like buildMethod.
-func buildSharded(ext *series.Extractor, l, shards, workers int, boundaries []int, byMean bool) (built, error) {
-	start := time.Now()
-	ix, err := shard.Build(ext, shard.Config{
-		Config: core.Config{L: l}, Shards: shards,
-		Boundaries: boundaries, PartitionByMean: byMean, Executor: exec.New(workers),
-	})
-	if err != nil {
-		return built{}, err
-	}
-	return built{method: TSIndex, s: shardAdapter{ix}, buildTime: time.Since(start),
-		memBytes: ix.MemoryBytes()}, nil
-}
-
 // SkewedBoundaries builds a deliberately imbalanced partition over
 // count windows: the last shard owns frac of them, and the remaining
 // shards split what's left evenly (shards < 2 degenerates to a single
-// shard owning everything). The skewed-shard experiments use it to
+// shard owning everything). The skewed-shard benchmarks use it to
 // show executor latency is bounded by total work, not by the hottest
 // shard.
 func SkewedBoundaries(count, shards int, frac float64) []int {

@@ -32,10 +32,6 @@ func PrintTable(w io.Writer, rows []Row) {
 			printFig8(w, g)
 			continue
 		}
-		if k.fig == "failover" || k.fig == "serving" {
-			printFigFailover(w, g)
-			continue
-		}
 		fmt.Fprintf(w, "%-12s %-14s %14s %12s %14s\n",
 			"method", "param", "avg query ms", "avg results", "avg candidates")
 		for _, r := range g {
@@ -49,17 +45,6 @@ func printFig8(w io.Writer, g []Row) {
 	fmt.Fprintf(w, "%-12s %16s %14s\n", "method", "memory", "build time")
 	for _, r := range g {
 		fmt.Fprintf(w, "%-12s %16s %11.0f ms\n", r.Method, humanBytes(r.MemBytes), r.BuildMs)
-	}
-}
-
-// printFigFailover renders the fault-injection rows with the latency
-// tail (p50/p99) and the availability column (errored queries).
-func printFigFailover(w io.Writer, g []Row) {
-	fmt.Fprintf(w, "%-12s %-20s %10s %10s %12s %8s\n",
-		"method", "scenario", "p50 ms", "p99 ms", "avg ms", "errors")
-	for _, r := range g {
-		fmt.Fprintf(w, "%-12s %-20s %10.3f %10.3f %12.3f %8d\n",
-			r.Method, r.Param, r.P50Ms, r.P99Ms, r.AvgQueryMs, r.Errors)
 	}
 }
 
@@ -78,10 +63,10 @@ func humanBytes(b int) string {
 
 // PrintCSV renders rows as CSV for downstream plotting.
 func PrintCSV(w io.Writer, rows []Row) {
-	fmt.Fprintln(w, "figure,dataset,method,param,avg_query_ms,avg_results,avg_candidates,build_ms,mem_bytes,p50_ms,p99_ms,errors")
+	fmt.Fprintln(w, "figure,dataset,method,param,avg_query_ms,avg_results,avg_candidates,build_ms,mem_bytes")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s,%s,%s,%s,%.6f,%.2f,%.2f,%.3f,%d,%.6f,%.6f,%d\n",
-			r.Figure, r.Dataset, r.Method, csvEscape(r.Param), r.AvgQueryMs, r.AvgResults, r.AvgCandidates, r.BuildMs, r.MemBytes, r.P50Ms, r.P99Ms, r.Errors)
+		fmt.Fprintf(w, "%s,%s,%s,%s,%.6f,%.2f,%.2f,%.3f,%d\n",
+			r.Figure, r.Dataset, r.Method, csvEscape(r.Param), r.AvgQueryMs, r.AvgResults, r.AvgCandidates, r.BuildMs, r.MemBytes)
 	}
 }
 
@@ -229,26 +214,6 @@ func ShapeReport(rows []Row) []string {
 					kv.BuildMs < is.BuildMs && kv.BuildMs < ts.BuildMs,
 					fmt.Sprintf("KV %.0f ms, iSAX %.0f ms, TS %.0f ms", kv.BuildMs, is.BuildMs, ts.BuildMs))
 			}
-		}
-	}
-
-	// Serving tier (beyond the paper): the result cache must turn a
-	// repeated query into a lookup — hot p50 an order of magnitude below
-	// cold — and overload must shed with 429 instead of queueing.
-	if rs := byFig["serving"]; len(rs) > 0 {
-		per := map[string]Row{}
-		for _, r := range rs {
-			per[r.Param] = r
-		}
-		cold, okC := per["cold"]
-		hot, okH := per["hot"]
-		if okC && okH && hot.P50Ms > 0 {
-			check("Serving: cache-hit p50 ≥10x below cold p50", hot.P50Ms*10 <= cold.P50Ms,
-				fmt.Sprintf("cold %.3f ms vs hot %.3f ms (%.0fx)", cold.P50Ms, hot.P50Ms, cold.P50Ms/hot.P50Ms))
-		}
-		if ov, ok := per["overload"]; ok {
-			check("Serving: overload sheds with 429", ov.Errors > 0,
-				fmt.Sprintf("%d request(s) shed, admitted p99 %.3f ms", ov.Errors, ov.P99Ms))
 		}
 	}
 

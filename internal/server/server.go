@@ -153,10 +153,6 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 		"heap_bytes":   h.eng.HeapBytes(),
 		"mapped_bytes": h.eng.MappedBytes(),
 		"shards":       h.eng.Shards(),
-		// How sharded partitions own the position space: "mean" packs
-		// look-alike windows per shard (tighter bounds, k-way merge),
-		// "range" is the contiguous default.
-		"partition": partitionName(h.eng.PartitionByMean()),
 		// The engine's query executor is shared by every request this
 		// server handles — sharded fan-out units, batch work, and
 		// approximate probes all schedule onto these workers.
@@ -186,13 +182,6 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	}
 	body["role"] = role
 	wire.WriteJSON(w, http.StatusOK, body)
-}
-
-func partitionName(byMean bool) string {
-	if byMean {
-		return "mean"
-	}
-	return "range"
 }
 
 // stats serves the serving-tier observability snapshot: cache

@@ -113,11 +113,10 @@ func canceled(ctx context.Context) bool {
 // queueSearchUnits enqueues the (shard, subtree) units of one range
 // search over frozen/fr into g — the core of QueueSearch, shared with
 // Subset. A nil ctx never cancels.
-func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, byMean bool, q []float64, eps float64) *PendingSearch {
+func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, q []float64, eps float64) *PendingSearch {
 	p := &PendingSearch{
-		res:    make([][][]series.Match, len(fr)),
-		st:     make([][]core.Stats, len(fr)),
-		byMean: byMean,
+		res: make([][][]series.Match, len(fr)),
+		st:  make([][]core.Stats, len(fr)),
 	}
 	for i, units := range fr {
 		p.res[i] = make([][]series.Match, len(units))
@@ -141,7 +140,7 @@ func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen,
 // serving one shard of a larger container must still traverse frontier
 // units so its counters (which skip nodes above unit roots) agree with
 // the full fan-out's.
-func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, byMean bool, q []float64, eps float64, direct bool) ([]series.Match, core.Stats, error) {
+func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, eps float64, direct bool) ([]series.Match, core.Stats, error) {
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
@@ -155,7 +154,7 @@ func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fro
 	}
 	g := ex.NewGroup()
 	tsp := sp.StartChild("traverse")
-	p := queueSearchUnits(g, ctx, frozen, fr(), byMean, q, eps)
+	p := queueSearchUnits(g, ctx, frozen, fr(), q, eps)
 	g.Wait()
 	setUnitSpans(tsp, g, p.st)
 	tsp.End()
@@ -319,7 +318,7 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 // frozen/fr: truncated-bound traversal of every unit, per-shard sort,
 // partition merge. The tail windows are NOT scanned here — the caller
 // decides who scans them exactly once.
-func searchPrefixUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, byMean bool, q []float64, eps float64) ([]series.Match, error) {
+func searchPrefixUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, eps float64) ([]series.Match, error) {
 	if err := frozen[0].ValidatePrefix(q); err != nil {
 		return nil, err
 	}
@@ -357,12 +356,12 @@ func searchPrefixUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fr
 		series.SortMatches(ms)
 		per[i] = ms
 	}
-	return mergePartitioned(per, byMean), nil
+	return mergePartitioned(per), nil
 }
 
 // searchApproxUnits runs one approximate search over frozen, drawing
 // leaves from a single shared budget across the shards.
-func searchApproxUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, byMean bool, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
+func searchApproxUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
 	if leafBudget <= 0 {
 		leafBudget = 1
 	}
@@ -393,7 +392,7 @@ func searchApproxUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fr
 	for _, x := range stats {
 		st = addStats(st, x)
 	}
-	return mergePartitioned(per, byMean), st, nil
+	return mergePartitioned(per), st, nil
 }
 
 // --- ctx-aware entry points on the full local index ---
@@ -408,7 +407,7 @@ func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]seri
 // SearchStatsCtx is SearchStats honoring cancellation.
 func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	s.ensureFrozen()
-	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, s.byMean, q, eps, true)
+	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps, true)
 }
 
 // SearchTopKCtx is SearchTopK honoring cancellation, with the shared
@@ -423,11 +422,11 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 // scan (the Backend contract).
 func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	s.ensureFrozen()
-	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, s.byMean, q, eps)
+	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps)
 }
 
 // SearchApproxCtx is SearchApprox honoring cancellation.
 func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
 	s.ensureFrozen()
-	return searchApproxUnits(ctx, s.ex, s.frozen, s.byMean, q, eps, leafBudget)
+	return searchApproxUnits(ctx, s.ex, s.frozen, q, eps, leafBudget)
 }

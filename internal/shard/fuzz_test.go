@@ -25,19 +25,21 @@ import (
 func FuzzLoadSharded(f *testing.F) {
 	const l = 16
 	ext := series.NewExtractor(synthetic(400, 21), series.NormGlobal)
-	for _, byMean := range []bool{false, true} {
-		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 3, PartitionByMean: byMean})
-		if err != nil {
-			f.Fatal(err)
-		}
-		var valid bytes.Buffer
-		if _, err := sh.WriteTo(&valid); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(valid.Bytes())
-		f.Add(valid.Bytes()[:40])
+	sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if _, err := sh.WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	// The second base is the same container as the retired mean-sorted
+	// scheme would have marked it: refused at the partition byte.
+	for _, base := range [][]byte{valid.Bytes(), markMeanSorted(valid.Bytes())} {
+		f.Add(base)
+		f.Add(base[:40])
 		for _, off := range []int{4, 6, 8, 12, 36, 60, 200} { // version, partition, count, partition array, table, first segment
-			mutated := append([]byte(nil), valid.Bytes()...)
+			mutated := append([]byte(nil), base...)
 			mutated[off] ^= 0xFF
 			f.Add(mutated)
 		}

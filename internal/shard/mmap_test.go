@@ -3,10 +3,10 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"twinsearch/internal/arena"
@@ -17,103 +17,97 @@ import (
 
 // TestOpenArenaDifferential opens a saved stream through a real mmap
 // and requires every search path to agree with the heap-loaded index
-// byte for byte, for both partition schemes; Insert must copy-on-thaw
-// (the mapped file stays byte-identical) and migrate the touched shard
-// off the mapping.
+// byte for byte; Insert must copy-on-thaw (the mapped file stays
+// byte-identical) and migrate the touched shard off the mapping.
 func TestOpenArenaDifferential(t *testing.T) {
 	if !arena.MapSupported() {
 		t.Skip("mmap unsupported on this platform")
 	}
 	ts := datasets.RandomWalk(71, 1800)
 	const l = 40
-	for _, byMean := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mean=%v", byMean), func(t *testing.T) {
-			ext := series.NewExtractor(append([]float64(nil), ts...), series.NormGlobal)
-			sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 3, PartitionByMean: byMean})
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "index.tssh")
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sh.WriteTo(f); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-			before, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("mean=false", func(t *testing.T) {
+		ext := series.NewExtractor(append([]float64(nil), ts...), series.NormGlobal)
+		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "index.tssh")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.WriteTo(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			ar, err := arena.Map(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ar.Close()
-			got, err := OpenArena(ar, ext, nil)
-			if err != nil {
-				t.Fatalf("OpenArena: %v", err)
-			}
-			if got.MappedBytes() == 0 {
-				t.Fatal("mapped index reports no mapped bytes")
-			}
-			if got.MemoryBytes() >= got.MappedBytes() {
-				t.Fatalf("mapped index heap bytes %d not below mapped bytes %d", got.MemoryBytes(), got.MappedBytes())
-			}
-			if got.PartitionByMean() != byMean {
-				t.Fatal("partition scheme lost through the arena open")
-			}
+		ar, err := arena.Map(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ar.Close()
+		got, err := OpenArena(ar, ext, nil)
+		if err != nil {
+			t.Fatalf("OpenArena: %v", err)
+		}
+		if got.MappedBytes() == 0 {
+			t.Fatal("mapped index reports no mapped bytes")
+		}
+		if got.MemoryBytes() >= got.MappedBytes() {
+			t.Fatalf("mapped index heap bytes %d not below mapped bytes %d", got.MemoryBytes(), got.MappedBytes())
+		}
 
-			q := ext.ExtractCopy(444, l)
-			wantM, wantS := sh.SearchStats(q, 0.5)
-			gotM, gotS := got.SearchStats(q, 0.5)
-			if !sameMatches(wantM, gotM) || wantS != gotS {
-				t.Fatal("SearchStats diverged between heap and mapped index")
-			}
-			if w, g := sh.SearchTopK(q, 9), got.SearchTopK(q, 9); !sameMatches(w, g) {
-				t.Fatal("SearchTopK diverged between heap and mapped index")
-			}
-			wp, werr := sh.SearchPrefix(q[:l/2], 0.5)
-			gp, gerr := got.SearchPrefix(q[:l/2], 0.5)
-			if (werr == nil) != (gerr == nil) || !sameMatches(wp, gp) {
-				t.Fatal("SearchPrefix diverged between heap and mapped index")
-			}
-			// With the budget covering every leaf, the approximate search
-			// is exhaustive and deterministic on both forms.
-			budget := got.Len()
-			wa, _ := sh.SearchApprox(q, 0.5, budget)
-			ga, _ := got.SearchApprox(q, 0.5, budget)
-			if !sameMatches(wa, ga) {
-				t.Fatal("SearchApprox diverged between heap and mapped index")
-			}
+		q := ext.ExtractCopy(444, l)
+		wantM, wantS := sh.SearchStats(q, 0.5)
+		gotM, gotS := got.SearchStats(q, 0.5)
+		if !sameMatches(wantM, gotM) || wantS != gotS {
+			t.Fatal("SearchStats diverged between heap and mapped index")
+		}
+		if w, g := sh.SearchTopK(q, 9), got.SearchTopK(q, 9); !sameMatches(w, g) {
+			t.Fatal("SearchTopK diverged between heap and mapped index")
+		}
+		wp, werr := sh.SearchPrefix(q[:l/2], 0.5)
+		gp, gerr := got.SearchPrefix(q[:l/2], 0.5)
+		if (werr == nil) != (gerr == nil) || !sameMatches(wp, gp) {
+			t.Fatal("SearchPrefix diverged between heap and mapped index")
+		}
+		// With the budget covering every leaf, the approximate search
+		// is exhaustive and deterministic on both forms.
+		budget := got.Len()
+		wa, _ := sh.SearchApprox(q, 0.5, budget)
+		ga, _ := got.SearchApprox(q, 0.5, budget)
+		if !sameMatches(wa, ga) {
+			t.Fatal("SearchApprox diverged between heap and mapped index")
+		}
 
-			// Copy-on-thaw: growing the mapped index must leave the file
-			// untouched and move the mutated shard's arena to the heap.
-			oldCount := series.NumSubsequences(ext.Len(), l)
-			ext.Append(0.5, -1.5, 2.5)
-			for p := oldCount; p < series.NumSubsequences(ext.Len(), l); p++ {
-				got.Insert(p)
-			}
-			if n := len(got.Search(q, 0.5)); n < len(wantM) {
-				t.Fatalf("post-append search lost results: %d < %d", n, len(wantM))
-			}
-			if got.MappedBytes() >= 4*(len(before)/5) && got.NumShards() > 1 {
-				// At least the mutated shard must have left the mapping.
-				t.Fatalf("append did not migrate any shard off the mapping (%d of %d bytes still mapped)", got.MappedBytes(), len(before))
-			}
-			after, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before, after) {
-				t.Fatal("append wrote through the mapped file")
-			}
-		})
-	}
+		// Copy-on-thaw: growing the mapped index must leave the file
+		// untouched and move the mutated shard's arena to the heap.
+		oldCount := series.NumSubsequences(ext.Len(), l)
+		ext.Append(0.5, -1.5, 2.5)
+		for p := oldCount; p < series.NumSubsequences(ext.Len(), l); p++ {
+			got.Insert(p)
+		}
+		if n := len(got.Search(q, 0.5)); n < len(wantM) {
+			t.Fatalf("post-append search lost results: %d < %d", n, len(wantM))
+		}
+		if got.MappedBytes() >= 4*(len(before)/5) && got.NumShards() > 1 {
+			// At least the mutated shard must have left the mapping.
+			t.Fatalf("append did not migrate any shard off the mapping (%d of %d bytes still mapped)", got.MappedBytes(), len(before))
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatal("append wrote through the mapped file")
+		}
+	})
 }
 
 // TestOpenArenaRejectsCorruptStreams damages a valid stream in the
@@ -195,7 +189,7 @@ func reseal(stream []byte) []byte {
 	if count == 0 || count > maxShards {
 		return c
 	}
-	hl := headerLen(int(count), c[6] == partitionMean)
+	hl := headerLen(int(count))
 	if hl > int64(len(c)) {
 		return c
 	}
@@ -204,35 +198,73 @@ func reseal(stream []byte) []byte {
 }
 
 // TestShardedStreamEveryByteGuarded flips every byte of a small saved
-// container in turn, both partition schemes, and requires the copy
-// loader to refuse each one: the header's checksum covers the header,
-// partition array and segment table, and every segment guards itself
-// (core's TestFrozenStreamEveryByteGuarded) — there is no padding in
-// between. The zero-copy open must refuse every flip in the container
-// header and in the segment headers too.
+// container in turn and requires the copy loader to refuse each one:
+// the header's checksum covers the header, partition array and segment
+// table, and every segment guards itself (core's
+// TestFrozenStreamEveryByteGuarded) — there is no padding in between.
+// The zero-copy open must refuse every flip in the container header
+// and in the segment headers too.
 func TestShardedStreamEveryByteGuarded(t *testing.T) {
 	ext := series.NewExtractor(datasets.RandomWalk(58, 150), series.NormGlobal)
-	for _, byMean := range []bool{false, true} {
-		sh, err := Build(ext, Config{Config: core.Config{L: 11, MinCap: 3, MaxCap: 7}, Shards: 2, PartitionByMean: byMean})
-		if err != nil {
-			t.Fatal(err)
+	sh, err := Build(ext, Config{Config: core.Config{L: 11, MinCap: 3, MaxCap: 7}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sh.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	hl := headerLen(2)
+	for off := range full {
+		c := append([]byte(nil), full...)
+		c[off] ^= 0x01
+		if _, err := Load(bytes.NewReader(c), ext, nil); err == nil {
+			t.Fatalf("Load accepted byte %d of %d flipped", off, len(full))
 		}
-		var buf bytes.Buffer
-		if _, err := sh.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		full := buf.Bytes()
-		hl := headerLen(2, byMean)
-		for off := range full {
-			c := append([]byte(nil), full...)
-			c[off] ^= 0x01
-			if _, err := Load(bytes.NewReader(c), ext, nil); err == nil {
-				t.Fatalf("byMean=%v: Load accepted byte %d of %d flipped", byMean, off, len(full))
+		if int64(off) < hl {
+			if _, err := OpenArena(arena.FromBytes(c), ext, nil); err == nil {
+				t.Fatalf("OpenArena accepted container header byte %d flipped", off)
 			}
-			if int64(off) < hl {
-				if _, err := OpenArena(arena.FromBytes(c), ext, nil); err == nil {
-					t.Fatalf("byMean=%v: OpenArena accepted container header byte %d flipped", byMean, off)
-				}
+		}
+	}
+}
+
+// markMeanSorted returns a copy of a TSSH v4 stream whose partition
+// byte says mean-sorted — the first thing a loader sees of a file saved
+// with the retired scheme (the bytes after it are never read).
+func markMeanSorted(stream []byte) []byte {
+	c := append([]byte(nil), stream...)
+	c[6] = partitionMean
+	return c
+}
+
+// TestMeanSortedStreamRefused: a container whose partition byte names
+// the retired mean-sorted scheme is refused at the header by all three
+// loaders with one text naming the scheme and the rebuild command —
+// resealed or not, since the refusal precedes the checksum.
+func TestMeanSortedStreamRefused(t *testing.T) {
+	ext := series.NewExtractor(datasets.RandomWalk(58, 150), series.NormGlobal)
+	sh, err := Build(ext, Config{Config: core.Config{L: 11}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := sh.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, stream := range [][]byte{markMeanSorted(buf.Bytes()), reseal(markMeanSorted(buf.Bytes()))} {
+		_, loadErr := Load(bytes.NewReader(stream), ext, nil)
+		_, arenaErr := OpenArena(arena.FromBytes(stream), ext, nil)
+		_, subsetErr := OpenArenaShards(arena.FromBytes(stream), ext, nil, []int{0})
+		for _, err := range []error{loadErr, arenaErr, subsetErr} {
+			if err == nil || err.Error() != loadErr.Error() {
+				t.Fatalf("loaders disagree on a mean-sorted stream: %v / %v / %v", loadErr, arenaErr, subsetErr)
+			}
+		}
+		for _, want := range []string{"mean-sorted", "-saveindex"} {
+			if !strings.Contains(loadErr.Error(), want) {
+				t.Fatalf("refusal %q does not mention %q", loadErr, want)
 			}
 		}
 	}

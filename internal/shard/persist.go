@@ -13,21 +13,20 @@ package shard
 // Format (version 4, little-endian):
 //
 //	off 0  magic "TSSH", version u16
-//	off 6  partition u8 (0 = contiguous ranges, 1 = mean-sorted runs),
-//	       reserved u8 (0)
+//	off 6  partition u8 (0 = contiguous ranges; 1 = mean-sorted runs,
+//	       a retired scheme refused on load), reserved u8 (0)
 //	off 8  shardCount u32
-//	       contiguous: (shardCount+1) × u64 range boundaries
-//	       mean:       (shardCount−1) × f64 routing cut keys
+//	       (shardCount+1) × u64 range boundaries
 //	       shardCount × u64 segment byte lengths
 //	       CRC32C u32 of every byte above
 //	       shardCount × segments (TSFZ v3, each length a multiple of 8)
 //
-// The header is 16 + 8·k bytes whatever the partition, so the first
-// segment starts aligned with no padding, and with the segments' own
-// checksums (see core's frozen_persist.go) no byte of a file is
-// unguarded: both loaders verify the container header's checksum, Load
-// verifies every segment section's, OpenArena leaves those to a later
-// first touch exactly as core.FrozenFromArena documents.
+// The header is 16 + 8·k bytes, so the first segment starts aligned
+// with no padding, and with the segments' own checksums (see core's
+// frozen_persist.go) no byte of a file is unguarded: both loaders verify
+// the container header's checksum, Load verifies every segment
+// section's, OpenArena leaves those to a later first touch exactly as
+// core.FrozenFromArena documents.
 
 import (
 	"bufio"
@@ -54,6 +53,9 @@ const PersistVersion = 4
 // castagnoli is the CRC32C table of the container header's checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// The partition byte. Only partitionRange is written; partitionMean is
+// what files saved with the retired mean-sorted scheme carry, kept as
+// the value readShardHeader refuses by name.
 const (
 	partitionRange = 0
 	partitionMean  = 1
@@ -64,19 +66,15 @@ const (
 // corrupt or hostile stream, rejected before allocation.
 const maxShards = 1 << 20
 
-// headerLen returns the byte length of the fixed header, partition
+// headerLen returns the byte length of the fixed header, boundary
 // array, segment table and checksum for count shards — the offset of
 // the first segment, a multiple of 8.
-func headerLen(count int, byMean bool) int64 {
-	n := int64(8) // magic, version, partition, reserved, shardCount is at 8
-	n += 4        // shardCount
-	if byMean {
-		n += 8 * int64(count-1)
-	} else {
-		n += 8 * int64(count+1)
-	}
-	n += 8 * int64(count) // segment table
-	return n + 4          // checksum
+func headerLen(count int) int64 {
+	n := int64(8)           // magic, version, partition, reserved, shardCount is at 8
+	n += 4                  // shardCount
+	n += 8 * int64(count+1) // boundaries
+	n += 8 * int64(count)   // segment table
+	return n + 4            // checksum
 }
 
 // WriteTo serializes the sharded index in the current (v4, mappable)
@@ -84,22 +82,12 @@ func headerLen(count int, byMean bool) int64 {
 // implements io.WriterTo.
 func (s *Index) WriteTo(w io.Writer) (int64, error) {
 	s.ensureFrozen()
-	part := uint8(partitionRange)
-	if s.byMean {
-		part = partitionMean
-	}
 	le := binary.LittleEndian
-	hdr := append(make([]byte, 0, headerLen(len(s.frozen), s.byMean)), Magic...)
-	hdr = append(le.AppendUint16(hdr, PersistVersion), part, 0)
+	hdr := append(make([]byte, 0, headerLen(len(s.frozen))), Magic...)
+	hdr = append(le.AppendUint16(hdr, PersistVersion), partitionRange, 0)
 	hdr = le.AppendUint32(hdr, uint32(len(s.frozen)))
-	if s.byMean {
-		for _, c := range s.cuts {
-			hdr = le.AppendUint64(hdr, math.Float64bits(c))
-		}
-	} else {
-		for _, b := range s.starts {
-			hdr = le.AppendUint64(hdr, uint64(b))
-		}
+	for _, b := range s.starts {
+		hdr = le.AppendUint64(hdr, uint64(b))
 	}
 	// Segment table: frozen stream lengths are deterministic, so the
 	// table precedes the segments without buffering them.
@@ -127,10 +115,8 @@ func (s *Index) WriteTo(w io.Writer) (int64, error) {
 
 // shardHeader is the decoded container header shared by both loaders.
 type shardHeader struct {
-	byMean  bool
 	count   int
 	starts  []int
-	cuts    []float64
 	segLens []int64
 }
 
@@ -159,7 +145,7 @@ func readShardHeader(r *bufio.Reader) (shardHeader, error) {
 	switch fixed[2] {
 	case partitionRange:
 	case partitionMean:
-		h.byMean = true
+		return h, fmt.Errorf("shard: load: the index was saved with mean-sorted shard partitioning (partition scheme %d), which is no longer read; only contiguous partitions are — rebuild it from its series: tsquery -series S -qstart 0 -l L -shards N -saveindex F", partitionMean)
 	default:
 		return h, fmt.Errorf("shard: load: unknown partition scheme %d", fixed[2])
 	}
@@ -168,25 +154,13 @@ func readShardHeader(r *bufio.Reader) (shardHeader, error) {
 		return h, fmt.Errorf("shard: load: implausible shard count %d", count)
 	}
 	h.count = int(count)
-	if h.byMean {
-		h.cuts = make([]float64, h.count-1)
-		if err := binary.Read(br, binary.LittleEndian, h.cuts); err != nil {
-			return h, fmt.Errorf("shard: load mean cuts: %w", err)
+	h.starts = make([]int, h.count+1)
+	for i := range h.starts {
+		var b uint64
+		if err := binary.Read(br, binary.LittleEndian, &b); err != nil {
+			return h, fmt.Errorf("shard: load boundaries: %w", err)
 		}
-		for i, c := range h.cuts {
-			if math.IsNaN(c) {
-				return h, fmt.Errorf("shard: load: NaN mean cut %d", i)
-			}
-		}
-	} else {
-		h.starts = make([]int, h.count+1)
-		for i := range h.starts {
-			var b uint64
-			if err := binary.Read(br, binary.LittleEndian, &b); err != nil {
-				return h, fmt.Errorf("shard: load boundaries: %w", err)
-			}
-			h.starts[i] = int(b)
-		}
+		h.starts[i] = int(b)
 	}
 	h.segLens = make([]int64, h.count)
 	for i := range h.segLens {
@@ -250,7 +224,7 @@ func Load(r io.Reader, ext *series.Extractor, ex *exec.Executor) (*Index, error)
 		frozen[i] = f
 	}
 
-	s := newLoaded(ext, l, frozen, h, ex)
+	s := newLoaded(ext, l, frozen, h.starts, ex)
 	// Partition invariants only: each shard stream was just validated in
 	// full by its own loader, so re-walking every arena here would only
 	// double the load cost.
@@ -280,7 +254,7 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 		return nil, err
 	}
 
-	off := headerLen(h.count, h.byMean)
+	off := headerLen(h.count)
 	frozen := make([]*core.Frozen, h.count)
 	l := 0
 	for i := range frozen {
@@ -303,7 +277,7 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 		off += n
 	}
 
-	s := newLoaded(ext, l, frozen, h, ex)
+	s := newLoaded(ext, l, frozen, h.starts, ex)
 	if err := s.checkPartitionShape(); err != nil {
 		return nil, fmt.Errorf("shard: arena: %w", err)
 	}
@@ -317,7 +291,7 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 // is refused.
 func Single(f *core.Frozen, ex *exec.Executor) (*Index, error) {
 	count := series.NumSubsequences(f.Extractor().Len(), f.L())
-	s := newLoaded(f.Extractor(), f.L(), []*core.Frozen{f}, shardHeader{starts: []int{0, count}}, ex)
+	s := newLoaded(f.Extractor(), f.L(), []*core.Frozen{f}, []int{0, count}, ex)
 	if err := s.checkPartitionShape(); err != nil {
 		return nil, err
 	}
@@ -325,11 +299,11 @@ func Single(f *core.Frozen, ex *exec.Executor) (*Index, error) {
 }
 
 // newLoaded assembles a loaded Index from its parts.
-func newLoaded(ext *series.Extractor, l int, frozen []*core.Frozen, h shardHeader, ex *exec.Executor) *Index {
+func newLoaded(ext *series.Extractor, l int, frozen []*core.Frozen, starts []int, ex *exec.Executor) *Index {
 	if ex == nil {
 		ex = exec.Default()
 	}
 	return &Index{ext: ext, l: l, frozen: frozen,
 		pointer: make([]*core.Index, len(frozen)), dirtyShard: make([]bool, len(frozen)),
-		byMean: h.byMean, starts: h.starts, cuts: h.cuts, ex: ex}
+		starts: starts, ex: ex}
 }

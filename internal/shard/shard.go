@@ -21,13 +21,10 @@
 // a group the caller owns (QueueSearch, QueueSearchTopK): a batch is
 // nothing more than N queries' units in one group, waited on once.
 //
-// Two partitioning schemes are supported. The default splits positions
-// into contiguous ranges, whose per-shard results concatenate in shard
-// order. Config.PartitionByMean instead sorts positions by window mean
-// and hands each shard an equal run — twins have means within ε of each
-// other, so mean-neighbours pack into tighter per-shard MBTS and prune
-// more — at the cost of a k-way merge by start position where the
-// contiguous scheme concatenates.
+// The partition is contiguous: shard i owns window positions
+// [starts[i], starts[i+1]), so shard order is position order — per-shard
+// range results concatenate, and appended positions extend the last
+// shard.
 package shard
 
 import (
@@ -59,16 +56,8 @@ type Config struct {
 	// it must be strictly increasing from 0 to the window count, and its
 	// length must agree with Shards when both are set. Benchmarks and
 	// tests use it to build deliberately skewed shards; the default is
-	// an even split. Incompatible with PartitionByMean.
+	// an even split.
 	Boundaries []int
-	// PartitionByMean assigns positions to shards by window mean rather
-	// than contiguously: positions are sorted by mean (first normalized
-	// value under per-subsequence normalization, where every mean is
-	// zero) and split into equal-count runs. Per-shard MBTS get tighter
-	// — a shard encloses look-alike windows instead of whatever happened
-	// to be adjacent — so searches prune more; range-search merges
-	// switch from positional concatenation to a k-way merge by start.
-	PartitionByMean bool
 	// Executor runs the build and query work units; nil selects the
 	// process-wide default (GOMAXPROCS workers).
 	Executor *exec.Executor
@@ -84,18 +73,9 @@ type Index struct {
 	// frozen-only. Once a shard is thawed it stays resident (repeated
 	// Insert/refreeze cycles then skip the thaw).
 	pointer []*core.Index
-	byMean  bool
-	// starts has len(shards)+1 entries in contiguous mode; shard i owns
-	// window positions [starts[i], starts[i+1]). nil under
-	// PartitionByMean.
+	// starts has len(shards)+1 entries; shard i owns window positions
+	// [starts[i], starts[i+1]).
 	starts []int
-	// cuts has len(shards)-1 entries under PartitionByMean: shard i+1's
-	// smallest window-mean key. Insert routes new positions by key.
-	cuts []float64
-	// keyBuf is routeShard's window scratch under per-subsequence
-	// normalization, allocated by the first Insert and kept (Insert is
-	// single-writer).
-	keyBuf []float64
 	ex     *exec.Executor
 
 	// Refreeze bookkeeping: Insert marks shards dirty; the next search
@@ -126,28 +106,14 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 	if count == 0 {
 		return nil, fmt.Errorf("shard: series length %d shorter than subsequence length %d", ext.Len(), cfg.L)
 	}
-	if cfg.PartitionByMean && cfg.Boundaries != nil {
-		return nil, fmt.Errorf("shard: PartitionByMean and explicit Boundaries are mutually exclusive")
-	}
-
 	ex := cfg.Executor
 	if ex == nil {
 		ex = exec.Default()
 	}
 
-	s := &Index{ext: ext, l: cfg.L, byMean: cfg.PartitionByMean, ex: ex}
+	s := &Index{ext: ext, l: cfg.L, ex: ex}
 
-	var runs [][]int32 // mean mode: each shard's position run
-	if cfg.PartitionByMean {
-		p := cfg.Shards
-		if p <= 0 {
-			p = runtime.GOMAXPROCS(0)
-		}
-		if p > count {
-			p = count
-		}
-		runs, s.cuts = meanRuns(ext, cfg.L, count, p)
-	} else if cfg.Boundaries != nil {
+	if cfg.Boundaries != nil {
 		if err := validateBoundaries(cfg.Boundaries, cfg.Shards, count); err != nil {
 			return nil, err
 		}
@@ -165,10 +131,7 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 			s.starts[i] = i * count / p
 		}
 	}
-	p := len(runs)
-	if !cfg.PartitionByMean {
-		p = len(s.starts) - 1
-	}
+	p := len(s.starts) - 1
 
 	s.frozen = make([]*core.Frozen, p)
 	s.pointer = make([]*core.Index, p)
@@ -177,14 +140,9 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 	ex.ForEach(p, func(i int) {
 		var ix *core.Index
 		var err error
-		switch {
-		case cfg.PartitionByMean && cfg.BulkLoad:
-			ix, err = core.BuildBulkPositions(ext, cfg.Config, runs[i])
-		case cfg.PartitionByMean:
-			ix, err = core.BuildPositions(ext, cfg.Config, runs[i])
-		case cfg.BulkLoad:
+		if cfg.BulkLoad {
 			ix, err = core.BuildBulkRange(ext, cfg.Config, s.starts[i], s.starts[i+1])
-		default:
+		} else {
 			ix, err = core.BuildRange(ext, cfg.Config, s.starts[i], s.starts[i+1])
 		}
 		if err != nil {
@@ -201,63 +159,6 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 		}
 	}
 	return s, nil
-}
-
-// windowKey is the mean-partition sort/routing key of one window: the
-// window mean, or its first normalized value under per-subsequence
-// normalization (where every mean is zero). It is the single key
-// definition — meanRuns derives the partition and the routing cuts
-// from it, and routeShard applies it to inserts — so a window always
-// routes to the shard its key sorted into, bit for bit. buf is scratch
-// of length l, used only under per-subsequence normalization (pass nil
-// otherwise).
-func windowKey(ext *series.Extractor, p, l int, buf []float64) float64 {
-	if ext.Mode() == series.NormPerSubsequence {
-		return ext.Extract(p, l, buf)[0]
-	}
-	data := ext.Data()
-	var sum float64
-	for _, v := range data[p : p+l] {
-		sum += v
-	}
-	return sum / float64(l)
-}
-
-// meanRuns sorts all window positions by key and splits them into p
-// equal-count runs, returning the runs and the p−1 routing cut keys
-// (run i+1's smallest key). Keys come from windowKey — the exact
-// function inserts route by — rather than a prefix-sum shortcut, so a
-// key landing on a cut can never round differently at build time than
-// at routing time.
-func meanRuns(ext *series.Extractor, l, count, p int) ([][]int32, []float64) {
-	keys := make([]float64, count)
-	var buf []float64
-	if ext.Mode() == series.NormPerSubsequence {
-		buf = make([]float64, l)
-	}
-	for i := 0; i < count; i++ {
-		keys[i] = windowKey(ext, i, l, buf)
-	}
-	order := make([]int32, count)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if ka, kb := keys[order[a]], keys[order[b]]; ka != kb {
-			return ka < kb
-		}
-		return order[a] < order[b] // total order: runs are deterministic
-	})
-	runs := make([][]int32, p)
-	cuts := make([]float64, p-1)
-	for i := 0; i < p; i++ {
-		lo, hi := i*count/p, (i+1)*count/p
-		runs[i] = order[lo:hi:hi]
-		if i > 0 {
-			cuts[i-1] = keys[order[lo]]
-		}
-	}
-	return runs, cuts
 }
 
 // validateBoundaries rejects partitions that don't cover [0, count)
@@ -286,10 +187,6 @@ func validateBoundaries(b []int, shards, count int) error {
 // Executor returns the executor the index schedules its queries on.
 func (s *Index) Executor() *exec.Executor { return s.ex }
 
-// PartitionByMean reports whether shards own mean-sorted runs rather
-// than contiguous position ranges.
-func (s *Index) PartitionByMean() bool { return s.byMean }
-
 // ensureFrozen re-freezes any shards Insert has thawed and mutated.
 // Hot path cost is one atomic load; the mutex only serializes searches
 // racing to refreeze after an insertion batch (Insert itself must not
@@ -315,11 +212,11 @@ func (s *Index) ensureFrozen() {
 
 // unitFrontiers returns the cached (shard → subtrees) split,
 // recomputing it after insertion invalidated the cache. The per-shard
-// target over-provisions units (4×) relative to the widest pool that
-// could usefully run them — the index's own executor or the machine
-// (SearchBatch may bring a dedicated pool wider than the engine's; the
-// work is CPU-bound, so GOMAXPROCS caps useful width) — giving
-// stealing slack to even out skewed shards.
+// target over-provisions units (4×) relative to the wider of the
+// index's executor and the machine (GOMAXPROCS), giving stealing slack
+// to even out skewed shards. The split decides which nodes sit above a
+// unit's root and are never visited, so the traversal counters of
+// every fanned-out query depend on this rule: change it and they move.
 func (s *Index) unitFrontiers() [][]core.FrozenSubtree {
 	if u := s.units.Load(); u != nil {
 		return *u
@@ -363,9 +260,8 @@ func (s *Index) SearchStats(q []float64, eps float64) ([]series.Match, core.Stat
 // (query, shard, subtree) unit is a peer in the same pool — instead of
 // nesting a query pool above a shard pool.
 type PendingSearch struct {
-	res    [][][]series.Match // [shard][unit] match lists, traversal order
-	st     [][]core.Stats     // [shard][unit]
-	byMean bool
+	res [][][]series.Match // [shard][unit] match lists, traversal order
+	st  [][]core.Stats     // [shard][unit]
 }
 
 // QueueSearch enqueues the (shard, subtree) units of one range search
@@ -373,16 +269,13 @@ type PendingSearch struct {
 // only after g.Wait() returns.
 func (s *Index) QueueSearch(g *exec.Group, q []float64, eps float64) *PendingSearch {
 	s.ensureFrozen()
-	return queueSearchUnits(g, nil, s.frozen, s.unitFrontiers(), s.byMean, q, eps)
+	return queueSearchUnits(g, nil, s.frozen, s.unitFrontiers(), q, eps)
 }
 
 // Resolve merges the unit results deterministically: units of one
 // shard are concatenated and sorted by start (the set is identical
-// however the tree was split, so the sorted order is too). Under the
-// contiguous partition shards own ascending position ranges, so
-// shard-order concatenation IS the position-order merge; mean-sorted
-// shards interleave in position space, so their sorted lists k-way
-// merge by start instead.
+// however the tree was split, so the sorted order is too), and the
+// per-shard lists concatenate (mergePartitioned).
 func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
 	var st core.Stats
 	total := 0
@@ -409,7 +302,7 @@ func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
 		series.SortMatches(ms)
 		per[i] = ms
 	}
-	return mergePartitioned(per, p.byMean), st
+	return mergePartitioned(per), st
 }
 
 func addStats(a, b core.Stats) core.Stats {
@@ -422,21 +315,16 @@ func addStats(a, b core.Stats) core.Stats {
 	return a
 }
 
-// mergePartitioned combines per-shard start-sorted results according
-// to the partition scheme: positional concatenation for contiguous
-// shards (shard order IS position order), a k-way merge by start for
-// mean-sorted shards. Every range-search path funnels through here so
-// the merge policy lives in one place.
-func mergePartitioned(per [][]series.Match, byMean bool) []series.Match {
+// mergePartitioned combines per-shard start-sorted results: shards own
+// ascending position ranges, so shard-order concatenation IS the
+// position-order merge. Every range-search path funnels through here.
+func mergePartitioned(per [][]series.Match) []series.Match {
 	total := 0
 	for _, ms := range per {
 		total += len(ms)
 	}
 	if total == 0 {
 		return nil
-	}
-	if byMean {
-		return mergeByStart(per, total)
 	}
 	out := make([]series.Match, 0, total)
 	for _, ms := range per {
@@ -596,12 +484,10 @@ func (s *Index) SearchApprox(q []float64, eps float64, leafBudget int) ([]series
 }
 
 // Insert adds the window starting at p to the shard owning that
-// position: under the contiguous partition the range owner (positions
-// past the current end extend the last shard — the streaming-append
-// path); under PartitionByMean the shard whose key range covers the
-// window's mean. The owning shard is thawed back to pointer form if
-// needed and marked dirty; the next search re-freezes it. Do not call
-// concurrently with searches.
+// position (positions past the current end extend the last shard — the
+// streaming-append path). The owning shard is thawed back to pointer
+// form if needed and marked dirty; the next search re-freezes it. Do
+// not call concurrently with searches.
 func (s *Index) Insert(p int) {
 	i := s.routeShard(p)
 	if s.pointer[i] == nil {
@@ -615,15 +501,6 @@ func (s *Index) Insert(p int) {
 
 // routeShard picks the shard that owns (or will own) position p.
 func (s *Index) routeShard(p int) int {
-	if s.byMean {
-		if s.keyBuf == nil && s.ext.Mode() == series.NormPerSubsequence {
-			s.keyBuf = make([]float64, s.l)
-		}
-		k := windowKey(s.ext, p, s.l, s.keyBuf)
-		// Shard i+1 starts at cuts[i]; route to the last shard whose
-		// lower bound is ≤ k.
-		return sort.Search(len(s.cuts), func(j int) bool { return s.cuts[j] > k })
-	}
 	last := len(s.starts) - 1
 	if p >= s.starts[last] {
 		s.starts[last] = p + 1
@@ -659,13 +536,9 @@ func (s *Index) Shard(i int) *core.Frozen {
 	return s.frozen[i]
 }
 
-// Range returns the contiguous position range shard i owns, or ok=false
-// under PartitionByMean (where shards own interleaved runs).
-func (s *Index) Range(i int) (lo, hi int, ok bool) {
-	if s.byMean {
-		return 0, 0, false
-	}
-	return s.starts[i], s.starts[i+1], true
+// Range returns the position range [lo, hi) shard i owns.
+func (s *Index) Range(i int) (lo, hi int) {
+	return s.starts[i], s.starts[i+1]
 }
 
 // Extractor exposes the extractor the index was built over.
@@ -715,9 +588,8 @@ func (s *Index) CheckInvariants() error {
 }
 
 // checkPartitionShape validates the O(shards) partition invariants:
-// contiguous ranges cover [0, count) in order with per-shard window
-// counts matching their range widths (contiguous mode), mean-routing
-// cuts are sorted and shard sizes sum to the window count (mean mode).
+// the ranges cover [0, count) in order with per-shard window counts
+// matching their range widths.
 // The zero-copy open path (OpenArena) stops here — walking every
 // position of a mapped multi-gigabyte index would defeat the cheap
 // open — while checkPartition adds the full ownership scan.
@@ -731,17 +603,6 @@ func (s *Index) checkPartitionShape() error {
 	}
 	if total != count {
 		return fmt.Errorf("shard: shards hold %d windows, series has %d", total, count)
-	}
-	if s.byMean {
-		if len(s.cuts) != p-1 {
-			return fmt.Errorf("shard: %d mean cuts for %d shards", len(s.cuts), p)
-		}
-		for i := 1; i < len(s.cuts); i++ {
-			if s.cuts[i] < s.cuts[i-1] {
-				return fmt.Errorf("shard: mean cut %d (%g) below cut %d (%g)", i, s.cuts[i], i-1, s.cuts[i-1])
-			}
-		}
-		return nil
 	}
 	if len(s.starts) != p+1 {
 		return fmt.Errorf("shard: %d boundaries for %d shards", len(s.starts), p)
@@ -765,8 +626,7 @@ func (s *Index) checkPartitionShape() error {
 
 // checkPartition validates the partition invariants alone: the shape
 // checks above plus the full ownership scan — every window position
-// owned by exactly one shard, inside its owner's range in contiguous
-// mode.
+// owned by exactly one shard, inside its owner's range.
 func (s *Index) checkPartition() error {
 	if err := s.checkPartitionShape(); err != nil {
 		return err
@@ -782,7 +642,7 @@ func (s *Index) checkPartition() error {
 				return fmt.Errorf("shard %d: position %d owned twice", i, pos)
 			}
 			seen[pos] = true
-			if !s.byMean && (int(pos) < s.starts[i] || int(pos) >= s.starts[i+1]) {
+			if int(pos) < s.starts[i] || int(pos) >= s.starts[i+1] {
 				return fmt.Errorf("shard %d: position %d outside range [%d, %d)", i, pos, s.starts[i], s.starts[i+1])
 			}
 		}

@@ -29,11 +29,10 @@ import (
 type Subset struct {
 	ext    *series.Extractor
 	l      int
-	byMean bool
 	total  int   // shard count of the whole container
 	ids    []int // assigned global shard indices, ascending
 	frozen []*core.Frozen
-	starts []int // contiguous mode: the container's full boundary table
+	starts []int // the container's full boundary table
 	ex     *exec.Executor
 
 	// units caches the (shard → subtrees) split; a Subset is immutable,
@@ -74,10 +73,10 @@ func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, 
 	if ex == nil {
 		ex = exec.Default()
 	}
-	s := &Subset{ext: ext, byMean: h.byMean, total: h.count, ids: ids,
+	s := &Subset{ext: ext, total: h.count, ids: ids,
 		frozen: make([]*core.Frozen, len(ids)), starts: h.starts, ex: ex}
 
-	off := headerLen(h.count, h.byMean)
+	off := headerLen(h.count)
 	next := 0
 	for i := 0; i < h.count && next < len(ids); i++ {
 		if off > int64(len(buf)) {
@@ -111,9 +110,9 @@ func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, 
 	return s, nil
 }
 
-// checkShape validates the O(assigned) partition invariants: contiguous
-// shards hold exactly their recorded range widths and ranges are
-// ordered; the subset total never exceeds the series' window count.
+// checkShape validates the O(assigned) partition invariants: shards
+// hold exactly their recorded range widths and ranges are ordered; the
+// subset total never exceeds the series' window count.
 func (s *Subset) checkShape() error {
 	count := series.NumSubsequences(s.ext.Len(), s.l)
 	total := 0
@@ -122,9 +121,6 @@ func (s *Subset) checkShape() error {
 	}
 	if total > count {
 		return fmt.Errorf("assigned shards hold %d windows, series has %d", total, count)
-	}
-	if s.byMean {
-		return nil
 	}
 	if len(s.starts) != s.total+1 {
 		return fmt.Errorf("%d boundaries for %d shards", len(s.starts), s.total)
@@ -182,7 +178,7 @@ func (s *Subset) Search(ctx context.Context, q []float64, eps float64) ([]series
 // SearchStats implements Backend. The whole-tree fast path applies
 // only when this subset IS the whole container; see searchStatsUnits.
 func (s *Subset) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, s.byMean, q, eps, s.total == 1)
+	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps, s.total == 1)
 }
 
 // SearchTopK implements Backend: the k nearest among this subset's
@@ -195,13 +191,13 @@ func (s *Subset) SearchTopK(ctx context.Context, q []float64, k int, bound float
 // SearchPrefixTree implements Backend: prefix twins among this subset's
 // indexed starts only — the tail windows belong to whoever coordinates.
 func (s *Subset) SearchPrefixTree(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, s.byMean, q, eps)
+	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps)
 }
 
 // SearchApprox implements Backend: at most leafBudget leaf probes
 // shared across this subset's shards.
 func (s *Subset) SearchApprox(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	return searchApproxUnits(ctx, s.ex, s.frozen, s.byMean, q, eps, leafBudget)
+	return searchApproxUnits(ctx, s.ex, s.frozen, q, eps, leafBudget)
 }
 
 // Windows implements Backend.
@@ -219,9 +215,6 @@ func (s *Subset) ShardIDs() []int { return append([]int(nil), s.ids...) }
 // TotalShards returns the shard count of the whole container the subset
 // was opened from.
 func (s *Subset) TotalShards() int { return s.total }
-
-// PartitionByMean reports the container's partition scheme.
-func (s *Subset) PartitionByMean() bool { return s.byMean }
 
 // L returns the indexed subsequence length.
 func (s *Subset) L() int { return s.l }

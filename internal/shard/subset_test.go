@@ -71,12 +71,8 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 		t.Fatalf("MappedBytes = %d, want in (0, %d)", mb, fileSize)
 	}
 
-	lo, hi, ok := ix.Range(1)
-	if !ok {
-		t.Fatal("contiguous index reports no range")
-	}
-	_, hi2, _ := ix.Range(2)
-	hi = hi2
+	lo, _ := ix.Range(1)
+	_, hi := ix.Range(2)
 	if sub.Windows() != hi-lo {
 		t.Fatalf("Windows = %d, range [%d, %d) spans %d", sub.Windows(), lo, hi, hi-lo)
 	}
@@ -138,14 +134,14 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 	}
 }
 
-// TestOpenArenaShardsMeanPartition checks a mean-partitioned subset
-// merges its interleaved shards by start, matching the per-shard
-// traversals of the fully loaded index.
-func TestOpenArenaShardsMeanPartition(t *testing.T) {
+// TestOpenArenaShardsNonAdjacent checks a subset whose shards leave a
+// gap in the position space: concatenating them in shard order is the
+// merge by start of the fully loaded index's per-shard traversals.
+func TestOpenArenaShardsNonAdjacent(t *testing.T) {
 	const l = 24
 	data := synthetic(2200, 11)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	ix, path, _ := saveSharded(t, ext, Config{Config: core.Config{L: l}, Shards: 4, PartitionByMean: true})
+	ix, path, _ := saveSharded(t, ext, Config{Config: core.Config{L: l}, Shards: 4})
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -158,9 +154,6 @@ func TestOpenArenaShardsMeanPartition(t *testing.T) {
 	}
 	if sub.MappedBytes() != 0 {
 		t.Fatalf("heap subset reports MappedBytes=%d", sub.MappedBytes())
-	}
-	if !sub.PartitionByMean() {
-		t.Fatal("subset lost the partition scheme")
 	}
 
 	q := ext.ExtractCopy(500, l)

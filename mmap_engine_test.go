@@ -14,15 +14,14 @@ import (
 )
 
 // savedStreams produces one stream per format SaveIndex writes, over
-// the same series: a bare TSFZ v2 stream (the single index) and the
-// TSSH v3 container under both partition schemes.
+// the same series: a bare TSFZ v3 stream (the single index) and the
+// TSSH v4 container.
 func savedStreams(t *testing.T, data []float64, l int) map[string][]byte {
 	t.Helper()
 	streams := map[string][]byte{}
 	for name, opt := range map[string]Options{
-		"TSFZ v2":         {L: l},
-		"TSSH v3":         {L: l, Shards: 2},
-		"TSSH v3 by mean": {L: l, Shards: 3, PartitionByMean: true},
+		"TSFZ v3": {L: l},
+		"TSSH v4": {L: l, Shards: 2},
 	} {
 		eng, err := Open(data, opt)
 		if err != nil {
@@ -52,7 +51,7 @@ func checkEngineParity(t *testing.T, label string, want, got *Engine, q []float6
 		{"SearchShorter", func(e *Engine) ([]Match, error) { return e.SearchShorter(q[:len(q)/2], eps) }},
 		{"SearchApprox", func(e *Engine) ([]Match, error) { return e.SearchApprox(q, eps, budget) }},
 		{"SearchBatch", func(e *Engine) ([]Match, error) {
-			rs := e.SearchBatch([][]float64{q}, eps, 0)
+			rs := e.SearchBatch([][]float64{q}, eps)
 			return rs[0].Matches, rs[0].Err
 		}},
 	}
@@ -78,9 +77,11 @@ func checkEngineParity(t *testing.T, label string, want, got *Engine, q []float6
 // and OpenSavedFile with Options.MMap (zero-copy) — with byte-identical
 // answers to a freshly built engine on all five search paths. Each
 // stream generation this code base once wrote and no longer reads
-// (TSIX, TSFZ v1, TSSH v1/v2) and anything unknown is refused from its
-// six-byte header alone, with one text on both entry points — the
-// mapped open does not answer a refusal by trying the copy loader.
+// (TSIX, TSFZ v1/v2, TSSH v1–v3) and anything unknown is refused from
+// its six-byte header alone, and a TSSH v4 container saved with the
+// retired mean-sorted partition from its partition byte, with one text
+// on both entry points — the mapped open does not answer a refusal by
+// trying the copy loader.
 func TestSavedFormatMatrix(t *testing.T) {
 	data := datasets.RandomWalk(83, 1700)
 	const l = 44
@@ -92,7 +93,8 @@ func TestSavedFormatMatrix(t *testing.T) {
 	dir := t.TempDir()
 	canMap := arena.MapSupported() && arena.LittleEndianHost()
 
-	for name, stream := range savedStreams(t, data, l) {
+	written := savedStreams(t, data, l)
+	for name, stream := range written {
 		t.Run(name, func(t *testing.T) {
 			viaCopy, err := OpenSaved(data, bytes.NewReader(stream), Options{L: l})
 			if err != nil {
@@ -121,27 +123,36 @@ func TestSavedFormatMatrix(t *testing.T) {
 	}
 
 	const rebuild = "; this version reads only TSFZ v3 and TSSH v4 — rebuild it from its series: tsquery -series S -qstart 0 -l L [-shards N] -saveindex F"
+	// A TSSH v4 file as a by-mean engine saved it, as far as a loader
+	// gets: every other byte of it is one this version accepts.
+	meanSorted := bytes.Clone(written["TSSH v4"])
+	meanSorted[6] = 1
 	for _, c := range []struct {
 		name    string
 		magic   string
 		version uint16
 		want    string
+		stream  []byte // nil: the (magic, version) header and zero bytes
 	}{
-		{"TSIX", "TSIX", 1, "twinsearch: saved index is a TSIX v1 stream" + rebuild},
-		{"TSFZ v1", "TSFZ", 1, "twinsearch: saved index is a TSFZ v1 stream" + rebuild},
-		{"TSSH v1", "TSSH", 1, "twinsearch: saved index is a TSSH v1 stream" + rebuild},
-		{"TSSH v2", "TSSH", 2, "twinsearch: saved index is a TSSH v2 stream" + rebuild},
+		{"TSIX", "TSIX", 1, "twinsearch: saved index is a TSIX v1 stream" + rebuild, nil},
+		{"TSFZ v1", "TSFZ", 1, "twinsearch: saved index is a TSFZ v1 stream" + rebuild, nil},
+		{"TSSH v1", "TSSH", 1, "twinsearch: saved index is a TSSH v1 stream" + rebuild, nil},
+		{"TSSH v2", "TSSH", 2, "twinsearch: saved index is a TSSH v2 stream" + rebuild, nil},
 		// The generation ISSUE 21 retired: float64 bounds, no checksums.
-		{"TSFZ v2", "TSFZ", 2, "twinsearch: saved index is a TSFZ v2 stream" + rebuild},
-		{"TSSH v3", "TSSH", 3, "twinsearch: saved index is a TSSH v3 stream" + rebuild},
-		{"unknown magic", "JUNK", 2, `twinsearch: saved index has unknown magic "JUNK"`},
+		{"TSFZ v2", "TSFZ", 2, "twinsearch: saved index is a TSFZ v2 stream" + rebuild, nil},
+		{"TSSH v3", "TSSH", 3, "twinsearch: saved index is a TSSH v3 stream" + rebuild, nil},
+		{"unknown magic", "JUNK", 2, `twinsearch: saved index has unknown magic "JUNK"`, nil},
+		{"TSSH v4 by mean", "TSSH", 4, "shard: load: the index was saved with mean-sorted shard partitioning (partition scheme 1), which is no longer read; only contiguous partitions are — rebuild it from its series: tsquery -series S -qstart 0 -l L -shards N -saveindex F", meanSorted},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			// A header and enough zero bytes behind it that only the
-			// header can be what the loaders object to.
-			stream := make([]byte, 4096)
-			copy(stream, c.magic)
-			binary.LittleEndian.PutUint16(stream[4:], c.version)
+			stream := c.stream
+			if stream == nil {
+				// A header and enough zero bytes behind it that only the
+				// header can be what the loaders object to.
+				stream = make([]byte, 4096)
+				copy(stream, c.magic)
+				binary.LittleEndian.PutUint16(stream[4:], c.version)
+			}
 			path := filepath.Join(dir, c.name+".tsidx")
 			if err := os.WriteFile(path, stream, 0o644); err != nil {
 				t.Fatal(err)
@@ -303,7 +314,8 @@ func TestSaveOverMappedFile(t *testing.T) {
 // pages in. Both variants share an O(series) floor — the engine's
 // extractor z-normalizes the raw series into a fresh slice — so the
 // index-side contrast is (B/op − seriesBytes): O(arena) for copy,
-// O(header) for mmap (the harness FigureColdOpen isolates it exactly).
+// O(header) for mmap (bench/'s persist.open_copy_ms and
+// persist.open_mmap_ms rows isolate it exactly).
 func BenchmarkColdOpen(b *testing.B) {
 	data := datasets.RandomWalk(85, 200_000)
 	const l = 100

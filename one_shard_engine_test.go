@@ -17,7 +17,7 @@ import (
 
 // TestOneShardEngineIsTheOldSingleIndex pins what serving the single
 // index as a one-shard shard.Index must not change: the bytes SaveIndex
-// writes are core.Build's tree frozen — a bare TSFZ v2 stream, the file
+// writes are core.Build's tree frozen — a bare TSFZ v3 stream, the file
 // bench's core rung maps with core.FrozenFromArena(ar, 0, …) — and the
 // counters SearchStats reports are Frozen.SearchStats's on that tree.
 // Then the mutation path: a saved index reopened by copy and by mapping
@@ -67,8 +67,8 @@ func TestOneShardEngineIsTheOldSingleIndex(t *testing.T) {
 				if string(stream[:4]) != core.FrozenMagic || binary.LittleEndian.Uint16(stream[4:]) != core.FrozenVersion {
 					t.Fatalf("SaveIndex wrote %q v%d, want a bare %s v%d stream", stream[:4], binary.LittleEndian.Uint16(stream[4:]), core.FrozenMagic, core.FrozenVersion)
 				}
-				if eng.Shards() != 1 || eng.PartitionByMean() {
-					t.Fatalf("engine reports %d shards, mean=%v", eng.Shards(), eng.PartitionByMean())
+				if eng.Shards() != 1 {
+					t.Fatalf("engine reports %d shards", eng.Shards())
 				}
 				if eng.HeapBytes() != fz.MemoryBytes() || eng.MappedBytes() != 0 {
 					t.Fatalf("engine holds %d heap / %d mapped bytes, the arena %d", eng.HeapBytes(), eng.MappedBytes(), fz.MemoryBytes())

@@ -80,8 +80,8 @@ func TestShardedEngineParity(t *testing.T) {
 						assertSameMatches(t, "SearchShorter", got, want)
 					}
 				}
-				wantBatch := single.SearchBatch(queries, 0.4, 0)
-				gotBatch := sharded.SearchBatch(queries, 0.4, 0)
+				wantBatch := single.SearchBatch(queries, 0.4)
+				gotBatch := sharded.SearchBatch(queries, 0.4)
 				for i := range wantBatch {
 					if gotBatch[i].Err != nil || wantBatch[i].Err != nil {
 						t.Fatalf("batch query %d errored: %v / %v", i, gotBatch[i].Err, wantBatch[i].Err)
@@ -366,8 +366,8 @@ func TestWorkersOptionParity(t *testing.T) {
 				gotK, _ := eng.SearchTopK(q, 9)
 				assertSameMatches(t, "SearchTopK", gotK, wantK)
 			}
-			wantBatch := single.SearchBatch(queries, 0.4, 0)
-			gotBatch := eng.SearchBatch(queries, 0.4, 0)
+			wantBatch := single.SearchBatch(queries, 0.4)
+			gotBatch := eng.SearchBatch(queries, 0.4)
 			for i := range wantBatch {
 				assertSameMatches(t, "SearchBatch", gotBatch[i].Matches, wantBatch[i].Matches)
 			}
@@ -400,7 +400,7 @@ func TestSearchBatchMixedValidity(t *testing.T) {
 			append([]float64(nil), good...), // fine
 			{math.NaN()},                    // wrong length AND non-finite
 		}
-		out := eng.SearchBatch(batch, 0.3, 0)
+		out := eng.SearchBatch(batch, 0.3)
 		if len(out) != 4 {
 			t.Fatalf("shards=%d: %d results", shards, len(out))
 		}
@@ -421,27 +421,5 @@ func TestSearchBatchMixedValidity(t *testing.T) {
 		}
 		assertSameMatches(t, "batch result 0", out[0].Matches, want)
 		assertSameMatches(t, "batch result 2", out[2].Matches, want)
-	}
-}
-
-// TestSearchBatchHugeParallelism: an absurd parallelism value must be
-// capped to the workload size, not allocate a pool of that width.
-func TestSearchBatchHugeParallelism(t *testing.T) {
-	ts := datasets.RandomWalk(13, 3000)
-	eng, err := Open(ts, Options{L: 50, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := datasets.Queries(ts, 5, 3, 50)
-	out := eng.SearchBatch(queries, 0.3, 1<<30)
-	if len(out) != len(queries) {
-		t.Fatalf("%d results for %d queries", len(out), len(queries))
-	}
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-		want, _ := eng.Search(queries[i], 0.3)
-		assertSameMatches(t, "huge parallelism batch", r.Matches, want)
 	}
 }

@@ -166,7 +166,7 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 				}
 				// A bad query fails alone: its neighbour in the batch is
 				// answered as if it had been asked by itself.
-				rs := eng.SearchBatch([][]float64{row.q, good}, 0.3, 0)
+				rs := eng.SearchBatch([][]float64{row.q, good}, 0.3)
 				if rs[0].Err == nil || rs[0].Err.Error() != row.want || rs[0].Matches != nil {
 					t.Errorf("%s: SearchBatch(%s) = %d matches, error %v, want %q", name, row.name, len(rs[0].Matches), rs[0].Err, row.want)
 				}

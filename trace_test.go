@@ -238,7 +238,7 @@ func TestBatchQueriesCounted(t *testing.T) {
 	defer cl.Close()
 	batch := [][]float64{ts[0:l], ts[300 : 300+l], ts[900 : 900+l], {1, 2}}
 	for name, eng := range map[string]*Engine{"local": local, "cluster": cl} {
-		eng.SearchBatch(batch, 0.3, 0)
+		eng.SearchBatch(batch, 0.3)
 		eng.SearchTopKBatch(batch, 3)
 		for _, path := range []string{"search", "topk"} {
 			label := `{path="` + path + `"}`

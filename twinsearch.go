@@ -78,8 +78,11 @@ type Options struct {
 	// indistinguishable from "use the default".)
 	NormSet bool
 
-	MinCap, MaxCap int  // node capacities µc, Mc (defaults 10, 30)
-	BulkLoad       bool // bottom-up construction instead of insertion
+	MinCap, MaxCap int // node capacities µc, Mc (defaults 10, 30)
+	// BulkLoad selects bottom-up construction instead of insertion:
+	// ≈ ×10 faster to build (105 → 10 ms on Insect 20 k), query time a
+	// tie (BenchmarkAblationBulkVsInsert).
+	BulkLoad bool
 
 	// Shards splits the TS-Index into that many window partitions, built
 	// concurrently and searched by parallel fan-out with a deterministic
@@ -89,14 +92,6 @@ type Options struct {
 	// and saved as a bare single-index stream. A negative value selects
 	// one shard per available CPU (GOMAXPROCS).
 	Shards int
-
-	// PartitionByMean makes sharded partitions own mean-sorted runs of
-	// the window positions instead of contiguous ranges: each shard
-	// packs look-alike windows, so its MBTS are tighter and searches
-	// prune more, at the cost of a k-way merge (by start position)
-	// where contiguous shards simply concatenate. Answers are
-	// identical either way. Ignored unless Shards resolves above 1.
-	PartitionByMean bool
 
 	// Workers sizes the engine's query executor — the work-stealing
 	// worker pool that runs every parallel search path: sharded
@@ -401,14 +396,10 @@ func Open(data []float64, opt Options) (*Engine, error) {
 		e.registerClusterGauges()
 		return e, nil
 	}
-	// One shard is built in position order whatever the partition
-	// scheme, so the single index is the same tree either way.
-	shards := resolveShards(opt.Shards)
 	var err error
 	e.sh, err = shard.Build(e.ext, shard.Config{
 		Config: core.Config{L: opt.L, MinCap: opt.MinCap, MaxCap: opt.MaxCap},
-		Shards: shards, BulkLoad: opt.BulkLoad,
-		PartitionByMean: opt.PartitionByMean && shards > 1, Executor: e.ex,
+		Shards: resolveShards(opt.Shards), BulkLoad: opt.BulkLoad, Executor: e.ex,
 	})
 	if err != nil {
 		return nil, err
@@ -883,14 +874,4 @@ func (e *Engine) MappedBytes() int {
 		return e.cl.MappedBytes() // local topology entries only
 	}
 	return e.sh.MappedBytes()
-}
-
-// PartitionByMean reports whether the engine's shards own mean-sorted
-// position runs (see Options.PartitionByMean); always false for the
-// single index.
-func (e *Engine) PartitionByMean() bool {
-	if e.cl != nil {
-		return e.cl.PartitionByMean()
-	}
-	return e.sh.PartitionByMean()
 }
