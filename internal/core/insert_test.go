@@ -164,41 +164,147 @@ func TestSplitSeedsMatchReference(t *testing.T) {
 						positions[i] = positions[i-k/2]
 					}
 
-					wantI, wantJ, maxD, ties := 0, 1, -1.0, 0
-					copies := make([][]float64, k)
-					for i, p := range positions {
-						copies[i] = ext.ExtractCopy(int(p), l)
-					}
-					for i := 0; i < k; i++ {
-						for j := i + 1; j < k; j++ {
-							switch d := series.Chebyshev(copies[i], copies[j]); {
-							case d > maxD:
-								maxD, wantI, wantJ, ties = d, i, j, 0
-							case d == maxD:
-								ties++
-							}
-						}
-					}
-					maxTies += ties
-
-					wins := ix.splitWindows(positions)
-					for i, c := range copies {
-						for x, v := range c {
-							if got := wins[i*l+x]; math.Float64bits(got) != math.Float64bits(v) {
-								t.Fatalf("%v L=%d k=%d: scratch row %d lane %d = %v, window has %v", mode, l, k, i, x, got, v)
-							}
-						}
-					}
-					if si, sj := farthestPair(wins, l, ix.splitDists); si != wantI || sj != wantJ {
-						t.Fatalf("%v L=%d k=%d: sweep seeds (%d, %d), pairwise Chebyshev seeds (%d, %d)",
-							mode, l, k, si, sj, wantI, wantJ)
-					}
+					maxTies += checkSplitSeeds(t, ix, positions)
 				}
 			}
 		}
 	}
 	if maxTies == 0 {
 		t.Fatal("no farthest-pair tie was exercised")
+	}
+
+	// Hand cases under NormNone, one lane a row. Rounding ties:
+	// fl(2^53 − 1 − (−1)) = fl(2^53 + 1) = 2^53, so the first pair at the
+	// largest distance joins a row that is not the lane's extreme — above,
+	// and mirrored below. NaN rows, which are at distance 0 from every
+	// row: all pairs tie at 0, and a NaN row is no candidate.
+	nan := math.NaN()
+	for _, tc := range []struct {
+		rows []float64
+		i, j int
+	}{
+		{[]float64{1<<53 - 1, 1 << 53, -1}, 0, 2},
+		{[]float64{-(1<<53 - 1), -(1 << 53), 1}, 0, 2},
+		{[]float64{nan, 1, 1}, 0, 1},
+		{[]float64{nan, 1, 3}, 1, 2},
+	} {
+		ix, err := NewEmpty(series.NewExtractor(tc.rows, series.NormNone), Config{L: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := tc.rows
+		if wantI, wantJ, _ := farthestPairReference([][]float64{r[:1], r[1:2], r[2:]}); wantI != tc.i || wantJ != tc.j {
+			t.Fatalf("%v: reference seeds (%d, %d), the case wants (%d, %d)", r, wantI, wantJ, tc.i, tc.j)
+		}
+		checkSplitSeeds(t, ix, []int32{0, 1, 2})
+	}
+}
+
+// farthestPairReference is the all-pairs scan: the first pair (i < j)
+// at the largest Chebyshev distance, and how many later pairs tie it.
+func farthestPairReference(rows [][]float64) (wantI, wantJ, ties int) {
+	wantI, wantJ, maxD := 0, 1, -1.0
+	for i := range rows {
+		for j := i + 1; j < len(rows); j++ {
+			switch d := series.Chebyshev(rows[i], rows[j]); {
+			case d > maxD:
+				maxD, wantI, wantJ, ties = d, i, j, 0
+			case d == maxD:
+				ties++
+			}
+		}
+	}
+	return wantI, wantJ, ties
+}
+
+// checkSplitSeeds requires the split scratch to hold the windows at
+// positions bit for bit and the envelope seeds to be the reference's,
+// and returns the reference's tie count.
+func checkSplitSeeds(t *testing.T, ix *Index, positions []int32) int {
+	t.Helper()
+	l, ext := ix.cfg.L, ix.ext
+	copies := make([][]float64, len(positions))
+	for i, p := range positions {
+		copies[i] = ext.ExtractCopy(int(p), l)
+	}
+	wantI, wantJ, ties := farthestPairReference(copies)
+	wins := ix.splitWindows(positions)
+	for i, c := range copies {
+		for x, v := range c {
+			if got := wins[i*l+x]; math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("%v L=%d k=%d: scratch row %d lane %d = %v, window has %v", ext.Mode(), l, len(positions), i, x, got, v)
+			}
+		}
+	}
+	if si, sj := ix.farthestPair(wins); si != wantI || sj != wantJ {
+		t.Fatalf("%v L=%d k=%d: envelope seeds (%d, %d), pairwise Chebyshev seeds (%d, %d)",
+			ext.Mode(), l, len(positions), si, sj, wantI, wantJ)
+	}
+	return ties
+}
+
+// TestInternalSplitSeedsMatchReference holds the pruned internal-split
+// seed scan to the O(k²) Eq. 3 loop it replaces — first strict maximum
+// in (i, j) order, ties included — on sibling groups drawn on a coarse
+// grid (many equal distances, many overlapping bands), groups of
+// copies, and groups whose bands are all disjoint or all overlapping.
+func TestInternalSplitSeedsMatchReference(t *testing.T) {
+	reference := func(children []*node) (si, sj int) {
+		si, sj = 0, 1
+		maxD := -1.0
+		for i := range children {
+			for j := i + 1; j < len(children); j++ {
+				if d := children[i].bounds.DistMBTS(children[j].bounds); d > maxD {
+					maxD, si, sj = d, i, j
+				}
+			}
+		}
+		return si, sj
+	}
+	rng := rand.New(rand.NewSource(25))
+	var ties int
+	for trial := 0; trial < 3000; trial++ {
+		l := []int{1, 3, 7, 100}[trial%4]
+		k := []int{2, 3, 5, DefaultMaxCap + 1}[(trial/4)%4]
+		levels := []int{2, 4, 9, 1000}[(trial/16)%4]
+		ix := &Index{cfg: Config{L: l}}
+		children := make([]*node, k)
+		for i := range children {
+			b := mbts.FromSequence(gridWindow(rng, l, levels))
+			for extra := rng.Intn(3); extra > 0; extra-- {
+				b.ExpandToSequence(gridWindow(rng, l, levels))
+			}
+			if trial%5 == 0 {
+				// Disjoint bands: child i sits i·levels above child 0.
+				for t := range b.Upper {
+					b.Upper[t] += float64(i * levels)
+					b.Lower[t] += float64(i * levels)
+				}
+			}
+			children[i] = &node{bounds: b}
+		}
+		if trial%3 == 0 {
+			// Copies tie with their originals at every distance.
+			for i := k / 2; i < k; i++ {
+				children[i] = &node{bounds: children[rng.Intn(k/2+1)].bounds.Clone()}
+			}
+		}
+		wantI, wantJ := reference(children)
+		if gotI, gotJ := ix.farthestChildren(children); gotI != wantI || gotJ != wantJ {
+			t.Fatalf("trial %d (L=%d k=%d levels=%d): pruned seeds (%d, %d), all-pairs seeds (%d, %d)",
+				trial, l, k, levels, gotI, gotJ, wantI, wantJ)
+		}
+		maxD := children[wantI].bounds.DistMBTS(children[wantJ].bounds)
+		for i := range children {
+			for j := i + 1; j < k; j++ {
+				if (i != wantI || j != wantJ) && children[i].bounds.DistMBTS(children[j].bounds) == maxD {
+					ties++
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no farthest-children tie was exercised")
 	}
 }
 

@@ -12,7 +12,8 @@
 // first one that already encloses the window (distance 0 cannot be
 // beaten and wins every tie) and leaves that child's bounds alone; a
 // leaf split copies its windows once into a flat per-Index scratch and
-// finds the seeds with one kernel sweep per window (split.go).
+// finds the seeds from the windows' envelope, an internal split scores
+// only the child pairs the group's envelope cannot rule out (split.go).
 //
 // Index, the pointer tree, is the builder: it is constructed, appended
 // to, checked and persisted, and compiled by Freeze into the flat
@@ -72,13 +73,8 @@ type Index struct {
 	height int // levels from root to leaves; 1 when the root is a leaf
 	size   int
 
-	winBuf []float64 // reusable insertion window
-
-	// Leaf-split scratch, allocated by the first split and reused by
-	// every later one: the overflowing leaf's MaxCap+1 windows as
-	// consecutive L-length rows, and one sweep's worth of distances.
-	// Transient of construction — not part of MemoryBytes.
-	splitWins, splitDists []float64
+	winBuf []float64    // reusable insertion window
+	split  splitScratch // node-split working memory (split.go)
 }
 
 type node struct {

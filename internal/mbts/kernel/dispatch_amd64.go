@@ -51,6 +51,7 @@ func avx2Impl() Impl {
 		Width:                 widthPortable,
 		WidthIncreaseSequence: widthIncreaseSequencePortable,
 		WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
+		Expand:                expandAVX2,
 	}
 }
 
@@ -90,6 +91,15 @@ func sweepKernel32AVX2(upper, lower *float32, stride int, s *float64, n int, lim
 //go:noescape
 func sweepWindowsKernelAVX2(data *float64, starts *int32, s *float64, n int, limit float64, dists *float64, rows int)
 
+// expandKernelAVX2 grows the n lanes of upper and lower to enclose s,
+// 4 lanes per step: VMAXPD and VMINPD with s as the first Intel source
+// (see "Expansion" in the package comment), both bounds stored back.
+// The n mod 4 tail is loaded and stored through a mask, so nothing past
+// lane n is read or written. n must be positive.
+//
+//go:noescape
+func expandKernelAVX2(upper, lower, s *float64, n int)
+
 // cpuidAsm executes CPUID with EAX=op, ECX=sub.
 func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -124,6 +134,15 @@ func sweepWindowsAVX2(data []float64, starts []int32, s []float64, limit float64
 		limit = 0 // see distAbandonFlatPortable: negative limits act as zero
 	}
 	sweepWindowsKernelAVX2(&data[0], &starts[0], &s[0], len(s), limit, &dists[0], len(starts))
+}
+
+func expandAVX2(upper, lower, s []float64) {
+	n := len(s)
+	if n == 0 {
+		return
+	}
+	upper, lower = upper[:n], lower[:n]
+	expandKernelAVX2(&upper[0], &lower[0], &s[0], n)
 }
 
 // The single-row entry points are the sweep kernel with one row, called

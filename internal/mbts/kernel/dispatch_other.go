@@ -20,3 +20,5 @@ func sweepAbandonFlat32AVX2(upper, lower []float32, stride int, s []float64, lim
 func sweepWindowsAVX2(data []float64, starts []int32, s []float64, limit float64, dists []float64) {
 	sweepWindowsPortable(data, starts, s, limit, dists)
 }
+
+func expandAVX2(upper, lower, s []float64) { expandScalar(upper, lower, s) }

@@ -1,5 +1,6 @@
 // AVX2 Eq. 2 sibling-sweep kernels (float64 and float32 bound rows), the
-// candidate-window sweep, and the CPUID/XGETBV feature probes.
+// candidate-window sweep, band expansion, and the CPUID/XGETBV feature
+// probes.
 //
 // Lane recipe (4 float64 per step), mirroring portable.go's excursion:
 //
@@ -331,6 +332,56 @@ abandonW:
 	MOVQ $0xBFF0000000000000, AX // -1: the abandoned-row marker
 	MOVQ AX, (R11)
 	JMP  nextW
+
+// func expandKernelAVX2(upper, lower, s *float64, n int)
+//
+// Band expansion: Go's `VMAXPD u, v, dst` is Intel's VMAXPD dst, v, u,
+// which is (v > u) ? v : u per lane — u on NaN and on equal zeros, as
+// the scalar `if v > u` — and VMINPD likewise with <. The n mod 4 tail
+// is loaded and stored through the tail mask; masked-out lanes are
+// neither read nor written (nor fault).
+TEXT ·expandKernelAVX2(SB), NOSPLIT, $0-32
+	MOVQ upper+0(FP), SI
+	MOVQ lower+8(FP), DI
+	MOVQ s+16(FP), DX
+	MOVQ n+24(FP), CX
+
+	MOVQ CX, R13
+	ANDQ $3, R13                 // R13 = tail lanes (n mod 4)
+	SUBQ R13, CX
+	SHLQ $3, CX                  // CX = bytes covered by whole 4-lane steps
+	XORQ BX, BX                  // BX = byte offset into s and both bounds
+	CMPQ BX, CX
+	JAE  tailE
+
+stepE:
+	VMOVUPD (DX)(BX*1), Y1       // v
+	VMAXPD  (SI)(BX*1), Y1, Y2   // (v > u) ? v : u
+	VMINPD  (DI)(BX*1), Y1, Y3   // (v < l) ? v : l
+	VMOVUPD Y2, (SI)(BX*1)
+	VMOVUPD Y3, (DI)(BX*1)
+	ADDQ $32, BX
+	CMPQ BX, CX
+	JB   stepE
+
+tailE:
+	TESTQ R13, R13
+	JZ    doneE
+	LEAQ tailmask<>(SB), AX
+	MOVQ $4, R9
+	SUBQ R13, R9
+	VMOVDQU    (AX)(R9*8), Y10   // Y10 = first-R13-lanes mask
+	VMASKMOVPD (DX)(BX*1), Y10, Y1
+	VMASKMOVPD (SI)(BX*1), Y10, Y2
+	VMASKMOVPD (DI)(BX*1), Y10, Y3
+	VMAXPD     Y2, Y1, Y2
+	VMINPD     Y3, Y1, Y3
+	VMASKMOVPD Y2, Y10, (SI)(BX*1)
+	VMASKMOVPD Y3, Y10, (DI)(BX*1)
+
+doneE:
+	VZEROUPPER
+	RET
 
 // func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24

@@ -3,6 +3,7 @@
 package kernel
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -43,5 +44,51 @@ func TestSweepWindowsGuardPage(t *testing.T) {
 		last := int32(len(data) - n)
 		checkWindowSweep(t, data, []int32{last, 0, last - 1, last}, s, 1)
 		checkWindowSweep(t, data, []int32{last}, s, 5) // never abandons: the tail runs
+	}
+}
+
+// TestExpandGuardPage expands bands whose upper bound, lower bound and
+// sequence each end on the last byte before an inaccessible page: a
+// tail step that loaded or stored a whole vector, or a masked access
+// that touched a lane past n, faults here instead of reading or
+// overwriting a neighbour unnoticed. Every n mod 4, on every
+// implementation.
+func TestExpandGuardPage(t *testing.T) {
+	page := os.Getpagesize()
+	buf, err := syscall.Mmap(-1, 0, 6*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	defer syscall.Munmap(buf)
+	// Three writable pages, each followed by a guard page.
+	region := make([][]float64, 3)
+	for r := range region {
+		if err := syscall.Mprotect(buf[(2*r+1)*page:(2*r+2)*page], syscall.PROT_NONE); err != nil {
+			t.Skipf("mprotect: %v", err)
+		}
+		//tsvet:ignore each array must be the mapping itself for its last lane to border a guard page; page-aligned and page-sized
+		region[r] = unsafe.Slice((*float64)(unsafe.Pointer(&buf[2*r*page])), page/8)
+	}
+	rng := rand.New(rand.NewSource(25))
+	for n := 1; n <= 45; n++ {
+		end := page/8 - n
+		u, l, s := region[0][end:], region[1][end:], region[2][end:]
+		for i := 0; i < n; i++ {
+			a, b := rng.NormFloat64(), rng.NormFloat64()
+			u[i], l[i], s[i] = max(a, b), min(a, b), 2*rng.NormFloat64()
+		}
+		origU, origL := append([]float64(nil), u...), append([]float64(nil), l...)
+		wantU, wantL := append([]float64(nil), u...), append([]float64(nil), l...)
+		expandScalar(wantU, wantL, s)
+		for name, expand := range expanders() {
+			copy(u, origU)
+			copy(l, origL)
+			expand(u, l, s)
+			for i := range wantU {
+				if !bitsEq(u[i], wantU[i]) || !bitsEq(l[i], wantL[i]) {
+					t.Fatalf("%s n=%d lane %d: (%v, %v), scalar (%v, %v)", name, n, i, u[i], l[i], wantU[i], wantL[i])
+				}
+			}
+		}
 	}
 }

@@ -2,15 +2,18 @@
 // the TS-Index funnels through — the Eq. 2 sequence-to-MBTS distance
 // (DistFlat), its early-abandoning form (DistAbandonFlat), the sibling
 // sweep that scores a run of consecutive bound rows against one query
-// in a single forward pass (SweepAbandonFlat — how a leaf split scores
-// one window against all the others: with both bounds set to a window,
-// Eq. 2 is the Chebyshev distance to it; its float32-bound twin,
+// in a single forward pass (SweepAbandonFlat — how a leaf verifies
+// per-subsequence-normalised candidates laid out as rows: with both
+// bounds set to a window, Eq. 2 is the Chebyshev distance to it; its
+// float32-bound twin,
 // SweepAbandonFlat32, is how the frozen arena tests all of a node's
 // children at once — see "Half-width bounds"), the candidate sweep that
 // scores windows of a flat series by start position (SweepWindows — how
 // a leaf verifies its candidates, see "Candidate windows"), the Eq. 3
-// MBTS-to-MBTS distance (DistMBTS), and the split-heuristic width
-// measures (Width, WidthIncrease*).
+// MBTS-to-MBTS distance (DistMBTS), the split-heuristic width
+// measures (Width, WidthIncrease*), and the one mutating entry point,
+// Expand, which grows a band to enclose a sequence (every insert's
+// descent step and leaf assignment).
 //
 // Three implementations exist, all bit-for-bit identical on every
 // input:
@@ -113,6 +116,18 @@
 // where the row forms wait for 8, 16, 32, then 64; both are
 // unobservable, the maximum being order-independent and the schedule
 // monotone as above.
+//
+// # Expansion
+//
+// Expand is the scalar loop `if v > u { u = v }; if v < l { l = v }`,
+// lane by lane, and every form reproduces it bit for bit: a NaN in s
+// changes nothing, a NaN bound stays NaN, and a ±0 the comparison cannot
+// order keeps the bound's sign. The assembly gets that from VMAXPD and
+// VMINPD with the window as the first Intel source, which the
+// instructions define as (v > u) ? v : u and (v < l) ? v : l — the
+// bound, their second source, is returned on NaN and on equal zeros.
+// The portable form is the scalar loop itself: no branch-free variant
+// has been measured faster on a CPU without AVX2.
 package kernel
 
 import (
@@ -145,6 +160,9 @@ type Impl struct {
 	Width                 func(upper, lower []float64) float64
 	WidthIncreaseSequence func(upper, lower, s []float64) float64
 	WidthIncreaseMBTS     func(bUpper, bLower, oUpper, oLower []float64) float64
+
+	// Expand grows the band in place (see "Expansion").
+	Expand func(upper, lower, s []float64)
 }
 
 // scalarImpl is the original branchy loops — the differential oracle.
@@ -161,6 +179,7 @@ var scalarImpl = Impl{
 	Width:                 widthScalar,
 	WidthIncreaseSequence: widthIncreaseSequenceScalar,
 	WidthIncreaseMBTS:     widthIncreaseMBTSScalar,
+	Expand:                expandScalar,
 }
 
 // portableImpl is the branch-free blocked form — the semantic
@@ -178,6 +197,7 @@ var portableImpl = Impl{
 	Width:                 widthPortable,
 	WidthIncreaseSequence: widthIncreaseSequencePortable,
 	WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
+	Expand:                expandScalar, // see "Expansion"
 }
 
 // active is the dispatched implementation, fixed at init — reads after
@@ -371,4 +391,17 @@ func WidthIncreaseSequence(upper, lower, s []float64) float64 {
 // enclosed.
 func WidthIncreaseMBTS(bUpper, bLower, oUpper, oLower []float64) float64 {
 	return active.WidthIncreaseMBTS(bUpper, bLower, oUpper, oLower)
+}
+
+// Expand grows [lower, upper] in place just enough to enclose s, lane by
+// lane: upper[i] = (s[i] > upper[i]) ? s[i] : upper[i], and lower[i]
+// likewise with <. Lanes past len(s) are untouched; it panics when
+// either bound is shorter than s. Direct dispatch, as SweepAbandonFlat;
+// the portable form is the scalar loop (see "Expansion").
+func Expand(upper, lower, s []float64) {
+	if active.Name == "avx2" {
+		expandAVX2(upper, lower, s)
+		return
+	}
+	expandScalar(upper, lower, s)
 }

@@ -140,6 +140,18 @@ func widthIncreaseSequenceScalar(upper, lower, s []float64) float64 {
 	return inc
 }
 
+// expandScalar is mbts.ExpandToSequence's original loop, verbatim.
+func expandScalar(upper, lower, s []float64) {
+	for i, v := range s {
+		if v > upper[i] {
+			upper[i] = v
+		}
+		if v < lower[i] {
+			lower[i] = v
+		}
+	}
+}
+
 func widthIncreaseMBTSScalar(bUpper, bLower, oUpper, oLower []float64) float64 {
 	var inc float64
 	for i := range bUpper {

@@ -76,16 +76,10 @@ func (b *MBTS) SetTo(s []float64) {
 	copy(b.Lower, s)
 }
 
-// ExpandToSequence grows the bounds just enough to enclose s.
+// ExpandToSequence grows the bounds just enough to enclose s, through
+// the dispatched kernel (kernel.Expand).
 func (b *MBTS) ExpandToSequence(s []float64) {
-	for i, v := range s {
-		if v > b.Upper[i] {
-			b.Upper[i] = v
-		}
-		if v < b.Lower[i] {
-			b.Lower[i] = v
-		}
-	}
+	kernel.Expand(b.Upper, b.Lower, s)
 }
 
 // ExpandToMBTS grows the bounds just enough to enclose another MBTS.

@@ -80,8 +80,14 @@ type Options struct {
 
 	MinCap, MaxCap int // node capacities µc, Mc (defaults 10, 30)
 	// BulkLoad selects bottom-up construction instead of insertion:
-	// ≈ ×10 faster to build (105 → 10 ms on Insect 20 k), query time a
-	// tie (BenchmarkAblationBulkVsInsert).
+	// ≈ ×10 faster to build (105 → 10 ms on Insect 20 k), at a query
+	// cost that depends on the series. On Insect 20 k the queries tie;
+	// on EEG 200 k under NormGlobal at ε = 0.2 the bulk tree verifies
+	// ≈ 120× the candidates and answers ≈ 5× slower — 49.8 k against
+	// 418 candidates, 777 against 125 µs a range query and 2.39 against
+	// 0.38 ms a top-10 query over 300 queries; 51.8 k against 425,
+	// 0.65 against 0.12–0.16 ms and 2.1 against 0.41 ms in
+	// BenchmarkAblationBulkVsInsert's served rows (64 queries, -cpu 1).
 	BulkLoad bool
 
 	// Shards splits the TS-Index into that many window partitions, built
