@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
@@ -93,6 +94,7 @@ func (e *Engine) SaveIndexFile(path string) error {
 // sniffSaved); a saved index is a pure function of (series, options),
 // so rebuilding it is the migration.
 func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
+	start := time.Now()
 	if err := opt.check(data); err != nil {
 		return nil, err
 	}
@@ -114,7 +116,11 @@ func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
 			e.sh, err = shard.Single(fz, e.ex)
 		}
 	}
-	return e.opened(err)
+	if err := e.opened(err); err != nil {
+		return nil, err
+	}
+	e.registerIndexInfo(start)
+	return e, nil
 }
 
 // savedHeaderLen is the prefix every saved index starts with: a 4-byte
@@ -147,14 +153,14 @@ func sniffSaved(hdr []byte) (sharded bool, err error) {
 
 // opened finishes a saved open: loadErr is the loader's verdict on
 // e.sh, and the index must have been built for the L the options ask.
-func (e *Engine) opened(loadErr error) (*Engine, error) {
+func (e *Engine) opened(loadErr error) error {
 	if loadErr != nil {
-		return nil, loadErr
+		return loadErr
 	}
 	if e.sh.L() != e.opt.L {
-		return nil, fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), e.opt.L)
+		return fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), e.opt.L)
 	}
-	return e, nil
+	return nil
 }
 
 // OpenSavedFile is OpenSaved from a file path. With Options.MMap it is
@@ -188,6 +194,7 @@ var errNotMappable = errors.New("twinsearch: saved index cannot be mapped in pla
 
 // openSavedMapped is the Options.MMap half of OpenSavedFile.
 func openSavedMapped(data []float64, path string, opt Options) (*Engine, error) {
+	start := time.Now()
 	if err := opt.check(data); err != nil {
 		return nil, err
 	}
@@ -212,6 +219,7 @@ func openSavedMapped(data []float64, path string, opt Options) (*Engine, error) 
 		// tail: advise the kernel, then touch a bounded prefix.
 		ar.Prefetch(0)
 	}
+	eng.registerIndexInfo(start)
 	return eng, nil
 }
 
@@ -232,7 +240,7 @@ func engineFromArena(data []float64, ar *arena.Arena, opt Options) (*Engine, err
 			e.sh, err = shard.Single(fz, e.ex)
 		}
 	}
-	if e, err = e.opened(err); err != nil {
+	if err := e.opened(err); err != nil {
 		return nil, err
 	}
 	e.ar = ar

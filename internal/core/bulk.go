@@ -64,37 +64,34 @@ func BuildBulkRange(ext *series.Extractor, cfg Config, lo, hi int) (*Index, erro
 	}
 	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
 
-	// Pack leaves.
-	buf := make([]float64, cfg.L)
+	// Pack leaves, then parent levels until a single root remains. Each
+	// level's bounds start as the rows of one block, node j's at row j,
+	// and move into the parents' blocks as the next level adopts them.
 	groups := packGroups(count, cfg.MaxCap)
 	level := make([]*node, 0, len(groups))
+	rows := mbts.New(len(groups) * cfg.L)
 	at := 0
-	for _, g := range groups {
-		leaf := &node{leaf: true, positions: make([]int32, g)}
-		for j, oi := range idx[at : at+g] {
-			leaf.positions[j] = int32(lo + oi)
+	for j, g := range groups {
+		leaf := &node{bounds: rows.Row(j, cfg.L), leaf: true, positions: make([]int32, g)}
+		for k, oi := range idx[at : at+g] {
+			leaf.positions[k] = int32(lo + oi)
 		}
-		leaf.bounds = mbts.FromSequence(ext.Extract(int(leaf.positions[0]), cfg.L, buf))
-		for _, p := range leaf.positions[1:] {
-			leaf.bounds.ExpandToSequence(ext.Extract(int(p), cfg.L, buf))
-		}
+		ix.enclose(leaf)
 		level = append(level, leaf)
 		at += g
 	}
 	ix.size = count
 	ix.height = 1
 
-	// Pack parent levels until a single root remains.
 	for len(level) > 1 {
 		groups := packGroups(len(level), cfg.MaxCap)
 		next := make([]*node, 0, len(groups))
+		rows := mbts.New(len(groups) * cfg.L)
 		at := 0
-		for _, g := range groups {
-			parent := &node{children: make([]*node, g)}
-			copy(parent.children, level[at:at+g])
-			parent.bounds = parent.children[0].bounds.Clone()
-			for _, c := range parent.children[1:] {
-				parent.bounds.ExpandToMBTS(c.bounds)
+		for j, g := range groups {
+			parent := ix.newInternal(rows.Row(j, cfg.L))
+			for _, c := range level[at : at+g] {
+				ix.adopt(parent, c)
 			}
 			next = append(next, parent)
 			at += g
@@ -102,7 +99,7 @@ func BuildBulkRange(ext *series.Extractor, cfg Config, lo, hi int) (*Index, erro
 		level = next
 		ix.height++
 	}
-	ix.root = level[0]
+	ix.seat(level[0])
 	return ix, nil
 }
 

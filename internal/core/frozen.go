@@ -98,22 +98,16 @@ func (ix *Index) Freeze() *Frozen {
 	}
 	// BFS walk: count nodes per kind first so the arenas allocate once.
 	order := []*node{ix.root}
+	internal, npos := 0, 0
 	for at := 0; at < len(order); at++ {
-		if n := order[at]; !n.leaf {
-			order = append(order, n.children...)
-		}
-	}
-	nn := len(order)
-	internal := 0
-	npos := 0
-	for _, n := range order {
-		if n.leaf {
+		if n := order[at]; n.leaf {
 			npos += len(n.positions)
 		} else {
 			internal++
+			order = append(order, n.children...)
 		}
 	}
-	l := ix.cfg.L
+	nn, l := len(order), ix.cfg.L
 	f.leafStart = int32(internal)
 	f.first = make([]int32, nn)
 	f.count = make([]int32, nn)
@@ -121,18 +115,24 @@ func (ix *Index) Freeze() *Frozen {
 	f.upper = make([]float32, nn*l)
 	f.lower = make([]float32, nn*l)
 
+	// Every node's children are one block of rows already in child
+	// order, and BFS numbers them consecutively: the bounds are the
+	// root's row, then each internal node's block, narrowed in turn.
+	kernel.NarrowBounds(f.upper[:l], f.lower[:l], ix.root.bounds.Upper, ix.root.bounds.Lower)
 	childAt := int32(1) // node 0 is the root; its children start at 1
 	for i, n := range order {
-		kernel.NarrowBounds(f.upper[i*l:(i+1)*l], f.lower[i*l:(i+1)*l], n.bounds.Upper, n.bounds.Lower)
 		if n.leaf {
 			f.first[i] = int32(len(f.positions))
 			f.count[i] = int32(len(n.positions))
 			f.positions = append(f.positions, n.positions...)
 			continue
 		}
+		k := len(n.children)
+		at := int(childAt) * l
+		kernel.NarrowBounds(f.upper[at:at+k*l], f.lower[at:at+k*l], n.rows.Upper[:k*l], n.rows.Lower[:k*l])
 		f.first[i] = childAt
-		f.count[i] = int32(len(n.children))
-		childAt += int32(len(n.children))
+		f.count[i] = int32(k)
+		childAt += int32(k)
 	}
 	return f
 }
@@ -144,29 +144,38 @@ func (ix *Index) Freeze() *Frozen {
 // it, so the bounds are recomputed from the series bottom-up (children
 // follow their parent in BFS order, hence the descending walk) and come
 // out bit for bit as the builder had them: append after thaw ≡ rebuild.
+// A first, ascending walk gives each internal node a block sized to its
+// children and each child its row there, so every bound is computed in
+// place (a block grows when a later insert needs a row past it: adopt).
 func (f *Frozen) Thaw() *Index {
-	ix := &Index{ext: f.ext, cfg: f.cfg, size: f.size, height: f.height,
-		winBuf: make([]float64, f.cfg.L)}
-	if len(f.first) == 0 {
+	ix := newIndex(f.ext, f.cfg)
+	ix.size, ix.height = f.size, f.height
+	nn, l := len(f.first), f.cfg.L
+	if nn == 0 {
 		return ix
 	}
-	nodes := make([]*node, len(f.first))
-	for i := len(nodes) - 1; i >= 0; i-- {
-		n := &node{bounds: mbts.New(f.cfg.L), leaf: f.isLeaf(int32(i))}
-		nodes[i] = n
+	nodes := make([]*node, nn)
+	nodes[0] = &node{bounds: ix.top.Row(0, l)}
+	for i, n := range nodes {
 		lo, c := f.first[i], f.count[i]
-		if n.leaf {
+		if n.leaf = f.isLeaf(int32(i)); n.leaf {
 			n.positions = append([]int32(nil), f.positions[lo:lo+c]...)
-			n.bounds.SetTo(f.ext.Extract(int(n.positions[0]), f.cfg.L, ix.winBuf))
-			for _, p := range n.positions[1:] {
-				n.bounds.ExpandToSequence(f.ext.Extract(int(p), f.cfg.L, ix.winBuf))
-			}
 			continue
 		}
+		n.rows = mbts.New(int(c) * l)
+		for j := range int(c) {
+			nodes[int(lo)+j] = &node{bounds: n.rows.Row(j, l)}
+		}
 		n.children = append([]*node(nil), nodes[lo:lo+c]...)
-		n.bounds.CopyFrom(n.children[0].bounds)
-		for _, ch := range n.children[1:] {
-			n.bounds.ExpandToMBTS(ch.bounds)
+	}
+	for i := nn - 1; i >= 0; i-- {
+		if n := nodes[i]; n.leaf {
+			ix.enclose(n)
+		} else {
+			n.bounds.CopyFrom(n.rows.Row(0, l))
+			for j := 1; j < len(n.children); j++ {
+				n.bounds.ExpandToMBTS(n.rows.Row(j, l))
+			}
 		}
 	}
 	ix.root = nodes[0]

@@ -175,6 +175,7 @@ func TestFrozenStreamErrors(t *testing.T) {
 		"huge node count":  put64(40, 0xFFFFFFFFFFFFFFFF), // nodeCount+leafStart
 		"huge size":        put64(24, 1<<60),
 		"huge height":      mutate(20, 0xFF),
+		"huge MaxCap":      mutate(19, 0x7F),              // a valid tree: only the MaxCap bound refuses it
 		"misaligned first": put64(48, frozenHeaderSize+1), // off-by-one section offset
 		"aliased sections": put64(56, frozenHeaderSize),   // countOff == firstOff
 		"shifted offsets":  put64(64, 1<<40),              // positionsOff far past the stream

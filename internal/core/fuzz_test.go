@@ -7,6 +7,7 @@ import (
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/mbts"
 	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
@@ -299,6 +300,62 @@ func FuzzLeafVerify(f *testing.F) {
 		}
 		if got, want := swept.sorted(), oracle.TopK(ext, q, k); !slices.Equal(got, want) || !slices.Equal(single.sorted(), want) {
 			t.Fatalf("top-%d: swept %v, oracle %v", k, got, want)
+		}
+	})
+}
+
+// FuzzChooseChild holds the insert descent's block chooser to the
+// per-child reference loop (chooseChildReference): on grid-valued
+// sibling blocks, where ties at 0 and above 0 are common, with
+// duplicated rows, and from a hint drawn from [−1, c+2) — stale and out
+// of range included — every window must get the same child at the same
+// distance, and leave that child's index as the next hint.
+//
+// Input bytes, taken in order: per child two grid values a lane (the
+// band between them; a child whose first byte is ≥ 224 copies the
+// previous child's row instead), then windows of L lanes on a wider
+// grid, so some lie outside every band.
+func FuzzChooseChild(f *testing.F) {
+	f.Add([]byte{0, 0, 2, 2, 3, 4, 0}, uint8(0), uint8(1), uint8(1)) // the hint's sibling wins
+	f.Add([]byte{0, 3, 1, 2, 0, 3, 1, 2, 1, 2, 1, 2}, uint8(1), uint8(2), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 1, 240, 9, 9, 9, 2, 2, 5, 5, 0, 1}, uint8(1), uint8(3), uint8(5))
+	f.Add(bytes.Repeat([]byte{0, 3, 2, 1, 230, 7}, 12), uint8(2), uint8(5), uint8(1))
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 20), uint8(6), uint8(4), uint8(255))
+
+	f.Fuzz(func(t *testing.T, raw []byte, lByte, cByte, hintByte uint8) {
+		l, c := 1+int(lByte)%8, 1+int(cByte)%12
+		if len(raw) < (2*c+1)*l {
+			return
+		}
+		bounds := make([]mbts.MBTS, c)
+		for i := range bounds {
+			lanes := raw[2*i*l : 2*(i+1)*l]
+			if i > 0 && lanes[0] >= 224 {
+				bounds[i] = bounds[i-1]
+				continue
+			}
+			bounds[i] = mbts.New(l)
+			for x := 0; x < l; x++ {
+				a, b := float64(lanes[x]%4), float64(lanes[l+x]%4)
+				bounds[i].Upper[x], bounds[i].Lower[x] = max(a, b), min(a, b)
+			}
+		}
+		n, ix := parentOf(bounds...), &Index{}
+		for j, at := 0, 2*c*l; at+l <= len(raw); j, at = j+1, at+l {
+			w := make([]float64, l)
+			for x := range w {
+				w[x] = float64(raw[at+x]%6) - 1
+			}
+			n.hint = (int(hintByte)+j)%(c+3) - 1
+			want := chooseChildReference(n, w)
+			got, dist := ix.chooseChild(n, w)
+			if got != want || distTo(got, w) != dist {
+				t.Fatalf("window %d %v, %d children: chose child at distance %v, reference chose one at %v",
+					j, w, c, dist, distTo(want, w))
+			}
+			if n.children[n.hint] != got {
+				t.Fatalf("window %d: hint left at %d, not at the chosen child", j, n.hint)
+			}
 		}
 	})
 }

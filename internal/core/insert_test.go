@@ -9,6 +9,7 @@ import (
 
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/mbts"
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
 )
 
@@ -22,7 +23,7 @@ func chooseChildReference(n *node, w []float64) *node {
 	bestDist := math.Inf(1)
 	bestInc := -1.0
 	for _, c := range n.children {
-		d, ok := c.bounds.DistSequenceAbandon(w, bestDist)
+		d, ok := kernel.DistAbandonFlat(c.bounds.Upper, c.bounds.Lower, w, bestDist)
 		if !ok {
 			continue
 		}
@@ -31,9 +32,9 @@ func chooseChildReference(n *node, w []float64) *node {
 			best, bestDist, bestInc = c, d, -1
 		case d == bestDist:
 			if bestInc < 0 {
-				bestInc = best.bounds.WidthIncreaseSequence(w)
+				bestInc = kernel.WidthIncreaseSequence(best.bounds.Upper, best.bounds.Lower, w)
 			}
-			if inc := c.bounds.WidthIncreaseSequence(w); inc < bestInc {
+			if inc := kernel.WidthIncreaseSequence(c.bounds.Upper, c.bounds.Lower, w); inc < bestInc {
 				best, bestInc = c, inc
 			}
 		}
@@ -88,20 +89,20 @@ func TestChooseChildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 400; trial++ {
 		l := []int{1, 7, 33, 100}[trial%4]
-		n := &node{}
+		var bounds []mbts.MBTS
 		for c := 2 + rng.Intn(8); c > 0; c-- {
 			// Children enclosing 1–4 grid windows each overlap heavily.
 			b := mbts.FromSequence(gridWindow(rng, l, 4))
 			for extra := rng.Intn(4); extra > 0; extra-- {
 				b.ExpandToSequence(gridWindow(rng, l, 4))
 			}
-			n.children = append(n.children, &node{bounds: b})
+			bounds = append(bounds, b)
 		}
 		if trial%3 == 0 {
 			// A duplicated child ties with its original at every distance.
-			dup := n.children[rng.Intn(len(n.children))]
-			n.children = append(n.children, &node{bounds: dup.bounds.Clone()})
+			bounds = append(bounds, bounds[rng.Intn(len(bounds))])
 		}
+		n := parentOf(bounds...)
 		for q := 0; q < 20; q++ {
 			check(n, gridWindow(rng, l, 4)) // mostly enclosed somewhere
 			check(n, gridWindow(rng, l, 7)) // mostly outside everything
@@ -113,16 +114,27 @@ func TestChooseChildMatchesReference(t *testing.T) {
 	}
 
 	// A constant series: every child encloses every window.
-	flat := &node{}
-	for i := 0; i < 5; i++ {
-		flat.children = append(flat.children, &node{bounds: mbts.FromSequence(make([]float64, 9))})
-	}
+	zero := mbts.FromSequence(make([]float64, 9))
+	flat := parentOf(zero, zero, zero, zero, zero)
 	check(flat, make([]float64, 9))
 
 	// One child, enclosing and not.
-	one := &node{children: []*node{{bounds: mbts.FromSequence([]float64{1, 2, 3})}}}
+	one := parentOf(mbts.FromSequence([]float64{1, 2, 3}))
 	check(one, []float64{1, 2, 3})
 	check(one, []float64{1, 5, 3})
+}
+
+// parentOf is an internal node whose block holds bounds as its
+// children's rows, in order, each child's bounds a view of its row.
+func parentOf(bounds ...mbts.MBTS) *node {
+	l := bounds[0].Len()
+	n := &node{rows: mbts.New(len(bounds) * l)}
+	for i, b := range bounds {
+		row := n.rows.Row(i, l)
+		row.CopyFrom(b)
+		n.children = append(n.children, &node{bounds: row})
+	}
+	return n
 }
 
 // distTo is the Eq. 2 distance from w to n's bounds.
@@ -286,7 +298,9 @@ func TestInternalSplitSeedsMatchReference(t *testing.T) {
 		if trial%3 == 0 {
 			// Copies tie with their originals at every distance.
 			for i := k / 2; i < k; i++ {
-				children[i] = &node{bounds: children[rng.Intn(k/2+1)].bounds.Clone()}
+				orig := children[rng.Intn(k/2+1)].bounds
+				children[i] = &node{bounds: mbts.New(l)}
+				children[i].bounds.CopyFrom(orig)
 			}
 		}
 		wantI, wantJ := reference(children)

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"twinsearch/internal/mbts"
+)
 
 // CheckInvariants validates the structural invariants the paper's
 // construction guarantees; tests call it after builds and mutation
@@ -12,6 +17,8 @@ import "fmt"
 //     the root holds at most MaxCap;
 //   - every node's MBTS encloses its children's MBTS (internal) or the
 //     exact windows of its positions (leaf);
+//   - every node's bounds are its row of its parent's block (the
+//     root's, of Index.top);
 //   - every inserted window is reachable exactly once.
 func (ix *Index) CheckInvariants() error {
 	if ix.root == nil {
@@ -20,46 +27,19 @@ func (ix *Index) CheckInvariants() error {
 		}
 		return nil
 	}
+	if !sameRow(ix.root.bounds, ix.top.Row(0, ix.cfg.L)) {
+		return fmt.Errorf("core: root bounds are not row 0 of the index's block")
+	}
 	total := 0
 	buf := make([]float64, ix.cfg.L)
-	var walk func(n *node, depth int, isRoot bool) error
-	walk = func(n *node, depth int, isRoot bool) error {
-		if n.leaf {
-			if depth != ix.height {
-				return fmt.Errorf("core: leaf at depth %d, height %d", depth, ix.height)
-			}
-			if !isRoot && (len(n.positions) < ix.cfg.MinCap || len(n.positions) > ix.cfg.MaxCap) {
-				return fmt.Errorf("core: leaf occupancy %d outside [%d, %d]", len(n.positions), ix.cfg.MinCap, ix.cfg.MaxCap)
-			}
-			if isRoot && len(n.positions) > ix.cfg.MaxCap {
-				return fmt.Errorf("core: root leaf occupancy %d exceeds %d", len(n.positions), ix.cfg.MaxCap)
-			}
-			for _, p := range n.positions {
-				w := ix.ext.Extract(int(p), ix.cfg.L, buf)
-				if !n.bounds.ContainsSequence(w) {
-					return fmt.Errorf("core: leaf MBTS does not enclose window %d", p)
-				}
-			}
+	var err error
+	ix.each(func(n *node, depth int) {
+		if err == nil {
+			err = ix.checkNode(n, depth, buf)
 			total += len(n.positions)
-			return nil
 		}
-		if !isRoot && (len(n.children) < ix.cfg.MinCap || len(n.children) > ix.cfg.MaxCap) {
-			return fmt.Errorf("core: internal occupancy %d outside [%d, %d]", len(n.children), ix.cfg.MinCap, ix.cfg.MaxCap)
-		}
-		if isRoot && (len(n.children) < 2 || len(n.children) > ix.cfg.MaxCap) {
-			return fmt.Errorf("core: root occupancy %d outside [2, %d]", len(n.children), ix.cfg.MaxCap)
-		}
-		for _, c := range n.children {
-			if !n.bounds.ContainsMBTS(c.bounds) {
-				return fmt.Errorf("core: parent MBTS does not enclose child at depth %d", depth)
-			}
-			if err := walk(c, depth+1, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(ix.root, 1, true); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	if total != ix.size {
@@ -68,25 +48,53 @@ func (ix *Index) CheckInvariants() error {
 	return nil
 }
 
+// checkNode is CheckInvariants on one node at depth (the root's is 1).
+func (ix *Index) checkNode(n *node, depth int, buf []float64) error {
+	if n.leaf && depth != ix.height {
+		return fmt.Errorf("core: leaf at depth %d, height %d", depth, ix.height)
+	}
+	entries, minEntries := len(n.children)+len(n.positions), ix.cfg.MinCap
+	if depth == 1 {
+		minEntries = 2 // an internal root; a root leaf holds any number
+		if n.leaf {
+			minEntries = 0
+		}
+	}
+	if entries < minEntries || entries > ix.cfg.MaxCap {
+		return fmt.Errorf("core: occupancy %d at depth %d outside [%d, %d]", entries, depth, minEntries, ix.cfg.MaxCap)
+	}
+	for _, p := range n.positions {
+		if !n.bounds.ContainsSequence(ix.ext.Extract(int(p), ix.cfg.L, buf)) {
+			return fmt.Errorf("core: leaf MBTS does not enclose window %d", p)
+		}
+	}
+	for i, c := range n.children {
+		if !sameRow(c.bounds, n.rows.Row(i, ix.cfg.L)) {
+			return fmt.Errorf("core: child %d at depth %d is not bounded at its row of the parent's block", i, depth+1)
+		}
+		if !n.bounds.ContainsMBTS(c.bounds) {
+			return fmt.Errorf("core: parent MBTS does not enclose child at depth %d", depth)
+		}
+	}
+	return nil
+}
+
+// sameRow reports whether a and b view the same memory.
+func sameRow(a, b mbts.MBTS) bool {
+	return len(a.Upper) == len(b.Upper) && len(a.Lower) == len(b.Lower) &&
+		&a.Upper[0] == &b.Upper[0] && &a.Lower[0] == &b.Lower[0]
+}
+
 // LeafFill returns the mean leaf occupancy, an index-quality diagnostic
 // used by the ablation benchmarks.
 func (ix *Index) LeafFill() float64 {
 	leaves, entries := 0, 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
+	ix.each(func(n *node, _ int) {
 		if n.leaf {
 			leaves++
 			entries += len(n.positions)
-			return
 		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(ix.root)
+	})
 	if leaves == 0 {
 		return 0
 	}
@@ -98,21 +106,12 @@ func (ix *Index) LeafFill() float64 {
 func (ix *Index) MeanLeafWidth() float64 {
 	leaves := 0
 	var sum float64
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
+	ix.each(func(n *node, _ int) {
 		if n.leaf {
 			leaves++
 			sum += n.bounds.Width() / float64(ix.cfg.L)
-			return
 		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(ix.root)
+	})
 	if leaves == 0 {
 		return 0
 	}
@@ -121,25 +120,9 @@ func (ix *Index) MeanLeafWidth() float64 {
 
 // verifyReachable is a test helper: it confirms position p is indexed.
 func (ix *Index) verifyReachable(p int) bool {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n == nil {
-			return false
-		}
-		if n.leaf {
-			for _, q := range n.positions {
-				if int(q) == p {
-					return true
-				}
-			}
-			return false
-		}
-		for _, c := range n.children {
-			if walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(ix.root)
+	found := false
+	ix.each(func(n *node, _ int) {
+		found = found || slices.Contains(n.positions, int32(p))
+	})
+	return found
 }

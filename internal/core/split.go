@@ -7,42 +7,43 @@ import (
 	"twinsearch/internal/mbts/kernel"
 )
 
-// splitScratch is the working memory of node splits, sized by the first
-// split and reused by every later one (a split node always holds
-// MaxCap+1 entries). Transient of construction — not part of
-// MemoryBytes.
+// splitScratch is the working memory of node splits and of the descent,
+// sized by the first split and reused by every later one (a split node
+// always holds MaxCap+1 entries). Transient of construction — not part
+// of MemoryBytes.
 type splitScratch struct {
 	wins   []float64 // a leaf's windows as consecutive L-length rows
 	hi, lo []float64 // an L-lane envelope
 	reach  []float64 // per child: the most it can be from any sibling
+	dists  []float64 // per child: its distance from the window (chooseChild)
 	lanes  []int     // the envelope's widest lanes
 	rows   []int     // candidate rows
 }
 
 // grow sizes the scratch for k entries of l lanes.
 func (s *splitScratch) grow(k, l int) {
-	if len(s.wins) < k*l {
+	if len(s.wins) < k*l || len(s.dists) < k {
 		s.wins = make([]float64, k*l)
 		s.hi, s.lo = make([]float64, l), make([]float64, l)
-		s.reach = make([]float64, k)
+		s.reach, s.dists = make([]float64, k), make([]float64, k)
 		s.lanes, s.rows = make([]int, 0, l), make([]int, 0, k)
 	}
 }
 
-// splitLeaf divides an overflowing leaf into two (§5.2): the two
-// subsequences with the largest pairwise Chebyshev distance seed the new
-// leaves, and every remaining subsequence joins the side whose MBTS
-// grows the least (with R-tree-style forced assignment so both sides
-// reach MinCap).
+// splitLeaf divides an overflowing leaf into two (§5.2), bounded at the
+// leaf's row and at row 1 of Index.top: the two subsequences with the
+// largest pairwise Chebyshev distance seed the new leaves, and every
+// remaining subsequence joins the side whose MBTS grows the least (with
+// R-tree-style forced assignment so both sides reach MinCap).
 func (ix *Index) splitLeaf(n *node) (*node, *node) {
 	k, l := len(n.positions), ix.cfg.L
 	wins := ix.splitWindows(n.positions)
 	si, sj := ix.farthestPair(wins)
 
-	a := &node{bounds: mbts.FromSequence(wins[si*l : (si+1)*l]), leaf: true,
-		positions: append(make([]int32, 0, k), n.positions[si])}
-	b := &node{bounds: mbts.FromSequence(wins[sj*l : (sj+1)*l]), leaf: true,
-		positions: append(make([]int32, 0, k), n.positions[sj])}
+	a := &node{bounds: n.bounds, leaf: true, positions: append(make([]int32, 0, k), n.positions[si])}
+	b := &node{bounds: ix.top.Row(1, l), leaf: true, positions: append(make([]int32, 0, k), n.positions[sj])}
+	a.bounds.SetTo(wins[si*l : (si+1)*l])
+	b.bounds.SetTo(wins[sj*l : (sj+1)*l])
 
 	left := k - 2 // windows still to assign
 	for i, p := range n.positions {
@@ -56,8 +57,9 @@ func (ix *Index) splitLeaf(n *node) (*node, *node) {
 		case ix.cfg.MinCap-len(b.positions) >= left:
 			assignLeaf(b, w, p)
 		default:
-			if pickSide(a.bounds.WidthIncreaseSequence(w), b.bounds.WidthIncreaseSequence(w),
-				a.bounds, b.bounds, len(a.positions), len(b.positions)) {
+			incA := kernel.WidthIncreaseSequence(a.bounds.Upper, a.bounds.Lower, w)
+			incB := kernel.WidthIncreaseSequence(b.bounds.Upper, b.bounds.Lower, w)
+			if pickSide(incA, incB, a.bounds, b.bounds, len(a.positions), len(b.positions)) {
 				assignLeaf(a, w, p)
 			} else {
 				assignLeaf(b, w, p)
@@ -154,39 +156,35 @@ func assignLeaf(n *node, w []float64, p int32) {
 	n.positions = append(n.positions, p)
 }
 
-// splitInternal divides an overflowing internal node (§5.2): seeds are
-// the two children whose MBTS are farthest apart under Eq. 3; remaining
-// children join the side whose merged MBTS grows the least.
+// splitInternal divides an overflowing internal node (§5.2), bounded at
+// the node's row and at row 1 of Index.top: seeds are the two children
+// whose MBTS are farthest apart under Eq. 3; remaining children join the
+// side whose merged MBTS grows the least.
 func (ix *Index) splitInternal(n *node) (*node, *node) {
-	k := len(n.children)
 	si, sj := ix.farthestChildren(n.children)
+	a, b := ix.newInternal(n.bounds), ix.newInternal(ix.top.Row(1, ix.cfg.L))
+	ix.adopt(a, n.children[si])
+	ix.adopt(b, n.children[sj])
 
-	a := &node{bounds: n.children[si].bounds.Clone(),
-		children: append(make([]*node, 0, k), n.children[si])}
-	b := &node{bounds: n.children[sj].bounds.Clone(),
-		children: append(make([]*node, 0, k), n.children[sj])}
-
-	remaining := make([]*node, 0, k-2)
+	left := len(n.children) - 2 // children still to assign
 	for i, c := range n.children {
-		if i != si && i != sj {
-			remaining = append(remaining, c)
+		if i == si || i == sj {
+			continue
 		}
-	}
-	for idx, c := range remaining {
-		left := len(remaining) - idx
 		switch {
 		case ix.cfg.MinCap-len(a.children) >= left:
-			assignInternal(a, c)
+			ix.adopt(a, c)
 		case ix.cfg.MinCap-len(b.children) >= left:
-			assignInternal(b, c)
+			ix.adopt(b, c)
 		default:
 			if pickSide(a.bounds.WidthIncreaseMBTS(c.bounds), b.bounds.WidthIncreaseMBTS(c.bounds),
 				a.bounds, b.bounds, len(a.children), len(b.children)) {
-				assignInternal(a, c)
+				ix.adopt(a, c)
 			} else {
-				assignInternal(b, c)
+				ix.adopt(b, c)
 			}
 		}
+		left--
 	}
 	return a, b
 }
@@ -254,14 +252,9 @@ func (ix *Index) farthestChildren(children []*node) (si, sj int) {
 	return si, sj
 }
 
-func assignInternal(n *node, c *node) {
-	n.bounds.ExpandToMBTS(c.bounds)
-	n.children = append(n.children, c)
-}
-
 // pickSide reports whether side A should take the entry: least width
 // increase, then tighter current MBTS, then fewer entries.
-func pickSide(incA, incB float64, bA, bB *mbts.MBTS, nA, nB int) bool {
+func pickSide(incA, incB float64, bA, bB mbts.MBTS, nA, nB int) bool {
 	if incA != incB {
 		return incA < incB
 	}

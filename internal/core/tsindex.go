@@ -8,9 +8,10 @@
 // level into the child whose MBTS is closest under the paper's Eq. 2
 // distance; overflowing nodes split with farthest-pair seeds and
 // minimum-expansion assignment, and splits propagate upward so all
-// leaves stay on one level. The descent stops comparing children at the
-// first one that already encloses the window (distance 0 cannot be
-// beaten and wins every tie) and leaves that child's bounds alone; a
+// leaves stay on one level. A node holds its children's bounds as the
+// rows of one block, so the descent scores them in one kernel sweep,
+// abandoned at the distance of the child the node chose last, and
+// leaves a chosen child that already encloses the window alone; a
 // leaf split copies its windows once into a flat per-Index scratch and
 // finds the seeds from the windows' envelope, an internal split scores
 // only the child pairs the group's envelope cannot rule out (split.go).
@@ -23,9 +24,10 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"unsafe"
 
 	"twinsearch/internal/mbts"
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
 )
 
@@ -36,13 +38,19 @@ const (
 	DefaultMaxCap = 30
 )
 
+// maxNodeCap bounds MaxCap. An internal node of the pointer tree holds
+// up to MaxCap+1 rows of child bounds, so this caps what one node costs,
+// also when MaxCap comes from a saved header.
+const maxNodeCap = 1 << 10
+
 // Config parameterizes index construction.
 type Config struct {
 	// L is the indexed subsequence length.
 	L int
 	// MinCap (µc) and MaxCap (Mc) bound node occupancy. Defaults apply
 	// when 0. MaxCap must be ≥ 2·MinCap−1 so that splits and bulk
-	// loading can always satisfy the minimum on both sides.
+	// loading can always satisfy the minimum on both sides, and at most
+	// 1024.
 	MinCap, MaxCap int
 }
 
@@ -62,6 +70,9 @@ func (c *Config) fill() error {
 	if c.MaxCap < 2*c.MinCap-1 {
 		return fmt.Errorf("core: MaxCap %d must be ≥ 2·MinCap−1 = %d", c.MaxCap, 2*c.MinCap-1)
 	}
+	if c.MaxCap > maxNodeCap {
+		return fmt.Errorf("core: MaxCap %d exceeds %d", c.MaxCap, maxNodeCap)
+	}
 	return nil
 }
 
@@ -70,17 +81,25 @@ type Index struct {
 	ext    *series.Extractor
 	cfg    Config
 	root   *node
-	height int // levels from root to leaves; 1 when the root is a leaf
+	top    mbts.MBTS // the root's bounds at row 0; row 1 bounds a split's second half until it is adopted
+	height int       // levels from root to leaves; 1 when the root is a leaf
 	size   int
 
 	winBuf []float64    // reusable insertion window
-	split  splitScratch // node-split working memory (split.go)
+	split  splitScratch // node-split and descent working memory (split.go)
 }
 
+// node is a tree node. Its bounds are a row of the block its parent
+// holds for all of its children — the frozen arena's layout at full
+// width — so the descent scores siblings in one sweep (chooseChild).
+// Moving a node to another parent moves its row (adopt); the root's row
+// is Index.top.
 type node struct {
-	bounds    *mbts.MBTS
-	children  []*node // internal nodes
-	positions []int32 // leaves
+	bounds    mbts.MBTS // a view of this node's row in its parent's block
+	rows      mbts.MBTS // internal: child i's bounds at row i
+	children  []*node   // internal nodes
+	positions []int32   // leaves
+	hint      int       // internal: the child chooseChild picked last
 	leaf      bool
 }
 
@@ -141,16 +160,21 @@ func NewEmpty(ext *series.Extractor, cfg Config) (*Index, error) {
 	if ext.Len() < cfg.L {
 		return nil, fmt.Errorf("core: series length %d shorter than subsequence length %d", ext.Len(), cfg.L)
 	}
-	return &Index{ext: ext, cfg: cfg, winBuf: make([]float64, cfg.L)}, nil
+	return newIndex(ext, cfg), nil
+}
+
+// newIndex is an empty index; cfg must be filled.
+func newIndex(ext *series.Extractor, cfg Config) *Index {
+	return &Index{ext: ext, cfg: cfg, top: mbts.New(2 * cfg.L), winBuf: make([]float64, cfg.L)}
 }
 
 // Insert adds the window starting at position p to the index.
 func (ix *Index) Insert(p int) {
 	w := ix.ext.Extract(p, ix.cfg.L, ix.winBuf)
 	if ix.root == nil {
-		ix.root = &node{bounds: mbts.FromSequence(w), leaf: true, positions: []int32{int32(p)}}
-		ix.height = 1
-		ix.size = 1
+		ix.root = &node{bounds: ix.top.Row(0, ix.cfg.L), leaf: true, positions: []int32{int32(p)}}
+		ix.root.bounds.SetTo(w)
+		ix.height, ix.size = 1, 1
 		return
 	}
 	ix.root.bounds.ExpandToSequence(w)
@@ -159,16 +183,18 @@ func (ix *Index) Insert(p int) {
 	if a != nil {
 		// Root split: a new root adopts the two halves and the tree
 		// grows by one level (paper Fig. 3b).
-		root := &node{bounds: a.bounds.Clone(), children: []*node{a, b}}
-		root.bounds.ExpandToMBTS(b.bounds)
+		root := ix.newInternal(ix.top.Row(0, ix.cfg.L))
+		ix.adopt(root, a)
+		ix.adopt(root, b)
 		ix.root = root
 		ix.height++
 	}
 }
 
 // insert descends into n, whose bounds already enclose w, expanding the
-// chosen child's bounds on the way, and returns the two replacement
-// nodes when n overflowed and split, or (nil, nil).
+// chosen child's bounds on the way. When n overflows and splits it
+// returns the two replacement nodes, bounded at n's row and at row 1 of
+// Index.top; otherwise (nil, nil).
 func (ix *Index) insert(n *node, w []float64, p int32) (*node, *node) {
 	if n.leaf {
 		n.positions = append(n.positions, p)
@@ -188,51 +214,113 @@ func (ix *Index) insert(n *node, w []float64, p int32) (*node, *node) {
 	if a == nil {
 		return nil, nil
 	}
-	// Replace the split child with its two halves.
-	for i, c := range n.children {
-		if c == best {
-			n.children[i] = a
-			break
-		}
-	}
-	n.children = append(n.children, b)
+	// The first half sits at best's row (n.hint, which chooseChild set);
+	// the second moves into the next free one, inside n's bounds already.
+	n.children[n.hint] = a
+	ix.adopt(n, b)
 	if len(n.children) > ix.cfg.MaxCap {
 		return ix.splitInternal(n)
 	}
 	return nil, nil
 }
 
-// chooseChild selects the child whose MBTS has the smallest Eq. 2
-// distance from w, breaking ties by least width increase (DESIGN.md §5),
-// and returns it with that distance. The first child at distance 0 is
-// final: a later child is either farther or ties at 0, and a tie at 0
-// compares two width increases that are both exactly 0, which the
-// incumbent wins.
-func (ix *Index) chooseChild(n *node, w []float64) (*node, float64) {
-	var best *node
-	bestDist := math.Inf(1)
-	bestInc := -1.0 // lazily computed on the first tie
-	for _, c := range n.children {
-		d, ok := c.bounds.DistSequenceAbandon(w, bestDist)
-		if !ok {
-			continue
+// newInternal returns a childless internal node bounded at the row
+// bounds, its block sized for the MaxCap+1 children it holds at most.
+func (ix *Index) newInternal(bounds mbts.MBTS) *node {
+	c := ix.cfg.MaxCap + 1
+	return &node{bounds: bounds, rows: mbts.New(c * ix.cfg.L), children: make([]*node, 0, c)}
+}
+
+// adopt appends c to n's children, moving c's bounds into n's next row,
+// and grows n's bounds to enclose them (the first child sets them).
+// A full block — Thaw sizes each to the node's children — first grows
+// to MaxCap+1 rows, and the children's views move with their rows.
+func (ix *Index) adopt(n, c *node) {
+	k, l := len(n.children), ix.cfg.L
+	if len(n.rows.Upper) == k*l {
+		rows := mbts.New((ix.cfg.MaxCap + 1) * l)
+		rows.CopyFrom(n.rows)
+		for i, ch := range n.children {
+			ch.bounds = rows.Row(i, l)
 		}
+		n.rows = rows
+	}
+	row := n.rows.Row(k, l)
+	row.CopyFrom(c.bounds)
+	c.bounds = row
+	n.children = append(n.children, c)
+	if k == 0 {
+		n.bounds.CopyFrom(row)
+	} else {
+		n.bounds.ExpandToMBTS(row)
+	}
+}
+
+// enclose sets leaf n's bounds to the envelope of its windows.
+func (ix *Index) enclose(n *node) {
+	n.bounds.SetTo(ix.ext.Extract(int(n.positions[0]), ix.cfg.L, ix.winBuf))
+	for _, p := range n.positions[1:] {
+		n.bounds.ExpandToSequence(ix.ext.Extract(int(p), ix.cfg.L, ix.winBuf))
+	}
+}
+
+// seat makes n, bounded anywhere, the root: its bounds move to top.
+func (ix *Index) seat(n *node) {
+	row := ix.top.Row(0, ix.cfg.L)
+	row.CopyFrom(n.bounds)
+	n.bounds = row
+	ix.root = n
+}
+
+// chooseChild selects the child whose MBTS has the smallest Eq. 2
+// distance from w — the first such child, or, when several tie above
+// 0, the first of least width increase (DESIGN.md §5) — and returns it
+// with that distance, leaving its index in n.hint.
+//
+// Any child's distance bounds the minimum from above, and the child
+// chosen last is a good guess at it, so that child is scored first and
+// its distance is the limit of one sweep over the rest of the block:
+// every row beyond it abandons within its first lanes, and every child
+// at the minimum survives. At a limit of 0 only the rows before the
+// hint are swept, the first child at 0 being final — a later one ties
+// at 0 and its width increase, like the incumbent's, is exactly 0.
+func (ix *Index) chooseChild(n *node, w []float64) (*node, float64) {
+	k, l := len(n.children), len(w)
+	h := n.hint
+	if h < 0 || h >= k {
+		h = 0
+	}
+	hr := n.rows.Row(h, l)
+	limit := kernel.DistFlat(hr.Upper, hr.Lower, w)
+	ix.split.grow(k, l)
+	dists := ix.split.dists[:k]
+	kernel.SweepAbandonFlat(n.rows.Upper, n.rows.Lower, l, w, limit, dists[:h])
+	dists[h] = limit
+	if limit > 0 {
+		at := (h + 1) * l
+		kernel.SweepAbandonFlat(n.rows.Upper[at:], n.rows.Lower[at:], l, w, limit, dists[h+1:])
+	} else {
+		dists = dists[:h+1]
+	}
+	best, bestInc := -1, -1.0 // bestInc is computed on the first tie
+	for i, d := range dists {
 		switch {
-		case best == nil || d < bestDist:
-			if d == 0 {
-				return c, 0
-			}
-			best, bestDist, bestInc = c, d, -1
-		case d == bestDist:
+		case d < 0: // abandoned: farther than the hint
+		case best < 0 || d < dists[best]:
+			best, bestInc = i, -1
+		case d == dists[best] && d > 0:
 			if bestInc < 0 {
-				bestInc = best.bounds.WidthIncreaseSequence(w)
+				b := n.rows.Row(best, l)
+				bestInc = kernel.WidthIncreaseSequence(b.Upper, b.Lower, w)
 			}
-			if inc := c.bounds.WidthIncreaseSequence(w); inc < bestInc {
-				best, bestInc = c, inc
+			c := n.rows.Row(i, l)
+			if inc := kernel.WidthIncreaseSequence(c.Upper, c.Lower, w); inc < bestInc {
+				best, bestInc = i, inc
 			}
 		}
 	}
-	return best, bestDist
+	n.hint = best
+	return n.children[best], dists[best]
 }
 
 // Len returns the number of indexed windows.
@@ -247,41 +335,36 @@ func (ix *Index) L() int { return ix.cfg.L }
 // Extractor exposes the extractor the index was built over.
 func (ix *Index) Extractor() *series.Extractor { return ix.ext }
 
+// each calls visit on every node, parents before children, with its
+// depth (the root's is 1).
+func (ix *Index) each(visit func(n *node, depth int)) {
+	var walk func(n *node, depth int)
+	walk = func(n *node, depth int) {
+		visit(n, depth)
+		for _, c := range n.children {
+			walk(c, depth+1)
+		}
+	}
+	if ix.root != nil {
+		walk(ix.root, 1)
+	}
+}
+
 // NodeCount returns the total number of tree nodes.
 func (ix *Index) NodeCount() int {
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		if n == nil {
-			return 0
-		}
-		total := 1
-		for _, c := range n.children {
-			total += walk(c)
-		}
-		return total
-	}
-	return walk(ix.root)
+	total := 0
+	ix.each(func(*node, int) { total++ })
+	return total
 }
 
 // MemoryBytes estimates the heap footprint of the index structure: per
-// node, the struct, the MBTS (two ℓ-length bounds — the reason Fig. 8a
-// shows TS-Index 2–3× larger than iSAX), and leaf position payloads.
+// node, the struct and its leaf positions or its block of child bounds
+// (two ℓ-length bounds a row — the reason Fig. 8a shows TS-Index 2–3×
+// larger than iSAX), and the root's row.
 func (ix *Index) MemoryBytes() int {
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		if n == nil {
-			return 0
-		}
-		total := 80 + n.bounds.MemoryBytes()
-		if n.leaf {
-			total += 4 * len(n.positions)
-		} else {
-			total += 8 * len(n.children)
-			for _, c := range n.children {
-				total += walk(c)
-			}
-		}
-		return total
-	}
-	return walk(ix.root)
+	total := 16 * len(ix.top.Upper)
+	ix.each(func(n *node, _ int) {
+		total += int(unsafe.Sizeof(*n)) + 4*cap(n.positions) + 8*cap(n.children) + 16*len(n.rows.Upper)
+	})
+	return total
 }

@@ -39,6 +39,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Build(ext, Config{L: 50, MinCap: 10, MaxCap: 19}); err != nil {
 		t.Fatalf("MaxCap = 2·MinCap−1 must pass: %v", err)
 	}
+	if _, err := Build(ext, Config{L: 50, MaxCap: maxNodeCap}); err != nil {
+		t.Fatalf("MaxCap = %d must pass: %v", maxNodeCap, err)
+	}
+	if _, err := Build(ext, Config{L: 50, MaxCap: maxNodeCap + 1}); err == nil {
+		t.Fatalf("MaxCap > %d must fail", maxNodeCap)
+	}
 	if _, err := Build(ext, Config{L: 500}); err == nil {
 		t.Fatal("L > n must fail")
 	}

@@ -9,44 +9,45 @@ package mbts
 
 import (
 	"fmt"
-	"unsafe"
 
 	"twinsearch/internal/mbts/kernel"
 )
 
 // MBTS bounds a set of sequences of equal length l: Lower[i] ≤ S[i] ≤
-// Upper[i] for every enclosed S and every timestamp i.
+// Upper[i] for every enclosed S and every timestamp i. It is a view —
+// two slice headers — so a row of a larger block of bounds is an MBTS
+// too (Row), and methods write through to the block.
 type MBTS struct {
 	Upper []float64
 	Lower []float64
 }
 
-// New returns an empty MBTS of length l: Upper at -∞-like sentinel is
-// avoided by construction — an MBTS is always seeded from a first
-// sequence via FromSequence or Enclose, so New pre-allocates only.
-func New(l int) *MBTS {
-	return &MBTS{Upper: make([]float64, l), Lower: make([]float64, l)}
+// New returns an MBTS of length l in one allocation. Its bounds are
+// zero: an MBTS is seeded from a first sequence via SetTo, FromSequence
+// or Enclose, so New pre-allocates only.
+func New(l int) MBTS {
+	buf := make([]float64, 2*l)
+	return MBTS{Upper: buf[:l:l], Lower: buf[l:]}
 }
 
 // FromSequence returns the tightest MBTS around a single sequence: both
 // bounds equal the sequence.
-func FromSequence(s []float64) *MBTS {
+func FromSequence(s []float64) MBTS {
 	b := New(len(s))
-	copy(b.Upper, s)
-	copy(b.Lower, s)
+	b.SetTo(s)
 	return b
 }
 
 // Enclose returns the tightest MBTS around a non-empty set of sequences
 // (Definition 2 / Eq. 1).
-func Enclose(set ...[]float64) (*MBTS, error) {
+func Enclose(set ...[]float64) (MBTS, error) {
 	if len(set) == 0 {
-		return nil, fmt.Errorf("mbts: Enclose needs at least one sequence")
+		return MBTS{}, fmt.Errorf("mbts: Enclose needs at least one sequence")
 	}
 	b := FromSequence(set[0])
 	for _, s := range set[1:] {
 		if len(s) != b.Len() {
-			return nil, fmt.Errorf("mbts: mixed lengths %d and %d", b.Len(), len(s))
+			return MBTS{}, fmt.Errorf("mbts: mixed lengths %d and %d", b.Len(), len(s))
 		}
 		b.ExpandToSequence(s)
 	}
@@ -54,36 +55,34 @@ func Enclose(set ...[]float64) (*MBTS, error) {
 }
 
 // Len returns the number of timestamps the MBTS spans.
-func (b *MBTS) Len() int { return len(b.Upper) }
+func (b MBTS) Len() int { return len(b.Upper) }
 
-// Clone deep-copies the MBTS.
-func (b *MBTS) Clone() *MBTS {
-	c := New(b.Len())
-	copy(c.Upper, b.Upper)
-	copy(c.Lower, b.Lower)
-	return c
+// Row is the i-th l-length row of a block of bounds laid out back to
+// back: [i*l, (i+1)*l) of Upper and of Lower.
+func (b MBTS) Row(i, l int) MBTS {
+	return MBTS{Upper: b.Upper[i*l : (i+1)*l], Lower: b.Lower[i*l : (i+1)*l]}
 }
 
 // CopyFrom overwrites b's bounds with src's.
-func (b *MBTS) CopyFrom(src *MBTS) {
+func (b MBTS) CopyFrom(src MBTS) {
 	copy(b.Upper, src.Upper)
 	copy(b.Lower, src.Lower)
 }
 
 // SetTo resets the MBTS to bound exactly the single sequence s.
-func (b *MBTS) SetTo(s []float64) {
+func (b MBTS) SetTo(s []float64) {
 	copy(b.Upper, s)
 	copy(b.Lower, s)
 }
 
 // ExpandToSequence grows the bounds just enough to enclose s, through
 // the dispatched kernel (kernel.Expand).
-func (b *MBTS) ExpandToSequence(s []float64) {
+func (b MBTS) ExpandToSequence(s []float64) {
 	kernel.Expand(b.Upper, b.Lower, s)
 }
 
 // ExpandToMBTS grows the bounds just enough to enclose another MBTS.
-func (b *MBTS) ExpandToMBTS(o *MBTS) {
+func (b MBTS) ExpandToMBTS(o MBTS) {
 	for i := range b.Upper {
 		if o.Upper[i] > b.Upper[i] {
 			b.Upper[i] = o.Upper[i]
@@ -96,7 +95,7 @@ func (b *MBTS) ExpandToMBTS(o *MBTS) {
 
 // ContainsSequence reports whether s lies within the bounds at every
 // timestamp.
-func (b *MBTS) ContainsSequence(s []float64) bool {
+func (b MBTS) ContainsSequence(s []float64) bool {
 	for i, v := range s {
 		if v > b.Upper[i] || v < b.Lower[i] {
 			return false
@@ -106,23 +105,13 @@ func (b *MBTS) ContainsSequence(s []float64) bool {
 }
 
 // ContainsMBTS reports whether o lies entirely within b.
-func (b *MBTS) ContainsMBTS(o *MBTS) bool {
+func (b MBTS) ContainsMBTS(o MBTS) bool {
 	for i := range b.Upper {
 		if o.Upper[i] > b.Upper[i] || o.Lower[i] < b.Lower[i] {
 			return false
 		}
 	}
 	return true
-}
-
-// DistSequenceAbandon is the paper's Eq. 2 with early abandoning: the
-// Chebyshev-style distance from a sequence to the MBTS — the largest
-// pointwise excursion of s outside the band, 0 when s is enclosed — as
-// (dist, true) when it is ≤ limit, and (0, false) as soon as the
-// running maximum exceeds limit. Construction abandons against the best
-// child distance so far (chooseChild).
-func (b *MBTS) DistSequenceAbandon(s []float64, limit float64) (float64, bool) {
-	return DistAbandonFlat(b.Upper, b.Lower, s, limit)
 }
 
 // DistFlat is Eq. 2 over raw float64 bound slices, without an MBTS
@@ -136,51 +125,22 @@ func DistFlat(upper, lower, s []float64) float64 {
 	return kernel.DistFlat(upper, lower, s)
 }
 
-// DistAbandonFlat is DistSequenceAbandon over raw bound slices (see
-// DistFlat): it returns (0, false) as soon as the running maximum
-// exceeds limit, and (dist, true) when the distance is ≤ limit.
-func DistAbandonFlat(upper, lower, s []float64, limit float64) (float64, bool) {
-	return kernel.DistAbandonFlat(upper, lower, s, limit)
-}
-
 // DistMBTS is the paper's Eq. 3: the separation between two MBTS — the
 // largest pointwise gap between the bands, 0 when they overlap at every
 // timestamp.
-func (b *MBTS) DistMBTS(o *MBTS) float64 {
+func (b MBTS) DistMBTS(o MBTS) float64 {
 	return kernel.DistMBTS(b.Upper, b.Lower, o.Upper, o.Lower)
 }
 
 // Width returns the total band width Σ_i (Upper[i] − Lower[i]), the
 // measure TS-Index minimizes when assigning entries during node splits
 // (DESIGN.md §5: the R*-tree "enlargement" analogue for MBTS).
-func (b *MBTS) Width() float64 {
+func (b MBTS) Width() float64 {
 	return kernel.Width(b.Upper, b.Lower)
-}
-
-// WidthIncreaseSequence returns how much Width would grow if s were
-// enclosed, without modifying b.
-func (b *MBTS) WidthIncreaseSequence(s []float64) float64 {
-	return kernel.WidthIncreaseSequence(b.Upper, b.Lower, s)
 }
 
 // WidthIncreaseMBTS returns how much Width would grow if o were
 // enclosed, without modifying b.
-func (b *MBTS) WidthIncreaseMBTS(o *MBTS) float64 {
+func (b MBTS) WidthIncreaseMBTS(o MBTS) float64 {
 	return kernel.WidthIncreaseMBTS(b.Upper, b.Lower, o.Upper, o.Lower)
-}
-
-// Sizes of the MBTS footprint components, derived from the compiler
-// rather than hardcoded so the accounting tracks the real layout (a
-// slice header is three words, not two — the hardcoded "16" this
-// replaced undercounted every header by a word).
-const (
-	structBytes  = int(unsafe.Sizeof(MBTS{}))     // the two slice headers
-	elementBytes = int(unsafe.Sizeof(float64(0))) // one bound sample
-)
-
-// MemoryBytes reports the heap bytes held by the MBTS bounds, for the
-// index memory-footprint accounting in Fig. 8a: the struct (its two
-// slice headers) plus the backing arrays.
-func (b *MBTS) MemoryBytes() int {
-	return structBytes + elementBytes*(len(b.Upper)+len(b.Lower))
 }

@@ -2,9 +2,11 @@ package mbts
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
 )
 
@@ -89,20 +91,6 @@ func TestDistSequence(t *testing.T) {
 	}
 }
 
-func TestDistSequenceAbandon(t *testing.T) {
-	b, _ := Enclose([]float64{0, 0, 0})
-	s := []float64{0.5, 2, 0.1}
-	if d, ok := b.DistSequenceAbandon(s, 3); !ok || d != 2 {
-		t.Fatalf("got %v, %v", d, ok)
-	}
-	if _, ok := b.DistSequenceAbandon(s, 1.5); ok {
-		t.Fatal("should abandon when exceeding limit")
-	}
-	if d, ok := b.DistSequenceAbandon(s, 2); !ok || d != 2 {
-		t.Fatalf("limit is inclusive: got %v, %v", d, ok)
-	}
-}
-
 func TestDistMBTS(t *testing.T) {
 	b1, _ := Enclose([]float64{0, 0}, []float64{1, 1})
 	b2, _ := Enclose([]float64{3, 0.5}, []float64{4, 0.8})
@@ -133,7 +121,7 @@ func TestExpandToMBTSAndContains(t *testing.T) {
 func TestWidthIncrease(t *testing.T) {
 	b, _ := Enclose([]float64{0, 0}, []float64{1, 1})
 	s := []float64{2, -1}
-	inc := b.WidthIncreaseSequence(s)
+	inc := kernel.WidthIncreaseSequence(b.Upper, b.Lower, s)
 	if inc != 2 { // +1 above at t0, +1 below at t1
 		t.Fatalf("WidthIncreaseSequence = %v, want 2", inc)
 	}
@@ -153,28 +141,33 @@ func TestWidthIncrease(t *testing.T) {
 	}
 }
 
-func TestCloneSetCopy(t *testing.T) {
+func TestCopyFromSetTo(t *testing.T) {
 	b, _ := Enclose([]float64{1, 2}, []float64{3, 0})
-	c := b.Clone()
-	c.Upper[0] = 99
-	if b.Upper[0] == 99 {
-		t.Fatal("Clone must not share storage")
-	}
 	d := New(2)
 	d.CopyFrom(b)
-	if d.Upper[0] != b.Upper[0] || d.Lower[1] != b.Lower[1] {
+	d.Upper[0] = 99
+	if b.Upper[0] == 99 {
+		t.Fatal("CopyFrom must not share storage")
+	}
+	if d.Lower[1] != b.Lower[1] {
 		t.Fatal("CopyFrom mismatch")
 	}
 	d.SetTo([]float64{5, 5})
-	if d.Upper[0] != 5 || d.Lower[0] != 5 {
+	if d.Upper[0] != 5 || d.Lower[0] != 5 || d.Upper[1] != 5 {
 		t.Fatal("SetTo mismatch")
 	}
 }
 
-func TestMemoryBytes(t *testing.T) {
-	b := New(100)
-	if b.MemoryBytes() <= 1600 {
-		t.Fatalf("MemoryBytes = %d, expected > 1600 for l=100", b.MemoryBytes())
+// TestRowViews pins the block layout: row i of a block is [i*l,
+// (i+1)*l) of each bound, and writes through a row land in the block.
+func TestRowViews(t *testing.T) {
+	blk := New(3 * 2)
+	for i := 0; i < 3; i++ {
+		blk.Row(i, 2).SetTo([]float64{float64(i), float64(-i)})
+	}
+	blk.Row(1, 2).ExpandToMBTS(blk.Row(2, 2))
+	if !slices.Equal(blk.Upper, []float64{0, 0, 2, -1, 2, -2}) || !slices.Equal(blk.Lower, []float64{0, 0, 1, -2, 2, -2}) {
+		t.Fatalf("block after writes through rows: %v / %v", blk.Upper, blk.Lower)
 	}
 }
 
@@ -224,8 +217,20 @@ func TestDistMBTSLowerBound(t *testing.T) {
 	}
 }
 
-// Property: DistSequenceAbandon agrees with DistSequence for any limit.
+// Property: the abandoning Eq. 2 kernel agrees with DistFlat for any
+// limit, the limit inclusive.
 func TestAbandonAgreement(t *testing.T) {
+	b, _ := Enclose([]float64{0, 0, 0})
+	s := []float64{0.5, 2, 0.1}
+	for _, c := range []struct {
+		limit float64
+		ok    bool
+	}{{3, true}, {1.5, false}, {2, true}} {
+		if d, ok := kernel.DistAbandonFlat(b.Upper, b.Lower, s, c.limit); ok != c.ok || ok && d != 2 {
+			t.Fatalf("limit %v: got %v, %v", c.limit, d, ok)
+		}
+	}
+
 	rng := rand.New(rand.NewSource(29))
 	for iter := 0; iter < 500; iter++ {
 		l := 1 + rng.Intn(40)
@@ -234,7 +239,7 @@ func TestAbandonAgreement(t *testing.T) {
 		q := set[3]
 		full := DistFlat(b.Upper, b.Lower, q)
 		limit := rng.Float64() * 10
-		d, ok := b.DistSequenceAbandon(q, limit)
+		d, ok := kernel.DistAbandonFlat(b.Upper, b.Lower, q, limit)
 		if full <= limit {
 			if !ok || d != full {
 				t.Fatalf("iter %d: abandon disagrees (full=%v limit=%v got %v,%v)", iter, full, limit, d, ok)

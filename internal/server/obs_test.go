@@ -9,6 +9,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"twinsearch"
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/obs"
 )
 
@@ -114,10 +116,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		"twinsearch_query_seconds_count{path=\"search\"} 3",
 		"twinsearch_admission_inflight 0",
 		"twinsearch_draining 0",
+		`twinsearch_index_info{kernel="` + kernel.Active() + `",shards="2"} 1`,
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want+"\n")) {
 			t.Fatalf("/metrics missing %q:\n%s", want, buf.String())
 		}
+	}
+	// The open's wall time: a positive number of seconds, well under the
+	// test's own run.
+	var openSecs float64
+	if i := bytes.Index(buf.Bytes(), []byte("\ntwinsearch_index_open_seconds ")); i < 0 {
+		t.Fatalf("/metrics has no twinsearch_index_open_seconds:\n%s", buf.String())
+	} else if _, err := fmt.Sscan(buf.String()[i+len("\ntwinsearch_index_open_seconds "):], &openSecs); err != nil || openSecs <= 0 || openSecs > 60 {
+		t.Fatalf("twinsearch_index_open_seconds = %v (%v)", openSecs, err)
 	}
 
 	// Drain-exempt: still served, alongside /debug/slowlog and /healthz.

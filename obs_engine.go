@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/obs"
 )
 
@@ -70,6 +71,18 @@ func (e *Engine) registerEngineGauges() {
 		reg.GaugeFunc(`twinsearch_cache_entries{cache="result"}`, func() float64 { return float64(e.res.Stats().Entries) })
 		reg.GaugeFunc(`twinsearch_cache_bytes{cache="result"}`, func() float64 { return float64(e.res.Stats().Bytes) })
 	}
+}
+
+// registerIndexInfo publishes what the open that just finished put in
+// place: an info series naming the kernel dispatch and the partition
+// count, and the wall time since start, when the open was entered —
+// validation, building or loading, and a mapped open's prefetch. Called
+// once per successful open, as its last step.
+func (e *Engine) registerIndexInfo(start time.Time) {
+	reg, secs := e.met.reg, time.Since(start).Seconds()
+	reg.GaugeFunc(fmt.Sprintf(`twinsearch_index_info{kernel=%q,shards="%d"}`, kernel.Active(), e.Shards()),
+		func() float64 { return 1 })
+	reg.GaugeFunc("twinsearch_index_open_seconds", func() float64 { return secs })
 }
 
 // registerClusterGauges surfaces the coordinator's cached membership

@@ -9,11 +9,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/obs"
 )
 
@@ -248,6 +251,57 @@ func TestBatchQueriesCounted(t *testing.T) {
 				t.Errorf("%s %s: batch of 3 valid + 1 wrong-length query counted %d queries, %d errors; want 4, 1",
 					name, path, queries, errs)
 			}
+		}
+	}
+}
+
+// TestMetricsIndexInfo requires every open path — a build, a copy open
+// and a mapped open of the saved index, and a coordinator — to publish
+// the index info series (kernel dispatch, partition count) and the
+// open's wall time, positive and no longer than the call itself took.
+func TestMetricsIndexInfo(t *testing.T) {
+	ts := datasets.RandomWalk(17, 2000)
+	const l = 100
+	walls := map[*Engine]time.Duration{}
+	engines := map[string]*Engine{}
+	open := func(name string, f func() (*Engine, error)) *Engine {
+		start := time.Now()
+		eng, err := f()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		walls[eng], engines[name] = time.Since(start), eng
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	built := open("built", func() (*Engine, error) { return Open(ts, Options{L: l, Shards: 2}) })
+	path := filepath.Join(t.TempDir(), "index.tssh")
+	if err := built.SaveIndexFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		open(fmt.Sprintf("saved/mmap=%v", mmap), func() (*Engine, error) {
+			return OpenSavedFile(ts, path, Options{L: l, MMap: mmap, Prefetch: mmap})
+		})
+	}
+	topo := writeTopology(t, ts, l, 4, 2)
+	open("cluster", func() (*Engine, error) { return Open(ts, Options{L: l, Topology: topo, MMap: true}) })
+	const gauge = "\ntwinsearch_index_open_seconds "
+	for name, eng := range engines {
+		var buf bytes.Buffer
+		if err := eng.Metrics().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		info := fmt.Sprintf(`twinsearch_index_info{kernel="%s",shards="%d"} 1`, kernel.Active(), eng.Shards())
+		i := strings.Index(text, gauge)
+		if !strings.Contains(text, info+"\n") || i < 0 {
+			t.Errorf("%s: /metrics lacks %q or twinsearch_index_open_seconds:\n%s", name, info, text)
+			continue
+		}
+		var secs float64
+		if _, err := fmt.Sscan(text[i+len(gauge):], &secs); err != nil || secs <= 0 || secs > walls[eng].Seconds() {
+			t.Errorf("%s: twinsearch_index_open_seconds = %v (%v), the call took %v", name, secs, err, walls[eng])
 		}
 	}
 }

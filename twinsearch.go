@@ -78,7 +78,7 @@ type Options struct {
 	// indistinguishable from "use the default".)
 	NormSet bool
 
-	MinCap, MaxCap int // node capacities µc, Mc (defaults 10, 30)
+	MinCap, MaxCap int // node capacities µc, Mc (defaults 10, 30; Mc ≤ 1024)
 	// BulkLoad selects bottom-up construction instead of insertion:
 	// ≈ ×10 faster to build (105 → 10 ms on Insect 20 k), at a query
 	// cost that depends on the series. On Insect 20 k the queries tie;
@@ -381,6 +381,7 @@ func resolveShards(shards int) int {
 // afterwards. Every value must be finite — a NaN window would match
 // every query — so a series holding NaN or ±Inf is refused.
 func Open(data []float64, opt Options) (*Engine, error) {
+	start := time.Now()
 	if err := opt.check(data); err != nil {
 		return nil, err
 	}
@@ -400,6 +401,7 @@ func Open(data []float64, opt Options) (*Engine, error) {
 		}
 		e.cl = cl
 		e.registerClusterGauges()
+		e.registerIndexInfo(start)
 		return e, nil
 	}
 	var err error
@@ -410,6 +412,7 @@ func Open(data []float64, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.registerIndexInfo(start)
 	return e, nil
 }
 
