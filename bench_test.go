@@ -308,73 +308,6 @@ func BenchmarkIntroChebyshevVsEuclidean(b *testing.B) {
 
 // --- Ablations of DESIGN.md §5 design choices --------------------------
 
-// Bulk loading vs sequential insertion: construction cost and the query
-// speed of the resulting trees.
-func BenchmarkAblationBulkVsInsert(b *testing.B) {
-	ds := benchSetups[0]
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
-	b.Run("build/insert", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Build(ext, core.Config{L: harness.DefaultL}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("build/bulk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildBulk(ext, core.Config{L: harness.DefaultL}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	insTree, err := core.Build(ext, core.Config{L: harness.DefaultL})
-	if err != nil {
-		b.Fatal(err)
-	}
-	blkTree, err := core.BuildBulk(ext, core.Config{L: harness.DefaultL})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ins, blk := insTree.Freeze(), blkTree.Freeze()
-	b.Run("query/insert-built", func(b *testing.B) {
-		runQueries(b, func(q []float64, e float64) int { return len(ins.Search(q, e)) }, qs, ds.def)
-	})
-	b.Run("query/bulk-built", func(b *testing.B) {
-		runQueries(b, func(q []float64, e float64) int { return len(blk.Search(q, e)) }, qs, ds.def)
-	})
-	// The served shape: bench/'s series (EEG 200 k, NormGlobal) at
-	// `point`'s ε = 0.2 and top-10, one query per op, with the candidates
-	// each tree hands to verification.
-	b.Run("served", func(b *testing.B) {
-		ins, qs := benchServed(b)
-		bulk, err := core.BuildBulk(ins.Extractor(), core.Config{L: harness.DefaultL})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tree := range []struct {
-			name string
-			fz   *core.Frozen
-		}{{"insert-built", ins}, {"bulk-built", bulk.Freeze()}} {
-			b.Run("eps=0.2/"+tree.name, func(b *testing.B) {
-				var cands int
-				for i := 0; i < b.N; i++ {
-					_, st := tree.fz.SearchStats(qs[i%len(qs)], 0.2)
-					cands += st.Candidates
-				}
-				b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
-			})
-			b.Run("top10/"+tree.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if got := tree.fz.SearchTopK(qs[i%len(qs)], 10); len(got) != 10 {
-						b.Fatalf("got %d results", len(got))
-					}
-				}
-			})
-		}
-	})
-}
-
 // Node capacity (µc, Mc): the paper fixes 10/30; this sweep shows the
 // sensitivity of query latency to fan-out.
 func BenchmarkAblationNodeCapacity(b *testing.B) {

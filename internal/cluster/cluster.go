@@ -126,8 +126,8 @@ type Coordinator struct {
 	sweepDone                        chan struct{}
 }
 
-// OpenCoordinator opens every topology entry — LocalAddr entries become
-// in-process subsets of the index file, the rest are dialed and
+// OpenCoordinator opens every topology entry — LocalAddr entries open
+// their shards of the index file in-process, the rest are dialed and
 // cross-checked (same L, normalization, series length, and shard
 // assignment as the topology claims) — and verifies the replicated
 // assignment covers the index's shards exactly (R owners per shard,
@@ -182,7 +182,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 			if ex == nil {
 				ex = exec.New(o.Workers)
 			}
-			n, err := openLocalEntry(topo, spec.Name, ext, ex, o)
+			n, err := openNode(topo, spec.Name, ext, ex, NodeOptions{NoMMap: o.NoMMap, Prefetch: o.Prefetch})
 			if err != nil {
 				return fail(err)
 			}
@@ -286,31 +286,6 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	return c, nil
 }
 
-// openLocalEntry opens a LocalAddr topology entry on the shared
-// executor.
-func openLocalEntry(topo *Topology, name string, ext *series.Extractor, ex *exec.Executor, o Options) (*Node, error) {
-	spec, err := topo.Node(name)
-	if err != nil {
-		return nil, err
-	}
-	if topo.Index == "" {
-		return nil, fmt.Errorf("cluster: topology names no index file for local node %q", name)
-	}
-	ar, err := openIndexArena(topo.Index, o.NoMMap)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := shard.OpenArenaShards(ar, ext, ex, spec.Shards)
-	if err != nil {
-		ar.Close()
-		return nil, fmt.Errorf("cluster: node %q: %w", name, err)
-	}
-	if o.Prefetch {
-		ar.Prefetch(0)
-	}
-	return &Node{Name: name, Sub: sub, ar: ar}, nil
-}
-
 // Close stops the membership sweep, releases local backends' arenas,
 // and drops the coordinator's idle connections. No query may run
 // during or after it.
@@ -396,7 +371,7 @@ type statsResult struct {
 // group's work units.
 func (c *Coordinator) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b shard.Backend, _ int) (statsResult, error) {
-		ms, st, err := b.SearchStats(ctx, q, eps)
+		ms, st, err := b.SearchStatsCtx(ctx, q, eps)
 		return statsResult{ms, st}, err
 	})
 	if err != nil {
@@ -438,7 +413,7 @@ func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]ser
 
 	// Phase 1: the seed group, unbounded.
 	first, err := runUnit(ctx, c, c.groups[seed], func(ctx context.Context, b shard.Backend) ([]series.Match, error) {
-		return b.SearchTopK(ctx, q, k, math.Inf(1))
+		return b.SearchTopKCtx(ctx, q, k, math.Inf(1))
 	})
 	if err != nil {
 		return nil, err
@@ -451,7 +426,7 @@ func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]ser
 	// Phase 2: every other group, pruning against the seed's k-th
 	// distance.
 	lists, err := fanOut(ctx, c, seed, func(ctx context.Context, b shard.Backend, _ int) ([]series.Match, error) {
-		return b.SearchTopK(ctx, q, k, bound)
+		return b.SearchTopKCtx(ctx, q, k, bound)
 	})
 	if err != nil {
 		return nil, err
@@ -470,7 +445,7 @@ func (c *Coordinator) SearchPrefix(ctx context.Context, q []float64, eps float64
 		return nil, err
 	}
 	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b shard.Backend, _ int) ([]series.Match, error) {
-		return b.SearchPrefixTree(ctx, q, eps)
+		return b.SearchPrefixTreeCtx(ctx, q, eps)
 	})
 	if err != nil {
 		return nil, err
@@ -509,7 +484,7 @@ func (c *Coordinator) SearchApprox(ctx context.Context, q []float64, eps float64
 		if shares[gi] == 0 {
 			return statsResult{}, nil
 		}
-		ms, st, err := b.SearchApprox(ctx, q, eps, shares[gi])
+		ms, st, err := b.SearchApproxCtx(ctx, q, eps, shares[gi])
 		return statsResult{ms, st}, err
 	})
 	if err != nil {
@@ -711,14 +686,14 @@ func (r *remote) post(ctx context.Context, path string, reqBody, respBody interf
 	return json.NewDecoder(resp.Body).Decode(respBody)
 }
 
-// Search implements shard.Backend.
-func (r *remote) Search(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	ms, _, err := r.SearchStats(ctx, q, eps)
+// SearchCtx implements shard.Backend.
+func (r *remote) SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
+	ms, _, err := r.SearchStatsCtx(ctx, q, eps)
 	return ms, err
 }
 
-// SearchStats implements shard.Backend.
-func (r *remote) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
+// SearchStatsCtx implements shard.Backend.
+func (r *remote) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	var resp SearchResponse
 	if err := r.post(ctx, "/shard/search", SearchRequest{Query: q, Eps: eps, Trace: obs.SpanFrom(ctx) != nil}, &resp); err != nil {
 		return nil, core.Stats{}, err
@@ -731,8 +706,8 @@ func (r *remote) SearchStats(ctx context.Context, q []float64, eps float64) ([]s
 	return fromWire(resp.Matches), st, nil
 }
 
-// SearchTopK implements shard.Backend.
-func (r *remote) SearchTopK(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
+// SearchTopKCtx implements shard.Backend.
+func (r *remote) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	req := TopKRequest{Query: q, K: k, Trace: obs.SpanFrom(ctx) != nil}
 	if !math.IsInf(bound, 1) {
 		req.Bound = &bound
@@ -745,8 +720,8 @@ func (r *remote) SearchTopK(ctx context.Context, q []float64, k int, bound float
 	return fromWire(resp.Matches), nil
 }
 
-// SearchPrefixTree implements shard.Backend.
-func (r *remote) SearchPrefixTree(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
+// SearchPrefixTreeCtx implements shard.Backend.
+func (r *remote) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	var resp SearchResponse
 	if err := r.post(ctx, "/shard/prefix", SearchRequest{Query: q, Eps: eps, Trace: obs.SpanFrom(ctx) != nil}, &resp); err != nil {
 		return nil, err
@@ -755,8 +730,8 @@ func (r *remote) SearchPrefixTree(ctx context.Context, q []float64, eps float64)
 	return fromWire(resp.Matches), nil
 }
 
-// SearchApprox implements shard.Backend.
-func (r *remote) SearchApprox(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
+// SearchApproxCtx implements shard.Backend.
+func (r *remote) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
 	var resp SearchResponse
 	if err := r.post(ctx, "/shard/approx", ApproxRequest{Query: q, Eps: eps, LeafBudget: leafBudget, Trace: obs.SpanFrom(ctx) != nil}, &resp); err != nil {
 		return nil, core.Stats{}, err

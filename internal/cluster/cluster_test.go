@@ -144,7 +144,7 @@ func TestClusterDifferential(t *testing.T) {
 						// Approximate with a saturating budget: every node's
 						// proportional share covers all its leaves, so the
 						// answer (and counters) are the full deterministic set.
-						budget := 2 * local.Len()
+						budget := 2 * local.Windows()
 						wantA, wantASt := local.SearchApprox(q, eps, budget)
 						gotA, gotASt, err := cl.SearchApprox(ctx, q, eps, budget)
 						if err != nil {

@@ -146,7 +146,7 @@ func TestFailoverDifferential(t *testing.T) {
 						t.Fatalf("prefix diverged")
 					}
 					// Path 5: approximate with a saturating budget.
-					budget := 2 * local.Len()
+					budget := 2 * local.Windows()
 					wantA, wantASt := local.SearchApprox(q, 0.3, budget)
 					gotA, gotASt, err := cl.SearchApprox(ctx, q, 0.3, budget)
 					if err != nil {

@@ -10,12 +10,12 @@ import (
 	"twinsearch/internal/shard"
 )
 
-// Node is one shard node's state: the selectively opened subset of the
-// saved index it serves, plus the identity the topology gave it.
+// Node is one shard node's state: the shards of the saved index it
+// serves, opened selectively, plus the identity the topology gave it.
 // internal/server mounts the shard RPC over it.
 type Node struct {
 	Name string
-	Sub  *shard.Subset
+	Sub  *shard.Index
 
 	ar *arena.Arena // owned when OpenNode mapped/read the index file
 }
@@ -35,25 +35,31 @@ type NodeOptions struct {
 	Prefetch bool
 }
 
-// OpenNode opens the shard subset the topology assigns to name: the
-// index file is mapped (or read, see NodeOptions.NoMMap) and only the
+// OpenNode opens the shards the topology assigns to name: the index
+// file is mapped (or read, see NodeOptions.NoMMap) and only the
 // assigned segments are interpreted — unassigned segments are skipped
 // via the segment table, so startup cost and mapped footprint scale
 // with the assignment, not the index. ext must present the same series
 // and normalization the index was built with.
 func OpenNode(topo *Topology, name string, ext *series.Extractor, o NodeOptions) (*Node, error) {
+	return openNode(topo, name, ext, exec.New(o.Workers), o)
+}
+
+// openNode is OpenNode on the executor ex — the open sequence shared
+// with a coordinator's in-process (LocalAddr) entries.
+func openNode(topo *Topology, name string, ext *series.Extractor, ex *exec.Executor, o NodeOptions) (*Node, error) {
 	spec, err := topo.Node(name)
 	if err != nil {
 		return nil, err
 	}
 	if topo.Index == "" {
-		return nil, fmt.Errorf("cluster: topology names no index file")
+		return nil, fmt.Errorf("cluster: topology names no index file for node %q", name)
 	}
 	ar, err := openIndexArena(topo.Index, o.NoMMap)
 	if err != nil {
 		return nil, err
 	}
-	sub, err := shard.OpenArenaShards(ar, ext, exec.New(o.Workers), spec.Shards)
+	sub, err := shard.OpenArenaShards(ar, ext, ex, spec.Shards)
 	if err != nil {
 		ar.Close()
 		return nil, fmt.Errorf("cluster: node %q: %w", name, err)
@@ -64,7 +70,7 @@ func OpenNode(topo *Topology, name string, ext *series.Extractor, o NodeOptions)
 	return &Node{Name: name, Sub: sub, ar: ar}, nil
 }
 
-// openIndexArena produces the byte region a subset opens from: an mmap
+// openIndexArena produces the byte region a node's shards open from: an mmap
 // of the file when the platform supports zero-copy, a heap read
 // otherwise.
 func openIndexArena(path string, noMMap bool) (*arena.Arena, error) {
@@ -102,14 +108,14 @@ func (n *Node) Health() NodeHealth {
 }
 
 // Epoch reports the node's index mutation counter (see Engine.Epoch).
-// Shard subsets are opened read-only from a saved index file, so the
+// A node's shards are opened read-only from a saved index file, so the
 // counter stays 0 for the node's lifetime today; it is reported anyway
 // so coordinators compose cluster epochs through one code path and
 // cache invalidation keeps working the day nodes learn to mutate.
 func (n *Node) Epoch() uint64 { return 0 }
 
 // Close releases the node's arena (unmapping the index region). No
-// search may run on the subset during or after it.
+// search may run on the node's shards during or after it.
 func (n *Node) Close() error {
 	if n.ar == nil {
 		return nil

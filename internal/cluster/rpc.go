@@ -1,8 +1,9 @@
 package cluster
 
 // The shard RPC's server half: the HTTP face of one cluster node. A
-// node serves an assigned subset of a saved index's shards (Node /
-// shard.Subset) and exposes the five search paths to the coordinator:
+// node serves its assigned shards of a saved index (Node, a
+// shard.Index opened by shard.OpenArenaShards) and exposes the five
+// search paths to the coordinator:
 //
 //	GET  /healthz       → NodeHealth (role "node", assignment)
 //	POST /shard/search  → SearchRequest → SearchResponse (+stats)
@@ -137,7 +138,7 @@ func (h *NodeRPC) search(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, tr := h.traceCtx(r, req.Trace)
-	ms, st, err := h.n.Sub.SearchStats(ctx, req.Query, req.Eps)
+	ms, st, err := h.n.Sub.SearchStatsCtx(ctx, req.Query, req.Eps)
 	writeRPC(w, ms, &st, err, tr)
 }
 
@@ -159,7 +160,7 @@ func (h *NodeRPC) topk(w http.ResponseWriter, r *http.Request) {
 		bound = *req.Bound
 	}
 	ctx, tr := h.traceCtx(r, req.Trace)
-	ms, err := h.n.Sub.SearchTopK(ctx, req.Query, req.K, bound)
+	ms, err := h.n.Sub.SearchTopKCtx(ctx, req.Query, req.K, bound)
 	writeRPC(w, ms, nil, err, tr)
 }
 
@@ -168,14 +169,14 @@ func (h *NodeRPC) prefix(w http.ResponseWriter, r *http.Request) {
 	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, Eps: &req.Eps, Trace: &req.Trace}) {
 		return
 	}
-	// Prefix queries are shorter than L by design; the subset validates
-	// the length itself. Screen the values and threshold only.
+	// Prefix queries are shorter than L by design; the shard layer
+	// validates the length itself. Screen the values and threshold only.
 	if err := validateRPCValues(req.Query, req.Eps); err != nil {
 		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, tr := h.traceCtx(r, req.Trace)
-	ms, err := h.n.Sub.SearchPrefixTree(ctx, req.Query, req.Eps)
+	ms, err := h.n.Sub.SearchPrefixTreeCtx(ctx, req.Query, req.Eps)
 	writeRPC(w, ms, nil, err, tr)
 }
 
@@ -193,12 +194,12 @@ func (h *NodeRPC) approx(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, tr := h.traceCtx(r, req.Trace)
-	ms, st, err := h.n.Sub.SearchApprox(ctx, req.Query, req.Eps, req.LeafBudget)
+	ms, st, err := h.n.Sub.SearchApproxCtx(ctx, req.Query, req.Eps, req.LeafBudget)
 	writeRPC(w, ms, &st, err, tr)
 }
 
 // validateRPCQuery screens a full-length RPC query before it reaches
-// the subset: the shard layer panics on length mismatches (its callers
+// the shards: the shard layer panics on length mismatches (its callers
 // validate), and non-finite values would poison the early-abandoning
 // comparisons, so the node refuses both at the door.
 func validateRPCQuery(q []float64, l int, eps float64) error {

@@ -59,14 +59,14 @@ func stdlibRPC(n *Node, path string, body []byte) (int, []byte) {
 			if err := validateRPCValues(req.Query, req.Eps); err != nil {
 				return fail(err)
 			}
-			ms, err = n.Sub.SearchPrefixTree(ctx, req.Query, req.Eps)
+			ms, err = n.Sub.SearchPrefixTreeCtx(ctx, req.Query, req.Eps)
 			break
 		}
 		if err := validateRPCQuery(req.Query, l, req.Eps); err != nil {
 			return fail(err)
 		}
 		var s core.Stats
-		ms, s, err = n.Sub.SearchStats(ctx, req.Query, req.Eps)
+		ms, s, err = n.Sub.SearchStatsCtx(ctx, req.Query, req.Eps)
 		st = &s
 	case "/shard/topk":
 		var req TopKRequest
@@ -84,7 +84,7 @@ func stdlibRPC(n *Node, path string, body []byte) (int, []byte) {
 			}
 			bound = *req.Bound
 		}
-		ms, err = n.Sub.SearchTopK(ctx, req.Query, req.K, bound)
+		ms, err = n.Sub.SearchTopKCtx(ctx, req.Query, req.K, bound)
 	case "/shard/approx":
 		var req ApproxRequest
 		if err := dec.Decode(&req); err != nil {
@@ -98,7 +98,7 @@ func stdlibRPC(n *Node, path string, body []byte) (int, []byte) {
 			return fail(fmt.Errorf("leaf budget %d; a positive probe count is required", req.LeafBudget))
 		}
 		var s core.Stats
-		ms, s, err = n.Sub.SearchApprox(ctx, req.Query, req.Eps, req.LeafBudget)
+		ms, s, err = n.Sub.SearchApproxCtx(ctx, req.Query, req.Eps, req.LeafBudget)
 		st = &s
 	}
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -23,84 +22,76 @@ var frozenModes = []struct {
 }
 
 // TestFrozenMatchesOracle drives all five search paths over the frozen
-// compilation of an insertion-built and a bulk-loaded tree and requires
-// the oracle's answers. (The traversal statistics — that the arena is
-// walked the same way, not just to the same answer — are pinned by
-// TestTraversalGoldenStats.)
+// compilation of an insertion-built tree and requires the oracle's
+// answers. (The traversal statistics — that the arena is walked the
+// same way, not just to the same answer — are pinned by
+// TestTraversalGoldenStats, whose note explains the row names.)
 func TestFrozenMatchesOracle(t *testing.T) {
 	ts := datasets.RandomWalk(3, 2400)
 	const l = 48
 	for _, m := range frozenModes {
-		for _, bulk := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/bulk=%v", m.name, bulk), func(t *testing.T) {
-				ext := series.NewExtractor(ts, m.mode)
-				var ix *Index
-				var err error
-				if bulk {
-					ix, err = BuildBulk(ext, Config{L: l})
-				} else {
-					ix, err = Build(ext, Config{L: l})
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				f := ix.Freeze()
-				if err := f.CheckInvariants(); err != nil {
-					t.Fatalf("frozen invariants: %v", err)
-				}
-				if f.Len() != ix.Len() || f.Height() != ix.Height() || f.NodeCount() != ix.NodeCount() {
-					t.Fatalf("frozen shape (%d, %d, %d) != pointer shape (%d, %d, %d)",
-						f.Len(), f.Height(), f.NodeCount(), ix.Len(), ix.Height(), ix.NodeCount())
-				}
+		t.Run(m.name+"/bulk=false", func(t *testing.T) {
+			ext := series.NewExtractor(ts, m.mode)
+			ix, err := Build(ext, Config{L: l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := ix.Freeze()
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatalf("frozen invariants: %v", err)
+			}
+			if f.Len() != ix.Len() || f.Height() != ix.Height() || f.NodeCount() != ix.NodeCount() {
+				t.Fatalf("frozen shape (%d, %d, %d) != pointer shape (%d, %d, %d)",
+					f.Len(), f.Height(), f.NodeCount(), ix.Len(), ix.Height(), ix.NodeCount())
+			}
 
-				queries := [][]float64{
-					ext.ExtractCopy(37, l),
-					ext.ExtractCopy(1200, l),
-					ext.ExtractCopy(ix.Len()-1, l),
-				}
-				for qi, q := range queries {
-					for _, eps := range []float64{0, 0.1, 0.5, 2.0} {
-						want := oracle.Range(ext, q, eps)
-						got, st := f.SearchStats(q, eps)
-						if !slices.Equal(want, got) {
-							t.Fatalf("q%d eps=%g: Search mismatch: %d vs %d matches", qi, eps, len(want), len(got))
-						}
-						if st.Results != len(got) || st.Abandons != st.Candidates-st.Results {
-							t.Fatalf("q%d eps=%g: counters do not balance: %+v", qi, eps, st)
-						}
+			queries := [][]float64{
+				ext.ExtractCopy(37, l),
+				ext.ExtractCopy(1200, l),
+				ext.ExtractCopy(ix.Len()-1, l),
+			}
+			for qi, q := range queries {
+				for _, eps := range []float64{0, 0.1, 0.5, 2.0} {
+					want := oracle.Range(ext, q, eps)
+					got, st := f.SearchStats(q, eps)
+					if !slices.Equal(want, got) {
+						t.Fatalf("q%d eps=%g: Search mismatch: %d vs %d matches", qi, eps, len(want), len(got))
+					}
+					if st.Results != len(got) || st.Abandons != st.Candidates-st.Results {
+						t.Fatalf("q%d eps=%g: counters do not balance: %+v", qi, eps, st)
+					}
 
-						// Approximate answers are a subset of the exact
-						// ones, within the leaf budget.
-						approx, ast := f.SearchApprox(q, eps, 3)
-						for _, m := range approx {
-							if _, ok := slices.BinarySearchFunc(want, m, func(a, b series.Match) int { return a.Start - b.Start }); !ok {
-								t.Fatalf("q%d eps=%g: approx match %d is not a twin", qi, eps, m.Start)
-							}
-						}
-						if ast.LeavesReached > 3 || ast.Results != len(approx) {
-							t.Fatalf("q%d eps=%g: approx stats %+v for %d matches", qi, eps, ast, len(approx))
+					// Approximate answers are a subset of the exact
+					// ones, within the leaf budget.
+					approx, ast := f.SearchApprox(q, eps, 3)
+					for _, m := range approx {
+						if _, ok := slices.BinarySearchFunc(want, m, func(a, b series.Match) int { return a.Start - b.Start }); !ok {
+							t.Fatalf("q%d eps=%g: approx match %d is not a twin", qi, eps, m.Start)
 						}
 					}
-					for _, k := range []int{1, 7, 50} {
-						want := oracle.TopK(ext, q, k)
-						got := f.SearchTopK(q, k)
-						if !slices.Equal(want, got) {
-							t.Fatalf("q%d k=%d: SearchTopK mismatch: %v vs %v", qi, k, want, got)
-						}
-					}
-					if m.mode != series.NormPerSubsequence {
-						short := q[:l/2]
-						got, err := f.SearchPrefix(short, 0.4)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(oracle.Range(ext, short, 0.4), got) {
-							t.Fatalf("q%d: SearchPrefix mismatch", qi)
-						}
+					if ast.LeavesReached > 3 || ast.Results != len(approx) {
+						t.Fatalf("q%d eps=%g: approx stats %+v for %d matches", qi, eps, ast, len(approx))
 					}
 				}
-			})
-		}
+				for _, k := range []int{1, 7, 50} {
+					want := oracle.TopK(ext, q, k)
+					got := f.SearchTopK(q, k)
+					if !slices.Equal(want, got) {
+						t.Fatalf("q%d k=%d: SearchTopK mismatch: %v vs %v", qi, k, want, got)
+					}
+				}
+				if m.mode != series.NormPerSubsequence {
+					short := q[:l/2]
+					got, err := f.SearchPrefix(short, 0.4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(oracle.Range(ext, short, 0.4), got) {
+						t.Fatalf("q%d: SearchPrefix mismatch", qi)
+					}
+				}
+			}
+		})
 	}
 }
 

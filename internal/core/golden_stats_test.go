@@ -23,6 +23,9 @@ import (
 // L = 101 leaves one tail lane after the kernel's 4-lane steps, and
 // MaxCap = 80 makes nodes wider than sweepScratchCap, so the
 // child-distance scratch spills.
+//
+// Rows keep the "/bulk=false" suffix they carried while bottom-up
+// bulk-loaded trees had rows beside them, so every row keeps its name.
 func TestTraversalGoldenStats(t *testing.T) {
 	data := datasets.EEGN(5, 12000)
 	defaults := Config{L: 100}
@@ -30,29 +33,18 @@ func TestTraversalGoldenStats(t *testing.T) {
 	for _, c := range []struct {
 		cfg  Config
 		mode series.NormMode
-		bulk bool
 		want string
 	}{
-		{defaults, series.NormNone, false, "9800c24d59c0c5e4a3e42100147ea18d6167ec55efe0997b71eebb5b7f684b97"},
-		{defaults, series.NormNone, true, "8310f825862e78ae37f454f261f05aa241f17fc4aaa9ac72f2cac8728288b5ed"},
-		{defaults, series.NormGlobal, false, "214221520470d95fb36d99992e14f072b5fb9c860c70cc039ed9ac67645d8ff4"},
-		{defaults, series.NormGlobal, true, "3276d56d41ca84558cf128b4b7b1c92e0f054b15ae1803c45370354d4ce28688"},
-		{defaults, series.NormPerSubsequence, false, "e4836ba9db77e05d5f9f76fcd99f9d02be89d5a0e18344d2cf97933ddf1c9376"},
-		{defaults, series.NormPerSubsequence, true, "e22939be2a418512d8160a5353c95b46916b4f2e7c3d3c37d37ec4801838c804"},
-		{wide, series.NormNone, false, "5dc003b95a20c4f99f6795ecf0bd18a0fcd5948ef6d862b8a9fe5a1333e508e3"},
-		{wide, series.NormNone, true, "b40d49ec3ba96a65908072d8559b51cb85824c7c23402ce38a9e6940f55040e1"},
-		{wide, series.NormGlobal, false, "412c81f800c4844c8fed2d4511096bb75ff7add5f2752a23b0f7fd32fd9c94e6"},
-		{wide, series.NormGlobal, true, "0264d40f126c6e6be52576601a410b611e49aa539454d47e64eca10f7fe1b5d1"},
-		{wide, series.NormPerSubsequence, false, "7aff184b9648618c62385e0c588f6174277efef85643a2a86f03753761f4b796"},
-		{wide, series.NormPerSubsequence, true, "4c77d9a642feab8aa9c6fa8d29fdcd561a24a6f4db5bef5589ca84472cc4e7d4"},
+		{defaults, series.NormNone, "9800c24d59c0c5e4a3e42100147ea18d6167ec55efe0997b71eebb5b7f684b97"},
+		{defaults, series.NormGlobal, "214221520470d95fb36d99992e14f072b5fb9c860c70cc039ed9ac67645d8ff4"},
+		{defaults, series.NormPerSubsequence, "e4836ba9db77e05d5f9f76fcd99f9d02be89d5a0e18344d2cf97933ddf1c9376"},
+		{wide, series.NormNone, "5dc003b95a20c4f99f6795ecf0bd18a0fcd5948ef6d862b8a9fe5a1333e508e3"},
+		{wide, series.NormGlobal, "412c81f800c4844c8fed2d4511096bb75ff7add5f2752a23b0f7fd32fd9c94e6"},
+		{wide, series.NormPerSubsequence, "7aff184b9648618c62385e0c588f6174277efef85643a2a86f03753761f4b796"},
 	} {
-		t.Run(fmt.Sprintf("L=%d/Mc=%d/%v/bulk=%v", c.cfg.L, c.cfg.MaxCap, c.mode, c.bulk), func(t *testing.T) {
+		t.Run(fmt.Sprintf("L=%d/Mc=%d/%v/bulk=false", c.cfg.L, c.cfg.MaxCap, c.mode), func(t *testing.T) {
 			ext := series.NewExtractor(data, c.mode)
-			build := Build
-			if c.bulk {
-				build = BuildBulk
-			}
-			ix, err := build(ext, c.cfg)
+			ix, err := Build(ext, c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

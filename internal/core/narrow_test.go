@@ -79,32 +79,26 @@ func TestNarrowedBoundsDifferential(t *testing.T) {
 	data := datasets.EEGN(5, 12000)
 	for _, cfg := range []Config{{L: 100}, {L: 101, MinCap: 30, MaxCap: 80}} {
 		for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
-			for _, bulk := range []bool{false, true} {
-				t.Run(fmt.Sprintf("L=%d/Mc=%d/%v/bulk=%v", cfg.L, cfg.MaxCap, mode, bulk), func(t *testing.T) {
-					ext := series.NewExtractor(data, mode)
-					build := Build
-					if bulk {
-						build = BuildBulk
+			t.Run(fmt.Sprintf("L=%d/Mc=%d/%v/bulk=false", cfg.L, cfg.MaxCap, mode), func(t *testing.T) {
+				ext := series.NewExtractor(data, mode)
+				ix, err := Build(ext, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := ix.Freeze()
+				if err := f.CheckInvariants(); err != nil {
+					t.Fatalf("narrowed arena fails containment: %v", err)
+				}
+				narrowed, exact := 0, 0
+				for _, start := range []int{17, 4000, f.Len() - 1} {
+					q := ext.ExtractCopy(start, cfg.L)
+					for _, eps := range []float64{0, 0.2, 1.0} {
+						n, e := checkNarrowedAgainstExact(t, ix, f, q, eps)
+						narrowed, exact = narrowed+n, exact+e
 					}
-					ix, err := build(ext, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f := ix.Freeze()
-					if err := f.CheckInvariants(); err != nil {
-						t.Fatalf("narrowed arena fails containment: %v", err)
-					}
-					narrowed, exact := 0, 0
-					for _, start := range []int{17, 4000, f.Len() - 1} {
-						q := ext.ExtractCopy(start, cfg.L)
-						for _, eps := range []float64{0, 0.2, 1.0} {
-							n, e := checkNarrowedAgainstExact(t, ix, f, q, eps)
-							narrowed, exact = narrowed+n, exact+e
-						}
-					}
-					t.Logf("range candidates: %d narrowed, %d exact", narrowed, exact)
-				})
-			}
+				}
+				t.Logf("range candidates: %d narrowed, %d exact", narrowed, exact)
+			})
 		}
 	}
 }

@@ -48,9 +48,8 @@ type Config struct {
 	// L is the indexed subsequence length.
 	L int
 	// MinCap (µc) and MaxCap (Mc) bound node occupancy. Defaults apply
-	// when 0. MaxCap must be ≥ 2·MinCap−1 so that splits and bulk
-	// loading can always satisfy the minimum on both sides, and at most
-	// 1024.
+	// when 0. MaxCap must be ≥ 2·MinCap−1 so that a split can always
+	// satisfy the minimum on both sides, and at most 1024.
 	MinCap, MaxCap int
 }
 
@@ -262,14 +261,6 @@ func (ix *Index) enclose(n *node) {
 	for _, p := range n.positions[1:] {
 		n.bounds.ExpandToSequence(ix.ext.Extract(int(p), ix.cfg.L, ix.winBuf))
 	}
-}
-
-// seat makes n, bounded anywhere, the root: its bounds move to top.
-func (ix *Index) seat(n *node) {
-	row := ix.top.Row(0, ix.cfg.L)
-	row.CopyFrom(n.bounds)
-	n.bounds = row
-	ix.root = n
 }
 
 // chooseChild selects the child whose MBTS has the smallest Eq. 2

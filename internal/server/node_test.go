@@ -103,7 +103,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 		return out
 	}
 
-	want, wantSt, err := n.Sub.SearchStats(ctx, q, 0.4)
+	want, wantSt, err := n.Sub.SearchStatsCtx(ctx, q, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 		}
 	}
 
-	wantK, err := n.Sub.SearchTopK(ctx, q, 5, math.Inf(1))
+	wantK, err := n.Sub.SearchTopKCtx(ctx, q, 5, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 		t.Fatalf("bounded topk: %d matches, want %d", len(gotB.Matches), len(wantK))
 	}
 
-	wantP, err := n.Sub.SearchPrefixTree(ctx, q[:25], 0.3)
+	wantP, err := n.Sub.SearchPrefixTreeCtx(ctx, q[:25], 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 		t.Fatalf("prefix: %d matches, want %d", len(gotP.Matches), len(wantP))
 	}
 
-	wantA, _, err := n.Sub.SearchApprox(ctx, q, 0.4, 2*n.Sub.Windows())
+	wantA, _, err := n.Sub.SearchApproxCtx(ctx, q, 0.4, 2*n.Sub.Windows())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,27 +2,27 @@ package shard
 
 // Backend abstracts "something that can answer the five TS-Index search
 // paths over a set of shards" — the seam the distributed tier
-// (internal/cluster) plugs into. Two implementations exist: a Subset
-// serving an assigned slice of a saved index's shards, and cluster's
-// HTTP client talking to a remote node that itself wraps a Subset. A
-// coordinator fans one query across several Backends whose shard sets
-// partition the saved index and recombines with the same deterministic
-// merges the local fan-out uses, so the answer never depends on where
-// the shards live.
+// (internal/cluster) plugs into. Two implementations exist: an Index
+// holding an assigned slice of a saved index's shards (OpenArenaShards),
+// and cluster's HTTP client talking to a remote node that itself serves
+// such an Index. A coordinator fans one query across several Backends
+// whose shard sets partition the saved index and recombines with the
+// same deterministic merges the local fan-out uses, so the answer never
+// depends on where the shards live.
 //
 // Contracts shared by every implementation:
 //
 //   - Queries are in the engine's normalized value space (the caller
 //     transforms once; see Engine.PrepareQuery).
-//   - Range-style results (Search/Stats/PrefixTree/Approx) are sorted
+//   - Range-style results (range, stats, prefix tree, approx) are sorted
 //     by start position; top-k results by the (dist, start) total
 //     order. Result sets from backends over disjoint shard sets are
 //     disjoint, so a k-way merge reproduces the single-engine order.
-//   - SearchPrefixTree reports prefix twins among the backend's indexed
+//   - SearchPrefixTreeCtx reports prefix twins among the backend's indexed
 //     starts only — no tail scan. The windows that exist only at the
 //     shorter query length belong to no shard; exactly one party (the
 //     coordinator, or SearchPrefix on a full local index) scans them.
-//   - SearchTopK's bound seeds the traversal's shared pruning bound:
+//   - SearchTopKCtx's bound seeds the traversal's shared pruning bound:
 //     subtrees whose lower bound strictly exceeds it are skipped, so a
 //     coordinator can broadcast its current k-th threshold to prune
 //     remote work. math.Inf(1) means unbounded. Because pruning is on
@@ -55,11 +55,11 @@ import (
 // Backend is one group of shards answering the five search paths; see
 // the package-level contract above.
 type Backend interface {
-	Search(ctx context.Context, q []float64, eps float64) ([]series.Match, error)
-	SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error)
-	SearchTopK(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error)
-	SearchPrefixTree(ctx context.Context, q []float64, eps float64) ([]series.Match, error)
-	SearchApprox(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error)
+	SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error)
+	SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error)
+	SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error)
+	SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error)
+	SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error)
 
 	// Windows is the number of indexed window positions the backend
 	// serves (coordinators split approximate leaf budgets by it).
@@ -110,10 +110,13 @@ func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// queueSearchUnits enqueues the (shard, subtree) units of one range
-// search over frozen/fr into g — the core of QueueSearch, shared with
-// Subset. A nil ctx never cancels.
-func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, q []float64, eps float64) *PendingSearch {
+var _ Backend = (*Index)(nil)
+
+// queueSearch enqueues the (shard, subtree) units of one range search
+// into g — the core of QueueSearch and SearchStatsCtx. The shards must
+// be frozen. A nil ctx never cancels.
+func (s *Index) queueSearch(g *exec.Group, ctx context.Context, q []float64, eps float64) *PendingSearch {
+	fr := s.unitFrontiers()
 	p := &PendingSearch{
 		res: make([][][]series.Match, len(fr)),
 		st:  make([][]core.Stats, len(fr)),
@@ -121,7 +124,7 @@ func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen,
 	for i, units := range fr {
 		p.res[i] = make([][]series.Match, len(units))
 		p.st[i] = make([]core.Stats, len(units))
-		f := frozen[i]
+		f := s.frozen[i]
 		for j, u := range units {
 			g.Go(func(*exec.Ctx) {
 				if canceled(ctx) {
@@ -134,27 +137,39 @@ func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen,
 	return p
 }
 
-// searchStatsUnits runs one complete range search over frozen/fr:
-// enqueue, wait, merge. direct selects the whole-tree fast path for a
-// lone shard — only valid when that shard IS the whole index: a subset
-// serving one shard of a larger container must still traverse frontier
-// units so its counters (which skip nodes above unit roots) agree with
-// the full fan-out's.
-func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, eps float64, direct bool) ([]series.Match, core.Stats, error) {
+// SearchCtx is Search honoring cancellation: once ctx is done, queued
+// work units are skipped and the call returns ctx.Err().
+func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
+	ms, _, err := s.SearchStatsCtx(ctx, q, eps)
+	return ms, err
+}
+
+// SearchStatsCtx is SearchStats honoring cancellation.
+func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
+	s.ensureFrozen()
+	return s.searchStats(ctx, q, eps)
+}
+
+// searchStats runs one complete range search over the frozen shards:
+// enqueue, wait, merge. The whole-tree fast path is taken only when the
+// one shard IS the whole container: an Index holding one shard of a
+// larger container must still traverse frontier units so its counters
+// (which skip nodes above unit roots) agree with the full fan-out's.
+func (s *Index) searchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
 	sp := obs.SpanFrom(ctx)
-	if direct && len(frozen) == 1 {
+	if s.total == 1 {
 		tsp := sp.StartChild("traverse")
-		ms, st := frozen[0].SearchStats(q, eps)
+		ms, st := s.frozen[0].SearchStats(q, eps)
 		setShardAttrs(tsp, st, 0)
 		tsp.End()
 		return ms, st, nil
 	}
-	g := ex.NewGroup()
+	g := s.ex.NewGroup()
 	tsp := sp.StartChild("traverse")
-	p := queueSearchUnits(g, ctx, frozen, fr(), q, eps)
+	p := s.queueSearch(g, ctx, q, eps)
 	g.Wait()
 	setUnitSpans(tsp, g, p.st)
 	tsp.End()
@@ -216,20 +231,20 @@ type PendingTopK struct {
 	k     int
 }
 
-// queueTopKUnits enqueues the (shard, subtree) units of one top-k
-// search over frozen/fr into g — the one place top-k units are
-// enqueued, for the single-query, Subset and batch callers alike. The
-// units share one pruning bound seeded to bound (math.Inf(1) =
-// unbounded). Seeding only tightens the initial threshold; pruning
-// stays on strict inequality, so the merged result equals the unseeded
-// traversal's whenever bound is an upper bound on the true k-th
-// distance. traced keeps the units' counters for setUnitSpans; untraced
-// queries drop them and allocate nothing for them. A nil ctx never
-// cancels.
-func queueTopKUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, q []float64, k int, bound float64, traced bool) PendingTopK {
+// queueTopK enqueues the (shard, subtree) units of one top-k search
+// into g — the one place top-k units are enqueued, for the single-query
+// and batch callers alike. The shards must be frozen. The units share
+// one pruning bound seeded to bound (math.Inf(1) = unbounded). Seeding
+// only tightens the initial threshold; pruning stays on strict
+// inequality, so the merged result equals the unseeded traversal's
+// whenever bound is an upper bound on the true k-th distance. traced
+// keeps the units' counters for setUnitSpans; untraced queries drop
+// them and allocate nothing for them. A nil ctx never cancels.
+func (s *Index) queueTopK(g *exec.Group, ctx context.Context, q []float64, k int, bound float64, traced bool) PendingTopK {
 	if k <= 0 {
 		return PendingTopK{}
 	}
+	fr := s.unitFrontiers()
 	shared := core.NewSharedBound()
 	shared.Tighten(bound)
 	n := 0
@@ -246,7 +261,7 @@ func queueTopKUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, f
 	}
 	at := 0
 	for i, us := range fr {
-		f := frozen[i]
+		f := s.frozen[i]
 		for j, u := range us {
 			slot := at
 			at++
@@ -271,10 +286,17 @@ func (p PendingTopK) Resolve() []series.Match {
 	return mergeTopK(p.lists, p.k)
 }
 
-// searchTopKUnits runs one complete top-k search over frozen/fr:
+// SearchTopKCtx is SearchTopK honoring cancellation, with the shared
+// pruning bound seeded to bound (math.Inf(1) = unbounded; see Backend).
+func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
+	s.ensureFrozen()
+	return s.searchTopK(ctx, q, k, bound)
+}
+
+// searchTopK runs one complete top-k search over the frozen shards:
 // enqueue, wait, merge, with the shared pruning bound seeded to bound
-// (see queueTopKUnits).
-func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, k int, bound float64) ([]series.Match, error) {
+// (see queueTopK).
+func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -284,7 +306,7 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 	// Traced queries get the same traverse/shard[i]/merge tree threshold
 	// search records, filled from the units' own counters.
 	sp := obs.SpanFrom(ctx)
-	if len(frozen) == 1 {
+	if len(s.frozen) == 1 {
 		// A lone traversal shares its bound with nobody: unless the
 		// caller seeds one, its own k-th best is the whole limit, and
 		// nil spares the query an allocation.
@@ -293,15 +315,16 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 			seed = core.NewSharedBound()
 			seed.Tighten(bound)
 		}
+		f := s.frozen[0]
 		tsp := sp.StartChild("traverse")
-		ms, st := frozen[0].SearchTopKSharedFrom(frozen[0].Root(), q, k, seed)
+		ms, st := f.SearchTopKSharedFrom(f.Root(), q, k, seed)
 		setShardAttrs(tsp, st, 0)
 		tsp.End()
 		return ms, nil
 	}
-	g := ex.NewGroup()
+	g := s.ex.NewGroup()
 	tsp := sp.StartChild("traverse")
-	p := queueTopKUnits(g, ctx, frozen, fr(), q, k, bound, sp != nil)
+	p := s.queueTopK(g, ctx, q, k, bound, sp != nil)
 	g.Wait()
 	setUnitSpans(tsp, g, p.st)
 	tsp.End()
@@ -314,26 +337,28 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 	return ms, nil
 }
 
-// searchPrefixUnits runs the tree half of one prefix search over
-// frozen/fr: truncated-bound traversal of every unit, per-shard sort,
-// partition merge. The tail windows are NOT scanned here — the caller
-// decides who scans them exactly once.
-func searchPrefixUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, eps float64) ([]series.Match, error) {
-	if err := frozen[0].ValidatePrefix(q); err != nil {
+// SearchPrefixTreeCtx is the tree half of SearchPrefix honoring
+// cancellation: truncated-bound traversal of every unit, per-shard
+// sort, partition merge — prefix twins among the indexed starts only.
+// The tail windows are NOT scanned here (the Backend contract): the
+// caller decides who scans them exactly once.
+func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
+	s.ensureFrozen()
+	if err := s.frozen[0].ValidatePrefix(q); err != nil {
 		return nil, err
 	}
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
-	if len(frozen) == 1 {
-		return frozen[0].SearchPrefixTree(q, eps)
+	if len(s.frozen) == 1 {
+		return s.frozen[0].SearchPrefixTree(q, eps)
 	}
-	units := fr()
+	units := s.unitFrontiers()
 	res := make([][][]series.Match, len(units))
-	g := ex.NewGroup()
+	g := s.ex.NewGroup()
 	for i, us := range units {
 		res[i] = make([][]series.Match, len(us))
-		f := frozen[i]
+		f := s.frozen[i]
 		for j, u := range us {
 			g.Go(func(*exec.Ctx) {
 				if canceled(ctx) {
@@ -359,24 +384,25 @@ func searchPrefixUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fr
 	return mergePartitioned(per), nil
 }
 
-// searchApproxUnits runs one approximate search over frozen, drawing
-// leaves from a single shared budget across the shards.
-func searchApproxUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
+// SearchApproxCtx is SearchApprox honoring cancellation: leaves are
+// drawn from a single budget shared across the shards.
+func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
+	s.ensureFrozen()
 	if leafBudget <= 0 {
 		leafBudget = 1
 	}
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
-	if len(frozen) == 1 {
-		ms, st := frozen[0].SearchApprox(q, eps, leafBudget)
+	if len(s.frozen) == 1 {
+		ms, st := s.frozen[0].SearchApprox(q, eps, leafBudget)
 		return ms, st, nil
 	}
 	budget := core.NewLeafBudget(leafBudget)
-	per := make([][]series.Match, len(frozen))
-	stats := make([]core.Stats, len(frozen))
-	g := ex.NewGroup()
-	for i, f := range frozen {
+	per := make([][]series.Match, len(s.frozen))
+	stats := make([]core.Stats, len(s.frozen))
+	g := s.ex.NewGroup()
+	for i, f := range s.frozen {
 		g.Go(func(*exec.Ctx) {
 			if canceled(ctx) {
 				return
@@ -393,40 +419,4 @@ func searchApproxUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fr
 		st = addStats(st, x)
 	}
 	return mergePartitioned(per), st, nil
-}
-
-// --- ctx-aware entry points on the full local index ---
-
-// SearchCtx is Search honoring cancellation: once ctx is done, queued
-// work units are skipped and the call returns ctx.Err().
-func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	ms, _, err := s.SearchStatsCtx(ctx, q, eps)
-	return ms, err
-}
-
-// SearchStatsCtx is SearchStats honoring cancellation.
-func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	s.ensureFrozen()
-	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps, true)
-}
-
-// SearchTopKCtx is SearchTopK honoring cancellation, with the shared
-// pruning bound seeded to bound (math.Inf(1) = unbounded; see Backend).
-func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
-	s.ensureFrozen()
-	return searchTopKUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, k, bound)
-}
-
-// SearchPrefixTreeCtx is the tree half of SearchPrefix honoring
-// cancellation: prefix twins among the indexed starts only, no tail
-// scan (the Backend contract).
-func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	s.ensureFrozen()
-	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps)
-}
-
-// SearchApproxCtx is SearchApprox honoring cancellation.
-func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	s.ensureFrozen()
-	return searchApproxUnits(ctx, s.ex, s.frozen, q, eps, leafBudget)
 }

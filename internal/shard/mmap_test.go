@@ -79,7 +79,7 @@ func TestOpenArenaDifferential(t *testing.T) {
 		}
 		// With the budget covering every leaf, the approximate search
 		// is exhaustive and deterministic on both forms.
-		budget := got.Len()
+		budget := got.Windows()
 		wa, _ := sh.SearchApprox(q, 0.5, budget)
 		ga, _ := got.SearchApprox(q, 0.5, budget)
 		if !sameMatches(wa, ga) {

@@ -36,6 +36,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sort"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
@@ -79,7 +80,7 @@ func headerLen(count int) int64 {
 
 // WriteTo serializes the sharded index in the current (v4, mappable)
 // format, re-freezing any shards left stale by Insert first. It
-// implements io.WriterTo.
+// implements io.WriterTo, for an Index holding every shard.
 func (s *Index) WriteTo(w io.Writer) (int64, error) {
 	s.ensureFrozen()
 	le := binary.LittleEndian
@@ -224,7 +225,7 @@ func Load(r io.Reader, ext *series.Extractor, ex *exec.Executor) (*Index, error)
 		frozen[i] = f
 	}
 
-	s := newLoaded(ext, l, frozen, h.starts, ex)
+	s := assemble(ext, l, frozen, nil, h.starts, ex)
 	// Partition invariants only: each shard stream was just validated in
 	// full by its own loader, so re-walking every arena here would only
 	// double the load cost.
@@ -239,13 +240,34 @@ func Load(r io.Reader, ext *series.Extractor, ex *exec.Executor) (*Index, error)
 // are views directly into the region — opening a multi-gigabyte index
 // costs O(header) allocations and faults pages in on demand. The
 // caller owns ar and must keep it alive (and unclosed) for the index's
-// lifetime.
+// lifetime; ex nil selects the process-wide default executor.
 //
 // Each shard's structural invariants and the partition shape are
 // validated; the O(windows) ownership scan and O(size·L)
 // bound-containment walk are trusted to the writer, exactly as
 // FrozenFromArena documents.
 func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Index, error) {
+	return openArena(ar, ext, ex, nil)
+}
+
+// OpenArenaShards is OpenArena for the shards listed in assigned
+// (the container's indices, any order, no duplicates) — the unit a
+// cluster node serves. Unassigned segments are skipped by the segment
+// table's lengths alone: their bytes are never read, validated or
+// viewed, and under a file mapping their pages are never faulted in, so
+// opening N of P shards costs O(N segments), not O(file). The Index
+// answers for the assigned shards only; do not Insert into it or
+// WriteTo it.
+func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assigned []int) (*Index, error) {
+	if len(assigned) == 0 {
+		return nil, fmt.Errorf("shard: no shards assigned")
+	}
+	return openArena(ar, ext, ex, assigned)
+}
+
+// openArena opens the shards assigned (nil: every shard) of the TSSH v4
+// stream occupying ar.
+func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assigned []int) (*Index, error) {
 	// The header is small and byte-order sensitive; decode it through
 	// the same reader the copy loader uses rather than aliasing it.
 	buf := ar.Bytes()
@@ -253,13 +275,30 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 	if err != nil {
 		return nil, err
 	}
+	var ids []int
+	if assigned != nil {
+		ids = append([]int(nil), assigned...)
+		sort.Ints(ids)
+		for i, id := range ids {
+			if id < 0 || id >= h.count {
+				return nil, fmt.Errorf("shard: assigned shard %d out of range [0, %d)", id, h.count)
+			}
+			if i > 0 && id == ids[i-1] {
+				return nil, fmt.Errorf("shard: shard %d assigned twice", id)
+			}
+		}
+	}
 
 	off := headerLen(h.count)
-	frozen := make([]*core.Frozen, h.count)
+	var frozen []*core.Frozen
 	l := 0
-	for i := range frozen {
+	for i := 0; i < h.count && (ids == nil || len(frozen) < len(ids)); i++ {
 		if off > int64(len(buf)) {
 			return nil, fmt.Errorf("shard: arena: segment %d starts at %d, region has %d bytes", i, off, len(buf))
+		}
+		if ids != nil && i != ids[len(frozen)] {
+			off += h.segLens[i] // not ours: step over it
+			continue
 		}
 		f, n, err := core.FrozenFromArena(ar, off, ext)
 		if err != nil {
@@ -268,17 +307,17 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 		if n != h.segLens[i] {
 			return nil, fmt.Errorf("shard: arena: shard %d spans %d bytes, table says %d", i, n, h.segLens[i])
 		}
-		if i == 0 {
+		if len(frozen) == 0 {
 			l = f.L()
 		} else if f.L() != l {
-			return nil, fmt.Errorf("shard: shard %d has L=%d, shard 0 has L=%d", i, f.L(), l)
+			return nil, fmt.Errorf("shard: shard %d has L=%d, the first opened has L=%d", i, f.L(), l)
 		}
-		frozen[i] = f
+		frozen = append(frozen, f)
 		off += n
 	}
 
-	s := newLoaded(ext, l, frozen, h.starts, ex)
-	if err := s.checkPartitionShape(); err != nil {
+	s := assemble(ext, l, frozen, ids, h.starts, ex)
+	if err := s.checkShape(); err != nil {
 		return nil, fmt.Errorf("shard: arena: %w", err)
 	}
 	return s, nil
@@ -291,19 +330,9 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 // is refused.
 func Single(f *core.Frozen, ex *exec.Executor) (*Index, error) {
 	count := series.NumSubsequences(f.Extractor().Len(), f.L())
-	s := newLoaded(f.Extractor(), f.L(), []*core.Frozen{f}, []int{0, count}, ex)
-	if err := s.checkPartitionShape(); err != nil {
+	s := assemble(f.Extractor(), f.L(), []*core.Frozen{f}, nil, []int{0, count}, ex)
+	if err := s.checkShape(); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// newLoaded assembles a loaded Index from its parts.
-func newLoaded(ext *series.Extractor, l int, frozen []*core.Frozen, starts []int, ex *exec.Executor) *Index {
-	if ex == nil {
-		ex = exec.Default()
-	}
-	return &Index{ext: ext, l: l, frozen: frozen,
-		pointer: make([]*core.Index, len(frozen)), dirtyShard: make([]bool, len(frozen)),
-		starts: starts, ex: ex}
 }

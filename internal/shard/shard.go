@@ -15,7 +15,9 @@
 // lives. An Index of ONE shard is how a single TS-Index is served: its
 // queries skip the executor and run the shard's whole-tree traversal
 // inline, with the answers, counters and saved bytes of a bare
-// core.Frozen.
+// core.Frozen. An Index may also hold only some of a saved container's
+// shards (OpenArenaShards): that is what a cluster node serves, and it
+// is searched exactly as the whole container's fan-out searches them.
 //
 // Every query path has one fan-out. Its units can also be enqueued into
 // a group the caller owns (QueueSearch, QueueSearchTopK): a batch is
@@ -49,8 +51,6 @@ type Config struct {
 	// Shards is the number of partitions; ≤ 0 selects GOMAXPROCS. The
 	// effective count never exceeds the number of windows.
 	Shards int
-	// BulkLoad selects bottom-up construction for every shard.
-	BulkLoad bool
 	// Boundaries, when non-nil, fixes the contiguous partition
 	// explicitly: entry i and i+1 delimit shard i's position range, so
 	// it must be strictly increasing from 0 to the window count, and its
@@ -63,18 +63,22 @@ type Config struct {
 	Executor *exec.Executor
 }
 
-// Index is a sharded TS-Index over one series.
+// Index is a sharded TS-Index over one series: every shard of a
+// partition, or an assigned subset of a saved container's shards.
 type Index struct {
 	ext *series.Extractor
 	l   int
-	// frozen holds each shard's arena — the form every query traverses.
+	// frozen holds each held shard's arena — the form every query
+	// traverses; frozen[i] is the container's shard ids[i].
 	frozen []*core.Frozen
+	ids    []int // ascending; 0, 1, … when every shard is held
+	total  int   // shard count of the whole container
 	// pointer[i] is shard i thawed for insertion; nil while the shard is
 	// frozen-only. Once a shard is thawed it stays resident (repeated
 	// Insert/refreeze cycles then skip the thaw).
 	pointer []*core.Index
-	// starts has len(shards)+1 entries; shard i owns window positions
-	// [starts[i], starts[i+1]).
+	// starts is the container's boundary table (total+1 entries): its
+	// shard i owns window positions [starts[i], starts[i+1]).
 	starts []int
 	ex     *exec.Executor
 
@@ -111,13 +115,12 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 		ex = exec.Default()
 	}
 
-	s := &Index{ext: ext, l: cfg.L, ex: ex}
-
+	var starts []int
 	if cfg.Boundaries != nil {
 		if err := validateBoundaries(cfg.Boundaries, cfg.Shards, count); err != nil {
 			return nil, err
 		}
-		s.starts = append([]int(nil), cfg.Boundaries...)
+		starts = append([]int(nil), cfg.Boundaries...)
 	} else {
 		p := cfg.Shards
 		if p <= 0 {
@@ -126,39 +129,48 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 		if p > count {
 			p = count
 		}
-		s.starts = make([]int, p+1)
-		for i := range s.starts {
-			s.starts[i] = i * count / p
+		starts = make([]int, p+1)
+		for i := range starts {
+			starts[i] = i * count / p
 		}
 	}
-	p := len(s.starts) - 1
+	p := len(starts) - 1
 
-	s.frozen = make([]*core.Frozen, p)
-	s.pointer = make([]*core.Index, p)
-	s.dirtyShard = make([]bool, p)
+	frozen := make([]*core.Frozen, p)
 	errs := make([]error, p)
 	ex.ForEach(p, func(i int) {
-		var ix *core.Index
-		var err error
-		if cfg.BulkLoad {
-			ix, err = core.BuildBulkRange(ext, cfg.Config, s.starts[i], s.starts[i+1])
-		} else {
-			ix, err = core.BuildRange(ext, cfg.Config, s.starts[i], s.starts[i+1])
-		}
+		ix, err := core.BuildRange(ext, cfg.Config, starts[i], starts[i+1])
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		// Freeze inside the same work unit (arenas compile in parallel)
 		// and let the pointer tree go: the arena is the index now.
-		s.frozen[i] = ix.Freeze()
+		frozen[i] = ix.Freeze()
 	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 		}
 	}
-	return s, nil
+	return assemble(ext, cfg.L, frozen, nil, starts, ex), nil
+}
+
+// assemble makes an Index of the shards ids (nil: every shard) of the
+// container whose boundary table is starts; frozen[i] is shard ids[i].
+func assemble(ext *series.Extractor, l int, frozen []*core.Frozen, ids, starts []int, ex *exec.Executor) *Index {
+	if ex == nil {
+		ex = exec.Default()
+	}
+	if ids == nil {
+		ids = make([]int, len(frozen))
+		for i := range ids {
+			ids[i] = i
+		}
+	}
+	return &Index{ext: ext, l: l, frozen: frozen, ids: ids, total: len(starts) - 1,
+		pointer: make([]*core.Index, len(frozen)), dirtyShard: make([]bool, len(frozen)),
+		starts: starts, ex: ex}
 }
 
 // validateBoundaries rejects partitions that don't cover [0, count)
@@ -217,20 +229,23 @@ func (s *Index) ensureFrozen() {
 // to even out skewed shards. The split decides which nodes sit above a
 // unit's root and are never visited, so the traversal counters of
 // every fanned-out query depend on this rule: change it and they move.
+// The target divides by the CONTAINER's shard count, not the held
+// count, so an Index holding some of the shards splits each one as the
+// whole container's fan-out would on the same machine, and reports the
+// same counters for it.
 func (s *Index) unitFrontiers() [][]core.FrozenSubtree {
 	if u := s.units.Load(); u != nil {
 		return *u
 	}
-	p := len(s.frozen)
 	w := s.ex.Workers()
 	if g := runtime.GOMAXPROCS(0); g > w {
 		w = g
 	}
 	per := 1
-	if t := 4 * w; t > p {
-		per = (t + p - 1) / p
+	if t := 4 * w; t > s.total {
+		per = (t + s.total - 1) / s.total
 	}
-	fr := make([][]core.FrozenSubtree, p)
+	fr := make([][]core.FrozenSubtree, len(s.frozen))
 	for i, f := range s.frozen {
 		fr[i] = f.Frontier(per)
 	}
@@ -269,7 +284,7 @@ type PendingSearch struct {
 // only after g.Wait() returns.
 func (s *Index) QueueSearch(g *exec.Group, q []float64, eps float64) *PendingSearch {
 	s.ensureFrozen()
-	return queueSearchUnits(g, nil, s.frozen, s.unitFrontiers(), q, eps)
+	return s.queueSearch(g, nil, q, eps)
 }
 
 // Resolve merges the unit results deterministically: units of one
@@ -375,7 +390,7 @@ func (s *Index) SearchTopK(q []float64, k int) []series.Match {
 // QueueSearch. Call Resolve only after g.Wait() returns.
 func (s *Index) QueueSearchTopK(g *exec.Group, q []float64, k int) PendingTopK {
 	s.ensureFrozen()
-	return queueTopKUnits(g, nil, s.frozen, s.unitFrontiers(), q, k, math.Inf(1), false)
+	return s.queueTopK(g, nil, q, k, math.Inf(1), false)
 }
 
 // mergeTopK k-way-merges start-disjoint, distance-sorted lists and
@@ -487,7 +502,8 @@ func (s *Index) SearchApprox(q []float64, eps float64, leafBudget int) ([]series
 // position (positions past the current end extend the last shard — the
 // streaming-append path). The owning shard is thawed back to pointer
 // form if needed and marked dirty; the next search re-freezes it. Do
-// not call concurrently with searches.
+// not call concurrently with searches, nor on an Index holding only
+// some of a container's shards.
 func (s *Index) Insert(p int) {
 	i := s.routeShard(p)
 	if s.pointer[i] == nil {
@@ -510,8 +526,8 @@ func (s *Index) routeShard(p int) int {
 	return sort.SearchInts(s.starts, p+1) - 1
 }
 
-// Len returns the number of indexed windows across all shards.
-func (s *Index) Len() int {
+// Windows returns the number of indexed windows across the held shards.
+func (s *Index) Windows() int {
 	// ensureFrozen first: the arenas are then authoritative, and the
 	// dirty-flag handshake orders this read against any concurrent
 	// search's refreeze (plain reads of frozen[] would race with it).
@@ -526,19 +542,25 @@ func (s *Index) Len() int {
 // L returns the indexed subsequence length.
 func (s *Index) L() int { return s.l }
 
-// NumShards returns the shard count.
+// NumShards returns the number of shards held.
 func (s *Index) NumShards() int { return len(s.frozen) }
 
-// Shard returns the frozen arena of shard i (re-freezing first if an
-// insertion left it stale).
+// ShardIDs lists the container's indices of the held shards, ascending.
+func (s *Index) ShardIDs() []int { return append([]int(nil), s.ids...) }
+
+// TotalShards returns the shard count of the whole container.
+func (s *Index) TotalShards() int { return s.total }
+
+// Shard returns the frozen arena of held shard i (re-freezing first if
+// an insertion left it stale).
 func (s *Index) Shard(i int) *core.Frozen {
 	s.ensureFrozen()
 	return s.frozen[i]
 }
 
-// Range returns the position range [lo, hi) shard i owns.
+// Range returns the position range [lo, hi) held shard i owns.
 func (s *Index) Range(i int) (lo, hi int) {
-	return s.starts[i], s.starts[i+1]
+	return s.starts[s.ids[i]], s.starts[s.ids[i]+1]
 }
 
 // Extractor exposes the extractor the index was built over.
@@ -581,59 +603,48 @@ func (s *Index) CheckInvariants() error {
 	s.ensureFrozen()
 	for i, f := range s.frozen {
 		if err := f.CheckInvariants(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+			return fmt.Errorf("shard %d: %w", s.ids[i], err)
 		}
 	}
 	return s.checkPartition()
 }
 
-// checkPartitionShape validates the O(shards) partition invariants:
-// the ranges cover [0, count) in order with per-shard window counts
-// matching their range widths.
-// The zero-copy open path (OpenArena) stops here — walking every
-// position of a mapped multi-gigabyte index would defeat the cheap
-// open — while checkPartition adds the full ownership scan.
-func (s *Index) checkPartitionShape() error {
-	s.ensureFrozen()
-	p := len(s.frozen)
+// checkShape validates the O(shards) partition invariants: the
+// container's boundaries rise strictly from 0 to the series' window
+// count, and every held shard holds exactly its range's windows.
+// The zero-copy opens stop here — walking every position of a mapped
+// multi-gigabyte index would defeat the cheap open — while
+// checkPartition adds the full ownership scan.
+func (s *Index) checkShape() error {
 	count := series.NumSubsequences(s.ext.Len(), s.l)
-	total := 0
-	for _, f := range s.frozen {
-		total += f.Len()
+	if s.starts[0] != 0 || s.starts[s.total] != count {
+		return fmt.Errorf("shard: ranges span [%d, %d), series has %d windows", s.starts[0], s.starts[s.total], count)
 	}
-	if total != count {
-		return fmt.Errorf("shard: shards hold %d windows, series has %d", total, count)
-	}
-	if len(s.starts) != p+1 {
-		return fmt.Errorf("shard: %d boundaries for %d shards", len(s.starts), p)
-	}
-	if s.starts[0] != 0 {
-		return fmt.Errorf("shard: first range starts at %d, want 0", s.starts[0])
-	}
-	if got := s.starts[p]; got != count {
-		return fmt.Errorf("shard: ranges end at %d, series has %d windows", got, count)
-	}
-	for i, f := range s.frozen {
+	for i := 0; i < s.total; i++ {
 		if s.starts[i] >= s.starts[i+1] {
 			return fmt.Errorf("shard %d: empty or inverted range [%d, %d)", i, s.starts[i], s.starts[i+1])
 		}
-		if got, want := f.Len(), s.starts[i+1]-s.starts[i]; got != want {
-			return fmt.Errorf("shard %d: holds %d windows, range [%d, %d) spans %d", i, got, s.starts[i], s.starts[i+1], want)
+	}
+	for i, f := range s.frozen {
+		if lo, hi := s.Range(i); f.Len() != hi-lo {
+			return fmt.Errorf("shard %d: holds %d windows, range [%d, %d) spans %d", s.ids[i], f.Len(), lo, hi, hi-lo)
 		}
 	}
 	return nil
 }
 
-// checkPartition validates the partition invariants alone: the shape
-// checks above plus the full ownership scan — every window position
-// owned by exactly one shard, inside its owner's range.
+// checkPartition validates the partition invariants of an Index holding
+// every shard: the shape checks above plus the full ownership scan —
+// every window position owned by exactly one shard, inside its owner's
+// range.
 func (s *Index) checkPartition() error {
-	if err := s.checkPartitionShape(); err != nil {
+	if err := s.checkShape(); err != nil {
 		return err
 	}
 	count := series.NumSubsequences(s.ext.Len(), s.l)
 	seen := make([]bool, count)
 	for i, f := range s.frozen {
+		lo, hi := s.Range(i)
 		for _, pos := range f.Positions() {
 			if int(pos) >= count {
 				return fmt.Errorf("shard %d: position %d beyond %d windows", i, pos, count)
@@ -642,8 +653,8 @@ func (s *Index) checkPartition() error {
 				return fmt.Errorf("shard %d: position %d owned twice", i, pos)
 			}
 			seen[pos] = true
-			if int(pos) < s.starts[i] || int(pos) >= s.starts[i+1] {
-				return fmt.Errorf("shard %d: position %d outside range [%d, %d)", i, pos, s.starts[i], s.starts[i+1])
+			if int(pos) < lo || int(pos) >= hi {
+				return fmt.Errorf("shard %d: position %d outside range [%d, %d)", i, pos, lo, hi)
 			}
 		}
 	}

@@ -45,10 +45,10 @@ func equalMatches(a, b []series.Match) bool {
 	return true
 }
 
-// TestParityWithSingleIndex asserts that, for every normalization mode,
-// build style, and shard count — one shard, the single index, included
-// — the sharded index answers Search, SearchStats, and SearchTopK as
-// the oracle does over the whole series.
+// TestParityWithSingleIndex asserts that, for every normalization mode
+// and shard count — one shard, the single index, included — the
+// sharded index answers Search, SearchStats, and SearchTopK as the
+// oracle does over the whole series.
 func TestParityWithSingleIndex(t *testing.T) {
 	const l = 32
 	data := synthetic(2000, 1)
@@ -59,37 +59,35 @@ func TestParityWithSingleIndex(t *testing.T) {
 			ext.ExtractCopy(900, l),
 			ext.ExtractCopy(len(data)-l, l),
 		}
-		for _, bulk := range []bool{false, true} {
-			for _, p := range []int{1, 2, 3, 7} {
-				sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: p, BulkLoad: bulk})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sh.CheckInvariants(); err != nil {
-					t.Fatalf("mode=%v shards=%d bulk=%v: %v", mode, p, bulk, err)
-				}
-				if sh.NumShards() != p {
-					t.Fatalf("built %d shards, want %d", sh.NumShards(), p)
-				}
-				for qi, q := range queries {
-					for _, eps := range []float64{0, 0.05, 0.3, 1.5} {
-						want := oracle.Range(ext, q, eps)
-						got, st := sh.SearchStats(q, eps)
-						if !equalMatches(got, want) {
-							t.Fatalf("mode=%v shards=%d bulk=%v q=%d eps=%g: got %v want %v",
-								mode, p, bulk, qi, eps, matchStarts(got), matchStarts(want))
-						}
-						if st.Results != len(want) {
-							t.Fatalf("stats.Results=%d, %d matches", st.Results, len(want))
-						}
+		for _, p := range []int{1, 2, 3, 7} {
+			sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sh.CheckInvariants(); err != nil {
+				t.Fatalf("mode=%v shards=%d: %v", mode, p, err)
+			}
+			if sh.NumShards() != p {
+				t.Fatalf("built %d shards, want %d", sh.NumShards(), p)
+			}
+			for qi, q := range queries {
+				for _, eps := range []float64{0, 0.05, 0.3, 1.5} {
+					want := oracle.Range(ext, q, eps)
+					got, st := sh.SearchStats(q, eps)
+					if !equalMatches(got, want) {
+						t.Fatalf("mode=%v shards=%d q=%d eps=%g: got %v want %v",
+							mode, p, qi, eps, matchStarts(got), matchStarts(want))
 					}
-					for _, k := range []int{1, 5, 40} {
-						want := oracle.TopK(ext, q, k)
-						got := sh.SearchTopK(q, k)
-						if !equalMatches(got, want) {
-							t.Fatalf("mode=%v shards=%d bulk=%v q=%d k=%d: topk got %v want %v",
-								mode, p, bulk, qi, k, got, want)
-						}
+					if st.Results != len(want) {
+						t.Fatalf("stats.Results=%d, %d matches", st.Results, len(want))
+					}
+				}
+				for _, k := range []int{1, 5, 40} {
+					want := oracle.TopK(ext, q, k)
+					got := sh.SearchTopK(q, k)
+					if !equalMatches(got, want) {
+						t.Fatalf("mode=%v shards=%d q=%d k=%d: topk got %v want %v",
+							mode, p, qi, k, got, want)
 					}
 				}
 			}
@@ -170,7 +168,7 @@ func TestInsertRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sh.Len()
+	before := sh.Windows()
 	ext.Append(synthetic(60, 8)...)
 	for p := before; p+l <= ext.Len(); p++ {
 		sh.Insert(p)
@@ -193,7 +191,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	data := synthetic(1500, 11)
 	for _, mode := range allModes {
 		ext := series.NewExtractor(data, mode)
-		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4, BulkLoad: true})
+		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,9 +207,9 @@ func TestPersistRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if re.NumShards() != sh.NumShards() || re.Len() != sh.Len() || re.L() != sh.L() {
+		if re.NumShards() != sh.NumShards() || re.Windows() != sh.Windows() || re.L() != sh.L() {
 			t.Fatalf("reloaded shape mismatch: %d/%d/%d vs %d/%d/%d",
-				re.NumShards(), re.Len(), re.L(), sh.NumShards(), sh.Len(), sh.L())
+				re.NumShards(), re.Windows(), re.L(), sh.NumShards(), sh.Windows(), sh.L())
 		}
 		q := ext.ExtractCopy(700, l)
 		if !equalMatches(re.Search(q, 0.3), sh.Search(q, 0.3)) {
@@ -288,10 +286,10 @@ func TestConcurrentBuildAndSearch(t *testing.T) {
 	}
 	results := make(chan res, 4)
 	for i := 0; i < 4; i++ {
-		go func(bulk bool) {
-			sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4, BulkLoad: bulk})
+		go func() {
+			sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4})
 			results <- res{sh, err}
-		}(i%2 == 0)
+		}()
 	}
 	var sh *Index
 	for i := 0; i < 4; i++ {

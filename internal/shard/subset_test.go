@@ -90,7 +90,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 		q := ext.ExtractCopy(qp, l)
 		for _, eps := range []float64{0.05, 0.3, 1.0} {
 			want, wantSt := rf.SearchStats(q, eps)
-			got, gotSt, err := sub.SearchStats(ctx, q, eps)
+			got, gotSt, err := sub.SearchStatsCtx(ctx, q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 			}
 		}
 		wantK := rf.SearchTopK(q, 7)
-		gotK, err := sub.SearchTopK(ctx, q, 7, math.Inf(1))
+		gotK, err := sub.SearchTopKCtx(ctx, q, 7, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotP, err := sub.SearchPrefixTree(ctx, short, 0.3)
+		gotP, err := sub.SearchPrefixTreeCtx(ctx, short, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 		}
 		// Approx with a saturating budget probes everything: exact.
 		wantA, _ := rf.SearchApprox(q, 0.3, 2*rf.Len())
-		gotA, _, err := sub.SearchApprox(ctx, q, 0.3, 2*sub.Windows())
+		gotA, _, err := sub.SearchApproxCtx(ctx, q, 0.3, 2*sub.Windows())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestOpenArenaShardsNonAdjacent(t *testing.T) {
 		w0, _ := ix.Shard(0).SearchStats(q, eps)
 		w3, _ := ix.Shard(3).SearchStats(q, eps)
 		want := MergeByStart([][]series.Match{w0, w3})
-		got, err := sub.Search(context.Background(), q, eps)
+		got, err := sub.SearchCtx(context.Background(), q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,13 +221,13 @@ func TestSubsetCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := ext.ExtractCopy(10, l)
-	if _, _, err := sub.SearchStats(ctx, q, 0.3); err != context.Canceled {
+	if _, _, err := sub.SearchStatsCtx(ctx, q, 0.3); err != context.Canceled {
 		t.Fatalf("SearchStats on canceled ctx: %v", err)
 	}
-	if _, err := sub.SearchTopK(ctx, q, 3, math.Inf(1)); err != context.Canceled {
+	if _, err := sub.SearchTopKCtx(ctx, q, 3, math.Inf(1)); err != context.Canceled {
 		t.Fatalf("SearchTopK on canceled ctx: %v", err)
 	}
-	if _, _, err := sub.SearchApprox(ctx, q, 0.3, 8); err != context.Canceled {
+	if _, _, err := sub.SearchApproxCtx(ctx, q, 0.3, 8); err != context.Canceled {
 		t.Fatalf("SearchApprox on canceled ctx: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"twinsearch/internal/arena"
@@ -304,6 +305,85 @@ func TestSaveOverMappedFile(t *testing.T) {
 	}
 	if len(ms) != len(want)+1 {
 		t.Fatalf("re-saved index has %d twins, want %d", len(ms), len(want)+1)
+	}
+}
+
+// TestFailedSaveLeavesTarget makes SaveIndexFile fail after it has
+// created its temp file — a closed engine and a cluster engine both
+// refuse in SaveIndex — over a saved file that a mapped engine is
+// serving. Each failure must remove its temp file, and leave the target
+// byte-identical and the mapped engine answering as before.
+func TestFailedSaveLeavesTarget(t *testing.T) {
+	if !arena.MapSupported() || !arena.LittleEndianHost() {
+		t.Skip("zero-copy open unsupported on this platform")
+	}
+	data := datasets.RandomWalk(87, 1400)
+	const l = 36
+	built, err := Open(data, Options{L: l, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.tssh")
+	if err := built.SaveIndexFile(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := OpenSavedFile(data, path, Options{L: l, MMap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Close()
+	q := append([]float64(nil), data[300:300+l]...)
+	wantMs, err := served.Search(q, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	closed, err := Open(data, Options{L: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	topo := filepath.Join(dir, "topo.json")
+	doc := `{"index": "index.tssh", "nodes": [{"name": "n0", "addr": "local", "shards": [0, 1]}]}`
+	if err := os.WriteFile(topo, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clustered, err := Open(data, Options{L: l, Topology: topo, MMap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clustered.Close()
+
+	for _, c := range []struct {
+		name string
+		eng  *Engine
+	}{{"closed", closed}, {"cluster", clustered}} {
+		err := c.eng.SaveIndexFile(path)
+		if err == nil {
+			t.Fatalf("%s engine saved an index", c.name)
+		}
+		if c.name == "closed" && !errors.Is(err, ErrClosed) {
+			t.Fatalf("closed engine: %v, want ErrClosed", err)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(tmps) != 0 {
+			t.Fatalf("%s: failed save left %v behind", c.name, tmps)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: failed save changed the target (%d bytes, was %d)", c.name, len(got), len(want))
+		}
+		ms, err := served.Search(q, 0.5)
+		if err != nil || !slices.Equal(ms, wantMs) {
+			t.Fatalf("%s: mapped engine answers %d twins (%v) after the failed save, %d before", c.name, len(ms), err, len(wantMs))
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func assertSameMatches(t *testing.T, ctx string, got, want []Match) {
 
 // TestShardedEngineParity checks Search, SearchTopK, SearchShorter and
 // SearchBatch return byte-identical results with and without sharding,
-// across every normalization mode and both build styles.
+// across every normalization mode.
 func TestShardedEngineParity(t *testing.T) {
 	ts := datasets.EEGN(41, 12000)
 	queries := datasets.Queries(ts, 13, 6, 100)
@@ -36,58 +36,56 @@ func TestShardedEngineParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bulk := range []bool{false, true} {
-			for _, shards := range []int{2, 5} {
-				sharded, err := Open(ts, Options{L: 100, Norm: norm, NormSet: true, Shards: shards, BulkLoad: bulk})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sharded.Shards() != shards {
-					t.Fatalf("Shards() = %d, want %d", sharded.Shards(), shards)
-				}
-				for _, q := range queries {
-					for _, eps := range []float64{0.05, 0.3, 0.8} {
-						want, err := single.Search(q, eps)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := sharded.Search(q, eps)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertSameMatches(t, "Search", got, want)
+		for _, shards := range []int{2, 5} {
+			sharded, err := Open(ts, Options{L: 100, Norm: norm, NormSet: true, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sharded.Shards() != shards {
+				t.Fatalf("Shards() = %d, want %d", sharded.Shards(), shards)
+			}
+			for _, q := range queries {
+				for _, eps := range []float64{0.05, 0.3, 0.8} {
+					want, err := single.Search(q, eps)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, k := range []int{1, 7, 50} {
-						want, err := single.SearchTopK(q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := sharded.SearchTopK(q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertSameMatches(t, "SearchTopK", got, want)
+					got, err := sharded.Search(q, eps)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if norm != NormPerSubsequence {
-						want, err := single.SearchShorter(q[:40], 0.3)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := sharded.SearchShorter(q[:40], 0.3)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertSameMatches(t, "SearchShorter", got, want)
-					}
+					assertSameMatches(t, "Search", got, want)
 				}
-				wantBatch := single.SearchBatch(queries, 0.4)
-				gotBatch := sharded.SearchBatch(queries, 0.4)
-				for i := range wantBatch {
-					if gotBatch[i].Err != nil || wantBatch[i].Err != nil {
-						t.Fatalf("batch query %d errored: %v / %v", i, gotBatch[i].Err, wantBatch[i].Err)
+				for _, k := range []int{1, 7, 50} {
+					want, err := single.SearchTopK(q, k)
+					if err != nil {
+						t.Fatal(err)
 					}
-					assertSameMatches(t, "SearchBatch", gotBatch[i].Matches, wantBatch[i].Matches)
+					got, err := sharded.SearchTopK(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameMatches(t, "SearchTopK", got, want)
 				}
+				if norm != NormPerSubsequence {
+					want, err := single.SearchShorter(q[:40], 0.3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := sharded.SearchShorter(q[:40], 0.3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameMatches(t, "SearchShorter", got, want)
+				}
+			}
+			wantBatch := single.SearchBatch(queries, 0.4)
+			gotBatch := sharded.SearchBatch(queries, 0.4)
+			for i := range wantBatch {
+				if gotBatch[i].Err != nil || wantBatch[i].Err != nil {
+					t.Fatalf("batch query %d errored: %v / %v", i, gotBatch[i].Err, wantBatch[i].Err)
+				}
+				assertSameMatches(t, "SearchBatch", gotBatch[i].Matches, wantBatch[i].Matches)
 			}
 		}
 	}
@@ -127,7 +125,7 @@ func TestShardedAutoAndValidation(t *testing.T) {
 // shards, and vice versa.
 func TestShardedPersistence(t *testing.T) {
 	ts := datasets.EEGN(51, 9000)
-	sharded, err := Open(ts, Options{L: 100, Shards: 3, BulkLoad: true})
+	sharded, err := Open(ts, Options{L: 100, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +224,7 @@ func TestShardedConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			engines[i], errs[i] = Open(ts, Options{L: 100, Shards: 4, BulkLoad: i%2 == 0})
+			engines[i], errs[i] = Open(ts, Options{L: 100, Shards: 4})
 		}(i)
 	}
 	wg.Wait()

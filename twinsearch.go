@@ -79,16 +79,6 @@ type Options struct {
 	NormSet bool
 
 	MinCap, MaxCap int // node capacities µc, Mc (defaults 10, 30; Mc ≤ 1024)
-	// BulkLoad selects bottom-up construction instead of insertion:
-	// ≈ ×10 faster to build (105 → 10 ms on Insect 20 k), at a query
-	// cost that depends on the series. On Insect 20 k the queries tie;
-	// on EEG 200 k under NormGlobal at ε = 0.2 the bulk tree verifies
-	// ≈ 120× the candidates and answers ≈ 5× slower — 49.8 k against
-	// 418 candidates, 777 against 125 µs a range query and 2.39 against
-	// 0.38 ms a top-10 query over 300 queries; 51.8 k against 425,
-	// 0.65 against 0.12–0.16 ms and 2.1 against 0.41 ms in
-	// BenchmarkAblationBulkVsInsert's served rows (64 queries, -cpu 1).
-	BulkLoad bool
 
 	// Shards splits the TS-Index into that many window partitions, built
 	// concurrently and searched by parallel fan-out with a deterministic
@@ -135,7 +125,8 @@ type Options struct {
 	// engine still needs the full series (data) for query
 	// normalization, verification-free merging, and the prefix tail
 	// scan. Cluster engines are read-only: Append and SaveIndex return
-	// errors. Shards/BulkLoad are ignored (the saved index fixed them).
+	// errors. Shards, MinCap and MaxCap are ignored (the saved index
+	// fixed them).
 	// MMap/Prefetch/Workers apply to topology entries served in-process
 	// (addr "local").
 	Topology string
@@ -407,7 +398,7 @@ func Open(data []float64, opt Options) (*Engine, error) {
 	var err error
 	e.sh, err = shard.Build(e.ext, shard.Config{
 		Config: core.Config{L: opt.L, MinCap: opt.MinCap, MaxCap: opt.MaxCap},
-		Shards: resolveShards(opt.Shards), BulkLoad: opt.BulkLoad, Executor: e.ex,
+		Shards: resolveShards(opt.Shards), Executor: e.ex,
 	})
 	if err != nil {
 		return nil, err

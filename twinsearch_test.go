@@ -167,24 +167,6 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-func TestBulkLoadOption(t *testing.T) {
-	ts := datasets.RandomWalk(7, 4000)
-	q := append([]float64(nil), ts[1000:1100]...)
-	a, err := Open(ts, Options{L: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(ts, Options{L: 100, BulkLoad: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma, _ := a.Search(q, 0.3)
-	mb, _ := b.Search(q, 0.3)
-	if len(ma) != len(mb) {
-		t.Fatalf("bulk vs insert result mismatch: %d vs %d", len(ma), len(mb))
-	}
-}
-
 func TestAccessorsAndMemory(t *testing.T) {
 	ts := datasets.RandomWalk(9, 2000)
 	for _, shards := range bothShapes {
