@@ -54,8 +54,7 @@ func main() {
 		nodeName    = flag.String("name", "", "this node's name in the topology (node role)")
 		nodeTimeout = flag.Duration("node-timeout", 0, "per-attempt RPC deadline for coordinator fan-out; an attempt missing it fails over to the next replica (0 = 10s default)")
 		hedge       = flag.Duration("hedge", 0, "coordinator hedging delay: re-issue a query unit to a second replica after this long and take the first response (0 = off; needs a replicated topology)")
-		brkFails    = flag.Int("breaker-fails", 0, "consecutive failures that trip a node's circuit breaker, demoting it in the replica attempt order until a health probe recovers it (0 = 3 default)")
-		healthEvery = flag.Duration("health-interval", 0, "coordinator background health-sweep period feeding /healthz's cached membership view (0 = 2s default, negative = off)")
+		healthEvery = flag.Duration("health-interval", 0, "coordinator background health-sweep period: marks nodes a failed attempt put down up again once they answer, and feeds /healthz's cached membership view (0 = 2s default, negative = off)")
 		planCache   = flag.Int("plan-cache", -1, "prepared-query plan cache entries: repeated query bytes skip validation and normalization (-1 = default size, 0 = off)")
 		resultCache = flag.Int("result-cache-bytes", -1, "result cache byte budget: whole answers keyed by (query, params, path); after an Append /search and /topk entries are extended over the windows gained, the rest invalidated via the epoch (-1 = default 32MiB, 0 = off)")
 		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently executing queries; past it requests queue up to -max-queue, then shed with 429 + Retry-After (0 = unlimited)")
@@ -102,7 +101,7 @@ func main() {
 		}
 		opt := twinsearch.Options{L: *l, Norm: normMode, NormSet: true,
 			Workers: *workers, Topology: *topology, ClusterTimeout: *nodeTimeout,
-			ClusterHedge: *hedge, ClusterBreakerFails: *brkFails, ClusterRefresh: *healthEvery,
+			ClusterHedge: *hedge, ClusterRefresh: *healthEvery,
 			MMap: *mmapIndex, Prefetch: *prefetch,
 			PlanCache: *planCache, ResultCacheBytes: *resultCache,
 			TraceSample: *traceSample, SlowLogSize: *slowSize, SlowLogThreshold: *slowThresh}
@@ -159,7 +158,7 @@ func serveEngine(data []float64, opt twinsearch.Options, loadIndex, addr string,
 	}
 	if cl := eng.Cluster(); cl != nil {
 		fmt.Printf("tsserve: coordinator over %d node(s) / %d shard(s), %d windows of length %d, ready in %v%s; listening on %s\n",
-			len(cl.Peers()), cl.TotalShards(), eng.NumSubsequences(), eng.L(),
+			len(cl.Health()), cl.TotalShards(), eng.NumSubsequences(), eng.L(),
 			time.Since(start).Round(time.Millisecond), mapped, addr)
 	} else {
 		fmt.Printf("tsserve: %d windows of length %d in %d shard(s), %d executor worker(s), ready in %v%s; listening on %s\n",

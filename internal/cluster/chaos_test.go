@@ -1,15 +1,14 @@
-package cluster
+package cluster_test
 
-// Chaos is a fault-injecting http.RoundTripper for tests and
-// benchmarks: it wraps a real transport and applies per-node rules —
-// refuse connections, black-hole requests until the caller's context
-// ends, delay by a fixed latency, or fail the first K requests and
-// then recover. The differential failover tests drive it to prove that
+// Chaos is a fault-injecting http.RoundTripper for the cluster tests:
+// it wraps a real transport and applies per-node rules — refuse
+// connections, black-hole requests until the caller's context ends,
+// delay by a fixed latency, or fail the first K requests and then
+// recover. The differential failover tests drive it to prove that
 // killing or wedging any single node mid-query still yields
-// byte-identical answers, and tsbench's failover figure uses it to put
-// numbers on the same scenarios. Faults are injected at the transport
-// seam, so everything above it — the coordinator's retry, hedging, and
-// breaker logic, and the real wire encoding — runs exactly as in
+// byte-identical answers. Faults are injected at the transport seam, so
+// everything above it — the coordinator's retry, hedging, failover and
+// liveness marking, and the real wire encoding — runs exactly as in
 // production.
 
 import (
@@ -84,7 +83,7 @@ func (c *Chaos) Clear(host string) {
 }
 
 // Hits returns how many requests targeted the host (faulted or not) —
-// the observable the breaker tests assert on.
+// the observable the demotion test asserts on.
 func (c *Chaos) Hits(host string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -16,15 +16,15 @@
 // The topology is static (a JSON file mapping node addresses to shard
 // ranges) but replicated: with Replicas R ≥ 2 every shard set is owned
 // by R interchangeable nodes, and the coordinator survives node
-// failure — an RPC that errors or times out retries on the next
-// replica (failover.go), per-node circuit breakers keep dead nodes off
-// the first-attempt path (breaker.go), hedged requests bound the tail
-// of slow-but-alive nodes, and a background membership sweep keeps the
-// health view fresh (health.go). Because replicas serve identical
-// subsets of one saved index, answers stay byte-identical whichever
-// owner responds. Only when every replica of a shard set is out does a
-// query fail — loudly, naming the nodes — never a silent partial
-// answer, never a hang.
+// failure — an RPC that errors or times out marks its node down and
+// retries on the next replica, hedged requests bound the tail of
+// slow-but-alive nodes (failover.go), and down nodes stay off the
+// first-attempt path until a background membership sweep or a
+// successful attempt marks them up (health.go). Because replicas serve
+// identical subsets of one saved index, answers stay byte-identical
+// whichever owner responds. Only when every replica of a shard set is
+// out does a query fail — loudly, naming the nodes — never a silent
+// partial answer, never a hang.
 //
 // The decomposition mirrors the relational-join view of search-space
 // partitioning (cf. Relational E-Matching): partition, evaluate
@@ -41,6 +41,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"sync"
 	"syscall"
 	"time"
 
@@ -57,17 +58,11 @@ type Options struct {
 	// that misses it fails over to the next replica; only when every
 	// replica is out does the query fail.
 	Timeout time.Duration
-	// PingTimeout bounds the liveness probes behind Sweep (0 → 2s).
-	PingTimeout time.Duration
 	// HedgeDelay, when positive, issues each unit to a second replica
 	// after this delay; the first response wins and the loser is
 	// canceled. Pick a high quantile of healthy latency (a few ms on a
 	// LAN) so hedges fire only on the slow tail. 0 disables hedging.
 	HedgeDelay time.Duration
-	// BreakerFails is the consecutive-failure run that trips a node's
-	// circuit breaker (0 → 3). Tripped nodes drop to the back of the
-	// attempt order until a health probe sees them answer again.
-	BreakerFails int
 	// RefreshInterval is the background membership sweep period
 	// (0 → 2s; negative disables the sweep — tests drive
 	// Coordinator.Sweep explicitly).
@@ -84,20 +79,23 @@ type Options struct {
 }
 
 const (
-	defaultTimeout      = 10 * time.Second
-	defaultPingTimeout  = 2 * time.Second
-	defaultBreakerFails = 3
-	defaultRefresh      = 2 * time.Second
+	defaultTimeout = 10 * time.Second
+	defaultRefresh = 2 * time.Second
+	probeTimeout   = 2 * time.Second // bounds each liveness probe behind Sweep
 )
 
-// owner is one opened topology entry: a backend plus the node's cached
-// liveness and circuit breaker.
+// owner is one opened topology entry: a backend plus the node's one
+// liveness fact (see health.go).
 type owner struct {
 	spec NodeSpec
 	b    shard.Backend
-	node *Node // non-nil for local entries; owns the arena
-	st   *nodeState
+	node *Node  // non-nil for local entries; owns the arena
 	g    *group // the replica group this owner belongs to
+
+	mu        sync.Mutex
+	alive     bool
+	errMsg    string
+	checkedAt time.Time // when the fact was written; zero = never
 }
 
 // group is one replica group: a shard set with R interchangeable
@@ -119,11 +117,11 @@ type Coordinator struct {
 	groups   []*group
 	owners   []*owner // every topology entry, in topology order
 
-	timeout, pingTimeout, hedgeDelay time.Duration
-	client                           *http.Client
-	ownTransport                     *http.Transport
-	stopSweep                        context.CancelFunc
-	sweepDone                        chan struct{}
+	timeout, hedgeDelay time.Duration
+	client              *http.Client
+	ownTransport        *http.Transport
+	stopSweep           context.CancelFunc
+	sweepDone           chan struct{}
 }
 
 // OpenCoordinator opens every topology entry — LocalAddr entries open
@@ -134,24 +132,20 @@ type Coordinator struct {
 // replica groups mirroring whole shard sets) and the per-group window
 // counts sum to the series'. A remote node that cannot be reached
 // opens the cluster **degraded** when its group still has at least one
-// reachable owner (the read quorum): the dead node starts with a
-// tripped breaker and rejoins via the membership sweep once it answers
-// health probes again. A group with no reachable owner refuses the
-// open. ext must present the same series the index was built over;
-// queries are fanned out pre-transformed. ctx bounds the whole open —
-// dialing and cross-checking every remote node — so a caller's
-// deadline or cancellation aborts a wedged dial instead of waiting out
-// the per-node timeout.
+// reachable owner (the read quorum): the dead node starts down and
+// rejoins via the membership sweep once it answers health probes
+// again. A group with no reachable owner refuses the open. ext must
+// present the same series the index was built over; queries are
+// fanned out pre-transformed. ctx bounds the whole open — dialing and
+// cross-checking every remote node — so a caller's deadline or
+// cancellation aborts a wedged dial instead of waiting out the
+// per-node timeout.
 func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor, l int, o Options) (*Coordinator, error) {
 	if o.Timeout <= 0 {
 		o.Timeout = defaultTimeout
 	}
-	if o.PingTimeout <= 0 {
-		o.PingTimeout = defaultPingTimeout
-	}
 	c := &Coordinator{ext: ext, l: l, replicas: topo.R(),
-		timeout: o.Timeout, pingTimeout: o.PingTimeout, hedgeDelay: o.HedgeDelay,
-		client: o.Client}
+		timeout: o.Timeout, hedgeDelay: o.HedgeDelay, client: o.Client}
 	if c.client == nil {
 		c.ownTransport = &http.Transport{
 			MaxIdleConns:        64,
@@ -177,7 +171,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	var ex *exec.Executor // shared by every local entry
 	groupOf := map[string]*group{}
 	for _, spec := range topo.Nodes {
-		ow := &owner{spec: spec, st: newNodeState(o.BreakerFails)}
+		ow := &owner{spec: spec}
 		if spec.Addr == LocalAddr {
 			if ex == nil {
 				ex = exec.New(o.Workers)
@@ -193,18 +187,17 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 				return fail(fmt.Errorf("cluster: node %q serves a different index (%d shards vs %d)",
 					spec.Name, n.Sub.TotalShards(), total))
 			}
-			ow.st.setHealth(true, nil)
+			ow.mark(true, nil)
 		} else {
 			rm := &remote{name: spec.Name, base: spec.Addr, shards: spec.Shards, client: c.client}
 			ow.b = rm
 			h, err := dialHealth(ctx, rm, o.Timeout)
 			if err != nil {
 				// Unreachable is weather, not configuration: mark the
-				// node down (tripped) and let the per-group quorum
-				// check below decide whether the cluster can open
-				// degraded without it.
-				ow.st.setHealth(false, err)
-				ow.st.br.trip()
+				// node down and let the per-group quorum check below
+				// decide whether the cluster can open degraded without
+				// it.
+				ow.mark(false, err)
 			} else {
 				if err := checkNodeIdentity(h, spec, ext, l); err != nil {
 					return fail(err)
@@ -216,8 +209,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 						spec.Name, h.TotalShards, total))
 				}
 				rm.windows = h.Windows
-				ow.st.epoch.Store(h.Epoch)
-				ow.st.setHealth(true, nil)
+				ow.mark(true, nil)
 			}
 		}
 		c.owners = append(c.owners, ow)
@@ -240,7 +232,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 		var live []*owner
 		var firstErr string
 		for _, ow := range g.owners {
-			alive, errMsg, _ := ow.st.healthSnapshot()
+			alive, errMsg, _ := ow.fact()
 			if alive {
 				live = append(live, ow)
 			} else if firstErr == "" {
@@ -339,17 +331,6 @@ func (c *Coordinator) MappedBytes() int {
 		total += ow.b.MappedBytes()
 	}
 	return total
-}
-
-// Peers returns the static node view (no liveness claim; see Health
-// for the cached membership view the sweep maintains).
-func (c *Coordinator) Peers() []PeerStatus {
-	out := make([]PeerStatus, len(c.owners))
-	for i, ow := range c.owners {
-		out[i] = PeerStatus{Name: ow.spec.Name, Addr: ow.spec.Addr,
-			Shards: ow.b.ShardIDs(), Windows: ow.b.Windows(), Alive: true}
-	}
-	return out
 }
 
 // Search returns all twins of q at eps across the cluster, sorted by
@@ -684,12 +665,6 @@ func (r *remote) post(ctx context.Context, path string, reqBody, respBody interf
 		return fmt.Errorf("%s: %s", path, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(respBody)
-}
-
-// SearchCtx implements shard.Backend.
-func (r *remote) SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	ms, _, err := r.SearchStatsCtx(ctx, q, eps)
-	return ms, err
 }
 
 // SearchStatsCtx implements shard.Backend.

@@ -4,12 +4,12 @@ package cluster
 // replica group (a shard set with R interchangeable owners); runUnit
 // turns "call one backend" into "get this shard set answered":
 //
-//   - Attempt order prefers owners whose cached liveness is up and
-//     whose circuit breaker is not open; tripped or known-down owners
-//     drop to the back as a last resort, so a dead node stops
-//     absorbing first-attempt latency.
-//   - An attempt that errors or times out (per-node Timeout) fails
-//     over to the next replica instead of failing the query.
+//   - Attempt order prefers owners whose liveness fact (health.go) is
+//     up; known-down owners drop to the back as a last resort, so a
+//     dead node stops absorbing first-attempt latency.
+//   - An attempt that errors or times out (per-node Timeout) marks its
+//     node down and fails over to the next replica instead of failing
+//     the query; a successful attempt on a down node marks it up.
 //   - With hedging enabled, a second replica is issued the same unit
 //     after HedgeDelay; the first response wins and the loser is
 //     canceled through its context — tail latency from a slow-but-
@@ -30,16 +30,15 @@ import (
 	"twinsearch/internal/shard"
 )
 
-// candidates returns the group's owners in attempt order: live,
-// untripped owners first (topology order), then the tripped or
-// known-down ones — still tried when nothing better is left, because a
-// stale "down" fact must not fail a query a node could have answered.
+// candidates returns the group's owners in attempt order: live owners
+// first (topology order), then the known-down ones — still tried when
+// nothing better is left, because a stale "down" fact must not fail a
+// query a node could have answered.
 func (g *group) candidates() []*owner {
 	pref := make([]*owner, 0, len(g.owners))
 	var rest []*owner
 	for _, ow := range g.owners {
-		alive, _, _ := ow.st.healthSnapshot()
-		if alive && !ow.st.br.tripped() {
+		if alive, _, _ := ow.fact(); alive {
 			pref = append(pref, ow)
 		} else {
 			rest = append(rest, ow)
@@ -49,7 +48,7 @@ func (g *group) candidates() []*owner {
 }
 
 // runUnit executes one query unit against group g with replica
-// failover, breaker accounting, and optional hedging. call must be
+// failover, liveness marking, and optional hedging. call must be
 // idempotent and side-effect-free until it returns (hedged attempts
 // run concurrently); the winning attempt's value is returned.
 func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx context.Context, b shard.Backend) (T, error)) (T, error) {
@@ -57,7 +56,7 @@ func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx
 	cands := g.candidates()
 	// Traced queries grow one "unit" span per replica group; each
 	// attempt (primary, failover, hedge) becomes a child annotated with
-	// the node tried, the breaker state seen at launch, and the
+	// the node tried, its liveness fact seen at launch, and the
 	// outcome. The winning attempt's context carries its span, so a
 	// remote node's returned subtree (or an in-process subset's shard
 	// spans) lands under the attempt that produced the answer.
@@ -91,8 +90,8 @@ func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx
 		if asp != nil {
 			asp.Set("node", ow.spec.Name)
 			asp.Set("kind", kind)
-			brState, _ := ow.st.br.snapshot()
-			asp.Set("breaker", brState.String())
+			alive, _, _ := ow.fact()
+			asp.Set("alive", alive)
 		}
 		actx, cancel := context.WithTimeout(ctx, c.timeout)
 		actx = obs.WithSpan(actx, asp)
@@ -117,7 +116,7 @@ func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx
 		case r := <-resCh:
 			pending--
 			if r.err == nil {
-				r.ow.st.success()
+				r.ow.markUp()
 				if r.sp != nil {
 					r.sp.Set("outcome", "ok")
 					r.sp.Set("won", true)
@@ -131,7 +130,7 @@ func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx
 				// the node, and the unit is over.
 				return zero, ctx.Err()
 			}
-			r.ow.st.failure()
+			r.ow.mark(false, r.err)
 			if r.sp != nil {
 				r.sp.Set("outcome", "error")
 				r.sp.Set("error", r.err.Error())
@@ -155,16 +154,6 @@ func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx
 			return zero, ctx.Err()
 		}
 	}
-}
-
-// success / failure route one attempt's outcome into the owner's
-// breaker and liveness cache.
-func (s *nodeState) success() {
-	s.br.success()
-}
-
-func (s *nodeState) failure() {
-	s.br.failure()
 }
 
 // fanOut runs one unit per replica group concurrently (each with

@@ -4,9 +4,9 @@ package cluster_test
 // killing or wedging any single node mid-query must leave every search
 // path's answer byte-identical to the local engine — matches, Dist
 // bits, and Stats counters — with zero query errors. The faults are
-// injected at the HTTP transport seam (cluster.Chaos), so the
-// coordinator's failover, hedging, breaker, and retry logic all run
-// exactly as in production.
+// injected at the HTTP transport seam (Chaos), so the coordinator's
+// failover, hedging, liveness marking and retry logic all run exactly
+// as in production.
 
 import (
 	"context"
@@ -30,9 +30,9 @@ import (
 // saved index at path), all dialed through a Chaos transport the test
 // can inject faults into. The background sweep is disabled unless the
 // options ask for it — tests drive Sweep explicitly for determinism.
-func startReplicated(t *testing.T, ext *series.Extractor, path string, groups [][]int, r int, o cluster.Options) (*cluster.Coordinator, []*httptest.Server, *cluster.Chaos) {
+func startReplicated(t *testing.T, ext *series.Extractor, path string, groups [][]int, r int, o cluster.Options) (*cluster.Coordinator, []*httptest.Server, *Chaos) {
 	t.Helper()
-	chaos := cluster.NewChaos(nil)
+	chaos := NewChaos(nil)
 	if o.Client == nil {
 		o.Client = &http.Client{Transport: chaos}
 	}
@@ -102,14 +102,14 @@ func TestFailoverDifferential(t *testing.T) {
 			for _, fault := range []string{"refuse", "blackhole"} {
 				t.Run(fmt.Sprintf("norm=%v/victim=%d/%s", mode, victim, fault), func(t *testing.T) {
 					host := hostOf(t, srvs[victim])
-					chaos.Set(host, cluster.ChaosRule{
+					chaos.Set(host, ChaosRule{
 						Refuse:    fault == "refuse",
 						BlackHole: fault == "blackhole",
 					})
 					defer func() {
-						// Heal the victim AND half-open its breaker so the
-						// next subtest's faults are genuinely attempted —
-						// a node left tripped would just be skipped.
+						// Heal the victim AND mark it up again so the next
+						// subtest's faults are genuinely attempted — a node
+						// left down would just be skipped.
 						chaos.Clear(host)
 						cl.Sweep(ctx)
 					}()
@@ -174,7 +174,7 @@ func TestFailoverTimeout(t *testing.T) {
 	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 2, cluster.Options{
 		Timeout: 250 * time.Millisecond, // per attempt; failover doubles it at worst
 	})
-	chaos.Set(hostOf(t, srvs[0]), cluster.ChaosRule{BlackHole: true})
+	chaos.Set(hostOf(t, srvs[0]), ChaosRule{BlackHole: true})
 
 	ctx := context.Background()
 	q := ext.ExtractCopy(400, testL)
@@ -203,7 +203,7 @@ func TestHedgeMasksSlowReplica(t *testing.T) {
 		Timeout:    10 * time.Second,
 		HedgeDelay: 15 * time.Millisecond,
 	})
-	chaos.Set(hostOf(t, srvs[0]), cluster.ChaosRule{Delay: 3 * time.Second})
+	chaos.Set(hostOf(t, srvs[0]), ChaosRule{Delay: 3 * time.Second})
 
 	ctx := context.Background()
 	q := ext.ExtractCopy(200, testL)
@@ -234,7 +234,7 @@ func TestTransportRetryAtR1(t *testing.T) {
 	// Install the blip after open so the open handshake doesn't consume
 	// it: the next request to n0 is refused, the one after succeeds.
 	host := hostOf(t, srvs[0])
-	chaos.Set(host, cluster.ChaosRule{FailFirst: 1})
+	chaos.Set(host, ChaosRule{FailFirst: 1})
 
 	ctx := context.Background()
 	q := ext.ExtractCopy(300, testL)
@@ -254,78 +254,100 @@ func TestTransportRetryAtR1(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsAndRecovers walks one node through the full circuit:
-// closed → tripped after consecutive failures (the dead node stops
-// absorbing first attempts) → half-open after a successful health probe
-// → closed again once a real query succeeds.
-func TestBreakerTripsAndRecovers(t *testing.T) {
+// TestDemotionLifecycle walks one node through its liveness fact's
+// writers: one refused attempt marks it down (the dead node stops
+// absorbing first attempts while its sibling is up), it is still tried
+// as the last resort, a successful sweep restores it as primary, and a
+// successful last-resort attempt marks it up by itself.
+func TestDemotionLifecycle(t *testing.T) {
 	data := datasets.EEGN(79, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
 	_, path := buildSaved(t, ext, 4)
 	// One replica group of two nodes; g0r0 is first in topology order,
-	// so while healthy it absorbs every first attempt.
-	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1, 2, 3}}, 2, cluster.Options{
-		BreakerFails: 2,
-	})
+	// so while up it absorbs every first attempt.
+	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1, 2, 3}}, 2, cluster.Options{})
 	ctx := context.Background()
 	q := ext.ExtractCopy(500, testL)
-	host := hostOf(t, srvs[0])
+	h0, h1 := hostOf(t, srvs[0]), hostOf(t, srvs[1])
 
-	search := func() {
-		t.Helper()
-		if _, err := cl.Search(ctx, q, 0.3); err != nil {
-			t.Fatalf("query failed: %v", err)
-		}
+	search := func() error {
+		_, err := cl.Search(ctx, q, 0.3)
+		return err
 	}
-	breakerOf := func(name string) string {
+	peer := func(name string) cluster.PeerStatus {
 		t.Helper()
 		for _, p := range cl.Health() {
 			if p.Name == name {
-				return p.Breaker
+				return p
 			}
 		}
 		t.Fatalf("no peer %q in health view", name)
-		return ""
+		return cluster.PeerStatus{}
 	}
 
-	// Refuse g0r0: queries keep succeeding via its sibling, and after
-	// BreakerFails consecutive failures the circuit is open.
-	chaos.Set(host, cluster.ChaosRule{Refuse: true})
-	search()
-	search()
-	if st := breakerOf("g0r0"); st != "open" {
-		t.Fatalf("breaker after %d failed queries = %q, want open", 2, st)
+	// One refused attempt: the query answers from the sibling and g0r0
+	// is down, carrying the attempt's error.
+	chaos.Set(h0, ChaosRule{Refuse: true})
+	if err := search(); err != nil {
+		t.Fatalf("query with g0r0 refused: %v", err)
+	}
+	if p := peer("g0r0"); p.Alive || !strings.Contains(p.Error, "refused") || p.CheckedAt.IsZero() {
+		t.Fatalf("g0r0 after one refused attempt: %+v, want down with the error", p)
 	}
 
-	// Tripped: the dead node must stop seeing first attempts.
-	quiet := chaos.Hits(host)
-	search()
-	search()
-	if h := chaos.Hits(host); h != quiet {
-		t.Fatalf("tripped node still queried: %d → %d requests", quiet, h)
-	}
-
-	// Recovery: the node answers again, a health sweep half-opens the
-	// circuit, and the next real query (first attempt goes to g0r0
-	// again) closes it.
-	chaos.Clear(host)
-	cl.Sweep(ctx)
-	if st := breakerOf("g0r0"); st != "half-open" {
-		t.Fatalf("breaker after successful probe = %q, want half-open", st)
-	}
-	search()
-	if st := breakerOf("g0r0"); st != "closed" {
-		t.Fatalf("breaker after successful trial query = %q, want closed", st)
-	}
-	if h := chaos.Hits(host); h == quiet {
-		t.Fatal("recovered node never re-attempted")
-	}
-
-	// The health view carries per-node staleness timestamps.
-	for _, p := range cl.Health() {
-		if p.CheckedAt.IsZero() {
-			t.Fatalf("peer %q has no staleness timestamp", p.Name)
+	// Down while its sibling is up: g0r0 sees no first attempt.
+	quiet := chaos.Hits(h0)
+	for i := 0; i < 3; i++ {
+		if err := search(); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if h := chaos.Hits(h0); h != quiet {
+		t.Fatalf("down node still queried: %d → %d requests", quiet, h)
+	}
+
+	// Last resort: with the sibling refusing too, g0r0 is still tried
+	// before the query fails.
+	chaos.Set(h1, ChaosRule{Refuse: true})
+	if err := search(); err == nil || !strings.Contains(err.Error(), "g0r0") {
+		t.Fatalf("query with both replicas refused: %v, want an error naming g0r0", err)
+	}
+	if h := chaos.Hits(h0); h == quiet {
+		t.Fatal("down node not tried as the last resort")
+	}
+
+	// A successful sweep marks both up, and g0r0 is primary again.
+	chaos.Clear(h0)
+	chaos.Clear(h1)
+	cl.Sweep(ctx)
+	if p := peer("g0r0"); !p.Alive || p.Error != "" {
+		t.Fatalf("g0r0 after a successful sweep: %+v", p)
+	}
+	a0, a1 := chaos.Hits(h0), chaos.Hits(h1)
+	if err := search(); err != nil {
+		t.Fatal(err)
+	}
+	if chaos.Hits(h0) == a0 || chaos.Hits(h1) != a1 {
+		t.Fatalf("after the sweep g0r0 %d → %d, g0r1 %d → %d requests; want g0r0 primary",
+			a0, chaos.Hits(h0), a1, chaos.Hits(h1))
+	}
+
+	// Without a sweep: g0r0 goes down, heals, and the sibling refuses —
+	// the last-resort attempt answers and marks g0r0 up by itself.
+	chaos.Set(h0, ChaosRule{Refuse: true})
+	if err := search(); err != nil || peer("g0r0").Alive {
+		t.Fatalf("second demotion: err %v, g0r0 %+v", err, peer("g0r0"))
+	}
+	chaos.Clear(h0)
+	chaos.Set(h1, ChaosRule{Refuse: true})
+	if err := search(); err != nil {
+		t.Fatalf("last-resort query: %v", err)
+	}
+	if p := peer("g0r0"); !p.Alive || p.Error != "" {
+		t.Fatalf("g0r0 after a successful last-resort attempt: %+v, want up", p)
+	}
+	if peer("g0r1").Alive {
+		t.Fatal("refused g0r1 still up")
 	}
 }
 
@@ -360,7 +382,7 @@ func TestDegradedOpen(t *testing.T) {
 	}
 
 	// R = 2: kill g0r0 before the open. The open degrades, the dead
-	// node shows up down with a tripped breaker, and queries answer.
+	// node shows up down with its error, and queries answer.
 	topo, srvs := build(2)
 	srvs[0].CloseClientConnections()
 	srvs[0].Close()
@@ -370,7 +392,7 @@ func TestDegradedOpen(t *testing.T) {
 	}
 	defer cl.Close()
 	peers := cl.Health()
-	if peers[0].Alive || peers[0].Breaker != "open" || peers[0].Error == "" {
+	if peers[0].Alive || peers[0].Error == "" {
 		t.Fatalf("dead node not reported: %+v", peers[0])
 	}
 	if !peers[1].Alive {

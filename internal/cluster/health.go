@@ -1,74 +1,61 @@
 package cluster
 
-// Cached cluster membership. The background sweep (started by
-// OpenCoordinator, stopped by Close) is the single source of truth for
-// per-node liveness: it probes every remote node's /healthz on a fixed
-// interval, records up/down state with a staleness timestamp, and
-// half-opens tripped circuit breakers whose node answers again.
-// Coordinator.Health reads this cache — a /healthz hit on the
-// coordinator never blocks on N network probes, and the staleness
-// timestamp tells the consumer how fresh each fact is.
+// Cached cluster membership. Each owner holds one liveness fact — up or
+// down, the error that put it down, and when the fact was written — and
+// four events write it: the open handshake, the background sweep's
+// /healthz probe (started by OpenCoordinator, stopped by Close), a
+// failed query attempt (down, with the attempt's error), and a
+// successful attempt on a node that was down (up). The attempt order
+// (failover.go) and Coordinator.Health both read it, so a /healthz hit
+// on the coordinator never blocks on N network probes, and CheckedAt
+// tells the consumer how fresh each fact is.
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// nodeState is one node's cached liveness fact plus its circuit
-// breaker. Methods are safe for concurrent use.
-type nodeState struct {
-	br *breaker
-
-	// epoch caches the index mutation counter the node last reported in
-	// /healthz (see NodeHealth.Epoch) — read by Coordinator.Epoch on
-	// every cached search, refreshed by the membership sweep.
-	epoch atomic.Uint64
-
-	mu        sync.Mutex
-	alive     bool
-	errMsg    string
-	checkedAt time.Time // when the fact was last refreshed; zero = never
-}
-
-func newNodeState(breakerFails int) *nodeState {
-	return &nodeState{br: newBreaker(breakerFails)}
-}
-
-// setHealth records a liveness observation with the current time as
-// its staleness timestamp.
-func (s *nodeState) setHealth(alive bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.alive = alive
-	s.errMsg = ""
+// mark writes the owner's liveness fact, stamped now.
+func (ow *owner) mark(alive bool, err error) {
+	ow.mu.Lock()
+	defer ow.mu.Unlock()
+	ow.alive = alive
+	ow.errMsg = ""
 	if err != nil {
-		s.errMsg = err.Error()
+		ow.errMsg = err.Error()
 	}
-	s.checkedAt = time.Now()
+	ow.checkedAt = time.Now()
 }
 
-// healthSnapshot returns the cached fact.
-func (s *nodeState) healthSnapshot() (alive bool, errMsg string, checkedAt time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.alive, s.errMsg, s.checkedAt
+// markUp records a successful attempt: a node that was down is up
+// again; on a node already up the fact is left as written.
+func (ow *owner) markUp() {
+	ow.mu.Lock()
+	defer ow.mu.Unlock()
+	if !ow.alive {
+		ow.alive, ow.errMsg, ow.checkedAt = true, "", time.Now()
+	}
+}
+
+// fact returns the owner's liveness fact.
+func (ow *owner) fact() (alive bool, errMsg string, checkedAt time.Time) {
+	ow.mu.Lock()
+	defer ow.mu.Unlock()
+	return ow.alive, ow.errMsg, ow.checkedAt
 }
 
 // Sweep probes every remote node's /healthz once, concurrently (each
-// under PingTimeout), and updates the cached membership view: up/down
-// state, staleness timestamps, and breaker recovery (a tripped node
-// that answers — and still serves the right index — half-opens).
-// The background refresher calls this on its interval; tests and
-// callers wanting a fresh view now can call it directly.
+// under probeTimeout), and writes each node's liveness fact: up when it
+// answers and still serves the right index, down otherwise. The
+// background refresher calls this on its interval; tests and callers
+// wanting a fresh view now can call it directly.
 func (c *Coordinator) Sweep(ctx context.Context) {
 	done := make(chan struct{}, len(c.owners))
 	for _, ow := range c.owners {
 		if ow.node != nil {
 			// Local backends are alive by construction; refresh the
 			// timestamp so staleness reflects the sweep, not the open.
-			ow.st.setHealth(true, nil)
+			ow.mark(true, nil)
 			done <- struct{}{}
 			continue
 		}
@@ -83,33 +70,26 @@ func (c *Coordinator) Sweep(ctx context.Context) {
 	}
 }
 
-// probe refreshes one remote node's cached state.
+// probe refreshes one remote node's liveness fact.
 func (c *Coordinator) probe(ctx context.Context, ow *owner) {
 	rm, ok := ow.b.(*remote)
 	if !ok {
 		return
 	}
-	pctx, cancel := context.WithTimeout(ctx, c.pingTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	h, err := rm.health(pctx)
-	if err != nil {
-		ow.st.setHealth(false, err)
-		// A node the sweep cannot reach must not absorb first-attempt
-		// latency on the next query.
-		ow.st.br.trip()
-		return
+	if err == nil {
+		// A node that answers but serves the wrong index (restarted with
+		// a different file, misconfigured replacement) must not rejoin.
+		err = c.verifyRemote(h, ow)
 	}
-	// A node that answers but serves the wrong index (restarted with a
-	// different file, misconfigured replacement) must not rejoin.
-	if err := c.verifyRemote(h, ow); err != nil {
-		ow.st.setHealth(false, err)
-		ow.st.br.trip()
+	if err != nil {
+		ow.mark(false, err)
 		return
 	}
 	rm.windows = h.Windows
-	ow.st.epoch.Store(h.Epoch)
-	ow.st.setHealth(true, nil)
-	ow.st.br.probeOK()
+	ow.mark(true, nil)
 }
 
 // sweepLoop is the background membership refresher.
@@ -127,51 +107,19 @@ func (c *Coordinator) sweepLoop(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// Health returns the cached per-node membership view: liveness as of
-// each node's CheckedAt timestamp (maintained by the background sweep
-// and by open-time dialing — never probed inline here), plus circuit
-// breaker state. Use Sweep first to force a fresh view.
+// Health returns the cached per-node membership view: each node's
+// liveness fact as last written by the open, the sweep or a query
+// attempt, never probed inline here. Use Sweep first to force a fresh
+// view.
 func (c *Coordinator) Health() []PeerStatus {
 	out := make([]PeerStatus, len(c.owners))
 	for i, ow := range c.owners {
-		alive, errMsg, checkedAt := ow.st.healthSnapshot()
-		brState, fails := ow.st.br.snapshot()
+		alive, errMsg, checkedAt := ow.fact()
 		out[i] = PeerStatus{
 			Name: ow.spec.Name, Addr: ow.spec.Addr,
 			Shards: ow.b.ShardIDs(), Windows: ow.b.Windows(),
-			Alive: alive, Error: errMsg,
-			Breaker: brState.String(), ConsecFails: fails,
-			CheckedAt: checkedAt,
-			Epoch:     ow.epochView(),
+			Alive: alive, Error: errMsg, CheckedAt: checkedAt,
 		}
 	}
 	return out
-}
-
-// epochView is the owner's current index epoch: live for in-process
-// nodes, the sweep-cached value for remote ones.
-func (ow *owner) epochView() uint64 {
-	if ow.node != nil {
-		return ow.node.Epoch()
-	}
-	return ow.st.epoch.Load()
-}
-
-// Epoch composes the cluster's index mutation counter from the
-// per-node view: replicas of one group serve identical subsets, so a
-// group's epoch is the max any owner reported, and the cluster epoch
-// sums the groups (any node mutating bumps the total — the monotonic
-// "index changed" signal result-cache keys embed, see Engine.Epoch).
-func (c *Coordinator) Epoch() uint64 {
-	var total uint64
-	for _, g := range c.groups {
-		var hi uint64
-		for _, ow := range g.owners {
-			if e := ow.epochView(); e > hi {
-				hi = e
-			}
-		}
-		total += hi
-	}
-	return total
 }

@@ -103,16 +103,8 @@ func (n *Node) Health() NodeHealth {
 		TotalShards: n.Sub.TotalShards(),
 		HeapBytes:   n.Sub.MemoryBytes(),
 		MappedBytes: n.Sub.MappedBytes(),
-		Epoch:       n.Epoch(),
 	}
 }
-
-// Epoch reports the node's index mutation counter (see Engine.Epoch).
-// A node's shards are opened read-only from a saved index file, so the
-// counter stays 0 for the node's lifetime today; it is reported anyway
-// so coordinators compose cluster epochs through one code path and
-// cache invalidation keeps working the day nodes learn to mutate.
-func (n *Node) Epoch() uint64 { return 0 }
 
 // Close releases the node's arena (unmapping the index region). No
 // search may run on the node's shards during or after it.

@@ -99,8 +99,9 @@ func TestTopKConformance(t *testing.T) {
 				_, path := buildSaved(t, ext, 4)
 				cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 2, cluster.Options{})
 				// One replica of the first group refuses connections, so
-				// both phases of the cluster top-k also cross a failover.
-				chaos.Set(hostOf(t, srvs[0]), cluster.ChaosRule{Refuse: true})
+				// the first cluster top-k crosses a failover and the rest
+				// run with that replica marked down.
+				chaos.Set(hostOf(t, srvs[0]), ChaosRule{Refuse: true})
 
 				backings := []struct {
 					name string

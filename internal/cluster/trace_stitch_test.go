@@ -56,7 +56,7 @@ func TestForcedTraceStitched(t *testing.T) {
 	// srvs[0] is g0r0, group 0's first-attempt replica (topology order):
 	// refusing all its connections forces the traced query to fail over
 	// to g0r1.
-	chaos.Set(hostOf(t, srvs[0]), cluster.ChaosRule{Refuse: true})
+	chaos.Set(hostOf(t, srvs[0]), ChaosRule{Refuse: true})
 
 	tr := obs.NewTrace("coordinator")
 	gotM, gotSt, err := cl.SearchStats(obs.WithSpan(ctx, tr.Root), q, 0.3)
@@ -104,8 +104,8 @@ func TestForcedTraceStitched(t *testing.T) {
 				}
 				nodeSubtrees[sub] = true
 			}
-			if s.Attrs["breaker"] == nil || s.Attrs["node"] == nil {
-				t.Fatalf("attempt span missing node/breaker attrs: %v", s.Attrs)
+			if s.Attrs["alive"] == nil || s.Attrs["node"] == nil {
+				t.Fatalf("attempt span missing node/alive attrs: %v", s.Attrs)
 			}
 		case strings.HasPrefix(s.Name, "node:"):
 			// A node subtree must itself contain shard-layer spans —

@@ -107,26 +107,19 @@ type NodeHealth struct {
 	TotalShards int    `json:"total_shards"`
 	HeapBytes   int    `json:"heap_bytes"`
 	MappedBytes int    `json:"mapped_bytes"`
-	// Epoch is the node's index mutation counter (see Engine.Epoch);
-	// coordinators compose per-node epochs into the cluster epoch that
-	// keys serving-tier result caches.
-	Epoch uint64 `json:"epoch"`
 }
 
 // PeerStatus is one row of a coordinator's view of its nodes, surfaced
-// through the coordinator's /healthz. Liveness comes from the cached
-// membership view the background sweep maintains; CheckedAt is the
-// staleness timestamp of that fact (zero: never checked), and Breaker /
-// ConsecFails expose the node's circuit state.
+// through the coordinator's /healthz. Alive is the last liveness fact
+// written for the node — by the open handshake, the membership sweep or
+// a query attempt — and Error the failure that put it down; CheckedAt
+// is when the fact was written (zero: never).
 type PeerStatus struct {
-	Name        string    `json:"name"`
-	Addr        string    `json:"addr"`
-	Shards      []int     `json:"shard_ids"`
-	Windows     int       `json:"windows"`
-	Alive       bool      `json:"alive"`
-	Error       string    `json:"error,omitempty"`
-	Breaker     string    `json:"breaker,omitempty"`
-	ConsecFails int       `json:"consec_fails,omitempty"`
-	CheckedAt   time.Time `json:"checked_at,omitzero"`
-	Epoch       uint64    `json:"epoch"`
+	Name      string    `json:"name"`
+	Addr      string    `json:"addr"`
+	Shards    []int     `json:"shard_ids"`
+	Windows   int       `json:"windows"`
+	Alive     bool      `json:"alive"`
+	Error     string    `json:"error,omitempty"`
+	CheckedAt time.Time `json:"checked_at,omitzero"`
 }

@@ -24,8 +24,8 @@
 // and the engine verifies only the windows gained, then Puts the longer
 // answer over the old one. Every other answer — traversal counters,
 // which describe one tree shape; prefix and approximate searches;
-// cluster engines, whose version is a per-node composite — embeds the
-// engine's index epoch in its key, a counter bumped on every mutation:
+// every path of a read-only cluster engine — embeds the engine's index
+// epoch in its key, a counter bumped on every mutation:
 // after an Append every lookup builds a key no stored entry can match,
 // and the stale entries age out of the LRU under the byte budget.
 // Either way nothing is ever walked or purged inline on the hot path.

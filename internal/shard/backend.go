@@ -55,7 +55,6 @@ import (
 // Backend is one group of shards answering the five search paths; see
 // the package-level contract above.
 type Backend interface {
-	SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error)
 	SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error)
 	SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error)
 	SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error)

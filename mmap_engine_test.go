@@ -310,9 +310,10 @@ func TestSaveOverMappedFile(t *testing.T) {
 
 // TestFailedSaveLeavesTarget makes SaveIndexFile fail after it has
 // created its temp file — a closed engine and a cluster engine both
-// refuse in SaveIndex — over a saved file that a mapped engine is
-// serving. Each failure must remove its temp file, and leave the target
-// byte-identical and the mapped engine answering as before.
+// refuse in SaveIndex, over a saved file that a mapped engine is
+// serving, and a working engine's final rename fails over a non-empty
+// directory. Each failure must remove its temp file, and leave the
+// target unchanged and the mapped engine answering as before.
 func TestFailedSaveLeavesTarget(t *testing.T) {
 	if !arena.MapSupported() || !arena.LittleEndianHost() {
 		t.Skip("zero-copy open unsupported on this platform")
@@ -323,6 +324,7 @@ func TestFailedSaveLeavesTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer built.Close()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.tssh")
 	if err := built.SaveIndexFile(path); err != nil {
@@ -358,12 +360,22 @@ func TestFailedSaveLeavesTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clustered.Close()
+	// A non-empty directory where the index should go: SaveIndex and
+	// the sync succeed, and os.Rename refuses to replace it.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blocked, "keep"), []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, c := range []struct {
-		name string
-		eng  *Engine
-	}{{"closed", closed}, {"cluster", clustered}} {
-		err := c.eng.SaveIndexFile(path)
+		name   string
+		eng    *Engine
+		target string
+	}{{"closed", closed, path}, {"cluster", clustered, path}, {"rename", built, blocked}} {
+		err := c.eng.SaveIndexFile(c.target)
 		if err == nil {
 			t.Fatalf("%s engine saved an index", c.name)
 		}
@@ -379,6 +391,11 @@ func TestFailedSaveLeavesTarget(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: failed save changed the target (%d bytes, was %d)", c.name, len(got), len(want))
+		}
+		ents, err := os.ReadDir(blocked)
+		kept, _ := os.ReadFile(filepath.Join(blocked, "keep"))
+		if err != nil || len(ents) != 1 || string(kept) != "kept" {
+			t.Fatalf("%s: failed save changed the blocking directory: %v, %d entries, keep=%q", c.name, err, len(ents), kept)
 		}
 		ms, err := served.Search(q, 0.5)
 		if err != nil || !slices.Equal(ms, wantMs) {

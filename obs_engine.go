@@ -86,9 +86,9 @@ func (e *Engine) registerIndexInfo(start time.Time) {
 }
 
 // registerClusterGauges surfaces the coordinator's cached membership
-// view — liveness and breaker state per node — as gauges. Called from
-// Open once the coordinator exists; the peer set is static (the
-// topology file fixed it).
+// view — each node's liveness fact — as gauges. Called from Open once
+// the coordinator exists; the peer set is static (the topology file
+// fixed it).
 func (e *Engine) registerClusterGauges() {
 	reg := e.met.reg
 	for _, ps := range e.cl.Health() {
@@ -96,14 +96,6 @@ func (e *Engine) registerClusterGauges() {
 		reg.GaugeFunc(fmt.Sprintf("twinsearch_cluster_node_alive{node=%q}", name), func() float64 {
 			for _, p := range e.cl.Health() {
 				if p.Name == name && p.Alive {
-					return 1
-				}
-			}
-			return 0
-		})
-		reg.GaugeFunc(fmt.Sprintf("twinsearch_cluster_breaker_open{node=%q}", name), func() float64 {
-			for _, p := range e.cl.Health() {
-				if p.Name == name && p.Breaker != "closed" {
 					return 1
 				}
 			}
