@@ -1,0 +1,417 @@
+package twinsearch
+
+// TestConformance is the one conformance grid. Every search path of
+// every backing — built with one shard and with four, the two saved
+// streams opened by copy and by mapping, and local-topology
+// coordinators at R = 1 and R = 2 — under every normalization, with the
+// plan and result caches off and on and tracing off and forced, answers
+// what internal/oracle's definition answers over the engine's own
+// extractor: Start and the bits of Dist, order included. The kernel
+// axis is the environment's: CI runs the whole suite again under
+// TWINSEARCH_KERNEL=portable.
+//
+// Beside the definition the grid checks what an exact engine must keep:
+// a larger ε never loses a twin, top-k is a prefix of top-(k+1),
+// SearchStats counts the matches it returns, and traversal counters
+// depend on the partition alone — not on the cache, the trace, the
+// backing or the coordinator. On the planted-duplicates input the
+// appendable backings then take an append leg: a short chunk, a seventh
+// copy of the duplicated window (cached range and top-k answers are
+// extended over it), then more than maxTailScan windows (they are
+// recomputed); after each, every path is the definition's over the
+// grown series.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"twinsearch/internal/cluster"
+	"twinsearch/internal/datasets"
+	"twinsearch/internal/obs"
+	"twinsearch/internal/oracle"
+)
+
+const confL = 32
+
+// matchListsEq reports whether a and b hold the same matches in the
+// same order, Dist compared bit for bit.
+func matchListsEq(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Start != b[i].Start || math.Float64bits(a[i].Dist) != math.Float64bits(b[i].Dist) {
+			return false
+		}
+	}
+	return true
+}
+
+// confInput is one series of the grid and the starts of its queries'
+// windows; the last query is its window perturbed off the series. The
+// local backings of a growing input take the append leg.
+type confInput struct {
+	name    string
+	data    []float64
+	starts  []int
+	growing bool
+}
+
+func confInputs() []confInput {
+	// Six exact twins of the window at 250 (identical windows normalize
+	// identically under every norm), so k = 3 and 4 cut through a tie.
+	dups := datasets.EEGN(23, 700)
+	for _, at := range []int{40, 170, 333, 501, 650} {
+		copy(dups[at:at+confL], dups[250:250+confL])
+	}
+	return []confInput{
+		{"eeg", datasets.EEGN(29, 700), []int{500, 700 - confL, 97}, false},
+		{"duplicates", dups, []int{250, 0, 411}, true},
+		{"constant", slices.Repeat([]float64{1.5}, 500), []int{0, 12}, false},
+	}
+}
+
+// confBacking is one way to stand an engine up over a series. Backings
+// with equal shards share a partition, and with it every traversal
+// counter; local ones take appends.
+type confBacking struct {
+	name   string
+	shards int
+	local  bool
+	open   func(data []float64, o Options) (*Engine, error)
+}
+
+// confBackings saves data's single and four-shard index under o and
+// returns the grid's backings over them.
+func confBackings(t *testing.T, data []float64, o Options) []confBacking {
+	t.Helper()
+	tsfzPath, tsshPath := filepath.Join(t.TempDir(), "index.tsfz"), filepath.Join(t.TempDir(), "index.tssh")
+	for shards, path := range map[int]string{1: tsfzPath, 4: tsshPath} {
+		o := o
+		o.Shards = shards
+		eng, err := Open(data, o)
+		if err == nil {
+			err = eng.SaveIndexFile(path)
+			eng.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tsfz, err := os.ReadFile(tsfzPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, r2 := localTopology(t, tsshPath, 4, 2, 1), localTopology(t, tsshPath, 4, 2, 2)
+	return []confBacking{
+		{"built/1", 1, true, func(d []float64, o Options) (*Engine, error) { o.Shards = 1; return Open(d, o) }},
+		{"built/4", 4, true, func(d []float64, o Options) (*Engine, error) { o.Shards, o.Workers = 4, 1; return Open(d, o) }},
+		{"copy/TSFZ", 1, true, func(d []float64, o Options) (*Engine, error) { return OpenSaved(d, bytes.NewReader(tsfz), o) }},
+		{"mmap/TSFZ", 1, true, func(d []float64, o Options) (*Engine, error) {
+			o.MMap, o.Prefetch = true, true
+			return OpenSavedFile(d, tsfzPath, o)
+		}},
+		{"mmap/TSSH", 4, true, func(d []float64, o Options) (*Engine, error) {
+			o.MMap, o.Workers = true, 3
+			return OpenSavedFile(d, tsshPath, o)
+		}},
+		{"cluster/R1", 4, false, func(d []float64, o Options) (*Engine, error) { o.Topology, o.MMap = r1, true; return Open(d, o) }},
+		{"cluster/R2", 4, false, func(d []float64, o Options) (*Engine, error) { o.Topology, o.MMap = r2, true; return Open(d, o) }},
+	}
+}
+
+// localTopology writes a topology over the saved index at path whose
+// entries all resolve in-process: groups contiguous runs of the shards,
+// each served by replicas nodes.
+func localTopology(t *testing.T, path string, shards, groups, replicas int) string {
+	t.Helper()
+	doc := cluster.Topology{Index: path, Replicas: replicas}
+	for g := 0; g < groups; g++ {
+		var run cluster.ShardList
+		for s := g * shards / groups; s < (g+1)*shards/groups; s++ {
+			run = append(run, s)
+		}
+		for range replicas {
+			doc.Nodes = append(doc.Nodes, cluster.NodeSpec{Name: fmt.Sprintf("n%d", len(doc.Nodes)), Addr: "local", Shards: run})
+		}
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := filepath.Join(t.TempDir(), "topo.json")
+	if err := os.WriteFile(topo, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
+func TestConformance(t *testing.T) {
+	for _, in := range confInputs() {
+		var qs [][]float64
+		for _, s := range in.starts {
+			qs = append(qs, slices.Clone(in.data[s:s+confL]))
+		}
+		for j, last := range qs[len(qs)-1] {
+			qs[len(qs)-1][j] = last + 0.05*float64(j%5-2)
+		}
+		for _, norm := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
+			t.Run(fmt.Sprintf("%s/%v", in.name, norm), func(t *testing.T) {
+				base := Options{L: confL, Norm: norm, NormSet: true}
+				g := &confGrid{counters: map[[4]int]Stats{}, series: map[int][]float64{}, wants: map[[2]int]*confWant{}}
+				for _, b := range confBackings(t, in.data, base) {
+					for _, cached := range []bool{false, true} {
+						t.Run(fmt.Sprintf("%s/cache=%v", b.name, cached), func(t *testing.T) {
+							o := base
+							if cached {
+								withServingCaches(&o)
+							}
+							eng, err := b.open(slices.Clone(in.data), o)
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer eng.Close()
+							if eng.Shards() != b.shards {
+								t.Fatalf("%d shards, want %d", eng.Shards(), b.shards)
+							}
+							c := &confCell{t: t, eng: eng, grid: g, cached: cached, shards: b.shards}
+							c.check(qs)
+							if st := eng.ServingStats(); cached && (st.Result.Hits == 0 || st.Result.Misses == 0 || st.Plan.Hits == 0) {
+								t.Fatalf("caches never exercised: %+v", st)
+							}
+							if !b.local || !in.growing {
+								return
+							}
+							// The append leg: after each chunk, every path on the
+							// first query, whose window the short chunk repeats.
+							for _, chunk := range [][]float64{qs[0], datasets.EEGN(31, maxTailScan+1)} {
+								if err := eng.Append(chunk...); err != nil {
+									t.Fatal(err)
+								}
+								c.phase++
+								c.check(qs[:1])
+							}
+						})
+					}
+				}
+			})
+		}
+	}
+}
+
+// confGrid is what the cells of one input and norm share: the first
+// traversal counters each partition reported and, per append phase, the
+// definition's answers — computed over the first cell's extractor, which
+// every later cell's must equal value for value.
+type confGrid struct {
+	counters map[[4]int]Stats     // per partition, phase, query and threshold
+	series   map[int][]float64    // per phase: the extractor's values, then its global mean and σ
+	wants    map[[2]int]*confWant // per phase and query
+}
+
+// confWant is the definition's answers to one query over the series as
+// it stands.
+type confWant struct {
+	q, tq  []float64
+	eps    [2]float64 // fixed at phase 0, so cached entries carry over appends
+	all    []Match    // every window, nearest first
+	ranges [2][]Match // at eps
+	prefix []Match    // of the query's first half, at eps[1]
+	batch  [2][]Match // at the first query's eps, which the range batches use
+}
+
+// want returns the definition's answers to query qi at the current
+// phase, computed over c's extractor the first time they are asked for.
+func (c *confCell) want(qi int, q []float64) *confWant {
+	e, key := c.eng, [2]int{c.phase, qi}
+	if d := c.grid.wants[key]; d != nil {
+		return d
+	}
+	d := &confWant{q: q, tq: e.PrepareQuery(q)}
+	d.all = oracle.TopK(e.ext, d.tq, e.NumSubsequences())
+	// Thresholds that admit at least 5 and 40 twins, whatever the value
+	// space.
+	d.eps = [2]float64{d.all[4].Dist, d.all[39].Dist}
+	if c.phase > 0 {
+		d.eps = c.grid.wants[[2]int{0, qi}].eps
+	}
+	first := d.eps
+	if qi > 0 {
+		first = c.grid.wants[[2]int{c.phase, 0}].eps
+	}
+	for i := range d.eps {
+		d.ranges[i] = oracle.Range(e.ext, d.tq, d.eps[i])
+		d.batch[i] = oracle.Range(e.ext, d.tq, first[i])
+	}
+	if e.Norm() != NormPerSubsequence {
+		indexed, tail := oracle.Prefix(e.ext, confL, e.PrepareQuery(q[:confL/2]), d.eps[1])
+		d.prefix = append(indexed, tail...)
+	}
+	c.grid.wants[key] = d
+	return d
+}
+
+// confCell is one engine of the grid and what it has answered so far.
+type confCell struct {
+	t      *testing.T
+	eng    *Engine
+	grid   *confGrid
+	cached bool
+	shards int
+	phase  int
+	approx [][]Match // per query, this phase's first budget-1 answer
+}
+
+// check runs every path on every query, untraced and traced — in both
+// orders, so that a cached engine serves a miss and a hit each way —
+// and then the batches. After an append only the cache axis runs again.
+func (c *confCell) check(qs [][]float64) {
+	c.t.Helper()
+	e, w := c.eng, c.eng.NumSubsequences()
+	mean, std := e.ext.GlobalParams()
+	held := append(slices.Clone(e.ext.Data()), mean, std)
+	if ref, ok := c.grid.series[c.phase]; !ok {
+		c.grid.series[c.phase] = held
+	} else if !slices.Equal(held, ref) {
+		c.t.Fatalf("phase %d: the engine's extractor holds other values than the first engine's", c.phase)
+	}
+	ks := []int{1, 3, 4, 10, w, w + 5}
+	c.approx = make([][]Match, len(qs))
+	wants := make([]*confWant, len(qs))
+	for qi, q := range qs {
+		wants[qi] = c.want(qi, q)
+		reps, traces := 1, [2][]bool{{false, true}, {true, false}}[qi%2]
+		if c.cached {
+			reps = 2 // the miss, then the hit
+		}
+		if c.phase > 0 {
+			traces = []bool{false}
+		}
+		for _, traced := range traces {
+			for range reps {
+				ctx := context.Background()
+				if traced {
+					ctx = obs.WithSpan(ctx, obs.NewTrace("conformance").Root)
+				}
+				c.paths(ctx, fmt.Sprintf("phase %d q%d traced=%v", c.phase, qi, traced), qi, wants[qi], ks)
+			}
+		}
+	}
+	c.batches(qs, wants, ks)
+}
+
+// paths runs each single-query path once on query qi.
+func (c *confCell) paths(ctx context.Context, at string, qi int, d *confWant, ks []int) {
+	c.t.Helper()
+	e, q := c.eng, d.q
+	var ranges [2][]Match
+	for i, eps := range d.eps {
+		got, err := e.SearchCtx(ctx, q, eps)
+		c.expect(at+fmt.Sprintf(" Search(ε=%g)", eps), got, err, d.ranges[i])
+		ranges[i] = got
+		got, st, err := e.SearchStatsCtx(ctx, q, eps)
+		c.expect(at+fmt.Sprintf(" SearchStats(ε=%g)", eps), got, err, d.ranges[i])
+		key := [4]int{c.shards, c.phase, qi, i}
+		if prev, seen := c.grid.counters[key]; seen && st != prev || st.Results != len(got) {
+			c.t.Fatalf("%s: SearchStats(ε=%g) counted %+v for %d matches; the partition counted %+v", at, eps, st, len(got), prev)
+		}
+		c.grid.counters[key] = st
+		got, err = e.SearchPreparedCtx(ctx, d.tq, eps)
+		c.expect(at+fmt.Sprintf(" SearchPrepared(ε=%g)", eps), got, err, d.ranges[i])
+	}
+	if !subset(ranges[0], ranges[1]) {
+		c.t.Fatalf("%s: a twin at ε=%g is lost at ε=%g", at, d.eps[0], d.eps[1])
+	}
+	var prev []Match
+	for _, k := range ks {
+		got, err := e.SearchTopKCtx(ctx, q, k)
+		c.expect(at+fmt.Sprintf(" SearchTopK(k=%d)", k), got, err, d.all[:min(k, len(d.all))])
+		if !matchListsEq(prev, got[:len(prev)]) {
+			c.t.Fatalf("%s: top-%d is not a prefix of top-%d", at, len(prev), k)
+		}
+		prev = got
+	}
+
+	eps := d.eps[1]
+	got, err := e.SearchShorterCtx(ctx, q[:confL/2], eps)
+	if e.Norm() == NormPerSubsequence {
+		if want := "core: prefix queries are unsupported under per-subsequence normalization"; err == nil || err.Error() != want || got != nil {
+			c.t.Fatalf("%s: SearchShorter under per-window norm: %d matches, error %v, want %q", at, len(got), err, want)
+		}
+	} else {
+		c.expect(at+" SearchShorter", got, err, d.prefix)
+	}
+
+	// One leaf's worth of twins is a subset of them all — on a cached
+	// engine the very subset its miss found; a budget past every leaf is
+	// the exact answer.
+	got, err = e.SearchApproxCtx(ctx, q, eps, 1)
+	if err != nil || !subset(got, d.ranges[1]) || c.cached && c.approx[qi] != nil && !matchListsEq(got, c.approx[qi]) {
+		c.t.Fatalf("%s: SearchApprox(budget=1): %v (%v), not a subset of the %d twins or not the cached %v", at, got, err, len(d.ranges[1]), c.approx[qi])
+	}
+	if c.approx[qi] == nil {
+		c.approx[qi] = append([]Match{}, got...)
+	}
+	got, err = e.SearchApproxCtx(ctx, q, eps, math.MaxInt)
+	c.expect(at+" SearchApprox(budget=MaxInt)", got, err, d.ranges[1])
+}
+
+// batches checks SearchBatch at the first query's thresholds and
+// SearchTopKBatch at a k that cuts a tie and one past the windows:
+// entry i answers query i, as the single call does and as the
+// definition does. (paths held the single top-k calls to the same
+// definition.)
+func (c *confCell) batches(qs [][]float64, wants []*confWant, ks []int) {
+	c.t.Helper()
+	e := c.eng
+	for bi, eps := range wants[0].eps {
+		for i, r := range e.SearchBatch(qs, eps) {
+			at := fmt.Sprintf("phase %d SearchBatch(ε=%g)[%d]", c.phase, eps, i)
+			single, err := e.Search(qs[i], eps)
+			c.expect(at+" single call", single, err, wants[i].batch[bi])
+			c.expect(at, r.Matches, r.Err, wants[i].batch[bi])
+			if r.Query != i {
+				c.t.Fatalf("%s answers query %d", at, r.Query)
+			}
+		}
+	}
+	for _, k := range []int{ks[2], ks[5]} {
+		for i, r := range e.SearchTopKBatch(qs, k) {
+			at := fmt.Sprintf("phase %d SearchTopKBatch(k=%d)[%d]", c.phase, k, i)
+			c.expect(at, r.Matches, r.Err, wants[i].all[:min(k, len(wants[i].all))])
+			if r.Query != i {
+				c.t.Fatalf("%s answers query %d", at, r.Query)
+			}
+		}
+	}
+}
+
+// expect fails the cell unless got is want.
+func (c *confCell) expect(at string, got []Match, err error, want []Match) {
+	c.t.Helper()
+	if err != nil || !matchListsEq(got, want) {
+		c.t.Fatalf("%s: %d matches (error %v), the definition %d:\n got  %v\n want %v", at, len(got), err, len(want), got[:min(len(got), 12)], want[:min(len(want), 12)])
+	}
+}
+
+// subset reports whether every match of a is one of b's, both in start
+// order.
+func subset(a, b []Match) bool {
+	j := 0
+	for _, m := range a {
+		for j < len(b) && b[j].Start < m.Start {
+			j++
+		}
+		if j == len(b) || b[j] != m {
+			return false
+		}
+	}
+	return true
+}

@@ -10,38 +10,6 @@ import (
 	"twinsearch/internal/datasets"
 )
 
-func TestSaveOpenSavedRoundTrip(t *testing.T) {
-	ts := datasets.EEGN(21, 8000)
-	eng, err := Open(ts, Options{L: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.SaveIndex(&buf); err != nil {
-		t.Fatalf("SaveIndex: %v", err)
-	}
-	got, err := OpenSaved(ts, &buf, Options{L: 100})
-	if err != nil {
-		t.Fatalf("OpenSaved: %v", err)
-	}
-	q := append([]float64(nil), ts[2000:2100]...)
-	a, _ := eng.Search(q, 0.3)
-	b, _ := got.Search(q, 0.3)
-	if len(a) != len(b) {
-		t.Fatalf("reloaded engine disagrees: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Start != b[i].Start {
-			t.Fatalf("result %d differs", i)
-		}
-	}
-	// Top-k works on the reloaded engine too.
-	top, err := got.SearchTopK(q, 3)
-	if err != nil || len(top) != 3 || top[0].Start != 2000 {
-		t.Fatalf("top-k on reloaded engine: %v %v", top, err)
-	}
-}
-
 func TestSaveIndexFileRoundTrip(t *testing.T) {
 	ts := datasets.RandomWalk(5, 3000)
 	eng, err := Open(ts, Options{L: 50, Norm: NormPerSubsequence, NormSet: true})
@@ -78,48 +46,6 @@ func TestSaveErrors(t *testing.T) {
 	}
 	if _, err := OpenSavedFile(ts, filepath.Join(t.TempDir(), "missing"), Options{L: 50}); err == nil {
 		t.Fatal("want error for missing file")
-	}
-}
-
-func TestAppendStreaming(t *testing.T) {
-	full := datasets.EEGN(77, 6000)
-	for _, norm := range []NormMode{NormNone, NormPerSubsequence} {
-		grown, err := Open(append([]float64(nil), full[:4000]...), Options{L: 100, Norm: norm, NormSet: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Stream the rest in uneven chunks.
-		for at := 4000; at < len(full); {
-			end := at + 1 + (at % 700)
-			if end > len(full) {
-				end = len(full)
-			}
-			if err := grown.Append(full[at:end]...); err != nil {
-				t.Fatal(err)
-			}
-			at = end
-		}
-		fresh, err := Open(full, Options{L: 100, Norm: norm, NormSet: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if grown.NumSubsequences() != fresh.NumSubsequences() {
-			t.Fatalf("norm=%v: %d vs %d windows", norm, grown.NumSubsequences(), fresh.NumSubsequences())
-		}
-		// Queries over old and new regions agree with a fresh build.
-		for _, p := range []int{500, 3950, 5800} {
-			q := append([]float64(nil), full[p:p+100]...)
-			a, _ := grown.Search(q, 0.4)
-			b, _ := fresh.Search(q, 0.4)
-			if len(a) != len(b) {
-				t.Fatalf("norm=%v p=%d: %d vs %d results", norm, p, len(a), len(b))
-			}
-			for i := range a {
-				if a[i].Start != b[i].Start {
-					t.Fatalf("norm=%v p=%d: result %d differs", norm, p, i)
-				}
-			}
-		}
 	}
 }
 
@@ -207,78 +133,5 @@ func TestAppendRejectsNonFinite(t *testing.T) {
 			t.Fatalf("shards=%d: clean append after refusals: %v, length %d, epoch %d", shards, err, eng.SeriesLen(), eng.Epoch())
 		}
 		eng.Close()
-	}
-}
-
-func TestSearchShorterAndApprox(t *testing.T) {
-	ts := datasets.EEGN(31, 10000)
-	eng, err := Open(ts, Options{L: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qFull := append([]float64(nil), ts[4000:4100]...)
-	qShort := qFull[:40]
-
-	short, err := eng.SearchShorter(qShort, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oracleRange(eng, qShort, 0.3); !slices.Equal(short, want) {
-		t.Fatalf("SearchShorter: %d matches, oracle %d", len(short), len(want))
-	}
-
-	approx, err := eng.SearchApprox(qFull, 0.3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, _ := eng.Search(qFull, 0.3)
-	exactSet := map[int]bool{}
-	for _, m := range exact {
-		exactSet[m.Start] = true
-	}
-	for _, m := range approx {
-		if !exactSet[m.Start] {
-			t.Fatalf("approx hit %d not in exact set", m.Start)
-		}
-	}
-
-	if _, err := eng.SearchShorter(qShort, -1); err == nil {
-		t.Fatal("negative eps must fail")
-	}
-	if _, err := eng.SearchApprox(qShort, 0.3, 2); err == nil {
-		t.Fatal("short query to SearchApprox must fail")
-	}
-}
-
-func TestSearchBatch(t *testing.T) {
-	ts := datasets.InsectN(9, 15000)
-	eng, err := Open(ts, Options{L: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := datasets.Queries(ts, 3, 20, 100)
-	want := make([][]Match, len(queries))
-	for i, q := range queries {
-		want[i], _ = eng.Search(q, 0.5)
-	}
-	got := eng.SearchBatch(queries, 0.5)
-	if len(got) != len(queries) {
-		t.Fatalf("%d results", len(got))
-	}
-	for i, r := range got {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-		if r.Query != i || len(r.Matches) != len(want[i]) {
-			t.Fatalf("query %d: mismatch", i)
-		}
-	}
-	if out := eng.SearchBatch(nil, 0.5); len(out) != 0 {
-		t.Fatal("empty batch should return empty results")
-	}
-	// Errors propagate per query.
-	bad := [][]float64{make([]float64, 10)}
-	if out := eng.SearchBatch(bad, 0.5); out[0].Err == nil {
-		t.Fatal("bad query should carry its error")
 	}
 }

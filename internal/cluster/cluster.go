@@ -483,12 +483,13 @@ func (c *Coordinator) SearchApprox(ctx context.Context, q []float64, eps float64
 // splitBudget divides a leaf budget across replica groups
 // proportionally to their window counts: floor shares first, then one
 // extra to the earliest groups until the total is spent.
-// sum(shares) == budget.
+// sum(shares) == budget. The floor is taken in two parts so that no
+// product overflows, whatever the budget.
 func (c *Coordinator) splitBudget(budget int) []int {
 	shares := make([]int, len(c.groups))
 	spent := 0
 	for gi, g := range c.groups {
-		shares[gi] = budget * g.windows / c.windows
+		shares[gi] = budget/c.windows*g.windows + budget%c.windows*g.windows/c.windows
 		spent += shares[gi]
 	}
 	for gi := 0; spent < budget && gi < len(shares); gi++ {

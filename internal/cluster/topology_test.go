@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -148,10 +149,15 @@ func TestSplitBudget(t *testing.T) {
 	c := &Coordinator{windows: 100, groups: []*group{
 		{windows: 50}, {windows: 30}, {windows: 20},
 	}}
-	for _, budget := range []int{1, 7, 100, 250} {
+	// The last two overflowed budget·windows: every share came out
+	// wrong, and a cluster SearchApprox at math.MaxInt lost twins.
+	for _, budget := range []int{1, 7, 100, 250, 1 << 62, math.MaxInt} {
 		shares := c.splitBudget(budget)
 		sum := 0
 		for _, s := range shares {
+			if s < 0 {
+				t.Fatalf("budget %d: negative share in %v", budget, shares)
+			}
 			sum += s
 		}
 		if sum != budget {

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -15,99 +16,101 @@ import (
 	"twinsearch/internal/series"
 )
 
-// TestOpenArenaDifferential opens a saved stream through a real mmap
-// and requires every search path to agree with the heap-loaded index
-// byte for byte; Insert must copy-on-thaw (the mapped file stays
-// byte-identical) and migrate the touched shard off the mapping.
+// TestOpenArenaDifferential opens a saved stream of one or three shards
+// through a real mmap and requires every search path to agree with the
+// heap-loaded index byte for byte; Insert must copy-on-thaw (the mapped
+// file stays byte-identical) and migrate the touched shard off the mapping.
 func TestOpenArenaDifferential(t *testing.T) {
 	if !arena.MapSupported() {
 		t.Skip("mmap unsupported on this platform")
 	}
 	ts := datasets.RandomWalk(71, 1800)
 	const l = 40
-	t.Run("mean=false", func(t *testing.T) {
-		ext := series.NewExtractor(append([]float64(nil), ts...), series.NormGlobal)
-		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "index.tssh")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sh.WriteTo(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		before, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
+			ext := series.NewExtractor(append([]float64(nil), ts...), series.NormGlobal)
+			sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "index.tssh")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.WriteTo(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		ar, err := arena.Map(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ar.Close()
-		got, err := OpenArena(ar, ext, nil)
-		if err != nil {
-			t.Fatalf("OpenArena: %v", err)
-		}
-		if got.MappedBytes() == 0 {
-			t.Fatal("mapped index reports no mapped bytes")
-		}
-		if got.MemoryBytes() >= got.MappedBytes() {
-			t.Fatalf("mapped index heap bytes %d not below mapped bytes %d", got.MemoryBytes(), got.MappedBytes())
-		}
+			ar, err := arena.Map(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ar.Close()
+			got, err := OpenArena(ar, ext, nil)
+			if err != nil {
+				t.Fatalf("OpenArena: %v", err)
+			}
+			if got.MappedBytes() == 0 {
+				t.Fatal("mapped index reports no mapped bytes")
+			}
+			if got.MemoryBytes() >= got.MappedBytes() {
+				t.Fatalf("mapped index heap bytes %d not below mapped bytes %d", got.MemoryBytes(), got.MappedBytes())
+			}
 
-		q := ext.ExtractCopy(444, l)
-		wantM, wantS := sh.SearchStats(q, 0.5)
-		gotM, gotS := got.SearchStats(q, 0.5)
-		if !sameMatches(wantM, gotM) || wantS != gotS {
-			t.Fatal("SearchStats diverged between heap and mapped index")
-		}
-		if w, g := sh.SearchTopK(q, 9), got.SearchTopK(q, 9); !sameMatches(w, g) {
-			t.Fatal("SearchTopK diverged between heap and mapped index")
-		}
-		wp, werr := sh.SearchPrefix(q[:l/2], 0.5)
-		gp, gerr := got.SearchPrefix(q[:l/2], 0.5)
-		if (werr == nil) != (gerr == nil) || !sameMatches(wp, gp) {
-			t.Fatal("SearchPrefix diverged between heap and mapped index")
-		}
-		// With the budget covering every leaf, the approximate search
-		// is exhaustive and deterministic on both forms.
-		budget := got.Windows()
-		wa, _ := sh.SearchApprox(q, 0.5, budget)
-		ga, _ := got.SearchApprox(q, 0.5, budget)
-		if !sameMatches(wa, ga) {
-			t.Fatal("SearchApprox diverged between heap and mapped index")
-		}
+			q := ext.ExtractCopy(444, l)
+			wantM, wantS := sh.SearchStats(q, 0.5)
+			gotM, gotS := got.SearchStats(q, 0.5)
+			if !sameMatches(wantM, gotM) || wantS != gotS {
+				t.Fatal("SearchStats diverged between heap and mapped index")
+			}
+			if w, g := sh.SearchTopK(q, 9), got.SearchTopK(q, 9); !sameMatches(w, g) {
+				t.Fatal("SearchTopK diverged between heap and mapped index")
+			}
+			wp, werr := sh.SearchPrefix(q[:l/2], 0.5)
+			gp, gerr := got.SearchPrefix(q[:l/2], 0.5)
+			if (werr == nil) != (gerr == nil) || !sameMatches(wp, gp) {
+				t.Fatal("SearchPrefix diverged between heap and mapped index")
+			}
+			// With the budget covering every leaf, the approximate search
+			// is exhaustive and deterministic on both forms.
+			budget := got.Windows()
+			wa, _ := sh.SearchApprox(q, 0.5, budget)
+			ga, _ := got.SearchApprox(q, 0.5, budget)
+			if !sameMatches(wa, ga) {
+				t.Fatal("SearchApprox diverged between heap and mapped index")
+			}
 
-		// Copy-on-thaw: growing the mapped index must leave the file
-		// untouched and move the mutated shard's arena to the heap.
-		oldCount := series.NumSubsequences(ext.Len(), l)
-		ext.Append(0.5, -1.5, 2.5)
-		for p := oldCount; p < series.NumSubsequences(ext.Len(), l); p++ {
-			got.Insert(p)
-		}
-		if n := len(got.Search(q, 0.5)); n < len(wantM) {
-			t.Fatalf("post-append search lost results: %d < %d", n, len(wantM))
-		}
-		if got.MappedBytes() >= 4*(len(before)/5) && got.NumShards() > 1 {
-			// At least the mutated shard must have left the mapping.
-			t.Fatalf("append did not migrate any shard off the mapping (%d of %d bytes still mapped)", got.MappedBytes(), len(before))
-		}
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(before, after) {
-			t.Fatal("append wrote through the mapped file")
-		}
-	})
+			// Copy-on-thaw: growing the mapped index must leave the file
+			// untouched and move the mutated shard's arena to the heap.
+			oldCount := series.NumSubsequences(ext.Len(), l)
+			ext.Append(0.5, -1.5, 2.5)
+			for p := oldCount; p < series.NumSubsequences(ext.Len(), l); p++ {
+				got.Insert(p)
+			}
+			if n := len(got.Search(q, 0.5)); n < len(wantM) {
+				t.Fatalf("post-append search lost results: %d < %d", n, len(wantM))
+			}
+			if got.MappedBytes() >= 4*(len(before)/5) {
+				// At least the mutated shard must have left the mapping.
+				t.Fatalf("append did not migrate any shard off the mapping (%d of %d bytes still mapped)", got.MappedBytes(), len(before))
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("append wrote through the mapped file")
+			}
+		})
+	}
 }
 
 // TestOpenArenaRejectsCorruptStreams damages a valid stream in the

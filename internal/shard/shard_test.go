@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"twinsearch/internal/core"
@@ -31,102 +32,6 @@ func matchStarts(ms []series.Match) []int {
 		out[i] = m.Start
 	}
 	return out
-}
-
-func equalMatches(a, b []series.Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestParityWithSingleIndex asserts that, for every normalization mode
-// and shard count — one shard, the single index, included — the
-// sharded index answers Search, SearchStats, and SearchTopK as the
-// oracle does over the whole series.
-func TestParityWithSingleIndex(t *testing.T) {
-	const l = 32
-	data := synthetic(2000, 1)
-	for _, mode := range allModes {
-		ext := series.NewExtractor(data, mode)
-		queries := [][]float64{
-			ext.ExtractCopy(137, l),
-			ext.ExtractCopy(900, l),
-			ext.ExtractCopy(len(data)-l, l),
-		}
-		for _, p := range []int{1, 2, 3, 7} {
-			sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sh.CheckInvariants(); err != nil {
-				t.Fatalf("mode=%v shards=%d: %v", mode, p, err)
-			}
-			if sh.NumShards() != p {
-				t.Fatalf("built %d shards, want %d", sh.NumShards(), p)
-			}
-			for qi, q := range queries {
-				for _, eps := range []float64{0, 0.05, 0.3, 1.5} {
-					want := oracle.Range(ext, q, eps)
-					got, st := sh.SearchStats(q, eps)
-					if !equalMatches(got, want) {
-						t.Fatalf("mode=%v shards=%d q=%d eps=%g: got %v want %v",
-							mode, p, qi, eps, matchStarts(got), matchStarts(want))
-					}
-					if st.Results != len(want) {
-						t.Fatalf("stats.Results=%d, %d matches", st.Results, len(want))
-					}
-				}
-				for _, k := range []int{1, 5, 40} {
-					want := oracle.TopK(ext, q, k)
-					got := sh.SearchTopK(q, k)
-					if !equalMatches(got, want) {
-						t.Fatalf("mode=%v shards=%d q=%d k=%d: topk got %v want %v",
-							mode, p, qi, k, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPrefixParity asserts sharded prefix search (shorter queries)
-// agrees with the single index, including the tail windows.
-func TestPrefixParity(t *testing.T) {
-	const l = 48
-	data := synthetic(1200, 3)
-	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal} {
-		ext := series.NewExtractor(data, mode)
-		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pl := range []int{8, 20, l} {
-			q := ext.ExtractCopy(len(data)-pl, pl)
-			want := oracle.Range(ext, q, 0.2)
-			got, err := sh.SearchPrefix(q, 0.2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalMatches(got, want) {
-				t.Fatalf("mode=%v prefix l=%d: got %v want %v", mode, pl, matchStarts(got), matchStarts(want))
-			}
-		}
-	}
-	// Per-subsequence mode must be rejected, matching the single index.
-	ext := series.NewExtractor(data, series.NormPerSubsequence)
-	sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.SearchPrefix(make([]float64, 10), 0.2); err == nil {
-		t.Fatal("expected prefix search rejection under per-subsequence normalization")
-	}
 }
 
 // TestApproxIsSubset checks the sharded approximate search returns a
@@ -179,45 +84,63 @@ func TestInsertRouting(t *testing.T) {
 	q := ext.ExtractCopy(ext.Len()-l, l)
 	want := oracle.Range(ext, q, 0.25)
 	got := sh.Search(q, 0.25)
-	if !equalMatches(got, want) {
+	if !sameMatches(got, want) {
 		t.Fatalf("after append: got %v want %v", matchStarts(got), matchStarts(want))
 	}
 }
 
 // TestPersistRoundTrip saves and reloads a sharded index and checks the
-// reloaded copy answers identically.
+// reloaded copy answers identically — as built, and after Insert left a
+// shard dirty (WriteTo must re-freeze first).
 func TestPersistRoundTrip(t *testing.T) {
 	const l = 24
 	data := synthetic(1500, 11)
-	for _, mode := range allModes {
-		ext := series.NewExtractor(data, mode)
-		sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var blob bytes.Buffer
-		n, err := sh.WriteTo(&blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(blob.Len()) {
-			t.Fatalf("WriteTo reported %d bytes, wrote %d", n, blob.Len())
-		}
-		re, err := Load(bytes.NewReader(blob.Bytes()), ext, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.NumShards() != sh.NumShards() || re.Windows() != sh.Windows() || re.L() != sh.L() {
-			t.Fatalf("reloaded shape mismatch: %d/%d/%d vs %d/%d/%d",
-				re.NumShards(), re.Windows(), re.L(), sh.NumShards(), sh.Windows(), sh.L())
-		}
-		q := ext.ExtractCopy(700, l)
-		if !equalMatches(re.Search(q, 0.3), sh.Search(q, 0.3)) {
-			t.Fatalf("mode=%v: reloaded index answers differently", mode)
-		}
-		if !equalMatches(re.SearchTopK(q, 9), sh.SearchTopK(q, 9)) {
-			t.Fatalf("mode=%v: reloaded top-k differs", mode)
-		}
+	for _, state := range []string{"clean", "dirty"} {
+		t.Run(state, func(t *testing.T) {
+			for _, mode := range allModes {
+				t.Run(mode.String(), func(t *testing.T) {
+					ext := series.NewExtractor(slices.Clone(data), mode)
+					sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if state == "dirty" {
+						// Grow the series and insert the newly completed windows.
+						old := sh.Windows()
+						ext.Append(1.5, -0.25, 0.75)
+						for p := old; p < series.NumSubsequences(ext.Len(), l); p++ {
+							sh.Insert(p)
+						}
+					}
+					var blob bytes.Buffer
+					n, err := sh.WriteTo(&blob)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n != int64(blob.Len()) {
+						t.Fatalf("WriteTo reported %d bytes, wrote %d", n, blob.Len())
+					}
+					re, err := Load(bytes.NewReader(blob.Bytes()), ext, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := re.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					if re.NumShards() != sh.NumShards() || re.Windows() != sh.Windows() || re.L() != sh.L() {
+						t.Fatalf("reloaded shape mismatch: %d/%d/%d vs %d/%d/%d",
+							re.NumShards(), re.Windows(), re.L(), sh.NumShards(), sh.Windows(), sh.L())
+					}
+					q := ext.ExtractCopy(700, l)
+					if !sameMatches(re.Search(q, 0.3), sh.Search(q, 0.3)) {
+						t.Fatal("reloaded index answers differently")
+					}
+					if !sameMatches(re.SearchTopK(q, 9), sh.SearchTopK(q, 9)) {
+						t.Fatal("reloaded top-k differs")
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -318,71 +241,8 @@ func TestConcurrentBuildAndSearch(t *testing.T) {
 	}
 
 	q := ext.ExtractCopy(1000, l)
-	if !equalMatches(sh.Search(q, 0.3), oracle.Range(ext, q, 0.3)) {
+	if !sameMatches(sh.Search(q, 0.3), oracle.Range(ext, q, 0.3)) {
 		t.Fatal("concurrently built shard index disagrees with single index")
-	}
-}
-
-// TestSkewedBoundariesParity builds deliberately imbalanced partitions
-// (the last shard holding ~90% of the windows) and asserts every query
-// kind still answers identically to a single index, across executors
-// of different widths — the work-stealing property under test is that
-// partition skew may move work between workers but never changes an
-// answer.
-func TestSkewedBoundariesParity(t *testing.T) {
-	const l = 32
-	data := synthetic(2400, 23)
-	for _, mode := range allModes {
-		ext := series.NewExtractor(data, mode)
-		count := series.NumSubsequences(len(data), l)
-		head := count / 10
-		bounds := []int{0, head / 3, 2 * head / 3, head, count}
-		queries := [][]float64{
-			ext.ExtractCopy(100, l),
-			ext.ExtractCopy(count-1, l), // deep inside the hot shard
-		}
-		for _, workers := range []int{1, 3, 8} {
-			sh, err := Build(ext, Config{
-				Config: core.Config{L: l}, Boundaries: bounds,
-				Executor: exec.New(workers),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sh.CheckInvariants(); err != nil {
-				t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
-			}
-			for qi, q := range queries {
-				for _, eps := range []float64{0.05, 0.4} {
-					want := oracle.Range(ext, q, eps)
-					got, st := sh.SearchStats(q, eps)
-					if !equalMatches(got, want) {
-						t.Fatalf("mode=%v workers=%d q=%d eps=%g: got %v want %v",
-							mode, workers, qi, eps, matchStarts(got), matchStarts(want))
-					}
-					if st.Results != len(want) {
-						t.Fatalf("stats.Results=%d, %d matches", st.Results, len(want))
-					}
-				}
-				for _, k := range []int{1, 12, 60} {
-					want := oracle.TopK(ext, q, k)
-					got := sh.SearchTopK(q, k)
-					if !equalMatches(got, want) {
-						t.Fatalf("mode=%v workers=%d q=%d k=%d: topk differs", mode, workers, qi, k)
-					}
-				}
-				if mode != series.NormPerSubsequence {
-					want := oracle.Range(ext, q[:l/2], 0.3)
-					got, err := sh.SearchPrefix(q[:l/2], 0.3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !equalMatches(got, want) {
-						t.Fatalf("mode=%v workers=%d q=%d: prefix differs", mode, workers, qi)
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -448,12 +308,12 @@ func TestSkewedConcurrentSearch(t *testing.T) {
 			switch g % 3 {
 			case 0:
 				want := oracle.Range(ext, q, 0.3)
-				if got := sh.Search(q, 0.3); !equalMatches(got, want) {
+				if got := sh.Search(q, 0.3); !sameMatches(got, want) {
 					done <- fmt.Errorf("goroutine %d: search differs", g)
 					return
 				}
 			case 1:
-				if got, want := sh.SearchTopK(q, 8), oracle.TopK(ext, q, 8); !equalMatches(got, want) {
+				if got, want := sh.SearchTopK(q, 8), oracle.TopK(ext, q, 8); !sameMatches(got, want) {
 					done <- fmt.Errorf("goroutine %d: topk differs", g)
 					return
 				}

@@ -94,7 +94,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalMatches(want, got) {
+			if !sameMatches(want, got) {
 				t.Fatalf("q=%d eps=%g: subset %v, reference %v", qp, eps, matchStarts(got), matchStarts(want))
 			}
 			if gotSt.Results != wantSt.Results || gotSt.Results != len(got) {
@@ -106,7 +106,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalMatches(wantK, gotK) {
+		if !sameMatches(wantK, gotK) {
 			t.Fatalf("q=%d topk: subset %v, reference %v", qp, gotK, wantK)
 		}
 		// Prefix: tree half only; reference likewise.
@@ -119,7 +119,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalMatches(wantP, gotP) {
+		if !sameMatches(wantP, gotP) {
 			t.Fatalf("q=%d prefix: subset %v, reference %v", qp, matchStarts(gotP), matchStarts(wantP))
 		}
 		// Approx with a saturating budget probes everything: exact.
@@ -128,7 +128,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalMatches(wantA, gotA) {
+		if !sameMatches(wantA, gotA) {
 			t.Fatalf("q=%d approx: subset %v, reference %v", qp, matchStarts(gotA), matchStarts(wantA))
 		}
 	}
@@ -165,7 +165,7 @@ func TestOpenArenaShardsNonAdjacent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalMatches(want, got) {
+		if !sameMatches(want, got) {
 			t.Fatalf("eps=%g: subset %v, want %v", eps, matchStarts(got), matchStarts(want))
 		}
 	}

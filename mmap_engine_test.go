@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,99 +15,30 @@ import (
 	"twinsearch/internal/datasets"
 )
 
-// savedStreams produces one stream per format SaveIndex writes, over
-// the same series: a bare TSFZ v3 stream (the single index) and the
-// TSSH v4 container.
-func savedStreams(t *testing.T, data []float64, l int) map[string][]byte {
-	t.Helper()
-	streams := map[string][]byte{}
-	for name, opt := range map[string]Options{
-		"TSFZ v3": {L: l},
-		"TSSH v4": {L: l, Shards: 2},
-	} {
-		eng, err := Open(data, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var buf bytes.Buffer
-		if err := eng.SaveIndex(&buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		streams[name] = buf.Bytes()
-	}
-	return streams
-}
-
-// checkEngineParity requires got to answer exactly like want on every
-// engine search path.
-func checkEngineParity(t *testing.T, label string, want, got *Engine, q []float64, eps float64) {
-	t.Helper()
-	type path struct {
-		name string
-		run  func(e *Engine) ([]Match, error)
-	}
-	budget := want.NumSubsequences() // exhaustive: approx is deterministic
-	paths := []path{
-		{"Search", func(e *Engine) ([]Match, error) { return e.Search(q, eps) }},
-		{"SearchTopK", func(e *Engine) ([]Match, error) { return e.SearchTopK(q, 8) }},
-		{"SearchShorter", func(e *Engine) ([]Match, error) { return e.SearchShorter(q[:len(q)/2], eps) }},
-		{"SearchApprox", func(e *Engine) ([]Match, error) { return e.SearchApprox(q, eps, budget) }},
-		{"SearchBatch", func(e *Engine) ([]Match, error) {
-			rs := e.SearchBatch([][]float64{q}, eps)
-			return rs[0].Matches, rs[0].Err
-		}},
-	}
-	for _, p := range paths {
-		w, werr := p.run(want)
-		g, gerr := p.run(got)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("%s/%s: errors diverged: %v vs %v", label, p.name, werr, gerr)
-		}
-		if len(w) != len(g) {
-			t.Fatalf("%s/%s: %d vs %d matches", label, p.name, len(w), len(g))
-		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("%s/%s: match %d differs: %v vs %v", label, p.name, i, g[i], w[i])
-			}
-		}
-	}
-}
-
-// TestSavedFormatMatrix is the whole persistence contract. Each format
-// SaveIndex writes opens through both entry points — OpenSaved (copy)
-// and OpenSavedFile with Options.MMap (zero-copy) — with byte-identical
-// answers to a freshly built engine on all five search paths. Each
-// stream generation this code base once wrote and no longer reads
-// (TSIX, TSFZ v1/v2, TSSH v1–v3) and anything unknown is refused from
-// its six-byte header alone, and a TSSH v4 container saved with the
-// retired mean-sorted partition from its partition byte, with one text
-// on both entry points — the mapped open does not answer a refusal by
-// trying the copy loader.
+// TestSavedFormatMatrix is the persistence contract's format half. Each
+// format SaveIndex writes maps with Options.MMap and counts its bytes as
+// mapped (its answers are TestConformance's). Each stream generation
+// this code base once wrote and no longer reads (TSIX, TSFZ v1/v2, TSSH
+// v1–v3) and anything unknown is refused from its six-byte header alone,
+// and a TSSH v4 container saved with the retired mean-sorted partition
+// from its partition byte, with one text on both entry points — the
+// mapped open does not answer a refusal by trying the copy loader.
 func TestSavedFormatMatrix(t *testing.T) {
 	data := datasets.RandomWalk(83, 1700)
 	const l = 44
-	fresh, err := Open(data, Options{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := append([]float64(nil), data[500:500+l]...)
 	dir := t.TempDir()
 	canMap := arena.MapSupported() && arena.LittleEndianHost()
 
-	written := savedStreams(t, data, l)
-	for name, stream := range written {
+	for name, shards := range map[string]int{"TSFZ v3": 1, "TSSH v4": 2} {
+		path := filepath.Join(dir, name+".tsidx")
+		eng, err := Open(data, Options{L: l, Shards: shards})
+		if err == nil {
+			err = eng.SaveIndexFile(path)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(name, func(t *testing.T) {
-			viaCopy, err := OpenSaved(data, bytes.NewReader(stream), Options{L: l})
-			if err != nil {
-				t.Fatalf("OpenSaved: %v", err)
-			}
-			checkEngineParity(t, name+"/copy", fresh, viaCopy, q, 0.5)
-
-			path := filepath.Join(dir, name+".tsidx")
-			if err := os.WriteFile(path, stream, 0o644); err != nil {
-				t.Fatal(err)
-			}
 			viaMMap, err := OpenSavedFile(data, path, Options{L: l, MMap: true})
 			if err != nil {
 				t.Fatalf("OpenSavedFile(MMap): %v", err)
@@ -119,14 +51,16 @@ func TestSavedFormatMatrix(t *testing.T) {
 				t.Errorf("%s: MemoryBytes %d != HeapBytes %d + MappedBytes %d",
 					name, viaMMap.MemoryBytes(), viaMMap.HeapBytes(), viaMMap.MappedBytes())
 			}
-			checkEngineParity(t, name+"/mmap", fresh, viaMMap, q, 0.5)
 		})
 	}
 
 	const rebuild = "; this version reads only TSFZ v3 and TSSH v4 — rebuild it from its series: tsquery -series S -qstart 0 -l L [-shards N] -saveindex F"
 	// A TSSH v4 file as a by-mean engine saved it, as far as a loader
 	// gets: every other byte of it is one this version accepts.
-	meanSorted := bytes.Clone(written["TSSH v4"])
+	meanSorted, err := os.ReadFile(filepath.Join(dir, "TSSH v4.tsidx"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	meanSorted[6] = 1
 	for _, c := range []struct {
 		name    string
@@ -401,6 +335,78 @@ func TestFailedSaveLeavesTarget(t *testing.T) {
 		if err != nil || !slices.Equal(ms, wantMs) {
 			t.Fatalf("%s: mapped engine answers %d twins (%v) after the failed save, %d before", c.name, len(ms), err, len(wantMs))
 		}
+	}
+}
+
+// errKilled is what a killedWriter returns once its budget is spent.
+var errKilled = errors.New("writer killed")
+
+// killedWriter takes the first left bytes written to it and fails every
+// write past them, as a full disk or a dying process would; ends records
+// where each complete write ended.
+type killedWriter struct {
+	bytes.Buffer
+	left int
+	ends []int
+}
+
+func (w *killedWriter) Write(p []byte) (int, error) {
+	n, _ := w.Buffer.Write(p[:min(len(p), w.left)])
+	w.left -= n
+	if n < len(p) {
+		return n, errKilled
+	}
+	w.ends = append(w.ends, w.Len())
+	return n, nil
+}
+
+// TestSaveKilledMidStream kills SaveIndex's writer after n bytes, for n
+// at every section boundary ±1 and on a stride through the stream, on a
+// single and a four-shard index. SaveIndex must return the writer's
+// error, having written exactly the stream's first n bytes, and that
+// prefix must be refused by every open path.
+func TestSaveKilledMidStream(t *testing.T) {
+	data := datasets.RandomWalk(88, 1400)
+	const l = 36
+	dir := t.TempDir()
+	for _, shards := range bothShapes {
+		eng, err := Open(data, Options{L: l, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each write of a whole save is one header or section.
+		full := &killedWriter{left: math.MaxInt}
+		if err := eng.SaveIndex(full); err != nil {
+			t.Fatal(err)
+		}
+		var ns []int
+		for n := 0; n < full.Len(); n += full.Len() / 40 {
+			ns = append(ns, n)
+		}
+		for _, end := range full.ends { // the last is the whole stream
+			ns = append(ns, end-1, min(end, full.Len()-1), min(end+1, full.Len()-1))
+		}
+		for _, n := range ns {
+			w := &killedWriter{left: n}
+			if err := eng.SaveIndex(w); !errors.Is(err, errKilled) || !bytes.Equal(w.Bytes(), full.Bytes()[:n]) {
+				t.Fatalf("%d shards, killed at byte %d of %d: SaveIndex returned %v after %d bytes", shards, n, full.Len(), err, w.Len())
+			}
+			path := filepath.Join(dir, fmt.Sprintf("killed-%d-%d", shards, n))
+			if err := os.WriteFile(path, w.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for entry, open := range map[string]func() (*Engine, error){
+				"OpenSaved":          func() (*Engine, error) { return OpenSaved(data, bytes.NewReader(w.Bytes()), Options{L: l}) },
+				"OpenSavedFile":      func() (*Engine, error) { return OpenSavedFile(data, path, Options{L: l}) },
+				"OpenSavedFile+MMap": func() (*Engine, error) { return OpenSavedFile(data, path, Options{L: l, MMap: true}) },
+			} {
+				if re, err := open(); err == nil {
+					re.Close()
+					t.Errorf("%d shards: %s opened the first %d of %d bytes", shards, entry, n, full.Len())
+				}
+			}
+		}
+		eng.Close()
 	}
 }
 

@@ -1,19 +1,12 @@
 package twinsearch
 
-// Serving-cache differential tests: with the plan and result caches
-// enabled, every answer — the miss that fills the cache and the hit
-// served from it — must be byte-identical (Start and the exact Dist
-// bit pattern, order included) to the answer an uncached engine
-// computes fresh, on every search path (Search, SearchStats,
-// SearchTopK, SearchShorter, SearchApprox), every normalization mode,
-// and every engine kind the parity suite covers. The one carve-out is
-// approximate search on sharded engines, where the probed subset is
-// scheduling-dependent: there the contract is that the cache
-// reproduces one valid traversal, so hits must be identical to the
-// miss that cached them, not to an independent fresh call.
+// Serving-cache tests at the engine layer: an answer cached before an
+// Append is never served after it as it stood, and under concurrent
+// appends no reader sees a stale answer. That every cached answer —
+// the miss and the hit — is the fresh one on every path, norm and
+// backing is TestConformance's.
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -24,131 +17,6 @@ import (
 func withServingCaches(o *Options) {
 	o.PlanCache = -1
 	o.ResultCacheBytes = -1
-}
-
-func TestServingCacheDifferential(t *testing.T) {
-	ts := datasets.InsectN(41, 5000)
-	const l = 64
-	queries := datasets.Queries(ts, 43, 4, l)
-	const eps, approxBudget = 0.5, 8
-	const topK = 5
-
-	for _, norm := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
-		t.Run(fmt.Sprint(norm), func(t *testing.T) {
-			plain := parityEngines(t, ts, l, norm)
-			cached := parityEnginesMod(t, ts, l, norm, withServingCaches)
-			for name, ce := range cached {
-				pe := plain[name]
-				sharded := name != "unsharded" && name != "mmap"
-				for qi, q := range queries {
-					// Search: fresh vs miss vs hit.
-					want, err := pe.Search(q, eps)
-					if err != nil {
-						t.Fatalf("%s q%d: plain Search: %v", name, qi, err)
-					}
-					miss, err := ce.Search(q, eps)
-					if err != nil {
-						t.Fatalf("%s q%d: cached Search (miss): %v", name, qi, err)
-					}
-					hit, err := ce.Search(q, eps)
-					if err != nil {
-						t.Fatalf("%s q%d: cached Search (hit): %v", name, qi, err)
-					}
-					if !matchListsEq(want, miss) || !matchListsEq(want, hit) {
-						t.Fatalf("%s q%d: Search diverged: plain %d, miss %d, hit %d matches",
-							name, qi, len(want), len(miss), len(hit))
-					}
-
-					// SearchStats: matches and traversal counters both cached.
-					wantMs, _, err := pe.SearchStats(q, eps)
-					if err != nil {
-						t.Fatalf("%s q%d: plain SearchStats: %v", name, qi, err)
-					}
-					missMs, missSt, err := ce.SearchStats(q, eps)
-					if err != nil {
-						t.Fatalf("%s q%d: cached SearchStats (miss): %v", name, qi, err)
-					}
-					hitMs, hitSt, err := ce.SearchStats(q, eps)
-					if err != nil {
-						t.Fatalf("%s q%d: cached SearchStats (hit): %v", name, qi, err)
-					}
-					if !matchListsEq(wantMs, missMs) || !matchListsEq(wantMs, hitMs) {
-						t.Fatalf("%s q%d: SearchStats matches diverged", name, qi)
-					}
-					if hitSt != missSt {
-						t.Fatalf("%s q%d: SearchStats stats not reproduced by hit: miss %+v, hit %+v",
-							name, qi, missSt, hitSt)
-					}
-
-					// SearchTopK.
-					wantK, err := pe.SearchTopK(q, topK)
-					if err != nil {
-						t.Fatalf("%s q%d: plain SearchTopK: %v", name, qi, err)
-					}
-					missK, err := ce.SearchTopK(q, topK)
-					if err != nil {
-						t.Fatalf("%s q%d: cached SearchTopK (miss): %v", name, qi, err)
-					}
-					hitK, err := ce.SearchTopK(q, topK)
-					if err != nil {
-						t.Fatalf("%s q%d: cached SearchTopK (hit): %v", name, qi, err)
-					}
-					if !matchListsEq(wantK, missK) || !matchListsEq(wantK, hitK) {
-						t.Fatalf("%s q%d: SearchTopK diverged", name, qi)
-					}
-
-					// SearchShorter: prefix queries are unsound under
-					// per-subsequence normalization (each length renormalizes).
-					if norm != NormPerSubsequence {
-						short := q[:l/2]
-						wantP, err := pe.SearchShorter(short, eps)
-						if err != nil {
-							t.Fatalf("%s q%d: plain SearchShorter: %v", name, qi, err)
-						}
-						missP, err := ce.SearchShorter(short, eps)
-						if err != nil {
-							t.Fatalf("%s q%d: cached SearchShorter (miss): %v", name, qi, err)
-						}
-						hitP, err := ce.SearchShorter(short, eps)
-						if err != nil {
-							t.Fatalf("%s q%d: cached SearchShorter (hit): %v", name, qi, err)
-						}
-						if !matchListsEq(wantP, missP) || !matchListsEq(wantP, hitP) {
-							t.Fatalf("%s q%d: SearchShorter diverged", name, qi)
-						}
-					}
-
-					// SearchApprox: on sharded engines the fresh subset is
-					// scheduling-dependent, so the plain comparison only
-					// holds unsharded; the hit must always replay the miss.
-					missA, err := ce.SearchApprox(q, eps, approxBudget)
-					if err != nil {
-						t.Fatalf("%s q%d: cached SearchApprox (miss): %v", name, qi, err)
-					}
-					hitA, err := ce.SearchApprox(q, eps, approxBudget)
-					if err != nil {
-						t.Fatalf("%s q%d: cached SearchApprox (hit): %v", name, qi, err)
-					}
-					if !matchListsEq(missA, hitA) {
-						t.Fatalf("%s q%d: SearchApprox hit did not replay the cached miss", name, qi)
-					}
-					if !sharded {
-						wantA, err := pe.SearchApprox(q, eps, approxBudget)
-						if err != nil {
-							t.Fatalf("%s q%d: plain SearchApprox: %v", name, qi, err)
-						}
-						if !matchListsEq(wantA, missA) {
-							t.Fatalf("%s q%d: SearchApprox diverged from plain", name, qi)
-						}
-					}
-				}
-				st := ce.ServingStats()
-				if st.Result.Hits == 0 || st.Result.Misses == 0 {
-					t.Fatalf("%s: result cache never exercised: %+v", name, st.Result)
-				}
-			}
-		})
-	}
 }
 
 // TestServingCacheAppendInvalidation is the /append↔cache regression

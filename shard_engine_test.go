@@ -1,7 +1,8 @@
 package twinsearch
 
-// Differential tests for the sharded TS-Index path: Options.Shards must
-// never change an answer, only the concurrency of producing it.
+// The sharded engine's knobs, its self-describing stream, concurrent
+// use, and argument validation on both index shapes. That Shards and
+// Workers never change an answer is TestConformance's.
 
 import (
 	"bytes"
@@ -12,84 +13,6 @@ import (
 
 	"twinsearch/internal/datasets"
 )
-
-func assertSameMatches(t *testing.T, ctx string, got, want []Match) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d matches, want %d", ctx, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: match %d = %+v, want %+v", ctx, i, got[i], want[i])
-		}
-	}
-}
-
-// TestShardedEngineParity checks Search, SearchTopK, SearchShorter and
-// SearchBatch return byte-identical results with and without sharding,
-// across every normalization mode.
-func TestShardedEngineParity(t *testing.T) {
-	ts := datasets.EEGN(41, 12000)
-	queries := datasets.Queries(ts, 13, 6, 100)
-	for _, norm := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
-		single, err := Open(ts, Options{L: 100, Norm: norm, NormSet: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{2, 5} {
-			sharded, err := Open(ts, Options{L: 100, Norm: norm, NormSet: true, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sharded.Shards() != shards {
-				t.Fatalf("Shards() = %d, want %d", sharded.Shards(), shards)
-			}
-			for _, q := range queries {
-				for _, eps := range []float64{0.05, 0.3, 0.8} {
-					want, err := single.Search(q, eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := sharded.Search(q, eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameMatches(t, "Search", got, want)
-				}
-				for _, k := range []int{1, 7, 50} {
-					want, err := single.SearchTopK(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := sharded.SearchTopK(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameMatches(t, "SearchTopK", got, want)
-				}
-				if norm != NormPerSubsequence {
-					want, err := single.SearchShorter(q[:40], 0.3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := sharded.SearchShorter(q[:40], 0.3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameMatches(t, "SearchShorter", got, want)
-				}
-			}
-			wantBatch := single.SearchBatch(queries, 0.4)
-			gotBatch := sharded.SearchBatch(queries, 0.4)
-			for i := range wantBatch {
-				if gotBatch[i].Err != nil || wantBatch[i].Err != nil {
-					t.Fatalf("batch query %d errored: %v / %v", i, gotBatch[i].Err, wantBatch[i].Err)
-				}
-				assertSameMatches(t, "SearchBatch", gotBatch[i].Matches, wantBatch[i].Matches)
-			}
-		}
-	}
-}
 
 // TestShardedAutoAndValidation covers the Shards knob's edge values.
 func TestShardedAutoAndValidation(t *testing.T) {
@@ -145,10 +68,11 @@ func TestShardedPersistence(t *testing.T) {
 	q := append([]float64(nil), ts[4000:4100]...)
 	want, _ := sharded.Search(q, 0.3)
 	got, _ := re.Search(q, 0.3)
-	assertSameMatches(t, "reloaded sharded search", got, want)
 	wantK, _ := sharded.SearchTopK(q, 5)
 	gotK, _ := re.SearchTopK(q, 5)
-	assertSameMatches(t, "reloaded sharded top-k", gotK, wantK)
+	if !matchListsEq(got, want) || !matchListsEq(gotK, wantK) {
+		t.Fatalf("reloaded sharded engine: %d matches, top-5 %v; built %d, %v", len(got), gotK, len(want), wantK)
+	}
 
 	// A single-index stream still reopens unsharded.
 	single, err := Open(ts, Options{L: 100})
@@ -174,39 +98,6 @@ func TestShardedPersistence(t *testing.T) {
 	}
 	if _, err := OpenSaved(ts, &blob, Options{L: 60}); err == nil {
 		t.Fatal("want L mismatch error for sharded stream")
-	}
-}
-
-// TestShardedAppend streams values into a sharded engine and compares
-// against a fresh sharded build and an unsharded engine.
-func TestShardedAppend(t *testing.T) {
-	full := datasets.EEGN(61, 6000)
-	grown, err := Open(append([]float64(nil), full[:4500]...), Options{L: 100, Norm: NormNone, NormSet: true, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for at := 4500; at < len(full); {
-		end := at + 1 + (at % 321)
-		if end > len(full) {
-			end = len(full)
-		}
-		if err := grown.Append(full[at:end]...); err != nil {
-			t.Fatal(err)
-		}
-		at = end
-	}
-	single, err := Open(full, Options{L: 100, Norm: NormNone, NormSet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grown.NumSubsequences() != single.NumSubsequences() {
-		t.Fatalf("%d vs %d windows", grown.NumSubsequences(), single.NumSubsequences())
-	}
-	for _, p := range []int{100, 4450, 5900} {
-		q := append([]float64(nil), full[p:p+100]...)
-		want, _ := single.Search(q, 0.4)
-		got, _ := grown.Search(q, 0.4)
-		assertSameMatches(t, "post-append search", got, want)
 	}
 }
 
@@ -257,10 +148,9 @@ func TestShardedConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 	got, err := engines[1].Search(queries[0], 0.4)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !matchListsEq(got, want) {
+		t.Fatalf("concurrent sharded search: %d matches (%v), want %d", len(got), err, len(want))
 	}
-	assertSameMatches(t, "concurrent sharded search", got, want)
 }
 
 // TestSearchPreparedRejectsBadEps is the regression test for the
@@ -288,7 +178,8 @@ func TestSearchPreparedRejectsBadEps(t *testing.T) {
 }
 
 // TestSearchShorterRejectsNaNEps: SearchShorter checked only eps < 0,
-// which NaN passes; SearchApprox checked nothing at all.
+// which NaN passes; SearchApprox checked nothing at all. Both refuse a
+// negative threshold too, and SearchApprox a query shorter than L.
 func TestSearchShorterRejectsNaNEps(t *testing.T) {
 	ts := datasets.RandomWalk(9, 2000)
 	for _, shards := range []int{0, 3} {
@@ -298,6 +189,12 @@ func TestSearchShorterRejectsNaNEps(t *testing.T) {
 		}
 		if _, err := eng.SearchShorter(ts[10:40], math.NaN()); err == nil {
 			t.Fatalf("shards=%d: SearchShorter accepted NaN threshold", shards)
+		}
+		if _, err := eng.SearchShorter(ts[10:40], -1); err == nil {
+			t.Fatalf("shards=%d: SearchShorter accepted negative threshold", shards)
+		}
+		if _, err := eng.SearchApprox(ts[10:40], 0.3, 2); err == nil {
+			t.Fatalf("shards=%d: SearchApprox accepted a short query", shards)
 		}
 		if _, err := eng.SearchApprox(ts[10:60], math.NaN(), 2); err == nil {
 			t.Fatalf("shards=%d: SearchApprox accepted NaN threshold", shards)
@@ -331,59 +228,9 @@ func TestSearchApproxRejectsNonPositiveBudget(t *testing.T) {
 	}
 }
 
-// TestWorkersOptionParity pins the Workers knob: the executor width is
-// reported faithfully and never changes an answer, for every
-// normalization mode.
-func TestWorkersOptionParity(t *testing.T) {
-	ts := datasets.EEGN(43, 9000)
-	queries := datasets.Queries(ts, 17, 4, 100)
-	for _, norm := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
-		single, err := Open(ts, Options{L: 100, Norm: norm, NormSet: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 6} {
-			eng, err := Open(ts, Options{L: 100, Norm: norm, NormSet: true, Shards: 4, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eng.Workers() != workers {
-				t.Fatalf("Workers() = %d, want %d", eng.Workers(), workers)
-			}
-			for _, q := range queries {
-				want, err := single.Search(q, 0.3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.Search(q, 0.3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameMatches(t, "Search", got, want)
-				wantK, _ := single.SearchTopK(q, 9)
-				gotK, _ := eng.SearchTopK(q, 9)
-				assertSameMatches(t, "SearchTopK", gotK, wantK)
-			}
-			wantBatch := single.SearchBatch(queries, 0.4)
-			gotBatch := eng.SearchBatch(queries, 0.4)
-			for i := range wantBatch {
-				assertSameMatches(t, "SearchBatch", gotBatch[i].Matches, wantBatch[i].Matches)
-			}
-		}
-	}
-	// Workers resolves like GOMAXPROCS when unset.
-	eng, err := Open(ts, Options{L: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("default Workers() = %d, want GOMAXPROCS", eng.Workers())
-	}
-}
-
 // TestSearchBatchMixedValidity checks the fused batch path keeps
 // per-query error isolation: invalid queries carry their own errors
-// while the rest of the batch completes.
+// while the rest of the batch completes. An empty batch is empty.
 func TestSearchBatchMixedValidity(t *testing.T) {
 	ts := datasets.EEGN(47, 8000)
 	for _, shards := range []int{0, 4} {
@@ -414,10 +261,38 @@ func TestSearchBatchMixedValidity(t *testing.T) {
 			t.Fatalf("shards=%d: valid queries errored: %v %v", shards, out[0].Err, out[2].Err)
 		}
 		want, err := eng.Search(good, 0.3)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || !matchListsEq(out[0].Matches, want) || !matchListsEq(out[2].Matches, want) {
+			t.Fatalf("shards=%d: batch results 0 and 2 hold %d and %d matches, Search %d (%v)", shards, len(out[0].Matches), len(out[2].Matches), len(want), err)
 		}
-		assertSameMatches(t, "batch result 0", out[0].Matches, want)
-		assertSameMatches(t, "batch result 2", out[2].Matches, want)
+		if out := eng.SearchBatch(nil, 0.3); len(out) != 0 {
+			t.Fatalf("shards=%d: empty batch returned %d results", shards, len(out))
+		}
+	}
+}
+
+// TestSearchTopKBatchErrors pins the batch top-k error contract:
+// closed engines and per-query validation surface per entry without
+// disturbing valid neighbors.
+func TestSearchTopKBatchErrors(t *testing.T) {
+	ts := datasets.RandomWalk(41, 3000)
+	eng, err := Open(ts, Options{L: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := append([]float64(nil), ts[100:150]...)
+	out := eng.SearchTopKBatch([][]float64{good, make([]float64, 7)}, 3)
+	if out[0].Err != nil || len(out[0].Matches) != 3 {
+		t.Fatalf("valid query alongside invalid one: %+v", out[0])
+	}
+	if out[1].Err == nil {
+		t.Fatal("short query must carry its error")
+	}
+	if out := eng.SearchTopKBatch(nil, 3); len(out) != 0 {
+		t.Fatal("empty batch must be empty")
+	}
+
+	eng.Close()
+	if out := eng.SearchTopKBatch([][]float64{good}, 3); out[0].Err != ErrClosed {
+		t.Fatalf("closed engine returned %v", out[0].Err)
 	}
 }

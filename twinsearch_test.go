@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -50,28 +51,6 @@ func TestDefaultNormalization(t *testing.T) {
 	}
 	if engRaw.Norm() != NormNone {
 		t.Fatalf("NormSet norm = %v, want NormNone", engRaw.Norm())
-	}
-}
-
-// TestEngineMatchesOracle: on every normalization and on both index
-// shapes the engine's answer is the definition's. (The paper's baseline
-// methods are held to the same definition where they live:
-// TestMatchesSweepline* in internal/isax and internal/kvindex,
-// TestFigure4ResultCountsAgreeAcrossMethods in internal/harness.)
-func TestEngineMatchesOracle(t *testing.T) {
-	ts := datasets.EEGN(3, 8000)
-	q := append([]float64(nil), ts[2000:2100]...)
-	for _, norm := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
-		for _, shards := range bothShapes {
-			eng, err := Open(ts, Options{L: 100, Shards: shards, Norm: norm, NormSet: true})
-			if err != nil {
-				t.Fatalf("%v/%d shards: %v", norm, shards, err)
-			}
-			ms, err := eng.Search(q, 0.4)
-			if want := oracleRange(eng, q, 0.4); err != nil || !slices.Equal(ms, want) {
-				t.Fatalf("%v/%d shards: %d matches (%v), oracle %d", norm, shards, len(ms), err, len(want))
-			}
-		}
 	}
 }
 
@@ -183,6 +162,9 @@ func TestAccessorsAndMemory(t *testing.T) {
 		if eng.MemoryBytes() <= 0 || eng.MappedBytes() != 0 {
 			t.Fatalf("%d shards: MemoryBytes = %d, MappedBytes = %d", shards, eng.MemoryBytes(), eng.MappedBytes())
 		}
+		if eng.Workers() != runtime.GOMAXPROCS(0) {
+			t.Fatalf("%d shards: default Workers() = %d, want GOMAXPROCS", shards, eng.Workers())
+		}
 		sub, err := eng.Subsequence(5)
 		if err != nil || len(sub) != 100 {
 			t.Fatalf("%d shards: Subsequence: %v", shards, err)
@@ -192,6 +174,11 @@ func TestAccessorsAndMemory(t *testing.T) {
 		}
 		if _, err := eng.Subsequence(1999); err == nil {
 			t.Fatalf("%d shards: overflowing position must fail", shards)
+		}
+	}
+	for _, workers := range []int{1, 2, 6} {
+		if eng, err := Open(ts, Options{L: 100, Shards: 4, Workers: workers}); err != nil || eng.Workers() != workers {
+			t.Fatalf("Workers: %d did not size the executor (%v)", workers, err)
 		}
 	}
 }
@@ -222,17 +209,5 @@ func TestOpenFile(t *testing.T) {
 	}
 	if _, err := OpenFile(filepath.Join(t.TempDir(), "missing.f64"), Options{L: 10}); err == nil {
 		t.Fatal("missing file must fail")
-	}
-}
-
-func TestPrepareQueryRoundTrip(t *testing.T) {
-	ts := datasets.RandomWalk(13, 1000)
-	eng, _ := Open(ts, Options{L: 50})
-	raw := append([]float64(nil), ts[100:150]...)
-	prepared := eng.PrepareQuery(raw)
-	a, _ := eng.Search(raw, 0.25)
-	b, _ := eng.SearchPrepared(prepared, 0.25)
-	if len(a) != len(b) {
-		t.Fatalf("prepared search disagrees: %d vs %d", len(a), len(b))
 	}
 }
