@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"twinsearch"
+	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/exec"
@@ -847,7 +848,8 @@ func BenchmarkExtensionPersistence(b *testing.B) {
 	})
 	b.Run("load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.LoadFrozen(bytes.NewReader(blob.Bytes()), ext); err != nil {
+			// A copy open: the stream read into a heap arena, verified in full.
+			if _, _, err := core.FrozenFromArena(arena.FromBytes(bytes.Clone(blob.Bytes())), 0, ext); err != nil {
 				b.Fatal(err)
 			}
 		}

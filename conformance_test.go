@@ -164,6 +164,7 @@ func TestConformance(t *testing.T) {
 		}
 		for _, norm := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
 			t.Run(fmt.Sprintf("%s/%v", in.name, norm), func(t *testing.T) {
+				t.Parallel()
 				base := Options{L: confL, Norm: norm, NormSet: true}
 				g := &confGrid{counters: map[[4]int]Stats{}, series: map[int][]float64{}, wants: map[[2]int]*confWant{}}
 				for _, b := range confBackings(t, in.data, base) {

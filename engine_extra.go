@@ -1,7 +1,6 @@
 package twinsearch
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -93,31 +92,77 @@ func (e *Engine) SaveIndexFile(path string) error {
 // generation SaveIndex no longer writes is refused at its header (see
 // sniffSaved); a saved index is a pure function of (series, options),
 // so rebuilding it is the migration.
+//
+// The stream is read whole into a heap arena that the index's arrays
+// then view in place, and a heap arena is verified in full: every
+// section's checksum, every shard's invariants against data, and the
+// partition (see core.FrozenFromArena).
 func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
 	start := time.Now()
 	if err := opt.check(data); err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(r)
-	hdr, err := br.Peek(savedHeaderLen)
-	if err != nil && !errors.Is(err, io.EOF) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("twinsearch: reading saved index: %w", err)
 	}
-	sharded, err := sniffSaved(hdr)
+	return openSavedArena(data, arena.FromBytes(raw), opt, start)
+}
+
+// OpenSavedFile is OpenSaved from a file path. With Options.MMap the
+// file is memory-mapped and every arena array pointed directly at the
+// mapping — O(header) allocation however large the index, demand paging
+// instead of an up-front read, and one physical copy shared across
+// processes; the headers and the structure are validated, the sections
+// are not read. Without it, or where the file cannot be mapped (no mmap,
+// a mapping that fails at run time), the file is read into the heap and
+// verified in full, as by OpenSaved. Call Engine.Close when done —
+// mapped engines hold the region until then.
+func OpenSavedFile(data []float64, path string, opt Options) (*Engine, error) {
+	start := time.Now()
+	if err := opt.check(data); err != nil {
+		return nil, err
+	}
+	ar, err := arena.Open(path, opt.MMap)
 	if err != nil {
+		return nil, fmt.Errorf("twinsearch: %w", err)
+	}
+	return openSavedArena(data, ar, opt, start)
+}
+
+// openSavedArena builds an engine whose index arrays are views into ar,
+// the one open sequence of OpenSaved and OpenSavedFile. A mapped ar is
+// the engine's to release (Engine.Close); a heap one lives as long as a
+// shard views it. On error ar is released here.
+func openSavedArena(data []float64, ar *arena.Arena, opt Options, start time.Time) (*Engine, error) {
+	sharded, err := sniffSaved(ar.Bytes())
+	if err != nil {
+		ar.Close()
 		return nil, err
 	}
 	e := newEngine(data, opt)
 	if sharded {
-		e.sh, err = shard.Load(br, e.ext, e.ex)
+		e.sh, err = shard.OpenArena(ar, e.ext, e.ex)
 	} else {
 		var fz *core.Frozen
-		if fz, err = core.LoadFrozen(br, e.ext); err == nil {
+		if fz, _, err = core.FrozenFromArena(ar, 0, e.ext); err == nil {
 			e.sh, err = shard.Single(fz, e.ex)
 		}
 	}
-	if err := e.opened(err); err != nil {
+	if err == nil && e.sh.L() != opt.L {
+		err = fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), opt.L)
+	}
+	if err != nil {
+		ar.Close()
 		return nil, err
+	}
+	if ar.Mapped() {
+		e.ar = ar
+		if opt.Prefetch {
+			// Warm the mapping before the first query pays the page-fault
+			// tail: advise the kernel, then touch a bounded prefix.
+			ar.Prefetch(0)
+		}
 	}
 	e.registerIndexInfo(start)
 	return e, nil
@@ -127,12 +172,12 @@ func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
 // magic and a little-endian u16 version.
 const savedHeaderLen = 6
 
-// sniffSaved reads the (magic, version) prefix of a saved index for
-// both open paths: the TSSH v4 container (sharded), a bare TSFZ v3
-// stream (the single index), or an error. Anything else under a magic
-// this code base ever wrote — TSIX, TSFZ v1/v2 (v2 held float64 bounds
-// and no checksums), TSSH v1–v3 — is refused with one text naming the
-// stream and the command that rebuilds it.
+// sniffSaved reads the (magic, version) prefix of a saved index: the
+// TSSH v4 container (sharded), a bare TSFZ v3 stream (the single index),
+// or an error. Anything else under a magic this code base ever wrote —
+// TSIX, TSFZ v1/v2 (v2 held float64 bounds and no checksums), TSSH
+// v1–v3 — is refused with one text naming the stream and the command
+// that rebuilds it.
 func sniffSaved(hdr []byte) (sharded bool, err error) {
 	if len(hdr) < savedHeaderLen {
 		return false, fmt.Errorf("twinsearch: saved index truncated (%d bytes)", len(hdr))
@@ -149,102 +194,6 @@ func sniffSaved(hdr []byte) (sharded bool, err error) {
 	default:
 		return false, fmt.Errorf("twinsearch: saved index has unknown magic %q", hdr[:4])
 	}
-}
-
-// opened finishes a saved open: loadErr is the loader's verdict on
-// e.sh, and the index must have been built for the L the options ask.
-func (e *Engine) opened(loadErr error) error {
-	if loadErr != nil {
-		return loadErr
-	}
-	if e.sh.L() != e.opt.L {
-		return fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), e.opt.L)
-	}
-	return nil
-}
-
-// OpenSavedFile is OpenSaved from a file path. With Options.MMap it is
-// the zero-copy open: the file is memory-mapped, the header validated,
-// and every arena array pointed directly at the mapping — O(header)
-// allocation however large the index, demand paging instead of an
-// up-front read, and one physical copy shared across processes. Where
-// the file cannot be mapped (no mmap, a big-endian host, a mapping that
-// fails at run time) the copy loader serves it instead; what the file
-// holds is judged the same way on both paths, so a file one refuses the
-// other refuses too. Call Engine.Close when done — mapped engines hold
-// the region until then.
-func OpenSavedFile(data []float64, path string, opt Options) (*Engine, error) {
-	if opt.MMap {
-		eng, err := openSavedMapped(data, path, opt)
-		if err == nil || !errors.Is(err, errNotMappable) {
-			return eng, err
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("twinsearch: %w", err)
-	}
-	defer f.Close()
-	return OpenSaved(data, f, opt)
-}
-
-// errNotMappable marks files the zero-copy path cannot map on this host
-// or at this moment; OpenSavedFile reads them with the copy loader.
-var errNotMappable = errors.New("twinsearch: saved index cannot be mapped in place")
-
-// openSavedMapped is the Options.MMap half of OpenSavedFile.
-func openSavedMapped(data []float64, path string, opt Options) (*Engine, error) {
-	start := time.Now()
-	if err := opt.check(data); err != nil {
-		return nil, err
-	}
-	if !arena.MapSupported() || !arena.LittleEndianHost() {
-		return nil, errNotMappable
-	}
-	ar, err := arena.Map(path)
-	if err != nil {
-		// Runtime mapping failures (FUSE/network mounts without mmap,
-		// mapping limits) fall back to the copy loader like the
-		// compile-time checks above: the copy path either serves the
-		// file or reports the real problem (e.g. file not found).
-		return nil, fmt.Errorf("%w: %v", errNotMappable, err)
-	}
-	eng, err := engineFromArena(data, ar, opt)
-	if err != nil {
-		ar.Close()
-		return nil, err
-	}
-	if opt.Prefetch {
-		// Warm the mapping before the first query pays the page-fault
-		// tail: advise the kernel, then touch a bounded prefix.
-		ar.Prefetch(0)
-	}
-	eng.registerIndexInfo(start)
-	return eng, nil
-}
-
-// engineFromArena builds an engine whose index arrays are views into
-// ar. On success the engine owns ar (released by Engine.Close); on
-// error the caller still owns it.
-func engineFromArena(data []float64, ar *arena.Arena, opt Options) (*Engine, error) {
-	sharded, err := sniffSaved(ar.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(data, opt)
-	if sharded {
-		e.sh, err = shard.OpenArena(ar, e.ext, e.ex)
-	} else {
-		var fz *core.Frozen
-		if fz, _, err = core.FrozenFromArena(ar, 0, e.ext); err == nil {
-			e.sh, err = shard.Single(fz, e.ex)
-		}
-	}
-	if err := e.opened(err); err != nil {
-		return nil, err
-	}
-	e.ar = ar
-	return e, nil
 }
 
 // SearchShorter answers a twin query whose length is at most L using

@@ -1,28 +1,31 @@
-// Package arena owns the byte regions that back frozen index arenas.
+// Package arena owns the byte regions saved indexes are opened from.
 //
 // A frozen TS-Index is a handful of flat arrays ([]int32 structure,
-// []float32 bounds). Before this package those arrays were always
-// heap-allocated Go slices filled by decoding a stream; an Arena
-// decouples the arrays from their storage: it holds one []byte — a heap
-// buffer or an mmap'd file region — and hands out typed slice views
-// into it by safe reinterpretation (bounds- and alignment-checked, no
-// copying). Storage owns the bytes; the engine reinterprets them.
+// []float32 bounds). An Arena holds one []byte — a heap buffer or an
+// mmap'd file region — and hands out typed slice views into it by safe
+// reinterpretation (bounds- and alignment-checked, no copying). Every
+// saved-index open goes through one: Open maps the file or reads it
+// into the heap, and the loaders view the arena either way. The kind
+// decides how much they verify: a heap arena's bytes are resident
+// already, so they are hashed and checked in full; a mapped one's are
+// not read at open, so only its headers and structure are.
 //
 // Views alias the arena's memory. They stay valid until Close, which
 // unmaps a mapped region; reading a view after Close faults, so owners
-// (the Engine) must not release an arena while traversals can still
-// run. Writing through a view is forbidden — mapped regions are mapped
-// read-only and the kernel enforces it.
+// (the Engine, a cluster Node) must not release an arena while
+// traversals can still run. Writing through a view is forbidden —
+// mapped regions are mapped read-only and the kernel enforces it.
 //
 // Reinterpretation assumes the bytes are little-endian, which is the
-// byte order of every twinsearch stream format. On a big-endian host
-// the views would transpose every value, so View construction fails
-// there (LittleEndianHost) and callers fall back to the decoding copy
-// loaders, which are byte-order independent.
+// byte order of every twinsearch stream format. On a big-endian host a
+// view is instead a decoded heap copy (decodeLE) with the same checks,
+// so every open path works on every host.
 package arena
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
 	"unsafe"
 )
 
@@ -36,6 +39,24 @@ type Arena struct {
 // FromBytes wraps a heap buffer in an Arena without copying. The caller
 // must not modify b afterwards.
 func FromBytes(b []byte) *Arena { return &Arena{buf: b} }
+
+// Open returns the file at path as an arena: mapped when mmap is asked
+// for and the file can be mapped, read into the heap otherwise — on a
+// platform without mmap, and when a mapping fails at run time (FUSE or
+// network mounts, mapping limits), where the read either serves the
+// file or reports the real problem.
+func Open(path string, mmap bool) (*Arena, error) {
+	if mmap {
+		if a, err := Map(path); err == nil {
+			return a, nil
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return FromBytes(raw), nil
+}
 
 // Bytes returns the backing region. Callers must not modify it.
 func (a *Arena) Bytes() []byte { return a.buf }
@@ -78,24 +99,17 @@ func (a *Arena) Close() error {
 // share this one definition; their padding must round identically.
 func Align8(n int64) int64 { return (n + 7) &^ 7 }
 
-// LittleEndianHost reports whether the host stores integers
-// little-endian — the precondition for reinterpreting the stream
-// formats' bytes in place.
-func LittleEndianHost() bool {
-	x := uint16(1)
-	//tsvet:ignore probes a 2-byte local on the stack, nothing to bounds-check
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}
+// littleEndian reports whether the host stores integers little-endian —
+// the precondition for reinterpreting the stream formats' bytes in
+// place.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// view validates one typed window of the region: off and n must be
-// non-negative, off+n*width must lie within the region without
-// overflowing, and the start address must be aligned for the element
-// type (mmap regions are page-aligned, so an aligned offset suffices;
-// heap buffers are checked against the actual address).
-func (a *Arena) view(off int64, n, width int, kind string) (unsafe.Pointer, error) {
-	if !LittleEndianHost() {
-		return nil, fmt.Errorf("arena: big-endian host cannot reinterpret little-endian streams in place")
-	}
+// view validates one typed window of the region and returns its bytes:
+// off and n must be non-negative, off+n*width must lie within the
+// region without overflowing, and the start address must be aligned for
+// the element type (mmap regions are page-aligned, so an aligned offset
+// suffices; heap buffers are checked against the actual address).
+func (a *Arena) view(off int64, n, width int, kind string) ([]byte, error) {
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("arena: negative %s view (off=%d, n=%d)", kind, off, n)
 	}
@@ -106,36 +120,44 @@ func (a *Arena) view(off int64, n, width int, kind string) (unsafe.Pointer, erro
 	if n == 0 {
 		return nil, nil
 	}
-	p := unsafe.Pointer(&a.buf[off])
-	if uintptr(p)%uintptr(width) != 0 {
+	b := a.buf[off : off+need]
+	if uintptr(unsafe.Pointer(&b[0]))%uintptr(width) != 0 {
 		return nil, fmt.Errorf("arena: %s view at offset %d is not %d-byte aligned", kind, off, width)
 	}
-	return p, nil
+	return b, nil
+}
+
+// viewAs returns the n little-endian 4-byte values starting at byte
+// offset off as a view into the region (a decoded copy on a big-endian
+// host).
+func viewAs[T int32 | float32](a *Arena, off int64, n int, kind string) ([]T, error) {
+	b, err := a.view(off, n, 4, kind)
+	if err != nil || b == nil {
+		return nil, err
+	}
+	if !littleEndian {
+		return decodeLE[T](b)
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n), nil
+}
+
+// decodeLE decodes the little-endian 4-byte values b holds into a fresh
+// slice: the byte-order-independent form of a view.
+func decodeLE[T int32 | float32](b []byte) ([]T, error) {
+	out := make([]T, len(b)/4)
+	_, err := binary.Decode(b, binary.LittleEndian, out)
+	return out, err
 }
 
 // Int32s returns the n little-endian int32 values starting at byte
 // offset off as a view into the region.
 func (a *Arena) Int32s(off int64, n int) ([]int32, error) {
-	p, err := a.view(off, n, 4, "int32")
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, nil
-	}
-	return unsafe.Slice((*int32)(p), n), nil
+	return viewAs[int32](a, off, n, "int32")
 }
 
 // Float32s returns the n little-endian float32 values starting at byte
 // offset off as a view into the region — the width the frozen arena
 // stores its bounds at.
 func (a *Arena) Float32s(off int64, n int) ([]float32, error) {
-	p, err := a.view(off, n, 4, "float32")
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, nil
-	}
-	return unsafe.Slice((*float32)(p), n), nil
+	return viewAs[float32](a, off, n, "float32")
 }

@@ -5,7 +5,7 @@ package arena
 import "fmt"
 
 // MapSupported reports that this platform has no Map implementation;
-// callers fall back to the decoding copy loaders.
+// Open reads files into the heap instead.
 func MapSupported() bool { return false }
 
 // Map is unavailable on this platform.

@@ -9,8 +9,7 @@ import (
 )
 
 // MapSupported reports whether Map can produce a file-backed Arena on
-// this platform (query it to decide between the zero-copy and copy open
-// paths without paying a failed syscall).
+// this platform.
 func MapSupported() bool { return true }
 
 // Map maps the file at path read-only in its entirety. The returned

@@ -1,5 +1,7 @@
 package arena
 
+import "runtime"
+
 // DefaultTouchLimit bounds Prefetch's sequential touch pass: enough to
 // pull a typical index's hot prefix through the page cache quickly,
 // small enough that warming a huge mapping cannot stall an open for
@@ -13,7 +15,7 @@ const DefaultTouchLimit = 64 << 20
 // limit bytes (≤ 0 selects DefaultTouchLimit), forcing that prefix
 // resident immediately. Heap-backed arenas are already resident, so
 // only the (cheap) touch runs. Returns the number of bytes spanned by
-// the touch pass.
+// the touch pass. Safe to call on several arenas at once.
 func (a *Arena) Prefetch(limit int) int {
 	if len(a.buf) == 0 {
 		return 0
@@ -32,9 +34,6 @@ func (a *Arena) Prefetch(limit int) int {
 	for off := 0; off < limit; off += page {
 		sink ^= a.buf[off]
 	}
-	touchSink = sink // defeat dead-load elimination
+	runtime.KeepAlive(sink) // the loads are the point: keep them observable
 	return limit
 }
-
-// touchSink keeps the touch loop's loads observable.
-var touchSink byte

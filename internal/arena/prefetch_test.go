@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -54,4 +55,19 @@ func TestPrefetchMapped(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), data) {
 		t.Fatal("mapped region corrupted after prefetch")
 	}
+}
+
+// TestPrefetchConcurrent warms two arenas at once, as two mapped opens
+// with Prefetch in one process do: under -race it fails if the touch
+// passes share unsynchronised state.
+func TestPrefetchConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			FromBytes(make([]byte, 3*4096)).Prefetch(0)
+		}()
+	}
+	wg.Wait()
 }

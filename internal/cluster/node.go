@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/exec"
@@ -24,11 +23,13 @@ type Node struct {
 type NodeOptions struct {
 	// Workers sizes the node's query executor (0 = one per CPU).
 	Workers int
-	// NoMMap forces the copy path: the index file is read into a heap
-	// arena instead of being memory-mapped. The default prefers the
-	// mapping (selective open then costs O(assigned segments), and N
-	// nodes on one machine share one physical copy) and falls back to
-	// the heap on platforms without mmap.
+	// NoMMap reads the index file into a heap arena instead of
+	// memory-mapping it, and then verifies the assigned segments in full
+	// (section checksums, invariants, ownership). The default prefers
+	// the mapping (selective open then costs O(assigned segments), and N
+	// nodes on one machine share one physical copy; headers and
+	// structure are checked, sections are not read) and reads the file
+	// where it cannot be mapped.
 	NoMMap bool
 	// Prefetch warms the mapping after a selective open — see
 	// arena.Prefetch. Pointless (but harmless) with NoMMap.
@@ -55,9 +56,9 @@ func openNode(topo *Topology, name string, ext *series.Extractor, ex *exec.Execu
 	if topo.Index == "" {
 		return nil, fmt.Errorf("cluster: topology names no index file for node %q", name)
 	}
-	ar, err := openIndexArena(topo.Index, o.NoMMap)
+	ar, err := arena.Open(topo.Index, !o.NoMMap)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	sub, err := shard.OpenArenaShards(ar, ext, ex, spec.Shards)
 	if err != nil {
@@ -68,25 +69,6 @@ func openNode(topo *Topology, name string, ext *series.Extractor, ex *exec.Execu
 		ar.Prefetch(0)
 	}
 	return &Node{Name: name, Sub: sub, ar: ar}, nil
-}
-
-// openIndexArena produces the byte region a node's shards open from: an mmap
-// of the file when the platform supports zero-copy, a heap read
-// otherwise.
-func openIndexArena(path string, noMMap bool) (*arena.Arena, error) {
-	if !noMMap && arena.MapSupported() && arena.LittleEndianHost() {
-		ar, err := arena.Map(path)
-		if err == nil {
-			return ar, nil
-		}
-		// Mapping can fail at runtime (FUSE mounts, mapping limits);
-		// the copy path serves the file or reports the real problem.
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return arena.FromBytes(raw), nil
 }
 
 // Health reports the node's /healthz document.

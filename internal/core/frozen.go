@@ -58,9 +58,9 @@ import (
 )
 
 // Frozen is the flat, read-only, searchable form of a built TS-Index.
-// Construct with Index.Freeze, LoadFrozen, or FrozenFromArena; mutate
-// by Thaw-ing back to a pointer Index, inserting, and re-freezing (Thaw
-// builds fresh nodes, so mutation never writes through a file mapping).
+// Construct with Index.Freeze or FrozenFromArena; mutate by Thaw-ing
+// back to a pointer Index, inserting, and re-freezing (Thaw builds fresh
+// nodes, so mutation never writes through a file mapping).
 type Frozen struct {
 	ext    *series.Extractor
 	cfg    Config
@@ -69,8 +69,9 @@ type Frozen struct {
 
 	// backing, when non-nil, is the byte region the arrays below are
 	// views into (FrozenFromArena); nil means they are ordinary heap
-	// slices. The backing's owner (the Engine) controls its lifetime —
-	// views die with it, so a Frozen must not outlive its backing.
+	// slices. A mapped backing's owner (the Engine, a cluster Node)
+	// controls its lifetime — views die with it, so a Frozen must not
+	// outlive its backing.
 	backing *arena.Arena
 
 	// leafStart splits the BFS node numbering: [0, leafStart) internal,
@@ -658,9 +659,9 @@ type frozenItem struct {
 func (a frozenItem) before(b frozenItem) bool { return a.lb < b.lb }
 
 // CheckInvariants validates the arena against the series and the
-// structural invariants Freeze guarantees. LoadFrozen runs it so a
-// corrupt or hostile stream is rejected before any traversal indexes
-// into the arrays:
+// structural invariants Freeze guarantees. FrozenFromArena runs it on
+// a heap arena so a corrupt or hostile stream is rejected before any
+// traversal indexes into the arrays:
 //
 //   - first/count ranges are prefix-contiguous and in-bounds for both
 //     the child numbering and the positions array;
@@ -674,7 +675,7 @@ func (a frozenItem) before(b frozenItem) bool { return a.lb < b.lb }
 // — together they make every traversal memory-safe. The containment
 // bullet (CheckContainment) additionally guarantees the bounds are
 // truthful, i.e. searches return the right answers; it extracts every
-// indexed window, so it costs O(size·L). The zero-copy open path runs
+// indexed window, so it costs O(size·L). A mapped open runs
 // CheckStructure only — pointing at a multi-gigabyte mapping must not
 // re-read the whole series — and trusts containment to the writer, as
 // every database trusts its own files' payloads once the framing

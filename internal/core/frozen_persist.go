@@ -4,12 +4,12 @@ package core
 // for one experiment: construction is the expensive phase, so a built
 // index is saved and reopened against the same series. The frozen arena
 // serializes as its backing arrays, so saving is a handful of sequential
-// writes and loading is either a sequential read straight into final
-// heap slices (LoadFrozen) or no read at all: the stream's sections are
-// 8-byte aligned and offset-addressed, so FrozenFromArena points the
-// arrays directly at an mmap'd file region and the open costs O(header)
-// allocations however large the index is. This is the stream the
-// sharded TSSH v4 format embeds per shard, and the only version read
+// writes and loading decodes nothing: the stream's sections are 8-byte
+// aligned and offset-addressed, so FrozenFromArena points the arrays
+// directly into the arena holding the stream — a heap buffer the file
+// was read into, or an mmap'd file region, where the open costs
+// O(header) allocations however large the index is. This is the stream
+// the sharded TSSH v4 format embeds per shard, and the only version read
 // (twinsearch.OpenSaved names any other in its refusal).
 //
 // Format (version 3, little-endian; all sections 8-byte aligned relative
@@ -34,31 +34,30 @@ package core
 //	        lower     nodeCount·L × f32, rounded toward −Inf
 //
 // The section offsets are recorded for self-description but are not
-// trusted: both loaders recompute the canonical layout from the counts
-// and reject any stream whose offsets disagree, so a hostile header
+// trusted: the loader recomputes the canonical layout from the counts
+// and rejects any stream whose offsets disagree, so a hostile header
 // cannot alias sections or point them outside the stream.
 //
 // A section's checksum (Castagnoli) covers its bytes through the next
 // section's offset — the zero padding included, so no byte of a stream
-// is unguarded. Both loaders verify the header's; LoadFrozen verifies
-// every section's as it reads and names the one that fails. The
-// zero-copy open does not: hashing the arena would read every page it
-// exists not to touch. It guarantees what it always did — a stream it
-// accepts traverses safely (Frozen.CheckStructure) — and verifying a
-// mapped shard on first touch needs nothing more from the format.
+// is unguarded. The series itself is not embedded. How much an open
+// verifies is decided by the arena's kind:
 //
-// The series itself is not embedded. LoadFrozen validates the full
-// invariants against the supplied extractor before returning;
-// FrozenFromArena validates the structural (memory-safety) half — see
-// Frozen.CheckStructure for the split.
+//   - a heap arena's bytes are resident already, so every section's
+//     checksum is verified (naming the one that fails) and the full
+//     invariants are checked against the supplied extractor
+//     (Frozen.CheckInvariants);
+//   - a mapped arena gets the header's checksum and the structural
+//     (memory-safety) half (Frozen.CheckStructure): hashing it would
+//     read every page the mapping exists not to touch. A stream it
+//     accepts traverses safely, and verifying a mapped shard on first
+//     touch needs nothing more from the format.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/series"
@@ -99,8 +98,8 @@ func sectionCounts(nn, np, l int) [5]int { return [5]int{nn, nn, np, nn * l, nn 
 
 // frozenLayout is the canonical section placement: the five section
 // offsets in stream order, then the stream's total length. Section i
-// (and its padding) spans [lo[i], lo[i+1]). Both the writer and the
-// loaders derive it from the counts alone.
+// (and its padding) spans [lo[i], lo[i+1]). The writer and the loader
+// both derive it from the counts alone.
 type frozenLayout [6]int64
 
 func layoutFrozen(nn, np, l int) frozenLayout {
@@ -171,8 +170,7 @@ func (f *Frozen) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// frozenHeader is the decoded, validated fixed header shared by both
-// entry points.
+// frozenHeader is the decoded, validated fixed header.
 type frozenHeader struct {
 	cfg                  Config
 	height               uint32
@@ -182,16 +180,20 @@ type frozenHeader struct {
 	crcs                 [5]uint32 // per section, stream order
 }
 
-// parseFrozenHeader runs every header-level check shared by the copy
-// and zero-copy loaders on the frozenHeaderSize bytes at the head of a
-// stream: identity, the header's own checksum, extractor agreement,
-// parameter plausibility (nothing in the header may command a large
-// allocation or an out-of-range index), and that the recorded section
-// offsets are exactly the canonical layout.
+// parseFrozenHeader runs every header-level check, whatever the arena,
+// on the frozenHeaderSize bytes at the head of a stream: identity
+// (magic and version first, so a stream of another kind is refused by
+// name), the header's own checksum, extractor agreement, parameter
+// plausibility (nothing in the header may command a large allocation
+// or an out-of-range index), and that the recorded section offsets are
+// exactly the canonical layout.
 func parseFrozenHeader(hdr []byte, ext *series.Extractor) (frozenHeader, error) {
 	var h frozenHeader
-	if err := frozenIdentity(hdr); err != nil {
-		return h, err
+	if string(hdr[:4]) != FrozenMagic {
+		return h, fmt.Errorf("core: load frozen: bad magic %q", hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:]); v != FrozenVersion {
+		return h, fmt.Errorf("core: load frozen: unsupported version %d", v)
 	}
 	if got, want := crc32.Checksum(hdr[:frozenHeaderCRC], castagnoli), binary.LittleEndian.Uint32(hdr[frozenHeaderCRC:]); got != want {
 		return h, fmt.Errorf("core: load frozen: header checksum %08x, recorded %08x: the file is damaged", got, want)
@@ -250,96 +252,26 @@ func parseFrozenHeader(hdr []byte, ext *series.Extractor) (frozenHeader, error) 
 	return h, nil
 }
 
-// frozenIdentity checks the magic and version that open a stream.
-func frozenIdentity(hdr []byte) error {
-	if string(hdr[:4]) != FrozenMagic {
-		return fmt.Errorf("core: load frozen: bad magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:]); v != FrozenVersion {
-		return fmt.Errorf("core: load frozen: unsupported version %d", v)
-	}
-	return nil
-}
-
-// frozen starts the index the header describes; the loaders attach the
-// arrays.
+// frozen starts the index the header describes; FrozenFromArena
+// attaches the arrays.
 func (h frozenHeader) frozen(ext *series.Extractor) *Frozen {
 	return &Frozen{ext: ext, cfg: h.cfg, size: int(h.size), height: int(h.height), leafStart: int32(h.leafStart)}
 }
 
-// LoadFrozen reconstructs a frozen index from r against ext, copying
-// the arrays into fresh heap slices (the byte-order-independent path;
-// FrozenFromArena is the zero-copy one). The extractor must present the
-// same series (length) and normalization mode the index was built with;
-// every section is checked against its checksum as it is read and the
-// arena is fully validated before use.
-func LoadFrozen(r io.Reader, ext *series.Extractor) (*Frozen, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	// Magic and version first, so a stream of another kind is refused
-	// by name rather than as a short read.
-	hdr := make([]byte, frozenHeaderSize)
-	if _, err := io.ReadFull(br, hdr[:6]); err != nil {
-		return nil, fmt.Errorf("core: load frozen: %w", err)
-	}
-	if err := frozenIdentity(hdr); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(br, hdr[6:]); err != nil {
-		return nil, fmt.Errorf("core: load frozen header: %w", err)
-	}
-	h, err := parseFrozenHeader(hdr, ext)
-	if err != nil {
-		return nil, err
-	}
-	f := h.frozen(ext)
-
-	// Walk the sections in stream order, each hashed through the padding
-	// that follows it. The chunked readers grow their output as bytes
-	// actually arrive, so a hostile header claiming a huge arena costs
-	// only what the stream ships.
-	sum := crc32.New(castagnoli)
-	tee := io.TeeReader(br, sum)
-	structure, bounds := f.sections()
-	for i, n := range sectionCounts(int(h.nodeCount), f.size, f.cfg.L) {
-		sum.Reset()
-		var err error
-		if i < len(structure) {
-			*structure[i], err = readLE[int32](tee, n)
-		} else {
-			*bounds[i-len(structure)], err = readLE[float32](tee, n)
-		}
-		if err == nil {
-			_, err = io.CopyN(io.Discard, tee, h.layout[i+1]-h.layout[i]-4*int64(n))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: load frozen %s: %w", frozenSections[i], err)
-		}
-		if got := sum.Sum32(); got != h.crcs[i] {
-			return nil, fmt.Errorf("core: load frozen: section %s checksum %08x, recorded %08x: the file is damaged", frozenSections[i], got, h.crcs[i])
-		}
-	}
-	if err := f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("core: load frozen: reconstructed index is inconsistent with the supplied series: %w", err)
-	}
-	return f, nil
-}
-
-// FrozenFromArena is the zero-copy open path: it interprets the TSFZ v3
+// FrozenFromArena opens a saved single index: it interprets the TSFZ v3
 // stream at byte offset off of ar as a Frozen whose arrays are views
 // directly into the arena — no decoding, no copying, O(header) heap
 // allocation however large the index. It returns the frozen index and
 // the stream's total length (so callers walking a container format can
-// find the next segment).
+// find the next segment). The extractor must present the same series
+// (length) and normalization mode the index was built with.
 //
 // The caller owns ar and must keep it alive (and unclosed) for the
-// Frozen's lifetime, and the host must be little-endian (LoadFrozen is
-// the byte-order-independent path). The header's checksum and the
-// structural (memory-safety) invariants are validated before the index
-// is returned; the section checksums and the O(size·L) containment
-// validation are skipped — see Frozen.CheckStructure.
+// Frozen's lifetime. The header's checksum and the structural
+// (memory-safety) invariants are validated before the index is
+// returned; on a heap arena so are every section's checksum and the
+// O(size·L) bound containment, which a mapped arena leaves unread — see
+// the package comment above and Frozen.CheckStructure.
 func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen, int64, error) {
 	buf := ar.Bytes()
 	if off < 0 || off > int64(len(buf)) || int64(len(buf))-off < frozenHeaderSize {
@@ -352,6 +284,14 @@ func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen
 	lo := h.layout
 	if lo.totalLen() > int64(len(buf))-off {
 		return nil, 0, fmt.Errorf("core: frozen arena: stream of %d bytes truncated at %d", lo.totalLen(), int64(len(buf))-off)
+	}
+	heap := !ar.Mapped()
+	if heap { // resident already: verify every byte
+		for i, want := range h.crcs {
+			if got := crc32.Checksum(buf[off+lo[i]:off+lo[i+1]], castagnoli); got != want {
+				return nil, 0, fmt.Errorf("core: load frozen: section %s checksum %08x, recorded %08x: the file is damaged", frozenSections[i], got, want)
+			}
+		}
 	}
 	f := h.frozen(ext)
 	f.backing = ar
@@ -366,27 +306,12 @@ func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen
 			return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
 		}
 	}
-	if err := f.CheckStructure(); err != nil {
+	check := f.CheckStructure
+	if heap {
+		check = f.CheckInvariants
+	}
+	if err := check(); err != nil {
 		return nil, 0, fmt.Errorf("core: frozen arena: stream is inconsistent with the supplied series: %w", err)
 	}
 	return f, lo.totalLen(), nil
-}
-
-// readChunkBytes is the transfer granularity of the array reader: big
-// enough to amortize call overhead, small enough that a truncated or
-// hostile stream never commands a large up-front allocation.
-const readChunkBytes = 1 << 16
-
-// readLE reads n little-endian 4-byte values — the width of every
-// arena array — growing the output as data arrives.
-func readLE[T int32 | float32](r io.Reader, n int) ([]T, error) {
-	out := make([]T, 0, min(n, readChunkBytes/4))
-	for len(out) < n {
-		k := min(n-len(out), readChunkBytes/4)
-		out = slices.Grow(out, k)[:len(out)+k]
-		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

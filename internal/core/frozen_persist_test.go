@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -85,15 +82,18 @@ func TestFrozenStreamRoundTrip(t *testing.T) {
 		if n%8 != 0 {
 			t.Fatalf("stream length %d not 8-byte aligned", n)
 		}
-		got, err := LoadFrozen(bytes.NewReader(buf.Bytes()), ext)
+		got, _, err := FrozenFromArena(arena.FromBytes(buf.Bytes()), 0, ext)
 		if err != nil {
-			t.Fatalf("LoadFrozen: %v", err)
+			t.Fatalf("FrozenFromArena: %v", err)
 		}
 		q := ext.ExtractCopy(321, 60)
 		checkFrozenParity(t, fz, got, q, 0.4)
 	}
 }
 
+// TestFrozenFromArenaDifferential opens a saved stream through a file
+// mapping: the arrays are views into it, and every search path agrees
+// with the index it was saved from.
 func TestFrozenFromArenaDifferential(t *testing.T) {
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
 		ts := datasets.InsectN(43, 4000)
@@ -102,7 +102,7 @@ func TestFrozenFromArenaDifferential(t *testing.T) {
 		if _, err := fz.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		ar := arena.FromBytes(buf.Bytes())
+		ar := mapStream(t, buf.Bytes())
 		got, n, err := FrozenFromArena(ar, 0, ext)
 		if err != nil {
 			t.Fatalf("FrozenFromArena: %v", err)
@@ -110,11 +110,11 @@ func TestFrozenFromArenaDifferential(t *testing.T) {
 		if n != int64(buf.Len()) {
 			t.Fatalf("FrozenFromArena consumed %d bytes of %d", n, buf.Len())
 		}
-		if got.Mapped() {
-			t.Fatal("heap-arena views claim to be mapped")
+		if got.Mapped() != ar.Mapped() {
+			t.Fatalf("views claim mapped=%v in a mapped=%v arena", got.Mapped(), ar.Mapped())
 		}
 		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("zero-copy arena fails full invariants: %v", err)
+			t.Fatalf("mapped arena fails full invariants: %v", err)
 		}
 		q := ext.ExtractCopy(321, 60)
 		checkFrozenParity(t, fz, got, q, 0.4)
@@ -140,10 +140,10 @@ func TestFrozenFromArenaAtOffset(t *testing.T) {
 	checkFrozenParity(t, fz, got, q, 0.5)
 }
 
-// TestFrozenStreamErrors feeds systematically damaged streams to both
-// loaders, as they are (the header checksum refuses them) and resealed
-// (the validation each is aimed at must): every case must fail cleanly
-// — an error, no panic, no out-of-bounds read.
+// TestFrozenStreamErrors feeds systematically damaged streams to a heap
+// and a mapped arena, as they are (the header checksum refuses them) and
+// resealed (the validation each is aimed at must): every case must fail
+// cleanly — an error, no panic, no out-of-bounds read.
 func TestFrozenStreamErrors(t *testing.T) {
 	ts := datasets.RandomWalk(49, 1200)
 	fz, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 40})
@@ -182,75 +182,23 @@ func TestFrozenStreamErrors(t *testing.T) {
 	}
 	for name, stream := range cases {
 		for form, stream := range map[string][]byte{"": stream, " (resealed)": reseal(stream, ext)} {
-			if _, err := LoadFrozen(bytes.NewReader(stream), ext); err == nil {
-				t.Errorf("LoadFrozen accepted %s%s", name, form)
-			}
-			if _, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext); err == nil {
-				t.Errorf("FrozenFromArena accepted %s%s", name, form)
+			for kind, load := range loaders {
+				if _, err := load(t, stream, ext); err == nil {
+					t.Errorf("%s arena accepted %s%s", kind, name, form)
+				}
 			}
 		}
 	}
-	if _, err := LoadFrozen(bytes.NewReader(reseal(full, ext)), ext); err != nil {
+	if _, err := loaders["heap"](t, reseal(full, ext), ext); err != nil {
 		t.Fatalf("resealing an undamaged stream broke it: %v", err)
 	}
 
 	// Truncation sweep: no prefix of a valid stream may load (the
-	// shortest prefixes exercise the header paths, the rest the section
-	// readers and the bounds-of-region checks).
+	// shortest prefixes exercise the header paths, the rest the
+	// bounds-of-region checks).
 	for n := 0; n < len(full); n += 7 {
-		if _, err := LoadFrozen(bytes.NewReader(full[:n]), ext); err == nil {
-			t.Fatalf("LoadFrozen accepted a %d-byte prefix of a %d-byte stream", n, len(full))
-		}
 		if _, _, err := FrozenFromArena(arena.FromBytes(full[:n:n]), 0, ext); err == nil {
 			t.Fatalf("FrozenFromArena accepted a %d-byte prefix of a %d-byte stream", n, len(full))
-		}
-	}
-}
-
-// TestFrozenStreamEveryByteGuarded flips every byte of a small saved
-// index in turn and requires the copy loader to refuse each one: the
-// header's checksum covers the header, each section's covers the
-// section through its padding, so no byte — not the reserved one, not
-// the zero fill — is unguarded. A flip in a section must be refused by
-// that section's name; the zero-copy open, which skips the section
-// checksums by design, must still refuse every flip in the header.
-func TestFrozenStreamEveryByteGuarded(t *testing.T) {
-	ts := datasets.RandomWalk(73, 261) // 247 windows: the positions section ends off the 8-byte grid
-	fz, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 15, MinCap: 3, MaxCap: 7})
-	var buf bytes.Buffer
-	if _, err := fz.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	lo := layoutFrozen(fz.NodeCount(), fz.Len(), fz.L())
-	padded := false
-	for i, n := range sectionCounts(fz.NodeCount(), fz.Len(), fz.L()) {
-		padded = padded || lo[i+1]-lo[i] > 4*int64(n)
-	}
-	if !padded {
-		t.Fatal("the case has no alignment padding to flip")
-	}
-	for off := range full {
-		for _, mask := range []byte{0x01, 0xFF} {
-			c := append([]byte(nil), full...)
-			c[off] ^= mask
-			_, err := LoadFrozen(bytes.NewReader(c), ext)
-			if err == nil {
-				t.Fatalf("LoadFrozen accepted byte %d of %d flipped by %#02x", off, len(full), mask)
-			}
-			if off < frozenHeaderSize {
-				if _, _, err := FrozenFromArena(arena.FromBytes(c), 0, ext); err == nil {
-					t.Fatalf("FrozenFromArena accepted header byte %d flipped by %#02x", off, mask)
-				}
-				continue
-			}
-			sec := 0
-			for int64(off) >= lo[sec+1] {
-				sec++
-			}
-			if want := "section " + frozenSections[sec] + " checksum"; !strings.Contains(err.Error(), want) {
-				t.Fatalf("byte %d flipped by %#02x: error %q does not name %q", off, mask, err, want)
-			}
 		}
 	}
 }
@@ -263,12 +211,8 @@ func TestFrozenStreamEveryByteGuarded(t *testing.T) {
 func TestFrozenMemoryBytes(t *testing.T) {
 	ts := datasets.RandomWalk(74, 900)
 	fz, ext := frozenOver(t, ts, series.NormGlobal, Config{L: 33})
-	path := filepath.Join(t.TempDir(), "frozen.tsfz")
 	var buf bytes.Buffer
 	if _, err := fz.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	nn, l := int64(fz.NodeCount()), int64(fz.L())
@@ -280,20 +224,9 @@ func TestFrozenMemoryBytes(t *testing.T) {
 	want := fz.StreamLen() - frozenHeaderSize - padding + headers
 
 	opens := map[string]*Frozen{"built": fz}
-	var err error
-	if opens["copied"], err = LoadFrozen(bytes.NewReader(buf.Bytes()), ext); err != nil {
-		t.Fatal(err)
-	}
-	if opens["heap arena"], _, err = FrozenFromArena(arena.FromBytes(buf.Bytes()), 0, ext); err != nil {
-		t.Fatal(err)
-	}
-	if arena.MapSupported() && arena.LittleEndianHost() {
-		ar, err := arena.Map(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ar.Close()
-		if opens["mapped"], _, err = FrozenFromArena(ar, 0, ext); err != nil {
+	for kind, load := range loaders {
+		var err error
+		if opens[kind], err = load(t, buf.Bytes(), ext); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -174,7 +174,7 @@ func TestFrozenPersistRoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 			}
-			got, err := LoadFrozen(bytes.NewReader(buf.Bytes()), ext)
+			got, err := loaders["heap"](t, buf.Bytes(), ext)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,8 +189,8 @@ func TestFrozenPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadFrozenRejects covers the validation paths: wrong extractor,
-// wrong series length, truncated and corrupted streams.
+// TestLoadFrozenRejects covers a heap open's validation paths: wrong
+// extractor, wrong series, truncated and corrupted streams.
 func TestLoadFrozenRejects(t *testing.T) {
 	ts := datasets.RandomWalk(9, 900)
 	const l = 30
@@ -206,14 +206,15 @@ func TestLoadFrozenRejects(t *testing.T) {
 	}
 	stream := buf.Bytes()
 
-	if _, err := LoadFrozen(bytes.NewReader(stream), series.NewExtractor(ts, series.NormNone)); err == nil {
+	load := loaders["heap"]
+	if _, err := load(t, stream, series.NewExtractor(ts, series.NormNone)); err == nil {
 		t.Fatal("accepted a mode mismatch")
 	}
 	other := series.NewExtractor(datasets.RandomWalk(10, 900), series.NormGlobal)
-	if _, err := LoadFrozen(bytes.NewReader(stream), other); err == nil {
+	if _, err := load(t, stream, other); err == nil {
 		t.Fatal("accepted a different series of the same length")
 	}
-	if _, err := LoadFrozen(bytes.NewReader(stream[:60]), ext); err == nil {
+	if _, err := load(t, stream[:60], ext); err == nil {
 		t.Fatal("accepted a truncated stream")
 	}
 	// Corrupt the structure arrays just past the 47-byte header: a
@@ -223,7 +224,7 @@ func TestLoadFrozenRejects(t *testing.T) {
 	// spectrum.)
 	corrupt := append([]byte(nil), stream...)
 	corrupt[50] ^= 0xFF
-	if _, err := LoadFrozen(bytes.NewReader(corrupt), ext); err == nil {
+	if _, err := load(t, corrupt, ext); err == nil {
 		t.Fatal("accepted a stream with corrupted structure arrays")
 	}
 }

@@ -12,16 +12,17 @@ import (
 	"twinsearch/internal/series"
 )
 
-// FuzzLoadFrozen feeds arbitrary byte streams to the two index
-// deserializers — the copy loader (LoadFrozen) and the zero-copy one
-// (FrozenFromArena): they must be rejected with an error or yield an
-// arena that traverses safely — never a panic or an out-of-range
-// index. Run with `go test -fuzz FuzzLoadFrozen ./internal/core` for
-// exploration; the seed corpus (a valid stream plus mutations) runs as
-// part of the normal test suite. The copy loader additionally
-// guarantees full invariants (bound containment included); the
-// zero-copy path guarantees the structural half, so its accepted
-// arenas are checked against CheckStructure and then traversed.
+// FuzzLoadFrozen feeds arbitrary byte streams to the one index loader,
+// FrozenFromArena, in both arena kinds: each must reject a stream with
+// an error or yield an arena that traverses safely — never a panic or
+// an out-of-range index. Run with `go test -fuzz FuzzLoadFrozen
+// ./internal/core` for exploration; the seed corpus (a valid stream plus
+// mutations) runs as part of the normal test suite. A heap arena is
+// verified in full, so a stream it accepts satisfies CheckInvariants
+// and answers like the oracle over the windows it holds (that they are
+// every window, once, is the partition's check a layer up); a mapped one
+// (a temporary file) gets the structural half, so its accepted arenas
+// are checked against CheckStructure and then traversed.
 //
 // Every input runs twice, as given and with its checksums recomputed
 // (reseal): a guided fuzzer cannot guess a CRC, and the validation
@@ -54,35 +55,42 @@ func FuzzLoadFrozen(f *testing.F) {
 		f.Add(mutated)
 	}
 
+	q := ext.ExtractCopy(7, 40)
+	twins := oracle.Range(ext, q, 0.5)
+
 	f.Fuzz(func(t *testing.T, given []byte) {
-		fuzzLoadFrozen(t, ext, given)
-		fuzzLoadFrozen(t, ext, reseal(given, ext))
-	})
-}
-
-func fuzzLoadFrozen(t *testing.T, ext *series.Extractor, stream []byte) {
-	got, err := LoadFrozen(bytes.NewReader(stream), ext)
-	if err == nil {
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatalf("LoadFrozen accepted an inconsistent stream: %v", err)
+		for _, stream := range [][]byte{given, reseal(given, ext)} {
+			if got, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext); err == nil {
+				if err := got.CheckInvariants(); err != nil {
+					t.Fatalf("a heap arena accepted an inconsistent stream: %v", err)
+				}
+				held := map[int]int{}
+				for _, p := range got.Positions() {
+					held[int(p)]++
+				}
+				var want []series.Match
+				for _, m := range twins {
+					for range held[m.Start] {
+						want = append(want, m)
+					}
+				}
+				if ms := got.Search(q, 0.5); !slices.Equal(ms, want) {
+					t.Fatalf("a heap arena accepted a stream that answers %v, oracle %v over its windows", ms, want)
+				}
+				got.SearchTopK(q, 5)
+			}
+			mapped, _, err := FrozenFromArena(mapStream(t, stream), 0, ext)
+			if err != nil {
+				continue // rejected: fine
+			}
+			if err := mapped.CheckStructure(); err != nil {
+				t.Fatalf("a mapped arena accepted a structurally invalid stream: %v", err)
+			}
+			mapped.Search(q, 0.5)
+			mapped.SearchTopK(q, 5)
+			mapped.SearchApprox(q, 0.5, 3)
 		}
-		// An accepted arena must also traverse safely end to end.
-		q := ext.ExtractCopy(0, got.L())
-		got.Search(q, 0.5)
-		got.SearchTopK(q, 5)
-	}
-
-	mapped, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext)
-	if err != nil {
-		return // rejected: fine
-	}
-	if err := mapped.CheckStructure(); err != nil {
-		t.Fatalf("FrozenFromArena accepted a structurally invalid stream: %v", err)
-	}
-	q := ext.ExtractCopy(0, mapped.L())
-	mapped.Search(q, 0.5)
-	mapped.SearchTopK(q, 5)
-	mapped.SearchApprox(q, 0.5, 3)
+	})
 }
 
 // FuzzFrozenTraversal derives a series and query parameters from the

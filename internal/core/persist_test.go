@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -11,16 +13,35 @@ import (
 	"twinsearch/internal/series"
 )
 
-// loaders are the two ways a saved stream comes back: copied to the
-// heap with full validation, or viewed in place.
-var loaders = map[string]func(stream []byte, ext *series.Extractor) (*Frozen, error){
-	"LoadFrozen": func(stream []byte, ext *series.Extractor) (*Frozen, error) {
-		return LoadFrozen(bytes.NewReader(stream), ext)
-	},
-	"FrozenFromArena": func(stream []byte, ext *series.Extractor) (*Frozen, error) {
+// loaders are the two kinds of arena a saved stream comes back in: the
+// heap, verified in full, and a file mapping, whose headers and
+// structure are.
+var loaders = map[string]func(t *testing.T, stream []byte, ext *series.Extractor) (*Frozen, error){
+	"heap": func(t *testing.T, stream []byte, ext *series.Extractor) (*Frozen, error) {
 		f, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext)
 		return f, err
 	},
+	"mapped": func(t *testing.T, stream []byte, ext *series.Extractor) (*Frozen, error) {
+		f, _, err := FrozenFromArena(mapStream(t, stream), 0, ext)
+		return f, err
+	},
+}
+
+// mapStream writes stream to a temporary file and opens it as a mapped
+// arena (a heap one where the file cannot be mapped) that lives until
+// the test ends.
+func mapStream(t testing.TB, stream []byte) *arena.Arena {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stream")
+	if err := os.WriteFile(path, stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ar, err := arena.Open(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ar.Close() })
+	return ar
 }
 
 // savedOver builds, freezes and saves an index over ts.
@@ -35,13 +56,13 @@ func savedOver(t *testing.T, ts []float64, mode series.NormMode, cfg Config) ([]
 }
 
 // TestPersistRoundTrip holds a reloaded index to the definition, not to
-// the index it was saved from: every normalization, both loaders.
+// the index it was saved from: every normalization, both arena kinds.
 func TestPersistRoundTrip(t *testing.T) {
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
 		stream, ext := savedOver(t, datasets.InsectN(31, 5000), mode, Config{L: 80})
 		q := ext.ExtractCopy(777, 80)
 		for name, load := range loaders {
-			got, err := load(stream, ext)
+			got, err := load(t, stream, ext)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -65,7 +86,7 @@ func TestPersistEmptyIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, load := range loaders {
-		got, err := load(buf.Bytes(), ext)
+		got, err := load(t, buf.Bytes(), ext)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -80,7 +101,7 @@ func TestLoadRejectsWrongMode(t *testing.T) {
 	stream, _ := savedOver(t, ts, series.NormGlobal, Config{L: 50})
 	wrong := series.NewExtractor(ts, series.NormNone)
 	for name, load := range loaders {
-		if _, err := load(stream, wrong); err == nil {
+		if _, err := load(t, stream, wrong); err == nil {
 			t.Fatalf("%s: want mode-mismatch error", name)
 		}
 	}
@@ -93,16 +114,16 @@ func TestLoadRejectsWrongSeries(t *testing.T) {
 	// Different length: rejected by the header check, on both paths.
 	short := series.NewExtractor(ts[:900], series.NormGlobal)
 	for name, load := range loaders {
-		if _, err := load(stream, short); err == nil {
+		if _, err := load(t, stream, short); err == nil {
 			t.Fatalf("%s: want length-mismatch error", name)
 		}
 	}
 
 	// Same length, different values: the recorded MBTS no longer enclose
-	// the windows. Only the copy loader walks the bounds (the mapped open
+	// the windows. Only a heap open walks the bounds (the mapped open
 	// validates structure alone — see Frozen.CheckStructure).
 	other := series.NewExtractor(datasets.RandomWalk(99, 1000), series.NormGlobal)
-	if _, err := loaders["LoadFrozen"](stream, other); err == nil {
+	if _, err := loaders["heap"](t, stream, other); err == nil {
 		t.Fatal("want invariant error for mismatched data")
 	}
 }

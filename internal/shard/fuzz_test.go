@@ -10,18 +10,19 @@ import (
 	"twinsearch/internal/series"
 )
 
-// FuzzLoadSharded feeds arbitrary byte streams to the two container
-// loaders (the segment layer has core's FuzzLoadFrozen). Load validates
-// everything, so a stream it accepts is an index: the partition
-// invariants hold and a query gets the oracle's answer, whatever tree
-// shape the bytes describe. OpenArena trusts the writer for the
-// ownership scan and bound containment (see its comment), so a stream
-// it accepts must traverse safely, and must answer like the oracle
-// whenever it also passes the full check. Neither may panic, and the
-// only allocations a header commands are bounded by maxShards. Every
-// input runs as given and with the container header's checksum
-// recomputed (reseal), since a guided fuzzer cannot guess a CRC and the
-// validation behind it must hold against a writer who can.
+// FuzzLoadSharded feeds arbitrary byte streams to the one container
+// loader, OpenArena, in both arena kinds (the segment layer has core's
+// FuzzLoadFrozen). A heap arena is validated in full, so a stream it
+// accepts is an index: the partition invariants hold and a query gets
+// the oracle's answer, whatever tree shape the bytes describe. A mapped
+// one (a temporary file) trusts the writer for the ownership scan and
+// bound containment (see OpenArena), so a stream it accepts must
+// traverse safely, and must answer like the oracle whenever it also
+// passes the full check. Neither may panic, and the only allocations a
+// header commands are bounded by maxShards. Every input runs as given
+// and with the container header's checksum recomputed (reseal), since a
+// guided fuzzer cannot guess a CRC and the validation behind it must
+// hold against a writer who can.
 func FuzzLoadSharded(f *testing.F) {
 	const l = 16
 	ext := series.NewExtractor(synthetic(400, 21), series.NormGlobal)
@@ -50,27 +51,24 @@ func FuzzLoadSharded(f *testing.F) {
 	want := oracle.Range(ext, q, 0.4)
 
 	f.Fuzz(func(t *testing.T, given []byte) {
-		fuzzLoadSharded(t, ext, q, want, given)
-		fuzzLoadSharded(t, ext, q, want, reseal(given))
+		for _, stream := range [][]byte{given, reseal(given)} {
+			if got, err := OpenArena(arena.FromBytes(stream), ext, nil); err == nil {
+				if err := got.CheckInvariants(); err != nil {
+					t.Fatalf("a heap arena accepted a broken index: %v", err)
+				}
+				if ms := got.Search(q, 0.4); !sameMatches(ms, want) {
+					t.Fatalf("a heap arena accepted a stream that answers %v, oracle %v", ms, want)
+				}
+			}
+			mapped, err := OpenArena(mapStream(t, stream), ext, nil)
+			if err != nil {
+				continue // rejected: fine
+			}
+			ms := mapped.Search(q, 0.4)
+			mapped.SearchTopK(q, 5)
+			if mapped.CheckInvariants() == nil && !sameMatches(ms, want) {
+				t.Fatalf("a mapped arena accepted a consistent stream that answers %v, oracle %v", ms, want)
+			}
+		}
 	})
-}
-
-func fuzzLoadSharded(t *testing.T, ext *series.Extractor, q []float64, want []series.Match, stream []byte) {
-	if got, err := Load(bytes.NewReader(stream), ext, nil); err == nil {
-		if err := got.checkPartition(); err != nil {
-			t.Fatalf("Load accepted a broken partition: %v", err)
-		}
-		if ms := got.Search(q, 0.4); !sameMatches(ms, want) {
-			t.Fatalf("Load accepted a stream that answers %v, oracle %v", ms, want)
-		}
-	}
-	mapped, err := OpenArena(arena.FromBytes(stream), ext, nil)
-	if err != nil {
-		return // rejected: fine
-	}
-	ms := mapped.Search(q, 0.4)
-	mapped.SearchTopK(q, 5)
-	if mapped.CheckInvariants() == nil && !sameMatches(ms, want) {
-		t.Fatalf("OpenArena accepted a consistent stream that answers %v, oracle %v", ms, want)
-	}
 }

@@ -115,7 +115,7 @@ func TestOpenArenaDifferential(t *testing.T) {
 
 // TestOpenArenaRejectsCorruptStreams damages a valid stream in the
 // container layer (the segment layer is fuzzed in core): every case
-// must fail cleanly.
+// must fail cleanly, in a heap and in a mapped arena.
 func TestOpenArenaRejectsCorruptStreams(t *testing.T) {
 	ts := datasets.RandomWalk(57, 1300)
 	const l = 32
@@ -167,16 +167,33 @@ func TestOpenArenaRejectsCorruptStreams(t *testing.T) {
 	for name, stream := range cases {
 		for form, stream := range map[string][]byte{"": stream, " (resealed)": reseal(stream)} {
 			if _, err := OpenArena(arena.FromBytes(stream), ext, nil); err == nil {
-				t.Errorf("OpenArena accepted %s%s", name, form)
+				t.Errorf("a heap OpenArena accepted %s%s", name, form)
 			}
-			if _, err := Load(bytes.NewReader(stream), ext, nil); err == nil {
-				t.Errorf("Load accepted %s%s", name, form)
+			if _, err := OpenArena(mapStream(t, stream), ext, nil); err == nil {
+				t.Errorf("a mapped OpenArena accepted %s%s", name, form)
 			}
 		}
 	}
-	if _, err := Load(bytes.NewReader(reseal(full)), ext, nil); err != nil {
+	if _, err := OpenArena(arena.FromBytes(reseal(full)), ext, nil); err != nil {
 		t.Fatalf("resealing an undamaged stream broke it: %v", err)
 	}
+}
+
+// mapStream writes stream to a temporary file and opens it as a mapped
+// arena (a heap one where the file cannot be mapped) that lives until
+// the test ends.
+func mapStream(t testing.TB, stream []byte) *arena.Arena {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stream")
+	if err := os.WriteFile(path, stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ar, err := arena.Open(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ar.Close() })
+	return ar
 }
 
 // reseal recomputes the container header's checksum over whatever the
@@ -200,39 +217,6 @@ func reseal(stream []byte) []byte {
 	return c
 }
 
-// TestShardedStreamEveryByteGuarded flips every byte of a small saved
-// container in turn and requires the copy loader to refuse each one:
-// the header's checksum covers the header, partition array and segment
-// table, and every segment guards itself (core's
-// TestFrozenStreamEveryByteGuarded) — there is no padding in between.
-// The zero-copy open must refuse every flip in the container header
-// and in the segment headers too.
-func TestShardedStreamEveryByteGuarded(t *testing.T) {
-	ext := series.NewExtractor(datasets.RandomWalk(58, 150), series.NormGlobal)
-	sh, err := Build(ext, Config{Config: core.Config{L: 11, MinCap: 3, MaxCap: 7}, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sh.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	hl := headerLen(2)
-	for off := range full {
-		c := append([]byte(nil), full...)
-		c[off] ^= 0x01
-		if _, err := Load(bytes.NewReader(c), ext, nil); err == nil {
-			t.Fatalf("Load accepted byte %d of %d flipped", off, len(full))
-		}
-		if int64(off) < hl {
-			if _, err := OpenArena(arena.FromBytes(c), ext, nil); err == nil {
-				t.Fatalf("OpenArena accepted container header byte %d flipped", off)
-			}
-		}
-	}
-}
-
 // markMeanSorted returns a copy of a TSSH v4 stream whose partition
 // byte says mean-sorted — the first thing a loader sees of a file saved
 // with the retired scheme (the bytes after it are never read).
@@ -243,9 +227,9 @@ func markMeanSorted(stream []byte) []byte {
 }
 
 // TestMeanSortedStreamRefused: a container whose partition byte names
-// the retired mean-sorted scheme is refused at the header by all three
-// loaders with one text naming the scheme and the rebuild command —
-// resealed or not, since the refusal precedes the checksum.
+// the retired mean-sorted scheme is refused at the header by every open
+// with one text naming the scheme and the rebuild command — resealed or
+// not, since the refusal precedes the checksum.
 func TestMeanSortedStreamRefused(t *testing.T) {
 	ext := series.NewExtractor(datasets.RandomWalk(58, 150), series.NormGlobal)
 	sh, err := Build(ext, Config{Config: core.Config{L: 11}, Shards: 2})
@@ -257,17 +241,17 @@ func TestMeanSortedStreamRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, stream := range [][]byte{markMeanSorted(buf.Bytes()), reseal(markMeanSorted(buf.Bytes()))} {
-		_, loadErr := Load(bytes.NewReader(stream), ext, nil)
-		_, arenaErr := OpenArena(arena.FromBytes(stream), ext, nil)
+		_, heapErr := OpenArena(arena.FromBytes(stream), ext, nil)
+		_, mappedErr := OpenArena(mapStream(t, stream), ext, nil)
 		_, subsetErr := OpenArenaShards(arena.FromBytes(stream), ext, nil, []int{0})
-		for _, err := range []error{loadErr, arenaErr, subsetErr} {
-			if err == nil || err.Error() != loadErr.Error() {
-				t.Fatalf("loaders disagree on a mean-sorted stream: %v / %v / %v", loadErr, arenaErr, subsetErr)
+		for _, err := range []error{heapErr, mappedErr, subsetErr} {
+			if err == nil || err.Error() != heapErr.Error() {
+				t.Fatalf("opens disagree on a mean-sorted stream: %v / %v / %v", heapErr, mappedErr, subsetErr)
 			}
 		}
 		for _, want := range []string{"mean-sorted", "-saveindex"} {
-			if !strings.Contains(loadErr.Error(), want) {
-				t.Fatalf("refusal %q does not mention %q", loadErr, want)
+			if !strings.Contains(heapErr.Error(), want) {
+				t.Fatalf("refusal %q does not mention %q", heapErr, want)
 			}
 		}
 	}

@@ -4,11 +4,11 @@ package shard
 // segment table, and each shard's frozen stream. The container is
 // mappable: the header records every segment's byte length, segments
 // start 8-byte aligned relative to the file start, and each segment is
-// an aligned TSFZ v3 stream — so OpenArena can point every shard's
-// arrays straight into one mmap'd file region with O(header)
-// allocation, while Load reads the same bytes by copy. Like the
-// single-index format, the series itself is not embedded; both loaders
-// revalidate each shard against the supplied extractor.
+// an aligned TSFZ v3 stream — so OpenArena points every shard's arrays
+// straight into one arena: a heap buffer the file was read into, or an
+// mmap'd file region opened with O(header) allocation. Like the
+// single-index format, the series itself is not embedded; every open
+// revalidates each shard against the supplied extractor.
 //
 // Format (version 4, little-endian):
 //
@@ -23,14 +23,15 @@ package shard
 //
 // The header is 16 + 8·k bytes, so the first segment starts aligned
 // with no padding, and with the segments' own checksums (see core's
-// frozen_persist.go) no byte of a file is unguarded: both loaders verify
-// the container header's checksum, Load verifies every segment
-// section's, OpenArena leaves those to a later first touch exactly as
-// core.FrozenFromArena documents.
+// frozen_persist.go) no byte of a file is unguarded. Every open verifies
+// the container header's checksum; what else it verifies is decided by
+// the arena's kind, exactly as core.FrozenFromArena documents: a heap
+// arena gets every opened segment's section checksums, its full
+// invariants and the partition's ownership scan (checkPartition), a
+// mapped one the segment headers, their structure and the partition's
+// shape (checkShape).
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -56,7 +57,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // The partition byte. Only partitionRange is written; partitionMean is
 // what files saved with the retired mean-sorted scheme carry, kept as
-// the value readShardHeader refuses by name.
+// the value parseShardHeader refuses by name.
 const (
 	partitionRange = 0
 	partitionMean  = 1
@@ -114,138 +115,77 @@ func (s *Index) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// shardHeader is the decoded container header shared by both loaders.
+// shardHeader is the decoded container header.
 type shardHeader struct {
 	count   int
 	starts  []int
 	segLens []int64
 }
 
-// readShardHeader decodes and validates the container header from r
-// (its checksum last, over every byte the fields came from), leaving
-// the reader positioned at the first segment.
-func readShardHeader(r *bufio.Reader) (shardHeader, error) {
+// parseShardHeader decodes and validates the container header at the
+// head of buf, its checksum last, over every byte the fields came from.
+func parseShardHeader(buf []byte) (shardHeader, error) {
 	var h shardHeader
-	sum := crc32.New(castagnoli)
-	br := io.TeeReader(r, sum)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return h, fmt.Errorf("shard: load: %w", err)
+	le := binary.LittleEndian
+	// magic, version u16, partition u8, reserved u8, shardCount u32
+	if len(buf) < 12 {
+		return h, fmt.Errorf("shard: load: %d-byte stream, shorter than a header", len(buf))
 	}
-	if string(magic) != Magic {
-		return h, fmt.Errorf("shard: load: bad magic %q", magic)
+	if string(buf[:4]) != Magic {
+		return h, fmt.Errorf("shard: load: bad magic %q", buf[:4])
 	}
-	// version u16, partition u8, reserved u8, shardCount u32
-	var fixed [8]byte
-	if _, err := io.ReadFull(br, fixed[:]); err != nil {
-		return h, fmt.Errorf("shard: load header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint16(fixed[:]); v != PersistVersion {
+	if v := le.Uint16(buf[4:]); v != PersistVersion {
 		return h, fmt.Errorf("shard: load: unsupported version %d", v)
 	}
-	switch fixed[2] {
+	switch buf[6] {
 	case partitionRange:
 	case partitionMean:
 		return h, fmt.Errorf("shard: load: the index was saved with mean-sorted shard partitioning (partition scheme %d), which is no longer read; only contiguous partitions are — rebuild it from its series: tsquery -series S -qstart 0 -l L -shards N -saveindex F", partitionMean)
 	default:
-		return h, fmt.Errorf("shard: load: unknown partition scheme %d", fixed[2])
+		return h, fmt.Errorf("shard: load: unknown partition scheme %d", buf[6])
 	}
-	count := binary.LittleEndian.Uint32(fixed[4:])
+	count := le.Uint32(buf[8:])
 	if count == 0 || count > maxShards {
 		return h, fmt.Errorf("shard: load: implausible shard count %d", count)
 	}
 	h.count = int(count)
+	hl := headerLen(h.count)
+	if int64(len(buf)) < hl {
+		return h, fmt.Errorf("shard: load header: %d-byte stream, a %d-shard header takes %d", len(buf), h.count, hl)
+	}
+	at := 12
 	h.starts = make([]int, h.count+1)
 	for i := range h.starts {
-		var b uint64
-		if err := binary.Read(br, binary.LittleEndian, &b); err != nil {
-			return h, fmt.Errorf("shard: load boundaries: %w", err)
-		}
-		h.starts[i] = int(b)
+		h.starts[i] = int(le.Uint64(buf[at:]))
+		at += 8
 	}
 	h.segLens = make([]int64, h.count)
 	for i := range h.segLens {
-		var n uint64
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return h, fmt.Errorf("shard: load segment table: %w", err)
-		}
+		n := le.Uint64(buf[at:])
+		at += 8
 		if n == 0 || n%8 != 0 || n > math.MaxInt64 {
 			return h, fmt.Errorf("shard: load: implausible segment length %d for shard %d", n, i)
 		}
 		h.segLens[i] = int64(n)
 	}
-	var recorded uint32
-	if err := binary.Read(r, binary.LittleEndian, &recorded); err != nil {
-		return h, fmt.Errorf("shard: load header checksum: %w", err)
-	}
-	if got := sum.Sum32(); got != recorded {
+	if got, recorded := crc32.Checksum(buf[:at], castagnoli), le.Uint32(buf[at:]); got != recorded {
 		return h, fmt.Errorf("shard: load: header checksum %08x, recorded %08x: the file is damaged", got, recorded)
 	}
 	return h, nil
 }
 
-// Load reconstructs a sharded index from a stream produced by WriteTo,
-// copying every shard into heap arenas, and schedules its queries on ex
-// (nil selects the process-wide default executor).
-// The extractor must present the same series and normalization the
-// index was built with; every shard stream is validated exactly as its
-// single-index loader validates it. OpenArena is the zero-copy
-// counterpart.
-func Load(r io.Reader, ext *series.Extractor, ex *exec.Executor) (*Index, error) {
-	// One buffered reader shared down into the per-shard loaders (which
-	// reuse an existing *bufio.Reader instead of re-wrapping, so shard
-	// streams are consumed exactly, not over-read).
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	h, err := readShardHeader(br)
-	if err != nil {
-		return nil, err
-	}
-
-	frozen := make([]*core.Frozen, h.count)
-	l := 0
-	for i := range frozen {
-		f, err := core.LoadFrozen(br, ext)
-		if err != nil {
-			return nil, fmt.Errorf("shard: loading shard %d: %w", i, err)
-		}
-		if f.StreamLen() != h.segLens[i] {
-			// The table must agree with the streams it frames: a
-			// mismatch means the container was edited or corrupted, even
-			// if each segment still parses.
-			return nil, fmt.Errorf("shard: shard %d spans %d bytes, table says %d", i, f.StreamLen(), h.segLens[i])
-		}
-		if i == 0 {
-			l = f.L()
-		} else if f.L() != l {
-			return nil, fmt.Errorf("shard: shard %d has L=%d, shard 0 has L=%d", i, f.L(), l)
-		}
-		frozen[i] = f
-	}
-
-	s := assemble(ext, l, frozen, nil, h.starts, ex)
-	// Partition invariants only: each shard stream was just validated in
-	// full by its own loader, so re-walking every arena here would only
-	// double the load cost.
-	if err := s.checkPartition(); err != nil {
-		return nil, fmt.Errorf("shard: load: %w", err)
-	}
-	return s, nil
-}
-
-// OpenArena is the zero-copy open path: it interprets a TSSH v4 stream
+// OpenArena opens a saved sharded index: it interprets a TSSH v4 stream
 // occupying the whole arena as a sharded index whose per-shard arrays
-// are views directly into the region — opening a multi-gigabyte index
-// costs O(header) allocations and faults pages in on demand. The
-// caller owns ar and must keep it alive (and unclosed) for the index's
-// lifetime; ex nil selects the process-wide default executor.
+// are views directly into the region — on a mapping, opening a
+// multi-gigabyte index costs O(header) allocations and faults pages in
+// on demand. The caller owns ar and must keep it alive (and unclosed)
+// for the index's lifetime; ex nil selects the process-wide default
+// executor.
 //
-// Each shard's structural invariants and the partition shape are
-// validated; the O(windows) ownership scan and O(size·L)
-// bound-containment walk are trusted to the writer, exactly as
-// FrozenFromArena documents.
+// Each shard is validated as core.FrozenFromArena validates it, and the
+// partition as the arena's kind decides: the full ownership scan on a
+// heap arena, the O(shards) shape on a mapped one, whose O(windows)
+// scan is trusted to the writer with the bound containment.
 func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Index, error) {
 	return openArena(ar, ext, ex, nil)
 }
@@ -268,10 +208,8 @@ func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, 
 // openArena opens the shards assigned (nil: every shard) of the TSSH v4
 // stream occupying ar.
 func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assigned []int) (*Index, error) {
-	// The header is small and byte-order sensitive; decode it through
-	// the same reader the copy loader uses rather than aliasing it.
 	buf := ar.Bytes()
-	h, err := readShardHeader(bufio.NewReader(bytes.NewReader(buf)))
+	h, err := parseShardHeader(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +240,7 @@ func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assign
 		}
 		f, n, err := core.FrozenFromArena(ar, off, ext)
 		if err != nil {
-			return nil, fmt.Errorf("shard: mapping shard %d: %w", i, err)
+			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
 		if n != h.segLens[i] {
 			return nil, fmt.Errorf("shard: arena: shard %d spans %d bytes, table says %d", i, n, h.segLens[i])
@@ -317,7 +255,11 @@ func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assign
 	}
 
 	s := assemble(ext, l, frozen, ids, h.starts, ex)
-	if err := s.checkShape(); err != nil {
+	check := s.checkPartition // a heap arena is verified in full
+	if ar.Mapped() {
+		check = s.checkShape
+	}
+	if err := check(); err != nil {
 		return nil, fmt.Errorf("shard: arena: %w", err)
 	}
 	return s, nil

@@ -595,10 +595,9 @@ func (s *Index) MappedBytes() int {
 	return total
 }
 
-// CheckInvariants validates every shard's structural invariants plus
-// the partition invariants (checkPartition). Load skips the per-arena
-// half — core.LoadFrozen validated each shard stream moments earlier —
-// and runs only checkPartition.
+// CheckInvariants validates every shard's invariants plus the partition
+// invariants (checkPartition). A heap open runs the same checks, the
+// per-arena half in core.FrozenFromArena.
 func (s *Index) CheckInvariants() error {
 	s.ensureFrozen()
 	for i, f := range s.frozen {
@@ -612,7 +611,7 @@ func (s *Index) CheckInvariants() error {
 // checkShape validates the O(shards) partition invariants: the
 // container's boundaries rise strictly from 0 to the series' window
 // count, and every held shard holds exactly its range's windows.
-// The zero-copy opens stop here — walking every position of a mapped
+// A mapped open stops here — walking every position of a mapped
 // multi-gigabyte index would defeat the cheap open — while
 // checkPartition adds the full ownership scan.
 func (s *Index) checkShape() error {
@@ -633,34 +632,25 @@ func (s *Index) checkShape() error {
 	return nil
 }
 
-// checkPartition validates the partition invariants of an Index holding
-// every shard: the shape checks above plus the full ownership scan —
-// every window position owned by exactly one shard, inside its owner's
-// range.
+// checkPartition validates the partition invariants: the shape checks
+// above plus the full ownership scan — every window position of a held
+// shard's range owned exactly once, by that shard (it holds as many
+// positions as its range has windows, all inside it, none twice).
 func (s *Index) checkPartition() error {
 	if err := s.checkShape(); err != nil {
 		return err
 	}
-	count := series.NumSubsequences(s.ext.Len(), s.l)
-	seen := make([]bool, count)
 	for i, f := range s.frozen {
 		lo, hi := s.Range(i)
+		seen := make([]bool, hi-lo)
 		for _, pos := range f.Positions() {
-			if int(pos) >= count {
-				return fmt.Errorf("shard %d: position %d beyond %d windows", i, pos, count)
-			}
-			if seen[pos] {
-				return fmt.Errorf("shard %d: position %d owned twice", i, pos)
-			}
-			seen[pos] = true
 			if int(pos) < lo || int(pos) >= hi {
-				return fmt.Errorf("shard %d: position %d outside range [%d, %d)", i, pos, lo, hi)
+				return fmt.Errorf("shard %d: position %d outside range [%d, %d)", s.ids[i], pos, lo, hi)
 			}
-		}
-	}
-	for pos, ok := range seen {
-		if !ok {
-			return fmt.Errorf("shard: position %d owned by no shard", pos)
+			if seen[int(pos)-lo] {
+				return fmt.Errorf("shard %d: position %d owned twice", s.ids[i], pos)
+			}
+			seen[int(pos)-lo] = true
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
 	"twinsearch/internal/exec"
 	"twinsearch/internal/oracle"
@@ -120,7 +121,7 @@ func TestPersistRoundTrip(t *testing.T) {
 					if n != int64(blob.Len()) {
 						t.Fatalf("WriteTo reported %d bytes, wrote %d", n, blob.Len())
 					}
-					re, err := Load(bytes.NewReader(blob.Bytes()), ext, nil)
+					re, err := OpenArena(arena.FromBytes(blob.Bytes()), ext, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -144,8 +145,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistRejectsMismatch checks corrupted or mismatched streams are
-// rejected rather than silently misloaded.
+// TestPersistRejectsMismatch checks a heap open rejects corrupted or
+// mismatched streams rather than silently misloading them.
 func TestPersistRejectsMismatch(t *testing.T) {
 	const l = 24
 	data := synthetic(800, 13)
@@ -159,19 +160,19 @@ func TestPersistRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Load(bytes.NewReader([]byte("JUNKJUNKJUNK")), ext, nil); err == nil {
+	if _, err := OpenArena(arena.FromBytes([]byte("JUNKJUNKJUNK")), ext, nil); err == nil {
 		t.Fatal("expected bad-magic rejection")
 	}
 	truncated := blob.Bytes()[:blob.Len()/2]
-	if _, err := Load(bytes.NewReader(truncated), ext, nil); err == nil {
+	if _, err := OpenArena(arena.FromBytes(truncated), ext, nil); err == nil {
 		t.Fatal("expected truncated-stream rejection")
 	}
 	otherExt := series.NewExtractor(synthetic(800, 99), series.NormGlobal)
-	if _, err := Load(bytes.NewReader(blob.Bytes()), otherExt, nil); err == nil {
+	if _, err := OpenArena(arena.FromBytes(blob.Bytes()), otherExt, nil); err == nil {
 		t.Fatal("expected wrong-series rejection")
 	}
 	shorterExt := series.NewExtractor(data[:700], series.NormGlobal)
-	if _, err := Load(bytes.NewReader(blob.Bytes()), shorterExt, nil); err == nil {
+	if _, err := OpenArena(arena.FromBytes(blob.Bytes()), shorterExt, nil); err == nil {
 		t.Fatal("expected wrong-length rejection")
 	}
 }

@@ -44,7 +44,7 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 	ext := series.NewExtractor(data, series.NormGlobal)
 	ix, path, fileSize := saveSharded(t, ext, Config{Config: core.Config{L: l}, Shards: 4})
 
-	if !arena.MapSupported() || !arena.LittleEndianHost() {
+	if !arena.MapSupported() {
 		t.Skip("no mmap on this platform")
 	}
 	ar, err := arena.Map(path)

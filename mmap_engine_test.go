@@ -21,13 +21,13 @@ import (
 // this code base once wrote and no longer reads (TSIX, TSFZ v1/v2, TSSH
 // v1–v3) and anything unknown is refused from its six-byte header alone,
 // and a TSSH v4 container saved with the retired mean-sorted partition
-// from its partition byte, with one text on both entry points — the
-// mapped open does not answer a refusal by trying the copy loader.
+// from its partition byte, with one text on every entry point, mapped
+// or read.
 func TestSavedFormatMatrix(t *testing.T) {
 	data := datasets.RandomWalk(83, 1700)
 	const l = 44
 	dir := t.TempDir()
-	canMap := arena.MapSupported() && arena.LittleEndianHost()
+	canMap := arena.MapSupported()
 
 	for name, shards := range map[string]int{"TSFZ v3": 1, "TSSH v4": 2} {
 		path := filepath.Join(dir, name+".tsidx")
@@ -101,11 +101,6 @@ func TestSavedFormatMatrix(t *testing.T) {
 					t.Errorf("%s: error %v, want %q", entry, err, c.want)
 				}
 			}
-			if canMap {
-				if _, err := openSavedMapped(data, path, Options{L: l}); err == nil || errors.Is(err, errNotMappable) || err.Error() != c.want {
-					t.Errorf("mapped open: error %v, want its own refusal %q, not a fallback", err, c.want)
-				}
-			}
 		})
 	}
 }
@@ -115,7 +110,7 @@ func TestSavedFormatMatrix(t *testing.T) {
 // the refrozen shard must migrate to the heap, and Close must release
 // cleanly and stay idempotent.
 func TestMMapEngineAppendAndClose(t *testing.T) {
-	if !arena.MapSupported() || !arena.LittleEndianHost() {
+	if !arena.MapSupported() {
 		t.Skip("zero-copy open unsupported on this platform")
 	}
 	data := datasets.RandomWalk(84, 1500)
@@ -188,7 +183,7 @@ func TestMMapEngineAppendAndClose(t *testing.T) {
 // inode (no truncation under the mapping, no SIGBUS) and leave a valid
 // index behind.
 func TestSaveOverMappedFile(t *testing.T) {
-	if !arena.MapSupported() || !arena.LittleEndianHost() {
+	if !arena.MapSupported() {
 		t.Skip("zero-copy open unsupported on this platform")
 	}
 	data := datasets.RandomWalk(86, 1400)
@@ -249,7 +244,7 @@ func TestSaveOverMappedFile(t *testing.T) {
 // directory. Each failure must remove its temp file, and leave the
 // target unchanged and the mapped engine answering as before.
 func TestFailedSaveLeavesTarget(t *testing.T) {
-	if !arena.MapSupported() || !arena.LittleEndianHost() {
+	if !arena.MapSupported() {
 		t.Skip("zero-copy open unsupported on this platform")
 	}
 	data := datasets.RandomWalk(87, 1400)
@@ -412,9 +407,9 @@ func TestSaveKilledMidStream(t *testing.T) {
 
 // BenchmarkColdOpen measures bringing a saved sharded index back to
 // life, copy versus mmap. The interesting columns are ns/op and B/op:
-// the copy open decodes and allocates the whole arena, the mmap open
-// allocates O(header) for the index and lets the first queries fault
-// pages in. Both variants share an O(series) floor — the engine's
+// the copy open reads the file into one heap arena and verifies it in
+// full, the mmap open allocates O(header) for the index and lets the
+// first queries fault pages in. Both variants share an O(series) floor — the engine's
 // extractor z-normalizes the raw series into a fresh slice — so the
 // index-side contrast is (B/op − seriesBytes): O(arena) for copy,
 // O(header) for mmap (bench/'s persist.open_copy_ms and

@@ -103,10 +103,12 @@ type Options struct {
 	// reading it: the engine's frozen arenas become views into the
 	// mapped file, so opening a multi-gigabyte index costs O(header)
 	// allocations, pages fault in on demand, and N processes serving
-	// the same index share one physical copy. Needs mmap and a
-	// little-endian host; without either the copy loader serves the
-	// file, with byte-identical answers. Call Engine.Close to release
-	// the mapping. Ignored by every entry point except OpenSavedFile.
+	// the same index share one physical copy. A mapped open verifies the
+	// headers' checksums and the structure, not the sections (a read
+	// open verifies every byte). Where the file cannot be mapped it is
+	// read and verified in full instead, with byte-identical answers.
+	// Call Engine.Close to release the mapping. Ignored by every entry
+	// point except OpenSavedFile.
 	MMap bool
 
 	// Prefetch warms a memory-mapped index right after OpenSavedFile
@@ -244,7 +246,8 @@ type Engine struct {
 
 	// ar is the mapped file region backing the index when the engine
 	// was opened with Options.MMap; the engine owns it and Close
-	// releases it. nil for every heap-resident engine.
+	// releases it. nil for every heap-resident engine: a read arena
+	// lives as long as a shard views it, so Append's re-freeze frees it.
 	ar *arena.Arena
 
 	// Serving-tier caches (nil when disabled): plan holds prepared
