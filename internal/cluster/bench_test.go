@@ -113,11 +113,11 @@ func BenchmarkReplicaFault(b *testing.B) {
 	}
 }
 
-// startClusterB is startReplicated for benchmarks, without the chaos
-// transport: each run of shards is served by r nodes (g<run>r<replica>),
+// startClusterB is startReplicated without the chaos transport, for
+// benchmarks and for tests that fault a node in its server: each run of shards is served by r nodes (g<run>r<replica>),
 // node i's handler decorated by wrap(i, ·) when wrap is non-nil, and a
 // coordinator is opened over them.
-func startClusterB(b *testing.B, ext *series.Extractor, path string, runs [][]int, r int, o cluster.Options, wrap func(i int, h http.Handler) http.Handler) (*cluster.Coordinator, []*httptest.Server) {
+func startClusterB(b testing.TB, ext *series.Extractor, path string, runs [][]int, r int, o cluster.Options, wrap func(i int, h http.Handler) http.Handler) (*cluster.Coordinator, []*httptest.Server) {
 	b.Helper()
 	topo := &cluster.Topology{Index: path, Replicas: r}
 	for gi, run := range runs {

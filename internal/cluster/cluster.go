@@ -40,7 +40,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -50,6 +49,7 @@ import (
 	"twinsearch/internal/obs"
 	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
+	"twinsearch/internal/wire"
 )
 
 // Options configures OpenCoordinator.
@@ -534,6 +534,10 @@ func checkNodeIdentity(h NodeHealth, spec NodeSpec, ext *series.Extractor, l int
 	if h.Role != "node" {
 		return fmt.Errorf("cluster: node %q (%s) reports role %q, want a shard node", spec.Name, spec.Addr, h.Role)
 	}
+	if h.Frame != FrameVersion {
+		return fmt.Errorf("cluster: node %q (%s) speaks shard frame version %d, this coordinator %d; run one build on every node",
+			spec.Name, spec.Addr, h.Frame, FrameVersion)
+	}
 	if h.L != l {
 		return fmt.Errorf("cluster: node %q indexes L=%d, coordinator expects %d", spec.Name, h.L, l)
 	}
@@ -543,7 +547,7 @@ func checkNodeIdentity(h NodeHealth, spec NodeSpec, ext *series.Extractor, l int
 	if h.SeriesLen != ext.Len() {
 		return fmt.Errorf("cluster: node %q serves a %d-point series, coordinator holds %d", spec.Name, h.SeriesLen, ext.Len())
 	}
-	if !equalInts(h.Shards, spec.Shards) {
+	if shardSetKey(h.Shards) != shardSetKey(spec.Shards) {
 		return fmt.Errorf("cluster: node %q serves shards %v, topology assigns %v", spec.Name, h.Shards, spec.Shards)
 	}
 	return nil
@@ -569,21 +573,6 @@ func (c *Coordinator) verifyRemote(h NodeHealth, ow *owner) error {
 	return nil
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as, bs := append([]int(nil), a...), append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // health fetches and decodes the node's /healthz.
 func (r *remote) health(ctx context.Context) (NodeHealth, error) {
 	var h NodeHealth
@@ -595,7 +584,7 @@ func (r *remote) health(ctx context.Context) (NodeHealth, error) {
 	if resp.StatusCode != http.StatusOK {
 		return h, fmt.Errorf("healthz: %s", resp.Status)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, wire.MaxBodyBytes)).Decode(&h); err != nil {
 		return h, fmt.Errorf("healthz: %w", err)
 	}
 	return h, nil
@@ -608,33 +597,19 @@ func (r *remote) health(ctx context.Context) (NodeHealth, error) {
 // blips a restarting listener or a dropped idle connection causes even
 // at R=1; replica failover handles everything beyond it.
 func (r *remote) do(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
-	mk := func() (*http.Request, error) {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	for retried := false; ; retried = true {
+		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", FrameContentType)
 		}
-		return req, nil
-	}
-	req, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil && isConnRefused(err) && ctx.Err() == nil {
-		req, mkErr := mk()
-		if mkErr != nil {
-			return nil, err
+		resp, err := r.client.Do(req)
+		if err == nil || retried || !isConnRefused(err) || ctx.Err() != nil {
+			return resp, err
 		}
-		resp, err = r.client.Do(req)
 	}
-	return resp, err
 }
 
 // isConnRefused reports a transport-level connection failure that
@@ -644,80 +619,69 @@ func isConnRefused(err error) bool {
 	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET)
 }
 
-// post sends one shard RPC and decodes the response, translating
-// non-200 answers into the node's own error text.
-func (r *remote) post(ctx context.Context, path string, reqBody, respBody interface{}) error {
-	raw, err := json.Marshal(reqBody)
+// call sends one shard RPC and decodes the answer frame, translating a
+// non-200 answer into the node's own error text. The body is read up to
+// wire.MaxBodyBytes and a malformed frame is an error, so a node that
+// answers garbage fails the attempt over — never a panic, never a short
+// answer. A traced caller's span grafts the node's returned subtree.
+func (r *remote) call(ctx context.Context, q Request) ([]series.Match, core.Stats, error) {
+	sp := obs.SpanFrom(ctx)
+	q.Trace = sp != nil
+	path := q.Kind.Path()
+	resp, err := r.do(ctx, http.MethodPost, r.base+path, q.AppendFrame(nil))
 	if err != nil {
-		return err
-	}
-	resp, err := r.do(ctx, http.MethodPost, r.base+path, raw)
-	if err != nil {
-		return err
+		return nil, core.Stats{}, err
 	}
 	defer resp.Body.Close()
+	body, err := wire.ReadBody(resp.Body, resp.ContentLength, nil)
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("%s: %s", path, e.Error)
+		if json.Unmarshal(body, &e) != nil || e.Error == "" {
+			e.Error = resp.Status
 		}
-		return fmt.Errorf("%s: %s", path, resp.Status)
+		return nil, core.Stats{}, fmt.Errorf("%s: %s", path, e.Error)
 	}
-	return json.NewDecoder(resp.Body).Decode(respBody)
+	var a Answer
+	if err == nil {
+		a, err = ParseAnswer(body)
+	}
+	if err == nil && sp != nil && len(a.Trace) > 0 {
+		tr := new(obs.Span)
+		if err = json.Unmarshal(a.Trace, tr); err == nil {
+			sp.Attach(tr)
+		}
+	}
+	if err != nil {
+		return nil, core.Stats{}, fmt.Errorf("%s: answer: %w", path, err)
+	}
+	if a.Stats == nil {
+		return a.Matches, core.Stats{}, nil
+	}
+	return a.Matches, *a.Stats, nil
 }
 
 // SearchStatsCtx implements shard.Backend.
 func (r *remote) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	var resp SearchResponse
-	if err := r.post(ctx, "/shard/search", SearchRequest{Query: q, Eps: eps, Trace: obs.SpanFrom(ctx) != nil}, &resp); err != nil {
-		return nil, core.Stats{}, err
-	}
-	obs.SpanFrom(ctx).Attach(resp.Trace)
-	var st core.Stats
-	if resp.Stats != nil {
-		st = *resp.Stats
-	}
-	return fromWire(resp.Matches), st, nil
+	return r.call(ctx, Request{Kind: KindSearch, Eps: eps, Query: q})
 }
 
 // SearchTopKCtx implements shard.Backend.
 func (r *remote) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
-	req := TopKRequest{Query: q, K: k, Trace: obs.SpanFrom(ctx) != nil}
-	if !math.IsInf(bound, 1) {
-		req.Bound = &bound
-	}
-	var resp SearchResponse
-	if err := r.post(ctx, "/shard/topk", req, &resp); err != nil {
-		return nil, err
-	}
-	obs.SpanFrom(ctx).Attach(resp.Trace)
-	return fromWire(resp.Matches), nil
+	ms, _, err := r.call(ctx, Request{Kind: KindTopK, K: k, Bound: bound, Query: q})
+	return ms, err
 }
 
 // SearchPrefixTreeCtx implements shard.Backend.
 func (r *remote) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	var resp SearchResponse
-	if err := r.post(ctx, "/shard/prefix", SearchRequest{Query: q, Eps: eps, Trace: obs.SpanFrom(ctx) != nil}, &resp); err != nil {
-		return nil, err
-	}
-	obs.SpanFrom(ctx).Attach(resp.Trace)
-	return fromWire(resp.Matches), nil
+	ms, _, err := r.call(ctx, Request{Kind: KindPrefix, Eps: eps, Query: q})
+	return ms, err
 }
 
 // SearchApproxCtx implements shard.Backend.
 func (r *remote) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	var resp SearchResponse
-	if err := r.post(ctx, "/shard/approx", ApproxRequest{Query: q, Eps: eps, LeafBudget: leafBudget, Trace: obs.SpanFrom(ctx) != nil}, &resp); err != nil {
-		return nil, core.Stats{}, err
-	}
-	obs.SpanFrom(ctx).Attach(resp.Trace)
-	var st core.Stats
-	if resp.Stats != nil {
-		st = *resp.Stats
-	}
-	return fromWire(resp.Matches), st, nil
+	return r.call(ctx, Request{Kind: KindApprox, Eps: eps, LeafBudget: leafBudget, Query: q})
 }
 
 // Windows implements shard.Backend.

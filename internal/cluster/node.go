@@ -77,6 +77,7 @@ func (n *Node) Health() NodeHealth {
 		Status:      "ok",
 		Role:        "node",
 		Name:        n.Name,
+		Frame:       FrameVersion,
 		L:           n.Sub.L(),
 		Norm:        n.Sub.Extractor().Mode().String(),
 		SeriesLen:   n.Sub.Extractor().Len(),

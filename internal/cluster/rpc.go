@@ -1,36 +1,30 @@
 package cluster
 
-// The shard RPC's server half: the HTTP face of one cluster node. A
-// node serves its assigned shards of a saved index (Node, a
-// shard.Index opened by shard.OpenArenaShards) and exposes the five
-// search paths to the coordinator:
-//
-//	GET  /healthz       → NodeHealth (role "node", assignment)
-//	POST /shard/search  → SearchRequest → SearchResponse (+stats)
-//	POST /shard/topk    → TopKRequest   → SearchResponse
-//	POST /shard/prefix  → SearchRequest → SearchResponse (tree only)
-//	POST /shard/approx  → ApproxRequest → SearchResponse (+stats)
-//
-// Queries arrive pre-transformed (the coordinator normalizes once) and
-// responses follow the shard.Backend contract, so the coordinator's
-// merges reproduce the single-engine answer bit for bit. Every handler
-// runs under r.Context(): a coordinator that gives up (timeout, death)
-// cancels the node-side fan-out instead of leaving it to burn executor
-// time. internal/server mounts this handler for tsserve's node role;
-// it lives here so the client and server halves of the protocol share
-// one package.
+// The shard RPC's server half: the HTTP face of one cluster node, which
+// serves its assigned shards of a saved index (Node) to the coordinator.
+// GET /healthz answers NodeHealth as JSON; POST /shard/search, /topk,
+// /prefix and /approx each take a request frame and answer with a
+// frame (wire.go), or refuse in JSON. Queries arrive pre-transformed
+// (the coordinator normalizes once) and answers follow the
+// shard.Backend contract, so the coordinator's merges reproduce the
+// single-engine answer bit for bit. Every handler runs under
+// r.Context(): a coordinator that gives up (timeout, death) cancels the
+// node-side fan-out instead of leaving it to burn executor time.
+// internal/server mounts this handler for tsserve's node role; it lives
+// here so both halves of the protocol share one package.
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 
 	"twinsearch/internal/core"
 	"twinsearch/internal/obs"
-	"twinsearch/internal/series"
 	"twinsearch/internal/wire"
 )
 
@@ -46,10 +40,9 @@ type NodeRPC struct {
 func NewNodeRPC(n *Node) *NodeRPC {
 	h := &NodeRPC{n: n, mux: http.NewServeMux()}
 	h.mux.HandleFunc("/healthz", h.health)
-	h.mux.HandleFunc("/shard/search", h.search)
-	h.mux.HandleFunc("/shard/topk", h.topk)
-	h.mux.HandleFunc("/shard/prefix", h.prefix)
-	h.mux.HandleFunc("/shard/approx", h.approx)
+	for k := KindSearch; k <= KindApprox; k++ {
+		h.mux.HandleFunc(k.Path(), func(w http.ResponseWriter, r *http.Request) { h.serve(w, r, k) })
+	}
 	return h
 }
 
@@ -77,146 +70,111 @@ func (h *NodeRPC) health(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, hd)
 }
 
-// decodeRPC reads one POSTed request body into req (f names its
-// fields, see wire.ReadRequest), enforcing method, size and
-// well-formedness uniformly across the shard endpoints.
-func (h *NodeRPC) decodeRPC(w http.ResponseWriter, r *http.Request, req any, f wire.Fields) bool {
-	return wire.ReadRequest(w, r, req, f, h.n.Sub.L())
-}
-
-// writeRPC writes a search result, translating errors: context endings
-// (the caller hung up or timed out) are 503, everything else is the
-// node refusing the request (400). tr, when non-nil, is the node's
-// finished span tree for the query, returned so the coordinator can
-// stitch the cross-node trace.
-func writeRPC(w http.ResponseWriter, ms []series.Match, st *core.Stats, err error, tr *obs.Trace) {
+// serve answers one shard RPC of kind k.
+func (h *NodeRPC) serve(w http.ResponseWriter, r *http.Request, k Kind) {
+	a, status, err := h.answer(r, k)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusServiceUnavailable
-		}
 		wire.WriteError(w, status, err)
 		return
 	}
-	if tr == nil {
-		var stats any // a nil *core.Stats must stay an absent key, not "stats":null
-		if st != nil {
-			stats = st
-		}
-		if wire.WriteShardAnswer(w, ms, stats) {
-			return
-		}
+	b := a.AppendFrame(nil)
+	hd := w.Header()
+	hd.Set("Content-Type", FrameContentType)
+	hd.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // the status is out; a failed write has no one left to tell
+}
+
+// answer reads a request frame for the endpoint of kind k and runs it,
+// or reports the refusal's status: 405 for another method, 415 for
+// another Content-Type, 413 past wire.MaxBodyBytes, 400 for a malformed
+// frame, one of another kind or parameters the node refuses, and 503
+// when the caller hung up or timed out.
+func (h *NodeRPC) answer(r *http.Request, k Kind) (Answer, int, error) {
+	if r.Method != http.MethodPost {
+		return Answer{}, http.StatusMethodNotAllowed, errors.New("POST required")
 	}
-	resp := SearchResponse{Matches: toWire(ms), Stats: st}
-	if tr != nil {
+	if ct := r.Header.Get("Content-Type"); ct != FrameContentType {
+		return Answer{}, http.StatusUnsupportedMediaType,
+			fmt.Errorf("Content-Type %q; the shard RPC takes %s frames", ct, FrameContentType)
+	}
+	var q Request
+	body, err := wire.ReadBody(r.Body, r.ContentLength, nil)
+	if err == nil {
+		q, err = ParseRequest(body)
+	}
+	if err == nil && q.Kind != k {
+		err = fmt.Errorf("malformed shard frame: kind %d sent to %s", q.Kind, k.Path())
+	}
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		return Answer{}, http.StatusRequestEntityTooLarge, fmt.Errorf("bad request body: %w", err)
+	} else if err != nil {
+		return Answer{}, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	}
+	ctx, tr := r.Context(), (*obs.Trace)(nil)
+	if q.Trace {
+		// The node's own trace: the shard layer annotates its root, and
+		// the finished subtree (StartUs relative to this node's trace
+		// start) rides back in the answer.
+		tr = obs.NewTrace("node:" + h.n.Name)
+		ctx = obs.WithSpan(ctx, tr.Root)
+	}
+	a, err := h.run(ctx, &q)
+	if err == nil && tr != nil {
 		tr.Finish()
-		resp.Trace = tr.Root
+		a.Trace, err = json.Marshal(tr.Root)
 	}
-	wire.WriteJSON(w, http.StatusOK, resp)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return a, http.StatusServiceUnavailable, err
+	}
+	return a, http.StatusBadRequest, err
 }
 
-// traceCtx starts a node-local trace when the request asked for one
-// (req.Trace): the returned context carries the node's root span, so
-// the shard layer below annotates it, and writeRPC ships the finished
-// subtree back. StartUs values in it are relative to this node's own
-// trace start.
-func (h *NodeRPC) traceCtx(r *http.Request, want bool) (context.Context, *obs.Trace) {
-	if !want {
-		return r.Context(), nil
+// run answers q on the node's shards once screen has passed it.
+func (h *NodeRPC) run(ctx context.Context, q *Request) (a Answer, err error) {
+	sub := h.n.Sub
+	if err = screen(q, sub.L()); err != nil {
+		return a, err
 	}
-	tr := obs.NewTrace("node:" + h.n.Name)
-	return obs.WithSpan(r.Context(), tr.Root), tr
+	var st core.Stats
+	switch q.Kind {
+	case KindSearch:
+		a.Matches, st, err = sub.SearchStatsCtx(ctx, q.Query, q.Eps)
+		a.Stats = &st
+	case KindTopK:
+		a.Matches, err = sub.SearchTopKCtx(ctx, q.Query, q.K, q.Bound)
+	case KindPrefix:
+		a.Matches, err = sub.SearchPrefixTreeCtx(ctx, q.Query, q.Eps)
+	case KindApprox:
+		a.Matches, st, err = sub.SearchApproxCtx(ctx, q.Query, q.Eps, q.LeafBudget)
+		a.Stats = &st
+	}
+	return a, err
 }
 
-func (h *NodeRPC) search(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, Eps: &req.Eps, Trace: &req.Trace}) {
-		return
-	}
-	if err := validateRPCQuery(req.Query, h.n.Sub.L(), req.Eps); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, tr := h.traceCtx(r, req.Trace)
-	ms, st, err := h.n.Sub.SearchStatsCtx(ctx, req.Query, req.Eps)
-	writeRPC(w, ms, &st, err, tr)
-}
-
-func (h *NodeRPC) topk(w http.ResponseWriter, r *http.Request) {
-	var req TopKRequest
-	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, K: &req.K, Bound: &req.Bound, Trace: &req.Trace}) {
-		return
-	}
-	if err := validateRPCQuery(req.Query, h.n.Sub.L(), 0); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	bound := math.Inf(1)
-	if req.Bound != nil {
-		if math.IsNaN(*req.Bound) || *req.Bound < 0 {
-			wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid bound %v", *req.Bound))
-			return
-		}
-		bound = *req.Bound
-	}
-	ctx, tr := h.traceCtx(r, req.Trace)
-	ms, err := h.n.Sub.SearchTopKCtx(ctx, req.Query, req.K, bound)
-	writeRPC(w, ms, nil, err, tr)
-}
-
-func (h *NodeRPC) prefix(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, Eps: &req.Eps, Trace: &req.Trace}) {
-		return
-	}
+// screen refuses at the door what the shard layer assumes valid: it
+// panics on length mismatches (its callers validate), and non-finite
+// values would poison the early-abandoning comparisons. l is the
+// node's indexed length.
+func screen(q *Request, l int) error {
 	// Prefix queries are shorter than L by design; the shard layer
-	// validates the length itself. Screen the values and threshold only.
-	if err := validateRPCValues(req.Query, req.Eps); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err)
-		return
+	// validates their length itself.
+	if len(q.Query) != l && q.Kind != KindPrefix {
+		return fmt.Errorf("query length %d, node indexes L=%d", len(q.Query), l)
 	}
-	ctx, tr := h.traceCtx(r, req.Trace)
-	ms, err := h.n.Sub.SearchPrefixTreeCtx(ctx, req.Query, req.Eps)
-	writeRPC(w, ms, nil, err, tr)
-}
-
-func (h *NodeRPC) approx(w http.ResponseWriter, r *http.Request) {
-	var req ApproxRequest
-	if !h.decodeRPC(w, r, &req, wire.Fields{Query: &req.Query, Eps: &req.Eps, LeafBudget: &req.LeafBudget, Trace: &req.Trace}) {
-		return
+	if q.Kind != KindTopK && (q.Eps < 0 || math.IsNaN(q.Eps)) { // top-k has no threshold
+		return fmt.Errorf("invalid threshold %v", q.Eps)
 	}
-	if err := validateRPCQuery(req.Query, h.n.Sub.L(), req.Eps); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.LeafBudget <= 0 {
-		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("leaf budget %d; a positive probe count is required", req.LeafBudget))
-		return
-	}
-	ctx, tr := h.traceCtx(r, req.Trace)
-	ms, st, err := h.n.Sub.SearchApproxCtx(ctx, req.Query, req.Eps, req.LeafBudget)
-	writeRPC(w, ms, &st, err, tr)
-}
-
-// validateRPCQuery screens a full-length RPC query before it reaches
-// the shards: the shard layer panics on length mismatches (its callers
-// validate), and non-finite values would poison the early-abandoning
-// comparisons, so the node refuses both at the door.
-func validateRPCQuery(q []float64, l int, eps float64) error {
-	if len(q) != l {
-		return fmt.Errorf("query length %d, node indexes L=%d", len(q), l)
-	}
-	return validateRPCValues(q, eps)
-}
-
-func validateRPCValues(q []float64, eps float64) error {
-	if eps < 0 || math.IsNaN(eps) {
-		return fmt.Errorf("invalid threshold %v", eps)
-	}
-	for i, v := range q {
+	for i, v := range q.Query {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("non-finite query value %v at position %d", v, i)
 		}
+	}
+	switch {
+	case q.Kind == KindTopK && (math.IsNaN(q.Bound) || q.Bound < 0):
+		return fmt.Errorf("invalid bound %v", q.Bound)
+	case q.Kind == KindApprox && q.LeafBudget <= 0:
+		return fmt.Errorf("leaf budget %d; a positive probe count is required", q.LeafBudget)
 	}
 	return nil
 }

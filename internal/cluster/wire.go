@@ -1,104 +1,243 @@
 package cluster
 
-// Wire types of the shard RPC — the JSON bodies internal/server's
-// /shard/* endpoints accept and produce, shared by the server handlers
-// and the coordinator's HTTP client so the two cannot drift. Queries
-// travel pre-transformed (the coordinator normalizes once); floats
-// survive the JSON round trip exactly (encoding/json emits the shortest
-// decimal that parses back to the same float64), which the
-// byte-identical differential guarantees rely on.
+// The shard RPC's bytes, shared by the node's handlers (rpc.go) and the
+// coordinator's client (cluster.go) so the two cannot drift. Every
+// /shard/* body is one little-endian frame of FrameContentType (refusals
+// stay JSON {"error": ...}). Pre-transformed queries, bounds and
+// distances travel as raw float64 bits, so neither side prints or parses
+// a float and every value — ±0, subnormals, +Inf — arrives bit for bit,
+// as the byte-identical differential guarantees need.
+//
+//	request: u8 FrameVersion, u8 kind (1 search, 2 topk, 3 prefix,
+//	         4 approx: the endpoint's), u8 flags (1: return the node's
+//	         span tree), f64 eps, i64 k, f64 bound (+Inf: none),
+//	         i64 leaf budget, u32 n, n × f64 query
+//	answer:  u8 FrameVersion, u32 n, n × (i64 start, f64 dist),
+//	         u8 1 when six i64 core.Stats counters follow (else 0),
+//	         u32 m, m bytes of the span tree as JSON (m = 0 untraced)
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"twinsearch/internal/core"
-	"twinsearch/internal/obs"
 	"twinsearch/internal/series"
 )
 
-// SearchRequest asks for all twins at eps among the node's windows
-// (POST /shard/search) or, with prefix searches, the tree half of a
-// shorter query (POST /shard/prefix).
-type SearchRequest struct {
-	Query []float64 `json:"query"` // engine value space
-	Eps   float64   `json:"eps"`
-	// Trace asks the node to record its own span tree for this query
-	// and return it in SearchResponse.Trace, so the coordinator can
-	// stitch one cross-node trace. Set automatically when the
-	// coordinator's context carries a span.
-	Trace bool `json:"trace,omitempty"`
+const (
+	// FrameVersion is the layout this build speaks. A node reports it in
+	// /healthz and a coordinator refuses a node reporting another, at
+	// open and at rejoin, so a cluster of mixed builds fails loudly.
+	FrameVersion = 1
+	// FrameContentType marks every frame; a /shard/* request of another
+	// type is answered 415.
+	FrameContentType = "application/x-twinsearch-frame"
+)
+
+// Kind names a shard RPC and the endpoint serving it.
+type Kind uint8
+
+const (
+	KindSearch Kind = iota + 1 // all twins at eps, with stats
+	KindTopK                   // the k nearest within a bound
+	KindPrefix                 // the tree half of a shorter query
+	KindApprox                 // a leaf-budgeted search, with stats
+)
+
+// Path returns the endpoint that serves k.
+func (k Kind) Path() string {
+	return [...]string{KindSearch: "/shard/search", KindTopK: "/shard/topk",
+		KindPrefix: "/shard/prefix", KindApprox: "/shard/approx"}[k]
 }
 
-// TopKRequest asks for the node's k nearest (POST /shard/topk). Bound,
-// when present, seeds the node's shared pruning bound with the
-// coordinator's current k-th threshold (see shard.Backend); absent
-// means unbounded. A pointer because +Inf does not exist in JSON.
-type TopKRequest struct {
-	Query []float64 `json:"query"`
-	K     int       `json:"k"`
-	Bound *float64  `json:"bound,omitempty"`
-	Trace bool      `json:"trace,omitempty"` // see SearchRequest.Trace
+// Request is one shard RPC: the path's parameters and a query in engine
+// value space. Fields its kind does not use travel as written; a kind
+// other than the endpoint's is the node's to refuse.
+type Request struct {
+	Kind Kind
+	// Trace asks the node for its own span tree of the query, returned
+	// in Answer.Trace so the coordinator can stitch one cross-node trace.
+	Trace bool
+	Eps   float64
+	K     int
+	// Bound seeds the node's shared top-k pruning bound with the
+	// coordinator's k-th distance (see shard.Backend); +Inf is none.
+	Bound      float64
+	LeafBudget int
+	Query      []float64
 }
 
-// ApproxRequest asks for an approximate search drawing at most
-// LeafBudget leaf probes across the node's shards (POST /shard/approx).
-type ApproxRequest struct {
-	Query      []float64 `json:"query"`
-	Eps        float64   `json:"eps"`
-	LeafBudget int       `json:"leaf_budget"`
-	Trace      bool      `json:"trace,omitempty"` // see SearchRequest.Trace
+// Answer is a node's reply: its matches, sorted per the shard.Backend
+// contract (Dist -1 for range-style results); the traversal counters
+// summed over its work units, for the paths that report them; and,
+// when asked, its span tree as JSON, with StartUs relative to the
+// node's own trace start (clocks are not assumed synchronized).
+type Answer struct {
+	Matches []series.Match
+	Stats   *core.Stats
+	Trace   []byte
 }
 
-// Match is one result on the wire. Dist is -1 for range-style results
-// (the engine's "not computed" convention) and the true Chebyshev
-// distance for top-k.
-type Match struct {
-	Start int     `json:"start"`
-	Dist  float64 `json:"dist"`
-}
+var le = binary.LittleEndian
 
-// SearchResponse carries a node's matches (sorted per the
-// shard.Backend contract) and, for the paths that report them, the
-// traversal counters summed over the node's work units.
-type SearchResponse struct {
-	Matches []Match     `json:"matches"`
-	Stats   *core.Stats `json:"stats,omitempty"`
-	// Trace is the node's span subtree for this query, present only
-	// when the request asked for one. Its StartUs values are relative
-	// to the node's own trace start (clocks are not assumed
-	// synchronized); the coordinator grafts it under the replica-
-	// attempt span that won.
-	Trace *obs.Span `json:"trace,omitempty"`
-}
-
-// toWire converts engine matches to wire form.
-func toWire(ms []series.Match) []Match {
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{Start: m.Start, Dist: m.Dist}
+// AppendFrame appends q's frame to b.
+func (q *Request) AppendFrame(b []byte) []byte {
+	b = slices.Grow(b, 39+8*len(q.Query))
+	var flags byte
+	if q.Trace {
+		flags = 1
 	}
-	return out
+	b = append(b, FrameVersion, byte(q.Kind), flags)
+	for _, v := range [...]uint64{math.Float64bits(q.Eps), uint64(q.K), math.Float64bits(q.Bound), uint64(q.LeafBudget)} {
+		b = le.AppendUint64(b, v)
+	}
+	b = le.AppendUint32(b, uint32(len(q.Query)))
+	for _, v := range q.Query {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
 }
 
-// fromWire converts wire matches back to engine form.
-func fromWire(ms []Match) []series.Match {
-	if len(ms) == 0 {
-		return nil
+// ParseRequest decodes a request frame.
+func ParseRequest(b []byte) (Request, error) {
+	f := frame{b: b}
+	f.version()
+	q := Request{Kind: Kind(f.u8()), Trace: f.flag()}
+	q.Eps, q.K, q.Bound, q.LeafBudget = f.f64(), f.int(), f.f64(), f.int()
+	q.Query = make([]float64, f.count(8))
+	for i := range q.Query {
+		q.Query[i] = f.f64()
 	}
-	out := make([]series.Match, len(ms))
-	for i, m := range ms {
-		out[i] = series.Match{Start: m.Start, Dist: m.Dist}
+	return q, f.end()
+}
+
+// AppendFrame appends a's frame to b.
+func (a *Answer) AppendFrame(b []byte) []byte {
+	b = slices.Grow(b, 58+16*len(a.Matches)+len(a.Trace))
+	b = le.AppendUint32(append(b, FrameVersion), uint32(len(a.Matches)))
+	for _, m := range a.Matches {
+		b = le.AppendUint64(le.AppendUint64(b, uint64(m.Start)), math.Float64bits(m.Dist))
 	}
-	return out
+	if a.Stats == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		for _, p := range statsFields(a.Stats) {
+			b = le.AppendUint64(b, uint64(*p))
+		}
+	}
+	return append(le.AppendUint32(b, uint32(len(a.Trace))), a.Trace...)
+}
+
+// ParseAnswer decodes an answer frame. An empty match list is nil, and
+// Trace aliases b.
+func ParseAnswer(b []byte) (Answer, error) {
+	f, a := frame{b: b}, Answer{}
+	f.version()
+	if n := f.count(16); n > 0 {
+		a.Matches = make([]series.Match, n)
+	}
+	for i := range a.Matches {
+		a.Matches[i] = series.Match{Start: f.int(), Dist: f.f64()}
+	}
+	if f.flag() {
+		a.Stats = new(core.Stats)
+		for _, p := range statsFields(a.Stats) {
+			*p = f.int()
+		}
+	}
+	if n := f.count(1); n > 0 {
+		a.Trace = f.next(n)
+	}
+	return a, f.end()
+}
+
+// statsFields lists the frame's six counters in wire order.
+func statsFields(st *core.Stats) [6]*int {
+	return [6]*int{&st.NodesVisited, &st.NodesPruned, &st.LeavesReached,
+		&st.Candidates, &st.Abandons, &st.Results}
+}
+
+// frame is a decoding cursor that refuses another version, a flag byte
+// other than 0 or 1, a truncated frame, bytes after its end, and a
+// count the rest cannot hold (before anything is allocated for it). It
+// keeps the first failure, after which every read returns zeros, so a
+// decoder reads straight through and asks end for the verdict.
+type frame struct {
+	b   []byte
+	err error
+}
+
+var zeros [8]byte
+
+func (f *frame) fail(format string, args ...any) {
+	if f.err == nil {
+		f.err = fmt.Errorf("malformed shard frame: "+format, args...)
+	}
+}
+
+// next consumes n bytes; n ≤ 8 unless a count has vouched for them.
+func (f *frame) next(n int) []byte {
+	if f.err != nil || len(f.b) < n {
+		f.fail("truncated") // unless the frame had already failed
+		return zeros[:n]
+	}
+	p := f.b[:n:n]
+	f.b = f.b[n:]
+	return p
+}
+
+func (f *frame) u8() byte     { return f.next(1)[0] }
+func (f *frame) int() int     { return int(int64(le.Uint64(f.next(8)))) }
+func (f *frame) f64() float64 { return math.Float64frombits(le.Uint64(f.next(8))) }
+
+// flag reads a u8 that must be 0 or 1.
+func (f *frame) flag() bool {
+	v := f.u8()
+	if v > 1 {
+		f.fail("flag byte %d", v)
+	}
+	return v == 1
+}
+
+func (f *frame) version() {
+	if v := f.u8(); v != FrameVersion {
+		f.fail("version %d, this build speaks %d", v, FrameVersion)
+	}
+}
+
+// count reads a u32 count of size-byte elements and checks that the
+// rest of the frame holds them, so a hostile count costs no allocation.
+func (f *frame) count(size int) int {
+	n := uint64(le.Uint32(f.next(4)))
+	if f.err == nil && n*uint64(size) > uint64(len(f.b)) {
+		f.fail("count %d of %d-byte elements in %d bytes", n, size, len(f.b))
+	}
+	if f.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// end reports the first failure, or bytes left after the frame.
+func (f *frame) end() error {
+	if len(f.b) > 0 {
+		f.fail("%d trailing bytes", len(f.b))
+	}
+	return f.err
 }
 
 // NodeHealth is the /healthz shape a shard node reports and a
 // coordinator consumes: enough to cross-check that both sides describe
-// the same index before any query flows.
+// the same index, and speak the same frame, before any query flows.
 type NodeHealth struct {
 	Status      string `json:"status"`
 	Role        string `json:"role"`
 	Name        string `json:"name"`
+	Frame       int    `json:"frame_version"`
 	L           int    `json:"l"`
 	Norm        string `json:"norm"`
 	SeriesLen   int    `json:"series_len"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -78,6 +79,16 @@ func TestNodeHealth(t *testing.T) {
 	}
 }
 
+// postFrame sends one shard RPC request frame to the node at url.
+func postFrame(t *testing.T, url string, q cluster.Request) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+q.Kind.Path(), cluster.FrameContentType, bytes.NewReader(q.AppendFrame(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // TestNodeShardEndpoints round-trips every RPC against the subset's
 // in-process answers — the wire encoding must be lossless.
 func TestNodeShardEndpoints(t *testing.T) {
@@ -85,19 +96,19 @@ func TestNodeShardEndpoints(t *testing.T) {
 	ctx := context.Background()
 	q := ext.ExtractCopy(700, 50)
 
-	post := func(path string, body interface{}) cluster.SearchResponse {
+	post := func(req cluster.Request) cluster.Answer {
 		t.Helper()
-		raw, _ := json.Marshal(body)
-		resp, err := http.Post(url+path, "application/json", bytes.NewReader(raw))
+		resp := postFrame(t, url, req)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", req.Kind.Path(), resp.StatusCode)
+		}
+		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		var out cluster.SearchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		out, err := cluster.ParseAnswer(body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -107,7 +118,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := post("/shard/search", cluster.SearchRequest{Query: q, Eps: 0.4})
+	got := post(cluster.Request{Kind: cluster.KindSearch, Query: q, Eps: 0.4})
 	if len(got.Matches) != len(want) || got.Stats == nil || *got.Stats != wantSt {
 		t.Fatalf("search: %d matches, stats %+v; want %d, %+v", len(got.Matches), got.Stats, len(want), wantSt)
 	}
@@ -121,7 +132,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotK := post("/shard/topk", cluster.TopKRequest{Query: q, K: 5})
+	gotK := post(cluster.Request{Kind: cluster.KindTopK, Query: q, K: 5, Bound: math.Inf(1)})
 	if len(gotK.Matches) != len(wantK) {
 		t.Fatalf("topk: %d matches, want %d", len(gotK.Matches), len(wantK))
 	}
@@ -133,7 +144,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 
 	// A seeded bound must only prune, never add.
 	bound := wantK[len(wantK)-1].Dist
-	gotB := post("/shard/topk", cluster.TopKRequest{Query: q, K: 5, Bound: &bound})
+	gotB := post(cluster.Request{Kind: cluster.KindTopK, Query: q, K: 5, Bound: bound})
 	if len(gotB.Matches) != len(wantK) {
 		t.Fatalf("bounded topk: %d matches, want %d", len(gotB.Matches), len(wantK))
 	}
@@ -142,7 +153,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotP := post("/shard/prefix", cluster.SearchRequest{Query: q[:25], Eps: 0.3})
+	gotP := post(cluster.Request{Kind: cluster.KindPrefix, Query: q[:25], Eps: 0.3})
 	if len(gotP.Matches) != len(wantP) {
 		t.Fatalf("prefix: %d matches, want %d", len(gotP.Matches), len(wantP))
 	}
@@ -151,7 +162,7 @@ func TestNodeShardEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotA := post("/shard/approx", cluster.ApproxRequest{Query: q, Eps: 0.4, LeafBudget: 2 * n.Sub.Windows()})
+	gotA := post(cluster.Request{Kind: cluster.KindApprox, Query: q, Eps: 0.4, LeafBudget: 2 * n.Sub.Windows()})
 	if len(gotA.Matches) != len(wantA) {
 		t.Fatalf("approx: %d matches, want %d", len(gotA.Matches), len(wantA))
 	}
@@ -169,7 +180,7 @@ func TestNodeShardEndpointErrors(t *testing.T) {
 		t.Fatalf("GET /shard/search: %d", resp.StatusCode)
 	}
 	// Malformed body.
-	resp, err = http.Post(url+"/shard/search", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err = http.Post(url+"/shard/search", cluster.FrameContentType, bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +189,13 @@ func TestNodeShardEndpointErrors(t *testing.T) {
 		t.Fatalf("malformed body: %d", resp.StatusCode)
 	}
 	// Wrong query length.
-	raw, _ := json.Marshal(cluster.SearchRequest{Query: []float64{1, 2}, Eps: 0.3})
-	resp, err = http.Post(url+"/shard/search", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postFrame(t, url, cluster.Request{Kind: cluster.KindSearch, Query: []float64{1, 2}, Eps: 0.3})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("short query: %d", resp.StatusCode)
 	}
 	// Non-positive approx budget.
-	raw, _ = json.Marshal(cluster.ApproxRequest{Query: make([]float64, 50), Eps: 0.3, LeafBudget: 0})
-	resp, err = http.Post(url+"/shard/approx", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postFrame(t, url, cluster.Request{Kind: cluster.KindApprox, Query: make([]float64, 50), Eps: 0.3, LeafBudget: 0})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("zero budget: %d", resp.StatusCode)
@@ -250,12 +253,7 @@ func TestDrain(t *testing.T) {
 	// Node handler: same contract for the shard RPC.
 	url, _, ext := newNodeServer(t)
 	nodeHandlers[t.Name()].BeginDrain()
-	q := ext.ExtractCopy(0, 50)
-	raw, _ = json.Marshal(cluster.SearchRequest{Query: q, Eps: 0.3})
-	resp, err = http.Post(url+"/shard/search", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postFrame(t, url, cluster.Request{Kind: cluster.KindSearch, Query: ext.ExtractCopy(0, 50), Eps: 0.3})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining shard/search: %d, want 503", resp.StatusCode)

@@ -8,13 +8,10 @@ import "strconv"
 // The canonical parser treats an unknown key as not canonical, because
 // encoding/json skips its value whatever it is.
 type Fields struct {
-	Query      *[]float64 // "query"
-	Values     *[]float64 // "values"
-	Eps        *float64   // "eps"
-	K          *int       // "k"
-	Bound      **float64  // "bound"
-	LeafBudget *int       // "leaf_budget"
-	Trace      *bool      // "trace"
+	Query  *[]float64 // "query"
+	Values *[]float64 // "values"
+	Eps    *float64   // "eps"
+	K      *int       // "k"
 }
 
 // decodeCanonical parses body in one pass if it has the canonical
@@ -24,11 +21,10 @@ type Fields struct {
 // start from the same zero struct it always started from.
 func decodeCanonical(body []byte, f Fields, l int) bool {
 	var (
-		query, values                                   []float64
-		eps, bound                                      float64
-		k, leaf                                         int
-		trace                                           bool
-		seenQ, seenV, seenE, seenB, seenK, seenL, seenT bool
+		query, values              []float64
+		eps                        float64
+		k                          int
+		seenQ, seenV, seenE, seenK bool
 	)
 	p := parser{b: body}
 	if !p.open('{') {
@@ -49,14 +45,8 @@ func decodeCanonical(body []byte, f Fields, l int) bool {
 			ok, seenV = f.Values != nil && !seenV && p.floats(&values, l), true
 		case "eps":
 			ok, seenE = f.Eps != nil && !seenE && p.float(&eps), true
-		case "bound":
-			ok, seenB = f.Bound != nil && !seenB && p.float(&bound), true
 		case "k":
 			ok, seenK = f.K != nil && !seenK && p.int(&k), true
-		case "leaf_budget":
-			ok, seenL = f.LeafBudget != nil && !seenL && p.int(&leaf), true
-		case "trace":
-			ok, seenT = f.Trace != nil && !seenT && p.bool(&trace), true
 		default:
 			ok = false
 		}
@@ -79,18 +69,8 @@ func decodeCanonical(body []byte, f Fields, l int) bool {
 	if seenE {
 		*f.Eps = eps
 	}
-	if seenB {
-		b := bound // escapes only when a bound came
-		*f.Bound = &b
-	}
 	if seenK {
 		*f.K = k
-	}
-	if seenL {
-		*f.LeafBudget = leaf
-	}
-	if seenT {
-		*f.Trace = trace
 	}
 	return true
 }
@@ -232,19 +212,6 @@ func (p *parser) int(v *int) bool {
 	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
 	*v = int(n)
 	return err == nil
-}
-
-// bool consumes optional whitespace and a true or false literal.
-func (p *parser) bool(v *bool) bool {
-	p.ws()
-	for _, lit := range [...]string{"true", "false"} {
-		if len(p.b)-p.i >= len(lit) && string(p.b[p.i:p.i+len(lit)]) == lit {
-			p.i += len(lit)
-			*v = lit == "true"
-			return true
-		}
-	}
-	return false
 }
 
 // floats consumes an array of numbers into a fresh slice pre-sized to

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// The six request shapes of the two socket layers, tagged as
-// internal/server and internal/cluster tag theirs.
+// The three request shapes of the serving tier, tagged as
+// internal/server tags them.
 type (
 	searchBody struct {
 		Query []float64 `json:"query"`
@@ -22,23 +22,6 @@ type (
 	}
 	appendBody struct {
 		Values []float64 `json:"values"`
-	}
-	shardSearchBody struct {
-		Query []float64 `json:"query"`
-		Eps   float64   `json:"eps"`
-		Trace bool      `json:"trace,omitempty"`
-	}
-	shardTopKBody struct {
-		Query []float64 `json:"query"`
-		K     int       `json:"k"`
-		Bound *float64  `json:"bound,omitempty"`
-		Trace bool      `json:"trace,omitempty"`
-	}
-	shardApproxBody struct {
-		Query      []float64 `json:"query"`
-		Eps        float64   `json:"eps"`
-		LeafBudget int       `json:"leaf_budget"`
-		Trace      bool      `json:"trace,omitempty"`
 	}
 )
 
@@ -59,18 +42,6 @@ var shapes = []struct {
 	{"append", func() (any, Fields) {
 		v := new(appendBody)
 		return v, Fields{Values: &v.Values}
-	}},
-	{"shard/search", func() (any, Fields) {
-		v := new(shardSearchBody)
-		return v, Fields{Query: &v.Query, Eps: &v.Eps, Trace: &v.Trace}
-	}},
-	{"shard/topk", func() (any, Fields) {
-		v := new(shardTopKBody)
-		return v, Fields{Query: &v.Query, K: &v.K, Bound: &v.Bound, Trace: &v.Trace}
-	}},
-	{"shard/approx", func() (any, Fields) {
-		v := new(shardApproxBody)
-		return v, Fields{Query: &v.Query, Eps: &v.Eps, LeafBudget: &v.LeafBudget, Trace: &v.Trace}
 	}},
 }
 
@@ -99,10 +70,6 @@ func sameBits(a, b Fields) bool {
 	}
 	if a.Eps != nil {
 		ok = ok && math.Float64bits(*a.Eps) == math.Float64bits(*b.Eps)
-	}
-	if a.Bound != nil {
-		pa, pb := *a.Bound, *b.Bound
-		ok = ok && (pa == nil) == (pb == nil) && (pa == nil || math.Float64bits(*pa) == math.Float64bits(*pb))
 	}
 	return ok
 }
@@ -154,9 +121,9 @@ var decodeSeeds = []struct {
 	{`{"query":[1,2.5,-3e2],"eps":0.2}`, true},
 	{`{"query":[1,2,3],"k":5}`, true},
 	{`{"values":[0.1,0.2]}`, true},
-	{`{"query":[1],"eps":0.5,"trace":true}`, true},
-	{`{"query":[1],"k":3,"bound":0.25,"trace":false}`, true},
-	{`{"query":[1],"eps":1,"leaf_budget":7}`, true},
+	{`{"values":[1,-2.5e-3,0]}`, true},
+	{`{"k":3,"query":[1]}`, true}, // reordered
+	{`{"query":[0.5],"eps":1e-3}`, true},
 	{`{"eps":0.2,"query":[1,2]}`, true}, // reordered
 	{`{}`, true},
 	{`{"query":[]}`, true}, // empty, not nil
@@ -174,7 +141,7 @@ var decodeSeeds = []struct {
 	{`{"query":[1],"query":null}`, false},                    // duplicate null keeps the first
 	{`{"Query":[1],"EPS":2,"K":3,"Values":[4]}`, false},      // case-insensitive match
 	{`{"qu\u0065ry":[1],"eps":1}`, false},                    // escaped key
-	{`{"query":null,"eps":null,"k":null,"bound":null}`, false},
+	{`{"query":null,"eps":null,"k":null}`, false},
 	{`{"values":null}`, false},
 	{`{"query":[1],"eps":1} trailing`, false},
 	{`{"query":[1],"eps":1}{"query":[2]}`, false},
@@ -185,12 +152,12 @@ var decodeSeeds = []struct {
 	{`{"query":[1],"k":1.0}`, false},
 	{`{"query":[1],"k":1e2}`, false},
 	{`{"query":[1],"k":9223372036854775808}`, false},
-	{`{"query":[1],"leaf_budget":"7"}`, false},
+	{`{"query":[1],"k":"7"}`, false},
 	{`{"query":["1"],"eps":1}`, false},
 	{`{"query":[[1]],"eps":1}`, false},
 	{`{"query":{"0":1},"eps":1}`, false},
-	{`{"query":[1],"trace":1}`, false},
-	{`{"query":[1],"trace":"true"}`, false},
+	{`{"query":[1],"eps":true}`, false},
+	{`{"query":[1],"eps":"0.5"}`, false},
 	{`{"query":[01]}`, false},
 	{`{"query":[+1]}`, false},
 	{`{"query":[.5]}`, false},
@@ -211,8 +178,8 @@ var decodeSeeds = []struct {
 	{`{"query" [1]}`, false},
 	{`{"query":[1]"eps":1}`, false},
 	{`{query:[1]}`, false},
-	{`{"query":[1],"trace":truex}`, false},
-	{`{"query":[1],"trace":tru`, false},
+	{`{"query":[1],"eps":0.5x}`, false},
+	{`{"query":[1],"eps":0.`, false},
 	{`{"query":[1,2`, false},
 	{`{"query":[1,2]`, false},
 	{`{"query":[1.5`, false},

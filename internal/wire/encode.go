@@ -8,11 +8,11 @@ import (
 )
 
 // appendMatches appends ms as [{"start":S,"dist":D},...] — the bytes
-// encoding/json produces for both layers' match structs. omitNegDist
-// writes the dist key only when Dist >= 0 (the serving tier's omitempty
-// on "not computed"). It reports false when a distance that must be
-// written is NaN or infinite, which encoding/json refuses to encode.
-func appendMatches(b []byte, ms []series.Match, omitNegDist bool) ([]byte, bool) {
+// encoding/json produces for the serving tier's match struct, whose
+// omitempty writes the dist key only when Dist >= 0 ("not computed" is
+// negative). It reports false when a distance that must be written is
+// NaN or infinite, which encoding/json refuses to encode.
+func appendMatches(b []byte, ms []series.Match) ([]byte, bool) {
 	b = append(b, '[')
 	for i, m := range ms {
 		if i > 0 {
@@ -20,7 +20,7 @@ func appendMatches(b []byte, ms []series.Match, omitNegDist bool) ([]byte, bool)
 		}
 		b = append(b, `{"start":`...)
 		b = strconv.AppendInt(b, int64(m.Start), 10)
-		if !omitNegDist || m.Dist >= 0 {
+		if m.Dist >= 0 {
 			if math.IsNaN(m.Dist) || math.IsInf(m.Dist, 0) {
 				return b, false
 			}

@@ -13,8 +13,7 @@ import (
 	"twinsearch/internal/series"
 )
 
-// The two answer shapes as internal/server and internal/cluster
-// declare them for encoding/json.
+// The answer shape as internal/server declares it for encoding/json.
 type (
 	answerMatch struct {
 		Start int      `json:"start"`
@@ -23,15 +22,6 @@ type (
 	answer struct {
 		Count   int           `json:"count"`
 		Matches []answerMatch `json:"matches"`
-	}
-	shardMatch struct {
-		Start int     `json:"start"`
-		Dist  float64 `json:"dist"`
-	}
-	shardStats  struct{ NodesVisited, Results int }
-	shardAnswer struct {
-		Matches []shardMatch `json:"matches"`
-		Stats   *shardStats  `json:"stats,omitempty"`
 	}
 )
 
@@ -43,14 +33,6 @@ func stdlibAnswer(ms []series.Match) answer {
 			d := m.Dist
 			ref.Matches[i].Dist = &d
 		}
-	}
-	return ref
-}
-
-func stdlibShardAnswer(ms []series.Match, st *shardStats) shardAnswer {
-	ref := shardAnswer{Matches: make([]shardMatch, len(ms)), Stats: st}
-	for i, m := range ms {
-		ref.Matches[i] = shardMatch{Start: m.Start, Dist: m.Dist}
 	}
 	return ref
 }
@@ -95,21 +77,6 @@ func TestAppendMatchesMatchesStdlib(t *testing.T) {
 			t.Fatalf("n=%d: WriteAnswer differs from encoding/json\n got %.300s\nwant %.300s", n, rec.Body.Bytes(), want)
 		}
 		checkHeaders(t, rec)
-
-		for _, st := range []*shardStats{nil, {NodesVisited: 12, Results: n}} {
-			rec := httptest.NewRecorder()
-			var stats any
-			if st != nil {
-				stats = st
-			}
-			if !WriteShardAnswer(rec, ms, stats) {
-				t.Fatalf("n=%d: WriteShardAnswer declined a finite answer", n)
-			}
-			if want := encodeStdlib(t, stdlibShardAnswer(ms, st)); !bytes.Equal(rec.Body.Bytes(), want) {
-				t.Fatalf("n=%d: WriteShardAnswer differs from encoding/json\n got %.300s\nwant %.300s", n, rec.Body.Bytes(), want)
-			}
-			checkHeaders(t, rec)
-		}
 	}
 	// A nil slice is an empty list on both layers (they build the list
 	// with make), never null.
@@ -129,7 +96,7 @@ func checkHeaders(t *testing.T, rec *httptest.ResponseRecorder) {
 }
 
 // TestWriteAnswerDeclines: a distance encoding/json would refuse makes
-// the fast writers report false with nothing written, so the caller's
+// the fast writer report false with nothing written, so the caller's
 // encoding/json path answers exactly as it used to.
 func TestWriteAnswerDeclines(t *testing.T) {
 	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -146,14 +113,6 @@ func TestWriteAnswerDeclines(t *testing.T) {
 		} else if rec.Body.Len() != 0 || len(rec.Header()) != 0 {
 			t.Fatalf("WriteAnswer(dist %v) declined after writing %q %v", d, rec.Body.Bytes(), rec.Header())
 		}
-		rec = httptest.NewRecorder()
-		if WriteShardAnswer(rec, ms, nil) || rec.Body.Len() != 0 || len(rec.Header()) != 0 {
-			t.Fatalf("WriteShardAnswer(dist %v) wrote %q %v", d, rec.Body.Bytes(), rec.Header())
-		}
-	}
-	rec := httptest.NewRecorder()
-	if WriteShardAnswer(rec, nil, math.NaN()) || rec.Body.Len() != 0 {
-		t.Fatalf("WriteShardAnswer with unencodable stats wrote %q", rec.Body.Bytes())
 	}
 }
 

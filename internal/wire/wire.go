@@ -1,39 +1,30 @@
-// Package wire owns the bytes of every query body the two socket
-// layers exchange: internal/server's /search, /topk and /append, and
-// internal/cluster's shard RPC (/shard/search|topk|prefix|approx).
-// Before it, both layers pushed every body through encoding/json's
-// reflection three times over; on a cache-hit query that decode, not
-// the index, was more than half of the request.
+// Package wire owns the bytes of the serving tier's query bodies —
+// internal/server's /search, /topk and /append — and what both socket
+// layers share: the body limit and reader, and the JSON error. (The
+// shard RPC's binary frame is internal/cluster's.)
 //
-// The wire format is unchanged — it is still the JSON the README
-// documents, and encoding/json still defines it. The package adds a
-// fast path on each side of a request and keeps encoding/json as the
-// fallback and the differential reference:
+// The format is the JSON the README documents, defined by encoding/json;
+// the package adds a fast path on each side and keeps encoding/json as
+// the fallback and the differential reference:
 //
-//   - Requests. ReadRequest buffers the body once (bounded by
-//     MaxBodyBytes) and tries a single-pass parse of the canonical
-//     shape: one object, the endpoint's known lower-case keys each at
-//     most once, arrays of JSON-grammar numbers, number / true / false
-//     scalars, only whitespace after the closing brace. Every number is
-//     converted by strconv.ParseFloat / ParseInt over the token's own
-//     bytes, exactly as encoding/json converts it. Anything else — an
-//     unknown, duplicate, upper-case or escaped key, null, a string, a
-//     number out of range, a truncated body, bytes after the object —
-//     is "not canonical", and the same buffered bytes go through
-//     json.NewDecoder(...).Decode into the endpoint's tagged struct, as
-//     they always did. The fast path therefore never rejects a body and
-//     never words an error: what was accepted, refused and said before
-//     is accepted, refused and said identically, by construction.
-//   - Answers. WriteAnswer and WriteShardAnswer append an untraced
-//     match list with strconv (encoding/json's exact float format) into
-//     a pooled buffer and write it once with Content-Length. They
-//     decline — and the caller encodes with encoding/json — when a
-//     distance is not a JSON number; traced answers always take
-//     encoding/json.
+//   - Requests. ReadRequest buffers the body once and tries a
+//     single-pass parse of the canonical shape: one object, the
+//     endpoint's lower-case keys at most once each, arrays of
+//     JSON-grammar numbers, number scalars, only whitespace after it,
+//     every number converted by strconv exactly as encoding/json
+//     converts it. Anything else — an unknown, duplicate, upper-case or
+//     escaped key, null, a string, an out-of-range number, a truncated
+//     body, bytes after the object — goes, as the same bytes, through
+//     json.NewDecoder into the endpoint's tagged struct: what is
+//     accepted, refused and said is encoding/json's, by construction.
+//   - Answers. WriteAnswer appends an untraced match list in
+//     encoding/json's float format into a pooled buffer and writes it
+//     once with Content-Length, declining (the caller then encodes with
+//     encoding/json) when a distance is not a JSON number.
 //
 // Which path runs is decided by the bytes alone, never by an option.
-// FuzzDecodeRequest and TestAppendMatchesMatchesStdlib hold the two
-// fast paths to the reference.
+// FuzzDecodeRequest and TestAppendMatchesMatchesStdlib hold both fast
+// paths to the reference.
 package wire
 
 import (
@@ -49,9 +40,9 @@ import (
 	"twinsearch/internal/series"
 )
 
-// MaxBodyBytes bounds a request body. /append legitimately carries
-// long value arrays, so the bound is generous; past it the answer is
-// 413 and the connection closes.
+// MaxBodyBytes bounds every body ReadBody reads. /append legitimately
+// carries long value arrays, so the bound is generous; past it a
+// request is answered 413.
 const MaxBodyBytes = 64 << 20
 
 // maxPooledBytes keeps an outsized body or answer from pinning its
@@ -81,7 +72,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // WriteError answers {"error": err.Error()}, the form every client of
-// both socket layers decodes.
+// both socket layers decodes — the shard RPC's refusals included.
 func WriteError(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, struct {
 		Error string `json:"error"`
@@ -99,7 +90,7 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, std any, f Fields, l in
 		return false
 	}
 	p := getBuf()
-	body, err := readBody(w, r, *p)
+	body, err := ReadBody(r.Body, r.ContentLength, *p)
 	if err == nil {
 		err = decodeRequest(body, std, f, l)
 	}
@@ -116,28 +107,30 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, std any, f Fields, l in
 	return false
 }
 
-// readBody appends the whole request body to buf, refusing one longer
-// than MaxBodyBytes — up front when the client declared its length.
-func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
-	if r.ContentLength > MaxBodyBytes {
+// ReadBody appends a whole body of declared length (-1: undeclared) to
+// buf, refusing one longer than MaxBodyBytes with an *http.MaxBytesError
+// — up front when its length is declared. Both socket layers and the
+// coordinator reading a node's answer read through it.
+func ReadBody(body io.Reader, declared int64, buf []byte) ([]byte, error) {
+	if declared > MaxBodyBytes {
 		return buf, &http.MaxBytesError{Limit: MaxBodyBytes}
 	}
-	// Room for the declared length plus the read that reports EOF; for
-	// an undeclared one (-1), enough that the first reads are not tiny.
-	if n := max(int(r.ContentLength)+1, 512); n > cap(buf) {
+	// Room for the declared length plus the read that reports EOF, but
+	// at most 64 KiB on a peer's word: past that, buf grows as bytes come.
+	if n := int(min(max(declared+1, 512), 1<<16)); n > cap(buf) {
 		buf = make([]byte, 0, n)
 	}
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	lr := io.LimitedReader{R: body, N: MaxBodyBytes + 1} // read directly, so it stays on the stack
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		if buf = buf[:len(buf)+n]; len(buf) > MaxBodyBytes {
+			return buf, &http.MaxBytesError{Limit: MaxBodyBytes}
+		} else if err == io.EOF {
 			return buf, nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return buf, err
 		}
 	}
@@ -161,29 +154,7 @@ func WriteAnswer(w http.ResponseWriter, ms []series.Match) bool {
 	b := append(*p, `{"count":`...)
 	b = strconv.AppendInt(b, int64(len(ms)), 10)
 	b = append(b, `,"matches":`...)
-	b, ok := appendMatches(b, ms, true)
-	if ok {
-		b = append(b, "}\n"...)
-		writeBody(w, b)
-	}
-	putBuf(p, b)
-	return ok
-}
-
-// WriteShardAnswer writes the shard RPC's untraced answer,
-// {"matches":[{"start":S,"dist":D},...],"stats":{...}}: Dist always
-// present, stats (the path's traversal counters, encoded by
-// encoding/json) only when non-nil. It reports false, having written
-// nothing, when a distance or stats has no JSON form.
-func WriteShardAnswer(w http.ResponseWriter, ms []series.Match, stats any) bool {
-	p := getBuf()
-	b := append(*p, `{"matches":`...)
-	b, ok := appendMatches(b, ms, false)
-	if ok && stats != nil {
-		sb, err := json.Marshal(stats)
-		ok = err == nil
-		b = append(append(b, `,"stats":`...), sb...)
-	}
+	b, ok := appendMatches(b, ms)
 	if ok {
 		b = append(b, "}\n"...)
 		writeBody(w, b)
