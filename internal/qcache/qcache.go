@@ -7,11 +7,11 @@
 // the traversal entirely) for as long as the answer still holds.
 //
 // Both caches are striped LRU maps: a key is routed to one of a fixed
-// number of stripes by an FNV-1a hash, so the hot path takes one
-// stripe mutex, never a global one, and concurrent lookups of
-// different queries proceed in parallel. Keys are the exact query
-// bytes (plus parameters), compared by Go's string equality — a hash
-// collision can cost a miss, never a wrong answer.
+// number of stripes by a multiplicative hash over its 8-byte words, so
+// the hot path takes one stripe mutex, never a global one, and
+// concurrent lookups of different queries proceed in parallel. Keys are
+// the exact query bytes (plus parameters), compared by Go's string
+// equality — a hash collision can cost a miss, never a wrong answer.
 //
 // Invalidation is structural, not scan-based, and an entry carries its
 // index version in one of two places. The index is append-only: windows
@@ -35,6 +35,7 @@ import (
 	"container/list"
 	"encoding/binary"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -47,16 +48,30 @@ import (
 // for distinct queries hash to distinct stripes with high probability)
 // while the per-stripe LRU lists stay long enough to approximate a
 // global LRU.
-const stripeCount = 16
+const (
+	stripeBits  = 4
+	stripeCount = 1 << stripeBits
+)
 
-// stripeOf routes a key to its stripe: FNV-1a over the key bytes.
+// stripeOf routes a key to its stripe: each little-endian 8-byte word
+// (then each byte of a ragged tail) is xored in and multiplied by an
+// odd constant, and the top bits of a final fold pick the stripe — a
+// product's low bits see only its operands' low bits, and the low
+// mantissa bits of integral values are all zero.
 func stripeOf(key string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+	const m = 0x9E3779B97F4A7C15 // 2^64 / the golden ratio, odd
+	h := uint64(len(key))
+	i := 0
+	for ; i+8 <= len(key); i += 8 {
+		w := key[i : i+8]
+		h = (h ^ (uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+			uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56)) * m
 	}
-	return int(h % stripeCount)
+	for ; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * m
+	}
+	h = (h ^ h>>32) * m
+	return int(h >> (64 - stripeBits))
 }
 
 // Stats is a point-in-time snapshot of one cache's counters. Hits,
@@ -80,11 +95,19 @@ type Stats struct {
 // transformation, and (at a fixed epoch and parameter set) the answer
 // are identical too.
 func QueryKey(q []float64) string {
-	b := make([]byte, 8*len(q))
-	for i, v := range q {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
+	var b strings.Builder
+	b.Grow(8 * len(q))
+	writeBits(&b, q)
+	return b.String()
+}
+
+// writeBits writes the little-endian bit pattern of each value of q.
+func writeBits(b *strings.Builder, q []float64) {
+	var w [8]byte
+	for _, v := range q {
+		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+		b.Write(w[:])
 	}
-	return string(b)
 }
 
 // resultKeyHeader is the length of a ResultKey's fixed part: path tag,
@@ -117,15 +140,16 @@ const (
 // reach a pre-mutation entry. An answer that carries its version in
 // Result.Windows instead is keyed with epoch 0 throughout.
 func ResultKey(path Path, epoch uint64, a, b float64, q []float64) string {
-	buf := make([]byte, resultKeyHeader+8*len(q))
-	buf[0] = byte(path)
-	binary.LittleEndian.PutUint64(buf[1:], epoch)
-	binary.LittleEndian.PutUint64(buf[9:], math.Float64bits(a))
-	binary.LittleEndian.PutUint64(buf[17:], math.Float64bits(b))
-	for i, v := range q {
-		binary.LittleEndian.PutUint64(buf[resultKeyHeader+i*8:], math.Float64bits(v))
-	}
-	return string(buf)
+	var head [resultKeyHeader]byte
+	head[0] = byte(path)
+	binary.LittleEndian.PutUint64(head[1:], epoch)
+	binary.LittleEndian.PutUint64(head[9:], math.Float64bits(a))
+	binary.LittleEndian.PutUint64(head[17:], math.Float64bits(b))
+	var k strings.Builder // one allocation, no copy into the string
+	k.Grow(resultKeyHeader + 8*len(q))
+	k.Write(head[:])
+	writeBits(&k, q)
+	return k.String()
 }
 
 // PlanCache is the striped LRU of prepared queries: raw query bytes →

@@ -50,6 +50,27 @@ func TestQueryKeyOfIsTheResultKeyTail(t *testing.T) {
 	}
 }
 
+// TestStripesSpread: keys that differ only in high bits of one word —
+// integral values, whose low mantissa bits are all zero, and eps
+// steps — still reach every stripe.
+func TestStripesSpread(t *testing.T) {
+	for name, key := range map[string]func(i int) string{
+		"query": func(i int) string { return QueryKey([]float64{float64(i), 1, 2}) },
+		"eps":   func(i int) string { return ResultKey(PathSearch, 0, float64(i)/8, 0, []float64{1, 2, 3}) },
+	} {
+		var hit [stripeCount]int
+		for i := 0; i < 64*stripeCount; i++ {
+			hit[stripeOf(key(i))]++
+		}
+		for s, n := range hit {
+			if n < 32 { // half the even share
+				t.Errorf("%s: stripe %d got %d of %d keys: %v", name, s, n, 64*stripeCount, hit)
+				break
+			}
+		}
+	}
+}
+
 func TestPlanCacheLRU(t *testing.T) {
 	c := NewPlan(stripeCount) // one entry per stripe
 	// Find two keys landing on the same stripe so the second insert

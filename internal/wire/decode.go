@@ -136,66 +136,110 @@ func (p *parser) key() ([]byte, bool) {
 	return key, p.open(':')
 }
 
-// number consumes optional whitespace and one token of the JSON number
-// grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, reporting
-// whether it had no fraction and no exponent. strconv accepts more
-// than the grammar (+1, .5, 1., 0x1p-2, inf), so the grammar is checked
-// here; whatever follows the token is checked by the caller's next.
-func (p *parser) number() (tok []byte, integer, ok bool) {
+// maxMantDigits is how many significant digits a uint64 mantissa
+// holds without overflow: 10^19 < 2^64.
+const maxMantDigits = 19
+
+// number is one token of the JSON number grammar as scan read it:
+// ±man·10^exp10 is its value unless long.
+type number struct {
+	man     uint64 // the significant digits
+	exp10   int    // the power of ten man is scaled by
+	neg     bool   // a leading '-'
+	long    bool   // more than maxMantDigits significant digits: man wrapped around
+	integer bool   // no fraction and no exponent
+}
+
+// scan consumes optional whitespace and one token of the JSON number
+// grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, reading its
+// value as it goes; it returns the value read and the token's bytes.
+// strconv accepts more than the grammar (+1, .5, 1., 0x1p-2, inf), so
+// the grammar is checked here and nowhere else; whatever follows the
+// token is checked by the caller's next. An exponent is clamped at
+// 10000 as strconv clamps it, so the two read even a token like
+// 0.(20 000 zeros)1e199900 alike.
+func (p *parser) scan() (n number, tok []byte, ok bool) {
 	p.ws()
 	b, i := p.b, p.i
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
+	var man uint64
+	nd := 0 // significant digits
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
-	default:
-		return nil, false, false
-	}
-	integer = true
-	if i < len(b) && b[i] == '.' {
-		integer = false
-		j := digits(b, i+1)
-		if j == i+1 {
-			return nil, false, false
+		start := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			man = man*10 + uint64(b[i]-'0')
 		}
-		i = j
+		nd = i - start
+	default:
+		return n, nil, false
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integer = false
+	n.integer = true
+	if i < len(b) && b[i] == '.' {
+		n.integer = false
 		i++
+		frac := i
+		if nd == 0 {
+			for i < len(b) && b[i] == '0' { // not significant: 0.000123
+				i++
+			}
+		}
+		sig := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			man = man*10 + uint64(b[i]-'0')
+		}
+		if i == frac {
+			return n, nil, false
+		}
+		nd += i - sig
+		n.exp10 = frac - i
+	}
+	n.man, n.long = man, nd > maxMantDigits
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		n.integer = false
+		i++
+		neg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		j := digits(b, i)
-		if j == i {
-			return nil, false, false
+		e, j := 0, i
+		for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
+			if e < 10000 {
+				e = e*10 + int(b[j]-'0')
+			}
 		}
+		if j == i {
+			return n, nil, false
+		}
+		if neg {
+			e = -e
+		}
+		n.exp10 += e
 		i = j
 	}
-	tok = b[p.i:i]
-	p.i = i
-	return tok, integer, true
-}
-
-// digits returns the index after the run of decimal digits at b[i:].
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	tok, p.i = b[p.i:i], i
+	return n, tok, true
 }
 
 // float consumes a number the way encoding/json stores one in a
-// float64: strconv.ParseFloat over the token, any error (1e999 is out
-// of range) making the body encoding/json's to refuse.
+// float64, as the bits strconv.ParseFloat gives for the token:
+// Eisel–Lemire's when the mantissa fits and it decides, else strconv's
+// own, any error (1e999 is out of range) making the body encoding/json's
+// to refuse.
 func (p *parser) float(v *float64) bool {
-	tok, _, ok := p.number()
+	n, tok, ok := p.scan()
 	if !ok {
 		return false
+	}
+	if !n.long {
+		if *v, ok = eiselLemire(n.man, n.exp10, n.neg); ok {
+			return true
+		}
 	}
 	var err error
 	*v, err = strconv.ParseFloat(string(tok), 64)
@@ -205,12 +249,12 @@ func (p *parser) float(v *float64) bool {
 // int consumes a number the way encoding/json stores one in an int:
 // strconv.ParseInt over the token, so 1.0 and 1e2 are not ints.
 func (p *parser) int(v *int) bool {
-	tok, integer, ok := p.number()
-	if !ok || !integer {
+	n, tok, ok := p.scan()
+	if !ok || !n.integer {
 		return false
 	}
-	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	*v = int(n)
+	i, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	*v = int(i)
 	return err == nil
 }
 

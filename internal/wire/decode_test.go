@@ -133,6 +133,8 @@ var decodeSeeds = []struct {
 	{`{"query":[-0,0,-0.0,1E+5,1e-5,1.5E-3],"eps":-0}`, true},
 	{`{"query":[1234567890123456789012345678901234567890,0.1234567890123456789012345678901234567890],"eps":1}`, true},
 	{`{"query":[5e-324,1.7976931348623157e308,2.2250738585072014e-308,1e-400],"eps":1}`, true},
+	{`{"query":[1.00000000000000011102230246251565404236316680908203125,9007199254740993],"eps":1}`, true}, // long mantissas: strconv converts
+	{`{"query":[4.9e-324,-2.2250738585072011e-308],"eps":1}`, true},                                        // subnormals: strconv converts
 	{`{"query":[1],"k":-0}`, true},
 	{`{"query":[1],"k":9223372036854775807}`, true},
 	// Valid for encoding/json, not canonical: the fallback's.
@@ -149,6 +151,7 @@ var decodeSeeds = []struct {
 	// Refused by encoding/json: the fallback words the error.
 	{`{"query":[1e999],"eps":1}`, false},
 	{`{"query":[1],"eps":-1e999}`, false},
+	{`{"query":[1,1.7976931348623159e308],"eps":1}`, false}, // rounds past MaxFloat64
 	{`{"query":[1],"k":1.0}`, false},
 	{`{"query":[1],"k":1e2}`, false},
 	{`{"query":[1],"k":9223372036854775808}`, false},

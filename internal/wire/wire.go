@@ -10,13 +10,18 @@
 //   - Requests. ReadRequest buffers the body once and tries a
 //     single-pass parse of the canonical shape: one object, the
 //     endpoint's lower-case keys at most once each, arrays of
-//     JSON-grammar numbers, number scalars, only whitespace after it,
-//     every number converted by strconv exactly as encoding/json
-//     converts it. Anything else — an unknown, duplicate, upper-case or
-//     escaped key, null, a string, an out-of-range number, a truncated
-//     body, bytes after the object — goes, as the same bytes, through
-//     json.NewDecoder into the endpoint's tagged struct: what is
-//     accepted, refused and said is encoding/json's, by construction.
+//     JSON-grammar numbers, number scalars, only whitespace after it.
+//     One scanner checks each number's grammar while it reads up to 19
+//     significant digits and the decimal exponent, and Eisel–Lemire
+//     converts them to the nearest float64; the rare token it cannot
+//     decide (more digits, a halfway case, a subnormal or out-of-range
+//     value) goes to strconv.ParseFloat, so every number comes out as
+//     the bits encoding/json's strconv call gives. Anything else — an
+//     unknown, duplicate, upper-case or escaped key, null, a string, an
+//     out-of-range number, a truncated body, bytes after the object —
+//     goes, as the same bytes, through json.NewDecoder into the
+//     endpoint's tagged struct: what is accepted, refused and said is
+//     encoding/json's, by construction.
 //   - Answers. WriteAnswer appends an untraced match list in
 //     encoding/json's float format into a pooled buffer and writes it
 //     once with Content-Length, declining (the caller then encodes with
@@ -24,7 +29,7 @@
 //
 // Which path runs is decided by the bytes alone, never by an option.
 // FuzzDecodeRequest and TestAppendMatchesMatchesStdlib hold both fast
-// paths to the reference.
+// paths to the reference, TestParseFloatMatchesStrconv the conversion.
 package wire
 
 import (
