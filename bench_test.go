@@ -776,7 +776,10 @@ func BenchmarkFrozenArena(b *testing.B) {
 		fz := benchTS(b, ds, series.NormGlobal, harness.DefaultL)
 		nodes := float64(fz.NodeCount())
 		b.Run(ds.name+"/freeze", func(b *testing.B) {
-			ix := fz.Thaw()
+			ix, err := core.Build(ext, core.Config{L: harness.DefaultL})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ix.Freeze()

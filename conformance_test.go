@@ -17,9 +17,10 @@ package twinsearch
 // backing or the coordinator. On the planted-duplicates input the
 // appendable backings then take an append leg: a short chunk, a seventh
 // copy of the duplicated window (cached range and top-k answers are
-// extended over it), then more than maxTailScan windows (they are
-// recomputed); after each, every path is the definition's over the
-// grown series.
+// extended over it; every traversal scans it as the index's tail), then
+// more than maxTailScan windows (cached answers are recomputed, and the
+// tail is compacted into the last shard); after each, every path is the
+// definition's over the grown series.
 
 import (
 	"bytes"
@@ -192,9 +193,14 @@ func TestConformance(t *testing.T) {
 							}
 							// The append leg: after each chunk, every path on the
 							// first query, whose window the short chunk repeats.
-							for _, chunk := range [][]float64{qs[0], datasets.EEGN(31, maxTailScan+1)} {
+							// The short chunk stays in the tail; the long one
+							// carries it past the compaction bound.
+							for i, chunk := range [][]float64{qs[0], datasets.EEGN(31, maxTailScan+1)} {
 								if err := eng.Append(chunk...); err != nil {
 									t.Fatal(err)
+								}
+								if tail, want := eng.ServingStats().TailWindows, []int{len(chunk), 0}[i]; tail != want {
+									t.Fatalf("append %d left %d windows in the tail, want %d", i, tail, want)
 								}
 								c.phase++
 								c.check(qs[:1])

@@ -23,7 +23,9 @@ import (
 // OpenSaved). The frozen arenas go to disk as they are — the flat
 // arrays, so loading is a few sequential reads per shard: a single
 // index as its one shard's bare TSFZ v3 stream, a partitioned one as
-// the TSSH v4 container around its segments. These two are the only
+// the TSSH v4 container around its segments. Windows appended since the
+// last compaction are compacted into the last shard first, so the file
+// is what a build over the grown series writes. These two are the only
 // formats there are: what SaveIndex writes is what OpenSaved reads.
 func (e *Engine) SaveIndex(w io.Writer) error {
 	if e.closed.Load() {
@@ -33,6 +35,10 @@ func (e *Engine) SaveIndex(w io.Writer) error {
 		return errors.New("twinsearch: a cluster-backed engine serves an already-saved index; save from the process that built it")
 	}
 	if e.sh.NumShards() == 1 {
+		// A single index is saved as its one arena, tail folded in.
+		if err := e.sh.Compact(); err != nil {
+			return err
+		}
 		_, err := e.sh.Shard(0).WriteTo(w)
 		return err
 	}
@@ -310,20 +316,19 @@ func (e *Engine) searchApproxPreparedCtx(ctx context.Context, tq []float64, eps 
 // every query — and a call carrying one is refused whole: nothing is
 // appended, indexed or invalidated.
 //
-// Searches run over frozen arenas, so insertion works on the owning
-// shard's mutable pointer tree (shard.Index.Insert thaws it from the
-// arena on the first Append and keeps it resident — a streaming engine
-// holds both forms). The arena is not recompiled here: Append only
-// marks it stale, and the next search that traverses re-freezes once,
-// so appending value by value costs the insertions alone however the
-// appends are batched.
+// The windows gained join the index's tail (see shard.Index): every
+// search traverses the frozen arenas and scans the tail, so an Append
+// costs the series' growth and nothing else until the tail outgrows
+// its compaction bound — more than 4 096 windows and more than 1/16 of
+// the last shard's — when this Append rebuilds the last shard over its
+// range and the tail (shard.Index.Compact). An engine opened by mapping
+// appends in place: only that rebuild moves the last shard to the heap.
 //
 // Windows already indexed are untouched — the normalization basis is
 // frozen, or per window — which is what lets the result cache keep its
 // Search and SearchTopK entries across an Append and verify only the
-// windows gained (see searchCached); a search served that way does not
-// traverse, so it does not pay the re-freeze either. Everything else
-// cached is invalidated by the epoch bump.
+// windows gained (see searchCached). Everything else cached is
+// invalidated by the epoch bump.
 func (e *Engine) Append(values ...float64) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -337,19 +342,14 @@ func (e *Engine) Append(values ...float64) error {
 	if i := nonFinite(values); i >= 0 {
 		return fmt.Errorf("twinsearch: non-finite appended value %v at position %d; clean or impute missing samples first", values[i], i)
 	}
-	oldLen := e.ext.Len()
 	e.ext.Append(values...)
-	// Windows [oldLen-L+1, newLen-L] are newly complete.
-	for p := max(oldLen-e.opt.L+1, 0); p+e.opt.L <= e.ext.Len(); p++ {
-		e.sh.Insert(p)
-	}
 	// The index content changed: bump the epoch before returning so no
 	// consumer that observed the Append can build an epoch-bearing
 	// result-cache key an older answer satisfies (the server's /append
 	// handler relies on the bump landing before its response is
 	// written). The entries keyed without it see the new window count.
 	e.epoch.Add(1)
-	return nil
+	return e.sh.Extend()
 }
 
 type BatchResult struct {

@@ -23,8 +23,8 @@ package core
 // counters can, upward, when the slack admits a node the exact bound
 // would have pruned. The kernels widen each bound in the register it is
 // loaded into and compute in float64 (kernel.DistFlat32 and friends);
-// the pointer tree keeps float64 bounds, which Thaw recomputes from the
-// series rather than reading back.
+// only the pointer tree, which exists to be built and frozen, holds
+// float64 bounds.
 //
 // The traversals use the layout that way: a node's children are one
 // contiguous run of bound rows, so every search path scores them at
@@ -40,10 +40,11 @@ package core
 // index ranges prefix-contiguous — node i+1's children start where node
 // i's ended — which Freeze exploits and CheckInvariants enforces.
 //
-// The arena is the only searchable form: the pointer tree builds and
-// appends, Freeze compiles it, and every query — range (Algorithm 1),
-// top-k, prefix, approximate — walks the arrays below, one traversal per
-// path. What each walk visits, in what order, is pinned by
+// The arena is the only searchable form, and nothing mutates it: the
+// pointer tree builds, Freeze compiles it (an index that grows scans
+// its new windows as a tail until a rebuild; see internal/shard), and
+// every query — range (Algorithm 1), top-k, prefix, approximate — walks
+// the arrays below, one traversal per path. What each walk visits, in what order, is pinned by
 // TestTraversalGoldenStats; what it answers, by internal/oracle.
 
 import (
@@ -52,15 +53,13 @@ import (
 	"unsafe"
 
 	"twinsearch/internal/arena"
-	"twinsearch/internal/mbts"
 	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
 )
 
 // Frozen is the flat, read-only, searchable form of a built TS-Index.
-// Construct with Index.Freeze or FrozenFromArena; mutate by Thaw-ing
-// back to a pointer Index, inserting, and re-freezing (Thaw builds fresh
-// nodes, so mutation never writes through a file mapping).
+// Construct with Index.Freeze or FrozenFromArena; nothing writes to it
+// afterwards, so a view into a file mapping is never written through.
 type Frozen struct {
 	ext    *series.Extractor
 	cfg    Config
@@ -91,7 +90,7 @@ type Frozen struct {
 
 // Freeze compiles the pointer tree into its flat arena form. The index
 // must not be mutated while freezing; the result shares nothing with
-// the source tree and stays valid across later Inserts into it.
+// the source tree.
 func (ix *Index) Freeze() *Frozen {
 	f := &Frozen{ext: ix.ext, cfg: ix.cfg, size: ix.size, height: ix.height}
 	if ix.root == nil {
@@ -138,51 +137,6 @@ func (ix *Index) Freeze() *Frozen {
 	return f
 }
 
-// Thaw reconstructs a mutable pointer Index from the arena — the
-// insertion path for frozen or loaded indexes: thaw, Insert, re-Freeze.
-// The arena gives the tree's shape; its narrowed bounds are not read.
-// Every pointer-tree bound is the exact envelope of the windows beneath
-// it, so the bounds are recomputed from the series bottom-up (children
-// follow their parent in BFS order, hence the descending walk) and come
-// out bit for bit as the builder had them: append after thaw ≡ rebuild.
-// A first, ascending walk gives each internal node a block sized to its
-// children and each child its row there, so every bound is computed in
-// place (a block grows when a later insert needs a row past it: adopt).
-func (f *Frozen) Thaw() *Index {
-	ix := newIndex(f.ext, f.cfg)
-	ix.size, ix.height = f.size, f.height
-	nn, l := len(f.first), f.cfg.L
-	if nn == 0 {
-		return ix
-	}
-	nodes := make([]*node, nn)
-	nodes[0] = &node{bounds: ix.top.Row(0, l)}
-	for i, n := range nodes {
-		lo, c := f.first[i], f.count[i]
-		if n.leaf = f.isLeaf(int32(i)); n.leaf {
-			n.positions = append([]int32(nil), f.positions[lo:lo+c]...)
-			continue
-		}
-		n.rows = mbts.New(int(c) * l)
-		for j := range int(c) {
-			nodes[int(lo)+j] = &node{bounds: n.rows.Row(j, l)}
-		}
-		n.children = append([]*node(nil), nodes[lo:lo+c]...)
-	}
-	for i := nn - 1; i >= 0; i-- {
-		if n := nodes[i]; n.leaf {
-			ix.enclose(n)
-		} else {
-			n.bounds.CopyFrom(n.rows.Row(0, l))
-			for j := 1; j < len(n.children); j++ {
-				n.bounds.ExpandToMBTS(n.rows.Row(j, l))
-			}
-		}
-	}
-	ix.root = nodes[0]
-	return ix
-}
-
 func (f *Frozen) boundsUpper(i int32) []float32 {
 	l := int32(f.cfg.L)
 	return f.upper[i*l : (i+1)*l]
@@ -203,6 +157,10 @@ func (f *Frozen) Height() int { return f.height }
 
 // L returns the indexed subsequence length.
 func (f *Frozen) L() int { return f.cfg.L }
+
+// Config returns the configuration the index was built with, defaults
+// filled in: what a rebuild of its windows passes to BuildRange.
+func (f *Frozen) Config() Config { return f.cfg }
 
 // Extractor exposes the extractor the index was built over.
 func (f *Frozen) Extractor() *series.Extractor { return f.ext }

@@ -220,7 +220,7 @@ func parseFrozenHeader(hdr []byte, ext *series.Extractor) (frozenHeader, error) 
 	if int(seriesLen) != ext.Len() {
 		return h, fmt.Errorf("core: load frozen: index built over %d points, series has %d", seriesLen, ext.Len())
 	}
-	// fill also bounds MaxCap, which sizes a thawed tree's blocks.
+	// fill also bounds MaxCap, which sizes a rebuilt tree's blocks.
 	if err := h.cfg.fill(); err != nil {
 		return h, fmt.Errorf("core: load frozen: %w", err)
 	}

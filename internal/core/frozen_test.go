@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -119,39 +118,6 @@ func TestFrozenFrontier(t *testing.T) {
 			t.Fatalf("target %d: frontier union mismatch", target)
 		}
 	}
-}
-
-// TestFrozenThawRoundTrip freezes, thaws, and compares: the thawed tree
-// must satisfy the pointer invariants, and re-freezing it must
-// reproduce the arena exactly (and so its answers).
-func TestFrozenThawRoundTrip(t *testing.T) {
-	ts := datasets.RandomWalk(5, 1200)
-	const l = 32
-	ext := series.NewExtractor(ts, series.NormGlobal)
-	ix, err := Build(ext, Config{L: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := ix.Freeze()
-	th := f.Thaw()
-	if err := th.CheckInvariants(); err != nil {
-		t.Fatalf("thawed invariants: %v", err)
-	}
-	f2 := th.Freeze()
-	if !reflect.DeepEqual(f.first, f2.first) || !reflect.DeepEqual(f.count, f2.count) ||
-		!reflect.DeepEqual(f.positions, f2.positions) ||
-		!reflect.DeepEqual(f.upper, f2.upper) || !reflect.DeepEqual(f.lower, f2.lower) {
-		t.Fatal("freeze∘thaw is not the identity on the arena")
-	}
-	q := ext.ExtractCopy(100, l)
-	if !slices.Equal(f2.Search(q, 0.5), oracle.Range(ext, q, 0.5)) {
-		t.Fatal("thawed and re-frozen tree answers wrongly")
-	}
-
-	// Thaw supports further insertion: append-style inserts keep the
-	// structure valid and searchable.
-	// (Positions beyond the original range are not available here; just
-	// re-insert coverage is exercised by the shard layer.)
 }
 
 // TestFrozenPersistRoundTrip writes the arena and loads it back.

@@ -197,7 +197,7 @@ func FuzzExtendAnswer(f *testing.F) {
 
 		range0, top0 := oracle.Range(ext, q, eps), oracle.TopK(ext, q, k)
 		ext.Append(ts[n0+l-1:]...)
-		if got, want := ScanTail(ext, q, eps, n0, total, slices.Clone(range0)), oracle.Range(ext, q, eps); !slices.Equal(got, want) {
+		if got, want := ScanTail(ext, q, eps, n0, total, slices.Clone(range0), nil), oracle.Range(ext, q, eps); !slices.Equal(got, want) {
 			t.Fatalf("ScanTail %d→%d: %v, oracle %v (from %v)", n0, total, got, want, range0)
 		}
 		if got, want := ScanTailTopK(ext, q, k, n0, total, top0), oracle.TopK(ext, q, k); !slices.Equal(got, want) {

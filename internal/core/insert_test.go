@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -319,48 +318,6 @@ func TestInternalSplitSeedsMatchReference(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Fatal("no farthest-children tie was exercised")
-	}
-}
-
-// frozenBytes is the index's frozen stream.
-func frozenBytes(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := ix.Freeze().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// The Engine.Append path inserts into a thawed Index, which starts with
-// no split scratch; the tree it grows must be the one a build from
-// scratch grows.
-func TestAppendAfterThawMatchesRebuild(t *testing.T) {
-	data := datasets.EEGN(3, 3000)
-	cfg := Config{L: 50, MinCap: 3, MaxCap: 7}
-	for _, mode := range allModes {
-		ext := series.NewExtractor(data, mode)
-		count := series.NumSubsequences(ext.Len(), cfg.L)
-		head := count / 2
-
-		whole, err := Build(ext, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := BuildRange(ext, cfg, 0, head)
-		if err != nil {
-			t.Fatal(err)
-		}
-		thawed := part.Freeze().Thaw()
-		for p := head; p < count; p++ {
-			thawed.Insert(p)
-		}
-		if err := thawed.CheckInvariants(); err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if !bytes.Equal(frozenBytes(t, thawed), frozenBytes(t, whole)) {
-			t.Fatalf("%v: thaw + insert + freeze differs from a build from scratch", mode)
-		}
 	}
 }
 

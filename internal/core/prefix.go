@@ -8,18 +8,27 @@ import "twinsearch/internal/series"
 // on any window set. They take the answer so far and a start range, so
 // any caller holding an answer for [0, from) and windows no tree of its
 // own covers can use them: a prefix query's windows that exist only at
-// the shorter length, and a cached answer a few appends behind the
-// index.
+// the shorter length, the windows appended since an index's arenas were
+// built (internal/shard's tail), and a cached answer a few appends
+// behind the index.
 
 // ScanTail verifies the windows starting in [from, to) against q at
 // eps, appending matches to out in ascending start order — a range
-// answer for [0, from) in, the range answer for [0, to) out.
-func ScanTail(ext *series.Extractor, q []float64, eps float64, from, to int, out []series.Match) []series.Match {
+// answer for [0, from) in, the range answer for [0, to) out — and
+// counts the windows as candidates, and the rejected ones as abandons,
+// into st when it is not nil.
+func ScanTail(ext *series.Extractor, q []float64, eps float64, from, to int, out []series.Match, st *Stats) []series.Match {
+	if from >= to {
+		return out // the common case of an index with no tail
+	}
 	c := candidates{ext: ext, q: q}
-	var st Stats
+	var own Stats
+	if st == nil {
+		st = &own
+	}
 	var buf [sweepScratchCap]int32
 	for ; from < to; from += len(buf) {
-		out = c.within(tailStarts(buf[:], from, to), eps, out, &st)
+		out = c.within(tailStarts(buf[:], from, to), eps, out, st)
 	}
 	return out
 }
@@ -67,5 +76,5 @@ func ScanTailTopK(ext *series.Extractor, q []float64, k, from, to int, best []se
 // not once per shard).
 func ScanPrefixTail(ext *series.Extractor, indexedL int, q []float64, eps float64, out []series.Match) []series.Match {
 	n := ext.Len()
-	return ScanTail(ext, q, eps, max(n-indexedL+1, 0), n-len(q)+1, out)
+	return ScanTail(ext, q, eps, max(n-indexedL+1, 0), n-len(q)+1, out, nil)
 }

@@ -122,7 +122,7 @@ func TestFrozenSearchAllocs(t *testing.T) {
 			return ms
 		},
 		"ScanTail": func(q []float64) []series.Match {
-			return ScanTail(ext, q, 0.2, 0, f.Len(), nil)
+			return ScanTail(ext, q, 0.2, 0, f.Len(), nil, nil)
 		},
 	}
 	queueGrowth := map[string]int{"SearchApprox": bits.Len(uint(f.NodeCount()-1) / frozenStackCap)}

@@ -16,15 +16,14 @@
 // finds the seeds from the windows' envelope, an internal split scores
 // only the child pairs the group's envelope cannot rule out (split.go).
 //
-// Index, the pointer tree, is the builder: it is constructed, appended
-// to, checked and persisted, and compiled by Freeze into the flat
-// Frozen arena, which is the one form that is searched (§5.3,
+// Index, the pointer tree, is the builder: it is constructed by
+// insertion, checked, and compiled by Freeze into the flat Frozen
+// arena, which is the one form that is searched (§5.3,
 // Algorithm 1 — see Frozen.SearchStats and frozen.go).
 package core
 
 import (
 	"fmt"
-	"unsafe"
 
 	"twinsearch/internal/mbts"
 	"twinsearch/internal/mbts/kernel"
@@ -151,7 +150,7 @@ func BuildRange(ext *series.Extractor, cfg Config, lo, hi int) (*Index, error) {
 }
 
 // NewEmpty returns an index with no entries; callers insert positions
-// explicitly (used by tests and by incremental ingestion).
+// explicitly (BuildRange, and tests).
 func NewEmpty(ext *series.Extractor, cfg Config) (*Index, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -230,20 +229,11 @@ func (ix *Index) newInternal(bounds mbts.MBTS) *node {
 	return &node{bounds: bounds, rows: mbts.New(c * ix.cfg.L), children: make([]*node, 0, c)}
 }
 
-// adopt appends c to n's children, moving c's bounds into n's next row,
-// and grows n's bounds to enclose them (the first child sets them).
-// A full block — Thaw sizes each to the node's children — first grows
-// to MaxCap+1 rows, and the children's views move with their rows.
+// adopt appends c to n's children, moving c's bounds into n's next row
+// (newInternal sized the block for every child n can hold), and grows
+// n's bounds to enclose them (the first child sets them).
 func (ix *Index) adopt(n, c *node) {
 	k, l := len(n.children), ix.cfg.L
-	if len(n.rows.Upper) == k*l {
-		rows := mbts.New((ix.cfg.MaxCap + 1) * l)
-		rows.CopyFrom(n.rows)
-		for i, ch := range n.children {
-			ch.bounds = rows.Row(i, l)
-		}
-		n.rows = rows
-	}
 	row := n.rows.Row(k, l)
 	row.CopyFrom(c.bounds)
 	c.bounds = row
@@ -252,14 +242,6 @@ func (ix *Index) adopt(n, c *node) {
 		n.bounds.CopyFrom(row)
 	} else {
 		n.bounds.ExpandToMBTS(row)
-	}
-}
-
-// enclose sets leaf n's bounds to the envelope of its windows.
-func (ix *Index) enclose(n *node) {
-	n.bounds.SetTo(ix.ext.Extract(int(n.positions[0]), ix.cfg.L, ix.winBuf))
-	for _, p := range n.positions[1:] {
-		n.bounds.ExpandToSequence(ix.ext.Extract(int(p), ix.cfg.L, ix.winBuf))
 	}
 }
 
@@ -345,17 +327,5 @@ func (ix *Index) each(visit func(n *node, depth int)) {
 func (ix *Index) NodeCount() int {
 	total := 0
 	ix.each(func(*node, int) { total++ })
-	return total
-}
-
-// MemoryBytes estimates the heap footprint of the index structure: per
-// node, the struct and its leaf positions or its block of child bounds
-// (two ℓ-length bounds a row — the reason Fig. 8a shows TS-Index 2–3×
-// larger than iSAX), and the root's row.
-func (ix *Index) MemoryBytes() int {
-	total := 16 * len(ix.top.Upper)
-	ix.each(func(n *node, _ int) {
-		total += int(unsafe.Sizeof(*n)) + 4*cap(n.positions) + 8*cap(n.children) + 16*len(n.rows.Upper)
-	})
 	return total
 }

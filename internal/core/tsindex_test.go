@@ -219,11 +219,4 @@ func TestDiagnostics(t *testing.T) {
 	if w := ix.MeanLeafWidth(); w <= 0 {
 		t.Fatalf("MeanLeafWidth = %v", w)
 	}
-	if ix.MemoryBytes() <= 0 {
-		t.Fatal("MemoryBytes must be positive")
-	}
-	small, _ := buildOver(t, datasets.RandomWalk(5, 600), series.NormGlobal, Config{L: 50})
-	if small.MemoryBytes() >= ix.MemoryBytes() {
-		t.Fatal("memory accounting flat")
-	}
 }

@@ -186,14 +186,16 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 
 // stats serves the serving-tier observability snapshot: cache
 // hit/miss/eviction counters, admission queue depth and shed count,
-// and the index epoch. Drain-exempt like /healthz — operators read it
-// precisely while the server is unhappy.
+// the index epoch and the appended windows every search scans.
+// Drain-exempt like /healthz — operators read it precisely while the
+// server is unhappy.
 func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	h.mu.RLock()
 	ss := h.eng.ServingStats()
 	h.mu.RUnlock()
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"epoch":        ss.Epoch,
+		"tail_windows": ss.TailWindows,
 		"plan_cache":   ss.Plan,
 		"result_cache": ss.Result,
 		"admission":    h.adm.snapshot(),

@@ -18,10 +18,11 @@ package shard
 //     by start position; top-k results by the (dist, start) total
 //     order. Result sets from backends over disjoint shard sets are
 //     disjoint, so a k-way merge reproduces the single-engine order.
-//   - SearchPrefixTreeCtx reports prefix twins among the backend's indexed
-//     starts only — no tail scan. The windows that exist only at the
-//     shorter query length belong to no shard; exactly one party (the
-//     coordinator, or SearchPrefix on a full local index) scans them.
+//   - SearchPrefixTreeCtx reports prefix twins among the backend's own
+//     window starts only (a local index's appended tail included). The
+//     windows that exist only at the shorter query length belong to no
+//     shard; exactly one party (the coordinator, or SearchPrefix on a
+//     full local index) scans them.
 //   - SearchTopKCtx's bound seeds the traversal's shared pruning bound:
 //     subtrees whose lower bound strictly exceeds it are skipped, so a
 //     coordinator can broadcast its current k-th threshold to prune
@@ -111,19 +112,21 @@ func canceled(ctx context.Context) bool {
 
 var _ Backend = (*Index)(nil)
 
-// queueSearch enqueues the (shard, subtree) units of one range search
-// into g — the core of QueueSearch and SearchStatsCtx. The shards must
-// be frozen. A nil ctx never cancels.
-func (s *Index) queueSearch(g *exec.Group, ctx context.Context, q []float64, eps float64) *PendingSearch {
-	fr := s.unitFrontiers()
+// queueSearch enqueues the (shard, subtree) units of b for one range
+// search into g — the core of QueueSearch and SearchStatsCtx — and
+// records the tail [b.end(), to) for Resolve to scan. A nil ctx never
+// cancels.
+func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, to int, q []float64, eps float64) *PendingSearch {
+	fr := s.unitFrontiers(b)
 	p := &PendingSearch{
 		res: make([][][]series.Match, len(fr)),
 		st:  make([][]core.Stats, len(fr)),
+		ext: s.ext, q: q, eps: eps, from: b.end(), to: to,
 	}
 	for i, units := range fr {
 		p.res[i] = make([][]series.Match, len(units))
 		p.st[i] = make([]core.Stats, len(units))
-		f := s.frozen[i]
+		f := b.frozen[i]
 		for j, u := range units {
 			g.Go(func(*exec.Ctx) {
 				if canceled(ctx) {
@@ -143,32 +146,36 @@ func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]seri
 	return ms, err
 }
 
-// SearchStatsCtx is SearchStats honoring cancellation.
+// SearchStatsCtx is SearchStats honoring cancellation: one range
+// search over the base (enqueue, wait, merge) and the tail's scan, whose
+// windows count as candidates.
 func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	s.ensureFrozen()
 	return s.searchStats(ctx, q, eps)
 }
 
-// searchStats runs one complete range search over the frozen shards:
-// enqueue, wait, merge. The whole-tree fast path is taken only when the
-// one shard IS the whole container: an Index holding one shard of a
-// larger container must still traverse frontier units so its counters
-// (which skip nodes above unit roots) agree with the full fan-out's.
+// searchStats is SearchStatsCtx. The whole-tree fast path is taken only
+// when the one shard IS the whole container: an Index holding one shard
+// of a larger container must still traverse frontier units so its
+// counters (which skip nodes above unit roots) agree with the full
+// fan-out's.
 func (s *Index) searchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
+	b, to := s.snapshot()
 	sp := obs.SpanFrom(ctx)
 	if s.total == 1 {
 		tsp := sp.StartChild("traverse")
-		ms, st := s.frozen[0].SearchStats(q, eps)
+		ms, st := b.frozen[0].SearchStats(q, eps)
 		setShardAttrs(tsp, st, 0)
 		tsp.End()
+		ms, st = s.withTail(sp, b, to, q, eps, ms, st)
 		return ms, st, nil
 	}
+	setTail(sp, b, to)
 	g := s.ex.NewGroup()
 	tsp := sp.StartChild("traverse")
-	p := s.queueSearch(g, ctx, q, eps)
+	p := s.queueSearch(g, ctx, b, to, q, eps)
 	g.Wait()
 	setUnitSpans(tsp, g, p.st)
 	tsp.End()
@@ -179,6 +186,23 @@ func (s *Index) searchStats(ctx context.Context, q []float64, eps float64) ([]se
 	ms, st := p.Resolve()
 	msp.End()
 	return ms, st, nil
+}
+
+// withTail appends to a range answer over b the twins among the tail
+// windows [b.end(), to), counting them into st.
+func (s *Index) withTail(sp *obs.Span, b *base, to int, q []float64, eps float64, ms []series.Match, st core.Stats) ([]series.Match, core.Stats) {
+	setTail(sp, b, to)
+	ms = core.ScanTail(s.ext, q, eps, b.end(), to, ms, &st)
+	st.Results = len(ms)
+	return ms, st
+}
+
+// setTail notes on a traced query's span how many tail windows it scans
+// (to − b.end()); a query with none gets no attribute.
+func setTail(sp *obs.Span, b *base, to int) {
+	if sp != nil && to > b.end() {
+		sp.Set("tail_windows", to-b.end())
+	}
 }
 
 // setUnitSpans hangs one counter child per shard under a fanned-out
@@ -221,29 +245,34 @@ func setShardAttrs(sp *obs.Span, st core.Stats, units int) {
 }
 
 // PendingTopK holds the per-unit lists of one enqueued top-k search;
-// Resolve merges them after the group completes — the top-k
-// counterpart of PendingSearch. A plain value: the single-query path
-// allocates nothing for it.
+// Resolve merges them after the group completes and offers the merged
+// list the tail — the top-k counterpart of PendingSearch. A plain
+// value: the single-query path allocates nothing for it.
 type PendingTopK struct {
 	lists [][]series.Match // [unit], each in (dist, start) order
 	st    [][]core.Stats   // [shard][unit]; traced queries only
 	k     int
+	// The tail [from, to) the units' base does not cover.
+	ext      *series.Extractor
+	q        []float64
+	from, to int
 }
 
-// queueTopK enqueues the (shard, subtree) units of one top-k search
-// into g — the one place top-k units are enqueued, for the single-query
-// and batch callers alike. The shards must be frozen. The units share
-// one pruning bound seeded to bound (math.Inf(1) = unbounded). Seeding
-// only tightens the initial threshold; pruning stays on strict
-// inequality, so the merged result equals the unseeded traversal's
-// whenever bound is an upper bound on the true k-th distance. traced
-// keeps the units' counters for setUnitSpans; untraced queries drop
-// them and allocate nothing for them. A nil ctx never cancels.
-func (s *Index) queueTopK(g *exec.Group, ctx context.Context, q []float64, k int, bound float64, traced bool) PendingTopK {
+// queueTopK enqueues the (shard, subtree) units of b for one top-k
+// search into g — the one place top-k units are enqueued, for the
+// single-query and batch callers alike — and records the tail
+// [b.end(), to). The units share one pruning bound seeded to bound
+// (math.Inf(1) = unbounded). Seeding only tightens the initial
+// threshold; pruning stays on strict inequality, so the merged result
+// equals the unseeded traversal's whenever bound is an upper bound on
+// the true k-th distance. traced keeps the units' counters for
+// setUnitSpans; untraced queries drop them and allocate nothing for
+// them. A nil ctx never cancels.
+func (s *Index) queueTopK(g *exec.Group, ctx context.Context, b *base, to int, q []float64, k int, bound float64, traced bool) PendingTopK {
 	if k <= 0 {
 		return PendingTopK{}
 	}
-	fr := s.unitFrontiers()
+	fr := s.unitFrontiers(b)
 	shared := core.NewSharedBound()
 	shared.Tighten(bound)
 	n := 0
@@ -260,7 +289,7 @@ func (s *Index) queueTopK(g *exec.Group, ctx context.Context, q []float64, k int
 	}
 	at := 0
 	for i, us := range fr {
-		f := s.frozen[i]
+		f := b.frozen[i]
 		for j, u := range us {
 			slot := at
 			at++
@@ -276,25 +305,25 @@ func (s *Index) queueTopK(g *exec.Group, ctx context.Context, q []float64, k int
 			})
 		}
 	}
-	return PendingTopK{lists: lists, st: sts, k: k}
+	return PendingTopK{lists: lists, st: sts, k: k, ext: s.ext, q: q, from: b.end(), to: to}
 }
 
 // Resolve k-way merges the unit lists into the first k matches under
-// the (dist, start) total order. Call it only after the group's Wait.
+// the (dist, start) total order and offers that list the tail windows.
+// Call it only after the group's Wait.
 func (p PendingTopK) Resolve() []series.Match {
-	return mergeTopK(p.lists, p.k)
+	return core.ScanTailTopK(p.ext, p.q, p.k, p.from, p.to, mergeTopK(p.lists, p.k))
 }
 
 // SearchTopKCtx is SearchTopK honoring cancellation, with the shared
-// pruning bound seeded to bound (math.Inf(1) = unbounded; see Backend).
+// pruning bound seeded to bound (math.Inf(1) = unbounded; see Backend
+// and queueTopK): the base's traversal, then the tail offered to its
+// list.
 func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
-	s.ensureFrozen()
 	return s.searchTopK(ctx, q, k, bound)
 }
 
-// searchTopK runs one complete top-k search over the frozen shards:
-// enqueue, wait, merge, with the shared pruning bound seeded to bound
-// (see queueTopK).
+// searchTopK is SearchTopKCtx.
 func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	if k <= 0 {
 		return nil, nil
@@ -302,10 +331,12 @@ func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float6
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
+	b, to := s.snapshot()
 	// Traced queries get the same traverse/shard[i]/merge tree threshold
 	// search records, filled from the units' own counters.
 	sp := obs.SpanFrom(ctx)
-	if len(s.frozen) == 1 {
+	setTail(sp, b, to)
+	if len(b.frozen) == 1 {
 		// A lone traversal shares its bound with nobody: unless the
 		// caller seeds one, its own k-th best is the whole limit, and
 		// nil spares the query an allocation.
@@ -314,16 +345,16 @@ func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float6
 			seed = core.NewSharedBound()
 			seed.Tighten(bound)
 		}
-		f := s.frozen[0]
+		f := b.frozen[0]
 		tsp := sp.StartChild("traverse")
 		ms, st := f.SearchTopKSharedFrom(f.Root(), q, k, seed)
 		setShardAttrs(tsp, st, 0)
 		tsp.End()
-		return ms, nil
+		return core.ScanTailTopK(s.ext, q, k, b.end(), to, ms), nil
 	}
 	g := s.ex.NewGroup()
 	tsp := sp.StartChild("traverse")
-	p := s.queueTopK(g, ctx, q, k, bound, sp != nil)
+	p := s.queueTopK(g, ctx, b, to, q, k, bound, sp != nil)
 	g.Wait()
 	setUnitSpans(tsp, g, p.st)
 	tsp.End()
@@ -338,26 +369,28 @@ func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float6
 
 // SearchPrefixTreeCtx is the tree half of SearchPrefix honoring
 // cancellation: truncated-bound traversal of every unit, per-shard
-// sort, partition merge — prefix twins among the indexed starts only.
-// The tail windows are NOT scanned here (the Backend contract): the
-// caller decides who scans them exactly once.
+// sort, partition merge, and the tail's windows scanned at the query's
+// length — prefix twins among the indexed starts only. The windows that
+// exist only at the shorter length are NOT scanned here (the Backend
+// contract): the caller decides who scans them exactly once.
 func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	s.ensureFrozen()
-	if err := s.frozen[0].ValidatePrefix(q); err != nil {
+	b, to := s.snapshot()
+	if err := b.frozen[0].ValidatePrefix(q); err != nil {
 		return nil, err
 	}
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
-	if len(s.frozen) == 1 {
-		return s.frozen[0].SearchPrefixTree(q, eps)
+	if len(b.frozen) == 1 {
+		tree, _ := b.frozen[0].SearchPrefixTree(q, eps) // validated above
+		return core.ScanTail(s.ext, q, eps, b.end(), to, tree, nil), nil
 	}
-	units := s.unitFrontiers()
+	units := s.unitFrontiers(b)
 	res := make([][][]series.Match, len(units))
 	g := s.ex.NewGroup()
 	for i, us := range units {
 		res[i] = make([][]series.Match, len(us))
-		f := s.frozen[i]
+		f := b.frozen[i]
 		for j, u := range us {
 			g.Go(func(*exec.Ctx) {
 				if canceled(ctx) {
@@ -380,28 +413,30 @@ func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float6
 		series.SortMatches(ms)
 		per[i] = ms
 	}
-	return mergePartitioned(per), nil
+	return core.ScanTail(s.ext, q, eps, b.end(), to, mergePartitioned(per), nil), nil
 }
 
 // SearchApproxCtx is SearchApprox honoring cancellation: leaves are
-// drawn from a single budget shared across the shards.
+// drawn from a single budget shared across the shards, and the tail is
+// scanned whole.
 func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	s.ensureFrozen()
+	b, to := s.snapshot()
 	if leafBudget <= 0 {
 		leafBudget = 1
 	}
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
-	if len(s.frozen) == 1 {
-		ms, st := s.frozen[0].SearchApprox(q, eps, leafBudget)
+	if len(b.frozen) == 1 {
+		ms, st := b.frozen[0].SearchApprox(q, eps, leafBudget)
+		ms, st = s.withTail(obs.SpanFrom(ctx), b, to, q, eps, ms, st)
 		return ms, st, nil
 	}
 	budget := core.NewLeafBudget(leafBudget)
-	per := make([][]series.Match, len(s.frozen))
-	stats := make([]core.Stats, len(s.frozen))
+	per := make([][]series.Match, len(b.frozen))
+	stats := make([]core.Stats, len(b.frozen))
 	g := s.ex.NewGroup()
-	for i, f := range s.frozen {
+	for i, f := range b.frozen {
 		g.Go(func(*exec.Ctx) {
 			if canceled(ctx) {
 				return
@@ -417,5 +452,6 @@ func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, l
 	for _, x := range stats {
 		st = addStats(st, x)
 	}
-	return mergePartitioned(per), st, nil
+	ms, st := s.withTail(obs.SpanFrom(ctx), b, to, q, eps, mergePartitioned(per), st)
+	return ms, st, nil
 }

@@ -18,8 +18,8 @@ import (
 
 // TestOpenArenaDifferential opens a saved stream of one or three shards
 // through a real mmap and requires every search path to agree with the
-// heap-loaded index byte for byte; Insert must copy-on-thaw (the mapped
-// file stays byte-identical) and migrate the touched shard off the mapping.
+// heap-loaded index byte for byte; an append must leave the mapped file
+// byte-identical, and a compaction move the rebuilt shard off the mapping.
 func TestOpenArenaDifferential(t *testing.T) {
 	if !arena.MapSupported() {
 		t.Skip("mmap unsupported on this platform")
@@ -88,19 +88,36 @@ func TestOpenArenaDifferential(t *testing.T) {
 				t.Fatal("SearchApprox diverged between heap and mapped index")
 			}
 
-			// Copy-on-thaw: growing the mapped index must leave the file
-			// untouched and move the mutated shard's arena to the heap.
-			oldCount := series.NumSubsequences(ext.Len(), l)
+			// Appending in place: the mapped index grows a tail and keeps
+			// its mapping; a compaction rebuilds the last shard on the
+			// heap. Neither writes to the file.
+			mapped := got.MappedBytes()
 			ext.Append(0.5, -1.5, 2.5)
-			for p := oldCount; p < series.NumSubsequences(ext.Len(), l); p++ {
-				got.Insert(p)
+			if err := got.Extend(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sh.Extend(); err != nil {
+				t.Fatal(err)
 			}
 			if n := len(got.Search(q, 0.5)); n < len(wantM) {
 				t.Fatalf("post-append search lost results: %d < %d", n, len(wantM))
 			}
-			if got.MappedBytes() >= 4*(len(before)/5) {
-				// At least the mutated shard must have left the mapping.
-				t.Fatalf("append did not migrate any shard off the mapping (%d of %d bytes still mapped)", got.MappedBytes(), len(before))
+			if got.MappedBytes() != mapped {
+				t.Fatalf("an append moved the mapping: %d bytes mapped, %d before", got.MappedBytes(), mapped)
+			}
+			if err := got.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if got.MappedBytes() >= mapped {
+				t.Fatalf("compaction left the last shard on the mapping (%d of %d bytes still mapped)", got.MappedBytes(), mapped)
+			}
+			// The heap index shares the grown extractor and answers over
+			// it from its tail; the compacted one, from its rebuilt shard.
+			if w, g := sh.Search(q, 0.5), got.Search(q, 0.5); !sameMatches(w, g) {
+				t.Fatal("Search diverged between the tail and the compacted shard")
+			}
+			if w, g := sh.SearchTopK(q, 9), got.SearchTopK(q, 9); !sameMatches(w, g) {
+				t.Fatal("SearchTopK diverged between the tail and the compacted shard")
 			}
 			after, err := os.ReadFile(path)
 			if err != nil {

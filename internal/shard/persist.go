@@ -80,20 +80,23 @@ func headerLen(count int) int64 {
 }
 
 // WriteTo serializes the sharded index in the current (v4, mappable)
-// format, re-freezing any shards left stale by Insert first. It
-// implements io.WriterTo, for an Index holding every shard.
+// format, compacting any tail into the last shard first. It implements
+// io.WriterTo, for an Index holding every shard.
 func (s *Index) WriteTo(w io.Writer) (int64, error) {
-	s.ensureFrozen()
+	if err := s.Compact(); err != nil {
+		return 0, err
+	}
+	b := s.base.Load()
 	le := binary.LittleEndian
-	hdr := append(make([]byte, 0, headerLen(len(s.frozen))), Magic...)
+	hdr := append(make([]byte, 0, headerLen(len(b.frozen))), Magic...)
 	hdr = append(le.AppendUint16(hdr, PersistVersion), partitionRange, 0)
-	hdr = le.AppendUint32(hdr, uint32(len(s.frozen)))
-	for _, b := range s.starts {
-		hdr = le.AppendUint64(hdr, uint64(b))
+	hdr = le.AppendUint32(hdr, uint32(len(b.frozen)))
+	for _, at := range b.starts {
+		hdr = le.AppendUint64(hdr, uint64(at))
 	}
 	// Segment table: frozen stream lengths are deterministic, so the
 	// table precedes the segments without buffering them.
-	for _, f := range s.frozen {
+	for _, f := range b.frozen {
 		hdr = le.AppendUint64(hdr, uint64(f.StreamLen()))
 	}
 	hdr = le.AppendUint32(hdr, crc32.Checksum(hdr, castagnoli))
@@ -102,7 +105,7 @@ func (s *Index) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return written, err
 	}
-	for i, f := range s.frozen {
+	for i, f := range b.frozen {
 		seg, err := f.WriteTo(w)
 		written += seg
 		if err == nil && seg != f.StreamLen() {
@@ -196,8 +199,8 @@ func OpenArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Inde
 // table's lengths alone: their bytes are never read, validated or
 // viewed, and under a file mapping their pages are never faulted in, so
 // opening N of P shards costs O(N segments), not O(file). The Index
-// answers for the assigned shards only; do not Insert into it or
-// WriteTo it.
+// answers for the assigned shards only; do not grow it (Extend,
+// Compact) or WriteTo it.
 func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assigned []int) (*Index, error) {
 	if len(assigned) == 0 {
 		return nil, fmt.Errorf("shard: no shards assigned")
@@ -259,7 +262,7 @@ func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assign
 	if ar.Mapped() {
 		check = s.checkShape
 	}
-	if err := check(); err != nil {
+	if err := check(s.base.Load(), series.NumSubsequences(ext.Len(), l)); err != nil {
 		return nil, fmt.Errorf("shard: arena: %w", err)
 	}
 	return s, nil
@@ -273,7 +276,7 @@ func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assign
 func Single(f *core.Frozen, ex *exec.Executor) (*Index, error) {
 	count := series.NumSubsequences(f.Extractor().Len(), f.L())
 	s := assemble(f.Extractor(), f.L(), []*core.Frozen{f}, nil, []int{0, count}, ex)
-	if err := s.checkShape(); err != nil {
+	if err := s.checkShape(s.base.Load(), count); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -9,12 +9,13 @@
 // After construction every shard is FROZEN: the pointer tree is
 // compiled into core.Frozen's flat structure-of-arrays arena (packed
 // MBTS bounds, index-range children, one flat positions array) and the
-// pointer form is dropped. All queries traverse the arenas; Insert
-// thaws the owning shard back to pointer form and the next search
-// re-freezes it — the one place in the repository that handshake
-// lives. An Index of ONE shard is how a single TS-Index is served: its
-// queries skip the executor and run the shard's whole-tree traversal
-// inline, with the answers, counters and saved bytes of a bare
+// pointer form is dropped. No arena is ever mutated. Windows appended
+// to the series form a tail after the last shard, which every query
+// scans at kernel speed, until Compact rebuilds the last shard over
+// them and publishes it (see Index). An Index of ONE shard is how a
+// single TS-Index is served: its queries skip the executor and run the
+// shard's whole-tree traversal inline, with the answers, counters and
+// saved bytes of a bare
 // core.Frozen. An Index may also hold only some of a saved container's
 // shards (OpenArenaShards): that is what a cluster node serves, and it
 // is searched exactly as the whole container's fan-out searches them.
@@ -25,8 +26,8 @@
 //
 // The partition is contiguous: shard i owns window positions
 // [starts[i], starts[i+1]), so shard order is position order — per-shard
-// range results concatenate, and appended positions extend the last
-// shard.
+// range results concatenate, and the tail, then the compaction that
+// absorbs it, extend the last shard.
 package shard
 
 import (
@@ -35,7 +36,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -65,38 +66,51 @@ type Config struct {
 
 // Index is a sharded TS-Index over one series: every shard of a
 // partition, or an assigned subset of a saved container's shards.
+//
+// Its windows are a frozen base and a tail. The base is the shards'
+// arenas, immutable once published; the tail is the window range
+// [end, count), where end is where the base stops and count the window
+// count Extend last published. Every query loads the base once and the
+// count once, traverses the one and scans the other (core.ScanTail,
+// core.ScanTailTopK), so it answers over [0, count) for the count it
+// read. The partition is contiguous and the tail follows the last
+// shard, so a range answer is the base's with the tail's appended, and
+// a top-k answer is the base's list offered the tail windows. Compact
+// folds the tail into the base by rebuilding the last shard and
+// publishing the result as the next base.
 type Index struct {
-	ext *series.Extractor
-	l   int
-	// frozen holds each held shard's arena — the form every query
-	// traverses; frozen[i] is the container's shard ids[i].
+	ext   *series.Extractor
+	l     int
+	ids   []int // ascending; 0, 1, … when every shard is held
+	total int   // shard count of the whole container
+	ex    *exec.Executor
+
+	// base is the generation of arenas queries traverse; a compaction
+	// replaces it whole, under mu, and a query in flight keeps the one
+	// it loaded. count is the window count queries answer over.
+	base  atomic.Pointer[base]
+	count atomic.Int64
+	mu    sync.Mutex
+}
+
+// base is one immutable generation of an Index's arenas.
+type base struct {
+	// frozen holds each held shard's arena; frozen[i] is the container's
+	// shard ids[i].
 	frozen []*core.Frozen
-	ids    []int // ascending; 0, 1, … when every shard is held
-	total  int   // shard count of the whole container
-	// pointer[i] is shard i thawed for insertion; nil while the shard is
-	// frozen-only. Once a shard is thawed it stays resident (repeated
-	// Insert/refreeze cycles then skip the thaw).
-	pointer []*core.Index
 	// starts is the container's boundary table (total+1 entries): its
-	// shard i owns window positions [starts[i], starts[i+1]).
+	// shard i owns window positions [starts[i], starts[i+1]), and the
+	// tail begins at starts[total].
 	starts []int
-	ex     *exec.Executor
-
-	// Refreeze bookkeeping: Insert marks shards dirty; the next search
-	// re-freezes them before traversing (ensureFrozen). Insert must not
-	// run concurrently with searches, so dirtyShard needs no lock of its
-	// own; the atomic dirty flag publishes the writes and mu serializes
-	// racing searches.
-	dirty      atomic.Bool
-	dirtyShard []bool
-	mu         sync.Mutex
-
 	// units caches each shard's subtree frontier — the (shard, subtree)
-	// work units a query enqueues. Refreezing invalidates it; concurrent
-	// searches recompute it racily but deterministically, so whichever
-	// Store wins is equivalent.
+	// work units a query enqueues. Concurrent first queries compute it
+	// racily but deterministically, so whichever Store wins is
+	// equivalent.
 	units atomic.Pointer[[][]core.FrozenSubtree]
 }
+
+// end is the window count the base covers: where the tail begins.
+func (b *base) end() int { return b.starts[len(b.starts)-1] }
 
 // Build partitions the position space, constructs every shard on the
 // executor, and freezes each shard's tree into its flat arena. With
@@ -168,9 +182,10 @@ func assemble(ext *series.Extractor, l int, frozen []*core.Frozen, ids, starts [
 			ids[i] = i
 		}
 	}
-	return &Index{ext: ext, l: l, frozen: frozen, ids: ids, total: len(starts) - 1,
-		pointer: make([]*core.Index, len(frozen)), dirtyShard: make([]bool, len(frozen)),
-		starts: starts, ex: ex}
+	s := &Index{ext: ext, l: l, ids: ids, total: len(starts) - 1, ex: ex}
+	s.base.Store(&base{frozen: frozen, starts: starts})
+	s.count.Store(int64(starts[len(starts)-1]))
+	return s
 }
 
 // validateBoundaries rejects partitions that don't cover [0, count)
@@ -199,42 +214,27 @@ func validateBoundaries(b []int, shards, count int) error {
 // Executor returns the executor the index schedules its queries on.
 func (s *Index) Executor() *exec.Executor { return s.ex }
 
-// ensureFrozen re-freezes any shards Insert has thawed and mutated.
-// Hot path cost is one atomic load; the mutex only serializes searches
-// racing to refreeze after an insertion batch (Insert itself must not
-// run concurrently with searches).
-func (s *Index) ensureFrozen() {
-	if !s.dirty.Load() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.dirty.Load() {
-		return
-	}
-	for i, d := range s.dirtyShard {
-		if d {
-			s.frozen[i] = s.pointer[i].Freeze()
-			s.dirtyShard[i] = false
-		}
-	}
-	s.units.Store(nil)
-	s.dirty.Store(false)
+// snapshot returns what one query answers over: the base it traverses
+// and the window count to, so that the tail it scans is
+// [b.end(), to). Each query calls it once, at its start; the base is
+// loaded first, so it never ends past to.
+func (s *Index) snapshot() (b *base, to int) {
+	b = s.base.Load()
+	return b, int(s.count.Load())
 }
 
-// unitFrontiers returns the cached (shard → subtrees) split,
-// recomputing it after insertion invalidated the cache. The per-shard
-// target over-provisions units (4×) relative to the wider of the
-// index's executor and the machine (GOMAXPROCS), giving stealing slack
-// to even out skewed shards. The split decides which nodes sit above a
-// unit's root and are never visited, so the traversal counters of
-// every fanned-out query depend on this rule: change it and they move.
-// The target divides by the CONTAINER's shard count, not the held
-// count, so an Index holding some of the shards splits each one as the
-// whole container's fan-out would on the same machine, and reports the
-// same counters for it.
-func (s *Index) unitFrontiers() [][]core.FrozenSubtree {
-	if u := s.units.Load(); u != nil {
+// unitFrontiers returns b's cached (shard → subtrees) split, computing
+// it on b's first fanned-out query. The per-shard target over-provisions
+// units (4×) relative to the wider of the index's executor and the
+// machine (GOMAXPROCS), giving stealing slack to even out skewed shards.
+// The split decides which nodes sit above a unit's root and are never
+// visited, so the traversal counters of every fanned-out query depend on
+// this rule: change it and they move. The target divides by the
+// CONTAINER's shard count, not the held count, so an Index holding some
+// of the shards splits each one as the whole container's fan-out would
+// on the same machine, and reports the same counters for it.
+func (s *Index) unitFrontiers(b *base) [][]core.FrozenSubtree {
+	if u := b.units.Load(); u != nil {
 		return *u
 	}
 	w := s.ex.Workers()
@@ -245,11 +245,11 @@ func (s *Index) unitFrontiers() [][]core.FrozenSubtree {
 	if t := 4 * w; t > s.total {
 		per = (t + s.total - 1) / s.total
 	}
-	fr := make([][]core.FrozenSubtree, len(s.frozen))
-	for i, f := range s.frozen {
+	fr := make([][]core.FrozenSubtree, len(b.frozen))
+	for i, f := range b.frozen {
 		fr[i] = f.Frontier(per)
 	}
-	s.units.Store(&fr)
+	b.units.Store(&fr)
 	return fr
 }
 
@@ -277,20 +277,26 @@ func (s *Index) SearchStats(q []float64, eps float64) ([]series.Match, core.Stat
 type PendingSearch struct {
 	res [][][]series.Match // [shard][unit] match lists, traversal order
 	st  [][]core.Stats     // [shard][unit]
+	// The tail [from, to) the units' base does not cover.
+	ext      *series.Extractor
+	q        []float64
+	eps      float64
+	from, to int
 }
 
 // QueueSearch enqueues the (shard, subtree) units of one range search
 // into g and returns a handle to assemble the result. Call Resolve
 // only after g.Wait() returns.
 func (s *Index) QueueSearch(g *exec.Group, q []float64, eps float64) *PendingSearch {
-	s.ensureFrozen()
-	return s.queueSearch(g, nil, q, eps)
+	b, to := s.snapshot()
+	return s.queueSearch(g, nil, b, to, q, eps)
 }
 
-// Resolve merges the unit results deterministically: units of one
+// Resolve merges the unit results deterministically — units of one
 // shard are concatenated and sorted by start (the set is identical
 // however the tree was split, so the sorted order is too), and the
-// per-shard lists concatenate (mergePartitioned).
+// per-shard lists concatenate (mergePartitioned) — and appends the tail
+// scan's twins.
 func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
 	var st core.Stats
 	total := 0
@@ -300,24 +306,25 @@ func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
 			st = addStats(st, p.st[i][j])
 		}
 	}
-	st.Results = total
-	if total == 0 {
-		return nil, st
-	}
-	per := make([][]series.Match, len(p.res))
-	for i := range p.res {
-		n := 0
-		for _, unit := range p.res[i] {
-			n += len(unit)
+	var ms []series.Match
+	if total > 0 {
+		per := make([][]series.Match, len(p.res))
+		for i := range p.res {
+			n := 0
+			for _, unit := range p.res[i] {
+				n += len(unit)
+			}
+			per[i] = make([]series.Match, 0, n)
+			for _, unit := range p.res[i] {
+				per[i] = append(per[i], unit...)
+			}
+			series.SortMatches(per[i])
 		}
-		ms := make([]series.Match, 0, n)
-		for _, unit := range p.res[i] {
-			ms = append(ms, unit...)
-		}
-		series.SortMatches(ms)
-		per[i] = ms
+		ms = mergePartitioned(per)
 	}
-	return mergePartitioned(per), st
+	ms = core.ScanTail(p.ext, p.q, p.eps, p.from, p.to, ms, &st)
+	st.Results = len(ms)
+	return ms, st
 }
 
 func addStats(a, b core.Stats) core.Stats {
@@ -377,8 +384,9 @@ func mergeByStart(per [][]series.Match, total int) []series.Match {
 // SearchTopK returns the k nearest subsequences under Chebyshev
 // distance in ascending (distance, start) order — identical to
 // core.Frozen.SearchTopK. Every unit's traversal shares one pruning
-// bound (the best k-th distance any unit has admitted so far), and the
-// per-unit lists are combined by a k-way merge.
+// bound (the best k-th distance any unit has admitted so far), the
+// per-unit lists are combined by a k-way merge, and the tail windows
+// are offered to the merged list.
 func (s *Index) SearchTopK(q []float64, k int) []series.Match {
 	ms, _ := s.SearchTopKCtx(nil, q, k, math.Inf(1))
 	return ms
@@ -389,8 +397,8 @@ func (s *Index) SearchTopK(q []float64, k int) []series.Match {
 // returns a handle to merge their lists — the top-k counterpart of
 // QueueSearch. Call Resolve only after g.Wait() returns.
 func (s *Index) QueueSearchTopK(g *exec.Group, q []float64, k int) PendingTopK {
-	s.ensureFrozen()
-	return s.queueTopK(g, nil, q, k, math.Inf(1), false)
+	b, to := s.snapshot()
+	return s.queueTopK(g, nil, b, to, q, k, math.Inf(1), false)
 }
 
 // mergeTopK k-way-merges start-disjoint, distance-sorted lists and
@@ -461,8 +469,9 @@ func (h *startHeap) Pop() interface{} {
 
 // SearchPrefix answers a query shorter than the indexed length (see
 // core.Frozen.SearchPrefix): the truncated-bounds traversal fans across
-// (shard, subtree) units and the tail windows that exist only at the
-// shorter length are scanned once, here.
+// (shard, subtree) units, the tail is scanned at the query's length,
+// and the windows that exist only at the shorter length are scanned
+// once, here.
 func (s *Index) SearchPrefix(q []float64, eps float64) ([]series.Match, error) {
 	return s.SearchPrefixCtx(nil, q, eps)
 }
@@ -486,54 +495,82 @@ func (s *Index) SearchPrefixCtx(ctx context.Context, q []float64, eps float64) (
 
 // SearchApprox probes at most leafBudget nearest leaves across all
 // shards and returns a possibly incomplete subset of the twins — the
-// sharded counterpart of core.Frozen.SearchApprox. The budget is one
-// shared atomic allowance drawn by every shard's best-first traversal,
-// not a per-shard split: shards whose leaves sit closest to the query
-// spend more of it, so a skewed partition no longer burns budget on
-// shards with nothing nearby. Which shard draws a contended probe
-// depends on scheduling, so the subset may vary between runs; every
-// match is a true twin and total leaves probed never exceed the budget.
+// sharded counterpart of core.Frozen.SearchApprox — plus every twin in
+// the tail, which is scanned whole. The budget is one shared atomic
+// allowance drawn by every shard's best-first traversal, not a
+// per-shard split: shards whose leaves sit closest to the query spend
+// more of it, so a skewed partition no longer burns budget on shards
+// with nothing nearby. Which shard draws a contended probe depends on
+// scheduling, so the subset may vary between runs; every match is a
+// true twin and total leaves probed never exceed the budget.
 func (s *Index) SearchApprox(q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats) {
 	ms, st, _ := s.SearchApproxCtx(nil, q, eps, leafBudget)
 	return ms, st
 }
 
-// Insert adds the window starting at p to the shard owning that
-// position (positions past the current end extend the last shard — the
-// streaming-append path). The owning shard is thawed back to pointer
-// form if needed and marked dirty; the next search re-freezes it. Do
-// not call concurrently with searches, nor on an Index holding only
-// some of a container's shards.
-func (s *Index) Insert(p int) {
-	i := s.routeShard(p)
-	if s.pointer[i] == nil {
-		s.pointer[i] = s.frozen[i].Thaw()
+// The tail is compacted once it holds more than minCompact windows and
+// more than 1/compactShare of the last shard's: a rebuild costs that
+// shard's build and the tail costs every query a scan (≈ 6–11 ns a
+// window on EEG), so the share amortizes a rebuild over as many
+// appended windows and the floor spares a small index a rebuild every
+// few appends.
+const (
+	minCompact   = 4096
+	compactShare = 16
+)
+
+// Extend takes in the windows the series gained, which join the tail,
+// and compacts once the tail outgrows the bound above. Only an Index
+// holding every shard grows.
+func (s *Index) Extend() error {
+	s.count.Store(int64(series.NumSubsequences(s.ext.Len(), s.l)))
+	b, to := s.snapshot()
+	if to-b.end() <= max(minCompact, b.frozen[len(b.frozen)-1].Len()/compactShare) {
+		return nil
 	}
-	s.pointer[i].Insert(p)
-	s.dirtyShard[i] = true
-	s.dirty.Store(true)
-	s.units.Store(nil)
+	return s.Compact()
 }
 
-// routeShard picks the shard that owns (or will own) position p.
-func (s *Index) routeShard(p int) int {
-	last := len(s.starts) - 1
-	if p >= s.starts[last] {
-		s.starts[last] = p + 1
-		return len(s.frozen) - 1
+// Compact folds the tail into the base: it rebuilds the last shard by
+// insertion over its range extended to the window count — the tree a
+// build over the grown series gives it — and publishes it, frozen on
+// the heap, in the next base. Queries in flight keep the base they
+// loaded. Compactions serialize on the index's mutex.
+func (s *Index) Compact() error {
+	if len(s.ids) != s.total {
+		return fmt.Errorf("shard: an index holding %d of %d shards does not grow", len(s.ids), s.total)
 	}
-	// Owning shard i satisfies starts[i] ≤ p < starts[i+1].
-	return sort.SearchInts(s.starts, p+1) - 1
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, to := s.snapshot()
+	if to == b.end() {
+		return nil
+	}
+	last := len(b.frozen) - 1
+	ix, err := core.BuildRange(s.ext, b.frozen[last].Config(), b.starts[last], to)
+	if err != nil {
+		return fmt.Errorf("shard: compacting shard %d: %w", last, err)
+	}
+	next := &base{frozen: slices.Clone(b.frozen), starts: slices.Clone(b.starts)}
+	next.frozen[last] = ix.Freeze()
+	next.starts[s.total] = to
+	s.base.Store(next)
+	return nil
 }
 
-// Windows returns the number of indexed windows across the held shards.
+// TailWindows returns how many windows the tail holds: the windows
+// every query scans because no arena covers them yet.
+func (s *Index) TailWindows() int {
+	b, to := s.snapshot()
+	return to - b.end()
+}
+
+// Windows returns the number of windows the index answers over: those
+// of the held shards plus the tail.
 func (s *Index) Windows() int {
-	// ensureFrozen first: the arenas are then authoritative, and the
-	// dirty-flag handshake orders this read against any concurrent
-	// search's refreeze (plain reads of frozen[] would race with it).
-	s.ensureFrozen()
-	total := 0
-	for _, f := range s.frozen {
+	b, to := s.snapshot()
+	total := to - b.end()
+	for _, f := range b.frozen {
 		total += f.Len()
 	}
 	return total
@@ -543,7 +580,7 @@ func (s *Index) Windows() int {
 func (s *Index) L() int { return s.l }
 
 // NumShards returns the number of shards held.
-func (s *Index) NumShards() int { return len(s.frozen) }
+func (s *Index) NumShards() int { return len(s.ids) }
 
 // ShardIDs lists the container's indices of the held shards, ascending.
 func (s *Index) ShardIDs() []int { return append([]int(nil), s.ids...) }
@@ -551,81 +588,80 @@ func (s *Index) ShardIDs() []int { return append([]int(nil), s.ids...) }
 // TotalShards returns the shard count of the whole container.
 func (s *Index) TotalShards() int { return s.total }
 
-// Shard returns the frozen arena of held shard i (re-freezing first if
-// an insertion left it stale).
+// Shard returns the frozen arena of held shard i in the current base;
+// the tail's windows are in no arena until a compaction.
 func (s *Index) Shard(i int) *core.Frozen {
-	s.ensureFrozen()
-	return s.frozen[i]
+	return s.base.Load().frozen[i]
 }
 
-// Range returns the position range [lo, hi) held shard i owns.
+// Range returns the position range [lo, hi) held shard i owns in the
+// current base.
 func (s *Index) Range(i int) (lo, hi int) {
-	return s.starts[s.ids[i]], s.starts[s.ids[i]+1]
+	b := s.base.Load()
+	return b.starts[s.ids[i]], b.starts[s.ids[i]+1]
 }
 
 // Extractor exposes the extractor the index was built over.
 func (s *Index) Extractor() *series.Extractor { return s.ext }
 
-// MemoryBytes sums the per-shard heap-resident arena footprints, plus
-// the pointer trees of any shards thawed for insertion (both forms are
-// resident on the streaming path). File-mapped shard arenas are counted
-// by MappedBytes instead.
+// MemoryBytes sums the per-shard heap-resident arena footprints.
+// File-mapped shard arenas are counted by MappedBytes instead; the tail
+// is the series itself and costs no index bytes.
 func (s *Index) MemoryBytes() int {
-	s.ensureFrozen() // order the frozen[] reads against refreezes
 	total := 0
-	for i, f := range s.frozen {
+	for _, f := range s.base.Load().frozen {
 		total += f.MemoryBytes()
-		if s.pointer[i] != nil {
-			total += s.pointer[i].MemoryBytes()
-		}
 	}
 	return total
 }
 
 // MappedBytes sums the file-mapped footprints of the shard arenas: the
 // flat arrays of every shard still backed by an mmap'd region (see
-// OpenArena). Shards re-frozen after Insert move their arrays to the
-// heap and drop out of this figure.
+// OpenArena). A compaction rebuilds the last shard on the heap, which
+// takes it out of this figure.
 func (s *Index) MappedBytes() int {
-	s.ensureFrozen()
 	total := 0
-	for _, f := range s.frozen {
+	for _, f := range s.base.Load().frozen {
 		total += f.MappedBytes()
 	}
 	return total
 }
 
 // CheckInvariants validates every shard's invariants plus the partition
-// invariants (checkPartition). A heap open runs the same checks, the
+// invariants of the current base (checkPartition), and that the base
+// ends inside the series. A heap open runs the same checks, the
 // per-arena half in core.FrozenFromArena.
 func (s *Index) CheckInvariants() error {
-	s.ensureFrozen()
-	for i, f := range s.frozen {
+	b, to := s.snapshot()
+	for i, f := range b.frozen {
 		if err := f.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", s.ids[i], err)
 		}
 	}
-	return s.checkPartition()
+	if b.end() > to {
+		return fmt.Errorf("shard: base ends at window %d, series has %d", b.end(), to)
+	}
+	return s.checkPartition(b, b.end())
 }
 
-// checkShape validates the O(shards) partition invariants: the
-// container's boundaries rise strictly from 0 to the series' window
-// count, and every held shard holds exactly its range's windows.
-// A mapped open stops here — walking every position of a mapped
-// multi-gigabyte index would defeat the cheap open — while
-// checkPartition adds the full ownership scan.
-func (s *Index) checkShape() error {
-	count := series.NumSubsequences(s.ext.Len(), s.l)
-	if s.starts[0] != 0 || s.starts[s.total] != count {
-		return fmt.Errorf("shard: ranges span [%d, %d), series has %d windows", s.starts[0], s.starts[s.total], count)
+// checkShape validates the O(shards) partition invariants of b: the
+// container's boundaries rise strictly from 0 to count, and every held
+// shard holds exactly its range's windows. A mapped open stops here —
+// walking every position of a mapped multi-gigabyte index would defeat
+// the cheap open — while checkPartition adds the full ownership scan.
+// An open passes the series' window count: a saved index starts with
+// no tail.
+func (s *Index) checkShape(b *base, count int) error {
+	if b.starts[0] != 0 || b.starts[s.total] != count {
+		return fmt.Errorf("shard: ranges span [%d, %d), series has %d windows", b.starts[0], b.starts[s.total], count)
 	}
 	for i := 0; i < s.total; i++ {
-		if s.starts[i] >= s.starts[i+1] {
-			return fmt.Errorf("shard %d: empty or inverted range [%d, %d)", i, s.starts[i], s.starts[i+1])
+		if b.starts[i] >= b.starts[i+1] {
+			return fmt.Errorf("shard %d: empty or inverted range [%d, %d)", i, b.starts[i], b.starts[i+1])
 		}
 	}
-	for i, f := range s.frozen {
-		if lo, hi := s.Range(i); f.Len() != hi-lo {
+	for i, f := range b.frozen {
+		if lo, hi := b.starts[s.ids[i]], b.starts[s.ids[i]+1]; f.Len() != hi-lo {
 			return fmt.Errorf("shard %d: holds %d windows, range [%d, %d) spans %d", s.ids[i], f.Len(), lo, hi, hi-lo)
 		}
 	}
@@ -636,12 +672,12 @@ func (s *Index) checkShape() error {
 // above plus the full ownership scan — every window position of a held
 // shard's range owned exactly once, by that shard (it holds as many
 // positions as its range has windows, all inside it, none twice).
-func (s *Index) checkPartition() error {
-	if err := s.checkShape(); err != nil {
+func (s *Index) checkPartition(b *base, count int) error {
+	if err := s.checkShape(b, count); err != nil {
 		return err
 	}
-	for i, f := range s.frozen {
-		lo, hi := s.Range(i)
+	for i, f := range b.frozen {
+		lo, hi := b.starts[s.ids[i]], b.starts[s.ids[i]+1]
 		seen := make([]bool, hi-lo)
 		for _, pos := range f.Positions() {
 			if int(pos) < lo || int(pos) >= hi {

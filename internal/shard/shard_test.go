@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"twinsearch/internal/arena"
@@ -64,9 +65,12 @@ func TestApproxIsSubset(t *testing.T) {
 	}
 }
 
-// TestInsertRouting appends trailing windows and inserts into interior
-// shards, then checks searches still agree with a fresh single index.
-func TestInsertRouting(t *testing.T) {
+// TestTailAndCompaction grows the series under a three-shard index:
+// the windows gained are a tail every path scans, so each answer is the
+// definition's over the grown series, and past the compaction bound the
+// tail becomes the rebuilt last shard — the arena a build over the
+// grown series with the last boundary moved gives, byte for byte.
+func TestTailAndCompaction(t *testing.T) {
 	const l = 16
 	data := synthetic(400, 7)
 	ext := series.NewExtractor(data, series.NormNone)
@@ -74,25 +78,127 @@ func TestInsertRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sh.Windows()
-	ext.Append(synthetic(60, 8)...)
-	for p := before; p+l <= ext.Len(); p++ {
-		sh.Insert(p)
+	check := func(at string) {
+		t.Helper()
+		if err := sh.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		if got, want := sh.Windows(), series.NumSubsequences(ext.Len(), l); got != want {
+			t.Fatalf("%s: %d windows, series has %d", at, got, want)
+		}
+		for _, p := range []int{3, ext.Len() - l} {
+			q := ext.ExtractCopy(p, l)
+			want := oracle.Range(ext, q, 0.25)
+			ms, st := sh.SearchStats(q, 0.25)
+			if !sameMatches(ms, want) || st.Results != len(ms) || st.Abandons != st.Candidates-st.Results {
+				t.Fatalf("%s: range %v %+v, want %v", at, matchStarts(ms), st, matchStarts(want))
+			}
+			if got := sh.SearchTopK(q, 7); !sameMatches(got, oracle.TopK(ext, q, 7)) {
+				t.Fatalf("%s: top-k %v", at, got)
+			}
+			if got, err := sh.SearchPrefix(q[:l/2], 0.25); err != nil || !sameMatches(got, oracle.Range(ext, q[:l/2], 0.25)) {
+				t.Fatalf("%s: prefix %v (%v)", at, matchStarts(got), err)
+			}
+			if got, _ := sh.SearchApprox(q, 0.25, sh.Windows()); !sameMatches(got, want) {
+				t.Fatalf("%s: exhaustive approx %v", at, matchStarts(got))
+			}
+		}
 	}
-	if err := sh.CheckInvariants(); err != nil {
+	check("built")
+	ext.Append(synthetic(60, 8)...)
+	if err := sh.Extend(); err != nil {
 		t.Fatal(err)
 	}
-	q := ext.ExtractCopy(ext.Len()-l, l)
-	want := oracle.Range(ext, q, 0.25)
-	got := sh.Search(q, 0.25)
-	if !sameMatches(got, want) {
-		t.Fatalf("after append: got %v want %v", matchStarts(got), matchStarts(want))
+	if sh.TailWindows() != 60 {
+		t.Fatalf("tail holds %d windows after a 60-value append", sh.TailWindows())
+	}
+	check("60 appended")
+
+	lo, _ := sh.Range(2)
+	ext.Append(synthetic(minCompact, 9)...)
+	if err := sh.Extend(); err != nil {
+		t.Fatal(err)
+	}
+	if sh.TailWindows() != 0 {
+		t.Fatalf("tail holds %d windows past the compaction bound", sh.TailWindows())
+	}
+	count := series.NumSubsequences(ext.Len(), l)
+	if glo, ghi := sh.Range(2); glo != lo || ghi != count {
+		t.Fatalf("last shard spans [%d, %d) after compaction, want [%d, %d)", glo, ghi, lo, count)
+	}
+	check("compacted")
+	b := sh.base.Load()
+	rebuilt, err := Build(ext, Config{Config: core.Config{L: l}, Boundaries: b.starts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if _, err := sh.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rebuilt.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("the compacted index is not a build over the grown series")
+	}
+}
+
+// TestCompactDuringSearches publishes a grown window count and a
+// compaction while searches run. Each query loads one base and one
+// count, so every answer is the definition's over the series before
+// the growth or over the grown one — the old base alone, the old base
+// and its tail, or the new base — and once a client has seen the grown
+// answer it never sees the old one again. Run it under -race.
+func TestCompactDuringSearches(t *testing.T) {
+	const l = 24
+	ext := series.NewExtractor(synthetic(1200, 3), series.NormGlobal)
+	sh, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 2, Executor: exec.New(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The query's own window is appended, so the grown answers differ.
+	q := ext.ExtractCopy(500, l)
+	oldRange, oldTop := oracle.Range(ext, q, 0.4), oracle.TopK(ext, q, 6)
+	ext.Append(synthetic(minCompact, 4)...)
+	ext.Append(q...)
+	newRange, newTop := oracle.Range(ext, q, 0.4), oracle.TopK(ext, q, 6)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var grown [2]bool // range, top-k
+			for i := 0; i < 60; i++ {
+				kind := i % 2
+				var got, old, grownAns []series.Match
+				if kind == 0 {
+					got, old, grownAns = sh.Search(q, 0.4), oldRange, newRange
+				} else {
+					got, old, grownAns = sh.SearchTopK(q, 6), oldTop, newTop
+				}
+				switch {
+				case sameMatches(got, grownAns):
+					grown[kind] = true
+				case grown[kind] || !sameMatches(got, old):
+					t.Errorf("query %d (after a grown answer: %v): %v", i, grown[kind], got)
+					return
+				}
+			}
+		}()
+	}
+	if err := sh.Extend(); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	if sh.TailWindows() != 0 {
+		t.Fatalf("tail holds %d windows past the compaction bound", sh.TailWindows())
 	}
 }
 
 // TestPersistRoundTrip saves and reloads a sharded index and checks the
-// reloaded copy answers identically — as built, and after Insert left a
-// shard dirty (WriteTo must re-freeze first).
+// reloaded copy answers identically — as built, and after an append left
+// a tail (WriteTo must compact first).
 func TestPersistRoundTrip(t *testing.T) {
 	const l = 24
 	data := synthetic(1500, 11)
@@ -106,11 +212,11 @@ func TestPersistRoundTrip(t *testing.T) {
 						t.Fatal(err)
 					}
 					if state == "dirty" {
-						// Grow the series and insert the newly completed windows.
-						old := sh.Windows()
+						// Grow the series: its new windows are a tail, which
+						// WriteTo must compact into the last shard first.
 						ext.Append(1.5, -0.25, 0.75)
-						for p := old; p < series.NumSubsequences(ext.Len(), l); p++ {
-							sh.Insert(p)
+						if err := sh.Extend(); err != nil || sh.TailWindows() != 3 {
+							t.Fatalf("Extend: %v, tail %d", err, sh.TailWindows())
 						}
 					}
 					var blob bytes.Buffer

@@ -106,9 +106,9 @@ func TestSavedFormatMatrix(t *testing.T) {
 }
 
 // TestMMapEngineAppendAndClose exercises the mutation path on a mapped
-// engine: Append must copy-on-thaw (never write through the mapping),
-// the refrozen shard must migrate to the heap, and Close must release
-// cleanly and stay idempotent.
+// engine: Append grows the tail in place (the mapping stays, nothing is
+// written through it), a compaction moves the rebuilt last shard to the
+// heap, and Close must release cleanly and stay idempotent.
 func TestMMapEngineAppendAndClose(t *testing.T) {
 	if !arena.MapSupported() {
 		t.Skip("zero-copy open unsupported on this platform")
@@ -159,8 +159,18 @@ func TestMMapEngineAppendAndClose(t *testing.T) {
 	if got[len(got)-1].Start != eng.SeriesLen()-l {
 		t.Fatalf("appended twin missing: last match at %d, want %d", got[len(got)-1].Start, eng.SeriesLen()-l)
 	}
+	if eng.MappedBytes() != mappedBefore {
+		t.Fatalf("an append moved the mapping: %d bytes mapped, %d before", eng.MappedBytes(), mappedBefore)
+	}
+	// Saving compacts the tail: the rebuilt last shard lives on the heap.
+	if err := eng.SaveIndexFile(filepath.Join(t.TempDir(), "grown.tssh")); err != nil {
+		t.Fatal(err)
+	}
 	if eng.MappedBytes() >= mappedBefore {
-		t.Fatalf("append did not migrate the mutated shard off the mapping (%d >= %d)", eng.MappedBytes(), mappedBefore)
+		t.Fatalf("compaction left the last shard on the mapping (%d >= %d)", eng.MappedBytes(), mappedBefore)
+	}
+	if again, err := eng.Search(q, 0.5); err != nil || !matchListsEq(again, got) {
+		t.Fatalf("post-compaction search: %v (%v), want %v", again, err, got)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {

@@ -107,7 +107,7 @@ func TestOneShardEngineIsTheOldSingleIndex(t *testing.T) {
 						t.Fatalf("mmap=%v: open → Append → SaveIndex differs from a rebuild over the grown series", mmap)
 					}
 					if re.MappedBytes() != 0 {
-						t.Fatalf("mmap=%v: %d bytes still mapped after the re-freeze", mmap, re.MappedBytes())
+						t.Fatalf("mmap=%v: %d bytes still mapped after the save compacted the tail", mmap, re.MappedBytes())
 					}
 					ms, st, err := re.SearchStats(q, 0.2)
 					wantM, wantS := refz.SearchStats(tq, 0.2)

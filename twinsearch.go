@@ -235,8 +235,9 @@ type Engine struct {
 
 	// sh is the local TS-Index, whatever Options.Shards resolved to: a
 	// single index is a shard.Index of one shard. It owns the frozen
-	// arenas every search traverses and the thaw → insert → re-freeze
-	// handshake behind Append. nil for cluster engines.
+	// arenas every search traverses, and the tail of appended windows
+	// every search scans until a compaction folds it in. nil for cluster
+	// engines.
 	sh *shard.Index
 
 	// cl serves queries when the engine was opened with
@@ -247,7 +248,8 @@ type Engine struct {
 	// ar is the mapped file region backing the index when the engine
 	// was opened with Options.MMap; the engine owns it and Close
 	// releases it. nil for every heap-resident engine: a read arena
-	// lives as long as a shard views it, so Append's re-freeze frees it.
+	// lives as long as a shard views it, so a compaction that rebuilds
+	// the one shard viewing it frees it.
 	ar *arena.Arena
 
 	// Serving-tier caches (nil when disabled): plan holds prepared
@@ -260,7 +262,7 @@ type Engine struct {
 
 	// epoch is the index mutation counter the result-cache keys of the
 	// answers an Append invalidates embed (see resultKey): bumped on
-	// every Append (and on Close), never on re-freeze (the logical
+	// every Append (and on Close), never on compaction (the logical
 	// content is unchanged). A cluster engine is read-only, so its
 	// epoch stays 0 while it is open.
 	epoch atomic.Uint64
@@ -584,12 +586,12 @@ const maxTailScan = 4096
 // Append: the range and top-k answers of a local TS-Index, which are a
 // function of (query, parameter, window set) alone and therefore still
 // exact for the windows they covered (see searchCached). An answer
-// with traversal counters is not — the counters describe one tree
-// shape, and no scan of the gained windows reproduces what a traversal
-// of the re-frozen tree would count; nor are prefix and approximate
-// answers (a tail scan of their own; a budgeted subset), nor a cluster
-// engine's, which is read-only: its entries are keyed by an epoch that
-// stays 0 while it is open.
+// with traversal counters is not: the counters describe the base it
+// traversed, and after a compaction a fresh search traverses another
+// tree, which counts differently from a scan of the gained windows. Nor
+// are prefix and approximate answers (a tail scan of their own; a
+// budgeted subset), nor a cluster engine's, which is read-only: its
+// entries are keyed by an epoch that stays 0 while it is open.
 func (e *Engine) carriesAppends(path qcache.Path) bool {
 	return e.sh != nil && (path == qcache.PathSearch || path == qcache.PathTopK)
 }
@@ -644,7 +646,7 @@ func (e *Engine) searchCached(ctx context.Context, path qcache.Path, key string,
 					k := int(min(a, float64(windows)))
 					r.Matches = core.ScanTailTopK(e.ext, tq, k, r.Windows, windows, r.Matches)
 				} else {
-					r.Matches = core.ScanTail(e.ext, tq, a, r.Windows, windows, r.Matches)
+					r.Matches = core.ScanTail(e.ext, tq, a, r.Windows, windows, r.Matches, nil)
 				}
 				r.Windows = windows
 				e.res.Put(key, r)
@@ -670,7 +672,7 @@ func (e *Engine) searchCached(ctx context.Context, path qcache.Path, key string,
 
 // Epoch returns the engine's index mutation counter: a monotonically
 // increasing value bumped by every Append (and by Close), stable
-// across searches and re-freezes. Any consumer caching answers can use
+// across searches and compactions. Any consumer caching answers can use
 // "epoch changed" as the invalidation signal, and the engine's own
 // result cache does for every answer it cannot bring up to date
 // (SearchStats, SearchShorter, SearchApprox; everything on a cluster
@@ -694,18 +696,27 @@ type CacheCounters struct {
 }
 
 // ServingStats is the engine's serving-tier observability snapshot:
-// the index epoch plus both caches' counters — the payload behind the
-// server's /stats endpoint.
+// the index epoch, the appended windows every search still scans, and
+// both caches' counters — the payload behind the server's /stats
+// endpoint.
 type ServingStats struct {
-	Epoch  uint64        `json:"epoch"`
-	Plan   CacheCounters `json:"plan_cache"`
-	Result CacheCounters `json:"result_cache"`
+	Epoch uint64 `json:"epoch"`
+	// TailWindows is how many appended windows no arena covers yet:
+	// every search scans them until a compaction folds them in (see
+	// Append). 0 on a cluster engine.
+	TailWindows int           `json:"tail_windows"`
+	Plan        CacheCounters `json:"plan_cache"`
+	Result      CacheCounters `json:"result_cache"`
 }
 
-// ServingStats snapshots the serving-tier caches and epoch. Cheap:
-// counter loads plus one short mutex hold per cache stripe.
+// ServingStats snapshots the serving-tier caches, the tail and the
+// epoch. Cheap: counter loads plus one short mutex hold per cache
+// stripe.
 func (e *Engine) ServingStats() ServingStats {
 	out := ServingStats{Epoch: e.Epoch()}
+	if e.sh != nil {
+		out.TailWindows = e.sh.TailWindows()
+	}
 	if e.plan != nil {
 		s := e.plan.Stats()
 		out.Plan = CacheCounters{Enabled: true, Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
@@ -862,8 +873,8 @@ func (e *Engine) HeapBytes() int {
 // arena arrays served straight from an mmap'd saved index
 // (Options.MMap). These pages are shared with other processes mapping
 // the same file and reclaimable by the kernel, so they are accounted
-// separately from HeapBytes. Shards or trees re-frozen after Append
-// migrate to the heap and leave this figure.
+// separately from HeapBytes. Appending keeps the mapping; the last
+// shard leaves this figure when a compaction rebuilds it on the heap.
 func (e *Engine) MappedBytes() int {
 	if e.cl != nil {
 		return e.cl.MappedBytes() // local topology entries only
