@@ -665,6 +665,27 @@ func BenchmarkShardedSearch(b *testing.B) {
 			})
 		}
 	}
+
+	// The served shape: the series, length, partition and thresholds of
+	// tsserve's sharded workload (EEG 200 k, 4 shards, ε = 1.0 and 0.2),
+	// on one worker so fan-out and merge time is not hidden behind
+	// parallel traversal. At ε = 1.0 a query has ~1 600 twins.
+	data, sext := servedSeries()
+	var sqs [][]float64
+	for _, q := range datasets.Queries(data, 7, benchQueries, harness.DefaultL) {
+		sqs = append(sqs, sext.TransformQuery(q))
+	}
+	ix, err := shard.Build(sext, shard.Config{
+		Config: core.Config{L: harness.DefaultL}, Shards: 4, Executor: exec.New(1),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, eps := range []float64{1.0, 0.2} {
+		b.Run(fmt.Sprintf("served/shards=4/workers=1/eps=%g", eps), func(b *testing.B) {
+			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, sqs, eps)
+		})
+	}
 }
 
 // Skewed shards: 4 partitions with the last holding ~90% of the

@@ -325,8 +325,9 @@ func (f *Frozen) sweepChildren(n int32, q []float64, limit float64, dists []floa
 // SearchStatsFrom is the range-search work unit: the Algorithm 1
 // traversal restricted to one subtree. Matches are returned in
 // traversal order (unsorted) and Stats.Results is left zero — the
-// caller merging several units sorts once per shard and sets the
-// total. SearchStats is the whole-tree, sorted entry point.
+// caller merging several units orders them once per shard
+// (series.SortMatches) and sets the total. SearchStats is the
+// whole-tree, sorted entry point.
 func (f *Frozen) SearchStatsFrom(sub FrozenSubtree, q []float64, eps float64) ([]series.Match, Stats) {
 	if len(q) != f.cfg.L {
 		panic(fmt.Sprintf("core: query length %d, index built for %d", len(q), f.cfg.L))

@@ -46,6 +46,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"twinsearch/internal/core"
 	"twinsearch/internal/exec"
@@ -113,10 +114,11 @@ func canceled(ctx context.Context) bool {
 var _ Backend = (*Index)(nil)
 
 // queueSearch enqueues the (shard, subtree) units of b for one range
-// search into g — the core of QueueSearch and SearchStatsCtx — and
-// records the tail [b.end(), to) for Resolve to scan. A nil ctx never
-// cancels.
-func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, to int, q []float64, eps float64) *PendingSearch {
+// search into g — the core of QueueSearch, SearchStatsCtx and
+// SearchPrefixTreeCtx — and records the tail [b.end(), to) for Resolve
+// to scan. A prefix search (len(q) < L) runs the prefix-capable unit,
+// whose counters are not kept. A nil ctx never cancels.
+func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, to int, q []float64, eps float64, prefix bool) *PendingSearch {
 	fr := s.unitFrontiers(b)
 	p := &PendingSearch{
 		res: make([][][]series.Match, len(fr)),
@@ -132,7 +134,11 @@ func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, to int,
 				if canceled(ctx) {
 					return
 				}
-				p.res[i][j], p.st[i][j] = f.SearchStatsFrom(u, q, eps)
+				if prefix {
+					p.res[i][j] = f.SearchPrefixTreeFrom(u, q, eps)
+				} else {
+					p.res[i][j], p.st[i][j] = f.SearchStatsFrom(u, q, eps)
+				}
 			})
 		}
 	}
@@ -175,7 +181,7 @@ func (s *Index) searchStats(ctx context.Context, q []float64, eps float64) ([]se
 	setTail(sp, b, to)
 	g := s.ex.NewGroup()
 	tsp := sp.StartChild("traverse")
-	p := s.queueSearch(g, ctx, b, to, q, eps)
+	p := s.queueSearch(g, ctx, b, to, q, eps, false)
 	g.Wait()
 	setUnitSpans(tsp, g, p.st)
 	tsp.End()
@@ -368,11 +374,12 @@ func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float6
 }
 
 // SearchPrefixTreeCtx is the tree half of SearchPrefix honoring
-// cancellation: truncated-bound traversal of every unit, per-shard
-// sort, partition merge, and the tail's windows scanned at the query's
-// length — prefix twins among the indexed starts only. The windows that
-// exist only at the shorter length are NOT scanned here (the Backend
-// contract): the caller decides who scans them exactly once.
+// cancellation: the range fan-out with the truncated-bound unit
+// (queueSearch, Resolve; counters discarded) — prefix twins among the
+// indexed starts only, the tail's windows scanned at the query's
+// length. The windows that exist only at the shorter length are NOT
+// scanned here (the Backend contract): the caller decides who scans
+// them exactly once.
 func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	b, to := s.snapshot()
 	if err := b.frozen[0].ValidatePrefix(q); err != nil {
@@ -385,35 +392,14 @@ func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float6
 		tree, _ := b.frozen[0].SearchPrefixTree(q, eps) // validated above
 		return core.ScanTail(s.ext, q, eps, b.end(), to, tree, nil), nil
 	}
-	units := s.unitFrontiers(b)
-	res := make([][][]series.Match, len(units))
 	g := s.ex.NewGroup()
-	for i, us := range units {
-		res[i] = make([][]series.Match, len(us))
-		f := b.frozen[i]
-		for j, u := range us {
-			g.Go(func(*exec.Ctx) {
-				if canceled(ctx) {
-					return
-				}
-				res[i][j] = f.SearchPrefixTreeFrom(u, q, eps)
-			})
-		}
-	}
+	p := s.queueSearch(g, ctx, b, to, q, eps, true)
 	g.Wait()
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
-	per := make([][]series.Match, len(units))
-	for i := range res {
-		var ms []series.Match
-		for _, unit := range res[i] {
-			ms = append(ms, unit...)
-		}
-		series.SortMatches(ms)
-		per[i] = ms
-	}
-	return core.ScanTail(s.ext, q, eps, b.end(), to, mergePartitioned(per), nil), nil
+	ms, _ := p.Resolve()
+	return ms, nil
 }
 
 // SearchApproxCtx is SearchApprox honoring cancellation: leaves are
@@ -452,6 +438,8 @@ func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, l
 	for _, x := range stats {
 		st = addStats(st, x)
 	}
-	ms, st := s.withTail(obs.SpanFrom(ctx), b, to, q, eps, mergePartitioned(per), st)
+	// Each shard's list is in start order and the shards own ascending
+	// position ranges, so their concatenation is in position order.
+	ms, st := s.withTail(obs.SpanFrom(ctx), b, to, q, eps, slices.Concat(per...), st)
 	return ms, st, nil
 }

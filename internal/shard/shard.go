@@ -289,14 +289,14 @@ type PendingSearch struct {
 // only after g.Wait() returns.
 func (s *Index) QueueSearch(g *exec.Group, q []float64, eps float64) *PendingSearch {
 	b, to := s.snapshot()
-	return s.queueSearch(g, nil, b, to, q, eps)
+	return s.queueSearch(g, nil, b, to, q, eps, false)
 }
 
-// Resolve merges the unit results deterministically — units of one
-// shard are concatenated and sorted by start (the set is identical
-// however the tree was split, so the sorted order is too), and the
-// per-shard lists concatenate (mergePartitioned) — and appends the tail
-// scan's twins.
+// Resolve merges the unit results deterministically into one answer
+// slice — each shard's units appended, then that segment ordered by
+// start (series.SortMatches: the set is identical however the tree was
+// split, so the order is too), shard after shard, which is position
+// order — and appends the tail scan's twins.
 func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
 	var st core.Stats
 	total := 0
@@ -308,19 +308,14 @@ func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
 	}
 	var ms []series.Match
 	if total > 0 {
-		per := make([][]series.Match, len(p.res))
-		for i := range p.res {
-			n := 0
-			for _, unit := range p.res[i] {
-				n += len(unit)
-			}
-			per[i] = make([]series.Match, 0, n)
-			for _, unit := range p.res[i] {
-				per[i] = append(per[i], unit...)
-			}
-			series.SortMatches(per[i])
+		ms = make([]series.Match, 0, total)
+	}
+	for _, units := range p.res {
+		from := len(ms)
+		for _, unit := range units {
+			ms = append(ms, unit...)
 		}
-		ms = mergePartitioned(per)
+		series.SortMatches(ms[from:])
 	}
 	ms = core.ScanTail(p.ext, p.q, p.eps, p.from, p.to, ms, &st)
 	st.Results = len(ms)
@@ -335,24 +330,6 @@ func addStats(a, b core.Stats) core.Stats {
 	a.Abandons += b.Abandons
 	a.Results += b.Results
 	return a
-}
-
-// mergePartitioned combines per-shard start-sorted results: shards own
-// ascending position ranges, so shard-order concatenation IS the
-// position-order merge. Every range-search path funnels through here.
-func mergePartitioned(per [][]series.Match) []series.Match {
-	total := 0
-	for _, ms := range per {
-		total += len(ms)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]series.Match, 0, total)
-	for _, ms := range per {
-		out = append(out, ms...)
-	}
-	return out
 }
 
 // mergeByStart k-way merges start-sorted, start-disjoint lists into one
