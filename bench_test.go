@@ -497,9 +497,7 @@ func leafCandidates(fz *core.Frozen, q []float64, eps float64) (leaves [][]int32
 // Verification per candidate, on the candidates the served traversals
 // actually verify — the windows of every leaf a ε = 1.0 (`wide-sharded`)
 // and a ε = 0.2 (`point`) traversal of bench/'s index reaches, near
-// misses that survived Lemma 1, not random positions — by the scalar
-// series.Verifier the engine called per window until ISSUE 23 (built
-// once per query here; the engine built one per work unit) and by one
+// misses that survived Lemma 1, not random positions — by one
 // kernel.SweepWindows call per leaf, in every kernel implementation.
 func BenchmarkLeafVerify(b *testing.B) {
 	fz, qs := benchServed(b)
@@ -529,20 +527,6 @@ func BenchmarkLeafVerify(b *testing.B) {
 				b.ReportMetric(float64(twins)/(float64(b.N)*float64(len(qs))), "twins/query")
 			})
 		}
-		vers := make([]*series.Verifier, len(qs))
-		for i, q := range qs {
-			vers[i] = series.NewVerifier(ext, q, eps)
-		}
-		run("verifier", func(i int) (twins int) {
-			for _, leaf := range perQuery[i] {
-				for _, p := range leaf {
-					if vers[i].Verify(int(p)) {
-						twins++
-					}
-				}
-			}
-			return twins
-		})
 		dists := make([]float64, 256)
 		for _, im := range kernel.Impls() {
 			run("sweep-"+im.Name, func(i int) (twins int) {
@@ -558,57 +542,6 @@ func BenchmarkLeafVerify(b *testing.B) {
 			})
 		}
 	}
-}
-
-// Adaptive (ADS+-style) vs full iSAX build: construction cost and the
-// convergence of query latency as refinement proceeds.
-func BenchmarkAblationAdaptiveISAX(b *testing.B) {
-	ds := benchSetups[1]
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
-	b.Run("build/full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := isax.Build(ext, isax.Config{L: harness.DefaultL, Segments: harness.DefaultM, LeafCapacity: 128}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("build/adaptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := isax.BuildAdaptive(ext, isax.Config{L: harness.DefaultL, Segments: harness.DefaultM, LeafCapacity: 128}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("query/first-touch", func(b *testing.B) {
-		// Each iteration pays the refinement cost on a fresh index.
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ad, err := isax.BuildAdaptive(ext, isax.Config{L: harness.DefaultL, Segments: harness.DefaultM, LeafCapacity: 128})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			for _, q := range qs {
-				ad.Search(q, ds.def)
-			}
-		}
-	})
-	b.Run("query/warmed", func(b *testing.B) {
-		ad, err := isax.BuildAdaptive(ext, isax.Config{L: harness.DefaultL, Segments: harness.DefaultM, LeafCapacity: 128})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, q := range qs {
-			ad.Search(q, ds.def) // warm the touched regions
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, q := range qs {
-				ad.Search(q, ds.def)
-			}
-		}
-	})
 }
 
 // Sharded TS-Index construction: the shard count is the parallelism of
@@ -822,34 +755,6 @@ func BenchmarkFrozenArena(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Parallel vs serial iSAX construction (the ParIS/MESSI direction).
-func BenchmarkAblationParallelISAXBuild(b *testing.B) {
-	ds := benchSetups[1]
-	ext := benchExt(ds, series.NormGlobal)
-	cfg := isax.Config{L: harness.DefaultL, Segments: harness.DefaultM, LeafCapacity: 256}
-	b.Run("workers=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := isax.BuildParallel(ext, cfg, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("workers=4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := isax.BuildParallel(ext, cfg, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("workers=max", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := isax.BuildParallel(ext, cfg, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Index persistence: serialize/reload a built TS-Index versus

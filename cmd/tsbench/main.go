@@ -34,7 +34,7 @@ func main() {
 		csvPath  = flag.String("csv", "", "also write rows as CSV to this path")
 		jsonPath = flag.String("json", "", "also write rows as JSON (with host/dispatch metadata) to this path")
 		quiet    = flag.Bool("quiet", false, "suppress progress logging")
-		mem      = flag.Bool("mem", false, "verify candidates in memory instead of the paper's disk-resident setup")
+		mem      = flag.Bool("mem", false, "read candidates from memory instead of the paper's disk-resident setup (every method verifies through the same kernel sweep either way)")
 	)
 	flag.Parse()
 	if *full {
@@ -53,6 +53,11 @@ func main() {
 	run := func(name string, f func() []harness.Row) {
 		if *figure == "all" || *figure == name {
 			rows = append(rows, f()...)
+			if err := r.Err(); err != nil {
+				fmt.Fprintf(os.Stderr, "tsbench: %v\n", err)
+				r.Close()
+				os.Exit(1)
+			}
 		}
 	}
 	run("intro", r.FigureIntro)
@@ -90,12 +95,17 @@ func main() {
 	}
 
 	if *jsonPath != "" {
+		verify := "disk"
+		if *mem {
+			verify = "memory"
+		}
 		doc := struct {
 			Tool    string        `json:"tool"`
 			Figure  string        `json:"figure"`
 			GOARCH  string        `json:"goarch"`
 			CPUs    int           `json:"cpus"`
 			Kernel  string        `json:"kernel_dispatch"`
+			Verify  string        `json:"verify"`
 			Scale   float64       `json:"scale"`
 			Queries int           `json:"queries"`
 			Seed    int64         `json:"seed"`
@@ -103,8 +113,8 @@ func main() {
 		}{
 			Tool: "tsbench", Figure: *figure,
 			GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(),
-			Kernel: kernel.Active(),
-			Scale:  *scale, Queries: *queries, Seed: *seed,
+			Kernel: kernel.Active(), Verify: verify,
+			Scale: *scale, Queries: *queries, Seed: *seed,
 			Rows: rows,
 		}
 		raw, err := json.MarshalIndent(doc, "", "  ")

@@ -355,7 +355,7 @@ func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]serie
 		return nil, st
 	}
 	var out []series.Match
-	cand := candidates{ext: f.ext, q: q}
+	ver := series.MakeVerifier(f.ext, q, eps)
 	dists := make([]float64, 0, sweepScratchCap)
 	stack := make([]int32, 0, frozenStackCap)
 	stack = append(stack, sub.id)
@@ -377,7 +377,7 @@ func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]serie
 		}
 		st.LeavesReached++
 		lo, c := f.first[n], f.count[n]
-		out = cand.within(f.positions[lo:lo+c], eps, out, &st)
+		out = verify(&ver, f.positions[lo:lo+c], out, &st)
 	}
 	return out, st
 }
@@ -422,7 +422,7 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 	}
 
 	t := newTopK(k, shared)
-	cand := candidates{ext: f.ext, q: q}
+	ver := series.MakeVerifier(f.ext, q, 0) // top-k sweeps against its own limit
 
 	t.st.NodesVisited++
 	rootLB, ok := kernel.DistAbandonFlat32(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, t.limit())
@@ -463,7 +463,7 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 		}
 		t.st.LeavesReached++
 		first, c := f.first[item.id], f.count[item.id]
-		t.offer(&cand, f.positions[first:first+c])
+		t.offer(&ver, f.positions[first:first+c])
 	}
 	return t.sorted(), t.st
 }
@@ -573,7 +573,7 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 	}
 
 	var out []series.Match
-	cand := candidates{ext: f.ext, q: q}
+	ver := series.MakeVerifier(f.ext, q, eps)
 	pq := make([]frozenItem, 0, frozenStackCap)
 	pq = append(pq, frozenItem{id: 0, lb: kernel.DistFlat32(f.boundsUpper(0), f.boundsLower(0), q)})
 	dists := make([]float64, 0, sweepScratchCap)
@@ -601,7 +601,7 @@ func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget
 		}
 		st.LeavesReached++
 		first, c := f.first[item.id], f.count[item.id]
-		out = cand.within(f.positions[first:first+c], eps, out, &st)
+		out = verify(&ver, f.positions[first:first+c], out, &st)
 	}
 	series.SortMatches(out)
 	st.Results = len(out)

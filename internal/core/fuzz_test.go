@@ -206,23 +206,29 @@ func FuzzExtendAnswer(f *testing.F) {
 	})
 }
 
-// rawStore serves the raw series the way tsbench's disk store does.
-type rawStore []float64
+// rawStore serves the raw series the way tsbench's disk store does,
+// counting its reads.
+type rawStore struct {
+	data  []float64
+	reads int
+}
 
-func (r rawStore) ReadAt(dst []float64, p int) error {
-	copy(dst, r[p:p+len(dst)])
+func (r *rawStore) ReadAt(dst []float64, p int) error {
+	r.reads++
+	copy(dst, r.data[p:p+len(dst)])
 	return nil
 }
 
-// FuzzLeafVerify checks the one verification step every query path
-// shares (candidates) against the three other statements of the same
-// predicate — Extractor.WithinAt, series.Verifier in memory and
-// series.Verifier over a store — on every window of a fuzzed series,
-// for every normalisation and any query length, handed over as one wide
-// leaf and as small ones; the store-backed branch likewise. Top-k
-// through the same sweep must give the oracle's answer, ties at the
-// k-th place included, with the counters a kernel call per candidate —
-// the limit re-read before each — reports.
+// FuzzLeafVerify holds the one verification step every method shares,
+// series.Verifier, to the definition (internal/oracle) on every window
+// of a fuzzed series, for every normalisation and any query length:
+// handed over as small leaves and one wide one, in memory and over a
+// store — one ReadAt per candidate there. Range search through verify
+// must keep exactly the oracle's twins, with every window counted as a
+// candidate and every rejection as an abandon. Top-k through the same
+// sweep must give the oracle's answer, ties at the k-th place included,
+// with the counters a kernel call per candidate — the limit re-read
+// before each — reports.
 func FuzzLeafVerify(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0), uint8(40), uint8(5), uint8(2))
 	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1, 0, 0, 0, 0, 0, 0}, uint8(1), uint8(0), uint8(0), uint8(0))
@@ -264,50 +270,38 @@ func FuzzLeafVerify(f *testing.F) {
 			}
 		}
 
+		store := &rawStore{data: ts}
 		stored := series.NewExtractor(ts, mode)
-		stored.AttachStore(rawStore(ts))
-		mem, disk := series.NewVerifier(ext, q, eps), series.NewVerifier(stored, q, eps)
-		var want []series.Match
-		for p := 0; p < total; p++ {
-			twin := ext.WithinAt(q, p, eps)
-			if mem.Verify(p) != twin || disk.Verify(p) != twin {
-				t.Fatalf("window %d: WithinAt says %v, a Verifier disagrees", p, twin)
-			}
-			if twin {
-				want = append(want, series.Match{Start: p, Dist: -1})
-			}
-		}
-		if !slices.Equal(want, oracle.Range(ext, q, eps)) {
-			t.Fatalf("WithinAt accepts %v, oracle %v", want, oracle.Range(ext, q, eps))
-		}
+		stored.AttachStore(store)
+		wantRange, wantTop := oracle.Range(ext, q, eps), oracle.TopK(ext, q, k)
 		for name, e := range map[string]*series.Extractor{"memory": ext, "store": stored} {
-			c := candidates{ext: e, q: q}
+			store.reads = 0
+			ver := series.MakeVerifier(e, q, eps)
 			var got []series.Match
 			var st Stats
-			leaves(func(leaf []int32) { got = c.within(leaf, eps, got, &st) })
-			if !slices.Equal(got, want) || st.Candidates != total || st.Abandons != total-len(want) {
-				t.Fatalf("%s: candidates accept %v (%+v), WithinAt %v of %d", name, got, st, want, total)
+			leaves(func(leaf []int32) { got = verify(&ver, leaf, got, &st) })
+			if !slices.Equal(got, wantRange) || st.Candidates != total || st.Abandons != total-len(wantRange) {
+				t.Fatalf("%s: verify accepts %v (%+v), oracle %v of %d", name, got, st, wantRange, total)
 			}
-			if onStore := name == "store"; (c.ver != nil) != onStore || onStore && c.ver.DiskReads() != total {
-				t.Fatalf("%s: verified through the wrong branch (store verifier: %v)", name, c.ver != nil)
+			if onStore := name == "store"; onStore && store.reads != total || !onStore && store.reads != 0 {
+				t.Fatalf("%s: %d store reads for %d candidates", name, store.reads, total)
 			}
-		}
 
-		// Top-k: a sweep per leaf, and a sweep per candidate — the limit
-		// re-read before each kernel call — as the reference.
-		c := candidates{ext: ext, q: q}
-		swept, single := newTopK(k, nil), newTopK(k, nil)
-		leaves(func(leaf []int32) {
-			swept.offer(&c, leaf)
-			for i := range leaf {
-				single.offer(&c, leaf[i:i+1])
+			// Top-k: a sweep per leaf, and a sweep per candidate — the
+			// limit re-read before each kernel call — as the reference.
+			swept, single := newTopK(k, nil), newTopK(k, nil)
+			leaves(func(leaf []int32) {
+				swept.offer(&ver, leaf)
+				for i := range leaf {
+					single.offer(&ver, leaf[i:i+1])
+				}
+			})
+			if swept.st != single.st {
+				t.Fatalf("%s top-%d counters: swept %+v, per candidate %+v", name, k, swept.st, single.st)
 			}
-		})
-		if swept.st != single.st {
-			t.Fatalf("top-%d counters: swept %+v, per candidate %+v", k, swept.st, single.st)
-		}
-		if got, want := swept.sorted(), oracle.TopK(ext, q, k); !slices.Equal(got, want) || !slices.Equal(single.sorted(), want) {
-			t.Fatalf("top-%d: swept %v, oracle %v", k, got, want)
+			if got := swept.sorted(); !slices.Equal(got, wantTop) || !slices.Equal(single.sorted(), wantTop) {
+				t.Fatalf("%s top-%d: swept %v, oracle %v", name, k, got, wantTop)
+			}
 		}
 	})
 }

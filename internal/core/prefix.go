@@ -21,15 +21,27 @@ func ScanTail(ext *series.Extractor, q []float64, eps float64, from, to int, out
 	if from >= to {
 		return out // the common case of an index with no tail
 	}
-	c := candidates{ext: ext, q: q}
+	v := series.MakeVerifier(ext, q, eps)
 	var own Stats
 	if st == nil {
 		st = &own
 	}
 	var buf [sweepScratchCap]int32
 	for ; from < to; from += len(buf) {
-		out = c.within(tailStarts(buf[:], from, to), eps, out, st)
+		out = verify(&v, tailStarts(buf[:], from, to), out, st)
 	}
+	return out
+}
+
+// verify is the verification step of every range path — leaves, the
+// approximate probe and the tail scans: it appends to out the twins
+// among the windows at starts, in the order given, and counts the
+// windows as candidates, and the rejected ones as abandons, into st.
+func verify(v *series.Verifier, starts []int32, out []series.Match, st *Stats) []series.Match {
+	had := len(out)
+	out = v.Within(starts, out)
+	st.Candidates += len(starts)
+	st.Abandons += len(starts) - (len(out) - had)
 	return out
 }
 
@@ -61,10 +73,10 @@ func ScanTailTopK(ext *series.Extractor, q []float64, k, from, to int, best []se
 	for i := len(best) - 1; i >= 0; i-- {
 		t.best = append(t.best, worstFirst(best[i]))
 	}
-	c := candidates{ext: ext, q: q}
+	v := series.MakeVerifier(ext, q, 0) // top-k sweeps against its own limit
 	var buf [sweepScratchCap]int32
 	for ; from < to; from += len(buf) {
-		t.offer(&c, tailStarts(buf[:], from, to))
+		t.offer(&v, tailStarts(buf[:], from, to))
 	}
 	return t.sorted()
 }

@@ -94,8 +94,8 @@ func (t *topK) limit() float64 {
 // limit is read once for the sweep and again per window: a distance it
 // has come to exclude meanwhile counts as the abandon a kernel call
 // made at that moment would have reported.
-func (t *topK) offer(c *candidates, starts []int32) {
-	for j, d := range c.sweep(starts, t.limit()) {
+func (t *topK) offer(v *series.Verifier, starts []int32) {
+	for j, d := range v.Sweep(starts, t.limit()) {
 		t.st.Candidates++
 		if d < 0 || d > t.limit() {
 			t.st.Abandons++

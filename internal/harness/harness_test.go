@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -302,5 +303,24 @@ func TestSkewedBoundariesAlwaysValid(t *testing.T) {
 				t.Fatalf("%+v: boundaries %v not strictly increasing at %d", tc, b, i)
 			}
 		}
+	}
+}
+
+// TestDiskSetupFailureIsAnError: when the disk store cannot be created
+// the runner reports it through Err and the figure returns no rows; it
+// never measures memory in the disk set-up's place.
+func TestDiskSetupFailureIsAnError(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	r := tinyRunner()
+	r.DiskVerify = true
+	defer r.Close()
+	if rows := r.Figure4(); len(rows) != 0 {
+		t.Fatalf("a failed disk set-up reported %d rows", len(rows))
+	}
+	if r.Err() == nil {
+		t.Fatal("a failed disk set-up reported no error")
+	}
+	if rows := r.Figure5(); len(rows) != 0 || r.Err() == nil {
+		t.Fatalf("Figure 5 after a failed set-up: %d rows, err %v", len(rows), r.Err())
 	}
 }

@@ -43,12 +43,15 @@ type Runner struct {
 	// verification performing a random-access file read. Off, everything
 	// stays in memory — faster, but per-candidate cost shrinks enough
 	// that fixed traversal overheads distort the paper's shapes at
-	// loose thresholds.
+	// loose thresholds. Either way every method verifies through the
+	// one series.Verifier and its kernel sweep: the setting decides only
+	// where candidate windows are read from.
 	DiskVerify bool
 
 	insect, eeg *Dataset // lazily materialized
 	diskStores  []*store.Disk
 	diskFiles   []string
+	err         error // the first set-up failure (Err)
 }
 
 // NewRunner returns a runner with the paper's workload size and storage
@@ -93,18 +96,27 @@ func (r *Runner) attachDisk(d *Dataset, ext *series.Extractor) error {
 }
 
 // extractor builds the (dataset, mode) extractor, wiring in the disk
-// store when DiskVerify is set.
-func (r *Runner) extractor(d *Dataset, mode series.NormMode) *series.Extractor {
+// store when DiskVerify is set. A store that cannot be set up is an
+// error, never a silent switch to memory: it is recorded for Err and
+// the figure asking reports no rows.
+func (r *Runner) extractor(d *Dataset, mode series.NormMode) (*series.Extractor, bool) {
 	ext := series.NewExtractor(d.Data, mode)
 	if r.DiskVerify {
 		if err := r.attachDisk(d, ext); err != nil {
-			// Fall back to in-memory verification rather than failing
-			// the whole experiment; the log records the substitution.
-			r.logf("  disk verify unavailable (%v); falling back to memory", err)
+			if r.err == nil {
+				r.err = fmt.Errorf("harness: disk-resident verification for %s: %w", d.Name, err)
+			}
+			return nil, false
 		}
 	}
-	return ext
+	return ext, true
 }
+
+// Err returns the first failure to set up a figure — the disk store of
+// DiskVerify — or nil. A figure that failed returned no rows for the
+// affected dataset, so rows gathered while Err is non-nil are
+// incomplete.
+func (r *Runner) Err() error { return r.err }
 
 func (r *Runner) logf(format string, args ...interface{}) {
 	if r.Log != nil {
@@ -162,7 +174,10 @@ func measure(b built, queries [][]float64, eps float64) (avgMs, avgResults, avgC
 // building each index once and reusing it across the grid — the way the
 // paper's per-figure sweeps are structured.
 func (r *Runner) sweep(figure string, d *Dataset, mode series.NormMode, methods []MethodID, epsGrid []float64, l, segments int, paramName string) []Row {
-	ext := r.extractor(d, mode)
+	ext, ok := r.extractor(d, mode)
+	if !ok {
+		return nil
+	}
 	queries := r.workload(d, ext, l)
 	var rows []Row
 	for _, m := range methods {
@@ -228,7 +243,10 @@ func (r *Runner) Figure5() []Row {
 	var rows []Row
 	for _, d := range r.Datasets() {
 		r.logf("Figure 5: %s", d.Name)
-		ext := r.extractor(d, series.NormGlobal)
+		ext, ok := r.extractor(d, series.NormGlobal)
+		if !ok {
+			continue
+		}
 		for _, l := range LengthGrid {
 			queries := r.workload(d, ext, l)
 			for _, m := range AllMethods {

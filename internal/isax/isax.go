@@ -82,8 +82,7 @@ type Stats struct {
 	Results       int
 }
 
-// prepare validates cfg, fills defaults, and resolves the quantizer;
-// shared by Build and BuildParallel.
+// prepare validates cfg, fills defaults, and resolves the quantizer.
 func prepare(ext *series.Extractor, cfg *Config) (*sax.Quantizer, int, error) {
 	if cfg.L <= 0 {
 		return nil, 0, fmt.Errorf("isax: invalid subsequence length %d", cfg.L)
@@ -263,7 +262,7 @@ func (ix *Index) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 		panic(fmt.Sprintf("isax: query length %d, index built for %d", len(q), ix.cfg.L))
 	}
 	qPAA := paa.Transform(q, ix.cfg.Segments)
-	ver := series.NewVerifier(ix.ext, q, eps)
+	ver := series.MakeVerifier(ix.ext, q, eps)
 
 	var st Stats
 	var out []series.Match
@@ -284,12 +283,8 @@ func (ix *Index) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 			continue
 		}
 		st.LeavesReached++
-		for _, p := range n.positions {
-			st.Candidates++
-			if ver.Verify(int(p)) {
-				out = append(out, series.Match{Start: int(p), Dist: -1})
-			}
-		}
+		st.Candidates += len(n.positions)
+		out = ver.Within(n.positions, out)
 	}
 	// Root children are visited in map order and leaf position runs
 	// interleave; restore the canonical ordering.

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
-	"twinsearch/internal/sweepline"
 )
 
 func buildOver(t *testing.T, ts []float64, mode series.NormMode, cfg Config) (*Index, *series.Extractor) {
@@ -40,6 +40,10 @@ func TestRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestMatchesSweeplineAllModes holds the index to the definition of twin search
+// (internal/oracle: every window, plain series.Chebyshev) — not to the
+// sweepline, which verifies through the same series.Verifier as this
+// index. The name is the brute-force scan the oracle spells out.
 func TestMatchesSweeplineAllModes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -56,11 +60,10 @@ func TestMatchesSweeplineAllModes(t *testing.T) {
 		// Small leaf capacity forces deep splits, exercising the
 		// cardinality-refinement machinery.
 		ix, ext := buildOver(t, tc.ts, tc.mode, Config{L: 80, Segments: 8, LeafCapacity: 64})
-		sw := sweepline.New(ext)
 		q := ext.ExtractCopy(1000, 80)
 		for _, eps := range tc.eps {
 			got := ix.Search(q, eps)
-			want := sw.Search(q, eps)
+			want := oracle.Range(ext, q, eps)
 			if len(got) != len(want) {
 				t.Fatalf("%s eps=%v: %d matches, want %d", tc.name, eps, len(got), len(want))
 			}
@@ -127,7 +130,7 @@ func TestRawModeUsesFittedQuantizer(t *testing.T) {
 	}
 	q := ext.ExtractCopy(777, 60)
 	got := ix.Search(q, 15)
-	want := sweepline.New(ext).Search(q, 15)
+	want := oracle.Range(ext, q, 15)
 	if len(got) != len(want) {
 		t.Fatalf("raw search: %d matches, want %d", len(got), len(want))
 	}

@@ -160,7 +160,9 @@ func (ix *Index) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 
 	var st Stats
 	var out []series.Match
-	ver := series.NewVerifier(ix.ext, q, eps)
+	ver := series.MakeVerifier(ix.ext, q, eps)
+	var buf [64]int32
+	starts := buf[:0]
 	for b := lo; b <= hi; b++ {
 		if len(ix.buckets[b]) == 0 {
 			continue
@@ -176,12 +178,14 @@ func (ix *Index) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 					}
 				}
 				st.Verified++
-				if ver.Verify(int(p)) {
-					out = append(out, series.Match{Start: int(p), Dist: -1})
+				if starts = append(starts, p); len(starts) == len(buf) {
+					out = ver.Within(starts, out)
+					starts = starts[:0]
 				}
 			}
 		}
 	}
+	out = ver.Within(starts, out)
 	// Buckets are scanned in key order, so positions arrive out of start
 	// order; restore the canonical ordering.
 	series.SortMatches(out)

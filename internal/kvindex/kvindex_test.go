@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
-	"twinsearch/internal/sweepline"
 )
 
 func buildOver(t *testing.T, ts []float64, mode series.NormMode, l int, exact bool) (*Index, *series.Extractor) {
@@ -35,6 +35,10 @@ func TestRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestMatchesSweepline holds the index to the definition of twin search
+// (internal/oracle: every window, plain series.Chebyshev) — not to the
+// sweepline, which verifies through the same series.Verifier as this
+// index. The name is the brute-force scan the oracle spells out.
 func TestMatchesSweepline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -49,11 +53,10 @@ func TestMatchesSweepline(t *testing.T) {
 	} {
 		for _, exact := range []bool{true, false} {
 			ix, ext := buildOver(t, tc.ts, tc.mode, 80, exact)
-			sw := sweepline.New(ext)
 			q := ext.ExtractCopy(1000, 80)
 			for _, eps := range tc.eps {
 				got := ix.Search(q, eps)
-				want := sw.Search(q, eps)
+				want := oracle.Range(ext, q, eps)
 				if len(got) != len(want) {
 					t.Fatalf("%s exact=%v eps=%v: %d matches, want %d", tc.name, exact, eps, len(got), len(want))
 				}

@@ -79,24 +79,17 @@ func (e *Extractor) Backing() WindowReader { return e.backing }
 // NewExtractor prepares an extractor over t with the given mode. The
 // input slice is never modified; NormGlobal takes a normalized copy.
 func NewExtractor(t []float64, mode NormMode) *Extractor {
-	e := &Extractor{mode: mode}
+	e := &Extractor{mode: mode, data: t}
 	switch mode {
 	case NormGlobal:
 		e.gMean, e.gStd = MeanStd(t)
-		e.data = make([]float64, len(t))
 		if e.gStd < zeroStd {
 			e.gStd = 0
-		} else {
-			inv := 1 / e.gStd
-			for i, v := range t {
-				e.data[i] = (v - e.gMean) * inv
-			}
 		}
+		e.data = make([]float64, len(t))
+		scaleInto(e.data, t, e.gMean, e.gStd)
 	case NormPerSubsequence:
-		e.data = t
 		e.rolling = NewRolling(t)
-	default:
-		e.data = t
 	}
 	return e
 }
@@ -129,16 +122,7 @@ func (e *Extractor) Extract(p, l int, buf []float64) []float64 {
 	}
 	buf = buf[:l]
 	mean, std := e.rolling.MeanStd(p, l)
-	if std < zeroStd {
-		for i := range buf {
-			buf[i] = 0
-		}
-		return buf
-	}
-	inv := 1 / std
-	for i, v := range w {
-		buf[i] = (v - mean) * inv
-	}
+	scaleInto(buf, w, mean, std)
 	return buf
 }
 
@@ -146,11 +130,40 @@ func (e *Extractor) Extract(p, l int, buf []float64) []float64 {
 // under the extractor's normalization.
 func (e *Extractor) ExtractCopy(p, l int) []float64 {
 	out := make([]float64, l)
-	w := e.Extract(p, l, out)
-	if &w[0] != &out[0] {
-		copy(out, w)
-	}
+	e.extractTo(p, out)
 	return out
+}
+
+// extractTo writes the in-memory window at p, under the extractor's
+// normalization, into dst.
+func (e *Extractor) extractTo(p int, dst []float64) {
+	if w := e.Extract(p, len(dst), dst); &w[0] != &dst[0] {
+		copy(dst, w)
+	}
+}
+
+// fetch writes the window at p, under the extractor's normalization,
+// into row: from memory, or — with a store attached — by one ReadAt of
+// the raw series, re-normalised by the arithmetic that built the
+// in-memory values, so both give the same bits.
+func (e *Extractor) fetch(p int, row []float64) {
+	if e.backing == nil {
+		e.extractTo(p, row)
+		return
+	}
+	if err := e.backing.ReadAt(row, p); err != nil {
+		panic("series: disk-backed verification read failed: " + err.Error())
+	}
+	mean, std := e.gMean, e.gStd
+	switch e.mode {
+	case NormNone:
+		return
+	case NormPerSubsequence:
+		// Rolling prefix sums stay in memory (they are part of the
+		// index-side state); only the values come from the store.
+		mean, std = e.rolling.MeanStd(p, len(row))
+	}
+	scaleInto(row, row, mean, std)
 }
 
 // TransformQuery maps a query expressed in the raw value space of the
@@ -168,13 +181,7 @@ func (e *Extractor) TransformQuery(q []float64) []float64 {
 	out := make([]float64, len(q))
 	switch e.mode {
 	case NormGlobal:
-		if e.gStd == 0 {
-			return out // constant series normalized to zeros
-		}
-		inv := 1 / e.gStd
-		for i, v := range q {
-			out[i] = (v - e.gMean) * inv
-		}
+		scaleInto(out, q, e.gMean, e.gStd) // a constant series maps queries to zeros
 	case NormPerSubsequence:
 		ZNormalizeTo(out, q)
 	default:
@@ -201,53 +208,12 @@ func (e *Extractor) GlobalParams() (mean, std float64) { return e.gMean, e.gStd 
 // Existing windows, queries and attached stores are unaffected; only
 // positions gained by the growth become addressable.
 func (e *Extractor) Append(vs ...float64) {
+	n := len(e.data)
+	e.data = append(e.data, vs...)
 	switch e.mode {
 	case NormGlobal:
-		if e.gStd == 0 {
-			e.data = append(e.data, make([]float64, len(vs))...)
-			return
-		}
-		inv := 1 / e.gStd
-		for _, v := range vs {
-			e.data = append(e.data, (v-e.gMean)*inv)
-		}
+		scaleInto(e.data[n:], e.data[n:], e.gMean, e.gStd)
 	case NormPerSubsequence:
-		e.data = append(e.data, vs...)
 		e.rolling.Append(vs...)
-	default:
-		e.data = append(e.data, vs...)
 	}
-}
-
-// WithinAt reports whether the window at [p, p+l) under the extractor's
-// normalization is a twin of q at threshold eps, without materializing
-// the normalized window: per-subsequence normalization is folded into the
-// comparison, abandoning at the first violating position.
-func (e *Extractor) WithinAt(q []float64, p int, eps float64) bool {
-	l := len(q)
-	if p < 0 || p+l > len(e.data) {
-		panic(fmt.Sprintf("series: WithinAt out of bounds: start=%d len=%d series=%d", p, l, len(e.data)))
-	}
-	w := e.data[p : p+l]
-	if e.mode != NormPerSubsequence {
-		return WithinChebyshev(q, w, eps)
-	}
-	mean, std := e.rolling.MeanStd(p, l)
-	if std < zeroStd {
-		// Window normalizes to all zeros.
-		for _, v := range q {
-			if v > eps || -v > eps {
-				return false
-			}
-		}
-		return true
-	}
-	inv := 1 / std
-	for i, v := range w {
-		d := q[i] - (v-mean)*inv
-		if d > eps || -d > eps {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package series
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -151,54 +152,45 @@ func TestTransformQueryConstantGlobalSeries(t *testing.T) {
 	}
 }
 
-func TestWithinAtAgainstExtract(t *testing.T) {
-	ts := randomSeries(3, 400)
-	for _, mode := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
-		e := NewExtractor(ts, mode)
-		q := e.ExtractCopy(37, 40)
-		for p := 0; p+40 <= len(ts); p += 11 {
-			w := e.Extract(p, 40, nil)
-			want := Chebyshev(q, w) <= 0.8
-			if got := e.WithinAt(q, p, 0.8); got != want {
-				t.Fatalf("mode=%v p=%d: WithinAt=%v want %v", mode, p, got, want)
-			}
-		}
-	}
-}
-
-func TestWithinAtConstantWindow(t *testing.T) {
-	ts := []float64{5, 5, 5, 1, 9}
-	e := NewExtractor(ts, NormPerSubsequence)
-	q := []float64{0, 0, 0}
-	if !e.WithinAt(q, 0, 0.01) {
-		t.Fatal("zero query should match constant window under per-sub norm")
-	}
-	q2 := []float64{0, 0.5, 0}
-	if e.WithinAt(q2, 0, 0.4) {
-		t.Fatal("query exceeding eps against zeros should not match")
-	}
-}
-
-func TestVerifierMatchesWithinAt(t *testing.T) {
+// TestVerifierMatchesChebyshev holds the verifier to the definition:
+// every distance Sweep reports is series.Chebyshev against the extracted
+// window, negative exactly when that exceeds the limit, and Within keeps
+// exactly the windows at most eps away — in memory and over a store, in
+// every mode, and for a batch wider than the verifier's scratch, so the
+// wide and row-by-row paths run.
+func TestVerifierMatchesChebyshev(t *testing.T) {
 	ts := randomSeries(4, 500)
 	for _, mode := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
-		e := NewExtractor(ts, mode)
-		q := e.ExtractCopy(100, 60)
-		ver := NewVerifier(e, q, 0.5)
-		for p := 0; p+60 <= len(ts); p += 7 {
-			want := e.WithinAt(q, p, 0.5)
-			if got := ver.Verify(p); got != want {
-				t.Fatalf("mode=%v p=%d: Verify=%v want %v", mode, p, got, want)
+		for _, stored := range []bool{false, true} {
+			e := NewExtractor(ts, mode)
+			if stored {
+				e.AttachStore(&memReader{data: ts})
 			}
-		}
-		cands, ops := ver.Stats()
-		if cands == 0 || ops == 0 {
-			t.Fatal("verifier stats not recorded")
-		}
-		ver.Reset()
-		cands, ops = ver.Stats()
-		if cands != 0 || ops != 0 {
-			t.Fatal("Reset did not clear stats")
+			q := e.ExtractCopy(100, 60)
+			var starts []int32
+			for p := 0; p+60 <= len(ts); p += 3 {
+				starts = append(starts, int32(p))
+			}
+			ver := MakeVerifier(e, q, 0.5)
+			var want []Match
+			for j, d := range ver.Sweep(starts, 0.5) {
+				p := int(starts[j])
+				exact := Chebyshev(q, e.Extract(p, 60, nil))
+				if exact <= 0.5 && d != exact || exact > 0.5 && d >= 0 {
+					t.Fatalf("mode=%v stored=%v p=%d: Sweep %v, Chebyshev %v", mode, stored, p, d, exact)
+				}
+				if exact <= 0.5 {
+					want = append(want, Match{Start: p, Dist: -1})
+				}
+			}
+			if got := ver.Within(starts, nil); !slices.Equal(got, want) {
+				t.Fatalf("mode=%v stored=%v: Within %v, want %v", mode, stored, got, want)
+			}
+			for _, m := range want {
+				if !ver.Verify(m.Start) {
+					t.Fatalf("mode=%v stored=%v: Verify(%d) rejects a twin", mode, stored, m.Start)
+				}
+			}
 		}
 	}
 }
@@ -207,7 +199,7 @@ func TestVerifierSelfMatch(t *testing.T) {
 	ts := randomSeries(5, 200)
 	e := NewExtractor(ts, NormGlobal)
 	q := e.ExtractCopy(50, 30)
-	ver := NewVerifier(e, q, 0)
+	ver := MakeVerifier(e, q, 0)
 	if !ver.Verify(50) {
 		t.Fatal("query must match its own source window at eps=0")
 	}
@@ -217,12 +209,12 @@ func TestVerifierPerSubConstantWindow(t *testing.T) {
 	ts := []float64{2, 2, 2, 2, 9, -4}
 	e := NewExtractor(ts, NormPerSubsequence)
 	q := []float64{0, 0, 0, 0}
-	ver := NewVerifier(e, q, 0.1)
+	ver := MakeVerifier(e, q, 0.1)
 	if !ver.Verify(0) {
 		t.Fatal("zero query should verify against constant window")
 	}
 	q2 := []float64{1, 0, 0, 0}
-	ver2 := NewVerifier(e, q2, 0.5)
+	ver2 := MakeVerifier(e, q2, 0.5)
 	if ver2.Verify(0) {
 		t.Fatal("non-zero query should fail against constant window at eps=0.5")
 	}

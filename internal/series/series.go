@@ -1,7 +1,8 @@
 // Package series provides the core time-series substrate used by every
 // index in this repository: subsequence views, summary statistics,
-// z-normalization (global and rolling per-window), and the Chebyshev /
-// Euclidean distance kernels with early-abandoning verification.
+// z-normalization (global and rolling per-window), the Chebyshev and
+// Euclidean distances, and the verification step every search method
+// shares (Verifier).
 //
 // Positions are 0-based throughout: the subsequence of T starting at
 // position p with length l is T[p : p+l].
@@ -15,10 +16,6 @@ import (
 
 // ErrEmpty is returned by operations that require a non-empty sequence.
 var ErrEmpty = errors.New("series: empty sequence")
-
-// ErrLengthMismatch is returned by pairwise operations on sequences of
-// different lengths.
-var ErrLengthMismatch = errors.New("series: length mismatch")
 
 // ErrBounds is returned when a requested subsequence falls outside the
 // series.
@@ -104,10 +101,15 @@ func ZNormalizeTo(dst, src []float64) {
 		panic("series: ZNormalizeTo length mismatch")
 	}
 	mean, std := MeanStd(src)
+	scaleInto(dst, src, mean, std)
+}
+
+// scaleInto writes (v − mean)/std of every v in src into dst — the one
+// normalization arithmetic every mode, window and query shares — or
+// zeros when std is below zeroStd. dst and src may alias.
+func scaleInto(dst, src []float64, mean, std float64) {
 	if std < zeroStd {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
 	inv := 1 / std
@@ -117,8 +119,7 @@ func ZNormalizeTo(dst, src []float64) {
 }
 
 // Chebyshev returns the L∞ distance between equal-length sequences a and b:
-// the maximum absolute pointwise difference. It panics on length mismatch;
-// use ChebyshevChecked at API boundaries.
+// the maximum absolute pointwise difference. It panics on length mismatch.
 func Chebyshev(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("series: Chebyshev length mismatch")
@@ -134,30 +135,6 @@ func Chebyshev(a, b []float64) float64 {
 		}
 	}
 	return max
-}
-
-// ChebyshevChecked is Chebyshev with an error instead of a panic on
-// mismatched lengths.
-func ChebyshevChecked(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(a), len(b))
-	}
-	return Chebyshev(a, b), nil
-}
-
-// WithinChebyshev reports whether d∞(a, b) ≤ eps, abandoning the scan at
-// the first position whose difference exceeds eps.
-func WithinChebyshev(a, b []float64, eps float64) bool {
-	if len(a) != len(b) {
-		panic("series: WithinChebyshev length mismatch")
-	}
-	for i, v := range a {
-		d := v - b[i]
-		if d > eps || -d > eps {
-			return false
-		}
-	}
-	return true
 }
 
 // Euclidean returns the L2 distance between equal-length sequences.

@@ -129,27 +129,6 @@ func TestChebyshev(t *testing.T) {
 	}
 }
 
-func TestChebyshevChecked(t *testing.T) {
-	if _, err := ChebyshevChecked([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("want length-mismatch error")
-	}
-	d, err := ChebyshevChecked([]float64{1, 2}, []float64{2, 2})
-	if err != nil || d != 1 {
-		t.Fatalf("got %v, %v", d, err)
-	}
-}
-
-func TestWithinChebyshev(t *testing.T) {
-	a := []float64{0, 0, 0}
-	b := []float64{0.5, -0.5, 0.4}
-	if !WithinChebyshev(a, b, 0.5) {
-		t.Fatal("should be within 0.5")
-	}
-	if WithinChebyshev(a, b, 0.49) {
-		t.Fatal("should not be within 0.49")
-	}
-}
-
 func TestEuclidean(t *testing.T) {
 	a := []float64{0, 0}
 	b := []float64{3, 4}
@@ -175,16 +154,5 @@ func TestWithinEuclidean(t *testing.T) {
 func TestEuclideanThresholdFor(t *testing.T) {
 	if got := EuclideanThresholdFor(2, 25); !almostEqual(got, 10, 1e-12) {
 		t.Fatalf("got %v, want 10", got)
-	}
-}
-
-func TestDescendingMagnitudeOrder(t *testing.T) {
-	q := []float64{0.1, -3, 2, 0}
-	order := DescendingMagnitudeOrder(q)
-	want := []int{1, 2, 0, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }

@@ -1,201 +1,94 @@
 package series
 
 import (
-	"cmp"
-	"math"
 	"slices"
+
+	"twinsearch/internal/mbts/kernel"
 )
 
-// Verifier performs the verification step of the filter-verification
-// framework (paper §3.2): it checks candidate windows against a fixed
-// query with early abandoning, optionally visiting positions in order of
-// decreasing |Q_i| ("reordering early abandoning", as in the UCR suite) —
-// on z-normalized data the extreme query values are the least likely to
-// match, so violations surface after very few comparisons.
+// batchCap is how many distances a sweep keeps in the verifier's own
+// array, and how many windows it lays out as rows at a time.
+const batchCap = 64
+
+// Verifier is the verification step of the filter–verification split
+// (paper §3.2), the one every method runs: TS-Index's leaves, tail
+// scans and top-k, and the sweepline, KV-Index and iSAX baselines hand
+// it the window starts their filters let through. A batch is one
+// kernel pass — max|q − w| per window, series.Chebyshev bit for bit,
+// abandoned once it strictly exceeds the limit (FuzzLeafVerify).
+//
+// Where a window's values come from depends on the extractor alone. In
+// memory, without per-subsequence normalisation, the kernel reads them
+// from the series column (kernel.SweepWindows). Otherwise each window
+// is first laid out as a row: normalised by Extract's arithmetic, or —
+// with a store attached (AttachStore), the paper's disk-resident
+// set-up — fetched with one ReadAt of the raw series and re-normalised.
+// The rows are then swept by the same kernel.
+//
+// Hold it by value: its batch scratch lives in the struct, so a
+// verifier on the caller's stack keeps the no-match path free of
+// allocations. q is in the extractor's value space; eps is a distance,
+// never negative.
 type Verifier struct {
-	q     []float64
-	eps   float64
-	order []int // visit order over query positions; nil = sequential
-	ext   *Extractor
-
-	diskBuf []float64 // scratch for disk-backed window reads
-
-	candidates int // windows checked
-	pointOps   int // pointwise comparisons performed
-	diskReads  int // windows fetched from the backing store
+	ext     *Extractor
+	q       []float64
+	eps     float64
+	scratch [batchCap]float64
+	wide    []float64 // the distances of a batch wider than scratch
+	rows    []float64 // windows laid out for the kernel, batchCap at a time
 }
 
-// NewVerifier builds a verifier for query q at threshold eps over the
-// extractor ext. Reordering is applied for normalized modes, where the
-// |value| heuristic is meaningful; raw mode verifies sequentially.
-func NewVerifier(ext *Extractor, q []float64, eps float64) *Verifier {
-	v := MakeVerifier(ext, q, eps)
-	return &v
-}
-
-// MakeVerifier is NewVerifier by value: core's traversal loops hold the
-// verifier on the stack, keeping the allocation-free query path
-// (BenchmarkTraceDisabled) allocation-free. Raw mode allocates nothing;
-// normalized modes still build the reordering permutation.
+// MakeVerifier returns the verifier of the windows of ext against q at
+// threshold eps, the range threshold Within and Verify test (Sweep
+// takes its limit per call).
 func MakeVerifier(ext *Extractor, q []float64, eps float64) Verifier {
-	v := Verifier{q: q, eps: eps, ext: ext}
-	if ext.Mode() != NormNone {
-		v.order = DescendingMagnitudeOrder(q)
-	}
-	return v
+	return Verifier{ext: ext, q: q, eps: eps}
 }
 
-// DescendingMagnitudeOrder returns the positions of q sorted by
-// decreasing absolute value, the visit order used by reordering early
-// abandoning. Equal magnitudes keep index order, so the visit order is
-// a function of q alone.
-func DescendingMagnitudeOrder(q []float64) []int {
-	order := make([]int, len(q))
-	for i := range order {
-		order[i] = i
+// Sweep scores the windows at starts against the query: entry j of the
+// result, valid until the next call, is window j's exact Chebyshev
+// distance, or negative when that strictly exceeds limit. An I/O
+// failure of the store is an environment error no search can recover
+// from, so it panics with context.
+func (v *Verifier) Sweep(starts []int32, limit float64) []float64 {
+	dists := v.scratch[:]
+	if len(starts) > len(dists) {
+		v.wide = slices.Grow(v.wide[:0], len(starts))
+		dists = v.wide[:cap(v.wide)]
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(math.Abs(q[b]), math.Abs(q[a])); c != 0 {
-			return c
+	dists = dists[:len(starts)]
+	e := v.ext
+	if e.backing == nil && e.mode != NormPerSubsequence {
+		kernel.SweepWindows(e.data, starts, v.q, limit, dists)
+		return dists
+	}
+	l := len(v.q)
+	v.rows = slices.Grow(v.rows[:0], min(len(starts), batchCap)*l)
+	for at := 0; at < len(starts); at += batchCap {
+		batch := starts[at:min(at+batchCap, len(starts))]
+		rows := v.rows[:len(batch)*l]
+		for j, p := range batch {
+			e.fetch(int(p), rows[j*l:(j+1)*l])
 		}
-		return cmp.Compare(a, b)
-	})
-	return order
+		kernel.SweepAbandonFlat(rows, rows, l, v.q, limit, dists[at:at+len(batch)])
+	}
+	return dists
 }
 
-// Verify reports whether the window starting at p is a twin of the query.
+// Within appends to out, in the order given, the windows at starts
+// that are twins of the query.
+func (v *Verifier) Within(starts []int32, out []Match) []Match {
+	for j, d := range v.Sweep(starts, v.eps) {
+		if d >= 0 {
+			out = append(out, Match{Start: int(starts[j]), Dist: -1})
+		}
+	}
+	return out
+}
+
+// Verify reports whether the window starting at p is a twin of the
+// query: Within over one start.
 func (v *Verifier) Verify(p int) bool {
-	v.candidates++
-	if v.ext.backing != nil {
-		return v.verifyFromStore(p)
-	}
-	l := len(v.q)
-	data := v.ext.Data()
-	w := data[p : p+l]
-
-	if v.ext.Mode() == NormPerSubsequence {
-		return v.verifyPerSub(p, w)
-	}
-	if v.order == nil {
-		for i, qv := range v.q {
-			v.pointOps++
-			d := qv - w[i]
-			if d > v.eps || -d > v.eps {
-				return false
-			}
-		}
-		return true
-	}
-	for _, i := range v.order {
-		v.pointOps++
-		d := v.q[i] - w[i]
-		if d > v.eps || -d > v.eps {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *Verifier) verifyPerSub(p int, w []float64) bool {
-	mean, std := v.ext.rolling.MeanStd(p, len(v.q))
-	if std < zeroStd {
-		for _, i := range v.order {
-			v.pointOps++
-			qv := v.q[i]
-			if qv > v.eps || -qv > v.eps {
-				return false
-			}
-		}
-		return true
-	}
-	inv := 1 / std
-	for _, i := range v.order {
-		v.pointOps++
-		d := v.q[i] - (w[i]-mean)*inv
-		if d > v.eps || -d > v.eps {
-			return false
-		}
-	}
-	return true
-}
-
-// verifyFromStore implements the paper's disk-resident evaluation setup:
-// the candidate window is fetched from the backing store with one
-// random-access read of the raw series, the extractor's normalization is
-// re-applied, and the (reordered) early-abandoning comparison runs over
-// the fetched buffer. An I/O failure is a programming or environment
-// error the search cannot recover from, so it panics with context.
-func (v *Verifier) verifyFromStore(p int) bool {
-	l := len(v.q)
-	if cap(v.diskBuf) < l {
-		v.diskBuf = make([]float64, l)
-	}
-	raw := v.diskBuf[:l]
-	if err := v.ext.backing.ReadAt(raw, p); err != nil {
-		panic("series: disk-backed verification read failed: " + err.Error())
-	}
-	v.diskReads++
-
-	switch v.ext.mode {
-	case NormGlobal:
-		if v.ext.gStd == 0 {
-			// Constant series: every normalized value is zero.
-			for i := range raw {
-				raw[i] = 0
-			}
-		} else {
-			inv := 1 / v.ext.gStd
-			for i, x := range raw {
-				raw[i] = (x - v.ext.gMean) * inv
-			}
-		}
-	case NormPerSubsequence:
-		// Rolling prefix sums stay in memory (they are part of the
-		// index-side state); only the values come from disk.
-		mean, std := v.ext.rolling.MeanStd(p, l)
-		if std < zeroStd {
-			for i := range raw {
-				raw[i] = 0
-			}
-		} else {
-			inv := 1 / std
-			for i, x := range raw {
-				raw[i] = (x - mean) * inv
-			}
-		}
-	}
-
-	if v.order == nil {
-		for i, qv := range v.q {
-			v.pointOps++
-			d := qv - raw[i]
-			if d > v.eps || -d > v.eps {
-				return false
-			}
-		}
-		return true
-	}
-	for _, i := range v.order {
-		v.pointOps++
-		d := v.q[i] - raw[i]
-		if d > v.eps || -d > v.eps {
-			return false
-		}
-	}
-	return true
-}
-
-// Stats returns the number of candidate windows checked and the total
-// pointwise comparisons performed so far.
-func (v *Verifier) Stats() (candidates, pointOps int) {
-	return v.candidates, v.pointOps
-}
-
-// DiskReads returns how many candidate windows were fetched from the
-// backing store.
-func (v *Verifier) DiskReads() int { return v.diskReads }
-
-// Reset clears the verifier's counters.
-func (v *Verifier) Reset() {
-	v.candidates, v.pointOps, v.diskReads = 0, 0, 0
+	var m [1]Match
+	return len(v.Within([]int32{int32(p)}, m[:0])) == 1
 }

@@ -26,7 +26,7 @@ func TestDiskVerifyMatchesMemory(t *testing.T) {
 	for _, mode := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
 		ext := NewExtractor(ts, mode)
 		q := ext.ExtractCopy(123, 64)
-		mem := NewVerifier(ext, q, 0.4)
+		mem := MakeVerifier(ext, q, 0.4)
 		memResults := make([]bool, 0, 500)
 		for p := 0; p+64 <= len(ts); p += 3 {
 			memResults = append(memResults, mem.Verify(p))
@@ -37,16 +37,13 @@ func TestDiskVerifyMatchesMemory(t *testing.T) {
 		if ext.Backing() == nil {
 			t.Fatal("Backing not attached")
 		}
-		disk := NewVerifier(ext, q, 0.4)
+		disk := MakeVerifier(ext, q, 0.4)
 		i := 0
 		for p := 0; p+64 <= len(ts); p += 3 {
 			if got := disk.Verify(p); got != memResults[i] {
 				t.Fatalf("mode=%v p=%d: disk=%v mem=%v", mode, p, got, memResults[i])
 			}
 			i++
-		}
-		if disk.DiskReads() != i {
-			t.Fatalf("mode=%v: %d disk reads for %d verifications", mode, disk.DiskReads(), i)
 		}
 		if reader.reads != i {
 			t.Fatalf("mode=%v: reader saw %d reads", mode, reader.reads)
@@ -62,7 +59,7 @@ func TestDiskVerifyConstantGlobalSeries(t *testing.T) {
 	ts := []float64{4, 4, 4, 4, 4, 4}
 	ext := NewExtractor(ts, NormGlobal)
 	ext.AttachStore(&memReader{data: ts})
-	v := NewVerifier(ext, []float64{0, 0, 0}, 0.1)
+	v := MakeVerifier(ext, []float64{0, 0, 0}, 0.1)
 	if !v.Verify(1) {
 		t.Fatal("zero query must match constant series under global norm")
 	}
@@ -72,11 +69,11 @@ func TestDiskVerifyPerSubConstantWindow(t *testing.T) {
 	ts := []float64{7, 7, 7, 7, 1, 9}
 	ext := NewExtractor(ts, NormPerSubsequence)
 	ext.AttachStore(&memReader{data: ts})
-	v := NewVerifier(ext, []float64{0, 0, 0}, 0.1)
+	v := MakeVerifier(ext, []float64{0, 0, 0}, 0.1)
 	if !v.Verify(0) {
 		t.Fatal("zero query must match constant window")
 	}
-	v2 := NewVerifier(ext, []float64{0.5, 0, 0}, 0.2)
+	v2 := MakeVerifier(ext, []float64{0.5, 0, 0}, 0.2)
 	if v2.Verify(0) {
 		t.Fatal("out-of-band query must fail")
 	}
@@ -86,26 +83,11 @@ func TestDiskVerifyReadFailurePanics(t *testing.T) {
 	ts := randomSeries(22, 100)
 	ext := NewExtractor(ts, NormNone)
 	ext.AttachStore(&memReader{data: ts[:10]}) // shorter than the series
-	v := NewVerifier(ext, make([]float64, 20), 1)
+	v := MakeVerifier(ext, make([]float64, 20), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on read failure")
 		}
 	}()
 	v.Verify(50)
-}
-
-func TestDiskVerifyResetClearsReads(t *testing.T) {
-	ts := randomSeries(23, 200)
-	ext := NewExtractor(ts, NormGlobal)
-	ext.AttachStore(&memReader{data: ts})
-	v := NewVerifier(ext, ext.ExtractCopy(0, 20), 0.5)
-	v.Verify(5)
-	if v.DiskReads() != 1 {
-		t.Fatal("read not counted")
-	}
-	v.Reset()
-	if v.DiskReads() != 0 {
-		t.Fatal("Reset did not clear disk reads")
-	}
 }

@@ -1,8 +1,8 @@
 // Package sweepline implements the index-free baseline of the paper
 // (§1, §3.2): slide a window of length |Q| across the whole series and
-// verify every position against the threshold, with UCR-style reordering
-// early abandoning. It is exact by construction and serves as the ground
-// truth every index's result set is tested against.
+// hand every position to the verifier every method shares
+// (series.Verifier). It has no filter step, so its candidates are every
+// window.
 package sweepline
 
 import (
@@ -37,16 +37,21 @@ func (s *Sweepline) SearchStats(q []float64, eps float64) ([]series.Match, Stats
 	if l == 0 || n < l {
 		return out, Stats{}
 	}
-	ver := series.NewVerifier(s.ext, q, eps)
-	last := n - l
-	for p := 0; p <= last; p++ {
-		if ver.Verify(p) {
-			out = append(out, series.Match{Start: p, Dist: -1})
+	ver := series.MakeVerifier(s.ext, q, eps)
+	count := n - l + 1
+	var starts [batch]int32
+	for from := 0; from < count; from += batch {
+		b := starts[:min(batch, count-from)]
+		for i := range b {
+			b[i] = int32(from + i)
 		}
+		out = ver.Within(b, out)
 	}
-	cands, ops := ver.Stats()
-	return out, Stats{Candidates: cands, PointOps: ops, Results: len(out)}
+	return out, Stats{Candidates: count, Results: len(out)}
 }
+
+// batch is how many consecutive windows one verifier call scores.
+const batch = 64
 
 // SearchEuclidean returns all subsequences with Euclidean distance ≤ eps
 // to q. It exists for the paper's introductory experiment: searching
@@ -74,6 +79,5 @@ func (s *Sweepline) SearchEuclidean(q []float64, eps float64) []series.Match {
 // Stats describes the work a search performed.
 type Stats struct {
 	Candidates int // windows verified
-	PointOps   int // pointwise comparisons
 	Results    int // twins found
 }
