@@ -152,6 +152,71 @@ func TestTransformQueryConstantGlobalSeries(t *testing.T) {
 	}
 }
 
+// TestWithinAtAgainstExtract checks the one-start test at a position: in
+// every mode, Verify(p) holds exactly when the window extracted at p is at
+// most eps from q.
+func TestWithinAtAgainstExtract(t *testing.T) {
+	ts := randomSeries(3, 400)
+	for _, mode := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
+		e := NewExtractor(ts, mode)
+		q := e.ExtractCopy(37, 40)
+		ver := MakeVerifier(e, q, 0.8)
+		for p := 0; p+40 <= len(ts); p += 11 {
+			w := e.Extract(p, 40, nil)
+			want := Chebyshev(q, w) <= 0.8
+			if got := ver.Verify(p); got != want {
+				t.Fatalf("mode=%v p=%d: Verify=%v want %v", mode, p, got, want)
+			}
+		}
+	}
+}
+
+// TestWithinAtConstantWindow: under per-subsequence normalisation a
+// constant window is all zeros, so a zero query matches it and a query
+// more than eps from zero does not.
+func TestWithinAtConstantWindow(t *testing.T) {
+	ts := []float64{5, 5, 5, 1, 9}
+	e := NewExtractor(ts, NormPerSubsequence)
+	if v := MakeVerifier(e, []float64{0, 0, 0}, 0.01); !v.Verify(0) {
+		t.Fatal("zero query should match constant window under per-sub norm")
+	}
+	if v := MakeVerifier(e, []float64{0, 0.5, 0}, 0.4); v.Verify(0) {
+		t.Fatal("query exceeding eps against zeros should not match")
+	}
+}
+
+// TestVerifierMatchesWithinAt holds the batch path to the one-start path:
+// Within over a batch of starts keeps exactly the starts p for which
+// Verify(p) holds, in position order, in memory and over a store, in
+// every mode.
+func TestVerifierMatchesWithinAt(t *testing.T) {
+	ts := randomSeries(4, 500)
+	for _, mode := range []NormMode{NormNone, NormGlobal, NormPerSubsequence} {
+		for _, stored := range []bool{false, true} {
+			e := NewExtractor(ts, mode)
+			if stored {
+				e.AttachStore(&memReader{data: ts})
+			}
+			q := e.ExtractCopy(100, 60)
+			ver := MakeVerifier(e, q, 0.5)
+			var starts []int32
+			var want []Match
+			for p := 0; p+60 <= len(ts); p += 5 {
+				starts = append(starts, int32(p))
+				if ver.Verify(p) {
+					want = append(want, Match{Start: p, Dist: -1})
+				}
+			}
+			if len(want) == 0 {
+				t.Fatalf("mode=%v stored=%v: no start verified; the query's own window is among them", mode, stored)
+			}
+			if got := ver.Within(starts, nil); !slices.Equal(got, want) {
+				t.Fatalf("mode=%v stored=%v: Within %v, want %v", mode, stored, got, want)
+			}
+		}
+	}
+}
+
 // TestVerifierMatchesChebyshev holds the verifier to the definition:
 // every distance Sweep reports is series.Chebyshev against the extracted
 // window, negative exactly when that exceeds the limit, and Within keeps
