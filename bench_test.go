@@ -15,7 +15,6 @@ import (
 	"math"
 	"testing"
 
-	"twinsearch"
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
@@ -669,55 +668,6 @@ func BenchmarkSkewedShardSearch(b *testing.B) {
 			})
 		}
 	}
-}
-
-// A batch against the same queries one by one: SearchBatch and
-// SearchTopKBatch put every query's (shard, subtree) units into one
-// executor group; the sequential side fans each query out on its own.
-func BenchmarkBatchFusion(b *testing.B) {
-	ds := benchSetups[1]
-	raw := datasets.Queries(ds.data, 7, benchQueries, harness.DefaultL)
-	eng, err := twinsearch.Open(ds.data, twinsearch.Options{L: harness.DefaultL, Shards: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eps := ds.def
-	const k = 10
-	check := func(b *testing.B, rs []twinsearch.BatchResult) {
-		for _, r := range rs {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			check(b, eng.SearchBatch(raw, eps))
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range raw {
-				if _, err := eng.Search(q, eps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("topk/batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			check(b, eng.SearchTopKBatch(raw, k))
-		}
-	})
-	b.Run("topk/sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range raw {
-				if _, err := eng.SearchTopK(q, k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // The frozen arena: what compiling the pointer tree costs, what a node

@@ -50,7 +50,6 @@ func main() {
 		mmapIndex  = flag.Bool("mmap", false, "memory-map the -loadindex file instead of reading it (near-zero open cost; pages fault in as the query touches them)")
 		prefetch   = flag.Bool("prefetch", false, "warm a memory-mapped index at open (madvise + bounded touch) instead of paying page faults during the query")
 		remote     = flag.String("remote", "", "query a running tsserve (standalone or coordinator) at this base URL instead of building anything locally")
-		approx     = flag.Int("approx", 0, "if > 0, run an approximate search probing this many leaves")
 		indexLen   = flag.Int("indexlen", 0, "index at this length instead of the query length; shorter queries then use the prefix search")
 		shards     = flag.Int("shards", 0, "index partitions built and searched in parallel (0 = one index, -1 = one per CPU)")
 		trace      = flag.Bool("trace", false, "record the query's span trace and pretty-print it after the matches (with -remote, asks the server via ?trace=1)")
@@ -91,8 +90,8 @@ func main() {
 	if *remote != "" {
 		// The server owns the index; this process only ships the raw
 		// query and renders the answer.
-		if *approx > 0 || *indexLen > 0 || *saveIndex != "" || *loadIndex != "" {
-			fatal(fmt.Errorf("-remote queries use the server's index; -approx, -indexlen, -saveindex, and -loadindex do not apply"))
+		if *indexLen > 0 || *saveIndex != "" || *loadIndex != "" {
+			fatal(fmt.Errorf("-remote queries use the server's index; -indexlen, -saveindex, and -loadindex do not apply"))
 		}
 		queryRemote(*remote, q, *eps, *topk, *maxShow, *trace)
 		return
@@ -165,8 +164,6 @@ func main() {
 	switch {
 	case *topk > 0:
 		matches, err = eng.SearchTopKCtx(ctx, q, *topk)
-	case *approx > 0:
-		matches, err = eng.SearchApproxCtx(ctx, q, *eps, *approx)
 	case len(q) < eng.L():
 		matches, err = eng.SearchShorterCtx(ctx, q, *eps)
 	default:

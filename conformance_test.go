@@ -231,7 +231,6 @@ type confWant struct {
 	all    []Match    // every window, nearest first
 	ranges [2][]Match // at eps
 	prefix []Match    // of the query's first half, at eps[1]
-	batch  [2][]Match // at the first query's eps, which the range batches use
 }
 
 // want returns the definition's answers to query qi at the current
@@ -249,13 +248,8 @@ func (c *confCell) want(qi int, q []float64) *confWant {
 	if c.phase > 0 {
 		d.eps = c.grid.wants[[2]int{0, qi}].eps
 	}
-	first := d.eps
-	if qi > 0 {
-		first = c.grid.wants[[2]int{c.phase, 0}].eps
-	}
 	for i := range d.eps {
 		d.ranges[i] = oracle.Range(e.ext, d.tq, d.eps[i])
-		d.batch[i] = oracle.Range(e.ext, d.tq, first[i])
 	}
 	if e.Norm() != NormPerSubsequence {
 		indexed, tail := oracle.Prefix(e.ext, confL, e.PrepareQuery(q[:confL/2]), d.eps[1])
@@ -273,12 +267,11 @@ type confCell struct {
 	cached bool
 	shards int
 	phase  int
-	approx [][]Match // per query, this phase's first budget-1 answer
 }
 
 // check runs every path on every query, untraced and traced — in both
-// orders, so that a cached engine serves a miss and a hit each way —
-// and then the batches. After an append only the cache axis runs again.
+// orders, so that a cached engine serves a miss and a hit each way.
+// After an append only the cache axis runs again.
 func (c *confCell) check(qs [][]float64) {
 	c.t.Helper()
 	e, w := c.eng, c.eng.NumSubsequences()
@@ -290,10 +283,8 @@ func (c *confCell) check(qs [][]float64) {
 		c.t.Fatalf("phase %d: the engine's extractor holds other values than the first engine's", c.phase)
 	}
 	ks := []int{1, 3, 4, 10, w, w + 5}
-	c.approx = make([][]Match, len(qs))
-	wants := make([]*confWant, len(qs))
 	for qi, q := range qs {
-		wants[qi] = c.want(qi, q)
+		d := c.want(qi, q)
 		reps, traces := 1, [2][]bool{{false, true}, {true, false}}[qi%2]
 		if c.cached {
 			reps = 2 // the miss, then the hit
@@ -307,11 +298,10 @@ func (c *confCell) check(qs [][]float64) {
 				if traced {
 					ctx = obs.WithSpan(ctx, obs.NewTrace("conformance").Root)
 				}
-				c.paths(ctx, fmt.Sprintf("phase %d q%d traced=%v", c.phase, qi, traced), qi, wants[qi], ks)
+				c.paths(ctx, fmt.Sprintf("phase %d q%d traced=%v", c.phase, qi, traced), qi, d, ks)
 			}
 		}
 	}
-	c.batches(qs, wants, ks)
 }
 
 // paths runs each single-query path once on query qi.
@@ -354,49 +344,6 @@ func (c *confCell) paths(ctx context.Context, at string, qi int, d *confWant, ks
 		}
 	} else {
 		c.expect(at+" SearchShorter", got, err, d.prefix)
-	}
-
-	// One leaf's worth of twins is a subset of them all — on a cached
-	// engine the very subset its miss found; a budget past every leaf is
-	// the exact answer.
-	got, err = e.SearchApproxCtx(ctx, q, eps, 1)
-	if err != nil || !subset(got, d.ranges[1]) || c.cached && c.approx[qi] != nil && !matchListsEq(got, c.approx[qi]) {
-		c.t.Fatalf("%s: SearchApprox(budget=1): %v (%v), not a subset of the %d twins or not the cached %v", at, got, err, len(d.ranges[1]), c.approx[qi])
-	}
-	if c.approx[qi] == nil {
-		c.approx[qi] = append([]Match{}, got...)
-	}
-	got, err = e.SearchApproxCtx(ctx, q, eps, math.MaxInt)
-	c.expect(at+" SearchApprox(budget=MaxInt)", got, err, d.ranges[1])
-}
-
-// batches checks SearchBatch at the first query's thresholds and
-// SearchTopKBatch at a k that cuts a tie and one past the windows:
-// entry i answers query i, as the single call does and as the
-// definition does. (paths held the single top-k calls to the same
-// definition.)
-func (c *confCell) batches(qs [][]float64, wants []*confWant, ks []int) {
-	c.t.Helper()
-	e := c.eng
-	for bi, eps := range wants[0].eps {
-		for i, r := range e.SearchBatch(qs, eps) {
-			at := fmt.Sprintf("phase %d SearchBatch(ε=%g)[%d]", c.phase, eps, i)
-			single, err := e.Search(qs[i], eps)
-			c.expect(at+" single call", single, err, wants[i].batch[bi])
-			c.expect(at, r.Matches, r.Err, wants[i].batch[bi])
-			if r.Query != i {
-				c.t.Fatalf("%s answers query %d", at, r.Query)
-			}
-		}
-	}
-	for _, k := range []int{ks[2], ks[5]} {
-		for i, r := range e.SearchTopKBatch(qs, k) {
-			at := fmt.Sprintf("phase %d SearchTopKBatch(k=%d)[%d]", c.phase, k, i)
-			c.expect(at, r.Matches, r.Err, wants[i].all[:min(k, len(wants[i].all))])
-			if r.Query != i {
-				c.t.Fatalf("%s answers query %d", at, r.Query)
-			}
-		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"twinsearch/internal/arena"
@@ -233,7 +232,7 @@ func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64)
 		return nil, err
 	}
 	ctx, qo := e.beginQuery(ctx, qpPrefix)
-	key := e.resultKey(qcache.PathPrefix, eps, 0, q)
+	key := e.resultKey(qcache.PathPrefix, eps, q)
 	r, err := e.searchCached(ctx, qcache.PathPrefix, key, nil, eps, func() (qcache.Result, error) {
 		ms, err := e.searchShorterPreparedCtx(ctx, e.ext.TransformQuery(q), eps)
 		return qcache.Result{Matches: ms}, err
@@ -249,58 +248,6 @@ func (e *Engine) searchShorterPreparedCtx(ctx context.Context, tq []float64, eps
 		return e.cl.SearchPrefix(ctx, tq, eps)
 	}
 	return e.sh.SearchPrefixCtx(ctx, tq, eps)
-}
-
-// SearchApprox probes at most leafBudget nearest leaves and returns a
-// (possibly incomplete) subset of the twins, in microseconds. On a
-// sharded engine the budget is one shared atomic allowance drawn by
-// every shard's traversal, so it flows to whichever shards hold the
-// nearest leaves. Requires a positive leafBudget; Search is the exact
-// counterpart.
-func (e *Engine) SearchApprox(q []float64, eps float64, leafBudget int) ([]Match, error) {
-	return e.SearchApproxCtx(context.Background(), q, eps, leafBudget)
-}
-
-// SearchApproxCtx is SearchApprox honoring cancellation (see
-// SearchCtx) — the serving tier routes admitted approximate queries
-// through it so queued work dies with the request. Note that on a
-// sharded engine the probed subset is scheduling-dependent, so a cached
-// answer reproduces one valid traversal, not necessarily the one a
-// fresh call would take.
-func (e *Engine) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]Match, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	if eps < 0 || math.IsNaN(eps) {
-		return nil, fmt.Errorf("twinsearch: invalid threshold %v", eps)
-	}
-	if leafBudget <= 0 {
-		return nil, fmt.Errorf("twinsearch: leaf budget %d; SearchApprox needs a positive number of leaf probes", leafBudget)
-	}
-	ctx, qo := e.beginQuery(ctx, qpApprox)
-	key := e.resultKey(qcache.PathApprox, eps, float64(leafBudget), q)
-	tq, err := e.validateQueryCtx(ctx, q, eps, key)
-	if err != nil {
-		e.endQuery(qo, err)
-		return nil, err
-	}
-	r, err := e.searchCached(ctx, qcache.PathApprox, key, tq, eps, func() (qcache.Result, error) {
-		ms, err := e.searchApproxPreparedCtx(ctx, tq, eps, leafBudget)
-		return qcache.Result{Matches: ms}, err
-	})
-	e.endQuery(qo, err)
-	return r.Matches, err
-}
-
-// searchApproxPreparedCtx dispatches a transformed approximate query to
-// the engine's backing.
-func (e *Engine) searchApproxPreparedCtx(ctx context.Context, tq []float64, eps float64, leafBudget int) ([]Match, error) {
-	if e.cl != nil {
-		ms, _, err := e.cl.SearchApprox(ctx, tq, eps, leafBudget)
-		return ms, err
-	}
-	ms, _, err := e.sh.SearchApproxCtx(ctx, tq, eps, leafBudget)
-	return ms, err
 }
 
 // Append ingests new trailing values into the engine's series and
@@ -350,134 +297,4 @@ func (e *Engine) Append(values ...float64) error {
 	// written). The entries keyed without it see the new window count.
 	e.epoch.Add(1)
 	return e.sh.Extend()
-}
-
-type BatchResult struct {
-	Query   int
-	Matches []Match
-	Err     error
-}
-
-// SearchBatch answers many queries over one engine as ONE executor
-// group: every valid query enqueues its ordinary (shard, subtree) units
-// — the units Search would run — and the group is waited on once, so
-// the units of all queries are peers in the same work-stealing pool
-// (searches are read-only; this is the workload-level parallelism
-// ParIS/MESSI apply to iSAX). There is no batch traversal: a batch is N
-// queries' units. Validation and query transformation happen once per
-// query, up front. Results arrive indexed by query position, identical
-// to len(queries) calls to Search, on the engine's executor (see
-// Options.Workers). /metrics counts the batch's queries and refused
-// entries under path="search"; a group has no per-query latency, so the
-// latency histogram is not fed.
-func (e *Engine) SearchBatch(queries [][]float64, eps float64) []BatchResult {
-	out, valid, tqs := e.validateBatch(queries, eps)
-	defer e.countBatch(qpSearch, out)
-	if len(valid) == 0 {
-		return out
-	}
-	if e.cl != nil {
-		e.clusterBatch(out, valid, tqs, func(tq []float64) ([]Match, error) {
-			return e.cl.Search(context.Background(), tq, eps)
-		})
-		return out
-	}
-	g := e.ex.NewGroup()
-	pending := make([]*shard.PendingSearch, len(tqs))
-	for bi, tq := range tqs {
-		pending[bi] = e.sh.QueueSearch(g, tq, eps)
-	}
-	g.Wait()
-	for bi, i := range valid {
-		out[i].Matches, _ = pending[bi].Resolve()
-	}
-	return out
-}
-
-// validateBatch opens a batch call: out has one entry per query, every
-// query that fails validateQuery's checks (or all of them, when the
-// engine is closed) already carries its error, and valid/tqs list the
-// positions and transformed forms of the rest — the traversals see
-// valid queries only.
-func (e *Engine) validateBatch(queries [][]float64, eps float64) (out []BatchResult, valid []int, tqs [][]float64) {
-	out = make([]BatchResult, len(queries))
-	closed := e.closed.Load()
-	for i, q := range queries {
-		out[i].Query = i
-		if closed {
-			out[i].Err = ErrClosed
-			continue
-		}
-		tq, err := e.validateQuery(q, eps)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		valid = append(valid, i)
-		tqs = append(tqs, tq)
-	}
-	return out, valid, tqs
-}
-
-// clusterBatch runs one coordinator call per valid query. Cluster
-// fan-out is network-bound: plain per-query goroutines, each fanning
-// across the nodes with its own timeouts. (A batch RPC that ships the
-// whole query set to each node in one round trip is the noted
-// follow-on.)
-func (e *Engine) clusterBatch(out []BatchResult, valid []int, tqs [][]float64, run func(tq []float64) ([]Match, error)) {
-	var wg sync.WaitGroup
-	for bi, i := range valid {
-		wg.Add(1)
-		//tsvet:ignore cluster fan-out is network-bound, not executor work
-		go func(i int, tq []float64) {
-			defer wg.Done()
-			out[i].Matches, out[i].Err = run(tq)
-		}(i, tqs[bi])
-	}
-	wg.Wait()
-}
-
-// countBatch feeds one finished batch call to the per-path counters:
-// every entry is a query, every entry carrying an error a query error.
-func (e *Engine) countBatch(p qpath, out []BatchResult) {
-	errs := 0
-	for i := range out {
-		if out[i].Err != nil {
-			errs++
-		}
-	}
-	e.met.queries[p].Add(uint64(len(out)))
-	e.met.errors[p].Add(uint64(errs))
-}
-
-// SearchTopKBatch answers many top-k queries over one engine as one
-// executor group: every valid query enqueues the (shard, subtree)
-// units SearchTopK would run, under a cross-unit pruning bound of its
-// own, and the group is waited on once. Results arrive indexed by
-// query position, identical to len(queries) calls to SearchTopK — a
-// query SearchTopK would refuse carries the same error. /metrics
-// counts the batch under path="topk" as SearchBatch does under
-// path="search" (counters only).
-func (e *Engine) SearchTopKBatch(queries [][]float64, k int) []BatchResult {
-	out, valid, tqs := e.validateBatch(queries, 0)
-	defer e.countBatch(qpTopK, out)
-	if len(valid) == 0 {
-		return out
-	}
-	if e.cl != nil {
-		e.clusterBatch(out, valid, tqs, func(tq []float64) ([]Match, error) {
-			return e.cl.SearchTopK(context.Background(), tq, k)
-		})
-		return out
-	}
-	g := e.ex.NewGroup()
-	pending := make([]shard.PendingTopK, len(tqs))
-	for bi, tq := range tqs {
-		pending[bi] = e.sh.QueueSearchTopK(g, tq, k)
-	}
-	g.Wait()
-	for bi, i := range valid {
-		out[i].Matches = pending[bi].Resolve()
-	}
-	return out
 }

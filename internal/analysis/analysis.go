@@ -19,7 +19,7 @@
 //   - ctxflow: functions holding a context must not re-root work on
 //     context.Background/TODO, and the cluster/server/shard library
 //     tiers never call them at all.
-//   - closedguard: exported Engine/Collection methods that can touch
+//   - closedguard: exported Engine methods that can touch
 //     index state check the closed flag before doing so.
 //   - obsflow: exported *Ctx entry points that start an observability
 //     span end it on every return path (defer sp.End() preferred).

@@ -19,15 +19,14 @@ import (
 // Close — so they are exempt, as is Close itself.
 var Closedguard = &Analyzer{
 	Name: "closedguard",
-	Doc:  "exported Engine/Collection methods that touch the index check the closed flag before use",
+	Doc:  "exported Engine methods that touch the index check the closed flag before use",
 	Run:  runClosedguard,
 }
 
 // closedGuardedTypes maps a guarded receiver type to its index-bearing
 // fields: state that Close invalidates (or that leads to such state).
 var closedGuardedTypes = map[string]map[string]bool{
-	"Engine":     {"sh": true, "cl": true, "ar": true},
-	"Collection": {"engines": true},
+	"Engine": {"sh": true, "cl": true, "ar": true},
 }
 
 // closedGuardedCalls are receiver methods whose call counts as touching
@@ -41,7 +40,6 @@ var closedGuardedCalls = map[string]bool{
 	"searchStatsPreparedCtx":   true,
 	"searchTopKPreparedCtx":    true,
 	"searchShorterPreparedCtx": true,
-	"searchApproxPreparedCtx":  true,
 }
 
 func runClosedguard(pass *Pass) error {

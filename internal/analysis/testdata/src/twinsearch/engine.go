@@ -1,5 +1,5 @@
 // Package twinsearch is a fixture for closedguard, mirroring the root
-// package's Engine/Collection shapes.
+// package's Engine shape.
 package twinsearch
 
 import (
@@ -79,26 +79,4 @@ func (e *Engine) SearchCachedGuarded(q []float64) (int, error) {
 // SearchPreparedCtx dispatches without a guard.
 func (e *Engine) SearchPreparedCtx(q []float64) ([]int, error) { // want `exported method SearchPreparedCtx touches index state \(searchPreparedCtx\(\)\) without checking e\.closed`
 	return e.searchPreparedCtx(q)
-}
-
-// Collection mimics the multi-series wrapper.
-type Collection struct {
-	closed  atomic.Bool
-	engines []*Engine
-}
-
-// Search must guard the engines fan-out.
-func (c *Collection) Search(q []float64) ([]int, error) { // want `exported method Search touches index state \(engines\) without checking c\.closed`
-	for range c.engines {
-	}
-	return nil, nil
-}
-
-// SearchTopK is the guarded shape: no diagnostic.
-func (c *Collection) SearchTopK(q []float64, k int) ([]int, error) {
-	if c.closed.Load() {
-		return nil, errClosed
-	}
-	_ = c.engines
-	return nil, nil
 }

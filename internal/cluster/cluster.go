@@ -10,8 +10,7 @@
 // start-sorted lists, top-k runs two-phase with a shared bound (the
 // seed group's k-th distance is broadcast to prune the rest — exactly
 // the bound one local work unit publishes to another, so the merged
-// result is unchanged), and approximate search splits the global leaf
-// budget across groups in proportion to their window counts.
+// result is unchanged).
 //
 // The topology is static (a JSON file mapping node addresses to shard
 // ranges) but replicated: with Replicas R ≥ 2 every shard set is owned
@@ -449,56 +448,6 @@ func (c *Coordinator) validatePrefix(q []float64) error {
 	return nil
 }
 
-// SearchApprox probes at most leafBudget leaves across the cluster and
-// returns a possibly incomplete subset of the twins. The global budget
-// splits across replica groups in proportion to their window counts
-// (an atomic allowance cannot span processes), floor-divided with the
-// remainder going to the earliest groups — deterministic, and never
-// exceeding the requested total. Groups whose share is zero are
-// skipped.
-func (c *Coordinator) SearchApprox(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	if leafBudget <= 0 {
-		leafBudget = 1
-	}
-	shares := c.splitBudget(leafBudget)
-	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b shard.Backend, gi int) (statsResult, error) {
-		if shares[gi] == 0 {
-			return statsResult{}, nil
-		}
-		ms, st, err := b.SearchApproxCtx(ctx, q, eps, shares[gi])
-		return statsResult{ms, st}, err
-	})
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	lists := make([][]series.Match, len(per))
-	var st core.Stats
-	for i, r := range per {
-		lists[i] = r.ms
-		st = shard.AddStats(st, r.st)
-	}
-	return shard.MergeByStart(lists), st, nil
-}
-
-// splitBudget divides a leaf budget across replica groups
-// proportionally to their window counts: floor shares first, then one
-// extra to the earliest groups until the total is spent.
-// sum(shares) == budget. The floor is taken in two parts so that no
-// product overflows, whatever the budget.
-func (c *Coordinator) splitBudget(budget int) []int {
-	shares := make([]int, len(c.groups))
-	spent := 0
-	for gi, g := range c.groups {
-		shares[gi] = budget/c.windows*g.windows + budget%c.windows*g.windows/c.windows
-		spent += shares[gi]
-	}
-	for gi := 0; spent < budget && gi < len(shares); gi++ {
-		shares[gi]++
-		spent++
-	}
-	return shares
-}
-
 // --- remote backend ---
 
 // remote speaks the shard RPC to one node over HTTP. It implements
@@ -677,11 +626,6 @@ func (r *remote) SearchTopKCtx(ctx context.Context, q []float64, k int, bound fl
 func (r *remote) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	ms, _, err := r.call(ctx, Request{Kind: KindPrefix, Eps: eps, Query: q})
 	return ms, err
-}
-
-// SearchApproxCtx implements shard.Backend.
-func (r *remote) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	return r.call(ctx, Request{Kind: KindApprox, Eps: eps, LeafBudget: leafBudget, Query: q})
 }
 
 // Windows implements shard.Backend.

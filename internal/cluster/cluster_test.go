@@ -141,21 +141,6 @@ func TestClusterDifferential(t *testing.T) {
 						if !reflect.DeepEqual(wantSt, gotSt) {
 							t.Fatalf("q=%d eps=%g: stats diverged: %+v vs %+v", qp, eps, gotSt, wantSt)
 						}
-						// Approximate with a saturating budget: every node's
-						// proportional share covers all its leaves, so the
-						// answer (and counters) are the full deterministic set.
-						budget := 2 * local.Windows()
-						wantA, wantASt := local.SearchApprox(q, eps, budget)
-						gotA, gotASt, err := cl.SearchApprox(ctx, q, eps, budget)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameMatches(wantA, gotA) {
-							t.Fatalf("q=%d eps=%g: approx diverged", qp, eps)
-						}
-						if !reflect.DeepEqual(wantASt, gotASt) {
-							t.Fatalf("q=%d eps=%g: approx stats diverged: %+v vs %+v", qp, eps, gotASt, wantASt)
-						}
 					}
 					// Top-k, including k beyond one node's windows.
 					for _, k := range []int{1, 5, 17} {

@@ -145,19 +145,6 @@ func TestFailoverDifferential(t *testing.T) {
 					if wantErr == nil && !sameMatches(wantP, gotP) {
 						t.Fatalf("prefix diverged")
 					}
-					// Path 5: approximate with a saturating budget.
-					budget := 2 * local.Windows()
-					wantA, wantASt := local.SearchApprox(q, 0.3, budget)
-					gotA, gotASt, err := cl.SearchApprox(ctx, q, 0.3, budget)
-					if err != nil {
-						t.Fatalf("approx with dead node: %v", err)
-					}
-					if !sameMatches(wantA, gotA) {
-						t.Fatalf("approx diverged")
-					}
-					if !reflect.DeepEqual(wantASt, gotASt) {
-						t.Fatalf("approx stats diverged: %+v vs %+v", gotASt, wantASt)
-					}
 				})
 			}
 		}

@@ -28,7 +28,7 @@ import (
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func sameRequest(a, b cluster.Request) bool {
-	if a.Kind != b.Kind || a.Trace != b.Trace || a.K != b.K || a.LeafBudget != b.LeafBudget ||
+	if a.Kind != b.Kind || a.Trace != b.Trace || a.K != b.K ||
 		!sameBits(a.Eps, b.Eps) || !sameBits(a.Bound, b.Bound) || len(a.Query) != len(b.Query) {
 		return false
 	}
@@ -67,18 +67,18 @@ func FuzzShardFrame(f *testing.F) {
 	for _, seed := range []struct {
 		data       []byte
 		eps, bound float64
-		k, budget  int
+		k          int
 	}{
-		{search.AppendFrame(nil), 0.2, math.Inf(1), 5, 1},
-		{topk.AppendFrame(nil), negZero, math.Inf(1), math.MaxInt, 0},
-		{answer.AppendFrame(nil), 5e-324, 0, -1, math.MinInt},
-		{(&cluster.Answer{}).AppendFrame(nil), math.NaN(), math.Inf(-1), 0, 0},
-		{nil, 0, math.Inf(1), 0, 0},
-		{[]byte{cluster.FrameVersion, 1, 0}, 1, 1, 1, 1},
+		{search.AppendFrame(nil), 0.2, math.Inf(1), 5},
+		{topk.AppendFrame(nil), negZero, math.Inf(1), math.MaxInt},
+		{answer.AppendFrame(nil), 5e-324, 0, -1},
+		{(&cluster.Answer{}).AppendFrame(nil), math.NaN(), math.Inf(-1), 0},
+		{nil, 0, math.Inf(1), 0},
+		{[]byte{cluster.FrameVersion, 1, 0}, 1, 1, 1},
 	} {
-		f.Add(seed.data, seed.eps, seed.bound, seed.k, seed.budget)
+		f.Add(seed.data, seed.eps, seed.bound, seed.k)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, eps, bound float64, k, budget int) {
+	f.Fuzz(func(t *testing.T, data []byte, eps, bound float64, k int) {
 		if q, err := cluster.ParseRequest(data); err == nil {
 			if got := q.AppendFrame(nil); !bytes.Equal(got, data) {
 				t.Fatalf("request %x decoded and re-encoded as %x", data, got)
@@ -96,8 +96,8 @@ func FuzzShardFrame(f *testing.F) {
 				words[i] |= uint64(data[8*i+j]) << (8 * j)
 			}
 		}
-		q := cluster.Request{Kind: cluster.KindSearch + cluster.Kind(uint(k)%4), Trace: k&1 == 1,
-			Eps: eps, K: k, Bound: bound, LeafBudget: budget}
+		q := cluster.Request{Kind: cluster.KindSearch + cluster.Kind(uint(k)%3), Trace: k&1 == 1,
+			Eps: eps, K: k, Bound: bound}
 		a := cluster.Answer{Trace: data}
 		for i, w := range words {
 			q.Query = append(q.Query, math.Float64frombits(w))
@@ -106,7 +106,7 @@ func FuzzShardFrame(f *testing.F) {
 			}
 		}
 		if k%3 == 0 {
-			a.Stats = &core.Stats{NodesVisited: k, NodesPruned: budget, LeavesReached: -k,
+			a.Stats = &core.Stats{NodesVisited: k, NodesPruned: len(words), LeavesReached: -k,
 				Candidates: len(data), Abandons: math.MaxInt, Results: math.MinInt}
 		}
 		if len(a.Trace) == 0 {
@@ -152,7 +152,7 @@ func TestShardFrameRefusals(t *testing.T) {
 	}
 	frame := func(r cluster.Request) []byte { return r.AppendFrame(nil) }
 	search := frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: q})
-	huge := append(append([]byte(nil), search[:35]...), 0xff, 0xff, 0xff, 0xff)
+	huge := append(append([]byte(nil), search[:27]...), 0xff, 0xff, 0xff, 0xff)
 	jsonBody, _ := json.Marshal(map[string]any{"query": q, "eps": 0.4})
 	const bad = `bad request body: malformed shard frame: `
 
@@ -167,28 +167,26 @@ func TestShardFrameRefusals(t *testing.T) {
 		{"topk bound -0", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Copysign(0, -1), Query: q}), 200, ""},
 		{"topk ignores eps", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Eps: math.NaN(), Bound: math.Inf(1), Query: q}), 200, ""},
 		{"prefix", "/shard/prefix", "", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: 0.4, Query: q[:testL/2]}), 200, ""},
-		{"approx", "/shard/approx", "", frame(cluster.Request{Kind: cluster.KindApprox, Eps: 0.4, LeafBudget: 1, Query: q}), 200, ""},
 
 		// The node's screens, in the words they always had.
 		{"short query", "/shard/search", "", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: q[:2]}), 400, "query length 2, node indexes L=32"},
-		{"empty query", "/shard/approx", "", frame(cluster.Request{Kind: cluster.KindApprox, Eps: 0.4, LeafBudget: 5}), 400, "query length 0, node indexes L=32"},
+		{"empty query", "/shard/search", "", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4}), 400, "query length 0, node indexes L=32"},
 		{"NaN value", "/shard/search", "", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: withValue(3, math.NaN())}), 400, "non-finite query value NaN at position 3"},
 		{"Inf value", "/shard/prefix", "", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: 0.4, Query: withValue(1, math.Inf(-1))[:4]}), 400, "non-finite query value -Inf at position 1"},
 		{"negative eps", "/shard/search", "", frame(cluster.Request{Kind: cluster.KindSearch, Eps: -1, Query: q}), 400, "invalid threshold -1"},
-		{"NaN eps", "/shard/approx", "", frame(cluster.Request{Kind: cluster.KindApprox, Eps: math.NaN(), LeafBudget: 5, Query: q}), 400, "invalid threshold NaN"},
+		{"NaN eps", "/shard/prefix", "", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: math.NaN(), Query: q}), 400, "invalid threshold NaN"},
 		{"NaN bound", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.NaN(), Query: q}), 400, "invalid bound NaN"},
 		{"negative bound", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: -0.5, Query: q}), 400, "invalid bound -0.5"},
-		{"zero budget", "/shard/approx", "", frame(cluster.Request{Kind: cluster.KindApprox, Eps: 0.4, Query: q}), 400, "leaf budget 0; a positive probe count is required"},
-		{"negative budget", "/shard/approx", "", frame(cluster.Request{Kind: cluster.KindApprox, Eps: 0.4, LeafBudget: -1, Query: q}), 400, "leaf budget -1; a positive probe count is required"},
 
 		// Not a frame of this version for this endpoint.
 		{"old-style JSON body", "/shard/search", "application/json", jsonBody, 415,
 			`Content-Type "application/json"; the shard RPC takes ` + cluster.FrameContentType + ` frames`},
 		{"no Content-Type", "/shard/topk", "-", search, 415,
 			`Content-Type ""; the shard RPC takes ` + cluster.FrameContentType + ` frames`},
-		{"JSON in a frame", "/shard/search", "", jsonBody, 400, bad + "version 123, this build speaks 1"},
+		{"JSON in a frame", "/shard/search", "", jsonBody, 400, bad + "version 123, this build speaks 2"},
 		{"empty", "/shard/search", "", nil, 400, bad + "truncated"},
-		{"next version", "/shard/search", "", append([]byte{cluster.FrameVersion + 1}, search[1:]...), 400, bad + "version 2, this build speaks 1"},
+		{"previous version", "/shard/search", "", append([]byte{cluster.FrameVersion - 1}, search[1:]...), 400, bad + "version 1, this build speaks 2"},
+		{"next version", "/shard/search", "", append([]byte{cluster.FrameVersion + 1}, search[1:]...), 400, bad + "version 3, this build speaks 2"},
 		{"unknown kind", "/shard/search", "", append([]byte{cluster.FrameVersion, 9}, search[2:]...), 400, bad + "kind 9 sent to /shard/search"},
 		{"unknown flags", "/shard/search", "", append([]byte{cluster.FrameVersion, 1, 2}, search[3:]...), 400, bad + "flag byte 2"},
 		{"wrong endpoint", "/shard/topk", "", search, 400, bad + "kind 1 sent to /shard/topk"},
@@ -231,7 +229,7 @@ func TestShardFrameRefusals(t *testing.T) {
 		t.Errorf("declared 1 TiB body: %d %s", rec.Code, rec.Body)
 	}
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/shard/approx", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/shard/prefix", nil))
 	if rec.Code != http.StatusMethodNotAllowed || rec.Body.String() != "{\"error\":\"POST required\"}\n" {
 		t.Errorf("GET: %d %s", rec.Code, rec.Body)
 	}
@@ -295,9 +293,9 @@ func TestHostileNodeFailsOver(t *testing.T) {
 }
 
 // TestFrameVersionSkew: a node reporting another frame version — a
-// newer build, or one from before the frame, which reports none — is
-// refused at open, and refused at rejoin by the sweep while its sibling
-// answers.
+// newer build, an older one, or one from before the frame, which
+// reports none — is refused at open, and refused at rejoin by the sweep
+// while its sibling answers.
 func TestFrameVersionSkew(t *testing.T) {
 	ext := series.NewExtractor(datasets.EEGN(89, 1200), series.NormGlobal)
 	local, path := buildSaved(t, ext, 4)
@@ -325,7 +323,7 @@ func TestFrameVersionSkew(t *testing.T) {
 	ctx := context.Background()
 	cl, srvs := startClusterB(t, ext, path, [][]int{{0, 1, 2, 3}}, 2, cluster.Options{RefreshInterval: -1}, wrap)
 
-	for _, v := range []int64{0, cluster.FrameVersion + 1} {
+	for _, v := range []int64{0, cluster.FrameVersion - 1, cluster.FrameVersion + 1} {
 		version.Store(v)
 		topo := &cluster.Topology{Index: path, Replicas: 2, Nodes: []cluster.NodeSpec{
 			{Name: "g0r0", Addr: srvs[0].URL, Shards: []int{0, 1, 2, 3}},

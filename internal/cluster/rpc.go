@@ -2,12 +2,12 @@ package cluster
 
 // The shard RPC's server half: the HTTP face of one cluster node, which
 // serves its assigned shards of a saved index (Node) to the coordinator.
-// GET /healthz answers NodeHealth as JSON; POST /shard/search, /topk,
-// /prefix and /approx each take a request frame and answer with a
-// frame (wire.go), or refuse in JSON. Queries arrive pre-transformed
-// (the coordinator normalizes once) and answers follow the
-// shard.Backend contract, so the coordinator's merges reproduce the
-// single-engine answer bit for bit. Every handler runs under
+// GET /healthz answers NodeHealth as JSON; POST /shard/search, /topk
+// and /prefix each take a request frame and answer with a frame
+// (wire.go), or refuse in JSON. Queries arrive pre-transformed (the
+// coordinator normalizes once) and answers follow the shard.Backend
+// contract, so the coordinator's merges reproduce the single-engine
+// answer bit for bit. Every handler runs under
 // r.Context(): a coordinator that gives up (timeout, death) cancels the
 // node-side fan-out instead of leaving it to burn executor time.
 // internal/server mounts this handler for tsserve's node role; it lives
@@ -40,7 +40,7 @@ type NodeRPC struct {
 func NewNodeRPC(n *Node) *NodeRPC {
 	h := &NodeRPC{n: n, mux: http.NewServeMux()}
 	h.mux.HandleFunc("/healthz", h.health)
-	for k := KindSearch; k <= KindApprox; k++ {
+	for k := KindSearch; k <= KindPrefix; k++ {
 		h.mux.HandleFunc(k.Path(), func(w http.ResponseWriter, r *http.Request) { h.serve(w, r, k) })
 	}
 	return h
@@ -145,9 +145,6 @@ func (h *NodeRPC) run(ctx context.Context, q *Request) (a Answer, err error) {
 		a.Matches, err = sub.SearchTopKCtx(ctx, q.Query, q.K, q.Bound)
 	case KindPrefix:
 		a.Matches, err = sub.SearchPrefixTreeCtx(ctx, q.Query, q.Eps)
-	case KindApprox:
-		a.Matches, st, err = sub.SearchApproxCtx(ctx, q.Query, q.Eps, q.LeafBudget)
-		a.Stats = &st
 	}
 	return a, err
 }
@@ -170,11 +167,8 @@ func screen(q *Request, l int) error {
 			return fmt.Errorf("non-finite query value %v at position %d", v, i)
 		}
 	}
-	switch {
-	case q.Kind == KindTopK && (math.IsNaN(q.Bound) || q.Bound < 0):
+	if q.Kind == KindTopK && (math.IsNaN(q.Bound) || q.Bound < 0) {
 		return fmt.Errorf("invalid bound %v", q.Bound)
-	case q.Kind == KindApprox && q.LeafBudget <= 0:
-		return fmt.Errorf("leaf budget %d; a positive probe count is required", q.LeafBudget)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 package cluster_test
 
 // Top-k conformance against the definition: every backing that answers
-// a top-k query — frozen arena, sharded fan-out, a batch queued into
-// one executor group, and the replicated cluster over the wire — must
+// a top-k query — frozen arena, sharded fan-out and the replicated
+// cluster over the wire — must
 // return exactly the first k windows of a brute-force scan sorted by
 // (dist, start), on the inputs where early abandoning and tie handling
 // are easiest to get wrong: all-tie series, exact duplicates straddling
@@ -33,23 +33,6 @@ func plantedDuplicates(src int) []float64 {
 	return data
 }
 
-// queuedTopK answers qs as one batch: every query's units queued into
-// one executor group, one wait, one merge per query — what
-// Engine.SearchTopKBatch does over its index.
-func queuedTopK(ix *shard.Index, qs [][]float64, k int) [][]series.Match {
-	g := ix.Executor().NewGroup()
-	pending := make([]shard.PendingTopK, len(qs))
-	for i, q := range qs {
-		pending[i] = ix.QueueSearchTopK(g, q, k)
-	}
-	g.Wait()
-	out := make([][]series.Match, len(qs))
-	for i, p := range pending {
-		out[i] = p.Resolve()
-	}
-	return out
-}
-
 func TestTopKConformance(t *testing.T) {
 	const dupSrc = 250
 	constant := make([]float64, 500)
@@ -70,7 +53,7 @@ func TestTopKConformance(t *testing.T) {
 				ext := series.NewExtractor(in.data, mode)
 				windows := series.NumSubsequences(ext.Len(), testL)
 
-				// Seven queries (the B = 7 batch): the duplicated window
+				// Seven queries: the duplicated window
 				// itself, other members, and off-series perturbations.
 				var qs [][]float64
 				for i, p := range []int{dupSrc, 0, 97, 333, windows - 1, 411, 12} {
@@ -108,13 +91,10 @@ func TestTopKConformance(t *testing.T) {
 					run  func(qi, k int) []series.Match
 				}{
 					{"frozen", func(qi, k int) []series.Match { return fz.SearchTopK(qs[qi], k) }},
-					{"batch-B1", func(qi, k int) []series.Match { return queuedTopK(byShards[1], qs[qi:qi+1], k)[0] }},
-					{"batch-B7", func(qi, k int) []series.Match { return queuedTopK(byShards[1], qs, k)[qi] }},
 					{"shards=1", func(qi, k int) []series.Match { return byShards[1].SearchTopK(qs[qi], k) }},
 					{"shards=2", func(qi, k int) []series.Match { return byShards[2].SearchTopK(qs[qi], k) }},
 					{"shards=4", func(qi, k int) []series.Match { return byShards[4].SearchTopK(qs[qi], k) }},
 					{"shards=7", func(qi, k int) []series.Match { return byShards[7].SearchTopK(qs[qi], k) }},
-					{"shards=4/batch-B7", func(qi, k int) []series.Match { return queuedTopK(byShards[4], qs, k)[qi] }},
 					{"cluster-r2", func(qi, k int) []series.Match {
 						ms, err := cl.SearchTopK(ctx, qs[qi], k)
 						if err != nil {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -142,35 +141,5 @@ func TestCheckCoverage(t *testing.T) {
 	neg := &Topology{Nodes: []NodeSpec{{Name: "a", Addr: "x", Shards: []int{-1, 0, 1, 2}}}}
 	if err := neg.checkCoverage(3); err == nil {
 		t.Fatal("negative shard accepted (programmatic topology)")
-	}
-}
-
-func TestSplitBudget(t *testing.T) {
-	c := &Coordinator{windows: 100, groups: []*group{
-		{windows: 50}, {windows: 30}, {windows: 20},
-	}}
-	// The last two overflowed budget·windows: every share came out
-	// wrong, and a cluster SearchApprox at math.MaxInt lost twins.
-	for _, budget := range []int{1, 7, 100, 250, 1 << 62, math.MaxInt} {
-		shares := c.splitBudget(budget)
-		sum := 0
-		for _, s := range shares {
-			if s < 0 {
-				t.Fatalf("budget %d: negative share in %v", budget, shares)
-			}
-			sum += s
-		}
-		if sum != budget {
-			t.Fatalf("budget %d: shares %v sum to %d", budget, shares, sum)
-		}
-	}
-	// Saturation: a budget ≥ 2× windows guarantees every node at least
-	// its window count — the determinism precondition the differential
-	// tests rely on.
-	shares := c.splitBudget(200)
-	for i, want := range []int{100, 60, 40} {
-		if shares[i] != want {
-			t.Fatalf("shares = %v", shares)
-		}
 	}
 }

@@ -8,10 +8,10 @@ package cluster
 // a float and every value — ±0, subnormals, +Inf — arrives bit for bit,
 // as the byte-identical differential guarantees need.
 //
-//	request: u8 FrameVersion, u8 kind (1 search, 2 topk, 3 prefix,
-//	         4 approx: the endpoint's), u8 flags (1: return the node's
-//	         span tree), f64 eps, i64 k, f64 bound (+Inf: none),
-//	         i64 leaf budget, u32 n, n × f64 query
+//	request: u8 FrameVersion, u8 kind (1 search, 2 topk, 3 prefix:
+//	         the endpoint's), u8 flags (1: return the node's span
+//	         tree), f64 eps, i64 k, f64 bound (+Inf: none), u32 n,
+//	         n × f64 query
 //	answer:  u8 FrameVersion, u32 n, n × (i64 start, f64 dist),
 //	         u8 1 when six i64 core.Stats counters follow (else 0),
 //	         u32 m, m bytes of the span tree as JSON (m = 0 untraced)
@@ -31,7 +31,7 @@ const (
 	// FrameVersion is the layout this build speaks. A node reports it in
 	// /healthz and a coordinator refuses a node reporting another, at
 	// open and at rejoin, so a cluster of mixed builds fails loudly.
-	FrameVersion = 1
+	FrameVersion = 2
 	// FrameContentType marks every frame; a /shard/* request of another
 	// type is answered 415.
 	FrameContentType = "application/x-twinsearch-frame"
@@ -44,13 +44,12 @@ const (
 	KindSearch Kind = iota + 1 // all twins at eps, with stats
 	KindTopK                   // the k nearest within a bound
 	KindPrefix                 // the tree half of a shorter query
-	KindApprox                 // a leaf-budgeted search, with stats
 )
 
 // Path returns the endpoint that serves k.
 func (k Kind) Path() string {
 	return [...]string{KindSearch: "/shard/search", KindTopK: "/shard/topk",
-		KindPrefix: "/shard/prefix", KindApprox: "/shard/approx"}[k]
+		KindPrefix: "/shard/prefix"}[k]
 }
 
 // Request is one shard RPC: the path's parameters and a query in engine
@@ -65,9 +64,8 @@ type Request struct {
 	K     int
 	// Bound seeds the node's shared top-k pruning bound with the
 	// coordinator's k-th distance (see shard.Backend); +Inf is none.
-	Bound      float64
-	LeafBudget int
-	Query      []float64
+	Bound float64
+	Query []float64
 }
 
 // Answer is a node's reply: its matches, sorted per the shard.Backend
@@ -85,13 +83,13 @@ var le = binary.LittleEndian
 
 // AppendFrame appends q's frame to b.
 func (q *Request) AppendFrame(b []byte) []byte {
-	b = slices.Grow(b, 39+8*len(q.Query))
+	b = slices.Grow(b, 31+8*len(q.Query))
 	var flags byte
 	if q.Trace {
 		flags = 1
 	}
 	b = append(b, FrameVersion, byte(q.Kind), flags)
-	for _, v := range [...]uint64{math.Float64bits(q.Eps), uint64(q.K), math.Float64bits(q.Bound), uint64(q.LeafBudget)} {
+	for _, v := range [...]uint64{math.Float64bits(q.Eps), uint64(q.K), math.Float64bits(q.Bound)} {
 		b = le.AppendUint64(b, v)
 	}
 	b = le.AppendUint32(b, uint32(len(q.Query)))
@@ -106,7 +104,7 @@ func ParseRequest(b []byte) (Request, error) {
 	f := frame{b: b}
 	f.version()
 	q := Request{Kind: Kind(f.u8()), Trace: f.flag()}
-	q.Eps, q.K, q.Bound, q.LeafBudget = f.f64(), f.int(), f.f64(), f.int()
+	q.Eps, q.K, q.Bound = f.f64(), f.int(), f.f64()
 	q.Query = make([]float64, f.count(8))
 	for i := range q.Query {
 		q.Query[i] = f.f64()

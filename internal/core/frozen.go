@@ -43,13 +43,13 @@ package core
 // The arena is the only searchable form, and nothing mutates it: the
 // pointer tree builds, Freeze compiles it (an index that grows scans
 // its new windows as a tail until a rebuild; see internal/shard), and
-// every query — range (Algorithm 1), top-k, prefix, approximate — walks
-// the arrays below, one traversal per path. What each walk visits, in what order, is pinned by
-// TestTraversalGoldenStats; what it answers, by internal/oracle.
+// every query — range (Algorithm 1), top-k, prefix — walks the arrays
+// below, one traversal per path. What each walk visits, in what order,
+// is pinned by TestTraversalGoldenStats; what it answers, by
+// internal/oracle.
 
 import (
 	"fmt"
-	"math"
 	"unsafe"
 
 	"twinsearch/internal/arena"
@@ -535,77 +535,6 @@ func (f *Frozen) SearchPrefixTree(q []float64, eps float64) ([]series.Match, err
 func (f *Frozen) SearchPrefixTreeFrom(sub FrozenSubtree, q []float64, eps float64) []series.Match {
 	out, _ := f.rangeFrom(sub, q, eps)
 	return out
-}
-
-// SearchApprox is the iSAX-style approximate query transplanted onto
-// TS-Index: a best-first probe that visits at most leafBudget leaves in
-// order of their Eq. 2 distance to the query and verifies only their
-// candidates. With leafBudget·MaxCap candidates inspected it costs
-// microseconds instead of a full traversal, and returns a subset of the
-// exact result set — possibly missing twins that live in unvisited
-// leaves (there is no guarantee, not even for the query's own source
-// window, though the nearest-leaf ordering makes misses rare for small
-// budgets ≥ 2). Use it for interactive "show me something similar now"
-// flows, with Search as the exact fallback; the returned statistics
-// tell the caller how much was examined. leafBudget ≤ 0 means 1.
-func (f *Frozen) SearchApprox(q []float64, eps float64, leafBudget int) ([]series.Match, Stats) {
-	if leafBudget <= 0 {
-		leafBudget = 1
-	}
-	return f.SearchApproxShared(q, eps, NewLeafBudget(leafBudget))
-}
-
-// SearchApproxShared is SearchApprox drawing leaves from a budget the
-// caller may share across several traversals (the sharded fan-out
-// passes one LeafBudget to every shard). With a private budget it is
-// exactly SearchApprox. Which traversal spends a shared unit depends
-// on scheduling, so the sharded result set may vary between runs —
-// inherent to an approximate, globally budgeted probe — but every
-// returned match is a true twin and total leaves probed stay within
-// the allowance.
-func (f *Frozen) SearchApproxShared(q []float64, eps float64, budget *LeafBudget) ([]series.Match, Stats) {
-	if len(q) != f.cfg.L {
-		panic("core: query length mismatch")
-	}
-	var st Stats
-	if len(f.first) == 0 {
-		return nil, st
-	}
-
-	var out []series.Match
-	ver := series.MakeVerifier(f.ext, q, eps)
-	pq := make([]frozenItem, 0, frozenStackCap)
-	pq = append(pq, frozenItem{id: 0, lb: kernel.DistFlat32(f.boundsUpper(0), f.boundsLower(0), q)})
-	dists := make([]float64, 0, sweepScratchCap)
-	inf := math.Inf(1) // never abandons: every child gets its exact distance
-	for len(pq) > 0 && !budget.Exhausted() {
-		var item frozenItem
-		pq, item = heapPop(pq)
-		st.NodesVisited++
-		if item.lb > eps {
-			// Everything remaining is farther than ε; Lemma 1 says no
-			// unvisited leaf can contribute.
-			st.NodesPruned++
-			break
-		}
-		if !f.isLeaf(item.id) {
-			dists = f.sweepChildren(item.id, q, inf, dists)
-			first := f.first[item.id]
-			for j, lb := range dists {
-				pq = heapPush(pq, frozenItem{id: first + int32(j), lb: lb})
-			}
-			continue
-		}
-		if !budget.TryAcquire() {
-			break // another traversal spent the last probe
-		}
-		st.LeavesReached++
-		first, c := f.first[item.id], f.count[item.id]
-		out = verify(&ver, f.positions[first:first+c], out, &st)
-	}
-	series.SortMatches(out)
-	st.Results = len(out)
-	return out, st
 }
 
 // frozenItem pairs an arena node id with its Eq. 2 lower bound for the

@@ -88,7 +88,6 @@ func FuzzLoadFrozen(f *testing.F) {
 			}
 			mapped.Search(q, 0.5)
 			mapped.SearchTopK(q, 5)
-			mapped.SearchApprox(q, 0.5, 3)
 		}
 	})
 }
@@ -142,15 +141,6 @@ func FuzzFrozenTraversal(f *testing.F) {
 		}
 		if want, got := oracle.TopK(ext, q, 3), fz.SearchTopK(q, 3); !slices.Equal(want, got) {
 			t.Fatalf("SearchTopK: %v, oracle %v", got, want)
-		}
-		approx, ast := fz.SearchApprox(q, eps, 2)
-		for _, m := range approx {
-			if !slices.Contains(exact, m) {
-				t.Fatalf("SearchApprox: %v is not among the twins %v", m, exact)
-			}
-		}
-		if ast.LeavesReached > 2 || ast.Results != len(approx) {
-			t.Fatalf("SearchApprox: stats %+v for %d matches", ast, len(approx))
 		}
 		if mode != series.NormPerSubsequence {
 			want := oracle.Range(ext, q[:l/2], eps)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestTraversalGoldenStats pins the work every frozen traversal does —
-// all six counters of range, approximate, prefix and top-k search — on
+// all six counters of range, prefix and top-k search — on
 // a fixed grid, as TestBuildGoldenTree pins the tree they walk. The
 // sums were captured at PR 15 (1801d8e), the last commit where the
 // pointer tree was searchable, with the pointer traversals asserted
@@ -19,6 +19,9 @@ import (
 // all three kernel dispatches: they are the counter contract the
 // pointer ≡ frozen parity tests carried until then. A traversal rewrite
 // may change how fast a node is scored, never which nodes are scored.
+// The approximate probe's rows left the stream when that path was
+// deleted; the constants are the remaining rows' hash, taken at
+// 0b7a244, where the full stream still matched the 1801d8e sums.
 //
 // L = 101 leaves one tail lane after the kernel's 4-lane steps, and
 // MaxCap = 80 makes nodes wider than sweepScratchCap, so the
@@ -35,12 +38,12 @@ func TestTraversalGoldenStats(t *testing.T) {
 		mode series.NormMode
 		want string
 	}{
-		{defaults, series.NormNone, "9800c24d59c0c5e4a3e42100147ea18d6167ec55efe0997b71eebb5b7f684b97"},
-		{defaults, series.NormGlobal, "214221520470d95fb36d99992e14f072b5fb9c860c70cc039ed9ac67645d8ff4"},
-		{defaults, series.NormPerSubsequence, "e4836ba9db77e05d5f9f76fcd99f9d02be89d5a0e18344d2cf97933ddf1c9376"},
-		{wide, series.NormNone, "5dc003b95a20c4f99f6795ecf0bd18a0fcd5948ef6d862b8a9fe5a1333e508e3"},
-		{wide, series.NormGlobal, "412c81f800c4844c8fed2d4511096bb75ff7add5f2752a23b0f7fd32fd9c94e6"},
-		{wide, series.NormPerSubsequence, "7aff184b9648618c62385e0c588f6174277efef85643a2a86f03753761f4b796"},
+		{defaults, series.NormNone, "d39154f717177c9ba771d697b6216d4b361d02e73ba49d07630f1aecd9c5eaad"},
+		{defaults, series.NormGlobal, "0a0e95ab435550ed495f3bb639f770efabdc1a6ac44629958f48952d507683ad"},
+		{defaults, series.NormPerSubsequence, "2e2fe360d0c29898f341b3f5bee21b6124c486972223c66e79984b6d776025f0"},
+		{wide, series.NormNone, "6e9f6e68610fcabaeb05a7cae827ca5ef1451f03102eefca9dfc132c515ed06b"},
+		{wide, series.NormGlobal, "7fca6bc2d2520fcc297f0c8d1269fad8e9335b2a10ffbb596199eaec976133ec"},
+		{wide, series.NormPerSubsequence, "db3f0995f9ed361738d3d731c7f57fd70491cc9105b7a6748574e08b24675427"},
 	} {
 		t.Run(fmt.Sprintf("L=%d/Mc=%d/%v/bulk=false", c.cfg.L, c.cfg.MaxCap, c.mode), func(t *testing.T) {
 			ext := series.NewExtractor(data, c.mode)
@@ -59,8 +62,6 @@ func TestTraversalGoldenStats(t *testing.T) {
 				for _, eps := range []float64{0, 0.2, 1.0} {
 					_, st := f.SearchStats(q, eps)
 					put("range", st)
-					_, st = f.SearchApprox(q, eps, 4)
-					put("approx", st)
 					if c.mode != series.NormPerSubsequence {
 						ms, st := f.rangeFrom(f.Root(), q[:l-37], eps)
 						st.Results = len(ms)

@@ -33,10 +33,10 @@ func ScanTail(ext *series.Extractor, q []float64, eps float64, from, to int, out
 	return out
 }
 
-// verify is the verification step of every range path — leaves, the
-// approximate probe and the tail scans: it appends to out the twins
-// among the windows at starts, in the order given, and counts the
-// windows as candidates, and the rejected ones as abandons, into st.
+// verify is the verification step of every range path — leaves and
+// the tail scans: it appends to out the twins among the windows at
+// starts, in the order given, and counts the windows as candidates, and
+// the rejected ones as abandons, into st.
 func verify(v *series.Verifier, starts []int32, out []series.Match, st *Stats) []series.Match {
 	had := len(out)
 	out = v.Within(starts, out)

@@ -71,53 +71,3 @@ func TestSearchPrefixErrors(t *testing.T) {
 		t.Fatal("per-subsequence mode must be rejected")
 	}
 }
-
-func TestSearchApproxSubsetAndRecall(t *testing.T) {
-	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
-		ts := datasets.EEGN(17, 8000)
-		f, ext := frozenOver(t, ts, mode, Config{L: 100})
-		const budget = 4
-		selfHits, queries := 0, 0
-		for p := 50; p < 7800; p += 250 {
-			queries++
-			q := ext.ExtractCopy(p, 100)
-			approx, st := f.SearchApprox(q, 0.4, budget)
-			exact := oracle.Range(ext, q, 0.4)
-			exactSet := map[int]bool{}
-			for _, m := range exact {
-				exactSet[m.Start] = true
-			}
-			for _, m := range approx {
-				if !exactSet[m.Start] {
-					t.Fatalf("mode=%v: approximate result %d not in exact set", mode, m.Start)
-				}
-			}
-			for _, m := range approx {
-				if m.Start == p {
-					selfHits++
-					break
-				}
-			}
-			if st.Candidates > budget*DefaultMaxCap {
-				t.Fatalf("approximate search examined %d candidates (> budget×MaxCap)", st.Candidates)
-			}
-			if st.LeavesReached > budget {
-				t.Fatalf("approximate search visited %d leaves (budget %d)", st.LeavesReached, budget)
-			}
-		}
-		// No per-query guarantee — the nearest-leaf ordering just makes
-		// misses rare at small budgets.
-		if selfHits*10 < queries*8 {
-			t.Fatalf("mode=%v: self-match recall %d/%d below 80%%", mode, selfHits, queries)
-		}
-	}
-}
-
-func TestSearchApproxEmptyIndex(t *testing.T) {
-	ext := series.NewExtractor(datasets.RandomWalk(1, 100), series.NormGlobal)
-	ix, _ := NewEmpty(ext, Config{L: 20})
-	ms, st := ix.Freeze().SearchApprox(make([]float64, 20), 1, 3)
-	if ms != nil || st.Candidates != 0 {
-		t.Fatal("empty index should return nothing")
-	}
-}

@@ -41,13 +41,6 @@ func TestSweepTraversalShapes(t *testing.T) {
 							t.Fatalf("q@%d eps=%g: %d matches, oracle %d", start, eps, len(gotM), len(want))
 						}
 
-						gotA, _ := f.SearchApprox(q, eps, 4)
-						for _, m := range gotA {
-							if _, ok := slices.BinarySearchFunc(gotM, m, func(a, b series.Match) int { return a.Start - b.Start }); !ok {
-								t.Fatalf("q@%d eps=%g: approx match %d is not a twin", start, eps, m.Start)
-							}
-						}
-
 						short := q[:l-37]
 						gotP, err := f.SearchPrefix(short, eps)
 						if err != nil {
@@ -94,17 +87,14 @@ func TestFrozenUnitQueryLength(t *testing.T) {
 
 // TestFrozenSearchAllocs pins the allocation budget of every range
 // path that verifies in memory, on a bench-shaped index (EEG, L = 100,
-// global normalisation): the range and prefix work units, the
-// approximate probe and the tail scan. A unit that reaches no leaf
+// global normalisation): the range and prefix work units and the tail
+// scan. A unit that reaches no leaf
 // allocates nothing, and one that does allocates its answer — the
 // doublings of the match slice — and nothing else: the stack, both
 // sweep scratches and the candidates helper stay on the goroutine
 // stack, and no verifier (whose magnitude order was an allocation and a
 // sort per unit) is built. 1 allocation for the typical single-twin
 // query, which is what BenchmarkFrozenSearch reports at 200 000 points.
-// (The approximate probe queues every child it scores and prunes only
-// when it pops, so its node queue may outgrow the stack-resident
-// capacity: it is allowed the doublings that would hold every node.)
 func TestFrozenSearchAllocs(t *testing.T) {
 	data := datasets.EEGN(1, 50000)
 	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 100})
@@ -117,15 +107,10 @@ func TestFrozenSearchAllocs(t *testing.T) {
 		"SearchPrefixTreeFrom": func(q []float64) []series.Match {
 			return f.SearchPrefixTreeFrom(f.Root(), q[:60], 0.2)
 		},
-		"SearchApprox": func(q []float64) []series.Match {
-			ms, _ := f.SearchApprox(q, 0.2, 4)
-			return ms
-		},
 		"ScanTail": func(q []float64) []series.Match {
 			return ScanTail(ext, q, 0.2, 0, f.Len(), nil, nil)
 		},
 	}
-	queueGrowth := map[string]int{"SearchApprox": bits.Len(uint(f.NodeCount()-1) / frozenStackCap)}
 
 	far := ext.TransformQuery(qs[0])
 	for i := range far {
@@ -144,7 +129,7 @@ func TestFrozenSearchAllocs(t *testing.T) {
 			if n == 0 {
 				t.Fatalf("%s: a query cut from the series did not find itself", name)
 			}
-			budget := queueGrowth[name] + 1 + bits.Len(uint(n-1)) // append growth 1, 2, 4, ... to hold n
+			budget := 1 + bits.Len(uint(n-1)) // append growth 1, 2, 4, ... to hold n
 			if avg := testing.AllocsPerRun(10, func() { unit(q) }); int(avg) > budget {
 				t.Fatalf("%s(eps=0.2), %d matches: %.0f allocs/query, budget %d", name, n, avg, budget)
 			}

@@ -1,11 +1,10 @@
 // Package exec implements the work-stealing query executor shared by
-// every parallel search path in the engine. Sharded fan-out, batches
-// (N queries' units in one Group), and approximate probes all enqueue
-// fine-grained work units here instead of spawning goroutines per call
-// — one scheduler decides where work runs, so a hot shard's units
-// spread across idle workers instead of serializing behind one
-// goroutine (the imbalance MESSI-style work queues remove from iSAX
-// fan-outs).
+// every parallel search path in the engine. Every sharded fan-out (the
+// build's and each query's) enqueues fine-grained work units here
+// instead of spawning goroutines per call — one scheduler decides where
+// work runs, so a hot shard's units spread across idle workers instead
+// of serializing behind one goroutine (the imbalance MESSI-style work
+// queues remove from iSAX fan-outs).
 //
 // Structure: a fixed set of worker slots, each with its own deque. The
 // worker owning a slot pushes and pops at the tail (LIFO — a unit

@@ -23,7 +23,7 @@
 // that finds an entry a few windows behind gets it back (GetCovering)
 // and the engine verifies only the windows gained, then Puts the longer
 // answer over the old one. Every other answer — traversal counters,
-// which describe one tree shape; prefix and approximate searches;
+// which describe one tree shape; prefix searches;
 // every path of a read-only cluster engine — embeds the engine's index
 // epoch in its key, a counter bumped on every mutation:
 // after an Append every lookup builds a key no stored entry can match,
@@ -130,12 +130,11 @@ const (
 	PathStats  Path = 't' // SearchStats / SearchStatsCtx
 	PathTopK   Path = 'k' // SearchTopK / SearchTopKCtx
 	PathPrefix Path = 'p' // SearchShorter / SearchShorterCtx
-	PathApprox Path = 'a' // SearchApprox / SearchApproxCtx
 )
 
 // ResultKey builds the result-cache key for one request: path tag,
-// index epoch, two parameter slots (eps / float64(k) / leaf budget;
-// unused slots are 0), then the raw query bytes. With the epoch in the
+// index epoch, two parameter slots (eps or float64(k), then one the
+// engine leaves 0), then the raw query bytes. With the epoch in the
 // key invalidation is a key mismatch — after a mutation no lookup can
 // reach a pre-mutation entry. An answer that carries its version in
 // Result.Windows instead is keyed with epoch 0 throughout.

@@ -12,7 +12,6 @@ package server
 //	POST /shard/search  → matches + stats
 //	POST /shard/topk    → matches (dist set)
 //	POST /shard/prefix  → matches (tree half only)
-//	POST /shard/approx  → matches + stats
 //
 // Like the engine handler, a NodeHandler supports BeginDrain: during
 // graceful shutdown new queries get 503 while /healthz keeps answering.

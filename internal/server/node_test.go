@@ -157,15 +157,6 @@ func TestNodeShardEndpoints(t *testing.T) {
 	if len(gotP.Matches) != len(wantP) {
 		t.Fatalf("prefix: %d matches, want %d", len(gotP.Matches), len(wantP))
 	}
-
-	wantA, _, err := n.Sub.SearchApproxCtx(ctx, q, 0.4, 2*n.Sub.Windows())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotA := post(cluster.Request{Kind: cluster.KindApprox, Query: q, Eps: 0.4, LeafBudget: 2 * n.Sub.Windows()})
-	if len(gotA.Matches) != len(wantA) {
-		t.Fatalf("approx: %d matches, want %d", len(gotA.Matches), len(wantA))
-	}
 }
 
 func TestNodeShardEndpointErrors(t *testing.T) {
@@ -193,12 +184,6 @@ func TestNodeShardEndpointErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("short query: %d", resp.StatusCode)
-	}
-	// Non-positive approx budget.
-	resp = postFrame(t, url, cluster.Request{Kind: cluster.KindApprox, Query: make([]float64, 50), Eps: 0.3, LeafBudget: 0})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("zero budget: %d", resp.StatusCode)
 	}
 }
 

@@ -154,8 +154,8 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 		"mapped_bytes": h.eng.MappedBytes(),
 		"shards":       h.eng.Shards(),
 		// The engine's query executor is shared by every request this
-		// server handles — sharded fan-out units, batch work, and
-		// approximate probes all schedule onto these workers.
+		// server handles — every sharded fan-out's units schedule onto
+		// these workers.
 		"workers": h.eng.Workers(),
 		// The index mutation counter result-cache keys embed; consumers
 		// caching answers can invalidate on "epoch changed". /stats has

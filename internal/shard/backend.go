@@ -1,6 +1,6 @@
 package shard
 
-// Backend abstracts "something that can answer the five TS-Index search
+// Backend abstracts "something that can answer the four TS-Index search
 // paths over a set of shards" — the seam the distributed tier
 // (internal/cluster) plugs into. Two implementations exist: an Index
 // holding an assigned slice of a saved index's shards (OpenArenaShards),
@@ -14,7 +14,7 @@ package shard
 //
 //   - Queries are in the engine's normalized value space (the caller
 //     transforms once; see Engine.PrepareQuery).
-//   - Range-style results (range, stats, prefix tree, approx) are sorted
+//   - Range-style results (range, stats, prefix tree) are sorted
 //     by start position; top-k results by the (dist, start) total
 //     order. Result sets from backends over disjoint shard sets are
 //     disjoint, so a k-way merge reproduces the single-engine order.
@@ -46,7 +46,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"twinsearch/internal/core"
 	"twinsearch/internal/exec"
@@ -54,16 +53,15 @@ import (
 	"twinsearch/internal/series"
 )
 
-// Backend is one group of shards answering the five search paths; see
+// Backend is one group of shards answering the four search paths; see
 // the package-level contract above.
 type Backend interface {
 	SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error)
 	SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error)
 	SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error)
-	SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error)
 
 	// Windows is the number of indexed window positions the backend
-	// serves (coordinators split approximate leaf budgets by it).
+	// serves.
 	Windows() int
 	// ShardIDs lists the global shard indices served, ascending.
 	ShardIDs() []int
@@ -114,10 +112,10 @@ func canceled(ctx context.Context) bool {
 var _ Backend = (*Index)(nil)
 
 // queueSearch enqueues the (shard, subtree) units of b for one range
-// search into g — the core of QueueSearch, SearchStatsCtx and
-// SearchPrefixTreeCtx — and records the tail [b.end(), to) for Resolve
-// to scan. A prefix search (len(q) < L) runs the prefix-capable unit,
-// whose counters are not kept. A nil ctx never cancels.
+// search into g — the core of SearchStatsCtx and SearchPrefixTreeCtx —
+// and records the tail [b.end(), to) for Resolve to scan. A prefix
+// search (len(q) < L) runs the prefix-capable unit, whose counters are
+// not kept. A nil ctx never cancels.
 func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, to int, q []float64, eps float64, prefix bool) *PendingSearch {
 	fr := s.unitFrontiers(b)
 	p := &PendingSearch{
@@ -265,9 +263,8 @@ type PendingTopK struct {
 }
 
 // queueTopK enqueues the (shard, subtree) units of b for one top-k
-// search into g — the one place top-k units are enqueued, for the
-// single-query and batch callers alike — and records the tail
-// [b.end(), to). The units share one pruning bound seeded to bound
+// search into g — the one place top-k units are enqueued — and records
+// the tail [b.end(), to). The units share one pruning bound seeded to bound
 // (math.Inf(1) = unbounded). Seeding only tightens the initial
 // threshold; pruning stays on strict inequality, so the merged result
 // equals the unseeded traversal's whenever bound is an upper bound on
@@ -400,46 +397,4 @@ func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float6
 	}
 	ms, _ := p.Resolve()
 	return ms, nil
-}
-
-// SearchApproxCtx is SearchApprox honoring cancellation: leaves are
-// drawn from a single budget shared across the shards, and the tail is
-// scanned whole.
-func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	b, to := s.snapshot()
-	if leafBudget <= 0 {
-		leafBudget = 1
-	}
-	if canceled(ctx) {
-		return nil, core.Stats{}, ctx.Err()
-	}
-	if len(b.frozen) == 1 {
-		ms, st := b.frozen[0].SearchApprox(q, eps, leafBudget)
-		ms, st = s.withTail(obs.SpanFrom(ctx), b, to, q, eps, ms, st)
-		return ms, st, nil
-	}
-	budget := core.NewLeafBudget(leafBudget)
-	per := make([][]series.Match, len(b.frozen))
-	stats := make([]core.Stats, len(b.frozen))
-	g := s.ex.NewGroup()
-	for i, f := range b.frozen {
-		g.Go(func(*exec.Ctx) {
-			if canceled(ctx) {
-				return
-			}
-			per[i], stats[i] = f.SearchApproxShared(q, eps, budget)
-		})
-	}
-	g.Wait()
-	if canceled(ctx) {
-		return nil, core.Stats{}, ctx.Err()
-	}
-	var st core.Stats
-	for _, x := range stats {
-		st = addStats(st, x)
-	}
-	// Each shard's list is in start order and the shards own ascending
-	// position ranges, so their concatenation is in position order.
-	ms, st := s.withTail(obs.SpanFrom(ctx), b, to, q, eps, slices.Concat(per...), st)
-	return ms, st, nil
 }

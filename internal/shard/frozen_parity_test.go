@@ -72,12 +72,6 @@ func TestFrozenShardParityAllPaths(t *testing.T) {
 						if st.Results != len(got) {
 							t.Fatalf("q%d eps=%g: Stats.Results %d for %d matches", qi, eps, st.Results, len(got))
 						}
-						// An approximate search granted more leaves
-						// than exist must equal the exact answer.
-						app, _ := sh.SearchApprox(q, eps, 1<<30)
-						if !sameMatches(want, app) {
-							t.Fatalf("q%d eps=%g: unbounded SearchApprox mismatch", qi, eps)
-						}
 					}
 					for _, k := range []int{1, 9, 64} {
 						if want, got := oracle.TopK(ext, q, k), sh.SearchTopK(q, k); !sameMatches(want, got) {

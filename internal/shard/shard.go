@@ -20,9 +20,8 @@
 // shards (OpenArenaShards): that is what a cluster node serves, and it
 // is searched exactly as the whole container's fan-out searches them.
 //
-// Every query path has one fan-out. Its units can also be enqueued into
-// a group the caller owns (QueueSearch, QueueSearchTopK): a batch is
-// nothing more than N queries' units in one group, waited on once.
+// Every query path has one fan-out: its (shard, subtree) units go into
+// one executor group, waited on once, and a Pending handle merges them.
 //
 // The partition is contiguous: shard i owns window positions
 // [starts[i], starts[i+1]), so shard order is position order — per-shard
@@ -211,9 +210,6 @@ func validateBoundaries(b []int, shards, count int) error {
 	return nil
 }
 
-// Executor returns the executor the index schedules its queries on.
-func (s *Index) Executor() *exec.Executor { return s.ex }
-
 // snapshot returns what one query answers over: the base it traverses
 // and the window count to, so that the tail it scans is
 // [b.end(), to). Each query calls it once, at its start; the base is
@@ -270,10 +266,7 @@ func (s *Index) SearchStats(q []float64, eps float64) ([]series.Match, core.Stat
 }
 
 // PendingSearch holds the per-unit results of one enqueued range
-// search; Resolve assembles them after the group completes. It lets
-// Engine.SearchBatch put many queries into one executor group — every
-// (query, shard, subtree) unit is a peer in the same pool — instead of
-// nesting a query pool above a shard pool.
+// search; Resolve assembles them after the group completes.
 type PendingSearch struct {
 	res [][][]series.Match // [shard][unit] match lists, traversal order
 	st  [][]core.Stats     // [shard][unit]
@@ -282,14 +275,6 @@ type PendingSearch struct {
 	q        []float64
 	eps      float64
 	from, to int
-}
-
-// QueueSearch enqueues the (shard, subtree) units of one range search
-// into g and returns a handle to assemble the result. Call Resolve
-// only after g.Wait() returns.
-func (s *Index) QueueSearch(g *exec.Group, q []float64, eps float64) *PendingSearch {
-	b, to := s.snapshot()
-	return s.queueSearch(g, nil, b, to, q, eps, false)
 }
 
 // Resolve merges the unit results deterministically into one answer
@@ -367,15 +352,6 @@ func mergeByStart(per [][]series.Match, total int) []series.Match {
 func (s *Index) SearchTopK(q []float64, k int) []series.Match {
 	ms, _ := s.SearchTopKCtx(nil, q, k, math.Inf(1))
 	return ms
-}
-
-// QueueSearchTopK enqueues the (shard, subtree) units of one top-k
-// search into g, the units sharing one pruning bound of their own, and
-// returns a handle to merge their lists — the top-k counterpart of
-// QueueSearch. Call Resolve only after g.Wait() returns.
-func (s *Index) QueueSearchTopK(g *exec.Group, q []float64, k int) PendingTopK {
-	b, to := s.snapshot()
-	return s.queueTopK(g, nil, b, to, q, k, math.Inf(1), false)
 }
 
 // mergeTopK k-way-merges start-disjoint, distance-sorted lists and
@@ -468,21 +444,6 @@ func (s *Index) SearchPrefixCtx(ctx context.Context, q []float64, eps float64) (
 	}
 	// The merged list is in position order and the tail starts extend it.
 	return core.ScanPrefixTail(s.ext, s.l, q, eps, tree), nil
-}
-
-// SearchApprox probes at most leafBudget nearest leaves across all
-// shards and returns a possibly incomplete subset of the twins — the
-// sharded counterpart of core.Frozen.SearchApprox — plus every twin in
-// the tail, which is scanned whole. The budget is one shared atomic
-// allowance drawn by every shard's best-first traversal, not a
-// per-shard split: shards whose leaves sit closest to the query spend
-// more of it, so a skewed partition no longer burns budget on shards
-// with nothing nearby. Which shard draws a contended probe depends on
-// scheduling, so the subset may vary between runs; every match is a
-// true twin and total leaves probed never exceed the budget.
-func (s *Index) SearchApprox(q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats) {
-	ms, st, _ := s.SearchApproxCtx(nil, q, eps, leafBudget)
-	return ms, st
 }
 
 // The tail is compacted once it holds more than minCompact windows and

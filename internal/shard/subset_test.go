@@ -122,15 +122,6 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 		if !sameMatches(wantP, gotP) {
 			t.Fatalf("q=%d prefix: subset %v, reference %v", qp, matchStarts(gotP), matchStarts(wantP))
 		}
-		// Approx with a saturating budget probes everything: exact.
-		wantA, _ := rf.SearchApprox(q, 0.3, 2*rf.Len())
-		gotA, _, err := sub.SearchApproxCtx(ctx, q, 0.3, 2*sub.Windows())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameMatches(wantA, gotA) {
-			t.Fatalf("q=%d approx: subset %v, reference %v", qp, matchStarts(gotA), matchStarts(wantA))
-		}
 	}
 }
 
@@ -226,8 +217,5 @@ func TestSubsetCancellation(t *testing.T) {
 	}
 	if _, err := sub.SearchTopKCtx(ctx, q, 3, math.Inf(1)); err != context.Canceled {
 		t.Fatalf("SearchTopK on canceled ctx: %v", err)
-	}
-	if _, _, err := sub.SearchApproxCtx(ctx, q, 0.3, 8); err != context.Canceled {
-		t.Fatalf("SearchApprox on canceled ctx: %v", err)
 	}
 }

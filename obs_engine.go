@@ -9,7 +9,7 @@ import (
 	"twinsearch/internal/obs"
 )
 
-// qpath indexes the five raw-query search paths for the pre-resolved
+// qpath indexes the four raw-query search paths for the pre-resolved
 // metric arrays: the hot path never formats a label or hashes a map.
 type qpath uint8
 
@@ -18,11 +18,10 @@ const (
 	qpStats
 	qpTopK
 	qpPrefix
-	qpApprox
 	numQPaths
 )
 
-var qpathNames = [numQPaths]string{"search", "stats", "topk", "prefix", "approx"}
+var qpathNames = [numQPaths]string{"search", "stats", "topk", "prefix"}
 
 // engineMetrics is the engine's metric set: one registry plus the
 // per-path counters and latency histograms resolved once at
@@ -170,7 +169,7 @@ func (e *Engine) endQuery(qo queryObs, err error) {
 	}
 }
 
-// validateQueryCtx is validateQuery wrapped in a "validate" span when
+// validateQueryCtx is validateQueryHit wrapped in a "validate" span when
 // the query is traced, annotated with the plan-cache outcome. The
 // untraced path falls straight through.
 func (e *Engine) validateQueryCtx(ctx context.Context, q []float64, eps float64, rkey string) ([]float64, error) {

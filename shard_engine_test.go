@@ -178,8 +178,7 @@ func TestSearchPreparedRejectsBadEps(t *testing.T) {
 }
 
 // TestSearchShorterRejectsNaNEps: SearchShorter checked only eps < 0,
-// which NaN passes; SearchApprox checked nothing at all. Both refuse a
-// negative threshold too, and SearchApprox a query shorter than L.
+// which NaN passes. It refuses a negative threshold too.
 func TestSearchShorterRejectsNaNEps(t *testing.T) {
 	ts := datasets.RandomWalk(9, 2000)
 	for _, shards := range []int{0, 3} {
@@ -193,106 +192,5 @@ func TestSearchShorterRejectsNaNEps(t *testing.T) {
 		if _, err := eng.SearchShorter(ts[10:40], -1); err == nil {
 			t.Fatalf("shards=%d: SearchShorter accepted negative threshold", shards)
 		}
-		if _, err := eng.SearchApprox(ts[10:40], 0.3, 2); err == nil {
-			t.Fatalf("shards=%d: SearchApprox accepted a short query", shards)
-		}
-		if _, err := eng.SearchApprox(ts[10:60], math.NaN(), 2); err == nil {
-			t.Fatalf("shards=%d: SearchApprox accepted NaN threshold", shards)
-		}
-		if _, err := eng.SearchApprox(ts[10:60], -0.5, 2); err == nil {
-			t.Fatalf("shards=%d: SearchApprox accepted negative threshold", shards)
-		}
-	}
-}
-
-// TestSearchApproxRejectsNonPositiveBudget is the regression test for
-// the leaf-budget validation hole: leafBudget ≤ 0 used to slip through
-// to the tree walk (which silently clamped it to 1) instead of being
-// rejected like every other invalid argument.
-func TestSearchApproxRejectsNonPositiveBudget(t *testing.T) {
-	ts := datasets.RandomWalk(11, 2000)
-	for _, shards := range []int{0, 3} {
-		eng, err := Open(ts, Options{L: 50, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := ts[100:150]
-		for _, budget := range []int{0, -1, -100} {
-			if _, err := eng.SearchApprox(q, 0.3, budget); err == nil {
-				t.Fatalf("shards=%d: SearchApprox accepted leaf budget %d", shards, budget)
-			}
-		}
-		if _, err := eng.SearchApprox(q, 0.3, 1); err != nil {
-			t.Fatalf("shards=%d: minimal valid budget rejected: %v", shards, err)
-		}
-	}
-}
-
-// TestSearchBatchMixedValidity checks the fused batch path keeps
-// per-query error isolation: invalid queries carry their own errors
-// while the rest of the batch completes. An empty batch is empty.
-func TestSearchBatchMixedValidity(t *testing.T) {
-	ts := datasets.EEGN(47, 8000)
-	for _, shards := range []int{0, 4} {
-		eng, err := Open(ts, Options{L: 100, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		good := append([]float64(nil), ts[3000:3100]...)
-		batch := [][]float64{
-			good,
-			make([]float64, 10),             // wrong length
-			append([]float64(nil), good...), // fine
-			{math.NaN()},                    // wrong length AND non-finite
-		}
-		out := eng.SearchBatch(batch, 0.3)
-		if len(out) != 4 {
-			t.Fatalf("shards=%d: %d results", shards, len(out))
-		}
-		for i, r := range out {
-			if r.Query != i {
-				t.Fatalf("shards=%d: result %d labeled query %d", shards, i, r.Query)
-			}
-		}
-		if out[1].Err == nil || out[3].Err == nil {
-			t.Fatalf("shards=%d: invalid queries must carry errors", shards)
-		}
-		if out[0].Err != nil || out[2].Err != nil {
-			t.Fatalf("shards=%d: valid queries errored: %v %v", shards, out[0].Err, out[2].Err)
-		}
-		want, err := eng.Search(good, 0.3)
-		if err != nil || !matchListsEq(out[0].Matches, want) || !matchListsEq(out[2].Matches, want) {
-			t.Fatalf("shards=%d: batch results 0 and 2 hold %d and %d matches, Search %d (%v)", shards, len(out[0].Matches), len(out[2].Matches), len(want), err)
-		}
-		if out := eng.SearchBatch(nil, 0.3); len(out) != 0 {
-			t.Fatalf("shards=%d: empty batch returned %d results", shards, len(out))
-		}
-	}
-}
-
-// TestSearchTopKBatchErrors pins the batch top-k error contract:
-// closed engines and per-query validation surface per entry without
-// disturbing valid neighbors.
-func TestSearchTopKBatchErrors(t *testing.T) {
-	ts := datasets.RandomWalk(41, 3000)
-	eng, err := Open(ts, Options{L: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := append([]float64(nil), ts[100:150]...)
-	out := eng.SearchTopKBatch([][]float64{good, make([]float64, 7)}, 3)
-	if out[0].Err != nil || len(out[0].Matches) != 3 {
-		t.Fatalf("valid query alongside invalid one: %+v", out[0])
-	}
-	if out[1].Err == nil {
-		t.Fatal("short query must carry its error")
-	}
-	if out := eng.SearchTopKBatch(nil, 3); len(out) != 0 {
-		t.Fatal("empty batch must be empty")
-	}
-
-	eng.Close()
-	if out := eng.SearchTopKBatch([][]float64{good}, 3); out[0].Err != ErrClosed {
-		t.Fatalf("closed engine returned %v", out[0].Err)
 	}
 }

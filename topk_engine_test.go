@@ -7,7 +7,6 @@ package twinsearch
 import (
 	"context"
 	"math"
-	"slices"
 	"testing"
 
 	"twinsearch/internal/datasets"
@@ -110,13 +109,12 @@ func TestForcedTraceTopK(t *testing.T) {
 
 // TestInvalidQueryEveryBacking is the invalid-query table over every
 // raw-query path that takes a query of its own, on every TS-Index
-// backing. Top-k used to skip planQuery, the batch top-k checked only
-// the length, and SearchShorter never looked at the values: a NaN or
-// infinite query was traversed (NaN compares false against every limit,
-// so it over-matches) by some paths and backings and refused by others.
-// Now every cell fails before any traversal, with the text range search
-// gives it, and a batch fails per query. SearchPrepared is one more
-// column: it checked the length and never the values.
+// backing. Top-k used to skip planQuery, and SearchShorter never
+// looked at the values: a NaN or infinite query was traversed (NaN
+// compares false against every limit, so it over-matches) by some paths
+// and backings and refused by others. Now every cell fails before any
+// traversal, with the text range search gives it. SearchPrepared is one
+// more column: it checked the length and never the values.
 func TestInvalidQueryEveryBacking(t *testing.T) {
 	data := datasets.EEGN(61, 3000)
 	const l = 100
@@ -148,14 +146,6 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRange, err := eng.Search(good, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTopK, err := eng.SearchTopK(good, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, row := range rows {
 			for pass := 0; pass < 2; pass++ { // the second pass meets whatever the first cached
 				if _, err := eng.Search(row.q, 0.3); err == nil || err.Error() != row.want {
@@ -163,22 +153,6 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 				}
 				if ms, err := eng.SearchTopK(row.q, 5); err == nil || err.Error() != row.want {
 					t.Errorf("%s: SearchTopK(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.want)
-				}
-				// A bad query fails alone: its neighbour in the batch is
-				// answered as if it had been asked by itself.
-				rs := eng.SearchBatch([][]float64{row.q, good}, 0.3)
-				if rs[0].Err == nil || rs[0].Err.Error() != row.want || rs[0].Matches != nil {
-					t.Errorf("%s: SearchBatch(%s) = %d matches, error %v, want %q", name, row.name, len(rs[0].Matches), rs[0].Err, row.want)
-				}
-				if rs[1].Err != nil || !slices.Equal(rs[1].Matches, wantRange) {
-					t.Errorf("%s: SearchBatch beside %s: %d matches, error %v, want %d", name, row.name, len(rs[1].Matches), rs[1].Err, len(wantRange))
-				}
-				rs = eng.SearchTopKBatch([][]float64{good, row.q}, 5)
-				if rs[1].Err == nil || rs[1].Err.Error() != row.want || rs[1].Matches != nil {
-					t.Errorf("%s: SearchTopKBatch(%s) = %d matches, error %v, want %q", name, row.name, len(rs[1].Matches), rs[1].Err, row.want)
-				}
-				if rs[0].Err != nil || !slices.Equal(rs[0].Matches, wantTopK) {
-					t.Errorf("%s: SearchTopKBatch beside %s: %v, error %v, want %v", name, row.name, rs[0].Matches, rs[0].Err, wantTopK)
 				}
 				// The prepared path takes the query as it is, so it is
 				// the values it must look at: a NaN lane compares false

@@ -165,11 +165,10 @@ func TestSamplerOwnedTrace(t *testing.T) {
 	}
 }
 
-// TestBatchQueriesCounted: a batch call is visible on /metrics — every
-// entry a query on its path, every refused entry a query error — on a
-// local engine and on a coordinator alike. (Counters only: one group
-// has no per-query latency to observe.)
-func TestBatchQueriesCounted(t *testing.T) {
+// TestQueriesCounted: every call is visible on /metrics — a query on
+// its path, a refused one also a query error — on a local engine and on
+// a coordinator alike.
+func TestQueriesCounted(t *testing.T) {
 	ts := datasets.RandomWalk(13, 2000)
 	const l = 100
 	local, err := Open(ts, Options{L: l, Shards: 2})
@@ -182,17 +181,19 @@ func TestBatchQueriesCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	batch := [][]float64{ts[0:l], ts[300 : 300+l], ts[900 : 900+l], {1, 2}}
+	queries := [][]float64{ts[0:l], ts[300 : 300+l], ts[900 : 900+l], {1, 2}}
 	for name, eng := range map[string]*Engine{"local": local, "cluster": cl} {
-		eng.SearchBatch(batch, 0.3)
-		eng.SearchTopKBatch(batch, 3)
+		for _, q := range queries {
+			eng.Search(q, 0.3)
+			eng.SearchTopK(q, 3)
+		}
 		for _, path := range []string{"search", "topk"} {
 			label := `{path="` + path + `"}`
-			queries := eng.Metrics().Counter("twinsearch_queries_total" + label).Value()
+			n := eng.Metrics().Counter("twinsearch_queries_total" + label).Value()
 			errs := eng.Metrics().Counter("twinsearch_query_errors_total" + label).Value()
-			if queries != 4 || errs != 1 {
-				t.Errorf("%s %s: batch of 3 valid + 1 wrong-length query counted %d queries, %d errors; want 4, 1",
-					name, path, queries, errs)
+			if n != 4 || errs != 1 {
+				t.Errorf("%s %s: 3 valid + 1 wrong-length query counted %d queries, %d errors; want 4, 1",
+					name, path, n, errs)
 			}
 		}
 	}

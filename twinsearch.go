@@ -91,11 +91,9 @@ type Options struct {
 
 	// Workers sizes the engine's query executor — the work-stealing
 	// worker pool that runs every parallel search path: sharded
-	// fan-out (each query becomes fine-grained (shard, subtree) work
-	// units, so one hot shard no longer bounds latency), SearchBatch
-	// and SearchTopKBatch (a batch is its queries' units in one group
-	// on the one pool, not a second pool nested above it), and
-	// approximate probes. 0 selects GOMAXPROCS.
+	// fan-out, where each query becomes fine-grained (shard, subtree)
+	// work units, so one hot shard no longer bounds latency. 0 selects
+	// GOMAXPROCS.
 	// Answers never depend on the worker count.
 	Workers int
 
@@ -179,8 +177,8 @@ type Options struct {
 	// ages out under the byte budget. 0 disables (default), negative selects
 	// DefaultResultCacheBytes, positive is the byte bound. Only the
 	// raw-query entry points consult it (Search/SearchStats/SearchTopK/
-	// SearchShorter/SearchApprox and their Ctx forms); SearchPrepared
-	// and the batch paths always traverse.
+	// SearchShorter and their Ctx forms); SearchPrepared always
+	// traverses.
 	ResultCacheBytes int
 
 	// TraceSample enables 1-in-N per-query trace sampling: every Nth
@@ -457,7 +455,7 @@ func (e *Engine) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Mat
 		return nil, ErrClosed
 	}
 	ctx, qo := e.beginQuery(ctx, qpSearch)
-	key := e.resultKey(qcache.PathSearch, eps, 0, q)
+	key := e.resultKey(qcache.PathSearch, eps, q)
 	tq, err := e.validateQueryCtx(ctx, q, eps, key)
 	if err != nil {
 		e.endQuery(qo, err)
@@ -490,7 +488,7 @@ func (e *Engine) SearchStatsCtx(ctx context.Context, q []float64, eps float64) (
 		return nil, Stats{}, ErrClosed
 	}
 	ctx, qo := e.beginQuery(ctx, qpStats)
-	key := e.resultKey(qcache.PathStats, eps, 0, q)
+	key := e.resultKey(qcache.PathStats, eps, q)
 	tq, err := e.validateQueryCtx(ctx, q, eps, key)
 	if err != nil {
 		e.endQuery(qo, err)
@@ -513,18 +511,11 @@ func (e *Engine) searchStatsPreparedCtx(ctx context.Context, tq []float64, eps f
 	return e.sh.SearchStatsCtx(ctx, tq, eps)
 }
 
-// validateQuery runs the full raw-query validation and returns the
-// query mapped into the engine's value space. SearchBatch hoists this
-// per query so the transformed query is shared by every (query, shard)
-// work unit instead of being recomputed inside each worker.
-func (e *Engine) validateQuery(q []float64, eps float64) ([]float64, error) {
-	tq, _, err := e.validateQueryHit(q, eps, "")
-	return tq, err
-}
-
-// validateQueryHit is validateQuery also reporting whether the plan
-// came from the plan cache — the bit the trace layer annotates — for a
-// request whose result-cache key, if it has one, is rkey.
+// validateQueryHit runs the full raw-query validation and returns the
+// query mapped into the engine's value space, also reporting whether
+// the plan came from the plan cache — the bit the trace layer
+// annotates — for a request whose result-cache key, if it has one, is
+// rkey.
 func (e *Engine) validateQueryHit(q []float64, eps float64, rkey string) ([]float64, bool, error) {
 	if eps < 0 || math.IsNaN(eps) {
 		return nil, false, fmt.Errorf("twinsearch: invalid threshold %v", eps)
@@ -589,27 +580,27 @@ const maxTailScan = 4096
 // with traversal counters is not: the counters describe the base it
 // traversed, and after a compaction a fresh search traverses another
 // tree, which counts differently from a scan of the gained windows. Nor
-// are prefix and approximate answers (a tail scan of their own; a
-// budgeted subset), nor a cluster engine's, which is read-only: its
-// entries are keyed by an epoch that stays 0 while it is open.
+// are prefix answers (a tail scan of their own), nor a cluster
+// engine's, which is read-only: its entries are keyed by an epoch that
+// stays 0 while it is open.
 func (e *Engine) carriesAppends(path qcache.Path) bool {
 	return e.sh != nil && (path == qcache.PathSearch || path == qcache.PathTopK)
 }
 
 // resultKey builds the result-cache key of one request, "" when the
-// result cache is off: path, both parameters, the raw query bytes and
+// result cache is off: path, the parameter, the raw query bytes and
 // — except where carriesAppends puts the version in the entry instead
 // — the index epoch, read *before* the traversal starts, so that an
 // answer computed against one index version can never be served for
 // another.
-func (e *Engine) resultKey(path qcache.Path, a, b float64, q []float64) string {
+func (e *Engine) resultKey(path qcache.Path, a float64, q []float64) string {
 	switch {
 	case e.res == nil:
 		return ""
 	case e.carriesAppends(path):
-		return qcache.ResultKey(path, 0, a, b, q)
+		return qcache.ResultKey(path, 0, a, 0, q)
 	default:
-		return qcache.ResultKey(path, e.Epoch(), a, b, q)
+		return qcache.ResultKey(path, e.Epoch(), a, 0, q)
 	}
 }
 
@@ -675,8 +666,8 @@ func (e *Engine) searchCached(ctx context.Context, path qcache.Path, key string,
 // across searches and compactions. Any consumer caching answers can use
 // "epoch changed" as the invalidation signal, and the engine's own
 // result cache does for every answer it cannot bring up to date
-// (SearchStats, SearchShorter, SearchApprox; everything on a cluster
-// engine): their keys embed it. A local TS-Index engine's Search and
+// (SearchStats, SearchShorter; everything on a cluster engine): their
+// keys embed it. A local TS-Index engine's Search and
 // SearchTopK entries are keyed without it and extended over the
 // windows an Append gained instead — see searchCached. A cluster
 // engine refuses Append, so its epoch reads 0 while it is open.
@@ -786,7 +777,7 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, q []float64, k int) ([]Match
 		return nil, ErrClosed
 	}
 	ctx, qo := e.beginQuery(ctx, qpTopK)
-	key := e.resultKey(qcache.PathTopK, float64(k), 0, q)
+	key := e.resultKey(qcache.PathTopK, float64(k), q)
 	tq, err := e.validateQueryCtx(ctx, q, 0, key)
 	if err != nil {
 		e.endQuery(qo, err)
@@ -837,8 +828,7 @@ func (e *Engine) Shards() int {
 func (e *Engine) Cluster() *cluster.Coordinator { return e.cl }
 
 // Workers returns the size of the engine's query executor — the
-// worker pool shared by sharded fan-out, SearchBatch, and approximate
-// probes (see Options.Workers).
+// worker pool every sharded fan-out runs on (see Options.Workers).
 func (e *Engine) Workers() int { return e.ex.Workers() }
 
 // L returns the configured subsequence length.
