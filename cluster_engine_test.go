@@ -5,6 +5,7 @@ package twinsearch
 // shape with zero network — plus use-after-Close.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -83,14 +84,11 @@ func TestUseAfterClose(t *testing.T) {
 	if _, err := eng.Search(q, 0.3); err != ErrClosed {
 		t.Fatalf("Search after Close: %v", err)
 	}
-	if _, err := eng.SearchPrepared(q, 0.3); err != ErrClosed {
-		t.Fatalf("SearchPrepared after Close: %v", err)
-	}
 	if _, err := eng.SearchTopK(q, 3); err != ErrClosed {
 		t.Fatalf("SearchTopK after Close: %v", err)
 	}
-	if _, err := eng.SearchShorter(q[:10], 0.3); err != ErrClosed {
-		t.Fatalf("SearchShorter after Close: %v", err)
+	if _, err := eng.SearchShorterCtx(context.Background(), q[:10], 0.3); err != ErrClosed {
+		t.Fatalf("SearchShorterCtx after Close: %v", err)
 	}
 	if err := eng.Append(1, 2, 3); err != ErrClosed {
 		t.Fatalf("Append after Close: %v", err)

@@ -11,13 +11,15 @@ package twinsearch
 // TWINSEARCH_KERNEL=portable.
 //
 // Beside the definition the grid checks what an exact engine must keep:
-// a larger ε never loses a twin, top-k is a prefix of top-(k+1),
-// SearchStats counts the matches it returns, and traversal counters
-// depend on the partition alone — not on the cache, the trace, the
-// backing or the coordinator. On the planted-duplicates input the
+// a larger ε never loses a twin, top-k is a prefix of top-(k+1), the
+// backing's counters count the matches it returns and depend on the
+// partition alone — not on the backing or the coordinator — and a
+// traced range query that misses the result cache books exactly those
+// counters on its span tree. On the planted-duplicates input the
 // appendable backings then take an append leg: a short chunk, a seventh
 // copy of the duplicated window (cached range and top-k answers are
-// extended over it; every traversal scans it as the index's tail), then
+// extended over it; every traversal scans it as the index's tail, and a
+// traced one books the scan on its span tree), then
 // more than maxTailScan windows (cached answers are recomputed, and the
 // tail is compacted into the last shard); after each, every path is the
 // definition's over the grown series.
@@ -34,9 +36,11 @@ import (
 	"testing"
 
 	"twinsearch/internal/cluster"
+	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/obs"
 	"twinsearch/internal/oracle"
+	"twinsearch/internal/shard"
 )
 
 const confL = 32
@@ -167,7 +171,7 @@ func TestConformance(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", in.name, norm), func(t *testing.T) {
 				t.Parallel()
 				base := Options{L: confL, Norm: norm, NormSet: true}
-				g := &confGrid{counters: map[[4]int]Stats{}, series: map[int][]float64{}, wants: map[[2]int]*confWant{}}
+				g := &confGrid{counters: map[[4]int]core.Stats{}, series: map[int][]float64{}, wants: map[[2]int]*confWant{}}
 				for _, b := range confBackings(t, in.data, base) {
 					for _, cached := range []bool{false, true} {
 						t.Run(fmt.Sprintf("%s/cache=%v", b.name, cached), func(t *testing.T) {
@@ -218,9 +222,9 @@ func TestConformance(t *testing.T) {
 // definition's answers — computed over the first cell's extractor, which
 // every later cell's must equal value for value.
 type confGrid struct {
-	counters map[[4]int]Stats     // per partition, phase, query and threshold
-	series   map[int][]float64    // per phase: the extractor's values, then its global mean and σ
-	wants    map[[2]int]*confWant // per phase and query
+	counters map[[4]int]core.Stats // per partition, phase, query and threshold
+	series   map[int][]float64     // per phase: the extractor's values, then its global mean and σ
+	wants    map[[2]int]*confWant  // per phase and query
 }
 
 // confWant is the definition's answers to one query over the series as
@@ -271,7 +275,6 @@ type confCell struct {
 
 // check runs every path on every query, untraced and traced — in both
 // orders, so that a cached engine serves a miss and a hit each way.
-// After an append only the cache axis runs again.
 func (c *confCell) check(qs [][]float64) {
 	c.t.Helper()
 	e, w := c.eng, c.eng.NumSubsequences()
@@ -288,9 +291,6 @@ func (c *confCell) check(qs [][]float64) {
 		reps, traces := 1, [2][]bool{{false, true}, {true, false}}[qi%2]
 		if c.cached {
 			reps = 2 // the miss, then the hit
-		}
-		if c.phase > 0 {
-			traces = []bool{false}
 		}
 		for _, traced := range traces {
 			for range reps {
@@ -310,18 +310,32 @@ func (c *confCell) paths(ctx context.Context, at string, qi int, d *confWant, ks
 	e, q := c.eng, d.q
 	var ranges [2][]Match
 	for i, eps := range d.eps {
-		got, err := e.SearchCtx(ctx, q, eps)
+		// A traced call gets a trace of its own, so that its tree holds
+		// this one query's counters.
+		rctx, root := ctx, (*obs.Span)(nil)
+		if obs.SpanFrom(ctx) != nil {
+			root = obs.NewTrace("range").Root
+			rctx = obs.WithSpan(ctx, root)
+		}
+		got, err := e.SearchCtx(rctx, q, eps)
 		c.expect(at+fmt.Sprintf(" Search(ε=%g)", eps), got, err, d.ranges[i])
 		ranges[i] = got
-		got, st, err := e.SearchStatsCtx(ctx, q, eps)
-		c.expect(at+fmt.Sprintf(" SearchStats(ε=%g)", eps), got, err, d.ranges[i])
+		got, st, err := backingStats(e, d.tq, eps)
+		c.expect(at+fmt.Sprintf(" backing SearchStats(ε=%g)", eps), got, err, d.ranges[i])
 		key := [4]int{c.shards, c.phase, qi, i}
 		if prev, seen := c.grid.counters[key]; seen && st != prev || st.Results != len(got) {
-			c.t.Fatalf("%s: SearchStats(ε=%g) counted %+v for %d matches; the partition counted %+v", at, eps, st, len(got), prev)
+			c.t.Fatalf("%s: backing SearchStats(ε=%g) counted %+v for %d matches; the partition counted %+v", at, eps, st, len(got), prev)
 		}
 		c.grid.counters[key] = st
-		got, err = e.SearchPreparedCtx(ctx, d.tq, eps)
-		c.expect(at+fmt.Sprintf(" SearchPrepared(ε=%g)", eps), got, err, d.ranges[i])
+		if root == nil {
+			continue
+		}
+		if rc := root.Attrs["result_cache"]; rc == "miss" || rc == "off" {
+			st.Results = 0 // the root span's own attribute, not a traversal counter
+			if booked := spanCounters(root); booked != st {
+				c.t.Fatalf("%s: traced Search(ε=%g) booked %+v on its span tree; the backing counted %+v", at, eps, booked, st)
+			}
+		}
 	}
 	if !subset(ranges[0], ranges[1]) {
 		c.t.Fatalf("%s: a twin at ε=%g is lost at ε=%g", at, d.eps[0], d.eps[1])
@@ -340,11 +354,33 @@ func (c *confCell) paths(ctx context.Context, at string, qi int, d *confWant, ks
 	got, err := e.SearchShorterCtx(ctx, q[:confL/2], eps)
 	if e.Norm() == NormPerSubsequence {
 		if want := "core: prefix queries are unsupported under per-subsequence normalization"; err == nil || err.Error() != want || got != nil {
-			c.t.Fatalf("%s: SearchShorter under per-window norm: %d matches, error %v, want %q", at, len(got), err, want)
+			c.t.Fatalf("%s: SearchShorterCtx under per-window norm: %d matches, error %v, want %q", at, len(got), err, want)
 		}
 	} else {
-		c.expect(at+" SearchShorter", got, err, d.prefix)
+		c.expect(at+" SearchShorterCtx", got, err, d.prefix)
 	}
+}
+
+// backingStats runs a range query, tq in the engine's value space, on
+// the engine's backing — its shard index or its coordinator — untraced
+// and uncached, and returns its traversal counters.
+func backingStats(e *Engine, tq []float64, eps float64) ([]Match, core.Stats, error) {
+	if e.cl != nil {
+		return e.cl.SearchStats(context.Background(), tq, eps)
+	}
+	return e.sh.SearchStatsCtx(context.Background(), tq, eps)
+}
+
+// spanCounters sums the traversal counters booked on the span tree
+// under s. Results stays 0.
+func spanCounters(s *obs.Span) core.Stats {
+	n := func(k string) int { v, _ := s.Attrs[k].(int); return v }
+	st := core.Stats{NodesVisited: n("nodes_visited"), NodesPruned: n("nodes_pruned"),
+		LeavesReached: n("leaves_reached"), Candidates: n("candidates"), Abandons: n("abandons")}
+	for _, c := range s.Children {
+		st = shard.AddStats(st, spanCounters(c))
+	}
+	return st
 }
 
 // expect fails the cell unless got is want.

@@ -201,19 +201,13 @@ func sniffSaved(hdr []byte) (sharded bool, err error) {
 	}
 }
 
-// SearchShorter answers a twin query whose length is at most L using
+// SearchShorterCtx answers a twin query whose length is at most L using
 // the existing index (no rebuild): node bounds are truncated to the
 // query length — sound by the paper's closure property, see
-// core.Frozen.SearchPrefix — and the few trailing windows that exist only at
-// the shorter length are scanned directly. Exact. Requires a
-// normalization other than NormPerSubsequence.
-func (e *Engine) SearchShorter(q []float64, eps float64) ([]Match, error) {
-	return e.SearchShorterCtx(context.Background(), q, eps)
-}
-
-// SearchShorterCtx is SearchShorter honoring cancellation (see
-// SearchCtx) — the serving tier routes admitted prefix queries through
-// it so queued work dies with the request.
+// core.Frozen.SearchPrefix — and the few trailing windows that exist
+// only at the shorter length are scanned directly. Exact. Requires a
+// normalization other than NormPerSubsequence. ctx cancels as for
+// SearchCtx.
 func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64) ([]Match, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed

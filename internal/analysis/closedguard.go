@@ -37,7 +37,6 @@ var closedGuardedTypes = map[string]map[string]bool{
 var closedGuardedCalls = map[string]bool{
 	"searchCached":             true,
 	"searchPreparedCtx":        true,
-	"searchStatsPreparedCtx":   true,
 	"searchTopKPreparedCtx":    true,
 	"searchShorterPreparedCtx": true,
 }

@@ -76,7 +76,7 @@ func (e *Engine) SearchCachedGuarded(q []float64) (int, error) {
 	return e.searchCached(func() (int, error) { return 0, nil })
 }
 
-// SearchPreparedCtx dispatches without a guard.
-func (e *Engine) SearchPreparedCtx(q []float64) ([]int, error) { // want `exported method SearchPreparedCtx touches index state \(searchPreparedCtx\(\)\) without checking e\.closed`
+// SearchDispatch dispatches without a guard.
+func (e *Engine) SearchDispatch(q []float64) ([]int, error) { // want `exported method SearchDispatch touches index state \(searchPreparedCtx\(\)\) without checking e\.closed`
 	return e.searchPreparedCtx(q)
 }

@@ -22,10 +22,9 @@
 // index it is the version) and keep one key across appends: a lookup
 // that finds an entry a few windows behind gets it back (GetCovering)
 // and the engine verifies only the windows gained, then Puts the longer
-// answer over the old one. Every other answer — traversal counters,
-// which describe one tree shape; prefix searches;
-// every path of a read-only cluster engine — embeds the engine's index
-// epoch in its key, a counter bumped on every mutation:
+// answer over the old one. Every other answer — prefix searches, every
+// path of a read-only cluster engine — embeds the engine's index epoch
+// in its key, a counter bumped on every mutation:
 // after an Append every lookup builds a key no stored entry can match,
 // and the stale entries age out of the LRU under the byte budget.
 // Either way nothing is ever walked or purged inline on the hot path.
@@ -39,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"twinsearch/internal/core"
 	"twinsearch/internal/series"
 )
 
@@ -127,9 +125,8 @@ type Path byte
 // Result-cache path tags, one per cached Engine search path.
 const (
 	PathSearch Path = 's' // Search / SearchCtx
-	PathStats  Path = 't' // SearchStats / SearchStatsCtx
 	PathTopK   Path = 'k' // SearchTopK / SearchTopKCtx
-	PathPrefix Path = 'p' // SearchShorter / SearchShorterCtx
+	PathPrefix Path = 'p' // SearchShorterCtx
 )
 
 // ResultKey builds the result-cache key for one request: path tag,
@@ -248,19 +245,15 @@ func (c *PlanCache) Stats() Stats {
 	return st
 }
 
-// Result is one cached answer: the match set and, for the stats-
-// reporting paths, the traversal counters that came with it (counters
-// are part of the answer, so a cache hit reproduces them exactly).
+// Result is one cached answer: the match set.
 //
 // Windows is the version of an answer whose key carries none: the
 // number of windows, from start 0, the index held when the answer was
 // computed — on an append-only index the answer is exact for precisely
 // those. Epoch-keyed answers leave it 0.
 type Result struct {
-	Matches  []series.Match
-	Stats    core.Stats
-	HasStats bool
-	Windows  int
+	Matches []series.Match
+	Windows int
 }
 
 // matchBytes is the accounting cost of one Match (two words) and

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"twinsearch/internal/core"
 	"twinsearch/internal/series"
 )
 
@@ -290,15 +289,15 @@ func TestResultCacheCopiesOnGetAndPut(t *testing.T) {
 	c := NewResult(1 << 20)
 	src := []series.Match{{Start: 1, Dist: 0.5}, {Start: 2, Dist: 0.7}}
 	k := ResultKey(PathTopK, 3, 2, 0, []float64{9})
-	c.Put(k, Result{Matches: src, Stats: core.Stats{Results: 2}, HasStats: true})
+	c.Put(k, Result{Matches: src, Windows: 7})
 	src[0].Start = 999 // caller mutates its slice after Put
 
 	got, ok := c.Get(k)
 	if !ok || got.Matches[0].Start != 1 {
 		t.Fatalf("Put must snapshot the matches: %+v ok=%v", got, ok)
 	}
-	if !got.HasStats || got.Stats.Results != 2 {
-		t.Fatalf("stats must round-trip: %+v", got)
+	if got.Windows != 7 {
+		t.Fatalf("the window count must round-trip: %+v", got)
 	}
 	got.Matches[1].Start = 888 // caller mutates the returned slice
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,6 +142,119 @@ func TestMetricsEndpoint(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s while draining: %s", path, resp.Status)
+		}
+	}
+}
+
+// TestStatsIsAViewOfMetrics: after a query mix — a repeated query's
+// hit, an /append and the extended hit after it, a top-k — each count
+// /stats reports equals its /metrics
+// sample, and /stats has no count without one. The admission limits
+// are configuration, not counts, and have no sample.
+func TestStatsIsAViewOfMetrics(t *testing.T) {
+	ts := datasets.EEGN(84, 3000)
+	eng, err := twinsearch.Open(ts, twinsearch.Options{L: 100, PlanCache: -1, ResultCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv := httptest.NewServer(NewWithConfig(eng, Config{MaxInflight: 4, MaxQueue: 8}))
+	t.Cleanup(srv.Close)
+	query := map[string]interface{}{"query": ts[700:800], "eps": 0.3}
+	for _, req := range []struct {
+		path string
+		body map[string]interface{}
+	}{
+		{"/search", query}, {"/search", query},
+		{"/append", map[string]interface{}{"values": ts[:40]}},
+		{"/search", query},
+		{"/topk", map[string]interface{}{"query": ts[700:800], "k": 5}},
+	} {
+		if resp, raw := postJSON(t, srv.URL+req.path, req.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s: %s", req.path, resp.Status, raw)
+		}
+	}
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s (%v)", path, resp.Status, err)
+		}
+		return buf.Bytes()
+	}
+	var stats map[string]interface{}
+	if err := json.Unmarshal(get("/stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(get("/metrics")), "\n") {
+		var v float64
+		if name, val, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			if _, err := fmt.Sscan(val, &v); err == nil {
+				samples[name] = v
+			}
+		}
+	}
+
+	sampleOf := map[string]string{
+		"epoch":                 "twinsearch_epoch",
+		"tail_windows":          "twinsearch_tail_windows",
+		"admission.inflight":    "twinsearch_admission_inflight",
+		"admission.queue_depth": "twinsearch_admission_queue_depth",
+		"admission.shed":        "twinsearch_admission_shed_total",
+		"draining":              "twinsearch_draining",
+		"result_cache.extended": `twinsearch_cache_extended_total{cache="result"}`,
+		"result_cache.bytes":    `twinsearch_cache_bytes{cache="result"}`,
+	}
+	for _, c := range []string{"plan", "result"} {
+		for field, metric := range map[string]string{"hits": "hits_total", "misses": "misses_total", "evictions": "evictions_total", "entries": "entries"} {
+			sampleOf[c+"_cache."+field] = fmt.Sprintf(`twinsearch_cache_%s{cache="%s"}`, metric, c)
+		}
+	}
+	config := map[string]bool{"plan_cache.enabled": true, "result_cache.enabled": true,
+		"admission.enabled": true, "admission.max_inflight": true, "admission.max_queue": true}
+
+	var check func(at string, v interface{})
+	check = func(at string, v interface{}) {
+		var got float64
+		switch v := v.(type) {
+		case map[string]interface{}:
+			for k, sub := range v {
+				if at != "" {
+					k = at + "." + k
+				}
+				check(k, sub)
+			}
+			return
+		case bool:
+			if v {
+				got = 1
+			}
+		case float64:
+			got = v
+		}
+		if config[at] {
+			return
+		}
+		metric, ok := sampleOf[at]
+		if !ok {
+			t.Errorf("/stats %s = %v has no /metrics sample", at, v)
+			return
+		}
+		if want, ok := samples[metric]; !ok || want != got {
+			t.Errorf("/stats %s = %v, /metrics %s = %v (present %v)", at, got, metric, want, ok)
+		}
+	}
+	check("", stats)
+	for _, moved := range []string{"epoch", "tail_windows", "result_cache.hits", "result_cache.extended", "result_cache.misses", "plan_cache.hits"} {
+		if samples[sampleOf[moved]] == 0 {
+			t.Errorf("the query mix left %s at 0", moved)
 		}
 	}
 }

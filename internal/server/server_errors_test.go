@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"twinsearch"
@@ -78,15 +79,31 @@ func TestAppendEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestSubsequenceOutOfRange: every start outside [0, windows) answers
+// 400. A start near MaxInt once wrapped the end-of-window sum negative,
+// passed the range check and panicked the handler.
 func TestSubsequenceOutOfRange(t *testing.T) {
-	srv, _ := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/subsequence?start=999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range start: status %d", resp.StatusCode)
+	srv, ts := newTestServer(t)
+	last := len(ts) - 100 // the test server's L
+	for _, row := range []struct {
+		start string
+		want  int
+	}{
+		{strconv.Itoa(last), http.StatusOK},
+		{strconv.Itoa(last + 1), http.StatusBadRequest},
+		{"999999", http.StatusBadRequest},
+		{"-1", http.StatusBadRequest},
+		{"9223372036854775797", http.StatusBadRequest},
+		{"9223372036854775807", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(srv.URL + "/subsequence?start=" + row.start)
+		if err != nil {
+			t.Fatalf("start=%s: %v", row.start, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != row.want {
+			t.Errorf("start=%s: status %d, want %d", row.start, resp.StatusCode, row.want)
+		}
 	}
 }
 

@@ -72,35 +72,6 @@ type Backend interface {
 	MappedBytes() int
 }
 
-// MergeByStart k-way merges start-sorted, start-disjoint match lists
-// into one start-sorted list — the deterministic range merge every
-// fan-out layer (units→shard, shard→index, node→coordinator) reuses.
-func MergeByStart(per [][]series.Match) []series.Match {
-	total := 0
-	for _, ms := range per {
-		total += len(ms)
-	}
-	if total == 0 {
-		return nil
-	}
-	return mergeByStart(per, total)
-}
-
-// MergeTopK k-way merges start-disjoint, (dist, start)-sorted lists and
-// returns the first k under that total order — the deterministic top-k
-// merge shared with the coordinator.
-func MergeTopK(per [][]series.Match, k int) []series.Match {
-	return mergeTopK(per, k)
-}
-
-// AddStats sums two traversal-counter records field by field — the one
-// accumulation every fan-out layer (units→shard, node→coordinator)
-// must share, so a new counter cannot be summed in one place and
-// dropped in another.
-func AddStats(a, b core.Stats) core.Stats {
-	return addStats(a, b)
-}
-
 // canceled reports whether ctx is already done. Work units poll it
 // before traversing — a unit costs microseconds, so unit granularity is
 // fine-grained enough for a disconnected client to stop burning
@@ -112,16 +83,14 @@ func canceled(ctx context.Context) bool {
 var _ Backend = (*Index)(nil)
 
 // queueSearch enqueues the (shard, subtree) units of b for one range
-// search into g — the core of SearchStatsCtx and SearchPrefixTreeCtx —
-// and records the tail [b.end(), to) for Resolve to scan. A prefix
-// search (len(q) < L) runs the prefix-capable unit, whose counters are
-// not kept. A nil ctx never cancels.
-func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, to int, q []float64, eps float64, prefix bool) *PendingSearch {
+// search into g — the core of SearchStatsCtx and SearchPrefixTreeCtx.
+// A prefix search (len(q) < L) runs the prefix-capable unit, whose
+// counters are not kept. A nil ctx never cancels.
+func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, q []float64, eps float64, prefix bool) *pendingSearch {
 	fr := s.unitFrontiers(b)
-	p := &PendingSearch{
+	p := &pendingSearch{
 		res: make([][][]series.Match, len(fr)),
 		st:  make([][]core.Stats, len(fr)),
-		ext: s.ext, q: q, eps: eps, from: b.end(), to: to,
 	}
 	for i, units := range fr {
 		p.res[i] = make([][]series.Match, len(units))
@@ -152,51 +121,57 @@ func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]seri
 
 // SearchStatsCtx is SearchStats honoring cancellation: one range
 // search over the base (enqueue, wait, merge) and the tail's scan, whose
-// windows count as candidates.
-func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	return s.searchStats(ctx, q, eps)
-}
-
-// searchStats is SearchStatsCtx. The whole-tree fast path is taken only
+// windows count as candidates. The whole-tree fast path is taken only
 // when the one shard IS the whole container: an Index holding one shard
 // of a larger container must still traverse frontier units so its
 // counters (which skip nodes above unit roots) agree with the full
 // fan-out's.
-func (s *Index) searchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
+func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
 	b, to := s.snapshot()
-	sp := obs.SpanFrom(ctx)
+	var ms []series.Match
+	var st core.Stats
+	tsp := obs.SpanFrom(ctx).StartChild("traverse")
 	if s.total == 1 {
-		tsp := sp.StartChild("traverse")
-		ms, st := b.frozen[0].SearchStats(q, eps)
+		ms, st = b.frozen[0].SearchStats(q, eps)
 		setShardAttrs(tsp, st, 0)
 		tsp.End()
-		ms, st = s.withTail(sp, b, to, q, eps, ms, st)
-		return ms, st, nil
+	} else {
+		g := s.ex.NewGroup()
+		p := s.queueSearch(g, ctx, b, q, eps, false)
+		g.Wait()
+		setUnitSpans(tsp, g, p.st)
+		tsp.End()
+		if canceled(ctx) {
+			return nil, core.Stats{}, ctx.Err()
+		}
+		msp := obs.SpanFrom(ctx).StartChild("merge")
+		ms, st = p.resolve()
+		msp.End()
 	}
-	setTail(sp, b, to)
-	g := s.ex.NewGroup()
-	tsp := sp.StartChild("traverse")
-	p := s.queueSearch(g, ctx, b, to, q, eps, false)
-	g.Wait()
-	setUnitSpans(tsp, g, p.st)
-	tsp.End()
-	if canceled(ctx) {
-		return nil, core.Stats{}, ctx.Err()
-	}
-	msp := sp.StartChild("merge")
-	ms, st := p.Resolve()
-	msp.End()
+	ms, st = s.withTail(obs.SpanFrom(ctx), b, to, q, eps, ms, st)
 	return ms, st, nil
 }
 
 // withTail appends to a range answer over b the twins among the tail
-// windows [b.end(), to), counting them into st.
+// windows [b.end(), to), counting them into st. A traced query's span
+// sp also books the scan — a "tail" child carrying its candidates and
+// abandons — so that the tree's counters sum to st.
 func (s *Index) withTail(sp *obs.Span, b *base, to int, q []float64, eps float64, ms []series.Match, st core.Stats) ([]series.Match, core.Stats) {
-	setTail(sp, b, to)
-	ms = core.ScanTail(s.ext, q, eps, b.end(), to, ms, &st)
+	if sp == nil || to == b.end() {
+		ms = core.ScanTail(s.ext, q, eps, b.end(), to, ms, &st)
+	} else {
+		setTail(sp, b, to)
+		tsp := sp.StartChild("tail")
+		var tail core.Stats
+		ms = core.ScanTail(s.ext, q, eps, b.end(), to, ms, &tail)
+		tsp.Set("candidates", tail.Candidates)
+		tsp.Set("abandons", tail.Abandons)
+		tsp.End()
+		st = AddStats(st, tail)
+	}
 	st.Results = len(ms)
 	return ms, st
 }
@@ -222,7 +197,7 @@ func setUnitSpans(tsp *obs.Span, g *exec.Group, perShard [][]core.Stats) {
 	for i, units := range perShard {
 		var st core.Stats
 		for _, u := range units {
-			st = addStats(st, u)
+			st = AddStats(st, u)
 		}
 		ssp := tsp.StartChild(fmt.Sprintf("shard[%d]", i))
 		setShardAttrs(ssp, st, len(units))
@@ -248,11 +223,11 @@ func setShardAttrs(sp *obs.Span, st core.Stats, units int) {
 	// merge resolves the final set; the query's root span reports it.
 }
 
-// PendingTopK holds the per-unit lists of one enqueued top-k search;
-// Resolve merges them after the group completes and offers the merged
-// list the tail — the top-k counterpart of PendingSearch. A plain
+// pendingTopK holds the per-unit lists of one enqueued top-k search;
+// resolve merges them after the group completes and offers the merged
+// list the tail — the top-k counterpart of pendingSearch. A plain
 // value: the single-query path allocates nothing for it.
-type PendingTopK struct {
+type pendingTopK struct {
 	lists [][]series.Match // [unit], each in (dist, start) order
 	st    [][]core.Stats   // [shard][unit]; traced queries only
 	k     int
@@ -271,9 +246,9 @@ type PendingTopK struct {
 // the true k-th distance. traced keeps the units' counters for
 // setUnitSpans; untraced queries drop them and allocate nothing for
 // them. A nil ctx never cancels.
-func (s *Index) queueTopK(g *exec.Group, ctx context.Context, b *base, to int, q []float64, k int, bound float64, traced bool) PendingTopK {
+func (s *Index) queueTopK(g *exec.Group, ctx context.Context, b *base, to int, q []float64, k int, bound float64, traced bool) pendingTopK {
 	if k <= 0 {
-		return PendingTopK{}
+		return pendingTopK{}
 	}
 	fr := s.unitFrontiers(b)
 	shared := core.NewSharedBound()
@@ -308,14 +283,14 @@ func (s *Index) queueTopK(g *exec.Group, ctx context.Context, b *base, to int, q
 			})
 		}
 	}
-	return PendingTopK{lists: lists, st: sts, k: k, ext: s.ext, q: q, from: b.end(), to: to}
+	return pendingTopK{lists: lists, st: sts, k: k, ext: s.ext, q: q, from: b.end(), to: to}
 }
 
-// Resolve k-way merges the unit lists into the first k matches under
+// resolve k-way merges the unit lists into the first k matches under
 // the (dist, start) total order and offers that list the tail windows.
 // Call it only after the group's Wait.
-func (p PendingTopK) Resolve() []series.Match {
-	return core.ScanTailTopK(p.ext, p.q, p.k, p.from, p.to, mergeTopK(p.lists, p.k))
+func (p pendingTopK) resolve() []series.Match {
+	return core.ScanTailTopK(p.ext, p.q, p.k, p.from, p.to, MergeTopK(p.lists, p.k))
 }
 
 // SearchTopKCtx is SearchTopK honoring cancellation, with the shared
@@ -323,11 +298,6 @@ func (p PendingTopK) Resolve() []series.Match {
 // and queueTopK): the base's traversal, then the tail offered to its
 // list.
 func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
-	return s.searchTopK(ctx, q, k, bound)
-}
-
-// searchTopK is SearchTopKCtx.
-func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -337,8 +307,8 @@ func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float6
 	b, to := s.snapshot()
 	// Traced queries get the same traverse/shard[i]/merge tree threshold
 	// search records, filled from the units' own counters.
-	sp := obs.SpanFrom(ctx)
-	setTail(sp, b, to)
+	setTail(obs.SpanFrom(ctx), b, to)
+	tsp := obs.SpanFrom(ctx).StartChild("traverse")
 	if len(b.frozen) == 1 {
 		// A lone traversal shares its bound with nobody: unless the
 		// caller seeds one, its own k-th best is the whole limit, and
@@ -349,30 +319,28 @@ func (s *Index) searchTopK(ctx context.Context, q []float64, k int, bound float6
 			seed.Tighten(bound)
 		}
 		f := b.frozen[0]
-		tsp := sp.StartChild("traverse")
 		ms, st := f.SearchTopKSharedFrom(f.Root(), q, k, seed)
 		setShardAttrs(tsp, st, 0)
 		tsp.End()
 		return core.ScanTailTopK(s.ext, q, k, b.end(), to, ms), nil
 	}
 	g := s.ex.NewGroup()
-	tsp := sp.StartChild("traverse")
-	p := s.queueTopK(g, ctx, b, to, q, k, bound, sp != nil)
+	p := s.queueTopK(g, ctx, b, to, q, k, bound, tsp != nil)
 	g.Wait()
 	setUnitSpans(tsp, g, p.st)
 	tsp.End()
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
-	msp := sp.StartChild("merge")
-	ms := p.Resolve()
+	msp := obs.SpanFrom(ctx).StartChild("merge")
+	ms := p.resolve()
 	msp.End()
 	return ms, nil
 }
 
 // SearchPrefixTreeCtx is the tree half of SearchPrefix honoring
 // cancellation: the range fan-out with the truncated-bound unit
-// (queueSearch, Resolve; counters discarded) — prefix twins among the
+// (queueSearch, resolve; counters discarded) — prefix twins among the
 // indexed starts only, the tail's windows scanned at the query's
 // length. The windows that exist only at the shorter length are NOT
 // scanned here (the Backend contract): the caller decides who scans
@@ -385,16 +353,17 @@ func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float6
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
+	var tree []series.Match
 	if len(b.frozen) == 1 {
-		tree, _ := b.frozen[0].SearchPrefixTree(q, eps) // validated above
-		return core.ScanTail(s.ext, q, eps, b.end(), to, tree, nil), nil
+		tree, _ = b.frozen[0].SearchPrefixTree(q, eps) // validated above
+	} else {
+		g := s.ex.NewGroup()
+		p := s.queueSearch(g, ctx, b, q, eps, true)
+		g.Wait()
+		if canceled(ctx) {
+			return nil, ctx.Err()
+		}
+		tree, _ = p.resolve()
 	}
-	g := s.ex.NewGroup()
-	p := s.queueSearch(g, ctx, b, to, q, eps, true)
-	g.Wait()
-	if canceled(ctx) {
-		return nil, ctx.Err()
-	}
-	ms, _ := p.Resolve()
-	return ms, nil
+	return core.ScanTail(s.ext, q, eps, b.end(), to, tree, nil), nil
 }

@@ -21,7 +21,7 @@
 // is searched exactly as the whole container's fan-out searches them.
 //
 // Every query path has one fan-out: its (shard, subtree) units go into
-// one executor group, waited on once, and a Pending handle merges them.
+// one executor group, waited on once, and a pending handle merges them.
 //
 // The partition is contiguous: shard i owns window positions
 // [starts[i], starts[i+1]), so shard order is position order — per-shard
@@ -265,30 +265,25 @@ func (s *Index) SearchStats(q []float64, eps float64) ([]series.Match, core.Stat
 	return ms, st
 }
 
-// PendingSearch holds the per-unit results of one enqueued range
-// search; Resolve assembles them after the group completes.
-type PendingSearch struct {
+// pendingSearch holds the per-unit results of one enqueued range
+// search; resolve assembles them after the group completes.
+type pendingSearch struct {
 	res [][][]series.Match // [shard][unit] match lists, traversal order
 	st  [][]core.Stats     // [shard][unit]
-	// The tail [from, to) the units' base does not cover.
-	ext      *series.Extractor
-	q        []float64
-	eps      float64
-	from, to int
 }
 
-// Resolve merges the unit results deterministically into one answer
-// slice — each shard's units appended, then that segment ordered by
-// start (series.SortMatches: the set is identical however the tree was
-// split, so the order is too), shard after shard, which is position
-// order — and appends the tail scan's twins.
-func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
+// resolve merges the unit results deterministically into one answer
+// slice over the base — each shard's units appended, then that segment
+// ordered by start (series.SortMatches: the set is identical however
+// the tree was split, so the order is too), shard after shard, which is
+// position order. The caller appends the tail's twins.
+func (p *pendingSearch) resolve() ([]series.Match, core.Stats) {
 	var st core.Stats
 	total := 0
 	for i := range p.res {
 		for j := range p.res[i] {
 			total += len(p.res[i][j])
-			st = addStats(st, p.st[i][j])
+			st = AddStats(st, p.st[i][j])
 		}
 	}
 	var ms []series.Match
@@ -302,12 +297,14 @@ func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
 		}
 		series.SortMatches(ms[from:])
 	}
-	ms = core.ScanTail(p.ext, p.q, p.eps, p.from, p.to, ms, &st)
-	st.Results = len(ms)
 	return ms, st
 }
 
-func addStats(a, b core.Stats) core.Stats {
+// AddStats sums two traversal-counter records field by field — the one
+// accumulation every fan-out layer (units→shard, node→coordinator)
+// must share, so a new counter cannot be summed in one place and
+// dropped in another.
+func AddStats(a, b core.Stats) core.Stats {
 	a.NodesVisited += b.NodesVisited
 	a.NodesPruned += b.NodesPruned
 	a.LeavesReached += b.LeavesReached
@@ -317,9 +314,17 @@ func addStats(a, b core.Stats) core.Stats {
 	return a
 }
 
-// mergeByStart k-way merges start-sorted, start-disjoint lists into one
-// start-sorted list of the given total length.
-func mergeByStart(per [][]series.Match, total int) []series.Match {
+// MergeByStart k-way merges start-sorted, start-disjoint match lists
+// into one start-sorted list — the deterministic range merge a
+// coordinator combines its groups' answers with.
+func MergeByStart(per [][]series.Match) []series.Match {
+	total := 0
+	for _, ms := range per {
+		total += len(ms)
+	}
+	if total == 0 {
+		return nil
+	}
 	h := make(startHeap, 0, len(per))
 	for i, ms := range per {
 		if len(ms) > 0 {
@@ -354,9 +359,10 @@ func (s *Index) SearchTopK(q []float64, k int) []series.Match {
 	return ms
 }
 
-// mergeTopK k-way-merges start-disjoint, distance-sorted lists and
-// returns the first k items under the (dist, start) total order.
-func mergeTopK(per [][]series.Match, k int) []series.Match {
+// MergeTopK k-way merges start-disjoint, (dist, start)-sorted lists and
+// returns the first k under that total order — the deterministic top-k
+// merge of the local fan-out and of the coordinator.
+func MergeTopK(per [][]series.Match, k int) []series.Match {
 	h := make(distHeap, 0, len(per))
 	for i, ms := range per {
 		if len(ms) > 0 {

@@ -9,19 +9,18 @@ import (
 	"twinsearch/internal/obs"
 )
 
-// qpath indexes the four raw-query search paths for the pre-resolved
+// qpath indexes the three raw-query search paths for the pre-resolved
 // metric arrays: the hot path never formats a label or hashes a map.
 type qpath uint8
 
 const (
 	qpSearch qpath = iota
-	qpStats
 	qpTopK
 	qpPrefix
 	numQPaths
 )
 
-var qpathNames = [numQPaths]string{"search", "stats", "topk", "prefix"}
+var qpathNames = [numQPaths]string{"search", "topk", "prefix"}
 
 // engineMetrics is the engine's metric set: one registry plus the
 // per-path counters and latency histograms resolved once at
@@ -47,12 +46,14 @@ func newEngineMetrics() *engineMetrics {
 }
 
 // registerEngineGauges bridges the engine's existing counters — epoch,
-// cache hit/miss/eviction totals, executor steals, worker count — into
-// the registry as scrape-time funcs. Called once from newEngine; e is
-// fully usable by scrape time even though indexes attach later.
+// tail windows, cache hit/miss/eviction totals, executor steals, worker
+// count — into the registry as scrape-time funcs, so every count /stats
+// reports has a sample here. Called once from newEngine; e is fully
+// usable by scrape time even though indexes attach later.
 func (e *Engine) registerEngineGauges() {
 	reg := e.met.reg
 	reg.GaugeFunc("twinsearch_epoch", func() float64 { return float64(e.Epoch()) })
+	reg.GaugeFunc("twinsearch_tail_windows", func() float64 { return float64(e.ServingStats().TailWindows) })
 	reg.GaugeFunc("twinsearch_workers", func() float64 { return float64(e.ex.Workers()) })
 	reg.CounterFunc("twinsearch_executor_steals_total", func() float64 { return float64(e.ex.Steals()) })
 	reg.CounterFunc("twinsearch_slowlog_entries_total", func() float64 { return float64(e.slow.Total()) })

@@ -2,6 +2,7 @@ package twinsearch
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -19,7 +20,7 @@ import (
 // index as a one-shard shard.Index must not change: the bytes SaveIndex
 // writes are core.Build's tree frozen — a bare TSFZ v3 stream, the file
 // bench's core rung maps with core.FrozenFromArena(ar, 0, …) — and the
-// counters SearchStats reports are Frozen.SearchStats's on that tree.
+// counters its backing reports are Frozen.SearchStats's on that tree.
 // Then the mutation path: a saved index reopened by copy and by mapping
 // and appended to is, byte for byte, the tree a rebuild over the grown
 // series inserts, and answers all five paths as the oracle does.
@@ -75,10 +76,13 @@ func TestOneShardEngineIsTheOldSingleIndex(t *testing.T) {
 				}
 				q := data[1200 : 1200+l]
 				for _, eps := range []float64{0, 0.2, 1.0} {
-					ms, st, err := eng.SearchStats(q, eps)
+					ms, st, err := backingStats(eng, eng.PrepareQuery(q), eps)
 					wantM, wantS := fz.SearchStats(ext.TransformQuery(q), eps)
 					if err != nil || !slices.Equal(ms, wantM) || st != wantS {
-						t.Fatalf("eps=%g: SearchStats %d matches %+v (%v), Frozen.SearchStats %d matches %+v", eps, len(ms), st, err, len(wantM), wantS)
+						t.Fatalf("eps=%g: backing SearchStats %d matches %+v (%v), Frozen.SearchStats %d matches %+v", eps, len(ms), st, err, len(wantM), wantS)
+					}
+					if ms, err := eng.Search(q, eps); err != nil || !slices.Equal(ms, wantM) {
+						t.Fatalf("eps=%g: Search %d matches (%v), Frozen.SearchStats %d", eps, len(ms), err, len(wantM))
 					}
 				}
 
@@ -109,10 +113,10 @@ func TestOneShardEngineIsTheOldSingleIndex(t *testing.T) {
 					if re.MappedBytes() != 0 {
 						t.Fatalf("mmap=%v: %d bytes still mapped after the save compacted the tail", mmap, re.MappedBytes())
 					}
-					ms, st, err := re.SearchStats(q, 0.2)
+					ms, st, err := backingStats(re, tq, 0.2)
 					wantM, wantS := refz.SearchStats(tq, 0.2)
 					if err != nil || !slices.Equal(ms, wantM) || st != wantS || !slices.Equal(ms, oracle.Range(ext, tq, 0.2)) {
-						t.Fatalf("mmap=%v: SearchStats after append: %d matches %+v (%v), rebuild %d matches %+v", mmap, len(ms), st, err, len(wantM), wantS)
+						t.Fatalf("mmap=%v: backing SearchStats after append: %d matches %+v (%v), rebuild %d matches %+v", mmap, len(ms), st, err, len(wantM), wantS)
 					}
 					if ms, err := re.Search(q, 1.0); err != nil || !slices.Equal(ms, oracle.Range(ext, tq, 1.0)) {
 						t.Fatalf("mmap=%v: Search after append: %d matches (%v)", mmap, len(ms), err)
@@ -123,8 +127,8 @@ func TestOneShardEngineIsTheOldSingleIndex(t *testing.T) {
 					if mode == NormPerSubsequence {
 						continue // no prefix search under per-window normalization
 					}
-					if ms, err := re.SearchShorter(q[:l/2], 0.4); err != nil || !slices.Equal(ms, oracle.Range(ext, tq[:l/2], 0.4)) {
-						t.Fatalf("mmap=%v: SearchShorter after append: %d matches (%v)", mmap, len(ms), err)
+					if ms, err := re.SearchShorterCtx(context.Background(), q[:l/2], 0.4); err != nil || !slices.Equal(ms, oracle.Range(ext, tq[:l/2], 0.4)) {
+						t.Fatalf("mmap=%v: SearchShorterCtx after append: %d matches (%v)", mmap, len(ms), err)
 					}
 				}
 			})

@@ -6,6 +6,7 @@ package twinsearch
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"sync"
@@ -153,31 +154,7 @@ func TestShardedConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestSearchPreparedRejectsBadEps is the regression test for the
-// NaN-threshold validation hole: SearchPrepared used to perform no eps
-// validation at all, so eps = NaN sailed through (NaN < 0 is false) and
-// made every window a "match" via poisoned early-abandoning.
-func TestSearchPreparedRejectsBadEps(t *testing.T) {
-	ts := datasets.RandomWalk(7, 2000)
-	for _, shards := range bothShapes {
-		eng, err := Open(ts, Options{L: 50, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := eng.PrepareQuery(ts[100:150])
-		if _, err := eng.SearchPrepared(q, math.NaN()); err == nil {
-			t.Fatalf("%d shards: SearchPrepared accepted NaN threshold", shards)
-		}
-		if _, err := eng.SearchPrepared(q, -0.5); err == nil {
-			t.Fatalf("%d shards: SearchPrepared accepted negative threshold", shards)
-		}
-		if _, err := eng.SearchPrepared(q, 0.3); err != nil {
-			t.Fatalf("%d shards: valid threshold rejected: %v", shards, err)
-		}
-	}
-}
-
-// TestSearchShorterRejectsNaNEps: SearchShorter checked only eps < 0,
+// TestSearchShorterRejectsNaNEps: SearchShorterCtx checked only eps < 0,
 // which NaN passes. It refuses a negative threshold too.
 func TestSearchShorterRejectsNaNEps(t *testing.T) {
 	ts := datasets.RandomWalk(9, 2000)
@@ -186,11 +163,11 @@ func TestSearchShorterRejectsNaNEps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.SearchShorter(ts[10:40], math.NaN()); err == nil {
-			t.Fatalf("shards=%d: SearchShorter accepted NaN threshold", shards)
+		if _, err := eng.SearchShorterCtx(context.Background(), ts[10:40], math.NaN()); err == nil {
+			t.Fatalf("shards=%d: SearchShorterCtx accepted NaN threshold", shards)
 		}
-		if _, err := eng.SearchShorter(ts[10:40], -1); err == nil {
-			t.Fatalf("shards=%d: SearchShorter accepted negative threshold", shards)
+		if _, err := eng.SearchShorterCtx(context.Background(), ts[10:40], -1); err == nil {
+			t.Fatalf("shards=%d: SearchShorterCtx accepted negative threshold", shards)
 		}
 	}
 }

@@ -109,12 +109,11 @@ func TestForcedTraceTopK(t *testing.T) {
 
 // TestInvalidQueryEveryBacking is the invalid-query table over every
 // raw-query path that takes a query of its own, on every TS-Index
-// backing. Top-k used to skip planQuery, and SearchShorter never
+// backing. Top-k used to skip planQuery, and the prefix path never
 // looked at the values: a NaN or infinite query was traversed (NaN
 // compares false against every limit, so it over-matches) by some paths
 // and backings and refused by others. Now every cell fails before any
-// traversal, with the text range search gives it. SearchPrepared is one
-// more column: it checked the length and never the values.
+// traversal, with the text range search gives it.
 func TestInvalidQueryEveryBacking(t *testing.T) {
 	data := datasets.EEGN(61, 3000)
 	const l = 100
@@ -128,7 +127,7 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 		name    string
 		q       []float64
 		want    string
-		shorter string // SearchShorter's text; "" where the query is a valid prefix
+		shorter string // SearchShorterCtx's text; "" where the query is a valid prefix
 	}{
 		{"short", data[500 : 500+l-1], "twinsearch: query length 99, engine built for L=100", ""},
 		{"empty", nil, "twinsearch: query length 0, engine built for L=100", "twinsearch: empty query"},
@@ -154,17 +153,11 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 				if ms, err := eng.SearchTopK(row.q, 5); err == nil || err.Error() != row.want {
 					t.Errorf("%s: SearchTopK(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.want)
 				}
-				// The prepared path takes the query as it is, so it is
-				// the values it must look at: a NaN lane compares false
-				// against every bound and over-matches.
-				if ms, err := eng.SearchPrepared(row.q, 0.3); err == nil || err.Error() != row.want {
-					t.Errorf("%s: SearchPrepared(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.want)
-				}
 				if row.shorter == "" {
 					continue
 				}
-				if ms, err := eng.SearchShorter(row.q, 0.3); err == nil || err.Error() != row.shorter {
-					t.Errorf("%s: SearchShorter(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.shorter)
+				if ms, err := eng.SearchShorterCtx(context.Background(), row.q, 0.3); err == nil || err.Error() != row.shorter {
+					t.Errorf("%s: SearchShorterCtx(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.shorter)
 				}
 			}
 		}

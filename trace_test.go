@@ -19,7 +19,7 @@ import (
 	"twinsearch/internal/obs"
 )
 
-// traceBenchEngine builds the smallest engine whose SearchStatsCtx hot
+// traceBenchEngine builds the smallest engine whose SearchCtx hot
 // path runs without allocating: raw values (NormNone skips the
 // transform copy when uncached), no caches, no sharding, tracing off.
 // The query sits far outside the indexed value range, so the MBTS bound
@@ -41,23 +41,23 @@ func traceBenchEngine(tb testing.TB) (*Engine, []float64) {
 	return eng, q
 }
 
-// TestSearchStatsCtxNoAllocs pins the disabled-trace contract exactly:
-// with tracing off, a stats query allocates nothing beyond its result
-// slice — with a root-pruned query, nothing at all.
-func TestSearchStatsCtxNoAllocs(t *testing.T) {
+// TestSearchCtxNoAllocs pins the disabled-trace contract exactly: with
+// tracing off, a range query allocates nothing beyond its result slice
+// — with a root-pruned query, nothing at all.
+func TestSearchCtxNoAllocs(t *testing.T) {
 	eng, q := traceBenchEngine(t)
 	ctx := context.Background()
 	// Warm once so any lazily-initialized state is paid for.
-	if _, _, err := eng.SearchStatsCtx(ctx, q, 0.1); err != nil {
+	if _, err := eng.SearchCtx(ctx, q, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if _, _, err := eng.SearchStatsCtx(ctx, q, 0.1); err != nil {
+		if _, err := eng.SearchCtx(ctx, q, 0.1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("SearchStatsCtx with tracing off: %.1f allocs/op, want 0", avg)
+		t.Fatalf("SearchCtx with tracing off: %.1f allocs/op, want 0", avg)
 	}
 }
 
@@ -67,13 +67,13 @@ func TestSearchStatsCtxNoAllocs(t *testing.T) {
 func BenchmarkTraceDisabled(b *testing.B) {
 	eng, q := traceBenchEngine(b)
 	ctx := context.Background()
-	if _, _, err := eng.SearchStatsCtx(ctx, q, 0.1); err != nil {
+	if _, err := eng.SearchCtx(ctx, q, 0.1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.SearchStatsCtx(ctx, q, 0.1); err != nil {
+		if _, err := eng.SearchCtx(ctx, q, 0.1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkTraceForced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := obs.NewTrace("bench")
 		ctx := obs.WithSpan(context.Background(), tr.Root)
-		if _, _, err := eng.SearchStatsCtx(ctx, q, 0.1); err != nil {
+		if _, err := eng.SearchCtx(ctx, q, 0.1); err != nil {
 			b.Fatal(err)
 		}
 		tr.Finish()
@@ -108,7 +108,7 @@ func TestForcedTraceShape(t *testing.T) {
 
 	tr := obs.NewTrace("q")
 	ctx := obs.WithSpan(context.Background(), tr.Root)
-	if _, _, err := eng.SearchStatsCtx(ctx, q, 0.4); err != nil {
+	if _, err := eng.SearchCtx(ctx, q, 0.4); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()

@@ -175,10 +175,9 @@ type Options struct {
 	// the windows gained; every other entry has the engine's epoch
 	// (see Epoch) in its key, so an Append makes it unreachable and it
 	// ages out under the byte budget. 0 disables (default), negative selects
-	// DefaultResultCacheBytes, positive is the byte bound. Only the
-	// raw-query entry points consult it (Search/SearchStats/SearchTopK/
-	// SearchShorter and their Ctx forms); SearchPrepared always
-	// traverses.
+	// DefaultResultCacheBytes, positive is the byte bound. Every query
+	// entry point consults it: Search, SearchTopK, their Ctx forms and
+	// SearchShorterCtx.
 	ResultCacheBytes int
 
 	// TraceSample enables 1-in-N per-query trace sampling: every Nth
@@ -420,8 +419,8 @@ func nonFinite(vs []float64) int {
 	return -1
 }
 
-// finiteQuery refuses a query holding a NaN or ±Inf, raw or prepared,
-// with the one text every search path gives it.
+// finiteQuery refuses a query holding a NaN or ±Inf with the one text
+// every search path gives it.
 func finiteQuery(q []float64) error {
 	if i := nonFinite(q); i >= 0 {
 		return fmt.Errorf("twinsearch: non-finite query value %v at position %d", q[i], i)
@@ -467,48 +466,6 @@ func (e *Engine) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Mat
 	})
 	e.endQuery(qo, err)
 	return r.Matches, err
-}
-
-// Stats carries the traversal counters of one search: nodes
-// visited and pruned, leaves reached, candidate windows verified, and
-// results found — the observability surface SearchStats reports.
-type Stats = core.Stats
-
-// SearchStats is Search plus the traversal counters of the answer. On
-// sharded and cluster engines the counters are summed across work
-// units (each partition's tree packs differently, so the values differ
-// from a single index's; the match set does not).
-func (e *Engine) SearchStats(q []float64, eps float64) ([]Match, Stats, error) {
-	return e.SearchStatsCtx(context.Background(), q, eps)
-}
-
-// SearchStatsCtx is SearchStats honoring cancellation (see SearchCtx).
-func (e *Engine) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]Match, Stats, error) {
-	if e.closed.Load() {
-		return nil, Stats{}, ErrClosed
-	}
-	ctx, qo := e.beginQuery(ctx, qpStats)
-	key := e.resultKey(qcache.PathStats, eps, q)
-	tq, err := e.validateQueryCtx(ctx, q, eps, key)
-	if err != nil {
-		e.endQuery(qo, err)
-		return nil, Stats{}, err
-	}
-	r, err := e.searchCached(ctx, qcache.PathStats, key, tq, eps, func() (qcache.Result, error) {
-		ms, st, err := e.searchStatsPreparedCtx(ctx, tq, eps)
-		return qcache.Result{Matches: ms, Stats: st, HasStats: true}, err
-	})
-	e.endQuery(qo, err)
-	return r.Matches, r.Stats, err
-}
-
-// searchStatsPreparedCtx dispatches a validated, transformed query to
-// the stats-reporting traversal of whichever backing the engine has.
-func (e *Engine) searchStatsPreparedCtx(ctx context.Context, tq []float64, eps float64) ([]Match, Stats, error) {
-	if e.cl != nil {
-		return e.cl.SearchStats(ctx, tq, eps)
-	}
-	return e.sh.SearchStatsCtx(ctx, tq, eps)
 }
 
 // validateQueryHit runs the full raw-query validation and returns the
@@ -576,11 +533,8 @@ const maxTailScan = 4096
 // carriesAppends reports whether path's cached answers outlive an
 // Append: the range and top-k answers of a local TS-Index, which are a
 // function of (query, parameter, window set) alone and therefore still
-// exact for the windows they covered (see searchCached). An answer
-// with traversal counters is not: the counters describe the base it
-// traversed, and after a compaction a fresh search traverses another
-// tree, which counts differently from a scan of the gained windows. Nor
-// are prefix answers (a tail scan of their own), nor a cluster
+// exact for the windows they covered (see searchCached). Prefix
+// answers are not (a tail scan of their own), nor are a cluster
 // engine's, which is read-only: its entries are keyed by an epoch that
 // stays 0 while it is open.
 func (e *Engine) carriesAppends(path qcache.Path) bool {
@@ -666,11 +620,11 @@ func (e *Engine) searchCached(ctx context.Context, path qcache.Path, key string,
 // across searches and compactions. Any consumer caching answers can use
 // "epoch changed" as the invalidation signal, and the engine's own
 // result cache does for every answer it cannot bring up to date
-// (SearchStats, SearchShorter; everything on a cluster engine): their
-// keys embed it. A local TS-Index engine's Search and
-// SearchTopK entries are keyed without it and extended over the
-// windows an Append gained instead — see searchCached. A cluster
-// engine refuses Append, so its epoch reads 0 while it is open.
+// (SearchShorterCtx; everything on a cluster engine): their keys embed
+// it. A local TS-Index engine's Search and SearchTopK entries are keyed
+// without it and extended over the windows an Append gained instead —
+// see searchCached. A cluster engine refuses Append, so its epoch reads
+// 0 while it is open.
 func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
 // CacheCounters is one serving-tier cache's observability snapshot.
@@ -717,38 +671,6 @@ func (e *Engine) ServingStats() ServingStats {
 		out.Result = CacheCounters{Enabled: true, Hits: s.Hits, Misses: s.Misses, Extended: s.Extended, Evictions: s.Evictions, Entries: s.Entries, Bytes: s.Bytes}
 	}
 	return out
-}
-
-// SearchPrepared is Search for queries already expressed in the engine's
-// normalized value space (e.g. returned by PrepareQuery, or sampled from
-// the normalized series). Most callers want Search.
-func (e *Engine) SearchPrepared(q []float64, eps float64) ([]Match, error) {
-	return e.SearchPreparedCtx(context.Background(), q, eps)
-}
-
-// SearchPreparedCtx is SearchPrepared honoring cancellation (see
-// SearchCtx) — the serving tier routes admitted prepared-space queries
-// through it so queued work dies with the request. Prepared-space
-// queries bypass the result cache: its keys are raw query bytes, and a
-// prepared query with the same bits as a raw one must not alias its
-// answer.
-func (e *Engine) SearchPreparedCtx(ctx context.Context, q []float64, eps float64) ([]Match, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	if len(q) != e.opt.L {
-		return nil, fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)
-	}
-	// Same validation as Search, threshold and values: a NaN would pass
-	// every eps < 0 guard and silently poison the early-abandoning
-	// comparisons (NaN > eps is false, so every window would match).
-	if eps < 0 || math.IsNaN(eps) {
-		return nil, fmt.Errorf("twinsearch: invalid threshold %v", eps)
-	}
-	if err := finiteQuery(q); err != nil {
-		return nil, err
-	}
-	return e.searchPreparedCtx(ctx, q, eps)
 }
 
 // searchPreparedCtx dispatches a validated, transformed query.
@@ -804,7 +726,9 @@ func (e *Engine) searchTopKPreparedCtx(ctx context.Context, tq []float64, k int)
 // position p — useful for inspecting matches in the engine's value
 // space.
 func (e *Engine) Subsequence(p int) ([]float64, error) {
-	if p < 0 || p+e.opt.L > e.ext.Len() {
+	// Compared as p > Len−L, not p+L > Len: a p near MaxInt would wrap
+	// the sum negative and pass.
+	if p < 0 || p > e.ext.Len()-e.opt.L {
 		return nil, fmt.Errorf("twinsearch: position %d out of range", p)
 	}
 	return e.ext.ExtractCopy(p, e.opt.L), nil

@@ -77,9 +77,6 @@ func TestSearchErrors(t *testing.T) {
 	if _, err := eng.Search(q, 0.1); err == nil {
 		t.Fatal("Inf query must fail")
 	}
-	if _, err := eng.SearchPrepared(make([]float64, 99), 0.1); err == nil {
-		t.Fatal("wrong prepared length must fail")
-	}
 }
 
 // TestOpenRejectsNonFiniteData: a NaN window matches every query, and a
