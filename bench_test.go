@@ -22,7 +22,6 @@ import (
 	"twinsearch/internal/harness"
 	"twinsearch/internal/isax"
 	"twinsearch/internal/kvindex"
-	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 	"twinsearch/internal/sweepline"
@@ -473,76 +472,6 @@ func BenchmarkFrozenSearch(b *testing.B) {
 	}
 }
 
-// leafCandidates returns, leaf by leaf, the window starts a range
-// traversal at eps verifies for q: a leaf is reached iff its own bounds
-// pass Lemma 1 (its ancestors' enclose them), which the one-leaf work
-// unit reports, and a +Inf threshold makes the same unit hand back the
-// leaf's every position.
-func leafCandidates(fz *core.Frozen, q []float64, eps float64) (leaves [][]int32) {
-	for _, leaf := range fz.Frontier(math.MaxInt) {
-		if _, st := fz.SearchStatsFrom(leaf, q, eps); st.LeavesReached == 0 {
-			continue
-		}
-		all, _ := fz.SearchStatsFrom(leaf, q, math.Inf(1))
-		starts := make([]int32, len(all))
-		for i, m := range all {
-			starts[i] = int32(m.Start)
-		}
-		leaves = append(leaves, starts)
-	}
-	return leaves
-}
-
-// Verification per candidate, on the candidates the served traversals
-// actually verify — the windows of every leaf a ε = 1.0 (`wide-sharded`)
-// and a ε = 0.2 (`point`) traversal of bench/'s index reaches, near
-// misses that survived Lemma 1, not random positions — by one
-// kernel.SweepWindows call per leaf, in every kernel implementation.
-func BenchmarkLeafVerify(b *testing.B) {
-	fz, qs := benchServed(b)
-	qs = qs[:16]
-	ext := fz.Extractor()
-	for _, eps := range []float64{1.0, 0.2} {
-		perQuery := make([][][]int32, len(qs))
-		total := 0
-		for i, q := range qs {
-			perQuery[i] = leafCandidates(fz, q, eps)
-			for _, leaf := range perQuery[i] {
-				total += len(leaf)
-			}
-			if _, st := fz.SearchStats(q, eps); i == 0 && st.Candidates != total {
-				b.Fatalf("eps=%g: collected %d candidates, the traversal verifies %d", eps, total, st.Candidates)
-			}
-		}
-		run := func(name string, query func(i int) (twins int)) {
-			b.Run(fmt.Sprintf("eps=%g/%s", eps, name), func(b *testing.B) {
-				twins := 0
-				for i := 0; i < b.N; i++ {
-					for j := range qs {
-						twins += query(j)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(total)), "ns/candidate")
-				b.ReportMetric(float64(twins)/(float64(b.N)*float64(len(qs))), "twins/query")
-			})
-		}
-		dists := make([]float64, 256)
-		for _, im := range kernel.Impls() {
-			run("sweep-"+im.Name, func(i int) (twins int) {
-				for _, leaf := range perQuery[i] {
-					im.SweepWindows(ext.Data(), leaf, qs[i], eps, dists)
-					for _, d := range dists[:len(leaf)] {
-						if d >= 0 {
-							twins++
-						}
-					}
-				}
-				return twins
-			})
-		}
-	}
-}
-
 // Sharded TS-Index construction: the shard count is the parallelism of
 // the build (one goroutine per shard), so on a multi-core machine the
 // higher-shard sub-benchmarks should beat shards=1 roughly linearly
@@ -621,13 +550,13 @@ func BenchmarkShardedSearch(b *testing.B) {
 }
 
 // Skewed shards: 4 partitions with the last holding ~90% of the
-// windows. With one goroutine per shard, query latency was bounded by
-// the hottest shard — the skewed rows ran at nearly the single-shard
-// cost however many cores were free. The work-stealing executor
-// enqueues (shard, subtree) units instead, so with workers=max the
-// skewed rows should track the balanced rows: latency bounded by total
-// work, not by the largest partition. workers=1 rows serialize the
-// same units and serve as the no-parallelism baseline.
+// windows. A query runs one whole-tree traversal per shard, so its
+// latency on a skewed partition is bounded by its largest shard: the
+// skewed rows with workers=max run at nearly that shard's cost however
+// many cores are free, while the balanced rows divide the work. Only
+// explicit Boundaries build such a partition; the default split is
+// even. workers=1 rows run the same units one after another and serve
+// as the no-parallelism baseline.
 func BenchmarkSkewedShardSearch(b *testing.B) {
 	ds := benchSetups[1]
 	ext := benchExt(ds, series.NormGlobal)

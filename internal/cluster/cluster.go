@@ -9,8 +9,8 @@
 // engine: range-style paths k-way merge the groups' disjoint
 // start-sorted lists, top-k runs two-phase with a shared bound (the
 // seed group's k-th distance is broadcast to prune the rest — exactly
-// the bound one local work unit publishes to another, so the merged
-// result is unchanged).
+// the bound one local shard's traversal publishes to another, so the
+// merged result is unchanged).
 //
 // The topology is static (a JSON file mapping node addresses to shard
 // ranges) but replicated: with Replicas R ≥ 2 every shard set is owned
@@ -348,7 +348,7 @@ type statsResult struct {
 }
 
 // SearchStats is Search with traversal counters summed across every
-// group's work units.
+// group's shards.
 func (c *Coordinator) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b shard.Backend, _ int) (statsResult, error) {
 		ms, st, err := b.SearchStatsCtx(ctx, q, eps)
@@ -376,10 +376,10 @@ func (c *Coordinator) SearchStats(ctx context.Context, q []float64, eps float64)
 // SearchTopK returns the k nearest across the cluster in (dist, start)
 // order, in two phases: the group serving the most windows answers
 // unbounded, then its k-th distance is broadcast as the pruning bound
-// for every other group — the same monotone bound local work units
-// share through core.SharedBound, so the merged result is exactly the
-// single-engine top-k. Each phase's units fail over and hedge like any
-// other.
+// for every other group — the same monotone bound a local index's
+// shards share through core.SharedBound, so the merged result is
+// exactly the single-engine top-k. Each phase's units fail over and
+// hedge like any other.
 func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]series.Match, error) {
 	if k <= 0 {
 		return nil, nil

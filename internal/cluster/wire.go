@@ -70,7 +70,7 @@ type Request struct {
 
 // Answer is a node's reply: its matches, sorted per the shard.Backend
 // contract (Dist -1 for range-style results); the traversal counters
-// summed over its work units, for the paths that report them; and,
+// summed over its shards, for the paths that report them; and,
 // when asked, its span tree as JSON, with StartUs relative to the
 // node's own trace start (clocks are not assumed synchronized).
 type Answer struct {

@@ -44,7 +44,9 @@ package core
 // pointer tree builds, Freeze compiles it (an index that grows scans
 // its new windows as a tail until a rebuild; see internal/shard), and
 // every query — range (Algorithm 1), top-k, prefix — walks the arrays
-// below, one traversal per path. What each walk visits, in what order,
+// below, one traversal per path, always from the root: a sharded index
+// runs one whole walk per shard, never a piece of one. What each walk
+// visits, in what order,
 // is pinned by TestTraversalGoldenStats; what it answers, by
 // internal/oracle.
 
@@ -211,67 +213,6 @@ func (f *Frozen) MappedBytes() int {
 // region rather than heap slices.
 func (f *Frozen) Mapped() bool { return f.backing != nil && f.backing.Mapped() }
 
-// FrozenSubtree is an opaque handle to one disjoint piece of the arena,
-// produced by Frontier and consumed by the *From search variants — the
-// work units the shard layer hands the work-stealing executor
-// (internal/exec), so a hot shard's traversal spreads across idle
-// workers instead of occupying one. Frozen arenas are immutable, so
-// handles never go stale.
-//
-// Soundness is unchanged from whole-tree traversal: a frontier is a set
-// of disjoint subtrees covering every indexed position exactly once,
-// and each *From search applies the same MBTS pruning (Lemma 1) it
-// would have applied on reaching that node top-down. The only pruning
-// lost is an ancestor check that would have discarded several subtrees
-// at once — each subtree re-discovers the rejection at its own root.
-type FrozenSubtree struct {
-	id int32
-	ok bool // distinguishes node 0 from the zero value / empty index
-}
-
-// Root returns the whole index as a single work unit.
-func (f *Frozen) Root() FrozenSubtree {
-	if len(f.first) == 0 {
-		return FrozenSubtree{}
-	}
-	return FrozenSubtree{id: 0, ok: true}
-}
-
-// Frontier splits the arena into at least min(target, leaves) disjoint
-// subtrees covering all indexed positions, expanding breadth-first
-// until the target is met. Node fan-out is bounded by MaxCap, so the
-// result overshoots the target by at most MaxCap−1 units. A target ≤ 1
-// (or a root that is a leaf) yields the root itself.
-func (f *Frozen) Frontier(target int) []FrozenSubtree {
-	if len(f.first) == 0 {
-		return nil
-	}
-	nodes := []int32{0}
-	for len(nodes) < target {
-		split := false
-		for i := 0; i < len(nodes) && len(nodes) < target; i++ {
-			n := nodes[i]
-			if f.isLeaf(n) {
-				continue
-			}
-			lo, c := f.first[n], f.count[n]
-			nodes[i] = lo
-			for j := int32(1); j < c; j++ {
-				nodes = append(nodes, lo+j)
-			}
-			split = true
-		}
-		if !split {
-			break // all leaves: nothing left to expand
-		}
-	}
-	out := make([]FrozenSubtree, len(nodes))
-	for i, n := range nodes {
-		out[i] = FrozenSubtree{id: n, ok: true}
-	}
-	return out
-}
-
 // Search returns all twin subsequences of q at threshold eps, in start
 // order (§5.3, Algorithm 1): the tree is walked from the root and every
 // subtree whose MBTS is farther than ε from the query is pruned — sound
@@ -288,7 +229,7 @@ func (f *Frozen) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 	if len(q) != f.cfg.L {
 		panic(fmt.Sprintf("core: query length %d, index built for %d", len(q), f.cfg.L))
 	}
-	out, st := f.SearchStatsFrom(f.Root(), q, eps)
+	out, st := f.traverseRange(q, eps)
 	series.SortMatches(out)
 	st.Results = len(out)
 	return out, st
@@ -322,35 +263,24 @@ func (f *Frozen) sweepChildren(n int32, q []float64, limit float64, dists []floa
 	return dists
 }
 
-// SearchStatsFrom is the range-search work unit: the Algorithm 1
-// traversal restricted to one subtree. Matches are returned in
-// traversal order (unsorted) and Stats.Results is left zero — the
-// caller merging several units orders them once per shard
-// (series.SortMatches) and sets the total. SearchStats is the
-// whole-tree, sorted entry point.
-func (f *Frozen) SearchStatsFrom(sub FrozenSubtree, q []float64, eps float64) ([]series.Match, Stats) {
-	if len(q) != f.cfg.L {
-		panic(fmt.Sprintf("core: query length %d, index built for %d", len(q), f.cfg.L))
-	}
-	return f.rangeFrom(sub, q, eps)
-}
-
-// rangeFrom is the range traversal behind SearchStatsFrom and
-// SearchPrefixTreeFrom (len(q) ≤ L). The sub-root is tested once; from
-// then on the stack holds only nodes that passed Lemma 1, each child
-// tested — with early abandoning, as soon as any timestamp pushes its
-// Eq. 2 distance beyond ε — when its parent is expanded, and survivors
-// pushed in child order and visited LIFO.
+// traverseRange is the range traversal behind SearchStats and
+// SearchPrefixTree (len(q) ≤ L). The root is tested once; from then on
+// the stack holds only nodes that passed Lemma 1, each child tested —
+// with early abandoning, as soon as any timestamp pushes its Eq. 2
+// distance beyond ε — when its parent is expanded, and survivors pushed
+// in child order and visited LIFO. Matches come back in traversal
+// order, and Stats.Results is left zero.
 //
-// The unit allocates nothing but its answer: the stack and both sweep
-// scratches stay on the goroutine stack, spilling only past capacity.
-func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]series.Match, Stats) {
+// The traversal allocates nothing but its answer: the stack and both
+// sweep scratches stay on the goroutine stack, spilling only past
+// capacity.
+func (f *Frozen) traverseRange(q []float64, eps float64) ([]series.Match, Stats) {
 	var st Stats
-	if !sub.ok {
+	if len(f.first) == 0 {
 		return nil, st
 	}
 	st.NodesVisited++
-	if _, ok := kernel.DistAbandonFlat32(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, eps); !ok {
+	if _, ok := kernel.DistAbandonFlat32(f.boundsUpper(0), f.boundsLower(0), q, eps); !ok {
 		st.NodesPruned++
 		return nil, st
 	}
@@ -358,7 +288,7 @@ func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]serie
 	ver := series.MakeVerifier(f.ext, q, eps)
 	dists := make([]float64, 0, sweepScratchCap)
 	stack := make([]int32, 0, frozenStackCap)
-	stack = append(stack, sub.id)
+	stack = append(stack, 0)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -394,30 +324,26 @@ func (f *Frozen) rangeFrom(sub FrozenSubtree, q []float64, eps float64) ([]serie
 // node is farther than the current k-th best — the classic optimal
 // incremental NN strategy transplanted onto MBTS.
 func (f *Frozen) SearchTopK(q []float64, k int) []series.Match {
-	ms, _ := f.SearchTopKSharedFrom(f.Root(), q, k, nil)
+	ms, _ := f.SearchTopKShared(q, k, nil)
 	return ms
 }
 
-// SearchTopKSharedFrom is the top-k work unit: the best-first traversal
-// restricted to one subtree. Disjoint subtrees sharing one bound admit
-// exactly the candidates whole-shard traversals would (pruning and
-// abandoning are on strict inequality only), so the k-way merge of
-// per-unit lists is byte-identical however the tree is split.
+// SearchTopKShared is SearchTopK with counters and an optional
+// cross-traversal bound (see SharedBound): internal/shard passes one to
+// every shard's traversal of a fanned-out query so each rejects against
+// the candidates the others have already admitted. Pruning and
+// abandoning are on strict inequality only, so the local result may
+// omit matches that cannot survive the k-way merge of the shards'
+// lists, and the merged top-k is unaffected. A nil bound is the plain
+// single-index traversal.
 //
-// shared is an optional cross-traversal bound (see SharedBound):
-// internal/shard passes one to every work unit of a fanned-out query so
-// each traversal rejects against the candidates the others have already
-// admitted. When it fires, the local result may omit matches that
-// cannot survive the global k-way merge; the merged top-k is
-// unaffected. A nil bound is the plain single-index traversal.
-//
-// The returned Stats count this unit's work (see topK); Results stays
-// zero — the caller holding the final list sets it.
-func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, shared *SharedBound) ([]series.Match, Stats) {
+// The returned Stats count this traversal's work (see topK); Results
+// stays zero — the caller holding the final list sets it.
+func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) ([]series.Match, Stats) {
 	if len(q) != f.cfg.L {
 		panic("core: query length mismatch")
 	}
-	if k <= 0 || !sub.ok {
+	if k <= 0 || len(f.first) == 0 {
 		return nil, Stats{}
 	}
 
@@ -425,15 +351,15 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 	ver := series.MakeVerifier(f.ext, q, 0) // top-k sweeps against its own limit
 
 	t.st.NodesVisited++
-	rootLB, ok := kernel.DistAbandonFlat32(f.boundsUpper(sub.id), f.boundsLower(sub.id), q, t.limit())
+	rootLB, ok := kernel.DistAbandonFlat32(f.boundsUpper(0), f.boundsLower(0), q, t.limit())
 	if !ok {
 		t.st.NodesPruned++
-		return nil, t.st // a shared bound has already excluded this subtree
+		return nil, t.st // a shared bound has already excluded the whole tree
 	}
 	// Constant capacity: the queue and the sweep scratch stay on the
 	// goroutine stack until a traversal outgrows them.
 	pq := make([]frozenItem, 0, frozenStackCap)
-	pq = append(pq, frozenItem{id: sub.id, lb: rootLB})
+	pq = append(pq, frozenItem{id: 0, lb: rootLB})
 	dists := make([]float64, 0, sweepScratchCap)
 
 	for len(pq) > 0 {
@@ -445,10 +371,10 @@ func (f *Frozen) SearchTopKSharedFrom(sub FrozenSubtree, q []float64, k int, sha
 			break
 		}
 		if !f.isLeaf(item.id) {
-			// The limit is read once per expansion: only another work
-			// unit tightening the shared bound can move it meanwhile,
-			// and a child that slips past the stale value is caught by
-			// the pop-time test above.
+			// The limit is read once per expansion: only another
+			// shard's traversal tightening the shared bound can move it
+			// meanwhile, and a child that slips past the stale value is
+			// caught by the pop-time test above.
 			dists = f.sweepChildren(item.id, q, t.limit(), dists)
 			t.st.NodesVisited += len(dists)
 			first := f.first[item.id]
@@ -496,7 +422,7 @@ func (f *Frozen) SearchPrefix(q []float64, eps float64) ([]series.Match, error) 
 
 // ValidatePrefix checks a prefix query against the index parameters —
 // the validation half of SearchPrefixTree, hoisted out so the sharded
-// fan-out can validate once before enqueueing per-subtree work units.
+// fan-out can validate once before enqueueing its shards' traversals.
 func (f *Frozen) ValidatePrefix(q []float64) error {
 	l := len(q)
 	if l > f.cfg.L {
@@ -513,28 +439,18 @@ func (f *Frozen) ValidatePrefix(q []float64) error {
 
 // SearchPrefixTree is the tree-traversal half of SearchPrefix: it
 // reports prefix twins among the INDEXED starts only, leaving the tail
-// starts that exist solely at the shorter length to the caller.
-// internal/shard fans this across subtree work units and runs the tail
-// scan once; most callers want SearchPrefix.
+// starts that exist solely at the shorter length to the caller. The
+// traversal is the range one with the truncated Lemma 1 check, which
+// reads only the first len(q) entries of each node's bound rows (the
+// sweep's stride stays L). internal/shard runs it on every shard and
+// scans the tail once; most callers want SearchPrefix.
 func (f *Frozen) SearchPrefixTree(q []float64, eps float64) ([]series.Match, error) {
 	if err := f.ValidatePrefix(q); err != nil {
 		return nil, err
 	}
-	out := f.SearchPrefixTreeFrom(f.Root(), q, eps)
+	out, _ := f.traverseRange(q, eps)
 	series.SortMatches(out)
 	return out, nil
-}
-
-// SearchPrefixTreeFrom is the prefix-search work unit: the range
-// traversal with the truncated Lemma 1 check, which reads only the
-// first len(q) entries of each node's bound rows (the sweep's stride
-// stays L), served from the same two backing arrays. Validation is
-// hoisted to the caller (see ValidatePrefix); matches come back in
-// traversal order, and the tail windows are scanned once, outside the
-// units (ScanPrefixTail).
-func (f *Frozen) SearchPrefixTreeFrom(sub FrozenSubtree, q []float64, eps float64) []series.Match {
-	out, _ := f.rangeFrom(sub, q, eps)
-	return out
 }
 
 // frozenItem pairs an arena node id with its Eq. 2 lower bound for the

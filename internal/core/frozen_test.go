@@ -82,32 +82,6 @@ func TestFrozenMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFrozenFrontier splits the arena into frontiers and checks the
-// per-unit range searches cover exactly the oracle's answer.
-func TestFrozenFrontier(t *testing.T) {
-	ts := datasets.RandomWalk(11, 1500)
-	const l = 40
-	f, ext := frozenOver(t, ts, series.NormGlobal, Config{L: l})
-	q := ext.ExtractCopy(500, l)
-	want := oracle.Range(ext, q, 0.6)
-	leaves := f.NodeCount() - int(f.leafStart)
-	for _, target := range []int{1, 3, 16, 1000} {
-		units := f.Frontier(target)
-		if lo, hi := min(target, leaves), max(1, target+f.cfg.MaxCap-1); len(units) < lo || len(units) > hi {
-			t.Fatalf("target %d: frontier has %d units, want [%d, %d]", target, len(units), lo, hi)
-		}
-		var got []series.Match
-		for _, u := range units {
-			ms, _ := f.SearchStatsFrom(u, q, 0.6)
-			got = append(got, ms...)
-		}
-		series.SortMatches(got)
-		if !slices.Equal(want, got) {
-			t.Fatalf("target %d: frontier union mismatch", target)
-		}
-	}
-}
-
 // TestFrozenPersistRoundTrip writes the arena and loads it back.
 func TestFrozenPersistRoundTrip(t *testing.T) {
 	ts := datasets.RandomWalk(7, 1800)
@@ -201,9 +175,6 @@ func TestFrozenEmpty(t *testing.T) {
 	}
 	if got := f.SearchTopK(q, 3); len(got) != 0 {
 		t.Fatalf("empty arena returned %d top-k results", len(got))
-	}
-	if len(f.Frontier(8)) != 0 {
-		t.Fatal("empty arena yielded frontier units")
 	}
 }
 

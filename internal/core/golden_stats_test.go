@@ -63,13 +63,13 @@ func TestTraversalGoldenStats(t *testing.T) {
 					_, st := f.SearchStats(q, eps)
 					put("range", st)
 					if c.mode != series.NormPerSubsequence {
-						ms, st := f.rangeFrom(f.Root(), q[:l-37], eps)
+						ms, st := f.traverseRange(q[:l-37], eps)
 						st.Results = len(ms)
 						put("prefix", st)
 					}
 				}
 				for _, k := range []int{1, 10, 90} {
-					ms, st := f.SearchTopKSharedFrom(f.Root(), q, k, nil)
+					ms, st := f.SearchTopKShared(q, k, nil)
 					st.Results = len(ms)
 					put("topk", st)
 				}

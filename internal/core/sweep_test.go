@@ -51,7 +51,7 @@ func TestSweepTraversalShapes(t *testing.T) {
 						}
 					}
 					for _, k := range []int{1, 10, 90} {
-						gotM, _ := f.SearchTopKSharedFrom(f.Root(), q, k, nil)
+						gotM, _ := f.SearchTopKShared(q, k, nil)
 						if want := oracle.TopK(ext, q, k); !slices.Equal(gotM, want) {
 							t.Fatalf("q@%d k=%d: top-k %v, oracle %v", start, k, gotM, want)
 						}
@@ -62,7 +62,7 @@ func TestSweepTraversalShapes(t *testing.T) {
 	}
 }
 
-// TestFrozenUnitQueryLength: the work-unit entry points reject a
+// TestFrozenUnitQueryLength: the counting entry points reject a
 // wrong-length query themselves — with children scored as rows, a
 // short query would otherwise match on a prefix of every row.
 func TestFrozenUnitQueryLength(t *testing.T) {
@@ -70,8 +70,8 @@ func TestFrozenUnitQueryLength(t *testing.T) {
 	for _, n := range []int{49, 51} {
 		q := make([]float64, n)
 		for name, search := range map[string]func(){
-			"SearchStatsFrom":      func() { f.SearchStatsFrom(f.Root(), q, 1) },
-			"SearchTopKSharedFrom": func() { f.SearchTopKSharedFrom(f.Root(), q, 3, nil) },
+			"SearchStats":      func() { f.SearchStats(q, 1) },
+			"SearchTopKShared": func() { f.SearchTopKShared(q, 3, nil) },
 		} {
 			func() {
 				defer func() {
@@ -87,25 +87,25 @@ func TestFrozenUnitQueryLength(t *testing.T) {
 
 // TestFrozenSearchAllocs pins the allocation budget of every range
 // path that verifies in memory, on a bench-shaped index (EEG, L = 100,
-// global normalisation): the range and prefix work units and the tail
-// scan. A unit that reaches no leaf
-// allocates nothing, and one that does allocates its answer — the
-// doublings of the match slice — and nothing else: the stack, both
-// sweep scratches and the candidates helper stay on the goroutine
-// stack, and no verifier (whose magnitude order was an allocation and a
-// sort per unit) is built. 1 allocation for the typical single-twin
+// global normalisation): the range and prefix traversals and the tail
+// scan. A traversal that reaches no leaf allocates nothing, and one
+// that does allocates its answer — the doublings of the match slice —
+// and nothing else: the stack, both sweep scratches and the candidates
+// helper stay on the goroutine stack, and no verifier (whose magnitude
+// order was an allocation and a sort per traversal) is built. 1 allocation for the typical single-twin
 // query, which is what BenchmarkFrozenSearch reports at 200 000 points.
 func TestFrozenSearchAllocs(t *testing.T) {
 	data := datasets.EEGN(1, 50000)
 	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 100})
 	qs := datasets.Queries(data, 7, 8, 100)
 	units := map[string]func(q []float64) []series.Match{
-		"SearchStatsFrom": func(q []float64) []series.Match {
-			ms, _ := f.SearchStatsFrom(f.Root(), q, 0.2)
+		"SearchStats": func(q []float64) []series.Match {
+			ms, _ := f.SearchStats(q, 0.2)
 			return ms
 		},
-		"SearchPrefixTreeFrom": func(q []float64) []series.Match {
-			return f.SearchPrefixTreeFrom(f.Root(), q[:60], 0.2)
+		"SearchPrefixTree": func(q []float64) []series.Match {
+			ms, _ := f.SearchPrefixTree(q[:60], 0.2)
+			return ms
 		},
 		"ScanTail": func(q []float64) []series.Match {
 			return ScanTail(ext, q, 0.2, 0, f.Len(), nil, nil)
@@ -116,7 +116,7 @@ func TestFrozenSearchAllocs(t *testing.T) {
 	for i := range far {
 		far[i] += 100
 	}
-	if _, st := f.SearchStatsFrom(f.Root(), far, 0.2); st.LeavesReached != 0 {
+	if _, st := f.SearchStats(far, 0.2); st.LeavesReached != 0 {
 		t.Fatalf("the far query reached %d leaves", st.LeavesReached)
 	}
 	for name, unit := range units {

@@ -46,16 +46,18 @@ func (b *SharedBound) Tighten(d float64) {
 }
 
 // topKPrealloc caps the result heap's up-front capacity: k comes off
-// the wire unbounded, and every work unit of every query allocates one.
+// the wire unbounded, and every shard's traversal of every query
+// allocates one.
 const topKPrealloc = 1024
 
-// topK is one query's running answer inside one top-k work unit — the
+// topK is one query's running answer inside one top-k traversal — the
 // single leaf-scoring and admission step shared by the best-first
 // descent and the append tail scan (ScanTailTopK), so both admit
 // byte-identical sets.
 //
 // best holds the k nearest candidates so far as a max-heap under the
-// (dist, start) total order, worst on top. st counts the unit's work:
+// (dist, start) total order, worst on top. st counts the traversal's
+// work:
 // NodesVisited is every node whose Eq. 2 bound was evaluated,
 // NodesPruned those never expanded (abandoned at evaluation, or still
 // queued when the traversal stopped), Abandons the candidates the

@@ -118,7 +118,7 @@ func TestFrozenTopKAllocs(t *testing.T) {
 	}
 }
 
-// TestTopKUnitStats checks the counters the top-k work unit reports:
+// TestTopKUnitStats checks the counters the top-k traversal reports:
 // they balance (every evaluated node is expanded, pruned, or a scored
 // leaf; every candidate is abandoned or survives to a full distance),
 // come with the oracle's answer, and show the limit doing its job —
@@ -128,12 +128,12 @@ func TestTopKUnitStats(t *testing.T) {
 	data := datasets.EEGN(9, 6000)
 	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 60})
 	q := ext.ExtractCopy(1234, 60)
-	ms, st := f.SearchTopKSharedFrom(f.Root(), q, 5, nil)
+	ms, st := f.SearchTopKShared(q, 5, nil)
 	if want := oracle.TopK(ext, q, 5); !slices.Equal(ms, want) {
-		t.Fatalf("unit answered %v, oracle %v", ms, want)
+		t.Fatalf("traversal answered %v, oracle %v", ms, want)
 	}
 	if st.Results != 0 {
-		t.Fatalf("unit set Results = %d; the caller owns it", st.Results)
+		t.Fatalf("traversal set Results = %d; the caller owns it", st.Results)
 	}
 	if st.NodesVisited <= st.NodesPruned || st.LeavesReached == 0 || st.LeavesReached > st.NodesVisited-st.NodesPruned {
 		t.Fatalf("node counters do not balance: %+v", st)
@@ -145,7 +145,7 @@ func TestTopKUnitStats(t *testing.T) {
 		t.Fatalf("limit abandoned only %d of %d candidates", st.Abandons, st.Candidates)
 	}
 
-	// A shared bound below the subtree's nearest window excludes it at
+	// A shared bound below the tree's nearest window excludes it at
 	// the root: one node evaluated, one pruned, nothing scored.
 	sb := NewSharedBound()
 	sb.Tighten(0)
@@ -153,8 +153,8 @@ func TestTopKUnitStats(t *testing.T) {
 	for i := range far {
 		far[i] = q[i] + 100
 	}
-	ms, st = f.SearchTopKSharedFrom(f.Root(), far, 5, sb)
+	ms, st = f.SearchTopKShared(far, 5, sb)
 	if ms != nil || st != (Stats{NodesVisited: 1, NodesPruned: 1}) {
-		t.Fatalf("root-excluded unit: %v, %+v", ms, st)
+		t.Fatalf("root-excluded tree: %v, %+v", ms, st)
 	}
 }

@@ -1,18 +1,22 @@
 // Package exec implements the work-stealing query executor shared by
 // every parallel search path in the engine. Every sharded fan-out (the
-// build's and each query's) enqueues fine-grained work units here
+// build's and each query's) enqueues one work unit per shard here
 // instead of spawning goroutines per call — one scheduler decides where
-// work runs, so a hot shard's units spread across idle workers instead
-// of serializing behind one goroutine (the imbalance MESSI-style work
-// queues remove from iSAX fan-outs).
+// work runs, so the units of concurrent queries spread across idle
+// workers instead of each query holding its own goroutines. A unit is
+// a shard's whole traversal: splitting a shard's tree into subtree
+// units (measured against this plain per-shard fan-out) lost the
+// pruning the subtrees' ancestors did and, for top-k, started every
+// subtree without a k-th distance, so a query's latency is bounded by
+// its largest shard.
 //
 // Structure: a fixed set of worker slots, each with its own deque. The
-// worker owning a slot pushes and pops at the tail (LIFO — a unit
-// spawned by a traversal is cache-hot), and idle workers steal from
-// the head of a peer's deque (FIFO — the oldest unit is typically the
-// largest remaining piece of a split). Workers are spawned on demand
-// up to the configured limit and exit after a short idle period, so an
-// executor that isn't answering queries holds no goroutines at all.
+// worker owning a slot pushes and pops at the tail (LIFO — the unit it
+// spawned last is cache-hot), and idle workers steal from the head of
+// a peer's deque (FIFO — the oldest unit waiting). Workers are spawned
+// on demand up to the configured limit and exit after a short idle
+// period, so an executor that isn't answering queries holds no
+// goroutines at all.
 //
 // Units must never block on other units or on Group.Wait; every unit
 // is pure computation that runs to completion. That discipline is what

@@ -23,8 +23,8 @@ type Match struct {
 // in leaf order, which is arbitrary with respect to start position, and
 // loose thresholds can make the result set a double-digit percentage of
 // all windows. It is also the one ordering step of a sharded range
-// answer: Resolve appends each shard's unordered work units and sorts
-// that shard's segment. A range answer — distinct starts, every
+// answer: each shard's traversal orders its own answer, and the shards'
+// answers concatenate in position order. A range answer — distinct starts, every
 // Dist = -1 — dense in its position range is ordered by one bitmap pass
 // (orderDense); anything else, and any answer of fewer than minDense
 // matches, takes a comparison sort, so the result is bit for bit

@@ -27,19 +27,21 @@ package shard
 //     subtrees whose lower bound strictly exceeds it are skipped, so a
 //     coordinator can broadcast its current k-th threshold to prune
 //     remote work. math.Inf(1) means unbounded. Because pruning is on
-//     strict inequality — identical to the bound one fan-out unit
+//     strict inequality — identical to the bound one shard's traversal
 //     publishes to another — seeding never changes the merged top-k.
-//   - ctx cancels remaining work: queued work units are skipped and
-//     remote calls abandoned once ctx is done, and the call returns
+//   - ctx cancels remaining work: queued shard traversals are skipped
+//     and remote calls abandoned once ctx is done, and the call returns
 //     ctx.Err().
 //   - Replica interchangeability: two Backends opened over the same
 //     shard set of the same saved index are answer-equivalent — every
 //     method returns the same matches AND the same Stats counters for
 //     the same arguments, because a saved index freezes tree shape and
-//     traversal order. The cluster tier's failover and hedging rest on
-//     this: whichever replica answers a unit, the bytes are the same.
-//     Implementations must stay deterministic per (index bytes, shard
-//     set, query) — no randomized traversal, no time-dependent
+//     traversal order, and every shard is traversed whole, from its
+//     root, whatever the executor's width. The cluster tier's failover
+//     and hedging rest on this: whichever replica answers a unit, the
+//     bytes are the same. Implementations must stay deterministic per
+//     (index bytes, shard set, query) — no randomized traversal, no
+//     split that depends on the machine, no time-dependent
 //     short-circuits.
 
 import (
@@ -72,48 +74,40 @@ type Backend interface {
 	MappedBytes() int
 }
 
-// canceled reports whether ctx is already done. Work units poll it
-// before traversing — a unit costs microseconds, so unit granularity is
-// fine-grained enough for a disconnected client to stop burning
-// executor time.
+// canceled reports whether ctx is already done. A shard's work unit
+// polls it before traversing, so a disconnected client's queued shards
+// stop burning executor time.
 func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
 var _ Backend = (*Index)(nil)
 
-// queueSearch enqueues the (shard, subtree) units of b for one range
+// queueSearch enqueues one unit per held shard of b for one range
 // search into g — the core of SearchStatsCtx and SearchPrefixTreeCtx.
-// A prefix search (len(q) < L) runs the prefix-capable unit, whose
-// counters are not kept. A nil ctx never cancels.
-func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, q []float64, eps float64, prefix bool) *pendingSearch {
-	fr := s.unitFrontiers(b)
-	p := &pendingSearch{
-		res: make([][][]series.Match, len(fr)),
-		st:  make([][]core.Stats, len(fr)),
+// Each unit traverses its shard's whole tree; a prefix search (len(q) <
+// L) runs the truncated-bounds traversal, whose counters are not kept.
+// A nil ctx never cancels.
+func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, q []float64, eps float64, prefix bool) pendingSearch {
+	res := make([][]series.Match, len(b.frozen))
+	st := make([]core.Stats, len(b.frozen))
+	for i, f := range b.frozen {
+		g.Go(func(*exec.Ctx) {
+			if canceled(ctx) {
+				return
+			}
+			if prefix {
+				res[i], _ = f.SearchPrefixTree(q, eps) // validated by the caller
+			} else {
+				res[i], st[i] = f.SearchStats(q, eps)
+			}
+		})
 	}
-	for i, units := range fr {
-		p.res[i] = make([][]series.Match, len(units))
-		p.st[i] = make([]core.Stats, len(units))
-		f := b.frozen[i]
-		for j, u := range units {
-			g.Go(func(*exec.Ctx) {
-				if canceled(ctx) {
-					return
-				}
-				if prefix {
-					p.res[i][j] = f.SearchPrefixTreeFrom(u, q, eps)
-				} else {
-					p.res[i][j], p.st[i][j] = f.SearchStatsFrom(u, q, eps)
-				}
-			})
-		}
-	}
-	return p
+	return pendingSearch{res: res, st: st}
 }
 
 // SearchCtx is Search honoring cancellation: once ctx is done, queued
-// work units are skipped and the call returns ctx.Err().
+// shard traversals are skipped and the call returns ctx.Err().
 func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	ms, _, err := s.SearchStatsCtx(ctx, q, eps)
 	return ms, err
@@ -121,11 +115,8 @@ func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]seri
 
 // SearchStatsCtx is SearchStats honoring cancellation: one range
 // search over the base (enqueue, wait, merge) and the tail's scan, whose
-// windows count as candidates. The whole-tree fast path is taken only
-// when the one shard IS the whole container: an Index holding one shard
-// of a larger container must still traverse frontier units so its
-// counters (which skip nodes above unit roots) agree with the full
-// fan-out's.
+// windows count as candidates. An Index holding one shard traverses it
+// inline, without the executor hop.
 func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
@@ -134,15 +125,15 @@ func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([
 	var ms []series.Match
 	var st core.Stats
 	tsp := obs.SpanFrom(ctx).StartChild("traverse")
-	if s.total == 1 {
+	if len(b.frozen) == 1 {
 		ms, st = b.frozen[0].SearchStats(q, eps)
-		setShardAttrs(tsp, st, 0)
+		setShardAttrs(tsp, st)
 		tsp.End()
 	} else {
 		g := s.ex.NewGroup()
 		p := s.queueSearch(g, ctx, b, q, eps, false)
 		g.Wait()
-		setUnitSpans(tsp, g, p.st)
+		setShardSpans(tsp, g, p.st)
 		tsp.End()
 		if canceled(ctx) {
 			return nil, core.Stats{}, ctx.Err()
@@ -184,109 +175,84 @@ func setTail(sp *obs.Span, b *base, to int) {
 	}
 }
 
-// setUnitSpans hangs one counter child per shard under a fanned-out
-// traverse span, summed from that shard's unit stats. It runs after the
-// barrier from already-collected stats, so the hot work-unit closures
-// stay untouched by tracing. Unit timings interleave across workers;
-// the shard spans carry counters, not durations. Nil-safe.
-func setUnitSpans(tsp *obs.Span, g *exec.Group, perShard [][]core.Stats) {
+// setShardSpans hangs one counter child per shard under a fanned-out
+// traverse span. It runs after the barrier from already-collected
+// stats, so the hot work-unit closures stay untouched by tracing.
+// Shard timings interleave across workers; the shard spans carry
+// counters, not durations. Nil-safe.
+func setShardSpans(tsp *obs.Span, g *exec.Group, perShard []core.Stats) {
 	if tsp == nil {
 		return
 	}
 	tsp.Set("steals", int(g.Steals()))
-	for i, units := range perShard {
-		var st core.Stats
-		for _, u := range units {
-			st = AddStats(st, u)
-		}
+	for i, st := range perShard {
 		ssp := tsp.StartChild(fmt.Sprintf("shard[%d]", i))
-		setShardAttrs(ssp, st, len(units))
+		setShardAttrs(ssp, st)
 		ssp.End()
 	}
 }
 
-// setShardAttrs annotates one shard's traversal span with its summed
-// counters. units == 0 means the whole-tree direct path. Nil-safe.
-func setShardAttrs(sp *obs.Span, st core.Stats, units int) {
+// setShardAttrs annotates one shard's traversal span with its counters.
+// Nil-safe.
+func setShardAttrs(sp *obs.Span, st core.Stats) {
 	if sp == nil {
 		return
-	}
-	if units > 0 {
-		sp.Set("units", units)
 	}
 	sp.Set("nodes_visited", st.NodesVisited)
 	sp.Set("nodes_pruned", st.NodesPruned)
 	sp.Set("leaves_reached", st.LeavesReached)
 	sp.Set("candidates", st.Candidates)
 	sp.Set("abandons", st.Abandons)
-	// Results is deliberately omitted: unit stats carry 0 until the
-	// merge resolves the final set; the query's root span reports it.
+	// Results is deliberately omitted: the tail and the merge decide the
+	// final set; the query's root span reports it.
 }
 
-// pendingTopK holds the per-unit lists of one enqueued top-k search;
+// pendingTopK holds the per-shard lists of one enqueued top-k search;
 // resolve merges them after the group completes and offers the merged
-// list the tail — the top-k counterpart of pendingSearch. A plain
-// value: the single-query path allocates nothing for it.
+// list the tail — the top-k counterpart of pendingSearch.
 type pendingTopK struct {
-	lists [][]series.Match // [unit], each in (dist, start) order
-	st    [][]core.Stats   // [shard][unit]; traced queries only
+	lists [][]series.Match // [shard], each in (dist, start) order
+	st    []core.Stats     // [shard]; traced queries only
 	k     int
-	// The tail [from, to) the units' base does not cover.
+	// The tail [from, to) the shards' base does not cover.
 	ext      *series.Extractor
 	q        []float64
 	from, to int
 }
 
-// queueTopK enqueues the (shard, subtree) units of b for one top-k
-// search into g — the one place top-k units are enqueued — and records
-// the tail [b.end(), to). The units share one pruning bound seeded to bound
-// (math.Inf(1) = unbounded). Seeding only tightens the initial
-// threshold; pruning stays on strict inequality, so the merged result
-// equals the unseeded traversal's whenever bound is an upper bound on
-// the true k-th distance. traced keeps the units' counters for
-// setUnitSpans; untraced queries drop them and allocate nothing for
-// them. A nil ctx never cancels.
+// queueTopK enqueues one unit per held shard of b for one top-k search
+// into g — the one place top-k units are enqueued — and records the
+// tail [b.end(), to). The shards' traversals share one pruning bound
+// seeded to bound (math.Inf(1) = unbounded). Seeding only tightens the
+// initial threshold; pruning stays on strict inequality, so the merged
+// result equals the unseeded traversal's whenever bound is an upper
+// bound on the true k-th distance. traced keeps the shards' counters
+// for setShardSpans; untraced queries drop them and allocate nothing
+// for them. A nil ctx never cancels.
 func (s *Index) queueTopK(g *exec.Group, ctx context.Context, b *base, to int, q []float64, k int, bound float64, traced bool) pendingTopK {
-	if k <= 0 {
-		return pendingTopK{}
-	}
-	fr := s.unitFrontiers(b)
 	shared := core.NewSharedBound()
 	shared.Tighten(bound)
-	n := 0
-	for _, us := range fr {
-		n += len(us)
-	}
-	lists := make([][]series.Match, n)
-	var sts [][]core.Stats
+	lists := make([][]series.Match, len(b.frozen))
+	var sts []core.Stats
 	if traced {
-		sts = make([][]core.Stats, len(fr))
-		for i, us := range fr {
-			sts[i] = make([]core.Stats, len(us))
-		}
+		sts = make([]core.Stats, len(b.frozen))
 	}
-	at := 0
-	for i, us := range fr {
-		f := b.frozen[i]
-		for j, u := range us {
-			slot := at
-			at++
-			g.Go(func(*exec.Ctx) {
-				if canceled(ctx) {
-					return
-				}
-				ms, st := f.SearchTopKSharedFrom(u, q, k, shared)
-				lists[slot] = ms
-				if sts != nil {
-					sts[i][j] = st
-				}
-			})
-		}
+	for i, f := range b.frozen {
+		g.Go(func(*exec.Ctx) {
+			if canceled(ctx) {
+				return
+			}
+			ms, st := f.SearchTopKShared(q, k, shared)
+			lists[i] = ms
+			if sts != nil {
+				sts[i] = st
+			}
+		})
 	}
 	return pendingTopK{lists: lists, st: sts, k: k, ext: s.ext, q: q, from: b.end(), to: to}
 }
 
-// resolve k-way merges the unit lists into the first k matches under
+// resolve k-way merges the shard lists into the first k matches under
 // the (dist, start) total order and offers that list the tail windows.
 // Call it only after the group's Wait.
 func (p pendingTopK) resolve() []series.Match {
@@ -306,7 +272,7 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 	}
 	b, to := s.snapshot()
 	// Traced queries get the same traverse/shard[i]/merge tree threshold
-	// search records, filled from the units' own counters.
+	// search records, filled from the shards' own counters.
 	setTail(obs.SpanFrom(ctx), b, to)
 	tsp := obs.SpanFrom(ctx).StartChild("traverse")
 	if len(b.frozen) == 1 {
@@ -318,16 +284,15 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 			seed = core.NewSharedBound()
 			seed.Tighten(bound)
 		}
-		f := b.frozen[0]
-		ms, st := f.SearchTopKSharedFrom(f.Root(), q, k, seed)
-		setShardAttrs(tsp, st, 0)
+		ms, st := b.frozen[0].SearchTopKShared(q, k, seed)
+		setShardAttrs(tsp, st)
 		tsp.End()
 		return core.ScanTailTopK(s.ext, q, k, b.end(), to, ms), nil
 	}
 	g := s.ex.NewGroup()
 	p := s.queueTopK(g, ctx, b, to, q, k, bound, tsp != nil)
 	g.Wait()
-	setUnitSpans(tsp, g, p.st)
+	setShardSpans(tsp, g, p.st)
 	tsp.End()
 	if canceled(ctx) {
 		return nil, ctx.Err()
@@ -339,7 +304,7 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 }
 
 // SearchPrefixTreeCtx is the tree half of SearchPrefix honoring
-// cancellation: the range fan-out with the truncated-bound unit
+// cancellation: the range fan-out with the truncated-bound traversal
 // (queueSearch, resolve; counters discarded) — prefix twins among the
 // indexed starts only, the tail's windows scanned at the query's
 // length. The windows that exist only at the shorter length are NOT

@@ -1,10 +1,11 @@
 // Package shard implements a sharded parallel TS-Index: the window
 // position space [0, N−ℓ] is split into P partitions, one index is
-// built per partition concurrently, and queries run as fine-grained
-// (shard, subtree) work units on a work-stealing executor
-// (internal/exec) — the data-partitioning strategy ParIS/MESSI apply
-// to iSAX, transplanted onto the paper's TS-Index, with MESSI-style
-// work queues instead of one goroutine per shard.
+// built per partition concurrently, and a query runs one work unit per
+// shard on the shared work-stealing executor (internal/exec), each
+// unit one whole-tree traversal of its shard — the data-partitioning
+// strategy ParIS/MESSI apply to iSAX, transplanted onto the paper's
+// TS-Index, with one pool of workers balancing the units of concurrent
+// queries instead of one goroutine per shard.
 //
 // After construction every shard is FROZEN: the pointer tree is
 // compiled into core.Frozen's flat structure-of-arrays arena (packed
@@ -20,8 +21,11 @@
 // shards (OpenArenaShards): that is what a cluster node serves, and it
 // is searched exactly as the whole container's fan-out searches them.
 //
-// Every query path has one fan-out: its (shard, subtree) units go into
-// one executor group, waited on once, and a pending handle merges them.
+// Every query path has one fan-out: its per-shard units go into one
+// executor group, waited on once, and a pending handle merges them. A
+// shard's traversal is never split: every held shard is traversed from
+// its root by one unit, so a shard's counters are its own tree's and
+// depend neither on the executor's width nor on the machine.
 //
 // The partition is contiguous: shard i owns window positions
 // [starts[i], starts[i+1]), so shard order is position order — per-shard
@@ -101,11 +105,6 @@ type base struct {
 	// shard i owns window positions [starts[i], starts[i+1]), and the
 	// tail begins at starts[total].
 	starts []int
-	// units caches each shard's subtree frontier — the (shard, subtree)
-	// work units a query enqueues. Concurrent first queries compute it
-	// racily but deterministically, so whichever Store wins is
-	// equivalent.
-	units atomic.Pointer[[][]core.FrozenSubtree]
 }
 
 // end is the window count the base covers: where the tail begins.
@@ -219,36 +218,6 @@ func (s *Index) snapshot() (b *base, to int) {
 	return b, int(s.count.Load())
 }
 
-// unitFrontiers returns b's cached (shard → subtrees) split, computing
-// it on b's first fanned-out query. The per-shard target over-provisions
-// units (4×) relative to the wider of the index's executor and the
-// machine (GOMAXPROCS), giving stealing slack to even out skewed shards.
-// The split decides which nodes sit above a unit's root and are never
-// visited, so the traversal counters of every fanned-out query depend on
-// this rule: change it and they move. The target divides by the
-// CONTAINER's shard count, not the held count, so an Index holding some
-// of the shards splits each one as the whole container's fan-out would
-// on the same machine, and reports the same counters for it.
-func (s *Index) unitFrontiers(b *base) [][]core.FrozenSubtree {
-	if u := b.units.Load(); u != nil {
-		return *u
-	}
-	w := s.ex.Workers()
-	if g := runtime.GOMAXPROCS(0); g > w {
-		w = g
-	}
-	per := 1
-	if t := 4 * w; t > s.total {
-		per = (t + s.total - 1) / s.total
-	}
-	fr := make([][]core.FrozenSubtree, len(b.frozen))
-	for i, f := range b.frozen {
-		fr[i] = f.Frontier(per)
-	}
-	b.units.Store(&fr)
-	return fr
-}
-
 // Search returns all twin subsequences of q at threshold eps, in start
 // order — identical to core.Frozen.Search over an unsharded index.
 func (s *Index) Search(q []float64, eps float64) []series.Match {
@@ -256,52 +225,35 @@ func (s *Index) Search(q []float64, eps float64) []series.Match {
 	return ms
 }
 
-// SearchStats is Search with traversal counters summed across work
-// units. Counter values differ from a single index's (each shard's
-// tree packs differently, and nodes above a unit's subtree root are
-// never visited); the match set does not.
+// SearchStats is Search with traversal counters summed across shards.
+// Counter values differ from a single index's (each shard's tree packs
+// differently); the match set does not.
 func (s *Index) SearchStats(q []float64, eps float64) ([]series.Match, core.Stats) {
 	ms, st, _ := s.SearchStatsCtx(nil, q, eps) // nil ctx never cancels
 	return ms, st
 }
 
-// pendingSearch holds the per-unit results of one enqueued range
+// pendingSearch holds the per-shard results of one enqueued range
 // search; resolve assembles them after the group completes.
 type pendingSearch struct {
-	res [][][]series.Match // [shard][unit] match lists, traversal order
-	st  [][]core.Stats     // [shard][unit]
+	res [][]series.Match // [shard] match lists, each in start order
+	st  []core.Stats     // [shard]
 }
 
-// resolve merges the unit results deterministically into one answer
-// slice over the base — each shard's units appended, then that segment
-// ordered by start (series.SortMatches: the set is identical however
-// the tree was split, so the order is too), shard after shard, which is
-// position order. The caller appends the tail's twins.
-func (p *pendingSearch) resolve() ([]series.Match, core.Stats) {
+// resolve concatenates the shards' answers into one answer over the
+// base, shard after shard — position order, the partition being
+// contiguous — and sums their counters. The caller appends the tail's
+// twins.
+func (p pendingSearch) resolve() ([]series.Match, core.Stats) {
 	var st core.Stats
-	total := 0
-	for i := range p.res {
-		for j := range p.res[i] {
-			total += len(p.res[i][j])
-			st = AddStats(st, p.st[i][j])
-		}
+	for _, s := range p.st {
+		st = AddStats(st, s)
 	}
-	var ms []series.Match
-	if total > 0 {
-		ms = make([]series.Match, 0, total)
-	}
-	for _, units := range p.res {
-		from := len(ms)
-		for _, unit := range units {
-			ms = append(ms, unit...)
-		}
-		series.SortMatches(ms[from:])
-	}
-	return ms, st
+	return slices.Concat(p.res...), st
 }
 
 // AddStats sums two traversal-counter records field by field — the one
-// accumulation every fan-out layer (units→shard, node→coordinator)
+// accumulation every fan-out layer (shards→index, node→coordinator)
 // must share, so a new counter cannot be summed in one place and
 // dropped in another.
 func AddStats(a, b core.Stats) core.Stats {
@@ -350,9 +302,9 @@ func MergeByStart(per [][]series.Match) []series.Match {
 
 // SearchTopK returns the k nearest subsequences under Chebyshev
 // distance in ascending (distance, start) order — identical to
-// core.Frozen.SearchTopK. Every unit's traversal shares one pruning
-// bound (the best k-th distance any unit has admitted so far), the
-// per-unit lists are combined by a k-way merge, and the tail windows
+// core.Frozen.SearchTopK. Every shard's traversal shares one pruning
+// bound (the best k-th distance any shard has admitted so far), the
+// per-shard lists are combined by a k-way merge, and the tail windows
 // are offered to the merged list.
 func (s *Index) SearchTopK(q []float64, k int) []series.Match {
 	ms, _ := s.SearchTopKCtx(nil, q, k, math.Inf(1))
@@ -428,7 +380,7 @@ func (h *startHeap) Pop() interface{} {
 
 // SearchPrefix answers a query shorter than the indexed length (see
 // core.Frozen.SearchPrefix): the truncated-bounds traversal fans across
-// (shard, subtree) units, the tail is scanned at the query's length,
+// the shards, the tail is scanned at the query's length,
 // and the windows that exist only at the shorter length are scanned
 // once, here.
 func (s *Index) SearchPrefix(q []float64, eps float64) ([]series.Match, error) {

@@ -11,6 +11,7 @@ import (
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
+	"twinsearch/internal/datasets"
 	"twinsearch/internal/exec"
 	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
@@ -362,7 +363,7 @@ func TestBoundariesValidation(t *testing.T) {
 
 // TestSkewedConcurrentSearch hammers a skewed index from many
 // goroutines; under -race this guards the executor's whole fan-out
-// surface including frontier caching.
+// surface.
 func TestSkewedConcurrentSearch(t *testing.T) {
 	const l = 32
 	data := synthetic(3000, 31)
@@ -405,6 +406,41 @@ func TestSkewedConcurrentSearch(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCountersIndependentOfWorkers holds the Backend contract's replica
+// clause against the executor's width: the same four-shard index on 1,
+// 2 and 64 workers reports the same range counters for every query,
+// because each shard is traversed whole, from its root, however many
+// workers run the units.
+func TestCountersIndependentOfWorkers(t *testing.T) {
+	const l = 100
+	data := datasets.EEGN(1, 40000)
+	ext := series.NewExtractor(data, series.NormGlobal)
+	var ixs []*Index
+	for _, w := range []int{1, 2, 64} {
+		ix, err := Build(ext, Config{Config: core.Config{L: l}, Shards: 4, Executor: exec.New(w)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, ix)
+	}
+	for _, start := range []int{17, 1234, 20000, 39000} {
+		q := ext.ExtractCopy(start, l)
+		for _, eps := range []float64{0.2, 0.5, 1.0} {
+			want, wst, err := ixs[0].SearchStatsCtx(nil, q, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ix := range ixs[1:] {
+				got, st, err := ix.SearchStatsCtx(nil, q, eps)
+				if err != nil || !sameMatches(got, want) || st != wst {
+					t.Fatalf("q@%d eps=%g: %d matches %+v on index %d, %d matches %+v on one worker (%v)",
+						start, eps, len(got), st, i+1, len(want), wst, err)
+				}
+			}
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestSearchTopKCtxAllocs(t *testing.T) {
 }
 
 // TestForcedTraceTopK asserts a traced top-k is no longer blind below
-// the engine: the traverse span carries the work unit's counters on a
+// the engine: the traverse span carries the traversal's counters on a
 // single index, and per-shard counter children plus a merge span on a
 // sharded one; the root span carries the result count on both.
 func TestForcedTraceTopK(t *testing.T) {

@@ -91,10 +91,10 @@ type Options struct {
 
 	// Workers sizes the engine's query executor — the work-stealing
 	// worker pool that runs every parallel search path: sharded
-	// fan-out, where each query becomes fine-grained (shard, subtree)
-	// work units, so one hot shard no longer bounds latency. 0 selects
+	// fan-out, where each query becomes one work unit per shard, and
+	// the units of concurrent queries share the workers. 0 selects
 	// GOMAXPROCS.
-	// Answers never depend on the worker count.
+	// Neither answers nor traversal counters depend on the worker count.
 	Workers int
 
 	// MMap makes OpenSavedFile memory-map the saved index instead of
