@@ -15,7 +15,7 @@
 //     into a read-only mmap'd region.
 //   - nogoroutine: raw go statements are forbidden outside
 //     internal/exec and package main — query parallelism flows through
-//     the work-stealing executor.
+//     the query executor.
 //   - ctxflow: functions holding a context must not re-root work on
 //     context.Background/TODO, and the cluster/server/shard library
 //     tiers never call them at all.

@@ -5,9 +5,9 @@ import (
 )
 
 // Nogoroutine enforces the PR 2 concurrency invariant: all query
-// parallelism flows through the work-stealing executor (internal/exec),
+// parallelism flows through the query executor (internal/exec),
 // which bounds worker count, keeps every query's per-shard work units
-// in one pool, and parks idle workers. A raw go statement anywhere else is
+// in one FIFO queue, and parks idle workers. A raw go statement anywhere else is
 // unaccounted parallelism — unbounded under load, invisible to the
 // executor's budgets, and a leak risk on early-return error paths.
 // Exempt: internal/exec itself (it implements the workers), package

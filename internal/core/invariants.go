@@ -85,39 +85,6 @@ func sameRow(a, b mbts.MBTS) bool {
 		&a.Upper[0] == &b.Upper[0] && &a.Lower[0] == &b.Lower[0]
 }
 
-// LeafFill returns the mean leaf occupancy, an index-quality diagnostic
-// used by the ablation benchmarks.
-func (ix *Index) LeafFill() float64 {
-	leaves, entries := 0, 0
-	ix.each(func(n *node, _ int) {
-		if n.leaf {
-			leaves++
-			entries += len(n.positions)
-		}
-	})
-	if leaves == 0 {
-		return 0
-	}
-	return float64(entries) / float64(leaves)
-}
-
-// MeanLeafWidth returns the average MBTS width across leaves, a
-// tightness diagnostic (smaller bands prune more).
-func (ix *Index) MeanLeafWidth() float64 {
-	leaves := 0
-	var sum float64
-	ix.each(func(n *node, _ int) {
-		if n.leaf {
-			leaves++
-			sum += n.bounds.Width() / float64(ix.cfg.L)
-		}
-	})
-	if leaves == 0 {
-		return 0
-	}
-	return sum / float64(leaves)
-}
-
 // verifyReachable is a test helper: it confirms position p is indexed.
 func (ix *Index) verifyReachable(p int) bool {
 	found := false

@@ -209,14 +209,3 @@ func TestHugeEpsilonReturnsEverything(t *testing.T) {
 		t.Fatal("nothing should be pruned at huge eps")
 	}
 }
-
-func TestDiagnostics(t *testing.T) {
-	ts := datasets.RandomWalk(5, 3000)
-	ix, _ := buildOver(t, ts, series.NormGlobal, Config{L: 50})
-	if f := ix.LeafFill(); f < float64(ix.cfg.MinCap) || f > float64(ix.cfg.MaxCap) {
-		t.Fatalf("LeafFill = %v outside capacity band", f)
-	}
-	if w := ix.MeanLeafWidth(); w <= 0 {
-		t.Fatalf("MeanLeafWidth = %v", w)
-	}
-}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,57 +50,30 @@ func TestForEachEmpty(t *testing.T) {
 	}
 }
 
-// TestSpawnedUnits checks Group.Wait covers units spawned from inside
-// other units, recursively.
-func TestSpawnedUnits(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		e := New(workers)
-		var count atomic.Int64
-		g := e.NewGroup()
-		var spawn func(c *Ctx, depth int)
-		spawn = func(c *Ctx, depth int) {
-			count.Add(1)
-			if depth == 0 {
-				return
-			}
-			for i := 0; i < 3; i++ {
-				c.Go(func(c *Ctx) { spawn(c, depth-1) })
-			}
+// TestUnitsRunInSubmissionOrder: with one worker, queued units run in
+// the order they were submitted, across groups — an earlier query's
+// units are not overtaken by a later query's.
+func TestUnitsRunInSubmissionOrder(t *testing.T) {
+	e := New(1)
+	gate, held := make(chan struct{}), make(chan struct{})
+	g0 := e.NewGroup()
+	g0.Go(func(*Ctx) { close(held); <-gate })
+	<-held
+	var order []int // appended only by the single worker
+	a, b := e.NewGroup(), e.NewGroup()
+	for i := 0; i < 8; i++ {
+		g := a
+		if i >= 4 {
+			g = b
 		}
-		g.Go(func(c *Ctx) { spawn(c, 4) })
-		g.Wait()
-		// 1 + 3 + 9 + 27 + 81 = 121 units.
-		if got := count.Load(); got != 121 {
-			t.Fatalf("workers=%d: ran %d units, want 121", workers, got)
-		}
+		g.Go(func(*Ctx) { order = append(order, i) })
 	}
-}
-
-// TestStealing asserts that units sitting in one worker's deque are
-// picked up by peers: a single root unit spawns slow children, and
-// with several workers they must overlap in time.
-func TestStealing(t *testing.T) {
-	e := New(4)
-	var inFlight, peak atomic.Int64
-	g := e.NewGroup()
-	g.Go(func(c *Ctx) {
-		for i := 0; i < 8; i++ {
-			c.Go(func(*Ctx) {
-				cur := inFlight.Add(1)
-				for {
-					p := peak.Load()
-					if cur <= p || peak.CompareAndSwap(p, cur) {
-						break
-					}
-				}
-				time.Sleep(20 * time.Millisecond)
-				inFlight.Add(-1)
-			})
-		}
-	})
-	g.Wait()
-	if peak.Load() < 2 {
-		t.Fatalf("peak concurrency %d: spawned units were never stolen", peak.Load())
+	close(gate)
+	g0.Wait()
+	a.Wait()
+	b.Wait()
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(order, want) {
+		t.Fatalf("run order %v, want %v", order, want)
 	}
 }
 
@@ -115,16 +89,11 @@ func TestConcurrentGroups(t *testing.T) {
 			var sum atomic.Int64
 			g := e.NewGroup()
 			for j := 0; j < 50; j++ {
-				g.Go(func(c *Ctx) {
-					if j%10 == 0 {
-						c.Go(func(*Ctx) { sum.Add(1) })
-					}
-					sum.Add(1)
-				})
+				g.Go(func(*Ctx) { sum.Add(1) })
 			}
 			g.Wait()
-			if got := sum.Load(); got != 55 {
-				t.Errorf("group %d: sum = %d, want 55", seed, got)
+			if got := sum.Load(); got != 50 {
+				t.Errorf("group %d: sum = %d, want 50", seed, got)
 			}
 		}(i)
 	}

@@ -74,7 +74,7 @@ func (r *Registry) Counter(name string) *Counter {
 
 // CounterFunc registers (or replaces) a counter whose value is read
 // from f at scrape time — the bridge for counters that already live
-// elsewhere (cache hit totals, executor steals, admission sheds).
+// elsewhere (cache hit totals, admission sheds).
 func (r *Registry) CounterFunc(name string, f func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -14,7 +14,7 @@ func TestRegistryExposition(t *testing.T) {
 	c.Add(3)
 	r.Counter(`twinsearch_queries_total{path="topk"}`).Inc()
 	r.GaugeFunc("twinsearch_epoch", func() float64 { return 7 })
-	r.CounterFunc("twinsearch_steals_total", func() float64 { return 11 })
+	r.CounterFunc("twinsearch_sheds_total", func() float64 { return 11 })
 	h := r.Histogram(`twinsearch_query_seconds{path="search"}`, []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
 	h.Observe(0.05)
@@ -34,7 +34,7 @@ func TestRegistryExposition(t *testing.T) {
 		`twinsearch_queries_total{path="topk"} 1`,
 		"# TYPE twinsearch_epoch gauge",
 		"twinsearch_epoch 7",
-		"twinsearch_steals_total 11",
+		"twinsearch_sheds_total 11",
 		"# TYPE twinsearch_query_seconds histogram",
 		`twinsearch_query_seconds_bucket{path="search",le="0.001"} 1`,
 		`twinsearch_query_seconds_bucket{path="search",le="0.1"} 2`,

@@ -133,7 +133,7 @@ func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([
 		g := s.ex.NewGroup()
 		p := s.queueSearch(g, ctx, b, q, eps, false)
 		g.Wait()
-		setShardSpans(tsp, g, p.st)
+		setShardSpans(tsp, p.st)
 		tsp.End()
 		if canceled(ctx) {
 			return nil, core.Stats{}, ctx.Err()
@@ -180,11 +180,10 @@ func setTail(sp *obs.Span, b *base, to int) {
 // stats, so the hot work-unit closures stay untouched by tracing.
 // Shard timings interleave across workers; the shard spans carry
 // counters, not durations. Nil-safe.
-func setShardSpans(tsp *obs.Span, g *exec.Group, perShard []core.Stats) {
+func setShardSpans(tsp *obs.Span, perShard []core.Stats) {
 	if tsp == nil {
 		return
 	}
-	tsp.Set("steals", int(g.Steals()))
 	for i, st := range perShard {
 		ssp := tsp.StartChild(fmt.Sprintf("shard[%d]", i))
 		setShardAttrs(ssp, st)
@@ -292,7 +291,7 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 	g := s.ex.NewGroup()
 	p := s.queueTopK(g, ctx, b, to, q, k, bound, tsp != nil)
 	g.Wait()
-	setShardSpans(tsp, g, p.st)
+	setShardSpans(tsp, p.st)
 	tsp.End()
 	if canceled(ctx) {
 		return nil, ctx.Err()

@@ -1,11 +1,11 @@
 // Package shard implements a sharded parallel TS-Index: the window
 // position space [0, N−ℓ] is split into P partitions, one index is
 // built per partition concurrently, and a query runs one work unit per
-// shard on the shared work-stealing executor (internal/exec), each
-// unit one whole-tree traversal of its shard — the data-partitioning
-// strategy ParIS/MESSI apply to iSAX, transplanted onto the paper's
-// TS-Index, with one pool of workers balancing the units of concurrent
-// queries instead of one goroutine per shard.
+// shard on the shared executor (internal/exec), each unit one
+// whole-tree traversal of its shard — the data-partitioning strategy
+// ParIS/MESSI apply to iSAX, transplanted onto the paper's TS-Index,
+// with one pool of workers running the units of concurrent queries in
+// submission order instead of one goroutine per shard.
 //
 // After construction every shard is FROZEN: the pointer tree is
 // compiled into core.Frozen's flat structure-of-arrays arena (packed

@@ -46,16 +46,15 @@ func newEngineMetrics() *engineMetrics {
 }
 
 // registerEngineGauges bridges the engine's existing counters — epoch,
-// tail windows, cache hit/miss/eviction totals, executor steals, worker
-// count — into the registry as scrape-time funcs, so every count /stats
-// reports has a sample here. Called once from newEngine; e is fully
+// tail windows, cache hit/miss/eviction totals, worker count — into
+// the registry as scrape-time funcs, so every count /stats reports has
+// a sample here. Called once from newEngine; e is fully
 // usable by scrape time even though indexes attach later.
 func (e *Engine) registerEngineGauges() {
 	reg := e.met.reg
 	reg.GaugeFunc("twinsearch_epoch", func() float64 { return float64(e.Epoch()) })
 	reg.GaugeFunc("twinsearch_tail_windows", func() float64 { return float64(e.ServingStats().TailWindows) })
 	reg.GaugeFunc("twinsearch_workers", func() float64 { return float64(e.ex.Workers()) })
-	reg.CounterFunc("twinsearch_executor_steals_total", func() float64 { return float64(e.ex.Steals()) })
 	reg.CounterFunc("twinsearch_slowlog_entries_total", func() float64 { return float64(e.slow.Total()) })
 	if e.plan != nil {
 		reg.CounterFunc(`twinsearch_cache_hits_total{cache="plan"}`, func() float64 { return float64(e.plan.Stats().Hits) })

@@ -89,11 +89,11 @@ type Options struct {
 	// one shard per available CPU (GOMAXPROCS).
 	Shards int
 
-	// Workers sizes the engine's query executor — the work-stealing
-	// worker pool that runs every parallel search path: sharded
-	// fan-out, where each query becomes one work unit per shard, and
-	// the units of concurrent queries share the workers. 0 selects
-	// GOMAXPROCS.
+	// Workers sizes the engine's query executor — the worker pool
+	// that runs every parallel search path: sharded fan-out, where
+	// each query becomes one work unit per shard, and the units of
+	// concurrent queries share the workers through one FIFO queue, in
+	// submission order. 0 selects GOMAXPROCS.
 	// Neither answers nor traversal counters depend on the worker count.
 	Workers int
 
