@@ -1,8 +1,7 @@
 package twinsearch
 
 // Engine-level coverage of the distributed tier and lifecycle guards:
-// Options.Topology with in-process ("local") entries — the coordinator
-// shape with zero network — plus use-after-Close.
+// Options.Topology over loopback shard nodes, plus use-after-Close.
 
 import (
 	"context"
@@ -14,8 +13,9 @@ import (
 	"twinsearch/internal/datasets"
 )
 
-// writeTopology saves a sharded index and a topology file whose entries
-// all resolve in-process, returning the topology path.
+// writeTopology saves a sharded index of data, serves it from that many
+// loopback shard nodes (see nodeTopology), and returns their
+// topology's path.
 func writeTopology(t *testing.T, data []float64, l, shards, nodes int) string {
 	t.Helper()
 	eng, err := Open(data, Options{L: l, Shards: shards})
@@ -26,13 +26,14 @@ func writeTopology(t *testing.T, data []float64, l, shards, nodes int) string {
 	if err := eng.SaveIndexFile(idx); err != nil {
 		t.Fatal(err)
 	}
-	return localTopology(t, idx, shards, nodes, 1)
+	return nodeTopology(t, idx, data, NormGlobal, shards, nodes, 1)
 }
 
-// TestClusterEngineLocal drives a topology-backed engine through the
-// public API: it reports the index's shards, maps them, and is
-// read-only. (Its answers are TestConformance's cluster rows.)
-func TestClusterEngineLocal(t *testing.T) {
+// TestClusterEngine drives a topology-backed engine through the public
+// API: it reports the index's shards, holds none of the index itself
+// (its nodes do), and is read-only. (Its answers are TestConformance's
+// cluster rows.)
+func TestClusterEngine(t *testing.T) {
 	data := datasets.EEGN(61, 3000)
 	const l = 100
 	eng, err := Open(data, Options{L: l, Topology: writeTopology(t, data, l, 4, 2), MMap: true})
@@ -44,8 +45,8 @@ func TestClusterEngineLocal(t *testing.T) {
 	if eng.Cluster() == nil || eng.Shards() != 4 {
 		t.Fatalf("cluster engine reports %d shards, cluster=%v", eng.Shards(), eng.Cluster())
 	}
-	if eng.MappedBytes() == 0 {
-		t.Fatal("local topology entries with MMap should map the index")
+	if n := eng.MemoryBytes(); n != 0 {
+		t.Fatalf("a coordinator reports %d bytes of index; its nodes hold it", n)
 	}
 	if err := eng.Append(1, 2, 3); err == nil {
 		t.Fatal("Append on a cluster engine succeeded")

@@ -45,8 +45,8 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address (node role defaults to its topology entry's port)")
 		norm        = flag.String("norm", "global", "normalization: raw, global, persub")
 		loadIndex   = flag.String("loadindex", "", "reopen a persisted TS-Index instead of rebuilding")
-		mmapIndex   = flag.Bool("mmap", false, "memory-map the saved index instead of reading it: near-zero open cost, demand paging, one physical copy shared across processes (with -loadindex, or local entries of -topology)")
-		prefetch    = flag.Bool("prefetch", false, "warm a memory-mapped index at open (madvise + bounded touch pass) instead of paying the page-fault tail on the first queries")
+		mmapIndex   = flag.Bool("mmap", false, "memory-map the saved index instead of reading it: near-zero open cost, demand paging, one physical copy shared across processes (standalone role with -loadindex; a node always maps its shards)")
+		prefetch    = flag.Bool("prefetch", false, "warm a memory-mapped index at open (madvise + bounded touch pass) instead of paying the page-fault tail on the first queries (standalone role with -mmap, and the node role)")
 		shards      = flag.Int("shards", 0, "index partitions built and searched in parallel (0 = one index, -1 = one per CPU)")
 		workers     = flag.Int("workers", 0, "query-executor workers shared by all requests (0 = one per CPU)")
 		role        = flag.String("role", "standalone", "serving role: standalone, node (serve assigned shards of a saved index), coordinator (fan out over a cluster)")
@@ -102,7 +102,6 @@ func main() {
 		opt := twinsearch.Options{L: *l, Norm: normMode, NormSet: true,
 			Workers: *workers, Topology: *topology, ClusterTimeout: *nodeTimeout,
 			ClusterHedge: *hedge, ClusterRefresh: *healthEvery,
-			MMap: *mmapIndex, Prefetch: *prefetch,
 			PlanCache: *planCache, ResultCacheBytes: *resultCache,
 			TraceSample: *traceSample, SlowLogSize: *slowSize, SlowLogThreshold: *slowThresh}
 		serveEngine(data, opt, "", *addr, srvCfg, *pprofOn)
@@ -200,7 +199,7 @@ func serveNode(data []float64, norm series.NormMode, topoPath, name, addr string
 	fmt.Printf("tsserve: node %q serving shards %v (%d of %d windows, %d bytes mapped), ready in %v; listening on %s\n",
 		name, n.Sub.ShardIDs(), n.Sub.Windows(), series.NumSubsequences(ext.Len(), n.Sub.L()),
 		n.Sub.MappedBytes(), time.Since(start).Round(time.Millisecond), addr)
-	h := server.NewNode(n)
+	h := cluster.NewNodeRPC(n)
 	serveUntilSignal(addr, withPprof(h, pprofOn), h.BeginDrain, n.Close)
 }
 

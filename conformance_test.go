@@ -2,13 +2,13 @@ package twinsearch
 
 // TestConformance is the one conformance grid. Every search path of
 // every backing — built with one shard and with four, the two saved
-// streams opened by copy and by mapping, and local-topology
-// coordinators at R = 1 and R = 2 — under every normalization, with the
-// plan and result caches off and on and tracing off and forced, answers
-// what internal/oracle's definition answers over the engine's own
-// extractor: Start and the bits of Dist, order included. The kernel
-// axis is the environment's: CI runs the whole suite again under
-// TWINSEARCH_KERNEL=portable.
+// streams opened by copy and by mapping, and coordinators at R = 1 and
+// R = 2 over loopback shard nodes, every answer crossing the shard RPC
+// — under every normalization, with the plan and result caches off and
+// on and tracing off and forced, answers what internal/oracle's
+// definition answers over the engine's own extractor: Start and the
+// bits of Dist, order included. The kernel axis is the environment's:
+// CI runs the whole suite again under TWINSEARCH_KERNEL=portable.
 //
 // Beside the definition the grid checks what an exact engine must keep:
 // a larger ε never loses a twin, top-k is a prefix of top-(k+1), the
@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -40,6 +41,7 @@ import (
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/obs"
 	"twinsearch/internal/oracle"
+	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 )
 
@@ -114,7 +116,6 @@ func confBackings(t *testing.T, data []float64, o Options) []confBacking {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, r2 := localTopology(t, tsshPath, 4, 2, 1), localTopology(t, tsshPath, 4, 2, 2)
 	return []confBacking{
 		{"built/1", 1, true, func(d []float64, o Options) (*Engine, error) { o.Shards = 1; return Open(d, o) }},
 		{"built/4", 4, true, func(d []float64, o Options) (*Engine, error) { o.Shards, o.Workers = 4, 1; return Open(d, o) }},
@@ -127,25 +128,43 @@ func confBackings(t *testing.T, data []float64, o Options) []confBacking {
 			o.MMap, o.Workers = true, 3
 			return OpenSavedFile(d, tsshPath, o)
 		}},
-		{"cluster/R1", 4, false, func(d []float64, o Options) (*Engine, error) { o.Topology, o.MMap = r1, true; return Open(d, o) }},
-		{"cluster/R2", 4, false, func(d []float64, o Options) (*Engine, error) { o.Topology, o.MMap = r2, true; return Open(d, o) }},
+		{"cluster/R1", 4, false, func(d []float64, o Options) (*Engine, error) {
+			o.Topology = nodeTopology(t, tsshPath, d, o.Norm, 4, 2, 1)
+			return Open(d, o)
+		}},
+		{"cluster/R2", 4, false, func(d []float64, o Options) (*Engine, error) {
+			o.Topology = nodeTopology(t, tsshPath, d, o.Norm, 4, 2, 2)
+			return Open(d, o)
+		}},
 	}
 }
 
-// localTopology writes a topology over the saved index at path whose
-// entries all resolve in-process: groups contiguous runs of the shards,
-// each served by replicas nodes.
-func localTopology(t *testing.T, path string, shards, groups, replicas int) string {
+// nodeTopology serves the saved index at path from loopback shard
+// nodes over data under norm — groups contiguous runs of its shards,
+// each served by replicas nodes, every node its shard RPC behind an
+// httptest server — and writes their topology, returning its path. The
+// nodes stop when t ends.
+func nodeTopology(t *testing.T, path string, data []float64, norm NormMode, shards, groups, replicas int) string {
 	t.Helper()
-	doc := cluster.Topology{Index: path, Replicas: replicas}
+	doc := &cluster.Topology{Index: path, Replicas: replicas}
 	for g := 0; g < groups; g++ {
 		var run cluster.ShardList
 		for s := g * shards / groups; s < (g+1)*shards/groups; s++ {
 			run = append(run, s)
 		}
 		for range replicas {
-			doc.Nodes = append(doc.Nodes, cluster.NodeSpec{Name: fmt.Sprintf("n%d", len(doc.Nodes)), Addr: "local", Shards: run})
+			doc.Nodes = append(doc.Nodes, cluster.NodeSpec{Name: fmt.Sprintf("n%d", len(doc.Nodes)), Shards: run})
 		}
+	}
+	ext := series.NewExtractor(data, norm)
+	for i := range doc.Nodes {
+		n, err := cluster.OpenNode(doc, doc.Nodes[i].Name, ext, cluster.NodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(cluster.NewNodeRPC(n))
+		t.Cleanup(func() { srv.Close(); n.Close() })
+		doc.Nodes[i].Addr = srv.URL
 	}
 	raw, err := json.Marshal(doc)
 	if err != nil {
@@ -372,9 +391,16 @@ func backingStats(e *Engine, tq []float64, eps float64) ([]Match, core.Stats, er
 }
 
 // spanCounters sums the traversal counters booked on the span tree
-// under s. Results stays 0.
+// under s. Results stays 0. A node's subtree is grafted from JSON, so
+// its counters are float64.
 func spanCounters(s *obs.Span) core.Stats {
-	n := func(k string) int { v, _ := s.Attrs[k].(int); return v }
+	n := func(k string) int {
+		if v, ok := s.Attrs[k].(float64); ok {
+			return int(v)
+		}
+		v, _ := s.Attrs[k].(int)
+		return v
+	}
 	st := core.Stats{NodesVisited: n("nodes_visited"), NodesPruned: n("nodes_pruned"),
 		LeavesReached: n("leaves_reached"), Candidates: n("candidates"), Abandons: n("abandons")}
 	for _, c := range s.Children {

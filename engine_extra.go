@@ -212,27 +212,33 @@ func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64)
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	// NaN slips past a plain eps < 0 check (NaN < 0 is false) and would
-	// poison the early-abandoning comparisons; validate like Search.
-	if eps < 0 || math.IsNaN(eps) {
-		return nil, fmt.Errorf("twinsearch: invalid threshold %v", eps)
-	}
-	// So would a NaN in the query: it compares false against every
-	// truncated bound and every window, and matches them all.
-	if len(q) == 0 {
-		return nil, errors.New("twinsearch: empty query")
-	}
-	if err := finiteQuery(q); err != nil {
-		return nil, err
-	}
 	ctx, qo := e.beginQuery(ctx, qpPrefix)
-	key := e.resultKey(qcache.PathPrefix, eps, q)
-	r, err := e.searchCached(ctx, qcache.PathPrefix, key, nil, eps, func() (qcache.Result, error) {
-		ms, err := e.searchShorterPreparedCtx(ctx, e.ext.TransformQuery(q), eps)
-		return qcache.Result{Matches: ms}, err
-	})
+	var r qcache.Result
+	err := checkPrefixQuery(q, eps)
+	if err == nil {
+		key := e.resultKey(qcache.PathPrefix, eps, q)
+		r, err = e.searchCached(ctx, qcache.PathPrefix, key, nil, eps, func() (qcache.Result, error) {
+			ms, err := e.searchShorterPreparedCtx(ctx, e.ext.TransformQuery(q), eps)
+			return qcache.Result{Matches: ms}, err
+		})
+	}
 	e.endQuery(qo, err)
 	return r.Matches, err
+}
+
+// checkPrefixQuery refuses what SearchShorterCtx cannot answer. NaN
+// slips past a plain eps < 0 check (NaN < 0 is false) and would poison
+// the early-abandoning comparisons; validate like Search. So would a
+// NaN in the query: it compares false against every truncated bound
+// and every window, and matches them all.
+func checkPrefixQuery(q []float64, eps float64) error {
+	if eps < 0 || math.IsNaN(eps) {
+		return fmt.Errorf("twinsearch: invalid threshold %v", eps)
+	}
+	if len(q) == 0 {
+		return errors.New("twinsearch: empty query")
+	}
+	return finiteQuery(q)
 }
 
 // searchShorterPreparedCtx dispatches a transformed prefix query to the

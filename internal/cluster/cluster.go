@@ -1,7 +1,7 @@
 // Package cluster is the distributed query tier over a saved sharded
 // TS-Index (TSSH v4): one saved index, many processes. A **node** opens
 // only its assigned shard subset — selective mmap via the segment
-// table, O(assigned) cost — and serves the shard RPC (internal/server's
+// table, O(assigned) cost — and serves the shard RPC (rpc.go's
 // /shard/* endpoints). A **coordinator** fans each query across the
 // topology's replica groups through a pooled HTTP client with per-node
 // timeouts and recombines with the same deterministic merges the local
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"twinsearch/internal/core"
-	"twinsearch/internal/exec"
 	"twinsearch/internal/obs"
 	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
@@ -66,11 +65,6 @@ type Options struct {
 	// (0 → 2s; negative disables the sweep — tests drive
 	// Coordinator.Sweep explicitly).
 	RefreshInterval time.Duration
-	// Workers sizes the executor local (LocalAddr) backends run on.
-	Workers int
-	// NoMMap / Prefetch apply to local backends; see NodeOptions.
-	NoMMap   bool
-	Prefetch bool
 	// Client overrides the HTTP client (tests inject failure modes via
 	// the Chaos transport); nil selects a client with a pooled
 	// transport owned by the coordinator.
@@ -83,12 +77,11 @@ const (
 	probeTimeout   = 2 * time.Second // bounds each liveness probe behind Sweep
 )
 
-// owner is one opened topology entry: a backend plus the node's one
-// liveness fact (see health.go).
+// owner is one opened topology entry: the node's shard-RPC client plus
+// its one liveness fact (see health.go).
 type owner struct {
 	spec NodeSpec
-	b    shard.Backend
-	node *Node  // non-nil for local entries; owns the arena
+	b    *remote
 	g    *group // the replica group this owner belongs to
 
 	mu        sync.Mutex
@@ -123,22 +116,20 @@ type Coordinator struct {
 	sweepDone           chan struct{}
 }
 
-// OpenCoordinator opens every topology entry — LocalAddr entries open
-// their shards of the index file in-process, the rest are dialed and
-// cross-checked (same L, normalization, series length, and shard
-// assignment as the topology claims) — and verifies the replicated
-// assignment covers the index's shards exactly (R owners per shard,
-// replica groups mirroring whole shard sets) and the per-group window
-// counts sum to the series'. A remote node that cannot be reached
-// opens the cluster **degraded** when its group still has at least one
-// reachable owner (the read quorum): the dead node starts down and
-// rejoins via the membership sweep once it answers health probes
-// again. A group with no reachable owner refuses the open. ext must
-// present the same series the index was built over; queries are
-// fanned out pre-transformed. ctx bounds the whole open — dialing and
-// cross-checking every remote node — so a caller's deadline or
-// cancellation aborts a wedged dial instead of waiting out the
-// per-node timeout.
+// OpenCoordinator dials every topology entry and cross-checks it (same
+// L, normalization, series length, and shard assignment as the
+// topology claims), and verifies the replicated assignment covers the
+// index's shards exactly (R owners per shard, replica groups mirroring
+// whole shard sets) and the per-group window counts sum to the
+// series'. A node that cannot be reached opens the cluster
+// **degraded** when its group still has at least one reachable owner
+// (the read quorum): the dead node starts down and rejoins via the
+// membership sweep once it answers health probes again. A group with
+// no reachable owner refuses the open. ext must present the same
+// series the index was built over; queries are fanned out
+// pre-transformed. ctx bounds the whole open — dialing and
+// cross-checking every node — so a caller's deadline or cancellation
+// aborts a wedged dial instead of waiting out the per-node timeout.
 func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor, l int, o Options) (*Coordinator, error) {
 	if o.Timeout <= 0 {
 		o.Timeout = defaultTimeout
@@ -167,49 +158,28 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	}
 
 	total := -1
-	var ex *exec.Executor // shared by every local entry
+	reported := map[*owner]int{} // windows each reachable node serves
 	groupOf := map[string]*group{}
 	for _, spec := range topo.Nodes {
-		ow := &owner{spec: spec}
-		if spec.Addr == LocalAddr {
-			if ex == nil {
-				ex = exec.New(o.Workers)
-			}
-			n, err := openNode(topo, spec.Name, ext, ex, NodeOptions{NoMMap: o.NoMMap, Prefetch: o.Prefetch})
-			if err != nil {
+		ow := &owner{spec: spec, b: &remote{name: spec.Name, base: spec.Addr, client: c.client}}
+		h, err := dialHealth(ctx, ow.b, o.Timeout)
+		if err != nil {
+			// Unreachable is weather, not configuration: mark the node
+			// down and let the per-group quorum check below decide
+			// whether the cluster can open degraded without it.
+			ow.mark(false, err)
+		} else {
+			if err := checkNodeIdentity(h, spec, ext, l); err != nil {
 				return fail(err)
 			}
-			ow.node, ow.b = n, n.Sub
 			if total == -1 {
-				total = n.Sub.TotalShards()
-			} else if total != n.Sub.TotalShards() {
+				total = h.TotalShards
+			} else if total != h.TotalShards {
 				return fail(fmt.Errorf("cluster: node %q serves a different index (%d shards vs %d)",
-					spec.Name, n.Sub.TotalShards(), total))
+					spec.Name, h.TotalShards, total))
 			}
+			reported[ow] = h.Windows
 			ow.mark(true, nil)
-		} else {
-			rm := &remote{name: spec.Name, base: spec.Addr, shards: spec.Shards, client: c.client}
-			ow.b = rm
-			h, err := dialHealth(ctx, rm, o.Timeout)
-			if err != nil {
-				// Unreachable is weather, not configuration: mark the
-				// node down and let the per-group quorum check below
-				// decide whether the cluster can open degraded without
-				// it.
-				ow.mark(false, err)
-			} else {
-				if err := checkNodeIdentity(h, spec, ext, l); err != nil {
-					return fail(err)
-				}
-				if total == -1 {
-					total = h.TotalShards
-				} else if total != h.TotalShards {
-					return fail(fmt.Errorf("cluster: node %q serves a different index (%d shards vs %d)",
-						spec.Name, h.TotalShards, total))
-				}
-				rm.windows = h.Windows
-				ow.mark(true, nil)
-			}
 		}
 		c.owners = append(c.owners, ow)
 		key := shardSetKey(spec.Shards)
@@ -242,11 +212,11 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 			return fail(fmt.Errorf("cluster: shards %v: no reachable replica (%d listed): %s",
 				g.shards, len(g.owners), firstErr))
 		}
-		g.windows = live[0].b.Windows()
+		g.windows = reported[live[0]]
 		for _, ow := range live[1:] {
-			if ow.b.Windows() != g.windows {
+			if reported[ow] != g.windows {
 				return fail(fmt.Errorf("cluster: replicas %q and %q of shards %v disagree on window count (%d vs %d)",
-					live[0].spec.Name, ow.spec.Name, g.shards, g.windows, ow.b.Windows()))
+					live[0].spec.Name, ow.spec.Name, g.shards, g.windows, reported[ow]))
 			}
 		}
 		c.windows += g.windows
@@ -277,27 +247,18 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	return c, nil
 }
 
-// Close stops the membership sweep, releases local backends' arenas,
-// and drops the coordinator's idle connections. No query may run
-// during or after it.
+// Close stops the membership sweep and drops the coordinator's idle
+// connections. No query may run during or after it.
 func (c *Coordinator) Close() error {
 	if c.stopSweep != nil {
 		c.stopSweep()
 		<-c.sweepDone
 		c.stopSweep = nil
 	}
-	var firstErr error
-	for _, ow := range c.owners {
-		if ow.node != nil {
-			if err := ow.node.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
 	if c.ownTransport != nil {
 		c.ownTransport.CloseIdleConnections()
 	}
-	return firstErr
+	return nil
 }
 
 // TotalShards returns the shard count of the saved index being served.
@@ -312,25 +273,6 @@ func (c *Coordinator) L() int { return c.l }
 
 // Replicas returns the topology's replication factor R.
 func (c *Coordinator) Replicas() int { return c.replicas }
-
-// MemoryBytes sums the heap footprints of the local backends (remote
-// nodes spend their memory in other processes).
-func (c *Coordinator) MemoryBytes() int {
-	total := 0
-	for _, ow := range c.owners {
-		total += ow.b.MemoryBytes()
-	}
-	return total
-}
-
-// MappedBytes sums the file-mapped footprints of the local backends.
-func (c *Coordinator) MappedBytes() int {
-	total := 0
-	for _, ow := range c.owners {
-		total += ow.b.MappedBytes()
-	}
-	return total
-}
 
 // Search returns all twins of q at eps across the cluster, sorted by
 // start — byte-identical to a single local engine over the same saved
@@ -350,7 +292,7 @@ type statsResult struct {
 // SearchStats is Search with traversal counters summed across every
 // group's shards.
 func (c *Coordinator) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b shard.Backend, _ int) (statsResult, error) {
+	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b *remote) (statsResult, error) {
 		ms, st, err := b.SearchStatsCtx(ctx, q, eps)
 		return statsResult{ms, st}, err
 	})
@@ -392,7 +334,7 @@ func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]ser
 	}
 
 	// Phase 1: the seed group, unbounded.
-	first, err := runUnit(ctx, c, c.groups[seed], func(ctx context.Context, b shard.Backend) ([]series.Match, error) {
+	first, err := runUnit(ctx, c, c.groups[seed], func(ctx context.Context, b *remote) ([]series.Match, error) {
 		return b.SearchTopKCtx(ctx, q, k, math.Inf(1))
 	})
 	if err != nil {
@@ -405,7 +347,7 @@ func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]ser
 
 	// Phase 2: every other group, pruning against the seed's k-th
 	// distance.
-	lists, err := fanOut(ctx, c, seed, func(ctx context.Context, b shard.Backend, _ int) ([]series.Match, error) {
+	lists, err := fanOut(ctx, c, seed, func(ctx context.Context, b *remote) ([]series.Match, error) {
 		return b.SearchTopKCtx(ctx, q, k, bound)
 	})
 	if err != nil {
@@ -424,7 +366,7 @@ func (c *Coordinator) SearchPrefix(ctx context.Context, q []float64, eps float64
 	if err := c.validatePrefix(q); err != nil {
 		return nil, err
 	}
-	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b shard.Backend, _ int) ([]series.Match, error) {
+	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b *remote) ([]series.Match, error) {
 		return b.SearchPrefixTreeCtx(ctx, q, eps)
 	})
 	if err != nil {
@@ -448,20 +390,17 @@ func (c *Coordinator) validatePrefix(q []float64) error {
 	return nil
 }
 
-// --- remote backend ---
+// --- the shard-RPC client ---
 
-// remote speaks the shard RPC to one node over HTTP. It implements
-// shard.Backend; ctx deadlines abort the request (the transport closes
-// the connection), so a dead node costs one timeout, never a hang.
+// remote speaks the shard RPC to one node over HTTP; its answers keep
+// the contract internal/shard's package comment states. ctx deadlines
+// abort the request (the transport closes the connection), so a dead
+// node costs one timeout, never a hang.
 type remote struct {
-	name    string
-	base    string
-	shards  []int
-	windows int
-	client  *http.Client
+	name   string
+	base   string
+	client *http.Client
 }
-
-var _ shard.Backend = (*remote)(nil)
 
 // dialHealth fetches a node's health document under the caller's ctx
 // bounded by the per-node timeout — the reachability half of the open
@@ -611,32 +550,22 @@ func (r *remote) call(ctx context.Context, q Request) ([]series.Match, core.Stat
 	return a.Matches, *a.Stats, nil
 }
 
-// SearchStatsCtx implements shard.Backend.
+// SearchStatsCtx asks the node for a range search's matches and
+// counters.
 func (r *remote) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	return r.call(ctx, Request{Kind: KindSearch, Eps: eps, Query: q})
 }
 
-// SearchTopKCtx implements shard.Backend.
+// SearchTopKCtx asks the node for its k nearest under the seeded
+// bound.
 func (r *remote) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	ms, _, err := r.call(ctx, Request{Kind: KindTopK, K: k, Bound: bound, Query: q})
 	return ms, err
 }
 
-// SearchPrefixTreeCtx implements shard.Backend.
+// SearchPrefixTreeCtx asks the node for the tree half of a prefix
+// search.
 func (r *remote) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	ms, _, err := r.call(ctx, Request{Kind: KindPrefix, Eps: eps, Query: q})
 	return ms, err
 }
-
-// Windows implements shard.Backend.
-func (r *remote) Windows() int { return r.windows }
-
-// ShardIDs implements shard.Backend.
-func (r *remote) ShardIDs() []int { return append([]int(nil), r.shards...) }
-
-// MemoryBytes implements shard.Backend: a remote node's memory lives in
-// its own process.
-func (r *remote) MemoryBytes() int { return 0 }
-
-// MappedBytes implements shard.Backend.
-func (r *remote) MappedBytes() int { return 0 }

@@ -4,8 +4,8 @@ package cluster_test
 // over in-process HTTP nodes (real wire format, real handlers, loopback
 // transport) must answer every search path byte-identically to the
 // local sharded engine over the same saved index — across norm modes,
-// node counts, interleaved shard sets, and mixed local/remote topologies —
-// and a dead or hung node must fail queries cleanly instead of hanging.
+// node counts and interleaved shard sets — and a dead or hung node must
+// fail queries cleanly instead of hanging.
 
 import (
 	"context"
@@ -25,7 +25,6 @@ import (
 	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/series"
-	"twinsearch/internal/server"
 	"twinsearch/internal/shard"
 )
 
@@ -83,7 +82,7 @@ func startCluster(t *testing.T, ext *series.Extractor, path string, runs [][]int
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		var h http.Handler = server.NewNode(n)
+		var h http.Handler = cluster.NewNodeRPC(n)
 		if wrap != nil {
 			h = wrap(i, h)
 		}
@@ -207,55 +206,41 @@ func mustTopK(t *testing.T, cl *cluster.Coordinator, ctx context.Context, q []fl
 	return ms
 }
 
-// TestClusterMixedLocalRemote proves local and remote backends compose:
-// one topology entry served in the coordinator's process, one dialed.
-func TestClusterMixedLocalRemote(t *testing.T) {
-	data := datasets.EEGN(47, 1600)
-	ext := series.NewExtractor(data, series.NormGlobal)
-	local, path := buildSaved(t, ext, 4)
-
-	topo := &cluster.Topology{Index: path, Nodes: []cluster.NodeSpec{
-		{Name: "self", Addr: cluster.LocalAddr, Shards: []int{0, 1}},
-		{Name: "peer", Addr: "placeholder", Shards: []int{2, 3}},
-	}}
-	peer, err := cluster.OpenNode(topo, "peer", ext, cluster.NodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { peer.Close() })
-	srv := httptest.NewServer(server.NewNode(peer))
-	t.Cleanup(srv.Close)
-	topo.Nodes[1].Addr = srv.URL
-
-	cl, err := cluster.OpenCoordinator(context.Background(), topo, ext, testL, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-
+// TestSweepRacesHealth runs the membership sweep against the health
+// view, as the background sweep and a /healthz hit on the coordinator
+// do (run under -race): the view reads only what the open fixed and
+// each owner's guarded liveness fact. After a sweep every node is
+// alive and lists its topology entry's shards.
+func TestSweepRacesHealth(t *testing.T) {
+	ext := series.NewExtractor(datasets.EEGN(47, 1600), series.NormGlobal)
+	_, path := buildSaved(t, ext, 4)
+	cl, _, _ := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 2, cluster.Options{})
 	ctx := context.Background()
-	q := ext.ExtractCopy(321, testL)
-	want, _ := local.SearchStats(q, 0.4)
-	got, err := cl.Search(ctx, q, 0.4)
-	if err != nil {
-		t.Fatal(err)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 20 {
+			cl.Sweep(ctx)
+		}
+	}()
+	for range 200 {
+		cl.Health()
 	}
-	if !sameMatches(want, got) {
-		t.Fatal("mixed local/remote topology diverged")
-	}
-	if kWant, kGot := local.SearchTopK(q, 6), mustTopK(t, cl, ctx, q, 6); !sameMatches(kWant, kGot) {
-		t.Fatal("mixed topology topk diverged")
-	}
+	<-done
 
-	// The health view must mark both peers alive and carry assignments.
-	// Health reads the cached membership view; Sweep refreshes it now.
 	cl.Sweep(ctx)
 	peers := cl.Health()
-	if len(peers) != 2 || !peers[0].Alive || !peers[1].Alive {
-		t.Fatalf("health = %+v", peers)
+	if len(peers) != 4 {
+		t.Fatalf("health lists %d nodes, want 4: %+v", len(peers), peers)
 	}
-	if len(peers[0].Shards) != 2 || peers[0].Shards[0] != 0 {
-		t.Fatalf("peer 0 shards = %v", peers[0].Shards)
+	for i, p := range peers {
+		want := []int{0, 1}
+		if i >= 2 {
+			want = []int{2, 3}
+		}
+		if !p.Alive || !reflect.DeepEqual(p.Shards, want) || p.Windows == 0 {
+			t.Fatalf("peer %d = %+v, want alive serving shards %v", i, p, want)
+		}
 	}
 }
 
@@ -364,30 +349,31 @@ func TestCoordinatorRejectsBadTopologies(t *testing.T) {
 	ext := series.NewExtractor(data, series.NormGlobal)
 	_, path := buildSaved(t, ext, 4)
 
-	open := func(nodes ...cluster.NodeSpec) error {
+	// Real nodes: a serves shards 0-2, b shard 3, c all four.
+	_, srvs := startCluster(t, ext, path, [][]int{{0, 1, 2}, {3}}, cluster.Options{}, nil)
+	_, whole := startCluster(t, ext, path, [][]int{{0, 1, 2, 3}}, cluster.Options{}, nil)
+	a, b, c := srvs[0].URL, srvs[1].URL, whole[0].URL
+	open := func(l int, nodes ...cluster.NodeSpec) error {
 		topo := &cluster.Topology{Index: path, Nodes: nodes}
-		cl, err := cluster.OpenCoordinator(context.Background(), topo, ext, testL, cluster.Options{Timeout: time.Second})
+		cl, err := cluster.OpenCoordinator(context.Background(), topo, ext, l, cluster.Options{Timeout: time.Second})
 		if err == nil {
 			cl.Close()
 		}
 		return err
 	}
 
-	if err := open(cluster.NodeSpec{Name: "a", Addr: cluster.LocalAddr, Shards: []int{0, 1, 2}}); err == nil {
+	if err := open(testL, cluster.NodeSpec{Name: "a", Addr: a, Shards: []int{0, 1, 2}}); err == nil {
 		t.Error("incomplete coverage accepted")
 	}
-	if err := open(cluster.NodeSpec{Name: "a", Addr: cluster.LocalAddr, Shards: []int{0, 1, 2, 3, 4}}); err == nil {
+	if err := open(testL, cluster.NodeSpec{Name: "a", Addr: a, Shards: []int{0, 1, 2}},
+		cluster.NodeSpec{Name: "b", Addr: b, Shards: []int{3, 4}}); err == nil {
 		t.Error("out-of-range shard accepted")
 	}
-	if err := open(cluster.NodeSpec{Name: "a", Addr: "http://127.0.0.1:1", Shards: []int{0, 1, 2, 3}}); err == nil {
+	if err := open(testL, cluster.NodeSpec{Name: "a", Addr: "http://127.0.0.1:1", Shards: []int{0, 1, 2, 3}}); err == nil {
 		t.Error("unreachable node accepted at open")
 	}
-	// Wrong L: the local subset opens fine but coverage of windows
-	// cannot match a different indexed length.
-	topo := &cluster.Topology{Index: path, Nodes: []cluster.NodeSpec{
-		{Name: "a", Addr: cluster.LocalAddr, Shards: []int{0, 1, 2, 3}}}}
-	if cl, err := cluster.OpenCoordinator(context.Background(), topo, ext, testL+8, cluster.Options{}); err == nil {
-		cl.Close()
+	// Wrong L: the node answers, but indexes another length.
+	if err := open(testL+8, cluster.NodeSpec{Name: "c", Addr: c, Shards: []int{0, 1, 2, 3}}); err == nil {
 		t.Error("mismatched L accepted")
 	}
 }

@@ -2,7 +2,7 @@ package cluster
 
 // Per-unit failover and hedging. The coordinator's fan-out unit is one
 // replica group (a shard set with R interchangeable owners); runUnit
-// turns "call one backend" into "get this shard set answered":
+// turns "call one node" into "get this shard set answered":
 //
 //   - Attempt order prefers owners whose liveness fact (health.go) is
 //     up; known-down owners drop to the back as a last resort, so a
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"twinsearch/internal/obs"
-	"twinsearch/internal/shard"
 )
 
 // candidates returns the group's owners in attempt order: live owners
@@ -51,15 +50,15 @@ func (g *group) candidates() []*owner {
 // failover, liveness marking, and optional hedging. call must be
 // idempotent and side-effect-free until it returns (hedged attempts
 // run concurrently); the winning attempt's value is returned.
-func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx context.Context, b shard.Backend) (T, error)) (T, error) {
+func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx context.Context, b *remote) (T, error)) (T, error) {
 	var zero T
 	cands := g.candidates()
 	// Traced queries grow one "unit" span per replica group; each
 	// attempt (primary, failover, hedge) becomes a child annotated with
 	// the node tried, its liveness fact seen at launch, and the
-	// outcome. The winning attempt's context carries its span, so a
-	// remote node's returned subtree (or an in-process subset's shard
-	// spans) lands under the attempt that produced the answer.
+	// outcome. The winning attempt's context carries its span, so the
+	// node's returned subtree lands under the attempt that produced the
+	// answer.
 	usp := obs.SpanFrom(ctx).StartChild("unit")
 	if usp != nil {
 		usp.Set("shards", fmt.Sprint(g.shards))
@@ -162,7 +161,7 @@ func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx
 // any attempt (-1 for none) — the top-k second phase already holds the
 // seed group's answer. The lowest-indexed unit error is returned,
 // deterministic whichever group failed first in time.
-func fanOut[T any](ctx context.Context, c *Coordinator, skip int, call func(ctx context.Context, b shard.Backend, gi int) (T, error)) ([]T, error) {
+func fanOut[T any](ctx context.Context, c *Coordinator, skip int, call func(ctx context.Context, b *remote) (T, error)) ([]T, error) {
 	out := make([]T, len(c.groups))
 	errs := make([]error, len(c.groups))
 	done := make(chan struct{}, len(c.groups))
@@ -175,9 +174,7 @@ func fanOut[T any](ctx context.Context, c *Coordinator, skip int, call func(ctx 
 		//tsvet:ignore network-bound fan-out must not occupy CPU executor workers
 		go func(gi int, g *group) {
 			defer func() { done <- struct{}{} }()
-			out[gi], errs[gi] = runUnit(ctx, c, g, func(ctx context.Context, b shard.Backend) (T, error) {
-				return call(ctx, b, gi)
-			})
+			out[gi], errs[gi] = runUnit(ctx, c, g, call)
 		}(gi, g)
 	}
 	for i := 0; i < launched; i++ {

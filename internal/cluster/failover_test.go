@@ -22,7 +22,6 @@ import (
 	"twinsearch/internal/cluster"
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/series"
-	"twinsearch/internal/server"
 )
 
 // startReplicated builds an R-way replicated cluster: every shard group
@@ -54,7 +53,7 @@ func startReplicated(t *testing.T, ext *series.Extractor, path string, groups []
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		srv := httptest.NewServer(server.NewNode(n))
+		srv := httptest.NewServer(cluster.NewNodeRPC(n))
 		t.Cleanup(srv.Close)
 		topo.Nodes[i].Addr = srv.URL
 		srvs = append(srvs, srv)
@@ -359,7 +358,7 @@ func TestDegradedOpen(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { n.Close() })
-				srv := httptest.NewServer(server.NewNode(n))
+				srv := httptest.NewServer(cluster.NewNodeRPC(n))
 				t.Cleanup(srv.Close)
 				topo.Nodes = append(topo.Nodes, cluster.NodeSpec{Name: name, Addr: srv.URL, Shards: run})
 				srvs = append(srvs, srv)

@@ -44,21 +44,14 @@ func (ow *owner) fact() (alive bool, errMsg string, checkedAt time.Time) {
 	return ow.alive, ow.errMsg, ow.checkedAt
 }
 
-// Sweep probes every remote node's /healthz once, concurrently (each
-// under probeTimeout), and writes each node's liveness fact: up when it
+// Sweep probes every node's /healthz once, concurrently (each under
+// probeTimeout), and writes each node's liveness fact: up when it
 // answers and still serves the right index, down otherwise. The
 // background refresher calls this on its interval; tests and callers
 // wanting a fresh view now can call it directly.
 func (c *Coordinator) Sweep(ctx context.Context) {
 	done := make(chan struct{}, len(c.owners))
 	for _, ow := range c.owners {
-		if ow.node != nil {
-			// Local backends are alive by construction; refresh the
-			// timestamp so staleness reflects the sweep, not the open.
-			ow.mark(true, nil)
-			done <- struct{}{}
-			continue
-		}
 		//tsvet:ignore network-bound health probes must not occupy CPU executor workers
 		go func(ow *owner) {
 			defer func() { done <- struct{}{} }()
@@ -70,26 +63,17 @@ func (c *Coordinator) Sweep(ctx context.Context) {
 	}
 }
 
-// probe refreshes one remote node's liveness fact.
+// probe refreshes one node's liveness fact.
 func (c *Coordinator) probe(ctx context.Context, ow *owner) {
-	rm, ok := ow.b.(*remote)
-	if !ok {
-		return
-	}
 	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	h, err := rm.health(pctx)
+	h, err := ow.b.health(pctx)
 	if err == nil {
 		// A node that answers but serves the wrong index (restarted with
 		// a different file, misconfigured replacement) must not rejoin.
 		err = c.verifyRemote(h, ow)
 	}
-	if err != nil {
-		ow.mark(false, err)
-		return
-	}
-	rm.windows = h.Windows
-	ow.mark(true, nil)
+	ow.mark(err == nil, err)
 }
 
 // sweepLoop is the background membership refresher.
@@ -117,7 +101,7 @@ func (c *Coordinator) Health() []PeerStatus {
 		alive, errMsg, checkedAt := ow.fact()
 		out[i] = PeerStatus{
 			Name: ow.spec.Name, Addr: ow.spec.Addr,
-			Shards: ow.b.ShardIDs(), Windows: ow.b.Windows(),
+			Shards: append([]int(nil), ow.spec.Shards...), Windows: ow.g.windows,
 			Alive: alive, Error: errMsg, CheckedAt: checkedAt,
 		}
 	}

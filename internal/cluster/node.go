@@ -11,7 +11,7 @@ import (
 
 // Node is one shard node's state: the shards of the saved index it
 // serves, opened selectively, plus the identity the topology gave it.
-// internal/server mounts the shard RPC over it.
+// NodeRPC serves the shard RPC over it.
 type Node struct {
 	Name string
 	Sub  *shard.Index
@@ -43,12 +43,6 @@ type NodeOptions struct {
 // with the assignment, not the index. ext must present the same series
 // and normalization the index was built with.
 func OpenNode(topo *Topology, name string, ext *series.Extractor, o NodeOptions) (*Node, error) {
-	return openNode(topo, name, ext, exec.New(o.Workers), o)
-}
-
-// openNode is OpenNode on the executor ex — the open sequence shared
-// with a coordinator's in-process (LocalAddr) entries.
-func openNode(topo *Topology, name string, ext *series.Extractor, ex *exec.Executor, o NodeOptions) (*Node, error) {
 	spec, err := topo.Node(name)
 	if err != nil {
 		return nil, err
@@ -60,7 +54,7 @@ func openNode(topo *Topology, name string, ext *series.Extractor, ex *exec.Execu
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	sub, err := shard.OpenArenaShards(ar, ext, ex, spec.Shards)
+	sub, err := shard.OpenArenaShards(ar, ext, exec.New(o.Workers), spec.Shards)
 	if err != nil {
 		ar.Close()
 		return nil, fmt.Errorf("cluster: node %q: %w", name, err)

@@ -37,8 +37,8 @@ func TestNodeRefusesDamagedSection(t *testing.T) {
 	}
 
 	topo := &cluster.Topology{Index: path, Nodes: []cluster.NodeSpec{
-		{Name: "front", Addr: "local", Shards: cluster.ShardList{0, 1}},
-		{Name: "back", Addr: "local", Shards: cluster.ShardList{2, 3}},
+		{Name: "front", Addr: "http://unused", Shards: cluster.ShardList{0, 1}},
+		{Name: "back", Addr: "http://unused", Shards: cluster.ShardList{2, 3}},
 	}}
 	_, err = cluster.OpenNode(topo, "front", ext, cluster.NodeOptions{NoMMap: true})
 	if err == nil || !strings.Contains(err.Error(), "section upper checksum") {

@@ -5,13 +5,13 @@ package cluster
 // GET /healthz answers NodeHealth as JSON; POST /shard/search, /topk
 // and /prefix each take a request frame and answer with a frame
 // (wire.go), or refuse in JSON. Queries arrive pre-transformed (the
-// coordinator normalizes once) and answers follow the shard.Backend
-// contract, so the coordinator's merges reproduce the single-engine
-// answer bit for bit. Every handler runs under
-// r.Context(): a coordinator that gives up (timeout, death) cancels the
-// node-side fan-out instead of leaving it to burn executor time.
-// internal/server mounts this handler for tsserve's node role; it lives
-// here so both halves of the protocol share one package.
+// coordinator normalizes once) and answers keep the contract of
+// internal/shard's package comment, so the coordinator's merges
+// reproduce the single-engine answer bit for bit. Every handler runs
+// under r.Context(): a coordinator that gives up (timeout, death)
+// cancels the node-side fan-out instead of leaving it to burn executor
+// time. tsserve's node role serves this handler; it lives here so both
+// halves of the protocol share one package.
 
 import (
 	"context"

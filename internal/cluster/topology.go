@@ -4,17 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 )
-
-// LocalAddr is the sentinel node address meaning "serve these shards in
-// the coordinator process itself": the coordinator opens the subset
-// from the topology's index file instead of dialing anything.
-const LocalAddr = "local"
 
 // ShardList is a set of global shard indices. In JSON it unmarshals
 // from either an explicit array ([0,1,4]) or a compact range string
@@ -83,8 +79,8 @@ func normalizeShards(ids []int) []int {
 }
 
 // NodeSpec names one shard node: where to reach it and which global
-// shards of the saved index it serves. Addr is an http base URL
-// ("http://10.0.0.5:8081") or LocalAddr.
+// shards of the saved index it serves. Addr is the node's http or https
+// base URL ("http://10.0.0.5:8081").
 type NodeSpec struct {
 	Name   string    `json:"name"`
 	Addr   string    `json:"addr"`
@@ -123,8 +119,8 @@ func (t *Topology) R() int {
 // ParseTopology decodes and validates a topology document. Coverage of
 // the index's full shard range needs the shard count, which only the
 // index file knows, so only per-document invariants are checked here:
-// unique non-empty names, non-empty addresses and shard sets, and a
-// well-formed replicated assignment (exactly R owners per listed
+// unique non-empty names, http(s) addresses, non-empty shard sets, and
+// a well-formed replicated assignment (exactly R owners per listed
 // shard, owners mirroring whole shard sets).
 func ParseTopology(r io.Reader) (*Topology, error) {
 	dec := json.NewDecoder(r)
@@ -145,8 +141,8 @@ func ParseTopology(r io.Reader) (*Topology, error) {
 			return nil, fmt.Errorf("cluster: topology names node %q twice", n.Name)
 		}
 		names[n.Name] = true
-		if n.Addr == "" {
-			return nil, fmt.Errorf("cluster: topology node %q has no addr", n.Name)
+		if err := checkAddr(n); err != nil {
+			return nil, err
 		}
 		if len(n.Shards) == 0 {
 			return nil, fmt.Errorf("cluster: topology node %q serves no shards", n.Name)
@@ -156,6 +152,20 @@ func ParseTopology(r io.Reader) (*Topology, error) {
 		return nil, err
 	}
 	return &t, nil
+}
+
+// checkAddr refuses a node address the coordinator cannot dial: every
+// node is reached over the shard RPC at an http or https base URL.
+func checkAddr(n NodeSpec) error {
+	switch u, err := url.Parse(n.Addr); {
+	case n.Addr == "":
+		return fmt.Errorf("cluster: topology node %q has no addr", n.Name)
+	case n.Addr == "local":
+		return fmt.Errorf("cluster: topology node %q has addr \"local\": in-process entries are gone; serve those shards with tsserve -role node and list its http URL", n.Name)
+	case err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "":
+		return fmt.Errorf("cluster: topology node %q has addr %q; want an http or https URL like \"http://10.0.0.5:8081\"", n.Name, n.Addr)
+	}
+	return nil
 }
 
 // LoadTopology reads a topology file, resolving a relative index path

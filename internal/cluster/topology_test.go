@@ -55,27 +55,33 @@ func TestParseTopology(t *testing.T) {
 
 	bad := map[string]string{
 		"no nodes":       `{"index":"i"}`,
-		"dup name":       `{"nodes":[{"name":"a","addr":"x","shards":[0]},{"name":"a","addr":"y","shards":[1]}]}`,
-		"no name":        `{"nodes":[{"addr":"x","shards":[0]}]}`,
+		"dup name":       `{"nodes":[{"name":"a","addr":"http://x:1","shards":[0]},{"name":"a","addr":"http://y:1","shards":[1]}]}`,
+		"no name":        `{"nodes":[{"addr":"http://x:1","shards":[0]}]}`,
 		"no addr":        `{"nodes":[{"name":"a","shards":[0]}]}`,
-		"no shards":      `{"nodes":[{"name":"a","addr":"x"}]}`,
-		"dup shard":      `{"nodes":[{"name":"a","addr":"x","shards":[0]},{"name":"b","addr":"y","shards":[0]}]}`,
-		"unknown fields": `{"nodes":[{"name":"a","addr":"x","shards":[0],"weight":2}]}`,
-		"bad shards":     `{"nodes":[{"name":"a","addr":"x","shards":true}]}`,
-		"negative shard": `{"nodes":[{"name":"a","addr":"x","shards":[-1,0]}]}`,
+		"no shards":      `{"nodes":[{"name":"a","addr":"http://x:1"}]}`,
+		"dup shard":      `{"nodes":[{"name":"a","addr":"http://x:1","shards":[0]},{"name":"b","addr":"http://y:1","shards":[0]}]}`,
+		"unknown fields": `{"nodes":[{"name":"a","addr":"http://x:1","shards":[0],"weight":2}]}`,
+		"bad shards":     `{"nodes":[{"name":"a","addr":"http://x:1","shards":true}]}`,
+		"negative shard": `{"nodes":[{"name":"a","addr":"http://x:1","shards":[-1,0]}]}`,
+		"local addr":     `{"nodes":[{"name":"a","addr":"local","shards":[0]}]}`,
+		"no scheme":      `{"nodes":[{"name":"a","addr":"10.0.0.5:8081","shards":[0]}]}`,
 
 		// Replicated assignments.
-		"negative replicas": `{"replicas":-1,"nodes":[{"name":"a","addr":"x","shards":[0]}]}`,
-		"R exceeds nodes":   `{"replicas":3,"nodes":[{"name":"a","addr":"x","shards":[0]},{"name":"b","addr":"y","shards":[0]}]}`,
-		"under-replicated":  `{"replicas":2,"nodes":[{"name":"a","addr":"x","shards":[0]},{"name":"b","addr":"y","shards":[0]},{"name":"c","addr":"z","shards":[1]}]}`,
-		"over-replicated":   `{"replicas":2,"nodes":[{"name":"a","addr":"x","shards":[0]},{"name":"b","addr":"y","shards":[0]},{"name":"c","addr":"z","shards":[0]}]}`,
+		"negative replicas": `{"replicas":-1,"nodes":[{"name":"a","addr":"http://x:1","shards":[0]}]}`,
+		"R exceeds nodes":   `{"replicas":3,"nodes":[{"name":"a","addr":"http://x:1","shards":[0]},{"name":"b","addr":"http://y:1","shards":[0]}]}`,
+		"under-replicated":  `{"replicas":2,"nodes":[{"name":"a","addr":"http://x:1","shards":[0]},{"name":"b","addr":"http://y:1","shards":[0]},{"name":"c","addr":"http://z:1","shards":[1]}]}`,
+		"over-replicated":   `{"replicas":2,"nodes":[{"name":"a","addr":"http://x:1","shards":[0]},{"name":"b","addr":"http://y:1","shards":[0]},{"name":"c","addr":"http://z:1","shards":[0]}]}`,
 		"mismatched replica sets": `{"replicas":2,"nodes":[
-			{"name":"a","addr":"w","shards":[0,1]},{"name":"b","addr":"x","shards":[0,2]},
-			{"name":"c","addr":"y","shards":[1,2]}]}`,
+			{"name":"a","addr":"http://w:1","shards":[0,1]},{"name":"b","addr":"http://x:1","shards":[0,2]},
+			{"name":"c","addr":"http://y:1","shards":[1,2]}]}`,
 	}
+	// The address rows name what is wrong with the address.
+	addrErr := map[string]string{"local addr": "in-process entries are gone", "no scheme": "http or https URL"}
 	for name, doc := range bad {
 		if _, err := ParseTopology(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if want := addrErr[name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want it to say %q", name, err, want)
 		}
 	}
 
@@ -111,7 +117,7 @@ func TestValidateAssignmentDuplicateOwner(t *testing.T) {
 func TestLoadTopologyResolvesIndex(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "topo.json")
-	doc := `{"index":"idx.tsidx","nodes":[{"name":"a","addr":"local","shards":[0]}]}`
+	doc := `{"index":"idx.tsidx","nodes":[{"name":"a","addr":"http://h1:1","shards":[0]}]}`
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}

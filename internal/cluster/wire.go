@@ -63,12 +63,12 @@ type Request struct {
 	Eps   float64
 	K     int
 	// Bound seeds the node's shared top-k pruning bound with the
-	// coordinator's k-th distance (see shard.Backend); +Inf is none.
+	// coordinator's k-th distance (see internal/shard); +Inf is none.
 	Bound float64
 	Query []float64
 }
 
-// Answer is a node's reply: its matches, sorted per the shard.Backend
+// Answer is a node's reply: its matches, sorted per internal/shard's
 // contract (Dist -1 for range-style results); the traversal counters
 // summed over its shards, for the paths that report them; and,
 // when asked, its span tree as JSON, with StartUs relative to the

@@ -48,14 +48,14 @@ func newNodeServer(t *testing.T) (string, *cluster.Node, *series.Extractor) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n.Close() })
-	nodeHandlers[t.Name()] = NewNode(n)
+	nodeHandlers[t.Name()] = cluster.NewNodeRPC(n)
 	srv := httptest.NewServer(nodeHandlers[t.Name()])
 	t.Cleanup(srv.Close)
 	return srv.URL, n, ext
 }
 
 // nodeHandlers hands each test its handler so drain can be triggered.
-var nodeHandlers = map[string]*NodeHandler{}
+var nodeHandlers = map[string]*cluster.NodeRPC{}
 
 func TestNodeHealth(t *testing.T) {
 	url, n, _ := newNodeServer(t)

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"twinsearch"
+	"twinsearch/internal/cluster"
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/series"
 )
 
 func TestTopKEndpointErrors(t *testing.T) {
@@ -117,11 +119,20 @@ func TestAppendRejectedForReadOnlyEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := built.SaveIndexFile(filepath.Join(dir, "idx.tssh")); err != nil {
+	idx := filepath.Join(dir, "idx.tssh")
+	if err := built.SaveIndexFile(idx); err != nil {
 		t.Fatal(err)
 	}
+	// One loopback shard node serves both shards.
+	node, err := cluster.OpenNode(&cluster.Topology{Index: idx, Nodes: []cluster.NodeSpec{{Name: "n0", Shards: cluster.ShardList{0, 1}}}},
+		"n0", series.NewExtractor(ts, series.NormGlobal), cluster.NodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsrv := httptest.NewServer(cluster.NewNodeRPC(node))
+	t.Cleanup(func() { nsrv.Close(); node.Close() })
 	topo := filepath.Join(dir, "topo.json")
-	doc := `{"index": "idx.tssh", "nodes": [{"name": "n0", "addr": "local", "shards": "0-1"}]}`
+	doc := `{"index": "idx.tssh", "nodes": [{"name": "n0", "addr": "` + nsrv.URL + `", "shards": "0-1"}]}`
 	if err := os.WriteFile(topo, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}

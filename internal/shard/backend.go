@@ -1,24 +1,19 @@
 package shard
 
-// Backend abstracts "something that can answer the four TS-Index search
-// paths over a set of shards" — the seam the distributed tier
-// (internal/cluster) plugs into. Two implementations exist: an Index
-// holding an assigned slice of a saved index's shards (OpenArenaShards),
-// and cluster's HTTP client talking to a remote node that itself serves
-// such an Index. A coordinator fans one query across several Backends
-// whose shard sets partition the saved index and recombines with the
-// same deterministic merges the local fan-out uses, so the answer never
-// depends on where the shards live.
-//
-// Contracts shared by every implementation:
+// The contract a node's shard.Index serves over the shard RPC: the
+// three search paths below, over an assigned slice of a saved index's
+// shards (OpenArenaShards). A coordinator (internal/cluster) fans one
+// query across nodes whose shard sets partition the saved index and
+// recombines with the same deterministic merges the local fan-out
+// uses, so the answer never depends on where the shards live.
 //
 //   - Queries are in the engine's normalized value space (the caller
 //     transforms once; see Engine.PrepareQuery).
 //   - Range-style results (range, stats, prefix tree) are sorted
 //     by start position; top-k results by the (dist, start) total
-//     order. Result sets from backends over disjoint shard sets are
+//     order. Result sets from indexes over disjoint shard sets are
 //     disjoint, so a k-way merge reproduces the single-engine order.
-//   - SearchPrefixTreeCtx reports prefix twins among the backend's own
+//   - SearchPrefixTreeCtx reports prefix twins among the index's own
 //     window starts only (a local index's appended tail included). The
 //     windows that exist only at the shorter query length belong to no
 //     shard; exactly one party (the coordinator, or SearchPrefix on a
@@ -30,16 +25,15 @@ package shard
 //     strict inequality — identical to the bound one shard's traversal
 //     publishes to another — seeding never changes the merged top-k.
 //   - ctx cancels remaining work: queued shard traversals are skipped
-//     and remote calls abandoned once ctx is done, and the call returns
-//     ctx.Err().
-//   - Replica interchangeability: two Backends opened over the same
+//     once ctx is done, and the call returns ctx.Err().
+//   - Replica interchangeability: two indexes opened over the same
 //     shard set of the same saved index are answer-equivalent — every
 //     method returns the same matches AND the same Stats counters for
 //     the same arguments, because a saved index freezes tree shape and
 //     traversal order, and every shard is traversed whole, from its
 //     root, whatever the executor's width. The cluster tier's failover
 //     and hedging rest on this: whichever replica answers a unit, the
-//     bytes are the same. Implementations must stay deterministic per
+//     bytes are the same. The index must stay deterministic per
 //     (index bytes, shard set, query) — no randomized traversal, no
 //     split that depends on the machine, no time-dependent
 //     short-circuits.
@@ -55,33 +49,12 @@ import (
 	"twinsearch/internal/series"
 )
 
-// Backend is one group of shards answering the four search paths; see
-// the package-level contract above.
-type Backend interface {
-	SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error)
-	SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error)
-	SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error)
-
-	// Windows is the number of indexed window positions the backend
-	// serves.
-	Windows() int
-	// ShardIDs lists the global shard indices served, ascending.
-	ShardIDs() []int
-	// MemoryBytes / MappedBytes report the heap-resident and
-	// file-mapped footprints (0 for remote backends, which spend their
-	// memory in another process).
-	MemoryBytes() int
-	MappedBytes() int
-}
-
 // canceled reports whether ctx is already done. A shard's work unit
 // polls it before traversing, so a disconnected client's queued shards
 // stop burning executor time.
 func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
-
-var _ Backend = (*Index)(nil)
 
 // queueSearch enqueues one unit per held shard of b for one range
 // search into g — the core of SearchStatsCtx and SearchPrefixTreeCtx.
@@ -259,8 +232,8 @@ func (p pendingTopK) resolve() []series.Match {
 }
 
 // SearchTopKCtx is SearchTopK honoring cancellation, with the shared
-// pruning bound seeded to bound (math.Inf(1) = unbounded; see Backend
-// and queueTopK): the base's traversal, then the tail offered to its
+// pruning bound seeded to bound (math.Inf(1) = unbounded; see the
+// contract above and queueTopK): the base's traversal, then the tail offered to its
 // list.
 func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	if k <= 0 {
@@ -307,7 +280,7 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 // (queueSearch, resolve; counters discarded) — prefix twins among the
 // indexed starts only, the tail's windows scanned at the query's
 // length. The windows that exist only at the shorter length are NOT
-// scanned here (the Backend contract): the caller decides who scans
+// scanned here (the contract above): the caller decides who scans
 // them exactly once.
 func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	b, to := s.snapshot()

@@ -410,7 +410,7 @@ func TestSkewedConcurrentSearch(t *testing.T) {
 	}
 }
 
-// TestCountersIndependentOfWorkers holds the Backend contract's replica
+// TestCountersIndependentOfWorkers holds the shard RPC contract's replica
 // clause against the executor's width: the same four-shard index on 1,
 // 2 and 64 workers reports the same range counters for every query,
 // because each shard is traversed whole, from its root, however many

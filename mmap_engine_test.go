@@ -289,12 +289,7 @@ func TestFailedSaveLeavesTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	closed.Close()
-	topo := filepath.Join(dir, "topo.json")
-	doc := `{"index": "index.tssh", "nodes": [{"name": "n0", "addr": "local", "shards": [0, 1]}]}`
-	if err := os.WriteFile(topo, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	clustered, err := Open(data, Options{L: l, Topology: topo, MMap: true})
+	clustered, err := Open(data, Options{L: l, Topology: nodeTopology(t, path, data, NormGlobal, 2, 1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

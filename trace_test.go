@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -167,7 +168,8 @@ func TestSamplerOwnedTrace(t *testing.T) {
 
 // TestQueriesCounted: every call is visible on /metrics — a query on
 // its path, a refused one also a query error — on a local engine and on
-// a coordinator alike.
+// a coordinator alike. A prefix query refused for a NaN value or a
+// negative threshold counts too.
 func TestQueriesCounted(t *testing.T) {
 	ts := datasets.RandomWalk(13, 2000)
 	const l = 100
@@ -187,13 +189,17 @@ func TestQueriesCounted(t *testing.T) {
 			eng.Search(q, 0.3)
 			eng.SearchTopK(q, 3)
 		}
-		for _, path := range []string{"search", "topk"} {
+		ctx := context.Background()
+		eng.SearchShorterCtx(ctx, ts[0:l/2], 0.3)
+		eng.SearchShorterCtx(ctx, []float64{1, math.NaN()}, 0.3)
+		eng.SearchShorterCtx(ctx, ts[0:l/2], -1)
+		for path, want := range map[string][2]uint64{"search": {4, 1}, "topk": {4, 1}, "prefix": {3, 2}} {
 			label := `{path="` + path + `"}`
 			n := eng.Metrics().Counter("twinsearch_queries_total" + label).Value()
 			errs := eng.Metrics().Counter("twinsearch_query_errors_total" + label).Value()
-			if n != 4 || errs != 1 {
-				t.Errorf("%s %s: 3 valid + 1 wrong-length query counted %d queries, %d errors; want 4, 1",
-					name, path, n, errs)
+			if n != want[0] || errs != want[1] {
+				t.Errorf("%s %s: counted %d queries, %d errors; want %d, %d",
+					name, path, n, errs, want[0], want[1])
 			}
 		}
 	}

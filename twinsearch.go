@@ -125,10 +125,9 @@ type Options struct {
 	// engine still needs the full series (data) for query
 	// normalization, verification-free merging, and the prefix tail
 	// scan. Cluster engines are read-only: Append and SaveIndex return
-	// errors. Shards, MinCap and MaxCap are ignored (the saved index
-	// fixed them).
-	// MMap/Prefetch/Workers apply to topology entries served in-process
-	// (addr "local").
+	// errors, and HeapBytes and MappedBytes are 0 (the nodes hold the
+	// index). MMap, Prefetch, Shards, MinCap and MaxCap are ignored: the
+	// saved index fixed the partition, and each node opens its shards.
 	Topology string
 
 	// ClusterTimeout bounds every per-node RPC of a Topology engine; an
@@ -384,7 +383,6 @@ func Open(data []float64, opt Options) (*Engine, error) {
 		}
 		cl, err := cluster.OpenCoordinator(context.Background(), topo, e.ext, opt.L, cluster.Options{
 			Timeout: opt.ClusterTimeout, HedgeDelay: opt.ClusterHedge, RefreshInterval: opt.ClusterRefresh,
-			Workers: opt.Workers, NoMMap: !opt.MMap, Prefetch: opt.Prefetch,
 		})
 		if err != nil {
 			return nil, err
@@ -778,7 +776,7 @@ func (e *Engine) MemoryBytes() int {
 // arrays live in the page cache instead and appear under MappedBytes.
 func (e *Engine) HeapBytes() int {
 	if e.cl != nil {
-		return e.cl.MemoryBytes() // local topology entries only
+		return 0 // a coordinator's nodes hold the index
 	}
 	return e.sh.MemoryBytes()
 }
@@ -791,7 +789,7 @@ func (e *Engine) HeapBytes() int {
 // shard leaves this figure when a compaction rebuilds it on the heap.
 func (e *Engine) MappedBytes() int {
 	if e.cl != nil {
-		return e.cl.MappedBytes() // local topology entries only
+		return 0
 	}
 	return e.sh.MappedBytes()
 }
