@@ -1,8 +1,9 @@
 package twinsearch
 
-// Append↔cache differential: a local TS-Index engine's Search and
-// SearchTopK entries are not invalidated by Append but extended over
-// the windows gained (see searchCached). Whatever the cache does —
+// Append↔cache differential: a local TS-Index engine's cached answers —
+// Search, SearchTopK and SearchShorterCtx alike — are not invalidated
+// by Append but extended over the windows gained (see searchCached).
+// Whatever the cache does —
 // plain hit, extension, recompute — every answer must be byte-identical
 // to an uncached engine fed the same appends, and both to the
 // brute-force definition in internal/oracle.
@@ -29,19 +30,33 @@ type carryRig struct {
 	probes         []carryProbe
 }
 
-// carryProbe is one cached request: a range search at eps, or a top-k
-// when k > 0.
+// carryProbe is one cached request: a range search at eps, a top-k
+// when k > 0, or a prefix search (SearchShorterCtx) at eps when prefix
+// is set.
 type carryProbe struct {
-	q   []float64
-	eps float64
-	k   int
+	q      []float64
+	eps    float64
+	k      int
+	prefix bool
 }
 
 func (p carryProbe) String() string {
-	if p.k > 0 {
+	switch {
+	case p.k > 0:
 		return fmt.Sprintf("topk(k=%d)", p.k)
+	case p.prefix:
+		return fmt.Sprintf("prefix(len=%d, eps=%g)", len(p.q), p.eps)
 	}
 	return fmt.Sprintf("search(eps=%g)", p.eps)
+}
+
+// prefixProbes are the prefix searches of q at lengths L/2 and L, where
+// the normalization admits them.
+func prefixProbes(q []float64, eps float64, norm NormMode) []carryProbe {
+	if norm == NormPerSubsequence {
+		return nil
+	}
+	return []carryProbe{{q: q[:len(q)/2], eps: eps, prefix: true}, {q: q, eps: eps, prefix: true}}
 }
 
 func newCarryRig(t *testing.T, data []float64, opt Options) *carryRig {
@@ -79,11 +94,18 @@ func (r *carryRig) expect(step string, hits, extended, misses uint64) {
 		var got, plain, want []Match
 		var err, perr error
 		tq := r.ext.TransformQuery(p.q)
-		if p.k > 0 {
+		switch {
+		case p.k > 0:
 			got, err = r.cached.SearchTopK(p.q, p.k)
 			plain, perr = r.shadow.SearchTopK(p.q, p.k)
 			want = oracle.TopK(r.ext, tq, p.k)
-		} else {
+		case p.prefix:
+			ctx := context.Background()
+			got, err = r.cached.SearchShorterCtx(ctx, p.q, p.eps)
+			plain, perr = r.shadow.SearchShorterCtx(ctx, p.q, p.eps)
+			indexed, tail := oracle.Prefix(r.ext, r.cached.L(), tq, p.eps)
+			want = append(indexed, tail...)
+		default:
 			got, err = r.cached.Search(p.q, p.eps)
 			plain, perr = r.shadow.Search(p.q, p.eps)
 			want = oracle.Range(r.ext, tq, p.eps)
@@ -130,6 +152,7 @@ func TestAppendCarriesCache(t *testing.T) {
 					{q: q, k: 450}, // more than the 385 windows now, fewer than after the first appends
 					{q: q, k: math.MaxInt},
 				}
+				r.probes = append(r.probes, prefixProbes(q, moderate, norm)...)
 				n := uint64(len(r.probes))
 				rest := more
 				next := func(count int) []float64 {
@@ -201,7 +224,7 @@ func TestAppendCarriesCacheConstantSeries(t *testing.T) {
 		t.Run(fmt.Sprint(norm), func(t *testing.T) {
 			r := newCarryRig(t, flat(40), Options{L: l, Norm: norm, NormSet: true})
 			q := flat(l)
-			r.probes = []carryProbe{{q: q, eps: 0}, {q: q, k: 3}, {q: q, k: 50}}
+			r.probes = append([]carryProbe{{q: q, eps: 0}, {q: q, k: 3}, {q: q, k: 50}}, prefixProbes(q, 0, norm)...)
 			n := uint64(len(r.probes))
 			r.expect("cold", 0, 0, n)
 			r.append(flat(5))
@@ -220,39 +243,59 @@ func TestAppendCarriesCacheConstantSeries(t *testing.T) {
 	}
 }
 
-// TestAppendInvalidatesEpochKeyedPaths is the other half of the
-// contract: answers that cannot be extended — prefix searches — still
-// miss after an Append.
-func TestAppendInvalidatesEpochKeyedPaths(t *testing.T) {
+// TestAppendExtendsPrefixAnswers: a prefix answer is versioned like
+// every other cached answer — a miss, then a hit; after an Append one
+// extended hit, equal to an uncached engine's; and a miss again once
+// an Append gains more than maxTailScan windows.
+func TestAppendExtendsPrefixAnswers(t *testing.T) {
 	const l = 16
 	data := datasets.EEGN(93, 600)
-	e, err := Open(slices.Clone(data), Options{L: l, PlanCache: -1, ResultCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	q := data[200 : 200+l]
-	round := func() (hits, extended, misses uint64) {
-		t.Helper()
-		before := e.ServingStats().Result
-		if _, err := e.SearchShorterCtx(context.Background(), q[:l/2], 0.3); err != nil {
+	open := func(o Options) *Engine {
+		e, err := Open(slices.Clone(data), o)
+		if err != nil {
 			t.Fatal(err)
 		}
-		after := e.ServingStats().Result
-		return after.Hits - before.Hits, after.Extended - before.Extended, after.Misses - before.Misses
+		t.Cleanup(func() { e.Close() })
+		return e
 	}
-	if h, x, m := round(); h != 0 || x != 0 || m != 1 {
-		t.Fatalf("cold: %d hits, %d extended, %d misses", h, x, m)
+	cached, plain := open(Options{L: l, ResultCacheBytes: -1}), open(Options{L: l})
+	q := data[200 : 200+l]
+	var last []Match
+	round := func(step string, hits, extended, misses uint64) {
+		t.Helper()
+		before := cached.ServingStats().Result
+		got, err := cached.SearchShorterCtx(context.Background(), q[:l/2], 0.3)
+		want, werr := plain.SearchShorterCtx(context.Background(), q[:l/2], 0.3)
+		if err != nil || werr != nil {
+			t.Fatalf("%s: cached %v, uncached %v", step, err, werr)
+		}
+		if !matchListsEq(got, want) {
+			t.Fatalf("%s: cached engine diverged:\n got  %v\n want %v", step, got, want)
+		}
+		after := cached.ServingStats().Result
+		if h, x, m := after.Hits-before.Hits, after.Extended-before.Extended, after.Misses-before.Misses; h != hits || x != extended || m != misses {
+			t.Fatalf("%s: %d hits (%d extended), %d misses; want %d (%d), %d", step, h, x, m, hits, extended, misses)
+		}
+		last = got
 	}
-	if h, x, m := round(); h != 1 || x != 0 || m != 0 {
-		t.Fatalf("warm: %d hits, %d extended, %d misses", h, x, m)
+	appendBoth := func(vals []float64) {
+		t.Helper()
+		for _, e := range []*Engine{cached, plain} {
+			if err := e.Append(vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := e.Append(q...); err != nil {
-		t.Fatal(err)
+	round("cold", 0, 0, 1)
+	round("warm", 1, 0, 0)
+	warm := len(last)
+	appendBoth(q)
+	round("after Append", 1, 1, 0)
+	if len(last) <= warm {
+		t.Fatalf("after appending the query: %d twins, %d before", len(last), warm)
 	}
-	if h, x, m := round(); h != 0 || x != 0 || m != 1 {
-		t.Fatalf("after Append: %d hits, %d extended, %d misses — an epoch-keyed answer crossed an append", h, x, m)
-	}
+	appendBoth(datasets.EEGN(95, maxTailScan+1))
+	round("past the tail bound", 0, 0, 1)
 }
 
 // TestAppendCarriedTrace reads the three result-cache outcomes off a
@@ -262,7 +305,7 @@ func TestAppendInvalidatesEpochKeyedPaths(t *testing.T) {
 func TestAppendCarriedTrace(t *testing.T) {
 	const l = 16
 	data := datasets.EEGN(94, 600)
-	e, err := Open(slices.Clone(data), Options{L: l, PlanCache: -1, ResultCacheBytes: -1})
+	e, err := Open(slices.Clone(data), Options{L: l, ResultCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package twinsearch_test
 
 // Benchmarks mirroring the paper's evaluation, one family per figure
-// (see DESIGN.md §4 for the mapping and EXPERIMENTS.md for recorded
-// paper-vs-measured shapes).
+// (each section below names its figure; `go run ./cmd/tsbench -figure
+// N` prints the figure's table and checks its shape against the
+// paper's claims, harness.ShapeReport).
 //
 // These benches run on reduced dataset sizes with in-memory
 // verification so `go test -bench=.` finishes in minutes; the
@@ -305,7 +306,7 @@ func BenchmarkIntroChebyshevVsEuclidean(b *testing.B) {
 	})
 }
 
-// --- Ablations of DESIGN.md §5 design choices --------------------------
+// --- Ablations: node capacity, KV-Index mean filter, iSAX segments ----
 
 // Node capacity (µc, Mc): the paper fixes 10/30; this sweep shows the
 // sensitivity of query latency to fan-out.

@@ -55,8 +55,7 @@ func main() {
 		nodeTimeout = flag.Duration("node-timeout", 0, "per-attempt RPC deadline for coordinator fan-out; an attempt missing it fails over to the next replica (0 = 10s default)")
 		hedge       = flag.Duration("hedge", 0, "coordinator hedging delay: re-issue a query unit to a second replica after this long and take the first response (0 = off; needs a replicated topology)")
 		healthEvery = flag.Duration("health-interval", 0, "coordinator background health-sweep period: marks nodes a failed attempt put down up again once they answer, and feeds /healthz's cached membership view (0 = 2s default, negative = off)")
-		planCache   = flag.Int("plan-cache", -1, "prepared-query plan cache entries: repeated query bytes skip validation and normalization (-1 = default size, 0 = off)")
-		resultCache = flag.Int("result-cache-bytes", -1, "result cache byte budget: whole answers keyed by (query, params, path); after an Append /search and /topk entries are extended over the windows gained, the rest invalidated via the epoch (-1 = default 32MiB, 0 = off)")
+		resultCache = flag.Int("result-cache-bytes", -1, "result cache byte budget: whole answers keyed by (query, params, path); after an Append an entry is extended over the windows gained (-1 = default 32MiB, 0 = off)")
 		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently executing queries; past it requests queue up to -max-queue, then shed with 429 + Retry-After (0 = unlimited)")
 		maxQueue    = flag.Int("max-queue", 64, "admission control: requests allowed to wait for an in-flight slot before shedding (needs -max-inflight)")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint written on shed (429) responses")
@@ -101,8 +100,7 @@ func main() {
 		}
 		opt := twinsearch.Options{L: *l, Norm: normMode, NormSet: true,
 			Workers: *workers, Topology: *topology, ClusterTimeout: *nodeTimeout,
-			ClusterHedge: *hedge, ClusterRefresh: *healthEvery,
-			PlanCache: *planCache, ResultCacheBytes: *resultCache,
+			ClusterHedge: *hedge, ClusterRefresh: *healthEvery, ResultCacheBytes: *resultCache,
 			TraceSample: *traceSample, SlowLogSize: *slowSize, SlowLogThreshold: *slowThresh}
 		serveEngine(data, opt, "", *addr, srvCfg, *pprofOn)
 	case "standalone":
@@ -110,8 +108,7 @@ func main() {
 			fatal(fmt.Errorf("-mmap requires -loadindex (only a saved index can be mapped)"))
 		}
 		opt := twinsearch.Options{L: *l, Norm: normMode, NormSet: true, Shards: *shards,
-			Workers: *workers, MMap: *mmapIndex, Prefetch: *prefetch,
-			PlanCache: *planCache, ResultCacheBytes: *resultCache,
+			Workers: *workers, MMap: *mmapIndex, Prefetch: *prefetch, ResultCacheBytes: *resultCache,
 			TraceSample: *traceSample, SlowLogSize: *slowSize, SlowLogThreshold: *slowThresh}
 		serveEngine(data, opt, *loadIndex, *addr, srvCfg, *pprofOn)
 	default:

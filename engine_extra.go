@@ -213,17 +213,15 @@ func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64)
 		return nil, ErrClosed
 	}
 	ctx, qo := e.beginQuery(ctx, qpPrefix)
-	var r qcache.Result
+	var ms []Match
 	err := checkPrefixQuery(q, eps)
 	if err == nil {
-		key := e.resultKey(qcache.PathPrefix, eps, q)
-		r, err = e.searchCached(ctx, qcache.PathPrefix, key, nil, eps, func() (qcache.Result, error) {
-			ms, err := e.searchShorterPreparedCtx(ctx, e.ext.TransformQuery(q), eps)
-			return qcache.Result{Matches: ms}, err
+		ms, err = e.searchCached(ctx, qcache.PathPrefix, q, eps, func(tq []float64) ([]Match, error) {
+			return e.searchShorterPreparedCtx(ctx, tq, eps)
 		})
 	}
 	e.endQuery(qo, err)
-	return r.Matches, err
+	return ms, err
 }
 
 // checkPrefixQuery refuses what SearchShorterCtx cannot answer. NaN
@@ -272,10 +270,9 @@ func (e *Engine) searchShorterPreparedCtx(ctx context.Context, tq []float64, eps
 // appends in place: only that rebuild moves the last shard to the heap.
 //
 // Windows already indexed are untouched — the normalization basis is
-// frozen, or per window — which is what lets the result cache keep its
-// Search and SearchTopK entries across an Append and verify only the
-// windows gained (see searchCached). Everything else cached is
-// invalidated by the epoch bump.
+// frozen, or per window — which is what lets the result cache keep
+// every entry across an Append and verify only the windows gained (see
+// searchCached). Each call bumps Epoch.
 func (e *Engine) Append(values ...float64) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -290,11 +287,6 @@ func (e *Engine) Append(values ...float64) error {
 		return fmt.Errorf("twinsearch: non-finite appended value %v at position %d; clean or impute missing samples first", values[i], i)
 	}
 	e.ext.Append(values...)
-	// The index content changed: bump the epoch before returning so no
-	// consumer that observed the Append can build an epoch-bearing
-	// result-cache key an older answer satisfies (the server's /append
-	// handler relies on the bump landing before its response is
-	// written). The entries keyed without it see the new window count.
 	e.epoch.Add(1)
 	return e.sh.Extend()
 }

@@ -247,8 +247,8 @@ func (ix *Index) adopt(n, c *node) {
 
 // chooseChild selects the child whose MBTS has the smallest Eq. 2
 // distance from w — the first such child, or, when several tie above
-// 0, the first of least width increase (DESIGN.md §5) — and returns it
-// with that distance, leaving its index in n.hint.
+// 0, the first of least width increase (README, "Index construction")
+// — and returns it with that distance, leaving its index in n.hint.
 //
 // Any child's distance bounds the minimum from above, and the child
 // chosen last is a good guess at it, so that child is scored first and

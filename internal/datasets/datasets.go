@@ -15,11 +15,11 @@
 //     inject spike events, and add white noise.
 //
 // Both generators are fully deterministic given a seed, so every
-// experiment in this repository is reproducible bit-for-bit. The
-// substitution rationale is recorded in DESIGN.md §3: twin-search
-// behaviour depends on value locality, self-similarity and burstiness,
-// all of which these processes reproduce, not on the physiological origin
-// of the samples.
+// experiment in this repository is reproducible bit-for-bit. They can
+// stand in for the paper's recordings because twin-search behaviour
+// depends on value locality, self-similarity and burstiness, all of
+// which these processes reproduce, not on the physiological origin of
+// the samples.
 package datasets
 
 import "math/rand"

@@ -11,8 +11,8 @@ import (
 
 // Table 1 — datasets and distance-threshold grids. Default values were
 // bold in the paper's table; the bold markers do not survive text
-// extraction, so the defaults below are the grid midpoints, recorded as
-// an assumption in EXPERIMENTS.md.
+// extraction, so the defaults below are the grid midpoints — an
+// assumption of this reproduction, not a value the paper states.
 var (
 	InsectEpsNorm        = []float64{0.5, 0.75, 1, 1.25, 1.5}
 	InsectEpsRaw         = []float64{50, 100, 150, 200, 250}
@@ -92,7 +92,7 @@ func scaledLen(full int, scale float64) int {
 // value range of its recordings; our synthetic stand-ins have their own
 // scale, so raw grids are expressed as the normalized grid multiplied by
 // the sample σ of the data — preserving the paper's selectivity rather
-// than its absolute units. Documented in EXPERIMENTS.md.
+// than its absolute units.
 func RawEps(normEps []float64, dataStd float64) []float64 {
 	out := make([]float64, len(normEps))
 	for i, e := range normEps {

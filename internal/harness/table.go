@@ -79,7 +79,8 @@ func csvEscape(s string) string {
 
 // ShapeReport summarizes whether the measured rows reproduce the
 // paper's qualitative claims, figure by figure. It returns one line per
-// check, prefixed PASS/FAIL — the evidence EXPERIMENTS.md records.
+// check, prefixed PASS/FAIL, which cmd/tsbench prints after its
+// tables.
 func ShapeReport(rows []Row) []string {
 	var out []string
 	check := func(name string, ok bool, detail string) {

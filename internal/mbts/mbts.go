@@ -134,7 +134,8 @@ func (b MBTS) DistMBTS(o MBTS) float64 {
 
 // Width returns the total band width Σ_i (Upper[i] − Lower[i]), the
 // measure TS-Index minimizes when assigning entries during node splits
-// (DESIGN.md §5: the R*-tree "enlargement" analogue for MBTS).
+// (the MBTS analogue of an R*-tree's enlargement; README, "Index
+// construction").
 func (b MBTS) Width() float64 {
 	return kernel.Width(b.Upper, b.Lower)
 }

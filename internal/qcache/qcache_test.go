@@ -8,20 +8,19 @@ import (
 	"twinsearch/internal/series"
 )
 
-func TestQueryKeyBitExact(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 2, 3}
-	if QueryKey(a) != QueryKey(b) {
+func TestResultKeyBitExact(t *testing.T) {
+	key := func(q ...float64) string { return ResultKey(PathSearch, 0, 0.5, 0, q) }
+	if key(1, 2, 3) != key(1, 2, 3) {
 		t.Fatal("identical queries must share a key")
 	}
 	// -0 and +0 compare equal as floats but are different queries only
 	// if their bits differ — the key is bit-exact, so they must not
 	// alias... and they don't: Float64bits distinguishes them. A cache
 	// keyed on bits can only cost a miss, never a wrong answer.
-	if QueryKey([]float64{0}) == QueryKey([]float64{math.Copysign(0, -1)}) {
+	if key(0) == key(math.Copysign(0, -1)) {
 		t.Fatal("key must be bit-exact, -0 != +0")
 	}
-	if QueryKey([]float64{1, 2}) == QueryKey([]float64{2, 1}) {
+	if key(1, 2) == key(2, 1) {
 		t.Fatal("order matters")
 	}
 }
@@ -42,19 +41,12 @@ func TestResultKeyNamespaces(t *testing.T) {
 	}
 }
 
-func TestQueryKeyOfIsTheResultKeyTail(t *testing.T) {
-	q := []float64{1, math.Copysign(0, -1), 3}
-	if got := QueryKeyOf(ResultKey(PathTopK, 7, 5, 0, q)); got != QueryKey(q) {
-		t.Fatalf("QueryKeyOf(ResultKey(…, q)) = %q, QueryKey(q) = %q", got, QueryKey(q))
-	}
-}
-
 // TestStripesSpread: keys that differ only in high bits of one word —
 // integral values, whose low mantissa bits are all zero, and eps
 // steps — still reach every stripe.
 func TestStripesSpread(t *testing.T) {
 	for name, key := range map[string]func(i int) string{
-		"query": func(i int) string { return QueryKey([]float64{float64(i), 1, 2}) },
+		"query": func(i int) string { return ResultKey(PathSearch, 0, 0.5, 0, []float64{float64(i), 1, 2}) },
 		"eps":   func(i int) string { return ResultKey(PathSearch, 0, float64(i)/8, 0, []float64{1, 2, 3}) },
 	} {
 		var hit [stripeCount]int
@@ -67,45 +59,6 @@ func TestStripesSpread(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-func TestPlanCacheLRU(t *testing.T) {
-	c := NewPlan(stripeCount) // one entry per stripe
-	// Find two keys landing on the same stripe so the second insert
-	// evicts the first.
-	k1 := QueryKey([]float64{1})
-	var k2 string
-	for i := 2; ; i++ {
-		k2 = QueryKey([]float64{float64(i)})
-		if stripeOf(k2) == stripeOf(k1) {
-			break
-		}
-	}
-	c.Put(k1, []float64{10})
-	c.Put(k2, []float64{20})
-	if _, ok := c.Get(k1); ok {
-		t.Fatal("k1 should have been evicted by k2")
-	}
-	if p, ok := c.Get(k2); !ok || p[0] != 20 {
-		t.Fatalf("k2 missing or wrong: %v %v", p, ok)
-	}
-	st := c.Stats()
-	if st.Evictions != 1 || st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("counters: %+v", st)
-	}
-}
-
-func TestPlanCacheDuplicatePutKeepsIncumbent(t *testing.T) {
-	c := NewPlan(64)
-	k := QueryKey([]float64{7})
-	c.Put(k, []float64{1})
-	c.Put(k, []float64{2})
-	if p, _ := c.Get(k); p[0] != 1 {
-		t.Fatalf("duplicate put replaced the incumbent: %v", p)
-	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("duplicate put grew the cache: %+v", st)
 	}
 }
 
@@ -288,7 +241,7 @@ func TestResultCacheReplaceEvictsOthers(t *testing.T) {
 func TestResultCacheCopiesOnGetAndPut(t *testing.T) {
 	c := NewResult(1 << 20)
 	src := []series.Match{{Start: 1, Dist: 0.5}, {Start: 2, Dist: 0.7}}
-	k := ResultKey(PathTopK, 3, 2, 0, []float64{9})
+	k := ResultKey(PathTopK, 0, 2, 0, []float64{9})
 	c.Put(k, Result{Matches: src, Windows: 7})
 	src[0].Start = 999 // caller mutates its slice after Put
 
@@ -320,12 +273,11 @@ func TestResultCachePreservesNilMatches(t *testing.T) {
 	}
 }
 
-// TestConcurrentHammer drives both caches from many goroutines with
+// TestConcurrentHammer drives the cache from many goroutines with
 // overlapping keys under -race and asserts the counters reconcile:
 // every Get is either a hit or a miss, and occupancy never exceeds the
-// configured bounds.
+// configured bound.
 func TestConcurrentHammer(t *testing.T) {
-	pc := NewPlan(128)
 	rc := NewResult(64 << 10)
 	const goroutines = 8
 	const ops = 2000
@@ -336,11 +288,7 @@ func TestConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				q := []float64{float64(i % 97), float64(g % 3)}
-				pk := QueryKey(q)
-				if _, ok := pc.Get(pk); !ok {
-					pc.Put(pk, []float64{1})
-				}
-				rk := ResultKey(PathSearch, uint64(i%5), 0.5, 0, q)
+				rk := ResultKey(PathSearch, 0, float64(i%5), 0, q)
 				if _, ok := rc.Get(rk); !ok {
 					rc.Put(rk, Result{Matches: []series.Match{{Start: i, Dist: -1}}})
 				}
@@ -348,16 +296,12 @@ func TestConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for name, st := range map[string]Stats{"plan": pc.Stats(), "result": rc.Stats()} {
-		if st.Hits+st.Misses != goroutines*ops {
-			t.Fatalf("%s: hits %d + misses %d != %d gets", name, st.Hits, st.Misses, goroutines*ops)
-		}
+	st := rc.Stats()
+	if st.Hits+st.Misses != goroutines*ops {
+		t.Fatalf("hits %d + misses %d != %d gets", st.Hits, st.Misses, goroutines*ops)
 	}
-	if st := rc.Stats(); st.Bytes > 64<<10 {
+	if st.Bytes > 64<<10 {
 		t.Fatalf("result cache exceeded its byte budget: %+v", st)
-	}
-	if st := pc.Stats(); st.Entries > 128+stripeCount {
-		t.Fatalf("plan cache exceeded its entry budget: %+v", st)
 	}
 }
 
@@ -367,29 +311,13 @@ func BenchmarkResultCacheHit(b *testing.B) {
 	for i := range q {
 		q[i] = float64(i)
 	}
-	k := ResultKey(PathSearch, 1, 0.3, 0, q)
+	k := ResultKey(PathSearch, 0, 0.3, 0, q)
 	c.Put(k, Result{Matches: []series.Match{{Start: 1, Dist: -1}, {Start: 7, Dist: -1}}})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key := ResultKey(PathSearch, 1, 0.3, 0, q)
+		key := ResultKey(PathSearch, 0, 0.3, 0, q)
 		if _, ok := c.Get(key); !ok {
-			b.Fatal("must hit")
-		}
-	}
-}
-
-func BenchmarkPlanCacheHit(b *testing.B) {
-	c := NewPlan(1024)
-	q := make([]float64, 100)
-	for i := range q {
-		q[i] = float64(i)
-	}
-	c.Put(QueryKey(q), q)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(QueryKey(q)); !ok {
 			b.Fatal("must hit")
 		}
 	}

@@ -62,8 +62,7 @@ func TestAppendLinearizable(t *testing.T) {
 
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			eng, err := twinsearch.Open(slices.Clone(data), twinsearch.Options{L: l, Shards: shards, Workers: 2,
-				PlanCache: -1, ResultCacheBytes: -1})
+			eng, err := twinsearch.Open(slices.Clone(data), twinsearch.Options{L: l, Shards: shards, Workers: 2, ResultCacheBytes: -1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -153,7 +153,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // are configuration, not counts, and have no sample.
 func TestStatsIsAViewOfMetrics(t *testing.T) {
 	ts := datasets.EEGN(84, 3000)
-	eng, err := twinsearch.Open(ts, twinsearch.Options{L: 100, PlanCache: -1, ResultCacheBytes: -1})
+	eng, err := twinsearch.Open(ts, twinsearch.Options{L: 100, ResultCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +212,10 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 		"result_cache.extended": `twinsearch_cache_extended_total{cache="result"}`,
 		"result_cache.bytes":    `twinsearch_cache_bytes{cache="result"}`,
 	}
-	for _, c := range []string{"plan", "result"} {
-		for field, metric := range map[string]string{"hits": "hits_total", "misses": "misses_total", "evictions": "evictions_total", "entries": "entries"} {
-			sampleOf[c+"_cache."+field] = fmt.Sprintf(`twinsearch_cache_%s{cache="%s"}`, metric, c)
-		}
+	for field, metric := range map[string]string{"hits": "hits_total", "misses": "misses_total", "evictions": "evictions_total", "entries": "entries"} {
+		sampleOf["result_cache."+field] = fmt.Sprintf(`twinsearch_cache_%s{cache="result"}`, metric)
 	}
-	config := map[string]bool{"plan_cache.enabled": true, "result_cache.enabled": true,
+	config := map[string]bool{"result_cache.enabled": true,
 		"admission.enabled": true, "admission.max_inflight": true, "admission.max_queue": true}
 
 	var check func(at string, v interface{})
@@ -252,7 +250,7 @@ func TestStatsIsAViewOfMetrics(t *testing.T) {
 		}
 	}
 	check("", stats)
-	for _, moved := range []string{"epoch", "tail_windows", "result_cache.hits", "result_cache.extended", "result_cache.misses", "plan_cache.hits"} {
+	for _, moved := range []string{"epoch", "tail_windows", "result_cache.hits", "result_cache.extended", "result_cache.misses"} {
 		if samples[sampleOf[moved]] == 0 {
 			t.Errorf("the query mix left %s at 0", moved)
 		}

@@ -157,9 +157,9 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 		// server handles — every sharded fan-out's units schedule onto
 		// these workers.
 		"workers": h.eng.Workers(),
-		// The index mutation counter result-cache keys embed; consumers
-		// caching answers can invalidate on "epoch changed". /stats has
-		// the full serving-tier counter set.
+		// How many appends the index has taken; consumers caching
+		// answers can invalidate on "epoch changed". /stats has the full
+		// serving-tier counter set.
 		"epoch": h.eng.Epoch(),
 		// Which distance-kernel implementation dispatch selected at
 		// startup (scalar, portable, or avx2) — the first thing to check
@@ -184,8 +184,8 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, body)
 }
 
-// stats serves the serving-tier observability snapshot: cache
-// hit/miss/eviction counters, admission queue depth and shed count,
+// stats serves the serving-tier observability snapshot: result-cache
+// hit/miss/extended/eviction counters, admission queue depth and shed count,
 // the index epoch and the appended windows every search scans.
 // Drain-exempt like /healthz — operators read it precisely while the
 // server is unhappy.
@@ -196,7 +196,6 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"epoch":        ss.Epoch,
 		"tail_windows": ss.TailWindows,
-		"plan_cache":   ss.Plan,
 		"result_cache": ss.Result,
 		"admission":    h.adm.snapshot(),
 		"draining":     h.drain.Load(),
@@ -347,11 +346,11 @@ func (h *Handler) append(w http.ResponseWriter, r *http.Request) {
 	if !wire.ReadRequest(w, r, &req, wire.Fields{Values: &req.Values}, h.eng.L()) {
 		return
 	}
-	// Append bumps the engine's epoch before returning, and the epoch is
-	// read under the same write lock — by the time any client sees this
-	// response, no pre-append cached result can be served as it stood:
-	// its key embeds the old epoch, or its window count is short of the
-	// series' and the lookup makes up the difference.
+	// The append and the epoch it reports are read under one write
+	// lock, so no query runs between them. By the time any client sees
+	// this response, no pre-append cached result can be served as it
+	// stood: its window count is short of the series', and the lookup
+	// makes up the difference.
 	h.mu.Lock()
 	err := h.eng.Append(req.Values...)
 	n := h.eng.SeriesLen()

@@ -20,12 +20,7 @@ import (
 
 // statsBody mirrors the /stats JSON for decoding in tests.
 type statsBody struct {
-	Epoch uint64 `json:"epoch"`
-	Plan  struct {
-		Enabled bool   `json:"enabled"`
-		Hits    uint64 `json:"hits"`
-		Misses  uint64 `json:"misses"`
-	} `json:"plan_cache"`
+	Epoch  uint64 `json:"epoch"`
 	Result struct {
 		Enabled  bool   `json:"enabled"`
 		Hits     uint64 `json:"hits"`
@@ -57,8 +52,7 @@ func getStats(t *testing.T, url string) statsBody {
 func newCachedServer(t *testing.T, cfg Config) (*httptest.Server, []float64) {
 	t.Helper()
 	ts := datasets.EEGN(83, 5000)
-	eng, err := twinsearch.Open(ts, twinsearch.Options{
-		L: 100, PlanCache: -1, ResultCacheBytes: -1})
+	eng, err := twinsearch.Open(ts, twinsearch.Options{L: 100, ResultCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +231,7 @@ func TestDrainKeepsStatsOpen(t *testing.T) {
 
 // TestServingConcurrentClients hammers the cached server from many
 // goroutines with interleaved appends; the handler's RW-mutex plus the
-// epoch-keyed cache must keep every response internally consistent and
+// window-versioned cache must keep every response internally consistent and
 // the counters must add up. Run with -race this is the serving tier's
 // stale-read detector.
 func TestServingConcurrentClients(t *testing.T) {

@@ -245,7 +245,7 @@ func (h *hitRequest) serve(handler http.Handler) (int, int) {
 func newHitHandler(tb testing.TB) (*Handler, []*hitRequest) {
 	tb.Helper()
 	ts := datasets.EEGN(83, 20000)
-	eng, err := twinsearch.Open(ts, twinsearch.Options{L: 100, PlanCache: -1, ResultCacheBytes: -1})
+	eng, err := twinsearch.Open(ts, twinsearch.Options{L: 100, ResultCacheBytes: -1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -267,8 +267,7 @@ func newHitHandler(tb testing.TB) (*Handler, []*hitRequest) {
 // result-cache hit, the request the hot-append workload is made of:
 // 6 (/search) and 7 (/topk) measured, the ceilings (7 and 9 in a
 // -race build). Two are the engine's: the cache key, built in one
-// allocation with the plan key as its tail (a second encoding of the
-// query bytes would cost one more), and the answer copy. Through
+// allocation, and the answer copy; a hit normalizes nothing. Through
 // encoding/json the same requests cost 20 more for the decode and, on
 // /topk, one per match for the *float64 of its dist, so either coming
 // back fails here.

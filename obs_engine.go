@@ -56,12 +56,6 @@ func (e *Engine) registerEngineGauges() {
 	reg.GaugeFunc("twinsearch_tail_windows", func() float64 { return float64(e.ServingStats().TailWindows) })
 	reg.GaugeFunc("twinsearch_workers", func() float64 { return float64(e.ex.Workers()) })
 	reg.CounterFunc("twinsearch_slowlog_entries_total", func() float64 { return float64(e.slow.Total()) })
-	if e.plan != nil {
-		reg.CounterFunc(`twinsearch_cache_hits_total{cache="plan"}`, func() float64 { return float64(e.plan.Stats().Hits) })
-		reg.CounterFunc(`twinsearch_cache_misses_total{cache="plan"}`, func() float64 { return float64(e.plan.Stats().Misses) })
-		reg.CounterFunc(`twinsearch_cache_evictions_total{cache="plan"}`, func() float64 { return float64(e.plan.Stats().Evictions) })
-		reg.GaugeFunc(`twinsearch_cache_entries{cache="plan"}`, func() float64 { return float64(e.plan.Stats().Entries) })
-	}
 	if e.res != nil {
 		reg.CounterFunc(`twinsearch_cache_hits_total{cache="result"}`, func() float64 { return float64(e.res.Stats().Hits) })
 		reg.CounterFunc(`twinsearch_cache_misses_total{cache="result"}`, func() float64 { return float64(e.res.Stats().Misses) })
@@ -169,28 +163,18 @@ func (e *Engine) endQuery(qo queryObs, err error) {
 	}
 }
 
-// validateQueryCtx is validateQueryHit wrapped in a "validate" span when
-// the query is traced, annotated with the plan-cache outcome. The
-// untraced path falls straight through.
-func (e *Engine) validateQueryCtx(ctx context.Context, q []float64, eps float64, rkey string) ([]float64, error) {
+// checkQueryCtx is checkQuery in a "validate" span when the query is
+// traced. The untraced path falls straight through.
+func (e *Engine) checkQueryCtx(ctx context.Context, q []float64, eps float64) error {
 	sp := obs.SpanFrom(ctx)
 	if sp == nil {
-		tq, _, err := e.validateQueryHit(q, eps, rkey)
-		return tq, err
+		return e.checkQuery(q, eps)
 	}
 	vs := sp.StartChild("validate")
 	defer vs.End()
-	tq, hit, err := e.validateQueryHit(q, eps, rkey)
-	switch {
-	case e.plan == nil:
-		vs.Set("plan_cache", "off")
-	case hit:
-		vs.Set("plan_cache", "hit")
-	default:
-		vs.Set("plan_cache", "miss")
-	}
+	err := e.checkQuery(q, eps)
 	if err != nil {
 		vs.Set("error", err.Error())
 	}
-	return tq, err
+	return err
 }

@@ -13,9 +13,8 @@ import (
 	"twinsearch/internal/datasets"
 )
 
-// withServingCaches enables both caches at their default sizes.
+// withServingCaches enables the result cache at its default size.
 func withServingCaches(o *Options) {
-	o.PlanCache = -1
 	o.ResultCacheBytes = -1
 }
 
@@ -30,7 +29,7 @@ func TestServingCacheAppendInvalidation(t *testing.T) {
 	q := datasets.Queries(ts, 53, 1, l)[0]
 	const eps = 0.4
 
-	ce, err := Open(ts, Options{L: l, PlanCache: -1, ResultCacheBytes: -1})
+	ce, err := Open(ts, Options{L: l, ResultCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestServingCacheConcurrentHammer(t *testing.T) {
 	q := datasets.Queries(ts, 61, 1, l)[0]
 	const eps, appends, readers, readsPer = 0.4, 8, 8, 60
 
-	ce, err := Open(ts, Options{L: l, PlanCache: -1, ResultCacheBytes: -1})
+	ce, err := Open(ts, Options{L: l, ResultCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

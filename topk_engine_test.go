@@ -109,10 +109,10 @@ func TestForcedTraceTopK(t *testing.T) {
 
 // TestInvalidQueryEveryBacking is the invalid-query table over every
 // raw-query path that takes a query of its own, on every TS-Index
-// backing. Top-k used to skip planQuery, and the prefix path never
-// looked at the values: a NaN or infinite query was traversed (NaN
-// compares false against every limit, so it over-matches) by some paths
-// and backings and refused by others. Now every cell fails before any
+// backing. Top-k used to skip the length and finiteness checks, and
+// the prefix path never looked at the values: a NaN or infinite query
+// was traversed (NaN compares false against every limit, so it
+// over-matches) by some paths and backings and refused by others. Now every cell fails before any
 // traversal, with the text range search gives it.
 func TestInvalidQueryEveryBacking(t *testing.T) {
 	data := datasets.EEGN(61, 3000)
@@ -139,7 +139,7 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 		"unsharded": {L: l},
 		"sharded":   {L: l, Shards: 4},
 		"cluster":   {L: l, Topology: writeTopology(t, data, l, 4, 2)},
-		"cached":    {L: l, PlanCache: -1, ResultCacheBytes: -1},
+		"cached":    {L: l, ResultCacheBytes: -1},
 	} {
 		eng, err := Open(data, opt)
 		if err != nil {

@@ -154,26 +154,20 @@ type Options struct {
 	// disables the sweep.
 	ClusterRefresh time.Duration
 
-	// PlanCache sizes the prepared-query plan cache: an LRU keyed by
-	// the raw query bytes that stores the validated query mapped into
-	// the engine's value space, so a repeated query skips validation
-	// and normalization and goes straight to index dispatch. 0
-	// disables the cache (the default — library callers pay nothing
-	// unless they opt in); a negative value selects
-	// DefaultPlanCacheEntries; a positive value is the entry bound.
-	// Serving tiers (tsserve) enable it by default.
+	// PlanCache has no effect. It stays only because bench/workload.go
+	// and bench/ladder.go set it, and goes with the next change to
+	// bench/.
 	PlanCache int
 
-	// ResultCacheBytes sizes the result cache: whole answers keyed by
-	// (query bytes, parameters, search path), bounded to this many
-	// bytes with LRU eviction. A hit returns the cached matches —
-	// byte-identical to a fresh traversal — without touching the
-	// index. Invalidation is structural, never a scan of the cache: a
-	// local TS-Index engine's Search and SearchTopK entries record the
-	// windows they cover, and after an Append a lookup verifies only
-	// the windows gained; every other entry has the engine's epoch
-	// (see Epoch) in its key, so an Append makes it unreachable and it
-	// ages out under the byte budget. 0 disables (default), negative selects
+	// ResultCacheBytes sizes the result cache, the engine's one cache:
+	// whole answers keyed by (query bytes, parameter, search path),
+	// bounded to this many bytes with LRU eviction. A hit returns the
+	// cached matches — byte-identical to a fresh traversal — without
+	// touching the index or normalizing the query. Invalidation is
+	// structural, never a scan of the cache: every entry records how
+	// many windows it covers at its query's length, and after an Append
+	// a lookup verifies only the windows gained (past maxTailScan of
+	// them it recomputes). 0 disables (default), negative selects
 	// DefaultResultCacheBytes, positive is the byte bound. Every query
 	// entry point consults it: Search, SearchTopK, their Ctx forms and
 	// SearchShorterCtx.
@@ -248,19 +242,12 @@ type Engine struct {
 	// the one shard viewing it frees it.
 	ar *arena.Arena
 
-	// Serving-tier caches (nil when disabled): plan holds prepared
-	// queries keyed by raw query bytes, res holds whole answers keyed
-	// by (query, params, path) and versioned by the epoch or by their
-	// window count (see searchCached). See Options.PlanCache /
-	// Options.ResultCacheBytes.
-	plan *qcache.PlanCache
-	res  *qcache.ResultCache
+	// res is the result cache (nil when disabled): whole answers keyed
+	// by (query, parameter, path), each versioned by its window count
+	// (see searchCached and Options.ResultCacheBytes).
+	res *qcache.ResultCache
 
-	// epoch is the index mutation counter the result-cache keys of the
-	// answers an Append invalidates embed (see resultKey): bumped on
-	// every Append (and on Close), never on compaction (the logical
-	// content is unchanged). A cluster engine is read-only, so its
-	// epoch stays 0 while it is open.
+	// epoch counts Appends (see Epoch); no search or cache path reads it.
 	epoch atomic.Uint64
 
 	// Observability (internal/obs): met is the always-on metric set
@@ -280,23 +267,14 @@ type Engine struct {
 	closeMu sync.Mutex
 }
 
-// Serving-tier cache defaults, selected by negative Options.PlanCache /
-// Options.ResultCacheBytes (and by tsserve's flag defaults).
-const (
-	DefaultPlanCacheEntries = 4096
-	DefaultResultCacheBytes = 32 << 20
-)
+// DefaultResultCacheBytes is the result cache's size under a negative
+// Options.ResultCacheBytes (and tsserve's flag default).
+const DefaultResultCacheBytes = 32 << 20
 
 // newEngine builds the common engine shell every open path shares:
-// extractor, executor, and the serving-tier caches the options select.
+// extractor, executor, and the result cache the options select.
 func newEngine(data []float64, opt Options) *Engine {
 	e := &Engine{opt: opt, ext: series.NewExtractor(data, opt.Norm), ex: exec.New(opt.Workers)}
-	if n := opt.PlanCache; n != 0 {
-		if n < 0 {
-			n = DefaultPlanCacheEntries
-		}
-		e.plan = qcache.NewPlan(n)
-	}
 	if b := opt.ResultCacheBytes; b != 0 {
 		if b < 0 {
 			b = DefaultResultCacheBytes
@@ -333,11 +311,6 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed.Store(true)
-	// Close is a cache-relevant mutation too: bump the epoch so an
-	// epoch-keyed result-cache write racing the close can never be read
-	// back (its key embeds the pre-close epoch; every lookup after the
-	// close fails with ErrClosed before it reaches the cache anyway).
-	e.epoch.Add(1)
 	var firstErr error
 	if e.cl != nil {
 		firstErr = e.cl.Close()
@@ -452,74 +425,41 @@ func (e *Engine) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Mat
 		return nil, ErrClosed
 	}
 	ctx, qo := e.beginQuery(ctx, qpSearch)
-	key := e.resultKey(qcache.PathSearch, eps, q)
-	tq, err := e.validateQueryCtx(ctx, q, eps, key)
-	if err != nil {
-		e.endQuery(qo, err)
-		return nil, err
+	var ms []Match
+	err := e.checkQueryCtx(ctx, q, eps)
+	if err == nil {
+		ms, err = e.searchCached(ctx, qcache.PathSearch, q, eps, func(tq []float64) ([]Match, error) {
+			return e.searchPreparedCtx(ctx, tq, eps)
+		})
 	}
-	r, err := e.searchCached(ctx, qcache.PathSearch, key, tq, eps, func() (qcache.Result, error) {
-		ms, err := e.searchPreparedCtx(ctx, tq, eps)
-		return qcache.Result{Matches: ms}, err
-	})
 	e.endQuery(qo, err)
-	return r.Matches, err
+	return ms, err
 }
 
-// validateQueryHit runs the full raw-query validation and returns the
-// query mapped into the engine's value space, also reporting whether
-// the plan came from the plan cache — the bit the trace layer
-// annotates — for a request whose result-cache key, if it has one, is
-// rkey.
-func (e *Engine) validateQueryHit(q []float64, eps float64, rkey string) ([]float64, bool, error) {
+// checkQuery refuses, on the raw query, what no Search or SearchTopK
+// can answer: a negative or NaN threshold, a query of another length
+// than L, a non-finite value.
+func (e *Engine) checkQuery(q []float64, eps float64) error {
 	if eps < 0 || math.IsNaN(eps) {
-		return nil, false, fmt.Errorf("twinsearch: invalid threshold %v", eps)
+		return fmt.Errorf("twinsearch: invalid threshold %v", eps)
 	}
-	return e.planQuery(q, rkey)
+	if len(q) != e.opt.L {
+		return fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)
+	}
+	return finiteQuery(q)
 }
 
-// planQuery validates a raw query (length, finiteness) and maps it
-// into the engine's value space, consulting the plan cache when one is
-// configured: a hit skips both the validation pass and the transform
-// (cached plans were stored post-validation, and the transform is a
-// pure function of the query bytes — the global normalization
-// parameters are frozen at Open, so a plan never goes stale). The
-// returned slice is shared on a hit and must be treated as read-only;
-// every search path already does. The plan key is the query's bytes,
-// which a request with a result-cache key (rkey, from resultKey; "" for
-// none) has already encoded as that key's tail.
-func (e *Engine) planQuery(q []float64, rkey string) ([]float64, bool, error) {
-	if len(q) != e.opt.L {
-		return nil, false, fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)
+// prepare maps a checked raw query into the engine's value space, for
+// the index to answer. Under NormNone the transform is the identity and
+// q itself is served, not a copy: every search path treats the query as
+// read-only and is done with it before the caller regains control, and
+// skipping the copy keeps the uncached raw-mode query path
+// allocation-free (BenchmarkTraceDisabled).
+func (e *Engine) prepare(q []float64) []float64 {
+	if e.ext.Mode() == series.NormNone {
+		return q
 	}
-	var key string
-	if e.plan != nil {
-		if rkey != "" {
-			key = qcache.QueryKeyOf(rkey)
-		} else {
-			key = qcache.QueryKey(q)
-		}
-		if tq, ok := e.plan.Get(key); ok {
-			return tq, true, nil
-		}
-	}
-	if err := finiteQuery(q); err != nil {
-		return nil, false, err
-	}
-	// With no normalization the transform is the identity, so when no
-	// plan cache will retain tq past this call, serve q itself instead
-	// of a defensive copy: the traversal treats tq as read-only and is
-	// done with it before the caller regains control, and skipping the
-	// copy keeps the uncached raw-mode query path allocation-free
-	// (BenchmarkTraceDisabled).
-	if e.plan == nil && e.ext.Mode() == series.NormNone {
-		return q, false, nil
-	}
-	tq := e.ext.TransformQuery(q)
-	if e.plan != nil {
-		e.plan.Put(key, tq)
-	}
-	return tq, false, nil
+	return e.ext.TransformQuery(q)
 }
 
 // maxTailScan bounds the windows one lookup will verify to bring a
@@ -528,61 +468,40 @@ func (e *Engine) planQuery(q []float64, rkey string) ([]float64, bool, error) {
 // a traversal. An entry further behind is recomputed instead.
 const maxTailScan = 4096
 
-// carriesAppends reports whether path's cached answers outlive an
-// Append: the range and top-k answers of a local TS-Index, which are a
-// function of (query, parameter, window set) alone and therefore still
-// exact for the windows they covered (see searchCached). Prefix
-// answers are not (a tail scan of their own), nor are a cluster
-// engine's, which is read-only: its entries are keyed by an epoch that
-// stays 0 while it is open.
-func (e *Engine) carriesAppends(path qcache.Path) bool {
-	return e.sh != nil && (path == qcache.PathSearch || path == qcache.PathTopK)
+// resultKey builds the result-cache key of one request: path, the
+// parameter and the raw query bytes. No index version: the entry
+// carries its own (see searchCached).
+func resultKey(path qcache.Path, a float64, q []float64) string {
+	return qcache.ResultKey(path, 0, a, 0, q)
 }
 
-// resultKey builds the result-cache key of one request, "" when the
-// result cache is off: path, the parameter, the raw query bytes and
-// — except where carriesAppends puts the version in the entry instead
-// — the index epoch, read *before* the traversal starts, so that an
-// answer computed against one index version can never be served for
-// another.
-func (e *Engine) resultKey(path qcache.Path, a float64, q []float64) string {
-	switch {
-	case e.res == nil:
-		return ""
-	case e.carriesAppends(path):
-		return qcache.ResultKey(path, 0, a, 0, q)
-	default:
-		return qcache.ResultKey(path, e.Epoch(), a, 0, q)
-	}
-}
-
-// searchCached serves one raw-query search from the result cache when
-// enabled, under key (from resultKey). Invalidation is never a scan.
-// For most paths it is a key mismatch: the key embeds the epoch. For
-// the paths carriesAppends names the key survives appends and the
-// entry records how many windows its answer covers; the index is
+// searchCached answers one checked raw query q on path — from the
+// result cache when it is on, else by run, which the index answers with
+// the prepared query. a is the path's parameter (eps or k). A hit does
+// no transform. Invalidation is never a scan: every entry records how
+// many windows, at the query's length, its answer covers; the index is
 // append-only, so that answer is still exact for those windows, and a
-// lookup that finds it behind verifies only the windows gained since
-// — tq is the transformed query and a the path's parameter (eps or k)
-// that scan needs — and stores the longer answer over the old one.
-// Both the window count and the epoch are read before any work, so an
+// lookup that finds it behind prepares the query, verifies only the
+// windows gained since — a prefix answer's at the query's length, as
+// SearchShorterCtx's own tail scans do — and stores the longer answer
+// over the old one. The window count is read before any work, so an
 // answer is never tagged with a version newer than it saw. Errors
 // (including cancellations) are never cached.
-func (e *Engine) searchCached(ctx context.Context, path qcache.Path, key string, tq []float64, a float64, run func() (qcache.Result, error)) (qcache.Result, error) {
+func (e *Engine) searchCached(ctx context.Context, path qcache.Path, q []float64, a float64, run func(tq []float64) ([]Match, error)) ([]Match, error) {
 	sp := obs.SpanFrom(ctx)
-	windows := 0 // epoch-keyed answers carry no version of their own
+	var key string
+	windows := series.NumSubsequences(e.ext.Len(), len(q))
 	if e.res == nil {
 		sp.Set("result_cache", "off")
 	} else {
-		if e.carriesAppends(path) {
-			windows = e.NumSubsequences()
-		}
+		key = resultKey(path, a, q)
 		if r, ok := e.res.GetCovering(key, windows, maxTailScan); ok {
 			if r.Windows == windows {
 				sp.Set("result_cache", "hit")
 			} else {
 				sp.Set("result_cache", "extended")
 				sp.Set("tail_windows", windows-r.Windows)
+				tq := e.prepare(q)
 				if path == qcache.PathTopK {
 					// k rode in as a float64; past the window count every
 					// k is the same query, and that much converts back.
@@ -595,52 +514,47 @@ func (e *Engine) searchCached(ctx context.Context, path qcache.Path, key string,
 				e.res.Put(key, r)
 			}
 			sp.Set("results", len(r.Matches))
-			return r, nil
+			return r.Matches, nil
 		}
 		sp.Set("result_cache", "miss")
 	}
-	r, err := run()
+	ms, err := run(e.prepare(q))
 	if err != nil {
-		return r, err
+		return nil, err
 	}
 	// The answer's size goes on the query's own span: the traversal
 	// spans below it carry work counters, which stay zero on a hit.
-	sp.Set("results", len(r.Matches))
+	sp.Set("results", len(ms))
 	if e.res != nil {
-		r.Windows = windows
-		e.res.Put(key, r)
+		e.res.Put(key, qcache.Result{Matches: ms, Windows: windows})
 	}
-	return r, nil
+	return ms, nil
 }
 
-// Epoch returns the engine's index mutation counter: a monotonically
-// increasing value bumped by every Append (and by Close), stable
-// across searches and compactions. Any consumer caching answers can use
-// "epoch changed" as the invalidation signal, and the engine's own
-// result cache does for every answer it cannot bring up to date
-// (SearchShorterCtx; everything on a cluster engine): their keys embed
-// it. A local TS-Index engine's Search and SearchTopK entries are keyed
-// without it and extended over the windows an Append gained instead —
-// see searchCached. A cluster engine refuses Append, so its epoch reads
-// 0 while it is open.
+// Epoch returns how many Appends the engine has taken: a monotonically
+// increasing counter, stable across searches and compactions, that
+// /append, /healthz, /stats and twinsearch_epoch report. Nothing in the
+// engine reads it — the result cache versions each entry by its window
+// count (see searchCached). A cluster engine refuses Append, so its
+// epoch reads 0.
 func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
-// CacheCounters is one serving-tier cache's observability snapshot.
+// CacheCounters is the result cache's observability snapshot.
 type CacheCounters struct {
 	Enabled bool   `json:"enabled"`
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	// Extended counts the hits served by bringing an entry from before
-	// an Append up to date (result cache only; a share of Hits).
+	// an Append up to date (a share of Hits).
 	Extended  uint64 `json:"extended,omitempty"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
-	Bytes     int    `json:"bytes,omitempty"` // result cache only
+	Bytes     int    `json:"bytes,omitempty"`
 }
 
 // ServingStats is the engine's serving-tier observability snapshot:
 // the index epoch, the appended windows every search still scans, and
-// both caches' counters — the payload behind the server's /stats
+// the result cache's counters — the payload behind the server's /stats
 // endpoint.
 type ServingStats struct {
 	Epoch uint64 `json:"epoch"`
@@ -648,21 +562,19 @@ type ServingStats struct {
 	// every search scans them until a compaction folds them in (see
 	// Append). 0 on a cluster engine.
 	TailWindows int           `json:"tail_windows"`
-	Plan        CacheCounters `json:"plan_cache"`
 	Result      CacheCounters `json:"result_cache"`
+	// Plan is always zero. It stays only because bench/drive.go reads
+	// it (the qcache.plan_hit_ratio row), and goes with the next change
+	// to bench/.
+	Plan CacheCounters `json:"-"`
 }
 
-// ServingStats snapshots the serving-tier caches, the tail and the
-// epoch. Cheap: counter loads plus one short mutex hold per cache
-// stripe.
+// ServingStats snapshots the result cache, the tail and the epoch.
+// Cheap: counter loads plus one short mutex hold per cache stripe.
 func (e *Engine) ServingStats() ServingStats {
 	out := ServingStats{Epoch: e.Epoch()}
 	if e.sh != nil {
 		out.TailWindows = e.sh.TailWindows()
-	}
-	if e.plan != nil {
-		s := e.plan.Stats()
-		out.Plan = CacheCounters{Enabled: true, Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
 	}
 	if e.res != nil {
 		s := e.res.Stats()
@@ -671,7 +583,7 @@ func (e *Engine) ServingStats() ServingStats {
 	return out
 }
 
-// searchPreparedCtx dispatches a validated, transformed query.
+// searchPreparedCtx dispatches a checked, prepared query.
 func (e *Engine) searchPreparedCtx(ctx context.Context, q []float64, eps float64) ([]Match, error) {
 	if e.cl != nil {
 		return e.cl.Search(ctx, q, eps)
@@ -697,18 +609,15 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, q []float64, k int) ([]Match
 		return nil, ErrClosed
 	}
 	ctx, qo := e.beginQuery(ctx, qpTopK)
-	key := e.resultKey(qcache.PathTopK, float64(k), q)
-	tq, err := e.validateQueryCtx(ctx, q, 0, key)
-	if err != nil {
-		e.endQuery(qo, err)
-		return nil, err
+	var ms []Match
+	err := e.checkQueryCtx(ctx, q, 0)
+	if err == nil {
+		ms, err = e.searchCached(ctx, qcache.PathTopK, q, float64(k), func(tq []float64) ([]Match, error) {
+			return e.searchTopKPreparedCtx(ctx, tq, k)
+		})
 	}
-	r, err := e.searchCached(ctx, qcache.PathTopK, key, tq, float64(k), func() (qcache.Result, error) {
-		ms, err := e.searchTopKPreparedCtx(ctx, tq, k)
-		return qcache.Result{Matches: ms}, err
-	})
 	e.endQuery(qo, err)
-	return r.Matches, err
+	return ms, err
 }
 
 // searchTopKPreparedCtx dispatches a transformed top-k query to the
