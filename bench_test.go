@@ -73,12 +73,12 @@ func benchTS(b *testing.B, ds benchSetup, mode series.NormMode, l int) *core.Fro
 	if f, ok := tsCache[key]; ok {
 		return f
 	}
-	ix, err := core.Build(benchExt(ds, mode), core.Config{L: l})
+	f, err := core.Build(benchExt(ds, mode), core.Config{L: l})
 	if err != nil {
 		b.Fatal(err)
 	}
-	tsCache[key] = ix.Freeze()
-	return tsCache[key]
+	tsCache[key] = f
+	return f
 }
 
 func benchISAX(b *testing.B, ds benchSetup, mode series.NormMode, l int) *isax.Index {
@@ -256,7 +256,7 @@ func BenchmarkFig8aMemory(b *testing.B) {
 			}
 			b.ReportMetric(float64(kv.MemoryBytes()+kv.AuxiliaryBytes()), "kv-bytes")
 			b.ReportMetric(float64(isx.MemoryBytes()), "isax-bytes")
-			tsBytes := ts.Freeze().MemoryBytes() // the arena is what stays resident
+			tsBytes := ts.MemoryBytes() // the arena is what stays resident
 			b.ReportMetric(float64(tsBytes), "tsindex-bytes")
 			b.ReportMetric(float64(tsBytes)/float64(isx.MemoryBytes()), "ts/isax-ratio")
 		})
@@ -316,11 +316,10 @@ func BenchmarkAblationNodeCapacity(b *testing.B) {
 	qs := benchWorkload(ds, ext, harness.DefaultL)
 	for _, caps := range []struct{ min, max int }{{5, 15}, {10, 30}, {20, 60}, {40, 120}} {
 		caps := caps
-		tree, err := core.Build(ext, core.Config{L: harness.DefaultL, MinCap: caps.min, MaxCap: caps.max})
+		ix, err := core.Build(ext, core.Config{L: harness.DefaultL, MinCap: caps.min, MaxCap: caps.max})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ix := tree.Freeze()
 		b.Run(fmt.Sprintf("caps=%d-%d", caps.min, caps.max), func(b *testing.B) {
 			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, ds.def)
 		})
@@ -387,11 +386,11 @@ func BenchmarkExtensionTopK(b *testing.B) {
 func benchServed(b *testing.B) (*core.Frozen, [][]float64) {
 	if servedFrozen == nil {
 		data, ext := servedSeries()
-		ix, err := core.Build(ext, core.Config{L: harness.DefaultL})
+		f, err := core.Build(ext, core.Config{L: harness.DefaultL})
 		if err != nil {
 			b.Fatal(err)
 		}
-		servedFrozen = ix.Freeze()
+		servedFrozen = f
 		for _, q := range datasets.Queries(data, 7, 64, harness.DefaultL) {
 			servedQueries = append(servedQueries, ext.TransformQuery(q))
 		}
@@ -600,25 +599,16 @@ func BenchmarkSkewedShardSearch(b *testing.B) {
 	}
 }
 
-// The frozen arena: what compiling the pointer tree costs, what a node
-// weighs (8 structural bytes plus its two bound rows), and search and
-// top-k over it at the paper's datasets.
+// The frozen arena: what a node weighs (8 structural bytes plus its two
+// bound rows), and search and top-k over it at the paper's datasets.
+// Compiling the builder's tree into it is the last step of every build,
+// timed with the insertions by BenchmarkBuildInsert.
 func BenchmarkFrozenArena(b *testing.B) {
 	for _, ds := range benchSetups {
 		ext := benchExt(ds, series.NormGlobal)
 		qs := benchWorkload(ds, ext, harness.DefaultL)
 		fz := benchTS(b, ds, series.NormGlobal, harness.DefaultL)
 		nodes := float64(fz.NodeCount())
-		b.Run(ds.name+"/freeze", func(b *testing.B) {
-			ix, err := core.Build(ext, core.Config{L: harness.DefaultL})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ix.Freeze()
-			}
-		})
 		for _, eps := range []float64{ds.def, ds.eps[len(ds.eps)-1]} {
 			eps := eps
 			b.Run(fmt.Sprintf("%s/search/eps=%g", ds.name, eps), func(b *testing.B) {

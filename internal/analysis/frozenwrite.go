@@ -10,9 +10,9 @@ import (
 // PROT_READ file region, so a write through them is silent corruption
 // on a heap copy and a SIGSEGV on a mapping. Only the sanctioned
 // builder/loader files (frozen.go, which allocates fresh heap arrays in
-// Freeze, and frozen_persist.go, which fills arrays it just
-// allocated or validated) may assign, append to, copy into, or
-// increment through those fields. Test files are exempt: they operate
+// freeze, a build's last step, and frozen_persist.go, which fills
+// arrays it just allocated or validated) may assign, append to, copy
+// into, or increment through those fields. Test files are exempt: they operate
 // on heap fixtures.
 var Frozenwrite = &Analyzer{
 	Name: "frozenwrite",

@@ -9,8 +9,8 @@ type Frozen struct {
 	upper, lower []float64
 }
 
-// Freeze is the sanctioned builder: writes here are fine.
-func Freeze(n int) *Frozen {
+// freeze is the sanctioned build step: writes here are fine.
+func freeze(n int) *Frozen {
 	f := &Frozen{}
 	f.first = make([]int32, n)
 	f.count = make([]int32, n)

@@ -10,7 +10,7 @@ type header struct {
 	lower []float64
 }
 
-// HeaderBytes is the sanctioned pattern (core.Index.MemoryBytes): sizes come
+// HeaderBytes is the sanctioned pattern (core.Frozen.MemoryBytes): sizes come
 // from the compiler, not hardcoded word counts.
 func HeaderBytes(n int) int {
 	return int(unsafe.Sizeof(header{})) + n*int(unsafe.Sizeof(float64(0)))

@@ -18,12 +18,12 @@ import (
 // equals the in-place view, bit for bit.
 func TestDecodeMatchesView(t *testing.T) {
 	ext := series.NewExtractor(datasets.RandomWalk(12, 2000), series.NormGlobal)
-	ix, err := core.Build(ext, core.Config{L: 24})
+	f, err := core.Build(ext, core.Config{L: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.Freeze().WriteTo(&buf); err != nil {
+	if _, err := f.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	stream := buf.Bytes()

@@ -363,7 +363,7 @@ func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]ser
 // shard — are scanned exactly once, here at the coordinator (it holds
 // the full series).
 func (c *Coordinator) SearchPrefix(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	if err := c.validatePrefix(q); err != nil {
+	if err := core.ValidatePrefix(q, c.l, c.ext.Mode()); err != nil {
 		return nil, err
 	}
 	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b *remote) ([]series.Match, error) {
@@ -373,21 +373,6 @@ func (c *Coordinator) SearchPrefix(ctx context.Context, q []float64, eps float64
 		return nil, err
 	}
 	return core.ScanPrefixTail(c.ext, c.l, q, eps, shard.MergeByStart(per)), nil
-}
-
-// validatePrefix mirrors core's prefix-query validation with the
-// coordinator's own parameters (no arena in this process to ask).
-func (c *Coordinator) validatePrefix(q []float64) error {
-	if len(q) > c.l {
-		return fmt.Errorf("core: prefix query length %d exceeds indexed length %d", len(q), c.l)
-	}
-	if len(q) == 0 {
-		return fmt.Errorf("core: empty query")
-	}
-	if c.ext.Mode() == series.NormPerSubsequence {
-		return fmt.Errorf("core: prefix queries are unsupported under per-subsequence normalization")
-	}
-	return nil
 }
 
 // --- the shard-RPC client ---

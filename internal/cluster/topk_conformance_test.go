@@ -66,11 +66,10 @@ func TestTopKConformance(t *testing.T) {
 					qs = append(qs, q)
 				}
 
-				tree, err := core.Build(ext, core.Config{L: testL})
+				fz, err := core.Build(ext, core.Config{L: testL})
 				if err != nil {
 					t.Fatal(err)
 				}
-				fz := tree.Freeze()
 				byShards := map[int]*shard.Index{}
 				for _, p := range []int{1, 2, 4, 7} {
 					sh, err := shard.Build(ext, shard.Config{Config: core.Config{L: testL}, Shards: p})

@@ -3,19 +3,24 @@ package core
 import (
 	"encoding/binary"
 	"io"
+	"testing"
 
 	"twinsearch/internal/arena"
+	"twinsearch/internal/series"
 )
 
-// WriteGoldenTree renders a pointer tree as the retired TSFZ v2 stream
-// — BFS node order, child ranges, leaf position runs and every bound at
-// full float64 width — the bytes TestBuildGoldenTree's sha-256
-// constants were taken over at PR 14. The arena stores outward-rounded
-// float32 bounds and checksums now, so the stream Frozen.WriteTo emits
-// can no longer witness the builder's exact bounds; this writer exists
-// only so those constants keep pinning the tree, unmoved.
-func WriteGoldenTree(w io.Writer, ix *Index) error {
-	f := ix.Freeze() // node order, ranges and position runs
+// BuildRangeGolden is BuildRange that also renders the builder's tree
+// to w as the retired TSFZ v2 stream — BFS node order, child ranges,
+// leaf position runs and every bound at full float64 width — the bytes
+// TestBuildGoldenTree's sha-256 constants were taken over at 45fe3af. The
+// arena stores outward-rounded float32 bounds and checksums now, so the
+// stream Frozen.WriteTo emits can no longer witness the builder's exact
+// bounds; this writer exists only so those constants keep pinning the
+// tree, unmoved.
+func BuildRangeGolden(t testing.TB, w io.Writer, ext *series.Extractor, cfg Config, lo, hi int) *Frozen {
+	t.Helper()
+	ix := grow(t, ext, cfg, lo, hi)
+	f := ix.freeze() // node order, ranges and position runs
 	order := []*node{}
 	if ix.root != nil {
 		order = append(order, ix.root)
@@ -49,7 +54,7 @@ func WriteGoldenTree(w io.Writer, ix *Index) error {
 	}
 	for i, arr := range [][]int32{f.first, f.count, f.positions} {
 		if _, err := binary.Encode(out[offs[i]:], binary.LittleEndian, arr); err != nil {
-			return err
+			t.Fatal(err)
 		}
 	}
 	for _, n := range order {
@@ -58,6 +63,8 @@ func WriteGoldenTree(w io.Writer, ix *Index) error {
 	for _, n := range order {
 		out, _ = binary.Append(out, binary.LittleEndian, n.bounds.Lower)
 	}
-	_, err := w.Write(out)
-	return err
+	if _, err := w.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	return f
 }

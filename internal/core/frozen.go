@@ -1,20 +1,20 @@
 package core
 
-// The frozen TS-Index: a read-only compilation of the pointer tree into
-// a contiguous structure-of-arrays arena. Descent through the pointer
-// tree chases a heap allocation per node plus two more for the MBTS
-// bound slices; at query time the per-node cost of that pointer chasing
-// dominates (the actual Eq. 2 arithmetic streams two short arrays). The
-// frozen form packs every node's bounds into two flat []float32 backing
-// slices, children into (firstChild, count) index ranges, and all leaf
-// positions into one flat []int32 — the database-style flat layout that
-// Relational E-Matching applies to e-graph traversal, applied to MBTS
-// descent. Traversal touches consecutive cache lines instead of
+// The frozen TS-Index: a read-only compilation of the insertion tree
+// into a contiguous structure-of-arrays arena, the only form Build and
+// BuildRange return. Descent through a pointer tree chases a heap
+// allocation per node plus two more for the MBTS bound slices; at query
+// time the per-node cost of that pointer chasing dominates (the actual
+// Eq. 2 arithmetic streams two short arrays). The frozen form packs
+// every node's bounds into two flat []float32 backing slices, children
+// into (firstChild, count) index ranges, and all leaf positions into
+// one flat []int32 — the database-style flat layout that Relational
+// E-Matching applies to e-graph traversal, applied to MBTS descent. Traversal touches consecutive cache lines instead of
 // scattered heap objects, and persistence becomes a handful of
 // sequential array reads (the stepping stone to mmap-resident nodes).
 //
 // Once the index is columns, a column's width is a storage decision:
-// the bounds are held at half width, each rounded outward as Freeze
+// the bounds are held at half width, each rounded outward as freeze
 // narrows it (upper toward +Inf, lower toward −Inf). The narrowed box
 // encloses the exact one, so Eq. 2 against it is still a lower bound on
 // the distance to every window beneath the node — Lemma 1 holds as
@@ -23,8 +23,7 @@ package core
 // counters can, upward, when the slack admits a node the exact bound
 // would have pruned. The kernels widen each bound in the register it is
 // loaded into and compute in float64 (kernel.DistFlat32 and friends);
-// only the pointer tree, which exists to be built and frozen, holds
-// float64 bounds.
+// only the builder, which exists inside a build, holds float64 bounds.
 //
 // The traversals use the layout that way: a node's children are one
 // contiguous run of bound rows, so every search path scores them at
@@ -38,17 +37,16 @@ package core
 // order every internal node precedes every leaf: nodes [0, leafStart)
 // are internal, [leafStart, n) are leaves. BFS numbering also makes both
 // index ranges prefix-contiguous — node i+1's children start where node
-// i's ended — which Freeze exploits and CheckInvariants enforces.
+// i's ended — which freeze exploits and CheckInvariants enforces.
 //
 // The arena is the only searchable form, and nothing mutates it: the
-// pointer tree builds, Freeze compiles it (an index that grows scans
-// its new windows as a tail until a rebuild; see internal/shard), and
-// every query — range (Algorithm 1), top-k, prefix — walks the arrays
-// below, one traversal per path, always from the root: a sharded index
-// runs one whole walk per shard, never a piece of one. What each walk
-// visits, in what order,
-// is pinned by TestTraversalGoldenStats; what it answers, by
-// internal/oracle.
+// builder inserts, freeze compiles it as a build's last step (an index
+// that grows scans its new windows as a tail until a rebuild; see
+// internal/shard), and every query — range (Algorithm 1), top-k,
+// prefix — walks the arrays below, one traversal per path, always from
+// the root: a sharded index runs one whole walk per shard, never a
+// piece of one. What each walk visits, in what order, is pinned by
+// TestTraversalGoldenStats; what it answers, by internal/oracle.
 
 import (
 	"fmt"
@@ -60,8 +58,8 @@ import (
 )
 
 // Frozen is the flat, read-only, searchable form of a built TS-Index.
-// Construct with Index.Freeze or FrozenFromArena; nothing writes to it
-// afterwards, so a view into a file mapping is never written through.
+// Build, BuildRange and FrozenFromArena construct it; nothing writes to
+// it afterwards, so a view into a file mapping is never written through.
 type Frozen struct {
 	ext    *series.Extractor
 	cfg    Config
@@ -90,10 +88,9 @@ type Frozen struct {
 	upper, lower []float32
 }
 
-// Freeze compiles the pointer tree into its flat arena form. The index
-// must not be mutated while freezing; the result shares nothing with
-// the source tree.
-func (ix *Index) Freeze() *Frozen {
+// freeze compiles the builder's tree into its flat arena form, the last
+// step of a build; the result shares nothing with the builder.
+func (ix *builder) freeze() *Frozen {
 	f := &Frozen{ext: ix.ext, cfg: ix.cfg, size: ix.size, height: ix.height}
 	if ix.root == nil {
 		return f
@@ -185,7 +182,7 @@ func (f *Frozen) arrayBytes() int {
 
 // MemoryBytes reports the heap-resident bytes of the arena. For a heap
 // frozen index the flat bound arrays dominate (per-node structural
-// overhead is 8 bytes — two int32 — against the pointer tree's per-node
+// overhead is 8 bytes — two int32 — against a pointer tree's per-node
 // struct + slice headers); for a file-mapped one the arrays live in the
 // page cache, not the heap, and only the struct and slice headers
 // remain (see MappedBytes for the other half).
@@ -420,18 +417,18 @@ func (f *Frozen) SearchPrefix(q []float64, eps float64) ([]series.Match, error) 
 	return ScanPrefixTail(f.ext, f.cfg.L, q, eps, out), nil
 }
 
-// ValidatePrefix checks a prefix query against the index parameters —
-// the validation half of SearchPrefixTree, hoisted out so the sharded
-// fan-out can validate once before enqueueing its shards' traversals.
-func (f *Frozen) ValidatePrefix(q []float64) error {
-	l := len(q)
-	if l > f.cfg.L {
-		return fmt.Errorf("core: prefix query length %d exceeds indexed length %d", l, f.cfg.L)
+// ValidatePrefix checks a prefix query against an index of length l
+// over a series in mode — the validation half of SearchPrefixTree,
+// hoisted out so the sharded fan-out and the cluster coordinator
+// validate once, with the same texts, before fanning out.
+func ValidatePrefix(q []float64, l int, mode series.NormMode) error {
+	if len(q) > l {
+		return fmt.Errorf("core: prefix query length %d exceeds indexed length %d", len(q), l)
 	}
-	if l == 0 {
+	if len(q) == 0 {
 		return fmt.Errorf("core: empty query")
 	}
-	if f.ext.Mode() == series.NormPerSubsequence {
+	if mode == series.NormPerSubsequence {
 		return fmt.Errorf("core: prefix queries are unsupported under per-subsequence normalization")
 	}
 	return nil
@@ -445,7 +442,7 @@ func (f *Frozen) ValidatePrefix(q []float64) error {
 // sweep's stride stays L). internal/shard runs it on every shard and
 // scans the tail once; most callers want SearchPrefix.
 func (f *Frozen) SearchPrefixTree(q []float64, eps float64) ([]series.Match, error) {
-	if err := f.ValidatePrefix(q); err != nil {
+	if err := ValidatePrefix(q, f.cfg.L, f.ext.Mode()); err != nil {
 		return nil, err
 	}
 	out, _ := f.traverseRange(q, eps)
@@ -463,14 +460,16 @@ type frozenItem struct {
 func (a frozenItem) before(b frozenItem) bool { return a.lb < b.lb }
 
 // CheckInvariants validates the arena against the series and the
-// structural invariants Freeze guarantees. FrozenFromArena runs it on
-// a heap arena so a corrupt or hostile stream is rejected before any
+// structural invariants a build guarantees — the one tree checker:
+// tests run it on what Build returns, and FrozenFromArena on a heap
+// arena, so a corrupt or hostile stream is rejected before any
 // traversal indexes into the arrays:
 //
 //   - first/count ranges are prefix-contiguous and in-bounds for both
 //     the child numbering and the positions array;
-//   - occupancy respects MinCap/MaxCap (root exempt as in the pointer
-//     form) and every leaf sits at depth == height;
+//   - occupancy respects MinCap/MaxCap (a root leaf holds at least 1
+//     entry, an internal root at least 2) and every leaf sits at
+//     depth == height;
 //   - every node's bounds enclose its children's bounds (internal) or
 //     the exact windows of its positions (leaf);
 //   - positions are valid window starts and total exactly size.

@@ -12,13 +12,6 @@ import (
 	"twinsearch/internal/series"
 )
 
-// frozenOver builds and freezes an index for persistence tests.
-func frozenOver(t *testing.T, ts []float64, mode series.NormMode, cfg Config) (*Frozen, *series.Extractor) {
-	t.Helper()
-	ix, ext := buildOver(t, ts, mode, cfg)
-	return ix.Freeze(), ext
-}
-
 // checkFrozenParity requires every search path of got to agree with
 // want byte for byte, counters included.
 func checkFrozenParity(t *testing.T, want, got *Frozen, q []float64, eps float64) {

@@ -30,24 +30,11 @@ func TestFrozenMatchesOracle(t *testing.T) {
 	const l = 48
 	for _, m := range frozenModes {
 		t.Run(m.name+"/bulk=false", func(t *testing.T) {
-			ext := series.NewExtractor(ts, m.mode)
-			ix, err := Build(ext, Config{L: l})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := ix.Freeze()
-			if err := f.CheckInvariants(); err != nil {
-				t.Fatalf("frozen invariants: %v", err)
-			}
-			if f.Len() != ix.Len() || f.Height() != ix.Height() || f.NodeCount() != ix.NodeCount() {
-				t.Fatalf("frozen shape (%d, %d, %d) != pointer shape (%d, %d, %d)",
-					f.Len(), f.Height(), f.NodeCount(), ix.Len(), ix.Height(), ix.NodeCount())
-			}
-
+			f, ext := frozenOver(t, ts, m.mode, Config{L: l})
 			queries := [][]float64{
 				ext.ExtractCopy(37, l),
 				ext.ExtractCopy(1200, l),
-				ext.ExtractCopy(ix.Len()-1, l),
+				ext.ExtractCopy(f.Len()-1, l),
 			}
 			for qi, q := range queries {
 				for _, eps := range []float64{0, 0.1, 0.5, 2.0} {
@@ -88,12 +75,7 @@ func TestFrozenPersistRoundTrip(t *testing.T) {
 	const l = 40
 	for _, m := range frozenModes {
 		t.Run(m.name, func(t *testing.T) {
-			ext := series.NewExtractor(ts, m.mode)
-			ix, err := Build(ext, Config{L: l})
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := ix.Freeze()
+			f, ext := frozenOver(t, ts, m.mode, Config{L: l})
 			var buf bytes.Buffer
 			n, err := f.WriteTo(&buf)
 			if err != nil {
@@ -123,11 +105,10 @@ func TestLoadFrozenRejects(t *testing.T) {
 	ts := datasets.RandomWalk(9, 900)
 	const l = 30
 	ext := series.NewExtractor(ts, series.NormGlobal)
-	ix, err := Build(ext, Config{L: l})
+	f, err := Build(ext, Config{L: l})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := ix.Freeze()
 	var buf bytes.Buffer
 	if _, err := f.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -161,14 +142,8 @@ func TestLoadFrozenRejects(t *testing.T) {
 func TestFrozenEmpty(t *testing.T) {
 	ts := datasets.RandomWalk(2, 200)
 	ext := series.NewExtractor(ts, series.NormGlobal)
-	ix, err := NewEmpty(ext, Config{L: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := ix.Freeze()
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	f := grow(t, ext, Config{L: 20}, 0, 0).freeze()
+	checkSealed(t, f, 0, 0)
 	q := make([]float64, 20)
 	if got := f.Search(q, math.Inf(1)); len(got) != 0 {
 		t.Fatalf("empty arena returned %d matches", len(got))

@@ -30,11 +30,10 @@ import (
 func FuzzLoadFrozen(f *testing.F) {
 	ts := datasets.RandomWalk(91, 600)
 	ext := series.NewExtractor(ts, series.NormGlobal)
-	ix, err := Build(ext, Config{L: 40})
+	fz, err := Build(ext, Config{L: 40})
 	if err != nil {
 		f.Fatal(err)
 	}
-	fz := ix.Freeze()
 	var valid bytes.Buffer
 	if _, err := fz.WriteTo(&valid); err != nil {
 		f.Fatal(err)
@@ -124,15 +123,12 @@ func FuzzFrozenTraversal(f *testing.F) {
 		}
 		eps := float64(epsByte) / 100
 		ext := series.NewExtractor(ts, mode)
-		ix, err := Build(ext, Config{L: l, MinCap: 2, MaxCap: 4})
+		fz, err := Build(ext, Config{L: l, MinCap: 2, MaxCap: 4})
 		if err != nil {
 			return // series too short etc.
 		}
-		fz := ix.Freeze()
-		if err := fz.CheckInvariants(); err != nil {
-			t.Fatalf("Freeze produced an inconsistent arena: %v", err)
-		}
-		q := ext.ExtractCopy(len(ts)%ix.Len(), l)
+		checkSealed(t, fz, 0, fz.Len())
+		q := ext.ExtractCopy(len(ts)%fz.Len(), l)
 
 		exact := oracle.Range(ext, q, eps)
 		got, st := fz.SearchStats(q, eps)
@@ -332,7 +328,7 @@ func FuzzChooseChild(f *testing.F) {
 				bounds[i].Upper[x], bounds[i].Lower[x] = max(a, b), min(a, b)
 			}
 		}
-		n, ix := parentOf(bounds...), &Index{}
+		n, ix := parentOf(bounds...), &builder{}
 		for j, at := 0, 2*c*l; at+l <= len(raw); j, at = j+1, at+l {
 			w := make([]float64, l)
 			for x := range w {

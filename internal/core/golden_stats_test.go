@@ -47,11 +47,10 @@ func TestTraversalGoldenStats(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("L=%d/Mc=%d/%v/bulk=false", c.cfg.L, c.cfg.MaxCap, c.mode), func(t *testing.T) {
 			ext := series.NewExtractor(data, c.mode)
-			ix, err := Build(ext, c.cfg)
+			f, err := Build(ext, c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := ix.Freeze()
 			h := sha256.New()
 			put := func(path string, st Stats) {
 				fmt.Fprintf(h, "%s %d %d %d %d %d %d\n", path, st.NodesVisited, st.NodesPruned, st.LeavesReached, st.Candidates, st.Abandons, st.Results)

@@ -13,18 +13,17 @@ import (
 	"twinsearch/internal/shard"
 )
 
-// streamSum is the sha-256 of a tree's full-width rendering (the TSFZ v2
-// stream the constants below were captured from): node order, child
-// ranges, leaf position runs and every float64 bound, bit for bit. The
-// arena itself holds narrowed bounds, so the tree is hashed in pointer
-// form (core.WriteGoldenTree).
-func streamSum(t *testing.T, ix *core.Index) string {
+// goldenBuild builds the windows [lo, hi) and returns the arena with
+// the sha-256 of the tree's full-width rendering (the TSFZ v2 stream the
+// constants below were captured from): node order, child ranges, leaf
+// position runs and every float64 bound, bit for bit. The arena itself
+// holds narrowed bounds, so the tree is hashed as the builder holds it
+// (core.BuildRangeGolden).
+func goldenBuild(t *testing.T, ext *series.Extractor, cfg core.Config, lo, hi int) (*core.Frozen, string) {
 	t.Helper()
 	h := sha256.New()
-	if err := core.WriteGoldenTree(h, ix); err != nil {
-		t.Fatalf("WriteGoldenTree: %v", err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	f := core.BuildRangeGolden(t, h, ext, cfg, lo, hi)
+	return f, hex.EncodeToString(h.Sum(nil))
 }
 
 // TestBuildGoldenTree pins the tree sequential insertion builds, byte
@@ -53,14 +52,12 @@ func TestBuildGoldenTree(t *testing.T) {
 	}
 	for _, c := range single {
 		t.Run(fmt.Sprintf("L=%d/Mc=%d/%v", c.cfg.L, c.cfg.MaxCap, c.mode), func(t *testing.T) {
-			ix, err := core.Build(series.NewExtractor(data, c.mode), c.cfg)
-			if err != nil {
-				t.Fatal(err)
+			ext := series.NewExtractor(data, c.mode)
+			f, got := goldenBuild(t, ext, c.cfg, 0, series.NumSubsequences(ext.Len(), c.cfg.L))
+			if f.Height() < c.minHeight {
+				t.Fatalf("height %d: the case no longer reaches internal and root splits", f.Height())
 			}
-			if ix.Height() < c.minHeight {
-				t.Fatalf("height %d: the case no longer reaches internal and root splits", ix.Height())
-			}
-			if got := streamSum(t, ix); got != c.want {
+			if got != c.want {
 				t.Errorf("tree changed: stream sha-256 %s, want %s", got, c.want)
 			}
 		})
@@ -78,19 +75,16 @@ func TestBuildGoldenTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Each shard is its range's insertion build, frozen: hash that
-		// build, and hold the shard's arena to its frozen bytes.
+		// Each shard is its range's insertion build: hash that build's
+		// tree, and hold the shard's arena to the build's bytes.
 		for i := range want {
 			lo, hi := s.Range(i)
-			ix, err := core.BuildRange(ext, core.Config{L: 100}, lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := streamSum(t, ix); got != want[i] {
+			f, got := goldenBuild(t, ext, core.Config{L: 100}, lo, hi)
+			if got != want[i] {
 				t.Errorf("shard %d changed: stream sha-256 %s, want %s", i, got, want[i])
 			}
 			var built, served bytes.Buffer
-			if _, err := ix.Freeze().WriteTo(&built); err != nil {
+			if _, err := f.WriteTo(&built); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.Shard(i).WriteTo(&served); err != nil {

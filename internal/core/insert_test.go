@@ -52,7 +52,7 @@ func gridWindow(rng *rand.Rand, l, levels int) []float64 {
 }
 
 func TestChooseChildMatchesReference(t *testing.T) {
-	ix := &Index{}
+	ix := &builder{}
 	var zeroTies, positiveTies, tieBreaksWon int
 	check := func(n *node, w []float64) {
 		t.Helper()
@@ -158,7 +158,7 @@ func TestSplitSeedsMatchReference(t *testing.T) {
 	for _, mode := range allModes {
 		ext := series.NewExtractor(data, mode)
 		for _, l := range []int{1, 7, 100, 101} {
-			ix, err := NewEmpty(ext, Config{L: l})
+			ix, err := newBuilder(ext, Config{L: l})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestSplitSeedsMatchReference(t *testing.T) {
 		{[]float64{nan, 1, 1}, 0, 1},
 		{[]float64{nan, 1, 3}, 1, 2},
 	} {
-		ix, err := NewEmpty(series.NewExtractor(tc.rows, series.NormNone), Config{L: 1})
+		ix, err := newBuilder(series.NewExtractor(tc.rows, series.NormNone), Config{L: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func farthestPairReference(rows [][]float64) (wantI, wantJ, ties int) {
 // checkSplitSeeds requires the split scratch to hold the windows at
 // positions bit for bit and the envelope seeds to be the reference's,
 // and returns the reference's tie count.
-func checkSplitSeeds(t *testing.T, ix *Index, positions []int32) int {
+func checkSplitSeeds(t *testing.T, ix *builder, positions []int32) int {
 	t.Helper()
 	l, ext := ix.cfg.L, ix.ext
 	copies := make([][]float64, len(positions))
@@ -278,7 +278,7 @@ func TestInternalSplitSeedsMatchReference(t *testing.T) {
 		l := []int{1, 3, 7, 100}[trial%4]
 		k := []int{2, 3, 5, DefaultMaxCap + 1}[(trial/4)%4]
 		levels := []int{2, 4, 9, 1000}[(trial/16)%4]
-		ix := &Index{cfg: Config{L: l}}
+		ix := &builder{cfg: Config{L: l}}
 		children := make([]*node, k)
 		for i := range children {
 			b := mbts.FromSequence(gridWindow(rng, l, levels))
@@ -342,13 +342,13 @@ func TestInsertAllocs(t *testing.T) {
 			// measure builds the index once and returns, per insert past
 			// the warm-up, its allocations and how many nodes it added.
 			measure := func() (allocs []float64, added []int) {
-				ix, err := NewEmpty(series.NewExtractor(data, mode), Config{L: 100})
+				ix, err := newBuilder(series.NewExtractor(data, mode), Config{L: 100})
 				if err != nil {
 					t.Fatal(err)
 				}
 				p := 0
 				for ; p < 200; p++ { // past the first leaf and the first root
-					ix.Insert(p)
+					ix.add(p)
 				}
 				for p+1 < count {
 					// AllocsPerRun(1, f) warms up with one call and measures
@@ -356,7 +356,7 @@ func TestInsertAllocs(t *testing.T) {
 					var before int
 					allocs = append(allocs, testing.AllocsPerRun(1, func() {
 						before = countNodes(ix.root)
-						ix.Insert(p)
+						ix.add(p)
 						p++
 					}))
 					added = append(added, countNodes(ix.root)-before)

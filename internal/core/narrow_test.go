@@ -11,7 +11,7 @@ import (
 	"twinsearch/internal/series"
 )
 
-// exactRange walks the pointer tree the way the range traversal walks
+// exactRange walks the builder's tree the way the range traversal walks
 // the arena — a node is visited when every ancestor passed Lemma 1 —
 // against the builder's exact float64 bounds: the counters a full-width
 // arena reports (the visit set does not depend on visit order).
@@ -35,7 +35,7 @@ func exactRange(n *node, q []float64, eps float64, st *Stats) {
 // arena and requires the oracle's answer, byte for byte, and range
 // counters no lower than the exact bounds give. It returns the two
 // candidate counts so callers can report the inflation.
-func checkNarrowedAgainstExact(t *testing.T, ix *Index, f *Frozen, q []float64, eps float64) (narrowed, exact int) {
+func checkNarrowedAgainstExact(t *testing.T, ix *builder, f *Frozen, q []float64, eps float64) (narrowed, exact int) {
 	t.Helper()
 	ext, l := f.Extractor(), f.L()
 	want := oracle.Range(ext, q, eps)
@@ -69,7 +69,7 @@ func checkNarrowedAgainstExact(t *testing.T, ix *Index, f *Frozen, q []float64, 
 // queries of TestTraversalGoldenStats) through every search path of the
 // float32 arena: answers are the oracle's, and the range traversal never
 // visits fewer nodes or offers fewer candidates than the same traversal
-// over the pointer tree's exact float64 bounds — outward rounding can
+// over the builder's exact float64 bounds — outward rounding can
 // only admit, never prune.
 func TestNarrowedBoundsDifferential(t *testing.T) {
 	data := datasets.EEGN(5, 12000)
@@ -77,14 +77,9 @@ func TestNarrowedBoundsDifferential(t *testing.T) {
 		for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal, series.NormPerSubsequence} {
 			t.Run(fmt.Sprintf("L=%d/Mc=%d/%v/bulk=false", cfg.L, cfg.MaxCap, mode), func(t *testing.T) {
 				ext := series.NewExtractor(data, mode)
-				ix, err := Build(ext, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f := ix.Freeze()
-				if err := f.CheckInvariants(); err != nil {
-					t.Fatalf("narrowed arena fails containment: %v", err)
-				}
+				ix := grow(t, ext, cfg, 0, series.NumSubsequences(ext.Len(), cfg.L))
+				f := ix.freeze()
+				checkSealed(t, f, 0, f.Len())
 				narrowed, exact := 0, 0
 				for _, start := range []int{17, 4000, f.Len() - 1} {
 					q := ext.ExtractCopy(start, cfg.L)
@@ -114,11 +109,10 @@ func TestNarrowedBoundsLargeOffset(t *testing.T) {
 		data[i] = 1e7 + v
 	}
 	const l, eps = 64, 0.5
-	ix, ext := buildOver(t, data, series.NormNone, Config{L: l})
-	f := ix.Freeze()
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatalf("narrowed arena fails containment: %v", err)
-	}
+	ext := series.NewExtractor(data, series.NormNone)
+	ix := grow(t, ext, Config{L: l}, 0, series.NumSubsequences(ext.Len(), l))
+	f := ix.freeze()
+	checkSealed(t, f, 0, f.Len())
 	narrowed, exact := 0, 0
 	for _, start := range []int{3, 1500, 2999, 4400, f.Len() - 1} {
 		n, e := checkNarrowedAgainstExact(t, ix, f, ext.ExtractCopy(start, l), eps)

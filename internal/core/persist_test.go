@@ -77,12 +77,8 @@ func TestPersistRoundTrip(t *testing.T) {
 
 func TestPersistEmptyIndex(t *testing.T) {
 	ext := series.NewExtractor(datasets.RandomWalk(1, 100), series.NormGlobal)
-	ix, err := NewEmpty(ext, Config{L: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if _, err := ix.Freeze().WriteTo(&buf); err != nil {
+	if _, err := grow(t, ext, Config{L: 20}, 0, 0).freeze().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for name, load := range loaders {

@@ -31,11 +31,11 @@ func (s *splitScratch) grow(k, l int) {
 }
 
 // splitLeaf divides an overflowing leaf into two (§5.2), bounded at the
-// leaf's row and at row 1 of Index.top: the two subsequences with the
+// leaf's row and at row 1 of builder.top: the two subsequences with the
 // largest pairwise Chebyshev distance seed the new leaves, and every
 // remaining subsequence joins the side whose MBTS grows the least (with
 // R-tree-style forced assignment so both sides reach MinCap).
-func (ix *Index) splitLeaf(n *node) (*node, *node) {
+func (ix *builder) splitLeaf(n *node) (*node, *node) {
 	k, l := len(n.positions), ix.cfg.L
 	wins := ix.splitWindows(n.positions)
 	si, sj := ix.farthestPair(wins)
@@ -73,7 +73,7 @@ func (ix *Index) splitLeaf(n *node) (*node, *node) {
 // splitWindows extracts the windows at positions into the split
 // scratch, window i at row [i*L, (i+1)*L) — the flat run the seed search
 // scans and the assignment loop slices.
-func (ix *Index) splitWindows(positions []int32) []float64 {
+func (ix *builder) splitWindows(positions []int32) []float64 {
 	k, l := len(positions), ix.cfg.L
 	ix.split.grow(k, l)
 	wins := ix.split.wins[:k*l]
@@ -103,7 +103,7 @@ func (ix *Index) splitWindows(positions []int32) []float64 {
 // and the candidate pairs are scored with the exact distance in (i, j)
 // order until one is at maxD. A NaN lane is 0 in every pair distance;
 // the envelope, seeded at ∓Inf, skips it alike.
-func (ix *Index) farthestPair(wins []float64) (si, sj int) {
+func (ix *builder) farthestPair(wins []float64) (si, sj int) {
 	l := ix.cfg.L
 	k := len(wins) / l
 	hi, lo := ix.split.hi[:l], ix.split.lo[:l]
@@ -157,10 +157,10 @@ func assignLeaf(n *node, w []float64, p int32) {
 }
 
 // splitInternal divides an overflowing internal node (§5.2), bounded at
-// the node's row and at row 1 of Index.top: seeds are the two children
+// the node's row and at row 1 of builder.top: seeds are the two children
 // whose MBTS are farthest apart under Eq. 3; remaining children join the
 // side whose merged MBTS grows the least.
-func (ix *Index) splitInternal(n *node) (*node, *node) {
+func (ix *builder) splitInternal(n *node) (*node, *node) {
 	si, sj := ix.farthestChildren(n.children)
 	a, b := ix.newInternal(n.bounds), ix.newInternal(ix.top.Row(1, ix.cfg.L))
 	ix.adopt(a, n.children[si])
@@ -205,7 +205,7 @@ func (ix *Index) splitInternal(n *node) (*node, *node) {
 // strictly below the scan's running maximum can neither beat it nor tie
 // it, so it is skipped; the scan over the rest is the all-pairs scan,
 // order and strict > included.
-func (ix *Index) farthestChildren(children []*node) (si, sj int) {
+func (ix *builder) farthestChildren(children []*node) (si, sj int) {
 	k, l := len(children), ix.cfg.L
 	ix.split.grow(k, l)
 	minUp, maxLo, reach := ix.split.hi[:l], ix.split.lo[:l], ix.split.reach[:k]

@@ -26,9 +26,6 @@ func TestSweepTraversalShapes(t *testing.T) {
 		for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal} {
 			t.Run(fmt.Sprintf("L=%d/MaxCap=%d/mode=%d", cfg.L, cfg.MaxCap, mode), func(t *testing.T) {
 				f, ext := frozenOver(t, data, mode, cfg)
-				if err := f.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
 				if widest := int(slices.Max(f.count[:f.leafStart])); cfg.MaxCap > sweepScratchCap && widest <= sweepScratchCap {
 					t.Fatalf("widest internal node has %d children; the scratch spill (> %d) never runs", widest, sweepScratchCap)
 				}

@@ -76,8 +76,7 @@ func TestTopKDegenerate(t *testing.T) {
 
 func TestTopKEmptyIndex(t *testing.T) {
 	ext := series.NewExtractor(datasets.RandomWalk(1, 100), series.NormGlobal)
-	ix, _ := NewEmpty(ext, Config{L: 20})
-	if ms := ix.Freeze().SearchTopK(make([]float64, 20), 5); ms != nil {
+	if ms := grow(t, ext, Config{L: 20}, 0, 0).freeze().SearchTopK(make([]float64, 20), 5); ms != nil {
 		t.Fatal("empty index should return nil")
 	}
 }

@@ -12,14 +12,15 @@
 // rows of one block, so the descent scores them in one kernel sweep,
 // abandoned at the distance of the child the node chose last, and
 // leaves a chosen child that already encloses the window alone; a
-// leaf split copies its windows once into a flat per-Index scratch and
+// leaf split copies its windows once into a flat per-build scratch and
 // finds the seeds from the windows' envelope, an internal split scores
 // only the child pairs the group's envelope cannot rule out (split.go).
 //
-// Index, the pointer tree, is the builder: it is constructed by
-// insertion, checked, and compiled by Freeze into the flat Frozen
-// arena, which is the one form that is searched (§5.3,
-// Algorithm 1 — see Frozen.SearchStats and frozen.go).
+// Build and BuildRange return the flat Frozen arena, the one form that
+// is searched (§5.3, Algorithm 1 — see Frozen.SearchStats and
+// frozen.go) and checked (Frozen.CheckInvariants). The insertion tree
+// is the private builder: it exists only inside a build, whose last
+// step compiles it into the arena (freeze).
 package core
 
 import (
@@ -37,7 +38,7 @@ const (
 	DefaultMaxCap = 30
 )
 
-// maxNodeCap bounds MaxCap. An internal node of the pointer tree holds
+// maxNodeCap bounds MaxCap. An internal node of the builder's tree holds
 // up to MaxCap+1 rows of child bounds, so this caps what one node costs,
 // also when MaxCap comes from a saved header.
 const maxNodeCap = 1 << 10
@@ -74,8 +75,8 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Index is a built TS-Index.
-type Index struct {
+// builder is a TS-Index under construction by insertion.
+type builder struct {
 	ext    *series.Extractor
 	cfg    Config
 	root   *node
@@ -91,7 +92,7 @@ type Index struct {
 // holds for all of its children — the frozen arena's layout at full
 // width — so the descent scores siblings in one sweep (chooseChild).
 // Moving a node to another parent moves its row (adopt); the root's row
-// is Index.top.
+// is builder.top.
 type node struct {
 	bounds    mbts.MBTS // a view of this node's row in its parent's block
 	rows      mbts.MBTS // internal: child i's bounds at row i
@@ -120,54 +121,45 @@ type Stats struct {
 }
 
 // Build constructs a TS-Index over all ℓ-length windows of the
-// extractor's series by sequential insertion (§5.2).
-func Build(ext *series.Extractor, cfg Config) (*Index, error) {
+// extractor's series by sequential insertion (§5.2), frozen.
+func Build(ext *series.Extractor, cfg Config) (*Frozen, error) {
 	count := series.NumSubsequences(ext.Len(), cfg.L)
 	return BuildRange(ext, cfg, 0, count)
 }
 
 // BuildRange constructs a TS-Index over only the windows starting in
-// [lo, hi) by sequential insertion — the per-shard build primitive used
-// by internal/shard, where each shard owns one contiguous slice of the
-// position space (the data-partitioning scheme of ParIS/MESSI applied
-// to TS-Index).
-func BuildRange(ext *series.Extractor, cfg Config, lo, hi int) (*Index, error) {
-	ix, err := NewEmpty(ext, cfg)
+// [lo, hi) by sequential insertion, frozen — the per-shard build
+// primitive used by internal/shard, where each shard owns one
+// contiguous slice of the position space (the data-partitioning scheme
+// of ParIS/MESSI applied to TS-Index).
+func BuildRange(ext *series.Extractor, cfg Config, lo, hi int) (*Frozen, error) {
+	ix, err := newBuilder(ext, cfg)
 	if err != nil {
 		return nil, err
 	}
 	count := series.NumSubsequences(ext.Len(), ix.cfg.L)
-	if count == 0 {
-		return nil, fmt.Errorf("core: series length %d shorter than subsequence length %d", ext.Len(), ix.cfg.L)
-	}
 	if lo < 0 || hi > count || lo >= hi {
 		return nil, fmt.Errorf("core: position range [%d, %d) invalid for %d windows", lo, hi, count)
 	}
 	for p := lo; p < hi; p++ {
-		ix.Insert(p)
+		ix.add(p)
 	}
-	return ix, nil
+	return ix.freeze(), nil
 }
 
-// NewEmpty returns an index with no entries; callers insert positions
-// explicitly (BuildRange, and tests).
-func NewEmpty(ext *series.Extractor, cfg Config) (*Index, error) {
+// newBuilder returns a builder with no entries.
+func newBuilder(ext *series.Extractor, cfg Config) (*builder, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
 	if ext.Len() < cfg.L {
 		return nil, fmt.Errorf("core: series length %d shorter than subsequence length %d", ext.Len(), cfg.L)
 	}
-	return newIndex(ext, cfg), nil
+	return &builder{ext: ext, cfg: cfg, top: mbts.New(2 * cfg.L), winBuf: make([]float64, cfg.L)}, nil
 }
 
-// newIndex is an empty index; cfg must be filled.
-func newIndex(ext *series.Extractor, cfg Config) *Index {
-	return &Index{ext: ext, cfg: cfg, top: mbts.New(2 * cfg.L), winBuf: make([]float64, cfg.L)}
-}
-
-// Insert adds the window starting at position p to the index.
-func (ix *Index) Insert(p int) {
+// add inserts the window starting at position p.
+func (ix *builder) add(p int) {
 	w := ix.ext.Extract(p, ix.cfg.L, ix.winBuf)
 	if ix.root == nil {
 		ix.root = &node{bounds: ix.top.Row(0, ix.cfg.L), leaf: true, positions: []int32{int32(p)}}
@@ -192,8 +184,8 @@ func (ix *Index) Insert(p int) {
 // insert descends into n, whose bounds already enclose w, expanding the
 // chosen child's bounds on the way. When n overflows and splits it
 // returns the two replacement nodes, bounded at n's row and at row 1 of
-// Index.top; otherwise (nil, nil).
-func (ix *Index) insert(n *node, w []float64, p int32) (*node, *node) {
+// builder.top; otherwise (nil, nil).
+func (ix *builder) insert(n *node, w []float64, p int32) (*node, *node) {
 	if n.leaf {
 		n.positions = append(n.positions, p)
 		if len(n.positions) > ix.cfg.MaxCap {
@@ -224,7 +216,7 @@ func (ix *Index) insert(n *node, w []float64, p int32) (*node, *node) {
 
 // newInternal returns a childless internal node bounded at the row
 // bounds, its block sized for the MaxCap+1 children it holds at most.
-func (ix *Index) newInternal(bounds mbts.MBTS) *node {
+func (ix *builder) newInternal(bounds mbts.MBTS) *node {
 	c := ix.cfg.MaxCap + 1
 	return &node{bounds: bounds, rows: mbts.New(c * ix.cfg.L), children: make([]*node, 0, c)}
 }
@@ -232,7 +224,7 @@ func (ix *Index) newInternal(bounds mbts.MBTS) *node {
 // adopt appends c to n's children, moving c's bounds into n's next row
 // (newInternal sized the block for every child n can hold), and grows
 // n's bounds to enclose them (the first child sets them).
-func (ix *Index) adopt(n, c *node) {
+func (ix *builder) adopt(n, c *node) {
 	k, l := len(n.children), ix.cfg.L
 	row := n.rows.Row(k, l)
 	row.CopyFrom(c.bounds)
@@ -257,7 +249,7 @@ func (ix *Index) adopt(n, c *node) {
 // at the minimum survives. At a limit of 0 only the rows before the
 // hint are swept, the first child at 0 being final — a later one ties
 // at 0 and its width increase, like the incumbent's, is exactly 0.
-func (ix *Index) chooseChild(n *node, w []float64) (*node, float64) {
+func (ix *builder) chooseChild(n *node, w []float64) (*node, float64) {
 	k, l := len(n.children), len(w)
 	h := n.hint
 	if h < 0 || h >= k {
@@ -294,38 +286,4 @@ func (ix *Index) chooseChild(n *node, w []float64) (*node, float64) {
 	}
 	n.hint = best
 	return n.children[best], dists[best]
-}
-
-// Len returns the number of indexed windows.
-func (ix *Index) Len() int { return ix.size }
-
-// Height returns the number of levels (1 = the root is a leaf).
-func (ix *Index) Height() int { return ix.height }
-
-// L returns the indexed subsequence length.
-func (ix *Index) L() int { return ix.cfg.L }
-
-// Extractor exposes the extractor the index was built over.
-func (ix *Index) Extractor() *series.Extractor { return ix.ext }
-
-// each calls visit on every node, parents before children, with its
-// depth (the root's is 1).
-func (ix *Index) each(visit func(n *node, depth int)) {
-	var walk func(n *node, depth int)
-	walk = func(n *node, depth int) {
-		visit(n, depth)
-		for _, c := range n.children {
-			walk(c, depth+1)
-		}
-	}
-	if ix.root != nil {
-		walk(ix.root, 1)
-	}
-}
-
-// NodeCount returns the total number of tree nodes.
-func (ix *Index) NodeCount() int {
-	total := 0
-	ix.each(func(*node, int) { total++ })
-	return total
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -9,17 +10,50 @@ import (
 	"twinsearch/internal/series"
 )
 
-func buildOver(t *testing.T, ts []float64, mode series.NormMode, cfg Config) (*Index, *series.Extractor) {
+// frozenOver builds an index over ts and holds it to checkSealed.
+func frozenOver(t *testing.T, ts []float64, mode series.NormMode, cfg Config) (*Frozen, *series.Extractor) {
 	t.Helper()
 	ext := series.NewExtractor(ts, mode)
-	ix, err := Build(ext, cfg)
+	f, err := Build(ext, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := ix.CheckInvariants(); err != nil {
+	checkSealed(t, f, 0, series.NumSubsequences(ext.Len(), f.L()))
+	return f, ext
+}
+
+// checkSealed is the tree check: the arena's invariants
+// (Frozen.CheckInvariants), and every window of [lo, hi) held exactly
+// once.
+func checkSealed(t testing.TB, f *Frozen, lo, hi int) {
+	t.Helper()
+	if err := f.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
-	return ix, ext
+	held := slices.Clone(f.Positions())
+	slices.Sort(held)
+	for i, p := range held {
+		if int(p) != lo+i {
+			t.Fatalf("held position %d is %d: the tree does not hold every window of [%d, %d) once", i, p, lo, hi)
+		}
+	}
+	if len(held) != hi-lo {
+		t.Fatalf("the tree holds %d windows, [%d, %d) has %d", len(held), lo, hi, hi-lo)
+	}
+}
+
+// grow inserts the windows [lo, hi) of ext into a new builder, for the
+// tests that look at the tree before Build seals it, or seal it part-way.
+func grow(t testing.TB, ext *series.Extractor, cfg Config, lo, hi int) *builder {
+	t.Helper()
+	ix, err := newBuilder(ext, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := lo; p < hi; p++ {
+		ix.add(p)
+	}
+	return ix
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -78,45 +112,40 @@ func TestMatchesOracleAllModes(t *testing.T) {
 
 func TestTreeGrowsInHeight(t *testing.T) {
 	ts := datasets.RandomWalk(3, 5000)
-	ix, _ := buildOver(t, ts, series.NormGlobal, Config{L: 50})
-	if ix.Height() < 3 {
-		t.Fatalf("5k windows at Mc=30 should give height ≥ 3, got %d", ix.Height())
+	f, _ := frozenOver(t, ts, series.NormGlobal, Config{L: 50})
+	if f.Height() < 3 {
+		t.Fatalf("5k windows at Mc=30 should give height ≥ 3, got %d", f.Height())
 	}
-	if ix.Len() != series.NumSubsequences(len(ts), 50) {
-		t.Fatalf("Len = %d", ix.Len())
+	if f.Len() != series.NumSubsequences(len(ts), 50) {
+		t.Fatalf("Len = %d", f.Len())
 	}
-	if ix.NodeCount() <= ix.Len()/31 {
-		t.Fatalf("NodeCount = %d too small", ix.NodeCount())
+	if f.NodeCount() <= f.Len()/31 {
+		t.Fatalf("NodeCount = %d too small", f.NodeCount())
 	}
-	if ix.L() != 50 {
-		t.Fatalf("L = %d", ix.L())
+	if f.L() != 50 {
+		t.Fatalf("L = %d", f.L())
 	}
-	if ix.Extractor() == nil {
+	if f.Extractor() == nil {
 		t.Fatal("Extractor accessor broken")
 	}
 }
 
 func TestIncrementalInsertInvariants(t *testing.T) {
 	// Invariants must hold at every prefix of the insertion sequence,
-	// not just at the end.
+	// not just at the end: the tree sealed part-way is checked, and the
+	// builder goes on inserting (freeze shares nothing with it).
 	ts := datasets.InsectN(11, 800)
 	ext := series.NewExtractor(ts, series.NormGlobal)
-	ix, err := NewEmpty(ext, Config{L: 40, MinCap: 2, MaxCap: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := grow(t, ext, Config{L: 40, MinCap: 2, MaxCap: 4}, 0, 0)
 	count := series.NumSubsequences(len(ts), 40)
 	for p := 0; p < count; p++ {
-		ix.Insert(p)
+		ix.add(p)
 		if p%50 == 0 || p == count-1 {
-			if err := ix.CheckInvariants(); err != nil {
-				t.Fatalf("after %d inserts: %v", p+1, err)
+			if !t.Run(fmt.Sprintf("after %d inserts", p+1), func(t *testing.T) {
+				checkSealed(t, ix.freeze(), 0, p+1)
+			}) {
+				return
 			}
-		}
-	}
-	for _, p := range []int{0, 1, count / 2, count - 1} {
-		if !ix.verifyReachable(p) {
-			t.Fatalf("position %d unreachable", p)
 		}
 	}
 }
@@ -156,16 +185,11 @@ func TestSearchStatsFunnel(t *testing.T) {
 
 func TestEmptyIndexSearch(t *testing.T) {
 	ext := series.NewExtractor(datasets.RandomWalk(1, 100), series.NormGlobal)
-	ix, err := NewEmpty(ext, Config{L: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms := ix.Freeze().Search(make([]float64, 20), 1); ms != nil {
+	f := grow(t, ext, Config{L: 20}, 0, 0).freeze()
+	if ms := f.Search(make([]float64, 20), 1); ms != nil {
 		t.Fatal("empty index must return nil")
 	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	checkSealed(t, f, 0, 0)
 }
 
 func TestQueryLengthPanic(t *testing.T) {

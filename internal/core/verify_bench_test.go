@@ -34,11 +34,10 @@ func BenchmarkLeafVerify(b *testing.B) {
 	const l = 100
 	data := datasets.EEGN(1, 200000)
 	ext := series.NewExtractor(data, series.NormGlobal)
-	ix, err := Build(ext, Config{L: l})
+	f, err := Build(ext, Config{L: l})
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := ix.Freeze()
 	var qs [][]float64
 	for _, q := range datasets.Queries(data, 7, 16, l) {
 		qs = append(qs, ext.TransformQuery(q))

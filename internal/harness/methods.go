@@ -135,13 +135,11 @@ func buildMethod(m MethodID, ext *series.Extractor, l, segments int) (built, err
 			memBytes: ix.MemoryBytes()}, nil
 	case TSIndex:
 		// Build time and memory are those of what is served: insertion
-		// plus the compile into the arena, and the arena's bytes (the
-		// pointer tree is dropped).
-		ix, err := core.Build(ext, core.Config{L: l})
+		// plus the compile into the arena, and the arena's bytes.
+		f, err := core.Build(ext, core.Config{L: l})
 		if err != nil {
 			return built{}, err
 		}
-		f := ix.Freeze()
 		return built{method: m, s: tsAdapter{f}, buildTime: time.Since(start),
 			memBytes: f.MemoryBytes()}, nil
 	default:

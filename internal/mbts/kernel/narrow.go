@@ -26,7 +26,7 @@ func NarrowDown(x float64) float32 {
 
 // stepIf moves f to the adjacent float32 in direction dir (+1 up, −1
 // down) when wrong is set — math.Nextafter32 without its branches,
-// because Freeze narrows every bound of the arena and whether a
+// because a build narrows every bound of the arena and whether a
 // conversion rounded the wrong way is a coin toss. Floats order like
 // their bit patterns taken as sign-magnitude integers, so a step away
 // from zero adds one to the bits and a step toward zero subtracts one.

@@ -93,27 +93,6 @@ func (b MBTS) ExpandToMBTS(o MBTS) {
 	}
 }
 
-// ContainsSequence reports whether s lies within the bounds at every
-// timestamp.
-func (b MBTS) ContainsSequence(s []float64) bool {
-	for i, v := range s {
-		if v > b.Upper[i] || v < b.Lower[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsMBTS reports whether o lies entirely within b.
-func (b MBTS) ContainsMBTS(o MBTS) bool {
-	for i := range b.Upper {
-		if o.Upper[i] > b.Upper[i] || o.Lower[i] < b.Lower[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // DistFlat is Eq. 2 over raw float64 bound slices, without an MBTS
 // wrapper — the full-width form (the frozen arena's half-width rows go
 // through kernel.DistFlat32). upper and lower must have at least len(s)

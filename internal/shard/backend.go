@@ -284,7 +284,7 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 // them exactly once.
 func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	b, to := s.snapshot()
-	if err := b.frozen[0].ValidatePrefix(q); err != nil {
+	if err := core.ValidatePrefix(q, s.l, s.ext.Mode()); err != nil {
 		return nil, err
 	}
 	if canceled(ctx) {

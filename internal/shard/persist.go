@@ -272,11 +272,16 @@ func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assign
 // single-index (TSFZ) stream takes once opened. f must cover every
 // window of its series; an arena holding only part of them (one segment
 // lifted out of a sharded container) would answer silently short, so it
-// is refused.
+// is refused. As in OpenArena, a heap arena also gets the ownership
+// scan (checkPartition), a mapped one the shape only.
 func Single(f *core.Frozen, ex *exec.Executor) (*Index, error) {
 	count := series.NumSubsequences(f.Extractor().Len(), f.L())
 	s := assemble(f.Extractor(), f.L(), []*core.Frozen{f}, nil, []int{0, count}, ex)
-	if err := s.checkShape(s.base.Load(), count); err != nil {
+	check := s.checkPartition
+	if f.Mapped() {
+		check = s.checkShape
+	}
+	if err := check(s.base.Load(), count); err != nil {
 		return nil, err
 	}
 	return s, nil

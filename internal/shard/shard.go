@@ -7,10 +7,9 @@
 // with one pool of workers running the units of concurrent queries in
 // submission order instead of one goroutine per shard.
 //
-// After construction every shard is FROZEN: the pointer tree is
-// compiled into core.Frozen's flat structure-of-arrays arena (packed
-// MBTS bounds, index-range children, one flat positions array) and the
-// pointer form is dropped. No arena is ever mutated. Windows appended
+// Every shard is a core.Frozen, the flat structure-of-arrays arena
+// (packed MBTS bounds, index-range children, one flat positions array)
+// that core.BuildRange returns. No arena is ever mutated. Windows appended
 // to the series form a tail after the last shard, which every query
 // scans at kernel speed, until Compact rebuilds the last shard over
 // them and publishes it (see Index). An Index of ONE shard is how a
@@ -110,10 +109,10 @@ type base struct {
 // end is the window count the base covers: where the tail begins.
 func (b *base) end() int { return b.starts[len(b.starts)-1] }
 
-// Build partitions the position space, constructs every shard on the
-// executor, and freezes each shard's tree into its flat arena. With
-// Shards resolving to 1 the result is core.Build's tree, frozen, behind
-// the fan-out API — bit-identical answers either way.
+// Build partitions the position space and builds every shard's arena
+// on the executor (core.BuildRange). With Shards resolving to 1 the
+// result is core.Build's arena behind the fan-out API — bit-identical
+// answers either way.
 func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 	if cfg.L <= 0 {
 		return nil, fmt.Errorf("shard: invalid subsequence length %d", cfg.L)
@@ -151,14 +150,7 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 	frozen := make([]*core.Frozen, p)
 	errs := make([]error, p)
 	ex.ForEach(p, func(i int) {
-		ix, err := core.BuildRange(ext, cfg.Config, starts[i], starts[i+1])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		// Freeze inside the same work unit (arenas compile in parallel)
-		// and let the pointer tree go: the arena is the index now.
-		frozen[i] = ix.Freeze()
+		frozen[i], errs[i] = core.BuildRange(ext, cfg.Config, starts[i], starts[i+1])
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -443,12 +435,12 @@ func (s *Index) Compact() error {
 		return nil
 	}
 	last := len(b.frozen) - 1
-	ix, err := core.BuildRange(s.ext, b.frozen[last].Config(), b.starts[last], to)
+	f, err := core.BuildRange(s.ext, b.frozen[last].Config(), b.starts[last], to)
 	if err != nil {
 		return fmt.Errorf("shard: compacting shard %d: %w", last, err)
 	}
 	next := &base{frozen: slices.Clone(b.frozen), starts: slices.Clone(b.starts)}
-	next.frozen[last] = ix.Freeze()
+	next.frozen[last] = f
 	next.starts[s.total] = to
 	s.base.Store(next)
 	return nil

@@ -79,11 +79,10 @@ func TestOpenArenaShardsSelective(t *testing.T) {
 
 	// Reference: an index over exactly the subset's position range. Any
 	// exact index over the same positions answers identically.
-	ref, err := core.BuildRange(ext, core.Config{L: l}, lo, hi)
+	rf, err := core.BuildRange(ext, core.Config{L: l}, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf := ref.Freeze()
 
 	ctx := context.Background()
 	for _, qp := range []int{100, 1500, 2900} {

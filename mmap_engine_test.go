@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"twinsearch/internal/arena"
@@ -99,6 +101,57 @@ func TestSavedFormatMatrix(t *testing.T) {
 			} {
 				if _, err := open(); err == nil || err.Error() != c.want {
 					t.Errorf("%s: error %v, want %q", entry, err, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestHeapOpenRefusesDuplicatePosition saves a single and a 4-shard
+// index, copies the first held position over the second in each — so
+// one window is held twice and another not at all — and reseals the two
+// checksums that cover the change (the positions section's and the
+// segment header's). Every check a heap open makes but the ownership
+// scan passes such a file, and the single index would then answer
+// without the lost window; both must be refused, by OpenSaved and by a
+// read (not mapped) OpenSavedFile.
+func TestHeapOpenRefusesDuplicatePosition(t *testing.T) {
+	data := datasets.EEGN(1, 3000)
+	const l = 50
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	dir := t.TempDir()
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng, err := Open(data, Options{L: l, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := eng.SaveIndex(&buf); err != nil {
+				t.Fatal(err)
+			}
+			stream := buf.Bytes()
+			seg := 0 // a TSFZ stream is its one segment
+			if shards > 1 {
+				// A TSSH header: 12 bytes, shards+1 boundaries, shards
+				// segment lengths, its checksum; shard 0's TSFZ follows.
+				seg = 12 + 8*(shards+1) + 8*shards + 4
+			}
+			at := func(off int) int { return seg + int(binary.LittleEndian.Uint64(stream[seg+off:])) }
+			positions, upper := at(64), at(72) // the positions section and the one after it
+			copy(stream[positions+4:positions+8], stream[positions:positions+4])
+			binary.LittleEndian.PutUint32(stream[seg+104:], crc32.Checksum(stream[positions:upper], castagnoli))
+			binary.LittleEndian.PutUint32(stream[seg+116:], crc32.Checksum(stream[seg:seg+116], castagnoli))
+			path := filepath.Join(dir, fmt.Sprintf("dup-%d.tsidx", shards))
+			if err := os.WriteFile(path, stream, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for entry, open := range map[string]func() (*Engine, error){
+				"OpenSaved":     func() (*Engine, error) { return OpenSaved(data, bytes.NewReader(stream), Options{L: l}) },
+				"OpenSavedFile": func() (*Engine, error) { return OpenSavedFile(data, path, Options{L: l}) },
+			} {
+				if _, err := open(); err == nil || !strings.Contains(err.Error(), "owned twice") {
+					t.Errorf("%s: error %v, want the position owned twice refused", entry, err)
 				}
 			}
 		})

@@ -30,11 +30,10 @@ func TestOneShardEngineIsTheOldSingleIndex(t *testing.T) {
 	tail := datasets.EEGN(72, 150)
 	frozenBytes := func(ext *series.Extractor) (*core.Frozen, []byte) {
 		t.Helper()
-		tree, err := core.Build(ext, core.Config{L: l})
+		f, err := core.Build(ext, core.Config{L: l})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := tree.Freeze()
 		var buf bytes.Buffer
 		if _, err := f.WriteTo(&buf); err != nil {
 			t.Fatal(err)

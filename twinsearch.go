@@ -295,9 +295,9 @@ func newEngine(data []float64, opt Options) *Engine {
 var ErrClosed = errors.New("twinsearch: engine is closed")
 
 // Close releases the resources an engine may hold beyond the heap: the
-// mapped index region (Options.MMap), the cluster coordinator's local
-// mappings and idle connections (Options.Topology), and the series
-// store attached to the extractor, if it is closeable (e.g. a
+// mapped index region (Options.MMap), the cluster coordinator's
+// membership sweep and idle connections (Options.Topology), and the
+// series store attached to the extractor, if it is closeable (e.g. a
 // store.Disk serving disk-resident verification). Heap-only engines
 // close trivially. Close is idempotent, safe to race with itself, and
 // every call after the first returns nil; searches, appends, and saves
