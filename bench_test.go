@@ -452,6 +452,40 @@ func BenchmarkFrozenTopK(b *testing.B) {
 	}
 }
 
+// The served top-k shape through the shard layer, where an unbounded
+// query starts from the seed's bound (shard.Index.SearchTopKCtx): the
+// counterpart of topk_p50_ms on `point` (one shard, the engine's single
+// index) and on `wide-sharded` (four shards, on one worker so the
+// traversals' work is not hidden behind parallel units).
+// BenchmarkFrozenTopK is the bare traversal, without the seed.
+func BenchmarkShardedTopK(b *testing.B) {
+	data, ext := servedSeries()
+	var qs [][]float64
+	for _, q := range datasets.Queries(data, 7, 64, harness.DefaultL) {
+		qs = append(qs, ext.TransformQuery(q))
+	}
+	for _, c := range []struct {
+		name string
+		cfg  shard.Config
+	}{
+		{"shards=1", shard.Config{Config: core.Config{L: harness.DefaultL}, Shards: 1}},
+		{"shards=4/workers=1", shard.Config{Config: core.Config{L: harness.DefaultL}, Shards: 4, Executor: exec.New(1)}},
+	} {
+		ix, err := shard.Build(ext, c.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := ix.SearchTopK(qs[i%len(qs)], 10); len(got) != 10 {
+					b.Fatalf("got %d results", len(got))
+				}
+			}
+		})
+	}
+}
+
 // The served range-search shape: the counterpart of search_p50_ms on
 // `point` (ε = 0.2, a handful of twins, traversal-bound) and on
 // `wide-sharded` (ε = 1.0, thousands of matches, verification-bound).

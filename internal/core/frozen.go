@@ -50,6 +50,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"unsafe"
 
 	"twinsearch/internal/arena"
@@ -232,10 +234,12 @@ func (f *Frozen) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 	return out, st
 }
 
-// frozenStackCap sizes the explicit traversal stacks. A constant
-// capacity lets escape analysis keep the whole stack on the goroutine
-// stack for typical trees (fanout × depth rarely exceeds a few dozen
-// pending nodes); deeper trees spill to the heap transparently.
+// frozenStackCap sizes the range traversal's explicit stack. A
+// constant capacity lets escape analysis keep it on the goroutine
+// stack: a depth-first walk holds at most fanout × depth pending nodes
+// (150 on the served tree: MaxCap 30, height 5), and a deeper tree
+// spills to the heap once. It does not bound a best-first frontier, which holds
+// every queued node (see frontiers).
 const frozenStackCap = 256
 
 // sweepScratchCap sizes the per-traversal child-distance scratch the
@@ -353,15 +357,15 @@ func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) ([]se
 		t.st.NodesPruned++
 		return nil, t.st // a shared bound has already excluded the whole tree
 	}
-	// Constant capacity: the queue and the sweep scratch stay on the
-	// goroutine stack until a traversal outgrows them.
-	pq := make([]frozenItem, 0, frozenStackCap)
-	pq = append(pq, frozenItem{id: 0, lb: rootLB})
+	// The frontier is a recycled buffer; the sweep scratch stays on the
+	// goroutine stack until a node outgrows it.
+	buf := frontiers.Get().(*frontier)
+	pq := (*buf)[:0].push(frozenItem{id: 0, lb: rootLB})
 	dists := make([]float64, 0, sweepScratchCap)
 
 	for len(pq) > 0 {
 		var item frozenItem
-		pq, item = heapPop(pq)
+		pq, item = pq.pop()
 		if item.lb > t.limit() {
 			// Every remaining node is at least this far.
 			t.st.NodesPruned += len(pq) + 1
@@ -380,7 +384,7 @@ func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) ([]se
 					t.st.NodesPruned++
 					continue
 				}
-				pq = heapPush(pq, frozenItem{id: first + int32(j), lb: lb})
+				pq = pq.push(frozenItem{id: first + int32(j), lb: lb})
 			}
 			continue
 		}
@@ -388,7 +392,73 @@ func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) ([]se
 		first, c := f.first[item.id], f.count[item.id]
 		t.offer(&ver, f.positions[first:first+c])
 	}
+	*buf = pq[:0]
+	frontiers.Put(buf)
 	return t.sorted(), t.st
+}
+
+// SeedTopK returns a starting limit for a top-k search of q over an
+// index that holds f's windows, [lo, hi) being f's position range: the
+// k-th smallest distance among the windows of the leaf a greedy descent
+// reaches — at every level the child with the smallest Eq. 2 bound,
+// the first on a tie — and the k windows on either side of that leaf's
+// nearest one, clipped to [lo, hi). Neighbouring windows of a
+// series overlap in all but one value, so around a near window lie
+// more near windows. Those are k distinct windows of the index, so the
+// value bounds its k-th distance from above, and a traversal that
+// prunes only strictly beyond it (SharedBound) answers exactly as an
+// unbounded one. With fewer than k windows in [lo, hi) it returns
+// +Inf and does nothing. The Stats count the rows the descent scored,
+// its leaf, and every window verified (a leaf window inside the
+// neighbourhood is verified twice).
+func (f *Frozen) SeedTopK(q []float64, k, lo, hi int) (float64, Stats) {
+	if len(q) != f.cfg.L {
+		panic("core: query length mismatch")
+	}
+	if k <= 0 || hi-lo < k || len(f.first) == 0 {
+		return math.Inf(1), Stats{}
+	}
+	var st Stats
+	n := int32(0)
+	dists := make([]float64, 0, sweepScratchCap)
+	for !f.isLeaf(n) {
+		dists = f.sweepChildren(n, q, math.Inf(1), dists)
+		st.NodesVisited += len(dists)
+		near := 0
+		for j, d := range dists {
+			if d < dists[near] {
+				near = j
+			}
+		}
+		n = f.first[n] + int32(near)
+	}
+	st.LeavesReached++
+	leaf := f.positions[f.first[n] : f.first[n]+f.count[n]]
+	ver := series.MakeVerifier(f.ext, q, 0)
+	t := newTopK(k, nil)
+	ds := ver.Sweep(leaf, math.Inf(1))
+	near := 0
+	for j, d := range ds {
+		if d < ds[near] || d == ds[near] && leaf[j] < leaf[near] {
+			near = j
+		}
+	}
+	from, to := max(lo, int(leaf[near])-k), min(hi, int(leaf[near])+k+1)
+	for j, p := range leaf {
+		if int(p) < from || int(p) >= to {
+			t.admit(worstFirst{Start: int(p), Dist: ds[j]})
+		}
+	}
+	var buf [sweepScratchCap]int32
+	for ; from < to; from += len(buf) {
+		t.offer(&ver, tailStarts(buf[:], from, to))
+	}
+	st.Candidates += len(leaf) + t.st.Candidates
+	st.Abandons = t.st.Abandons
+	if len(t.best) < k {
+		return math.Inf(1), st
+	}
+	return t.best[0].Dist, st
 }
 
 // SearchPrefix answers twin queries SHORTER than the indexed length —
@@ -451,13 +521,73 @@ func (f *Frozen) SearchPrefixTree(q []float64, eps float64) ([]series.Match, err
 }
 
 // frozenItem pairs an arena node id with its Eq. 2 lower bound for the
-// query; nearest first.
+// query; nearest first, equal bounds in id order. No node is queued
+// twice, so (lb, id) is a strict total order: the frontier pops one
+// sequence whatever its shape.
 type frozenItem struct {
-	id int32
 	lb float64
+	id int32
 }
 
-func (a frozenItem) before(b frozenItem) bool { return a.lb < b.lb }
+func (a frozenItem) before(b frozenItem) bool {
+	return a.lb < b.lb || a.lb == b.lb && a.id < b.id
+}
+
+// frontier is a top-k traversal's node queue: a 4-ary min-heap under
+// before. It is half as deep as a binary heap, a node's children share
+// a cache line or two, and its sifts are written out for this one
+// element type so that before inlines (a generic heap calls it through
+// a dictionary). Moving a hole instead of swapping halves the stores.
+type frontier []frozenItem
+
+const frontierArity = 4
+
+func (h frontier) push(x frozenItem) frontier {
+	h = append(h, x)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / frontierArity // parent
+		if !x.before(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = x
+	return h
+}
+
+// pop removes and returns the nearest node. h must be non-empty.
+func (h frontier) pop() (frontier, frozenItem) {
+	top, n := h[0], len(h)-1
+	x := h[n]
+	i := 0
+	for {
+		c := frontierArity*i + 1 // first child
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+frontierArity, n); j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+	return h[:n], top
+}
+
+// frontiers recycles the frontiers' buffers. A frontier holds every
+// node queued and not yet popped — 4 405 at peak on the served shape
+// (EEG 200 k, L = 100, k = 10) — so one grown per query cost ≈ 60 KB
+// and five allocations; a recycled one costs neither once warm.
+var frontiers = sync.Pool{New: func() any { return new(frontier) }}
 
 // CheckInvariants validates the arena against the series and the
 // structural invariants a build guarantees — the one tree checker:

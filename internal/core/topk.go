@@ -103,17 +103,22 @@ func (t *topK) offer(v *series.Verifier, starts []int32) {
 			t.st.Abandons++
 			continue
 		}
-		m := worstFirst{Start: int(starts[j]), Dist: d}
-		if len(t.best) >= t.k {
-			if !t.best[0].before(m) {
-				continue // not strictly better than the current worst
-			}
-			t.best, _ = heapPop(t.best)
+		t.admit(worstFirst{Start: int(starts[j]), Dist: d})
+	}
+}
+
+// admit keeps m iff it beats the current worst under (dist, start), or
+// the list is not yet full.
+func (t *topK) admit(m worstFirst) {
+	if len(t.best) >= t.k {
+		if !t.best[0].before(m) {
+			return // not strictly better than the current worst
 		}
-		t.best = heapPush(t.best, m)
-		if t.shared != nil && len(t.best) >= t.k {
-			t.shared.Tighten(t.best[0].Dist)
-		}
+		t.best, _ = heapPop(t.best)
+	}
+	t.best = heapPush(t.best, m)
+	if t.shared != nil && len(t.best) >= t.k {
+		t.shared.Tighten(t.best[0].Dist)
 	}
 }
 
@@ -140,14 +145,14 @@ func (a worstFirst) before(b worstFirst) bool {
 	return a.Start > b.Start
 }
 
-// heapItem orders the elements of the typed binary heaps: a.before(b)
+// heapItem orders the elements of a typed binary heap: a.before(b)
 // reports that a must leave the heap ahead of b.
 type heapItem[T any] interface{ before(T) bool }
 
 // heapPush and heapPop are container/heap's sift-up and sift-down over
-// a plain slice — the same comparisons in the same order, so ties
-// resolve exactly as they did under heap.Interface — without boxing
-// every element into an interface value.
+// a plain slice, without boxing every element into an interface value.
+// They hold the result heap; a top-k traversal's node queue, the hotter
+// heap, is a frontier (frozen.go).
 func heapPush[T heapItem[T]](h []T, x T) []T {
 	h = append(h, x)
 	for j := len(h) - 1; j > 0; {

@@ -100,12 +100,11 @@ func TestTopKConsistentWithThresholdSearch(t *testing.T) {
 
 // TestFrozenTopKAllocs pins the top-k allocation budget on the serving
 // shape (bench/'s generator, L, norm and k; a quarter of its length so
-// the race leg stays quick): the result heap and the returned slice,
-// plus the doublings of the node queue once it outgrows its
-// stack-resident capacity. Queue growth is logarithmic in the tree, so
-// the ceiling holds at 200 000 points too (BenchmarkFrozenTopK reports
-// 5). Boxing every heap element through container/heap cost ≈1900
-// allocations per query.
+// the race leg stays quick): the result heap and the returned slice.
+// The node queue's buffer is recycled, so its growth costs nothing once
+// warm (BenchmarkFrozenTopK reports 2 at 200 000 points; while each
+// query grew its own queue, 5). Boxing every heap element through
+// container/heap cost ≈1900 allocations per query.
 func TestFrozenTopKAllocs(t *testing.T) {
 	data := datasets.EEGN(1, 50000)
 	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 100})

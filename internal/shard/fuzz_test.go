@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 
 	"twinsearch/internal/arena"
@@ -71,4 +73,115 @@ func FuzzLoadSharded(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzShardTopK holds the seeded start of an unbounded SearchTopKCtx to
+// its contract: the seed only ever bounds the k-th distance of the
+// windows the index holds from above, so the answer is the one a
+// traversal with no starting bound gives, and the brute-force one over
+// those windows, bit for bit. The series is a quantised walk (steps of
+// −2…2), so equal windows and tied distances are common, the partition
+// 1–7 contiguous shards at fuzzed boundaries, the index all of them or
+// the subset a mask selects (a cluster node's view, whose first held
+// shard is the one probed), k anything from 1 to two past the held
+// windows, under every norm mode. A finite caller bound skips the seed,
+// and math.MaxFloat64 prunes nothing: that call is the unseeded
+// reference.
+func FuzzShardTopK(f *testing.F) {
+	const l = 8
+	walk := func(n int, seed uint32) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			seed = seed*1664525 + 1013904223
+			b[i] = byte(seed >> 24)
+		}
+		return b
+	}
+	steps := walk(300, 1)
+	// The query at a shard's first and last window; at both ends of the
+	// series; an all-tie series; shard 0 (the probed one) smaller than
+	// k; a subset whose probed shard is not the container's first; a
+	// ramp, whose leaf windows all lie in the neighbourhood; a ramp whose
+	// nearest windows lie across the probed shard's boundary, in a
+	// shard the index does not hold.
+	f.Add(steps, []byte{100, 200}, uint8(0), uint8(1), uint16(10), uint16(101), uint8(0))
+	f.Add(steps, []byte{100, 200}, uint8(0), uint8(0), uint16(10), uint16(100), uint8(3))
+	f.Add(steps, []byte{100}, uint8(0), uint8(2), uint16(5), uint16(0), uint8(0))
+	f.Add(steps, []byte{100}, uint8(0), uint8(1), uint16(5), uint16(292), uint8(0))
+	f.Add(bytes.Repeat([]byte{2}, 120), []byte{30, 60, 90}, uint8(0), uint8(0), uint16(7), uint16(50), uint8(0))
+	f.Add(steps, []byte{2, 150}, uint8(0), uint8(1), uint16(9), uint16(1), uint8(0))
+	f.Add(steps, []byte{40, 80, 120, 160}, uint8(0b10110), uint8(2), uint16(20), uint16(130), uint8(5))
+	f.Add(bytes.Repeat([]byte{3}, 11), []byte{1}, uint8(1), uint8(1), uint16(5), uint16(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{3}, 60), []byte{20, 40}, uint8(0b10), uint8(0), uint16(5), uint16(21), uint8(0))
+
+	f.Fuzz(func(t *testing.T, steps, cuts []byte, mask, mode uint8, k, qAt uint16, bend uint8) {
+		steps = steps[:min(len(steps), 400)]
+		if len(steps) < l {
+			return
+		}
+		data := make([]float64, len(steps))
+		for i := 1; i < len(data); i++ {
+			data[i] = data[i-1] + float64(int(steps[i]%5)-2)
+		}
+		ext := series.NewExtractor(data, allModes[int(mode)%len(allModes)])
+		count := series.NumSubsequences(len(data), l)
+		bounds := []int{0, count}
+		for _, c := range cuts[:min(len(cuts), 6)] {
+			if count > 1 {
+				bounds = append(bounds, 1+int(c)%(count-1))
+			}
+		}
+		slices.Sort(bounds)
+		bounds = slices.Compact(bounds)
+		full, err := Build(ext, Config{Config: core.Config{L: l, MinCap: 2, MaxCap: 5}, Boundaries: bounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := full
+		var held []int
+		for i := range len(bounds) - 1 {
+			if mask>>i&1 == 1 {
+				held = append(held, i)
+			}
+		}
+		if len(held) > 0 {
+			var stream bytes.Buffer
+			if _, err := full.WriteTo(&stream); err != nil {
+				t.Fatal(err)
+			}
+			if ix, err = OpenArenaShards(arena.FromBytes(stream.Bytes()), ext, nil, held); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		q := ext.ExtractCopy(int(qAt)%count, l)
+		for j := range q {
+			q[j] += float64(bend>>j&1) / 2
+		}
+		kk := 1 + int(k)%(ix.Windows()+2)
+		var want []series.Match
+		for _, m := range oracle.TopK(ext, q, count) {
+			if len(want) < kk && ix.holds(m.Start) {
+				want = append(want, m)
+			}
+		}
+		seeded, err := ix.SearchTopKCtx(nil, q, kk, math.Inf(1))
+		if err != nil || !sameMatches(seeded, want) {
+			t.Fatalf("seeded top-%d over shards %v of %v: %v (err %v), oracle %v", kk, held, bounds, seeded, err, want)
+		}
+		unseeded, err := ix.SearchTopKCtx(nil, q, kk, math.MaxFloat64)
+		if err != nil || !sameMatches(unseeded, want) {
+			t.Fatalf("unseeded top-%d over shards %v of %v: %v (err %v), oracle %v", kk, held, bounds, unseeded, err, want)
+		}
+	})
+}
+
+// holds reports whether the window starting at p is one of the index's.
+func (s *Index) holds(p int) bool {
+	for i := range s.ids {
+		if lo, hi := s.Range(i); lo <= p && p < hi {
+			return true
+		}
+	}
+	return false
 }
