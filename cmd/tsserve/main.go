@@ -162,7 +162,7 @@ func serveEngine(data []float64, opt twinsearch.Options, loadIndex, addr string,
 			time.Since(start).Round(time.Millisecond), mapped, addr)
 	}
 	h := server.NewWithConfig(eng, cfg)
-	serveUntilSignal(addr, withPprof(h, pprofOn), h.BeginDrain, eng.Close)
+	serveUntilSignal(addr, withPprof(h, pprofOn), h.BeginDrain, nil, eng.Close)
 }
 
 // serveNode runs the node role: selectively open the assigned shard
@@ -197,7 +197,7 @@ func serveNode(data []float64, norm series.NormMode, topoPath, name, addr string
 		name, n.Sub.ShardIDs(), n.Sub.Windows(), series.NumSubsequences(ext.Len(), n.Sub.L()),
 		n.Sub.MappedBytes(), time.Since(start).Round(time.Millisecond), addr)
 	h := cluster.NewNodeRPC(n)
-	serveUntilSignal(addr, withPprof(h, pprofOn), h.BeginDrain, n.Close)
+	serveUntilSignal(addr, withPprof(h, pprofOn), h.BeginDrain, h.Drained, n.Close)
 }
 
 // listenAddrOf turns a topology dial URL into a listen address
@@ -214,10 +214,11 @@ func listenAddrOf(dial string) (string, error) {
 }
 
 // serveUntilSignal serves h until SIGINT/SIGTERM, then drains: new
-// queries get 503 immediately, in-flight requests finish, and only then
-// does closeFn release resources (a mapped engine must never unmap
-// under a live traversal).
-func serveUntilSignal(addr string, h http.Handler, beginDrain func(), closeFn func() error) {
+// queries get 503 immediately, in-flight requests finish — those on
+// connections the handler hijacked too, which drained (when non-nil)
+// waits for — and only then does closeFn release resources (a mapped
+// engine must never unmap under a live traversal).
+func serveUntilSignal(addr string, h http.Handler, beginDrain func(), drained func(context.Context) error, closeFn func() error) {
 	srv := &http.Server{Addr: addr, Handler: h}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -227,7 +228,11 @@ func serveUntilSignal(addr string, h http.Handler, beginDrain func(), closeFn fu
 		beginDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		done <- srv.Shutdown(ctx)
+		err := srv.Shutdown(ctx)
+		if err == nil && drained != nil {
+			err = drained(ctx)
+		}
+		done <- err
 	}()
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)

@@ -35,6 +35,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"twinsearch/internal/cluster"
 	"twinsearch/internal/core"
@@ -162,8 +163,20 @@ func nodeTopology(t *testing.T, path string, data []float64, norm NormMode, shar
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(cluster.NewNodeRPC(n))
-		t.Cleanup(func() { srv.Close(); n.Close() })
+		rpc := cluster.NewNodeRPC(n)
+		srv := httptest.NewServer(rpc)
+		t.Cleanup(func() {
+			// httptest waits for no stream's query: drain before unmapping.
+			srv.Close()
+			rpc.BeginDrain()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := rpc.Drained(ctx); err != nil {
+				t.Errorf("node %s: %v; left mapped", n.Name, err)
+				return
+			}
+			n.Close()
+		})
 		doc.Nodes[i].Addr = srv.URL
 	}
 	raw, err := json.Marshal(doc)

@@ -3,9 +3,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,8 +15,10 @@ import (
 
 // BenchmarkClusterSearch prices the distributed hop: the same saved
 // 4-shard index searched locally versus through a coordinator fanning
-// out to N in-process HTTP nodes. The delta is serialization + loopback
-// RPC + merge — what horizontal memory scaling costs per query.
+// out to N in-process nodes over the shard RPC's streams. The delta is
+// serialization + loopback RPC + merge — what horizontal memory scaling
+// costs per query. nodes=2/topk is the in-process counterpart of the
+// bench module's cluster-r2 top-k (two groups, k = 10).
 func BenchmarkClusterSearch(b *testing.B) {
 	data := datasets.EEGN(83, 4000)
 	ext := series.NewExtractor(data, series.NormGlobal)
@@ -26,17 +26,29 @@ func BenchmarkClusterSearch(b *testing.B) {
 	q := ext.ExtractCopy(1234, testL)
 
 	b.Run("local", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			local.Search(q, 0.3)
 		}
 	})
-	for _, nodes := range []int{1, 2} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			cl, _ := startClusterB(b, ext, path, contiguousSplit(4, nodes), 1, cluster.Options{}, nil)
+	for _, c := range []struct {
+		name  string
+		nodes int
+		topk  bool
+	}{{"nodes=1", 1, false}, {"nodes=2", 2, false}, {"nodes=2/topk", 2, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			cl, _ := startClusterB(b, ext, path, contiguousSplit(4, c.nodes), 1, cluster.Options{}, nil)
 			ctx := context.Background()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Search(ctx, q, 0.3); err != nil {
+				var err error
+				if c.topk {
+					_, err = cl.SearchTopK(ctx, q, 10)
+				} else {
+					_, err = cl.Search(ctx, q, 0.3)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -48,36 +60,26 @@ func BenchmarkClusterSearch(b *testing.B) {
 // R = 2, one replica group, no membership sweep, and g0r0 — first in
 // attempt order — faulted once the coordinator is open:
 //
-//   - dead: its listener is closed, so connections are refused;
-//   - wedged: requests are held until the client gives up, so an
-//     attempt costs the 100 ms Timeout;
+//   - dead: it is killed, so its stream is refused;
+//   - wedged: requests are held until the coordinator gives up and
+//     closes the stream, so an attempt costs the 100 ms Timeout;
 //   - slow: every answer is 20 ms late, without and with a 2 ms hedge.
 //
-// The faults live in the node's server, not in the coordinator's
-// transport, so this file builds against any coordinator taking these
-// options. Each sub-benchmark opens its cluster once: its first
-// iterations pay for finding the fault, later ones run in the attempt
-// order the coordinator keeps afterwards.
+// The faults live in the node, at its frame-level seam, not in the
+// coordinator's transport. Each sub-benchmark opens its cluster once:
+// its first iterations pay for finding the fault, later ones run in the
+// attempt order the coordinator keeps afterwards.
 func BenchmarkReplicaFault(b *testing.B) {
 	data := datasets.EEGN(83, 4000)
 	ext := series.NewExtractor(data, series.NormGlobal)
 	_, path := buildSaved(b, ext, 4)
 	q := ext.ExtractCopy(1234, testL)
-	wedged := func(r *http.Request) bool {
-		// net/http notices a client hanging up only once the body is
-		// read; until then the held request would outlive the benchmark.
-		io.Copy(io.Discard, r.Body)
-		<-r.Context().Done()
-		return false
-	}
-	slow := func(*http.Request) bool {
-		time.Sleep(20 * time.Millisecond)
-		return true
-	}
+	wedged := func(ctx context.Context) { <-ctx.Done() }
+	slow := func(context.Context) { time.Sleep(20 * time.Millisecond) }
 	for _, c := range []struct {
 		name  string
 		o     cluster.Options
-		fault func(r *http.Request) bool // reports whether to answer after it
+		fault func(ctx context.Context)
 	}{
 		{"dead", cluster.Options{}, nil},
 		{"wedged", cluster.Options{Timeout: 100 * time.Millisecond}, wedged},
@@ -86,20 +88,15 @@ func BenchmarkReplicaFault(b *testing.B) {
 	} {
 		var on atomic.Bool
 		c.o.RefreshInterval = -1
-		cl, srvs := startClusterB(b, ext, path, [][]int{{0, 1, 2, 3}}, 2, c.o, func(i int, h http.Handler) http.Handler {
-			if i != 0 {
-				return h
-			}
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if on.Load() && c.fault != nil && !c.fault(r) {
-					return
+		cl, srvs := startClusterB(b, ext, path, [][]int{{0, 1, 2, 3}}, 2, c.o,
+			hookNode(0, func(ctx context.Context, q *cluster.Request, answer func() []byte) []byte {
+				if on.Load() && c.fault != nil {
+					c.fault(ctx)
 				}
-				h.ServeHTTP(w, r)
-			})
-		})
+				return answer()
+			}))
 		if c.fault == nil {
-			srvs[0].CloseClientConnections()
-			srvs[0].Close()
+			srvs[0].Kill()
 		}
 		on.Store(true)
 		b.Run(c.name, func(b *testing.B) {
@@ -114,10 +111,11 @@ func BenchmarkReplicaFault(b *testing.B) {
 }
 
 // startClusterB is startReplicated without the chaos transport, for
-// benchmarks and for tests that fault a node in its server: each run of shards is served by r nodes (g<run>r<replica>),
-// node i's handler decorated by wrap(i, ·) when wrap is non-nil, and a
+// benchmarks and for tests that fault a node in its server: each run of
+// shards is served by r nodes (g<run>r<replica>), node i's handler
+// decorated by wrap(i, ·) when wrap is non-nil (see hookNode), and a
 // coordinator is opened over them.
-func startClusterB(b testing.TB, ext *series.Extractor, path string, runs [][]int, r int, o cluster.Options, wrap func(i int, h http.Handler) http.Handler) (*cluster.Coordinator, []*httptest.Server) {
+func startClusterB(b testing.TB, ext *series.Extractor, path string, runs [][]int, r int, o cluster.Options, wrap func(i int, h http.Handler) http.Handler) (*cluster.Coordinator, []*nodeServer) {
 	b.Helper()
 	topo := &cluster.Topology{Index: path, Replicas: r}
 	for gi, run := range runs {
@@ -127,19 +125,13 @@ func startClusterB(b testing.TB, ext *series.Extractor, path string, runs [][]in
 			})
 		}
 	}
-	var srvs []*httptest.Server
+	var srvs []*nodeServer
 	for i := range topo.Nodes {
 		n, err := cluster.OpenNode(topo, topo.Nodes[i].Name, ext, cluster.NodeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(func() { n.Close() })
-		var h http.Handler = cluster.NewNodeRPC(n)
-		if wrap != nil {
-			h = wrap(i, h)
-		}
-		srv := httptest.NewServer(h)
-		b.Cleanup(srv.Close)
+		srv := serveNode(b, n, i, wrap)
 		topo.Nodes[i].Addr = srv.URL
 		srvs = append(srvs, srv)
 	}

@@ -1,16 +1,15 @@
 // Package cluster is the distributed query tier over a saved sharded
 // TS-Index (TSSH v4): one saved index, many processes. A **node** opens
 // only its assigned shard subset — selective mmap via the segment
-// table, O(assigned) cost — and serves the shard RPC (rpc.go's
-// /shard/* endpoints). A **coordinator** fans each query across the
-// topology's replica groups through a pooled HTTP client with per-node
-// timeouts and recombines with the same deterministic merges the local
-// fan-out uses, so a cluster answers byte-identically to a single local
-// engine: range-style paths k-way merge the groups' disjoint
-// start-sorted lists, top-k runs two-phase with a shared bound (the
-// seed group's k-th distance is broadcast to prune the rest — exactly
-// the bound one local shard's traversal publishes to another, so the
-// merged result is unchanged).
+// table, O(assigned) cost — and serves the shard RPC (rpc.go). A
+// **coordinator** fans each query across the topology's replica groups
+// over pooled streams with per-node timeouts and recombines with the
+// same deterministic merges the local fan-out uses, so a cluster
+// answers byte-identically to a single local engine: range-style paths
+// k-way merge the groups' disjoint start-sorted lists, top-k runs
+// two-phase with a shared bound (the seed group's k-th distance is
+// broadcast to prune the rest — exactly the bound one local shard's
+// traversal publishes to another, so the merged result is unchanged).
 //
 // The topology is static (a JSON file mapping node addresses to shard
 // ranges) but replicated: with Replicas R ≥ 2 every shard set is owned
@@ -31,14 +30,17 @@
 package cluster
 
 import (
-	"bytes"
+	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"net/http/httptrace"
 	"sync"
 	"syscall"
 	"time"
@@ -65,9 +67,10 @@ type Options struct {
 	// (0 → 2s; negative disables the sweep — tests drive
 	// Coordinator.Sweep explicitly).
 	RefreshInterval time.Duration
-	// Client overrides the HTTP client (tests inject failure modes via
-	// the Chaos transport); nil selects a client with a pooled
-	// transport owned by the coordinator.
+	// Client overrides the HTTP client that probes /healthz and opens
+	// the streams (tests inject faults via the Chaos transport); nil
+	// selects the coordinator's own: HTTP/1.1 and no proxy, as neither
+	// HTTP/2 nor a forward proxy carries an Upgrade.
 	Client *http.Client
 }
 
@@ -110,8 +113,7 @@ type Coordinator struct {
 	owners   []*owner // every topology entry, in topology order
 
 	timeout, hedgeDelay time.Duration
-	client              *http.Client
-	ownTransport        *http.Transport
+	own                 *http.Transport // nil with Options.Client
 	stopSweep           context.CancelFunc
 	sweepDone           chan struct{}
 }
@@ -134,15 +136,12 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	if o.Timeout <= 0 {
 		o.Timeout = defaultTimeout
 	}
-	c := &Coordinator{ext: ext, l: l, replicas: topo.R(),
-		timeout: o.Timeout, hedgeDelay: o.HedgeDelay, client: o.Client}
-	if c.client == nil {
-		c.ownTransport = &http.Transport{
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}
-		c.client = &http.Client{Transport: c.ownTransport}
+	c := &Coordinator{ext: ext, l: l, replicas: topo.R(), timeout: o.Timeout, hedgeDelay: o.HedgeDelay}
+	client := o.Client
+	if client == nil {
+		c.own = &http.Transport{Protocols: new(http.Protocols), MaxIdleConnsPerHost: 16, IdleConnTimeout: 90 * time.Second}
+		c.own.Protocols.SetHTTP1(true)
+		client = &http.Client{Transport: c.own}
 	}
 	fail := func(err error) (*Coordinator, error) {
 		c.Close()
@@ -161,9 +160,13 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	reported := map[*owner]int{} // windows each reachable node serves
 	groupOf := map[string]*group{}
 	for _, spec := range topo.Nodes {
-		ow := &owner{spec: spec, b: &remote{name: spec.Name, base: spec.Addr, client: c.client}}
-		h, err := dialHealth(ctx, ow.b, o.Timeout)
-		if err != nil {
+		// Up to 16 idle streams a node; a burst past them dials more.
+		ow := &owner{spec: spec, b: &remote{base: spec.Addr, client: client,
+			idle: make(chan *Stream, 16)}}
+		hctx, cancel := context.WithTimeout(ctx, o.Timeout)
+		h, err := ow.b.health(hctx)
+		if cancel(); err != nil {
+			err = fmt.Errorf("node %q (%s): %w", spec.Name, spec.Addr, err)
 			// Unreachable is weather, not configuration: mark the node
 			// down and let the per-group quorum check below decide
 			// whether the cluster can open degraded without it.
@@ -231,10 +234,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	}
 
 	if o.RefreshInterval >= 0 {
-		interval := o.RefreshInterval
-		if interval == 0 {
-			interval = defaultRefresh
-		}
+		interval := cmp.Or(o.RefreshInterval, defaultRefresh)
 		// The sweep outlives the open call but not the coordinator:
 		// detach from the caller's deadline, keep its values, cancel in
 		// Close.
@@ -247,7 +247,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	return c, nil
 }
 
-// Close stops the membership sweep and drops the coordinator's idle
+// Close stops the membership sweep and closes the idle streams and
 // connections. No query may run during or after it.
 func (c *Coordinator) Close() error {
 	if c.stopSweep != nil {
@@ -255,8 +255,13 @@ func (c *Coordinator) Close() error {
 		<-c.sweepDone
 		c.stopSweep = nil
 	}
-	if c.ownTransport != nil {
-		c.ownTransport.CloseIdleConnections()
+	if c.own != nil {
+		c.own.CloseIdleConnections()
+	}
+	for _, ow := range c.owners {
+		for len(ow.b.idle) > 0 {
+			(<-ow.b.idle).Close()
+		}
 	}
 	return nil
 }
@@ -377,27 +382,94 @@ func (c *Coordinator) SearchPrefix(ctx context.Context, q []float64, eps float64
 
 // --- the shard-RPC client ---
 
-// remote speaks the shard RPC to one node over HTTP; its answers keep
-// the contract internal/shard's package comment states. ctx deadlines
-// abort the request (the transport closes the connection), so a dead
-// node costs one timeout, never a hang.
+// remote speaks the shard RPC to one node over pooled streams, on its
+// caller's goroutine; its answers keep internal/shard's contract.
 type remote struct {
-	name   string
 	base   string
 	client *http.Client
+	idle   chan *Stream // the streams kept open between calls
 }
 
-// dialHealth fetches a node's health document under the caller's ctx
-// bounded by the per-node timeout — the reachability half of the open
-// handshake (identity cross-checks are checkNodeIdentity's).
-func dialHealth(ctx context.Context, rm *remote, timeout time.Duration) (NodeHealth, error) {
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	h, err := rm.health(ctx)
+// Stream is one upgraded connection to a node's shard RPC, carrying one
+// request at a time; it is not safe for concurrent use.
+type Stream struct {
+	rc      io.ReadCloser // the 101 answer's body
+	w       io.Writer
+	r       *bufio.Reader
+	lr      io.LimitedReader
+	hdr     [8]byte
+	out, in []byte // reused from one exchange to the next
+}
+
+var errUnanswered = errors.New("stream ended before an answer") // no answer byte arrived
+
+// DialStream opens a stream to the node at base through client, or
+// reports the node's refusal in its words.
+func DialStream(ctx context.Context, client *http.Client, base string) (*Stream, error) {
+	var conn net.Conn // written directly when a RoundTripper wraps the 101 body read-only
+	ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{GotConn: func(i httptrace.GotConnInfo) { conn = i.Conn }})
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+StreamPath, nil)
 	if err != nil {
-		return h, fmt.Errorf("node %q (%s): %w", rm.name, rm.base, err)
+		return nil, err
 	}
-	return h, nil
+	req.Header = http.Header{"Connection": {"Upgrade"}, "Upgrade": {StreamProtocol}}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return nil, fmt.Errorf("stream: %s", refusal(resp.Status, body))
+	}
+	s := &Stream{rc: resp.Body, w: conn, r: bufio.NewReader(resp.Body)}
+	if w, ok := resp.Body.(io.Writer); ok {
+		s.w = w
+	} else if conn == nil {
+		resp.Body.Close()
+		return nil, errors.New("stream: the upgraded connection is not writable")
+	}
+	return s, nil
+}
+
+// Close closes the stream.
+func (s *Stream) Close() error { return s.rc.Close() }
+
+// Exchange writes one request (the frame appendFrame appends) and reads
+// the answer's status and body, the stream's buffer until the next
+// exchange. A ctx that ends first closes the stream, so the node cancels
+// the query. An unknown status, a length past wire.MaxBodyBytes (never
+// allocated) or a short body is an error, which closes the stream.
+func (s *Stream) Exchange(ctx context.Context, appendFrame func([]byte) []byte) (status int, body []byte, err error) {
+	stop := context.AfterFunc(ctx, func() { s.rc.Close() })
+	defer func() {
+		if !stop() {
+			err = ctx.Err()
+		} else if err != nil {
+			s.rc.Close()
+		}
+	}()
+	s.out = appendFrame(append(s.out[:0], 0, 0, 0, 0))
+	le.PutUint32(s.out, uint32(len(s.out)-4))
+	if _, err := s.w.Write(s.out); err != nil {
+		return 0, nil, fmt.Errorf("%w: %w", errUnanswered, err)
+	}
+	if n, err := io.ReadFull(s.r, s.hdr[:]); n == 0 {
+		return 0, nil, fmt.Errorf("%w: %w", errUnanswered, err)
+	} else if err != nil {
+		return 0, nil, fmt.Errorf("truncated envelope: %w", err)
+	}
+	st, n := le.Uint32(s.hdr[:]), le.Uint32(s.hdr[4:])
+	if st != 200 && st != 400 && st != 413 && st != 503 {
+		return 0, nil, fmt.Errorf("malformed envelope: status %d", st)
+	} else if n > wire.MaxBodyBytes {
+		return 0, nil, fmt.Errorf("malformed envelope: length %d past the %d-byte limit", n, wire.MaxBodyBytes)
+	}
+	s.lr = io.LimitedReader{R: s.r, N: int64(n)}
+	if s.in, err = wire.ReadBody(&s.lr, int64(n), s.in[:0]); err != nil || s.lr.N > 0 {
+		return 0, nil, fmt.Errorf("truncated envelope: %w", cmp.Or(err, io.ErrUnexpectedEOF))
+	}
+	return int(st), s.in, nil
 }
 
 // checkNodeIdentity cross-checks a node's health report against its
@@ -449,7 +521,11 @@ func (c *Coordinator) verifyRemote(h NodeHealth, ow *owner) error {
 // health fetches and decodes the node's /healthz.
 func (r *remote) health(ctx context.Context) (NodeHealth, error) {
 	var h NodeHealth
-	resp, err := r.do(ctx, http.MethodGet, r.base+"/healthz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/healthz", nil)
+	if err != nil {
+		return h, err
+	}
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return h, err
 	}
@@ -463,63 +539,28 @@ func (r *remote) health(ctx context.Context) (NodeHealth, error) {
 	return h, nil
 }
 
-// do issues one HTTP request, retrying exactly once on a transport-
-// level connection error (refused or reset — the request failed before
-// any byte was processed, so the retry cannot double-execute
-// anything; every shard RPC is a read). This absorbs the transient
-// blips a restarting listener or a dropped idle connection causes even
-// at R=1; replica failover handles everything beyond it.
-func (r *remote) do(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
-	for retried := false; ; retried = true {
-		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", FrameContentType)
-		}
-		resp, err := r.client.Do(req)
-		if err == nil || retried || !isConnRefused(err) || ctx.Err() != nil {
-			return resp, err
-		}
-	}
-}
-
-// isConnRefused reports a transport-level connection failure that
-// happened before the server processed any request byte — the only
-// failure an idempotent RPC retries on the same node.
-func isConnRefused(err error) bool {
-	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET)
-}
-
-// call sends one shard RPC and decodes the answer frame, translating a
-// non-200 answer into the node's own error text. The body is read up to
-// wire.MaxBodyBytes and a malformed frame is an error, so a node that
-// answers garbage fails the attempt over — never a panic, never a short
-// answer. A traced caller's span grafts the node's returned subtree.
+// call sends one shard RPC and decodes the answer, or the node's
+// refusal in its words. An answer that does not decode fails the
+// attempt over. A traced caller's span grafts the node's returned
+// subtree.
 func (r *remote) call(ctx context.Context, q Request) ([]series.Match, core.Stats, error) {
 	sp := obs.SpanFrom(ctx)
 	q.Trace = sp != nil
-	path := q.Kind.Path()
-	resp, err := r.do(ctx, http.MethodPost, r.base+path, q.AppendFrame(nil))
+	s, status, body, err := r.exchange(ctx, &q)
 	if err != nil {
-		return nil, core.Stats{}, err
+		return nil, core.Stats{}, fmt.Errorf("shard %s: %w", q.Kind, err)
 	}
-	defer resp.Body.Close()
-	body, err := wire.ReadBody(resp.Body, resp.ContentLength, nil)
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
+	defer func() { // body is the stream's buffer until then
+		select {
+		case r.idle <- s:
+		default:
+			s.Close()
 		}
-		if json.Unmarshal(body, &e) != nil || e.Error == "" {
-			e.Error = resp.Status
-		}
-		return nil, core.Stats{}, fmt.Errorf("%s: %s", path, e.Error)
+	}()
+	if status != http.StatusOK {
+		return nil, core.Stats{}, fmt.Errorf("shard %s: %s", q.Kind, refusal(fmt.Sprint("status ", status), body))
 	}
-	var a Answer
-	if err == nil {
-		a, err = ParseAnswer(body)
-	}
+	a, err := ParseAnswer(body)
 	if err == nil && sp != nil && len(a.Trace) > 0 {
 		tr := new(obs.Span)
 		if err = json.Unmarshal(a.Trace, tr); err == nil {
@@ -527,12 +568,44 @@ func (r *remote) call(ctx context.Context, q Request) ([]series.Match, core.Stat
 		}
 	}
 	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("%s: answer: %w", path, err)
+		return nil, core.Stats{}, fmt.Errorf("shard %s: answer: %w", q.Kind, err)
 	}
 	if a.Stats == nil {
 		return a.Matches, core.Stats{}, nil
 	}
 	return a.Matches, *a.Stats, nil
+}
+
+// exchange sends q on an idle stream, or a fresh one when there is
+// none. A stream that ends before any answer byte, or a refused dial, is
+// retried once on a fresh stream: every shard RPC is a read, so nothing
+// runs twice; replica failover handles the rest.
+func (r *remote) exchange(ctx context.Context, q *Request) (s *Stream, status int, body []byte, err error) {
+	select {
+	case s = <-r.idle:
+	default:
+	}
+	for retried := false; ; retried, s = true, nil {
+		if s == nil {
+			s, err = DialStream(ctx, r.client, r.base)
+		}
+		if err == nil {
+			status, body, err = s.Exchange(ctx, q.AppendFrame)
+		}
+		if err == nil || retried || ctx.Err() != nil || !errors.Is(err, errUnanswered) &&
+			!errors.Is(err, syscall.ECONNREFUSED) && !errors.Is(err, syscall.ECONNRESET) {
+			return s, status, body, err
+		}
+	}
+}
+
+// refusal is a refusal body's error text, or status when it has none.
+func refusal(status string, body []byte) string {
+	var e refusalBody
+	if json.Unmarshal(body, &e) != nil || e.Error == "" {
+		return status
+	}
+	return e.Error
 }
 
 // SearchStatsCtx asks the node for a range search's matches and

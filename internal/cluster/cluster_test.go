@@ -10,13 +10,14 @@ package cluster_test
 import (
 	"context"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,11 +64,84 @@ func contiguousSplit(total, n int) [][]int {
 	return out
 }
 
+// nodeServer serves a node's handler as httptest.Server does, and also
+// holds the connections the handler hijacks — the shard RPC's streams,
+// which httptest.Server's Close and CloseClientConnections leave open —
+// so that Kill takes the whole node down, as its process's death would.
+type nodeServer struct {
+	*httptest.Server
+	mu      sync.Mutex
+	streams []net.Conn
+}
+
+// serveNode serves n's shard RPC on a nodeServer, through wrap(i, ·)
+// when wrap is non-nil. At cleanup the server is killed and the handler
+// drained before the node unmaps its arena, as tsserve's shutdown
+// does: httptest waits for no stream's query.
+func serveNode(t testing.TB, n *cluster.Node, i int, wrap func(i int, h http.Handler) http.Handler) *nodeServer {
+	rpc := cluster.NewNodeRPC(n)
+	t.Cleanup(func() {
+		rpc.BeginDrain()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := rpc.Drained(ctx); err != nil {
+			t.Errorf("node %s: %v; left mapped", n.Name, err)
+			return
+		}
+		n.Close()
+	})
+	var h http.Handler = rpc
+	if wrap != nil {
+		h = wrap(i, h)
+	}
+	return newNodeServer(t, h)
+}
+
+func newNodeServer(t testing.TB, h http.Handler) *nodeServer {
+	s := &nodeServer{Server: httptest.NewUnstartedServer(h)}
+	s.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		if st == http.StateHijacked {
+			s.mu.Lock()
+			s.streams = append(s.streams, c)
+			s.mu.Unlock()
+		}
+	}
+	s.Start()
+	t.Cleanup(s.Kill)
+	return s
+}
+
+// Kill closes the listener and every connection, streams included.
+func (s *nodeServer) Kill() {
+	s.CloseClientConnections()
+	s.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.streams {
+		c.Close()
+	}
+	s.streams = nil
+}
+
+// nodeHook is the frame-level seam cluster.SetHook installs.
+type nodeHook = func(ctx context.Context, q *cluster.Request, answer func() []byte) []byte
+
+// hookNode returns a wrap for startCluster and startClusterB that
+// installs hook on node i's handler and leaves the other nodes alone.
+func hookNode(i int, hook nodeHook) func(int, http.Handler) http.Handler {
+	return func(j int, h http.Handler) http.Handler {
+		if j == i {
+			cluster.SetHook(h.(*cluster.NodeRPC), hook)
+		}
+		return h
+	}
+}
+
 // startCluster opens one node per shard run, serves each over httptest,
 // and returns a coordinator dialed at the real URLs plus the servers
 // (so failure tests can kill one). wrap, when non-nil, decorates each
-// node's handler (failure-injection hook).
-func startCluster(t *testing.T, ext *series.Extractor, path string, runs [][]int, o cluster.Options, wrap func(i int, h http.Handler) http.Handler) (*cluster.Coordinator, []*httptest.Server) {
+// node's handler (see hookNode for the failure-injection seam).
+func startCluster(t *testing.T, ext *series.Extractor, path string, runs [][]int, o cluster.Options, wrap func(i int, h http.Handler) http.Handler) (*cluster.Coordinator, []*nodeServer) {
 	t.Helper()
 	topo := &cluster.Topology{Index: path}
 	for i, run := range runs {
@@ -75,19 +149,13 @@ func startCluster(t *testing.T, ext *series.Extractor, path string, runs [][]int
 			Name: fmt.Sprintf("n%d", i), Addr: "placeholder", Shards: run,
 		})
 	}
-	var srvs []*httptest.Server
+	var srvs []*nodeServer
 	for i := range topo.Nodes {
 		n, err := cluster.OpenNode(topo, topo.Nodes[i].Name, ext, cluster.NodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { n.Close() })
-		var h http.Handler = cluster.NewNodeRPC(n)
-		if wrap != nil {
-			h = wrap(i, h)
-		}
-		srv := httptest.NewServer(h)
-		t.Cleanup(srv.Close)
+		srv := serveNode(t, n, i, wrap)
 		topo.Nodes[i].Addr = srv.URL
 		srvs = append(srvs, srv)
 	}
@@ -259,10 +327,9 @@ func TestClusterNodeFailure(t *testing.T) {
 		t.Fatalf("pre-failure query: %v", err)
 	}
 
-	// Kill node n1's listener: the coordinator must fail fast
-	// (connection refused) with the node's name in the error.
-	srvs[1].CloseClientConnections()
-	srvs[1].Close()
+	// Kill node n1: the coordinator must fail fast (its stream ends,
+	// the fresh one is refused) with the node's name in the error.
+	srvs[1].Kill()
 
 	start := time.Now()
 	_, err := cl.Search(ctx, q, 0.3)
@@ -299,27 +366,17 @@ func TestClusterSlowNodeTimeout(t *testing.T) {
 	var wedged atomic.Bool
 	cl, _ := startCluster(t, ext, path, contiguousSplit(4, 2),
 		cluster.Options{Timeout: 300 * time.Millisecond},
-		func(i int, h http.Handler) http.Handler {
-			if i != 1 {
-				return h
-			}
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if wedged.Load() && strings.HasPrefix(r.URL.Path, "/shard/") {
-					// Hold the request far beyond the coordinator's
-					// timeout; its context must abort the wait. Drain
-					// the body first — net/http only detects a client
-					// abort (and cancels r.Context()) once the request
-					// has been consumed.
-					io.Copy(io.Discard, r.Body)
-					select {
-					case <-r.Context().Done():
-					case <-time.After(5 * time.Second):
-					}
-					return
+		hookNode(1, func(ctx context.Context, q *cluster.Request, answer func() []byte) []byte {
+			if wedged.Load() {
+				// Hold the request far beyond the coordinator's
+				// timeout; the stream's close must end the wait.
+				select {
+				case <-ctx.Done():
+				case <-time.After(5 * time.Second):
 				}
-				h.ServeHTTP(w, r)
-			})
-		})
+			}
+			return answer()
+		}))
 
 	ctx := context.Background()
 	q := ext.ExtractCopy(64, testL)

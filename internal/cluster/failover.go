@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"twinsearch/internal/obs"
@@ -164,22 +165,19 @@ func runUnit[T any](ctx context.Context, c *Coordinator, g *group, call func(ctx
 func fanOut[T any](ctx context.Context, c *Coordinator, skip int, call func(ctx context.Context, b *remote) (T, error)) ([]T, error) {
 	out := make([]T, len(c.groups))
 	errs := make([]error, len(c.groups))
-	done := make(chan struct{}, len(c.groups))
-	launched := 0
+	var wg sync.WaitGroup
 	for gi, g := range c.groups {
 		if gi == skip {
 			continue
 		}
-		launched++
+		wg.Add(1)
 		//tsvet:ignore network-bound fan-out must not occupy CPU executor workers
-		go func(gi int, g *group) {
-			defer func() { done <- struct{}{} }()
+		go func() {
+			defer wg.Done()
 			out[gi], errs[gi] = runUnit(ctx, c, g, call)
-		}(gi, g)
+		}()
 	}
-	for i := 0; i < launched; i++ {
-		<-done
-	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -4,15 +4,14 @@ package cluster_test
 // killing or wedging any single node mid-query must leave every search
 // path's answer byte-identical to the local engine — matches, Dist
 // bits, and Stats counters — with zero query errors. The faults are
-// injected at the HTTP transport seam (Chaos), so the coordinator's
-// failover, hedging, liveness marking and retry logic all run exactly
-// as in production.
+// injected at the HTTP transport seam (Chaos, which also wraps every
+// shard RPC stream it opens), so the coordinator's failover, hedging,
+// liveness marking and retry logic all run exactly as in production.
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"strings"
@@ -29,7 +28,7 @@ import (
 // saved index at path), all dialed through a Chaos transport the test
 // can inject faults into. The background sweep is disabled unless the
 // options ask for it — tests drive Sweep explicitly for determinism.
-func startReplicated(t *testing.T, ext *series.Extractor, path string, groups [][]int, r int, o cluster.Options) (*cluster.Coordinator, []*httptest.Server, *Chaos) {
+func startReplicated(t *testing.T, ext *series.Extractor, path string, groups [][]int, r int, o cluster.Options) (*cluster.Coordinator, []*nodeServer, *Chaos) {
 	t.Helper()
 	chaos := NewChaos(nil)
 	if o.Client == nil {
@@ -46,15 +45,13 @@ func startReplicated(t *testing.T, ext *series.Extractor, path string, groups []
 			})
 		}
 	}
-	var srvs []*httptest.Server
+	var srvs []*nodeServer
 	for i := range topo.Nodes {
 		n, err := cluster.OpenNode(topo, topo.Nodes[i].Name, ext, cluster.NodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { n.Close() })
-		srv := httptest.NewServer(cluster.NewNodeRPC(n))
-		t.Cleanup(srv.Close)
+		srv := serveNode(t, n, i, nil)
 		topo.Nodes[i].Addr = srv.URL
 		srvs = append(srvs, srv)
 	}
@@ -67,7 +64,7 @@ func startReplicated(t *testing.T, ext *series.Extractor, path string, groups []
 }
 
 // hostOf extracts the host:port key Chaos rules are addressed by.
-func hostOf(t *testing.T, srv *httptest.Server) string {
+func hostOf(t *testing.T, srv *nodeServer) string {
 	t.Helper()
 	u, err := url.Parse(srv.URL)
 	if err != nil {
@@ -207,18 +204,18 @@ func TestHedgeMasksSlowReplica(t *testing.T) {
 	}
 }
 
-// TestTransportRetryAtR1 proves the transport-level idempotent retry:
-// even unreplicated (R = 1), a connection refused before any request
-// byte is processed is retried once on the same node, absorbing the
-// transient blip a restarting listener causes.
+// TestTransportRetryAtR1 proves the idempotent retry: even unreplicated
+// (R = 1), a stream reset before any answer byte arrives is retried
+// once on a fresh stream to the same node, absorbing the transient blip
+// a restarting listener or a dropped idle connection causes.
 func TestTransportRetryAtR1(t *testing.T) {
 	data := datasets.EEGN(73, 1200)
 	ext := series.NewExtractor(data, series.NormGlobal)
 	local, path := buildSaved(t, ext, 4)
 	cl, srvs, chaos := startReplicated(t, ext, path, [][]int{{0, 1}, {2, 3}}, 1, cluster.Options{})
 
-	// Install the blip after open so the open handshake doesn't consume
-	// it: the next request to n0 is refused, the one after succeeds.
+	// Install the blip after open: the first frame to n0 is reset, the
+	// one after succeeds.
 	host := hostOf(t, srvs[0])
 	chaos.Set(host, ChaosRule{FailFirst: 1})
 
@@ -345,10 +342,10 @@ func TestDegradedOpen(t *testing.T) {
 	ext := series.NewExtractor(data, series.NormGlobal)
 	local, path := buildSaved(t, ext, 4)
 
-	build := func(r int) (*cluster.Topology, []*httptest.Server) {
+	build := func(r int) (*cluster.Topology, []*nodeServer) {
 		t.Helper()
 		topo := &cluster.Topology{Index: path, Replicas: r}
-		var srvs []*httptest.Server
+		var srvs []*nodeServer
 		for gi, run := range [][]int{{0, 1}, {2, 3}} {
 			for ri := 0; ri < r; ri++ {
 				name := fmt.Sprintf("g%dr%d", gi, ri)
@@ -357,9 +354,7 @@ func TestDegradedOpen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(func() { n.Close() })
-				srv := httptest.NewServer(cluster.NewNodeRPC(n))
-				t.Cleanup(srv.Close)
+				srv := serveNode(t, n, 0, nil)
 				topo.Nodes = append(topo.Nodes, cluster.NodeSpec{Name: name, Addr: srv.URL, Shards: run})
 				srvs = append(srvs, srv)
 			}
@@ -370,8 +365,7 @@ func TestDegradedOpen(t *testing.T) {
 	// R = 2: kill g0r0 before the open. The open degrades, the dead
 	// node shows up down with its error, and queries answer.
 	topo, srvs := build(2)
-	srvs[0].CloseClientConnections()
-	srvs[0].Close()
+	srvs[0].Kill()
 	cl, err := cluster.OpenCoordinator(context.Background(), topo, ext, testL, cluster.Options{RefreshInterval: -1})
 	if err != nil {
 		t.Fatalf("degraded open refused: %v", err)
@@ -397,11 +391,55 @@ func TestDegradedOpen(t *testing.T) {
 
 	// R = 1: the same kill leaves shards 0-1 unowned; the open refuses.
 	topo1, srvs1 := build(1)
-	srvs1[0].CloseClientConnections()
-	srvs1[0].Close()
+	srvs1[0].Kill()
 	if _, err := cluster.OpenCoordinator(context.Background(), topo1, ext, testL, cluster.Options{RefreshInterval: -1}); err == nil {
 		t.Fatal("open with an uncovered shard group succeeded")
 	} else if !strings.Contains(err.Error(), "no reachable replica") {
 		t.Fatalf("unexpected open error: %v", err)
+	}
+}
+
+// TestGiveUpEndsNodeQuery: a coordinator that gives up on an attempt —
+// its timeout passes, or its hedge loses — closes the attempt's stream,
+// and the node's in-flight query context ends with it, not when the
+// node's query would have. The unit still answers exactly, from the
+// sibling.
+func TestGiveUpEndsNodeQuery(t *testing.T) {
+	ext := series.NewExtractor(datasets.EEGN(97, 1200), series.NormGlobal)
+	local, path := buildSaved(t, ext, 4)
+	q := ext.ExtractCopy(450, testL)
+	want, _ := local.SearchStats(q, 0.3)
+	for _, c := range []struct {
+		name string
+		o    cluster.Options
+	}{
+		{"timeout", cluster.Options{Timeout: 100 * time.Millisecond, RefreshInterval: -1}},
+		{"hedge", cluster.Options{HedgeDelay: 10 * time.Millisecond, RefreshInterval: -1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ended := make(chan error, 4)
+			cl, _ := startClusterB(t, ext, path, [][]int{{0, 1, 2, 3}}, 2, c.o,
+				hookNode(0, func(ctx context.Context, q *cluster.Request, answer func() []byte) []byte {
+					select {
+					case <-ctx.Done():
+						ended <- nil
+					case <-time.After(10 * time.Second):
+						ended <- fmt.Errorf("the node's query context outlived the coordinator's attempt")
+					}
+					return answer()
+				}))
+			got, err := cl.Search(context.Background(), q, 0.3)
+			if err != nil || !sameMatches(want, got) {
+				t.Fatalf("%d matches, %v; want %d", len(got), err, len(want))
+			}
+			select {
+			case err := <-ended:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the node's query context did not end within 5s of the coordinator giving up")
+			}
+		})
 	}
 }

@@ -5,12 +5,15 @@ package cluster_test
 // or allocating for a hostile count; a node refuses what it refused
 // when bodies were JSON with the same status and text, and anything
 // that is not a frame of this version; and a coordinator fails over
-// from a node that answers a bad frame or speaks another version.
+// from a node that answers a bad frame or envelope or speaks another
+// version.
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -124,7 +127,7 @@ func FuzzShardFrame(f *testing.F) {
 }
 
 // frameNode serves shards 0-2 of a 4-shard index at L = testL.
-func frameNode(t *testing.T) (*cluster.NodeRPC, *series.Extractor) {
+func frameNode(t *testing.T) (*nodeServer, *series.Extractor) {
 	t.Helper()
 	ext := series.NewExtractor(datasets.RandomWalk(91, 1500), series.NormGlobal)
 	_, path := buildSaved(t, ext, 4)
@@ -133,17 +136,25 @@ func frameNode(t *testing.T) (*cluster.NodeRPC, *series.Extractor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { n.Close() })
-	return cluster.NewNodeRPC(n), ext
+	return serveNode(t, n, 0, nil), ext
+}
+
+// envelope is an answer envelope as a node writes one.
+func envelope(status uint32, body []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, status), uint32(len(body)))
+	return append(b, body...)
 }
 
 // TestShardFrameRefusals holds every refusal of the shard RPC to its
-// status and text: the node-side screens keep the words they had when
-// bodies were JSON, and a body that is not a well-formed frame of this
-// version for this endpoint — an old-style JSON body included — is
-// refused before it reaches them.
+// status and text, all on one stream, which a refusal leaves in step:
+// the node-side screens keep the words they have always had, and a
+// frame that is not a well-formed request of this version — JSON
+// included — is refused before it reaches them. Off the stream, the
+// per-query POST routes are gone and a GET without the Upgrade is
+// answered 426; on it, a declared length past the body limit is
+// refused 413 and the stream closes.
 func TestShardFrameRefusals(t *testing.T) {
-	h, ext := frameNode(t)
+	srv, ext := frameNode(t)
 	q := ext.ExtractCopy(300, testL)
 	withValue := func(i int, v float64) []float64 {
 		c := append([]float64(nil), q...)
@@ -156,138 +167,143 @@ func TestShardFrameRefusals(t *testing.T) {
 	jsonBody, _ := json.Marshal(map[string]any{"query": q, "eps": 0.4})
 	const bad = `bad request body: malformed shard frame: `
 
+	ctx := context.Background()
+	st, err := cluster.DialStream(ctx, http.DefaultClient, srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	for _, tc := range []struct {
-		name, path, ctype string
-		body              []byte
-		status            int
-		text              string // the error, or "" for a 200
+		name   string
+		body   []byte
+		status int
+		text   string // the error, or "" for a 200
 	}{
-		{"search", "/shard/search", "", search, 200, ""},
-		{"topk unbounded", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Inf(1), Query: q}), 200, ""},
-		{"topk bound -0", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Copysign(0, -1), Query: q}), 200, ""},
-		{"topk ignores eps", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Eps: math.NaN(), Bound: math.Inf(1), Query: q}), 200, ""},
-		{"prefix", "/shard/prefix", "", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: 0.4, Query: q[:testL/2]}), 200, ""},
+		{"search", search, 200, ""},
+		{"topk unbounded", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Inf(1), Query: q}), 200, ""},
+		{"topk bound -0", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Copysign(0, -1), Query: q}), 200, ""},
+		{"topk ignores eps", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Eps: math.NaN(), Bound: math.Inf(1), Query: q}), 200, ""},
+		{"prefix", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: 0.4, Query: q[:testL/2]}), 200, ""},
 
 		// The node's screens, in the words they always had.
-		{"short query", "/shard/search", "", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: q[:2]}), 400, "query length 2, node indexes L=32"},
-		{"empty query", "/shard/search", "", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4}), 400, "query length 0, node indexes L=32"},
-		{"NaN value", "/shard/search", "", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: withValue(3, math.NaN())}), 400, "non-finite query value NaN at position 3"},
-		{"Inf value", "/shard/prefix", "", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: 0.4, Query: withValue(1, math.Inf(-1))[:4]}), 400, "non-finite query value -Inf at position 1"},
-		{"negative eps", "/shard/search", "", frame(cluster.Request{Kind: cluster.KindSearch, Eps: -1, Query: q}), 400, "invalid threshold -1"},
-		{"NaN eps", "/shard/prefix", "", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: math.NaN(), Query: q}), 400, "invalid threshold NaN"},
-		{"NaN bound", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.NaN(), Query: q}), 400, "invalid bound NaN"},
-		{"negative bound", "/shard/topk", "", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: -0.5, Query: q}), 400, "invalid bound -0.5"},
+		{"short query", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: q[:2]}), 400, "query length 2, node indexes L=32"},
+		{"empty query", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4}), 400, "query length 0, node indexes L=32"},
+		{"NaN value", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: withValue(3, math.NaN())}), 400, "non-finite query value NaN at position 3"},
+		{"Inf value", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: 0.4, Query: withValue(1, math.Inf(-1))[:4]}), 400, "non-finite query value -Inf at position 1"},
+		{"negative eps", frame(cluster.Request{Kind: cluster.KindSearch, Eps: -1, Query: q}), 400, "invalid threshold -1"},
+		{"NaN eps", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: math.NaN(), Query: q}), 400, "invalid threshold NaN"},
+		{"NaN bound", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.NaN(), Query: q}), 400, "invalid bound NaN"},
+		{"negative bound", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: -0.5, Query: q}), 400, "invalid bound -0.5"},
 
-		// Not a frame of this version for this endpoint.
-		{"old-style JSON body", "/shard/search", "application/json", jsonBody, 415,
-			`Content-Type "application/json"; the shard RPC takes ` + cluster.FrameContentType + ` frames`},
-		{"no Content-Type", "/shard/topk", "-", search, 415,
-			`Content-Type ""; the shard RPC takes ` + cluster.FrameContentType + ` frames`},
-		{"JSON in a frame", "/shard/search", "", jsonBody, 400, bad + "version 123, this build speaks 2"},
-		{"empty", "/shard/search", "", nil, 400, bad + "truncated"},
-		{"previous version", "/shard/search", "", append([]byte{cluster.FrameVersion - 1}, search[1:]...), 400, bad + "version 1, this build speaks 2"},
-		{"next version", "/shard/search", "", append([]byte{cluster.FrameVersion + 1}, search[1:]...), 400, bad + "version 3, this build speaks 2"},
-		{"unknown kind", "/shard/search", "", append([]byte{cluster.FrameVersion, 9}, search[2:]...), 400, bad + "kind 9 sent to /shard/search"},
-		{"unknown flags", "/shard/search", "", append([]byte{cluster.FrameVersion, 1, 2}, search[3:]...), 400, bad + "flag byte 2"},
-		{"wrong endpoint", "/shard/topk", "", search, 400, bad + "kind 1 sent to /shard/topk"},
-		{"truncated header", "/shard/search", "", search[:20], 400, bad + "truncated"},
-		{"truncated query", "/shard/search", "", search[:len(search)-1], 400, bad + "count 32 of 8-byte elements in 255 bytes"},
-		{"trailing bytes", "/shard/search", "", append(append([]byte(nil), search...), 0, 0), 400, bad + "2 trailing bytes"},
-		{"huge count", "/shard/search", "", huge, 400, bad + "count 4294967295 of 8-byte elements in 0 bytes"},
+		// Not a request frame of this version.
+		{"JSON in a frame", jsonBody, 400, bad + "version 123, this build speaks 3"},
+		{"empty", nil, 400, bad + "truncated"},
+		{"previous version", append([]byte{cluster.FrameVersion - 1}, search[1:]...), 400, bad + "version 2, this build speaks 3"},
+		{"next version", append([]byte{cluster.FrameVersion + 1}, search[1:]...), 400, bad + "version 4, this build speaks 3"},
+		{"unknown kind", append([]byte{cluster.FrameVersion, 9}, search[2:]...), 400, bad + "kind 9"},
+		{"kind 0", append([]byte{cluster.FrameVersion, 0}, search[2:]...), 400, bad + "kind 0"},
+		{"unknown flags", append([]byte{cluster.FrameVersion, 1, 2}, search[3:]...), 400, bad + "flag byte 2"},
+		{"truncated header", search[:20], 400, bad + "truncated"},
+		{"truncated query", search[:len(search)-1], 400, bad + "count 32 of 8-byte elements in 255 bytes"},
+		{"trailing bytes", append(append([]byte(nil), search...), 0, 0), 400, bad + "2 trailing bytes"},
+		{"huge count", huge, 400, bad + "count 4294967295 of 8-byte elements in 0 bytes"},
 	} {
-		r := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body))
-		switch tc.ctype {
-		case "":
-			r.Header.Set("Content-Type", cluster.FrameContentType)
-		case "-":
-		default:
-			r.Header.Set("Content-Type", tc.ctype)
+		status, body, err := st.Exchange(ctx, raw(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, r)
 		if tc.status == 200 {
-			if _, err := cluster.ParseAnswer(rec.Body.Bytes()); rec.Code != 200 || err != nil ||
-				rec.Header().Get("Content-Type") != cluster.FrameContentType {
-				t.Errorf("%s: status %d %q, %v: %.200q", tc.name, rec.Code, rec.Header().Get("Content-Type"), err, rec.Body.Bytes())
+			if _, err := cluster.ParseAnswer(body); status != 200 || err != nil {
+				t.Errorf("%s: status %d, %v: %.200q", tc.name, status, err, body)
 			}
 			continue
 		}
 		want, _ := json.Marshal(map[string]string{"error": tc.text})
-		if rec.Code != tc.status || rec.Body.String() != string(want)+"\n" {
-			t.Errorf("%s: %d %s, want %d %s", tc.name, rec.Code, rec.Body.Bytes(), tc.status, want)
+		if status != tc.status || string(body) != string(want) {
+			t.Errorf("%s: %d %s, want %d %s", tc.name, status, body, tc.status, want)
 		}
 	}
 
-	// A declared length past the body limit is refused before a byte is
-	// read, and a GET before anything else.
-	big := httptest.NewRequest(http.MethodPost, "/shard/search", bytes.NewReader(search))
-	big.Header.Set("Content-Type", cluster.FrameContentType)
-	big.ContentLength = 1 << 40
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, big)
-	if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != "{\"error\":\"bad request body: http: request body too large\"}\n" {
-		t.Errorf("declared 1 TiB body: %d %s", rec.Code, rec.Body)
+	// Off the stream: no per-query route, and no stream without the
+	// Upgrade.
+	resp, err := http.Post(srv.URL+"/shard/search", "application/x-twinsearch-frame", bytes.NewReader(search))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/shard/prefix", nil))
-	if rec.Code != http.StatusMethodNotAllowed || rec.Body.String() != "{\"error\":\"POST required\"}\n" {
-		t.Errorf("GET: %d %s", rec.Code, rec.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /shard/search: %s, want 404", resp.Status)
+	}
+	resp, err = http.Get(srv.URL + cluster.StreamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "{\"error\":\"the shard RPC is a stream: GET /shard/stream with Upgrade: twinsearch-shard\"}\n"; resp.StatusCode != http.StatusUpgradeRequired || string(body) != want {
+		t.Errorf("GET %s without Upgrade: %s %s", cluster.StreamPath, resp.Status, body)
+	}
+
+	// A declared length past the body limit is refused before a byte of
+	// it is read, and the stream closes.
+	conn, br := rawStream(t, srv.URL)
+	binary.Write(conn, binary.LittleEndian, uint32(64<<20+1))
+	got, _ := io.ReadAll(br)
+	if want := envelope(413, []byte(`{"error":"bad request body: http: request body too large"}`)); !bytes.Equal(got, want) {
+		t.Errorf("declared 64 MiB + 1: %q, want %q and the stream's end", got, want)
 	}
 }
 
-// TestHostileNodeFailsOver: a replica answering 200 with a frame that
-// claims a huge count, stops short, runs on, or declares a body past the
-// limit makes its attempt fail over — the query answers exactly, from
-// the sibling — and is marked down with the decoder's words. Never a
-// panic, never a short answer.
+// TestHostileNodeFailsOver: a replica answering with a frame that
+// claims a huge count, stops short or runs on, or with an envelope of
+// an unknown status or a declared length past the limit makes its
+// attempt fail over — the query answers exactly, from the sibling — and
+// is marked down with the decoder's words. Never a panic, never a short
+// answer.
 func TestHostileNodeFailsOver(t *testing.T) {
 	ext := series.NewExtractor(datasets.EEGN(87, 1200), series.NormGlobal)
 	local, path := buildSaved(t, ext, 4)
 	var mode atomic.Value
 	mode.Store("")
 	cl, _ := startClusterB(t, ext, path, [][]int{{0, 1, 2, 3}}, 2, cluster.Options{RefreshInterval: -1},
-		func(i int, h http.Handler) http.Handler {
-			if i != 0 {
-				return h
+		hookNode(0, func(ctx context.Context, q *cluster.Request, answer func() []byte) []byte {
+			env := answer()
+			b := env[8:]
+			switch mode.Load().(string) {
+			case "huge count":
+				return envelope(200, []byte{cluster.FrameVersion, 0xff, 0xff, 0xff, 0xff})
+			case "truncated":
+				return envelope(200, b[:len(b)-1])
+			case "trailing bytes":
+				return envelope(200, append(b, 0))
+			case "unknown status":
+				return envelope(299, b)
+			case "declared past the limit":
+				return binary.LittleEndian.AppendUint32(envelope(200, nil)[:4], 64<<20+1)
 			}
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				m := mode.Load().(string)
-				if m == "" || !strings.HasPrefix(r.URL.Path, "/shard/") {
-					h.ServeHTTP(w, r)
-					return
-				}
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, r)
-				b := rec.Body.Bytes()
-				switch m {
-				case "huge count":
-					b = []byte{cluster.FrameVersion, 0xff, 0xff, 0xff, 0xff}
-				case "truncated":
-					b = b[:len(b)-1]
-				case "trailing bytes":
-					b = append(b, 0)
-				case "declared past the limit":
-					w.Header().Set("Content-Length", strconv.Itoa(1<<30))
-				}
-				w.WriteHeader(http.StatusOK)
-				w.Write(b)
-			})
-		})
+			return env
+		}))
 	ctx := context.Background()
 	q := ext.ExtractCopy(500, testL)
 	want, _ := local.SearchStats(q, 0.3)
-	for _, m := range []string{"huge count", "truncated", "trailing bytes", "declared past the limit"} {
-		mode.Store(m)
+	for _, c := range []struct{ mode, words string }{
+		{"huge count", "shard search: answer: malformed shard frame: count 4294967295"},
+		{"truncated", "shard search: answer: malformed shard frame: "},
+		{"trailing bytes", "shard search: answer: malformed shard frame: 1 trailing bytes"},
+		{"unknown status", "shard search: malformed envelope: status 299"},
+		{"declared past the limit", "shard search: malformed envelope: length 67108865 past the 67108864-byte limit"},
+	} {
+		mode.Store(c.mode)
 		got, err := cl.Search(ctx, q, 0.3)
 		if err != nil || !sameMatches(want, got) {
-			t.Fatalf("%s: %d matches, %v; want %d", m, len(got), err, len(want))
+			t.Fatalf("%s: %d matches, %v; want %d", c.mode, len(got), err, len(want))
 		}
-		if p := cl.Health()[0]; p.Alive || !strings.HasPrefix(p.Error, "/shard/search: answer: ") {
-			t.Fatalf("%s: hostile node %+v, want down with the answer's error", m, p)
+		if p := cl.Health()[0]; p.Alive || !strings.HasPrefix(p.Error, c.words) {
+			t.Fatalf("%s: hostile node %+v, want down with %q", c.mode, p, c.words)
 		}
 		cl.Sweep(ctx) // its /healthz is honest: up again, and primary
 		if !cl.Health()[0].Alive {
-			t.Fatalf("%s: sweep left the node down", m)
+			t.Fatalf("%s: sweep left the node down", c.mode)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"context"
+	"sync"
 	"time"
 )
 
@@ -50,17 +51,16 @@ func (ow *owner) fact() (alive bool, errMsg string, checkedAt time.Time) {
 // background refresher calls this on its interval; tests and callers
 // wanting a fresh view now can call it directly.
 func (c *Coordinator) Sweep(ctx context.Context) {
-	done := make(chan struct{}, len(c.owners))
+	var wg sync.WaitGroup
 	for _, ow := range c.owners {
+		wg.Add(1)
 		//tsvet:ignore network-bound health probes must not occupy CPU executor workers
-		go func(ow *owner) {
-			defer func() { done <- struct{}{} }()
+		go func() {
+			defer wg.Done()
 			c.probe(ctx, ow)
-		}(ow)
+		}()
 	}
-	for range c.owners {
-		<-done
-	}
+	wg.Wait()
 }
 
 // probe refreshes one node's liveness fact.

@@ -2,26 +2,26 @@ package cluster
 
 // The shard RPC's server half: the HTTP face of one cluster node, which
 // serves its assigned shards of a saved index (Node) to the coordinator.
-// GET /healthz answers NodeHealth as JSON; POST /shard/search, /topk
-// and /prefix each take a request frame and answer with a frame
-// (wire.go), or refuse in JSON. Queries arrive pre-transformed (the
-// coordinator normalizes once) and answers keep the contract of
-// internal/shard's package comment, so the coordinator's merges
-// reproduce the single-engine answer bit for bit. Every handler runs
-// under r.Context(): a coordinator that gives up (timeout, death)
-// cancels the node-side fan-out instead of leaving it to burn executor
-// time. tsserve's node role serves this handler; it lives here so both
-// halves of the protocol share one package.
+// GET /healthz answers NodeHealth as JSON; GET StreamPath is upgraded
+// to a stream (wire.go). Queries arrive pre-transformed (the coordinator
+// normalizes once) and answers keep internal/shard's contract, so the
+// coordinator's merges reproduce the single-engine answer bit for bit.
+// A coordinator that gives up (timeout, lost hedge, death) closes its
+// stream, which cancels the node-side fan-out instead of leaving it to
+// burn executor time. tsserve's node role serves this handler; it lives
+// here so both halves of the protocol share one package.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
-	"strconv"
+	"strings"
 	"sync/atomic"
+	"time"
 
 	"twinsearch/internal/core"
 	"twinsearch/internal/obs"
@@ -34,22 +34,43 @@ type NodeRPC struct {
 	n     *Node
 	mux   *http.ServeMux
 	drain atomic.Bool
+
+	inflight atomic.Int64  // stream requests being answered
+	quit     chan struct{} // closed by BeginDrain
+	// hook (tests only) stands in for answering q; answer builds q's envelope.
+	hook func(ctx context.Context, q *Request, answer func() []byte) []byte
 }
 
 // NewNodeRPC wraps a node in its RPC handler.
 func NewNodeRPC(n *Node) *NodeRPC {
-	h := &NodeRPC{n: n, mux: http.NewServeMux()}
+	h := &NodeRPC{n: n, mux: http.NewServeMux(), quit: make(chan struct{})}
 	h.mux.HandleFunc("/healthz", h.health)
-	for k := KindSearch; k <= KindPrefix; k++ {
-		h.mux.HandleFunc(k.Path(), func(w http.ResponseWriter, r *http.Request) { h.serve(w, r, k) })
-	}
+	h.mux.HandleFunc(StreamPath, h.stream)
 	return h
 }
 
-// BeginDrain makes every subsequent query answer 503 while /healthz
-// keeps working — the graceful-shutdown window in which in-flight
-// requests finish and the coordinator routes around the node.
-func (h *NodeRPC) BeginDrain() { h.drain.Store(true) }
+// BeginDrain starts the graceful-shutdown window, /healthz still
+// answering: idle streams close, a new one is refused 503, and a
+// request on an open one gets a 503 envelope.
+func (h *NodeRPC) BeginDrain() {
+	if !h.drain.Swap(true) {
+		close(h.quit)
+	}
+}
+
+// Drained waits until BeginDrain has run and no stream request is in
+// flight, or until ctx ends: http.Server.Shutdown does not wait for the
+// streams (hijacked connections), and their queries read the arenas.
+func (h *NodeRPC) Drained(ctx context.Context) error {
+	for !h.drain.Load() || h.inflight.Load() > 0 {
+		select {
+		case <-time.After(time.Millisecond):
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
 
 // ServeHTTP implements http.Handler.
 func (h *NodeRPC) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -70,48 +91,105 @@ func (h *NodeRPC) health(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, hd)
 }
 
-// serve answers one shard RPC of kind k.
-func (h *NodeRPC) serve(w http.ResponseWriter, r *http.Request, k Kind) {
-	a, status, err := h.answer(r, k)
-	if err != nil {
-		wire.WriteError(w, status, err)
+// stream upgrades the connection and answers its requests in order. Its
+// reader reads ahead to the next request, so the stream's end — the
+// coordinator hung up — cancels the query in flight.
+func (h *NodeRPC) stream(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet || !strings.EqualFold(r.Header.Get("Upgrade"), StreamProtocol) {
+		w.Header().Set("Upgrade", StreamProtocol)
+		wire.WriteError(w, http.StatusUpgradeRequired, fmt.Errorf("the shard RPC is a stream: GET %s with Upgrade: %s", StreamPath, StreamProtocol))
 		return
 	}
-	b := a.AppendFrame(nil)
-	hd := w.Header()
-	hd.Set("Content-Type", FrameContentType)
-	hd.Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b) // the status is out; a failed write has no one left to tell
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		wire.WriteError(w, http.StatusInternalServerError, err)
+		return
+	}
+	_ = conn.SetDeadline(time.Time{}) // the server's were the upgrade request's
+	ctx, hangUp := context.WithCancel(r.Context())
+	reqs := make(chan []byte) // the reader's request bodies; nil: one past the size limit
+	defer func() {            // stop the reader, and wait for it
+		hangUp()
+		conn.Close()
+		for range reqs {
+		}
+	}()
+	//tsvet:ignore the stream's reader waits on its socket, not on a CPU executor worker
+	go func() {
+		defer close(reqs)
+		defer hangUp()
+		var hdr [4]byte
+		for {
+			if _, err := io.ReadFull(brw.Reader, hdr[:]); err != nil {
+				return
+			}
+			n := int64(le.Uint32(hdr[:]))
+			lr := io.LimitedReader{R: brw.Reader, N: n}
+			body, err := wire.ReadBody(&lr, n, nil) // nil only past the limit
+			if body != nil && (err != nil || lr.N > 0) {
+				return // the stream ended inside the request
+			}
+			select {
+			case reqs <- body:
+			case <-ctx.Done():
+				return
+			}
+			if body == nil {
+				return // the next request's start is unknown
+			}
+		}
+	}()
+	out := []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + StreamProtocol + "\r\n\r\n")
+	for quit := h.quit; ; {
+		if _, err := conn.Write(out); err != nil {
+			return
+		}
+		if cap(out) > 1<<20 {
+			out = nil // a huge answer's buffer goes
+		}
+		var body []byte
+		var ok bool
+		select {
+		case body, ok = <-reqs:
+		case <-quit:
+		}
+		if !ok {
+			return // the stream ended, or was idle when the drain began
+		}
+		q, err := ParseRequest(body) // nil (past the limit) is refused 413 below
+		switch {
+		case body == nil:
+			out = appendRefusal(out[:0], http.StatusRequestEntityTooLarge, fmt.Errorf("bad request body: %w", &http.MaxBytesError{Limit: wire.MaxBodyBytes}))
+		case err != nil:
+			out = appendRefusal(out[:0], http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		default:
+			if out = h.respond(ctx, &q, out[:0]); h.drain.Load() {
+				quit = nil // busy when the drain began: later requests get 503s
+			}
+		}
+	}
 }
 
-// answer reads a request frame for the endpoint of kind k and runs it,
-// or reports the refusal's status: 405 for another method, 415 for
-// another Content-Type, 413 past wire.MaxBodyBytes, 400 for a malformed
-// frame, one of another kind or parameters the node refuses, and 503
-// when the caller hung up or timed out.
-func (h *NodeRPC) answer(r *http.Request, k Kind) (Answer, int, error) {
-	if r.Method != http.MethodPost {
-		return Answer{}, http.StatusMethodNotAllowed, errors.New("POST required")
+// respond appends q's answer envelope to out, or a 503 envelope once
+// the node drains.
+func (h *NodeRPC) respond(ctx context.Context, q *Request, out []byte) []byte {
+	// Counted before the drain is read, which Drained reads first.
+	h.inflight.Add(1)
+	defer h.inflight.Add(-1)
+	if h.drain.Load() {
+		return appendRefusal(out, http.StatusServiceUnavailable, errDraining)
 	}
-	if ct := r.Header.Get("Content-Type"); ct != FrameContentType {
-		return Answer{}, http.StatusUnsupportedMediaType,
-			fmt.Errorf("Content-Type %q; the shard RPC takes %s frames", ct, FrameContentType)
+	if h.hook != nil {
+		q := *q
+		return h.hook(ctx, &q, func() []byte { return h.answer(ctx, &q, out) })
 	}
-	var q Request
-	body, err := wire.ReadBody(r.Body, r.ContentLength, nil)
-	if err == nil {
-		q, err = ParseRequest(body)
-	}
-	if err == nil && q.Kind != k {
-		err = fmt.Errorf("malformed shard frame: kind %d sent to %s", q.Kind, k.Path())
-	}
-	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
-		return Answer{}, http.StatusRequestEntityTooLarge, fmt.Errorf("bad request body: %w", err)
-	} else if err != nil {
-		return Answer{}, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
-	}
-	ctx, tr := r.Context(), (*obs.Trace)(nil)
+	return h.answer(ctx, q, out)
+}
+
+// answer runs q and appends its answer envelope to out, or a refusal's:
+// 400 for parameters the node refuses, 503 when the caller hung up.
+func (h *NodeRPC) answer(ctx context.Context, q *Request, out []byte) []byte {
+	tr := (*obs.Trace)(nil)
 	if q.Trace {
 		// The node's own trace: the shard layer annotates its root, and
 		// the finished subtree (StartUs relative to this node's trace
@@ -119,15 +197,21 @@ func (h *NodeRPC) answer(r *http.Request, k Kind) (Answer, int, error) {
 		tr = obs.NewTrace("node:" + h.n.Name)
 		ctx = obs.WithSpan(ctx, tr.Root)
 	}
-	a, err := h.run(ctx, &q)
+	a, err := h.run(ctx, q)
 	if err == nil && tr != nil {
 		tr.Finish()
 		a.Trace, err = json.Marshal(tr.Root)
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return a, http.StatusServiceUnavailable, err
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return appendRefusal(out, http.StatusServiceUnavailable, err)
+	case err != nil:
+		return appendRefusal(out, http.StatusBadRequest, err)
 	}
-	return a, http.StatusBadRequest, err
+	out = a.AppendFrame(append(out, make([]byte, 8)...))
+	le.PutUint32(out, http.StatusOK)
+	le.PutUint32(out[4:], uint32(len(out)-8))
+	return out
 }
 
 // run answers q on the node's shards once screen has passed it.

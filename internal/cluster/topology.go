@@ -7,7 +7,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -68,14 +68,8 @@ func ParseShardRanges(spec string) ([]int, error) {
 }
 
 func normalizeShards(ids []int) []int {
-	sort.Ints(ids)
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // NodeSpec names one shard node: where to reach it and which global
@@ -109,12 +103,7 @@ type Topology struct {
 
 // R returns the effective replication factor (Replicas, defaulting
 // to 1).
-func (t *Topology) R() int {
-	if t.Replicas <= 0 {
-		return 1
-	}
-	return t.Replicas
-}
+func (t *Topology) R() int { return max(t.Replicas, 1) }
 
 // ParseTopology decodes and validates a topology document. Coverage of
 // the index's full shard range needs the shard count, which only the
@@ -276,14 +265,5 @@ func (t *Topology) validateAssignment(total int) error {
 // shardSetKey canonicalizes a shard list for replica-group comparison
 // and grouping.
 func shardSetKey(ids []int) string {
-	s := append([]int(nil), ids...)
-	sort.Ints(s)
-	var b strings.Builder
-	for i, id := range s {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(id))
-	}
-	return b.String()
+	return fmt.Sprint(slices.Sorted(slices.Values(ids)))
 }

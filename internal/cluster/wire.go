@@ -1,23 +1,25 @@
 package cluster
 
-// The shard RPC's bytes, shared by the node's handlers (rpc.go) and the
-// coordinator's client (cluster.go) so the two cannot drift. Every
-// /shard/* body is one little-endian frame of FrameContentType (refusals
-// stay JSON {"error": ...}). Pre-transformed queries, bounds and
-// distances travel as raw float64 bits, so neither side prints or parses
-// a float and every value — ±0, subnormals, +Inf — arrives bit for bit,
-// as the byte-identical differential guarantees need.
+// The shard RPC's bytes, shared by the node (rpc.go) and the
+// coordinator (cluster.go) so the two cannot drift. A coordinator
+// upgrades a connection (GET StreamPath, answered 101) and sends one
+// request at a time on it. Queries, bounds and distances travel as raw
+// float64 bits, so neither side prints or parses a float and every
+// value — ±0, subnormals, +Inf — arrives bit for bit, as the
+// byte-identical differential guarantees need.
 //
-//	request: u8 FrameVersion, u8 kind (1 search, 2 topk, 3 prefix:
-//	         the endpoint's), u8 flags (1: return the node's span
-//	         tree), f64 eps, i64 k, f64 bound (+Inf: none), u32 n,
-//	         n × f64 query
+//	stream:  u32 len, request → u32 status (200, 400, 413 or 503),
+//	         u32 len, answer (200) or JSON {"error": ...}
+//	request: u8 FrameVersion, u8 kind (1 search, 2 topk, 3 prefix),
+//	         u8 flags (1: return the node's span tree), f64 eps, i64 k,
+//	         f64 bound (+Inf: none), u32 n, n × f64 query
 //	answer:  u8 FrameVersion, u32 n, n × (i64 start, f64 dist),
 //	         u8 1 when six i64 core.Stats counters follow (else 0),
 //	         u32 m, m bytes of the span tree as JSON (m = 0 untraced)
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -28,16 +30,17 @@ import (
 )
 
 const (
-	// FrameVersion is the layout this build speaks. A node reports it in
-	// /healthz and a coordinator refuses a node reporting another, at
-	// open and at rejoin, so a cluster of mixed builds fails loudly.
-	FrameVersion = 2
-	// FrameContentType marks every frame; a /shard/* request of another
-	// type is answered 415.
-	FrameContentType = "application/x-twinsearch-frame"
+	// FrameVersion is the layout this build speaks, stream included. A
+	// node reports it in /healthz and a coordinator refuses a node
+	// reporting another, at open and at rejoin, so a cluster of mixed
+	// builds fails loudly.
+	FrameVersion = 3
+	// StreamPath and StreamProtocol are the stream's Upgrade request.
+	StreamPath     = "/shard/stream"
+	StreamProtocol = "twinsearch-shard"
 )
 
-// Kind names a shard RPC and the endpoint serving it.
+// Kind names a shard RPC.
 type Kind uint8
 
 const (
@@ -46,15 +49,11 @@ const (
 	KindPrefix                 // the tree half of a shorter query
 )
 
-// Path returns the endpoint that serves k.
-func (k Kind) Path() string {
-	return [...]string{KindSearch: "/shard/search", KindTopK: "/shard/topk",
-		KindPrefix: "/shard/prefix"}[k]
-}
+// String names k in errors.
+func (k Kind) String() string { return [...]string{"", "search", "topk", "prefix"}[k] }
 
 // Request is one shard RPC: the path's parameters and a query in engine
-// value space. Fields its kind does not use travel as written; a kind
-// other than the endpoint's is the node's to refuse.
+// value space. Fields its kind does not use travel as written.
 type Request struct {
 	Kind Kind
 	// Trace asks the node for its own span tree of the query, returned
@@ -104,6 +103,9 @@ func ParseRequest(b []byte) (Request, error) {
 	f := frame{b: b}
 	f.version()
 	q := Request{Kind: Kind(f.u8()), Trace: f.flag()}
+	if q.Kind < KindSearch || q.Kind > KindPrefix {
+		f.fail("kind %d", q.Kind)
+	}
 	q.Eps, q.K, q.Bound = f.f64(), f.int(), f.f64()
 	q.Query = make([]float64, f.count(8))
 	for i := range q.Query {
@@ -151,6 +153,17 @@ func ParseAnswer(b []byte) (Answer, error) {
 		a.Trace = f.next(n)
 	}
 	return a, f.end()
+}
+
+// refusalBody is the JSON a node has always refused in.
+type refusalBody struct {
+	Error string `json:"error"`
+}
+
+// appendRefusal appends a refusal's envelope: status, length, JSON.
+func appendRefusal(b []byte, status int, err error) []byte {
+	body, _ := json.Marshal(refusalBody{err.Error()})
+	return append(le.AppendUint32(le.AppendUint32(b, uint32(status)), uint32(len(body))), body...)
 }
 
 // statsFields lists the frame's six counters in wire order.

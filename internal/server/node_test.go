@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -79,14 +78,21 @@ func TestNodeHealth(t *testing.T) {
 	}
 }
 
-// postFrame sends one shard RPC request frame to the node at url.
-func postFrame(t *testing.T, url string, q cluster.Request) *http.Response {
+// exchange sends one shard RPC request frame to the node at url over a
+// fresh stream and returns the answer envelope's status and body.
+func exchange(t *testing.T, url string, frame []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+q.Kind.Path(), cluster.FrameContentType, bytes.NewReader(q.AppendFrame(nil)))
+	ctx := context.Background()
+	st, err := cluster.DialStream(ctx, http.DefaultClient, url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	defer st.Close()
+	status, body, err := st.Exchange(ctx, func(b []byte) []byte { return append(b, frame...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, bytes.Clone(body)
 }
 
 // TestNodeShardEndpoints round-trips every RPC against the subset's
@@ -98,14 +104,9 @@ func TestNodeShardEndpoints(t *testing.T) {
 
 	post := func(req cluster.Request) cluster.Answer {
 		t.Helper()
-		resp := postFrame(t, url, req)
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", req.Kind.Path(), resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		status, body := exchange(t, url, req.AppendFrame(nil))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d", req.Kind, status)
 		}
 		out, err := cluster.ParseAnswer(body)
 		if err != nil {
@@ -161,29 +162,31 @@ func TestNodeShardEndpoints(t *testing.T) {
 
 func TestNodeShardEndpointErrors(t *testing.T) {
 	url, _, _ := newNodeServer(t)
-	// Wrong method.
-	resp, err := http.Get(url + "/shard/search")
+	// No per-query route: the shard RPC is the stream.
+	resp, err := http.Post(url+"/shard/search", "application/x-twinsearch-frame", bytes.NewReader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /shard/search: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /shard/search: %d", resp.StatusCode)
+	}
+	// Wrong method, or no Upgrade.
+	resp, err = http.Get(url + cluster.StreamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired {
+		t.Fatalf("GET %s without Upgrade: %d", cluster.StreamPath, resp.StatusCode)
 	}
 	// Malformed body.
-	resp, err = http.Post(url+"/shard/search", cluster.FrameContentType, bytes.NewReader([]byte("{nope")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: %d", resp.StatusCode)
+	if status, _ := exchange(t, url, []byte("{nope")); status != http.StatusBadRequest {
+		t.Fatalf("malformed body: %d", status)
 	}
 	// Wrong query length.
-	resp = postFrame(t, url, cluster.Request{Kind: cluster.KindSearch, Query: []float64{1, 2}, Eps: 0.3})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("short query: %d", resp.StatusCode)
+	if status, _ := exchange(t, url, (&cluster.Request{Kind: cluster.KindSearch, Query: []float64{1, 2}, Eps: 0.3}).AppendFrame(nil)); status != http.StatusBadRequest {
+		t.Fatalf("short query: %d", status)
 	}
 }
 
@@ -235,13 +238,27 @@ func TestDrain(t *testing.T) {
 		t.Fatalf("draining healthz = %d %v", resp.StatusCode, health["status"])
 	}
 
-	// Node handler: same contract for the shard RPC.
+	// Node handler: same contract for the shard RPC. A stream idle at
+	// the drain is closed, and a new one is refused 503.
 	url, _, ext := newNodeServer(t)
+	ctx := context.Background()
+	idle, err := cluster.DialStream(ctx, http.DefaultClient, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
 	nodeHandlers[t.Name()].BeginDrain()
-	resp = postFrame(t, url, cluster.Request{Kind: cluster.KindSearch, Query: ext.ExtractCopy(0, 50), Eps: 0.3})
+	frame := (&cluster.Request{Kind: cluster.KindSearch, Query: ext.ExtractCopy(0, 50), Eps: 0.3}).AppendFrame(nil)
+	if _, _, err := idle.Exchange(ctx, func(b []byte) []byte { return append(b, frame...) }); err == nil {
+		t.Fatal("a stream idle at the drain still answers")
+	}
+	resp, err = http.Get(url + cluster.StreamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining shard/search: %d, want 503", resp.StatusCode)
+		t.Fatalf("draining %s: %d, want 503", cluster.StreamPath, resp.StatusCode)
 	}
 	var nh cluster.NodeHealth
 	nresp, err := http.Get(url + "/healthz")

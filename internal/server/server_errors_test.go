@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 
 	"twinsearch"
 	"twinsearch/internal/cluster"
@@ -129,8 +131,20 @@ func TestAppendRejectedForReadOnlyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nsrv := httptest.NewServer(cluster.NewNodeRPC(node))
-	t.Cleanup(func() { nsrv.Close(); node.Close() })
+	rpc := cluster.NewNodeRPC(node)
+	nsrv := httptest.NewServer(rpc)
+	t.Cleanup(func() {
+		// httptest waits for no stream's query: drain before unmapping.
+		nsrv.Close()
+		rpc.BeginDrain()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := rpc.Drained(ctx); err != nil {
+			t.Errorf("node: %v; left mapped", err)
+			return
+		}
+		node.Close()
+	})
 	topo := filepath.Join(dir, "topo.json")
 	doc := `{"index": "idx.tssh", "nodes": [{"name": "n0", "addr": "` + nsrv.URL + `", "shards": "0-1"}]}`
 	if err := os.WriteFile(topo, []byte(doc), 0o644); err != nil {
