@@ -1,7 +1,9 @@
 // Command tsbench regenerates the paper's evaluation: Figures 4–8 plus
 // the §1 intro experiment, printed as aligned tables (and optionally
 // CSV), followed by a PASS/FAIL report of the paper's qualitative
-// claims.
+// claims. Every query-time cell is timed harness.DefaultPasses times,
+// the passes interleaved across methods; a row reports the median and
+// the interquartile range.
 //
 // Usage:
 //
@@ -108,13 +110,14 @@ func main() {
 			Verify  string        `json:"verify"`
 			Scale   float64       `json:"scale"`
 			Queries int           `json:"queries"`
+			Passes  int           `json:"passes"`
 			Seed    int64         `json:"seed"`
 			Rows    []harness.Row `json:"rows"`
 		}{
 			Tool: "tsbench", Figure: *figure,
 			GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(),
 			Kernel: kernel.Active(), Verify: verify,
-			Scale: *scale, Queries: *queries, Seed: *seed,
+			Scale: *scale, Queries: *queries, Passes: r.Passes, Seed: *seed,
 			Rows: rows,
 		}
 		raw, err := json.MarshalIndent(doc, "", "  ")

@@ -104,13 +104,15 @@ func TestTopKConsistentWithThresholdSearch(t *testing.T) {
 // The node queue's buffer is recycled, so its growth costs nothing once
 // warm (BenchmarkFrozenTopK reports 2 at 200 000 points; while each
 // query grew its own queue, 5). Boxing every heap element through
-// container/heap cost ≈1900 allocations per query.
+// container/heap cost ≈1900 allocations per query. The budget is not
+// asserted under -race, under which sync.Pool drops a share of its
+// Puts (see raceEnabled).
 func TestFrozenTopKAllocs(t *testing.T) {
 	data := datasets.EEGN(1, 50000)
 	f, ext := frozenOver(t, data, series.NormGlobal, Config{L: 100})
 	for _, raw := range datasets.Queries(data, 7, 8, 100) {
 		q := ext.TransformQuery(raw)
-		if avg := testing.AllocsPerRun(10, func() { f.SearchTopK(q, 10) }); avg > 7 {
+		if avg := testing.AllocsPerRun(10, func() { f.SearchTopK(q, 10) }); avg > 7 && !raceEnabled {
 			t.Fatalf("Frozen.SearchTopK(k=10): %.0f allocs/query, budget 7", avg)
 		}
 	}

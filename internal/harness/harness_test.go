@@ -3,17 +3,21 @@ package harness
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"twinsearch/internal/series"
 )
 
-// tinyRunner shrinks everything so harness tests run in seconds; the
-// disk-resident verification path has its own dedicated test.
+// tinyRunner shrinks everything so harness tests run in seconds — one
+// pass per cell, the counters being the same on every pass
+// (TestPassesInterleaved times several); the disk-resident verification
+// path has its own dedicated test.
 func tinyRunner() *Runner {
 	r := NewRunner(0.002, 42) // EEG ≈ 3.6k points
 	r.Queries = 5
+	r.Passes = 1
 	r.DiskVerify = false
 	insect := Insect(42, 0)
 	insect.Data = insect.Data[:4000]
@@ -45,6 +49,51 @@ func TestDiskVerifyAgreesWithMemory(t *testing.T) {
 	disk.Close()
 	if len(disk.diskStores) != 0 || len(disk.diskFiles) != 0 {
 		t.Fatal("Close did not clear disk state")
+	}
+}
+
+// TestPassesInterleaved times Figure 4 and the intro experiment three
+// times per cell: every row reports its passes and a non-negative
+// spread, and the counters equal a one-pass run's row for row.
+func TestPassesInterleaved(t *testing.T) {
+	one, three := tinyRunner(), tinyRunner()
+	three.Passes = 3
+	for _, fig := range []struct {
+		name       string
+		once, many func() []Row
+	}{{"4", one.Figure4, three.Figure4}, {"intro", one.FigureIntro, three.FigureIntro}} {
+		want, got := fig.once(), fig.many()
+		if len(got) != len(want) {
+			t.Fatalf("Figure %s: %d rows over 3 passes, %d over one", fig.name, len(got), len(want))
+		}
+		for i, row := range got {
+			if row.Passes != 3 || row.QueryMsIQR < 0 || row.AvgQueryMs <= 0 {
+				t.Errorf("Figure %s row %d: %d passes, median %v ms, IQR %v ms", fig.name, i, row.Passes, row.AvgQueryMs, row.QueryMsIQR)
+			}
+			w := want[i]
+			if row.Method != w.Method || row.Param != w.Param || row.AvgResults != w.AvgResults || row.AvgCandidates != w.AvgCandidates {
+				t.Errorf("Figure %s row %d: %+v over 3 passes, %+v over one", fig.name, i, row, w)
+			}
+		}
+	}
+}
+
+// TestMedianIQR pins the quartile rule: linear interpolation between
+// order statistics, whatever the input order.
+func TestMedianIQR(t *testing.T) {
+	for _, c := range []struct {
+		xs          []float64
+		median, iqr float64
+	}{
+		{nil, 0, 0},
+		{[]float64{4}, 4, 0},
+		{[]float64{3, 1}, 2, 1},
+		{[]float64{5, 1, 4, 2, 3}, 3, 2},
+		{[]float64{10, 1, 2, 3}, 2.5, 3}, // quartiles 1.75 and 4.75
+	} {
+		if med, iqr := medianIQR(slices.Clone(c.xs)); med != c.median || iqr != c.iqr {
+			t.Errorf("medianIQR(%v) = (%v, %v), want (%v, %v)", c.xs, med, iqr, c.median, c.iqr)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"twinsearch/internal/datasets"
@@ -20,12 +21,23 @@ type Row struct {
 	Method  string
 	Param   string
 
+	// AvgQueryMs is the mean query time of one pass over the workload,
+	// the median over Passes passes; QueryMsIQR is the interquartile
+	// range of those passes (0 for one pass). Figure 8's rows time
+	// builds, not queries, and have no passes.
 	AvgQueryMs    float64
+	QueryMsIQR    float64
+	Passes        int
 	AvgResults    float64
 	AvgCandidates float64
 	BuildMs       float64
 	MemBytes      int
 }
+
+// DefaultPasses is how many times NewRunner's runners time each
+// (method, parameter) cell: one pass spreads about ±12 % at scale 0.1,
+// as wide as some gaps the paper plots.
+const DefaultPasses = 5
 
 // Runner executes the paper's experiments. The zero value is not usable;
 // construct with NewRunner.
@@ -36,6 +48,11 @@ type Runner struct {
 	Queries int
 	// Seed drives dataset generation and workload sampling.
 	Seed int64
+	// Passes is how many times each (method, parameter) cell is timed.
+	// The passes are interleaved: pass p times every cell of a figure's
+	// grid before pass p+1 times any, so host drift hits every method
+	// alike. Counters are the same on every pass.
+	Passes int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 	// DiskVerify reproduces the paper's storage setup (§6.1): index
@@ -55,9 +72,9 @@ type Runner struct {
 }
 
 // NewRunner returns a runner with the paper's workload size and storage
-// setup (disk-resident data).
+// setup (disk-resident data), timing each cell DefaultPasses times.
 func NewRunner(scale float64, seed int64) *Runner {
-	return &Runner{Scale: scale, Queries: WorkloadSize, Seed: seed, DiskVerify: true}
+	return &Runner{Scale: scale, Queries: WorkloadSize, Seed: seed, Passes: DefaultPasses, DiskVerify: true}
 }
 
 // Close removes the temporary series files disk verification created.
@@ -170,6 +187,76 @@ func measure(b built, queries [][]float64, eps float64) (avgMs, avgResults, avgC
 	return elapsed.Seconds() * 1000 / n, float64(results) / n, float64(cands) / n
 }
 
+// passes returns how many times a cell is timed: Passes, at least 1.
+func (r *Runner) passes() int { return max(r.Passes, 1) }
+
+// measureGrid times every built method at every threshold of the grid,
+// r.passes() times, and returns one row per (method, threshold) in
+// method-major order. Each pass times every cell before the next pass
+// times any, so drift on the host lands on every method alike; a row's
+// AvgQueryMs is the median of its passes and QueryMsIQR their spread.
+func (r *Runner) measureGrid(figure, dataset string, methods []built, queries [][]float64, epsGrid []float64, param func(eps float64) string) []Row {
+	rows := make([]Row, 0, len(methods)*len(epsGrid))
+	for _, b := range methods {
+		for _, eps := range epsGrid {
+			rows = append(rows, Row{
+				Figure: figure, Dataset: dataset, Method: b.method.String(), Param: param(eps),
+				Passes:  r.passes(),
+				BuildMs: b.buildTime.Seconds() * 1000, MemBytes: b.memBytes,
+			})
+		}
+	}
+	times := make([][]float64, len(rows))
+	for p := 0; p < r.passes(); p++ {
+		for i := range rows {
+			b, eps := methods[i/len(epsGrid)], epsGrid[i%len(epsGrid)]
+			ms, res, cands := measure(b, queries, eps)
+			times[i] = append(times[i], ms)
+			rows[i].AvgResults, rows[i].AvgCandidates = res, cands
+		}
+	}
+	for i := range rows {
+		rows[i].AvgQueryMs, rows[i].QueryMsIQR = medianIQR(times[i])
+	}
+	return rows
+}
+
+// medianIQR returns the median of xs and its interquartile range, the
+// quartiles interpolated linearly between order statistics (with five
+// passes: the 3rd value, and the 4th minus the 2nd). xs is reordered.
+func medianIQR(xs []float64) (median, iqr float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	slices.Sort(xs)
+	q := func(p float64) float64 {
+		at := p * float64(len(xs)-1)
+		i := int(at)
+		if i+1 == len(xs) {
+			return xs[i]
+		}
+		return xs[i] + (at-float64(i))*(xs[i+1]-xs[i])
+	}
+	return q(0.5), q(0.75) - q(0.25)
+}
+
+// buildAll builds every method over ext, in order, skipping (and
+// logging) the ones that do not apply — KV-Index under per-subsequence
+// normalization, recorded as absent exactly like the paper's Fig. 6.
+func (r *Runner) buildAll(methods []MethodID, ext *series.Extractor, l, segments int) []built {
+	var out []built
+	for _, m := range methods {
+		b, err := buildMethod(m, ext, l, segments)
+		if err != nil {
+			r.logf("  %s: skipped (%v)", m, err)
+			continue
+		}
+		r.logf("  %s built in %v", m, b.buildTime.Round(time.Millisecond))
+		out = append(out, b)
+	}
+	return out
+}
+
 // sweep runs every method over every threshold for one dataset/mode,
 // building each index once and reusing it across the grid — the way the
 // paper's per-figure sweeps are structured.
@@ -179,33 +266,8 @@ func (r *Runner) sweep(figure string, d *Dataset, mode series.NormMode, methods 
 		return nil
 	}
 	queries := r.workload(d, ext, l)
-	var rows []Row
-	for _, m := range methods {
-		b, err := buildMethod(m, ext, l, segments)
-		if err != nil {
-			// KV-Index under per-subsequence normalization, etc.:
-			// recorded as absent, exactly like the paper's Fig. 6.
-			r.logf("  %s: skipped (%v)", m, err)
-			continue
-		}
-		r.logf("  %s built in %v", m, b.buildTime.Round(time.Millisecond))
-		for _, eps := range epsGrid {
-			avgMs, avgRes, avgCands := measure(b, queries, eps)
-			rows = append(rows, Row{
-				Figure:  figure,
-				Dataset: d.Name,
-				Method:  m.String(),
-				Param:   fmt.Sprintf("%s=%.4g", paramName, eps),
-
-				AvgQueryMs:    avgMs,
-				AvgResults:    avgRes,
-				AvgCandidates: avgCands,
-				BuildMs:       b.buildTime.Seconds() * 1000,
-				MemBytes:      b.memBytes,
-			})
-		}
-	}
-	return rows
+	return r.measureGrid(figure, d.Name, r.buildAll(methods, ext, l, segments), queries, epsGrid,
+		func(eps float64) string { return fmt.Sprintf("%s=%.4g", paramName, eps) })
 }
 
 // epsGridFor returns the threshold grid for a dataset under a mode,
@@ -248,22 +310,10 @@ func (r *Runner) Figure5() []Row {
 			continue
 		}
 		for _, l := range LengthGrid {
+			r.logf("  l=%d", l)
 			queries := r.workload(d, ext, l)
-			for _, m := range AllMethods {
-				b, err := buildMethod(m, ext, l, DefaultM)
-				if err != nil {
-					r.logf("  l=%d %s: skipped (%v)", l, m, err)
-					continue
-				}
-				avgMs, avgRes, avgCands := measure(b, queries, d.DefaultEpsNorm)
-				rows = append(rows, Row{
-					Figure: "5", Dataset: d.Name, Method: m.String(),
-					Param:      fmt.Sprintf("l=%d", l),
-					AvgQueryMs: avgMs, AvgResults: avgRes, AvgCandidates: avgCands,
-					BuildMs: b.buildTime.Seconds() * 1000, MemBytes: b.memBytes,
-				})
-			}
-			r.logf("  l=%d done", l)
+			rows = append(rows, r.measureGrid("5", d.Name, r.buildAll(AllMethods, ext, l, DefaultM), queries,
+				[]float64{d.DefaultEpsNorm}, func(float64) string { return fmt.Sprintf("l=%d", l) })...)
 		}
 	}
 	return rows
@@ -337,23 +387,30 @@ func (r *Runner) FigureIntro() []Row {
 	eps := d.EpsNorm[len(d.EpsNorm)-1]
 	edThreshold := series.EuclideanThresholdFor(eps, DefaultL)
 
-	var cheb, euc int
-	startC := time.Now()
-	for _, q := range queries {
-		cheb += len(sw.Search(q, eps))
+	rows := []Row{
+		{Figure: "intro", Dataset: d.Name, Method: "Chebyshev", Param: fmt.Sprintf("eps=%g", eps)},
+		{Figure: "intro", Dataset: d.Name, Method: "Euclidean", Param: fmt.Sprintf("eps=%g*sqrt(%d)", eps, DefaultL)},
 	}
-	chebMs := time.Since(startC).Seconds() * 1000 / float64(len(queries))
-	startE := time.Now()
-	for _, q := range queries {
-		euc += len(sw.SearchEuclidean(q, edThreshold))
+	search := []func(q []float64) int{
+		func(q []float64) int { return len(sw.Search(q, eps)) },
+		func(q []float64) int { return len(sw.SearchEuclidean(q, edThreshold)) },
 	}
-	eucMs := time.Since(startE).Seconds() * 1000 / float64(len(queries))
-
 	n := float64(len(queries))
-	return []Row{
-		{Figure: "intro", Dataset: d.Name, Method: "Chebyshev",
-			Param: fmt.Sprintf("eps=%g", eps), AvgQueryMs: chebMs, AvgResults: float64(cheb) / n},
-		{Figure: "intro", Dataset: d.Name, Method: "Euclidean",
-			Param: fmt.Sprintf("eps=%g*sqrt(%d)", eps, DefaultL), AvgQueryMs: eucMs, AvgResults: float64(euc) / n},
+	times := make([][]float64, len(rows))
+	for p := 0; p < r.passes(); p++ { // interleaved, as measureGrid's
+		for i, f := range search {
+			results := 0
+			start := time.Now()
+			for _, q := range queries {
+				results += f(q)
+			}
+			times[i] = append(times[i], time.Since(start).Seconds()*1000/n)
+			rows[i].AvgResults = float64(results) / n
+		}
 	}
+	for i := range rows {
+		rows[i].AvgQueryMs, rows[i].QueryMsIQR = medianIQR(times[i])
+		rows[i].Passes = r.passes()
+	}
+	return rows
 }

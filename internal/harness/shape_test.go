@@ -26,6 +26,7 @@ func TestFigureShape(t *testing.T) {
 		}
 		r := NewRunner(0.1, 1)
 		r.Queries = 30
+		r.Passes = 1 // counters only: every pass has the same
 		r.DiskVerify = false
 		checkFigureShape(t, r)
 	})

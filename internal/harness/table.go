@@ -9,7 +9,8 @@ import (
 
 // PrintTable renders rows as an aligned text table grouped by figure and
 // dataset, in the spirit of the paper's plots: one line per
-// (method, parameter) with mean query latency and workload statistics.
+// (method, parameter) with the median over passes of the mean query
+// latency, the passes' interquartile range, and workload statistics.
 func PrintTable(w io.Writer, rows []Row) {
 	if len(rows) == 0 {
 		fmt.Fprintln(w, "(no rows)")
@@ -32,11 +33,11 @@ func PrintTable(w io.Writer, rows []Row) {
 			printFig8(w, g)
 			continue
 		}
-		fmt.Fprintf(w, "%-12s %-14s %14s %12s %14s\n",
-			"method", "param", "avg query ms", "avg results", "avg candidates")
+		fmt.Fprintf(w, "%-12s %-14s %14s %10s %12s %14s\n",
+			"method", "param", "avg query ms", "iqr ms", "avg results", "avg candidates")
 		for _, r := range g {
-			fmt.Fprintf(w, "%-12s %-14s %14.3f %12.1f %14.1f\n",
-				r.Method, r.Param, r.AvgQueryMs, r.AvgResults, r.AvgCandidates)
+			fmt.Fprintf(w, "%-12s %-14s %14.3f %10.3f %12.1f %14.1f\n",
+				r.Method, r.Param, r.AvgQueryMs, r.QueryMsIQR, r.AvgResults, r.AvgCandidates)
 		}
 	}
 }
@@ -63,10 +64,10 @@ func humanBytes(b int) string {
 
 // PrintCSV renders rows as CSV for downstream plotting.
 func PrintCSV(w io.Writer, rows []Row) {
-	fmt.Fprintln(w, "figure,dataset,method,param,avg_query_ms,avg_results,avg_candidates,build_ms,mem_bytes")
+	fmt.Fprintln(w, "figure,dataset,method,param,avg_query_ms,query_ms_iqr,passes,avg_results,avg_candidates,build_ms,mem_bytes")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s,%s,%s,%s,%.6f,%.2f,%.2f,%.3f,%d\n",
-			r.Figure, r.Dataset, r.Method, csvEscape(r.Param), r.AvgQueryMs, r.AvgResults, r.AvgCandidates, r.BuildMs, r.MemBytes)
+		fmt.Fprintf(w, "%s,%s,%s,%s,%.6f,%.6f,%d,%.2f,%.2f,%.3f,%d\n",
+			r.Figure, r.Dataset, r.Method, csvEscape(r.Param), r.AvgQueryMs, r.QueryMsIQR, r.Passes, r.AvgResults, r.AvgCandidates, r.BuildMs, r.MemBytes)
 	}
 }
 

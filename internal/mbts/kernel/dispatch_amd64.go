@@ -48,6 +48,7 @@ func avx2Impl() Impl {
 		DistAbandonFlat32:     distAbandonFlat32AVX2,
 		SweepAbandonFlat32:    sweepAbandonFlat32AVX2,
 		SweepWindows:          sweepWindowsAVX2,
+		WindowsInside32:       windowsInside32AVX2,
 		Width:                 widthPortable,
 		WidthIncreaseSequence: widthIncreaseSequencePortable,
 		WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
@@ -90,6 +91,20 @@ func sweepKernel32AVX2(upper, lower *float32, stride int, s *float64, n int, lim
 //
 //go:noescape
 func sweepWindowsKernelAVX2(data *float64, starts *int32, s *float64, n int, limit float64, dists *float64, rows int)
+
+// windowsInside32KernelAVX2 is the enclosure test: for each of rows
+// windows (window j is the n lanes of data at starts[j]) it compares
+// every lane against both bounds, widened from float32 as
+// sweepKernel32AVX2 widens them, and ORs the GT_OQ and LT_OQ masks into
+// one accumulator that is tested once, after the last window (see
+// "Enclosure" in the package comment). The n mod 4 tail goes through
+// masked loads, so nothing past a window's or a bound's last lane is
+// read; masked-out lanes load +0 and compare inside. It reports whether
+// no lane was outside. rows and n must be positive and every start a
+// window inside data.
+//
+//go:noescape
+func windowsInside32KernelAVX2(upper, lower *float32, data *float64, starts *int32, n int, rows int) bool
 
 // expandKernelAVX2 grows the n lanes of upper and lower to enclose s,
 // 4 lanes per step: VMAXPD and VMINPD with s as the first Intel source
@@ -134,6 +149,14 @@ func sweepWindowsAVX2(data []float64, starts []int32, s []float64, limit float64
 		limit = 0 // see distAbandonFlatPortable: negative limits act as zero
 	}
 	sweepWindowsKernelAVX2(&data[0], &starts[0], &s[0], len(s), limit, &dists[0], len(starts))
+}
+
+func windowsInside32AVX2(upper, lower []float32, data []float64, starts []int32, n int) bool {
+	checkInside(len(upper), len(lower), len(data), starts, n)
+	if len(starts) == 0 || n == 0 {
+		return true // no lanes: every window is at distance 0
+	}
+	return windowsInside32KernelAVX2(&upper[0], &lower[0], &data[0], &starts[0], n, len(starts))
 }
 
 func expandAVX2(upper, lower, s []float64) {

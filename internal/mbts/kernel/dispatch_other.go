@@ -21,4 +21,8 @@ func sweepWindowsAVX2(data []float64, starts []int32, s []float64, limit float64
 	sweepWindowsPortable(data, starts, s, limit, dists)
 }
 
+func windowsInside32AVX2(upper, lower []float32, data []float64, starts []int32, n int) bool {
+	return windowsInside32Portable(upper, lower, data, starts, n)
+}
+
 func expandAVX2(upper, lower, s []float64) { expandScalar(upper, lower, s) }

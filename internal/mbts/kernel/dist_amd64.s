@@ -1,6 +1,6 @@
 // AVX2 Eq. 2 sibling-sweep kernels (float64 and float32 bound rows), the
-// candidate-window sweep, band expansion, and the CPUID/XGETBV feature
-// probes.
+// candidate-window sweep, the enclosure test, band expansion, and the
+// CPUID/XGETBV feature probes.
 //
 // Lane recipe (4 float64 per step), mirroring portable.go's excursion:
 //
@@ -332,6 +332,75 @@ abandonW:
 	MOVQ $0xBFF0000000000000, AX // -1: the abandoned-row marker
 	MOVQ AX, (R11)
 	JMP  nextW
+
+// func windowsInside32KernelAVX2(upper, lower *float32, data *float64, starts *int32, n int, rows int) bool
+//
+// The enclosure test: each step loads 4 lanes of the window and 4 of
+// each bound, widened (VCVTPS2PD, exact), and ORs v GT_OQ u and
+// v LT_OQ l into Y0, one OR on Y0's chain a step. The n mod 4 tail
+// loads through VMASKMOVPD and VMASKMOVPS; masked-out lanes are +0 in
+// v, u and l, which compare inside. Y0 is tested once, after the last
+// window: the result is whether no mask bit was ever set. BX counts
+// lanes, as in sweepKernel32AVX2.
+TEXT ·windowsInside32KernelAVX2(SB), NOSPLIT, $0-49
+	MOVQ upper+0(FP), SI
+	MOVQ lower+8(FP), DI
+	MOVQ data+16(FP), DX
+	MOVQ starts+24(FP), R8
+	MOVQ n+32(FP), CX
+	MOVQ rows+40(FP), R12
+
+	MOVQ CX, R13
+	ANDQ $3, R13                 // R13 = tail lanes (n mod 4)
+	SUBQ R13, CX                 // CX = lanes covered by whole 4-lane steps
+	LEAQ tailmask<>(SB), AX
+	MOVQ $4, BX
+	SUBQ R13, BX
+	VMOVDQU (AX)(BX*8), Y10      // Y10 = first-R13-qwords mask, for the window
+	VMOVDQU 16(AX)(BX*4), X11    // X11 = first-R13-dwords mask, for the bounds
+	VXORPD  Y0, Y0, Y0           // Y0 = every outside mask so far
+
+rowI:
+	MOVLQSX (R8), R9
+	LEAQ    (DX)(R9*8), R9       // R9 = this row's window
+	XORQ    BX, BX               // BX = lane index into the window and the bounds
+	CMPQ    BX, CX
+	JAE     tailI
+
+stepI:
+	VMOVUPD   (R9)(BX*8), Y1     // v
+	VCVTPS2PD (SI)(BX*4), Y2     // u, widened
+	VCVTPS2PD (DI)(BX*4), Y3     // l, widened
+	VCMPPD    $0x1E, Y2, Y1, Y4  // v > u
+	VCMPPD    $0x11, Y3, Y1, Y5  // v < l
+	VORPD     Y5, Y4, Y4
+	VORPD     Y4, Y0, Y0
+	ADDQ      $4, BX
+	CMPQ      BX, CX
+	JB        stepI
+
+tailI:
+	TESTQ R13, R13
+	JZ    nextI
+	VMASKMOVPD (R9)(BX*8), Y10, Y1
+	VMASKMOVPS (SI)(BX*4), X11, X2
+	VMASKMOVPS (DI)(BX*4), X11, X3
+	VCVTPS2PD  X2, Y2
+	VCVTPS2PD  X3, Y3
+	VCMPPD     $0x1E, Y2, Y1, Y4
+	VCMPPD     $0x11, Y3, Y1, Y5
+	VORPD      Y5, Y4, Y4
+	VORPD      Y4, Y0, Y0
+
+nextI:
+	ADDQ $4, R8
+	DECQ R12
+	JNZ  rowI
+	VMOVMSKPD Y0, AX
+	VZEROUPPER
+	TESTL AX, AX
+	SETEQ ret+48(FP)
+	RET
 
 // func expandKernelAVX2(upper, lower, s *float64, n int)
 //

@@ -9,7 +9,9 @@
 // SweepAbandonFlat32, is how the frozen arena tests all of a node's
 // children at once — see "Half-width bounds"), the candidate sweep that
 // scores windows of a flat series by start position (SweepWindows — how
-// a leaf verifies its candidates, see "Candidate windows"), the Eq. 3
+// a leaf verifies its candidates, see "Candidate windows"), the
+// enclosure test that a heap open proves Lemma 1 with (WindowsInside32,
+// see "Enclosure"), the Eq. 3
 // MBTS-to-MBTS distance (DistMBTS), the split-heuristic width
 // measures (Width, WidthIncrease*), and the one mutating entry point,
 // Expand, which grows a band to enclose a sequence (every insert's
@@ -117,6 +119,27 @@
 // unobservable, the maximum being order-independent and the schedule
 // monotone as above.
 //
+// # Enclosure
+//
+// A heap open re-proves Lemma 1 against the supplied series: every leaf
+// must enclose its windows. That asks for no distance, only whether one
+// is nonzero, and WindowsInside32 is defined as exactly that:
+//
+//	WindowsInside32(upper, lower, data, starts, n) ≡ DistFlat32(upper, lower, w_j) == 0 for every j
+//
+// with w_j = data[starts[j]:starts[j]+n]. A lane's excursion is nonzero
+// exactly when v > upper[i] or v < lower[i] (the selected differences
+// are never ±0, see the NaN contract), so the test is those two
+// IEEE-ordered comparisons and no arithmetic: a NaN lane or bound is
+// inside, inverted bounds put every ordered lane outside, and the
+// scalar form is the definition as a loop. The assembly widens both
+// bounds as the float32 sweep does, ORs the GT_OQ and LT_OQ masks of
+// every step of every window into one register and tests it once at the
+// end — no horizontal maximum, no branch per window — and reads the
+// n mod 4 tail through masked loads, whose +0 lanes compare inside. A
+// leaf the test refuses is re-checked window by window to name the
+// first window outside, so the answer to "which" stays DistFlat32's.
+//
 // # Expansion
 //
 // Expand is the scalar loop `if v > u { u = v }; if v < l { l = v }`,
@@ -157,6 +180,9 @@ type Impl struct {
 	// The candidate sweep (see "Candidate windows").
 	SweepWindows func(data []float64, starts []int32, s []float64, limit float64, dists []float64)
 
+	// The enclosure test (see "Enclosure").
+	WindowsInside32 func(upper, lower []float32, data []float64, starts []int32, n int) bool
+
 	Width                 func(upper, lower []float64) float64
 	WidthIncreaseSequence func(upper, lower, s []float64) float64
 	WidthIncreaseMBTS     func(bUpper, bLower, oUpper, oLower []float64) float64
@@ -176,6 +202,7 @@ var scalarImpl = Impl{
 	DistAbandonFlat32:     distAbandonFlat32Scalar,
 	SweepAbandonFlat32:    sweepAbandonFlat32Scalar,
 	SweepWindows:          sweepWindowsScalar,
+	WindowsInside32:       windowsInside32Scalar,
 	Width:                 widthScalar,
 	WidthIncreaseSequence: widthIncreaseSequenceScalar,
 	WidthIncreaseMBTS:     widthIncreaseMBTSScalar,
@@ -194,6 +221,7 @@ var portableImpl = Impl{
 	DistAbandonFlat32:     distAbandonFlat32Portable,
 	SweepAbandonFlat32:    sweepAbandonFlat32Portable,
 	SweepWindows:          sweepWindowsPortable,
+	WindowsInside32:       windowsInside32Portable,
 	Width:                 widthPortable,
 	WidthIncreaseSequence: widthIncreaseSequencePortable,
 	WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
@@ -323,16 +351,48 @@ func SweepWindows(data []float64, starts []int32, s []float64, limit float64, di
 	}
 }
 
+// WindowsInside32 reports whether the band [lower, upper] encloses
+// every window w = data[p : p+n], p in starts: no lane of any window
+// above upper or below lower, compared as IEEE orders them, so a NaN
+// lane or bound is inside. It is defined as DistFlat32(upper, lower, w)
+// == 0 for every window (see "Enclosure"). It panics, before reading
+// any lane, on a start outside [0, len(data)−n] or when either bound is
+// shorter than n. Direct dispatch, as SweepAbandonFlat.
+func WindowsInside32(upper, lower []float32, data []float64, starts []int32, n int) bool {
+	switch active.Name {
+	case "avx2":
+		return windowsInside32AVX2(upper, lower, data, starts, n)
+	case "portable":
+		return windowsInside32Portable(upper, lower, data, starts, n)
+	default:
+		return windowsInside32Scalar(upper, lower, data, starts, n)
+	}
+}
+
 // checkWindows rejects a candidate sweep with a window outside data —
 // in the assembly an out-of-bounds read — and returns dists cut to one
 // entry per start.
 func checkWindows(nData int, starts []int32, n int, dists []float64) []float64 {
+	checkStarts(nData, starts, n)
+	return dists[:len(starts)]
+}
+
+// checkStarts rejects a window outside data.
+func checkStarts(nData int, starts []int32, n int) {
 	for _, p := range starts {
 		if p < 0 || int(p) > nData-n {
 			panic(fmt.Sprintf("kernel: window of %d lanes at %d outside a series of %d", n, p, nData))
 		}
 	}
-	return dists[:len(starts)]
+}
+
+// checkInside rejects an enclosure test whose windows or bounds would
+// not hold n lanes — in the assembly an out-of-bounds read.
+func checkInside(nUpper, nLower, nData int, starts []int32, n int) {
+	if n < 0 || nUpper < n || nLower < n {
+		panic(fmt.Sprintf("kernel: enclosure of %d lanes, have %d upper and %d lower bounds", n, nUpper, nLower))
+	}
+	checkStarts(nData, starts, n)
 }
 
 // checkSweepShape rejects a sweep whose rows would not all lie inside

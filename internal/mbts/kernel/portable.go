@@ -207,6 +207,24 @@ func sweepAbandonFlat32Portable(upper, lower []float32, stride int, s []float64,
 	sweepRows(distAbandonFlat32Portable, upper, lower, stride, s, limit, dists)
 }
 
+// windowsInside32Portable is the enclosure test as the two comparisons
+// of a lane (see "Enclosure"). Unlike the distance kernels it branches:
+// a file being opened has every lane inside, so the branch is never
+// taken and never mispredicted, and it leaves the arithmetic out.
+func windowsInside32Portable(upper, lower []float32, data []float64, starts []int32, n int) bool {
+	checkInside(len(upper), len(lower), len(data), starts, n)
+	upper, lower = upper[:n], lower[:n]
+	for _, p := range starts {
+		w := data[p : int(p)+n]
+		for i, v := range w {
+			if v > float64(upper[i]) || v < float64(lower[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func distMBTSPortable(bUpper, bLower, oUpper, oLower []float64) float64 {
 	n := len(bUpper)
 	bLower, oUpper, oLower = bLower[:n], oUpper[:n], oLower[:n]

@@ -104,6 +104,18 @@ func sweepAbandonFlat32Scalar(upper, lower []float32, stride int, s []float64, l
 	sweepRows(distAbandonFlat32Scalar, upper, lower, stride, s, limit, dists)
 }
 
+// windowsInside32Scalar is the enclosure test's definition, as
+// written: the single-row distance of every window, required to be 0.
+func windowsInside32Scalar(upper, lower []float32, data []float64, starts []int32, n int) bool {
+	checkInside(len(upper), len(lower), len(data), starts, n)
+	for _, p := range starts {
+		if distFlat32Scalar(upper[:n], lower[:n], data[p:int(p)+n]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func distMBTSScalar(bUpper, bLower, oUpper, oLower []float64) float64 {
 	var max float64
 	for i := range bUpper {

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/datasets"
@@ -472,6 +473,12 @@ func TestSaveKilledMidStream(t *testing.T) {
 // index-side contrast is (B/op − seriesBytes): O(arena) for copy,
 // O(header) for mmap (bench/'s persist.open_copy_ms and
 // persist.open_mmap_ms rows isolate it exactly).
+//
+// served/copy/open is the served benchmark's hot-append set-up in
+// process: EEG 200 k, L = 100, one TSFZ saved by an uncached engine and
+// copy-opened with tsserve's serving options (both caches at their
+// defaults, the slow-query log on) — the open whose containment check
+// is one kernel.WindowsInside32 pass per leaf.
 func BenchmarkColdOpen(b *testing.B) {
 	data := datasets.RandomWalk(85, 200_000)
 	const l = 100
@@ -485,6 +492,30 @@ func BenchmarkColdOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := append([]float64(nil), data[1000:1000+l]...)
+
+	eeg := datasets.EEGN(1, 200_000)
+	single, err := Open(eeg, Options{L: l})
+	if err != nil {
+		b.Fatal(err)
+	}
+	singlePath := filepath.Join(dir, "single.tsfz")
+	if err := single.SaveIndexFile(singlePath); err != nil {
+		b.Fatal(err)
+	}
+	single.Close()
+	b.Run("served/copy/open", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			re, err := OpenSavedFile(eeg, singlePath, Options{L: l, Norm: NormGlobal, NormSet: true,
+				ResultCacheBytes: -1, SlowLogSize: 128, SlowLogThreshold: 100 * time.Millisecond})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := re.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	for _, variant := range []struct {
 		name  string

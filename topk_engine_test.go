@@ -17,6 +17,8 @@ import (
 // the serving shape (see core's TestFrozenTopKAllocs, which this adds
 // the query transform to): 5–6 measured, 10 allowed. The same call
 // cost 540–940 allocations while the traversal boxed its heap elements.
+// The budget is not asserted under -race, under which sync.Pool drops
+// a share of its Puts (see raceEnabled).
 func TestSearchTopKCtxAllocs(t *testing.T) {
 	data := datasets.EEGN(1, 50000)
 	eng, err := Open(data, Options{L: 100})
@@ -31,7 +33,7 @@ func TestSearchTopKCtxAllocs(t *testing.T) {
 				t.Fatalf("top-k: %d matches, err %v", len(ms), err)
 			}
 		})
-		if avg > 10 {
+		if avg > 10 && !raceEnabled {
 			t.Fatalf("SearchTopKCtx(k=10) uncached, untraced: %.0f allocs/query, budget 10", avg)
 		}
 	}
