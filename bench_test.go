@@ -3,7 +3,7 @@ package twinsearch_test
 // Benchmarks mirroring the paper's evaluation, one family per figure
 // (each section below names its figure; `go run ./cmd/tsbench -figure
 // N` prints the figure's table and checks its shape against the
-// paper's claims, harness.ShapeReport).
+// paper's claims, harness.Claims).
 //
 // These benches run on reduced dataset sizes with in-memory
 // verification so `go test -bench=.` finishes in minutes; the

@@ -1,9 +1,12 @@
 // Command tsbench regenerates the paper's evaluation: Figures 4–8 plus
 // the §1 intro experiment, printed as aligned tables (and optionally
-// CSV), followed by a PASS/FAIL report of the paper's qualitative
-// claims. Every query-time cell is timed harness.DefaultPasses times,
-// the passes interleaved across methods; a row reports the median and
-// the interquartile range.
+// CSV), followed by the paper's time claims (harness.Claims), each
+// reported as holding, tied or reversed on the measured quartiles.
+// Every query-time cell, and every Figure 8 build, is timed
+// harness.DefaultPasses times, the passes interleaved across methods; a
+// row reports the median and the interquartile range. With -json the
+// rows are written with the host, the kernel dispatch and the commit
+// the binary was built from (go build stamps it; go run does not).
 //
 // Usage:
 //
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 
 	"twinsearch/internal/harness"
@@ -76,10 +80,11 @@ func main() {
 
 	harness.PrintTable(os.Stdout, rows)
 
-	report := harness.ShapeReport(rows)
-	if len(report) > 0 {
-		fmt.Println("\n== Shape report (paper's qualitative claims) ==")
-		fmt.Println(strings.Join(report, "\n"))
+	if claims := harness.Claims(rows); len(claims) > 0 {
+		fmt.Println("\n== The paper's time claims, on the interquartile intervals ==")
+		for _, c := range claims {
+			fmt.Println(c)
+		}
 	}
 
 	if *csvPath != "" {
@@ -104,6 +109,8 @@ func main() {
 		doc := struct {
 			Tool    string        `json:"tool"`
 			Figure  string        `json:"figure"`
+			Host    string        `json:"host"`
+			Commit  string        `json:"commit"`
 			GOARCH  string        `json:"goarch"`
 			CPUs    int           `json:"cpus"`
 			Kernel  string        `json:"kernel_dispatch"`
@@ -115,6 +122,7 @@ func main() {
 			Rows    []harness.Row `json:"rows"`
 		}{
 			Tool: "tsbench", Figure: *figure,
+			Host: host(), Commit: commit(),
 			GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(),
 			Kernel: kernel.Active(), Verify: verify,
 			Scale: *scale, Queries: *queries, Passes: r.Passes, Seed: *seed,
@@ -131,4 +139,40 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d rows to %s\n", len(rows), *jsonPath)
 	}
+}
+
+// host names the CPU the rows were measured on: the first "model name"
+// of /proc/cpuinfo where there is one, else the OS and architecture.
+func host() string {
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return runtime.GOOS + "/" + runtime.GOARCH
+}
+
+// commit is the VCS revision the binary was built from, "+modified"
+// when the tree had uncommitted changes, or "unknown" when the build
+// recorded none.
+func commit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, modified := "unknown", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			modified = s.Value == "true"
+		}
+	}
+	if modified {
+		rev += "+modified"
+	}
+	return rev
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"twinsearch/internal/datasets"
@@ -124,6 +125,197 @@ func TestHeapOpenContainmentRefusals(t *testing.T) {
 						t.Errorf("%s: %s refused it with\n %q\nwant\n %q", name, entry, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// segmentAt is where shard 0's TSFZ segment starts in a saved stream:
+// at 0 for a single index, past the TSSH header for a sharded one.
+func segmentAt(shards int) int {
+	if shards > 1 {
+		return 12 + 8*(shards+1) + 8*shards + 4
+	}
+	return 0
+}
+
+// segmentWord reads the u32 at off of the TSFZ segment at seg.
+func segmentWord(stream []byte, seg, off int) int {
+	return int(binary.LittleEndian.Uint32(stream[seg+off:]))
+}
+
+// sectionLane is where lane of node's row (or, in sections 0 and 1, the
+// node's entry) lies in section s of the TSFZ segment at seg, whose
+// rows are l lanes: 0 first, 1 count, 3 upper, 4 lower.
+func sectionLane(stream []byte, seg, l, s, node, lane int) int {
+	from := seg + int(binary.LittleEndian.Uint64(stream[seg+48+8*s:]))
+	if s < 2 {
+		return from + 4*node
+	}
+	return from + 4*(node*l+lane)
+}
+
+// nodeEntry reads node's entry of section s (0 first, 1 count) of the
+// TSFZ segment at seg.
+func nodeEntry(stream []byte, seg, s, node int) int {
+	return int(binary.LittleEndian.Uint32(stream[sectionLane(stream, seg, 0, s, node, 0):]))
+}
+
+// boundLane reads one float32 bound lane of the TSFZ segment at seg.
+func boundLane(stream []byte, seg, l, s, node, lane int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(stream[sectionLane(stream, seg, l, s, node, lane):]))
+}
+
+// withBoundLane returns a copy of stream with one bound lane of the
+// TSFZ segment at seg set to v, and the two checksums that cover it —
+// the section's and the segment header's — resealed.
+func withBoundLane(stream []byte, seg, l, s, node, lane int, v float32) []byte {
+	moved := bytes.Clone(stream)
+	binary.LittleEndian.PutUint32(moved[sectionLane(moved, seg, l, s, node, lane):], math.Float32bits(v))
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	from := seg + int(binary.LittleEndian.Uint64(moved[seg+48+8*s:]))
+	end := seg + int(binary.LittleEndian.Uint64(moved[seg+56+8*s:]))
+	binary.LittleEndian.PutUint32(moved[seg+96+4*s:], crc32.Checksum(moved[from:end], castagnoli))
+	binary.LittleEndian.PutUint32(moved[seg+116:], crc32.Checksum(moved[seg:seg+116], castagnoli))
+	return moved
+}
+
+// saveStream builds an index over data with opt and returns its saved
+// stream.
+func saveStream(t *testing.T, data []float64, opt Options) []byte {
+	t.Helper()
+	eng, err := Open(data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var buf bytes.Buffer
+	if err := eng.SaveIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// heapOpenRefusal opens stream over data with OpenSaved and, written to
+// a file in dir, with OpenSavedFile (read, not mapped), and returns the
+// text both refused it with; it fails the test when either accepts it
+// or when the two texts differ.
+func heapOpenRefusal(t *testing.T, name, dir string, stream []byte, data []float64, opt Options) string {
+	t.Helper()
+	path := filepath.Join(dir, name+".tsidx")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var texts []string
+	for _, reopen := range []func() (*Engine, error){
+		func() (*Engine, error) { return OpenSaved(data, bytes.NewReader(stream), opt) },
+		func() (*Engine, error) { return OpenSavedFile(data, path, opt) },
+	} {
+		re, err := reopen()
+		if err == nil {
+			re.Close()
+			t.Fatalf("%s: a heap open accepted the file", name)
+		}
+		texts = append(texts, err.Error())
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("%s: OpenSaved refused it with\n %q\nOpenSavedFile with\n %q", name, texts[0], texts[1])
+	}
+	return texts[0]
+}
+
+// TestHeapOpenRefusesChildOutsideParent pins the text with which a heap
+// open refuses a file whose internal node does not enclose a child's
+// bounds, single and 4-shard: one lane of one child row moved one
+// float32 step outside its parent's, the checksums resealed —
+//
+//   - "upper": the root's first child, upper lane 0 (a whole 8-lane
+//     step of a vector kernel), one step above the root's;
+//   - "lower": the last internal node's last child, lower lane 49 (at
+//     L = 50, one of the n mod 8 tail lanes), one step below its
+//     parent's.
+//
+// Moving a child's bound outward keeps the child's own containment, so
+// the parent is the first node refused and the text names it and the
+// child.
+func TestHeapOpenRefusesChildOutsideParent(t *testing.T) {
+	const n, l = 3000, 50
+	data := datasets.EEGN(1, n)
+	dir := t.TempDir()
+	for _, shards := range []int{1, 4} {
+		saved := saveStream(t, data, Options{L: l, Shards: shards})
+		seg := segmentAt(shards)
+		last := segmentWord(saved, seg, 44) - 1 // the last internal node
+		lastChild := nodeEntry(saved, seg, 0, last) + nodeEntry(saved, seg, 1, last) - 1
+		for _, c := range []struct {
+			name                 string
+			s, parent, child, ln int
+			to                   float64
+		}{
+			{"upper", 3, 0, 1, 0, math.Inf(1)},
+			{"lower", 4, last, lastChild, l - 1, math.Inf(-1)},
+		} {
+			name := fmt.Sprintf("shards=%d/%s", shards, c.name)
+			out := math.Nextafter32(boundLane(saved, seg, l, c.s, c.parent, c.ln), float32(c.to))
+			stream := withBoundLane(saved, seg, l, c.s, c.child, c.ln, out)
+			want := fmt.Sprintf("core: frozen arena: stream is inconsistent with the supplied series: core: frozen: node %d bounds do not enclose child %d", c.parent, c.child)
+			if shards > 1 {
+				want = "shard: opening shard 0: " + want
+			}
+			if got := heapOpenRefusal(t, name, dir, stream, data, Options{L: l}); got != want {
+				t.Errorf("%s: refused with\n %q\nwant\n %q", name, got, want)
+			}
+		}
+	}
+}
+
+// TestHeapOpenRefusalIndependentOfWorkers corrupts two leaves at the
+// two ends of the BFS order — the first leaf's first upper lane and the
+// last leaf's last lower lane, each moved one float32 step inward — so
+// that a containment check cut into units by Options.Workers meets them
+// in different units, and requires one refusal at 1, 2, 3 and 8
+// workers, single and 4-shard: the one naming the first leaf. Each
+// corruption alone is refused too, naming its own leaf.
+func TestHeapOpenRefusalIndependentOfWorkers(t *testing.T) {
+	const n, l = 3000, 50
+	data := datasets.EEGN(1, n)
+	dir := t.TempDir()
+	for _, shards := range []int{1, 4} {
+		saved := saveStream(t, data, Options{L: l, Shards: shards})
+		seg := segmentAt(shards)
+		nodes, leafStart := segmentWord(saved, seg, 40), segmentWord(saved, seg, 44)
+		inward := func(stream []byte, s, node, lane int, to float64) []byte {
+			v := math.Nextafter32(boundLane(stream, seg, l, s, node, lane), float32(to))
+			return withBoundLane(stream, seg, l, s, node, lane, v)
+		}
+		first := inward(saved, 3, leafStart, 0, math.Inf(-1))
+		lastOnly := inward(saved, 4, nodes-1, l-1, math.Inf(1))
+		both := inward(first, 4, nodes-1, l-1, math.Inf(1))
+		names := func(text string, leaf int) bool {
+			return strings.Contains(text, fmt.Sprintf("core: frozen: leaf %d bounds do not enclose window ", leaf))
+		}
+		var want string
+		for _, workers := range []int{1, 2, 3, 8} {
+			opt := Options{L: l, Workers: workers}
+			name := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
+			got := heapOpenRefusal(t, name+"/both", dir, both, data, opt)
+			if want == "" {
+				want = got
+				if !names(want, leafStart) {
+					t.Fatalf("%s: refused with %q, which does not name leaf %d", name, want, leafStart)
+				}
+			}
+			if got != want {
+				t.Errorf("%s: refused with\n %q\nat 1 worker with\n %q", name, got, want)
+			}
+			if got := heapOpenRefusal(t, name+"/first", dir, first, data, opt); got != want {
+				t.Errorf("%s: the first leaf alone refused with\n %q\nwant\n %q", name, got, want)
+			}
+			if got := heapOpenRefusal(t, name+"/last", dir, lastOnly, data, opt); !names(got, nodes-1) {
+				t.Errorf("%s: the last leaf alone refused with %q, which does not name leaf %d", name, got, nodes-1)
 			}
 		}
 	}

@@ -101,7 +101,9 @@ func (e *Engine) SaveIndexFile(path string) error {
 // The stream is read whole into a heap arena that the index's arrays
 // then view in place, and a heap arena is verified in full: every
 // section's checksum, every shard's invariants against data, and the
-// partition (see core.FrozenFromArena).
+// partition (see core.OpenFrozen), the containment check on the
+// engine's executor, so Options.Workers bounds the open as it bounds
+// queries.
 func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
 	start := time.Now()
 	if err := opt.check(data); err != nil {
@@ -149,10 +151,7 @@ func openSavedArena(data []float64, ar *arena.Arena, opt Options, start time.Tim
 	if sharded {
 		e.sh, err = shard.OpenArena(ar, e.ext, e.ex)
 	} else {
-		var fz *core.Frozen
-		if fz, _, err = core.FrozenFromArena(ar, 0, e.ext); err == nil {
-			e.sh, err = shard.Single(fz, e.ex)
-		}
+		e.sh, err = shard.Single(ar, e.ext, e.ex)
 	}
 	if err == nil && e.sh.L() != opt.L {
 		err = fmt.Errorf("twinsearch: saved index has L=%d, options request L=%d", e.sh.L(), opt.L)

@@ -56,12 +56,13 @@ import (
 	"unsafe"
 
 	"twinsearch/internal/arena"
+	"twinsearch/internal/exec"
 	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/series"
 )
 
 // Frozen is the flat, read-only, searchable form of a built TS-Index.
-// Build, BuildRange and FrozenFromArena construct it; nothing writes to
+// Build, BuildRange and OpenFrozen construct it; nothing writes to
 // it afterwards, so a view into a file mapping is never written through.
 type Frozen struct {
 	ext    *series.Extractor
@@ -70,7 +71,7 @@ type Frozen struct {
 	height int
 
 	// backing, when non-nil, is the byte region the arrays below are
-	// views into (FrozenFromArena); nil means they are ordinary heap
+	// views into (OpenFrozen); nil means they are ordinary heap
 	// slices. A mapped backing's owner (the Engine, a cluster Node)
 	// controls its lifetime — views die with it, so a Frozen must not
 	// outlive its backing.
@@ -592,8 +593,9 @@ var frontiers = sync.Pool{New: func() any { return new(frontier) }}
 
 // CheckInvariants validates the arena against the series and the
 // structural invariants a build guarantees — the one tree checker:
-// tests run it on what Build returns, and FrozenFromArena on a heap
-// arena, so a corrupt or hostile stream is rejected before any
+// tests run it on what Build returns, and OpenFrozen runs its two
+// halves on a heap arena (the containment half on the open's
+// executor), so a corrupt or hostile stream is rejected before any
 // traversal indexes into the arrays:
 //
 //   - first/count ranges are prefix-contiguous and in-bounds for both
@@ -609,9 +611,10 @@ var frontiers = sync.Pool{New: func() any { return new(frontier) }}
 // — together they make every traversal memory-safe. The containment
 // bullet (CheckContainment) additionally guarantees the bounds are
 // truthful, i.e. searches return the right answers; it reads every lane
-// of every indexed window, O(size·L), in one enclosure pass per leaf
-// (≈ 9 ms of a ≈ 24 ms copy open at 200 001 windows of L = 100 on a
-// 2-vCPU Xeon, AVX2). A mapped open runs
+// of every indexed window, O(size·L), in one enclosure pass per node
+// (≈ 9 ms of CPU at 200 001 windows of L = 100 on a 2-vCPU Xeon, AVX2:
+// ≈ 4.5 ms of a ≈ 14.5 ms copy open on two units; CheckInvariants itself
+// runs it inline). A mapped open runs
 // CheckStructure only — pointing at a multi-gigabyte mapping must not
 // re-read the whole series — and trusts containment to the writer, as
 // every database trusts its own files' payloads once the framing
@@ -620,7 +623,7 @@ func (f *Frozen) CheckInvariants() error {
 	if err := f.CheckStructure(); err != nil {
 		return err
 	}
-	return f.CheckContainment()
+	return f.CheckContainment(nil)
 }
 
 // CheckStructure validates every invariant needed for traversals to be
@@ -725,20 +728,64 @@ func (f *Frozen) CheckStructure() error {
 // CheckContainment validates the semantic half of the invariants: every
 // node's bounds enclose its children's bounds (internal) or the exact
 // windows of its positions (leaf). Requires a structurally valid arena.
-// A leaf costs one kernel.WindowsInside32 pass over its windows — read
+// An internal node costs one kernel.BoundsInside32 pass over its child
+// rows; a leaf one kernel.WindowsInside32 pass over its windows — read
 // in place from the series, or, under per-subsequence normalisation,
-// normalised into rows first, as series.Verifier.Sweep lays them out —
-// and only a leaf that pass refuses is re-checked window by window, to
-// name the first window outside. Either way it reads all size·L lanes.
-func (f *Frozen) CheckContainment() error {
+// normalised into rows first, as series.Verifier.Sweep lays them out.
+// Only a node that pass refuses is re-checked child by child or window
+// by window, to name the first one outside. Either way it reads all
+// size·L window lanes and every child row.
+//
+// The nodes are checked as contiguous BFS ranges, one unit each on ex,
+// about ex.Workers() of them, cut where the lanes they read (a node's
+// count·L, child rows or windows alike) are evenly shared. Each unit
+// stops at the first failure in its range, and the lowest unit's
+// failure is returned: the first failing node in BFS order, so the text
+// does not depend on the worker count. A nil ex checks every node
+// inline, as one unit.
+func (f *Frozen) CheckContainment(ex *exec.Executor) error {
 	nn := len(f.first)
 	if nn == 0 {
 		return nil
 	}
-	maxPos := series.NumSubsequences(f.ext.Len(), f.cfg.L)
-	buf := make([]float64, f.cfg.L)
+	units := 1
+	if ex != nil {
+		units = min(ex.Workers(), nn)
+	}
+	if units <= 1 {
+		return f.containedIn(0, nn)
+	}
+	// Every node but the root is one child row, and every window one
+	// leaf entry, so the lanes a node reads are its count·L and the
+	// total is (nodes − 1 + size)·L.
+	cuts := make([]int, units+1)
+	total, at, done := nn-1+f.size, 0, 0
+	for u := 1; u < units; u++ {
+		for at < nn && done*units < u*total {
+			done += int(f.count[at])
+			at++
+		}
+		cuts[u] = at
+	}
+	cuts[units] = nn
+	errs := make([]error, units)
+	ex.ForEach(units, func(u int) { errs[u] = f.containedIn(cuts[u], cuts[u+1]) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// containedIn is CheckContainment over the nodes [from, to): the first
+// node in that range whose bounds miss a child or a window, named.
+func (f *Frozen) containedIn(from, to int) error {
+	l := f.cfg.L
+	maxPos := series.NumSubsequences(f.ext.Len(), l)
+	buf := make([]float64, l)
 	var lay leafRows
-	for i := 0; i < nn; i++ {
+	for i := from; i < to; i++ {
 		up, lo := f.boundsUpper(int32(i)), f.boundsLower(int32(i))
 		first, c := f.first[i], f.count[i]
 		if f.isLeaf(int32(i)) {
@@ -750,16 +797,20 @@ func (f *Frozen) CheckContainment() error {
 				if p < 0 || int(p) >= maxPos {
 					return fmt.Errorf("core: frozen: corrupt position %d (max %d)", p, maxPos)
 				}
-				w := f.ext.Extract(int(p), f.cfg.L, buf)
+				w := f.ext.Extract(int(p), l, buf)
 				if d := kernel.DistFlat32(up, lo, w); d > 0 {
 					return fmt.Errorf("core: frozen: leaf %d bounds do not enclose window %d", i, p)
 				}
 			}
 			continue
 		}
+		rows, end := int(first)*l, int(first+c)*l // the children's bound rows
+		if kernel.BoundsInside32(up, lo, f.upper[rows:end], f.lower[rows:end], l, int(c)) {
+			continue
+		}
 		for j := int32(0); j < c; j++ {
 			cu, cl := f.boundsUpper(first+j), f.boundsLower(first+j)
-			for t := 0; t < f.cfg.L; t++ {
+			for t := 0; t < l; t++ {
 				if cu[t] > up[t] || cl[t] < lo[t] {
 					return fmt.Errorf("core: frozen: node %d bounds do not enclose child %d", i, first+j)
 				}

@@ -5,7 +5,7 @@ package core
 // index is saved and reopened against the same series. The frozen arena
 // serializes as its backing arrays, so saving is a handful of sequential
 // writes and loading decodes nothing: the stream's sections are 8-byte
-// aligned and offset-addressed, so FrozenFromArena points the arrays
+// aligned and offset-addressed, so OpenFrozen points the arrays
 // directly into the arena holding the stream — a heap buffer the file
 // was read into, or an mmap'd file region, where the open costs
 // O(header) allocations however large the index is. This is the stream
@@ -60,6 +60,7 @@ import (
 	"io"
 
 	"twinsearch/internal/arena"
+	"twinsearch/internal/exec"
 	"twinsearch/internal/series"
 )
 
@@ -252,13 +253,20 @@ func parseFrozenHeader(hdr []byte, ext *series.Extractor) (frozenHeader, error) 
 	return h, nil
 }
 
-// frozen starts the index the header describes; FrozenFromArena
+// frozen starts the index the header describes; OpenFrozen
 // attaches the arrays.
 func (h frozenHeader) frozen(ext *series.Extractor) *Frozen {
 	return &Frozen{ext: ext, cfg: h.cfg, size: int(h.size), height: int(h.height), leafStart: int32(h.leafStart)}
 }
 
-// FrozenFromArena opens a saved single index: it interprets the TSFZ v3
+// FrozenFromArena is OpenFrozen checking containment inline (a nil
+// executor): a stub kept only because bench/'s ladder calls it with
+// this signature. The bench/ rebuild deletes it.
+func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen, int64, error) {
+	return OpenFrozen(ar, off, ext, nil)
+}
+
+// OpenFrozen opens a saved single index: it interprets the TSFZ v3
 // stream at byte offset off of ar as a Frozen whose arrays are views
 // directly into the arena — no decoding, no copying, O(header) heap
 // allocation however large the index. It returns the frozen index and
@@ -271,8 +279,11 @@ func (h frozenHeader) frozen(ext *series.Extractor) *Frozen {
 // (memory-safety) invariants are validated before the index is
 // returned; on a heap arena so are every section's checksum and the
 // O(size·L) bound containment, which a mapped arena leaves unread — see
-// the package comment above and Frozen.CheckStructure.
-func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen, int64, error) {
+// the package comment above and Frozen.CheckStructure. The containment
+// check runs as units on ex (Frozen.CheckContainment; nil: inline), so
+// the open uses at most ex.Workers() cores and refuses a file with the
+// same text at any width.
+func OpenFrozen(ar *arena.Arena, off int64, ext *series.Extractor, ex *exec.Executor) (*Frozen, int64, error) {
 	buf := ar.Bytes()
 	if off < 0 || off > int64(len(buf)) || int64(len(buf))-off < frozenHeaderSize {
 		return nil, 0, fmt.Errorf("core: frozen arena: %d-byte region at offset %d too small for a header", len(buf), off)
@@ -306,11 +317,11 @@ func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen
 			return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
 		}
 	}
-	check := f.CheckStructure
-	if heap {
-		check = f.CheckInvariants
+	err = f.CheckStructure()
+	if err == nil && heap {
+		err = f.CheckContainment(ex)
 	}
-	if err := check(); err != nil {
+	if err != nil {
 		return nil, 0, fmt.Errorf("core: frozen arena: stream is inconsistent with the supplied series: %w", err)
 	}
 	return f, lo.totalLen(), nil

@@ -24,14 +24,22 @@ type Row struct {
 	// AvgQueryMs is the mean query time of one pass over the workload,
 	// the median over Passes passes; QueryMsIQR is the interquartile
 	// range of those passes (0 for one pass). Figure 8's rows time
-	// builds, not queries, and have no passes.
+	// builds instead: BuildMs is the median of Passes builds and
+	// BuildMsIQR their interquartile range (elsewhere BuildMs is the
+	// one build the figure queried, and BuildMsIQR is 0).
 	AvgQueryMs    float64
 	QueryMsIQR    float64
 	Passes        int
 	AvgResults    float64
 	AvgCandidates float64
 	BuildMs       float64
+	BuildMsIQR    float64
 	MemBytes      int
+
+	// Q1Ms and Q3Ms are the lower and upper quartiles of the row's
+	// timed passes — query time, or build time in Figure 8: the
+	// interval the paper's time claims are tested on (Claims).
+	Q1Ms, Q3Ms float64
 }
 
 // DefaultPasses is how many times NewRunner's runners time each
@@ -216,17 +224,18 @@ func (r *Runner) measureGrid(figure, dataset string, methods []built, queries []
 		}
 	}
 	for i := range rows {
-		rows[i].AvgQueryMs, rows[i].QueryMsIQR = medianIQR(times[i])
+		rows[i].Q1Ms, rows[i].AvgQueryMs, rows[i].Q3Ms = quartiles(times[i])
+		rows[i].QueryMsIQR = rows[i].Q3Ms - rows[i].Q1Ms
 	}
 	return rows
 }
 
-// medianIQR returns the median of xs and its interquartile range, the
-// quartiles interpolated linearly between order statistics (with five
-// passes: the 3rd value, and the 4th minus the 2nd). xs is reordered.
-func medianIQR(xs []float64) (median, iqr float64) {
+// quartiles returns the lower quartile, the median and the upper
+// quartile of xs, interpolated linearly between order statistics (with
+// five passes: the 2nd, 3rd and 4th values). xs is reordered.
+func quartiles(xs []float64) (q1, median, q3 float64) {
 	if len(xs) == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	slices.Sort(xs)
 	q := func(p float64) float64 {
@@ -237,7 +246,7 @@ func medianIQR(xs []float64) (median, iqr float64) {
 		}
 		return xs[i] + (at-float64(i))*(xs[i+1]-xs[i])
 	}
-	return q(0.5), q(0.75) - q(0.25)
+	return q(0.25), q(0.5), q(0.75)
 }
 
 // buildAll builds every method over ext, in order, skipping (and
@@ -345,7 +354,9 @@ func (r *Runner) Figure7() []Row {
 
 // Figure8 — memory footprint (8a) and build time (8b) per index at the
 // default parameters (paper Fig. 8). The sweepline is excluded: it has
-// no index.
+// no index. Each index is built r.passes() times, interleaved as
+// measureGrid times queries (pass p builds every index before pass p+1
+// builds any); the footprint is the same on every pass.
 func (r *Runner) Figure8() []Row {
 	var rows []Row
 	for _, d := range r.Datasets() {
@@ -353,17 +364,29 @@ func (r *Runner) Figure8() []Row {
 		// Figure 8 measures build cost and structure size only; no disk
 		// store is needed.
 		ext := series.NewExtractor(d.Data, series.NormGlobal)
-		for _, m := range []MethodID{KVIndex, ISAX, TSIndex} {
-			b, err := buildMethod(m, ext, DefaultL, DefaultM)
-			if err != nil {
-				r.logf("  %s: skipped (%v)", m, err)
+		methods := []MethodID{KVIndex, ISAX, TSIndex}
+		out := make([]Row, len(methods))
+		times := make([][]float64, len(methods))
+		for p := 0; p < r.passes(); p++ {
+			for i, m := range methods {
+				b, err := buildMethod(m, ext, DefaultL, DefaultM)
+				if err != nil {
+					r.logf("  %s: skipped (%v)", m, err)
+					continue
+				}
+				r.logf("  %s built in %v", m, b.buildTime.Round(time.Millisecond))
+				times[i] = append(times[i], b.buildTime.Seconds()*1000)
+				out[i] = Row{Figure: "8", Dataset: d.Name, Method: m.String(), Param: "defaults", MemBytes: b.memBytes}
+			}
+		}
+		for i := range out {
+			if len(times[i]) == 0 {
 				continue
 			}
-			r.logf("  %s built in %v", m, b.buildTime.Round(time.Millisecond))
-			rows = append(rows, Row{
-				Figure: "8", Dataset: d.Name, Method: m.String(), Param: "defaults",
-				BuildMs: b.buildTime.Seconds() * 1000, MemBytes: b.memBytes,
-			})
+			out[i].Passes = len(times[i])
+			out[i].Q1Ms, out[i].BuildMs, out[i].Q3Ms = quartiles(times[i])
+			out[i].BuildMsIQR = out[i].Q3Ms - out[i].Q1Ms
+			rows = append(rows, out[i])
 		}
 	}
 	return rows
@@ -409,7 +432,8 @@ func (r *Runner) FigureIntro() []Row {
 		}
 	}
 	for i := range rows {
-		rows[i].AvgQueryMs, rows[i].QueryMsIQR = medianIQR(times[i])
+		rows[i].Q1Ms, rows[i].AvgQueryMs, rows[i].Q3Ms = quartiles(times[i])
+		rows[i].QueryMsIQR = rows[i].Q3Ms - rows[i].Q1Ms
 		rows[i].Passes = r.passes()
 	}
 	return rows

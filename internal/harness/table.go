@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -43,9 +42,9 @@ func PrintTable(w io.Writer, rows []Row) {
 }
 
 func printFig8(w io.Writer, g []Row) {
-	fmt.Fprintf(w, "%-12s %16s %14s\n", "method", "memory", "build time")
+	fmt.Fprintf(w, "%-12s %16s %14s %10s\n", "method", "memory", "build time", "iqr ms")
 	for _, r := range g {
-		fmt.Fprintf(w, "%-12s %16s %11.0f ms\n", r.Method, humanBytes(r.MemBytes), r.BuildMs)
+		fmt.Fprintf(w, "%-12s %16s %11.0f ms %10.1f\n", r.Method, humanBytes(r.MemBytes), r.BuildMs, r.BuildMsIQR)
 	}
 }
 
@@ -64,10 +63,11 @@ func humanBytes(b int) string {
 
 // PrintCSV renders rows as CSV for downstream plotting.
 func PrintCSV(w io.Writer, rows []Row) {
-	fmt.Fprintln(w, "figure,dataset,method,param,avg_query_ms,query_ms_iqr,passes,avg_results,avg_candidates,build_ms,mem_bytes")
+	fmt.Fprintln(w, "figure,dataset,method,param,avg_query_ms,query_ms_iqr,passes,avg_results,avg_candidates,build_ms,mem_bytes,build_ms_iqr,q1_ms,q3_ms")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s,%s,%s,%s,%.6f,%.6f,%d,%.2f,%.2f,%.3f,%d\n",
-			r.Figure, r.Dataset, r.Method, csvEscape(r.Param), r.AvgQueryMs, r.QueryMsIQR, r.Passes, r.AvgResults, r.AvgCandidates, r.BuildMs, r.MemBytes)
+		fmt.Fprintf(w, "%s,%s,%s,%s,%.6f,%.6f,%d,%.2f,%.2f,%.3f,%d,%.3f,%.6f,%.6f\n",
+			r.Figure, r.Dataset, r.Method, csvEscape(r.Param), r.AvgQueryMs, r.QueryMsIQR, r.Passes, r.AvgResults, r.AvgCandidates, r.BuildMs, r.MemBytes,
+			r.BuildMsIQR, r.Q1Ms, r.Q3Ms)
 	}
 }
 
@@ -76,172 +76,4 @@ func csvEscape(s string) string {
 		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 	}
 	return s
-}
-
-// ShapeReport summarizes whether the measured rows reproduce the
-// paper's qualitative claims, figure by figure. It returns one line per
-// check, prefixed PASS/FAIL, which cmd/tsbench prints after its
-// tables.
-func ShapeReport(rows []Row) []string {
-	var out []string
-	check := func(name string, ok bool, detail string) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		out = append(out, fmt.Sprintf("%s  %s — %s", status, name, detail))
-	}
-
-	// Index rows by figure/dataset/method.
-	byFig := map[string][]Row{}
-	for _, r := range rows {
-		byFig[r.Figure] = append(byFig[r.Figure], r)
-	}
-
-	// timesBy collects, per method, the latency series over the grid in
-	// row order (the grids are emitted tightest-ε first).
-	timesBy := func(rs []Row) map[string][]float64 {
-		m := map[string][]float64{}
-		for _, r := range rs {
-			m[r.Method] = append(m[r.Method], r.AvgQueryMs)
-		}
-		return m
-	}
-
-	for _, fig := range []string{"4", "6", "7"} {
-		rs := byFig[fig]
-		if len(rs) == 0 {
-			continue
-		}
-		perDS := map[string][]Row{}
-		for _, r := range rs {
-			perDS[r.Dataset] = append(perDS[r.Dataset], r)
-		}
-		for _, ds := range sortedKeys(perDS) {
-			g := timesBy(perDS[ds])
-			ts := g["TS-Index"]
-			if len(ts) == 0 {
-				continue
-			}
-			// §6.2.1: "TS-Index outperforms the rest in every setting".
-			winsEverywhere := true
-			for m, series := range g {
-				if m == "TS-Index" {
-					continue
-				}
-				for i := range series {
-					if i < len(ts) && ts[i] >= series[i] {
-						winsEverywhere = false
-					}
-				}
-			}
-			check(fmt.Sprintf("Fig %s/%s: TS-Index fastest at every ε", fig, ds), winsEverywhere,
-				fmt.Sprintf("TS-Index %.3f–%.3f ms across grid", ts[0], ts[len(ts)-1]))
-			// §6.2.1: "at least an order of magnitude more efficient …
-			// compared to the KV-Index and Sweepline approaches" — the
-			// gap is widest at tight thresholds.
-			if sw := g["Sweepline"]; len(sw) > 0 {
-				check(fmt.Sprintf("Fig %s/%s: TS-Index ≥10x vs Sweepline (tight ε)", fig, ds), sw[0]/ts[0] >= 10,
-					fmt.Sprintf("speedup %.1fx at the tightest threshold", sw[0]/ts[0]))
-			}
-			// KV-Index "performs poorly compared to other indices" — a
-			// §6.2.1 (Fig. 4) claim; on raw data (Fig. 7) the paper only
-			// claims TS-Index wins, and KV/iSAX are close.
-			if kv, is := g["KV-Index"], g["iSAX"]; fig == "4" && len(kv) > 0 && len(is) > 0 {
-				var kvSum, isSum float64
-				for i := range kv {
-					kvSum += kv[i]
-					if i < len(is) {
-						isSum += is[i]
-					}
-				}
-				check(fmt.Sprintf("Fig %s/%s: KV-Index is the weakest index", fig, ds), kvSum > isSum,
-					fmt.Sprintf("grid mean KV-Index %.3f ms vs iSAX %.3f ms", kvSum/float64(len(kv)), isSum/float64(len(is))))
-			}
-		}
-	}
-
-	// Fig. 5: TS-Index improves (or stays flat) as ℓ grows while others
-	// do not collapse below it.
-	if rs := byFig["5"]; len(rs) > 0 {
-		perDS := map[string][]Row{}
-		for _, r := range rs {
-			perDS[r.Dataset] = append(perDS[r.Dataset], r)
-		}
-		for _, ds := range sortedKeys(perDS) {
-			var first, last float64
-			var seen bool
-			for _, r := range perDS[ds] {
-				if r.Method != "TS-Index" {
-					continue
-				}
-				if !seen {
-					first, seen = r.AvgQueryMs, true
-				}
-				last = r.AvgQueryMs
-			}
-			if seen {
-				check(fmt.Sprintf("Fig 5/%s: TS-Index not slower at max ℓ", ds), last <= first*1.5,
-					fmt.Sprintf("ℓ=min %.3f ms → ℓ=max %.3f ms", first, last))
-			}
-		}
-	}
-
-	// Fig. 8a: KV < iSAX < TS-Index; Fig. 8b: KV fastest build.
-	if rs := byFig["8"]; len(rs) > 0 {
-		perDS := map[string]map[string]Row{}
-		for _, r := range rs {
-			if perDS[r.Dataset] == nil {
-				perDS[r.Dataset] = map[string]Row{}
-			}
-			perDS[r.Dataset][r.Method] = r
-		}
-		for _, ds := range sortedKeys(perDS) {
-			g := perDS[ds]
-			kv, okK := g["KV-Index"]
-			is, okI := g["iSAX"]
-			ts, okT := g["TS-Index"]
-			if okK && okI && okT {
-				check(fmt.Sprintf("Fig 8a/%s: size order KV < iSAX < TS-Index", ds),
-					kv.MemBytes < is.MemBytes && is.MemBytes < ts.MemBytes,
-					fmt.Sprintf("KV %s, iSAX %s, TS %s", humanBytes(kv.MemBytes), humanBytes(is.MemBytes), humanBytes(ts.MemBytes)))
-				// The paper reports 2–3×; our Go iSAX leaves pack an
-				// entry into 14 bytes where the Java baseline pays
-				// object headers, so the measured ratio runs higher.
-				// The check bounds it to "same small-constant ballpark".
-				ratio := float64(ts.MemBytes) / float64(is.MemBytes)
-				check(fmt.Sprintf("Fig 8a/%s: TS-Index within ~2-8x iSAX", ds), ratio >= 1.5 && ratio <= 8,
-					fmt.Sprintf("ratio %.1fx (paper: 2-3x on Java)", ratio))
-				check(fmt.Sprintf("Fig 8b/%s: KV-Index builds fastest", ds),
-					kv.BuildMs < is.BuildMs && kv.BuildMs < ts.BuildMs,
-					fmt.Sprintf("KV %.0f ms, iSAX %.0f ms, TS %.0f ms", kv.BuildMs, is.BuildMs, ts.BuildMs))
-			}
-		}
-	}
-
-	// Intro: Euclidean superset roughly two orders of magnitude larger.
-	if rs := byFig["intro"]; len(rs) == 2 {
-		var cheb, euc float64
-		for _, r := range rs {
-			if r.Method == "Chebyshev" {
-				cheb = r.AvgResults
-			} else {
-				euc = r.AvgResults
-			}
-		}
-		if cheb > 0 {
-			check("Intro: Euclidean ε√l result set ≫ Chebyshev", euc/cheb >= 10,
-				fmt.Sprintf("ratio %.0fx (paper: ~124x)", euc/cheb))
-		}
-	}
-	return out
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"twinsearch/internal/series"
 
-	"strings"
 	"testing"
 )
 
@@ -21,35 +20,6 @@ func TestHumanBytes(t *testing.T) {
 		if got := humanBytes(c.in); got != c.want {
 			t.Errorf("humanBytes(%d) = %q, want %q", c.in, got, c.want)
 		}
-	}
-}
-
-func TestShapeReportKVCheckOnlyFig4(t *testing.T) {
-	rows := []Row{
-		{Figure: "7", Dataset: "X", Method: "TS-Index", AvgQueryMs: 1},
-		{Figure: "7", Dataset: "X", Method: "iSAX", AvgQueryMs: 10},
-		{Figure: "7", Dataset: "X", Method: "KV-Index", AvgQueryMs: 5}, // faster than iSAX
-		{Figure: "7", Dataset: "X", Method: "Sweepline", AvgQueryMs: 100},
-	}
-	report := strings.Join(ShapeReport(rows), "\n")
-	if strings.Contains(report, "weakest index") {
-		t.Fatal("the KV-weakest check must not apply to Figure 7")
-	}
-	if !strings.Contains(report, "PASS  Fig 7/X: TS-Index fastest") {
-		t.Fatalf("missing fastest check:\n%s", report)
-	}
-}
-
-func TestShapeReportEmptyAndPartial(t *testing.T) {
-	if got := ShapeReport(nil); len(got) != 0 {
-		t.Fatalf("empty rows should yield empty report, got %v", got)
-	}
-	// A figure with only TS-Index rows: no comparative checks beyond
-	// "fastest" (trivially true with no competitors).
-	rows := []Row{{Figure: "4", Dataset: "Y", Method: "TS-Index", AvgQueryMs: 2}}
-	report := strings.Join(ShapeReport(rows), "\n")
-	if strings.Contains(report, "FAIL") {
-		t.Fatalf("no competitors should mean no failures:\n%s", report)
 	}
 }
 

@@ -49,6 +49,7 @@ func avx2Impl() Impl {
 		SweepAbandonFlat32:    sweepAbandonFlat32AVX2,
 		SweepWindows:          sweepWindowsAVX2,
 		WindowsInside32:       windowsInside32AVX2,
+		BoundsInside32:        boundsInside32AVX2,
 		Width:                 widthPortable,
 		WidthIncreaseSequence: widthIncreaseSequencePortable,
 		WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
@@ -106,6 +107,19 @@ func sweepWindowsKernelAVX2(data *float64, starts *int32, s *float64, n int, lim
 //go:noescape
 func windowsInside32KernelAVX2(upper, lower *float32, data *float64, starts *int32, n int, rows int) bool
 
+// boundsInside32KernelAVX2 is the row enclosure test: for each of rows
+// consecutive child rows of n float32 lanes (row j at childUpper+j*n,
+// childLower+j*n) it compares 8 lanes a step, child upper GT_OQ upper
+// and child lower LT_OQ lower, with no widening, and ORs both masks
+// into one accumulator that is tested once, after the last row (see
+// "Enclosure" in the package comment). The n mod 8 tail of every row
+// and of both bounds goes through masked loads, so nothing past a row's
+// last lane is read; masked-out lanes load +0 and compare inside. It
+// reports whether no lane was outside. rows and n must be positive.
+//
+//go:noescape
+func boundsInside32KernelAVX2(upper, lower, childUpper, childLower *float32, n, rows int) bool
+
 // expandKernelAVX2 grows the n lanes of upper and lower to enclose s,
 // 4 lanes per step: VMAXPD and VMINPD with s as the first Intel source
 // (see "Expansion" in the package comment), both bounds stored back.
@@ -157,6 +171,14 @@ func windowsInside32AVX2(upper, lower []float32, data []float64, starts []int32,
 		return true // no lanes: every window is at distance 0
 	}
 	return windowsInside32KernelAVX2(&upper[0], &lower[0], &data[0], &starts[0], n, len(starts))
+}
+
+func boundsInside32AVX2(upper, lower, childUpper, childLower []float32, n, rows int) bool {
+	checkBoundsInside(len(upper), len(lower), len(childUpper), len(childLower), n, rows)
+	if rows == 0 || n == 0 {
+		return true // no lanes: nothing can be outside
+	}
+	return boundsInside32KernelAVX2(&upper[0], &lower[0], &childUpper[0], &childLower[0], n, rows)
 }
 
 func expandAVX2(upper, lower, s []float64) {

@@ -25,4 +25,8 @@ func windowsInside32AVX2(upper, lower []float32, data []float64, starts []int32,
 	return windowsInside32Portable(upper, lower, data, starts, n)
 }
 
+func boundsInside32AVX2(upper, lower, childUpper, childLower []float32, n, rows int) bool {
+	return boundsInside32Portable(upper, lower, childUpper, childLower, n, rows)
+}
+
 func expandAVX2(upper, lower, s []float64) { expandScalar(upper, lower, s) }

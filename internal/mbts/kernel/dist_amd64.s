@@ -1,5 +1,5 @@
 // AVX2 Eq. 2 sibling-sweep kernels (float64 and float32 bound rows), the
-// candidate-window sweep, the enclosure test, band expansion, and the
+// candidate-window sweep, the two enclosure tests, band expansion, and the
 // CPUID/XGETBV feature probes.
 //
 // Lane recipe (4 float64 per step), mirroring portable.go's excursion:
@@ -19,7 +19,9 @@
 #include "textflag.h"
 
 // tailmask holds four all-ones qwords then four zero qwords: the 32
-// bytes at offset (4-r)*8 select the first r lanes of a step.
+// bytes at offset (4-r)*8 select the first r lanes of a float64 step,
+// and, read as eight all-ones dwords then eight zero ones, the 32 bytes
+// at offset (8-r)*4 the first r lanes of a float32 step.
 DATA tailmask<>+0(SB)/8, $0xffffffffffffffff
 DATA tailmask<>+8(SB)/8, $0xffffffffffffffff
 DATA tailmask<>+16(SB)/8, $0xffffffffffffffff
@@ -397,6 +399,72 @@ nextI:
 	DECQ R12
 	JNZ  rowI
 	VMOVMSKPD Y0, AX
+	VZEROUPPER
+	TESTL AX, AX
+	SETEQ ret+48(FP)
+	RET
+
+// func boundsInside32KernelAVX2(upper, lower, childUpper, childLower *float32, n, rows int) bool
+//
+// The row enclosure test: each step loads 8 float32 lanes of the child
+// row's upper and lower bounds and compares them with the parent's
+// straight from memory, cu GT_OQ u and cl LT_OQ l, ORing both into Y0.
+// The n mod 8 tail loads all four operands through VMASKMOVPS; masked-
+// out lanes are +0 on both sides, which compare inside. Y0 is tested
+// once, after the last row. BX counts lanes into the row and the
+// bounds; R8 and R9 step a row (n lanes) at a time.
+TEXT ·boundsInside32KernelAVX2(SB), NOSPLIT, $0-49
+	MOVQ upper+0(FP), SI
+	MOVQ lower+8(FP), DI
+	MOVQ childUpper+16(FP), R8
+	MOVQ childLower+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ rows+40(FP), R12
+
+	MOVQ CX, R10                 // R10 = row stride in lanes
+	MOVQ CX, R13
+	ANDQ $7, R13                 // R13 = tail lanes (n mod 8)
+	SUBQ R13, CX                 // CX = lanes covered by whole 8-lane steps
+	LEAQ tailmask<>(SB), AX
+	MOVQ $8, BX
+	SUBQ R13, BX
+	VMOVDQU (AX)(BX*4), Y10      // Y10 = first-R13-dwords mask
+	VXORPS  Y0, Y0, Y0           // Y0 = every outside mask so far
+
+rowB:
+	XORQ BX, BX
+	CMPQ BX, CX
+	JAE  tailB
+
+stepB:
+	VMOVUPS (R8)(BX*4), Y1       // cu
+	VMOVUPS (R9)(BX*4), Y2       // cl
+	VCMPPS  $0x1E, (SI)(BX*4), Y1, Y3 // cu > u
+	VCMPPS  $0x11, (DI)(BX*4), Y2, Y4 // cl < l
+	VORPS   Y4, Y3, Y3
+	VORPS   Y3, Y0, Y0
+	ADDQ    $8, BX
+	CMPQ    BX, CX
+	JB      stepB
+
+tailB:
+	TESTQ R13, R13
+	JZ    nextB
+	VMASKMOVPS (R8)(BX*4), Y10, Y1
+	VMASKMOVPS (R9)(BX*4), Y10, Y2
+	VMASKMOVPS (SI)(BX*4), Y10, Y5
+	VMASKMOVPS (DI)(BX*4), Y10, Y6
+	VCMPPS     $0x1E, Y5, Y1, Y3
+	VCMPPS     $0x11, Y6, Y2, Y4
+	VORPS      Y4, Y3, Y3
+	VORPS      Y3, Y0, Y0
+
+nextB:
+	LEAQ (R8)(R10*4), R8
+	LEAQ (R9)(R10*4), R9
+	DECQ R12
+	JNZ  rowB
+	VMOVMSKPS Y0, AX
 	VZEROUPPER
 	TESTL AX, AX
 	SETEQ ret+48(FP)

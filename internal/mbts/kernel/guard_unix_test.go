@@ -91,6 +91,53 @@ func TestWindowsInside32GuardPage(t *testing.T) {
 	}
 }
 
+// TestBoundsInside32GuardPage tests child rows and bands whose upper
+// bound, lower bound, child upper rows and child lower rows each end on
+// the last byte before an inaccessible page: a tail step that read a
+// whole vector of any operand, or a masked load that touched a lane
+// past a row's n, faults here instead of reading a neighbour's memory
+// unnoticed. Every n mod 8, on every implementation, with the band
+// enclosing the rows and with the last row's last child lane one
+// float32 step above the band.
+func TestBoundsInside32GuardPage(t *testing.T) {
+	page := os.Getpagesize()
+	buf, err := syscall.Mmap(-1, 0, 8*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	defer syscall.Munmap(buf)
+	// Four writable pages, each followed by a guard page.
+	region := make([][]float32, 4)
+	for r := range region {
+		if err := syscall.Mprotect(buf[(2*r+1)*page:(2*r+2)*page], syscall.PROT_NONE); err != nil {
+			t.Skipf("mprotect: %v", err)
+		}
+		//tsvet:ignore each array must be the mapping itself for its last lane to border a guard page; page-aligned and page-sized
+		region[r] = unsafe.Slice((*float32)(unsafe.Pointer(&buf[2*r*page])), page/4)
+	}
+	rng := rand.New(rand.NewSource(48))
+	for n := 1; n <= 45; n++ {
+		const rows = 3
+		end := page / 4
+		cu, cl := region[2][end-rows*n:], region[3][end-rows*n:]
+		for k := range cu {
+			v, w := float32(rng.NormFloat64()), float32(rng.Float64())
+			cu[k], cl[k] = v+w, v-w
+		}
+		u, l := enclosingRows(cu, cl, n, rows)
+		upper, lower := region[0][end-n:], region[1][end-n:]
+		copy(upper, u)
+		copy(lower, l)
+		if !checkBounds32(t, upper, lower, cu, cl, n, rows) {
+			t.Fatalf("n=%d: the enclosing band refused its rows", n)
+		}
+		cu[rows*n-1] = math.Nextafter32(upper[n-1], float32(math.Inf(1)))
+		if checkBounds32(t, upper, lower, cu, cl, n, rows) {
+			t.Fatalf("n=%d: a child lane one step above the band passed", n)
+		}
+	}
+}
+
 // TestExpandGuardPage expands bands whose upper bound, lower bound and
 // sequence each end on the last byte before an inaccessible page: a
 // tail step that loaded or stored a whole vector, or a masked access

@@ -10,8 +10,9 @@
 // children at once — see "Half-width bounds"), the candidate sweep that
 // scores windows of a flat series by start position (SweepWindows — how
 // a leaf verifies its candidates, see "Candidate windows"), the
-// enclosure test that a heap open proves Lemma 1 with (WindowsInside32,
-// see "Enclosure"), the Eq. 3
+// enclosure tests that a heap open proves Lemma 1 with (WindowsInside32
+// for a leaf's windows, BoundsInside32 for an internal node's child
+// rows; see "Enclosure"), the Eq. 3
 // MBTS-to-MBTS distance (DistMBTS), the split-heuristic width
 // measures (Width, WidthIncrease*), and the one mutating entry point,
 // Expand, which grows a band to enclose a sequence (every insert's
@@ -122,8 +123,9 @@
 // # Enclosure
 //
 // A heap open re-proves Lemma 1 against the supplied series: every leaf
-// must enclose its windows. That asks for no distance, only whether one
-// is nonzero, and WindowsInside32 is defined as exactly that:
+// must enclose its windows, and every internal node its children's
+// bounds. That asks for no distance, only whether one is nonzero, and
+// WindowsInside32 is defined as exactly that:
 //
 //	WindowsInside32(upper, lower, data, starts, n) ≡ DistFlat32(upper, lower, w_j) == 0 for every j
 //
@@ -139,6 +141,17 @@
 // n mod 4 tail through masked loads, whose +0 lanes compare inside. A
 // leaf the test refuses is re-checked window by window to name the
 // first window outside, so the answer to "which" stays DistFlat32's.
+//
+// An internal node's children are consecutive bound rows, all float32,
+// and BoundsInside32 is the same two comparisons lane against lane:
+//
+//	BoundsInside32(upper, lower, cu, cl, n, rows) ≡ no j, i with cu[j·n+i] > upper[i] or cl[j·n+i] < lower[i]
+//
+// (a NaN on either side is inside, as above). Nothing is widened: the
+// assembly compares 8 float32 lanes a step (VCMPPS GT_OQ and LT_OQ),
+// ORs the masks across every row, tests once, and reads the n mod 8
+// tail of each row and of both bounds through masked loads. A node it
+// refuses is re-checked child by child to name the first child outside.
 //
 // # Expansion
 //
@@ -180,8 +193,9 @@ type Impl struct {
 	// The candidate sweep (see "Candidate windows").
 	SweepWindows func(data []float64, starts []int32, s []float64, limit float64, dists []float64)
 
-	// The enclosure test (see "Enclosure").
+	// The enclosure tests (see "Enclosure").
 	WindowsInside32 func(upper, lower []float32, data []float64, starts []int32, n int) bool
+	BoundsInside32  func(upper, lower, childUpper, childLower []float32, n, rows int) bool
 
 	Width                 func(upper, lower []float64) float64
 	WidthIncreaseSequence func(upper, lower, s []float64) float64
@@ -203,6 +217,7 @@ var scalarImpl = Impl{
 	SweepAbandonFlat32:    sweepAbandonFlat32Scalar,
 	SweepWindows:          sweepWindowsScalar,
 	WindowsInside32:       windowsInside32Scalar,
+	BoundsInside32:        boundsInside32Scalar,
 	Width:                 widthScalar,
 	WidthIncreaseSequence: widthIncreaseSequenceScalar,
 	WidthIncreaseMBTS:     widthIncreaseMBTSScalar,
@@ -222,6 +237,7 @@ var portableImpl = Impl{
 	SweepAbandonFlat32:    sweepAbandonFlat32Portable,
 	SweepWindows:          sweepWindowsPortable,
 	WindowsInside32:       windowsInside32Portable,
+	BoundsInside32:        boundsInside32Portable,
 	Width:                 widthPortable,
 	WidthIncreaseSequence: widthIncreaseSequencePortable,
 	WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
@@ -366,6 +382,36 @@ func WindowsInside32(upper, lower []float32, data []float64, starts []int32, n i
 		return windowsInside32Portable(upper, lower, data, starts, n)
 	default:
 		return windowsInside32Scalar(upper, lower, data, starts, n)
+	}
+}
+
+// BoundsInside32 reports whether the band [lower, upper] encloses rows
+// consecutive bound rows of n lanes — row j is [j·n, (j+1)·n) of
+// childUpper and of childLower, an internal node's children as the
+// frozen arena stores them: no child upper lane above upper and no
+// child lower lane below lower, compared as IEEE orders them, so a NaN
+// on either side is inside (see "Enclosure"). It panics, before reading
+// any lane, when either bound is shorter than n or either child array
+// than rows·n. Direct dispatch, as SweepAbandonFlat.
+func BoundsInside32(upper, lower, childUpper, childLower []float32, n, rows int) bool {
+	switch active.Name {
+	case "avx2":
+		return boundsInside32AVX2(upper, lower, childUpper, childLower, n, rows)
+	case "portable":
+		return boundsInside32Portable(upper, lower, childUpper, childLower, n, rows)
+	default:
+		return boundsInside32Scalar(upper, lower, childUpper, childLower, n, rows)
+	}
+}
+
+// checkBoundsInside rejects a row enclosure test whose bounds or child
+// rows would not hold n lanes each — in the assembly an out-of-bounds
+// read.
+func checkBoundsInside(nUpper, nLower, nChildUpper, nChildLower, n, rows int) {
+	if n < 0 || rows < 0 || nUpper < n || nLower < n ||
+		(n > 0 && (nChildUpper/n < rows || nChildLower/n < rows)) {
+		panic(fmt.Sprintf("kernel: enclosure of %d rows of %d lanes, have %d/%d bounds and %d/%d child bounds",
+			rows, n, nUpper, nLower, nChildUpper, nChildLower))
 	}
 }
 

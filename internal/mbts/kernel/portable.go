@@ -225,6 +225,26 @@ func windowsInside32Portable(upper, lower []float32, data []float64, starts []in
 	return true
 }
 
+// boundsInside32Portable is the row enclosure test as the two
+// comparisons of a lane, over rows cut to the band's length so that no
+// lane is bounds-checked. Like windowsInside32Portable it branches: a
+// file being opened has every child inside, so the branch is never
+// taken. A branch-free form, both comparisons ORed into a flag tested
+// once a row, measured about twice as slow on a 2-vCPU Xeon.
+func boundsInside32Portable(upper, lower, childUpper, childLower []float32, n, rows int) bool {
+	checkBoundsInside(len(upper), len(lower), len(childUpper), len(childLower), n, rows)
+	upper, lower = upper[:n], lower[:n]
+	for j := 0; j < rows; j++ {
+		cu, cl := childUpper[j*n:(j+1)*n], childLower[j*n:(j+1)*n]
+		for t, u := range upper {
+			if cu[t] > u || cl[t] < lower[t] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func distMBTSPortable(bUpper, bLower, oUpper, oLower []float64) float64 {
 	n := len(bUpper)
 	bLower, oUpper, oLower = bLower[:n], oUpper[:n], oLower[:n]

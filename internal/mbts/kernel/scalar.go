@@ -116,6 +116,21 @@ func windowsInside32Scalar(upper, lower []float32, data []float64, starts []int3
 	return true
 }
 
+// boundsInside32Scalar is the row enclosure test's definition, the
+// loop the heap open ran per child before the kernel existed.
+func boundsInside32Scalar(upper, lower, childUpper, childLower []float32, n, rows int) bool {
+	checkBoundsInside(len(upper), len(lower), len(childUpper), len(childLower), n, rows)
+	for j := 0; j < rows; j++ {
+		cu, cl := childUpper[j*n:(j+1)*n], childLower[j*n:(j+1)*n]
+		for t := 0; t < n; t++ {
+			if cu[t] > upper[t] || cl[t] < lower[t] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func distMBTSScalar(bUpper, bLower, oUpper, oLower []float64) float64 {
 	var max float64
 	for i := range bUpper {

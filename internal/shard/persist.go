@@ -25,7 +25,7 @@ package shard
 // with no padding, and with the segments' own checksums (see core's
 // frozen_persist.go) no byte of a file is unguarded. Every open verifies
 // the container header's checksum; what else it verifies is decided by
-// the arena's kind, exactly as core.FrozenFromArena documents: a heap
+// the arena's kind, exactly as core.OpenFrozen documents: a heap
 // arena gets every opened segment's section checksums, its full
 // invariants and the partition's ownership scan (checkPartition), a
 // mapped one the segment headers, their structure and the partition's
@@ -183,9 +183,10 @@ func parseShardHeader(buf []byte) (shardHeader, error) {
 // multi-gigabyte index costs O(header) allocations and faults pages in
 // on demand. The caller owns ar and must keep it alive (and unclosed)
 // for the index's lifetime; ex nil selects the process-wide default
-// executor.
+// executor. The open runs on ex too: a heap arena's containment check
+// is cut into units there (core.OpenFrozen).
 //
-// Each shard is validated as core.FrozenFromArena validates it, and the
+// Each shard is validated as core.OpenFrozen validates it, and the
 // partition as the arena's kind decides: the full ownership scan on a
 // heap arena, the O(shards) shape on a mapped one, whose O(windows)
 // scan is trusted to the writer with the bound containment.
@@ -211,6 +212,9 @@ func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, 
 // openArena opens the shards assigned (nil: every shard) of the TSSH v4
 // stream occupying ar.
 func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assigned []int) (*Index, error) {
+	if ex == nil {
+		ex = exec.Default()
+	}
 	buf := ar.Bytes()
 	h, err := parseShardHeader(buf)
 	if err != nil {
@@ -241,7 +245,7 @@ func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assign
 			off += h.segLens[i] // not ours: step over it
 			continue
 		}
-		f, n, err := core.FrozenFromArena(ar, off, ext)
+		f, n, err := core.OpenFrozen(ar, off, ext, ex)
 		if err != nil {
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
@@ -268,17 +272,26 @@ func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assign
 	return s, nil
 }
 
-// Single serves one frozen index as a one-shard Index — the form a
-// single-index (TSFZ) stream takes once opened. f must cover every
-// window of its series; an arena holding only part of them (one segment
-// lifted out of a sharded container) would answer silently short, so it
-// is refused. As in OpenArena, a heap arena also gets the ownership
-// scan (checkPartition), a mapped one the shape only.
-func Single(f *core.Frozen, ex *exec.Executor) (*Index, error) {
-	count := series.NumSubsequences(f.Extractor().Len(), f.L())
-	s := assemble(f.Extractor(), f.L(), []*core.Frozen{f}, nil, []int{0, count}, ex)
+// Single opens the single-index (TSFZ) stream occupying ar as a
+// one-shard Index, validated as core.OpenFrozen validates it on ex (nil:
+// the process-wide default executor), which the Index then queries on.
+// The stream must cover every window of its series; an arena holding
+// only part of them (one segment lifted out of a sharded container)
+// would answer silently short, so it is refused. As in OpenArena, a
+// heap arena also gets the ownership scan (checkPartition), a mapped
+// one the shape only.
+func Single(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor) (*Index, error) {
+	if ex == nil {
+		ex = exec.Default()
+	}
+	f, _, err := core.OpenFrozen(ar, 0, ext, ex)
+	if err != nil {
+		return nil, err
+	}
+	count := series.NumSubsequences(ext.Len(), f.L())
+	s := assemble(ext, f.L(), []*core.Frozen{f}, nil, []int{0, count}, ex)
 	check := s.checkPartition
-	if f.Mapped() {
+	if ar.Mapped() {
 		check = s.checkShape
 	}
 	if err := check(s.base.Load(), count); err != nil {

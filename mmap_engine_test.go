@@ -478,7 +478,9 @@ func TestSaveKilledMidStream(t *testing.T) {
 // process: EEG 200 k, L = 100, one TSFZ saved by an uncached engine and
 // copy-opened with tsserve's serving options (both caches at their
 // defaults, the slow-query log on) — the open whose containment check
-// is one kernel.WindowsInside32 pass per leaf.
+// is one kernel.BoundsInside32 pass per internal node and one
+// kernel.WindowsInside32 pass per leaf, cut into units on the engine's
+// executor.
 func BenchmarkColdOpen(b *testing.B) {
 	data := datasets.RandomWalk(85, 200_000)
 	const l = 100
