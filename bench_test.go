@@ -452,12 +452,12 @@ func BenchmarkFrozenTopK(b *testing.B) {
 	}
 }
 
-// The served top-k shape through the shard layer, where an unbounded
-// query starts from the seed's bound (shard.Index.SearchTopKCtx): the
-// counterpart of topk_p50_ms on `point` (one shard, the engine's single
-// index) and on `wide-sharded` (four shards, on one worker so the
-// traversals' work is not hidden behind parallel units).
-// BenchmarkFrozenTopK is the bare traversal, without the seed.
+// The served top-k shape through the shard layer
+// (shard.Index.SearchTopKCtx, unbounded): the counterpart of
+// topk_p50_ms on `point` (one shard, the engine's single index) and on
+// `wide-sharded` (four shards, on one worker so the traversals' work is
+// not hidden behind parallel units). BenchmarkFrozenTopK is the bare
+// traversal, without the shard layer.
 func BenchmarkShardedTopK(b *testing.B) {
 	data, ext := servedSeries()
 	var qs [][]float64

@@ -147,6 +147,12 @@ func confBackings(t *testing.T, data []float64, o Options) []confBacking {
 // nodes stop when t ends.
 func nodeTopology(t *testing.T, path string, data []float64, norm NormMode, shards, groups, replicas int) string {
 	t.Helper()
+	return nodeTopologyWith(t, path, data, norm, shards, groups, replicas, cluster.NodeOptions{})
+}
+
+// nodeTopologyWith is nodeTopology with every node opened under o.
+func nodeTopologyWith(t *testing.T, path string, data []float64, norm NormMode, shards, groups, replicas int, o cluster.NodeOptions) string {
+	t.Helper()
 	doc := &cluster.Topology{Index: path, Replicas: replicas}
 	for g := 0; g < groups; g++ {
 		var run cluster.ShardList
@@ -159,7 +165,7 @@ func nodeTopology(t *testing.T, path string, data []float64, norm NormMode, shar
 	}
 	ext := series.NewExtractor(data, norm)
 	for i := range doc.Nodes {
-		n, err := cluster.OpenNode(doc, doc.Nodes[i].Name, ext, cluster.NodeOptions{})
+		n, err := cluster.OpenNode(doc, doc.Nodes[i].Name, ext, o)
 		if err != nil {
 			t.Fatal(err)
 		}

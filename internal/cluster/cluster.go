@@ -614,8 +614,8 @@ func (r *remote) SearchStatsCtx(ctx context.Context, q []float64, eps float64) (
 	return r.call(ctx, Request{Kind: KindSearch, Eps: eps, Query: q})
 }
 
-// SearchTopKCtx asks the node for its k nearest under the seeded
-// bound.
+// SearchTopKCtx asks the node for its k nearest, pruning against the
+// caller's bound (math.Inf(1) = none).
 func (r *remote) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	ms, _, err := r.call(ctx, Request{Kind: KindTopK, K: k, Bound: bound, Query: q})
 	return ms, err

@@ -50,7 +50,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"unsafe"
@@ -397,70 +396,6 @@ func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) ([]se
 	*buf = pq[:0]
 	frontiers.Put(buf)
 	return t.sorted(), t.st
-}
-
-// SeedTopK returns a starting limit for a top-k search of q over an
-// index that holds f's windows, [lo, hi) being f's position range: the
-// k-th smallest distance among the windows of the leaf a greedy descent
-// reaches — at every level the child with the smallest Eq. 2 bound,
-// the first on a tie — and the k windows on either side of that leaf's
-// nearest one, clipped to [lo, hi). Neighbouring windows of a
-// series overlap in all but one value, so around a near window lie
-// more near windows. Those are k distinct windows of the index, so the
-// value bounds its k-th distance from above, and a traversal that
-// prunes only strictly beyond it (SharedBound) answers exactly as an
-// unbounded one. With fewer than k windows in [lo, hi) it returns
-// +Inf and does nothing. The Stats count the rows the descent scored,
-// its leaf, and every window verified (a leaf window inside the
-// neighbourhood is verified twice).
-func (f *Frozen) SeedTopK(q []float64, k, lo, hi int) (float64, Stats) {
-	if len(q) != f.cfg.L {
-		panic("core: query length mismatch")
-	}
-	if k <= 0 || hi-lo < k || len(f.first) == 0 {
-		return math.Inf(1), Stats{}
-	}
-	var st Stats
-	n := int32(0)
-	dists := make([]float64, 0, sweepScratchCap)
-	for !f.isLeaf(n) {
-		dists = f.sweepChildren(n, q, math.Inf(1), dists)
-		st.NodesVisited += len(dists)
-		near := 0
-		for j, d := range dists {
-			if d < dists[near] {
-				near = j
-			}
-		}
-		n = f.first[n] + int32(near)
-	}
-	st.LeavesReached++
-	leaf := f.positions[f.first[n] : f.first[n]+f.count[n]]
-	ver := series.MakeVerifier(f.ext, q, 0)
-	t := newTopK(k, nil)
-	ds := ver.Sweep(leaf, math.Inf(1))
-	near := 0
-	for j, d := range ds {
-		if d < ds[near] || d == ds[near] && leaf[j] < leaf[near] {
-			near = j
-		}
-	}
-	from, to := max(lo, int(leaf[near])-k), min(hi, int(leaf[near])+k+1)
-	for j, p := range leaf {
-		if int(p) < from || int(p) >= to {
-			t.admit(worstFirst{Start: int(p), Dist: ds[j]})
-		}
-	}
-	var buf [sweepScratchCap]int32
-	for ; from < to; from += len(buf) {
-		t.offer(&ver, tailStarts(buf[:], from, to))
-	}
-	st.Candidates += len(leaf) + t.st.Candidates
-	st.Abandons = t.st.Abandons
-	if len(t.best) < k {
-		return math.Inf(1), st
-	}
-	return t.best[0].Dist, st
 }
 
 // SearchPrefix answers twin queries SHORTER than the indexed length —

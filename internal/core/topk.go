@@ -103,22 +103,17 @@ func (t *topK) offer(v *series.Verifier, starts []int32) {
 			t.st.Abandons++
 			continue
 		}
-		t.admit(worstFirst{Start: int(starts[j]), Dist: d})
-	}
-}
-
-// admit keeps m iff it beats the current worst under (dist, start), or
-// the list is not yet full.
-func (t *topK) admit(m worstFirst) {
-	if len(t.best) >= t.k {
-		if !t.best[0].before(m) {
-			return // not strictly better than the current worst
+		m := worstFirst{Start: int(starts[j]), Dist: d}
+		if len(t.best) >= t.k {
+			if !t.best[0].before(m) {
+				continue // not strictly better than the current worst
+			}
+			t.best, _ = heapPop(t.best)
 		}
-		t.best, _ = heapPop(t.best)
-	}
-	t.best = heapPush(t.best, m)
-	if t.shared != nil && len(t.best) >= t.k {
-		t.shared.Tighten(t.best[0].Dist)
+		t.best = heapPush(t.best, m)
+		if t.shared != nil && len(t.best) >= t.k {
+			t.shared.Tighten(t.best[0].Dist)
+		}
 	}
 }
 

@@ -18,14 +18,14 @@ package shard
 //     windows that exist only at the shorter query length belong to no
 //     shard; exactly one party (the coordinator, or SearchPrefix on a
 //     full local index) scans them.
-//   - SearchTopKCtx's bound seeds the traversal's shared pruning bound:
-//     subtrees whose lower bound strictly exceeds it are skipped, so a
-//     coordinator can broadcast its current k-th threshold to prune
-//     remote work. math.Inf(1) means the caller has none, and the index
-//     seeds one from k of its own windows (seedTopK). Because pruning
-//     is on strict inequality — identical to the bound one shard's
-//     traversal publishes to another — neither seed changes the merged
-//     top-k.
+//   - SearchTopKCtx's bound is the caller's: the traversals start from
+//     it as their shared pruning bound, and skip subtrees whose lower
+//     bound strictly exceeds it, so a coordinator can broadcast its
+//     current k-th threshold to prune remote work. math.Inf(1) means
+//     the caller has none, and the traversals start unbounded. Because
+//     pruning is on strict inequality — identical to the bound one
+//     shard's traversal publishes to another — a bound at or above the
+//     true k-th distance never changes the merged top-k.
 //   - ctx cancels remaining work: queued shard traversals are skipped
 //     once ctx is done, and the call returns ctx.Err().
 //   - Replica interchangeability: two indexes opened over the same
@@ -197,12 +197,12 @@ type pendingTopK struct {
 // queueTopK enqueues one unit per held shard of b for one top-k search
 // into g — the one place top-k units are enqueued — and records the
 // tail [b.end(), to). The shards' traversals share one pruning bound
-// seeded to bound (math.Inf(1) = unbounded). Seeding only tightens the
-// initial threshold; pruning stays on strict inequality, so the merged
-// result equals the unseeded traversal's whenever bound is an upper
-// bound on the true k-th distance. traced keeps the shards' counters
-// for setShardSpans; untraced queries drop them and allocate nothing
-// for them. A nil ctx never cancels.
+// that starts at the caller's bound (math.Inf(1) = unbounded). It only
+// tightens the initial threshold; pruning stays on strict inequality,
+// so the merged result equals an unbounded traversal's whenever bound
+// is an upper bound on the true k-th distance. traced keeps the
+// shards' counters for setShardSpans; untraced queries drop them and
+// allocate nothing for them. A nil ctx never cancels.
 func (s *Index) queueTopK(g *exec.Group, ctx context.Context, b *base, to int, q []float64, k int, bound float64, traced bool) pendingTopK {
 	shared := core.NewSharedBound()
 	shared.Tighten(bound)
@@ -233,26 +233,10 @@ func (p pendingTopK) resolve() []series.Match {
 	return core.ScanTailTopK(p.ext, p.q, p.k, p.from, p.to, MergeTopK(p.lists, p.k))
 }
 
-// seedTopK is the starting bound of an unbounded top-k over b: the k-th
-// distance core.SeedTopK finds in the first held shard, near the leaf
-// the query's greedy descent reaches (+Inf when the shard holds fewer
-// than k windows). Until the traversals have admitted k candidates of
-// their own they have no bound at all, and the child rows they sweep
-// meanwhile are scored in full. A traced query books the seed's
-// counters on a "seed" span under tsp.
-func (s *Index) seedTopK(tsp *obs.Span, b *base, q []float64, k int) float64 {
-	ssp := tsp.StartChild("seed")
-	id := s.ids[0]
-	bound, st := b.frozen[0].SeedTopK(q, k, b.starts[id], b.starts[id+1])
-	setShardAttrs(ssp, st)
-	ssp.End()
-	return bound
-}
-
 // SearchTopKCtx is SearchTopK honoring cancellation, with the shared
-// pruning bound seeded to bound (see the contract above and queueTopK):
-// the base's traversal, then the tail offered to its list. An unbounded
-// call (math.Inf(1)) starts from seedTopK's bound instead.
+// pruning bound starting at the caller's bound (math.Inf(1) =
+// unbounded; see the contract above and queueTopK): the base's
+// traversal, then the tail offered to its list.
 func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	if k <= 0 {
 		return nil, nil
@@ -265,19 +249,16 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 	// search records, filled from the shards' own counters.
 	setTail(obs.SpanFrom(ctx), b, to)
 	tsp := obs.SpanFrom(ctx).StartChild("traverse")
-	if math.IsInf(bound, 1) {
-		bound = s.seedTopK(tsp, b, q, k)
-	}
 	if len(b.frozen) == 1 {
-		// A lone traversal shares its bound with nobody: unless there is
-		// a seed, its own k-th best is the whole limit, and nil spares
-		// the query an allocation.
-		var seed *core.SharedBound
+		// A lone traversal shares its bound with nobody: unless the
+		// caller passes one, its own k-th best is the whole limit, and
+		// nil spares the query an allocation.
+		var shared *core.SharedBound
 		if !math.IsInf(bound, 1) {
-			seed = core.NewSharedBound()
-			seed.Tighten(bound)
+			shared = core.NewSharedBound()
+			shared.Tighten(bound)
 		}
-		ms, st := b.frozen[0].SearchTopKShared(q, k, seed)
+		ms, st := b.frozen[0].SearchTopKShared(q, k, shared)
 		setShardAttrs(tsp, st)
 		tsp.End()
 		return core.ScanTailTopK(s.ext, q, k, b.end(), to, ms), nil

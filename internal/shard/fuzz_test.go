@@ -75,18 +75,16 @@ func FuzzLoadSharded(f *testing.F) {
 	})
 }
 
-// FuzzShardTopK holds the seeded start of an unbounded SearchTopKCtx to
-// its contract: the seed only ever bounds the k-th distance of the
-// windows the index holds from above, so the answer is the one a
-// traversal with no starting bound gives, and the brute-force one over
-// those windows, bit for bit. The series is a quantised walk (steps of
-// −2…2), so equal windows and tied distances are common, the partition
-// 1–7 contiguous shards at fuzzed boundaries, the index all of them or
-// the subset a mask selects (a cluster node's view, whose first held
-// shard is the one probed), k anything from 1 to two past the held
-// windows, under every norm mode. A finite caller bound skips the seed,
-// and math.MaxFloat64 prunes nothing: that call is the unseeded
-// reference.
+// FuzzShardTopK holds SearchTopKCtx to the brute-force top-k over the
+// windows the index holds, bit for bit, unbounded and under the
+// tightest bound a caller may pass: the answer's own k-th distance,
+// which the cluster's second phase broadcasts. Pruning is strict, so a
+// window tied with the k-th must survive that bound. The series is a
+// quantised walk (steps of −2…2), so equal windows and tied distances
+// are common, the partition 1–7 contiguous shards at fuzzed
+// boundaries, the index all of them or the subset a mask selects (a
+// cluster node's view), k anything from 1 to two past the held
+// windows, under every norm mode.
 func FuzzShardTopK(f *testing.F) {
 	const l = 8
 	walk := func(n int, seed uint32) []byte {
@@ -99,10 +97,9 @@ func FuzzShardTopK(f *testing.F) {
 	}
 	steps := walk(300, 1)
 	// The query at a shard's first and last window; at both ends of the
-	// series; an all-tie series; shard 0 (the probed one) smaller than
-	// k; a subset whose probed shard is not the container's first; a
-	// ramp, whose leaf windows all lie in the neighbourhood; a ramp whose
-	// nearest windows lie across the probed shard's boundary, in a
+	// series; an all-tie series; shard 0 smaller than k; a subset that
+	// does not hold the container's first shard; a ramp; a ramp whose
+	// nearest windows lie across the first held shard's boundary, in a
 	// shard the index does not hold.
 	f.Add(steps, []byte{100, 200}, uint8(0), uint8(1), uint16(10), uint16(101), uint8(0))
 	f.Add(steps, []byte{100, 200}, uint8(0), uint8(0), uint16(10), uint16(100), uint8(3))
@@ -165,13 +162,17 @@ func FuzzShardTopK(f *testing.F) {
 				want = append(want, m)
 			}
 		}
-		seeded, err := ix.SearchTopKCtx(nil, q, kk, math.Inf(1))
-		if err != nil || !sameMatches(seeded, want) {
-			t.Fatalf("seeded top-%d over shards %v of %v: %v (err %v), oracle %v", kk, held, bounds, seeded, err, want)
+		got, err := ix.SearchTopKCtx(nil, q, kk, math.Inf(1))
+		if err != nil || !sameMatches(got, want) {
+			t.Fatalf("unbounded top-%d over shards %v of %v: %v (err %v), oracle %v", kk, held, bounds, got, err, want)
 		}
-		unseeded, err := ix.SearchTopKCtx(nil, q, kk, math.MaxFloat64)
-		if err != nil || !sameMatches(unseeded, want) {
-			t.Fatalf("unseeded top-%d over shards %v of %v: %v (err %v), oracle %v", kk, held, bounds, unseeded, err, want)
+		bound := math.Inf(1)
+		if len(want) == kk {
+			bound = want[kk-1].Dist
+		}
+		got, err = ix.SearchTopKCtx(nil, q, kk, bound)
+		if err != nil || !sameMatches(got, want) {
+			t.Fatalf("top-%d bounded at %v over shards %v of %v: %v (err %v), oracle %v", kk, bound, held, bounds, got, err, want)
 		}
 	})
 }

@@ -42,9 +42,7 @@ func TestSearchTopKCtxAllocs(t *testing.T) {
 // TestForcedTraceTopK asserts a traced top-k is no longer blind below
 // the engine: the traverse span carries the traversal's counters on a
 // single index, and per-shard counter children plus a merge span on a
-// sharded one; on both, its first child is the seed that gave the
-// traversals their starting bound, with counters of its own, and the
-// root span carries the result count.
+// sharded one; the root span carries the result count on both.
 func TestForcedTraceTopK(t *testing.T) {
 	ts := datasets.RandomWalk(9, 4000)
 	q := append([]float64(nil), ts[500:600]...)
@@ -74,21 +72,14 @@ func TestForcedTraceTopK(t *testing.T) {
 		if trav == nil {
 			t.Fatalf("shards=%d: traced top-k has no traverse span", shards)
 		}
-		seed := spans["seed"]
-		if len(trav.Children) == 0 || trav.Children[0] != seed {
-			t.Fatalf("shards=%d: traverse span's first child is not the seed: %v", shards, trav.Children)
-		}
-		if v, _ := seed.Attrs["nodes_visited"].(int); v == 0 || seed.Attrs["leaves_reached"] != 1 {
-			t.Fatalf("shards=%d: seed span counters %v", shards, seed.Attrs)
-		}
 		// Which shard does the scoring depends on how fast the shared
 		// bound tightens, so the sharded counters are checked in sum.
 		counted := []*obs.Span{trav}
 		if shards > 0 {
-			if spans["merge"] == nil || len(trav.Children) != shards+1 {
-				t.Fatalf("shards=%d: traced top-k has merge=%v and %d spans beside the seed", shards, spans["merge"], len(trav.Children)-1)
+			if spans["merge"] == nil || len(trav.Children) != shards {
+				t.Fatalf("shards=%d: traced top-k has merge=%v and %d shard spans", shards, spans["merge"], len(trav.Children))
 			}
-			counted = trav.Children[1:]
+			counted = trav.Children
 		}
 		var visited, cand, abandons int
 		for _, sp := range counted {
@@ -105,15 +96,15 @@ func TestForcedTraceTopK(t *testing.T) {
 		}
 		// The answer's size is the query's, not a traversal's: it sits on
 		// the root span whatever the shard count, and the single index
-		// records exactly validate → traverse → seed beneath it.
+		// records exactly validate → traverse beneath it.
 		if tr.Root.Attrs["results"] != 5 {
 			t.Fatalf("shards=%d: root span results = %v, want 5", shards, tr.Root.Attrs["results"])
 		}
 		if _, onTraverse := trav.Attrs["results"]; onTraverse {
 			t.Fatalf("shards=%d: traverse span carries results: %v", shards, trav.Attrs)
 		}
-		if shards == 0 && (len(tr.Root.Children) != 2 || tr.Root.Children[0].Name != "validate" || tr.Root.Children[1] != trav || len(trav.Children) != 1) {
-			t.Fatalf("single-index trace is not validate → traverse → seed: %v", spans)
+		if shards == 0 && (len(tr.Root.Children) != 2 || tr.Root.Children[0].Name != "validate" || tr.Root.Children[1] != trav || len(trav.Children) != 0) {
+			t.Fatalf("single-index trace is not validate → traverse: %v", spans)
 		}
 	}
 }
