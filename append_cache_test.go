@@ -340,3 +340,72 @@ func TestAppendCarriedTrace(t *testing.T) {
 		t.Fatalf("after the extension: %v", sp.Attrs)
 	}
 }
+
+// TestTailBookedOnEveryPath reads the tail step off forced traces after
+// an Append, on one shard and on four: a range miss, a top-k miss, an
+// extended range hit and an extended top-k hit each verify the windows
+// no arena or cached answer covers, and each books them — the span
+// that carries tail_windows has a "tail" child whose candidates are
+// exactly those windows.
+func TestTailBookedOnEveryPath(t *testing.T) {
+	const l, gained = 16, 40
+	data := datasets.EEGN(95, 800)
+	for _, shards := range []int{0, 4} {
+		e, err := Open(slices.Clone(data[:800-gained]), Options{L: l, Shards: shards, ResultCacheBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		cachedQ, freshQ := data[100:100+l], data[300:300+l]
+		traced := func(what string, q []float64, k int, outcome string) {
+			t.Helper()
+			tr := obs.NewTrace("test")
+			ctx := obs.WithSpan(context.Background(), tr.Root)
+			if k > 0 {
+				_, err = e.SearchTopKCtx(ctx, q, k)
+			} else {
+				_, err = e.SearchCtx(ctx, q, 0.5)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish()
+			if outcome == "" {
+				return
+			}
+			if got := tr.Root.Attrs["result_cache"]; got != outcome {
+				t.Fatalf("shards=%d %s: result_cache %v, want %s", shards, what, got, outcome)
+			}
+			var booked []*obs.Span
+			var walk func(s *obs.Span)
+			walk = func(s *obs.Span) {
+				if _, ok := s.Attrs["tail_windows"]; ok {
+					booked = append(booked, s)
+				}
+				for _, c := range s.Children {
+					walk(c)
+				}
+			}
+			walk(tr.Root)
+			if len(booked) != 1 || booked[0].Attrs["tail_windows"] != gained {
+				t.Fatalf("shards=%d %s: tail_windows on %d spans, want %d on one", shards, what, len(booked), gained)
+			}
+			i := slices.IndexFunc(booked[0].Children, func(c *obs.Span) bool { return c.Name == "tail" })
+			if i < 0 {
+				t.Fatalf("shards=%d %s: %d tail windows and no tail child", shards, what, gained)
+			}
+			if tail := booked[0].Children[i]; tail.Attrs["candidates"] != gained {
+				t.Fatalf("shards=%d %s: tail child %v, want candidates=%d", shards, what, tail.Attrs, gained)
+			}
+		}
+		traced("warm range", cachedQ, 0, "")
+		traced("warm top-k", cachedQ, 5, "")
+		if err := e.Append(data[800-gained:]...); err != nil {
+			t.Fatal(err)
+		}
+		traced("range miss", freshQ, 0, "miss")
+		traced("top-k miss", freshQ, 5, "miss")
+		traced("extended range hit", cachedQ, 0, "extended")
+		traced("extended top-k hit", cachedQ, 5, "extended")
+	}
+}

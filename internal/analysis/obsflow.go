@@ -22,7 +22,9 @@ import (
 // return, whatever the control flow — the cheap discipline it demands
 // (prefer defer) is exactly the one the engine's entry points follow.
 // Discarding the span result with `_` is reported too: a span that
-// cannot be ended should not be started.
+// cannot be ended should not be started. obs.SpanFrom starts nothing:
+// it borrows the caller's span, which the caller ends (a deferred End
+// here would restamp its duration), so binding its result is exempt.
 var Obsflow = &Analyzer{
 	Name: "obsflow",
 	Doc:  "exported *Ctx entry points that start a span end it on every return path (defer sp.End(), or sp.End() before each later return)",
@@ -127,13 +129,13 @@ func checkObsflow(pass *Pass, fd *ast.FuncDecl) {
 
 // spanBindingsOf returns the identifiers stmt binds to spans: the
 // second result of obs.StartSpan, or the sole result of any call whose
-// type is *obs.Span (StartChild and friends).
+// type is *obs.Span (StartChild and friends) other than obs.SpanFrom.
 func spanBindingsOf(pass *Pass, stmt *ast.AssignStmt) []spanBinding {
 	if len(stmt.Rhs) != 1 {
 		return nil
 	}
 	call, ok := stmt.Rhs[0].(*ast.CallExpr)
-	if !ok {
+	if !ok || pass.IsPkgCall(call, "obs", "SpanFrom") {
 		return nil
 	}
 	if pass.IsPkgCall(call, "obs", "StartSpan") && len(stmt.Lhs) == 2 {

@@ -37,6 +37,25 @@ func TopKCtx(ctx context.Context) error {
 	return nil
 }
 
+// BorrowCtx binds the caller's span: SpanFrom starts nothing, and the
+// caller ends what it started.
+func BorrowCtx(ctx context.Context) error {
+	sp := obs.SpanFrom(ctx)
+	sp.Set("k", 1)
+	if ctx == nil {
+		return nil
+	}
+	return nil
+}
+
+// BorrowedChildCtx starts a child of a borrowed span and never ends it.
+func BorrowedChildCtx(ctx context.Context) error {
+	sp := obs.SpanFrom(ctx)
+	child := sp.StartChild("child") // want `span "child" started in exported BorrowedChildCtx is not ended on every return path`
+	child.Set("k", 1)
+	return nil
+}
+
 // LeakyCtx returns early without ending the span.
 func LeakyCtx(ctx context.Context) error {
 	ctx, sp := obs.StartSpan(ctx, "leaky") // want `span "sp" started in exported LeakyCtx is not ended on every return path`

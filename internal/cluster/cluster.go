@@ -287,19 +287,11 @@ func (c *Coordinator) Search(ctx context.Context, q []float64, eps float64) ([]s
 	return ms, err
 }
 
-// statsResult carries one group's range-search answer through the
-// generic fan-out.
-type statsResult struct {
-	ms []series.Match
-	st core.Stats
-}
-
 // SearchStats is Search with traversal counters summed across every
 // group's shards.
 func (c *Coordinator) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b *remote) (statsResult, error) {
-		ms, st, err := b.SearchStatsCtx(ctx, q, eps)
-		return statsResult{ms, st}, err
+	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b *remote) (Answer, error) {
+		return b.call(ctx, Request{Kind: KindSearch, Eps: eps, Query: q})
 	})
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -307,9 +299,11 @@ func (c *Coordinator) SearchStats(ctx context.Context, q []float64, eps float64)
 	msp := obs.SpanFrom(ctx).StartChild("merge")
 	lists := make([][]series.Match, len(per))
 	var st core.Stats
-	for i, r := range per {
-		lists[i] = r.ms
-		st = shard.AddStats(st, r.st)
+	for i, a := range per {
+		lists[i] = a.Matches
+		if a.Stats != nil {
+			st = shard.AddStats(st, *a.Stats)
+		}
 	}
 	ms := shard.MergeByStart(lists)
 	if msp != nil {
@@ -340,7 +334,8 @@ func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]ser
 
 	// Phase 1: the seed group, unbounded.
 	first, err := runUnit(ctx, c, c.groups[seed], func(ctx context.Context, b *remote) ([]series.Match, error) {
-		return b.SearchTopKCtx(ctx, q, k, math.Inf(1))
+		a, err := b.call(ctx, Request{Kind: KindTopK, K: k, Bound: math.Inf(1), Query: q})
+		return a.Matches, err
 	})
 	if err != nil {
 		return nil, err
@@ -353,7 +348,8 @@ func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]ser
 	// Phase 2: every other group, pruning against the seed's k-th
 	// distance.
 	lists, err := fanOut(ctx, c, seed, func(ctx context.Context, b *remote) ([]series.Match, error) {
-		return b.SearchTopKCtx(ctx, q, k, bound)
+		a, err := b.call(ctx, Request{Kind: KindTopK, K: k, Bound: bound, Query: q})
+		return a.Matches, err
 	})
 	if err != nil {
 		return nil, err
@@ -372,7 +368,8 @@ func (c *Coordinator) SearchPrefix(ctx context.Context, q []float64, eps float64
 		return nil, err
 	}
 	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b *remote) ([]series.Match, error) {
-		return b.SearchPrefixTreeCtx(ctx, q, eps)
+		a, err := b.call(ctx, Request{Kind: KindPrefix, Eps: eps, Query: q})
+		return a.Matches, err
 	})
 	if err != nil {
 		return nil, err
@@ -542,13 +539,14 @@ func (r *remote) health(ctx context.Context) (NodeHealth, error) {
 // call sends one shard RPC and decodes the answer, or the node's
 // refusal in its words. An answer that does not decode fails the
 // attempt over. A traced caller's span grafts the node's returned
-// subtree.
-func (r *remote) call(ctx context.Context, q Request) ([]series.Match, core.Stats, error) {
+// subtree; the answer returned holds no Trace, whose bytes were the
+// stream's.
+func (r *remote) call(ctx context.Context, q Request) (Answer, error) {
 	sp := obs.SpanFrom(ctx)
 	q.Trace = sp != nil
 	s, status, body, err := r.exchange(ctx, &q)
 	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("shard %s: %w", q.Kind, err)
+		return Answer{}, fmt.Errorf("shard %s: %w", q.Kind, err)
 	}
 	defer func() { // body is the stream's buffer until then
 		select {
@@ -558,7 +556,7 @@ func (r *remote) call(ctx context.Context, q Request) ([]series.Match, core.Stat
 		}
 	}()
 	if status != http.StatusOK {
-		return nil, core.Stats{}, fmt.Errorf("shard %s: %s", q.Kind, refusal(fmt.Sprint("status ", status), body))
+		return Answer{}, fmt.Errorf("shard %s: %s", q.Kind, refusal(fmt.Sprint("status ", status), body))
 	}
 	a, err := ParseAnswer(body)
 	if err == nil && sp != nil && len(a.Trace) > 0 {
@@ -568,12 +566,10 @@ func (r *remote) call(ctx context.Context, q Request) ([]series.Match, core.Stat
 		}
 	}
 	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("shard %s: answer: %w", q.Kind, err)
+		return Answer{}, fmt.Errorf("shard %s: answer: %w", q.Kind, err)
 	}
-	if a.Stats == nil {
-		return a.Matches, core.Stats{}, nil
-	}
-	return a.Matches, *a.Stats, nil
+	a.Trace = nil
+	return a, nil
 }
 
 // exchange sends q on an idle stream, or a fresh one when there is
@@ -606,24 +602,4 @@ func refusal(status string, body []byte) string {
 		return status
 	}
 	return e.Error
-}
-
-// SearchStatsCtx asks the node for a range search's matches and
-// counters.
-func (r *remote) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	return r.call(ctx, Request{Kind: KindSearch, Eps: eps, Query: q})
-}
-
-// SearchTopKCtx asks the node for its k nearest, pruning against the
-// caller's bound (math.Inf(1) = none).
-func (r *remote) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
-	ms, _, err := r.call(ctx, Request{Kind: KindTopK, K: k, Bound: bound, Query: q})
-	return ms, err
-}
-
-// SearchPrefixTreeCtx asks the node for the tree half of a prefix
-// search.
-func (r *remote) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	ms, _, err := r.call(ctx, Request{Kind: KindPrefix, Eps: eps, Query: q})
-	return ms, err
 }

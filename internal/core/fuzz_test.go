@@ -153,7 +153,8 @@ func FuzzFrozenTraversal(f *testing.F) {
 // append gained, is the oracle's answer over all of them —
 // extend(answer(N0), N0→N1) ≡ answer(N1) — for range and top-k, every
 // normalization, any split, ε down to 0 and k on either side of both
-// window counts.
+// window counts; and the top-k scan books every gained window as a
+// candidate.
 func FuzzExtendAnswer(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0), uint8(40), uint8(3), uint8(2))
 	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1, 0, 0, 0, 0, 0, 0}, uint8(1), uint8(0), uint8(1), uint8(0))
@@ -186,8 +187,12 @@ func FuzzExtendAnswer(f *testing.F) {
 		if got, want := ScanTail(ext, q, eps, n0, total, slices.Clone(range0), nil), oracle.Range(ext, q, eps); !slices.Equal(got, want) {
 			t.Fatalf("ScanTail %d→%d: %v, oracle %v (from %v)", n0, total, got, want, range0)
 		}
-		if got, want := ScanTailTopK(ext, q, k, n0, total, top0), oracle.TopK(ext, q, k); !slices.Equal(got, want) {
+		var st Stats
+		if got, want := ScanTailTopK(ext, q, k, n0, total, top0, &st), oracle.TopK(ext, q, k); !slices.Equal(got, want) {
 			t.Fatalf("ScanTailTopK k=%d %d→%d: %v, oracle %v (from %v)", k, n0, total, got, want, top0)
+		}
+		if k > 0 && st.Candidates != total-n0 {
+			t.Fatalf("ScanTailTopK k=%d %d→%d: %d candidates booked", k, n0, total, st.Candidates)
 		}
 	})
 }

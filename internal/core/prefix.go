@@ -60,7 +60,9 @@ func tailStarts(buf []int32, from, to int) []int32 {
 // to it through the dispatched kernel, so distances, the (dist, start)
 // order, ties at the k-th place and a list shorter than k come out as
 // a traversal of all the windows reports them. best is not modified.
-func ScanTailTopK(ext *series.Extractor, q []float64, k, from, to int, best []series.Match) []series.Match {
+// The windows count as candidates, and those rejected against the
+// running k-th distance as abandons, into st when it is not nil.
+func ScanTailTopK(ext *series.Extractor, q []float64, k, from, to int, best []series.Match, st *Stats) []series.Match {
 	if k <= 0 {
 		return nil
 	}
@@ -77,6 +79,10 @@ func ScanTailTopK(ext *series.Extractor, q []float64, k, from, to int, best []se
 	var buf [sweepScratchCap]int32
 	for ; from < to; from += len(buf) {
 		t.offer(&v, tailStarts(buf[:], from, to))
+	}
+	if st != nil {
+		st.Candidates += t.st.Candidates
+		st.Abandons += t.st.Abandons
 	}
 	return t.sorted()
 }

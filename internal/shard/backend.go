@@ -44,6 +44,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"twinsearch/internal/core"
 	"twinsearch/internal/exec"
@@ -58,112 +59,48 @@ func canceled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// queueSearch enqueues one unit per held shard of b for one range
-// search into g — the core of SearchStatsCtx and SearchPrefixTreeCtx.
-// Each unit traverses its shard's whole tree; a prefix search (len(q) <
-// L) runs the truncated-bounds traversal, whose counters are not kept.
-// A nil ctx never cancels.
-func (s *Index) queueSearch(g *exec.Group, ctx context.Context, b *base, q []float64, eps float64, prefix bool) pendingSearch {
-	res := make([][]series.Match, len(b.frozen))
-	st := make([]core.Stats, len(b.frozen))
+// Every query path below is one skeleton: snapshot the base and the
+// window count, traverse the base (inline on a lone shard, else through
+// fanOut), merge the shards' lists, and hand the windows past the base
+// to the tail step (Tail).
+
+// fanOut is the traverse step of a query over more than one shard: it
+// runs search on every held shard of b, one executor unit per shard,
+// each a whole-tree traversal, waits once, and returns the shards'
+// lists and their counters summed. A traced query (sp not nil) gets a
+// "traverse" child of sp holding one counter child per shard, booked
+// after the barrier from the collected counters so the units stay
+// untouched by tracing; shard timings interleave across workers, so
+// the shard spans carry counters, not durations. Units still queued
+// once ctx is done are skipped, and fanOut then returns ctx.Err(). A
+// nil ctx never cancels.
+func (s *Index) fanOut(ctx context.Context, sp *obs.Span, b *base, search func(*core.Frozen) ([]series.Match, core.Stats)) ([][]series.Match, core.Stats, error) {
+	tsp := sp.StartChild("traverse")
+	lists := make([][]series.Match, len(b.frozen))
+	sts := make([]core.Stats, len(b.frozen))
+	g := s.ex.NewGroup()
 	for i, f := range b.frozen {
 		g.Go(func(*exec.Ctx) {
-			if canceled(ctx) {
-				return
-			}
-			if prefix {
-				res[i], _ = f.SearchPrefixTree(q, eps) // validated by the caller
-			} else {
-				res[i], st[i] = f.SearchStats(q, eps)
+			if !canceled(ctx) {
+				lists[i], sts[i] = search(f)
 			}
 		})
 	}
-	return pendingSearch{res: res, st: st}
-}
-
-// SearchCtx is Search honoring cancellation: once ctx is done, queued
-// shard traversals are skipped and the call returns ctx.Err().
-func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	ms, _, err := s.SearchStatsCtx(ctx, q, eps)
-	return ms, err
-}
-
-// SearchStatsCtx is SearchStats honoring cancellation: one range
-// search over the base (enqueue, wait, merge) and the tail's scan, whose
-// windows count as candidates. An Index holding one shard traverses it
-// inline, without the executor hop.
-func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
+	g.Wait()
+	var sum core.Stats
+	for i, st := range sts {
+		sum = AddStats(sum, st)
+		if tsp != nil {
+			ssp := tsp.StartChild(fmt.Sprintf("shard[%d]", i))
+			setShardAttrs(ssp, st)
+			ssp.End()
+		}
+	}
+	tsp.End()
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
-	b, to := s.snapshot()
-	var ms []series.Match
-	var st core.Stats
-	tsp := obs.SpanFrom(ctx).StartChild("traverse")
-	if len(b.frozen) == 1 {
-		ms, st = b.frozen[0].SearchStats(q, eps)
-		setShardAttrs(tsp, st)
-		tsp.End()
-	} else {
-		g := s.ex.NewGroup()
-		p := s.queueSearch(g, ctx, b, q, eps, false)
-		g.Wait()
-		setShardSpans(tsp, p.st)
-		tsp.End()
-		if canceled(ctx) {
-			return nil, core.Stats{}, ctx.Err()
-		}
-		msp := obs.SpanFrom(ctx).StartChild("merge")
-		ms, st = p.resolve()
-		msp.End()
-	}
-	ms, st = s.withTail(obs.SpanFrom(ctx), b, to, q, eps, ms, st)
-	return ms, st, nil
-}
-
-// withTail appends to a range answer over b the twins among the tail
-// windows [b.end(), to), counting them into st. A traced query's span
-// sp also books the scan — a "tail" child carrying its candidates and
-// abandons — so that the tree's counters sum to st.
-func (s *Index) withTail(sp *obs.Span, b *base, to int, q []float64, eps float64, ms []series.Match, st core.Stats) ([]series.Match, core.Stats) {
-	if sp == nil || to == b.end() {
-		ms = core.ScanTail(s.ext, q, eps, b.end(), to, ms, &st)
-	} else {
-		setTail(sp, b, to)
-		tsp := sp.StartChild("tail")
-		var tail core.Stats
-		ms = core.ScanTail(s.ext, q, eps, b.end(), to, ms, &tail)
-		tsp.Set("candidates", tail.Candidates)
-		tsp.Set("abandons", tail.Abandons)
-		tsp.End()
-		st = AddStats(st, tail)
-	}
-	st.Results = len(ms)
-	return ms, st
-}
-
-// setTail notes on a traced query's span how many tail windows it scans
-// (to − b.end()); a query with none gets no attribute.
-func setTail(sp *obs.Span, b *base, to int) {
-	if sp != nil && to > b.end() {
-		sp.Set("tail_windows", to-b.end())
-	}
-}
-
-// setShardSpans hangs one counter child per shard under a fanned-out
-// traverse span. It runs after the barrier from already-collected
-// stats, so the hot work-unit closures stay untouched by tracing.
-// Shard timings interleave across workers; the shard spans carry
-// counters, not durations. Nil-safe.
-func setShardSpans(tsp *obs.Span, perShard []core.Stats) {
-	if tsp == nil {
-		return
-	}
-	for i, st := range perShard {
-		ssp := tsp.StartChild(fmt.Sprintf("shard[%d]", i))
-		setShardAttrs(ssp, st)
-		ssp.End()
-	}
+	return lists, sum, nil
 }
 
 // setShardAttrs annotates one shard's traversal span with its counters.
@@ -181,62 +118,77 @@ func setShardAttrs(sp *obs.Span, st core.Stats) {
 	// final set; the query's root span reports it.
 }
 
-// pendingTopK holds the per-shard lists of one enqueued top-k search;
-// resolve merges them after the group completes and offers the merged
-// list the tail — the top-k counterpart of pendingSearch.
-type pendingTopK struct {
-	lists [][]series.Match // [shard], each in (dist, start) order
-	st    []core.Stats     // [shard]; traced queries only
-	k     int
-	// The tail [from, to) the shards' base does not cover.
-	ext      *series.Extractor
-	q        []float64
-	from, to int
+// Tail is the tail step of every query path: scan verifies the n
+// windows no traversal covered — an index's tail, or the windows a
+// cached answer predates — and returns its counters, which Tail passes
+// back. A traced query's span sp books the scan: n as its
+// tail_windows, and a "tail" child carrying the scan's candidates and
+// abandons, so that the span tree's counters sum to the query's. scan
+// does not run when n is 0.
+func Tail(sp *obs.Span, n int, scan func() core.Stats) core.Stats {
+	if n <= 0 {
+		return core.Stats{}
+	}
+	if sp == nil {
+		return scan()
+	}
+	sp.Set("tail_windows", n)
+	tsp := sp.StartChild("tail")
+	st := scan()
+	tsp.Set("candidates", st.Candidates)
+	tsp.Set("abandons", st.Abandons)
+	tsp.End()
+	return st
 }
 
-// queueTopK enqueues one unit per held shard of b for one top-k search
-// into g — the one place top-k units are enqueued — and records the
-// tail [b.end(), to). The shards' traversals share one pruning bound
-// that starts at the caller's bound (math.Inf(1) = unbounded). It only
-// tightens the initial threshold; pruning stays on strict inequality,
-// so the merged result equals an unbounded traversal's whenever bound
-// is an upper bound on the true k-th distance. traced keeps the
-// shards' counters for setShardSpans; untraced queries drop them and
-// allocate nothing for them. A nil ctx never cancels.
-func (s *Index) queueTopK(g *exec.Group, ctx context.Context, b *base, to int, q []float64, k int, bound float64, traced bool) pendingTopK {
-	shared := core.NewSharedBound()
-	shared.Tighten(bound)
-	lists := make([][]series.Match, len(b.frozen))
-	var sts []core.Stats
-	if traced {
-		sts = make([]core.Stats, len(b.frozen))
+// SearchCtx is Search honoring cancellation: once ctx is done, queued
+// shard traversals are skipped and the call returns ctx.Err().
+func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
+	ms, _, err := s.SearchStatsCtx(ctx, q, eps)
+	return ms, err
+}
+
+// SearchStatsCtx is SearchStats honoring cancellation: one range
+// search over the base, its shards' answers concatenated — position
+// order, the partition being contiguous — and their counters summed,
+// then the tail's scan, whose windows count as candidates.
+func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
+	if canceled(ctx) {
+		return nil, core.Stats{}, ctx.Err()
 	}
-	for i, f := range b.frozen {
-		g.Go(func(*exec.Ctx) {
-			if canceled(ctx) {
-				return
-			}
-			ms, st := f.SearchTopKShared(q, k, shared)
-			lists[i] = ms
-			if sts != nil {
-				sts[i] = st
-			}
+	b, to := s.snapshot()
+	sp := obs.SpanFrom(ctx)
+	var ms []series.Match
+	var st core.Stats
+	if len(b.frozen) == 1 {
+		tsp := sp.StartChild("traverse")
+		ms, st = b.frozen[0].SearchStats(q, eps)
+		setShardAttrs(tsp, st)
+		tsp.End()
+	} else {
+		lists, sum, err := s.fanOut(ctx, sp, b, func(f *core.Frozen) ([]series.Match, core.Stats) {
+			return f.SearchStats(q, eps)
 		})
+		if err != nil {
+			return nil, core.Stats{}, err
+		}
+		msp := sp.StartChild("merge")
+		ms, st = slices.Concat(lists...), sum
+		msp.End()
 	}
-	return pendingTopK{lists: lists, st: sts, k: k, ext: s.ext, q: q, from: b.end(), to: to}
+	st = AddStats(st, Tail(sp, to-b.end(), func() (tail core.Stats) {
+		ms = core.ScanTail(s.ext, q, eps, b.end(), to, ms, &tail)
+		return tail
+	}))
+	st.Results = len(ms)
+	return ms, st, nil
 }
 
-// resolve k-way merges the shard lists into the first k matches under
-// the (dist, start) total order and offers that list the tail windows.
-// Call it only after the group's Wait.
-func (p pendingTopK) resolve() []series.Match {
-	return core.ScanTailTopK(p.ext, p.q, p.k, p.from, p.to, MergeTopK(p.lists, p.k))
-}
-
-// SearchTopKCtx is SearchTopK honoring cancellation, with the shared
-// pruning bound starting at the caller's bound (math.Inf(1) =
-// unbounded; see the contract above and queueTopK): the base's
-// traversal, then the tail offered to its list.
+// SearchTopKCtx is SearchTopK honoring cancellation, its traversals
+// pruning against the caller's bound (math.Inf(1) = unbounded; see the
+// contract above): the shards' traversals share one pruning bound that
+// starts at it and only tightens, their lists are k-way merged, and the
+// tail windows are offered to the merged list.
 func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound float64) ([]series.Match, error) {
 	if k <= 0 {
 		return nil, nil
@@ -245,10 +197,8 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 		return nil, ctx.Err()
 	}
 	b, to := s.snapshot()
-	// Traced queries get the same traverse/shard[i]/merge tree threshold
-	// search records, filled from the shards' own counters.
-	setTail(obs.SpanFrom(ctx), b, to)
-	tsp := obs.SpanFrom(ctx).StartChild("traverse")
+	sp := obs.SpanFrom(ctx)
+	var ms []series.Match
 	if len(b.frozen) == 1 {
 		// A lone traversal shares its bound with nobody: unless the
 		// caller passes one, its own k-th best is the whole limit, and
@@ -258,32 +208,37 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 			shared = core.NewSharedBound()
 			shared.Tighten(bound)
 		}
-		ms, st := b.frozen[0].SearchTopKShared(q, k, shared)
+		tsp := sp.StartChild("traverse")
+		var st core.Stats
+		ms, st = b.frozen[0].SearchTopKShared(q, k, shared)
 		setShardAttrs(tsp, st)
 		tsp.End()
-		return core.ScanTailTopK(s.ext, q, k, b.end(), to, ms), nil
+	} else {
+		shared := core.NewSharedBound()
+		shared.Tighten(bound)
+		lists, _, err := s.fanOut(ctx, sp, b, func(f *core.Frozen) ([]series.Match, core.Stats) {
+			return f.SearchTopKShared(q, k, shared)
+		})
+		if err != nil {
+			return nil, err
+		}
+		msp := sp.StartChild("merge")
+		ms = MergeTopK(lists, k)
+		msp.End()
 	}
-	g := s.ex.NewGroup()
-	p := s.queueTopK(g, ctx, b, to, q, k, bound, tsp != nil)
-	g.Wait()
-	setShardSpans(tsp, p.st)
-	tsp.End()
-	if canceled(ctx) {
-		return nil, ctx.Err()
-	}
-	msp := obs.SpanFrom(ctx).StartChild("merge")
-	ms := p.resolve()
-	msp.End()
+	Tail(sp, to-b.end(), func() (tail core.Stats) {
+		ms = core.ScanTailTopK(s.ext, q, k, b.end(), to, ms, &tail)
+		return tail
+	})
 	return ms, nil
 }
 
 // SearchPrefixTreeCtx is the tree half of SearchPrefix honoring
-// cancellation: the range fan-out with the truncated-bound traversal
-// (queueSearch, resolve; counters discarded) — prefix twins among the
-// indexed starts only, the tail's windows scanned at the query's
-// length. The windows that exist only at the shorter length are NOT
-// scanned here (the contract above): the caller decides who scans
-// them exactly once.
+// cancellation: the range skeleton with the truncated-bound traversal,
+// untraced (its counters are not kept) — prefix twins among the indexed
+// starts only, the tail's windows scanned at the query's length. The
+// windows that exist only at the shorter length are NOT scanned here
+// (the contract above): the caller decides who scans them exactly once.
 func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	b, to := s.snapshot()
 	if err := core.ValidatePrefix(q, s.l, s.ext.Mode()); err != nil {
@@ -296,13 +251,14 @@ func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float6
 	if len(b.frozen) == 1 {
 		tree, _ = b.frozen[0].SearchPrefixTree(q, eps) // validated above
 	} else {
-		g := s.ex.NewGroup()
-		p := s.queueSearch(g, ctx, b, q, eps, true)
-		g.Wait()
-		if canceled(ctx) {
-			return nil, ctx.Err()
+		lists, _, err := s.fanOut(ctx, nil, b, func(f *core.Frozen) ([]series.Match, core.Stats) {
+			ms, _ := f.SearchPrefixTree(q, eps) // validated above
+			return ms, core.Stats{}
+		})
+		if err != nil {
+			return nil, err
 		}
-		tree, _ = p.resolve()
+		tree = slices.Concat(lists...)
 	}
 	return core.ScanTail(s.ext, q, eps, b.end(), to, tree, nil), nil
 }

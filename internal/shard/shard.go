@@ -21,7 +21,7 @@
 // is searched exactly as the whole container's fan-out searches them.
 //
 // Every query path has one fan-out: its per-shard units go into one
-// executor group, waited on once, and a pending handle merges them. A
+// executor group, waited on once, and the path merges their lists. A
 // shard's traversal is never split: every held shard is traversed from
 // its root by one unit, so a shard's counters are its own tree's and
 // depend neither on the executor's width nor on the machine.
@@ -33,7 +33,6 @@
 package shard
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -225,25 +224,6 @@ func (s *Index) SearchStats(q []float64, eps float64) ([]series.Match, core.Stat
 	return ms, st
 }
 
-// pendingSearch holds the per-shard results of one enqueued range
-// search; resolve assembles them after the group completes.
-type pendingSearch struct {
-	res [][]series.Match // [shard] match lists, each in start order
-	st  []core.Stats     // [shard]
-}
-
-// resolve concatenates the shards' answers into one answer over the
-// base, shard after shard — position order, the partition being
-// contiguous — and sums their counters. The caller appends the tail's
-// twins.
-func (p pendingSearch) resolve() ([]series.Match, core.Stats) {
-	var st core.Stats
-	for _, s := range p.st {
-		st = AddStats(st, s)
-	}
-	return slices.Concat(p.res...), st
-}
-
 // AddStats sums two traversal-counter records field by field — the one
 // accumulation every fan-out layer (shards→index, node→coordinator)
 // must share, so a new counter cannot be summed in one place and
@@ -258,40 +238,6 @@ func AddStats(a, b core.Stats) core.Stats {
 	return a
 }
 
-// MergeByStart k-way merges start-sorted, start-disjoint match lists
-// into one start-sorted list — the deterministic range merge a
-// coordinator combines its groups' answers with.
-func MergeByStart(per [][]series.Match) []series.Match {
-	total := 0
-	for _, ms := range per {
-		total += len(ms)
-	}
-	if total == 0 {
-		return nil
-	}
-	h := make(startHeap, 0, len(per))
-	for i, ms := range per {
-		if len(ms) > 0 {
-			h = append(h, mergeItem{list: i, m: ms[0]})
-		}
-	}
-	heap.Init(&h)
-	out := make([]series.Match, 0, total)
-	next := make([]int, len(per))
-	for h.Len() > 0 {
-		top := h[0]
-		out = append(out, top.m)
-		next[top.list]++
-		if n := next[top.list]; n < len(per[top.list]) {
-			h[0] = mergeItem{list: top.list, m: per[top.list][n]}
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
-}
-
 // SearchTopK returns the k nearest subsequences under Chebyshev
 // distance in ascending (distance, start) order — identical to
 // core.Frozen.SearchTopK. Every shard's traversal shares one pruning
@@ -303,71 +249,47 @@ func (s *Index) SearchTopK(q []float64, k int) []series.Match {
 	return ms
 }
 
+// MergeByStart k-way merges start-sorted, start-disjoint match lists
+// into one start-sorted list — the deterministic range merge a
+// coordinator combines its groups' answers with.
+func MergeByStart(per [][]series.Match) []series.Match {
+	return merge(per, math.MaxInt, func(a, b series.Match) bool { return a.Start < b.Start })
+}
+
 // MergeTopK k-way merges start-disjoint, (dist, start)-sorted lists and
 // returns the first k under that total order — the deterministic top-k
 // merge of the local fan-out and of the coordinator.
 func MergeTopK(per [][]series.Match, k int) []series.Match {
-	h := make(distHeap, 0, len(per))
-	for i, ms := range per {
-		if len(ms) > 0 {
-			h = append(h, mergeItem{list: i, m: ms[0]})
-		}
+	return merge(per, k, func(a, b series.Match) bool {
+		return a.Dist < b.Dist || a.Dist == b.Dist && a.Start < b.Start
+	})
+}
+
+// merge k-way merges start-disjoint lists, each sorted under the strict
+// order less, into the first limit matches under less (nil when there
+// are none). The lists are few — one per shard or replica group — so
+// each step takes the least of their heads by a scan.
+func merge(per [][]series.Match, limit int, less func(a, b series.Match) bool) []series.Match {
+	total := 0
+	for _, ms := range per {
+		total += len(ms)
 	}
-	heap.Init(&h)
-	var out []series.Match
+	if limit = min(limit, total); limit <= 0 {
+		return nil
+	}
+	out := make([]series.Match, 0, limit)
 	next := make([]int, len(per))
-	for h.Len() > 0 && len(out) < k {
-		top := h[0]
-		out = append(out, top.m)
-		next[top.list]++
-		if n := next[top.list]; n < len(per[top.list]) {
-			h[0] = mergeItem{list: top.list, m: per[top.list][n]}
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
+	for len(out) < limit {
+		best := -1
+		for i, ms := range per {
+			if next[i] < len(ms) && (best < 0 || less(ms[next[i]], per[best][next[best]])) {
+				best = i
+			}
 		}
+		out = append(out, per[best][next[best]])
+		next[best]++
 	}
 	return out
-}
-
-type mergeItem struct {
-	list int
-	m    series.Match
-}
-
-// distHeap is a min-heap under the (dist, start) total order.
-type distHeap []mergeItem
-
-func (h distHeap) Len() int { return len(h) }
-func (h distHeap) Less(i, j int) bool {
-	if h[i].m.Dist != h[j].m.Dist {
-		return h[i].m.Dist < h[j].m.Dist
-	}
-	return h[i].m.Start < h[j].m.Start
-}
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-// startHeap is a min-heap by start position.
-type startHeap []mergeItem
-
-func (h startHeap) Len() int            { return len(h) }
-func (h startHeap) Less(i, j int) bool  { return h[i].m.Start < h[j].m.Start }
-func (h startHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *startHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *startHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
 }
 
 // SearchPrefix answers a query shorter than the indexed length (see

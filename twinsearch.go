@@ -500,16 +500,18 @@ func (e *Engine) searchCached(ctx context.Context, path qcache.Path, q []float64
 				sp.Set("result_cache", "hit")
 			} else {
 				sp.Set("result_cache", "extended")
-				sp.Set("tail_windows", windows-r.Windows)
 				tq := e.prepare(q)
-				if path == qcache.PathTopK {
-					// k rode in as a float64; past the window count every
-					// k is the same query, and that much converts back.
-					k := int(min(a, float64(windows)))
-					r.Matches = core.ScanTailTopK(e.ext, tq, k, r.Windows, windows, r.Matches)
-				} else {
-					r.Matches = core.ScanTail(e.ext, tq, a, r.Windows, windows, r.Matches, nil)
-				}
+				shard.Tail(sp, windows-r.Windows, func() (st core.Stats) {
+					if path == qcache.PathTopK {
+						// k rode in as a float64; past the window count every
+						// k is the same query, and that much converts back.
+						k := int(min(a, float64(windows)))
+						r.Matches = core.ScanTailTopK(e.ext, tq, k, r.Windows, windows, r.Matches, &st)
+					} else {
+						r.Matches = core.ScanTail(e.ext, tq, a, r.Windows, windows, r.Matches, &st)
+					}
+					return st
+				})
 				r.Windows = windows
 				e.res.Put(key, r)
 			}
