@@ -1,8 +1,9 @@
 package twinsearch
 
 // Append↔cache differential: a local TS-Index engine's cached answers —
-// Search, SearchTopK and SearchShorterCtx alike — are not invalidated
-// by Append but extended over the windows gained (see searchCached).
+// Search at full and at shorter length and SearchTopK alike — are not
+// invalidated by Append but extended over the windows gained (see
+// searchCached).
 // Whatever the cache does —
 // plain hit, extension, recompute — every answer must be byte-identical
 // to an uncached engine fed the same appends, and both to the
@@ -31,8 +32,8 @@ type carryRig struct {
 }
 
 // carryProbe is one cached request: a range search at eps, a top-k
-// when k > 0, or a prefix search (SearchShorterCtx) at eps when prefix
-// is set.
+// when k > 0, or a range search of the query's first half at eps when
+// prefix is set.
 type carryProbe struct {
 	q      []float64
 	eps    float64
@@ -50,13 +51,15 @@ func (p carryProbe) String() string {
 	return fmt.Sprintf("search(eps=%g)", p.eps)
 }
 
-// prefixProbes are the prefix searches of q at lengths L/2 and L, where
-// the normalization admits them.
+// prefixProbes are the range searches of q's prefixes of lengths L/2
+// and L−1 (one window exists only at that length), where the
+// normalization admits them. At length L a prefix is the range probe
+// itself.
 func prefixProbes(q []float64, eps float64, norm NormMode) []carryProbe {
 	if norm == NormPerSubsequence {
 		return nil
 	}
-	return []carryProbe{{q: q[:len(q)/2], eps: eps, prefix: true}, {q: q, eps: eps, prefix: true}}
+	return []carryProbe{{q: q[:len(q)/2], eps: eps, prefix: true}, {q: q[:len(q)-1], eps: eps, prefix: true}}
 }
 
 func newCarryRig(t *testing.T, data []float64, opt Options) *carryRig {
@@ -101,8 +104,8 @@ func (r *carryRig) expect(step string, hits, extended, misses uint64) {
 			want = oracle.TopK(r.ext, tq, p.k)
 		case p.prefix:
 			ctx := context.Background()
-			got, err = r.cached.SearchShorterCtx(ctx, p.q, p.eps)
-			plain, perr = r.shadow.SearchShorterCtx(ctx, p.q, p.eps)
+			got, err = r.cached.SearchCtx(ctx, p.q, p.eps)
+			plain, perr = r.shadow.SearchCtx(ctx, p.q, p.eps)
 			indexed, tail := oracle.Prefix(r.ext, r.cached.L(), tq, p.eps)
 			want = append(indexed, tail...)
 		default:
@@ -264,8 +267,8 @@ func TestAppendExtendsPrefixAnswers(t *testing.T) {
 	round := func(step string, hits, extended, misses uint64) {
 		t.Helper()
 		before := cached.ServingStats().Result
-		got, err := cached.SearchShorterCtx(context.Background(), q[:l/2], 0.3)
-		want, werr := plain.SearchShorterCtx(context.Background(), q[:l/2], 0.3)
+		got, err := cached.SearchCtx(context.Background(), q[:l/2], 0.3)
+		want, werr := plain.SearchCtx(context.Background(), q[:l/2], 0.3)
 		if err != nil || werr != nil {
 			t.Fatalf("%s: cached %v, uncached %v", step, err, werr)
 		}

@@ -88,8 +88,8 @@ func TestUseAfterClose(t *testing.T) {
 	if _, err := eng.SearchTopK(q, 3); err != ErrClosed {
 		t.Fatalf("SearchTopK after Close: %v", err)
 	}
-	if _, err := eng.SearchShorterCtx(context.Background(), q[:10], 0.3); err != ErrClosed {
-		t.Fatalf("SearchShorterCtx after Close: %v", err)
+	if _, err := eng.SearchCtx(context.Background(), q[:10], 0.3); err != ErrClosed {
+		t.Fatalf("SearchCtx (shorter query) after Close: %v", err)
 	}
 	if err := eng.Append(1, 2, 3); err != ErrClosed {
 		t.Fatalf("Append after Close: %v", err)

@@ -1,5 +1,6 @@
 // Command tsbench regenerates the paper's evaluation: Figures 4–8 plus
-// the §1 intro experiment, printed as aligned tables (and optionally
+// the §1 intro experiment and Figure 5l (Figure 5's lengths answered by
+// one index built at the longest), printed as aligned tables (and optionally
 // CSV), followed by the paper's time claims (harness.Claims), each
 // reported as holding, tied or reversed on the measured quartiles.
 // Every query-time cell, and every Figure 8 build, is timed
@@ -32,7 +33,7 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "which experiment: intro, 4, 5, 6, 7, 8, all")
+		figure   = flag.String("figure", "all", "which experiment: intro, 4, 5, 5l (one index at the longest ℓ answering every ℓ of Figure 5), 6, 7, 8, all")
 		scale    = flag.Float64("scale", 0.1, "EEG dataset scale (1 = paper's 1,801,999 points)")
 		full     = flag.Bool("full", false, "shorthand for -scale 1 (with -queries 100 this is the paper's exact setup; expect hours: the sweepline pays one random read per window per query)")
 		queries  = flag.Int("queries", 30, "workload size per experiment (paper: 100)")
@@ -69,6 +70,7 @@ func main() {
 	run("intro", r.FigureIntro)
 	run("4", r.Figure4)
 	run("5", r.Figure5)
+	run("5l", r.Figure5L)
 	run("6", r.Figure6)
 	run("7", r.Figure7)
 	run("8", r.Figure8)

@@ -50,7 +50,7 @@ func main() {
 		mmapIndex  = flag.Bool("mmap", false, "memory-map the -loadindex file instead of reading it (near-zero open cost; pages fault in as the query touches them)")
 		prefetch   = flag.Bool("prefetch", false, "warm a memory-mapped index at open (madvise + bounded touch) instead of paying page faults during the query")
 		remote     = flag.String("remote", "", "query a running tsserve (standalone or coordinator) at this base URL instead of building anything locally")
-		indexLen   = flag.Int("indexlen", 0, "index at this length instead of the query length; shorter queries then use the prefix search")
+		indexLen   = flag.Int("indexlen", 0, "index at this length instead of the query length; a query up to that long is then answered by the same index")
 		shards     = flag.Int("shards", 0, "index partitions built and searched in parallel (0 = one index, -1 = one per CPU)")
 		trace      = flag.Bool("trace", false, "record the query's span trace and pretty-print it after the matches (with -remote, asks the server via ?trace=1)")
 	)
@@ -164,8 +164,6 @@ func main() {
 	switch {
 	case *topk > 0:
 		matches, err = eng.SearchTopKCtx(ctx, q, *topk)
-	case len(q) < eng.L():
-		matches, err = eng.SearchShorterCtx(ctx, q, *eps)
 	default:
 		matches, err = eng.SearchCtx(ctx, q, *eps)
 	}

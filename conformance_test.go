@@ -389,13 +389,13 @@ func (c *confCell) paths(ctx context.Context, at string, qi int, d *confWant, ks
 	}
 
 	eps := d.eps[1]
-	got, err := e.SearchShorterCtx(ctx, q[:confL/2], eps)
+	got, err := e.SearchCtx(ctx, q[:confL/2], eps)
 	if e.Norm() == NormPerSubsequence {
 		if want := "core: prefix queries are unsupported under per-subsequence normalization"; err == nil || err.Error() != want || got != nil {
-			c.t.Fatalf("%s: SearchShorterCtx under per-window norm: %d matches, error %v, want %q", at, len(got), err, want)
+			c.t.Fatalf("%s: shorter Search under per-window norm: %d matches, error %v, want %q", at, len(got), err, want)
 		}
 	} else {
-		c.expect(at+" SearchShorterCtx", got, err, d.prefix)
+		c.expect(at+" shorter Search", got, err, d.prefix)
 	}
 }
 
@@ -413,19 +413,24 @@ func backingStats(e *Engine, tq []float64, eps float64) ([]Match, core.Stats, er
 // under s. Results stays 0. A node's subtree is grafted from JSON, so
 // its counters are float64.
 func spanCounters(s *obs.Span) core.Stats {
-	n := func(k string) int {
-		if v, ok := s.Attrs[k].(float64); ok {
-			return int(v)
-		}
-		v, _ := s.Attrs[k].(int)
-		return v
-	}
+	n := func(k string) int { return spanInt(s, k) }
 	st := core.Stats{NodesVisited: n("nodes_visited"), NodesPruned: n("nodes_pruned"),
 		LeavesReached: n("leaves_reached"), Candidates: n("candidates"), Abandons: n("abandons")}
 	for _, c := range s.Children {
 		st = shard.AddStats(st, spanCounters(c))
 	}
 	return st
+}
+
+// spanInt reads s's integer attribute k: an int where the span was
+// recorded in process, a float64 where it was grafted from a node's
+// JSON, 0 where it is absent.
+func spanInt(s *obs.Span, k string) int {
+	if v, ok := s.Attrs[k].(float64); ok {
+		return int(v)
+	}
+	v, _ := s.Attrs[k].(int)
+	return v
 }
 
 // expect fails the cell unless got is want.

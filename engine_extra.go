@@ -1,19 +1,16 @@
 package twinsearch
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
-	"twinsearch/internal/qcache"
 	"twinsearch/internal/shard"
 )
 
@@ -198,53 +195,6 @@ func sniffSaved(hdr []byte) (sharded bool, err error) {
 	default:
 		return false, fmt.Errorf("twinsearch: saved index has unknown magic %q", hdr[:4])
 	}
-}
-
-// SearchShorterCtx answers a twin query whose length is at most L using
-// the existing index (no rebuild): node bounds are truncated to the
-// query length — sound by the paper's closure property, see
-// core.Frozen.SearchPrefix — and the few trailing windows that exist
-// only at the shorter length are scanned directly. Exact. Requires a
-// normalization other than NormPerSubsequence. ctx cancels as for
-// SearchCtx.
-func (e *Engine) SearchShorterCtx(ctx context.Context, q []float64, eps float64) ([]Match, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	ctx, qo := e.beginQuery(ctx, qpPrefix)
-	var ms []Match
-	err := checkPrefixQuery(q, eps)
-	if err == nil {
-		ms, err = e.searchCached(ctx, qcache.PathPrefix, q, eps, func(tq []float64) ([]Match, error) {
-			return e.searchShorterPreparedCtx(ctx, tq, eps)
-		})
-	}
-	e.endQuery(qo, err)
-	return ms, err
-}
-
-// checkPrefixQuery refuses what SearchShorterCtx cannot answer. NaN
-// slips past a plain eps < 0 check (NaN < 0 is false) and would poison
-// the early-abandoning comparisons; validate like Search. So would a
-// NaN in the query: it compares false against every truncated bound
-// and every window, and matches them all.
-func checkPrefixQuery(q []float64, eps float64) error {
-	if eps < 0 || math.IsNaN(eps) {
-		return fmt.Errorf("twinsearch: invalid threshold %v", eps)
-	}
-	if len(q) == 0 {
-		return errors.New("twinsearch: empty query")
-	}
-	return finiteQuery(q)
-}
-
-// searchShorterPreparedCtx dispatches a transformed prefix query to the
-// engine's backing.
-func (e *Engine) searchShorterPreparedCtx(ctx context.Context, tq []float64, eps float64) ([]Match, error) {
-	if e.cl != nil {
-		return e.cl.SearchPrefix(ctx, tq, eps)
-	}
-	return e.sh.SearchPrefixCtx(ctx, tq, eps)
 }
 
 // Append ingests new trailing values into the engine's series and

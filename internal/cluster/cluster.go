@@ -281,7 +281,9 @@ func (c *Coordinator) Replicas() int { return c.replicas }
 
 // Search returns all twins of q at eps across the cluster, sorted by
 // start — byte-identical to a single local engine over the same saved
-// index.
+// index. q may be shorter than L: the group holding the last shard
+// scans the windows that exist only at its length (see internal/shard),
+// so the merge needs no step of its own.
 func (c *Coordinator) Search(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	ms, _, err := c.SearchStats(ctx, q, eps)
 	return ms, err
@@ -356,25 +358,6 @@ func (c *Coordinator) SearchTopK(ctx context.Context, q []float64, k int) ([]ser
 	}
 	lists[seed] = first
 	return shard.MergeTopK(lists, k), nil
-}
-
-// SearchPrefix answers a query shorter than the indexed length: the
-// truncated-bound tree halves fan across the groups, and the tail
-// windows that exist only at the shorter length — which belong to no
-// shard — are scanned exactly once, here at the coordinator (it holds
-// the full series).
-func (c *Coordinator) SearchPrefix(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	if err := core.ValidatePrefix(q, c.l, c.ext.Mode()); err != nil {
-		return nil, err
-	}
-	per, err := fanOut(ctx, c, -1, func(ctx context.Context, b *remote) ([]series.Match, error) {
-		a, err := b.call(ctx, Request{Kind: KindPrefix, Eps: eps, Query: q})
-		return a.Matches, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return core.ScanPrefixTail(c.ext, c.l, q, eps, shard.MergeByStart(per)), nil
 }
 
 // --- the shard-RPC client ---

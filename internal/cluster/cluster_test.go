@@ -220,16 +220,20 @@ func TestClusterDifferential(t *testing.T) {
 							t.Fatalf("q=%d k=%d: topk diverged:\n%v\nvs\n%v", qp, k, got, want)
 						}
 					}
-					// Prefix (unsupported under per-subsequence norm: both
-					// sides must refuse identically).
+					// A shorter query (unsupported under per-subsequence
+					// norm: the nodes refuse it; a local index trusts its
+					// caller to).
 					short := q[:testL/2]
-					wantP, wantErr := local.SearchPrefix(short, 0.3)
-					gotP, gotErr := cl.SearchPrefix(ctx, short, 0.3)
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("q=%d prefix: error mismatch: %v vs %v", qp, gotErr, wantErr)
+					wantP, wantSt := local.SearchStats(short, 0.3)
+					gotP, gotSt, gotErr := cl.SearchStats(ctx, short, 0.3)
+					if mode == series.NormPerSubsequence {
+						if gotErr == nil {
+							t.Fatalf("q=%d prefix: accepted under per-subsequence normalization", qp)
+						}
+						continue
 					}
-					if wantErr == nil && !sameMatches(wantP, gotP) {
-						t.Fatalf("q=%d prefix: diverged (%d vs %d results)", qp, len(gotP), len(wantP))
+					if gotErr != nil || !sameMatches(wantP, gotP) || wantSt != gotSt {
+						t.Fatalf("q=%d prefix: diverged (%d vs %d results, %+v vs %+v, %v)", qp, len(gotP), len(wantP), gotSt, wantSt, gotErr)
 					}
 				}
 			})

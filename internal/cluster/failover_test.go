@@ -131,14 +131,15 @@ func TestFailoverDifferential(t *testing.T) {
 					if !sameMatches(wantK, gotK) {
 						t.Fatalf("topk diverged:\n%v\nvs\n%v", gotK, wantK)
 					}
-					// Path 4: prefix (refused identically under per-sub norm).
+					// Path 4: a shorter query (the nodes refuse it under
+					// per-sub norm).
 					short := q[:testL/2]
-					wantP, wantErr := local.SearchPrefix(short, 0.3)
-					gotP, gotErr := cl.SearchPrefix(ctx, short, 0.3)
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("prefix error mismatch: %v vs %v", gotErr, wantErr)
+					wantP, wantSt := local.SearchStats(short, 0.3)
+					gotP, gotSt, gotErr := cl.SearchStats(ctx, short, 0.3)
+					if (mode == series.NormPerSubsequence) != (gotErr != nil) {
+						t.Fatalf("prefix error %v under %v", gotErr, mode)
 					}
-					if wantErr == nil && !sameMatches(wantP, gotP) {
+					if gotErr == nil && (!sameMatches(wantP, gotP) || wantSt != gotSt) {
 						t.Fatalf("prefix diverged")
 					}
 				})

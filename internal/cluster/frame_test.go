@@ -99,7 +99,7 @@ func FuzzShardFrame(f *testing.F) {
 				words[i] |= uint64(data[8*i+j]) << (8 * j)
 			}
 		}
-		q := cluster.Request{Kind: cluster.KindSearch + cluster.Kind(uint(k)%3), Trace: k&1 == 1,
+		q := cluster.Request{Kind: cluster.KindSearch + cluster.Kind(uint(k)%2), Trace: k&1 == 1,
 			Eps: eps, K: k, Bound: bound}
 		a := cluster.Answer{Trace: data}
 		for i, w := range words {
@@ -183,23 +183,26 @@ func TestShardFrameRefusals(t *testing.T) {
 		{"topk unbounded", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Inf(1), Query: q}), 200, ""},
 		{"topk bound -0", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Copysign(0, -1), Query: q}), 200, ""},
 		{"topk ignores eps", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Eps: math.NaN(), Bound: math.Inf(1), Query: q}), 200, ""},
-		{"prefix", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: 0.4, Query: q[:testL/2]}), 200, ""},
+		{"shorter", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: q[:testL/2]}), 200, ""},
+		{"length 1", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: q[:1]}), 200, ""},
 
 		// The node's screens, in the words they always had.
-		{"short query", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: q[:2]}), 400, "query length 2, node indexes L=32"},
+		{"short top-k query", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Inf(1), Query: q[:2]}), 400, "query length 2, node indexes L=32"},
+		{"long query", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: append(q, 0)}), 400, "query length 33, node indexes L=32"},
 		{"empty query", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4}), 400, "query length 0, node indexes L=32"},
 		{"NaN value", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: withValue(3, math.NaN())}), 400, "non-finite query value NaN at position 3"},
-		{"Inf value", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: 0.4, Query: withValue(1, math.Inf(-1))[:4]}), 400, "non-finite query value -Inf at position 1"},
+		{"Inf value", frame(cluster.Request{Kind: cluster.KindSearch, Eps: 0.4, Query: withValue(1, math.Inf(-1))[:4]}), 400, "non-finite query value -Inf at position 1"},
 		{"negative eps", frame(cluster.Request{Kind: cluster.KindSearch, Eps: -1, Query: q}), 400, "invalid threshold -1"},
-		{"NaN eps", frame(cluster.Request{Kind: cluster.KindPrefix, Eps: math.NaN(), Query: q}), 400, "invalid threshold NaN"},
+		{"NaN eps", frame(cluster.Request{Kind: cluster.KindSearch, Eps: math.NaN(), Query: q}), 400, "invalid threshold NaN"},
 		{"NaN bound", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.NaN(), Query: q}), 400, "invalid bound NaN"},
 		{"negative bound", frame(cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: -0.5, Query: q}), 400, "invalid bound -0.5"},
 
 		// Not a request frame of this version.
-		{"JSON in a frame", jsonBody, 400, bad + "version 123, this build speaks 3"},
+		{"JSON in a frame", jsonBody, 400, bad + "version 123, this build speaks 4"},
 		{"empty", nil, 400, bad + "truncated"},
-		{"previous version", append([]byte{cluster.FrameVersion - 1}, search[1:]...), 400, bad + "version 2, this build speaks 3"},
-		{"next version", append([]byte{cluster.FrameVersion + 1}, search[1:]...), 400, bad + "version 4, this build speaks 3"},
+		{"v3 frame", append([]byte{3}, search[1:]...), 400, bad + "version 3, this build speaks 4"},
+		{"next version", append([]byte{cluster.FrameVersion + 1}, search[1:]...), 400, bad + "version 5, this build speaks 4"},
+		{"kind 3 (the retired prefix kind)", append([]byte{cluster.FrameVersion, 3}, search[2:]...), 400, bad + "kind 3"},
 		{"unknown kind", append([]byte{cluster.FrameVersion, 9}, search[2:]...), 400, bad + "kind 9"},
 		{"kind 0", append([]byte{cluster.FrameVersion, 0}, search[2:]...), 400, bad + "kind 0"},
 		{"unknown flags", append([]byte{cluster.FrameVersion, 1, 2}, search[3:]...), 400, bad + "flag byte 2"},

@@ -25,6 +25,7 @@ import (
 
 	"twinsearch/internal/core"
 	"twinsearch/internal/obs"
+	"twinsearch/internal/series"
 	"twinsearch/internal/wire"
 )
 
@@ -217,7 +218,7 @@ func (h *NodeRPC) answer(ctx context.Context, q *Request, out []byte) []byte {
 // run answers q on the node's shards once screen has passed it.
 func (h *NodeRPC) run(ctx context.Context, q *Request) (a Answer, err error) {
 	sub := h.n.Sub
-	if err = screen(q, sub.L()); err != nil {
+	if err = screen(q, sub.L(), sub.Extractor().Mode()); err != nil {
 		return a, err
 	}
 	var st core.Stats
@@ -227,21 +228,23 @@ func (h *NodeRPC) run(ctx context.Context, q *Request) (a Answer, err error) {
 		a.Stats = &st
 	case KindTopK:
 		a.Matches, err = sub.SearchTopKCtx(ctx, q.Query, q.K, q.Bound)
-	case KindPrefix:
-		a.Matches, err = sub.SearchPrefixTreeCtx(ctx, q.Query, q.Eps)
 	}
 	return a, err
 }
 
 // screen refuses at the door what the shard layer assumes valid: it
-// panics on length mismatches (its callers validate), and non-finite
-// values would poison the early-abandoning comparisons. l is the
-// node's indexed length.
-func screen(q *Request, l int) error {
-	// Prefix queries are shorter than L by design; the shard layer
-	// validates their length itself.
-	if len(q.Query) != l && q.Kind != KindPrefix {
-		return fmt.Errorf("query length %d, node indexes L=%d", len(q.Query), l)
+// panics on a query length it cannot answer (its callers validate) —
+// a range query's outside 1…L, a top-k query's other than L — a
+// shorter query's bounds do not truncate under per-subsequence
+// normalization, and non-finite values would poison the
+// early-abandoning comparisons. l is the node's indexed length and mode
+// its series' normalization.
+func screen(q *Request, l int, mode series.NormMode) error {
+	if n := len(q.Query); n == 0 || n > l || n != l && q.Kind == KindTopK {
+		return fmt.Errorf("query length %d, node indexes L=%d", n, l)
+	}
+	if len(q.Query) < l && mode == series.NormPerSubsequence {
+		return fmt.Errorf("query length %d, node indexes L=%d: a shorter query is unsupported under per-subsequence normalization", len(q.Query), l)
 	}
 	if q.Kind != KindTopK && (q.Eps < 0 || math.IsNaN(q.Eps)) { // top-k has no threshold
 		return fmt.Errorf("invalid threshold %v", q.Eps)

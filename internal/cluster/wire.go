@@ -10,7 +10,7 @@ package cluster
 //
 //	stream:  u32 len, request → u32 status (200, 400, 413 or 503),
 //	         u32 len, answer (200) or JSON {"error": ...}
-//	request: u8 FrameVersion, u8 kind (1 search, 2 topk, 3 prefix),
+//	request: u8 FrameVersion, u8 kind (1 search, 2 topk),
 //	         u8 flags (1: return the node's span tree), f64 eps, i64 k,
 //	         f64 bound (+Inf: none), u32 n, n × f64 query
 //	answer:  u8 FrameVersion, u32 n, n × (i64 start, f64 dist),
@@ -34,7 +34,7 @@ const (
 	// node reports it in /healthz and a coordinator refuses a node
 	// reporting another, at open and at rejoin, so a cluster of mixed
 	// builds fails loudly.
-	FrameVersion = 3
+	FrameVersion = 4
 	// StreamPath and StreamProtocol are the stream's Upgrade request.
 	StreamPath     = "/shard/stream"
 	StreamProtocol = "twinsearch-shard"
@@ -46,11 +46,10 @@ type Kind uint8
 const (
 	KindSearch Kind = iota + 1 // all twins at eps, with stats
 	KindTopK                   // the k nearest within a bound
-	KindPrefix                 // the tree half of a shorter query
 )
 
 // String names k in errors.
-func (k Kind) String() string { return [...]string{"", "search", "topk", "prefix"}[k] }
+func (k Kind) String() string { return [...]string{"", "search", "topk"}[k] }
 
 // Request is one shard RPC: the path's parameters and a query in engine
 // value space. Fields its kind does not use travel as written.
@@ -103,7 +102,7 @@ func ParseRequest(b []byte) (Request, error) {
 	f := frame{b: b}
 	f.version()
 	q := Request{Kind: Kind(f.u8()), Trace: f.flag()}
-	if q.Kind < KindSearch || q.Kind > KindPrefix {
+	if q.Kind < KindSearch || q.Kind > KindTopK {
 		f.fail("kind %d", q.Kind)
 	}
 	q.Eps, q.K, q.Bound = f.f64(), f.int(), f.f64()

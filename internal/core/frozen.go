@@ -42,10 +42,10 @@ package core
 // The arena is the only searchable form, and nothing mutates it: the
 // builder inserts, freeze compiles it as a build's last step (an index
 // that grows scans its new windows as a tail until a rebuild; see
-// internal/shard), and every query — range (Algorithm 1), top-k,
-// prefix — walks the arrays below, one traversal per path, always from
-// the root: a sharded index runs one whole walk per shard, never a
-// piece of one. What each walk visits, in what order, is pinned by
+// internal/shard), and every query — range (Algorithm 1) at any
+// length up to L, and top-k — walks the arrays below, one traversal per
+// path, always from the root: a sharded index runs one whole walk per
+// shard, never a piece of one. What each walk visits, in what order, is pinned by
 // TestTraversalGoldenStats; what it answers, by internal/oracle.
 
 import (
@@ -213,20 +213,32 @@ func (f *Frozen) MappedBytes() int {
 // region rather than heap slices.
 func (f *Frozen) Mapped() bool { return f.backing != nil && f.backing.Mapped() }
 
-// Search returns all twin subsequences of q at threshold eps, in start
-// order (§5.3, Algorithm 1): the tree is walked from the root and every
-// subtree whose MBTS is farther than ε from the query is pruned — sound
-// by Lemma 1: for any sequence S enclosed by MBTS B, d(Q, B) ≤ d∞(Q, S).
-// q must be in the extractor's value space and len(q) must equal the
-// indexed length.
+// Search returns all twin subsequences of q at threshold eps among the
+// indexed window starts, in start order (§5.3, Algorithm 1): the tree
+// is walked from the root and every subtree whose MBTS is farther than
+// ε from the query is pruned — sound by Lemma 1: for any sequence S
+// enclosed by MBTS B, d(Q, B) ≤ d∞(Q, S). q must be in the extractor's
+// value space, with 1 ≤ len(q) ≤ L.
+//
+// A query shorter than the indexed length ℓ < L is answered by the same
+// walk — the direction ULISSE takes data-series indexing, derived here
+// from the paper's own closure property (§3.1): the first ℓ timestamps
+// of a node's MBTS bound the first ℓ values of every window beneath it,
+// so the Eq. 2 distance over that prefix still lower-bounds d∞(Q,
+// T[p,ℓ]) for every indexed start p. The starts (n−L, n−ℓ] exist only
+// at the shorter length and belong to no tree: the caller verifies them
+// with ScanTail. Per-subsequence normalization is the caller's to
+// refuse: z-normalizing T[p,ℓ] is not a prefix of z-normalizing T[p,L],
+// so the stored bounds do not transfer.
 func (f *Frozen) Search(q []float64, eps float64) []series.Match {
 	ms, _ := f.SearchStats(q, eps)
 	return ms
 }
 
-// SearchStats is Search with traversal counters.
+// SearchStats is Search with traversal counters. It panics on a query
+// length outside 1…L: its callers validate.
 func (f *Frozen) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
-	if len(q) != f.cfg.L {
+	if len(q) == 0 || len(q) > f.cfg.L {
 		panic(fmt.Sprintf("core: query length %d, index built for %d", len(q), f.cfg.L))
 	}
 	out, st := f.traverseRange(q, eps)
@@ -248,7 +260,7 @@ const frozenStackCap = 256
 // spills to the heap once.
 const sweepScratchCap = 64
 
-// sweepChildren scores internal node n's children against q (a prefix
+// sweepChildren scores internal node n's children against q (a shorter
 // query scores the first len(q) lanes of each row) in one forward pass
 // over their contiguous bound rows: in the result, entry j is child
 // f.first[n]+j's Eq. 2 distance, or negative when it exceeds limit.
@@ -265,13 +277,14 @@ func (f *Frozen) sweepChildren(n int32, q []float64, limit float64, dists []floa
 	return dists
 }
 
-// traverseRange is the range traversal behind SearchStats and
-// SearchPrefixTree (len(q) ≤ L). The root is tested once; from then on
-// the stack holds only nodes that passed Lemma 1, each child tested —
-// with early abandoning, as soon as any timestamp pushes its Eq. 2
-// distance beyond ε — when its parent is expanded, and survivors pushed
-// in child order and visited LIFO. Matches come back in traversal
-// order, and Stats.Results is left zero.
+// traverseRange is the range traversal behind SearchStats (len(q) ≤ L:
+// a shorter query's Lemma 1 test reads the first len(q) lanes of each
+// bound row, the sweep's stride staying L). The root is tested once;
+// from then on the stack holds only nodes that passed Lemma 1, each
+// child tested — with early abandoning, as soon as any timestamp pushes
+// its Eq. 2 distance beyond ε — when its parent is expanded, and
+// survivors pushed in child order and visited LIFO. Matches come back
+// in traversal order, and Stats.Results is left zero.
 //
 // The traversal allocates nothing but its answer: the stack and both
 // sweep scratches stay on the goroutine stack, spilling only past
@@ -396,65 +409,6 @@ func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) ([]se
 	*buf = pq[:0]
 	frontiers.Put(buf)
 	return t.sorted(), t.st
-}
-
-// SearchPrefix answers twin queries SHORTER than the indexed length —
-// the direction ULISSE takes data-series indexing, derived here from
-// the paper's own closure property (§3.1): time-aligned subsequences of
-// twins are twins. Consequently, for a query of length l ≤ L:
-//
-//   - the first l timestamps of a node's MBTS bound the first l values
-//     of every indexed window beneath it, so the Eq. 2 distance computed
-//     over that prefix still lower-bounds d∞(Q, T[p,l]) for every
-//     indexed start p — Lemma 1 survives truncation;
-//   - indexed starts cover p ∈ [0, n−L]; the remaining starts
-//     p ∈ (n−L, n−l] exist only at the shorter length and are verified
-//     by a bounded tail scan of at most L−l windows.
-//
-// The combination is exact. Per-subsequence normalization is
-// unsupported: z-normalizing T[p,l] is not a prefix of z-normalizing
-// T[p,L], so the stored bounds do not transfer.
-func (f *Frozen) SearchPrefix(q []float64, eps float64) ([]series.Match, error) {
-	out, err := f.SearchPrefixTree(q, eps)
-	if err != nil {
-		return nil, err
-	}
-	// Tail starts are generated ascending and all exceed every indexed
-	// start, so appending them keeps the result sorted.
-	return ScanPrefixTail(f.ext, f.cfg.L, q, eps, out), nil
-}
-
-// ValidatePrefix checks a prefix query against an index of length l
-// over a series in mode — the validation half of SearchPrefixTree,
-// hoisted out so the sharded fan-out and the cluster coordinator
-// validate once, with the same texts, before fanning out.
-func ValidatePrefix(q []float64, l int, mode series.NormMode) error {
-	if len(q) > l {
-		return fmt.Errorf("core: prefix query length %d exceeds indexed length %d", len(q), l)
-	}
-	if len(q) == 0 {
-		return fmt.Errorf("core: empty query")
-	}
-	if mode == series.NormPerSubsequence {
-		return fmt.Errorf("core: prefix queries are unsupported under per-subsequence normalization")
-	}
-	return nil
-}
-
-// SearchPrefixTree is the tree-traversal half of SearchPrefix: it
-// reports prefix twins among the INDEXED starts only, leaving the tail
-// starts that exist solely at the shorter length to the caller. The
-// traversal is the range one with the truncated Lemma 1 check, which
-// reads only the first len(q) entries of each node's bound rows (the
-// sweep's stride stays L). internal/shard runs it on every shard and
-// scans the tail once; most callers want SearchPrefix.
-func (f *Frozen) SearchPrefixTree(q []float64, eps float64) ([]series.Match, error) {
-	if err := ValidatePrefix(q, f.cfg.L, f.ext.Mode()); err != nil {
-		return nil, err
-	}
-	out, _ := f.traverseRange(q, eps)
-	series.SortMatches(out)
-	return out, nil
 }
 
 // frozenItem pairs an arena node id with its Eq. 2 lower bound for the

@@ -9,6 +9,14 @@ import (
 	"twinsearch/internal/series"
 )
 
+// searchShorter answers a query of length 1…L on f whole: the range
+// traversal over the indexed starts, then ScanTail over the starts that
+// exist only at the query's length.
+func searchShorter(f *Frozen, q []float64, eps float64) []series.Match {
+	ms, _ := f.SearchStats(q, eps)
+	return ScanTail(f.ext, q, eps, f.Len(), series.NumSubsequences(f.ext.Len(), len(q)), ms, nil)
+}
+
 func TestSearchPrefixMatchesOracle(t *testing.T) {
 	for _, mode := range []series.NormMode{series.NormNone, series.NormGlobal} {
 		ts := datasets.InsectN(41, 6000)
@@ -16,17 +24,13 @@ func TestSearchPrefixMatchesOracle(t *testing.T) {
 		for _, l := range []int{20, 60, 119, 120} {
 			q := ext.ExtractCopy(2000, l)
 			for _, eps := range []float64{0.2, 0.8, 2.5} {
-				got, err := f.SearchPrefix(q, eps)
-				if err != nil {
-					t.Fatalf("mode=%v l=%d: %v", mode, l, err)
-				}
+				got := searchShorter(f, q, eps)
 				indexed, tail := oracle.Prefix(ext, 120, q, eps)
 				if want := slices.Concat(indexed, tail); !slices.Equal(got, want) {
 					t.Fatalf("mode=%v l=%d eps=%v: %d vs %d results", mode, l, eps, len(got), len(want))
 				}
-				tree, err := f.SearchPrefixTree(q, eps)
-				if err != nil || !slices.Equal(tree, indexed) {
-					t.Fatalf("mode=%v l=%d eps=%v: tree half %d results (%v), oracle %d", mode, l, eps, len(tree), err, len(indexed))
+				if tree, _ := f.SearchStats(q, eps); !slices.Equal(tree, indexed) {
+					t.Fatalf("mode=%v l=%d eps=%v: tree half %d results, oracle %d", mode, l, eps, len(tree), len(indexed))
 				}
 			}
 		}
@@ -42,10 +46,7 @@ func TestSearchPrefixTailCoverage(t *testing.T) {
 	// tail scan can find its exact position.
 	l := 40
 	q := ext.ExtractCopy(len(ts)-l, l)
-	got, err := f.SearchPrefix(q, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := searchShorter(f, q, 1e-12)
 	found := false
 	for _, m := range got {
 		if m.Start == len(ts)-l {
@@ -57,17 +58,20 @@ func TestSearchPrefixTailCoverage(t *testing.T) {
 	}
 }
 
+// TestSearchPrefixErrors: a range query's length must be 1…L — the
+// callers validate (and refuse a shorter query under per-subsequence
+// normalization), so the traversal panics on anything else.
 func TestSearchPrefixErrors(t *testing.T) {
 	ts := datasets.RandomWalk(2, 2000)
 	f, _ := frozenOver(t, ts, series.NormGlobal, Config{L: 100})
-	if _, err := f.SearchPrefix(make([]float64, 101), 1); err == nil {
-		t.Fatal("over-length query must fail")
-	}
-	if _, err := f.SearchPrefix(nil, 1); err == nil {
-		t.Fatal("empty query must fail")
-	}
-	per, _ := frozenOver(t, ts, series.NormPerSubsequence, Config{L: 100})
-	if _, err := per.SearchPrefix(make([]float64, 50), 1); err == nil {
-		t.Fatal("per-subsequence mode must be rejected")
+	for _, q := range [][]float64{make([]float64, 101), nil} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a %d-value query must panic", len(q))
+				}
+			}()
+			f.SearchStats(q, 1)
+		}()
 	}
 }

@@ -39,10 +39,7 @@ func TestSweepTraversalShapes(t *testing.T) {
 						}
 
 						short := q[:l-37]
-						gotP, err := f.SearchPrefix(short, eps)
-						if err != nil {
-							t.Fatal(err)
-						}
+						gotP := searchShorter(f, short, eps)
 						if want := oracle.Range(ext, short, eps); !slices.Equal(gotP, want) {
 							t.Fatalf("q@%d eps=%g: prefix %d matches, oracle %d", start, eps, len(gotP), len(want))
 						}
@@ -59,17 +56,21 @@ func TestSweepTraversalShapes(t *testing.T) {
 	}
 }
 
-// TestFrozenUnitQueryLength: the counting entry points reject a
-// wrong-length query themselves — with children scored as rows, a
-// short query would otherwise match on a prefix of every row.
+// TestFrozenUnitQueryLength: the counting entry points reject a query
+// length they cannot answer themselves — with children scored as rows,
+// a short top-k query would otherwise match on a prefix of every row,
+// and a range query accepts only 1…L.
 func TestFrozenUnitQueryLength(t *testing.T) {
 	f, _ := frozenOver(t, datasets.RandomWalk(1, 500), series.NormGlobal, Config{L: 50})
-	for _, n := range []int{49, 51} {
+	for _, n := range []int{0, 49, 51} {
 		q := make([]float64, n)
 		for name, search := range map[string]func(){
 			"SearchStats":      func() { f.SearchStats(q, 1) },
 			"SearchTopKShared": func() { f.SearchTopKShared(q, 3, nil) },
 		} {
+			if name == "SearchStats" && n == 49 {
+				continue // a shorter range query is answered
+			}
 			func() {
 				defer func() {
 					if recover() == nil {
@@ -84,7 +85,7 @@ func TestFrozenUnitQueryLength(t *testing.T) {
 
 // TestFrozenSearchAllocs pins the allocation budget of every range
 // path that verifies in memory, on a bench-shaped index (EEG, L = 100,
-// global normalisation): the range and prefix traversals and the tail
+// global normalisation): the range traversal at full and shorter length and the tail
 // scan. A traversal that reaches no leaf allocates nothing, and one
 // that does allocates its answer — the doublings of the match slice —
 // and nothing else: the stack, both sweep scratches and the candidates
@@ -100,8 +101,8 @@ func TestFrozenSearchAllocs(t *testing.T) {
 			ms, _ := f.SearchStats(q, 0.2)
 			return ms
 		},
-		"SearchPrefixTree": func(q []float64) []series.Match {
-			ms, _ := f.SearchPrefixTree(q[:60], 0.2)
+		"SearchStats/shorter": func(q []float64) []series.Match {
+			ms, _ := f.SearchStats(q[:60], 0.2)
 			return ms
 		},
 		"ScanTail": func(q []float64) []series.Match {

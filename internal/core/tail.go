@@ -7,8 +7,8 @@ import "twinsearch/internal/series"
 // the filter–verification split (paper §3.2) makes verification exact
 // on any window set. They take the answer so far and a start range, so
 // any caller holding an answer for [0, from) and windows no tree of its
-// own covers can use them: a prefix query's windows that exist only at
-// the shorter length, the windows appended since an index's arenas were
+// own covers can use them: a shorter query's windows that exist only at
+// its length, the windows appended since an index's arenas were
 // built (internal/shard's tail), and a cached answer a few appends
 // behind the index.
 
@@ -85,14 +85,4 @@ func ScanTailTopK(ext *series.Extractor, q []float64, k, from, to int, best []se
 		st.Abandons += t.st.Abandons
 	}
 	return t.sorted()
-}
-
-// ScanPrefixTail verifies the windows that exist only at the shorter
-// query length — starts in (n−L, n−len(q)], empty when len(q) == L —
-// appending matches to out in ascending start order. Shared by
-// Frozen.SearchPrefix and the sharded fan-out (which must run it once,
-// not once per shard).
-func ScanPrefixTail(ext *series.Extractor, indexedL int, q []float64, eps float64, out []series.Match) []series.Match {
-	n := ext.Len()
-	return ScanTail(ext, q, eps, max(n-indexedL+1, 0), n-len(q)+1, out, nil)
 }

@@ -199,7 +199,7 @@ func TestQueryLengthPanic(t *testing.T) {
 			t.Fatal("want panic")
 		}
 	}()
-	f.Search(make([]float64, 49), 1)
+	f.Search(make([]float64, 51), 1) // 1…L is a range query
 }
 
 func TestSelfQueryAlwaysFound(t *testing.T) {

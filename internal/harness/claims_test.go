@@ -135,6 +135,45 @@ func TestFigureRelations(t *testing.T) {
 	}
 }
 
+// TestFigure5LFile holds the committed BENCH_fig5l.json to the
+// figures' setup and to what one index for every ℓ must show: at each
+// ℓ the index built at the longest ℓ answers exactly what the index
+// built at ℓ answers (the same twins, the bound only looser, so never
+// fewer candidates), and a "saved" row per dataset is positive.
+func TestFigure5LFile(t *testing.T) {
+	f := readFigures(t, "5l")[0]
+	if f.Verify != "disk" || f.Scale != 0.1 || f.Queries != 30 || f.Passes != DefaultPasses {
+		t.Errorf("BENCH_fig5l.json: verify %q, scale %v, %d queries, %d passes", f.Verify, f.Scale, f.Queries, f.Passes)
+	}
+	per := map[[2]string]Row{}
+	for _, r := range f.Rows {
+		if r.Method == TSIndex.String() {
+			per[[2]string{r.Dataset, r.Param}] = r
+		}
+	}
+	checked := 0
+	for _, r := range f.Rows {
+		if r.Method != TSIndexLongest.String() {
+			continue
+		}
+		if r.Param == "saved" {
+			if r.BuildMs <= 0 || r.MemBytes <= 0 {
+				t.Errorf("%s: one index saves %v ms and %d bytes", r.Dataset, r.BuildMs, r.MemBytes)
+			}
+			continue
+		}
+		p, ok := per[[2]string{r.Dataset, r.Param}]
+		if !ok || r.AvgResults != p.AvgResults || r.AvgCandidates < p.AvgCandidates {
+			t.Errorf("%s %s: one index %v results / %v candidates, index per ℓ %v / %v", r.Dataset, r.Param,
+				r.AvgResults, r.AvgCandidates, p.AvgResults, p.AvgCandidates)
+		}
+		checked++
+	}
+	if checked != 2*len(LengthGrid) {
+		t.Errorf("%d rows of the one index, want %d", checked, 2*len(LengthGrid))
+	}
+}
+
 // The three TestShapeReport tests hold Claims — the successor of the
 // old free-text shape report — to hand-made rows.
 

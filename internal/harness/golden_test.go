@@ -8,16 +8,16 @@ import (
 	"testing"
 )
 
-// goldenCounts is the file pinning every Figure 4–7 row's counters
-// under tinyRunner().
+// goldenCounts is the file pinning every Figure 4–7 and 5l row's
+// counters under tinyRunner().
 const goldenCounts = "testdata/figure_counts.golden"
 
-// countLines renders Figures 4–7 as one line per row: the row's
+// countLines renders Figures 4–7, then 5l, as one line per row: the row's
 // identity, then AvgCandidates and AvgResults in shortest round-trip
 // form — the exact counters, never a clock.
 func countLines(r *Runner) []string {
 	var lines []string
-	for _, fig := range []func() []Row{r.Figure4, r.Figure5, r.Figure6, r.Figure7} {
+	for _, fig := range []func() []Row{r.Figure4, r.Figure5, r.Figure6, r.Figure7, r.Figure5L} {
 		for _, row := range fig() {
 			lines = append(lines, strings.Join([]string{
 				row.Figure, row.Dataset, row.Method, row.Param,
@@ -30,7 +30,7 @@ func countLines(r *Runner) []string {
 }
 
 // TestFigureCountsGolden pins how many candidates each method verifies
-// and how many twins it reports, per row of Figures 4–7, in memory and
+// and how many twins it reports, per row of Figures 4–7 and 5l, in memory and
 // on disk. Both are deterministic for a seed, so the paper's filters
 // are held exactly: a change to verification may move a row's time,
 // never its counters.

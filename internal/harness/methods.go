@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"twinsearch/internal/core"
@@ -14,12 +15,15 @@ import (
 // MethodID identifies a search method in result rows.
 type MethodID int
 
-// The four compared methods, in the paper's presentation order.
+// The four compared methods, in the paper's presentation order, then
+// TSIndexLongest: one TS-Index built at the length grid's longest ℓ,
+// answering every shorter ℓ (Figure 5l).
 const (
 	Sweepline MethodID = iota
 	KVIndex
 	ISAX
 	TSIndex
+	TSIndexLongest
 )
 
 // AllMethods lists every method, in presentation order.
@@ -36,6 +40,8 @@ func (m MethodID) String() string {
 		return "iSAX"
 	case TSIndex:
 		return "TS-Index"
+	case TSIndexLongest:
+		return fmt.Sprintf("TS-Index@%d", slices.Max(LengthGrid))
 	default:
 		return fmt.Sprintf("MethodID(%d)", int(m))
 	}
@@ -81,6 +87,11 @@ type tsAdapter struct{ f *core.Frozen }
 
 func (a tsAdapter) search(q []float64, eps float64) (int, int) {
 	ms, st := a.f.SearchStats(q, eps)
+	if n := series.NumSubsequences(a.f.Extractor().Len(), len(q)); n > a.f.Len() {
+		// A query shorter than the index: the windows that exist only
+		// at its length are verified as a tail.
+		ms = core.ScanTail(a.f.Extractor(), q, eps, a.f.Len(), n, ms, &st)
+	}
 	return len(ms), st.Candidates
 }
 

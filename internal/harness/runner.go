@@ -328,6 +328,48 @@ func (r *Runner) Figure5() []Row {
 	return rows
 }
 
+// Figure5L — Figure 5′: one index for every ℓ. Figure 5 builds an
+// index per length; but a query shorter than the indexed length is a
+// range query on the longer index — the first ℓ lanes of every MBTS
+// bound the first ℓ values of the windows beneath it (Lemma 1) — plus
+// a scan of the windows that exist only at length ℓ. On each dataset
+// one TS-Index built at the grid's longest ℓ answers every ℓ, timed
+// beside the index built at that ℓ, and a last row ("saved") reports
+// what the one index saves: the per-ℓ indexes' build time and bytes
+// less its own.
+func (r *Runner) Figure5L() []Row {
+	var rows []Row
+	for _, d := range r.Datasets() {
+		r.logf("Figure 5l: %s", d.Name)
+		ext, ok := r.extractor(d, series.NormGlobal)
+		if !ok {
+			continue
+		}
+		one, err := buildMethod(TSIndex, ext, slices.Max(LengthGrid), DefaultM)
+		if err != nil {
+			r.logf("  %s: skipped (%v)", TSIndexLongest, err)
+			continue
+		}
+		one.method = TSIndexLongest
+		saved := Row{Figure: "5l", Dataset: d.Name, Method: one.method.String(), Param: "saved", Passes: 1,
+			BuildMs: -one.buildTime.Seconds() * 1000, MemBytes: -one.memBytes}
+		for _, l := range LengthGrid {
+			r.logf("  l=%d", l)
+			per, err := buildMethod(TSIndex, ext, l, DefaultM)
+			if err != nil {
+				r.logf("  %s: skipped (%v)", TSIndex, err)
+				continue
+			}
+			saved.BuildMs += per.buildTime.Seconds() * 1000
+			saved.MemBytes += per.memBytes
+			rows = append(rows, r.measureGrid("5l", d.Name, []built{per, one}, r.workload(d, ext, l),
+				[]float64{d.DefaultEpsNorm}, func(float64) string { return fmt.Sprintf("l=%d", l) })...)
+		}
+		rows = append(rows, saved)
+	}
+	return rows
+}
+
 // Figure6 — query time vs ε with per-subsequence z-normalization
 // (paper Fig. 6; KV-Index inapplicable).
 func (r *Runner) Figure6() []Row {

@@ -35,6 +35,10 @@ func PrintTable(w io.Writer, rows []Row) {
 		fmt.Fprintf(w, "%-12s %-14s %14s %10s %12s %14s\n",
 			"method", "param", "avg query ms", "iqr ms", "avg results", "avg candidates")
 		for _, r := range g {
+			if r.Param == "saved" { // Figure 5l's summary: what one index saves
+				fmt.Fprintf(w, "%-12s %-14s %s of index and %.0f ms of build\n", r.Method, r.Param, humanBytes(r.MemBytes), r.BuildMs)
+				continue
+			}
 			fmt.Fprintf(w, "%-12s %-14s %14.3f %10.3f %12.1f %14.1f\n",
 				r.Method, r.Param, r.AvgQueryMs, r.QueryMsIQR, r.AvgResults, r.AvgCandidates)
 		}

@@ -89,7 +89,6 @@ type Path byte
 const (
 	PathSearch Path = 's' // Search / SearchCtx
 	PathTopK   Path = 'k' // SearchTopK / SearchTopKCtx
-	PathPrefix Path = 'p' // SearchShorterCtx
 )
 
 // ResultKey builds the result-cache key for one request: path tag, the

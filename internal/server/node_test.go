@@ -150,11 +150,11 @@ func TestNodeShardEndpoints(t *testing.T) {
 		t.Fatalf("bounded topk: %d matches, want %d", len(gotB.Matches), len(wantK))
 	}
 
-	wantP, err := n.Sub.SearchPrefixTreeCtx(ctx, q[:25], 0.3)
+	wantP, _, err := n.Sub.SearchStatsCtx(ctx, q[:25], 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotP := post(cluster.Request{Kind: cluster.KindPrefix, Query: q[:25], Eps: 0.3})
+	gotP := post(cluster.Request{Kind: cluster.KindSearch, Query: q[:25], Eps: 0.3})
 	if len(gotP.Matches) != len(wantP) {
 		t.Fatalf("prefix: %d matches, want %d", len(gotP.Matches), len(wantP))
 	}
@@ -184,9 +184,13 @@ func TestNodeShardEndpointErrors(t *testing.T) {
 	if status, _ := exchange(t, url, []byte("{nope")); status != http.StatusBadRequest {
 		t.Fatalf("malformed body: %d", status)
 	}
-	// Wrong query length.
-	if status, _ := exchange(t, url, (&cluster.Request{Kind: cluster.KindSearch, Query: []float64{1, 2}, Eps: 0.3}).AppendFrame(nil)); status != http.StatusBadRequest {
-		t.Fatalf("short query: %d", status)
+	// Wrong query length: a top-k query shorter than L, any query
+	// longer.
+	if status, _ := exchange(t, url, (&cluster.Request{Kind: cluster.KindTopK, K: 3, Bound: math.Inf(1), Query: []float64{1, 2}}).AppendFrame(nil)); status != http.StatusBadRequest {
+		t.Fatalf("short top-k query: %d", status)
+	}
+	if status, _ := exchange(t, url, (&cluster.Request{Kind: cluster.KindSearch, Query: make([]float64, 101), Eps: 0.3}).AppendFrame(nil)); status != http.StatusBadRequest {
+		t.Fatalf("long query: %d", status)
 	}
 }
 

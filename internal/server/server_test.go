@@ -10,6 +10,8 @@ import (
 
 	"twinsearch"
 	"twinsearch/internal/datasets"
+	"twinsearch/internal/oracle"
+	"twinsearch/internal/series"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, []float64) {
@@ -95,13 +97,44 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 }
 
+// TestSearchShorterQuery: /search answers a query shorter than L — the
+// definition's range answer over every window of the query's length —
+// and refuses one longer than L with a 400 in the engine's words.
+func TestSearchShorterQuery(t *testing.T) {
+	srv, ts := newTestServer(t)
+	ext := series.NewExtractor(ts, series.NormGlobal)
+	for _, l := range []int{1, 37, 99} {
+		q := ts[len(ts)-l:] // its own window exists only at length l
+		resp, raw := postJSON(t, srv.URL+"/search", map[string]any{"query": q, "eps": 0.3})
+		var body struct {
+			Matches []struct{ Start int } `json:"matches"`
+		}
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &body) != nil {
+			t.Fatalf("l=%d: %s %s", l, resp.Status, raw)
+		}
+		want := oracle.Range(ext, ext.TransformQuery(q), 0.3)
+		if len(body.Matches) != len(want) {
+			t.Fatalf("l=%d: %d matches, the definition %d", l, len(body.Matches), len(want))
+		}
+		for i, m := range want {
+			if body.Matches[i].Start != m.Start {
+				t.Fatalf("l=%d: match %d starts at %d, the definition's at %d", l, i, body.Matches[i].Start, m.Start)
+			}
+		}
+	}
+	resp, raw := postJSON(t, srv.URL+"/search", map[string]any{"query": ts[:101], "eps": 0.3})
+	if want := `{"error":"twinsearch: query length 101, engine built for L=100"}`; resp.StatusCode != http.StatusBadRequest || string(bytes.TrimSpace(raw)) != want {
+		t.Fatalf("long query: %s %s, want 400 %s", resp.Status, raw, want)
+	}
+}
+
 func TestSearchEndpointErrors(t *testing.T) {
 	srv, _ := newTestServer(t)
 	resp, _ := postJSON(t, srv.URL+"/search", map[string]interface{}{
-		"query": []float64{1, 2}, "eps": 0.3,
+		"query": make([]float64, 101), "eps": 0.3,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("short query: status %d", resp.StatusCode)
+		t.Fatalf("long query: status %d", resp.StatusCode)
 	}
 	// Wrong HTTP method.
 	getResp, err := http.Get(srv.URL + "/search")

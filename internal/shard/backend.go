@@ -1,7 +1,7 @@
 package shard
 
 // The contract a node's shard.Index serves over the shard RPC: the
-// three search paths below, over an assigned slice of a saved index's
+// two search paths below, over an assigned slice of a saved index's
 // shards (OpenArenaShards). A coordinator (internal/cluster) fans one
 // query across nodes whose shard sets partition the saved index and
 // recombines with the same deterministic merges the local fan-out
@@ -9,15 +9,18 @@ package shard
 //
 //   - Queries are in the engine's normalized value space (the caller
 //     transforms once; see Engine.PrepareQuery).
-//   - Range-style results (range, stats, prefix tree) are sorted
-//     by start position; top-k results by the (dist, start) total
-//     order. Result sets from indexes over disjoint shard sets are
-//     disjoint, so a k-way merge reproduces the single-engine order.
-//   - SearchPrefixTreeCtx reports prefix twins among the index's own
-//     window starts only (a local index's appended tail included). The
-//     windows that exist only at the shorter query length belong to no
-//     shard; exactly one party (the coordinator, or SearchPrefix on a
-//     full local index) scans them.
+//   - Range results are sorted by start position; top-k results by
+//     the (dist, start) total order. Result sets from indexes over
+//     disjoint shard sets are disjoint, so a k-way merge reproduces the
+//     single-engine order.
+//   - A range query may be shorter than the indexed length L (1 ≤
+//     len(q) ≤ L; the caller validates, and refuses a shorter query
+//     under per-subsequence normalization). Its windows that exist only
+//     at the shorter length — the L − len(q) starts past the last
+//     indexed one — belong to no shard: the index holding the
+//     container's last shard scans them as part of its tail. A local
+//     index always holds it, and among the nodes of a cluster exactly
+//     one group does, so every such window is scanned once.
 //   - SearchTopKCtx's bound is the caller's: the traversals start from
 //     it as their shared pruning bound, and skip subtrees whose lower
 //     bound strictly exceeds it, so a coordinator can broadcast its
@@ -151,12 +154,19 @@ func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]seri
 // SearchStatsCtx is SearchStats honoring cancellation: one range
 // search over the base, its shards' answers concatenated — position
 // order, the partition being contiguous — and their counters summed,
-// then the tail's scan, whose windows count as candidates.
+// then the tail's scan, whose windows count as candidates. A query
+// shorter than L runs the same steps (see the contract above): the
+// index holding the container's last shard extends its tail by the
+// L − len(q) windows that exist only at the query's length, counted
+// from the snapshot so that a concurrent Extend cannot widen it.
 func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
 	b, to := s.snapshot()
+	if s.ids[len(s.ids)-1] == s.total-1 {
+		to += s.l - len(q)
+	}
 	sp := obs.SpanFrom(ctx)
 	var ms []series.Match
 	var st core.Stats
@@ -231,34 +241,4 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 		return tail
 	})
 	return ms, nil
-}
-
-// SearchPrefixTreeCtx is the tree half of SearchPrefix honoring
-// cancellation: the range skeleton with the truncated-bound traversal,
-// untraced (its counters are not kept) — prefix twins among the indexed
-// starts only, the tail's windows scanned at the query's length. The
-// windows that exist only at the shorter length are NOT scanned here
-// (the contract above): the caller decides who scans them exactly once.
-func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	b, to := s.snapshot()
-	if err := core.ValidatePrefix(q, s.l, s.ext.Mode()); err != nil {
-		return nil, err
-	}
-	if canceled(ctx) {
-		return nil, ctx.Err()
-	}
-	var tree []series.Match
-	if len(b.frozen) == 1 {
-		tree, _ = b.frozen[0].SearchPrefixTree(q, eps) // validated above
-	} else {
-		lists, _, err := s.fanOut(ctx, nil, b, func(f *core.Frozen) ([]series.Match, core.Stats) {
-			ms, _ := f.SearchPrefixTree(q, eps) // validated above
-			return ms, core.Stats{}
-		})
-		if err != nil {
-			return nil, err
-		}
-		tree = slices.Concat(lists...)
-	}
-	return core.ScanTail(s.ext, q, eps, b.end(), to, tree, nil), nil
 }

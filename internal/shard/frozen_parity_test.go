@@ -79,24 +79,22 @@ func TestFrozenShardParityAllPaths(t *testing.T) {
 						}
 					}
 				}
-				// Prefix queries of several lengths from the series' end,
+				// Shorter queries of several lengths from the series' end,
 				// so the windows only the shorter length has hold twins.
+				// Per-subsequence normalization refuses them before they
+				// reach an index (the engine's checkQuery, a node's screen).
+				if m.mode == series.NormPerSubsequence {
+					return
+				}
 				for _, pl := range []int{8, 20, l / 2, l} {
 					q := ext.ExtractCopy(ext.Len()-pl, pl)
-					got, err := sh.SearchPrefix(q, 0.3)
-					if m.mode == series.NormPerSubsequence {
-						if err == nil {
-							t.Fatal("prefix search accepted under per-subsequence normalization")
-						}
-						continue
-					}
+					got, st := sh.SearchStats(q, 0.3)
 					indexed, tail := oracle.Prefix(ext, l, q, 0.3)
-					if err != nil || !sameMatches(append(indexed, tail...), got) {
-						t.Fatalf("prefix l=%d: %d matches (%v), oracle %d", pl, len(got), err, len(indexed)+len(tail))
+					if !sameMatches(append(indexed, tail...), got) {
+						t.Fatalf("prefix l=%d: %d matches, oracle %d", pl, len(got), len(indexed)+len(tail))
 					}
-					tree, err := sh.SearchPrefixTreeCtx(nil, q, 0.3)
-					if err != nil || !sameMatches(indexed, tree) {
-						t.Fatalf("prefix l=%d: SearchPrefixTree: %d matches (%v), oracle %d", pl, len(tree), err, len(indexed))
+					if st.Results != len(got) || st.Candidates < l-pl {
+						t.Fatalf("prefix l=%d: counted %+v for %d matches and %d short-only windows", pl, st, len(got), l-pl)
 					}
 				}
 			})

@@ -74,10 +74,10 @@ func TestOpenArenaDifferential(t *testing.T) {
 			if w, g := sh.SearchTopK(q, 9), got.SearchTopK(q, 9); !sameMatches(w, g) {
 				t.Fatal("SearchTopK diverged between heap and mapped index")
 			}
-			wp, werr := sh.SearchPrefix(q[:l/2], 0.5)
-			gp, gerr := got.SearchPrefix(q[:l/2], 0.5)
-			if (werr == nil) != (gerr == nil) || !sameMatches(wp, gp) {
-				t.Fatal("SearchPrefix diverged between heap and mapped index")
+			wp, ws := sh.SearchStats(q[:l/2], 0.5)
+			gp, gs := got.SearchStats(q[:l/2], 0.5)
+			if !sameMatches(wp, gp) || ws != gs {
+				t.Fatal("shorter query diverged between heap and mapped index")
 			}
 			// Appending in place: the mapped index grows a tail and keeps
 			// its mapping; a compaction rebuilds the last shard on the

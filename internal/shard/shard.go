@@ -33,7 +33,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -210,7 +209,9 @@ func (s *Index) snapshot() (b *base, to int) {
 }
 
 // Search returns all twin subsequences of q at threshold eps, in start
-// order — identical to core.Frozen.Search over an unsharded index.
+// order — identical to core.Frozen.Search over an unsharded index, and
+// for a query shorter than L (1 ≤ len(q) ≤ L) the windows that exist
+// only at its length too.
 func (s *Index) Search(q []float64, eps float64) []series.Match {
 	ms, _ := s.SearchStats(q, eps)
 	return ms
@@ -290,32 +291,6 @@ func merge(per [][]series.Match, limit int, less func(a, b series.Match) bool) [
 		next[best]++
 	}
 	return out
-}
-
-// SearchPrefix answers a query shorter than the indexed length (see
-// core.Frozen.SearchPrefix): the truncated-bounds traversal fans across
-// the shards, the tail is scanned at the query's length,
-// and the windows that exist only at the shorter length are scanned
-// once, here.
-func (s *Index) SearchPrefix(q []float64, eps float64) ([]series.Match, error) {
-	return s.SearchPrefixCtx(nil, q, eps)
-}
-
-// SearchPrefixCtx is SearchPrefix honoring cancellation: ctx flows into
-// the fanned-out tree traversal, and the tail scan is skipped when the
-// context has already ended. A nil ctx never cancels.
-func (s *Index) SearchPrefixCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	tree, err := s.SearchPrefixTreeCtx(ctx, q, eps)
-	if err != nil {
-		return nil, err
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	// The merged list is in position order and the tail starts extend it.
-	return core.ScanPrefixTail(s.ext, s.l, q, eps, tree), nil
 }
 
 // The tail is compacted once it holds more than minCompact windows and

@@ -68,8 +68,8 @@ func TestTailAndCompaction(t *testing.T) {
 			if got := sh.SearchTopK(q, 7); !sameMatches(got, oracle.TopK(ext, q, 7)) {
 				t.Fatalf("%s: top-k %v", at, got)
 			}
-			if got, err := sh.SearchPrefix(q[:l/2], 0.25); err != nil || !sameMatches(got, oracle.Range(ext, q[:l/2], 0.25)) {
-				t.Fatalf("%s: prefix %v (%v)", at, matchStarts(got), err)
+			if got := sh.Search(q[:l/2], 0.25); !sameMatches(got, oracle.Range(ext, q[:l/2], 0.25)) {
+				t.Fatalf("%s: prefix %v", at, matchStarts(got))
 			}
 		}
 	}
@@ -394,9 +394,9 @@ func TestSkewedConcurrentSearch(t *testing.T) {
 					return
 				}
 			default:
-				got, err := sh.SearchPrefix(q[:l/2], 0.3)
-				if want := oracle.Range(ext, q[:l/2], 0.3); err != nil || !sameMatches(got, want) {
-					done <- fmt.Errorf("goroutine %d: prefix differs (%v)", g, err)
+				got := sh.Search(q[:l/2], 0.3)
+				if want := oracle.Range(ext, q[:l/2], 0.3); !sameMatches(got, want) {
+					done <- fmt.Errorf("goroutine %d: prefix differs", g)
 					return
 				}
 			}

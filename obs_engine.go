@@ -9,18 +9,17 @@ import (
 	"twinsearch/internal/obs"
 )
 
-// qpath indexes the three raw-query search paths for the pre-resolved
+// qpath indexes the two raw-query search paths for the pre-resolved
 // metric arrays: the hot path never formats a label or hashes a map.
 type qpath uint8
 
 const (
 	qpSearch qpath = iota
 	qpTopK
-	qpPrefix
 	numQPaths
 )
 
-var qpathNames = [numQPaths]string{"search", "topk", "prefix"}
+var qpathNames = [numQPaths]string{"search", "topk"}
 
 // engineMetrics is the engine's metric set: one registry plus the
 // per-path counters and latency histograms resolved once at
@@ -165,14 +164,14 @@ func (e *Engine) endQuery(qo queryObs, err error) {
 
 // checkQueryCtx is checkQuery in a "validate" span when the query is
 // traced. The untraced path falls straight through.
-func (e *Engine) checkQueryCtx(ctx context.Context, q []float64, eps float64) error {
+func (e *Engine) checkQueryCtx(ctx context.Context, p qpath, q []float64, eps float64) error {
 	sp := obs.SpanFrom(ctx)
 	if sp == nil {
-		return e.checkQuery(q, eps)
+		return e.checkQuery(p, q, eps)
 	}
 	vs := sp.StartChild("validate")
 	defer vs.End()
-	err := e.checkQuery(q, eps)
+	err := e.checkQuery(p, q, eps)
 	if err != nil {
 		vs.Set("error", err.Error())
 	}

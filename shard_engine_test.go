@@ -154,8 +154,9 @@ func TestShardedConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestSearchShorterRejectsNaNEps: SearchShorterCtx checked only eps < 0,
-// which NaN passes. It refuses a negative threshold too.
+// TestSearchShorterRejectsNaNEps: the shorter-query path once checked
+// only eps < 0, which NaN passes. A shorter query refuses a NaN and a
+// negative threshold, as a full-length one does.
 func TestSearchShorterRejectsNaNEps(t *testing.T) {
 	ts := datasets.RandomWalk(9, 2000)
 	for _, shards := range []int{0, 3} {
@@ -163,11 +164,11 @@ func TestSearchShorterRejectsNaNEps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.SearchShorterCtx(context.Background(), ts[10:40], math.NaN()); err == nil {
-			t.Fatalf("shards=%d: SearchShorterCtx accepted NaN threshold", shards)
+		if _, err := eng.SearchCtx(context.Background(), ts[10:40], math.NaN()); err == nil {
+			t.Fatalf("shards=%d: a shorter SearchCtx accepted NaN threshold", shards)
 		}
-		if _, err := eng.SearchShorterCtx(context.Background(), ts[10:40], -1); err == nil {
-			t.Fatalf("shards=%d: SearchShorterCtx accepted negative threshold", shards)
+		if _, err := eng.SearchCtx(context.Background(), ts[10:40], -1); err == nil {
+			t.Fatalf("shards=%d: a shorter SearchCtx accepted negative threshold", shards)
 		}
 	}
 }

@@ -115,7 +115,8 @@ func TestForcedTraceTopK(t *testing.T) {
 // the prefix path never looked at the values: a NaN or infinite query
 // was traversed (NaN compares false against every limit, so it
 // over-matches) by some paths and backings and refused by others. Now every cell fails before any
-// traversal, with the text range search gives it.
+// traversal, with the text range search gives it — except a query
+// shorter than L, which Search answers and top-k refuses.
 func TestInvalidQueryEveryBacking(t *testing.T) {
 	data := datasets.EEGN(61, 3000)
 	const l = 100
@@ -126,16 +127,17 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 		return q
 	}
 	rows := []struct {
-		name    string
-		q       []float64
-		want    string
-		shorter string // SearchShorterCtx's text; "" where the query is a valid prefix
+		name   string
+		q      []float64
+		want   string
+		search bool // Search answers it: a query shorter than L is a range query
 	}{
-		{"short", data[500 : 500+l-1], "twinsearch: query length 99, engine built for L=100", ""},
-		{"empty", nil, "twinsearch: query length 0, engine built for L=100", "twinsearch: empty query"},
-		{"NaN", with(40, math.NaN()), "twinsearch: non-finite query value NaN at position 40", "twinsearch: non-finite query value NaN at position 40"},
-		{"+Inf", with(0, math.Inf(1)), "twinsearch: non-finite query value +Inf at position 0", "twinsearch: non-finite query value +Inf at position 0"},
-		{"-Inf", with(l-1, math.Inf(-1)), "twinsearch: non-finite query value -Inf at position 99", "twinsearch: non-finite query value -Inf at position 99"},
+		{"short", data[500 : 500+l-1], "twinsearch: query length 99, engine built for L=100", true},
+		{"long", data[500 : 500+l+1], "twinsearch: query length 101, engine built for L=100", false},
+		{"empty", nil, "twinsearch: query length 0, engine built for L=100", false},
+		{"NaN", with(40, math.NaN()), "twinsearch: non-finite query value NaN at position 40", false},
+		{"+Inf", with(0, math.Inf(1)), "twinsearch: non-finite query value +Inf at position 0", false},
+		{"-Inf", with(l-1, math.Inf(-1)), "twinsearch: non-finite query value -Inf at position 99", false},
 	}
 	for name, opt := range map[string]Options{
 		"unsharded": {L: l},
@@ -149,17 +151,11 @@ func TestInvalidQueryEveryBacking(t *testing.T) {
 		}
 		for _, row := range rows {
 			for pass := 0; pass < 2; pass++ { // the second pass meets whatever the first cached
-				if _, err := eng.Search(row.q, 0.3); err == nil || err.Error() != row.want {
+				if _, err := eng.Search(row.q, 0.3); row.search && err != nil || !row.search && (err == nil || err.Error() != row.want) {
 					t.Errorf("%s: Search(%s) error %v, want %q", name, row.name, err, row.want)
 				}
 				if ms, err := eng.SearchTopK(row.q, 5); err == nil || err.Error() != row.want {
 					t.Errorf("%s: SearchTopK(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.want)
-				}
-				if row.shorter == "" {
-					continue
-				}
-				if ms, err := eng.SearchShorterCtx(context.Background(), row.q, 0.3); err == nil || err.Error() != row.shorter {
-					t.Errorf("%s: SearchShorterCtx(%s) = %d matches, error %v, want %q", name, row.name, len(ms), err, row.shorter)
 				}
 			}
 		}

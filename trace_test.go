@@ -168,8 +168,9 @@ func TestSamplerOwnedTrace(t *testing.T) {
 
 // TestQueriesCounted: every call is visible on /metrics — a query on
 // its path, a refused one also a query error — on a local engine and on
-// a coordinator alike. A prefix query refused for a NaN value or a
-// negative threshold counts too.
+// a coordinator alike. A shorter query counts on the search path, and
+// one refused for a NaN value or a negative threshold counts as its
+// error.
 func TestQueriesCounted(t *testing.T) {
 	ts := datasets.RandomWalk(13, 2000)
 	const l = 100
@@ -190,16 +191,76 @@ func TestQueriesCounted(t *testing.T) {
 			eng.SearchTopK(q, 3)
 		}
 		ctx := context.Background()
-		eng.SearchShorterCtx(ctx, ts[0:l/2], 0.3)
-		eng.SearchShorterCtx(ctx, []float64{1, math.NaN()}, 0.3)
-		eng.SearchShorterCtx(ctx, ts[0:l/2], -1)
-		for path, want := range map[string][2]uint64{"search": {4, 1}, "topk": {4, 1}, "prefix": {3, 2}} {
+		eng.SearchCtx(ctx, ts[0:l/2], 0.3)
+		eng.SearchCtx(ctx, []float64{1, math.NaN()}, 0.3)
+		eng.SearchCtx(ctx, ts[0:l/2], -1)
+		for path, want := range map[string][2]uint64{"search": {7, 2}, "topk": {4, 1}} {
 			label := `{path="` + path + `"}`
 			n := eng.Metrics().Counter("twinsearch_queries_total" + label).Value()
 			errs := eng.Metrics().Counter("twinsearch_query_errors_total" + label).Value()
 			if n != want[0] || errs != want[1] {
 				t.Errorf("%s %s: counted %d queries, %d errors; want %d, %d",
 					name, path, n, errs, want[0], want[1])
+			}
+		}
+	}
+}
+
+// TestShorterQueryTraced: a traced query shorter than L books its work
+// as a full-length one does, on a single index, a partitioned one and a
+// coordinator — a traversal span (a child per shard when partitioned)
+// and a "tail" child for the windows that exist only at the query's
+// length, which the index holding the last shard scans — and the span
+// tree's counters are what the backing counts.
+func TestShorterQueryTraced(t *testing.T) {
+	ts := datasets.RandomWalk(29, 3000)
+	const l, short = 100, 60
+	for name, opt := range map[string]Options{
+		"1 shard":     {L: l, Shards: 1},
+		"4 shards":    {L: l, Shards: 4, Workers: 1},
+		"coordinator": {L: l, Topology: writeTopology(t, ts, l, 4, 2)},
+	} {
+		eng, err := Open(ts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		// The query's own window starts past every indexed one.
+		q := ts[len(ts)-short:]
+		root := obs.NewTrace("q").Root
+		ms, err := eng.SearchCtx(obs.WithSpan(context.Background(), root), q, 0.3)
+		if err != nil || len(ms) == 0 || ms[len(ms)-1].Start != len(ts)-short {
+			t.Fatalf("%s: %d matches (%v), the last not the query's own window", name, len(ms), err)
+		}
+		seen := map[string]int{}
+		var tails []*obs.Span // the spans booking a tail scan
+		var walk func(s *obs.Span)
+		walk = func(s *obs.Span) {
+			seen[s.Name]++
+			if spanInt(s, "tail_windows") > 0 {
+				tails = append(tails, s)
+			}
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(root)
+		if seen["traverse"] == 0 || eng.Shards() > 1 && seen["shard[1]"] == 0 || seen["tail"] != 1 || len(tails) != 1 {
+			t.Fatalf("%s: spans %v, %d booking a tail; want traverse, shard[i] when sharded, and one tail", name, seen, len(tails))
+		}
+		_, want, err := backingStats(eng, eng.PrepareQuery(q), 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Results = 0 // the root span's own attribute, not a traversal counter
+		if got := spanCounters(root); got != want {
+			t.Fatalf("%s: the span tree booked %+v, the backing counted %+v", name, got, want)
+		}
+		n := spanInt(tails[0], "tail_windows")
+		for _, c := range tails[0].Children {
+			if c.Name == "tail" && (spanInt(c, "candidates") != n || n < l-short) {
+				t.Fatalf("%s: tail child verified %d candidates of %d tail windows; %d exist only at length %d",
+					name, spanInt(c, "candidates"), n, l-short, short)
 			}
 		}
 	}

@@ -123,8 +123,7 @@ type Options struct {
 	// (internal/cluster) and merges deterministically — answers are
 	// byte-identical to a local engine over the same saved index. The
 	// engine still needs the full series (data) for query
-	// normalization, verification-free merging, and the prefix tail
-	// scan. Cluster engines are read-only: Append and SaveIndex return
+	// normalization and verification-free merging. Cluster engines are read-only: Append and SaveIndex return
 	// errors, and HeapBytes and MappedBytes are 0 (the nodes hold the
 	// index). MMap, Prefetch, Shards, MinCap and MaxCap are ignored: the
 	// saved index fixed the partition, and each node opens its shards.
@@ -169,8 +168,7 @@ type Options struct {
 	// a lookup verifies only the windows gained (past maxTailScan of
 	// them it recomputes). 0 disables (default), negative selects
 	// DefaultResultCacheBytes, positive is the byte bound. Every query
-	// entry point consults it: Search, SearchTopK, their Ctx forms and
-	// SearchShorterCtx.
+	// entry point consults it: Search, SearchTopK and their Ctx forms.
 	ResultCacheBytes int
 
 	// TraceSample enables 1-in-N per-query trace sampling: every Nth
@@ -411,7 +409,12 @@ func OpenFile(path string, opt Options) (*Engine, error) {
 
 // Search returns all subsequences whose Chebyshev distance to q is at
 // most eps, ordered by start position. q is in the raw value space of
-// the input series and must have length L with finite values.
+// the input series, with finite values and a length ℓ from 1 to L. A
+// query shorter than L is answered by the same index — the first ℓ
+// timestamps of every MBTS bound the first ℓ values of the windows
+// beneath it — with the L − ℓ windows that exist only at length ℓ
+// verified directly; it is refused under NormPerSubsequence, whose
+// normalized windows have no such prefixes.
 func (e *Engine) Search(q []float64, eps float64) ([]Match, error) {
 	return e.SearchCtx(context.Background(), q, eps)
 }
@@ -426,7 +429,7 @@ func (e *Engine) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Mat
 	}
 	ctx, qo := e.beginQuery(ctx, qpSearch)
 	var ms []Match
-	err := e.checkQueryCtx(ctx, q, eps)
+	err := e.checkQueryCtx(ctx, qpSearch, q, eps)
 	if err == nil {
 		ms, err = e.searchCached(ctx, qcache.PathSearch, q, eps, func(tq []float64) ([]Match, error) {
 			return e.searchPreparedCtx(ctx, tq, eps)
@@ -436,17 +439,26 @@ func (e *Engine) SearchCtx(ctx context.Context, q []float64, eps float64) ([]Mat
 	return ms, err
 }
 
-// checkQuery refuses, on the raw query, what no Search or SearchTopK
-// can answer: a negative or NaN threshold, a query of another length
-// than L, a non-finite value.
-func (e *Engine) checkQuery(q []float64, eps float64) error {
+// checkQuery refuses, on the raw query, what path cannot answer: a
+// negative or NaN threshold; a length outside 1…L for a range query, or
+// other than L for top-k; a non-finite value; and a range query shorter
+// than L under per-subsequence normalization, where z-normalizing a
+// window's prefix is not a prefix of the normalized window, so the
+// index's bounds do not truncate.
+func (e *Engine) checkQuery(p qpath, q []float64, eps float64) error {
 	if eps < 0 || math.IsNaN(eps) {
 		return fmt.Errorf("twinsearch: invalid threshold %v", eps)
 	}
-	if len(q) != e.opt.L {
-		return fmt.Errorf("twinsearch: query length %d, engine built for L=%d", len(q), e.opt.L)
+	if n := len(q); n == 0 || n > e.opt.L || n != e.opt.L && p == qpTopK {
+		return fmt.Errorf("twinsearch: query length %d, engine built for L=%d", n, e.opt.L)
 	}
-	return finiteQuery(q)
+	if err := finiteQuery(q); err != nil {
+		return err
+	}
+	if len(q) < e.opt.L && e.ext.Mode() == series.NormPerSubsequence {
+		return errors.New("core: prefix queries are unsupported under per-subsequence normalization")
+	}
+	return nil
 }
 
 // prepare maps a checked raw query into the engine's value space, for
@@ -482,8 +494,8 @@ func resultKey(path qcache.Path, a float64, q []float64) string {
 // many windows, at the query's length, its answer covers; the index is
 // append-only, so that answer is still exact for those windows, and a
 // lookup that finds it behind prepares the query, verifies only the
-// windows gained since — a prefix answer's at the query's length, as
-// SearchShorterCtx's own tail scans do — and stores the longer answer
+// windows gained since — a shorter query's at its own length, as its
+// own tail scan does — and stores the longer answer
 // over the old one. The window count is read before any work, so an
 // answer is never tagged with a version newer than it saw. Errors
 // (including cancellations) are never cached.
@@ -612,7 +624,7 @@ func (e *Engine) SearchTopKCtx(ctx context.Context, q []float64, k int) ([]Match
 	}
 	ctx, qo := e.beginQuery(ctx, qpTopK)
 	var ms []Match
-	err := e.checkQueryCtx(ctx, q, 0)
+	err := e.checkQueryCtx(ctx, qpTopK, q, 0)
 	if err == nil {
 		ms, err = e.searchCached(ctx, qcache.PathTopK, q, float64(k), func(tq []float64) ([]Match, error) {
 			return e.searchTopKPreparedCtx(ctx, tq, k)

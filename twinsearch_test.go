@@ -59,8 +59,10 @@ func TestSearchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(make([]float64, 50), 0.1); err == nil {
-		t.Fatal("wrong query length must fail")
+	for _, n := range []int{0, 101} { // 1…L is a range query
+		if _, err := eng.Search(make([]float64, n), 0.1); err == nil {
+			t.Fatal("wrong query length must fail")
+		}
 	}
 	if _, err := eng.Search(make([]float64, 100), -1); err == nil {
 		t.Fatal("negative eps must fail")

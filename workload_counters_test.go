@@ -80,7 +80,8 @@ var counterWorkloads = []counterWorkload{
 // query mixes (bench/'s point, wide-sharded, hot-append and cluster-r2
 // at smoke scale: EEG 20 000 points, L = 100, top-10 at a fifth of the
 // ops, fixed seeds), replayed from one goroutine, with hot-append's
-// appends between its queries. Per query: how the result cache served
+// appends between its queries, each mix followed by a few range queries
+// shorter than L, which the benchmark does not send. Per query: how the result cache served
 // it, the nodes whose bound was evaluated, the leaves reached, the
 // candidates verified, the results, the tail windows scanned and, on
 // the cluster, the replica attempts. Answers stay right when pruning
@@ -135,6 +136,20 @@ func (w counterWorkload) replay(t *testing.T, data []float64) []string {
 		zipf = rand.NewZipf(rng, 1.1, 1, uint64(w.pool-1))
 	}
 	var lines []string
+	appendAt := func(i, p int) {
+		if err := eng.Append(data[p : p+eng.L()]...); err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, fmt.Sprintf("%s\t%d\tappend\tq=%d\twindows=%d", w.name, i, p, eng.NumSubsequences()))
+	}
+	query := func(i int, kind string, p int, search func(ctx context.Context) error) {
+		tr := obs.NewTrace("q")
+		if err := search(obs.WithSpan(context.Background(), tr.Root)); err != nil {
+			t.Fatalf("%s op %d: %v", w.name, i, err)
+		}
+		tr.Finish()
+		lines = append(lines, fmt.Sprintf("%s\t%d\t%s\tq=%d\t%s", w.name, i, kind, p, traceCounters(tr.Root)))
+	}
 	for i := range w.ops {
 		qi := i
 		if zipf != nil {
@@ -142,29 +157,47 @@ func (w counterWorkload) replay(t *testing.T, data []float64) []string {
 		}
 		topk := rng.Float64() < 0.2
 		if w.appendEvery > 0 && i%w.appendEvery == w.appendEvery-1 {
-			p := starts[rng.Intn(w.pool)]
-			if err := eng.Append(data[p : p+eng.L()]...); err != nil {
-				t.Fatal(err)
-			}
-			lines = append(lines, fmt.Sprintf("%s\t%d\tappend\tq=%d\twindows=%d", w.name, i, p, eng.NumSubsequences()))
+			appendAt(i, starts[rng.Intn(w.pool)])
 			continue
 		}
 		p := starts[qi]
 		q := data[p : p+eng.L()]
-		tr := obs.NewTrace("q")
-		ctx := obs.WithSpan(context.Background(), tr.Root)
-		kind := "search"
 		if topk {
-			kind = "topk"
-			_, err = eng.SearchTopKCtx(ctx, q, 10)
+			query(i, "topk", p, func(ctx context.Context) (err error) {
+				_, err = eng.SearchTopKCtx(ctx, q, 10)
+				return err
+			})
 		} else {
+			query(i, "search", p, func(ctx context.Context) (err error) {
+				_, err = eng.SearchCtx(ctx, q, w.eps)
+				return err
+			})
+		}
+	}
+	// Then range queries shorter than L, drawn from an RNG of their own
+	// so that the mix above keeps its draws: at each length a miss — the
+	// index holding the last shard scans the L − ℓ windows that exist
+	// only at length ℓ as tail — and the same query again, a hit; on an
+	// appending workload an Append follows and the query comes a third
+	// time, an extended hit.
+	srng := rand.New(rand.NewSource(11))
+	i := w.ops
+	for _, l := range []int{50, 75} {
+		p := srng.Intn(windows)
+		q := data[p : p+l]
+		search := func(ctx context.Context) (err error) {
 			_, err = eng.SearchCtx(ctx, q, w.eps)
+			return err
 		}
-		if err != nil {
-			t.Fatalf("%s op %d: %v", w.name, i, err)
+		kind := fmt.Sprintf("search/l=%d", l)
+		query(i, kind, p, search)
+		query(i+1, kind, p, search)
+		i += 2
+		if w.appendEvery > 0 {
+			appendAt(i, srng.Intn(windows))
+			query(i+1, kind, p, search)
+			i += 2
 		}
-		tr.Finish()
-		lines = append(lines, fmt.Sprintf("%s\t%d\t%s\tq=%d\t%s", w.name, i, kind, p, traceCounters(tr.Root)))
 	}
 	return lines
 }
