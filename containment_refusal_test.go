@@ -3,6 +3,7 @@ package twinsearch
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"twinsearch/internal/datasets"
 )
@@ -316,6 +318,70 @@ func TestHeapOpenRefusalIndependentOfWorkers(t *testing.T) {
 			}
 			if got := heapOpenRefusal(t, name+"/last", dir, lastOnly, data, opt); !names(got, nodes-1) {
 				t.Errorf("%s: the last leaf alone refused with %q, which does not name leaf %d", name, got, nodes-1)
+			}
+		}
+	}
+}
+
+// TestHeapOpenErrorOrder pins which refusal a heap open reports when
+// its passes, which overlap on the engine's executor, fail together, at
+// 1, 2 and 8 workers:
+//
+//   - a file with one byte of a section flipped, opened over a series it
+//     does not fit, is refused with the section's checksum text, single
+//     and 4-shard — "upper", where the containment check refuses the
+//     series as well, and "positions", where a position beyond the
+//     series fails the structural check;
+//   - a series holding a NaN, opened from a file that does not exist or
+//     a stream that cannot be read, is refused with the non-finite text.
+func TestHeapOpenErrorOrder(t *testing.T) {
+	const n, l = 3000, 50
+	data, other := datasets.EEGN(1, n), datasets.EEGN(2, n)
+	dir := t.TempDir()
+	nan := append([]float64(nil), data...)
+	nan[1234] = math.NaN()
+	for _, workers := range []int{1, 2, 8} {
+		opt := Options{L: l, Workers: workers}
+		for _, shards := range []int{1, 4} {
+			saved := saveStream(t, data, Options{L: l, Shards: shards})
+			seg := segmentAt(shards)
+			name := fmt.Sprintf("workers=%d/shards=%d", workers, shards)
+			prefix := ""
+			if shards > 1 {
+				prefix = "shard: opening shard 0: "
+			}
+			if got := heapOpenRefusal(t, name+"/series", dir, saved, other, opt); !strings.HasPrefix(got, prefix+"core: frozen arena: stream is inconsistent with the supplied series: core: frozen: leaf ") {
+				t.Fatalf("%s: the other series alone refused with %q, not by containment", name, got)
+			}
+			for _, c := range []struct {
+				section string
+				s, off  int
+				b       byte
+			}{
+				{"upper", 3, 0, 0x01},     // the lowest mantissa bit of the root's first lane
+				{"positions", 2, 3, 0x7f}, // the high byte of the first position
+			} {
+				flipped := bytes.Clone(saved)
+				flipped[sectionLane(flipped, seg, l, c.s, 0, 0)+c.off] ^= c.b
+				got := heapOpenRefusal(t, name+"/"+c.section, dir, flipped, other, opt)
+				want := prefix + "core: load frozen: section " + c.section + " checksum "
+				if !strings.HasPrefix(got, want) || !strings.HasSuffix(got, ": the file is damaged") {
+					t.Errorf("%s: a flipped byte in %s, over the other series, refused with\n %q\nwant the checksum text %q…", name, c.section, got, want)
+				}
+			}
+		}
+		wantNaN := "twinsearch: non-finite value NaN at position 1234; clean or impute missing samples first"
+		for entry, open := range map[string]func() (*Engine, error){
+			"OpenSavedFile": func() (*Engine, error) { return OpenSavedFile(nan, filepath.Join(dir, "missing.tsfz"), opt) },
+			"OpenSaved":     func() (*Engine, error) { return OpenSaved(nan, iotest.ErrReader(errors.New("unreadable")), opt) },
+		} {
+			re, err := open()
+			if err == nil {
+				re.Close()
+				t.Fatalf("workers=%d: %s opened a NaN series without an index", workers, entry)
+			}
+			if err.Error() != wantNaN {
+				t.Errorf("workers=%d: %s refused a NaN series without an index with\n %q\nwant\n %q", workers, entry, err, wantNaN)
 			}
 		}
 	}

@@ -11,6 +11,8 @@ import (
 
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
+	"twinsearch/internal/exec"
+	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 )
 
@@ -98,19 +100,18 @@ func (e *Engine) SaveIndexFile(path string) error {
 // The stream is read whole into a heap arena that the index's arrays
 // then view in place, and a heap arena is verified in full: every
 // section's checksum, every shard's invariants against data, and the
-// partition (see core.OpenFrozen), the containment check on the
-// engine's executor, so Options.Workers bounds the open as it bounds
-// queries.
+// partition (see core.OpenFrozen). The series is checked and prepared
+// while the stream is read, and the checksums and the containment check
+// run beside each other, all as units on the engine's executor, so
+// Options.Workers bounds the open as it bounds queries.
 func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
-	start := time.Now()
-	if err := opt.check(data); err != nil {
-		return nil, err
-	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("twinsearch: reading saved index: %w", err)
-	}
-	return openSavedArena(data, arena.FromBytes(raw), opt, start)
+	return openSaved(data, opt, func() (*arena.Arena, error) {
+		raw, err := io.ReadAll(r)
+		if err != nil {
+			return nil, fmt.Errorf("twinsearch: reading saved index: %w", err)
+		}
+		return arena.FromBytes(raw), nil
+	})
 }
 
 // OpenSavedFile is OpenSaved from a file path. With Options.MMap the
@@ -123,28 +124,50 @@ func OpenSaved(data []float64, r io.Reader, opt Options) (*Engine, error) {
 // verified in full, as by OpenSaved. Call Engine.Close when done —
 // mapped engines hold the region until then.
 func OpenSavedFile(data []float64, path string, opt Options) (*Engine, error) {
+	return openSaved(data, opt, func() (*arena.Arena, error) {
+		ar, err := arena.Open(path, opt.MMap)
+		if err != nil {
+			return nil, fmt.Errorf("twinsearch: %w", err)
+		}
+		return ar, nil
+	})
+}
+
+// openSaved is the one open sequence of OpenSaved and OpenSavedFile:
+// the series is checked and its extractor built as a unit on the
+// engine's executor while load produces the arena on the calling
+// goroutine — the two depend on nothing of each other — and a refused
+// series is the error even when load failed too. The engine's index
+// arrays are views into the arena: a mapped one is the engine's to
+// release (Engine.Close); a heap one lives as long as a shard views it.
+// On error the arena is released here.
+func openSaved(data []float64, opt Options, load func() (*arena.Arena, error)) (*Engine, error) {
 	start := time.Now()
 	if err := opt.check(data); err != nil {
 		return nil, err
 	}
-	ar, err := arena.Open(path, opt.MMap)
-	if err != nil {
-		return nil, fmt.Errorf("twinsearch: %w", err)
+	ex := exec.New(opt.Workers)
+	var ext *series.Extractor
+	var extErr error
+	prep := ex.NewGroup()
+	prep.Go(func(*exec.Ctx) { ext, extErr = prepareSeries(data, opt.Norm) })
+	ar, err := load()
+	prep.Wait()
+	if extErr != nil {
+		if err == nil {
+			ar.Close()
+		}
+		return nil, extErr
 	}
-	return openSavedArena(data, ar, opt, start)
-}
-
-// openSavedArena builds an engine whose index arrays are views into ar,
-// the one open sequence of OpenSaved and OpenSavedFile. A mapped ar is
-// the engine's to release (Engine.Close); a heap one lives as long as a
-// shard views it. On error ar is released here.
-func openSavedArena(data []float64, ar *arena.Arena, opt Options, start time.Time) (*Engine, error) {
+	if err != nil {
+		return nil, err
+	}
 	sharded, err := sniffSaved(ar.Bytes())
 	if err != nil {
 		ar.Close()
 		return nil, err
 	}
-	e := newEngine(data, opt)
+	e := newEngine(opt, ext, ex)
 	if sharded {
 		e.sh, err = shard.OpenArena(ar, e.ext, e.ex)
 	} else {

@@ -501,9 +501,10 @@ var frontiers = sync.Pool{New: func() any { return new(frontier) }}
 // bullet (CheckContainment) additionally guarantees the bounds are
 // truthful, i.e. searches return the right answers; it reads every lane
 // of every indexed window, O(size·L), in one enclosure pass per node
-// (≈ 9 ms of CPU at 200 001 windows of L = 100 on a 2-vCPU Xeon, AVX2:
-// ≈ 4.5 ms of a ≈ 14.5 ms copy open on two units; CheckInvariants itself
-// runs it inline). A mapped open runs
+// (≈ 7.5 ms of CPU at 200 001 windows of L = 100 on a 2-vCPU Xeon,
+// AVX2, the largest pass of a copy open, which spreads it over the
+// executor beside the section checksums; CheckInvariants itself runs it
+// inline). A mapped open runs
 // CheckStructure only — pointing at a multi-gigabyte mapping must not
 // re-read the whole series — and trusts containment to the writer, as
 // every database trusts its own files' payloads once the framing
@@ -616,9 +617,11 @@ func (f *Frozen) CheckStructure() error {
 
 // CheckContainment validates the semantic half of the invariants: every
 // node's bounds enclose its children's bounds (internal) or the exact
-// windows of its positions (leaf). Requires a structurally valid arena.
-// An internal node costs one kernel.BoundsInside32 pass over its child
-// rows; a leaf one kernel.WindowsInside32 pass over its windows — read
+// windows of its positions (leaf). Requires a structurally valid arena:
+// CheckStructure has proved every position a window start, so no window
+// read here is range-checked again. An internal node costs one
+// kernel.BoundsInside32 pass over its child rows; a leaf one
+// kernel.WindowsInside32 pass over its windows — read
 // in place from the series, or, under per-subsequence normalisation,
 // normalised into rows first, as series.Verifier.Sweep lays them out.
 // Only a node that pass refuses is re-checked child by child or window
@@ -671,7 +674,6 @@ func (f *Frozen) CheckContainment(ex *exec.Executor) error {
 // node in that range whose bounds miss a child or a window, named.
 func (f *Frozen) containedIn(from, to int) error {
 	l := f.cfg.L
-	maxPos := series.NumSubsequences(f.ext.Len(), l)
 	buf := make([]float64, l)
 	var lay leafRows
 	for i := from; i < to; i++ {
@@ -679,13 +681,10 @@ func (f *Frozen) containedIn(from, to int) error {
 		first, c := f.first[i], f.count[i]
 		if f.isLeaf(int32(i)) {
 			held := f.positions[first : first+c]
-			if lay.inside(f, up, lo, held, maxPos) {
+			if lay.inside(f, up, lo, held) {
 				continue
 			}
 			for _, p := range held {
-				if p < 0 || int(p) >= maxPos {
-					return fmt.Errorf("core: frozen: corrupt position %d (max %d)", p, maxPos)
-				}
 				w := f.ext.Extract(int(p), l, buf)
 				if d := kernel.DistFlat32(up, lo, w); d > 0 {
 					return fmt.Errorf("core: frozen: leaf %d bounds do not enclose window %d", i, p)
@@ -718,14 +717,8 @@ type leafRows struct {
 }
 
 // inside reports whether the leaf bounds (up, lo) enclose the windows at
-// held, in one kernel.WindowsInside32 pass. false also stands for a
-// position outside [0, maxPos), which the caller's exact loop names.
-func (lay *leafRows) inside(f *Frozen, up, lo []float32, held []int32, maxPos int) bool {
-	for _, p := range held {
-		if p < 0 || int(p) >= maxPos {
-			return false
-		}
-	}
+// held, in one kernel.WindowsInside32 pass.
+func (lay *leafRows) inside(f *Frozen, up, lo []float32, held []int32) bool {
 	l := f.cfg.L
 	if f.ext.Mode() != series.NormPerSubsequence {
 		return kernel.WindowsInside32(up, lo, f.ext.Data(), held, l)

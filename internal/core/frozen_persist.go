@@ -253,12 +253,6 @@ func parseFrozenHeader(hdr []byte, ext *series.Extractor) (frozenHeader, error) 
 	return h, nil
 }
 
-// frozen starts the index the header describes; OpenFrozen
-// attaches the arrays.
-func (h frozenHeader) frozen(ext *series.Extractor) *Frozen {
-	return &Frozen{ext: ext, cfg: h.cfg, size: int(h.size), height: int(h.height), leafStart: int32(h.leafStart)}
-}
-
 // FrozenFromArena is OpenFrozen checking containment inline (a nil
 // executor): a stub kept only because bench/'s ladder calls it with
 // this signature. The bench/ rebuild deletes it.
@@ -279,10 +273,11 @@ func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen
 // (memory-safety) invariants are validated before the index is
 // returned; on a heap arena so are every section's checksum and the
 // O(size·L) bound containment, which a mapped arena leaves unread — see
-// the package comment above and Frozen.CheckStructure. The containment
-// check runs as units on ex (Frozen.CheckContainment; nil: inline), so
-// the open uses at most ex.Workers() cores and refuses a file with the
-// same text at any width.
+// the package comment above and Frozen.CheckStructure. The checksums
+// and the containment check run as units on ex (Frozen.CheckContainment;
+// nil: inline), so the open uses at most ex.Workers() executor workers
+// beside the calling goroutine, and refuses a file with the same text at
+// any width.
 func OpenFrozen(ar *arena.Arena, off int64, ext *series.Extractor, ex *exec.Executor) (*Frozen, int64, error) {
 	buf := ar.Bytes()
 	if off < 0 || off > int64(len(buf)) || int64(len(buf))-off < frozenHeaderSize {
@@ -296,33 +291,74 @@ func OpenFrozen(ar *arena.Arena, off int64, ext *series.Extractor, ex *exec.Exec
 	if lo.totalLen() > int64(len(buf))-off {
 		return nil, 0, fmt.Errorf("core: frozen arena: stream of %d bytes truncated at %d", lo.totalLen(), int64(len(buf))-off)
 	}
+	// A heap arena is resident already, so every byte is verified: the
+	// section checksums run as one unit on ex beside the structural and
+	// containment checks (inline, first, when ex is nil). The checks are
+	// memory-safe on any bytes — CheckStructure proves every position
+	// before CheckContainment reads a window at one — so they need not
+	// wait, and a checksum failure is the error whenever there is one.
 	heap := !ar.Mapped()
-	if heap { // resident already: verify every byte
-		for i, want := range h.crcs {
-			if got := crc32.Checksum(buf[off+lo[i]:off+lo[i+1]], castagnoli); got != want {
-				return nil, 0, fmt.Errorf("core: load frozen: section %s checksum %08x, recorded %08x: the file is damaged", frozenSections[i], got, want)
+	var sumErr error
+	var sums *exec.Group
+	if heap {
+		if ex == nil {
+			if err := h.checkSections(buf[off:]); err != nil {
+				return nil, 0, err
 			}
+		} else {
+			sums = ex.NewGroup()
+			sums.Go(func(*exec.Ctx) { sumErr = h.checkSections(buf[off:]) })
 		}
 	}
-	f := h.frozen(ext)
-	f.backing = ar
-	structure, bounds := f.sections()
-	for i, n := range sectionCounts(int(h.nodeCount), f.size, f.cfg.L) {
-		if i < len(structure) {
-			*structure[i], err = ar.Int32s(off+lo[i], n)
-		} else {
-			*bounds[i-len(structure)], err = ar.Float32s(off+lo[i], n)
+	f, err := h.attach(ar, off, ext)
+	if err == nil {
+		err = f.CheckStructure()
+		if err == nil && heap {
+			err = f.CheckContainment(ex)
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: frozen arena: %w", err)
+			err = fmt.Errorf("core: frozen arena: stream is inconsistent with the supplied series: %w", err)
 		}
 	}
-	err = f.CheckStructure()
-	if err == nil && heap {
-		err = f.CheckContainment(ex)
+	if sums != nil {
+		sums.Wait()
+	}
+	if sumErr != nil {
+		return nil, 0, sumErr
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: frozen arena: stream is inconsistent with the supplied series: %w", err)
+		return nil, 0, err
 	}
 	return f, lo.totalLen(), nil
+}
+
+// checkSections verifies every section's checksum over the stream
+// starting at stream[0], naming the first that fails.
+func (h frozenHeader) checkSections(stream []byte) error {
+	lo := h.layout
+	for i, want := range h.crcs {
+		if got := crc32.Checksum(stream[lo[i]:lo[i+1]], castagnoli); got != want {
+			return fmt.Errorf("core: load frozen: section %s checksum %08x, recorded %08x: the file is damaged", frozenSections[i], got, want)
+		}
+	}
+	return nil
+}
+
+// attach starts the index the header describes, its arrays viewing the
+// stream at byte offset off of ar.
+func (h frozenHeader) attach(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen, error) {
+	f := &Frozen{ext: ext, cfg: h.cfg, size: int(h.size), height: int(h.height), leafStart: int32(h.leafStart), backing: ar}
+	structure, bounds := f.sections()
+	var err error
+	for i, n := range sectionCounts(int(h.nodeCount), f.size, f.cfg.L) {
+		if i < len(structure) {
+			*structure[i], err = ar.Int32s(off+h.layout[i], n)
+		} else {
+			*bounds[i-len(structure)], err = ar.Float32s(off+h.layout[i], n)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: frozen arena: %w", err)
+		}
+	}
+	return f, nil
 }

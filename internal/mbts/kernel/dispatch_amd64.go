@@ -93,16 +93,18 @@ func sweepKernel32AVX2(upper, lower *float32, stride int, s *float64, n int, lim
 //go:noescape
 func sweepWindowsKernelAVX2(data *float64, starts *int32, s *float64, n int, limit float64, dists *float64, rows int)
 
-// windowsInside32KernelAVX2 is the enclosure test: for each of rows
-// windows (window j is the n lanes of data at starts[j]) it compares
-// every lane against both bounds, widened from float32 as
-// sweepKernel32AVX2 widens them, and ORs the GT_OQ and LT_OQ masks into
-// one accumulator that is tested once, after the last window (see
-// "Enclosure" in the package comment). The n mod 4 tail goes through
-// masked loads, so nothing past a window's or a bound's last lane is
-// read; masked-out lanes load +0 and compare inside. It reports whether
-// no lane was outside. rows and n must be positive and every start a
-// window inside data.
+// windowsInside32KernelAVX2 is the enclosure test by lane extremes: for
+// each 16-lane block it folds the block's lanes of every one of rows
+// windows (window j is the n lanes of data at starts[j]) into running
+// maxima and minima, NaN lanes skipped, then compares them against both
+// bounds, widened from float32 as sweepKernel32AVX2 widens them, and ORs
+// the GT_OQ and LT_OQ masks into one accumulator that is tested once,
+// after the last block (see "Enclosure" in the package comment). The
+// n mod 16 lanes go a 4-lane column at a time through masked loads, so
+// nothing past a window's or a bound's last lane is read; masked-out
+// lanes load +0 and compare inside. It reports whether no lane was
+// outside. rows and n must be positive and every start a window inside
+// data.
 //
 //go:noescape
 func windowsInside32KernelAVX2(upper, lower *float32, data *float64, starts *int32, n int, rows int) bool

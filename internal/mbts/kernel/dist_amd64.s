@@ -337,68 +337,139 @@ abandonW:
 
 // func windowsInside32KernelAVX2(upper, lower *float32, data *float64, starts *int32, n int, rows int) bool
 //
-// The enclosure test: each step loads 4 lanes of the window and 4 of
-// each bound, widened (VCVTPS2PD, exact), and ORs v GT_OQ u and
-// v LT_OQ l into Y0, one OR on Y0's chain a step. The n mod 4 tail
-// loads through VMASKMOVPD and VMASKMOVPS; masked-out lanes are +0 in
-// v, u and l, which compare inside. Y0 is tested once, after the last
-// window: the result is whether no mask bit was ever set. BX counts
-// lanes, as in sweepKernel32AVX2.
+// The enclosure test by lane extremes. The lanes go in 16-lane blocks:
+// for each block, every window's 16 lanes are folded into running
+// maxima Y0-Y3 and minima Y4-Y7 — VMAXPD and VMINPD with the window as
+// the first Intel source, so a NaN lane leaves the accumulator alone —
+// and only then are the block's bounds widened (VCVTPS2PD, exact) and
+// compared, max GT_OQ u and min LT_OQ l, into Y12. The accumulators
+// start at -Inf and +Inf, so a lane NaN in every window compares
+// inside. The n mod 16 lanes go a 4-lane column at a time, every load
+// masked to the lanes left (all four but in the n mod 4 tail), so
+// nothing past a window's or a bound's last lane is read; masked-out
+// lanes load +0 everywhere and compare inside. Y12 is tested once, at
+// the end: the result is whether no mask bit was ever set. BX is the
+// block's or column's first lane; AX points at that lane of data, so a
+// window's lanes are (AX)(start*8).
 TEXT ·windowsInside32KernelAVX2(SB), NOSPLIT, $0-49
 	MOVQ upper+0(FP), SI
 	MOVQ lower+8(FP), DI
 	MOVQ data+16(FP), DX
-	MOVQ starts+24(FP), R8
+	MOVQ starts+24(FP), R10
 	MOVQ n+32(FP), CX
-	MOVQ rows+40(FP), R12
+	MOVQ rows+40(FP), R11
 
-	MOVQ CX, R13
-	ANDQ $3, R13                 // R13 = tail lanes (n mod 4)
-	SUBQ R13, CX                 // CX = lanes covered by whole 4-lane steps
-	LEAQ tailmask<>(SB), AX
-	MOVQ $4, BX
-	SUBQ R13, BX
-	VMOVDQU (AX)(BX*8), Y10      // Y10 = first-R13-qwords mask, for the window
-	VMOVDQU 16(AX)(BX*4), X11    // X11 = first-R13-dwords mask, for the bounds
-	VXORPD  Y0, Y0, Y0           // Y0 = every outside mask so far
+	MOVQ         $0xFFF0000000000000, AX
+	MOVQ         AX, X13
+	VBROADCASTSD X13, Y13        // Y13 = -Inf, the maximum of no lane
+	MOVQ         $0x7FF0000000000000, AX
+	MOVQ         AX, X14
+	VBROADCASTSD X14, Y14        // Y14 = +Inf, the minimum of no lane
+	VXORPD       Y12, Y12, Y12   // Y12 = every outside mask so far
+	XORQ         BX, BX
+	MOVQ         CX, R13
+	ANDQ         $-16, R13       // R13 = lanes covered by whole 16-lane blocks
 
-rowI:
+blockI:
+	CMPQ    BX, R13
+	JAE     colI
+	VMOVAPD Y13, Y0
+	VMOVAPD Y13, Y1
+	VMOVAPD Y13, Y2
+	VMOVAPD Y13, Y3
+	VMOVAPD Y14, Y4
+	VMOVAPD Y14, Y5
+	VMOVAPD Y14, Y6
+	VMOVAPD Y14, Y7
+	LEAQ    (DX)(BX*8), AX
+	MOVQ    R10, R8
+	MOVQ    R11, R12
+
+winI:
 	MOVLQSX (R8), R9
-	LEAQ    (DX)(R9*8), R9       // R9 = this row's window
-	XORQ    BX, BX               // BX = lane index into the window and the bounds
-	CMPQ    BX, CX
-	JAE     tailI
+	VMOVUPD (AX)(R9*8), Y8
+	VMOVUPD 32(AX)(R9*8), Y9
+	VMOVUPD 64(AX)(R9*8), Y10
+	VMOVUPD 96(AX)(R9*8), Y11
+	VMAXPD  Y0, Y8, Y0           // (v > max) ? v : max
+	VMAXPD  Y1, Y9, Y1
+	VMAXPD  Y2, Y10, Y2
+	VMAXPD  Y3, Y11, Y3
+	VMINPD  Y4, Y8, Y4           // (v < min) ? v : min
+	VMINPD  Y5, Y9, Y5
+	VMINPD  Y6, Y10, Y6
+	VMINPD  Y7, Y11, Y7
+	ADDQ    $4, R8
+	DECQ    R12
+	JNZ     winI
 
-stepI:
-	VMOVUPD   (R9)(BX*8), Y1     // v
-	VCVTPS2PD (SI)(BX*4), Y2     // u, widened
-	VCVTPS2PD (DI)(BX*4), Y3     // l, widened
-	VCMPPD    $0x1E, Y2, Y1, Y4  // v > u
-	VCMPPD    $0x11, Y3, Y1, Y5  // v < l
+	VCVTPS2PD (SI)(BX*4), Y8     // u, widened
+	VCVTPS2PD 16(SI)(BX*4), Y9
+	VCVTPS2PD 32(SI)(BX*4), Y10
+	VCVTPS2PD 48(SI)(BX*4), Y11
+	VCMPPD    $0x1E, Y8, Y0, Y0  // max > u
+	VCMPPD    $0x1E, Y9, Y1, Y1
+	VCMPPD    $0x1E, Y10, Y2, Y2
+	VCMPPD    $0x1E, Y11, Y3, Y3
+	VCVTPS2PD (DI)(BX*4), Y8     // l, widened
+	VCVTPS2PD 16(DI)(BX*4), Y9
+	VCVTPS2PD 32(DI)(BX*4), Y10
+	VCVTPS2PD 48(DI)(BX*4), Y11
+	VCMPPD    $0x11, Y8, Y4, Y4  // min < l
+	VCMPPD    $0x11, Y9, Y5, Y5
+	VCMPPD    $0x11, Y10, Y6, Y6
+	VCMPPD    $0x11, Y11, Y7, Y7
+	VORPD     Y1, Y0, Y0
+	VORPD     Y3, Y2, Y2
 	VORPD     Y5, Y4, Y4
-	VORPD     Y4, Y0, Y0
-	ADDQ      $4, BX
-	CMPQ      BX, CX
-	JB        stepI
+	VORPD     Y7, Y6, Y6
+	VORPD     Y2, Y0, Y0
+	VORPD     Y6, Y4, Y4
+	VORPD     Y0, Y12, Y12
+	VORPD     Y4, Y12, Y12
+	ADDQ      $16, BX
+	JMP       blockI
 
-tailI:
-	TESTQ R13, R13
-	JZ    nextI
-	VMASKMOVPD (R9)(BX*8), Y10, Y1
-	VMASKMOVPS (SI)(BX*4), X11, X2
-	VMASKMOVPS (DI)(BX*4), X11, X3
-	VCVTPS2PD  X2, Y2
-	VCVTPS2PD  X3, Y3
-	VCMPPD     $0x1E, Y2, Y1, Y4
-	VCMPPD     $0x11, Y3, Y1, Y5
-	VORPD      Y5, Y4, Y4
+colI:
+	CMPQ BX, CX
+	JAE  doneI
+	MOVQ CX, R9
+	SUBQ BX, R9                  // R9 = lanes left
+	MOVQ $4, R13
+	CMPQ R9, R13
+	CMOVQGT R13, R9              // R9 = this column's lanes, min(left, 4)
+	SUBQ R9, R13
+	LEAQ tailmask<>(SB), AX
+	VMOVDQU (AX)(R13*8), Y10     // Y10 = first-R9-qwords mask, for the windows
+	VMOVDQU 16(AX)(R13*4), X11   // X11 = first-R9-dwords mask, for the bounds
+	VMOVAPD Y13, Y0
+	VMOVAPD Y14, Y4
+	LEAQ    (DX)(BX*8), AX
+	MOVQ    R10, R8
+	MOVQ    R11, R12
+
+colwinI:
+	MOVLQSX    (R8), R9
+	VMASKMOVPD (AX)(R9*8), Y10, Y8
+	VMAXPD     Y0, Y8, Y0
+	VMINPD     Y4, Y8, Y4
+	ADDQ       $4, R8
+	DECQ       R12
+	JNZ        colwinI
+
+	VMASKMOVPS (SI)(BX*4), X11, X8
+	VMASKMOVPS (DI)(BX*4), X11, X9
+	VCVTPS2PD  X8, Y8
+	VCVTPS2PD  X9, Y9
+	VCMPPD     $0x1E, Y8, Y0, Y0
+	VCMPPD     $0x11, Y9, Y4, Y4
 	VORPD      Y4, Y0, Y0
+	VORPD      Y0, Y12, Y12
+	ADDQ       $4, BX
+	JMP        colI
 
-nextI:
-	ADDQ $4, R8
-	DECQ R12
-	JNZ  rowI
-	VMOVMSKPD Y0, AX
+doneI:
+	VMOVMSKPD Y12, AX
 	VZEROUPPER
 	TESTL AX, AX
 	SETEQ ret+48(FP)

@@ -59,15 +59,15 @@ func enclosingBounds(data []float64, starts []int32, n int) (upper, lower []floa
 }
 
 // TestWindowsInside32Differential is the enclosure test's grid: lane
-// counts either side of the 4-lane step, the tightest band over a
-// random walk's windows (inside), the same band with one bound lane
-// moved inward by one float32 step at every lane in turn — the tail's
-// lanes included — (outside), the NaN contract's lanes in the series
-// and in the bounds, and inverted bounds.
+// counts either side of the 4-lane step and of the 16-lane block, the
+// tightest band over a random walk's windows (inside), the same band
+// with one bound lane moved inward by one float32 step at every lane in
+// turn — the tail's lanes included — (outside), the NaN contract's
+// lanes in the series and in the bounds, and inverted bounds.
 func TestWindowsInside32Differential(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	down, up := float32(math.Inf(-1)), float32(math.Inf(1))
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 100, 131} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 20, 37, 100, 131} {
 		for trial := 0; trial < 12; trial++ {
 			data := make([]float64, n+rng.Intn(200))
 			v := 0.0
@@ -175,9 +175,11 @@ func FuzzWindowsInside32(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	nan32, inf32, negz32 := float32(nan), float32(inf), float32(math.Copysign(0, -1))
 	// Seeds, as (upper..., lower..., data...) with n lanes per bound:
-	// every n from 1 to 9 and 100 in each mode, then the NaN contract's
-	// lanes and inverted bounds on raw lanes.
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 100} {
+	// every n from 1 to 9, either side of the 16-lane block and 100 in
+	// each mode, then the NaN contract's lanes and inverted bounds on raw
+	// lanes, then the cases where a lane's extremes over the windows and
+	// the per-window comparisons could disagree.
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 20, 100} {
 		data := make([]float64, n+11)
 		for i := range data {
 			data[i] = float64(i%7)/2 - 1.25
@@ -194,6 +196,50 @@ func FuzzWindowsInside32(f *testing.F) {
 	f.Add(mk([]float32{0}, []float32{0}, []float64{math.Copysign(0, -1), 0}), 1, []byte{0, 1}, byte(0))
 	f.Add(mk([]float32{-1, 2, 0}, []float32{1, -2, 0}, []float64{0, 0, 0, 0}), 3, []byte{0, 1}, byte(0)) // inverted
 	f.Add(mk([]float32{inf32}, []float32{-inf32}, []float64{inf, -inf, nan}), 1, []byte{0, 1, 2}, byte(0))
+	band := func(n int, u, l float32) (upper, lower []float32) {
+		upper, lower = make([]float32, n), make([]float32, n)
+		for i := range upper {
+			upper[i], lower[i] = u, l
+		}
+		return upper, lower
+	}
+	// The lane sits in a whole 4-lane column, in the n mod 4 tail, and in
+	// a 16-lane block.
+	for _, c := range []struct{ n, lane int }{{4, 1}, {17, 16}, {20, 5}} {
+		n, lane := c.n, c.lane
+		// A lane NaN in every window (starts n and 0, the last window
+		// first): inside in every mode, and under a band inverted there.
+		data := make([]float64, 2*n)
+		data[lane], data[n+lane] = nan, nan
+		upper, lower := band(n, 1, -1)
+		for mode := byte(0); mode < 4; mode++ {
+			f.Add(mk(upper, lower, data), n, []byte{0}, mode)
+		}
+		upper[lane], lower[lane] = -1, 1
+		f.Add(mk(upper, lower, data), n, []byte{0}, byte(0))
+		// An outside value, above or below, in the first window compared
+		// and NaN in the same lane of the last, and the other way round:
+		// outside every time.
+		upper, lower = band(n, 1, -1)
+		for _, out := range []float64{9, -9} {
+			data = make([]float64, 2*n)
+			data[n+lane], data[lane] = out, nan
+			f.Add(mk(upper, lower, data), n, []byte{0}, byte(0))
+			data[n+lane], data[lane] = nan, out
+			f.Add(mk(upper, lower, data), n, []byte{0}, byte(0))
+		}
+		// ±Inf lanes against a finite band (outside) and an infinite one.
+		data = make([]float64, 2*n)
+		data[lane], data[n+1] = inf, -inf
+		f.Add(mk(upper, lower, data), n, []byte{0}, byte(0))
+		f.Add(mk(upper, lower, data), n, []byte{0}, byte(1))
+		upper, lower = band(n, inf32, -inf32)
+		f.Add(mk(upper, lower, data), n, []byte{0}, byte(0))
+		// Bounds inverted on the tail lane alone, over windows of zeros.
+		upper, lower = band(n, 1, -1)
+		upper[n-1], lower[n-1] = -1, 1
+		f.Add(mk(upper, lower, make([]float64, 2*n)), n, []byte{0}, byte(0))
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte, n int, picks []byte, mode byte) {
 		if n < 0 || n > 256 || len(raw) < 8*n || len(picks) > 64 {

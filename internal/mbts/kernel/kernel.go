@@ -134,13 +134,19 @@
 // are never ±0, see the NaN contract), so the test is those two
 // IEEE-ordered comparisons and no arithmetic: a NaN lane or bound is
 // inside, inverted bounds put every ordered lane outside, and the
-// scalar form is the definition as a loop. The assembly widens both
-// bounds as the float32 sweep does, ORs the GT_OQ and LT_OQ masks of
-// every step of every window into one register and tests it once at the
-// end — no horizontal maximum, no branch per window — and reads the
-// n mod 4 tail through masked loads, whose +0 lanes compare inside. A
-// leaf the test refuses is re-checked window by window to name the
-// first window outside, so the answer to "which" stays DistFlat32's.
+// scalar form is the definition as a loop. The assembly compares each
+// lane's extremes instead of each window: some ordered v_j is above u
+// exactly when their maximum is, and below l exactly when their minimum
+// is, so for each 16-lane block it folds every window into VMAXPD and
+// VMINPD accumulators — started at −Inf and +Inf, with the window as
+// the first Intel source, so a NaN lane leaves them alone and a lane NaN
+// in every window compares inside — and only then widens the block's
+// bounds and compares, once per block, not once per window. It ORs the
+// GT_OQ and LT_OQ masks into one register tested once at the end — no
+// branch per window — and reads the n mod 16 lanes a 4-lane column at a
+// time through masked loads, whose +0 lanes compare inside. A leaf the
+// test refuses is re-checked window by window to name the first window
+// outside, so the answer to "which" stays DistFlat32's.
 //
 // An internal node's children are consecutive bound rows, all float32,
 // and BoundsInside32 is the same two comparisons lane against lane:

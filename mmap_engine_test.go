@@ -480,7 +480,9 @@ func TestSaveKilledMidStream(t *testing.T) {
 // defaults, the slow-query log on) — the open whose containment check
 // is one kernel.BoundsInside32 pass per internal node and one
 // kernel.WindowsInside32 pass per leaf, cut into units on the engine's
-// executor.
+// executor. served/copy/open-workers1 is the same open on a one-worker
+// executor, where the passes that overlap share one worker and the
+// calling goroutine.
 func BenchmarkColdOpen(b *testing.B) {
 	data := datasets.RandomWalk(85, 200_000)
 	const l = 100
@@ -505,19 +507,27 @@ func BenchmarkColdOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	single.Close()
-	b.Run("served/copy/open", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			re, err := OpenSavedFile(eeg, singlePath, Options{L: l, Norm: NormGlobal, NormSet: true,
-				ResultCacheBytes: -1, SlowLogSize: 128, SlowLogThreshold: 100 * time.Millisecond})
-			if err != nil {
-				b.Fatal(err)
+	for _, served := range []struct {
+		name    string
+		workers int
+	}{
+		{"served/copy/open", 0},
+		{"served/copy/open-workers1", 1},
+	} {
+		b.Run(served.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				re, err := OpenSavedFile(eeg, singlePath, Options{L: l, Norm: NormGlobal, NormSet: true, Workers: served.workers,
+					ResultCacheBytes: -1, SlowLogSize: 128, SlowLogThreshold: 100 * time.Millisecond})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := re.Close(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if err := re.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 
 	for _, variant := range []struct {
 		name  string

@@ -192,12 +192,9 @@ type Options struct {
 	SlowLogThreshold time.Duration
 }
 
-// check fills o's defaults and runs the checks every open path — Open,
-// OpenSaved, OpenSavedFile with and without MMap — applies to its
-// options and series. Every value must be finite: NaN compares false
-// against every threshold, so a NaN window would silently match
-// everything instead of nothing (and a saved index's structural checks,
-// comparisons all, cannot see one either).
+// check fills o's defaults and runs the O(1) checks every open path —
+// Open, OpenSaved, OpenSavedFile with and without MMap — applies to its
+// options and series; prepareSeries is the O(series) rest.
 func (o *Options) check(data []float64) error {
 	if o.L <= 0 {
 		return fmt.Errorf("twinsearch: Options.L = %d; a positive subsequence length is required", o.L)
@@ -208,10 +205,19 @@ func (o *Options) check(data []float64) error {
 	if len(data) < o.L {
 		return fmt.Errorf("twinsearch: series length %d shorter than L=%d", len(data), o.L)
 	}
-	if i := nonFinite(data); i >= 0 {
-		return fmt.Errorf("twinsearch: non-finite value %v at position %d; clean or impute missing samples first", data[i], i)
-	}
 	return nil
+}
+
+// prepareSeries refuses a series holding a non-finite value and builds
+// the extractor every open path serves data through. Every value must
+// be finite: NaN compares false against every threshold, so a NaN window
+// would silently match everything instead of nothing (and a saved
+// index's structural checks, comparisons all, cannot see one either).
+func prepareSeries(data []float64, norm NormMode) (*series.Extractor, error) {
+	if i := nonFinite(data); i >= 0 {
+		return nil, fmt.Errorf("twinsearch: non-finite value %v at position %d; clean or impute missing samples first", data[i], i)
+	}
+	return series.NewExtractor(data, norm), nil
 }
 
 // Engine holds a built TS-Index over one time series and answers twin
@@ -269,10 +275,11 @@ type Engine struct {
 // Options.ResultCacheBytes (and tsserve's flag default).
 const DefaultResultCacheBytes = 32 << 20
 
-// newEngine builds the common engine shell every open path shares:
-// extractor, executor, and the result cache the options select.
-func newEngine(data []float64, opt Options) *Engine {
-	e := &Engine{opt: opt, ext: series.NewExtractor(data, opt.Norm), ex: exec.New(opt.Workers)}
+// newEngine builds the common engine shell every open path shares
+// around its extractor and executor: the result cache the options
+// select and the observability set.
+func newEngine(opt Options, ext *series.Extractor, ex *exec.Executor) *Engine {
+	e := &Engine{opt: opt, ext: ext, ex: ex}
 	if b := opt.ResultCacheBytes; b != 0 {
 		if b < 0 {
 			b = DefaultResultCacheBytes
@@ -346,7 +353,11 @@ func Open(data []float64, opt Options) (*Engine, error) {
 	if err := opt.check(data); err != nil {
 		return nil, err
 	}
-	e := newEngine(data, opt)
+	ext, err := prepareSeries(data, opt.Norm)
+	if err != nil {
+		return nil, err
+	}
+	e := newEngine(opt, ext, exec.New(opt.Workers))
 	if opt.Topology != "" {
 		topo, err := cluster.LoadTopology(opt.Topology)
 		if err != nil {
@@ -363,7 +374,6 @@ func Open(data []float64, opt Options) (*Engine, error) {
 		e.registerIndexInfo(start)
 		return e, nil
 	}
-	var err error
 	e.sh, err = shard.Build(e.ext, shard.Config{
 		Config: core.Config{L: opt.L, MinCap: opt.MinCap, MaxCap: opt.MaxCap},
 		Shards: resolveShards(opt.Shards), Executor: e.ex,
