@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"twinsearch/internal/datasets"
@@ -330,18 +331,26 @@ func countNodes(n *node) int {
 }
 
 // TestInsertAllocs pins the insert path's allocation budget: an insert
-// that splits nothing allocates nothing, and a leaf split allocates its
-// two new leaves — node, MBTS, two bounds and a position slice each —
-// and no copy of any window.
+// that splits nothing allocates nothing; a leaf split allocates its two
+// new leaves — a node and a position slice each — and no copy of any
+// window; and when that split also splits its non-root parent, one new
+// internal node — node, block of child rows and child slice — is all it
+// adds, the other half reusing the node the last internal split freed.
+// A fresh block for each half would exceed it.
 func TestInsertAllocs(t *testing.T) {
-	const leafSplit = 2 * 5
+	const (
+		leafSplit     = 2 * 2
+		internalSplit = leafSplit + 3
+	)
 	data := datasets.EEGN(2, 4000)
 	count := series.NumSubsequences(len(data), 100)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
 	for _, mode := range allModes {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			// measure builds the index once and returns, per insert past
-			// the warm-up, its allocations and how many nodes it added.
-			measure := func() (allocs []float64, added []int) {
+			// the warm-up, its allocations, how many nodes it added, and
+			// whether a split node was there to reuse before it.
+			measure := func() (allocs []uint64, added []int, spare []bool) {
 				ix, err := newBuilder(series.NewExtractor(data, mode), Config{L: 100})
 				if err != nil {
 					t.Fatal(err)
@@ -350,46 +359,53 @@ func TestInsertAllocs(t *testing.T) {
 				for ; p < 200; p++ { // past the first leaf and the first root
 					ix.add(p)
 				}
-				for p+1 < count {
-					// AllocsPerRun(1, f) warms up with one call and measures
-					// the next; before is the node count ahead of that one.
-					var before int
-					allocs = append(allocs, testing.AllocsPerRun(1, func() {
-						before = countNodes(ix.root)
-						ix.add(p)
-						p++
-					}))
+				var ms runtime.MemStats
+				for ; p < count; p++ {
+					before, hadSpare := countNodes(ix.root), ix.spare != nil
+					runtime.ReadMemStats(&ms)
+					mallocs := ms.Mallocs
+					ix.add(p)
+					runtime.ReadMemStats(&ms)
+					allocs = append(allocs, ms.Mallocs-mallocs)
 					added = append(added, countNodes(ix.root)-before)
+					spare = append(spare, hadSpare)
 				}
-				return allocs, added
+				return allocs, added, spare
 			}
 			// The build is deterministic, so insert i is the same insert
 			// in every pass; the minimum over three sheds an allocation
 			// the runtime itself (GC, the race detector) slipped in.
-			allocs, added := measure()
+			allocs, added, spare := measure()
 			for pass := 1; pass < 3; pass++ {
-				again, _ := measure()
+				again, _, _ := measure()
 				for i, a := range again {
-					allocs[i] = math.Min(allocs[i], a)
+					allocs[i] = min(allocs[i], a)
 				}
 			}
-			var plain, splits int
+			var plain, splits, parentSplits int
 			for i, a := range allocs {
-				switch added[i] {
-				case 0:
+				switch {
+				case added[i] == 0:
 					plain++
 					if a != 0 {
-						t.Fatalf("measured insert %d split nothing and allocated %v times", i, a)
+						t.Fatalf("measured insert %d split nothing and allocated %d times", i, a)
 					}
-				case 1: // one leaf split, absorbed by its parent
+				case added[i] == 1: // one leaf split, absorbed by its parent
 					splits++
 					if a > leafSplit {
-						t.Fatalf("measured insert %d split one leaf and allocated %v times, budget %d", i, a, leafSplit)
+						t.Fatalf("measured insert %d split one leaf and allocated %d times, budget %d", i, a, leafSplit)
+					}
+				case added[i] == 2 && spare[i]: // and its parent, absorbed by the grandparent
+					parentSplits++
+					if a > internalSplit {
+						t.Fatalf("measured insert %d split a leaf and its parent and allocated %d times, budget %d",
+							i, a, internalSplit)
 					}
 				}
 			}
-			if plain == 0 || splits == 0 {
-				t.Fatalf("measured %d plain inserts and %d leaf splits", plain, splits)
+			if plain == 0 || splits == 0 || parentSplits == 0 {
+				t.Fatalf("measured %d plain inserts, %d leaf splits and %d parent splits with a split node to reuse",
+					plain, splits, parentSplits)
 			}
 		})
 	}

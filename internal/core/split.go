@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 
 	"twinsearch/internal/mbts"
@@ -57,9 +58,8 @@ func (ix *builder) splitLeaf(n *node) (*node, *node) {
 		case ix.cfg.MinCap-len(b.positions) >= left:
 			assignLeaf(b, w, p)
 		default:
-			incA := kernel.WidthIncreaseSequence(a.bounds.Upper, a.bounds.Lower, w)
-			incB := kernel.WidthIncreaseSequence(b.bounds.Upper, b.bounds.Lower, w)
-			if pickSide(incA, incB, a.bounds, b.bounds, len(a.positions), len(b.positions)) {
+			c := kernel.CompareWidthIncrease(a.bounds.Upper, a.bounds.Lower, b.bounds.Upper, b.bounds.Lower, w)
+			if pickSide(c, a.bounds, b.bounds, len(a.positions), len(b.positions)) {
 				assignLeaf(a, w, p)
 			} else {
 				assignLeaf(b, w, p)
@@ -159,7 +159,8 @@ func assignLeaf(n *node, w []float64, p int32) {
 // splitInternal divides an overflowing internal node (§5.2), bounded at
 // the node's row and at row 1 of builder.top: seeds are the two children
 // whose MBTS are farthest apart under Eq. 3; remaining children join the
-// side whose merged MBTS grows the least.
+// side whose merged MBTS grows the least. n, every child moved out of
+// its block, is left to the next newInternal.
 func (ix *builder) splitInternal(n *node) (*node, *node) {
 	si, sj := ix.farthestChildren(n.children)
 	a, b := ix.newInternal(n.bounds), ix.newInternal(ix.top.Row(1, ix.cfg.L))
@@ -177,8 +178,8 @@ func (ix *builder) splitInternal(n *node) (*node, *node) {
 		case ix.cfg.MinCap-len(b.children) >= left:
 			ix.adopt(b, c)
 		default:
-			if pickSide(a.bounds.WidthIncreaseMBTS(c.bounds), b.bounds.WidthIncreaseMBTS(c.bounds),
-				a.bounds, b.bounds, len(a.children), len(b.children)) {
+			inc := cmp.Compare(a.bounds.WidthIncreaseMBTS(c.bounds), b.bounds.WidthIncreaseMBTS(c.bounds))
+			if pickSide(inc, a.bounds, b.bounds, len(a.children), len(b.children)) {
 				ix.adopt(a, c)
 			} else {
 				ix.adopt(b, c)
@@ -186,6 +187,7 @@ func (ix *builder) splitInternal(n *node) (*node, *node) {
 		}
 		left--
 	}
+	ix.spare = n
 	return a, b
 }
 
@@ -253,10 +255,11 @@ func (ix *builder) farthestChildren(children []*node) (si, sj int) {
 }
 
 // pickSide reports whether side A should take the entry: least width
-// increase, then tighter current MBTS, then fewer entries.
-func pickSide(incA, incB float64, bA, bB mbts.MBTS, nA, nB int) bool {
-	if incA != incB {
-		return incA < incB
+// increase — inc orders A's against B's, as cmp.Compare — then tighter
+// current MBTS, then fewer entries.
+func pickSide(inc int, bA, bB mbts.MBTS, nA, nB int) bool {
+	if inc != 0 {
+		return inc < 0
 	}
 	wA, wB := bA.Width(), bB.Width()
 	if wA != wB {

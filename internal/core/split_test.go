@@ -13,27 +13,27 @@ func TestPickSideTieBreaks(t *testing.T) {
 
 	// Different increases: the smaller increase wins regardless of the
 	// rest.
-	if !pickSide(1, 2, wide, tight, 9, 1) {
+	if !pickSide(-1, wide, tight, 9, 1) {
 		t.Fatal("smaller width increase must win")
 	}
-	if pickSide(2, 1, tight, wide, 1, 9) {
+	if pickSide(1, tight, wide, 1, 9) {
 		t.Fatal("smaller width increase must win (other side)")
 	}
 	// Equal increases: the tighter MBTS wins.
-	if pickSide(1, 1, wide, tight, 1, 9) {
+	if pickSide(0, wide, tight, 1, 9) {
 		t.Fatal("equal increase: tighter band must win")
 	}
-	if !pickSide(1, 1, tight, wide, 9, 1) {
+	if !pickSide(0, tight, wide, 9, 1) {
 		t.Fatal("equal increase: tighter band must win (other side)")
 	}
 	// Equal increases and widths: fewer entries wins; full tie goes to A.
-	if !pickSide(1, 1, tight, tight, 2, 5) {
+	if !pickSide(0, tight, tight, 2, 5) {
 		t.Fatal("fewer entries must win")
 	}
-	if pickSide(1, 1, tight, tight, 5, 2) {
+	if pickSide(0, tight, tight, 5, 2) {
 		t.Fatal("fewer entries must win (other side)")
 	}
-	if !pickSide(1, 1, tight, tight, 3, 3) {
+	if !pickSide(0, tight, tight, 3, 3) {
 		t.Fatal("full tie must go to side A")
 	}
 }

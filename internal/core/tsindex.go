@@ -86,6 +86,7 @@ type builder struct {
 
 	winBuf []float64    // reusable insertion window
 	split  splitScratch // node-split and descent working memory (split.go)
+	spare  *node        // the last internal node split, its block free for newInternal
 }
 
 // node is a tree node. Its bounds are a row of the block its parent
@@ -215,8 +216,15 @@ func (ix *builder) insert(n *node, w []float64, p int32) (*node, *node) {
 }
 
 // newInternal returns a childless internal node bounded at the row
-// bounds, its block sized for the MaxCap+1 children it holds at most.
+// bounds, its block sized for the MaxCap+1 children it holds at most:
+// the last split node's, when there is one, as it stands — no row past
+// a node's child count is read before adopt writes it.
 func (ix *builder) newInternal(bounds mbts.MBTS) *node {
+	if n := ix.spare; n != nil {
+		ix.spare = nil
+		*n = node{bounds: bounds, rows: n.rows, children: n.children[:0]}
+		return n
+	}
 	c := ix.cfg.MaxCap + 1
 	return &node{bounds: bounds, rows: mbts.New(c * ix.cfg.L), children: make([]*node, 0, c)}
 }
@@ -267,20 +275,16 @@ func (ix *builder) chooseChild(n *node, w []float64) (*node, float64) {
 	} else {
 		dists = dists[:h+1]
 	}
-	best, bestInc := -1, -1.0 // bestInc is computed on the first tie
+	best := -1
 	for i, d := range dists {
 		switch {
 		case d < 0: // abandoned: farther than the hint
 		case best < 0 || d < dists[best]:
-			best, bestInc = i, -1
+			best = i
 		case d == dists[best] && d > 0:
-			if bestInc < 0 {
-				b := n.rows.Row(best, l)
-				bestInc = kernel.WidthIncreaseSequence(b.Upper, b.Lower, w)
-			}
-			c := n.rows.Row(i, l)
-			if inc := kernel.WidthIncreaseSequence(c.Upper, c.Lower, w); inc < bestInc {
-				best, bestInc = i, inc
+			c, b := n.rows.Row(i, l), n.rows.Row(best, l)
+			if kernel.CompareWidthIncrease(c.Upper, c.Lower, b.Upper, b.Lower, w) < 0 {
+				best = i
 			}
 		}
 	}

@@ -34,8 +34,9 @@ func detectAVX2() bool {
 }
 
 // avx2Impl vectorizes the query-time hot path — every descent, Lemma 1
-// test, and top-k bound funnels through the Eq. 2 sweep — and shares
-// the portable forms for the build-time split heuristics, which are
+// test, and top-k bound funnels through the Eq. 2 sweep — and the
+// build's expansion and width-increase comparison, and shares the
+// portable forms for the other split heuristics, which are
 // bit-identical by construction.
 func avx2Impl() Impl {
 	return Impl{
@@ -53,6 +54,7 @@ func avx2Impl() Impl {
 		Width:                 widthPortable,
 		WidthIncreaseSequence: widthIncreaseSequencePortable,
 		WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
+		CompareWidthIncrease:  compareWidthIncreaseAVX2,
 		Expand:                expandAVX2,
 	}
 }
@@ -131,6 +133,18 @@ func boundsInside32KernelAVX2(upper, lower, childUpper, childLower *float32, n, 
 //go:noescape
 func expandKernelAVX2(upper, lower, s *float64, n int)
 
+// widthIncreasePairAVX2 sums the Eq. 2 excursions of the n lanes of s
+// outside both bands, [aLower, aUpper] into sa and [bLower, bUpper]
+// into sb, in one pass: 4 lanes per step, each side's lane i added to
+// its accumulator's slot i mod 4, the slots then added (s0+s2)+(s1+s3).
+// The terms are the scalar form's bit for bit; only the order of the
+// additions differs (see "Width-increase comparison" in the package
+// comment). The n mod 4 tail goes through a masked load, whose +0
+// lanes add +0. n must be positive.
+//
+//go:noescape
+func widthIncreasePairAVX2(aUpper, aLower, bUpper, bLower, s *float64, n int) (sa, sb float64)
+
 // cpuidAsm executes CPUID with EAX=op, ECX=sub.
 func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -190,6 +204,48 @@ func expandAVX2(upper, lower, s []float64) {
 	}
 	upper, lower = upper[:n], lower[:n]
 	expandKernelAVX2(&upper[0], &lower[0], &s[0], n)
+}
+
+// compareWidthIncreaseAVX2 decides from the assembly's sums when they
+// are certainly apart and falls back to the lane-order comparison
+// otherwise (see "Width-increase comparison").
+func compareWidthIncreaseAVX2(aUpper, aLower, bUpper, bLower, s []float64) int {
+	n := len(s)
+	if n == 0 {
+		return 0
+	}
+	aUpper, aLower, bUpper, bLower = aUpper[:n], aLower[:n], bUpper[:n], bLower[:n]
+	sa, sb := widthIncreasePairAVX2(&aUpper[0], &aLower[0], &bUpper[0], &bLower[0], &s[0], n)
+	if order, ok := certainlyApart(sa, sb, n); ok {
+		return order
+	}
+	return compareWidthIncreasePortable(aUpper, aLower, bUpper, bLower, s)
+}
+
+// certainlyApart returns the order of two lane-order width increases
+// from sums sa and sb of the same n terms each, added in another order,
+// with ok false when those sums cannot decide it.
+func certainlyApart(sa, sb float64, n int) (order int, ok bool) {
+	switch {
+	case sa == 0 && sb == 0:
+		return 0, true
+	case sa == 0:
+		return -1, true
+	case sb == 0:
+		return 1, true
+	}
+	normal := func(x float64) bool { return x >= 0x1p-1022 && x <= math.MaxFloat64 }
+	if !normal(sa) || !normal(sb) {
+		return 0, false
+	}
+	c := 1 + float64(8*n)*0x1p-53
+	switch {
+	case sa*c < sb:
+		return -1, true
+	case sb*c < sa:
+		return 1, true
+	}
+	return 0, false
 }
 
 // The single-row entry points are the sweep kernel with one row, called

@@ -1,6 +1,6 @@
 // AVX2 Eq. 2 sibling-sweep kernels (float64 and float32 bound rows), the
-// candidate-window sweep, the two enclosure tests, band expansion, and the
-// CPUID/XGETBV feature probes.
+// candidate-window sweep, the two enclosure tests, band expansion, the
+// paired width-increase sums, and the CPUID/XGETBV feature probes.
 //
 // Lane recipe (4 float64 per step), mirroring portable.go's excursion:
 //
@@ -32,17 +32,21 @@ DATA tailmask<>+48(SB)/8, $0
 DATA tailmask<>+56(SB)/8, $0
 GLOBL tailmask<>(SB), RODATA|NOPTR, $64
 
-// LANES folds the 4 lanes v=Y1, u=Y2, l=Y3 into the running maxima Y0
-// by the recipe above (Y6 = above, Y8 = below &^ above, Y4 = d).
-#define LANES \
-	VSUBPD  Y2, Y1, Y4; \
-	VSUBPD  Y1, Y3, Y5; \
-	VCMPPD  $0x1E, Y2, Y1, Y6; \
-	VCMPPD  $0x11, Y3, Y1, Y8; \
+// EXCURSION computes d of the 4 lanes v=Y1 against [l, u] into Y4 by
+// the recipe above (Y6 = above, Y8 = below &^ above, Y5 scratch).
+#define EXCURSION(u, l) \
+	VSUBPD  u, Y1, Y4; \
+	VSUBPD  Y1, l, Y5; \
+	VCMPPD  $0x1E, u, Y1, Y6; \
+	VCMPPD  $0x11, l, Y1, Y8; \
 	VANDPD  Y6, Y4, Y4; \
 	VANDNPD Y8, Y6, Y8; \
 	VANDPD  Y8, Y5, Y5; \
-	VORPD   Y5, Y4, Y4; \
+	VORPD   Y5, Y4, Y4
+
+// LANES folds the 4 lanes v=Y1, u=Y2, l=Y3 into the running maxima Y0.
+#define LANES \
+	EXCURSION(Y2, Y3); \
 	VMAXPD  Y4, Y0, Y0
 
 // func sweepKernelAVX2(upper, lower *float64, stride int, s *float64, n int, limit float64, dists *float64, rows int)
@@ -588,6 +592,78 @@ tailE:
 	VMASKMOVPD Y3, Y10, (DI)(BX*1)
 
 doneE:
+	VZEROUPPER
+	RET
+
+// EXCURSIONSUM adds the excursions of the 4 lanes v=Y1 outside
+// [l, u] to the running sums ACC: LANES with VADDPD where VMAXPD was.
+#define EXCURSIONSUM(u, l, ACC) \
+	EXCURSION(u, l); \
+	VADDPD  Y4, ACC, ACC
+
+// func widthIncreasePairAVX2(aUpper, aLower, bUpper, bLower, s *float64, n int) (sa, sb float64)
+//
+// Both bands' width increases in one pass over s: each step loads v
+// once and adds its excursions outside band a into Y0 and outside band
+// b into Y7, slot i mod 4 taking lane i. Masked-out tail lanes load +0
+// into v and every bound, whose excursion is +0, and a sum plus +0 is
+// the sum. Each side's slots are then added (s0+s2)+(s1+s3).
+TEXT ·widthIncreasePairAVX2(SB), NOSPLIT, $0-64
+	MOVQ aUpper+0(FP), SI
+	MOVQ aLower+8(FP), DI
+	MOVQ bUpper+16(FP), R8
+	MOVQ bLower+24(FP), R9
+	MOVQ s+32(FP), DX
+	MOVQ n+40(FP), CX
+
+	MOVQ CX, R13
+	ANDQ $3, R13                 // R13 = tail lanes (n mod 4)
+	SUBQ R13, CX
+	SHLQ $3, CX                  // CX = bytes covered by whole 4-lane steps
+	VXORPD Y0, Y0, Y0            // Y0 = band a's sums, +0 seeded
+	VXORPD Y7, Y7, Y7            // Y7 = band b's sums
+	XORQ   BX, BX                // BX = byte offset into s and every bound
+	CMPQ   BX, CX
+	JAE    tailP
+
+stepP:
+	VMOVUPD (DX)(BX*1), Y1       // v
+	VMOVUPD (SI)(BX*1), Y2
+	VMOVUPD (DI)(BX*1), Y3
+	EXCURSIONSUM(Y2, Y3, Y0)
+	VMOVUPD (R8)(BX*1), Y9
+	VMOVUPD (R9)(BX*1), Y10
+	EXCURSIONSUM(Y9, Y10, Y7)
+	ADDQ $32, BX
+	CMPQ BX, CX
+	JB   stepP
+
+tailP:
+	TESTQ R13, R13
+	JZ    reduceP
+	LEAQ tailmask<>(SB), AX
+	MOVQ $4, R10
+	SUBQ R13, R10
+	VMOVDQU    (AX)(R10*8), Y11  // Y11 = first-R13-lanes mask
+	VMASKMOVPD (DX)(BX*1), Y11, Y1
+	VMASKMOVPD (SI)(BX*1), Y11, Y2
+	VMASKMOVPD (DI)(BX*1), Y11, Y3
+	EXCURSIONSUM(Y2, Y3, Y0)
+	VMASKMOVPD (R8)(BX*1), Y11, Y9
+	VMASKMOVPD (R9)(BX*1), Y11, Y10
+	EXCURSIONSUM(Y9, Y10, Y7)
+
+reduceP:
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0      // (s0+s2, s1+s3)
+	VSHUFPD      $1, X0, X0, X1
+	VADDSD       X1, X0, X0
+	VEXTRACTF128 $1, Y7, X1
+	VADDPD       X1, X7, X7
+	VSHUFPD      $1, X7, X7, X1
+	VADDSD       X1, X7, X7
+	VMOVSD       X0, sa+48(FP)
+	VMOVSD       X7, sb+56(FP)
 	VZEROUPPER
 	RET
 

@@ -183,3 +183,42 @@ func TestExpandGuardPage(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareWidthIncreaseGuardPage compares bands whose four bounds
+// and sequence each end on the last byte before an inaccessible page: a
+// tail step that loaded a whole vector, or a masked load that touched a
+// lane past n, faults here instead of reading a neighbour unnoticed.
+// Every n mod 4, on every implementation, with bands far apart (the
+// sums decide) and with one band twice (the lane-order sums decide).
+func TestCompareWidthIncreaseGuardPage(t *testing.T) {
+	page := os.Getpagesize()
+	buf, err := syscall.Mmap(-1, 0, 10*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	defer syscall.Munmap(buf)
+	// Five writable pages, each followed by a guard page.
+	region := make([][]float64, 5)
+	for r := range region {
+		if err := syscall.Mprotect(buf[(2*r+1)*page:(2*r+2)*page], syscall.PROT_NONE); err != nil {
+			t.Skipf("mprotect: %v", err)
+		}
+		//tsvet:ignore each array must be the mapping itself for its last lane to border a guard page; page-aligned and page-sized
+		region[r] = unsafe.Slice((*float64)(unsafe.Pointer(&buf[2*r*page])), page/8)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for n := 1; n <= 45; n++ {
+		end := page/8 - n
+		au, al, bu, bl, s := region[0][end:], region[1][end:], region[2][end:], region[3][end:], region[4][end:]
+		for i := 0; i < n; i++ {
+			a, b := rng.NormFloat64(), rng.NormFloat64()
+			au[i], al[i] = max(a, b), min(a, b)
+			bu[i], bl[i] = au[i]/4, al[i]/4
+			s[i] = 2 * rng.NormFloat64()
+		}
+		checkCompare(t, au, al, bu, bl, s)
+		copy(bu, au)
+		copy(bl, al)
+		checkCompare(t, au, al, bu, bl, s)
+	}
+}

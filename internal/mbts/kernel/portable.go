@@ -1,6 +1,9 @@
 package kernel
 
-import "math"
+import (
+	"cmp"
+	"math"
+)
 
 // The branch-free portable kernels — the semantic definition of the
 // package (see the package comment's NaN contract). Per-element
@@ -287,6 +290,15 @@ func widthIncreaseSequencePortable(upper, lower, s []float64) float64 {
 		inc += excursion(upper[i], lower[i], v)
 	}
 	return inc
+}
+
+// compareWidthIncreasePortable is the width-increase comparison as
+// two sequential sums (see "Width-increase comparison"). A pure-Go
+// filter summing four lanes apart with the assembly's certain-apart
+// test measured slower, 500–650 against 390–440 ns for 100 lanes: the
+// loop is bound by instruction count, not by the add chain.
+func compareWidthIncreasePortable(aUpper, aLower, bUpper, bLower, s []float64) int {
+	return cmp.Compare(widthIncreaseSequencePortable(aUpper, aLower, s), widthIncreaseSequencePortable(bUpper, bLower, s))
 }
 
 func widthIncreaseMBTSPortable(bUpper, bLower, oUpper, oLower []float64) float64 {

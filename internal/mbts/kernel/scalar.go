@@ -1,5 +1,7 @@
 package kernel
 
+import "cmp"
+
 // The original branchy kernels, verbatim from internal/mbts as shipped
 // since PR 1 — kept as the differential oracle: the portable and
 // assembly forms must reproduce these bit-for-bit on every input
@@ -165,6 +167,13 @@ func widthIncreaseSequenceScalar(upper, lower, s []float64) float64 {
 		}
 	}
 	return inc
+}
+
+// compareWidthIncreaseScalar is the width-increase comparison's
+// definition, as written: both increases summed in lane order, then
+// compared.
+func compareWidthIncreaseScalar(aUpper, aLower, bUpper, bLower, s []float64) int {
+	return cmp.Compare(widthIncreaseSequenceScalar(aUpper, aLower, s), widthIncreaseSequenceScalar(bUpper, bLower, s))
 }
 
 // expandScalar is mbts.ExpandToSequence's original loop, verbatim.
