@@ -1,28 +1,24 @@
 package twinsearch_test
 
-// Benchmarks mirroring the paper's evaluation, one family per figure
-// (each section below names its figure; `go run ./cmd/tsbench -figure
-// N` prints the figure's table and checks its shape against the
-// paper's claims, harness.Claims).
+// Benchmarks of the index's operations: construction, range search,
+// top-k and the shard layer's fan-out and merge. The ones over
+// servedSeries are the in-process counterparts of the bench/ program's
+// workloads (BENCHMARK.json).
 //
-// These benches run on reduced dataset sizes with in-memory
-// verification so `go test -bench=.` finishes in minutes; the
-// full-shape reproduction with the paper's disk-resident setup is
-// `go run ./cmd/tsbench` (which also prints the per-figure tables).
+// The paper's figures (4–8 and the introduction's experiment) live in
+// `go run ./cmd/tsbench -figure N`, which writes the committed
+// BENCH_fig*.json files; TestFigureRelations holds them to the paper's
+// claims.
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
 
-	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/exec"
 	"twinsearch/internal/harness"
-	"twinsearch/internal/isax"
-	"twinsearch/internal/kvindex"
 	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 	"twinsearch/internal/sweepline"
@@ -47,68 +43,24 @@ var benchSetups = []benchSetup{
 	{"EEG", datasets.EEGN(2, benchEEGLen), harness.EEGEpsNorm, harness.EEGDefaultEpsNorm},
 }
 
-// engine caches keyed by (dataset, mode, method, l) so builds don't
-// repeat across sub-benchmarks. Benchmarks run sequentially.
-var (
-	extCache = map[string]*series.Extractor{}
-	tsCache  = map[string]*core.Frozen{}
-	isxCache = map[string]*isax.Index{}
-	kvCache  = map[string]*kvindex.Index{}
-)
+// extCache holds each dataset's extractor so the benchmarks below do
+// not rebuild it. Benchmarks run sequentially.
+var extCache = map[string]*series.Extractor{}
 
-func benchExt(ds benchSetup, mode series.NormMode) *series.Extractor {
-	key := fmt.Sprintf("%s/%d", ds.name, mode)
-	if e, ok := extCache[key]; ok {
+// benchExt is the dataset's globally z-normalized extractor.
+func benchExt(ds benchSetup) *series.Extractor {
+	if e, ok := extCache[ds.name]; ok {
 		return e
 	}
-	e := series.NewExtractor(ds.data, mode)
-	extCache[key] = e
+	e := series.NewExtractor(ds.data, series.NormGlobal)
+	extCache[ds.name] = e
 	return e
 }
 
-// benchTS is the TS-Index in the form that is searched: built by
-// insertion, frozen.
-func benchTS(b *testing.B, ds benchSetup, mode series.NormMode, l int) *core.Frozen {
-	key := fmt.Sprintf("%s/%d/%d", ds.name, mode, l)
-	if f, ok := tsCache[key]; ok {
-		return f
-	}
-	f, err := core.Build(benchExt(ds, mode), core.Config{L: l})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tsCache[key] = f
-	return f
-}
-
-func benchISAX(b *testing.B, ds benchSetup, mode series.NormMode, l int) *isax.Index {
-	key := fmt.Sprintf("%s/%d/%d", ds.name, mode, l)
-	if ix, ok := isxCache[key]; ok {
-		return ix
-	}
-	ix, err := isax.Build(benchExt(ds, mode), isax.Config{L: l, Segments: harness.DefaultM})
-	if err != nil {
-		b.Fatal(err)
-	}
-	isxCache[key] = ix
-	return ix
-}
-
-func benchKV(b *testing.B, ds benchSetup, mode series.NormMode, l int) *kvindex.Index {
-	key := fmt.Sprintf("%s/%d/%d", ds.name, mode, l)
-	if ix, ok := kvCache[key]; ok {
-		return ix
-	}
-	ix, err := kvindex.Build(benchExt(ds, mode), kvindex.Config{L: l})
-	if err != nil {
-		b.Fatal(err)
-	}
-	kvCache[key] = ix
-	return ix
-}
-
-func benchWorkload(ds benchSetup, ext *series.Extractor, l int) [][]float64 {
-	raw := datasets.Queries(ds.data, 7, benchQueries, l)
+// benchWorkload is the dataset's query workload at L = harness.DefaultL,
+// transformed by ext.
+func benchWorkload(ds benchSetup, ext *series.Extractor) [][]float64 {
+	raw := datasets.Queries(ds.data, 7, benchQueries, harness.DefaultL)
 	out := make([][]float64, len(raw))
 	for i, q := range raw {
 		out[i] = ext.TransformQuery(q)
@@ -129,255 +81,6 @@ func runQueries(b *testing.B, search func(q []float64, eps float64) int, qs [][]
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(total)/float64(b.N)/float64(len(qs)), "results/query")
-}
-
-// --- Figure 4: query time vs ε, global z-normalization -----------------
-
-func BenchmarkFig4QueryVsEps(b *testing.B) {
-	for _, ds := range benchSetups {
-		ext := benchExt(ds, series.NormGlobal)
-		qs := benchWorkload(ds, ext, harness.DefaultL)
-		for _, eps := range ds.eps {
-			eps := eps
-			b.Run(fmt.Sprintf("%s/Sweepline/eps=%g", ds.name, eps), func(b *testing.B) {
-				sw := sweepline.New(ext)
-				runQueries(b, func(q []float64, e float64) int { return len(sw.Search(q, e)) }, qs, eps)
-			})
-			b.Run(fmt.Sprintf("%s/KV-Index/eps=%g", ds.name, eps), func(b *testing.B) {
-				ix := benchKV(b, ds, series.NormGlobal, harness.DefaultL)
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-			})
-			b.Run(fmt.Sprintf("%s/iSAX/eps=%g", ds.name, eps), func(b *testing.B) {
-				ix := benchISAX(b, ds, series.NormGlobal, harness.DefaultL)
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-			})
-			b.Run(fmt.Sprintf("%s/TS-Index/eps=%g", ds.name, eps), func(b *testing.B) {
-				ix := benchTS(b, ds, series.NormGlobal, harness.DefaultL)
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-			})
-		}
-	}
-}
-
-// --- Figure 5: query time vs subsequence length ℓ ----------------------
-
-func BenchmarkFig5QueryVsLength(b *testing.B) {
-	for _, ds := range benchSetups {
-		ext := benchExt(ds, series.NormGlobal)
-		for _, l := range harness.LengthGrid {
-			l := l
-			qs := benchWorkload(ds, ext, l)
-			b.Run(fmt.Sprintf("%s/Sweepline/l=%d", ds.name, l), func(b *testing.B) {
-				sw := sweepline.New(ext)
-				runQueries(b, func(q []float64, e float64) int { return len(sw.Search(q, e)) }, qs, ds.def)
-			})
-			b.Run(fmt.Sprintf("%s/KV-Index/l=%d", ds.name, l), func(b *testing.B) {
-				ix := benchKV(b, ds, series.NormGlobal, l)
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, ds.def)
-			})
-			b.Run(fmt.Sprintf("%s/iSAX/l=%d", ds.name, l), func(b *testing.B) {
-				ix := benchISAX(b, ds, series.NormGlobal, l)
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, ds.def)
-			})
-			b.Run(fmt.Sprintf("%s/TS-Index/l=%d", ds.name, l), func(b *testing.B) {
-				ix := benchTS(b, ds, series.NormGlobal, l)
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, ds.def)
-			})
-		}
-	}
-}
-
-// --- Figure 6: per-subsequence normalization (KV-Index inapplicable) ---
-
-func BenchmarkFig6PerSubsequenceNorm(b *testing.B) {
-	for _, ds := range benchSetups {
-		ext := benchExt(ds, series.NormPerSubsequence)
-		qs := benchWorkload(ds, ext, harness.DefaultL)
-		for _, eps := range ds.eps {
-			eps := eps
-			b.Run(fmt.Sprintf("%s/iSAX/eps=%g", ds.name, eps), func(b *testing.B) {
-				ix := benchISAX(b, ds, series.NormPerSubsequence, harness.DefaultL)
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-			})
-			b.Run(fmt.Sprintf("%s/TS-Index/eps=%g", ds.name, eps), func(b *testing.B) {
-				ix := benchTS(b, ds, series.NormPerSubsequence, harness.DefaultL)
-				runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-			})
-		}
-	}
-}
-
-// --- Figure 7: raw (non-normalized) data -------------------------------
-
-func BenchmarkFig7RawData(b *testing.B) {
-	for _, ds := range benchSetups {
-		ext := benchExt(ds, series.NormNone)
-		qs := benchWorkload(ds, ext, harness.DefaultL)
-		_, std := series.MeanStd(ds.data)
-		eps := ds.def * std // σ-scaled default (see harness.RawEps)
-		b.Run(ds.name+"/Sweepline", func(b *testing.B) {
-			sw := sweepline.New(ext)
-			runQueries(b, func(q []float64, e float64) int { return len(sw.Search(q, e)) }, qs, eps)
-		})
-		b.Run(ds.name+"/KV-Index", func(b *testing.B) {
-			ix := benchKV(b, ds, series.NormNone, harness.DefaultL)
-			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-		})
-		b.Run(ds.name+"/iSAX", func(b *testing.B) {
-			ix := benchISAX(b, ds, series.NormNone, harness.DefaultL)
-			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-		})
-		b.Run(ds.name+"/TS-Index", func(b *testing.B) {
-			ix := benchTS(b, ds, series.NormNone, harness.DefaultL)
-			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, eps)
-		})
-	}
-}
-
-// --- Figure 8a/8b: index memory footprint and construction time --------
-
-func BenchmarkFig8aMemory(b *testing.B) {
-	for _, ds := range benchSetups {
-		ext := benchExt(ds, series.NormGlobal)
-		b.Run(ds.name, func(b *testing.B) {
-			// One representative iteration; the metric of interest is
-			// bytes, not time.
-			kv, err := kvindex.Build(ext, kvindex.Config{L: harness.DefaultL})
-			if err != nil {
-				b.Fatal(err)
-			}
-			isx, err := isax.Build(ext, isax.Config{L: harness.DefaultL, Segments: harness.DefaultM})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts, err := core.Build(ext, core.Config{L: harness.DefaultL})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(kv.MemoryBytes()+kv.AuxiliaryBytes()), "kv-bytes")
-			b.ReportMetric(float64(isx.MemoryBytes()), "isax-bytes")
-			tsBytes := ts.MemoryBytes() // the arena is what stays resident
-			b.ReportMetric(float64(tsBytes), "tsindex-bytes")
-			b.ReportMetric(float64(tsBytes)/float64(isx.MemoryBytes()), "ts/isax-ratio")
-		})
-	}
-}
-
-func BenchmarkFig8bBuild(b *testing.B) {
-	for _, ds := range benchSetups {
-		ext := benchExt(ds, series.NormGlobal)
-		b.Run(ds.name+"/KV-Index", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := kvindex.Build(ext, kvindex.Config{L: harness.DefaultL}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(ds.name+"/iSAX", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := isax.Build(ext, isax.Config{L: harness.DefaultL, Segments: harness.DefaultM}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(ds.name+"/TS-Index", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Build(ext, core.Config{L: harness.DefaultL}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Intro experiment (§1): Chebyshev twins vs Euclidean ε√ℓ range -----
-
-func BenchmarkIntroChebyshevVsEuclidean(b *testing.B) {
-	ds := benchSetups[1] // EEG
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
-	sw := sweepline.New(ext)
-	b.Run("Chebyshev", func(b *testing.B) {
-		runQueries(b, func(q []float64, e float64) int { return len(sw.Search(q, e)) }, qs, ds.def)
-	})
-	b.Run("Euclidean", func(b *testing.B) {
-		edEps := series.EuclideanThresholdFor(ds.def, harness.DefaultL)
-		runQueries(b, func(q []float64, e float64) int { return len(sw.SearchEuclidean(q, e)) }, qs, edEps)
-	})
-}
-
-// --- Ablations: node capacity, KV-Index mean filter, iSAX segments ----
-
-// Node capacity (µc, Mc): the paper fixes 10/30; this sweep shows the
-// sensitivity of query latency to fan-out.
-func BenchmarkAblationNodeCapacity(b *testing.B) {
-	ds := benchSetups[0]
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
-	for _, caps := range []struct{ min, max int }{{5, 15}, {10, 30}, {20, 60}, {40, 120}} {
-		caps := caps
-		ix, err := core.Build(ext, core.Config{L: harness.DefaultL, MinCap: caps.min, MaxCap: caps.max})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("caps=%d-%d", caps.min, caps.max), func(b *testing.B) {
-			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, ds.def)
-		})
-	}
-}
-
-// KV-Index exact-mean prefilter on/off.
-func BenchmarkAblationKVExactMeanFilter(b *testing.B) {
-	ds := benchSetups[0]
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
-	for _, exact := range []bool{false, true} {
-		exact := exact
-		ix, err := kvindex.Build(ext, kvindex.Config{L: harness.DefaultL, ExactMeanFilter: exact})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("exactMean=%v", exact), func(b *testing.B) {
-			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, ds.def)
-		})
-	}
-}
-
-// iSAX segment count m (paper Table 2 grid).
-func BenchmarkAblationISAXSegments(b *testing.B) {
-	ds := benchSetups[0]
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
-	for _, m := range harness.SegmentGrid {
-		m := m
-		ix, err := isax.Build(ext, isax.Config{L: harness.DefaultL, Segments: m})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			runQueries(b, func(q []float64, e float64) int { return len(ix.Search(q, e)) }, qs, ds.def)
-		})
-	}
-}
-
-// Top-k extension: best-first search cost versus threshold search.
-func BenchmarkExtensionTopK(b *testing.B) {
-	ds := benchSetups[1]
-	ext := benchExt(ds, series.NormGlobal)
-	ix := benchTS(b, ds, series.NormGlobal, harness.DefaultL)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
-	for _, k := range []int{1, 10, 100} {
-		k := k
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					if got := ix.SearchTopK(q, k); len(got) != k {
-						b.Fatalf("got %d results", len(got))
-					}
-				}
-			}
-		})
-	}
 }
 
 // benchServed builds bench/'s own dataset — EEGN(1, 200 000), L = 100,
@@ -513,7 +216,7 @@ func BenchmarkFrozenSearch(b *testing.B) {
 // single-index baseline for reference.
 func BenchmarkShardedBuild(b *testing.B) {
 	ds := benchSetups[1]
-	ext := benchExt(ds, series.NormGlobal)
+	ext := benchExt(ds)
 	for _, p := range []int{1, 2, 4, 0} {
 		p := p
 		name := fmt.Sprintf("shards=%d", p)
@@ -539,8 +242,8 @@ func BenchmarkShardedBuild(b *testing.B) {
 // visible cost.
 func BenchmarkShardedSearch(b *testing.B) {
 	ds := benchSetups[1]
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
+	ext := benchExt(ds)
+	qs := benchWorkload(ds, ext)
 	for _, p := range []int{1, 2, 4, 0} {
 		p := p
 		ix, err := shard.Build(ext, shard.Config{
@@ -593,8 +296,8 @@ func BenchmarkShardedSearch(b *testing.B) {
 // as the no-parallelism baseline.
 func BenchmarkSkewedShardSearch(b *testing.B) {
 	ds := benchSetups[1]
-	ext := benchExt(ds, series.NormGlobal)
-	qs := benchWorkload(ds, ext, harness.DefaultL)
+	ext := benchExt(ds)
+	qs := benchWorkload(ds, ext)
 	count := series.NumSubsequences(len(ds.data), harness.DefaultL)
 	parts := []struct {
 		name   string
@@ -639,9 +342,12 @@ func BenchmarkSkewedShardSearch(b *testing.B) {
 // timed with the insertions by BenchmarkBuildInsert.
 func BenchmarkFrozenArena(b *testing.B) {
 	for _, ds := range benchSetups {
-		ext := benchExt(ds, series.NormGlobal)
-		qs := benchWorkload(ds, ext, harness.DefaultL)
-		fz := benchTS(b, ds, series.NormGlobal, harness.DefaultL)
+		ext := benchExt(ds)
+		qs := benchWorkload(ds, ext)
+		fz, err := core.Build(ext, core.Config{L: harness.DefaultL})
+		if err != nil {
+			b.Fatal(err)
+		}
 		nodes := float64(fz.NodeCount())
 		for _, eps := range []float64{ds.def, ds.eps[len(ds.eps)-1]} {
 			eps := eps
@@ -661,50 +367,14 @@ func BenchmarkFrozenArena(b *testing.B) {
 	}
 }
 
-// Index persistence: serialize/reload a built TS-Index versus
-// rebuilding it from the series.
-func BenchmarkExtensionPersistence(b *testing.B) {
-	ds := benchSetups[0]
-	ext := benchExt(ds, series.NormGlobal)
-	ix := benchTS(b, ds, series.NormGlobal, harness.DefaultL)
-	var blob bytes.Buffer
-	if _, err := ix.WriteTo(&blob); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("save", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if _, err := ix.WriteTo(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("load", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// A copy open: the stream read into a heap arena, verified in full.
-			if _, _, err := core.FrozenFromArena(arena.FromBytes(bytes.Clone(blob.Bytes())), 0, ext); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Build(ext, core.Config{L: harness.DefaultL}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.ReportMetric(float64(blob.Len()), "blob-bytes")
-}
-
 // Guard: the benches above assume the generators stay selective; this
 // canary fails loudly if someone retunes a generator into a regime where
 // the figures stop being meaningful (half the series matching).
 func TestBenchSelectivityCanary(t *testing.T) {
 	for _, ds := range benchSetups {
-		ext := benchExt(ds, series.NormGlobal)
+		ext := benchExt(ds)
 		sw := sweepline.New(ext)
-		qs := benchWorkload(ds, ext, harness.DefaultL)
+		qs := benchWorkload(ds, ext)
 		total := 0
 		for _, q := range qs {
 			total += len(sw.Search(q, ds.def))

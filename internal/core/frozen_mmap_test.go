@@ -78,7 +78,7 @@ func mmapWriteChild(path string) {
 		os.Exit(3)
 	}
 	ext := series.NewExtractor(datasets.RandomWalk(61, 1500), series.NormGlobal)
-	fz, _, err := FrozenFromArena(ar, 0, ext)
+	fz, _, err := OpenFrozen(ar, 0, ext, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "child: open:", err)
 		os.Exit(3)

@@ -69,9 +69,9 @@ func TestFrozenStreamRoundTrip(t *testing.T) {
 		if n%8 != 0 {
 			t.Fatalf("stream length %d not 8-byte aligned", n)
 		}
-		got, _, err := FrozenFromArena(arena.FromBytes(buf.Bytes()), 0, ext)
+		got, _, err := OpenFrozen(arena.FromBytes(buf.Bytes()), 0, ext, nil)
 		if err != nil {
-			t.Fatalf("FrozenFromArena: %v", err)
+			t.Fatalf("OpenFrozen: %v", err)
 		}
 		q := ext.ExtractCopy(321, 60)
 		checkFrozenParity(t, fz, got, q, 0.4)
@@ -90,12 +90,12 @@ func TestFrozenFromArenaDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		ar := mapStream(t, buf.Bytes())
-		got, n, err := FrozenFromArena(ar, 0, ext)
+		got, n, err := OpenFrozen(ar, 0, ext, nil)
 		if err != nil {
-			t.Fatalf("FrozenFromArena: %v", err)
+			t.Fatalf("OpenFrozen: %v", err)
 		}
 		if n != int64(buf.Len()) {
-			t.Fatalf("FrozenFromArena consumed %d bytes of %d", n, buf.Len())
+			t.Fatalf("OpenFrozen consumed %d bytes of %d", n, buf.Len())
 		}
 		if got.Mapped() != ar.Mapped() {
 			t.Fatalf("views claim mapped=%v in a mapped=%v arena", got.Mapped(), ar.Mapped())
@@ -119,9 +119,9 @@ func TestFrozenFromArenaAtOffset(t *testing.T) {
 	if _, err := fz.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := FrozenFromArena(arena.FromBytes(buf.Bytes()), 64, ext)
+	got, _, err := OpenFrozen(arena.FromBytes(buf.Bytes()), 64, ext, nil)
 	if err != nil {
-		t.Fatalf("FrozenFromArena at offset: %v", err)
+		t.Fatalf("OpenFrozen at offset: %v", err)
 	}
 	q := ext.ExtractCopy(50, 40)
 	checkFrozenParity(t, fz, got, q, 0.5)
@@ -184,8 +184,8 @@ func TestFrozenStreamErrors(t *testing.T) {
 	// shortest prefixes exercise the header paths, the rest the
 	// bounds-of-region checks).
 	for n := 0; n < len(full); n += 7 {
-		if _, _, err := FrozenFromArena(arena.FromBytes(full[:n:n]), 0, ext); err == nil {
-			t.Fatalf("FrozenFromArena accepted a %d-byte prefix of a %d-byte stream", n, len(full))
+		if _, _, err := OpenFrozen(arena.FromBytes(full[:n:n]), 0, ext, nil); err == nil {
+			t.Fatalf("OpenFrozen accepted a %d-byte prefix of a %d-byte stream", n, len(full))
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // FuzzLoadFrozen feeds arbitrary byte streams to the one index loader,
-// FrozenFromArena, in both arena kinds: each must reject a stream with
+// OpenFrozen, in both arena kinds: each must reject a stream with
 // an error or yield an arena that traverses safely — never a panic or
 // an out-of-range index. Run with `go test -fuzz FuzzLoadFrozen
 // ./internal/core` for exploration; the seed corpus (a valid stream plus
@@ -59,7 +59,7 @@ func FuzzLoadFrozen(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, given []byte) {
 		for _, stream := range [][]byte{given, reseal(given, ext)} {
-			if got, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext); err == nil {
+			if got, _, err := OpenFrozen(arena.FromBytes(stream), 0, ext, nil); err == nil {
 				if err := got.CheckInvariants(); err != nil {
 					t.Fatalf("a heap arena accepted an inconsistent stream: %v", err)
 				}
@@ -78,7 +78,7 @@ func FuzzLoadFrozen(f *testing.F) {
 				}
 				got.SearchTopK(q, 5)
 			}
-			mapped, _, err := FrozenFromArena(mapStream(t, stream), 0, ext)
+			mapped, _, err := OpenFrozen(mapStream(t, stream), 0, ext, nil)
 			if err != nil {
 				continue // rejected: fine
 			}

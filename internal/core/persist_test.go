@@ -18,11 +18,11 @@ import (
 // structure are.
 var loaders = map[string]func(t *testing.T, stream []byte, ext *series.Extractor) (*Frozen, error){
 	"heap": func(t *testing.T, stream []byte, ext *series.Extractor) (*Frozen, error) {
-		f, _, err := FrozenFromArena(arena.FromBytes(stream), 0, ext)
+		f, _, err := OpenFrozen(arena.FromBytes(stream), 0, ext, nil)
 		return f, err
 	},
 	"mapped": func(t *testing.T, stream []byte, ext *series.Extractor) (*Frozen, error) {
-		f, _, err := FrozenFromArena(mapStream(t, stream), 0, ext)
+		f, _, err := OpenFrozen(mapStream(t, stream), 0, ext, nil)
 		return f, err
 	},
 }

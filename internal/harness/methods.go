@@ -136,7 +136,7 @@ func buildMethod(m MethodID, ext *series.Extractor, l, segments int) (built, err
 			return built{}, err
 		}
 		return built{method: m, s: kvAdapter{ix}, buildTime: time.Since(start),
-			memBytes: ix.MemoryBytes() + ix.AuxiliaryBytes()}, nil
+			memBytes: ix.MemoryBytes()}, nil
 	case ISAX:
 		ix, err := isax.Build(ext, isax.Config{L: l, Segments: segments})
 		if err != nil {

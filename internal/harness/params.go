@@ -26,9 +26,8 @@ var (
 )
 
 // Table 2 — common parameters (defaults in bold in the paper: m = 10,
-// ℓ = 100).
+// ℓ = 100; no figure sweeps m, so only its default is kept).
 var (
-	SegmentGrid    = []int{5, 10, 20, 25, 50}
 	DefaultM       = 10
 	LengthGrid     = []int{50, 100, 150, 200, 250}
 	DefaultL       = 100

@@ -39,15 +39,6 @@ type Config struct {
 	Segments int
 	// LeafCapacity bounds leaf occupancy (DefaultLeafCapacity when 0).
 	LeafCapacity int
-	// BaseBits is the per-segment cardinality exponent at the root
-	// (DefaultBaseBits when 0).
-	BaseBits int
-	// Quantizer overrides the value quantizer. When nil, Build uses the
-	// standard N(0,1) breakpoints for normalized extractors and fits
-	// breakpoints to the data for raw extractors (paper §4.2:
-	// "non-normalized values can also be handled by adjusting the
-	// breakpoints accordingly").
-	Quantizer *sax.Quantizer
 }
 
 // Index is a built iSAX index.
@@ -82,7 +73,8 @@ type Stats struct {
 	Results       int
 }
 
-// prepare validates cfg, fills defaults, and resolves the quantizer.
+// prepare validates cfg, fills the leaf capacity default, and picks
+// the quantizer.
 func prepare(ext *series.Extractor, cfg *Config) (*sax.Quantizer, int, error) {
 	if cfg.L <= 0 {
 		return nil, 0, fmt.Errorf("isax: invalid subsequence length %d", cfg.L)
@@ -97,21 +89,14 @@ func prepare(ext *series.Extractor, cfg *Config) (*sax.Quantizer, int, error) {
 	if cfg.LeafCapacity <= 0 {
 		cfg.LeafCapacity = DefaultLeafCapacity
 	}
-	if cfg.BaseBits <= 0 {
-		cfg.BaseBits = DefaultBaseBits
+	// The standard N(0,1) breakpoints for normalized extractors;
+	// breakpoints fitted to the data for raw ones (paper §4.2:
+	// "non-normalized values can also be handled by adjusting the
+	// breakpoints accordingly").
+	if ext.Mode() == series.NormNone {
+		return sax.FitQuantizer(ext.Data()), count, nil
 	}
-	if cfg.BaseBits > sax.MaxBits {
-		return nil, 0, fmt.Errorf("isax: base bits %d exceeds max %d", cfg.BaseBits, sax.MaxBits)
-	}
-	quant := cfg.Quantizer
-	if quant == nil {
-		if ext.Mode() == series.NormNone {
-			quant = sax.FitQuantizer(ext.Data())
-		} else {
-			quant = sax.Standard()
-		}
-	}
-	return quant, count, nil
+	return sax.Standard(), count, nil
 }
 
 // Build constructs an iSAX index over all ℓ-length windows of the
@@ -129,7 +114,7 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 	syms := make([]uint8, m)
 	baseBits := make([]uint8, m)
 	for i := range baseBits {
-		baseBits[i] = uint8(cfg.BaseBits)
+		baseBits[i] = DefaultBaseBits
 	}
 
 	for p := 0; p < count; p++ {

@@ -35,9 +35,6 @@ func TestRejectsBadConfig(t *testing.T) {
 	if _, err := Build(ext, Config{L: 300, Segments: 5}); err == nil {
 		t.Fatal("L > n must fail")
 	}
-	if _, err := Build(ext, Config{L: 50, Segments: 5, BaseBits: 9}); err == nil {
-		t.Fatal("BaseBits > MaxBits must fail")
-	}
 }
 
 // TestMatchesSweeplineAllModes holds the index to the definition of twin search

@@ -24,22 +24,13 @@ import (
 // z-normalizes each subsequence individually.
 var ErrPerSubsequenceNorm = errors.New("kvindex: mean filter is void under per-subsequence normalization")
 
-// DefaultKeyCount is the number of equi-width mean buckets.
+// DefaultKeyCount is the number of equi-width mean-range keys.
 const DefaultKeyCount = 256
 
 // Config parameterizes index construction.
 type Config struct {
 	// L is the indexed subsequence length.
 	L int
-	// KeyCount is the number of equi-width mean-range keys
-	// (DefaultKeyCount when 0).
-	KeyCount int
-	// ExactMeanFilter enables an O(1) per-candidate mean check (via
-	// prefix sums) before full verification, pruning candidates that
-	// share a boundary bucket with the query range but fall outside
-	// [µq−ε, µq+ε]. KV-Match applies the analogous refinement; disable
-	// to measure the raw bucket filter.
-	ExactMeanFilter bool
 }
 
 // interval is an inclusive run [Start, End] of window start positions.
@@ -51,7 +42,6 @@ type interval struct {
 type Index struct {
 	ext     *series.Extractor
 	cfg     Config
-	rolling *series.Rolling
 	minMean float64
 	width   float64 // bucket width
 	buckets [][]interval
@@ -60,8 +50,7 @@ type Index struct {
 
 // Stats describes the work a search performed.
 type Stats struct {
-	Candidates int // positions pulled from qualifying buckets
-	Verified   int // positions fully verified (after the mean prefilter)
+	Candidates int // positions pulled from qualifying buckets, each verified
 	Results    int
 	Buckets    int // buckets touched
 }
@@ -80,21 +69,14 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 	if count == 0 {
 		return nil, fmt.Errorf("kvindex: series length %d shorter than subsequence length %d", n, cfg.L)
 	}
-	if cfg.KeyCount <= 0 {
-		cfg.KeyCount = DefaultKeyCount
-	}
 
-	ix := &Index{
-		ext:     ext,
-		cfg:     cfg,
-		rolling: series.NewRolling(ext.Data()),
-		size:    count,
-	}
+	ix := &Index{ext: ext, cfg: cfg, size: count}
+	rolling := series.NewRolling(ext.Data())
 
 	// Pass 1: mean range.
 	minMean, maxMean := math.Inf(1), math.Inf(-1)
 	for p := 0; p < count; p++ {
-		mu := ix.rolling.Mean(p, cfg.L)
+		mu := rolling.Mean(p, cfg.L)
 		if mu < minMean {
 			minMean = mu
 		}
@@ -108,12 +90,12 @@ func Build(ext *series.Extractor, cfg Config) (*Index, error) {
 		// All windows share one mean; a single bucket holds everything.
 		span = 1
 	}
-	ix.width = span / float64(cfg.KeyCount)
+	ix.width = span / DefaultKeyCount
 
 	// Pass 2: fill buckets, merging consecutive positions into intervals.
-	ix.buckets = make([][]interval, cfg.KeyCount)
+	ix.buckets = make([][]interval, DefaultKeyCount)
 	for p := 0; p < count; p++ {
-		b := ix.bucketOf(ix.rolling.Mean(p, cfg.L))
+		b := ix.bucketOf(rolling.Mean(p, cfg.L))
 		list := ix.buckets[b]
 		if k := len(list); k > 0 && list[k-1].End == int32(p-1) {
 			list[k-1].End = int32(p)
@@ -171,13 +153,6 @@ func (ix *Index) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 		for _, iv := range ix.buckets[b] {
 			for p := iv.Start; p <= iv.End; p++ {
 				st.Candidates++
-				if ix.cfg.ExactMeanFilter {
-					mu := ix.rolling.Mean(int(p), ix.cfg.L)
-					if mu < muQ-eps || mu > muQ+eps {
-						continue
-					}
-				}
-				st.Verified++
 				if starts = append(starts, p); len(starts) == len(buf) {
 					out = ver.Within(starts, out)
 					starts = starts[:0]
@@ -193,26 +168,16 @@ func (ix *Index) SearchStats(q []float64, eps float64) ([]series.Match, Stats) {
 	return out, st
 }
 
-// MemoryBytes estimates the heap footprint of the index structure alone
+// MemoryBytes estimates the heap footprint of the index structure
 // (buckets and intervals — the paper's Fig. 8a accounting: the raw
-// series lives on disk and rolling sums are construction scaffolding
-// kept only for the optional exact-mean filter, reported separately by
-// AuxiliaryBytes).
+// series lives on disk and the rolling sums are construction
+// scaffolding, dropped when Build returns).
 func (ix *Index) MemoryBytes() int {
 	bytes := 24 * len(ix.buckets) // slice headers
 	for _, b := range ix.buckets {
 		bytes += 8 * len(b)
 	}
 	return bytes + 64
-}
-
-// AuxiliaryBytes reports the prefix-sum arrays retained for the
-// exact-mean filter.
-func (ix *Index) AuxiliaryBytes() int {
-	if !ix.cfg.ExactMeanFilter {
-		return 0
-	}
-	return 16 * (ix.rolling.Len() + 1)
 }
 
 // IntervalCount returns the total number of stored intervals, a proxy

@@ -8,10 +8,10 @@ import (
 	"twinsearch/internal/series"
 )
 
-func buildOver(t *testing.T, ts []float64, mode series.NormMode, l int, exact bool) (*Index, *series.Extractor) {
+func buildOver(t *testing.T, ts []float64, mode series.NormMode, l int) (*Index, *series.Extractor) {
 	t.Helper()
 	ext := series.NewExtractor(ts, mode)
-	ix, err := Build(ext, Config{L: l, ExactMeanFilter: exact})
+	ix, err := Build(ext, Config{L: l})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -51,53 +51,33 @@ func TestMatchesSweepline(t *testing.T) {
 		{"sine-global", datasets.Sine(4, 4000, 150, 2, 0.1), series.NormGlobal, []float64{0.1, 0.3}},
 		{"insect-raw", datasets.InsectN(5, 5000), series.NormNone, []float64{1, 3}},
 	} {
-		for _, exact := range []bool{true, false} {
-			ix, ext := buildOver(t, tc.ts, tc.mode, 80, exact)
-			q := ext.ExtractCopy(1000, 80)
-			for _, eps := range tc.eps {
-				got := ix.Search(q, eps)
-				want := oracle.Range(ext, q, eps)
-				if len(got) != len(want) {
-					t.Fatalf("%s exact=%v eps=%v: %d matches, want %d", tc.name, exact, eps, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Start != want[i].Start {
-						t.Fatalf("%s exact=%v eps=%v: position mismatch at %d", tc.name, exact, eps, i)
-					}
+		ix, ext := buildOver(t, tc.ts, tc.mode, 80)
+		q := ext.ExtractCopy(1000, 80)
+		for _, eps := range tc.eps {
+			got := ix.Search(q, eps)
+			want := oracle.Range(ext, q, eps)
+			if len(got) != len(want) {
+				t.Fatalf("%s eps=%v: %d matches, want %d", tc.name, eps, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Start != want[i].Start {
+					t.Fatalf("%s eps=%v: position mismatch at %d", tc.name, eps, i)
 				}
 			}
 		}
 	}
 }
 
-func TestExactMeanFilterReducesVerification(t *testing.T) {
-	ts := datasets.RandomWalk(7, 20000)
-	ixExact, ext := buildOver(t, ts, series.NormGlobal, 100, true)
-	ixPlain, err := Build(ext, Config{L: 100, ExactMeanFilter: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ext.ExtractCopy(5000, 100)
-	_, stExact := ixExact.SearchStats(q, 0.3)
-	_, stPlain := ixPlain.SearchStats(q, 0.3)
-	if stExact.Verified > stPlain.Verified {
-		t.Fatalf("exact filter verified more (%d) than plain (%d)", stExact.Verified, stPlain.Verified)
-	}
-	if stExact.Candidates != stPlain.Candidates {
-		t.Fatalf("bucket candidates should agree: %d vs %d", stExact.Candidates, stPlain.Candidates)
-	}
-}
-
 func TestCandidateSupersetOfResults(t *testing.T) {
 	ts := datasets.InsectN(9, 10000)
-	ix, ext := buildOver(t, ts, series.NormGlobal, 100, true)
+	ix, ext := buildOver(t, ts, series.NormGlobal, 100)
 	q := ext.ExtractCopy(2500, 100)
 	ms, st := ix.SearchStats(q, 0.5)
 	if st.Results != len(ms) {
 		t.Fatal("Results counter mismatch")
 	}
-	if st.Candidates < st.Verified || st.Verified < st.Results {
-		t.Fatalf("funnel violated: %d candidates, %d verified, %d results", st.Candidates, st.Verified, st.Results)
+	if st.Candidates < st.Results {
+		t.Fatalf("funnel violated: %d candidates, %d results", st.Candidates, st.Results)
 	}
 	if st.Buckets == 0 {
 		t.Fatal("no buckets touched yet query matched itself")
@@ -106,7 +86,7 @@ func TestCandidateSupersetOfResults(t *testing.T) {
 
 func TestResultsSorted(t *testing.T) {
 	ts := datasets.Sine(11, 8000, 100, 1, 0.05)
-	ix, ext := buildOver(t, ts, series.NormGlobal, 100, true)
+	ix, ext := buildOver(t, ts, series.NormGlobal, 100)
 	q := ext.ExtractCopy(300, 100)
 	ms := ix.Search(q, 0.4)
 	for i := 1; i < len(ms); i++ {
@@ -124,7 +104,7 @@ func TestConstantSeries(t *testing.T) {
 	for i := range ts {
 		ts[i] = 7
 	}
-	ix, ext := buildOver(t, ts, series.NormNone, 50, true)
+	ix, ext := buildOver(t, ts, series.NormNone, 50)
 	q := ext.ExtractCopy(0, 50)
 	ms := ix.Search(q, 0.1)
 	if len(ms) != series.NumSubsequences(500, 50) {
@@ -133,7 +113,7 @@ func TestConstantSeries(t *testing.T) {
 }
 
 func TestQueryLengthPanic(t *testing.T) {
-	ix, _ := buildOver(t, datasets.RandomWalk(1, 500), series.NormNone, 50, true)
+	ix, _ := buildOver(t, datasets.RandomWalk(1, 500), series.NormNone, 50)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on wrong query length")
@@ -144,7 +124,7 @@ func TestQueryLengthPanic(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	ts := datasets.RandomWalk(3, 1000)
-	ix, _ := buildOver(t, ts, series.NormNone, 100, true)
+	ix, _ := buildOver(t, ts, series.NormNone, 100)
 	if ix.Len() != series.NumSubsequences(1000, 100) {
 		t.Fatalf("Len = %d", ix.Len())
 	}
@@ -154,15 +134,8 @@ func TestAccessors(t *testing.T) {
 	if ix.MemoryBytes() <= 0 {
 		t.Fatal("MemoryBytes must be positive")
 	}
-	if ix.AuxiliaryBytes() <= 0 {
-		t.Fatal("AuxiliaryBytes must be positive with exact filter")
-	}
 	if ix.IntervalCount() <= 0 {
 		t.Fatal("IntervalCount must be positive")
-	}
-	ixPlain, _ := Build(series.NewExtractor(ts, series.NormNone), Config{L: 100})
-	if ixPlain.AuxiliaryBytes() != 0 {
-		t.Fatal("AuxiliaryBytes should be 0 without exact filter")
 	}
 }
 
@@ -170,7 +143,7 @@ func TestIntervalCompression(t *testing.T) {
 	// A smooth series files long runs of consecutive positions under the
 	// same key, so intervals must be far fewer than windows.
 	ts := datasets.Sine(13, 20000, 5000, 10, 0)
-	ix, _ := buildOver(t, ts, series.NormNone, 100, false)
+	ix, _ := buildOver(t, ts, series.NormNone, 100)
 	if ix.IntervalCount() >= ix.Len()/2 {
 		t.Fatalf("interval compression ineffective: %d intervals for %d windows", ix.IntervalCount(), ix.Len())
 	}

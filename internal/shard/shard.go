@@ -415,7 +415,7 @@ func (s *Index) MappedBytes() int {
 // CheckInvariants validates every shard's invariants plus the partition
 // invariants of the current base (checkPartition), and that the base
 // ends inside the series. A heap open runs the same checks, the
-// per-arena half in core.FrozenFromArena.
+// per-arena half in core.OpenFrozen.
 func (s *Index) CheckInvariants() error {
 	b, to := s.snapshot()
 	for i, f := range b.frozen {

@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -41,7 +40,6 @@ import (
 	"twinsearch/internal/qcache"
 	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
-	"twinsearch/internal/store"
 )
 
 // NormMode selects how values are normalized before indexing and search;
@@ -300,15 +298,13 @@ func newEngine(opt Options, ext *series.Extractor, ex *exec.Executor) *Engine {
 var ErrClosed = errors.New("twinsearch: engine is closed")
 
 // Close releases the resources an engine may hold beyond the heap: the
-// mapped index region (Options.MMap), the cluster coordinator's
-// membership sweep and idle connections (Options.Topology), and the
-// series store attached to the extractor, if it is closeable (e.g. a
-// store.Disk serving disk-resident verification). Heap-only engines
-// close trivially. Close is idempotent, safe to race with itself, and
-// every call after the first returns nil; searches, appends, and saves
-// beginning after Close fail with ErrClosed. A search still in flight
-// when Close lands is not protected — quiesce first (tsserve drains
-// before closing).
+// mapped index region (Options.MMap) and the cluster coordinator's
+// membership sweep and idle connections (Options.Topology). Heap-only
+// engines close trivially. Close is idempotent, safe to race with
+// itself, and every call after the first returns nil; searches,
+// appends, and saves beginning after Close fail with ErrClosed. A
+// search still in flight when Close lands is not protected — quiesce
+// first (tsserve drains before closing).
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
@@ -325,12 +321,6 @@ func (e *Engine) Close() error {
 			firstErr = err
 		}
 		e.ar = nil
-	}
-	if c, ok := e.ext.Backing().(io.Closer); ok {
-		e.ext.DetachStore()
-		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 	}
 	return firstErr
 }
@@ -405,16 +395,6 @@ func finiteQuery(q []float64) error {
 		return fmt.Errorf("twinsearch: non-finite query value %v at position %d", q[i], i)
 	}
 	return nil
-}
-
-// OpenFile builds an engine over a series stored in the flat binary
-// float64 format written by store.WriteFile / cmd/tsgen.
-func OpenFile(path string, opt Options) (*Engine, error) {
-	data, err := store.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Open(data, opt)
 }
 
 // Search returns all subsequences whose Chebyshev distance to q is at

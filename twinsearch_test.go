@@ -11,7 +11,6 @@ import (
 
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/oracle"
-	"twinsearch/internal/store"
 )
 
 // bothShapes are the two local index shapes every differential test
@@ -179,34 +178,5 @@ func TestAccessorsAndMemory(t *testing.T) {
 		if eng, err := Open(ts, Options{L: 100, Shards: 4, Workers: workers}); err != nil || eng.Workers() != workers {
 			t.Fatalf("Workers: %d did not size the executor (%v)", workers, err)
 		}
-	}
-}
-
-func TestOpenFile(t *testing.T) {
-	ts := datasets.RandomWalk(11, 1500)
-	path := filepath.Join(t.TempDir(), "series.f64")
-	if err := store.WriteFile(path, ts); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := OpenFile(path, Options{L: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := append([]float64(nil), ts[300:400]...)
-	ms, err := eng.Search(q, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range ms {
-		if m.Start == 300 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("self match missing after file round trip")
-	}
-	if _, err := OpenFile(filepath.Join(t.TempDir(), "missing.f64"), Options{L: 10}); err == nil {
-		t.Fatal("missing file must fail")
 	}
 }
