@@ -139,7 +139,7 @@ func parentOf(bounds ...mbts.MBTS) *node {
 
 // distTo is the Eq. 2 distance from w to n's bounds.
 func distTo(n *node, w []float64) float64 {
-	return mbts.DistFlat(n.bounds.Upper, n.bounds.Lower, w)
+	return kernel.DistFlat(n.bounds.Upper, n.bounds.Lower, w)
 }
 
 // firstAt is the first child of n at distance dist from w.

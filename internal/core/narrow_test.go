@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"twinsearch/internal/datasets"
-	"twinsearch/internal/mbts"
+	"twinsearch/internal/mbts/kernel"
 	"twinsearch/internal/oracle"
 	"twinsearch/internal/series"
 )
@@ -17,7 +17,7 @@ import (
 // arena reports (the visit set does not depend on visit order).
 func exactRange(n *node, q []float64, eps float64, st *Stats) {
 	st.NodesVisited++
-	if mbts.DistFlat(n.bounds.Upper, n.bounds.Lower, q) > eps {
+	if kernel.DistFlat(n.bounds.Upper, n.bounds.Lower, q) > eps {
 		st.NodesPruned++
 		return
 	}

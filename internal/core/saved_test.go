@@ -24,7 +24,7 @@ import (
 // the header.
 func TestFrozenStreamEveryByteGuarded(t *testing.T) {
 	data := datasets.RandomWalk(73, 261) // 247 windows: the positions section ends off the 8-byte grid
-	opt := twinsearch.Options{L: 15, MinCap: 3, MaxCap: 7}
+	opt := twinsearch.Options{L: 15}
 	mapped := opt
 	mapped.MMap = true
 	eng, err := twinsearch.Open(data, opt)

@@ -34,28 +34,21 @@ func detectAVX2() bool {
 }
 
 // avx2Impl vectorizes the query-time hot path — every descent, Lemma 1
-// test, and top-k bound funnels through the Eq. 2 sweep — and the
-// build's expansion and width-increase comparison, and shares the
-// portable forms for the other split heuristics, which are
-// bit-identical by construction.
+// test, and top-k bound funnels through the Eq. 2 sweep — the heap
+// open's enclosure tests, and the build's expansion and width-increase
+// comparison.
 func avx2Impl() Impl {
 	return Impl{
-		Name:                  "avx2",
-		DistFlat:              distFlatAVX2,
-		DistAbandonFlat:       distAbandonFlatAVX2,
-		SweepAbandonFlat:      sweepAbandonFlatAVX2,
-		DistMBTS:              distMBTSPortable,
-		DistFlat32:            distFlat32AVX2,
-		DistAbandonFlat32:     distAbandonFlat32AVX2,
-		SweepAbandonFlat32:    sweepAbandonFlat32AVX2,
-		SweepWindows:          sweepWindowsAVX2,
-		WindowsInside32:       windowsInside32AVX2,
-		BoundsInside32:        boundsInside32AVX2,
-		Width:                 widthPortable,
-		WidthIncreaseSequence: widthIncreaseSequencePortable,
-		WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
-		CompareWidthIncrease:  compareWidthIncreaseAVX2,
-		Expand:                expandAVX2,
+		Name:                 "avx2",
+		DistAbandonFlat:      distAbandonFlatAVX2,
+		SweepAbandonFlat:     sweepAbandonFlatAVX2,
+		DistAbandonFlat32:    distAbandonFlat32AVX2,
+		SweepAbandonFlat32:   sweepAbandonFlat32AVX2,
+		SweepWindows:         sweepWindowsAVX2,
+		WindowsInside32:      windowsInside32AVX2,
+		BoundsInside32:       boundsInside32AVX2,
+		CompareWidthIncrease: compareWidthIncreaseAVX2,
+		Expand:               expandAVX2,
 	}
 }
 
@@ -219,7 +212,7 @@ func compareWidthIncreaseAVX2(aUpper, aLower, bUpper, bLower, s []float64) int {
 	if order, ok := certainlyApart(sa, sb, n); ok {
 		return order
 	}
-	return compareWidthIncreasePortable(aUpper, aLower, bUpper, bLower, s)
+	return compareWidthIncrease(aUpper, aLower, bUpper, bLower, s)
 }
 
 // certainlyApart returns the order of two lane-order width increases
@@ -253,11 +246,6 @@ func certainlyApart(sa, sb float64, n int) (order int, ok bool) {
 // where the sweep wrapper's shape check and slice-backed result would
 // be a measurable share of a 100-lane call.
 
-func distFlatAVX2(upper, lower, s []float64) float64 {
-	d, _ := distAbandonFlatAVX2(upper, lower, s, math.Inf(1))
-	return d
-}
-
 func distAbandonFlatAVX2(upper, lower, s []float64, limit float64) (float64, bool) {
 	n := len(s)
 	if n == 0 {
@@ -290,11 +278,6 @@ func sweepAbandonFlat32AVX2(upper, lower []float32, stride int, s []float64, lim
 		limit = 0
 	}
 	sweepKernel32AVX2(&upper[0], &lower[0], stride, &s[0], len(s), limit, &dists[0], len(dists))
-}
-
-func distFlat32AVX2(upper, lower []float32, s []float64) float64 {
-	d, _ := distAbandonFlat32AVX2(upper, lower, s, math.Inf(1))
-	return d
 }
 
 func distAbandonFlat32AVX2(upper, lower []float32, s []float64, limit float64) (float64, bool) {

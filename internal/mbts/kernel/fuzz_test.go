@@ -9,9 +9,11 @@ import (
 // FuzzDistKernels feeds raw bytes as (upper, lower, s, limit) lanes —
 // any bit pattern, including NaN payloads, ±Inf, subnormals, and −0 —
 // and requires every registered implementation to agree bit-for-bit
-// with the scalar oracle on all four flat entry points, and their
-// sweeps to agree row by row with the scalar single-row form when the
-// same lanes are cut into 1, 2 and 3 rows (whole rows and prefixes).
+// with the scalar oracle on the abandoning form, at the limit and at
+// +Inf (which is DistFlat); WidthIncreaseSequence to equal the
+// lane-order sum of the oracle's one-lane distances; and the sweeps to
+// agree row by row with the scalar single-row form when the same lanes
+// are cut into 1, 2 and 3 rows (whole rows and prefixes).
 // This is the executable form of the package NaN contract: no input,
 // however degenerate, may make the dispatchable forms diverge.
 //
@@ -75,27 +77,23 @@ func FuzzDistKernels(f *testing.F) {
 		}
 		limit := at(3 * n)
 
-		wantFlat := distFlatScalar(u, l, s)
+		inf := math.Inf(1)
+		wantFlat, _ := distAbandonFlatScalar(u, l, s, inf)
 		wantAb, wantOK := distAbandonFlatScalar(u, l, s, limit)
-		wantW := widthScalar(u, l)
-		wantWIS := widthIncreaseSequenceScalar(u, l, s)
 		for _, im := range Impls() {
-			if got := im.DistFlat(u, l, s); math.Float64bits(got) != math.Float64bits(wantFlat) {
-				t.Fatalf("%s DistFlat = %x, scalar %x (u=%v l=%v s=%v)",
-					im.Name, math.Float64bits(got), math.Float64bits(wantFlat), u, l, s)
+			if got, ok := im.DistAbandonFlat(u, l, s, inf); math.Float64bits(got) != math.Float64bits(wantFlat) || !ok {
+				t.Fatalf("%s DistAbandonFlat at +Inf = (%x, %v), scalar %x (u=%v l=%v s=%v)",
+					im.Name, math.Float64bits(got), ok, math.Float64bits(wantFlat), u, l, s)
 			}
 			got, ok := im.DistAbandonFlat(u, l, s, limit)
 			if math.Float64bits(got) != math.Float64bits(wantAb) || ok != wantOK {
 				t.Fatalf("%s DistAbandonFlat = (%x, %v), scalar (%x, %v) limit=%v (u=%v l=%v s=%v)",
 					im.Name, math.Float64bits(got), ok, math.Float64bits(wantAb), wantOK, limit, u, l, s)
 			}
-			if got := im.Width(u, l); math.Float64bits(got) != math.Float64bits(wantW) {
-				t.Fatalf("%s Width = %x, scalar %x", im.Name, math.Float64bits(got), math.Float64bits(wantW))
-			}
-			if got := im.WidthIncreaseSequence(u, l, s); math.Float64bits(got) != math.Float64bits(wantWIS) {
-				t.Fatalf("%s WidthIncreaseSequence = %x, scalar %x",
-					im.Name, math.Float64bits(got), math.Float64bits(wantWIS))
-			}
+		}
+		if got, want := WidthIncreaseSequence(u, l, s), laneOrderIncrease(u, l, s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("WidthIncreaseSequence = %x, lane-order sum %x (u=%v l=%v s=%v)",
+				math.Float64bits(got), math.Float64bits(want), u, l, s)
 		}
 
 		// The float32 bound arrays and their widenings, both derivations.
@@ -118,12 +116,12 @@ func FuzzDistKernels(f *testing.F) {
 				}
 				nf.wu[i], nf.wl[i] = float64(nf.u32[i]), float64(nf.l32[i])
 			}
-			wantFlat := distFlatScalar(nf.wu, nf.wl, s)
+			wantFlat, _ := distAbandonFlatScalar(nf.wu, nf.wl, s, inf)
 			wantAb, wantOK := distAbandonFlatScalar(nf.wu, nf.wl, s, limit)
 			for _, im := range Impls() {
-				if got := im.DistFlat32(nf.u32, nf.l32, s); math.Float64bits(got) != math.Float64bits(wantFlat) {
-					t.Fatalf("%s DistFlat32 (%s) = %x, scalar on widened bounds %x (u=%v l=%v s=%v)",
-						im.Name, nf.form, math.Float64bits(got), math.Float64bits(wantFlat), nf.u32, nf.l32, s)
+				if got, ok := im.DistAbandonFlat32(nf.u32, nf.l32, s, inf); math.Float64bits(got) != math.Float64bits(wantFlat) || !ok {
+					t.Fatalf("%s DistAbandonFlat32 at +Inf (%s) = (%x, %v), scalar on widened bounds %x (u=%v l=%v s=%v)",
+						im.Name, nf.form, math.Float64bits(got), ok, math.Float64bits(wantFlat), nf.u32, nf.l32, s)
 				}
 				got, ok := im.DistAbandonFlat32(nf.u32, nf.l32, s, limit)
 				if math.Float64bits(got) != math.Float64bits(wantAb) || ok != wantOK {

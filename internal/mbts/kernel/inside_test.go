@@ -21,7 +21,7 @@ func insideTests() map[string]func(upper, lower []float32, data []float64, start
 // DistFlat32 of every window is 0.
 func insideDefinition(upper, lower []float32, data []float64, starts []int32, n int) bool {
 	for _, p := range starts {
-		if distFlat32Scalar(upper[:n], lower[:n], data[p:int(p)+n]) != 0 {
+		if d, _ := distAbandonFlat32Scalar(upper[:n], lower[:n], data[p:int(p)+n], math.Inf(1)); d != 0 {
 			return false
 		}
 	}

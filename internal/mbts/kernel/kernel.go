@@ -1,37 +1,42 @@
 // Package kernel holds the distance kernels every pruning decision in
 // the TS-Index funnels through — the Eq. 2 sequence-to-MBTS distance
-// (DistFlat), its early-abandoning form (DistAbandonFlat), the sibling
-// sweep that scores a run of consecutive bound rows against one query
-// in a single forward pass (SweepAbandonFlat — how a leaf verifies
+// (DistFlat) and its early-abandoning form (DistAbandonFlat), the
+// sibling sweep that scores a run of consecutive bound rows against one
+// query in a single forward pass (SweepAbandonFlat — how a leaf verifies
 // per-subsequence-normalised candidates laid out as rows: with both
 // bounds set to a window, Eq. 2 is the Chebyshev distance to it; its
-// float32-bound twin,
-// SweepAbandonFlat32, is how the frozen arena tests all of a node's
-// children at once — see "Half-width bounds"), the candidate sweep that
-// scores windows of a flat series by start position (SweepWindows — how
-// a leaf verifies its candidates, see "Candidate windows"), the
-// enclosure tests that a heap open proves Lemma 1 with (WindowsInside32
-// for a leaf's windows, BoundsInside32 for an internal node's child
-// rows; see "Enclosure"), the Eq. 3
-// MBTS-to-MBTS distance (DistMBTS), the split-heuristic width
-// measures (Width, WidthIncrease*) and the comparison a split decides
-// by (CompareWidthIncrease), and the one mutating entry point,
+// float32-bound twin, SweepAbandonFlat32, is how the frozen arena tests
+// all of a node's children at once — see "Half-width bounds"), the
+// candidate sweep that scores windows of a flat series by start
+// position (SweepWindows — how a leaf verifies its candidates, see
+// "Candidate windows"), the enclosure tests that a heap open proves
+// Lemma 1 with (WindowsInside32 for a leaf's windows, BoundsInside32 for
+// an internal node's child rows; see "Enclosure"), the width increase a
+// leaf split measures (WidthIncreaseSequence) and the comparison it
+// decides by (CompareWidthIncrease), and the one mutating entry point,
 // Expand, which grows a band to enclose a sequence (every insert's
-// descent step and leaf assignment).
+// descent step and leaf assignment). The measures between two bands
+// that only an internal node's split asks for — Eq. 3, the band width
+// and its growth under another band — are plain loops on mbts.MBTS.
 //
-// Three implementations exist, all bit-for-bit identical on every
-// input:
+// The dispatched entry points, the fields of Impl, each have an
+// assembly routine and three implementations, all bit-for-bit identical
+// on every input:
 //
 //   - scalar: the original branchy loops, kept as the differential
 //     oracle (the semantic reference the repo has shipped since PR 1).
 //   - portable: branch-free forms — the per-lane excursion is selected
-//     with bool→bit-mask arithmetic instead of branches, and early
+//     with conditional moves instead of branches, and early
 //     abandoning is checked on a schedule instead of per lane — the
 //     only semantic *definition*; the assembly must match it.
 //   - avx2: hand-written AVX2 assembly (amd64 only), 4 lanes per
 //     instruction, one routine per bound width for the sweep and (with
 //     one row) the single-row entry points, selected at init when the
 //     CPU supports it.
+//
+// The rest is one function for every dispatch: DistFlat and DistFlat32
+// are the abandoning forms at a +Inf limit, and WidthIncreaseSequence
+// is one loop.
 //
 // # The abandon schedule
 //
@@ -63,9 +68,9 @@
 //     the index but reachable through the raw slice API), the "above"
 //     test wins: a value above upper and below lower reports v −
 //     upper[i], matching the scalar else-if chain.
-//   - A NaN limit never abandons (`d > NaN` is false), so
-//     DistAbandonFlat degenerates to (DistFlat, true). So does a +Inf
-//     limit.
+//   - A NaN limit never abandons (`d > NaN` is false), and neither
+//     does a +Inf limit: DistAbandonFlat returns (DistFlat, true),
+//     which is how DistFlat is defined.
 //
 // Every excursion the select produces is therefore either +0 or a
 // strictly positive number (distinct float64s never subtract to zero
@@ -185,9 +190,9 @@
 // each sum taken in lane order. A sum's terms are Eq. 2 excursions,
 // +0 or positive and never NaN (see the NaN contract), so a sum is
 // never NaN and the scalar and portable forms are that line as
-// written. Floating-point addition is not associative, so no vector
-// form may reorder those sums and return its own order's comparison:
-// the tree would change with the CPU.
+// written (compareWidthIncrease). Floating-point addition is not
+// associative, so no vector form may reorder those sums and return its
+// own order's comparison: the tree would change with the CPU.
 //
 // The assembly sums both sides in one pass over s instead, four lanes
 // apart (the LANES recipe with VADDPD where VMAXPD was, one accumulator
@@ -228,26 +233,25 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"os"
 )
 
-// Impl is one complete kernel implementation. All implementations
-// agree bit-for-bit on every entry point for every input (enforced by
-// TestKernelDifferential and FuzzDistKernels); they differ only in
-// speed.
+// Impl is one complete kernel implementation: the entry points that
+// have an assembly routine. All implementations agree bit-for-bit on
+// every entry point for every input (enforced by TestKernelDifferential
+// and FuzzDistKernels); they differ only in speed.
 type Impl struct {
 	// Name identifies the implementation: "scalar", "portable", "avx2".
 	Name string
 
-	DistFlat         func(upper, lower, s []float64) float64
 	DistAbandonFlat  func(upper, lower, s []float64, limit float64) (float64, bool)
 	SweepAbandonFlat func(upper, lower []float64, stride int, s []float64, limit float64, dists []float64)
-	DistMBTS         func(bUpper, bLower, oUpper, oLower []float64) float64
 
-	// The float32-bound forms of the first three (see "Half-width
+	// The float32-bound forms of the two above (see "Half-width
 	// bounds" in the package comment).
-	DistFlat32         func(upper, lower []float32, s []float64) float64
 	DistAbandonFlat32  func(upper, lower []float32, s []float64, limit float64) (float64, bool)
 	SweepAbandonFlat32 func(upper, lower []float32, stride int, s []float64, limit float64, dists []float64)
 
@@ -258,10 +262,6 @@ type Impl struct {
 	WindowsInside32 func(upper, lower []float32, data []float64, starts []int32, n int) bool
 	BoundsInside32  func(upper, lower, childUpper, childLower []float32, n, rows int) bool
 
-	Width                 func(upper, lower []float64) float64
-	WidthIncreaseSequence func(upper, lower, s []float64) float64
-	WidthIncreaseMBTS     func(bUpper, bLower, oUpper, oLower []float64) float64
-
 	// The width-increase comparison (see "Width-increase comparison").
 	CompareWidthIncrease func(aUpper, aLower, bUpper, bLower, s []float64) int
 
@@ -271,43 +271,31 @@ type Impl struct {
 
 // scalarImpl is the original branchy loops — the differential oracle.
 var scalarImpl = Impl{
-	Name:                  "scalar",
-	DistFlat:              distFlatScalar,
-	DistAbandonFlat:       distAbandonFlatScalar,
-	SweepAbandonFlat:      sweepAbandonFlatScalar,
-	DistMBTS:              distMBTSScalar,
-	DistFlat32:            distFlat32Scalar,
-	DistAbandonFlat32:     distAbandonFlat32Scalar,
-	SweepAbandonFlat32:    sweepAbandonFlat32Scalar,
-	SweepWindows:          sweepWindowsScalar,
-	WindowsInside32:       windowsInside32Scalar,
-	BoundsInside32:        boundsInside32Scalar,
-	Width:                 widthScalar,
-	WidthIncreaseSequence: widthIncreaseSequenceScalar,
-	WidthIncreaseMBTS:     widthIncreaseMBTSScalar,
-	CompareWidthIncrease:  compareWidthIncreaseScalar,
-	Expand:                expandScalar,
+	Name:                 "scalar",
+	DistAbandonFlat:      distAbandonFlatScalar,
+	SweepAbandonFlat:     sweepAbandonFlatScalar,
+	DistAbandonFlat32:    distAbandonFlat32Scalar,
+	SweepAbandonFlat32:   sweepAbandonFlat32Scalar,
+	SweepWindows:         sweepWindowsScalar,
+	WindowsInside32:      windowsInside32Scalar,
+	BoundsInside32:       boundsInside32Scalar,
+	CompareWidthIncrease: compareWidthIncrease,
+	Expand:               expandScalar,
 }
 
 // portableImpl is the branch-free blocked form — the semantic
 // definition every other implementation must match bit-for-bit.
 var portableImpl = Impl{
-	Name:                  "portable",
-	DistFlat:              distFlatPortable,
-	DistAbandonFlat:       distAbandonFlatPortable,
-	SweepAbandonFlat:      sweepAbandonFlatPortable,
-	DistMBTS:              distMBTSPortable,
-	DistFlat32:            distFlat32Portable,
-	DistAbandonFlat32:     distAbandonFlat32Portable,
-	SweepAbandonFlat32:    sweepAbandonFlat32Portable,
-	SweepWindows:          sweepWindowsPortable,
-	WindowsInside32:       windowsInside32Portable,
-	BoundsInside32:        boundsInside32Portable,
-	Width:                 widthPortable,
-	WidthIncreaseSequence: widthIncreaseSequencePortable,
-	WidthIncreaseMBTS:     widthIncreaseMBTSPortable,
-	CompareWidthIncrease:  compareWidthIncreasePortable,
-	Expand:                expandScalar, // see "Expansion"
+	Name:                 "portable",
+	DistAbandonFlat:      distAbandonFlatPortable,
+	SweepAbandonFlat:     sweepAbandonFlatPortable,
+	DistAbandonFlat32:    distAbandonFlat32Portable,
+	SweepAbandonFlat32:   sweepAbandonFlat32Portable,
+	SweepWindows:         sweepWindowsPortable,
+	WindowsInside32:      windowsInside32Portable,
+	BoundsInside32:       boundsInside32Portable,
+	CompareWidthIncrease: compareWidthIncrease,
+	Expand:               expandScalar, // see "Expansion"
 }
 
 // active is the dispatched implementation, fixed at init — reads after
@@ -351,9 +339,11 @@ func Impls() []Impl {
 
 // DistFlat is the paper's Eq. 2 over raw bound slices: the largest
 // pointwise excursion of s outside the [lower, upper] band, 0 when s is
-// enclosed. upper and lower must have at least len(s) entries.
+// enclosed. upper and lower must have at least len(s) entries. It is
+// DistAbandonFlat at a +Inf limit, which never abandons.
 func DistFlat(upper, lower, s []float64) float64 {
-	return active.DistFlat(upper, lower, s)
+	d, _ := active.DistAbandonFlat(upper, lower, s, math.Inf(1))
+	return d
 }
 
 // DistAbandonFlat is DistFlat with early abandoning: (0, false) when
@@ -391,9 +381,11 @@ func SweepAbandonFlat(upper, lower []float64, stride int, s []float64, limit flo
 }
 
 // DistFlat32 is DistFlat against float32 bounds, each widened as it is
-// loaded: DistFlat32(u, l, s) ≡ DistFlat(widen(u), widen(l), s).
+// loaded: DistFlat32(u, l, s) ≡ DistFlat(widen(u), widen(l), s) — and,
+// likewise, DistAbandonFlat32 at a +Inf limit.
 func DistFlat32(upper, lower []float32, s []float64) float64 {
-	return active.DistFlat32(upper, lower, s)
+	d, _ := active.DistAbandonFlat32(upper, lower, s, math.Inf(1))
+	return d
 }
 
 // DistAbandonFlat32 is DistAbandonFlat against float32 bounds.
@@ -540,23 +532,22 @@ func sweepRows[B float32 | float64](row func(upper, lower []B, s []float64, limi
 	}
 }
 
-// DistMBTS is the paper's Eq. 3 over raw bound slices: the largest
-// pointwise gap between two bands, 0 when they overlap at every
-// timestamp.
-func DistMBTS(bUpper, bLower, oUpper, oLower []float64) float64 {
-	return active.DistMBTS(bUpper, bLower, oUpper, oLower)
-}
-
-// Width is the total band width Σ_i (upper[i] − lower[i]) — the measure
-// the split heuristics minimize.
-func Width(upper, lower []float64) float64 {
-	return active.Width(upper, lower)
-}
-
-// WidthIncreaseSequence is how much Width would grow if s were
-// enclosed.
+// WidthIncreaseSequence is how much the band's total width Σ_i
+// (upper[i] − lower[i]) would grow if s were enclosed: the sum, in lane
+// order, of s's Eq. 2 excursions. It is one loop for every dispatch,
+// the branch-free lane of the portable kernels: whether a lane excurses
+// is a coin toss, and two such sums, compared, took 370–410 ns on 100
+// rotating lanes against the branchy loop's 680–810 ns (a 2-vCPU Xeon).
+// Adding the +0 a non-excursing lane selects is bit-identical to
+// skipping the add: the sum starts at +0 and only non-negative terms
+// join it.
 func WidthIncreaseSequence(upper, lower, s []float64) float64 {
-	return active.WidthIncreaseSequence(upper, lower, s)
+	upper, lower = upper[:len(s)], lower[:len(s)]
+	var inc float64
+	for i, v := range s {
+		inc += math.Float64frombits(excursionBits(upper[i], lower[i], v))
+	}
+	return inc
 }
 
 // CompareWidthIncrease reports which of two bands s widens less: the
@@ -570,10 +561,14 @@ func CompareWidthIncrease(aUpper, aLower, bUpper, bLower, s []float64) int {
 	return active.CompareWidthIncrease(aUpper, aLower, bUpper, bLower, s)
 }
 
-// WidthIncreaseMBTS is how much b's Width would grow if o were
-// enclosed.
-func WidthIncreaseMBTS(bUpper, bLower, oUpper, oLower []float64) float64 {
-	return active.WidthIncreaseMBTS(bUpper, bLower, oUpper, oLower)
+// compareWidthIncrease is the width-increase comparison as written: two
+// lane-order sums, compared — the scalar and portable forms, and the
+// assembly's answer when its own sums cannot decide. A pure-Go filter
+// summing four lanes apart with the assembly's certain-apart test
+// measured slower, 500–650 against 390–440 ns for 100 lanes: the loop
+// is bound by instruction count, not by the add chain.
+func compareWidthIncrease(aUpper, aLower, bUpper, bLower, s []float64) int {
+	return cmp.Compare(WidthIncreaseSequence(aUpper, aLower, s), WidthIncreaseSequence(bUpper, bLower, s))
 }
 
 // Expand grows [lower, upper] in place just enough to enclose s, lane by

@@ -68,62 +68,59 @@ func bitsEq(a, b float64) bool {
 }
 
 // TestKernelDifferential bit-compares every registered implementation
-// against the scalar oracle on every entry point, over thousands of
-// adversarial inputs (NaN/Inf lanes, inverted bounds, degenerate
-// limits, lengths spanning the unrolled body and its tail).
+// against the scalar oracle on the single-row entry points, over
+// thousands of adversarial inputs (NaN/Inf lanes, inverted bounds,
+// degenerate limits, lengths spanning the unrolled body and its tail),
+// each abandoning form at the drawn limit and at +Inf, which is
+// DistFlat. The dispatched DistFlat and DistFlat32, and
+// WidthIncreaseSequence, one function for every implementation, are
+// checked against their definitions.
 func TestKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	impls := Impls()
 	if impls[0].Name != "scalar" {
 		t.Fatalf("Impls()[0] = %q, want the scalar oracle first", impls[0].Name)
 	}
+	inf := math.Inf(1)
 	for trial := 0; trial < 4000; trial++ {
 		n := rng.Intn(200)
 		u, l, s := trialData(rng, n)
-		ou, ol, _ := trialData(rng, n)
 		limit := trialLimit(rng)
 
-		wantFlat := distFlatScalar(u, l, s)
+		wantFlat, _ := distAbandonFlatScalar(u, l, s, inf)
 		wantAb, wantOK := distAbandonFlatScalar(u, l, s, limit)
-		wantMBTS := distMBTSScalar(u, l, ou, ol)
-		wantW := widthScalar(u, l)
-		wantWIS := widthIncreaseSequenceScalar(u, l, s)
-		wantWIM := widthIncreaseMBTSScalar(u, l, ou, ol)
 
 		u32, wu := narrowLanes(u)
 		l32, wl := narrowLanes(l)
-		wantFlat32 := distFlatScalar(wu, wl, s)
+		wantFlat32, _ := distAbandonFlatScalar(wu, wl, s, inf)
 		wantAb32, wantOK32 := distAbandonFlatScalar(wu, wl, s, limit)
 
 		for _, im := range impls {
-			if got := im.DistFlat32(u32, l32, s); !bitsEq(got, wantFlat32) {
-				t.Fatalf("trial %d: %s DistFlat32 = %v (%x), scalar on widened bounds %v (%x)",
-					trial, im.Name, got, math.Float64bits(got), wantFlat32, math.Float64bits(wantFlat32))
+			if got, ok := im.DistAbandonFlat32(u32, l32, s, inf); !bitsEq(got, wantFlat32) || !ok {
+				t.Fatalf("trial %d: %s DistAbandonFlat32 at +Inf = (%v (%x), %v), scalar on widened bounds %v (%x)",
+					trial, im.Name, got, math.Float64bits(got), ok, wantFlat32, math.Float64bits(wantFlat32))
 			}
 			if got, ok := im.DistAbandonFlat32(u32, l32, s, limit); !bitsEq(got, wantAb32) || ok != wantOK32 {
 				t.Fatalf("trial %d: %s DistAbandonFlat32 = (%v, %v), scalar on widened bounds (%v, %v), limit %v",
 					trial, im.Name, got, ok, wantAb32, wantOK32, limit)
 			}
-			if got := im.DistFlat(u, l, s); !bitsEq(got, wantFlat) {
-				t.Fatalf("trial %d: %s DistFlat = %v (%x), scalar %v (%x)",
-					trial, im.Name, got, math.Float64bits(got), wantFlat, math.Float64bits(wantFlat))
+			if got, ok := im.DistAbandonFlat(u, l, s, inf); !bitsEq(got, wantFlat) || !ok {
+				t.Fatalf("trial %d: %s DistAbandonFlat at +Inf = (%v (%x), %v), scalar %v (%x)",
+					trial, im.Name, got, math.Float64bits(got), ok, wantFlat, math.Float64bits(wantFlat))
 			}
 			if got, ok := im.DistAbandonFlat(u, l, s, limit); !bitsEq(got, wantAb) || ok != wantOK {
 				t.Fatalf("trial %d: %s DistAbandonFlat = (%v, %v), scalar (%v, %v), limit %v",
 					trial, im.Name, got, ok, wantAb, wantOK, limit)
 			}
-			if got := im.DistMBTS(u, l, ou, ol); !bitsEq(got, wantMBTS) {
-				t.Fatalf("trial %d: %s DistMBTS = %v, scalar %v", trial, im.Name, got, wantMBTS)
-			}
-			if got := im.Width(u, l); !bitsEq(got, wantW) {
-				t.Fatalf("trial %d: %s Width = %v, scalar %v", trial, im.Name, got, wantW)
-			}
-			if got := im.WidthIncreaseSequence(u, l, s); !bitsEq(got, wantWIS) {
-				t.Fatalf("trial %d: %s WidthIncreaseSequence = %v, scalar %v", trial, im.Name, got, wantWIS)
-			}
-			if got := im.WidthIncreaseMBTS(u, l, ou, ol); !bitsEq(got, wantWIM) {
-				t.Fatalf("trial %d: %s WidthIncreaseMBTS = %v, scalar %v", trial, im.Name, got, wantWIM)
-			}
+		}
+		if got := DistFlat(u, l, s); !bitsEq(got, wantFlat) {
+			t.Fatalf("trial %d: DistFlat = %v, scalar %v", trial, got, wantFlat)
+		}
+		if got := DistFlat32(u32, l32, s); !bitsEq(got, wantFlat32) {
+			t.Fatalf("trial %d: DistFlat32 = %v, scalar on widened bounds %v", trial, got, wantFlat32)
+		}
+		if got, want := WidthIncreaseSequence(u, l, s), laneOrderIncrease(u, l, s); !bitsEq(got, want) {
+			t.Fatalf("trial %d: WidthIncreaseSequence = %v, lane-order sum %v", trial, got, want)
 		}
 	}
 	sweepDifferential(t, rng)
@@ -292,21 +289,30 @@ func TestKernelNaNContract(t *testing.T) {
 	nan := math.NaN()
 	inf := math.Inf(1)
 	for _, im := range Impls() {
+		// DistFlat and DistFlat32 are the abandoning forms at +Inf.
+		flat := func(u, l, s []float64) float64 {
+			d, _ := im.DistAbandonFlat(u, l, s, inf)
+			return d
+		}
+		flat32 := func(u, l []float32, s []float64) float64 {
+			d, _ := im.DistAbandonFlat32(u, l, s, inf)
+			return d
+		}
 		// A NaN anywhere in a lane contributes nothing.
-		if d := im.DistFlat([]float64{nan}, []float64{-1}, []float64{5}); d != 0 {
+		if d := flat([]float64{nan}, []float64{-1}, []float64{5}); d != 0 {
 			t.Fatalf("%s: NaN upper lane contributed %v", im.Name, d)
 		}
-		if d := im.DistFlat([]float64{1}, []float64{nan}, []float64{-5}); d != 0 {
+		if d := flat([]float64{1}, []float64{nan}, []float64{-5}); d != 0 {
 			t.Fatalf("%s: NaN lower lane contributed %v", im.Name, d)
 		}
-		if d := im.DistFlat([]float64{1}, []float64{-1}, []float64{nan}); d != 0 {
+		if d := flat([]float64{1}, []float64{-1}, []float64{nan}); d != 0 {
 			t.Fatalf("%s: NaN value lane contributed %v", im.Name, d)
 		}
 		// Inverted bounds: v inside (l, u) reversed satisfies both
 		// comparisons; the "above" branch must win, as in the scalar
 		// else-if chain. u=-1, l=1, v=0: above excursion v-u = 1,
 		// below would be l-v = 1 too — make them distinct.
-		if d := im.DistFlat([]float64{-1}, []float64{2}, []float64{0}); d != 1 {
+		if d := flat([]float64{-1}, []float64{2}, []float64{0}); d != 1 {
 			t.Fatalf("%s: inverted bounds gave %v, want the above excursion 1", im.Name, d)
 		}
 		// NaN and +Inf limits never abandon.
@@ -318,17 +324,17 @@ func TestKernelNaNContract(t *testing.T) {
 			t.Fatalf("%s: +Inf limit abandoned (%v, %v)", im.Name, d, ok)
 		}
 		// The result is never −0.
-		if d := im.DistFlat([]float64{1}, []float64{-1}, []float64{0}); math.Signbit(d) {
+		if d := flat([]float64{1}, []float64{-1}, []float64{0}); math.Signbit(d) {
 			t.Fatalf("%s: produced -0", im.Name)
 		}
 		// The float32-bound forms inherit every clause: a NaN bound
 		// lane contributes nothing, "above" wins, NaN limits never
 		// abandon.
 		nan32 := float32(nan)
-		if d := im.DistFlat32([]float32{nan32, 1}, []float32{-1, nan32}, []float64{5, -5}); d != 0 {
+		if d := flat32([]float32{nan32, 1}, []float32{-1, nan32}, []float64{5, -5}); d != 0 {
 			t.Fatalf("%s: NaN float32 bound lanes contributed %v", im.Name, d)
 		}
-		if d := im.DistFlat32([]float32{-1}, []float32{2}, []float64{0}); d != 1 {
+		if d := flat32([]float32{-1}, []float32{2}, []float64{0}); d != 1 {
 			t.Fatalf("%s: inverted float32 bounds gave %v, want the above excursion 1", im.Name, d)
 		}
 		if d, ok := im.DistAbandonFlat32([]float32{0}, []float32{0}, s, nan); !ok || d != 100 {
@@ -338,7 +344,7 @@ func TestKernelNaNContract(t *testing.T) {
 			t.Fatalf("%s: empty float32 abandoning input gave (%v, %v)", im.Name, d, ok)
 		}
 		// Empty input.
-		if d := im.DistFlat(nil, nil, nil); d != 0 {
+		if d := flat(nil, nil, nil); d != 0 {
 			t.Fatalf("%s: empty input gave %v", im.Name, d)
 		}
 		if d, ok := im.DistAbandonFlat(nil, nil, nil, 0); !ok || d != 0 {
@@ -435,36 +441,25 @@ func benchDist(b *testing.B, f func(u, l, s []float64) float64) {
 	}
 }
 
-// BenchmarkDistKernel compares the Eq. 2 forms per lane. The scalar
+// BenchmarkDistKernel compares the Eq. 2 forms per lane: each
+// implementation's DistAbandonFlat at a +Inf limit, which is DistFlat
+// (and the descent's common case: most nodes survive). The scalar
 // sub-benchmark is the pre-kernel baseline (the branchy loop shipped in
 // internal/mbts); portable and avx2 are the dispatchable forms.
 func BenchmarkDistKernel(b *testing.B) {
-	b.Run("scalar", func(b *testing.B) { benchDist(b, distFlatScalar) })
-	b.Run("portable", func(b *testing.B) { benchDist(b, distFlatPortable) })
-	b.Run("avx2", func(b *testing.B) {
-		if !hasAVX2 {
-			b.Skip("avx2 not supported on this host")
-		}
-		benchDist(b, avx2Impl().DistFlat)
-	})
-	b.Run("active", func(b *testing.B) { benchDist(b, DistFlat) })
-}
-
-// BenchmarkDistKernelAbandon is the abandoning pair under a limit that
-// never fires (the descent's common case: most nodes survive).
-func BenchmarkDistKernelAbandon(b *testing.B) {
-	abandon := func(f func(u, l, s []float64, limit float64) (float64, bool)) func(u, l, s []float64) float64 {
+	flat := func(f func(u, l, s []float64, limit float64) (float64, bool)) func(u, l, s []float64) float64 {
 		return func(u, l, s []float64) float64 {
 			m, _ := f(u, l, s, math.Inf(1))
 			return m
 		}
 	}
-	b.Run("scalar", func(b *testing.B) { benchDist(b, abandon(distAbandonFlatScalar)) })
-	b.Run("portable", func(b *testing.B) { benchDist(b, abandon(distAbandonFlatPortable)) })
+	b.Run("scalar", func(b *testing.B) { benchDist(b, flat(distAbandonFlatScalar)) })
+	b.Run("portable", func(b *testing.B) { benchDist(b, flat(distAbandonFlatPortable)) })
 	b.Run("avx2", func(b *testing.B) {
 		if !hasAVX2 {
 			b.Skip("avx2 not supported on this host")
 		}
-		benchDist(b, abandon(avx2Impl().DistAbandonFlat))
+		benchDist(b, flat(avx2Impl().DistAbandonFlat))
 	})
+	b.Run("active", func(b *testing.B) { benchDist(b, DistFlat) })
 }

@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"cmp"
-	"math"
-)
+import "math"
 
 // The branch-free portable kernels — the semantic definition of the
 // package (see the package comment's NaN contract). Per-element
@@ -11,9 +8,7 @@ import (
 // on real workloads (whether a lane excurses is essentially random), so
 // the lane computation selects the excursion with conditional moves
 // over the raw float bits: both candidate differences are computed
-// unconditionally, then picked by CMOV (the accumulation kernels, whose
-// adds can't be expressed as a select, use SETcc-derived bit masks
-// instead).
+// unconditionally, then picked by CMOV.
 //
 // The running maximum is the trick that makes this fast: every
 // excursion is +0 or strictly positive and never NaN, and non-negative
@@ -38,17 +33,6 @@ func nextCheck(done int) int {
 	return done + min(done, laneBlock)
 }
 
-// boolMask converts a comparison result to an all-ones (true) or
-// all-zeros (false) 64-bit mask without a branch: the bool is a 0/1
-// byte, and two's-complement negation stretches it.
-func boolMask(b bool) uint64 {
-	var u uint64
-	if b {
-		u = 1
-	}
-	return -u
-}
-
 // excursionBits is one Eq. 2 lane: the bit pattern of how far v lies
 // outside [l, u], selected branch-free (the compiler lowers the
 // conditional assignments to CMOV — both differences are computed
@@ -71,34 +55,6 @@ func excursionBits(u, l, v float64) uint64 {
 		d = da
 	}
 	return d
-}
-
-// excursion is excursionBits back in the float domain, for the
-// accumulation kernels (WidthIncrease*) and the assembly wrappers'
-// tail lanes.
-func excursion(u, l, v float64) float64 {
-	return math.Float64frombits(excursionBits(u, l, v))
-}
-
-// maxSelect returns max(m, d) under the scalar kernels' update rule
-// (`if d > m { m = d }`), branch-free.
-func maxSelect(m, d float64) float64 {
-	mb, db := math.Float64bits(m), math.Float64bits(d)
-	if db > mb { // both non-negative doubles: uint64 order == float order
-		mb = db
-	}
-	return math.Float64frombits(mb)
-}
-
-func distFlatPortable(upper, lower, s []float64) float64 {
-	upper, lower = upper[:len(s)], lower[:len(s)]
-	var m uint64
-	for i, v := range s {
-		if d := excursionBits(upper[i], lower[i], v); d > m {
-			m = d // compare+CMOV: branch-free, one move on the chain
-		}
-	}
-	return math.Float64frombits(m)
 }
 
 func distAbandonFlatPortable(upper, lower, s []float64, limit float64) (float64, bool) {
@@ -174,17 +130,6 @@ row:
 // The float32-bound forms: the same lane (excursionBits on the widened
 // bounds), maximum and schedule as the float64 forms above.
 
-func distFlat32Portable(upper, lower []float32, s []float64) float64 {
-	upper, lower = upper[:len(s)], lower[:len(s)]
-	var m uint64
-	for i, v := range s {
-		if d := excursionBits(float64(upper[i]), float64(lower[i]), v); d > m {
-			m = d
-		}
-	}
-	return math.Float64frombits(m)
-}
-
 func distAbandonFlat32Portable(upper, lower []float32, s []float64, limit float64) (float64, bool) {
 	n := len(s)
 	upper, lower = upper[:n], lower[:n]
@@ -246,70 +191,4 @@ func boundsInside32Portable(upper, lower, childUpper, childLower []float32, n, r
 		}
 	}
 	return true
-}
-
-func distMBTSPortable(bUpper, bLower, oUpper, oLower []float64) float64 {
-	n := len(bUpper)
-	bLower, oUpper, oLower = bLower[:n], oUpper[:n], oLower[:n]
-	var m uint64
-	for i, bu := range bUpper {
-		// One Eq. 3 lane: gap between the bands, "b above o" winning
-		// when both fire — the same asymmetric select as excursionBits.
-		da := math.Float64bits(bLower[i] - oUpper[i])
-		db := math.Float64bits(oLower[i] - bu)
-		var d uint64
-		if bu < oLower[i] {
-			d = db
-		}
-		if bLower[i] > oUpper[i] {
-			d = da
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return math.Float64frombits(m)
-}
-
-func widthPortable(upper, lower []float64) float64 {
-	lower = lower[:len(upper)]
-	var sum float64
-	for i, u := range upper {
-		sum += u - lower[i]
-	}
-	return sum
-}
-
-func widthIncreaseSequencePortable(upper, lower, s []float64) float64 {
-	upper, lower = upper[:len(s)], lower[:len(s)]
-	var inc float64
-	for i, v := range s {
-		// Adding the +0 a non-excursing lane selects is bit-identical
-		// to the scalar form's skipped add: inc is never −0 (it starts
-		// +0 and only non-negative terms are added).
-		inc += excursion(upper[i], lower[i], v)
-	}
-	return inc
-}
-
-// compareWidthIncreasePortable is the width-increase comparison as
-// two sequential sums (see "Width-increase comparison"). A pure-Go
-// filter summing four lanes apart with the assembly's certain-apart
-// test measured slower, 500–650 against 390–440 ns for 100 lanes: the
-// loop is bound by instruction count, not by the add chain.
-func compareWidthIncreasePortable(aUpper, aLower, bUpper, bLower, s []float64) int {
-	return cmp.Compare(widthIncreaseSequencePortable(aUpper, aLower, s), widthIncreaseSequencePortable(bUpper, bLower, s))
-}
-
-func widthIncreaseMBTSPortable(bUpper, bLower, oUpper, oLower []float64) float64 {
-	n := len(bUpper)
-	bLower, oUpper, oLower = bLower[:n], oUpper[:n], oLower[:n]
-	var inc float64
-	for i, bu := range bUpper {
-		ma := boolMask(oUpper[i] > bu)
-		mb := boolMask(oLower[i] < bLower[i])
-		inc += math.Float64frombits(ma & math.Float64bits(oUpper[i]-bu))
-		inc += math.Float64frombits(mb & math.Float64bits(bLower[i]-oLower[i]))
-	}
-	return inc
 }

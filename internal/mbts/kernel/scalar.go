@@ -1,28 +1,12 @@
 package kernel
 
-import "cmp"
+import "math"
 
 // The original branchy kernels, verbatim from internal/mbts as shipped
 // since PR 1 — kept as the differential oracle: the portable and
 // assembly forms must reproduce these bit-for-bit on every input
 // (TestKernelDifferential, FuzzDistKernels). They are also the fallback
 // of last resort via TWINSEARCH_KERNEL=scalar.
-
-func distFlatScalar(upper, lower, s []float64) float64 {
-	var max float64
-	for i, v := range s {
-		var d float64
-		if v > upper[i] {
-			d = v - upper[i]
-		} else if v < lower[i] {
-			d = lower[i] - v
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 func distAbandonFlatScalar(upper, lower, s []float64, limit float64) (float64, bool) {
 	var max float64
@@ -65,23 +49,6 @@ func sweepWindowsScalar(data []float64, starts []int32, s []float64, limit float
 // as it is loaded — float32 → float64 is exact, so they equal the
 // float64 forms on the widened arrays bit for bit.
 
-func distFlat32Scalar(upper, lower []float32, s []float64) float64 {
-	var max float64
-	for i, v := range s {
-		u, l := float64(upper[i]), float64(lower[i])
-		var d float64
-		if v > u {
-			d = v - u
-		} else if v < l {
-			d = l - v
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 func distAbandonFlat32Scalar(upper, lower []float32, s []float64, limit float64) (float64, bool) {
 	var max float64
 	for i, v := range s {
@@ -111,7 +78,7 @@ func sweepAbandonFlat32Scalar(upper, lower []float32, stride int, s []float64, l
 func windowsInside32Scalar(upper, lower []float32, data []float64, starts []int32, n int) bool {
 	checkInside(len(upper), len(lower), len(data), starts, n)
 	for _, p := range starts {
-		if distFlat32Scalar(upper[:n], lower[:n], data[p:int(p)+n]) != 0 {
+		if d, _ := distAbandonFlat32Scalar(upper[:n], lower[:n], data[p:int(p)+n], math.Inf(1)); d != 0 {
 			return false
 		}
 	}
@@ -133,49 +100,6 @@ func boundsInside32Scalar(upper, lower, childUpper, childLower []float32, n, row
 	return true
 }
 
-func distMBTSScalar(bUpper, bLower, oUpper, oLower []float64) float64 {
-	var max float64
-	for i := range bUpper {
-		var d float64
-		if bLower[i] > oUpper[i] {
-			d = bLower[i] - oUpper[i]
-		} else if bUpper[i] < oLower[i] {
-			d = oLower[i] - bUpper[i]
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-func widthScalar(upper, lower []float64) float64 {
-	var sum float64
-	for i := range upper {
-		sum += upper[i] - lower[i]
-	}
-	return sum
-}
-
-func widthIncreaseSequenceScalar(upper, lower, s []float64) float64 {
-	var inc float64
-	for i, v := range s {
-		if v > upper[i] {
-			inc += v - upper[i]
-		} else if v < lower[i] {
-			inc += lower[i] - v
-		}
-	}
-	return inc
-}
-
-// compareWidthIncreaseScalar is the width-increase comparison's
-// definition, as written: both increases summed in lane order, then
-// compared.
-func compareWidthIncreaseScalar(aUpper, aLower, bUpper, bLower, s []float64) int {
-	return cmp.Compare(widthIncreaseSequenceScalar(aUpper, aLower, s), widthIncreaseSequenceScalar(bUpper, bLower, s))
-}
-
 // expandScalar is mbts.ExpandToSequence's original loop, verbatim.
 func expandScalar(upper, lower, s []float64) {
 	for i, v := range s {
@@ -186,17 +110,4 @@ func expandScalar(upper, lower, s []float64) {
 			lower[i] = v
 		}
 	}
-}
-
-func widthIncreaseMBTSScalar(bUpper, bLower, oUpper, oLower []float64) float64 {
-	var inc float64
-	for i := range bUpper {
-		if oUpper[i] > bUpper[i] {
-			inc += oUpper[i] - bUpper[i]
-		}
-		if oLower[i] < bLower[i] {
-			inc += bLower[i] - oLower[i]
-		}
-	}
-	return inc
 }

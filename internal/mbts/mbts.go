@@ -1,10 +1,13 @@
 // Package mbts implements Minimum Bounding Time Series
 // [Chatzigeorgakidis et al. 2017], the bounding structure at the heart of
 // the TS-Index: a pair of sequences (upper, lower) enclosing a set of
-// equal-length time series pointwise (paper Definition 2), together with
-// the two Chebyshev-flavoured distances the index needs —
-// sequence-to-MBTS (Eq. 2, used for descent and for the Lemma 1 pruning
-// test) and MBTS-to-MBTS (Eq. 3, used when splitting internal nodes).
+// equal-length time series pointwise (paper Definition 2). The
+// sequence-to-MBTS distance (Eq. 2: every descent, Lemma 1 test and
+// verification) and the expansion every insert makes run in the
+// dispatched kernels of internal/mbts/kernel, over raw bound slices.
+// What only an internal node's split asks — the MBTS-to-MBTS distance
+// (Eq. 3), the band width and its growth under another MBTS — is here,
+// one plain loop each, beside ExpandToMBTS.
 package mbts
 
 import (
@@ -93,22 +96,29 @@ func (b MBTS) ExpandToMBTS(o MBTS) {
 	}
 }
 
-// DistFlat is Eq. 2 over raw float64 bound slices, without an MBTS
-// wrapper — the full-width form (the frozen arena's half-width rows go
-// through kernel.DistFlat32). upper and lower must have at least len(s)
-// entries. The computation is dispatched through
-// internal/mbts/kernel (branch-free portable or AVX2, selected at init;
-// see that package for the exact NaN/result contract — all forms are
-// bit-identical).
-func DistFlat(upper, lower, s []float64) float64 {
-	return kernel.DistFlat(upper, lower, s)
-}
+// The split heuristics: measures between two MBTS that only an internal
+// node's split evaluates (§5.2), one plain loop each rather than a
+// dispatched kernel. TestSplitHeuristics pins how they treat a NaN
+// bound, ±Inf, an inverted band and ±0.
 
 // DistMBTS is the paper's Eq. 3: the separation between two MBTS — the
 // largest pointwise gap between the bands, 0 when they overlap at every
-// timestamp.
+// timestamp. A lane whose comparisons a NaN leaves false contributes 0,
+// and where both gaps fire (inverted bands) "b above o" wins.
 func (b MBTS) DistMBTS(o MBTS) float64 {
-	return kernel.DistMBTS(b.Upper, b.Lower, o.Upper, o.Lower)
+	var max float64
+	for i := range b.Upper {
+		var d float64
+		if b.Lower[i] > o.Upper[i] {
+			d = b.Lower[i] - o.Upper[i]
+		} else if b.Upper[i] < o.Lower[i] {
+			d = o.Lower[i] - b.Upper[i]
+		}
+		if d > max {
+			max = d
+		}
+	}
+	return max
 }
 
 // Width returns the total band width Σ_i (Upper[i] − Lower[i]), the
@@ -116,11 +126,24 @@ func (b MBTS) DistMBTS(o MBTS) float64 {
 // (the MBTS analogue of an R*-tree's enlargement; README, "Index
 // construction").
 func (b MBTS) Width() float64 {
-	return kernel.Width(b.Upper, b.Lower)
+	var sum float64
+	for i := range b.Upper {
+		sum += b.Upper[i] - b.Lower[i]
+	}
+	return sum
 }
 
 // WidthIncreaseMBTS returns how much Width would grow if o were
 // enclosed, without modifying b.
 func (b MBTS) WidthIncreaseMBTS(o MBTS) float64 {
-	return kernel.WidthIncreaseMBTS(b.Upper, b.Lower, o.Upper, o.Lower)
+	var inc float64
+	for i := range b.Upper {
+		if o.Upper[i] > b.Upper[i] {
+			inc += o.Upper[i] - b.Upper[i]
+		}
+		if o.Lower[i] < b.Lower[i] {
+			inc += b.Lower[i] - o.Lower[i]
+		}
+	}
+	return inc
 }

@@ -1,6 +1,7 @@
 package mbts
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -57,7 +58,7 @@ func TestFromSequenceTight(t *testing.T) {
 	if b.Width() != 0 {
 		t.Fatalf("singleton width = %v", b.Width())
 	}
-	if DistFlat(b.Upper, b.Lower, s) != 0 {
+	if kernel.DistFlat(b.Upper, b.Lower, s) != 0 {
 		t.Fatal("distance to seed must be 0")
 	}
 }
@@ -66,7 +67,7 @@ func TestContainment(t *testing.T) {
 	set := randSeqs(1, 10, 20)
 	b, _ := Enclose(set...)
 	for i, s := range set {
-		if d := DistFlat(b.Upper, b.Lower, s); d != 0 {
+		if d := kernel.DistFlat(b.Upper, b.Lower, s); d != 0 {
 			t.Fatalf("enclosed sequence %d at distance %v", i, d)
 		}
 	}
@@ -74,13 +75,13 @@ func TestContainment(t *testing.T) {
 
 func TestDistSequence(t *testing.T) {
 	b, _ := Enclose([]float64{0, 0}, []float64{1, 1})
-	if d := DistFlat(b.Upper, b.Lower, []float64{2, 0.5}); d != 1 {
+	if d := kernel.DistFlat(b.Upper, b.Lower, []float64{2, 0.5}); d != 1 {
 		t.Fatalf("dist above = %v, want 1", d)
 	}
-	if d := DistFlat(b.Upper, b.Lower, []float64{-3, 0.5}); d != 3 {
+	if d := kernel.DistFlat(b.Upper, b.Lower, []float64{-3, 0.5}); d != 3 {
 		t.Fatalf("dist below = %v, want 3", d)
 	}
-	if d := DistFlat(b.Upper, b.Lower, []float64{2, -4}); d != 4 {
+	if d := kernel.DistFlat(b.Upper, b.Lower, []float64{2, -4}); d != 4 {
 		t.Fatalf("max rule = %v, want 4", d)
 	}
 }
@@ -132,6 +133,53 @@ func TestWidthIncrease(t *testing.T) {
 	}
 }
 
+// TestSplitHeuristics pins the split measures' loops on the lanes no
+// build produces but the comparisons still order: a NaN bound, ±Inf, an
+// inverted band and ±0, each result compared to the bit. In particular
+// Eq. 3 never selects a gap that involves a NaN bound (both of its
+// comparisons are false there), which farthestChildren's reach bound
+// relies on when it skips NaN bounds.
+func TestSplitHeuristics(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	band := func(upper, lower float64) MBTS { return MBTS{Upper: []float64{upper}, Lower: []float64{lower}} }
+	cases := []struct {
+		name                  string
+		b, o                  MBTS
+		dist, width, increase float64 // DistMBTS(b, o), b.Width(), b.WidthIncreaseMBTS(o)
+	}{
+		{"plain gap below", band(1, 0), band(4, 3), 2, 1, 3},
+		{"plain gap above", band(6, 5), band(1, 0), 4, 1, 5},
+		{"NaN bounds of b", band(nan, nan), band(1, 0), 0, nan, 0},
+		{"NaN lower of b, above o", band(5, nan), band(1, 0), 0, nan, 0},
+		{"NaN upper of o", band(5, 4), band(nan, -1), 0, 1, 5},
+		{"NaN lower of o, below", band(1, 0), band(4, nan), 0, 1, 3},
+		{"+Inf band above", band(inf, inf), band(1, 0), inf, nan, inf},
+		{"-Inf band below", band(-inf, -inf), band(1, 0), inf, nan, inf},
+		{"equal infinities", band(inf, inf), band(inf, inf), 0, nan, 0},
+		{"unbounded o", band(1, 0), band(inf, -inf), 0, 1, inf},
+		{"inverted bands: above wins", band(0, 3), band(1, 5), 2, -3, 1},
+		{"inverted bands: both bounds grow", band(0, 3), band(1, 2), 2, -3, 2},
+		{"inverted o inside b", band(3, 0), band(1, 2), 0, 3, 0},
+		{"-0 against +0", band(negZero, negZero), band(0, 0), 0, 0, 0},
+		{"+0 against -0", band(0, 0), band(negZero, negZero), 0, 0, 0},
+		{"-0 upper over +0 lower", band(negZero, 0), band(negZero, 0), 0, 0, 0},
+	}
+	for _, c := range cases {
+		for _, m := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"DistMBTS", c.b.DistMBTS(c.o), c.dist},
+			{"Width", c.b.Width(), c.width},
+			{"WidthIncreaseMBTS", c.b.WidthIncreaseMBTS(c.o), c.increase},
+		} {
+			if math.Float64bits(m.got) != math.Float64bits(m.want) && !(math.IsNaN(m.got) && math.IsNaN(m.want)) {
+				t.Errorf("%s: %s = %v (%x), want %v (%x)", c.name, m.name, m.got, math.Float64bits(m.got), m.want, math.Float64bits(m.want))
+			}
+		}
+	}
+}
+
 func TestCopyFromSetTo(t *testing.T) {
 	b, _ := Enclose([]float64{1, 2}, []float64{3, 0})
 	d := New(2)
@@ -178,7 +226,7 @@ func TestLemma1LowerBound(t *testing.T) {
 		l := len(raw) / 3
 		q, s1, s2 := raw[:l], raw[l:2*l], raw[2*l:3*l]
 		b, _ := Enclose(s1, s2)
-		dq := DistFlat(b.Upper, b.Lower, q)
+		dq := kernel.DistFlat(b.Upper, b.Lower, q)
 		return dq <= series.Chebyshev(q, s1)+1e-9 && dq <= series.Chebyshev(q, s2)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -228,7 +276,7 @@ func TestAbandonAgreement(t *testing.T) {
 		set := randSeqs(int64(iter)+100, 4, l)
 		b, _ := Enclose(set[:3]...)
 		q := set[3]
-		full := DistFlat(b.Upper, b.Lower, q)
+		full := kernel.DistFlat(b.Upper, b.Lower, q)
 		limit := rng.Float64() * 10
 		d, ok := kernel.DistAbandonFlat(b.Upper, b.Lower, q, limit)
 		if full <= limit {

@@ -70,12 +70,6 @@ type WindowReader interface {
 // in-memory pass exactly as before.
 func (e *Extractor) AttachStore(r WindowReader) { e.backing = r }
 
-// DetachStore reverts to in-memory verification.
-func (e *Extractor) DetachStore() { e.backing = nil }
-
-// Backing returns the attached WindowReader, or nil.
-func (e *Extractor) Backing() WindowReader { return e.backing }
-
 // NewExtractor prepares an extractor over t with the given mode. The
 // input slice is never modified; NormGlobal takes a normalized copy.
 func NewExtractor(t []float64, mode NormMode) *Extractor {

@@ -25,9 +25,6 @@ func NewRolling(t []float64) *Rolling {
 	return r
 }
 
-// Len returns the length of the underlying series.
-func (r *Rolling) Len() int { return r.n }
-
 // Append extends the prefix sums with new trailing values, keeping all
 // previously answerable windows valid.
 func (r *Rolling) Append(vs ...float64) {

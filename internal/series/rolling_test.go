@@ -14,9 +14,6 @@ func TestRollingMatchesDirect(t *testing.T) {
 		ts[i] = rng.NormFloat64() * 10
 	}
 	r := NewRolling(ts)
-	if r.Len() != len(ts) {
-		t.Fatalf("Len = %d", r.Len())
-	}
 	for _, l := range []int{1, 2, 7, 50, 500} {
 		for p := 0; p+l <= len(ts); p += 13 {
 			wantMean, wantStd := MeanStd(ts[p : p+l])

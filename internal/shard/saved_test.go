@@ -26,7 +26,7 @@ import (
 // the container header and in the segment headers too.
 func TestShardedStreamEveryByteGuarded(t *testing.T) {
 	data := datasets.RandomWalk(58, 150)
-	opt := twinsearch.Options{L: 11, MinCap: 3, MaxCap: 7, Shards: 2}
+	opt := twinsearch.Options{L: 11, Shards: 2}
 	mapped := opt
 	mapped.MMap = true
 	eng, err := twinsearch.Open(data, opt)

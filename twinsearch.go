@@ -76,8 +76,6 @@ type Options struct {
 	// indistinguishable from "use the default".)
 	NormSet bool
 
-	MinCap, MaxCap int // node capacities µc, Mc (defaults 10, 30; Mc ≤ 1024)
-
 	// Shards splits the TS-Index into that many window partitions, built
 	// concurrently and searched by parallel fan-out with a deterministic
 	// merge — answers are identical to the single index; construction
@@ -123,8 +121,8 @@ type Options struct {
 	// engine still needs the full series (data) for query
 	// normalization and verification-free merging. Cluster engines are read-only: Append and SaveIndex return
 	// errors, and HeapBytes and MappedBytes are 0 (the nodes hold the
-	// index). MMap, Prefetch, Shards, MinCap and MaxCap are ignored: the
-	// saved index fixed the partition, and each node opens its shards.
+	// index). MMap, Prefetch and Shards are ignored: the saved index
+	// fixed the partition, and each node opens its shards.
 	Topology string
 
 	// ClusterTimeout bounds every per-node RPC of a Topology engine; an
@@ -334,10 +332,11 @@ func resolveShards(shards int) int {
 	return max(shards, 1)
 }
 
-// Open builds an engine over data according to opt. The slice is not
-// copied for raw/per-subsequence modes and must not be modified
-// afterwards. Every value must be finite — a NaN window would match
-// every query — so a series holding NaN or ±Inf is refused.
+// Open builds an engine over data according to opt, its TS-Index at the
+// paper's node capacities µc = 10 and Mc = 30. The slice is not copied
+// for raw/per-subsequence modes and must not be modified afterwards.
+// Every value must be finite — a NaN window would match every query —
+// so a series holding NaN or ±Inf is refused.
 func Open(data []float64, opt Options) (*Engine, error) {
 	start := time.Now()
 	if err := opt.check(data); err != nil {
@@ -365,7 +364,7 @@ func Open(data []float64, opt Options) (*Engine, error) {
 		return e, nil
 	}
 	e.sh, err = shard.Build(e.ext, shard.Config{
-		Config: core.Config{L: opt.L, MinCap: opt.MinCap, MaxCap: opt.MaxCap},
+		Config: core.Config{L: opt.L},
 		Shards: resolveShards(opt.Shards), Executor: e.ex,
 	})
 	if err != nil {

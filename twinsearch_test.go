@@ -31,9 +31,6 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(data[:10], Options{L: 100}); err == nil {
 		t.Fatal("short series must fail")
 	}
-	if _, err := Open(data, Options{L: 100, MinCap: 20, MaxCap: 30}); err == nil {
-		t.Fatal("node capacities the tree cannot split must fail")
-	}
 }
 
 func TestDefaultNormalization(t *testing.T) {
