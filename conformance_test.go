@@ -145,13 +145,13 @@ func confBackings(t *testing.T, data []float64, o Options) []confBacking {
 // each served by replicas nodes, every node its shard RPC behind an
 // httptest server — and writes their topology, returning its path. The
 // nodes stop when t ends.
-func nodeTopology(t *testing.T, path string, data []float64, norm NormMode, shards, groups, replicas int) string {
+func nodeTopology(t testing.TB, path string, data []float64, norm NormMode, shards, groups, replicas int) string {
 	t.Helper()
 	return nodeTopologyWith(t, path, data, norm, shards, groups, replicas, cluster.NodeOptions{})
 }
 
 // nodeTopologyWith is nodeTopology with every node opened under o.
-func nodeTopologyWith(t *testing.T, path string, data []float64, norm NormMode, shards, groups, replicas int, o cluster.NodeOptions) string {
+func nodeTopologyWith(t testing.TB, path string, data []float64, norm NormMode, shards, groups, replicas int, o cluster.NodeOptions) string {
 	t.Helper()
 	doc := &cluster.Topology{Index: path, Replicas: replicas}
 	for g := 0; g < groups; g++ {

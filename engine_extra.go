@@ -12,7 +12,6 @@ import (
 	"twinsearch/internal/arena"
 	"twinsearch/internal/core"
 	"twinsearch/internal/exec"
-	"twinsearch/internal/series"
 	"twinsearch/internal/shard"
 )
 
@@ -136,29 +135,18 @@ func OpenSavedFile(data []float64, path string, opt Options) (*Engine, error) {
 // openSaved is the one open sequence of OpenSaved and OpenSavedFile:
 // the series is checked and its extractor built as a unit on the
 // engine's executor while load produces the arena on the calling
-// goroutine — the two depend on nothing of each other — and a refused
-// series is the error even when load failed too. The engine's index
-// arrays are views into the arena: a mapped one is the engine's to
-// release (Engine.Close); a heap one lives as long as a shard views it.
-// On error the arena is released here.
+// goroutine (prepareDuring) — the two depend on nothing of each other —
+// and a refused series is the error even when load failed too. The
+// engine's index arrays are views into the arena: a mapped one is the
+// engine's to release (Engine.Close); a heap one lives as long as a
+// shard views it. On error the arena is released here.
 func openSaved(data []float64, opt Options, load func() (*arena.Arena, error)) (*Engine, error) {
 	start := time.Now()
 	if err := opt.check(data); err != nil {
 		return nil, err
 	}
 	ex := exec.New(opt.Workers)
-	var ext *series.Extractor
-	var extErr error
-	prep := ex.NewGroup()
-	prep.Go(func(*exec.Ctx) { ext, extErr = prepareSeries(data, opt.Norm) })
-	ar, err := load()
-	prep.Wait()
-	if extErr != nil {
-		if err == nil {
-			ar.Close()
-		}
-		return nil, extErr
-	}
+	ext, ar, err := prepareDuring(ex, data, opt.Norm, load)
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ type group struct {
 // Coordinator fans queries over the topology's replica groups. Methods
 // are safe for concurrent use.
 type Coordinator struct {
-	ext      *series.Extractor
+	ser      Series
 	l        int
 	total    int // shard count of the saved index
 	windows  int // windows served across all groups (each counted once)
@@ -118,25 +118,36 @@ type Coordinator struct {
 	sweepDone           chan struct{}
 }
 
-// OpenCoordinator dials every topology entry and cross-checks it (same
-// L, normalization, series length, and shard assignment as the
-// topology claims), and verifies the replicated assignment covers the
-// index's shards exactly (R owners per shard, replica groups mirroring
-// whole shard sets) and the per-group window counts sum to the
-// series'. A node that cannot be reached opens the cluster
-// **degraded** when its group still has at least one reachable owner
-// (the read quorum): the dead node starts down and rejoins via the
-// membership sweep once it answers health probes again. A group with
-// no reachable owner refuses the open. ext must present the same
-// series the index was built over; queries are fanned out
-// pre-transformed. ctx bounds the whole open — dialing and
-// cross-checking every node — so a caller's deadline or cancellation
-// aborts a wedged dial instead of waiting out the per-node timeout.
-func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor, l int, o Options) (*Coordinator, error) {
+// Series is what a coordinator reads of the series it serves: its
+// length and normalization, which every node must share.
+// *series.Extractor satisfies it; so does any value that knows the two
+// before the series is prepared.
+type Series interface {
+	Len() int
+	Mode() series.NormMode
+}
+
+// OpenCoordinator probes every topology entry's /healthz at once and
+// cross-checks the answers in topology order (same L, normalization,
+// series length, and shard assignment as the topology claims), then
+// verifies the replicated assignment covers the index's shards exactly
+// (R owners per shard, replica groups mirroring whole shard sets) and
+// the per-group window counts sum to the series'. A node that cannot be
+// reached opens the cluster **degraded** when its group still has at
+// least one reachable owner (the read quorum): the dead node starts
+// down and rejoins via the membership sweep once it answers health
+// probes again. A group with no reachable owner refuses the open.
+// Because the probes run concurrently, k dead or wedged nodes cost one
+// Timeout, not k of them. ser must present the same series the index
+// was built over; queries are fanned out pre-transformed. ctx bounds
+// the whole open — probing and cross-checking every node — so a
+// caller's deadline or cancellation aborts a wedged probe instead of
+// waiting out the per-node timeout.
+func OpenCoordinator(ctx context.Context, topo *Topology, ser Series, l int, o Options) (*Coordinator, error) {
 	if o.Timeout <= 0 {
 		o.Timeout = defaultTimeout
 	}
-	c := &Coordinator{ext: ext, l: l, replicas: topo.R(), timeout: o.Timeout, hedgeDelay: o.HedgeDelay}
+	c := &Coordinator{ser: ser, l: l, replicas: topo.R(), timeout: o.Timeout, hedgeDelay: o.HedgeDelay}
 	client := o.Client
 	if client == nil {
 		c.own = &http.Transport{Protocols: new(http.Protocols), MaxIdleConnsPerHost: 16, IdleConnTimeout: 90 * time.Second}
@@ -156,34 +167,11 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 		return fail(err)
 	}
 
-	total := -1
-	reported := map[*owner]int{} // windows each reachable node serves
 	groupOf := map[string]*group{}
 	for _, spec := range topo.Nodes {
 		// Up to 16 idle streams a node; a burst past them dials more.
 		ow := &owner{spec: spec, b: &remote{base: spec.Addr, client: client,
 			idle: make(chan *Stream, 16)}}
-		hctx, cancel := context.WithTimeout(ctx, o.Timeout)
-		h, err := ow.b.health(hctx)
-		if cancel(); err != nil {
-			err = fmt.Errorf("node %q (%s): %w", spec.Name, spec.Addr, err)
-			// Unreachable is weather, not configuration: mark the node
-			// down and let the per-group quorum check below decide
-			// whether the cluster can open degraded without it.
-			ow.mark(false, err)
-		} else {
-			if err := checkNodeIdentity(h, spec, ext, l); err != nil {
-				return fail(err)
-			}
-			if total == -1 {
-				total = h.TotalShards
-			} else if total != h.TotalShards {
-				return fail(fmt.Errorf("cluster: node %q serves a different index (%d shards vs %d)",
-					spec.Name, h.TotalShards, total))
-			}
-			reported[ow] = h.Windows
-			ow.mark(true, nil)
-		}
 		c.owners = append(c.owners, ow)
 		key := shardSetKey(spec.Shards)
 		g := groupOf[key]
@@ -194,6 +182,36 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 		}
 		g.owners = append(g.owners, ow)
 		ow.g = g
+	}
+
+	hs := make([]NodeHealth, len(c.owners))
+	errs := make([]error, len(c.owners))
+	probeAll(ctx, c.owners, o.Timeout, func(i int, h NodeHealth, err error) { hs[i], errs[i] = h, err })
+
+	// The answers are checked in topology order, whichever came first,
+	// so the first misconfigured entry is the one refused.
+	total := -1
+	reported := map[*owner]int{} // windows each reachable node serves
+	for i, ow := range c.owners {
+		if err := errs[i]; err != nil {
+			// Unreachable is weather, not configuration: mark the node
+			// down and let the per-group quorum check below decide
+			// whether the cluster can open degraded without it.
+			ow.mark(false, fmt.Errorf("node %q (%s): %w", ow.spec.Name, ow.spec.Addr, err))
+			continue
+		}
+		h := hs[i]
+		if err := checkNodeIdentity(h, ow.spec, ser, l); err != nil {
+			return fail(err)
+		}
+		if total == -1 {
+			total = h.TotalShards
+		} else if total != h.TotalShards {
+			return fail(fmt.Errorf("cluster: node %q serves a different index (%d shards vs %d)",
+				ow.spec.Name, h.TotalShards, total))
+		}
+		reported[ow] = h.Windows
+		ow.mark(true, nil)
 	}
 
 	// Per-group quorum and window agreement: every shard set needs at
@@ -229,7 +247,7 @@ func OpenCoordinator(ctx context.Context, topo *Topology, ext *series.Extractor,
 	if err := topo.checkCoverage(total); err != nil {
 		return fail(err)
 	}
-	if count := series.NumSubsequences(ext.Len(), l); c.windows != count {
+	if count := series.NumSubsequences(ser.Len(), l); c.windows != count {
 		return fail(fmt.Errorf("cluster: nodes serve %d windows, series has %d", c.windows, count))
 	}
 
@@ -455,7 +473,7 @@ func (s *Stream) Exchange(ctx context.Context, appendFrame func([]byte) []byte) 
 // checkNodeIdentity cross-checks a node's health report against its
 // topology entry and the coordinator's series — the configuration half
 // of the handshake, always fatal (a wrong node is not weather).
-func checkNodeIdentity(h NodeHealth, spec NodeSpec, ext *series.Extractor, l int) error {
+func checkNodeIdentity(h NodeHealth, spec NodeSpec, ser Series, l int) error {
 	if h.Role != "node" {
 		return fmt.Errorf("cluster: node %q (%s) reports role %q, want a shard node", spec.Name, spec.Addr, h.Role)
 	}
@@ -466,11 +484,11 @@ func checkNodeIdentity(h NodeHealth, spec NodeSpec, ext *series.Extractor, l int
 	if h.L != l {
 		return fmt.Errorf("cluster: node %q indexes L=%d, coordinator expects %d", spec.Name, h.L, l)
 	}
-	if h.Norm != ext.Mode().String() {
-		return fmt.Errorf("cluster: node %q normalizes %q, coordinator %q", spec.Name, h.Norm, ext.Mode().String())
+	if h.Norm != ser.Mode().String() {
+		return fmt.Errorf("cluster: node %q normalizes %q, coordinator %q", spec.Name, h.Norm, ser.Mode().String())
 	}
-	if h.SeriesLen != ext.Len() {
-		return fmt.Errorf("cluster: node %q serves a %d-point series, coordinator holds %d", spec.Name, h.SeriesLen, ext.Len())
+	if h.SeriesLen != ser.Len() {
+		return fmt.Errorf("cluster: node %q serves a %d-point series, coordinator holds %d", spec.Name, h.SeriesLen, ser.Len())
 	}
 	if shardSetKey(h.Shards) != shardSetKey(spec.Shards) {
 		return fmt.Errorf("cluster: node %q serves shards %v, topology assigns %v", spec.Name, h.Shards, spec.Shards)
@@ -484,7 +502,7 @@ func checkNodeIdentity(h NodeHealth, spec NodeSpec, ext *series.Extractor, l int
 // group's window count) — a node restarted over a different file must
 // not serve divergent bytes.
 func (c *Coordinator) verifyRemote(h NodeHealth, ow *owner) error {
-	if err := checkNodeIdentity(h, ow.spec, c.ext, c.l); err != nil {
+	if err := checkNodeIdentity(h, ow.spec, c.ser, c.l); err != nil {
 		return err
 	}
 	if h.TotalShards != c.total {

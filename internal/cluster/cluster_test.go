@@ -410,8 +410,19 @@ func TestCoordinatorRejectsBadTopologies(t *testing.T) {
 	ext := series.NewExtractor(data, series.NormGlobal)
 	_, path := buildSaved(t, ext, 4)
 
-	// Real nodes: a serves shards 0-2, b shard 3, c all four.
-	_, srvs := startCluster(t, ext, path, [][]int{{0, 1, 2}, {3}}, cluster.Options{}, nil)
+	// Real nodes: a serves shards 0-2, b shard 3, c all four. a answers
+	// /healthz 100 ms late, after b's answer.
+	_, srvs := startCluster(t, ext, path, [][]int{{0, 1, 2}, {3}}, cluster.Options{}, func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/healthz" {
+				time.Sleep(100 * time.Millisecond)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	_, whole := startCluster(t, ext, path, [][]int{{0, 1, 2, 3}}, cluster.Options{}, nil)
 	a, b, c := srvs[0].URL, srvs[1].URL, whole[0].URL
 	open := func(l int, nodes ...cluster.NodeSpec) error {
@@ -436,6 +447,14 @@ func TestCoordinatorRejectsBadTopologies(t *testing.T) {
 	// Wrong L: the node answers, but indexes another length.
 	if err := open(testL+8, cluster.NodeSpec{Name: "c", Addr: c, Shards: []int{0, 1, 2, 3}}); err == nil {
 		t.Error("mismatched L accepted")
+	}
+	// Both entries misassigned: the refusal names the first in topology
+	// order, though its probe answers last.
+	if err := open(testL, cluster.NodeSpec{Name: "a", Addr: a, Shards: []int{3}},
+		cluster.NodeSpec{Name: "b", Addr: b, Shards: []int{0, 1, 2}}); err == nil {
+		t.Error("misassigned nodes accepted")
+	} else if want := `cluster: node "a" serves shards [0 1 2], topology assigns [3]`; err.Error() != want {
+		t.Errorf("misassigned nodes: %v, want %q", err, want)
 	}
 }
 

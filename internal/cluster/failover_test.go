@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"strings"
@@ -397,6 +398,56 @@ func TestDegradedOpen(t *testing.T) {
 		t.Fatal("open with an uncovered shard group succeeded")
 	} else if !strings.Contains(err.Error(), "no reachable replica") {
 		t.Fatalf("unexpected open error: %v", err)
+	}
+}
+
+// TestDegradedOpenWaitsOneTimeout: the open probes every node at once,
+// so with one wedged replica in each of two groups — its /healthz held
+// until the request's context ends — the degraded open waits out one
+// Timeout, not one per wedged node, and reports both nodes down with
+// the probe's error.
+func TestDegradedOpenWaitsOneTimeout(t *testing.T) {
+	data := datasets.EEGN(83, 1200)
+	ext := series.NewExtractor(data, series.NormGlobal)
+	local, path := buildSaved(t, ext, 4)
+	wedged := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	defer wedged.Close()
+
+	topo := &cluster.Topology{Index: path, Replicas: 2}
+	for gi, run := range [][]int{{0, 1}, {2, 3}} {
+		topo.Nodes = append(topo.Nodes, cluster.NodeSpec{Name: fmt.Sprintf("g%dr0", gi), Addr: wedged.URL, Shards: run})
+		name := fmt.Sprintf("g%dr1", gi)
+		n, err := cluster.OpenNode(&cluster.Topology{Index: path, Replicas: 2,
+			Nodes: []cluster.NodeSpec{{Name: name, Addr: "placeholder", Shards: run}}}, name, ext, cluster.NodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo.Nodes = append(topo.Nodes, cluster.NodeSpec{Name: name, Addr: serveNode(t, n, 0, nil).URL, Shards: run})
+	}
+
+	const timeout = 300 * time.Millisecond
+	start := time.Now()
+	cl, err := cluster.OpenCoordinator(context.Background(), topo, ext, testL, cluster.Options{Timeout: timeout, RefreshInterval: -1})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("degraded open refused: %v", err)
+	}
+	defer cl.Close()
+	if elapsed >= 2*timeout {
+		t.Fatalf("open with two wedged nodes took %v, want under 2 × %v: the probes ran one after another", elapsed, timeout)
+	}
+	for _, p := range cl.Health() {
+		wedgedNode := strings.HasSuffix(p.Name, "r0")
+		if p.Alive == wedgedNode || wedgedNode != (p.Error != "") {
+			t.Errorf("%s: alive=%v error=%q after the open", p.Name, p.Alive, p.Error)
+		}
+	}
+	q := ext.ExtractCopy(600, testL)
+	want, _ := local.SearchStats(q, 0.3)
+	if got, err := cl.Search(context.Background(), q, 0.3); err != nil || !sameMatches(want, got) {
+		t.Fatalf("degraded cluster: %d matches, %v; want %d", len(got), err, len(want))
 	}
 }
 

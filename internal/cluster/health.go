@@ -51,29 +51,36 @@ func (ow *owner) fact() (alive bool, errMsg string, checkedAt time.Time) {
 // background refresher calls this on its interval; tests and callers
 // wanting a fresh view now can call it directly.
 func (c *Coordinator) Sweep(ctx context.Context) {
+	probeAll(ctx, c.owners, probeTimeout, func(i int, h NodeHealth, err error) {
+		ow := c.owners[i]
+		if err == nil {
+			// A node that answers but serves the wrong index (restarted
+			// with a different file, misconfigured replacement) must not
+			// rejoin.
+			err = c.verifyRemote(h, ow)
+		}
+		ow.mark(err == nil, err)
+	})
+}
+
+// probeAll fetches every owner's /healthz at once, each under timeout,
+// and hands owner i's answer to done(i, …) on its probe's goroutine, as
+// it arrives; it returns once every done has. The open and the sweep
+// both probe through it, so k unreachable nodes cost one timeout.
+func probeAll(ctx context.Context, owners []*owner, timeout time.Duration, done func(i int, h NodeHealth, err error)) {
 	var wg sync.WaitGroup
-	for _, ow := range c.owners {
+	for i, ow := range owners {
 		wg.Add(1)
 		//tsvet:ignore network-bound health probes must not occupy CPU executor workers
 		go func() {
 			defer wg.Done()
-			c.probe(ctx, ow)
+			pctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			h, err := ow.b.health(pctx)
+			done(i, h, err)
 		}()
 	}
 	wg.Wait()
-}
-
-// probe refreshes one node's liveness fact.
-func (c *Coordinator) probe(ctx context.Context, ow *owner) {
-	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	h, err := ow.b.health(pctx)
-	if err == nil {
-		// A node that answers but serves the wrong index (restarted with
-		// a different file, misconfigured replacement) must not rejoin.
-		err = c.verifyRemote(h, ow)
-	}
-	ow.mark(err == nil, err)
 }
 
 // sweepLoop is the background membership refresher.

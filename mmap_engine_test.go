@@ -483,6 +483,12 @@ func TestSaveKilledMidStream(t *testing.T) {
 // executor. served/copy/open-workers1 is the same open on a one-worker
 // executor, where the passes that overlap share one worker and the
 // calling goroutine.
+//
+// served/coordinator is the served benchmark's cluster-r2 set-up in
+// process, less the nodes' own opens: a coordinator engine opened over a
+// 4-shard save of the same EEG series, served by 4 loopback mmap nodes
+// as 2 replica groups × 2 — the open probes the 4 nodes' /healthz while
+// the series is prepared.
 func BenchmarkColdOpen(b *testing.B) {
 	data := datasets.RandomWalk(85, 200_000)
 	const l = 100
@@ -528,6 +534,31 @@ func BenchmarkColdOpen(b *testing.B) {
 			}
 		})
 	}
+
+	// served/coordinator: the 4-shard save of the same series behind 4
+	// loopback mmap nodes, 2 groups × 2 replicas.
+	sharded, err := Open(eeg, Options{L: l, Shards: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shardedPath := filepath.Join(dir, "sharded.tssh")
+	if err := sharded.SaveIndexFile(shardedPath); err != nil {
+		b.Fatal(err)
+	}
+	sharded.Close()
+	topo := nodeTopology(b, shardedPath, eeg, NormGlobal, 4, 2, 2)
+	b.Run("served/coordinator", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			re, err := Open(eeg, Options{L: l, Norm: NormGlobal, NormSet: true, Topology: topo, MMap: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := re.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	for _, variant := range []struct {
 		name  string

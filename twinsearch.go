@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -216,6 +217,37 @@ func prepareSeries(data []float64, norm NormMode) (*series.Extractor, error) {
 	return series.NewExtractor(data, norm), nil
 }
 
+// prepareDuring prepares data's series (prepareSeries) as a unit on ex
+// while the caller runs open — the open's I/O, which does not need the
+// prepared series. A refused series is the error whatever open
+// returned, and what open made is then closed.
+func prepareDuring[T io.Closer](ex *exec.Executor, data []float64, norm NormMode, open func() (T, error)) (*series.Extractor, T, error) {
+	var ext *series.Extractor
+	var extErr error
+	prep := ex.NewGroup()
+	prep.Go(func(*exec.Ctx) { ext, extErr = prepareSeries(data, norm) })
+	v, err := open()
+	prep.Wait()
+	if extErr != nil {
+		if err == nil {
+			v.Close()
+		}
+		var zero T
+		return nil, zero, extErr
+	}
+	return ext, v, err
+}
+
+// seriesShape is the part of a series a coordinator checks its nodes
+// against, known before the series is prepared.
+type seriesShape struct {
+	n    int
+	mode NormMode
+}
+
+func (s seriesShape) Len() int       { return s.n }
+func (s seriesShape) Mode() NormMode { return s.mode }
+
 // Engine holds a built TS-Index over one time series and answers twin
 // queries against it.
 type Engine struct {
@@ -342,27 +374,33 @@ func Open(data []float64, opt Options) (*Engine, error) {
 	if err := opt.check(data); err != nil {
 		return nil, err
 	}
-	ext, err := prepareSeries(data, opt.Norm)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(opt, ext, exec.New(opt.Workers))
+	ex := exec.New(opt.Workers)
 	if opt.Topology != "" {
-		topo, err := cluster.LoadTopology(opt.Topology)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.OpenCoordinator(context.Background(), topo, e.ext, opt.L, cluster.Options{
-			Timeout: opt.ClusterTimeout, HedgeDelay: opt.ClusterHedge, RefreshInterval: opt.ClusterRefresh,
+		// The nodes are probed while the series is prepared: the
+		// coordinator checks them against its length and norm only.
+		ext, cl, err := prepareDuring(ex, data, opt.Norm, func() (*cluster.Coordinator, error) {
+			topo, err := cluster.LoadTopology(opt.Topology)
+			if err != nil {
+				return nil, err
+			}
+			return cluster.OpenCoordinator(context.Background(), topo, seriesShape{len(data), opt.Norm}, opt.L, cluster.Options{
+				Timeout: opt.ClusterTimeout, HedgeDelay: opt.ClusterHedge, RefreshInterval: opt.ClusterRefresh,
+			})
 		})
 		if err != nil {
 			return nil, err
 		}
+		e := newEngine(opt, ext, ex)
 		e.cl = cl
 		e.registerClusterGauges()
 		e.registerIndexInfo(start)
 		return e, nil
 	}
+	ext, err := prepareSeries(data, opt.Norm)
+	if err != nil {
+		return nil, err
+	}
+	e := newEngine(opt, ext, ex)
 	e.sh, err = shard.Build(e.ext, shard.Config{
 		Config: core.Config{L: opt.L},
 		Shards: resolveShards(opt.Shards), Executor: e.ex,

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"twinsearch/internal/datasets"
 	"twinsearch/internal/oracle"
@@ -81,10 +84,23 @@ func TestSearchErrors(t *testing.T) {
 // saved index's structural checks (comparisons, all false on NaN)
 // cannot see one — so every open path refuses the series itself, with
 // one text: Open, OpenSaved, and OpenSavedFile with and without MMap,
-// on a single and a partitioned save.
+// on a single and a partitioned save, and Open over a cluster topology
+// that is missing or whose node is unreachable (the series is prepared
+// while the nodes are probed).
 func TestOpenRejectsNonFiniteData(t *testing.T) {
 	data := datasets.RandomWalk(2, 1500)
 	const l, at = 50, 1000
+	// A topology file that is not there, and one whose node refuses
+	// every connection: the series' refusal still wins over both.
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	unreachable := filepath.Join(t.TempDir(), "topology.json")
+	if err := os.WriteFile(unreachable, []byte(`{"index": "index.tsidx", "nodes": [{"name": "n0", "addr": "http://127.0.0.1:1", "shards": "0-3"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(data, Options{L: l, Topology: unreachable, ClusterTimeout: time.Second, ClusterRefresh: -1}); err == nil ||
+		!strings.Contains(err.Error(), "no reachable replica") {
+		t.Fatalf("clean series over the unreachable topology: %v, want the open refused for its node", err)
+	}
 	for _, shards := range bothShapes {
 		eng, err := Open(data, Options{L: l, Shards: shards})
 		if err != nil {
@@ -103,10 +119,14 @@ func TestOpenRejectsNonFiniteData(t *testing.T) {
 			dirty[at] = bad
 			want := fmt.Sprintf("twinsearch: non-finite value %v at position %d; clean or impute missing samples first", bad, at)
 			for name, open := range map[string]func() (*Engine, error){
-				"Open":               func() (*Engine, error) { return Open(dirty, Options{L: l, Shards: shards}) },
-				"OpenSaved":          func() (*Engine, error) { return OpenSaved(dirty, bytes.NewReader(saved.Bytes()), Options{L: l}) },
-				"OpenSavedFile":      func() (*Engine, error) { return OpenSavedFile(dirty, path, Options{L: l}) },
-				"OpenSavedFile+MMap": func() (*Engine, error) { return OpenSavedFile(dirty, path, Options{L: l, MMap: true}) },
+				"Open":                  func() (*Engine, error) { return Open(dirty, Options{L: l, Shards: shards}) },
+				"OpenSaved":             func() (*Engine, error) { return OpenSaved(dirty, bytes.NewReader(saved.Bytes()), Options{L: l}) },
+				"OpenSavedFile":         func() (*Engine, error) { return OpenSavedFile(dirty, path, Options{L: l}) },
+				"OpenSavedFile+MMap":    func() (*Engine, error) { return OpenSavedFile(dirty, path, Options{L: l, MMap: true}) },
+				"Open+Topology/missing": func() (*Engine, error) { return Open(dirty, Options{L: l, Topology: missing}) },
+				"Open+Topology/unreachable": func() (*Engine, error) {
+					return Open(dirty, Options{L: l, Topology: unreachable, ClusterTimeout: time.Second, ClusterRefresh: -1})
+				},
 			} {
 				if _, err := open(); err == nil || err.Error() != want {
 					t.Errorf("%d shards: %s over a series holding %v: error %v, want %q", shards, name, bad, err, want)
