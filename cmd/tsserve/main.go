@@ -9,7 +9,7 @@
 //	curl -s -X POST localhost:8080/topk   -d '{"query":[...],"k":5}'
 //	curl -s -X POST localhost:8080/append -d '{"values":[...]}'
 //
-// Distributed, over a saved TSSH v4 index and a topology file (see
+// Distributed, over a saved TSSH v5 index and a topology file (see
 // internal/cluster): each node memory-maps only its assigned shard
 // segments and serves the shard RPC; the coordinator fans queries out
 // and merges deterministically — answers are byte-identical to one

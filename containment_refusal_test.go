@@ -9,10 +9,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
 
+	"twinsearch/internal/core"
 	"twinsearch/internal/datasets"
 )
 
@@ -25,8 +27,9 @@ import (
 //   - "upper", "lower": the file with one lane of one leaf bound moved
 //     inward by one float32 step, the two checksums that cover it (the
 //     bound section's and the segment header's) resealed as in
-//     TestHeapOpenRefusesDuplicatePosition: the first leaf's first upper
-//     lane, and the last leaf's last lower lane.
+//     TestHeapOpenRefusesDuplicatePosition: the first leaf's upper bound
+//     on the first series lane, and the last leaf's lower bound on the
+//     last — each addressed through the stored lane order (storedLane).
 //
 // The texts name the first leaf in BFS order that fails and its first
 // window outside, so a containment check that skips a leaf, a lane or a
@@ -81,12 +84,13 @@ func TestHeapOpenContainmentRefusals(t *testing.T) {
 			word := func(off int) int { return int(binary.LittleEndian.Uint32(saved[seg+off:])) }
 			at := func(off int) int { return seg + int(binary.LittleEndian.Uint64(saved[seg+off:])) }
 			nodes, leafStart := word(40), word(44)
-			// moveLane moves lane of node's row in section s (3 upper, 4
-			// lower) one float32 step toward to, and reseals the stream.
+			// moveLane moves node's bound on series lane lane in section
+			// s (3 upper, 4 lower) one float32 step toward to, and
+			// reseals the stream.
 			moveLane := func(s, node, lane int, to float64) []byte {
 				moved := bytes.Clone(saved)
 				from, end := at(48+8*s), at(56+8*s)
-				off := from + 4*(node*l+lane)
+				off := from + 4*(node*l+storedLane(l, lane))
 				b := math.Float32frombits(binary.LittleEndian.Uint32(moved[off:]))
 				binary.LittleEndian.PutUint32(moved[off:], math.Float32bits(math.Nextafter32(b, float32(to))))
 				binary.LittleEndian.PutUint32(moved[seg+96+4*s:], crc32.Checksum(moved[from:end], castagnoli))
@@ -102,8 +106,9 @@ func TestHeapOpenContainmentRefusals(t *testing.T) {
 				{"series", saved, other},
 				// The first leaf's first upper lane, moved down.
 				{"upper", moveLane(3, leafStart, 0, math.Inf(-1)), data},
-				// The last leaf's last lower lane — with L = 50, one of a
-				// vector kernel's n mod 4 tail lanes — moved up.
+				// The last leaf's last lower lane — with L = 50, one of
+				// the enclosure kernel's n mod 4 tail lanes, which it
+				// folds in series order — moved up.
 				{"lower", moveLane(4, nodes-1, l-1, math.Inf(1)), data},
 			} {
 				name := fmt.Sprintf("%s/shards=%d/%s", norm.name, shards, c.name)
@@ -132,6 +137,12 @@ func TestHeapOpenContainmentRefusals(t *testing.T) {
 	}
 }
 
+// storedLane is the lane of a bound row of l lanes that holds series
+// lane lane: the index of lane in core.LaneOrder(l).
+func storedLane(l, lane int) int {
+	return slices.Index(core.LaneOrder(l), int32(lane))
+}
+
 // segmentAt is where shard 0's TSFZ segment starts in a saved stream:
 // at 0 for a single index, past the TSSH header for a sharded one.
 func segmentAt(shards int) int {
@@ -146,15 +157,16 @@ func segmentWord(stream []byte, seg, off int) int {
 	return int(binary.LittleEndian.Uint32(stream[seg+off:]))
 }
 
-// sectionLane is where lane of node's row (or, in sections 0 and 1, the
-// node's entry) lies in section s of the TSFZ segment at seg, whose
-// rows are l lanes: 0 first, 1 count, 3 upper, 4 lower.
+// sectionLane is where node's bound on series lane lane (or, in
+// sections 0 and 1, the node's entry) lies in section s of the TSFZ
+// segment at seg, whose rows are l lanes in stored order: 0 first, 1
+// count, 3 upper, 4 lower.
 func sectionLane(stream []byte, seg, l, s, node, lane int) int {
 	from := seg + int(binary.LittleEndian.Uint64(stream[seg+48+8*s:]))
 	if s < 2 {
 		return from + 4*node
 	}
-	return from + 4*(node*l+lane)
+	return from + 4*(node*l+storedLane(l, lane))
 }
 
 // nodeEntry reads node's entry of section s (0 first, 1 count) of the
@@ -163,14 +175,15 @@ func nodeEntry(stream []byte, seg, s, node int) int {
 	return int(binary.LittleEndian.Uint32(stream[sectionLane(stream, seg, 0, s, node, 0):]))
 }
 
-// boundLane reads one float32 bound lane of the TSFZ segment at seg.
+// boundLane reads node's float32 bound on series lane lane in the TSFZ
+// segment at seg.
 func boundLane(stream []byte, seg, l, s, node, lane int) float32 {
 	return math.Float32frombits(binary.LittleEndian.Uint32(stream[sectionLane(stream, seg, l, s, node, lane):]))
 }
 
-// withBoundLane returns a copy of stream with one bound lane of the
-// TSFZ segment at seg set to v, and the two checksums that cover it —
-// the section's and the segment header's — resealed.
+// withBoundLane returns a copy of stream with node's bound on series
+// lane lane in the TSFZ segment at seg set to v, and the two checksums
+// that cover it — the section's and the segment header's — resealed.
 func withBoundLane(stream []byte, seg, l, s, node, lane int, v float32) []byte {
 	moved := bytes.Clone(stream)
 	binary.LittleEndian.PutUint32(moved[sectionLane(moved, seg, l, s, node, lane):], math.Float32bits(v))
@@ -234,11 +247,13 @@ func heapOpenRefusal(t *testing.T, name, dir string, stream []byte, data []float
 // bounds, single and 4-shard: one lane of one child row moved one
 // float32 step outside its parent's, the checksums resealed —
 //
-//   - "upper": the root's first child, upper lane 0 (a whole 8-lane
-//     step of a vector kernel), one step above the root's;
-//   - "lower": the last internal node's last child, lower lane 49 (at
-//     L = 50, one of the n mod 8 tail lanes), one step below its
-//     parent's.
+//   - "upper": the root's first child, upper stored lane 0 (series lane
+//     0; a whole 8-lane step of a vector kernel), one step above the
+//     root's;
+//   - "lower": the last internal node's last child, lower stored lane
+//     49 (at L = 50, one of the n mod 8 tail lanes — parent and child
+//     rows share the stored order, so the kernel compares stored lanes),
+//     one step below its parent's.
 //
 // Moving a child's bound outward keeps the child's own containment, so
 // the parent is the first node refused and the text names it and the
@@ -258,7 +273,7 @@ func TestHeapOpenRefusesChildOutsideParent(t *testing.T) {
 			to                   float64
 		}{
 			{"upper", 3, 0, 1, 0, math.Inf(1)},
-			{"lower", 4, last, lastChild, l - 1, math.Inf(-1)},
+			{"lower", 4, last, lastChild, int(core.LaneOrder(l)[l-1]), math.Inf(-1)},
 		} {
 			name := fmt.Sprintf("shards=%d/%s", shards, c.name)
 			out := math.Nextafter32(boundLane(saved, seg, l, c.s, c.parent, c.ln), float32(c.to))

@@ -19,8 +19,8 @@ import (
 // against the same series without paying construction again (see
 // OpenSaved). The frozen arenas go to disk as they are — the flat
 // arrays, so loading is a few sequential reads per shard: a single
-// index as its one shard's bare TSFZ v3 stream, a partitioned one as
-// the TSSH v4 container around its segments. Windows appended since the
+// index as its one shard's bare TSFZ v4 stream, a partitioned one as
+// the TSSH v5 container around its segments. Windows appended since the
 // last compaction are compacted into the last shard first, so the file
 // is what a build over the grown series writes. These two are the only
 // formats there are: what SaveIndex writes is what OpenSaved reads.
@@ -185,11 +185,11 @@ func openSaved(data []float64, opt Options, load func() (*arena.Arena, error)) (
 const savedHeaderLen = 6
 
 // sniffSaved reads the (magic, version) prefix of a saved index: the
-// TSSH v4 container (sharded), a bare TSFZ v3 stream (the single index),
+// TSSH v5 container (sharded), a bare TSFZ v4 stream (the single index),
 // or an error. Anything else under a magic this code base ever wrote —
-// TSIX, TSFZ v1/v2 (v2 held float64 bounds and no checksums), TSSH
-// v1–v3 — is refused with one text naming the stream and the command
-// that rebuilds it.
+// TSIX, TSFZ v1–v3 (v2 held float64 bounds and no checksums, v3 its
+// bound rows in time order), TSSH v1–v4 — is refused with one text
+// naming the stream and the command that rebuilds it.
 func sniffSaved(hdr []byte) (sharded bool, err error) {
 	if len(hdr) < savedHeaderLen {
 		return false, fmt.Errorf("twinsearch: saved index truncated (%d bytes)", len(hdr))

@@ -1,5 +1,5 @@
 // Package cluster is the distributed query tier over a saved sharded
-// TS-Index (TSSH v4): one saved index, many processes. A **node** opens
+// TS-Index (TSSH v5): one saved index, many processes. A **node** opens
 // only its assigned shard subset — selective mmap via the segment
 // table, O(assigned) cost — and serves the shard RPC (rpc.go). A
 // **coordinator** fans each query across the topology's replica groups

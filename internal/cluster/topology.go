@@ -81,7 +81,7 @@ type NodeSpec struct {
 	Shards ShardList `json:"shards"`
 }
 
-// Topology is the static cluster layout: the saved TSSH v4 index every
+// Topology is the static cluster layout: the saved TSSH v5 index every
 // node opens its slice of, the node → shard-set assignment, and the
 // replication factor. With Replicas R ≥ 2, every shard must be owned
 // by exactly R distinct nodes and owners of one shard must mirror each
@@ -91,7 +91,7 @@ type NodeSpec struct {
 // index's shards exactly — validated against the real shard count when
 // a coordinator or node opens it.
 type Topology struct {
-	// Index is the path of the saved sharded index (TSSH v4). Relative
+	// Index is the path of the saved sharded index (TSSH v5). Relative
 	// paths are resolved against the topology file's directory by
 	// LoadTopology.
 	Index string     `json:"index"`

@@ -32,6 +32,16 @@ package core
 // lanes rule it out, and queues only the survivors; a leaf's windows
 // are verified the same way (candidates → kernel.SweepWindows).
 //
+// Within a row the lanes are not in time order: every row stores series
+// lane π(k) = k·s mod L at lane k (lanes.go), a spread order whose
+// first 8 lanes sample the whole window, so a row the sweep rejects is
+// nearly always rejected at its first check, in its first cache line.
+// Each traversal lays its query out in that order once (storedQuery),
+// lanes a shorter query lacks set to NaN, which adds nothing to Eq. 2;
+// the maximum over lanes does not depend on their order, so the
+// traversals decide, count and answer exactly as time order would.
+// Verification reads windows from the series, in series order.
+//
 // Layout: nodes are numbered in BFS order, node 0 the root. The tree is
 // height-balanced with all leaves on the last level (§5.2), so in BFS
 // order every internal node precedes every leaf: nodes [0, leafStart)
@@ -52,6 +62,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"twinsearch/internal/arena"
@@ -119,8 +130,10 @@ func (ix *builder) freeze() *Frozen {
 
 	// Every node's children are one block of rows already in child
 	// order, and BFS numbers them consecutively: the bounds are the
-	// root's row, then each internal node's block, narrowed in turn.
-	kernel.NarrowBounds(f.upper[:l], f.lower[:l], ix.root.bounds.Upper, ix.root.bounds.Lower)
+	// root's row, then each internal node's block, narrowed in turn,
+	// each row in stored lane order.
+	lanes := LaneOrder(l)
+	narrowStored(f.upper[:l], f.lower[:l], ix.root.bounds.Upper, ix.root.bounds.Lower, lanes)
 	childAt := int32(1) // node 0 is the root; its children start at 1
 	for i, n := range order {
 		if n.leaf {
@@ -131,12 +144,27 @@ func (ix *builder) freeze() *Frozen {
 		}
 		k := len(n.children)
 		at := int(childAt) * l
-		kernel.NarrowBounds(f.upper[at:at+k*l], f.lower[at:at+k*l], n.rows.Upper[:k*l], n.rows.Lower[:k*l])
+		narrowStored(f.upper[at:at+k*l], f.lower[at:at+k*l], n.rows.Upper[:k*l], n.rows.Lower[:k*l], lanes)
 		f.first[i] = childAt
 		f.count[i] = int32(k)
 		childAt += int32(k)
 	}
 	return f
+}
+
+// narrowStored narrows the builder's bound rows of len(order) lanes
+// outward (kernel.NarrowUp, kernel.NarrowDown) into arena rows, stored
+// lane k of each from series lane order[k].
+func narrowStored(dstUpper, dstLower []float32, upper, lower []float64, order []int32) {
+	l := len(order)
+	for at := 0; at < len(upper); at += l {
+		du, dl := dstUpper[at:at+l], dstLower[at:at+l]
+		u, lo := upper[at:at+l], lower[at:at+l]
+		for k, i := range order {
+			du[k] = kernel.NarrowUp(u[i])
+			dl[k] = kernel.NarrowDown(lo[i])
+		}
+	}
 }
 
 func (f *Frozen) boundsUpper(i int32) []float32 {
@@ -260,42 +288,48 @@ const frozenStackCap = 256
 // spills to the heap once.
 const sweepScratchCap = 64
 
-// sweepChildren scores internal node n's children against q (a shorter
-// query scores the first len(q) lanes of each row) in one forward pass
-// over their contiguous bound rows: in the result, entry j is child
-// f.first[n]+j's Eq. 2 distance, or negative when it exceeds limit.
+// queryStackCap sizes the per-traversal stored-order query the same
+// way: it covers every L up to 256, and a longer one allocates once per
+// traversal.
+const queryStackCap = 256
+
+// sweepChildren scores internal node n's children against qs, the
+// query in stored order (storedQuery), in one forward pass over their
+// contiguous bound rows: in the result, entry j is child f.first[n]+j's
+// Eq. 2 distance, or negative when it exceeds limit.
 // Like append, it reuses dists when its capacity allows and returns a
 // wider slice otherwise — pass the result back in at the next node.
-func (f *Frozen) sweepChildren(n int32, q []float64, limit float64, dists []float64) []float64 {
+func (f *Frozen) sweepChildren(n int32, qs []float64, limit float64, dists []float64) []float64 {
 	first, c := int(f.first[n]), int(f.count[n])
 	if c > cap(dists) {
 		dists = make([]float64, c)
 	}
 	dists = dists[:c]
 	l := f.cfg.L
-	kernel.SweepAbandonFlat32(f.upper[first*l:], f.lower[first*l:], l, q, limit, dists)
+	kernel.SweepAbandonFlat32(f.upper[first*l:], f.lower[first*l:], l, qs, limit, dists)
 	return dists
 }
 
 // traverseRange is the range traversal behind SearchStats (len(q) ≤ L:
-// a shorter query's Lemma 1 test reads the first len(q) lanes of each
-// bound row, the sweep's stride staying L). The root is tested once;
-// from then on the stack holds only nodes that passed Lemma 1, each
-// child tested — with early abandoning, as soon as any timestamp pushes
-// its Eq. 2 distance beyond ε — when its parent is expanded, and
-// survivors pushed in child order and visited LIFO. Matches come back
-// in traversal order, and Stats.Results is left zero.
+// a shorter query's Lemma 1 test counts its own len(q) lanes of each
+// bound row, the others NaN in the stored-order query). The root is
+// tested once; from then on the stack holds only nodes that passed
+// Lemma 1, each child tested — with early abandoning, as soon as any
+// timestamp pushes its Eq. 2 distance beyond ε — when its parent is
+// expanded, and survivors pushed in child order and visited LIFO.
+// Matches come back in traversal order, and Stats.Results is left zero.
 //
-// The traversal allocates nothing but its answer: the stack and both
-// sweep scratches stay on the goroutine stack, spilling only past
-// capacity.
+// The traversal allocates nothing but its answer: the stack, the
+// stored-order query and both sweep scratches stay on the goroutine
+// stack, spilling only past capacity.
 func (f *Frozen) traverseRange(q []float64, eps float64) ([]series.Match, Stats) {
 	var st Stats
 	if len(f.first) == 0 {
 		return nil, st
 	}
+	qs := storedQuery(make([]float64, 0, queryStackCap), q, f.cfg.L)
 	st.NodesVisited++
-	if _, ok := kernel.DistAbandonFlat32(f.boundsUpper(0), f.boundsLower(0), q, eps); !ok {
+	if _, ok := kernel.DistAbandonFlat32(f.boundsUpper(0), f.boundsLower(0), qs, eps); !ok {
 		st.NodesPruned++
 		return nil, st
 	}
@@ -308,7 +342,7 @@ func (f *Frozen) traverseRange(q []float64, eps float64) ([]series.Match, Stats)
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if !f.isLeaf(n) {
-			dists = f.sweepChildren(n, q, eps, dists)
+			dists = f.sweepChildren(n, qs, eps, dists)
 			st.NodesVisited += len(dists)
 			first := f.first[n]
 			for j, d := range dists {
@@ -365,8 +399,9 @@ func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) ([]se
 	t := newTopK(k, shared)
 	ver := series.MakeVerifier(f.ext, q, 0) // top-k sweeps against its own limit
 
+	qs := storedQuery(make([]float64, 0, queryStackCap), q, f.cfg.L)
 	t.st.NodesVisited++
-	rootLB, ok := kernel.DistAbandonFlat32(f.boundsUpper(0), f.boundsLower(0), q, t.limit())
+	rootLB, ok := kernel.DistAbandonFlat32(f.boundsUpper(0), f.boundsLower(0), qs, t.limit())
 	if !ok {
 		t.st.NodesPruned++
 		return nil, t.st // a shared bound has already excluded the whole tree
@@ -390,7 +425,7 @@ func (f *Frozen) SearchTopKShared(q []float64, k int, shared *SharedBound) ([]se
 			// shard's traversal tightening the shared bound can move it
 			// meanwhile, and a child that slips past the stale value is
 			// caught by the pop-time test above.
-			dists = f.sweepChildren(item.id, q, t.limit(), dists)
+			dists = f.sweepChildren(item.id, qs, t.limit(), dists)
 			t.st.NodesVisited += len(dists)
 			first := f.first[item.id]
 			for j, lb := range dists {
@@ -501,10 +536,10 @@ var frontiers = sync.Pool{New: func() any { return new(frontier) }}
 // bullet (CheckContainment) additionally guarantees the bounds are
 // truthful, i.e. searches return the right answers; it reads every lane
 // of every indexed window, O(size·L), in one enclosure pass per node
-// (≈ 7.5 ms of CPU at 200 001 windows of L = 100 on a 2-vCPU Xeon,
-// AVX2, the largest pass of a copy open, which spreads it over the
-// executor beside the section checksums; CheckInvariants itself runs it
-// inline). A mapped open runs
+// (6.5–8 ms of CPU inline at 200 001 windows of L = 100 on a 2-vCPU
+// Xeon, AVX2, the largest pass of a copy open, which spreads it over
+// the executor beside the section checksums; CheckInvariants itself
+// runs it inline). A mapped open runs
 // CheckStructure only — pointing at a multi-gigabyte mapping must not
 // re-read the whole series — and trusts containment to the writer, as
 // every database trusts its own files' payloads once the framing
@@ -620,48 +655,61 @@ func (f *Frozen) CheckStructure() error {
 // windows of its positions (leaf). Requires a structurally valid arena:
 // CheckStructure has proved every position a window start, so no window
 // read here is range-checked again. An internal node costs one
-// kernel.BoundsInside32 pass over its child rows; a leaf one
-// kernel.WindowsInside32 pass over its windows — read
-// in place from the series, or, under per-subsequence normalisation,
-// normalised into rows first, as series.Verifier.Sweep lays them out.
-// Only a node that pass refuses is re-checked child by child or window
-// by window, to name the first one outside. Either way it reads all
-// size·L window lanes and every child row.
+// kernel.BoundsInside32 pass over its child rows — parent and child rows
+// share the stored lane order, so they compare lane for lane; a leaf one
+// kernel.WindowsInside32 pass over its windows, which pairs each series
+// lane with its stored bound lane (boundsOrder) — read in place from the
+// series, or, under per-subsequence normalisation, normalised into rows
+// first, as series.Verifier.Sweep lays them out. Only a node that pass
+// refuses is re-checked child by child or window by window, to name the
+// first one outside. Either way it reads all size·L window lanes and
+// every child row.
 //
-// The nodes are checked as contiguous BFS ranges, one unit each on ex,
-// about ex.Workers() of them, cut where the lanes they read (a node's
-// count·L, child rows or windows alike) are evenly shared. Each unit
-// stops at the first failure in its range, and the lowest unit's
-// failure is returned: the first failing node in BFS order, so the text
-// does not depend on the worker count. A nil ex checks every node
-// inline, as one unit.
+// The nodes are checked as contiguous BFS ranges, about 4·ex.Workers()
+// of them, cut where the lanes they read (a node's count·L, child rows
+// or windows alike) are evenly shared. ex.Workers() units on ex and the
+// calling goroutine draw the ranges from one counter, so no thread
+// idles while another finishes a large last range, and a 1-worker open
+// still checks on two threads. Each range stops at its first failure,
+// and the lowest range's failure is returned: the first failing node in
+// BFS order, so the text does not depend on the worker count. A nil ex
+// checks every node inline, as one range.
 func (f *Frozen) CheckContainment(ex *exec.Executor) error {
 	nn := len(f.first)
 	if nn == 0 {
 		return nil
 	}
-	units := 1
-	if ex != nil {
-		units = min(ex.Workers(), nn)
+	order := boundsOrder(f.cfg.L)
+	if ex == nil {
+		return f.containedIn(0, nn, order)
 	}
-	if units <= 1 {
-		return f.containedIn(0, nn)
-	}
+	ranges := min(4*ex.Workers(), nn)
 	// Every node but the root is one child row, and every window one
 	// leaf entry, so the lanes a node reads are its count·L and the
 	// total is (nodes − 1 + size)·L.
-	cuts := make([]int, units+1)
+	cuts := make([]int, ranges+1)
 	total, at, done := nn-1+f.size, 0, 0
-	for u := 1; u < units; u++ {
-		for at < nn && done*units < u*total {
+	for r := 1; r < ranges; r++ {
+		for at < nn && done*ranges < r*total {
 			done += int(f.count[at])
 			at++
 		}
-		cuts[u] = at
+		cuts[r] = at
 	}
-	cuts[units] = nn
-	errs := make([]error, units)
-	ex.ForEach(units, func(u int) { errs[u] = f.containedIn(cuts[u], cuts[u+1]) })
+	cuts[ranges] = nn
+	errs := make([]error, ranges)
+	var next atomic.Int64
+	draw := func() {
+		for r := int(next.Add(1) - 1); r < ranges; r = int(next.Add(1) - 1) {
+			errs[r] = f.containedIn(cuts[r], cuts[r+1], order)
+		}
+	}
+	g := ex.NewGroup()
+	for range min(ex.Workers(), ranges-1) {
+		g.Go(func(*exec.Ctx) { draw() })
+	}
+	draw()
+	g.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -671,21 +719,22 @@ func (f *Frozen) CheckContainment(ex *exec.Executor) error {
 }
 
 // containedIn is CheckContainment over the nodes [from, to): the first
-// node in that range whose bounds miss a child or a window, named.
-func (f *Frozen) containedIn(from, to int) error {
+// node in that range whose bounds miss a child or a window, named. order
+// is boundsOrder(L).
+func (f *Frozen) containedIn(from, to int, order kernel.LaneOrder) error {
 	l := f.cfg.L
-	buf := make([]float64, l)
+	buf, stored := make([]float64, l), make([]float64, l)
 	var lay leafRows
 	for i := from; i < to; i++ {
 		up, lo := f.boundsUpper(int32(i)), f.boundsLower(int32(i))
 		first, c := f.first[i], f.count[i]
 		if f.isLeaf(int32(i)) {
 			held := f.positions[first : first+c]
-			if lay.inside(f, up, lo, held) {
+			if lay.inside(f, up, lo, held, order) {
 				continue
 			}
 			for _, p := range held {
-				w := f.ext.Extract(int(p), l, buf)
+				w := storedQuery(stored, f.ext.Extract(int(p), l, buf), l)
 				if d := kernel.DistFlat32(up, lo, w); d > 0 {
 					return fmt.Errorf("core: frozen: leaf %d bounds do not enclose window %d", i, p)
 				}
@@ -716,19 +765,19 @@ type leafRows struct {
 	starts []int32
 }
 
-// inside reports whether the leaf bounds (up, lo) enclose the windows at
-// held, in one kernel.WindowsInside32 pass.
-func (lay *leafRows) inside(f *Frozen, up, lo []float32, held []int32) bool {
+// inside reports whether the leaf bounds (up, lo), stored in order,
+// enclose the windows at held, in one kernel.WindowsInside32 pass.
+func (lay *leafRows) inside(f *Frozen, up, lo []float32, held []int32, order kernel.LaneOrder) bool {
 	l := f.cfg.L
 	if f.ext.Mode() != series.NormPerSubsequence {
-		return kernel.WindowsInside32(up, lo, f.ext.Data(), held, l)
+		return kernel.WindowsInside32(up, lo, f.ext.Data(), held, order)
 	}
 	lay.rows = slices.Grow(lay.rows[:0], len(held)*l)[:len(held)*l]
 	for len(lay.starts) < len(held) {
 		lay.starts = append(lay.starts, int32(len(lay.starts)*l))
 	}
 	for j, p := range held {
-		f.ext.Extract(int(p), l, lay.rows[j*l:(j+1)*l]) // normalised into the row
+		f.ext.Extract(int(p), l, lay.rows[j*l:(j+1)*l]) // normalised into the row, in series order
 	}
-	return kernel.WindowsInside32(up, lo, lay.rows, lay.starts[:len(held)], l)
+	return kernel.WindowsInside32(up, lo, lay.rows, lay.starts[:len(held)], order)
 }

@@ -9,15 +9,15 @@ package core
 // directly into the arena holding the stream — a heap buffer the file
 // was read into, or an mmap'd file region, where the open costs
 // O(header) allocations however large the index is. This is the stream
-// the sharded TSSH v4 format embeds per shard, and the only version read
+// the sharded TSSH v5 format embeds per shard, and the only version read
 // (twinsearch.OpenSaved names any other in its refusal).
 //
-// Format (version 3, little-endian; all sections 8-byte aligned relative
+// Format (version 4, little-endian; all sections 8-byte aligned relative
 // to the stream start, which mmap's page alignment promotes to absolute
 // alignment):
 //
 //	off 0   magic "TSFZ"
-//	off 4   version u16 (= 3)
+//	off 4   version u16 (= 4)
 //	off 6   mode u8, reserved u8 (0)
 //	off 8   L u32, MinCap u32, MaxCap u32, height u32
 //	off 24  size u64, seriesLen u64
@@ -32,6 +32,10 @@ package core
 //	        positions size × i32
 //	        upper     nodeCount·L × f32, rounded toward +Inf
 //	        lower     nodeCount·L × f32, rounded toward −Inf
+//
+// Each node's L bound lanes are stored in the spread lane order (see
+// lanes.go): lane k holds series lane k·s mod L. Version 4 records that
+// order; version 3 held the same bounds in time order and is not read.
 //
 // The section offsets are recorded for self-description but are not
 // trusted: the loader recomputes the canonical layout from the counts
@@ -70,7 +74,7 @@ import (
 const FrozenMagic = "TSFZ"
 
 const (
-	FrozenVersion = 3
+	FrozenVersion = 4
 
 	// frozenHeaderSize is the fixed header length; the first section
 	// starts here, already 8-byte aligned. The checksums are its last
@@ -121,12 +125,12 @@ func (f *Frozen) sections() ([3]*[]int32, [2]*[]float32) {
 
 // StreamLen returns the exact byte length WriteTo will produce — the
 // layout is deterministic in the array sizes, so container formats
-// (TSSH v4) can write segment tables ahead of the segments.
+// (TSSH v5) can write segment tables ahead of the segments.
 func (f *Frozen) StreamLen() int64 {
 	return layoutFrozen(len(f.first), len(f.positions), f.cfg.L).totalLen()
 }
 
-// WriteTo serializes the frozen index in the current (v3) format. It
+// WriteTo serializes the frozen index in the current (v4) format. It
 // implements io.WriterTo.
 func (f *Frozen) WriteTo(w io.Writer) (int64, error) {
 	nn := len(f.first)
@@ -260,7 +264,7 @@ func FrozenFromArena(ar *arena.Arena, off int64, ext *series.Extractor) (*Frozen
 	return OpenFrozen(ar, off, ext, nil)
 }
 
-// OpenFrozen opens a saved single index: it interprets the TSFZ v3
+// OpenFrozen opens a saved single index: it interprets the TSFZ v4
 // stream at byte offset off of ar as a Frozen whose arrays are views
 // directly into the arena — no decoding, no copying, O(header) heap
 // allocation however large the index. It returns the frozen index and

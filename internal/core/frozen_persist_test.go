@@ -109,7 +109,7 @@ func TestFrozenFromArenaDifferential(t *testing.T) {
 }
 
 // TestFrozenFromArenaAtOffset exercises the container-format use: the
-// stream does not start at byte 0 of the region (TSSH v4 places each
+// stream does not start at byte 0 of the region (TSSH v5 places each
 // shard segment at an 8-aligned offset).
 func TestFrozenFromArenaAtOffset(t *testing.T) {
 	ts := datasets.RandomWalk(48, 1500)

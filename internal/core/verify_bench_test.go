@@ -11,11 +11,12 @@ import (
 
 // leafCandidates returns, leaf by leaf, the window starts a range
 // traversal at eps verifies for q: a leaf is reached iff its own bounds
-// pass Lemma 1 (its ancestors' bounds enclose them), and a reached leaf
-// verifies its whole run of positions.
+// pass Lemma 1 (its ancestors' bounds enclose them) against q in stored
+// lane order, and a reached leaf verifies its whole run of positions.
 func leafCandidates(f *Frozen, q []float64, eps float64) (leaves [][]int32) {
+	qs := storedQuery(nil, q, f.cfg.L)
 	for n := f.leafStart; n < int32(len(f.first)); n++ {
-		if _, ok := kernel.DistAbandonFlat32(f.boundsUpper(n), f.boundsLower(n), q, eps); !ok {
+		if _, ok := kernel.DistAbandonFlat32(f.boundsUpper(n), f.boundsLower(n), qs, eps); !ok {
 			continue
 		}
 		lo, c := f.first[n], f.count[n]

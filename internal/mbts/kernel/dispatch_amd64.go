@@ -91,18 +91,19 @@ func sweepWindowsKernelAVX2(data *float64, starts *int32, s *float64, n int, lim
 // windowsInside32KernelAVX2 is the enclosure test by lane extremes: for
 // each 16-lane block it folds the block's lanes of every one of rows
 // windows (window j is the n lanes of data at starts[j]) into running
-// maxima and minima, NaN lanes skipped, then compares them against both
-// bounds, widened from float32 as sweepKernel32AVX2 widens them, and ORs
-// the GT_OQ and LT_OQ masks into one accumulator that is tested once,
-// after the last block (see "Enclosure" in the package comment). The
-// n mod 16 lanes go a 4-lane column at a time through masked loads, so
-// nothing past a window's or a bound's last lane is read; masked-out
-// lanes load +0 and compare inside. It reports whether no lane was
-// outside. rows and n must be positive and every start a window inside
-// data.
+// maxima and minima, NaN lanes skipped, then gathers both bounds' lanes
+// at[i] for the block's lanes i, widens them from float32 as
+// sweepKernel32AVX2 widens them, compares, and ORs the GT_OQ and LT_OQ
+// masks into one accumulator that is tested once, after the last block
+// (see "Enclosure" in the package comment). The n mod 16 lanes go a
+// 4-lane column at a time through masked loads and masked gathers, so
+// nothing past a window's, a bound's or the order's last lane is read;
+// masked-out lanes load +0 and compare inside. It reports whether no
+// lane was outside. rows and n must be positive, every start a window
+// inside data, and at a permutation of [0, n).
 //
 //go:noescape
-func windowsInside32KernelAVX2(upper, lower *float32, data *float64, starts *int32, n int, rows int) bool
+func windowsInside32KernelAVX2(upper, lower *float32, at *int32, data *float64, starts *int32, n int, rows int) bool
 
 // boundsInside32KernelAVX2 is the row enclosure test: for each of rows
 // consecutive child rows of n float32 lanes (row j at childUpper+j*n,
@@ -174,12 +175,13 @@ func sweepWindowsAVX2(data []float64, starts []int32, s []float64, limit float64
 	sweepWindowsKernelAVX2(&data[0], &starts[0], &s[0], len(s), limit, &dists[0], len(starts))
 }
 
-func windowsInside32AVX2(upper, lower []float32, data []float64, starts []int32, n int) bool {
+func windowsInside32AVX2(upper, lower []float32, data []float64, starts []int32, order LaneOrder) bool {
+	n := order.Len()
 	checkInside(len(upper), len(lower), len(data), starts, n)
 	if len(starts) == 0 || n == 0 {
 		return true // no lanes: every window is at distance 0
 	}
-	return windowsInside32KernelAVX2(&upper[0], &lower[0], &data[0], &starts[0], n, len(starts))
+	return windowsInside32KernelAVX2(&upper[0], &lower[0], &order.at[0], &data[0], &starts[0], n, len(starts))
 }
 
 func boundsInside32AVX2(upper, lower, childUpper, childLower []float32, n, rows int) bool {

@@ -21,8 +21,12 @@ func sweepWindowsAVX2(data []float64, starts []int32, s []float64, limit float64
 	sweepWindowsPortable(data, starts, s, limit, dists)
 }
 
-func windowsInside32AVX2(upper, lower []float32, data []float64, starts []int32, n int) bool {
-	return windowsInside32Portable(upper, lower, data, starts, n)
+func distAbandonFlat32AVX2(upper, lower []float32, s []float64, limit float64) (float64, bool) {
+	return distAbandonFlat32Portable(upper, lower, s, limit)
+}
+
+func windowsInside32AVX2(upper, lower []float32, data []float64, starts []int32, order LaneOrder) bool {
+	return windowsInside32Portable(upper, lower, data, starts, order)
 }
 
 func boundsInside32AVX2(upper, lower, childUpper, childLower []float32, n, rows int) bool {

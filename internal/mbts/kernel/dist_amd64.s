@@ -49,6 +49,30 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $64
 	EXCURSION(Y2, Y3); \
 	VMAXPD  Y4, Y0, Y0
 
+// GATHER8 compares two 4-lane columns of the enclosure test's
+// extremes, max0 and min0 then max1 and min1, against the bounds lanes
+// at[off/4 … off/4+7] of SI and DI (R9 points at at's entry for the
+// block's first lane): each bound's 8 lanes are gathered as float32
+// under an all-ones mask (VGATHERDPS clears its mask, so it is set
+// afresh each time), widened a half at a time, and the extremes become
+// the GT_OQ and LT_OQ masks. Y8-Y11 are scratch.
+#define GATHER8(off, max0, max1, min0, min1) \
+	VMOVDQU      off(R9), Y8; \
+	VPCMPEQD     Y9, Y9, Y9; \
+	VGATHERDPS   Y9, (SI)(Y8*4), Y10; \
+	VPCMPEQD     Y9, Y9, Y9; \
+	VGATHERDPS   Y9, (DI)(Y8*4), Y11; \
+	VCVTPS2PD    X10, Y9; \
+	VCMPPD       $0x1E, Y9, max0, max0; \
+	VEXTRACTF128 $1, Y10, X10; \
+	VCVTPS2PD    X10, Y10; \
+	VCMPPD       $0x1E, Y10, max1, max1; \
+	VCVTPS2PD    X11, Y9; \
+	VCMPPD       $0x11, Y9, min0, min0; \
+	VEXTRACTF128 $1, Y11, X11; \
+	VCVTPS2PD    X11, Y11; \
+	VCMPPD       $0x11, Y11, min1, min1
+
 // func sweepKernelAVX2(upper, lower *float64, stride int, s *float64, n int, limit float64, dists *float64, rows int)
 TEXT ·sweepKernelAVX2(SB), NOSPLIT, $0-64
 	MOVQ upper+0(FP), SI         // SI, DI = current row of each bound array
@@ -339,29 +363,31 @@ abandonW:
 	MOVQ AX, (R11)
 	JMP  nextW
 
-// func windowsInside32KernelAVX2(upper, lower *float32, data *float64, starts *int32, n int, rows int) bool
+// func windowsInside32KernelAVX2(upper, lower *float32, at *int32, data *float64, starts *int32, n int, rows int) bool
 //
 // The enclosure test by lane extremes. The lanes go in 16-lane blocks:
 // for each block, every window's 16 lanes are folded into running
 // maxima Y0-Y3 and minima Y4-Y7 — VMAXPD and VMINPD with the window as
 // the first Intel source, so a NaN lane leaves the accumulator alone —
-// and only then are the block's bounds widened (VCVTPS2PD, exact) and
-// compared, max GT_OQ u and min LT_OQ l, into Y12. The accumulators
+// and only then are the block's bounds compared, max GT_OQ u and min
+// LT_OQ l, into Y12: window lane i's bounds are lane at[i] of each, so
+// every 4-lane column of them is gathered (VGATHERDPS, by at's four
+// entries) and widened (VCVTPS2PD, exact) — GATHER4. The accumulators
 // start at -Inf and +Inf, so a lane NaN in every window compares
 // inside. The n mod 16 lanes go a 4-lane column at a time, every load
-// masked to the lanes left (all four but in the n mod 4 tail), so
-// nothing past a window's or a bound's last lane is read; masked-out
-// lanes load +0 everywhere and compare inside. Y12 is tested once, at
-// the end: the result is whether no mask bit was ever set. BX is the
-// block's or column's first lane; AX points at that lane of data, so a
-// window's lanes are (AX)(start*8).
-TEXT ·windowsInside32KernelAVX2(SB), NOSPLIT, $0-49
+// and gather masked to the lanes left (all four but in the n mod 4
+// tail), so nothing past a window's, a bound's or at's last lane is
+// read; masked-out lanes load +0 everywhere and compare inside. Y12 is
+// tested once, at the end: the result is whether no mask bit was ever
+// set. BX is the block's or column's first lane; AX points at that
+// lane of data, so a window's lanes are (AX)(start*8).
+TEXT ·windowsInside32KernelAVX2(SB), NOSPLIT, $0-57
 	MOVQ upper+0(FP), SI
 	MOVQ lower+8(FP), DI
-	MOVQ data+16(FP), DX
-	MOVQ starts+24(FP), R10
-	MOVQ n+32(FP), CX
-	MOVQ rows+40(FP), R11
+	MOVQ data+24(FP), DX
+	MOVQ starts+32(FP), R10
+	MOVQ n+40(FP), CX
+	MOVQ rows+48(FP), R11
 
 	MOVQ         $0xFFF0000000000000, AX
 	MOVQ         AX, X13
@@ -407,22 +433,10 @@ winI:
 	DECQ    R12
 	JNZ     winI
 
-	VCVTPS2PD (SI)(BX*4), Y8     // u, widened
-	VCVTPS2PD 16(SI)(BX*4), Y9
-	VCVTPS2PD 32(SI)(BX*4), Y10
-	VCVTPS2PD 48(SI)(BX*4), Y11
-	VCMPPD    $0x1E, Y8, Y0, Y0  // max > u
-	VCMPPD    $0x1E, Y9, Y1, Y1
-	VCMPPD    $0x1E, Y10, Y2, Y2
-	VCMPPD    $0x1E, Y11, Y3, Y3
-	VCVTPS2PD (DI)(BX*4), Y8     // l, widened
-	VCVTPS2PD 16(DI)(BX*4), Y9
-	VCVTPS2PD 32(DI)(BX*4), Y10
-	VCVTPS2PD 48(DI)(BX*4), Y11
-	VCMPPD    $0x11, Y8, Y4, Y4  // min < l
-	VCMPPD    $0x11, Y9, Y5, Y5
-	VCMPPD    $0x11, Y10, Y6, Y6
-	VCMPPD    $0x11, Y11, Y7, Y7
+	MOVQ at+16(FP), R9
+	LEAQ (R9)(BX*4), R9          // R9 = at[BX:]
+	GATHER8(0, Y0, Y1, Y4, Y5)
+	GATHER8(32, Y2, Y3, Y6, Y7)
 	VORPD     Y1, Y0, Y0
 	VORPD     Y3, Y2, Y2
 	VORPD     Y5, Y4, Y4
@@ -445,7 +459,7 @@ colI:
 	SUBQ R9, R13
 	LEAQ tailmask<>(SB), AX
 	VMOVDQU (AX)(R13*8), Y10     // Y10 = first-R9-qwords mask, for the windows
-	VMOVDQU 16(AX)(R13*4), X11   // X11 = first-R9-dwords mask, for the bounds
+	VMOVDQU 16(AX)(R13*4), X11   // X11 = first-R9-dwords mask, for at and the bounds
 	VMOVAPD Y13, Y0
 	VMOVAPD Y14, Y4
 	LEAQ    (DX)(BX*8), AX
@@ -461,10 +475,16 @@ colwinI:
 	DECQ       R12
 	JNZ        colwinI
 
-	VMASKMOVPS (SI)(BX*4), X11, X8
-	VMASKMOVPS (DI)(BX*4), X11, X9
+	MOVQ       at+16(FP), R9
+	VMASKMOVPS (R9)(BX*4), X11, X9 // the column's bound lanes; masked-out ones 0
+	VMOVAPS    X11, X1
+	VXORPS     X8, X8, X8
+	VGATHERDPS X1, (SI)(X9*4), X8  // u, masked-out lanes +0
+	VMOVAPS    X11, X2
+	VXORPS     X3, X3, X3
+	VGATHERDPS X2, (DI)(X9*4), X3  // l
 	VCVTPS2PD  X8, Y8
-	VCVTPS2PD  X9, Y9
+	VCVTPS2PD  X3, Y9
 	VCMPPD     $0x1E, Y8, Y0, Y0
 	VCMPPD     $0x11, Y9, Y4, Y4
 	VORPD      Y4, Y0, Y0
@@ -476,7 +496,7 @@ doneI:
 	VMOVMSKPD Y12, AX
 	VZEROUPPER
 	TESTL AX, AX
-	SETEQ ret+48(FP)
+	SETEQ ret+56(FP)
 	RET
 
 // func boundsInside32KernelAVX2(upper, lower, childUpper, childLower *float32, n, rows int) bool

@@ -48,21 +48,23 @@ func TestSweepWindowsGuardPage(t *testing.T) {
 	}
 }
 
-// TestWindowsInside32GuardPage tests windows and bounds that each end
-// on the last byte before an inaccessible page: a tail step that read a
-// whole vector of the window or of a bound, or a masked load that
-// touched a lane past n, faults here instead of reading a neighbour's
-// memory unnoticed. Every n mod 4, on every implementation, with the
-// band enclosing the windows and with its last upper lane moved inward.
+// TestWindowsInside32GuardPage tests windows, bounds and lane orders
+// that each end on the last byte before an inaccessible page: a tail
+// step that read a whole vector of the window, of a bound or of the
+// order, or a masked load or gather that touched a lane past n, faults
+// here instead of reading a neighbour's memory unnoticed. Every n mod
+// 4, on every implementation, the band stored in window order and in a
+// spread order, enclosing the windows and with its last upper lane
+// moved inward.
 func TestWindowsInside32GuardPage(t *testing.T) {
 	page := os.Getpagesize()
-	buf, err := syscall.Mmap(-1, 0, 6*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	buf, err := syscall.Mmap(-1, 0, 8*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
 	defer syscall.Munmap(buf)
-	// Three writable pages, each followed by a guard page.
-	for r := 0; r < 3; r++ {
+	// Four writable pages, each followed by a guard page.
+	for r := 0; r < 4; r++ {
 		if err := syscall.Mprotect(buf[(2*r+1)*page:(2*r+2)*page], syscall.PROT_NONE); err != nil {
 			t.Skipf("mprotect: %v", err)
 		}
@@ -73,21 +75,30 @@ func TestWindowsInside32GuardPage(t *testing.T) {
 	upperPage := unsafe.Slice((*float32)(unsafe.Pointer(&buf[2*page])), page/4)
 	//tsvet:ignore as above
 	lowerPage := unsafe.Slice((*float32)(unsafe.Pointer(&buf[4*page])), page/4)
+	//tsvet:ignore as above
+	atPage := unsafe.Slice((*int32)(unsafe.Pointer(&buf[6*page])), page/4)
 	for i := range data {
 		data[i] = float64(i%9) - 4
 	}
 	for n := 1; n <= 45; n++ {
-		last := int32(len(data) - n)
-		starts := []int32{last, 0, last - 1, last}
-		u, l := enclosingBounds(data, starts, n)
-		upper, lower := upperPage[len(upperPage)-n:], lowerPage[len(lowerPage)-n:]
-		copy(upper, u)
-		copy(lower, l)
-		if !checkInside32(t, upper, lower, data, starts, n) {
-			t.Fatalf("n=%d: the enclosing band refused its windows", n)
+		for kind := 0; kind < 2; kind++ {
+			last := int32(len(data) - n)
+			starts := []int32{last, 0, last - 1, last}
+			order := testOrder(nil, n, kind)
+			at := atPage[len(atPage)-n:]
+			copy(at, order.at)
+			order = LaneOrder{at: at} // a permutation still, ending at the guard
+			u, l := enclosingBounds(data, starts, n)
+			u, l = stored(u, l, order)
+			upper, lower := upperPage[len(upperPage)-n:], lowerPage[len(lowerPage)-n:]
+			copy(upper, u)
+			copy(lower, l)
+			if !checkInside32(t, upper, lower, data, starts, order) {
+				t.Fatalf("n=%d: the enclosing band refused its windows", n)
+			}
+			upper[n-1] = math.Nextafter32(upper[n-1], float32(math.Inf(-1)))
+			checkInside32(t, upper, lower, data, starts, order)
 		}
-		upper[n-1] = math.Nextafter32(upper[n-1], float32(math.Inf(-1)))
-		checkInside32(t, upper, lower, data, starts, n)
 	}
 }
 

@@ -99,6 +99,17 @@
 // overshoots prunes a true twin. With exact arithmetic on outward
 // bounds there is no error to analyse.
 //
+// The arena also stores each row's lanes in a spread order rather than
+// in time order (internal/core, lanes.go), and the traversals hand
+// these entry points the query laid out in that order, with NaN on the
+// lanes a shorter query lacks. Nothing here knows: the running maximum
+// does not depend on the order of its lanes, and a NaN query lane adds
+// excursion 0 (the NaN contract), so a row's distance and whether it
+// abandons are what the time-ordered row and query would give. Only
+// when the maximum crosses the limit moves: a spread row's first 8
+// lanes sample the whole window, so a row that is abandoned mostly is
+// at the first check.
+//
 // # Candidate windows
 //
 // Verification (paper §3.2) asks, for each window w a surviving leaf
@@ -130,32 +141,45 @@
 //
 // A heap open re-proves Lemma 1 against the supplied series: every leaf
 // must enclose its windows, and every internal node its children's
-// bounds. That asks for no distance, only whether one is nonzero, and
+// bounds. That asks for no distance, only whether one is nonzero. The
+// leaf's bounds are stored in the arena's lane order and its windows
+// are read from the series in time order, so the test takes the order
+// (a LaneOrder: window lane i is bounded by band lane at[i]), and
 // WindowsInside32 is defined as exactly that:
 //
-//	WindowsInside32(upper, lower, data, starts, n) ≡ DistFlat32(upper, lower, w_j) == 0 for every j
+//	WindowsInside32(upper, lower, data, starts, order) ≡ DistFlat32(upper∘at, lower∘at, w_j) == 0 for every j
 //
-// with w_j = data[starts[j]:starts[j]+n]. A lane's excursion is nonzero
-// exactly when v > upper[i] or v < lower[i] (the selected differences
-// are never ±0, see the NaN contract), so the test is those two
-// IEEE-ordered comparisons and no arithmetic: a NaN lane or bound is
-// inside, inverted bounds put every ordered lane outside, and the
+// with w_j = data[starts[j]:starts[j]+n], n = order.Len() and
+// (upper∘at)[i] = upper[at[i]]. A lane's excursion is nonzero
+// exactly when v > upper[at[i]] or v < lower[at[i]] (the selected
+// differences are never ±0, see the NaN contract), so the test is those
+// two IEEE-ordered comparisons and no arithmetic: a NaN lane or bound
+// is inside, inverted bounds put every ordered lane outside, and the
 // scalar form is the definition as a loop. The assembly compares each
 // lane's extremes instead of each window: some ordered v_j is above u
 // exactly when their maximum is, and below l exactly when their minimum
 // is, so for each 16-lane block it folds every window into VMAXPD and
-// VMINPD accumulators — started at −Inf and +Inf, with the window as
-// the first Intel source, so a NaN lane leaves them alone and a lane NaN
-// in every window compares inside — and only then widens the block's
-// bounds and compares, once per block, not once per window. It ORs the
-// GT_OQ and LT_OQ masks into one register tested once at the end — no
-// branch per window — and reads the n mod 16 lanes a 4-lane column at a
-// time through masked loads, whose +0 lanes compare inside. A leaf the
-// test refuses is re-checked window by window to name the first window
-// outside, so the answer to "which" stays DistFlat32's.
+// VMINPD accumulators, in the windows' own lane order — started at
+// −Inf and +Inf, with the window as the first Intel source, so a NaN
+// lane leaves them alone and a lane NaN in every window compares inside
+// — and only then applies the order, in the compare step: it gathers
+// the block's bound lanes at[i] (VGATHERDPS, 8 a step), widens them and
+// compares, once per block, not once per window. The order costs two
+// gathers per 8 lanes of a leaf, against a fold over all its windows;
+// laying the bounds out in window order in Go first and testing in the
+// identity order was slower (BenchmarkWindowsInside32 "laid-out": 2.25
+// against 1.92 µs for 64 windows of 100 lanes on a 2-vCPU Xeon, AVX2).
+// It ORs the GT_OQ and LT_OQ masks into one
+// register tested once at the end — no branch per window — and reads
+// the n mod 16 lanes a 4-lane column at a time through masked loads and
+// gathers, whose +0 lanes compare inside. NewLaneOrder checks once that
+// at is a permutation of [0, n), so no gather leaves the band. A leaf
+// the test refuses is re-checked window by window to name the first
+// window outside, so the answer to "which" stays DistFlat32's.
 //
-// An internal node's children are consecutive bound rows, all float32,
-// and BoundsInside32 is the same two comparisons lane against lane:
+// An internal node's children are consecutive bound rows, all float32
+// and all in the same lane order as the node's own, and BoundsInside32
+// is the same two comparisons lane against lane, needing no order:
 //
 //	BoundsInside32(upper, lower, cu, cl, n, rows) ≡ no j, i with cu[j·n+i] > upper[i] or cl[j·n+i] < lower[i]
 //
@@ -237,6 +261,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 )
 
 // Impl is one complete kernel implementation: the entry points that
@@ -259,7 +284,7 @@ type Impl struct {
 	SweepWindows func(data []float64, starts []int32, s []float64, limit float64, dists []float64)
 
 	// The enclosure tests (see "Enclosure").
-	WindowsInside32 func(upper, lower []float32, data []float64, starts []int32, n int) bool
+	WindowsInside32 func(upper, lower []float32, data []float64, starts []int32, order LaneOrder) bool
 	BoundsInside32  func(upper, lower, childUpper, childLower []float32, n, rows int) bool
 
 	// The width-increase comparison (see "Width-increase comparison").
@@ -388,9 +413,18 @@ func DistFlat32(upper, lower []float32, s []float64) float64 {
 	return d
 }
 
-// DistAbandonFlat32 is DistAbandonFlat against float32 bounds.
+// DistAbandonFlat32 is DistAbandonFlat against float32 bounds. Direct
+// dispatch, as SweepAbandonFlat: a traversal's stack-held query does not
+// escape through it.
 func DistAbandonFlat32(upper, lower []float32, s []float64, limit float64) (float64, bool) {
-	return active.DistAbandonFlat32(upper, lower, s, limit)
+	switch active.Name {
+	case "avx2":
+		return distAbandonFlat32AVX2(upper, lower, s, limit)
+	case "portable":
+		return distAbandonFlat32Portable(upper, lower, s, limit)
+	default:
+		return distAbandonFlat32Scalar(upper, lower, s, limit)
+	}
 }
 
 // SweepAbandonFlat32 is SweepAbandonFlat against float32 bound rows —
@@ -425,23 +459,49 @@ func SweepWindows(data []float64, starts []int32, s []float64, limit float64, di
 	}
 }
 
-// WindowsInside32 reports whether the band [lower, upper] encloses
-// every window w = data[p : p+n], p in starts: no lane of any window
-// above upper or below lower, compared as IEEE orders them, so a NaN
-// lane or bound is inside. It is defined as DistFlat32(upper, lower, w)
-// == 0 for every window (see "Enclosure"). It panics, before reading
-// any lane, on a start outside [0, len(data)−n] or when either bound is
-// shorter than n. Direct dispatch, as SweepAbandonFlat.
-func WindowsInside32(upper, lower []float32, data []float64, starts []int32, n int) bool {
+// WindowsInside32 reports whether the band [lower, upper], its lanes
+// stored in order, encloses every window w = data[p : p+n], p in starts
+// and n = order.Len(): no lane i of any window above upper[at[i]] or
+// below lower[at[i]], at the permutation order was made from, compared
+// as IEEE orders them, so a NaN lane or bound is inside. It is defined
+// as DistFlat32(upper∘at, lower∘at, w) == 0 for every window (see
+// "Enclosure"). It panics,
+// before reading any lane, on a start outside [0, len(data)−n] or when
+// either bound is shorter than n. Direct dispatch, as SweepAbandonFlat.
+func WindowsInside32(upper, lower []float32, data []float64, starts []int32, order LaneOrder) bool {
 	switch active.Name {
 	case "avx2":
-		return windowsInside32AVX2(upper, lower, data, starts, n)
+		return windowsInside32AVX2(upper, lower, data, starts, order)
 	case "portable":
-		return windowsInside32Portable(upper, lower, data, starts, n)
+		return windowsInside32Portable(upper, lower, data, starts, order)
 	default:
-		return windowsInside32Scalar(upper, lower, data, starts, n)
+		return windowsInside32Scalar(upper, lower, data, starts, order)
 	}
 }
+
+// LaneOrder is how a band's lanes are stored relative to the windows it
+// bounds: lane i of a window is bounded by lane at[i] of the band. Only
+// NewLaneOrder makes one, and it holds a permutation of [0, Len()), so
+// every lane the enclosure test reads through it lies inside the band;
+// the zero LaneOrder orders no lanes.
+type LaneOrder struct{ at []int32 }
+
+// NewLaneOrder returns the order in which lane i of a window is bounded
+// by lane at[i] of the band, copying at. It panics unless at is a
+// permutation of [0, len(at)).
+func NewLaneOrder(at []int32) LaneOrder {
+	seen := make([]bool, len(at))
+	for i, k := range at {
+		if k < 0 || int(k) >= len(at) || seen[k] {
+			panic(fmt.Sprintf("kernel: lane order maps lane %d to %d, not a permutation of [0, %d)", i, k, len(at)))
+		}
+		seen[k] = true
+	}
+	return LaneOrder{at: slices.Clone(at)}
+}
+
+// Len returns the number of lanes the order covers.
+func (o LaneOrder) Len() int { return len(o.at) }
 
 // BoundsInside32 reports whether the band [lower, upper] encloses rows
 // consecutive bound rows of n lanes — row j is [j·n, (j+1)·n) of
@@ -516,20 +576,17 @@ func checkSweepShape(nUpper, nLower, stride, n, rows int) {
 	}
 }
 
-// sweepRows is the sweep as a loop over a single-row form — the whole
-// definition for the scalar and portable implementations, at either
-// bound width.
-func sweepRows[B float32 | float64](row func(upper, lower []B, s []float64, limit float64) (float64, bool),
-	upper, lower []B, stride int, s []float64, limit float64, dists []float64) {
-	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
-	for j := range dists {
-		lo, hi := j*stride, j*stride+len(s)
-		d, ok := row(upper[lo:hi], lower[lo:hi], s, limit)
-		if !ok {
-			d = Abandoned
-		}
-		dists[j] = d
+// rowDist is a sweep's entry for one row: the distance, or Abandoned
+// when the row abandoned. The scalar and portable sweeps are each their
+// single-row form in a loop through it, written out per form rather
+// than shared as a loop over a row function: the call through a
+// function value would make every sweep's query escape, and a
+// traversal's stack-held query with it.
+func rowDist(d float64, ok bool) float64 {
+	if !ok {
+		return Abandoned
 	}
+	return d
 }
 
 // WidthIncreaseSequence is how much the band's total width Σ_i

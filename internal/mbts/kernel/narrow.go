@@ -41,15 +41,3 @@ func stepIf(f float32, dir int32, wrong bool) float32 {
 	}
 	return math.Float32frombits(uint32(b + step))
 }
-
-// NarrowBounds narrows one node's band outward into its arena row:
-// dstUpper[i] = NarrowUp(upper[i]), dstLower[i] = NarrowDown(lower[i]).
-func NarrowBounds(dstUpper, dstLower []float32, upper, lower []float64) {
-	dstUpper, dstLower = dstUpper[:len(upper)], dstLower[:len(lower)]
-	for i, u := range upper {
-		dstUpper[i] = NarrowUp(u)
-	}
-	for i, l := range lower {
-		dstLower[i] = NarrowDown(l)
-	}
-}

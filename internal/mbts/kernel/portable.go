@@ -86,7 +86,11 @@ func distAbandonFlatPortable(upper, lower, s []float64, limit float64) (float64,
 }
 
 func sweepAbandonFlatPortable(upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
-	sweepRows(distAbandonFlatPortable, upper, lower, stride, s, limit, dists)
+	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
+	for j := range dists {
+		lo, hi := j*stride, j*stride+len(s)
+		dists[j] = rowDist(distAbandonFlatPortable(upper[lo:hi], lower[lo:hi], s, limit))
+	}
 }
 
 // sweepWindowsPortable is the candidate sweep with the lane written for
@@ -152,20 +156,28 @@ func distAbandonFlat32Portable(upper, lower []float32, s []float64, limit float6
 }
 
 func sweepAbandonFlat32Portable(upper, lower []float32, stride int, s []float64, limit float64, dists []float64) {
-	sweepRows(distAbandonFlat32Portable, upper, lower, stride, s, limit, dists)
+	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
+	for j := range dists {
+		lo, hi := j*stride, j*stride+len(s)
+		dists[j] = rowDist(distAbandonFlat32Portable(upper[lo:hi], lower[lo:hi], s, limit))
+	}
 }
 
 // windowsInside32Portable is the enclosure test as the two comparisons
-// of a lane (see "Enclosure"). Unlike the distance kernels it branches:
-// a file being opened has every lane inside, so the branch is never
-// taken and never mispredicted, and it leaves the arithmetic out.
-func windowsInside32Portable(upper, lower []float32, data []float64, starts []int32, n int) bool {
+// of a lane (see "Enclosure"), lane i against the band's lane
+// order.at[i]. Unlike the distance kernels it branches: a file being
+// opened has every lane inside, so the branch is never taken and never
+// mispredicted, and it leaves the arithmetic out.
+func windowsInside32Portable(upper, lower []float32, data []float64, starts []int32, order LaneOrder) bool {
+	n := order.Len()
 	checkInside(len(upper), len(lower), len(data), starts, n)
 	upper, lower = upper[:n], lower[:n]
+	at := order.at
 	for _, p := range starts {
 		w := data[p : int(p)+n]
 		for i, v := range w {
-			if v > float64(upper[i]) || v < float64(lower[i]) {
+			k := at[i]
+			if v > float64(upper[k]) || v < float64(lower[k]) {
 				return false
 			}
 		}

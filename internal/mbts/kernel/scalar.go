@@ -1,7 +1,5 @@
 package kernel
 
-import "math"
-
 // The original branchy kernels, verbatim from internal/mbts as shipped
 // since PR 1 — kept as the differential oracle: the portable and
 // assembly forms must reproduce these bit-for-bit on every input
@@ -28,7 +26,11 @@ func distAbandonFlatScalar(upper, lower, s []float64, limit float64) (float64, b
 }
 
 func sweepAbandonFlatScalar(upper, lower []float64, stride int, s []float64, limit float64, dists []float64) {
-	sweepRows(distAbandonFlatScalar, upper, lower, stride, s, limit, dists)
+	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
+	for j := range dists {
+		lo, hi := j*stride, j*stride+len(s)
+		dists[j] = rowDist(distAbandonFlatScalar(upper[lo:hi], lower[lo:hi], s, limit))
+	}
 }
 
 // sweepWindowsScalar is the candidate sweep's definition, as written:
@@ -70,16 +72,33 @@ func distAbandonFlat32Scalar(upper, lower []float32, s []float64, limit float64)
 }
 
 func sweepAbandonFlat32Scalar(upper, lower []float32, stride int, s []float64, limit float64, dists []float64) {
-	sweepRows(distAbandonFlat32Scalar, upper, lower, stride, s, limit, dists)
+	checkSweepShape(len(upper), len(lower), stride, len(s), len(dists))
+	for j := range dists {
+		lo, hi := j*stride, j*stride+len(s)
+		dists[j] = rowDist(distAbandonFlat32Scalar(upper[lo:hi], lower[lo:hi], s, limit))
+	}
 }
 
 // windowsInside32Scalar is the enclosure test's definition, as
-// written: the single-row distance of every window, required to be 0.
-func windowsInside32Scalar(upper, lower []float32, data []float64, starts []int32, n int) bool {
+// written: the single-row distance of every window against the band
+// read in order, required to be 0 — the excursion of lane i against
+// upper[order.at[i]] and lower[order.at[i]], as distAbandonFlat32Scalar
+// takes it.
+func windowsInside32Scalar(upper, lower []float32, data []float64, starts []int32, order LaneOrder) bool {
+	n := order.Len()
 	checkInside(len(upper), len(lower), len(data), starts, n)
 	for _, p := range starts {
-		if d, _ := distAbandonFlat32Scalar(upper[:n], lower[:n], data[p:int(p)+n], math.Inf(1)); d != 0 {
-			return false
+		for i, v := range data[p : int(p)+n] {
+			u, l := float64(upper[order.at[i]]), float64(lower[order.at[i]])
+			var d float64
+			if v > u {
+				d = v - u
+			} else if v < l {
+				d = l - v
+			}
+			if d != 0 {
+				return false
+			}
 		}
 	}
 	return true

@@ -151,7 +151,8 @@ func TestOpenArenaRejectsCorruptStreams(t *testing.T) {
 		"bad partition":    mutate(6, 9),
 		"version 2":        mutate(4, 2), // retired containers: refused at
 		"version 3":        mutate(4, 3), // the header by both loaders
-		"version 5":        mutate(4, 5),
+		"version 4":        mutate(4, 4), // (v4: bound rows in time order)
+		"version 6":        mutate(4, 6),
 		"zero shards": func() []byte {
 			c := append([]byte(nil), full...)
 			binary.LittleEndian.PutUint32(c[8:], 0)
@@ -225,7 +226,7 @@ func reseal(stream []byte) []byte {
 	return c
 }
 
-// markMeanSorted returns a copy of a TSSH v4 stream whose partition
+// markMeanSorted returns a copy of a TSSH v5 stream whose partition
 // byte says mean-sorted — the first thing a loader sees of a file saved
 // with the retired scheme (the bytes after it are never read).
 func markMeanSorted(stream []byte) []byte {

@@ -4,13 +4,14 @@ package shard
 // segment table, and each shard's frozen stream. The container is
 // mappable: the header records every segment's byte length, segments
 // start 8-byte aligned relative to the file start, and each segment is
-// an aligned TSFZ v3 stream — so OpenArena points every shard's arrays
+// an aligned TSFZ v4 stream — so OpenArena points every shard's arrays
 // straight into one arena: a heap buffer the file was read into, or an
 // mmap'd file region opened with O(header) allocation. Like the
 // single-index format, the series itself is not embedded; every open
 // revalidates each shard against the supplied extractor.
 //
-// Format (version 4, little-endian):
+// Format (version 5, little-endian; version 4 held TSFZ v3 segments,
+// whose bound rows were in time order, and is not read):
 //
 //	off 0  magic "TSSH", version u16
 //	off 6  partition u8 (0 = contiguous ranges; 1 = mean-sorted runs,
@@ -19,7 +20,7 @@ package shard
 //	       (shardCount+1) × u64 range boundaries
 //	       shardCount × u64 segment byte lengths
 //	       CRC32C u32 of every byte above
-//	       shardCount × segments (TSFZ v3, each length a multiple of 8)
+//	       shardCount × segments (TSFZ v4, each length a multiple of 8)
 //
 // The header is 16 + 8·k bytes, so the first segment starts aligned
 // with no padding, and with the segments' own checksums (see core's
@@ -50,7 +51,7 @@ import (
 const Magic = "TSSH"
 
 // PersistVersion is the one container version written and read.
-const PersistVersion = 4
+const PersistVersion = 5
 
 // castagnoli is the CRC32C table of the container header's checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -79,7 +80,7 @@ func headerLen(count int) int64 {
 	return n + 4            // checksum
 }
 
-// WriteTo serializes the sharded index in the current (v4, mappable)
+// WriteTo serializes the sharded index in the current (v5, mappable)
 // format, compacting any tail into the last shard first. It implements
 // io.WriterTo, for an Index holding every shard.
 func (s *Index) WriteTo(w io.Writer) (int64, error) {
@@ -177,7 +178,7 @@ func parseShardHeader(buf []byte) (shardHeader, error) {
 	return h, nil
 }
 
-// OpenArena opens a saved sharded index: it interprets a TSSH v4 stream
+// OpenArena opens a saved sharded index: it interprets a TSSH v5 stream
 // occupying the whole arena as a sharded index whose per-shard arrays
 // are views directly into the region — on a mapping, opening a
 // multi-gigabyte index costs O(header) allocations and faults pages in
@@ -209,7 +210,7 @@ func OpenArenaShards(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, 
 	return openArena(ar, ext, ex, assigned)
 }
 
-// openArena opens the shards assigned (nil: every shard) of the TSSH v4
+// openArena opens the shards assigned (nil: every shard) of the TSSH v5
 // stream occupying ar.
 func openArena(ar *arena.Arena, ext *series.Extractor, ex *exec.Executor, assigned []int) (*Index, error) {
 	if ex == nil {

@@ -21,9 +21,9 @@ import (
 // TestSavedFormatMatrix is the persistence contract's format half. Each
 // format SaveIndex writes maps with Options.MMap and counts its bytes as
 // mapped (its answers are TestConformance's). Each stream generation
-// this code base once wrote and no longer reads (TSIX, TSFZ v1/v2, TSSH
-// v1–v3) and anything unknown is refused from its six-byte header alone,
-// and a TSSH v4 container saved with the retired mean-sorted partition
+// this code base once wrote and no longer reads (TSIX, TSFZ v1–v3, TSSH
+// v1–v4) and anything unknown is refused from its six-byte header alone,
+// and a TSSH v5 container marked with the retired mean-sorted partition
 // from its partition byte, with one text on every entry point, mapped
 // or read.
 func TestSavedFormatMatrix(t *testing.T) {
@@ -32,7 +32,7 @@ func TestSavedFormatMatrix(t *testing.T) {
 	dir := t.TempDir()
 	canMap := arena.MapSupported()
 
-	for name, shards := range map[string]int{"TSFZ v3": 1, "TSSH v4": 2} {
+	for name, shards := range map[string]int{"TSFZ v4": 1, "TSSH v5": 2} {
 		path := filepath.Join(dir, name+".tsidx")
 		eng, err := Open(data, Options{L: l, Shards: shards})
 		if err == nil {
@@ -57,10 +57,10 @@ func TestSavedFormatMatrix(t *testing.T) {
 		})
 	}
 
-	const rebuild = "; this version reads only TSFZ v3 and TSSH v4 — rebuild it from its series: tsquery -series S -qstart 0 -l L [-shards N] -saveindex F"
-	// A TSSH v4 file as a by-mean engine saved it, as far as a loader
-	// gets: every other byte of it is one this version accepts.
-	meanSorted, err := os.ReadFile(filepath.Join(dir, "TSSH v4.tsidx"))
+	const rebuild = "; this version reads only TSFZ v4 and TSSH v5 — rebuild it from its series: tsquery -series S -qstart 0 -l L [-shards N] -saveindex F"
+	// A TSSH v5 file as a by-mean engine would have saved it, as far as
+	// a loader gets: every other byte of it is one this version accepts.
+	meanSorted, err := os.ReadFile(filepath.Join(dir, "TSSH v5.tsidx"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,11 @@ func TestSavedFormatMatrix(t *testing.T) {
 		// The generation ISSUE 21 retired: float64 bounds, no checksums.
 		{"TSFZ v2", "TSFZ", 2, "twinsearch: saved index is a TSFZ v2 stream" + rebuild, nil},
 		{"TSSH v3", "TSSH", 3, "twinsearch: saved index is a TSSH v3 stream" + rebuild, nil},
+		// The generation whose bound rows were in time order.
+		{"TSFZ v3", "TSFZ", 3, "twinsearch: saved index is a TSFZ v3 stream" + rebuild, nil},
+		{"TSSH v4", "TSSH", 4, "twinsearch: saved index is a TSSH v4 stream" + rebuild, nil},
 		{"unknown magic", "JUNK", 2, `twinsearch: saved index has unknown magic "JUNK"`, nil},
-		{"TSSH v4 by mean", "TSSH", 4, "shard: load: the index was saved with mean-sorted shard partitioning (partition scheme 1), which is no longer read; only contiguous partitions are — rebuild it from its series: tsquery -series S -qstart 0 -l L -shards N -saveindex F", meanSorted},
+		{"TSSH v5 by mean", "TSSH", 5, "shard: load: the index was saved with mean-sorted shard partitioning (partition scheme 1), which is no longer read; only contiguous partitions are — rebuild it from its series: tsquery -series S -qstart 0 -l L -shards N -saveindex F", meanSorted},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			stream := c.stream

@@ -18,7 +18,7 @@ import (
 
 // TestOneShardEngineIsTheOldSingleIndex pins what serving the single
 // index as a one-shard shard.Index must not change: the bytes SaveIndex
-// writes are core.Build's tree frozen — a bare TSFZ v3 stream, the file
+// writes are core.Build's tree frozen — a bare TSFZ v4 stream, the file
 // bench's core rung maps with core.FrozenFromArena(ar, 0, …) — and the
 // counters its backing reports are Frozen.SearchStats's on that tree.
 // Then the mutation path: a saved index reopened by copy and by mapping
