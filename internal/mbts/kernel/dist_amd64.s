@@ -371,8 +371,8 @@ abandonW:
 // the first Intel source, so a NaN lane leaves the accumulator alone —
 // and only then are the block's bounds compared, max GT_OQ u and min
 // LT_OQ l, into Y12: window lane i's bounds are lane at[i] of each, so
-// every 4-lane column of them is gathered (VGATHERDPS, by at's four
-// entries) and widened (VCVTPS2PD, exact) — GATHER4. The accumulators
+// every 8 of them are gathered (VGATHERDPS, by at's eight entries) and
+// widened a half at a time (VCVTPS2PD, exact) — GATHER8. The accumulators
 // start at -Inf and +Inf, so a lane NaN in every window compares
 // inside. The n mod 16 lanes go a 4-lane column at a time, every load
 // and gather masked to the lanes left (all four but in the n mod 4

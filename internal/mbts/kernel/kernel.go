@@ -169,13 +169,13 @@
 // laying the bounds out in window order in Go first and testing in the
 // identity order was slower (BenchmarkWindowsInside32 "laid-out": 2.25
 // against 1.92 µs for 64 windows of 100 lanes on a 2-vCPU Xeon, AVX2).
-// It ORs the GT_OQ and LT_OQ masks into one
-// register tested once at the end — no branch per window — and reads
-// the n mod 16 lanes a 4-lane column at a time through masked loads and
-// gathers, whose +0 lanes compare inside. NewLaneOrder checks once that
-// at is a permutation of [0, n), so no gather leaves the band. A leaf
-// the test refuses is re-checked window by window to name the first
-// window outside, so the answer to "which" stays DistFlat32's.
+// It ORs the GT_OQ and LT_OQ masks into one register tested once at the
+// end — no branch per window — and reads the n mod 16 lanes a 4-lane
+// column at a time through masked loads and gathers, whose +0 lanes
+// compare inside. NewLaneOrder checks once that at is a permutation of
+// [0, n), so no gather leaves the band. A leaf the test refuses is
+// re-checked window by window to name the first window outside, so the
+// answer to "which" stays DistFlat32's.
 //
 // An internal node's children are consecutive bound rows, all float32
 // and all in the same lane order as the node's own, and BoundsInside32
@@ -465,9 +465,9 @@ func SweepWindows(data []float64, starts []int32, s []float64, limit float64, di
 // below lower[at[i]], at the permutation order was made from, compared
 // as IEEE orders them, so a NaN lane or bound is inside. It is defined
 // as DistFlat32(upper∘at, lower∘at, w) == 0 for every window (see
-// "Enclosure"). It panics,
-// before reading any lane, on a start outside [0, len(data)−n] or when
-// either bound is shorter than n. Direct dispatch, as SweepAbandonFlat.
+// "Enclosure"). It panics, before reading any lane, on a start outside
+// [0, len(data)−n] or when either bound is shorter than n. Direct
+// dispatch, as SweepAbandonFlat.
 func WindowsInside32(upper, lower []float32, data []float64, starts []int32, order LaneOrder) bool {
 	switch active.Name {
 	case "avx2":
